@@ -66,7 +66,7 @@ func main() {
 		workloads = st.Catalog
 	}
 
-	res, err := serve.RunLoad(ctx, serve.LoadConfig{
+	cfg := serve.LoadConfig{
 		Addrs:       addrList,
 		RateQPS:     *rate,
 		Workers:     *workers,
@@ -78,7 +78,14 @@ func main() {
 		ObserveFrac: *observe,
 		Ordered:     *ordered,
 		StartOrder:  *startOrder,
-	})
+	}
+	if len(addrList) > 1 {
+		// A failover run: the retry budget must outlast a lease expiry
+		// plus the standby's restore (the default's ~1.3 s of backoff is
+		// about what a 500 ms lease and a small snapshot take).
+		cfg.MaxAttempts = 60
+	}
+	res, err := serve.RunLoad(ctx, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gsight-loadgen: %v\n", err)
 		os.Exit(1)

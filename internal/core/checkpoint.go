@@ -62,31 +62,76 @@ func forestOf(m ml.Incremental) (*ml.Forest, error) {
 	return f, nil
 }
 
-// CheckpointState snapshots the predictor: per-QoS forest state (trees,
-// window, RNG cursor) plus the pending observation buffer and training
-// counters. The log-space wrapping of tail-latency and JCT models is
-// structural (rebuilt by NewPredictor), so only the inner forests are
-// serialized.
-func (p *Predictor) CheckpointState() (json.RawMessage, error) {
-	st := predictorState{Version: 1}
+// PredictorCapture is a frozen view of the predictor's learning state,
+// taken by Capture for the price of some pointer copies and one flat
+// copy of the tier-0 ring (at most its window × Tier0Dim floats), and
+// encoded later — possibly on another goroutine, while the predictor
+// keeps observing and flushing.
+type PredictorCapture struct {
+	kinds [numQoSKinds]kindCapture
+	tier0 tier0State
+}
+
+type kindCapture struct {
+	trained  bool
+	seen     int
+	forest   ml.ForestCapture
+	pendingX [][]float64
+	pendingY []float64
+}
+
+// Capture freezes the predictor's state at the current observation:
+// per-QoS forest view (tree pointers, window row pointers, RNG cursor),
+// the pending observation buffer and the training counters, plus the
+// tier-0 accumulators. Nothing the capture references is written
+// afterwards: window and pending rows are immutable once handed over and
+// trees once grown, so only the containers that ARE rewritten in place
+// are copied — the pending buffer (Dataset.Reset nils its entries), the
+// ring's slot array, the forest's tree slice and the ridge ring.
+func (p *Predictor) Capture() (*PredictorCapture, error) {
+	c := &PredictorCapture{}
 	for k := range p.models {
 		f, err := forestOf(p.models[k])
 		if err != nil {
 			return nil, fmt.Errorf("%v kind: %w", QoSKind(k), err)
 		}
-		ks := predictorKindState{
-			Trained: p.trained[k],
-			Seen:    p.seen[k],
-			Forest:  f.ExportState(),
+		kc := kindCapture{trained: p.trained[k], seen: p.seen[k], forest: f.Capture()}
+		if p.pending[k].Len() > 0 {
+			kc.pendingX = append([][]float64(nil), p.pending[k].X...)
+			kc.pendingY = append([]float64(nil), p.pending[k].Y...)
 		}
-		if n := p.pending[k].Len(); n > 0 {
-			ks.PendingX = p.pending[k].X
-			ks.PendingY = p.pending[k].Y
-		}
-		st.Kinds = append(st.Kinds, ks)
+		c.kinds[k] = kc
 	}
-	st.Tier0 = &tier0State{Gen: p.tier0.gen, Ridge: p.tier0.ridge.ExportState()}
+	c.tier0 = tier0State{Gen: p.tier0.gen, Ridge: p.tier0.ridge.ExportState()}
+	return c, nil
+}
+
+// Encode serializes the capture to the checkpoint schema. The log-space
+// wrapping of tail-latency and JCT models is structural (rebuilt by
+// NewPredictor), so only the inner forests are serialized.
+func (c *PredictorCapture) Encode() (json.RawMessage, error) {
+	st := predictorState{Version: 1, Tier0: &c.tier0}
+	for k := range c.kinds {
+		kc := &c.kinds[k]
+		st.Kinds = append(st.Kinds, predictorKindState{
+			Trained:  kc.trained,
+			Seen:     kc.seen,
+			Forest:   kc.forest.State(),
+			PendingX: kc.pendingX,
+			PendingY: kc.pendingY,
+		})
+	}
 	return json.Marshal(st)
+}
+
+// CheckpointState snapshots the predictor: Capture and Encode in one
+// call, for callers with nothing to overlap the encoding with.
+func (p *Predictor) CheckpointState() (json.RawMessage, error) {
+	c, err := p.Capture()
+	if err != nil {
+		return nil, err
+	}
+	return c.Encode()
 }
 
 // RestoreCheckpoint restores a CheckpointState snapshot into this

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"gsight/internal/ml"
@@ -74,5 +75,81 @@ func TestPredictorRestoreRejectsCorruptState(t *testing.T) {
 		if err := ckptPredictor(7).RestoreCheckpoint([]byte(raw)); err == nil {
 			t.Errorf("corrupt checkpoint %q accepted", raw)
 		}
+	}
+}
+
+// TestCaptureDoesNotAliasLiveState is the aliasing audit: a capture
+// taken at observation n must encode to the CheckpointState bytes of
+// observation n however far the predictor has moved on. The 250
+// further observations cross two flushes (the pending buffer is reset
+// in place, the forest grows and prunes trees in place) and wrap the
+// 120-row ring, and the encode runs on another goroutine while they
+// are applied — under -race that also proves the capture shares
+// nothing the learner still writes.
+func TestCaptureDoesNotAliasLiveState(t *testing.T) {
+	p := NewPredictor(Config{
+		Coder:       Coder{NumServers: 4, MaxWorkloads: 3},
+		Factory:     func(s uint64) ml.Incremental { return ml.NewForest(ml.ForestConfig{Trees: 6, Seed: s, Window: 120}) },
+		UpdateEvery: 100,
+		Seed:        5,
+	})
+	mm := scInput(workload.MatMul(), 0, 0)
+	observe := func(i int) {
+		dd := scInput(workload.DD(), i%2, float64(i%7)*10)
+		if err := p.Observe(IPCQoS, 0, []WorkloadInput{mm, dd}, 1.9-0.01*float64(i%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One fit and one update behind it (so the tree slice has the spare
+	// capacity later updates append and prune within), the ring wrapped
+	// once, 30 rows pending.
+	const n = 230
+	for i := 0; i < n; i++ {
+		observe(i)
+	}
+	want, err := p.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := p.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type encoded struct {
+		raw []byte
+		err error
+	}
+	early := make(chan encoded, 1)
+	go func() {
+		raw, err := c.Encode()
+		early <- encoded{raw, err}
+	}()
+	for i := n; i < n+250; i++ {
+		observe(i)
+	}
+	if got := p.SamplesSeen(IPCQoS); got != 400 {
+		t.Fatalf("samples seen = %d, want 400 (two flushes after the capture)", got)
+	}
+	e := <-early
+	if e.err != nil {
+		t.Fatal(e.err)
+	}
+	if !bytes.Equal(e.raw, want) {
+		t.Fatal("encode concurrent with 250 observations differs from the checkpoint taken at the capture point")
+	}
+	late, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(late, want) {
+		t.Fatal("encode after 250 observations differs from the checkpoint taken at the capture point")
+	}
+	now, err := p.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(now, want) {
+		t.Fatal("checkpoint did not change across 250 observations: the test exercises nothing")
 	}
 }

@@ -25,24 +25,56 @@ type ForestState struct {
 	WindowY []float64    `json:"window_y"`
 }
 
-// ExportState snapshots the forest's live state. Window rows are
-// referenced, not copied — the caller serializes the state before the
-// next Update.
-func (f *Forest) ExportState() ForestState {
-	st := ForestState{Version: 1, Dim: f.dim, Fitted: f.fitted, Rng: f.rnd.State()}
-	for _, t := range f.trees {
-		st.Trees = append(st.Trees, t.Export())
+// ForestCapture is a frozen view of a forest's live state, cheap enough
+// to take between two records on a serving path: it copies slice
+// headers and pointers only. What it points at is immutable once handed
+// over — a grown tree is never modified (prune and Fit only reshuffle
+// the forest's pointer slice) and a window row is never written after
+// push — so State may run on another goroutine while the forest keeps
+// updating.
+type ForestCapture struct {
+	dim     int
+	fitted  bool
+	rng     [4]uint64
+	trees   []*Tree
+	windowX [][]float64 // logical (oldest-first) order
+	windowY []float64
+}
+
+// Capture freezes the forest's live state. The tree pointers and the
+// ring's row pointers are copied out — prune compacts the former and
+// push overwrites the latter in place.
+func (f *Forest) Capture() ForestCapture {
+	c := ForestCapture{
+		dim:    f.dim,
+		fitted: f.fitted,
+		rng:    f.rnd.State(),
+		trees:  append([]*Tree(nil), f.trees...),
 	}
 	n := f.buf.Len()
-	st.WindowX = make([][]float64, n)
-	st.WindowY = make([]float64, n)
+	c.windowX = make([][]float64, n)
+	c.windowY = make([]float64, n)
 	for i := 0; i < n; i++ {
 		p := f.buf.phys(i)
-		st.WindowX[i] = f.buf.x[p]
-		st.WindowY[i] = f.buf.y[p]
+		c.windowX[i] = f.buf.x[p]
+		c.windowY[i] = f.buf.y[p]
+	}
+	return c
+}
+
+// State expands the capture into the serializable form (the tree
+// exports are the expensive part).
+func (c ForestCapture) State() ForestState {
+	st := ForestState{Version: 1, Dim: c.dim, Fitted: c.fitted, Rng: c.rng,
+		WindowX: c.windowX, WindowY: c.windowY}
+	for _, t := range c.trees {
+		st.Trees = append(st.Trees, t.Export())
 	}
 	return st
 }
+
+// ExportState snapshots the forest's live state.
+func (f *Forest) ExportState() ForestState { return f.Capture().State() }
 
 // RestoreState replaces the forest's live state with a snapshot,
 // validating structure and values so corrupt on-disk state is rejected

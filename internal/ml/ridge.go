@@ -235,7 +235,8 @@ type RidgeState struct {
 	RingY   []float64   `json:"ring_y,omitempty"`
 }
 
-// ExportState snapshots the live state. Ring rows are copied so the
+// ExportState snapshots the live state. Ring rows are copied (into one
+// flat backing array — the ring overwrites its slots in place) so the
 // snapshot stays stable across subsequent Observes.
 func (r *Ridge) ExportState() RidgeState {
 	st := RidgeState{
@@ -249,12 +250,15 @@ func (r *Ridge) ExportState() RidgeState {
 		RingX:   make([][]float64, r.n),
 		RingY:   make([]float64, r.n),
 	}
+	flat := make([]float64, r.n*r.d)
 	for i := 0; i < r.n; i++ {
 		p := r.head + i
 		if p >= r.n {
 			p -= r.n
 		}
-		st.RingX[i] = append([]float64(nil), r.ringX[p*r.d:(p+1)*r.d]...)
+		row := flat[i*r.d : (i+1)*r.d : (i+1)*r.d]
+		copy(row, r.ringX[p*r.d:(p+1)*r.d])
+		st.RingX[i] = row
 		st.RingY[i] = r.ringY[p]
 	}
 	return st

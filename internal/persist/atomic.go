@@ -53,8 +53,12 @@ func writeFileWith(path string, render func(io.Writer) error) error {
 	return WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
 
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
+// syncDir fsyncs a directory so a just-created or just-renamed entry is
+// durable. A variable so tests can record the calls; nothing outside
+// tests assigns it.
+var syncDir = fsyncDir
+
+func fsyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("persist: %s: %w", dir, err)

@@ -24,10 +24,15 @@ import (
 // A snapshot file is one JSON object {version, seq, sha256, payload}:
 // the sha256 is the hex digest of the payload's raw bytes, so any
 // torn, truncated or bit-flipped snapshot is detected on load and the
-// loader falls back to the previous generation. Snapshots are written
-// via WriteFileAtomic, so a crash during a write never destroys the
-// previous valid snapshot. The payload itself is opaque to this
-// package — the platform owns its schema — which keeps persist free of
+// loader falls back to the previous generation. What the fallback means
+// for the WALs is the caller's to decide, because the two controllers
+// recover differently: the platform re-executes the span after the
+// snapshot it loaded and drops the newer WALs (RemoveWALsAfter); the
+// serving daemon's WALs hold acknowledged records, so it replays the
+// whole chain wal-N, wal-(N+1), … on top of snapshot N. Snapshots are
+// written via WriteFileAtomic, so a crash during a write never destroys
+// the previous valid snapshot. The payload itself is opaque to this
+// package — the caller owns its schema — which keeps persist free of
 // import cycles.
 
 // SnapshotVersion is the envelope format version.
@@ -61,17 +66,25 @@ type snapshotEnvelope struct {
 }
 
 // EncodeSnapshot wraps a payload in a checksummed envelope.
+// Marshalling a RawMessage validates it, so an invalid payload is
+// rejected without a separate scan of what may be tens of megabytes; an
+// empty one is checked here because it would marshal as null and fail
+// its checksum only on load.
 func EncodeSnapshot(seq uint64, payload []byte) ([]byte, error) {
-	if !json.Valid(payload) {
-		return nil, fmt.Errorf("persist: snapshot %d: payload is not valid JSON", seq)
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("persist: snapshot %d: empty payload", seq)
 	}
 	sum := sha256.Sum256(payload)
-	return json.Marshal(snapshotEnvelope{
+	data, err := json.Marshal(snapshotEnvelope{
 		Version: SnapshotVersion,
 		Seq:     seq,
 		SHA256:  hex.EncodeToString(sum[:]),
 		Payload: payload,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("persist: snapshot %d: payload is not valid JSON: %w", seq, err)
+	}
+	return data, nil
 }
 
 // DecodeSnapshot validates an envelope and returns its sequence number
@@ -120,6 +133,12 @@ type SnapshotInfo struct {
 // before its first snapshot landed looks exactly like a fresh start,
 // so retry loops can pass -resume unconditionally.
 func Snapshots(dir string) ([]SnapshotInfo, error) {
+	return generations(dir, snapPrefix, snapSuffix)
+}
+
+// generations lists the files named prefix + sequence + suffix in dir,
+// ascending by sequence.
+func generations(dir, prefix, suffix string) ([]SnapshotInfo, error) {
 	ents, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -130,10 +149,10 @@ func Snapshots(dir string) ([]SnapshotInfo, error) {
 	var out []SnapshotInfo
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
+		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		seqStr := strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix)
+		seqStr := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
 		seq, err := strconv.ParseUint(seqStr, 10, 64)
 		if err != nil {
 			continue // temp file or foreign name
@@ -145,10 +164,11 @@ func Snapshots(dir string) ([]SnapshotInfo, error) {
 }
 
 // LatestSnapshot loads the newest valid snapshot in dir, falling back
-// over corrupt or truncated generations: each rejected snapshot (and
-// its WAL, which describes a future the fallback run will re-execute)
-// is deleted so the directory converges back to a valid state. It
-// returns ErrNoSnapshot when the directory holds no valid snapshot.
+// over corrupt or truncated generations: each rejected snapshot file is
+// deleted so the directory converges back to a valid state. WALs are
+// never touched — a rejected generation's WAL may hold records the
+// caller has acknowledged. It returns ErrNoSnapshot when the directory
+// holds no valid snapshot.
 func LatestSnapshot(dir string) (payload []byte, seq uint64, err error) {
 	infos, err := Snapshots(dir)
 	if err != nil {
@@ -169,10 +189,7 @@ func LatestSnapshot(dir string) (payload []byte, seq uint64, err error) {
 			}
 		}
 		lastErr = fmt.Errorf("persist: %s: %w", info.Path, err)
-		// The generation is unusable; remove it and its WAL so the
-		// resumed run re-executes that span from the previous snapshot.
 		os.Remove(info.Path)
-		os.Remove(WALPath(dir, info.Seq))
 	}
 	if lastErr != nil {
 		return nil, 0, fmt.Errorf("%w (newest rejected: %v)", ErrNoSnapshot, lastErr)
@@ -180,22 +197,40 @@ func LatestSnapshot(dir string) (payload []byte, seq uint64, err error) {
 	return nil, 0, ErrNoSnapshot
 }
 
-// PruneCheckpoints deletes generations older than keepFrom (snapshots
-// and WALs with seq < keepFrom).
+// PruneCheckpoints deletes generations older than keepFrom: snapshots
+// and WALs with seq < keepFrom. The two are listed separately, since a
+// generation can have a WAL and no snapshot (a rotation whose snapshot
+// was never published).
 func PruneCheckpoints(dir string, keepFrom uint64) error {
-	infos, err := Snapshots(dir)
+	snaps, err := Snapshots(dir)
 	if err != nil {
 		return err
 	}
-	for _, info := range infos {
-		if info.Seq >= keepFrom {
+	wals, err := generations(dir, walPrefix, walSuffix)
+	if err != nil {
+		return err
+	}
+	return removeWhere(append(snaps, wals...), func(seq uint64) bool { return seq < keepFrom })
+}
+
+// RemoveWALsAfter deletes the WALs of generations newer than seq. A
+// controller that recovers by re-execution calls it after loading
+// snapshot seq: those WALs describe a future it is about to re-create.
+func RemoveWALsAfter(dir string, seq uint64) error {
+	wals, err := generations(dir, walPrefix, walSuffix)
+	if err != nil {
+		return err
+	}
+	return removeWhere(wals, func(s uint64) bool { return s > seq })
+}
+
+func removeWhere(files []SnapshotInfo, drop func(seq uint64) bool) error {
+	for _, f := range files {
+		if !drop(f.Seq) {
 			continue
 		}
-		if err := os.Remove(info.Path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: prune %s: %w", info.Path, err)
-		}
-		if err := os.Remove(WALPath(dir, info.Seq)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: prune wal %d: %w", info.Seq, err)
+		if err := os.Remove(f.Path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("persist: remove %s: %w", f.Path, err)
 		}
 	}
 	return nil

@@ -68,8 +68,10 @@ func TestDecodeSnapshotDetectsCorruption(t *testing.T) {
 }
 
 func TestEncodeSnapshotRejectsInvalidPayload(t *testing.T) {
-	if _, err := EncodeSnapshot(1, []byte("not json")); err == nil {
-		t.Fatal("non-JSON payload accepted")
+	for _, payload := range []string{"not json", `{"a":1} trailing`, `{"a":`, ""} {
+		if _, err := EncodeSnapshot(1, []byte(payload)); err == nil {
+			t.Errorf("invalid payload %q accepted", payload)
+		}
 	}
 }
 
@@ -82,7 +84,8 @@ func TestLatestSnapshotFallsBackOverCorruptGenerations(t *testing.T) {
 		}
 	}
 	// Give generation 3 a WAL, then corrupt its snapshot: fallback must
-	// discard both.
+	// discard the snapshot and leave the WAL to the caller (the serving
+	// daemon's holds acknowledged records).
 	walPath := WALPath(dir, 3)
 	if err := os.WriteFile(walPath, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
@@ -111,8 +114,19 @@ func TestLatestSnapshotFallsBackOverCorruptGenerations(t *testing.T) {
 	if _, err := os.Stat(snap3); !os.IsNotExist(err) {
 		t.Fatal("corrupt snapshot generation not removed")
 	}
+	if _, err := os.Stat(walPath); err != nil {
+		t.Fatalf("corrupt generation's WAL must survive the fallback: %v", err)
+	}
+	// The re-executing caller's follow-up drops it, and only it.
+	os.WriteFile(WALPath(dir, 2), []byte("keep"), 0o644)
+	if err := RemoveWALsAfter(dir, seq); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
-		t.Fatal("corrupt generation's WAL not removed")
+		t.Fatal("RemoveWALsAfter left the newer generation's WAL")
+	}
+	if _, err := os.Stat(WALPath(dir, 2)); err != nil {
+		t.Fatalf("RemoveWALsAfter removed the loaded generation's WAL: %v", err)
 	}
 }
 
@@ -145,6 +159,9 @@ func TestPruneCheckpoints(t *testing.T) {
 		}
 		os.WriteFile(WALPath(dir, seq), nil, 0o644)
 	}
+	// Generation 1's snapshot was never published (a crash between WAL
+	// rotation and publish): its WAL must still be pruned.
+	os.Remove(SnapshotPath(dir, 1))
 	if err := PruneCheckpoints(dir, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +176,32 @@ func TestPruneCheckpoints(t *testing.T) {
 		if _, err := os.Stat(WALPath(dir, seq)); !os.IsNotExist(err) {
 			t.Fatalf("wal %d survived pruning", seq)
 		}
+	}
+}
+
+// TestCreateWALSyncsParentDir: the directory entry of a fresh WAL must
+// be fsynced before CreateWAL returns — the first record appended to it
+// may be acknowledged straight after its own fsync, and a file whose
+// entry a power cut loses takes that record with it.
+func TestCreateWALSyncsParentDir(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal-000000007.jsonl")
+	var calls []string
+	syncDir = func(d string) error {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("directory synced before the WAL file exists: %v", err)
+		}
+		calls = append(calls, d)
+		return fsyncDir(d)
+	}
+	defer func() { syncDir = fsyncDir }()
+	w, err := CreateWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if len(calls) != 1 || calls[0] != dir {
+		t.Fatalf("syncDir calls = %q, want exactly [%q]", calls, dir)
 	}
 }
 

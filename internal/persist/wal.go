@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // Append-only write-ahead log: one record per line, each line carrying
@@ -31,11 +32,17 @@ type WAL struct {
 	buf []byte
 }
 
-// CreateWAL creates (or truncates) the log at path.
+// CreateWAL creates (or truncates) the log at path and fsyncs the
+// parent directory, so the file an acknowledged record is about to be
+// fsynced into still exists after a power cut.
 func CreateWAL(path string) (*WAL, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: wal %s: %w", path, err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return &WAL{f: f, w: bufio.NewWriter(f)}, nil
 }

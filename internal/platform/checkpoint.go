@@ -508,6 +508,11 @@ func (r *runner) resume() error {
 	if err := r.restorePayload(&p); err != nil {
 		return err
 	}
+	// A newer WAL means LatestSnapshot fell back over a corrupt
+	// generation; the run re-executes that span, so its old log goes.
+	if err := persist.RemoveWALsAfter(c.cfg.Dir, seq); err != nil {
+		return err
+	}
 	walPath := persist.WALPath(c.cfg.Dir, seq)
 	records, validLen, err := persist.ReplayWAL(walPath)
 	if err != nil {

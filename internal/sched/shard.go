@@ -183,6 +183,10 @@ func (ss *ShardedState) Commit(in core.WorkloadInput, sla SLA) {
 	ss.st.Commit(in, sla)
 }
 
+// IndexOf returns the running-set index of the named workload (its
+// first occurrence), -1 if it is not running: a map hit, like Release.
+func (ss *ShardedState) IndexOf(name string) int { return ss.st.indexOf(name) }
+
 // Release removes the named workload, stamping its servers.
 func (ss *ShardedState) Release(name string) bool {
 	i := ss.st.indexOf(name)

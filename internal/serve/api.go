@@ -86,7 +86,7 @@ const defaultRequestTimeout = 5 * time.Second
 //	POST /v1/place     one placement (or {"batch": [...]} for many)
 //	POST /v1/observe   QoS feedback → online learning
 //	POST /v1/release   free an instance
-//	POST /v1/snapshot  force a checkpoint rotation
+//	POST /v1/snapshot  force a checkpoint rotation (answers once it is durable)
 //	GET  /v1/state     cluster + daemon status
 //	GET  /healthz      liveness
 //	GET  /readyz       readiness (false until replay done, false again while draining)
@@ -249,7 +249,7 @@ type stateResponse struct {
 	Servers   int      `json:"servers"`
 	Running   int      `json:"running"`
 	Catalog   []string `json:"catalog"`
-	Snapshots uint64   `json:"snapshot_gen"`
+	Snapshots uint64   `json:"snapshot_gen"` // newest durable generation
 	UptimeS   float64  `json:"uptime_s"`
 	Trained   bool     `json:"trained"`
 }
@@ -262,7 +262,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		Servers:   s.state.NumServers(),
 		Running:   s.state.NumRunning(),
 		Catalog:   s.cat.Names(),
-		Snapshots: s.gen,
+		Snapshots: s.durableGen.Load(),
 		UptimeS:   time.Since(s.started).Seconds(),
 		Trained:   s.pred.SamplesSeen(core.IPCQoS) > 0,
 	})

@@ -45,7 +45,11 @@ type LoadConfig struct {
 	ObserveFrac float64
 	// Ordered stamps every request with a global order number, making
 	// the run byte-replayable for the failover gate. Ordered runs
-	// serialize admission; keep rates moderate.
+	// serialize admission; keep rates moderate. The follow-ups are part
+	// of the numbered stream: which placements get an observation or a
+	// release is drawn up front from Seed and their order numbers are
+	// reserved right after the placement's, so they are sent whatever
+	// the placement's outcome (a hole would stall the stream).
 	Ordered bool
 	// StartOrder is the first order number an ordered run uses
 	// (continuing a numbered stream across phases). Default 1.
@@ -104,11 +108,14 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		arch    string
 		order   uint64
 		measure bool
+		// Ordered runs: the follow-ups' reserved order numbers (0 = none).
+		observe, release uint64
 	}
 	total := cfg.Warmup + cfg.Requests
 	jobs := make(chan job, workers)
 	mixRand := rng.Stream(cfg.Seed, "loadgen-mix")
 	clock := rng.Stream(cfg.Seed, "loadgen-arrivals")
+	followRand := rng.Stream(cfg.Seed, "loadgen-follow")
 
 	var (
 		mu        sync.Mutex
@@ -149,6 +156,28 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 					}
 				}
 				mu.Unlock()
+				if cfg.Ordered {
+					// The instance name is a function of the order
+					// number, so the follow-ups do not depend on the ack.
+					name := fmt.Sprintf("%s#o%d", j.arch, j.order)
+					var ferr error
+					if j.observe > 0 {
+						value := 1.0
+						if ack != nil && ack.PredIPC > 0 {
+							value = ack.PredIPC
+						}
+						_, ferr = cl.Observe(ctx, ObserveRequest{Name: name, QoS: "ipc", Value: value, Order: j.observe})
+					}
+					if j.release > 0 && ferr == nil {
+						_, ferr = cl.Release(ctx, ReleaseRequest{Name: name, Order: j.release})
+					}
+					if ferr != nil && j.measure {
+						mu.Lock()
+						res.Errors++
+						mu.Unlock()
+					}
+					continue
+				}
 				if err != nil || ack == nil || len(ack.Placement) == 0 {
 					continue
 				}
@@ -194,6 +223,14 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		if cfg.Ordered {
 			j.order = order
 			order++
+			if cfg.ObserveFrac > 0 && followRand.Float64() < cfg.ObserveFrac {
+				j.observe = order
+				order++
+			}
+			if cfg.ReleaseFrac > 0 && followRand.Float64() < cfg.ReleaseFrac {
+				j.release = order
+				order++
+			}
 		}
 		jobs <- j
 	}

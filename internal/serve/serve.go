@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gsight/internal/core"
@@ -49,13 +51,17 @@ type Server struct {
 	state *sched.ShardedState
 	pool  *sched.PlacerPool
 
-	intake  chan *pending
-	stopC   chan struct{}
-	doneC   chan struct{}
-	stopped bool
+	intake   chan *pending
+	stopC    chan struct{}
+	doneC    chan struct{}
+	stopOnce sync.Once
+
+	// durableGen is the newest generation whose snapshot is on disk;
+	// the publisher stores it, /v1/state reads it.
+	durableGen atomic.Uint64
 
 	// Committer-owned state (single goroutine; no locks).
-	gen       uint64 // current checkpoint generation
+	gen       uint64 // generation of the live WAL (the last cut's)
 	wal       *persist.GroupWAL
 	logF      *os.File
 	logBytes  int64
@@ -65,6 +71,21 @@ type Server struct {
 	parked    map[uint64]*pending
 	resp      map[uint64]json.RawMessage // order → response (dup answers)
 	respRing  []uint64                   // eviction order for resp
+
+	// Snapshot publishing (snapshot.go). The committer cuts, one
+	// background goroutine at a time publishes.
+	publishing  bool       // a cut is being published in the background
+	pubDone     chan error // the publisher's result; buffered, one in flight
+	pubErr      error      // a failed publish, fencing at the next boundary
+	deferred    bool       // a snapshot came due while publishing (counted once)
+	snapWaiters []*pending // forced snapshots waiting for the next cut
+	// publishHook, when set by a test, is called at the named stages of
+	// a publish; blocking in it abandons the publish there.
+	publishHook func(stage string)
+
+	// applyObserve scratch.
+	obsInputs []core.WorkloadInput
+	obsOn     []bool // servers hosting the observed target
 
 	met     serveMetrics
 	health  *telemetry.Health
@@ -149,9 +170,11 @@ type serveMetrics struct {
 	shed, dups, timeouts    *telemetry.Counter
 	walRecords, snapshots   *telemetry.Counter
 	replayed, takeovers     *telemetry.Counter
-	conflicts               *telemetry.Counter
+	conflicts, deferred     *telemetry.Counter
 	batchSize               *telemetry.Histogram
 	placeLatency            *telemetry.Histogram
+	capture, publish        *telemetry.Histogram
+	inflight                *telemetry.Gauge
 }
 
 func newServeMetrics(reg *telemetry.Registry) serveMetrics {
@@ -166,6 +189,10 @@ func newServeMetrics(reg *telemetry.Registry) serveMetrics {
 		timeouts:     reg.Counter("serve_timeout_total", "requests that timed out waiting for the committer"),
 		walRecords:   reg.Counter("serve_wal_records_total", "records group-committed to the WAL"),
 		snapshots:    reg.Counter("serve_snapshots_total", "snapshots written"),
+		deferred:     reg.Counter("serve_snapshots_deferred_total", "snapshots that came due while another was being published and waited for it"),
+		capture:      reg.Histogram("serve_snapshot_capture_seconds", "committer time per snapshot cut (state copy + WAL rotation)", telemetry.DurationBuckets()),
+		publish:      reg.Histogram("serve_snapshot_publish_seconds", "time to encode, fsync and prune one snapshot off the committer", telemetry.DurationBuckets()),
+		inflight:     reg.Gauge("serve_snapshot_inflight", "1 while a snapshot is being published in the background"),
 		replayed:     reg.Counter("serve_replayed_records_total", "WAL records replayed at startup"),
 		takeovers:    reg.Counter("serve_takeovers_total", "restores from an existing snapshot (restart or takeover)"),
 		conflicts:    reg.Counter("serve_commit_conflicts_total", "placement commit retries (stale-epoch re-proposals)"),
@@ -223,6 +250,7 @@ func New(cfg Config) (*Server, error) {
 		intake:  make(chan *pending, cfg.QueueCap),
 		stopC:   make(chan struct{}),
 		doneC:   make(chan struct{}),
+		pubDone: make(chan error, 1),
 		parked:  map[uint64]*pending{},
 		resp:    map[uint64]json.RawMessage{},
 		met:     newServeMetrics(cfg.Sink.Registry),
@@ -268,15 +296,24 @@ func (s *Server) Applied() uint64 { return s.applied }
 // Catalog exposes the archetype catalog.
 func (s *Server) Catalog() *Catalog { return s.cat }
 
-// restore loads the newest snapshot, replays its WAL generation and
-// regenerates the decision log to exactly the acknowledged prefix. A
-// directory without a snapshot is a fresh start: bootstrap-train and
-// write the genesis generation, so every later incarnation (restart,
-// standby takeover) restores the same trained lineage instead of
-// re-training divergently.
+// restore loads the newest valid snapshot N, replays the WAL chain
+// wal-N, wal-(N+1), … on top of it and regenerates the decision log to
+// exactly the acknowledged prefix. The chain is longer than one file
+// when the previous incarnation died between rotating the WAL and
+// publishing that generation's snapshot, or when the newest snapshot is
+// corrupt and LatestSnapshot fell back; either way every acknowledged
+// record is in some wal-k with k >= N, and record sequence numbers must
+// continue without a gap across the files. A directory without a
+// snapshot is a fresh start: bootstrap-train and write the genesis
+// generation, so every later incarnation (restart, standby takeover)
+// restores the same trained lineage instead of re-training divergently.
 func (s *Server) restore() error {
 	payload, gen, err := persist.LatestSnapshot(s.cfg.DataDir)
 	if errors.Is(err, persist.ErrNoSnapshot) {
+		if fi, serr := os.Stat(s.logPath()); serr == nil && fi.Size() > 0 {
+			return fmt.Errorf("serve: restore: %w, but %s holds %d bytes of acknowledged decisions; refusing to bootstrap over them",
+				err, s.logPath(), fi.Size())
+		}
 		return s.bootstrap()
 	}
 	if err != nil {
@@ -318,6 +355,7 @@ func (s *Server) restore() error {
 	for _, cr := range snap.Responses {
 		s.cacheResponse(cr.Order, cr.Resp)
 	}
+	s.durableGen.Store(gen)
 
 	// Continue the decision log from the snapshot's recorded offset,
 	// re-emitting the replayed records so the bytes line up exactly
@@ -329,35 +367,52 @@ func (s *Server) restore() error {
 	s.logF = logF
 	s.logBytes = snap.LogBytes
 
-	walPath := persist.WALPath(s.cfg.DataDir, gen)
-	records, validLen, err := persist.ReplayWAL(walPath)
-	if err != nil {
-		return fmt.Errorf("serve: wal replay: %w", err)
-	}
-	for _, raw := range records {
-		rec, err := decodeRecord(raw)
+	var (
+		walPath  string
+		validLen int64
+	)
+	for g := gen; ; g++ {
+		path := persist.WALPath(s.cfg.DataDir, g)
+		if g > gen {
+			if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
+				break
+			} else if err != nil {
+				return fmt.Errorf("serve: wal chain: %w", err)
+			}
+		}
+		records, n, err := persist.ReplayWAL(path)
 		if err != nil {
-			return err
+			return fmt.Errorf("serve: wal replay: %w", err)
 		}
-		if err := s.applyRecord(rec); err != nil {
-			return fmt.Errorf("serve: wal replay seq %d: %w", rec.Seq, err)
+		for _, raw := range records {
+			rec, err := decodeRecord(raw)
+			if err != nil {
+				return err
+			}
+			if rec.Seq != s.applied+1 {
+				return fmt.Errorf("serve: wal replay: %s holds seq %d after seq %d; the chain from snapshot %d has a gap",
+					filepath.Base(path), rec.Seq, s.applied, gen)
+			}
+			if err := s.applyRecord(rec); err != nil {
+				return fmt.Errorf("serve: wal replay seq %d: %w", rec.Seq, err)
+			}
+			if err := s.emitLog(raw); err != nil {
+				return err
+			}
+			s.met.replayed.Inc()
 		}
-		if err := s.emitLog(raw); err != nil {
-			return err
-		}
-		s.met.replayed.Inc()
+		walPath, validLen, s.gen = path, n, g
 	}
 	w, err := persist.OpenWALAppend(walPath, validLen)
 	if err != nil {
 		return fmt.Errorf("serve: wal: %w", err)
 	}
 	s.wal = persist.NewGroupWAL(w, s.cfg.FlushWindow)
-	s.gen = gen
-	s.logf("restored snapshot gen %d, replayed %d wal records (applied seq %d, next order %d)",
-		gen, len(records), s.applied, s.nextOrder)
+	s.logf("restored snapshot gen %d, replayed %d wal records from generations %d..%d (applied seq %d, next order %d)",
+		gen, s.applied-snap.Applied, gen, s.gen, s.applied, s.nextOrder)
 	// Compact immediately: the takeover (or restart) starts its own
 	// generation, so the replayed window is never replayed twice.
-	return s.snapshot()
+	return s.snapshot(false)
 }
 
 // bootstrap initializes a fresh data dir: train, open a fresh decision
@@ -379,7 +434,7 @@ func (s *Server) bootstrap() error {
 	}
 	s.logF = logF
 	s.logBytes = 0
-	return s.snapshot()
+	return s.snapshot(false)
 }
 
 // emitLog appends one decision line (a WAL payload verbatim).
@@ -388,73 +443,6 @@ func (s *Server) emitLog(payload []byte) error {
 		return fmt.Errorf("serve: decision log: %w", err)
 	}
 	s.logBytes += int64(len(payload)) + 1
-	return nil
-}
-
-// snapshot writes the next generation: decision log fsynced first (so
-// LogBytes is durable), then the snapshot envelope, then a fresh WAL;
-// old generations are pruned.
-func (s *Server) snapshot() error {
-	if err := s.logF.Sync(); err != nil {
-		return fmt.Errorf("serve: decision log sync: %w", err)
-	}
-	predState, err := s.pred.CheckpointState()
-	if err != nil {
-		return fmt.Errorf("serve: predictor checkpoint: %w", err)
-	}
-	st := s.state.Base()
-	snap := snapshotState{
-		Version:   snapshotStateVersion,
-		Applied:   s.applied,
-		NextOrder: s.nextOrder,
-		LogBytes:  s.logBytes,
-		SchedSeq:  s.state.Seq(),
-		Epochs:    s.state.RawEpochs(),
-		Predictor: predState,
-	}
-	for i := range st.Running {
-		d := &st.Running[i]
-		base, _ := core.BaseName(d.Input.Name)
-		snap.Running = append(snap.Running, deployedState{
-			Name:      d.Input.Name,
-			Archetype: base,
-			QPSFrac:   d.Input.QPSFrac,
-			Placement: d.Input.Placement,
-			MinIPC:    d.SLA.MinIPC,
-			MaxJCT:    d.SLA.MaxJCTFactor,
-		})
-	}
-	orders := append([]uint64(nil), s.respRing...)
-	sort.Slice(orders, func(i, j int) bool { return orders[i] < orders[j] })
-	for _, o := range orders {
-		snap.Responses = append(snap.Responses, cachedResponse{Order: o, Resp: s.resp[o]})
-	}
-	payload, err := json.Marshal(&snap)
-	if err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	newGen := s.gen + 1
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil && !errors.Is(err, persist.ErrWALClosed) {
-			return fmt.Errorf("serve: wal rotate: %w", err)
-		}
-	}
-	if _, err := persist.WriteSnapshot(s.cfg.DataDir, newGen, payload); err != nil {
-		return err
-	}
-	w, err := persist.CreateWAL(persist.WALPath(s.cfg.DataDir, newGen))
-	if err != nil {
-		return err
-	}
-	s.wal = persist.NewGroupWAL(w, s.cfg.FlushWindow)
-	s.gen = newGen
-	s.snapSeq = s.applied
-	s.met.snapshots.Inc()
-	if newGen > uint64(s.cfg.Keep) {
-		if err := persist.PruneCheckpoints(s.cfg.DataDir, newGen-uint64(s.cfg.Keep)+1); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -525,38 +513,34 @@ func (s *Server) applyObserve(name, qos string, value float64) bool {
 	if !ok {
 		return false
 	}
-	st := s.state.Base()
-	idx := -1
-	for i := range st.Running {
-		if st.Running[i].Input.Name == name {
-			idx = i
-			break
-		}
-	}
+	idx := s.state.IndexOf(name)
 	if idx < 0 {
 		return false
 	}
+	st := s.state.Base()
 	target := &st.Running[idx]
-	onTarget := map[int]bool{}
-	for _, sv := range target.Input.Placement {
-		onTarget[sv] = true
+	if s.obsOn == nil {
+		s.obsOn = make([]bool, s.state.NumServers())
 	}
-	inputs := []core.WorkloadInput{target.Input}
+	for _, sv := range target.Input.Placement {
+		s.obsOn[sv] = true
+	}
+	inputs := append(s.obsInputs[:0], target.Input)
 	for i := range st.Running {
 		if i == idx {
 			continue
 		}
-		shares := false
 		for _, sv := range st.Running[i].Input.Placement {
-			if onTarget[sv] {
-				shares = true
+			if s.obsOn[sv] {
+				inputs = append(inputs, st.Running[i].Input)
 				break
 			}
 		}
-		if shares {
-			inputs = append(inputs, st.Running[i].Input)
-		}
 	}
+	for _, sv := range target.Input.Placement {
+		s.obsOn[sv] = false
+	}
+	s.obsInputs = inputs
 	return s.pred.Observe(kind, 0, inputs, value) == nil
 }
 
@@ -590,20 +574,31 @@ func (s *Server) cacheResponse(order uint64, resp json.RawMessage) {
 // Committer
 // ---------------------------------------------------------------------
 
-// committerLoop is the daemon's single mutation thread.
+// committerLoop is the daemon's single mutation thread. Every pass ends
+// at a record boundary, where a due snapshot is cut and a failed
+// background publish fences.
 func (s *Server) committerLoop() {
 	defer close(s.doneC)
 	for {
 		batch, stopped := s.nextBatch()
+		var err error
 		if len(batch) > 0 {
-			if err := s.commitBatch(batch); err != nil {
-				s.fence(batch, err)
-				return
-			}
+			err = s.commitBatch(batch)
+		}
+		if err == nil && !stopped {
+			err = s.maybeSnapshot()
+		}
+		if err != nil {
+			s.fence(batch, err)
+			return
 		}
 		if stopped {
 			s.failParked("draining")
-			if err := s.snapshot(); err != nil {
+			s.awaitPublish()
+			if s.pubErr != nil {
+				s.logf("snapshot publish: %v", s.pubErr)
+			}
+			if err := s.snapshot(false); err != nil {
 				s.logf("final snapshot: %v", err)
 			}
 			if err := s.wal.Close(); err != nil && !errors.Is(err, persist.ErrWALClosed) {
@@ -618,12 +613,18 @@ func (s *Server) committerLoop() {
 
 // nextBatch blocks for the first admissible request, then drains the
 // intake queue opportunistically up to MaxBatch. stopped reports the
-// drain signal; the returned batch is still committed.
+// drain signal; the returned batch is still committed. A background
+// publish finishing also ends the wait, with an empty batch, so an idle
+// daemon still fences on its error or cuts the snapshot that was
+// deferred behind it.
 func (s *Server) nextBatch() (batch []*pending, stopped bool) {
 	for len(batch) == 0 {
 		select {
 		case p := <-s.intake:
 			s.admit(p, &batch)
+		case err := <-s.pubDone:
+			s.reapPublish(err)
+			return nil, false
 		case <-s.stopC:
 			for {
 				select {
@@ -698,16 +699,23 @@ func (s *Server) failParked(reason string) {
 	}
 }
 
-// fence stops acknowledging after an unrecoverable commit error: the
-// batch's waiters get the error, health goes down, and the committer
-// exits — a standby's takeover is the recovery path.
+// fence stops acknowledging after an unrecoverable commit or publish
+// error: the batch's waiters and the forced snapshots not yet cut get
+// the error, health goes down, and the committer exits — a standby's
+// takeover is the recovery path. The sends do not block: a waiter the
+// failed batch had already answered has a full reply buffer.
 func (s *Server) fence(batch []*pending, err error) {
 	s.logf("FENCED: %v", err)
 	s.health.Down(fmt.Sprintf("fenced: %v", err))
-	for _, p := range batch {
-		p.reply <- pendingResp{status: 503, err: err}
+	for _, p := range append(batch, s.snapWaiters...) {
+		select {
+		case p.reply <- pendingResp{status: 503, err: err}:
+		default:
+		}
 	}
+	s.snapWaiters = nil
 	s.failParked("fenced")
+	s.awaitPublish() // the publisher answers its own cut's waiters
 }
 
 // commitBatch processes one admitted batch: decide everything, append
@@ -715,8 +723,8 @@ func (s *Server) fence(batch []*pending, err error) {
 // lines, then acknowledge. Contiguous placements decide through the
 // placer pool (concurrent propose, serial commit); observations and
 // releases apply serially at their positions. Snapshot controls split
-// the batch: records before the control are durable before the
-// snapshot covers them.
+// the batch: the records before the control are acknowledged first, so
+// the cut the control asks for covers them.
 func (s *Server) commitBatch(batch []*pending) error {
 	s.met.batchSize.Observe(float64(len(batch)))
 	var (
@@ -839,12 +847,11 @@ func (s *Server) commitBatch(batch []*pending) error {
 			if err := ack(); err != nil {
 				return err
 			}
-			if err := s.snapshot(); err != nil {
-				p.reply <- pendingResp{status: 500, err: err}
+			// Answered by the publisher once the generation is durable.
+			s.snapWaiters = append(s.snapWaiters, p)
+			if err := s.maybeSnapshot(); err != nil {
 				return err
 			}
-			p.reply <- pendingResp{payload: json.RawMessage(
-				fmt.Sprintf(`{"snapshot":%d,"applied":%d}`, s.gen, s.applied))}
 		default:
 			p.reply <- pendingResp{status: 400, err: fmt.Errorf("serve: unknown request kind %q", p.kind)}
 		}
@@ -856,9 +863,6 @@ func (s *Server) commitBatch(batch []*pending) error {
 		return err
 	}
 	s.countKinds(batch)
-	if s.applied-s.snapSeq >= uint64(s.cfg.SnapshotEvery) {
-		return s.snapshot()
-	}
 	return nil
 }
 
@@ -920,15 +924,13 @@ func (s *Server) enqueue(ctx context.Context, p *pending) pendingResp {
 
 // Stop drains the daemon: readiness flips false, the committer
 // finishes the queued work, writes a final snapshot and closes the
-// WAL and decision log. ctx bounds the wait.
+// WAL and decision log. ctx bounds the wait. Safe to call more than
+// once and from several goroutines; every call waits for the drain.
 func (s *Server) Stop(ctx context.Context) error {
-	if s.stopped {
-		<-s.doneC
-		return nil
-	}
-	s.stopped = true
-	s.health.SetReady(false, "draining")
-	close(s.stopC)
+	s.stopOnce.Do(func() {
+		s.health.SetReady(false, "draining")
+		close(s.stopC)
+	})
 	select {
 	case <-s.doneC:
 		return nil
