@@ -1,11 +1,12 @@
 # Development targets. `make check` is the tier-1 gate; `make race`
 # covers the goroutine fan-out paths (ml batch prediction, sched batch
-# checks, experiment worker pools); `make bench` records the §6.4
-# micro-benchmark trajectory in BENCH_gsight.json.
+# checks, experiment worker pools, concurrent Evaluate on one model);
+# `make bench` records the §6.4 micro-benchmark trajectory in
+# BENCH_gsight.json.
 
 GO ?= go
 
-.PHONY: check race bench build vet vuln test fuzzsmoke crashcheck servecheck benchcheck
+.PHONY: check race bench build vet vuln test fuzzsmoke crashcheck servecheck benchcheck docs-numbers docscheck
 
 build:
 	$(GO) build ./...
@@ -48,10 +49,21 @@ servecheck:
 benchcheck:
 	scripts/bench.sh check
 
-check: build vet vuln test fuzzsmoke crashcheck servecheck benchcheck
+check: build vet vuln test fuzzsmoke crashcheck servecheck benchcheck docscheck
 
 race:
-	$(GO) test -race ./internal/ml ./internal/core ./internal/sched ./internal/experiments ./internal/telemetry ./internal/persist ./internal/serve
+	$(GO) test -race ./internal/ml ./internal/core ./internal/sched ./internal/experiments ./internal/telemetry ./internal/persist ./internal/serve \
+		./internal/perfmodel ./internal/scenario ./internal/platform ./internal/sim ./internal/obs
 
 bench:
 	scripts/bench.sh
+
+# Regenerate the start-up timing tables in DESIGN.md §16 and README from
+# scripts/docnumbers/result.json (copy a fresh benchmark/out/result-*.json
+# over it first to refresh the figures).
+docs-numbers:
+	$(GO) run ./scripts/docnumbers DESIGN.md README.md
+
+# The generated tables must match the result file they quote.
+docscheck:
+	$(GO) run ./scripts/docnumbers -check DESIGN.md README.md

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +170,10 @@ func trainedPredictor(b testing.TB) (*core.Predictor, []core.Observation) {
 // 3.48 ms per inference on its testbed.
 func BenchmarkInference(b *testing.B) {
 	p, obs := trainedPredictor(b)
+	// Warm the predictor's scratch pools outside the measurement.
+	if _, err := p.Predict(core.IPCQoS, obs[0].Target, obs[0].Inputs); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := obs[i%len(obs)]
@@ -188,6 +193,9 @@ func BenchmarkInferenceBatch(b *testing.B) {
 	for i := range queries {
 		o := obs[i%len(obs)]
 		queries[i] = core.Query{Target: o.Target, Inputs: o.Inputs}
+	}
+	if err := p.PredictBatchInto(core.IPCQoS, queries, out); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -242,6 +250,21 @@ func BenchmarkScenarioEvaluation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Evaluate(scenarios[i%len(scenarios)], nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewCatalog measures the daemon's start-up calibration —
+// profiling the pools and building the three latency-IPC curves on the
+// FastConfig lab — which every serve.New pays: fresh start, crash
+// restore and the standby's takeover.
+func BenchmarkNewCatalog(b *testing.B) {
+	lab := perfmodel.New(resources.DefaultTestbed())
+	scenario.FastConfig(lab)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := serve.NewCatalog(lab, 42); len(c.Names()) == 0 {
+			b.Fatal("empty catalog")
 		}
 	}
 }
@@ -627,11 +650,24 @@ var benchedIDs = []string{
 	"ext-resilience", "ext-soak", "ext-scale", "ext-twotier",
 }
 
+// historyBenches are the start-up micro-benchmarks whose trajectory
+// BENCH_gsight.json must keep: scripts/bench.sh has to run them.
+var historyBenches = []string{"BenchmarkScenarioEvaluation", "BenchmarkNewCatalog"}
+
 // TestBenchRegistryCoverage pins the registry and the bench list to
 // each other: every registered experiment must have a Benchmark*
 // wrapper (tracked in benchedIDs) and every benched id must still be
-// registered.
+// registered. It also pins historyBenches to scripts/bench.sh.
 func TestBenchRegistryCoverage(t *testing.T) {
+	script, err := os.ReadFile("scripts/bench.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range historyBenches {
+		if !strings.Contains(string(script), name+"$") {
+			t.Errorf("scripts/bench.sh does not run %s", name)
+		}
+	}
 	benched := map[string]bool{}
 	for _, id := range benchedIDs {
 		if benched[id] {

@@ -381,11 +381,11 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 	}
 
 	var services []platform.LSService
-	for i, w := range []*workload.Workload{
+	lsPool := []*workload.Workload{
 		workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-	} {
-		curve := sched.BuildCurve(lab, w, 250, opt.seed+uint64(i))
-		minIPC, _ := curve.MinIPCFor(w.SLAp99Ms)
+	}
+	floors := sched.CalibrateMinIPC(lab, lsPool, 250, opt.seed)
+	for i, w := range lsPool {
 		p := trace.DefaultPattern(w.MaxQPS * 0.6)
 		p.PhaseShift = float64(i) * 7200
 		if !opt.scaling.IsZero() {
@@ -396,7 +396,7 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 			w = w.Clone()
 			w.MaxQPS *= opt.scaling.Rate()
 		}
-		services = append(services, platform.LSService{W: w, Pattern: p, SLA: sched.SLA{MinIPC: minIPC}})
+		services = append(services, platform.LSService{W: w, Pattern: p, SLA: sched.SLA{MinIPC: floors[i]}})
 	}
 	if !opt.scaling.IsZero() {
 		log.Infof("trace scaling: rate x%.1f, time x%.1f", opt.scaling.Rate(), opt.scaling.Time())

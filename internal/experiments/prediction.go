@@ -543,9 +543,10 @@ func Fig10cMultiWorkload(ctx context.Context, opt Options) (*Report, error) {
 	_, g := newLab(opt)
 	nScen := opt.n(1800, 150)
 
+	ks := []int{2, 4, 6, 8, 10}
 	byK := map[int][]core.Observation{}
 	var all []core.Observation
-	for _, k := range []int{2, 4, 6, 8, 10} {
+	for _, k := range ks {
 		for i := 0; i < nScen/5+1; i++ {
 			sc := g.Colocation(core.LSLS, k)
 			samples, err := g.Label(sc)
@@ -564,8 +565,8 @@ func Fig10cMultiWorkload(ctx context.Context, opt Options) (*Report, error) {
 	}
 	var train []core.Observation
 	test := map[int][]core.Observation{}
-	for k, obs := range byK {
-		tr, te := trainTest(obs, 5)
+	for _, k := range ks { // not the map: the training order decides the forest
+		tr, te := trainTest(byK[k], 5)
 		train = append(train, tr...)
 		test[k] = te
 	}
@@ -580,7 +581,7 @@ func Fig10cMultiWorkload(ctx context.Context, opt Options) (*Report, error) {
 		Columns: []string{"workloads", "test samples", "error"},
 	}
 	var worst float64
-	for _, k := range []int{2, 4, 6, 8, 10} {
+	for _, k := range ks {
 		e, err := mapeOf(p, core.IPCQoS, test[k])
 		if err != nil {
 			return nil, err

@@ -43,18 +43,15 @@ func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
 
 	services := func() []platform.LSService {
 		var out []platform.LSService
-		for i, w := range []*workload.Workload{
+		lsPool := []*workload.Workload{
 			workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-		} {
-			curve := sched.BuildCurve(m, w, opt.n(250, 60), opt.Seed+uint64(i))
-			minIPC, ok := curve.MinIPCFor(w.SLAp99Ms)
-			if !ok {
-				minIPC = 0
-			}
+		}
+		floors := sched.CalibrateMinIPC(m, lsPool, opt.n(250, 60), opt.Seed)
+		for i, w := range lsPool {
 			pat := trace.DefaultPattern(w.MaxQPS * 0.42)
 			pat.DiurnalAmp = 0.30
 			pat.PhaseShift = float64(i) * 7200
-			out = append(out, platform.LSService{W: w, Pattern: pat, SLA: sched.SLA{MinIPC: minIPC}})
+			out = append(out, platform.LSService{W: w, Pattern: pat, SLA: sched.SLA{MinIPC: floors[i]}})
 		}
 		return out
 	}

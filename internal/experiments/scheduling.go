@@ -51,15 +51,11 @@ func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats
 	// SLAs via the Figure 7 latency->IPC transform.
 	services := func() []platform.LSService {
 		var out []platform.LSService
-		for i, w := range []*workload.Workload{
+		lsPool := []*workload.Workload{
 			workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-		} {
-			curve := sched.BuildCurve(m, w, opt.n(250, 60), opt.Seed+uint64(i))
-			minIPC, ok := curve.MinIPCFor(w.SLAp99Ms)
-			if !ok {
-				minIPC = 0
-			}
-
+		}
+		floors := sched.CalibrateMinIPC(m, lsPool, opt.n(250, 60), opt.Seed)
+		for i, w := range lsPool {
 			p := trace.DefaultPattern(w.MaxQPS * 0.42)
 			// Softer diurnal swing than the default: the paper's
 			// cluster keeps headroom at peak; saturating all eight
@@ -69,7 +65,7 @@ func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats
 			out = append(out, platform.LSService{
 				W:       w,
 				Pattern: p,
-				SLA:     sched.SLA{MinIPC: minIPC},
+				SLA:     sched.SLA{MinIPC: floors[i]},
 			})
 		}
 		return out

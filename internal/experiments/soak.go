@@ -76,14 +76,11 @@ func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
 	// make the wall-clock steps/s column meaningless.
 	for _, v := range variants {
 		var services []platform.LSService
-		for i, w := range []*workload.Workload{
+		lsPool := []*workload.Workload{
 			workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-		} {
-			curve := sched.BuildCurve(m, w, opt.n(250, 60), opt.Seed+uint64(i))
-			minIPC, ok := curve.MinIPCFor(w.SLAp99Ms)
-			if !ok {
-				minIPC = 0
-			}
+		}
+		floors := sched.CalibrateMinIPC(m, lsPool, opt.n(250, 60), opt.Seed)
+		for i, w := range lsPool {
 			pat := trace.DefaultPattern(w.MaxQPS * 0.6)
 			pat.PhaseShift = float64(i) * 7200
 			if !v.sc.IsZero() {
@@ -91,7 +88,7 @@ func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
 				w = w.Clone()
 				w.MaxQPS *= v.sc.Rate()
 			}
-			services = append(services, platform.LSService{W: w, Pattern: pat, SLA: sched.SLA{MinIPC: minIPC}})
+			services = append(services, platform.LSService{W: w, Pattern: pat, SLA: sched.SLA{MinIPC: floors[i]}})
 		}
 		t0 := time.Now()
 		st, err := platform.Run(ctx, platform.Config{

@@ -3,7 +3,6 @@ package perfmodel
 import (
 	"fmt"
 
-	"gsight/internal/resources"
 	"gsight/internal/rng"
 	"gsight/internal/workload"
 )
@@ -64,18 +63,11 @@ func (m *Model) Evaluate(sc *Scenario, rnd *rng.Rand) (*Result, error) {
 	defer m.putSolver(sv)
 
 	var lsResults []LSResult
-	var scStates []*scState
+	var scStates []scState
 	if len(scDeps) > 0 {
 		scStates, lsResults = m.coExecute(sv, scDeps, lsDeps)
 	} else if len(lsDeps) > 0 {
-		sol := m.solveLS(sv, lsDeps, nil, 0, false)
-		// Detach the results from the pooled solver's scratch: noise
-		// shaping mutates PerFunc in place and the result outlives the
-		// borrow.
-		lsResults = append([]LSResult(nil), sol.results...)
-		for i := range lsResults {
-			lsResults[i].PerFunc = append([]FuncPerf(nil), lsResults[i].PerFunc...)
-		}
+		lsResults = detach(m.solveLS(sv, lsDeps, nil, 0, false).results)
 	}
 
 	res := &Result{}
@@ -92,7 +84,7 @@ func (m *Model) Evaluate(sc *Scenario, rnd *rng.Rand) (*Result, error) {
 			dr.PerFunc = r.PerFunc
 			m.applyLSNoise(&dr, rnd)
 		} else {
-			st := scStates[si]
+			st := &scStates[si]
 			si++
 			dr.JCTS = st.jct
 			if st.ipcTime > 0 {
@@ -105,20 +97,30 @@ func (m *Model) Evaluate(sc *Scenario, rnd *rng.Rand) (*Result, error) {
 	return res, nil
 }
 
-// soloIPCOf returns the CPU-demand-weighted solo IPC of a workload,
-// the reference for the knee ratio.
-func soloIPCOf(w *workload.Workload) float64 {
-	var sum, wsum float64
-	for i := range w.Functions {
-		f := &w.Functions[i]
-		cw := f.Demand[resources.CPU]
-		sum += f.SoloIPC * cw
-		wsum += cw
+// detach copies solve results out of the pooled solver's scratch: noise
+// shaping mutates PerFunc in place and the result outlives the borrow.
+func detach(rs []LSResult) []LSResult {
+	out := append([]LSResult(nil), rs...)
+	for i := range out {
+		out[i].PerFunc = append([]FuncPerf(nil), out[i].PerFunc...)
 	}
-	if wsum == 0 {
-		return 1
+	return out
+}
+
+// soloRefIPC returns the solo-run reference for the knee ratio. A
+// result does not retain its functions' solo IPC, so each is
+// reconstructed as IPC x Slowdown and the functions weigh equally — an
+// approximation that suffices for noise shaping; callers who need the
+// precise knee consult the catalog.
+func soloRefIPC(dr *DeploymentResult) float64 {
+	if len(dr.PerFunc) == 0 {
+		return dr.IPC
 	}
-	return sum / wsum
+	var sum float64
+	for i := range dr.PerFunc {
+		sum += dr.PerFunc[i].IPC * dr.PerFunc[i].Slowdown
+	}
+	return sum / float64(len(dr.PerFunc))
 }
 
 func (m *Model) applyLSNoise(dr *DeploymentResult, rnd *rng.Rand) {
@@ -126,7 +128,7 @@ func (m *Model) applyLSNoise(dr *DeploymentResult, rnd *rng.Rand) {
 		return
 	}
 	c := &m.Cfg
-	solo := soloIPCOf(findWorkload(dr))
+	solo := soloRefIPC(dr)
 	ratio := 1.0
 	if solo > 0 {
 		ratio = dr.IPC / solo
@@ -154,30 +156,6 @@ func (m *Model) applySCNoise(dr *DeploymentResult, rnd *rng.Rand, _ *workload.Wo
 	}
 	dr.JCTS = rnd.Jitter(dr.JCTS, m.Cfg.NoiseJCT)
 	dr.IPC = rnd.Jitter(dr.IPC, m.Cfg.NoiseIPC)
-}
-
-// findWorkload resolves the catalog workload backing a result; results
-// only carry the name, so noise shaping looks the reference IPC up from
-// the per-function data instead when the name is unknown.
-func findWorkload(dr *DeploymentResult) *workload.Workload {
-	// Reconstruct a minimal workload holding just enough for
-	// soloIPCOf: the per-function solo IPC is not retained in the
-	// result, so approximate the solo reference by the max observed
-	// per-function IPC weighted equally. To stay exact, Evaluate
-	// callers who need the precise knee should consult the catalog;
-	// for noise shaping this approximation suffices.
-	w := &workload.Workload{Name: dr.Name}
-	for _, p := range dr.PerFunc {
-		w.Functions = append(w.Functions, workload.Function{
-			Name:    p.Name,
-			SoloIPC: p.IPC * p.Slowdown,
-			Demand:  resources.Vector{resources.CPU: 1},
-		})
-	}
-	if len(w.Functions) == 0 {
-		w.Functions = []workload.Function{{SoloIPC: dr.IPC, Demand: resources.Vector{resources.CPU: 1}}}
-	}
-	return w
 }
 
 // String summarizes a deployment result for logs and CLIs.

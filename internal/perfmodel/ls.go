@@ -50,10 +50,14 @@ type lsSolver struct {
 	results []LSResult
 	refs    []float64
 	depBuf  [1]*Deployment
+	co      coScratch
+	// solves counts non-ideal fixed-point solves on this solver (tests
+	// pin how many a co-execution needs).
+	solves int
 }
 
 func (m *Model) newSolver() *lsSolver {
-	return &lsSolver{demand: newDemandStore(m.Testbed)}
+	return &lsSolver{demand: newDemandStore(m.Testbed), co: coScratch{bg: newDemandStore(m.Testbed)}}
 }
 
 // lsSolveResult carries the per-deployment outputs of one LS solve plus
@@ -228,6 +232,7 @@ func (m *Model) solveLSWithRefs(sv *lsSolver, deps []*Deployment, bg *demandStor
 		out.results = sv.results
 		return out
 	}
+	sv.solves++
 	{
 		// Pre-grow the demand store to its final stride, then freeze
 		// the per-function slowdown contexts: placement, partitions and

@@ -228,7 +228,8 @@ func (st *Stepper) Step(dt float64, rnd *rng.Rand) *StepReport {
 			continue
 		}
 		rep.ActiveSC++
-		fn, ph, ex := scDemand(&scState{dep: run.dep, progress: run.progress})
+		fn, _, ph := scPhase(&scState{dep: run.dep, progress: run.progress})
+		ex := scExerted(run.dep, fn, &ph)
 		bg.add(run.dep.Placement[fn], st.m.resolveSocket(run.dep, fn), run.dep.Protected, &ex)
 		st.actives = append(st.actives, scActiveJob{run, fn, ph, ex})
 		for _, r := range run.dep.Replicas {

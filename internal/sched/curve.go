@@ -141,3 +141,15 @@ func BuildCurve(m *perfmodel.Model, w *workload.Workload, samples int, seed uint
 	}
 	return NewCurve(pts)
 }
+
+// CalibrateMinIPC turns each LS service's p99 SLA into its IPC
+// admission floor (the SLA transformation of §6.3): service i's curve
+// is built from samples points on seed+i and read at its SLAp99Ms. A
+// service whose SLA no observed IPC attains gets floor 0.
+func CalibrateMinIPC(m *perfmodel.Model, services []*workload.Workload, samples int, seed uint64) []float64 {
+	floors := make([]float64, len(services))
+	for i, w := range services {
+		floors[i], _ = BuildCurve(m, w, samples, seed+uint64(i)).MinIPCFor(w.SLAp99Ms)
+	}
+	return floors
+}

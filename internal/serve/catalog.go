@@ -56,11 +56,10 @@ type Catalog struct {
 func NewCatalog(lab *perfmodel.Model, seed uint64) *Catalog {
 	g := scenario.NewGenerator(lab, seed)
 	c := &Catalog{gen: g, byName: map[string]*Archetype{}}
+	floors := sched.CalibrateMinIPC(lab, g.LSPool, 250, seed)
 	for i, w := range g.LSPool {
 		ps, _ := g.Store.Get(w.Name)
-		curve := sched.BuildCurve(lab, w, 250, seed+uint64(i))
-		minIPC, _ := curve.MinIPCFor(w.SLAp99Ms)
-		c.add(&Archetype{W: w, Profiles: ps, MinIPC: minIPC})
+		c.add(&Archetype{W: w, Profiles: ps, MinIPC: floors[i]})
 	}
 	for _, w := range g.SCPool {
 		ps, _ := g.Store.Get(w.Name)

