@@ -315,6 +315,33 @@ func BenchmarkForestTrainingParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkBootstrapFit measures the predictor's bootstrap fit at
+// `gsight-sim -train 200`'s shape — the IPC design matrix of 200 LS+SC
+// scenarios (≈ 445 rows × 2836 features) under IRFRFactory's forest
+// (40 trees, MTry 96, default worker pool): the largest stage of daemon
+// and simulator start-up, and the kernel of every learner flush.
+func BenchmarkBootstrapFit(b *testing.B) {
+	m := perfmodel.New(resources.DefaultTestbed())
+	scenario.FastConfig(m)
+	g := scenario.NewGenerator(m, 42)
+	coder := core.DefaultCoder()
+	var ds ml.Dataset
+	for _, o := range bootstrapIPCObservations(b, g, 200) {
+		x, err := coder.Encode(o.Target, o.Inputs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds.Append(x, o.Label)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := ml.NewForest(ml.ForestConfig{Trees: 40, Seed: uint64(i), Tree: ml.TreeConfig{MTry: 96}})
+		if err := f.Fit(ds.X, ds.Y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBinarySearchScheduling measures one placement decision of
 // the §4 scheduler (the paper reports "a few milliseconds").
 func BenchmarkBinarySearchScheduling(b *testing.B) {
@@ -652,7 +679,7 @@ var benchedIDs = []string{
 
 // historyBenches are the start-up micro-benchmarks whose trajectory
 // BENCH_gsight.json must keep: scripts/bench.sh has to run them.
-var historyBenches = []string{"BenchmarkScenarioEvaluation", "BenchmarkNewCatalog"}
+var historyBenches = []string{"BenchmarkScenarioEvaluation", "BenchmarkNewCatalog", "BenchmarkBootstrapFit"}
 
 // TestBenchRegistryCoverage pins the registry and the bench list to
 // each other: every registered experiment must have a Benchmark*

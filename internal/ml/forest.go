@@ -16,11 +16,14 @@ type ForestConfig struct {
 	Tree  TreeConfig
 	Seed  uint64
 	// Incremental behaviour (IRFR): Update grows UpdateTrees fresh
-	// trees on the recent window and retires the oldest so the forest
-	// never exceeds MaxTrees.
-	UpdateTrees int // <=0 means max(4, Trees/8)
-	MaxTrees    int // <=0 means 2*Trees
-	Window      int // samples kept for incremental training; <=0 means 12000
+	// trees on the recent window and culls the trees that score worst
+	// on the new batch so the forest never exceeds MaxTrees.
+	UpdateTrees int // <=0 means max(4, Trees/4)
+	MaxTrees    int // <=0 means Trees
+	// Window is the number of samples kept for incremental training;
+	// <=0 means 12000. Above 65536 Fit and Update return
+	// ErrWindowTooLarge (the kernel's per-column ranks are uint16).
+	Window int
 	// Workers bounds the tree-growing worker pool; <=0 means
 	// GOMAXPROCS. Same-seed forests are byte-identical for every value:
 	// each tree's bootstrap and split-RNG stream are drawn sequentially
@@ -70,11 +73,12 @@ type Forest struct {
 	order []int
 	drop  []bool
 
-	// shared window transpose, rebuilt once per growTrees call and read
-	// concurrently by the tree-growing workers.
+	// shared split-search view of the window (and the logical-order
+	// rows and targets it is built from), rebuilt once per growTrees
+	// call and read concurrently by the tree-growing workers.
 	wc     windowColumns
-	wcVary []bool
-	wcUnd  []int
+	wcRows [][]float64
+	wcY    []float64
 }
 
 // Instrument attaches the shared forest instrument set. The zero value
@@ -93,6 +97,9 @@ func NewForest(cfg ForestConfig) *Forest {
 func (f *Forest) Fit(X [][]float64, y []float64) error {
 	if err := checkXY(X, y); err != nil {
 		return err
+	}
+	if f.cfg.Window > maxWindowRows {
+		return ErrWindowTooLarge
 	}
 	span := telemetry.StartSpan(f.ins.FitSeconds)
 	f.dim = len(X[0])
@@ -170,8 +177,8 @@ func (f *Forest) prune(X [][]float64, y []float64) {
 		return
 	}
 	nt := len(f.trees)
-	f.sse = grabFloats(f.sse, nt)
-	f.pred = grabFloats(f.pred, len(X))
+	f.sse = grab(f.sse, nt)
+	f.pred = grab(f.pred, len(X))
 	for i, t := range f.trees {
 		t.predictInto(X, f.pred)
 		s := 0.0
@@ -181,18 +188,13 @@ func (f *Forest) prune(X [][]float64, y []float64) {
 		}
 		f.sse[i] = s
 	}
-	f.order = grabInts(f.order, nt)
+	f.order = grab(f.order, nt)
 	for i := range f.order {
 		f.order[i] = i
 	}
 	sort.Stable(&sseOrder{order: f.order, sse: f.sse})
-	if cap(f.drop) < nt {
-		f.drop = make([]bool, nt)
-	}
-	f.drop = f.drop[:nt]
-	for i := range f.drop {
-		f.drop[i] = false
-	}
+	f.drop = grab(f.drop, nt)
+	clear(f.drop)
 	for _, i := range f.order[:excess] {
 		f.drop[i] = true
 	}
@@ -213,84 +215,48 @@ func (f *Forest) absorb(X [][]float64, y []float64) {
 	}
 }
 
-// prepWindow rebuilds the shared window transpose: one candidate scan
-// and one column gather per update, amortized over every tree grown on
-// it. Candidates are the features with any variance across the window —
-// an exact superset of any bootstrap's active set, since a bootstrap
-// only ever sees window rows — so per-tree active scans probe just
-// these columns. Rows are visited in logical (oldest-first) order, so
-// the transpose is independent of where the ring's seam currently sits.
-func (f *Forest) prepWindow() {
+// prepWindow rebuilds the shared split-search view of the window: one
+// candidate scan and one ranking per column per update, amortized over
+// every tree grown on it. Candidates are the features with any variance
+// across the window — an exact superset of any bootstrap's active set,
+// since a bootstrap only ever sees window rows. Rows are handed over in
+// logical (oldest-first) order, so the view is independent of where the
+// ring's seam currently sits.
+func (f *Forest) prepWindow(workers int) error {
 	w := f.buf.Len()
-	d := f.dim
-	if d == 0 && w > 0 {
-		d = len(f.buf.x[f.buf.phys(0)])
-	}
-	if cap(f.wcVary) < d {
-		f.wcVary = make([]bool, d)
-	}
-	f.wcVary = f.wcVary[:d]
-	for j := range f.wcVary {
-		f.wcVary[j] = false
-	}
-	f.wcUnd = grabInts(f.wcUnd, d)
-	und := f.wcUnd
-	for j := range und {
-		und[j] = j
-	}
-	base := f.buf.x[f.buf.phys(0)]
-	for i := 1; i < w && len(und) > 0; i++ {
-		row := f.buf.x[f.buf.phys(i)]
-		kept := und[:0]
-		for _, j := range und {
-			if row[j] != base[j] {
-				f.wcVary[j] = true
-			} else {
-				kept = append(kept, j)
-			}
-		}
-		und = kept
-	}
-	f.wc.feats = f.wc.feats[:0]
-	for j := 0; j < d; j++ {
-		if f.wcVary[j] {
-			f.wc.feats = append(f.wc.feats, j)
-		}
-	}
-	nc := len(f.wc.feats)
-	f.wc.cols = grabFloats(f.wc.cols, nc*w)
-	f.wc.y = grabFloats(f.wc.y, w)
+	f.wcRows = grab(f.wcRows, w)
+	f.wcY = grab(f.wcY, w)
 	for i := 0; i < w; i++ {
 		p := f.buf.phys(i)
-		row := f.buf.x[p]
-		f.wc.y[i] = f.buf.y[p]
-		for c, j := range f.wc.feats {
-			f.wc.cols[c*w+i] = row[j]
-		}
+		f.wcRows[i] = f.buf.x[p]
+		f.wcY[i] = f.buf.y[p]
 	}
-	f.wc.w = w
-	f.wc.dim = d
+	err := f.wc.build(f.wcRows, f.wcY, workers)
+	clear(f.wcRows) // evicted rows must not stay reachable from here
+	return err
 }
 
 // growTrees grows k trees, drawing each tree's bootstrap and split RNG
 // sequentially from the forest's stream and then fitting the trees
-// across a bounded worker pool (cfg.Workers wide, the pattern of the
-// experiments harness). Because all randomness is fixed before the
-// fan-out, the shared window transpose is read-only during it, and each
-// worker writes only its own tree slot, the grown forest is
-// byte-identical for every pool size. Bootstraps are logical index
-// draws over the transposed window (fitFromWindow), never materialized
-// row copies; the index arena is reused across updates.
+// across a bounded worker pool (cfg.Workers wide). Because all
+// randomness is fixed before the fan-out, the shared window view is
+// read-only during it, and each call writes only its own tree slot, the
+// grown forest is byte-identical for every pool size. Bootstraps are
+// logical index draws over the window (fitFromWindow), never
+// materialized row copies; the index arena is reused across updates.
 func (f *Forest) growTrees(k int) ([]*Tree, error) {
 	n := f.buf.Len()
 	if n == 0 {
 		return nil, ErrNoData
 	}
-	f.prepWindow()
-	if cap(f.boot) < k*n {
-		f.boot = make([]int, k*n)
+	workers := f.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	f.boot = f.boot[:k*n]
+	if err := f.prepWindow(workers); err != nil {
+		return nil, err
+	}
+	f.boot = grab(f.boot, k*n)
 	rnds := make([]*rng.Rand, k)
 	for t := 0; t < k; t++ {
 		idx := f.boot[t*n : (t+1)*n]
@@ -309,42 +275,11 @@ func (f *Forest) growTrees(k int) ([]*Tree, error) {
 	}
 
 	trees := make([]*Tree, k)
-	workers := f.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		for t := 0; t < k; t++ {
-			tree := NewTree(f.cfg.Tree)
-			if err := tree.fitFromWindow(&f.wc, f.boot[t*n:(t+1)*n], rnds[t]); err != nil {
-				return nil, err
-			}
-			trees[t] = tree
-		}
-		return trees, nil
-	}
 	errs := make([]error, k)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				tree := NewTree(f.cfg.Tree)
-				errs[t] = tree.fitFromWindow(&f.wc, f.boot[t*n:(t+1)*n], rnds[t])
-				trees[t] = tree
-			}
-		}()
-	}
-	for t := 0; t < k; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
+	parallelFor(workers, k, func(_, t int) {
+		trees[t] = NewTree(f.cfg.Tree)
+		errs[t] = trees[t].fitFromWindow(&f.wc, f.boot[t*n:(t+1)*n], rnds[t])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"runtime"
+
 	"gsight/internal/rng"
 )
 
@@ -96,10 +98,10 @@ func (g *GBRT) Update(X [][]float64, y []float64) error {
 // Stages are inherently sequential (each fits the previous residuals),
 // but every per-stage step is batched: residual seeding and the
 // post-fit residual refresh run tree-outer through the batched
-// traversal kernel, and each FitSeeded uses the shared scratch-buffer
-// training kernel. Per-sample accumulation order is unchanged (base,
-// then stages in order), so residuals — and the grown stages — are
-// bit-identical to the scalar loop.
+// traversal kernel, and X is ranked for split search once — only the
+// residual targets change between stages. Per-sample accumulation order
+// is unchanged (base, then stages in order), so residuals — and the
+// grown stages — are bit-identical to the scalar loop.
 func (g *GBRT) boost(X [][]float64, y []float64, n int) error {
 	resid := make([]float64, len(y))
 	pred := make([]float64, len(y))
@@ -107,9 +109,14 @@ func (g *GBRT) boost(X [][]float64, y []float64, n int) error {
 	for i := range y {
 		resid[i] = y[i] - resid[i]
 	}
+	var wc windowColumns // wc.y aliases resid
+	if err := wc.build(X, resid, runtime.GOMAXPROCS(0)); err != nil {
+		return err
+	}
+	every := identity(len(y))
 	for s := 0; s < n; s++ {
 		t := NewTree(g.Tree)
-		if err := t.FitSeeded(X, resid, g.rnd.Split()); err != nil {
+		if err := t.fitFromWindow(&wc, every, g.rnd.Split()); err != nil {
 			return err
 		}
 		g.stages = append(g.stages, t)

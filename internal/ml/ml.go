@@ -55,6 +55,10 @@ var ErrNoData = errors.New("ml: empty training set")
 // ErrDimMismatch is returned when feature dimensions are inconsistent.
 var ErrDimMismatch = errors.New("ml: feature dimension mismatch")
 
+// ErrWindowTooLarge is returned when a tree or forest is asked to train
+// on more rows than the split-search kernel can rank.
+var ErrWindowTooLarge = errors.New("ml: training window exceeds 65536 rows")
+
 func checkXY(X [][]float64, y []float64) error {
 	if len(X) == 0 || len(y) == 0 {
 		return ErrNoData

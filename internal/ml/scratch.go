@@ -1,92 +1,83 @@
 package ml
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// fitScratch is the reusable working state of one tree fit. Everything
-// the old kernel allocated per node — the (value, target) pairs of the
-// split search, the sort closure, the left/right index lists, the
-// feature-subsample copy — lives here instead, sized once per fit and
+// fitScratch is the reusable working state of one tree fit: the row
+// arena the recursion partitions, the rank buckets of the split search
+// and the feature-subsample buffer live here, sized once per fit and
 // recycled across fits through fitPool. The kernel is therefore
 // allocation-free per node; the only per-tree allocations left are the
 // structures the tree retains after fitting (nodes, importance).
 //
 // Ownership rule: a fitScratch belongs to exactly one Tree fit at a
-// time. Trees never retain scratch state; FitIndexed returns it to the
-// pool before returning. Concurrent tree growth (Forest.growTrees) is
-// safe because each worker draws its own scratch from the pool.
+// time. Trees never retain scratch state; fitFromWindow releases it to
+// the pool before returning. Concurrent tree growth (Forest.growTrees)
+// is safe because each fit draws its own scratch from the pool; the
+// windowColumns all of them read is not written during the fan-out.
 type fitScratch struct {
-	// arena holds the bootstrap positions 0..n-1 of the samples reaching
-	// the current subtree, stably partitioned in place as the recursion
-	// descends: a node owns arena[lo:hi].
-	arena []int
+	// arena holds the window rows of the bootstrap (duplicates and all)
+	// reaching the current subtree, stably partitioned in place as the
+	// recursion descends: a node owns arena[lo:hi].
+	arena []int32
 	// spill is the right-half buffer of the stable partition.
-	spill []int
-	// cols is the column-major feature cache: column c (the c-th active
-	// feature) occupies cols[c*n : (c+1)*n], indexed by bootstrap
-	// position, so split scans read contiguous memory instead of
-	// striding row pointers.
-	cols []float64
-	// colOf maps a feature id to its column index in cols (-1 when the
-	// feature is inactive and has no column).
-	colOf []int32
-	// ty holds the targets gathered into bootstrap-position order.
-	ty []float64
-	// sv/st are the per-(node, feature) sort scratch: values and targets
-	// of the node's samples, sorted together by sortPairs.
-	sv, st []float64
-	// active lists the features with any variance in the bootstrap,
-	// ascending; feat is the per-node partial-shuffle buffer of
-	// sampleFeatures.
+	spill []int32
+	// bkt, indexed by the searched column's dense rank, and occ, a bitmap
+	// over the same index with a bit set where bkt is occupied, are the
+	// split search's accumulators; both are all zero between searches —
+	// each search clears what it occupied.
+	bkt []bucket
+	occ []uint64
+	// ranks is occupied's result buffer.
+	ranks []uint16
+	// active lists the candidate columns with any variance in the
+	// bootstrap, ascending; feat is the per-node partial-shuffle buffer
+	// of sampleFeatures.
 	active, feat []int
-	// srcCol maps each active feature to its column in a shared window
-	// transpose (fitFromWindow only).
-	srcCol []int32
-	// vary and undecided are the active-feature scan's scratch: vary[j]
-	// flags features seen to vary, undecided the features still matching
-	// the base row.
-	vary      []bool
-	undecided []int
+}
+
+// bucket holds the count, Σy and Σy² of the node's rows that have one
+// distinct value of the column.
+type bucket struct {
+	sum, sq float64
+	n       int32
 }
 
 var fitPool = sync.Pool{New: func() interface{} { return new(fitScratch) }}
 
-// grabInts returns s[:n] reusing capacity.
-func grabInts(s []int, n int) []int {
+// grab returns s[:n], reusing capacity. A buffer that must grow is given
+// a quarter of headroom, so the ones sized by a window that is still
+// filling are not reallocated at every update. Fresh capacity is zeroed;
+// reused elements keep what the last user left.
+func grab[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n, n+n/4)
 	}
 	return s[:n]
 }
 
-// grabFloats returns s[:n] reusing capacity.
-func grabFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
+// prepare sizes the scratch for a fit over n bootstrap samples of a
+// w-row window (a column has at most w distinct values).
+func (s *fitScratch) prepare(n, w int) {
+	s.arena = grab(s.arena, n)
+	s.spill = grab(s.spill, n)[:0]
+	s.ranks = grab(s.ranks, n)[:0]
+	s.bkt = grab(s.bkt, w)
+	s.occ = grab(s.occ, (w+63)/64)
 }
 
-// prepare sizes the scratch for a fit over n bootstrap samples of
-// dimension d. Column and feature buffers are sized later, once the
-// active set is known.
-func (s *fitScratch) prepare(n, d int) {
-	s.arena = grabInts(s.arena, n)
-	for i := range s.arena {
-		s.arena[i] = i
+// occupied returns, ascending, the ranks that a search of a column of k
+// distinct values has occupied, and clears s.occ.
+func (s *fitScratch) occupied(k int) []uint16 {
+	out := s.ranks[:0]
+	words := s.occ[:(k+63)/64]
+	for i, word := range words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, uint16(i<<6|bits.TrailingZeros64(word)))
+		}
+		words[i] = 0
 	}
-	s.ty = grabFloats(s.ty, n)
-	s.sv = grabFloats(s.sv, n)
-	s.st = grabFloats(s.st, n)
-	s.undecided = grabInts(s.undecided, d)
-	if cap(s.vary) < d {
-		s.vary = make([]bool, d)
-	}
-	s.vary = s.vary[:d]
-	for i := range s.vary {
-		s.vary[i] = false
-	}
-	if cap(s.colOf) < d {
-		s.colOf = make([]int32, d)
-	}
-	s.colOf = s.colOf[:d]
+	return out
 }

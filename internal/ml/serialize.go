@@ -88,6 +88,9 @@ func ImportForest(e ForestExport) (*Forest, error) {
 	if e.Version != 1 {
 		return nil, fmt.Errorf("ml: unsupported forest version %d", e.Version)
 	}
+	if e.Config.Window > maxWindowRows {
+		return nil, ErrWindowTooLarge
+	}
 	f := NewForest(e.Config)
 	f.dim = e.Dim
 	for i, te := range e.Trees {

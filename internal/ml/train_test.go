@@ -2,10 +2,7 @@ package ml
 
 import (
 	"bytes"
-	"sort"
 	"testing"
-
-	"gsight/internal/rng"
 )
 
 // forestBytes serializes f, failing the test on error.
@@ -19,94 +16,36 @@ func forestBytes(t *testing.T, f *Forest) []byte {
 }
 
 // TestForestParallelFitByteIdentical pins the central determinism claim
-// of the parallel training path: because every tree's bootstrap and
-// split-RNG stream are drawn sequentially before the worker fan-out,
-// the serialized forest must be byte-for-byte identical for every pool
-// size — through the initial Fit and incremental Updates alike. Under
-// `make race` this test also exercises concurrent growth over the
-// shared window transpose.
+// of the parallel training path: every tree's bootstrap and split-RNG
+// stream are drawn sequentially before the worker fan-out, and a
+// column's ranks depend on the column alone, so the serialized forest
+// must be byte-for-byte identical for every pool size — through the
+// initial Fit and incremental Updates alike, including updates after the
+// ring window has wrapped. Under `make race` this test also exercises
+// the concurrent rank preparation and concurrent growth over the shared
+// window view.
 func TestForestParallelFitByteIdentical(t *testing.T) {
-	X, y := synth(300, 8, 17, 0.2)
+	X, y := synth(400, 8, 17, 0.2)
 	build := func(workers int) *Forest {
-		f := NewForest(ForestConfig{Trees: 12, Seed: 7, UpdateTrees: 4, Workers: workers})
+		f := NewForest(ForestConfig{Trees: 12, Seed: 7, UpdateTrees: 4, Window: 260, Workers: workers})
 		if err := f.Fit(X[:220], y[:220]); err != nil {
 			t.Fatal(err)
 		}
-		for lo := 220; lo < 300; lo += 40 {
-			if err := f.Update(X[lo:lo+40], y[lo:lo+40]); err != nil {
+		for lo := 220; lo < 400; lo += 30 {
+			if err := f.Update(X[lo:lo+30], y[lo:lo+30]); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if f.buf.head == 0 {
+			t.Fatal("window did not wrap")
 		}
 		return f
 	}
 	serial := forestBytes(t, build(1))
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 7} {
 		if got := forestBytes(t, build(workers)); !bytes.Equal(got, serial) {
 			t.Fatalf("workers=%d forest differs from serial (%d vs %d bytes)",
 				workers, len(got), len(serial))
-		}
-	}
-}
-
-// sortPairsCases enumerates the value shapes that drive pdqsort through
-// its distinct strategies: random, heavy duplicates (partitionEqual),
-// already sorted and reversed (partialInsertionSort), sawtooth
-// (breakPatterns) and constant.
-func sortPairsCases(n int, r *rng.Rand) [][]float64 {
-	random := make([]float64, n)
-	dups := make([]float64, n)
-	asc := make([]float64, n)
-	desc := make([]float64, n)
-	saw := make([]float64, n)
-	flat := make([]float64, n)
-	for i := 0; i < n; i++ {
-		random[i] = r.Range(-100, 100)
-		dups[i] = float64(int(r.Range(0, 4)))
-		asc[i] = float64(i)
-		desc[i] = float64(n - i)
-		saw[i] = float64(i % 7)
-		flat[i] = 1.5
-	}
-	return [][]float64{random, dups, asc, desc, saw, flat}
-}
-
-// TestSortPairsMatchesSortSlice proves the pdqsort port produces the
-// EXACT permutation of the sort.Slice call it replaced — not merely a
-// sorted order. Equal values must land in the same relative positions,
-// which the paired target array exposes: any permutation difference
-// within a run of ties shows up as a target mismatch and would perturb
-// the split scan's prefix sums.
-func TestSortPairsMatchesSortSlice(t *testing.T) {
-	r := rng.New(99)
-	for _, n := range []int{0, 1, 2, 3, 7, 12, 13, 40, 100, 257, 1000, 2048} {
-		for ci, vals := range sortPairsCases(n, r) {
-			v1 := append([]float64(nil), vals...)
-			t1 := make([]float64, n)
-			for i := range t1 {
-				t1[i] = float64(i) // unique tags expose the permutation
-			}
-			v2 := append([]float64(nil), v1...)
-			t2 := append([]float64(nil), t1...)
-
-			sortPairs(v1, t1)
-			sort.Slice(t2, func(a, b int) bool { return v2[a] < v2[b] })
-			sort.Slice(v2, func(a, b int) bool { return v2[a] < v2[b] })
-			// Sorting t2 by v2's order requires re-deriving the
-			// permutation, so do it the way the old kernel did: sort
-			// (value, target) pairs together.
-			type pair struct{ v, t float64 }
-			pairs := make([]pair, n)
-			for i := range pairs {
-				pairs[i] = pair{vals[i], float64(i)}
-			}
-			sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
-
-			for i := 0; i < n; i++ {
-				if v1[i] != pairs[i].v || t1[i] != pairs[i].t {
-					t.Fatalf("n=%d case=%d pos=%d: sortPairs (%v,%v) != sort.Slice (%v,%v)",
-						n, ci, i, v1[i], t1[i], pairs[i].v, pairs[i].t)
-				}
-			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"fmt"
+
 	"gsight/internal/rng"
 )
 
@@ -61,131 +63,54 @@ func (t *Tree) Fit(X [][]float64, y []float64) error { return t.FitSeeded(X, y, 
 
 // FitSeeded grows the tree using rnd for feature subsampling.
 func (t *Tree) FitSeeded(X [][]float64, y []float64, rnd *rng.Rand) error {
-	if err := checkXY(X, y); err != nil {
-		return err
-	}
-	return t.fit(X, y, nil, rnd)
+	return t.FitIndexed(X, y, nil, rnd)
 }
 
 // FitIndexed grows the tree on the samples X[idx[0]], X[idx[1]], ...
 // (duplicates allowed): a bootstrap resample is just an index list into
-// the shared training window, so forests never materialize per-tree row
-// copies. FitSeeded is the identity-index special case. The tree does
-// not retain idx.
+// the shared training set. A nil idx means every row once, in order.
+// The tree does not retain idx. It is a one-off window fit: (X, y) is
+// prepared as a windowColumns and grown by the same kernel the forest
+// uses, so X may hold at most 65536 rows (ErrWindowTooLarge).
 func (t *Tree) FitIndexed(X [][]float64, y []float64, idx []int, rnd *rng.Rand) error {
 	if err := checkXY(X, y); err != nil {
 		return err
 	}
-	if len(idx) == 0 {
-		return ErrNoData
+	if idx == nil {
+		idx = identity(len(y))
 	}
-	return t.fit(X, y, idx, rnd)
+	for _, i := range idx {
+		if uint(i) >= uint(len(y)) {
+			return fmt.Errorf("ml: bootstrap index %d outside the %d training rows", i, len(y))
+		}
+	}
+	var wc windowColumns
+	if err := wc.build(X, y, 1); err != nil {
+		return err
+	}
+	return t.fitFromWindow(&wc, idx, rnd)
 }
 
-// fit is the training kernel. A nil idx means the identity bootstrap
-// (every row once, in order). All per-node working state lives in a
-// pooled fitScratch, so growth allocates only what the tree retains.
-func (t *Tree) fit(X [][]float64, y []float64, idx []int, rnd *rng.Rand) error {
-	n := len(y)
-	if idx != nil {
-		n = len(idx)
+// identity returns 0, 1, ..., n-1.
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	t.dim = len(X[0])
-	s := fitPool.Get().(*fitScratch)
-	defer fitPool.Put(s)
-	s.prepare(n, t.dim)
-
-	// Sparse colocation codes zero-pad unused workload slots and
-	// servers; restricting split search to features that actually vary
-	// makes the per-split feature subsample land on signal. The scan
-	// walks rows (cache-linear) and retires features from the undecided
-	// set on their first mismatch against the base row — the same
-	// comparisons as a per-feature scan with early exit, without the
-	// column stride.
-	base := X[0]
-	if idx != nil {
-		base = X[idx[0]]
-	}
-	und := s.undecided[:0]
-	for j := 0; j < t.dim; j++ {
-		und = append(und, j)
-	}
-	for i := 1; i < n && len(und) > 0; i++ {
-		row := X[i]
-		if idx != nil {
-			row = X[idx[i]]
-		}
-		w := 0
-		for _, j := range und {
-			if row[j] != base[j] {
-				s.vary[j] = true
-			} else {
-				und[w] = j
-				w++
-			}
-		}
-		und = und[:w]
-	}
-	s.undecided = und[:cap(und)]
-	active := s.active[:0]
-	for j := 0; j < t.dim; j++ {
-		if s.vary[j] {
-			active = append(active, j)
-		}
-	}
-	s.active = active
-	s.feat = grabInts(s.feat, len(active))
-
-	t.cfg = t.cfg.withDefaults(len(active))
-
-	// Transpose the bootstrap into contiguous columns (active features
-	// only) and gather the targets, so every split scan below reads
-	// sequential memory.
-	s.cols = grabFloats(s.cols, len(active)*n)
-	for j := range s.colOf {
-		s.colOf[j] = -1
-	}
-	for c, f := range active {
-		s.colOf[f] = int32(c)
-	}
-	for i := 0; i < n; i++ {
-		row, yv := X[i], y[i]
-		if idx != nil {
-			row, yv = X[idx[i]], y[idx[i]]
-		}
-		s.ty[i] = yv
-		for c, f := range active {
-			s.cols[c*n+i] = row[f]
-		}
-	}
-
-	t.nodes = t.nodes[:0]
-	t.importance = make([]float64, t.dim)
-	t.grow(s, n, 0, n, 0, rnd)
-	return nil
-}
-
-// windowColumns is a training window transposed into contiguous
-// columns, shared read-only by every tree grown on it: feats lists the
-// features with any variance across the window (ascending), column c
-// holds feats[c]'s values in logical (oldest-first) sample order, and y
-// the targets in the same order.
-type windowColumns struct {
-	feats []int
-	cols  []float64 // len(feats) × w
-	y     []float64
-	w     int // window length (column stride)
-	dim   int
+	return idx
 }
 
 // fitFromWindow grows the tree on the bootstrap lid — logical window
-// indices, duplicates allowed — over a pre-transposed window. It is the
-// forest's fast path: a feature can only vary within the bootstrap if
-// it varies within the window, so the active scan probes just the
-// window's candidate columns (already contiguous) instead of re-walking
-// every raw row, and the per-tree column cache gathers from the shared
-// transpose. The grown tree is bit-identical to FitIndexed over the
-// same samples.
+// row indices, duplicates allowed — over a prepared window. All
+// per-node working state lives in a pooled fitScratch, so growth
+// allocates only what the tree retains.
+//
+// Split search is restricted to the columns that vary within the
+// bootstrap: sparse colocation codes zero-pad unused workload slots and
+// servers, and a feature subsample drawn from columns that can split
+// lands on signal. A column can only vary within the bootstrap if it
+// varies within the window, so the scan probes just the window's
+// candidates, by rank.
 func (t *Tree) fitFromWindow(wc *windowColumns, lid []int, rnd *rng.Rand) error {
 	n := len(lid)
 	if n == 0 {
@@ -194,170 +119,181 @@ func (t *Tree) fitFromWindow(wc *windowColumns, lid []int, rnd *rng.Rand) error 
 	t.dim = wc.dim
 	s := fitPool.Get().(*fitScratch)
 	defer fitPool.Put(s)
-	s.prepare(n, t.dim)
+	s.prepare(n, wc.w)
+	for i, li := range lid {
+		s.arena[i] = int32(li)
+	}
 
 	w := wc.w
 	active := s.active[:0]
-	src := s.srcCol[:0]
-	for c, f := range wc.feats {
-		col := wc.cols[c*w : (c+1)*w]
-		v0 := col[lid[0]]
+	for c := range wc.feats {
+		rk := wc.ranks[c*w : (c+1)*w]
+		r0 := rk[lid[0]]
 		for _, li := range lid[1:] {
-			if col[li] != v0 {
-				active = append(active, f)
-				src = append(src, int32(c))
+			if rk[li] != r0 {
+				active = append(active, c)
 				break
 			}
 		}
 	}
-	s.active, s.srcCol = active, src
-	s.feat = grabInts(s.feat, len(active))
+	s.active = active
+	s.feat = grab(s.feat, len(active))
 
 	t.cfg = t.cfg.withDefaults(len(active))
-
-	for j := range s.colOf {
-		s.colOf[j] = -1
-	}
-	s.cols = grabFloats(s.cols, len(active)*n)
-	for cA, f := range active {
-		s.colOf[f] = int32(cA)
-		srcCol := wc.cols[int(src[cA])*w : (int(src[cA])+1)*w]
-		dst := s.cols[cA*n : cA*n+n]
-		for i, li := range lid {
-			dst[i] = srcCol[li]
-		}
-	}
-	for i, li := range lid {
-		s.ty[i] = wc.y[li]
-	}
-
 	t.nodes = t.nodes[:0]
 	t.importance = make([]float64, t.dim)
-	t.grow(s, n, 0, n, 0, rnd)
+	t.grow(s, wc, 0, n, 0, rnd)
 	return nil
 }
 
-// grow builds the subtree over the samples arena[lo:hi] and returns its
-// node index. n is the bootstrap size (the column stride of s.cols).
-func (t *Tree) grow(s *fitScratch, n, lo, hi, depth int, rnd *rng.Rand) int32 {
+// grow builds the subtree over the window rows arena[lo:hi] and returns
+// its node index.
+//
+// The split of a node is defined without reference to any sort: group
+// the node's rows by the candidate column's value; sum each group's y
+// and y² in arena order; take prefixes over the groups in ascending
+// value order; the right side is the node's total (summed in arena
+// order) minus the left. A cut after a group is a candidate when the
+// cumulative count passes the MaxSplitVal stride and MinLeaf tests; the
+// first strictly larger gain wins, and its threshold is the midpoint to
+// the next value present in the node (cutBetween). Groups are rank buckets, so one
+// pass over the rows accumulates them, and the occupied ranks —
+// distinct, hence with one possible ascending order — are then walked.
+// None of this depends on how rows with equal values would be ordered
+// by a sort, which is what TestSplitSearchMatchesReference checks
+// against a reference written from the paragraph above.
+func (t *Tree) grow(s *fitScratch, wc *windowColumns, lo, hi, depth int, rnd *rng.Rand) int32 {
 	node := int32(len(t.nodes))
 	t.nodes = append(t.nodes, treeNode{feature: -1})
 
 	span := s.arena[lo:hi]
-	sum := 0.0
+	y := wc.y
+	var sum, sq float64
 	for _, p := range span {
-		sum += s.ty[p]
+		v := y[p]
+		sum += v
+		sq += v * v
 	}
-	m := sum / float64(len(span))
+	n := len(span)
+	nf := float64(n)
+	m := sum / nf
 	t.nodes[node].value = m
 
-	if depth >= t.cfg.MaxDepth || len(span) < 2*t.cfg.MinLeaf {
+	if depth >= t.cfg.MaxDepth || n < 2*t.cfg.MinLeaf {
 		return node
 	}
 	imp := 0.0
 	for _, p := range span {
-		d := s.ty[p] - m
+		d := y[p] - m
 		imp += d * d
 	}
 	if imp <= 1e-12 {
 		return node
 	}
 
-	bestFeat, bestThresh, bestGain := -1, 0.0, 0.0
-	features := t.sampleFeatures(s, rnd)
-	sv, st := s.sv[:len(span)], s.st[:len(span)]
-	for _, f := range features {
-		col := s.cols[int(s.colOf[f])*n:]
-		minv := col[span[0]]
-		maxv := minv
-		for k, p := range span {
-			v := col[p]
-			sv[k] = v
-			st[k] = s.ty[p]
-			if v < minv {
-				minv = v
-			} else if v > maxv {
-				maxv = v
-			}
-		}
-		if minv == maxv {
-			continue
-		}
-		sortPairs(sv, st)
-		// Prefix scan: total variance reduction for each cut point.
+	total := sq - sum*sum/nf
+	step := 1
+	if n > t.cfg.MaxSplitVal {
+		step = n / t.cfg.MaxSplitVal
+	}
+	minLeaf := t.cfg.MinLeaf
+	bestCol, bestGain := -1, 0.0
+	var bestRank, bestNext uint16
+	w := wc.w
+	cols := t.sampleFeatures(s, rnd)
+	bkt := s.bkt
+	for _, c := range cols {
+		accumulate(span, y, wc.ranks[c*w:(c+1)*w], bkt, s.occ)
+		occ := s.occupied(len(wc.vals[c]))
 		var lSum, lSq float64
-		var rSum, rSq float64
-		for _, tv := range st {
-			rSum += tv
-			rSq += tv * tv
-		}
-		nf := float64(len(sv))
-		total := rSq - rSum*rSum/nf
-		step := 1
-		if t.cfg.MaxSplitVal > 0 && len(sv) > t.cfg.MaxSplitVal {
-			step = len(sv) / t.cfg.MaxSplitVal
-		}
-		for i := 0; i < len(sv)-1; i++ {
-			lSum += st[i]
-			lSq += st[i] * st[i]
-			rSum -= st[i]
-			rSq -= st[i] * st[i]
-			if sv[i] == sv[i+1] {
+		cum := 0
+		for g, r := range occ[:len(occ)-1] {
+			b := &bkt[r]
+			lSum += b.sum
+			lSq += b.sq
+			cum += int(b.n)
+			if n-cum < minLeaf {
+				break
+			}
+			if cum < minLeaf || (step > 1 && (cum-1)%step != 0) {
 				continue
 			}
-			if step > 1 && i%step != 0 {
-				continue
-			}
-			nl, nr := float64(i+1), nf-float64(i+1)
-			if int(nl) < t.cfg.MinLeaf || int(nr) < t.cfg.MinLeaf {
-				continue
-			}
+			nl, nr := float64(cum), float64(n-cum)
+			rSum, rSq := sum-lSum, sq-lSq
 			sse := (lSq - lSum*lSum/nl) + (rSq - rSum*rSum/nr)
-			gain := total - sse
-			if gain > bestGain {
+			if gain := total - sse; gain > bestGain {
 				bestGain = gain
-				bestFeat = f
-				bestThresh = (sv[i] + sv[i+1]) / 2
+				bestCol, bestRank, bestNext = c, r, occ[g+1]
 			}
+		}
+		for _, r := range occ {
+			bkt[r] = bucket{}
 		}
 	}
-	if bestFeat < 0 {
+	if bestCol < 0 {
 		return node
 	}
 
 	// Stable in-place partition of the arena: lefts compact forward in
 	// order, rights spill and are copied back behind them, so both
-	// children see their samples in the parent's order (the exact order
-	// the old per-node index lists preserved).
-	col := s.cols[int(s.colOf[bestFeat])*n:]
+	// children see their rows in the parent's order. MinLeaf >= 1 on
+	// both sides of every candidate cut, so neither child is empty.
+	rk := wc.ranks[bestCol*w : (bestCol+1)*w]
 	spill := s.spill[:0]
-	w := lo
+	mid := lo
 	for _, p := range span {
-		if col[p] <= bestThresh {
-			s.arena[w] = p
-			w++
+		if rk[p] <= bestRank {
+			s.arena[mid] = p
+			mid++
 		} else {
 			spill = append(spill, p)
 		}
 	}
-	copy(s.arena[w:hi], spill)
+	copy(s.arena[mid:hi], spill)
 	s.spill = spill[:0]
-	if w == lo || w == hi {
-		return node
-	}
-	t.importance[bestFeat] += bestGain
-	t.nodes[node].feature = bestFeat
-	t.nodes[node].thresh = bestThresh
-	t.nodes[node].left = t.grow(s, n, lo, w, depth+1, rnd)
-	t.nodes[node].right = t.grow(s, n, w, hi, depth+1, rnd)
+
+	f := wc.feats[bestCol]
+	vals := wc.vals[bestCol]
+	t.importance[f] += bestGain
+	t.nodes[node].feature = f
+	t.nodes[node].thresh = cutBetween(vals[bestRank], vals[bestNext])
+	t.nodes[node].left = t.grow(s, wc, lo, mid, depth+1, rnd)
+	t.nodes[node].right = t.grow(s, wc, mid, hi, depth+1, rnd)
 	return node
 }
 
-// sampleFeatures returns the features to try at one node: the full
-// active set when no subsampling applies, otherwise an MTry-element
-// partial Fisher-Yates draw. The shuffle runs in the reusable s.feat
-// buffer, re-copied from the active set each node so the draw sequence
-// and the selected features are identical to shuffling a fresh copy.
+// cutBetween returns the threshold of a cut between the adjacent node
+// values lo < hi: their midpoint, or lo where the midpoint falls outside
+// [lo, hi) — it rounds up to hi for half of all 1-ulp neighbours and
+// overflows at huge magnitudes — so that x <= thresh sends left exactly
+// the rows the partition on rank did.
+func cutBetween(lo, hi float64) float64 {
+	if m := (lo + hi) / 2; lo <= m && m < hi {
+		return m
+	}
+	return lo
+}
+
+// accumulate adds each row of span into the bucket of its rank and marks
+// the rank occupied.
+func accumulate(span []int32, y []float64, rk []uint16, bkt []bucket, occ []uint64) {
+	for _, p := range span {
+		v := y[p]
+		r := rk[p]
+		b := &bkt[r]
+		b.n++
+		b.sum += v
+		b.sq += v * v
+		occ[r>>6] |= 1 << (r & 63)
+	}
+}
+
+// sampleFeatures returns the candidate columns to try at one node: the
+// full active set when no subsampling applies, otherwise an
+// MTry-element partial Fisher-Yates draw. The shuffle runs in the
+// reusable s.feat buffer, re-copied from the active set each node so
+// the draw sequence and the selected columns are identical to shuffling
+// a fresh copy.
 func (t *Tree) sampleFeatures(s *fitScratch, rnd *rng.Rand) []int {
 	n := len(s.active)
 	if n == 0 {

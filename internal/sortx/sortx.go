@@ -1,36 +1,22 @@
 // Package sortx holds the repository's pattern-defeating quicksort
-// transcriptions. The implementation is the standard library's pdqsort
+// transcription. The implementation is the standard library's pdqsort
 // (sort.Slice / zsortfunc.go, itself after Orson Peters' pdqsort),
-// written out for the two concrete shapes the hot paths need:
+// written out for the one concrete shape a hot path needs: Ints sorts
+// an []int under a caller comparator — the candidate ordering sort of
+// the schedulers once server counts reach the thousands and insertion
+// sort's O(n²) shows.
 //
-//   - Pairs sorts two parallel []float64 arrays by the first — the
-//     split-search sort of the forest-training kernel (moved here from
-//     internal/ml so the schedulers can share the port).
-//   - Ints sorts an []int under a caller comparator — the candidate
-//     ordering sort of the schedulers once server counts reach the
-//     thousands and insertion sort's O(n²) shows.
-//
-// Both transcriptions are deliberately faithful to the standard
-// library — same pivot selection, same pattern breaking, same
-// insertion/heap fallbacks — so they perform the exact permutation
-// sort.Slice with the equivalent comparator would, without the
-// reflect-based swapper and its per-element allocations. pdqsort is
-// not stable: callers that need a deterministic permutation on ties
-// (every scheduler does — float accumulation order depends on it)
-// must pass a comparator that is a total order, e.g. by breaking ties
-// on the element value itself.
+// The transcription is deliberately faithful to the standard library —
+// same pivot selection, same pattern breaking, same insertion/heap
+// fallbacks — so it performs the exact permutation sort.Slice with the
+// equivalent comparator would, without the reflect-based swapper and
+// its per-element allocations. pdqsort is not stable: callers that
+// need a deterministic permutation on ties (every scheduler does —
+// float accumulation order depends on it) must pass a comparator that
+// is a total order, e.g. by breaking ties on the element value itself.
 package sortx
 
 import "math/bits"
-
-// Pairs sorts the parallel arrays (v, t) by v, ascending. Within runs
-// of equal v values the t order matches what sort.Slice with a
-// `v[a] < v[b]` comparator would produce, so floating-point prefix
-// sums over t are bit-identical to a sort.Slice-based caller.
-func Pairs(v, t []float64) {
-	n := len(v)
-	pdqPairs(v, t, 0, n, bits.Len(uint(n)))
-}
 
 // Ints sorts a ascending under less, which must be a strict weak
 // ordering over the element values. For a deterministic permutation
@@ -64,347 +50,6 @@ const (
 	hintIncreasing
 	hintDecreasing
 )
-
-// ---------------------------------------------------------------------
-// Pairs shape: parallel (v, t []float64), ordered by v.
-// ---------------------------------------------------------------------
-
-// pdqPairs sorts (v,t)[a:b]; limit is the number of allowed bad pivots
-// before falling back to heapsort.
-func pdqPairs(v, t []float64, a, b, limit int) {
-	const maxInsertion = 12
-
-	var (
-		wasBalanced    = true // whether the last partitioning was reasonably balanced
-		wasPartitioned = true // whether the slice was already partitioned
-	)
-
-	for {
-		length := b - a
-
-		if length <= maxInsertion {
-			insertionSortPairs(v, t, a, b)
-			return
-		}
-
-		// Fall back to heapsort if too many bad choices were made.
-		if limit == 0 {
-			heapSortPairs(v, t, a, b)
-			return
-		}
-
-		// If the last partitioning was imbalanced, we need to break patterns.
-		if !wasBalanced {
-			breakPatternsPairs(v, t, a, b)
-			limit--
-		}
-
-		pivot, hint := choosePivotPairs(v, a, b)
-		if hint == hintDecreasing {
-			reverseRangePairs(v, t, a, b)
-			// The chosen pivot was pivot-a elements after the start of the array.
-			// After reversing it is pivot-a elements before the end of the array.
-			pivot = (b - 1) - (pivot - a)
-			hint = hintIncreasing
-		}
-
-		// The slice is likely already sorted.
-		if wasBalanced && wasPartitioned && hint == hintIncreasing {
-			if partialInsertionSortPairs(v, t, a, b) {
-				return
-			}
-		}
-
-		// Probably the slice contains many duplicate elements, partition the
-		// slice into elements equal to and elements greater than the pivot.
-		if a > 0 && !(v[a-1] < v[pivot]) {
-			a = partitionEqualPairs(v, t, a, b, pivot)
-			continue
-		}
-
-		mid, alreadyPartitioned := partitionPairs(v, t, a, b, pivot)
-		wasPartitioned = alreadyPartitioned
-
-		leftLen, rightLen := mid-a, b-mid
-		balanceThreshold := length / 8
-		if leftLen < rightLen {
-			wasBalanced = leftLen >= balanceThreshold
-			pdqPairs(v, t, a, mid, limit)
-			a = mid + 1
-		} else {
-			wasBalanced = rightLen >= balanceThreshold
-			pdqPairs(v, t, mid+1, b, limit)
-			b = mid
-		}
-	}
-}
-
-func insertionSortPairs(v, t []float64, a, b int) {
-	for i := a + 1; i < b; i++ {
-		for j := i; j > a && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-			t[j], t[j-1] = t[j-1], t[j]
-		}
-	}
-}
-
-// siftDownPairs implements the heap property on (v,t)[lo:hi].
-// first is an offset into the array where the root of the heap lies.
-func siftDownPairs(v, t []float64, lo, hi, first int) {
-	root := lo
-	for {
-		child := 2*root + 1
-		if child >= hi {
-			break
-		}
-		if child+1 < hi && v[first+child] < v[first+child+1] {
-			child++
-		}
-		if !(v[first+root] < v[first+child]) {
-			return
-		}
-		v[first+root], v[first+child] = v[first+child], v[first+root]
-		t[first+root], t[first+child] = t[first+child], t[first+root]
-		root = child
-	}
-}
-
-func heapSortPairs(v, t []float64, a, b int) {
-	first := a
-	lo := 0
-	hi := b - a
-
-	// Build heap with greatest element at top.
-	for i := (hi - 1) / 2; i >= 0; i-- {
-		siftDownPairs(v, t, i, hi, first)
-	}
-
-	// Pop elements, largest first, into end of data.
-	for i := hi - 1; i >= 0; i-- {
-		v[first], v[first+i] = v[first+i], v[first]
-		t[first], t[first+i] = t[first+i], t[first]
-		siftDownPairs(v, t, lo, i, first)
-	}
-}
-
-// partitionPairs does one quicksort partition.
-// Let p = v[pivot]. Moves elements in (v,t)[a:b] around, so that
-// v[i] < p and v[j] >= p for i < newpivot and j > newpivot.
-// On return, v[newpivot] = p.
-func partitionPairs(v, t []float64, a, b, pivot int) (newpivot int, alreadyPartitioned bool) {
-	v[a], v[pivot] = v[pivot], v[a]
-	t[a], t[pivot] = t[pivot], t[a]
-	i, j := a+1, b-1 // i and j are inclusive of the elements remaining to be partitioned
-
-	for i <= j && v[i] < v[a] {
-		i++
-	}
-	for i <= j && !(v[j] < v[a]) {
-		j--
-	}
-	if i > j {
-		v[j], v[a] = v[a], v[j]
-		t[j], t[a] = t[a], t[j]
-		return j, true
-	}
-	v[i], v[j] = v[j], v[i]
-	t[i], t[j] = t[j], t[i]
-	i++
-	j--
-
-	for {
-		for i <= j && v[i] < v[a] {
-			i++
-		}
-		for i <= j && !(v[j] < v[a]) {
-			j--
-		}
-		if i > j {
-			break
-		}
-		v[i], v[j] = v[j], v[i]
-		t[i], t[j] = t[j], t[i]
-		i++
-		j--
-	}
-	v[j], v[a] = v[a], v[j]
-	t[j], t[a] = t[a], t[j]
-	return j, false
-}
-
-// partitionEqualPairs partitions (v,t)[a:b] into elements equal to
-// v[pivot] followed by elements greater than v[pivot]. It assumes
-// (v,t)[a:b] does not contain elements smaller than v[pivot].
-func partitionEqualPairs(v, t []float64, a, b, pivot int) (newpivot int) {
-	v[a], v[pivot] = v[pivot], v[a]
-	t[a], t[pivot] = t[pivot], t[a]
-	i, j := a+1, b-1 // i and j are inclusive of the elements remaining to be partitioned
-
-	for {
-		for i <= j && !(v[a] < v[i]) {
-			i++
-		}
-		for i <= j && v[a] < v[j] {
-			j--
-		}
-		if i > j {
-			break
-		}
-		v[i], v[j] = v[j], v[i]
-		t[i], t[j] = t[j], t[i]
-		i++
-		j--
-	}
-	return i
-}
-
-// partialInsertionSortPairs partially sorts a slice, returns true if
-// the slice is sorted at the end.
-func partialInsertionSortPairs(v, t []float64, a, b int) bool {
-	const (
-		maxSteps         = 5  // maximum number of adjacent out-of-order pairs that will get shifted
-		shortestShifting = 50 // don't shift any elements on short arrays
-	)
-	i := a + 1
-	for j := 0; j < maxSteps; j++ {
-		for i < b && !(v[i] < v[i-1]) {
-			i++
-		}
-
-		if i == b {
-			return true
-		}
-
-		if b-a < shortestShifting {
-			return false
-		}
-
-		v[i], v[i-1] = v[i-1], v[i]
-		t[i], t[i-1] = t[i-1], t[i]
-
-		// Shift the smaller one to the left.
-		if i-a >= 2 {
-			for j := i - 1; j >= 1; j-- {
-				if !(v[j] < v[j-1]) {
-					break
-				}
-				v[j], v[j-1] = v[j-1], v[j]
-				t[j], t[j-1] = t[j-1], t[j]
-			}
-		}
-		// Shift the greater one to the right.
-		if b-i >= 2 {
-			for j := i + 1; j < b; j++ {
-				if !(v[j] < v[j-1]) {
-					break
-				}
-				v[j], v[j-1] = v[j-1], v[j]
-				t[j], t[j-1] = t[j-1], t[j]
-			}
-		}
-	}
-	return false
-}
-
-// breakPatternsPairs scatters some elements around in an attempt to
-// break some patterns that might cause imbalanced partitions in
-// quicksort.
-func breakPatternsPairs(v, t []float64, a, b int) {
-	length := b - a
-	if length >= 8 {
-		random := xorshift(length)
-		modulus := nextPowerOfTwo(length)
-
-		for idx := a + (length/4)*2 - 1; idx <= a+(length/4)*2+1; idx++ {
-			other := int(uint(random.next()) & (modulus - 1))
-			if other >= length {
-				other -= length
-			}
-			v[idx], v[a+other] = v[a+other], v[idx]
-			t[idx], t[a+other] = t[a+other], t[idx]
-		}
-	}
-}
-
-// choosePivotPairs chooses a pivot in v[a:b].
-//
-// [0,8): chooses a static pivot.
-// [8,shortestNinther): uses the simple median-of-three method.
-// [shortestNinther,∞): uses the Tukey ninther method.
-func choosePivotPairs(v []float64, a, b int) (pivot int, hint sortHint) {
-	const (
-		shortestNinther = 50
-		maxSwaps        = 4 * 3
-	)
-
-	l := b - a
-
-	var (
-		swaps int
-		i     = a + l/4*1
-		j     = a + l/4*2
-		k     = a + l/4*3
-	)
-
-	if l >= 8 {
-		if l >= shortestNinther {
-			// Tukey ninther method.
-			i = medianAdjacentPairs(v, i, &swaps)
-			j = medianAdjacentPairs(v, j, &swaps)
-			k = medianAdjacentPairs(v, k, &swaps)
-		}
-		// Find the median among i, j, k and stores it into j.
-		j = medianPairs(v, i, j, k, &swaps)
-	}
-
-	switch swaps {
-	case 0:
-		return j, hintIncreasing
-	case maxSwaps:
-		return j, hintDecreasing
-	default:
-		return j, hintUnknown
-	}
-}
-
-// order2Pairs returns x,y where v[x] <= v[y], where x,y=a,b or x,y=b,a.
-func order2Pairs(v []float64, a, b int, swaps *int) (int, int) {
-	if v[b] < v[a] {
-		*swaps++
-		return b, a
-	}
-	return a, b
-}
-
-// medianPairs returns x where v[x] is the median of v[a],v[b],v[c],
-// where x is a, b, or c.
-func medianPairs(v []float64, a, b, c int, swaps *int) int {
-	a, b = order2Pairs(v, a, b, swaps)
-	b, c = order2Pairs(v, b, c, swaps)
-	a, b = order2Pairs(v, a, b, swaps)
-	return b
-}
-
-// medianAdjacentPairs finds the median of v[a-1], v[a], v[a+1] and
-// stores the index into a.
-func medianAdjacentPairs(v []float64, a int, swaps *int) int {
-	return medianPairs(v, a-1, a, a+1, swaps)
-}
-
-func reverseRangePairs(v, t []float64, a, b int) {
-	i := a
-	j := b - 1
-	for i < j {
-		v[i], v[j] = v[j], v[i]
-		t[i], t[j] = t[j], t[i]
-		i++
-		j--
-	}
-}
-
-// ---------------------------------------------------------------------
-// Ints shape: []int under a value comparator.
-// ---------------------------------------------------------------------
 
 // pdqInts sorts d[a:b] under less; limit is the number of allowed bad
 // pivots before falling back to heapsort.

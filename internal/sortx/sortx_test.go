@@ -31,37 +31,6 @@ func cases(n int, r *rng.Rand) [][]float64 {
 
 var sizes = []int{0, 1, 2, 3, 7, 12, 13, 40, 100, 257, 1000, 2048}
 
-// TestPairsMatchesSortSlice proves the Pairs port performs the exact
-// permutation of the equivalent sort.Slice call — equal values land in
-// the same relative positions, which the paired target array exposes.
-func TestPairsMatchesSortSlice(t *testing.T) {
-	r := rng.New(99)
-	for _, n := range sizes {
-		for ci, vals := range cases(n, r) {
-			v1 := append([]float64(nil), vals...)
-			t1 := make([]float64, n)
-			for i := range t1 {
-				t1[i] = float64(i) // unique tags expose the permutation
-			}
-			Pairs(v1, t1)
-
-			type pair struct{ v, t float64 }
-			pairs := make([]pair, n)
-			for i := range pairs {
-				pairs[i] = pair{vals[i], float64(i)}
-			}
-			sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
-
-			for i := 0; i < n; i++ {
-				if v1[i] != pairs[i].v || t1[i] != pairs[i].t {
-					t.Fatalf("n=%d case=%d pos=%d: Pairs (%v,%v) != sort.Slice (%v,%v)",
-						n, ci, i, v1[i], t1[i], pairs[i].v, pairs[i].t)
-				}
-			}
-		}
-	}
-}
-
 // TestIntsMatchesSortSlice checks Ints against sort.Slice under a
 // total-order comparator (key, then element value on ties) over the
 // same adversarial shapes. With a total order every correct sort —
