@@ -29,7 +29,7 @@ test:
 # Run every fuzz target over its seed corpus (no random exploration;
 # `go test -fuzz` does that — see ci.yml's fuzz job).
 fuzzsmoke:
-	$(GO) test -run '^Fuzz' ./internal/persist ./internal/faults
+	$(GO) test -run '^Fuzz' ./internal/persist ./internal/faults ./internal/core ./internal/serve
 
 # Kill-and-resume equivalence on the real gsight-sim binary: a run
 # crashed twice and resumed from checkpoints must reproduce the

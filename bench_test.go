@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -340,6 +341,94 @@ func BenchmarkBootstrapFit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// checkpointBenchState is the learner state the two checkpoint
+// benchmarks share: what gsight-serve holds at the end of the repository
+// benchmark's `learning` workload — the IPC and JCT samples of 1 000
+// LS+SC colocations in the forests' windows (≈ 2 200 and ≈ 1 000 rows
+// of 2 836 features), 40 trees a kind, the tier-0 ring holding every
+// IPC row, a part-filled pending buffer. Built once: two forest fits.
+var checkpointBenchState struct {
+	once sync.Once
+	pred *core.Predictor
+	err  error
+}
+
+func checkpointSizedPredictor(b *testing.B) *core.Predictor {
+	b.Helper()
+	st := &checkpointBenchState
+	st.once.Do(func() {
+		m := perfmodel.New(resources.DefaultTestbed())
+		scenario.FastConfig(m)
+		g := scenario.NewGenerator(m, 42)
+		byKind := map[core.QoSKind][]core.Observation{}
+		for i := 0; i < 1000; i++ {
+			samples, err := g.Label(g.Colocation(core.LSSC, 2+g.Rand().Intn(2)))
+			if err != nil {
+				st.err = err
+				return
+			}
+			for _, s := range samples {
+				byKind[s.Kind] = append(byKind[s.Kind], core.Observation{Target: s.Target, Inputs: s.Inputs, Label: s.Label})
+			}
+		}
+		p := core.NewPredictor(core.Config{Seed: 1})
+		for _, kind := range []core.QoSKind{core.IPCQoS, core.JCTQoS} {
+			obs := byKind[kind]
+			if st.err = p.TrainObservations(kind, obs[:len(obs)-30]); st.err != nil {
+				return
+			}
+			for _, o := range obs[len(obs)-30:] {
+				if st.err = p.Observe(kind, o.Target, o.Inputs, o.Label); st.err != nil {
+					return
+				}
+			}
+		}
+		st.pred = p
+	})
+	if st.err != nil {
+		b.Fatal(st.err)
+	}
+	return st.pred
+}
+
+// BenchmarkPredictorCheckpoint measures writing the learner down: one
+// CheckpointState of the learning-sized predictor, which every serve
+// snapshot and every platform checkpoint pays. state_bytes is the size
+// of what it returns.
+func BenchmarkPredictorCheckpoint(b *testing.B) {
+	p := checkpointSizedPredictor(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	size := 0
+	for i := 0; i < b.N; i++ {
+		state, err := p.CheckpointState()
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = len(state)
+	}
+	b.ReportMetric(float64(size), "state_bytes")
+}
+
+// BenchmarkPredictorRestore measures reading it back: RestoreCheckpoint
+// of that state into a same-configured predictor, validation included —
+// the learner's share of a restart or a standby takeover.
+func BenchmarkPredictorRestore(b *testing.B) {
+	state, err := checkpointSizedPredictor(b).CheckpointState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := core.NewPredictor(core.Config{Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fresh.RestoreCheckpoint(state); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(state)), "state_bytes")
 }
 
 // BenchmarkBinarySearchScheduling measures one placement decision of
@@ -679,7 +768,8 @@ var benchedIDs = []string{
 
 // historyBenches are the start-up micro-benchmarks whose trajectory
 // BENCH_gsight.json must keep: scripts/bench.sh has to run them.
-var historyBenches = []string{"BenchmarkScenarioEvaluation", "BenchmarkNewCatalog", "BenchmarkBootstrapFit"}
+var historyBenches = []string{"BenchmarkScenarioEvaluation", "BenchmarkNewCatalog", "BenchmarkBootstrapFit",
+	"BenchmarkPredictorCheckpoint", "BenchmarkPredictorRestore"}
 
 // TestBenchRegistryCoverage pins the registry and the bench list to
 // each other: every registered experiment must have a Benchmark*

@@ -14,6 +14,7 @@
 //	gsight-inspect trace    <recording> [-o out.json]
 //	                                        export a strict {"traceEvents":[...]} JSON file
 //	gsight-inspect diff     <a> <b>         compare two recordings, locate first divergence
+//	gsight-inspect snapshot <file|dir>      a checkpoint's envelope, controller state and predictor summary
 //
 // <recording> is a -record directory (trace.json + flight.bin inside),
 // or a single artifact file: a trace, a flight recording, or a JSONL
@@ -41,7 +42,7 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gsight-inspect <summary|predq|errors|heat|trace|diff> <recording> [args]\n")
+		fmt.Fprintf(os.Stderr, "usage: gsight-inspect <summary|predq|errors|heat|trace|diff|snapshot> <recording> [args]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -64,6 +65,8 @@ func main() {
 		err = cmdTrace(rest)
 	case "diff":
 		err = cmdDiff(rest)
+	case "snapshot":
+		err = cmdSnapshot(rest)
 	default:
 		flag.Usage()
 		os.Exit(2)

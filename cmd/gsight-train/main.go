@@ -20,6 +20,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -120,7 +121,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("load checkpoint %s: %v", *loadPath, err)
 		}
-		if err := ckpt.RestoreCheckpoint(payload); err != nil {
+		_, blob, err := persist.SplitPayload(payload)
+		if err != nil {
+			log.Fatalf("load checkpoint %s: %v", *loadPath, err)
+		}
+		if err := ckpt.RestoreCheckpoint(blob); err != nil {
 			log.Fatalf("load checkpoint %s: %v", *loadPath, err)
 		}
 		loaded = true
@@ -208,7 +213,17 @@ func main() {
 		if err != nil {
 			log.Fatalf("save checkpoint: %v", err)
 		}
-		data, err := persist.EncodeSnapshot(1, raw)
+		// Same layout as the controllers' snapshots, so gsight-inspect
+		// snapshot reads it: a JSON section saying where it came from,
+		// then the predictor blob.
+		ctl, err := json.Marshal(map[string]any{
+			"tool": "gsight-train", "model": pred.Name(), "colocation": *colo,
+			"qos": *qosName, "scenarios": *scenarios, "seed": *seed,
+		})
+		if err != nil {
+			log.Fatalf("save checkpoint: %v", err)
+		}
+		data, err := persist.EncodeSnapshot(1, persist.FramePayload(ctl, raw))
 		if err != nil {
 			log.Fatalf("save checkpoint: %v", err)
 		}

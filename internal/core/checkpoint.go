@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"gsight/internal/ml"
+	"gsight/internal/wire"
 )
 
 // Checkpointable is implemented by predictors whose full online-learning
@@ -14,43 +14,32 @@ import (
 // when checkpointing is enabled with an attached predictor: resuming
 // without the learner's state would silently fork the learning stream.
 type Checkpointable interface {
-	// CheckpointState serializes the predictor's live state.
-	CheckpointState() (json.RawMessage, error)
+	// CheckpointState serializes the predictor's live state as one
+	// opaque binary blob.
+	CheckpointState() ([]byte, error)
 	// RestoreCheckpoint replaces the predictor's live state with a
-	// snapshot produced by CheckpointState on an identically-configured
-	// predictor.
-	RestoreCheckpoint(json.RawMessage) error
+	// blob produced by CheckpointState on an identically-configured
+	// predictor, or fails and leaves the predictor as it was.
+	RestoreCheckpoint([]byte) error
 }
 
-// predictorState is the Gsight predictor's checkpoint schema. The
-// tier-0 scorer state is optional for backward compatibility: snapshots
-// written before the two-tier path restore with a reset scorer, which
-// only matters if the resumed run also enables pruning.
-type predictorState struct {
-	Version int                  `json:"version"`
-	Kinds   []predictorKindState `json:"kinds"`
-	Tier0   *tier0State          `json:"tier0,omitempty"`
-}
-
-// tier0State carries the tier-0 scorer across a crash: the ridge
-// accumulators verbatim (rebuilding them would change float
-// accumulation order) plus the ingest generation, so scheduler-side
-// score caches invalidate at exactly the same points after resume.
-type tier0State struct {
-	Gen   uint64        `json:"gen"`
-	Ridge ml.RidgeState `json:"ridge"`
-}
-
-type predictorKindState struct {
-	Trained  bool           `json:"trained"`
-	Seen     int            `json:"seen"`
-	Forest   ml.ForestState `json:"forest"`
-	PendingX [][]float64    `json:"pending_x,omitempty"`
-	PendingY []float64      `json:"pending_y,omitempty"`
-}
+// The predictor blob (byte layout in DESIGN.md §12): a header — magic,
+// blob version, coder dimension, QoS kind count — then per kind the
+// trained flag, the sample count, the forest section (ml) and the
+// pending observation rows, then the tier-0 ingest generation and its
+// ridge section. The log-space wrapping of tail-latency and JCT models
+// is structural (rebuilt by NewPredictor), so only the inner forests
+// are written. The tier-0 accumulators travel verbatim (rebuilding them
+// would change float accumulation order) together with the ingest
+// generation, so scheduler-side score caches invalidate at exactly the
+// same points after resume.
+const (
+	checkpointMagic   = "GSPC"
+	checkpointVersion = 2 // 1 was the JSON schema
+)
 
 // forestOf unwraps a QoS model to its forest, the only model family the
-// checkpoint schema covers (the paper's IRFR and its log-space wrap).
+// checkpoint format covers (the paper's IRFR and its log-space wrap).
 func forestOf(m ml.Incremental) (*ml.Forest, error) {
 	if lt, ok := m.(*ml.LogTarget); ok {
 		m = lt.Inner
@@ -68,8 +57,10 @@ func forestOf(m ml.Incremental) (*ml.Forest, error) {
 // encoded later — possibly on another goroutine, while the predictor
 // keeps observing and flushing.
 type PredictorCapture struct {
-	kinds [numQoSKinds]kindCapture
-	tier0 tier0State
+	dim      int
+	kinds    [numQoSKinds]kindCapture
+	tier0Gen uint64
+	tier0    ml.RidgeCapture
 }
 
 type kindCapture struct {
@@ -89,7 +80,7 @@ type kindCapture struct {
 // are copied — the pending buffer (Dataset.Reset nils its entries), the
 // ring's slot array, the forest's tree slice and the ridge ring.
 func (p *Predictor) Capture() (*PredictorCapture, error) {
-	c := &PredictorCapture{}
+	c := &PredictorCapture{dim: p.coder.Dim()}
 	for k := range p.models {
 		f, err := forestOf(p.models[k])
 		if err != nil {
@@ -102,101 +93,200 @@ func (p *Predictor) Capture() (*PredictorCapture, error) {
 		}
 		c.kinds[k] = kc
 	}
-	c.tier0 = tier0State{Gen: p.tier0.gen, Ridge: p.tier0.ridge.ExportState()}
+	c.tier0Gen = p.tier0.gen
+	c.tier0 = p.tier0.ridge.Capture()
 	return c, nil
 }
 
-// Encode serializes the capture to the checkpoint schema. The log-space
-// wrapping of tail-latency and JCT models is structural (rebuilt by
-// NewPredictor), so only the inner forests are serialized.
-func (c *PredictorCapture) Encode() (json.RawMessage, error) {
-	st := predictorState{Version: 1, Tier0: &c.tier0}
+// Encode serializes the capture into one buffer, appending straight
+// from the captured rows and trees: no intermediate copy, and a handful
+// of allocations however many rows there are.
+func (c *PredictorCapture) Encode() []byte {
+	size := 64 + c.tier0.SizeHint()
 	for k := range c.kinds {
 		kc := &c.kinds[k]
-		st.Kinds = append(st.Kinds, predictorKindState{
-			Trained:  kc.trained,
-			Seen:     kc.seen,
-			Forest:   kc.forest.State(),
-			PendingX: kc.pendingX,
-			PendingY: kc.pendingY,
-		})
+		size += kc.forest.SizeHint() + 8*len(kc.pendingY) + wire.SparseSizeHint(kc.pendingX)
 	}
-	return json.Marshal(st)
+	dst := make([]byte, 0, size)
+	dst = append(dst, checkpointMagic...)
+	dst = wire.AppendU32(dst, checkpointVersion)
+	dst = wire.AppendU32(dst, uint32(c.dim))
+	dst = wire.AppendU32(dst, uint32(len(c.kinds)))
+	for k := range c.kinds {
+		kc := &c.kinds[k]
+		dst = wire.AppendBool(dst, kc.trained)
+		dst = wire.AppendU64(dst, uint64(kc.seen))
+		dst = kc.forest.AppendTo(dst)
+		dst = wire.AppendU32(dst, uint32(len(kc.pendingY)))
+		for _, row := range kc.pendingX {
+			dst = wire.AppendSparse(dst, row)
+		}
+		dst = wire.AppendF64s(dst, kc.pendingY)
+	}
+	dst = wire.AppendU64(dst, c.tier0Gen)
+	return c.tier0.AppendTo(dst)
 }
 
 // CheckpointState snapshots the predictor: Capture and Encode in one
 // call, for callers with nothing to overlap the encoding with.
-func (p *Predictor) CheckpointState() (json.RawMessage, error) {
+func (p *Predictor) CheckpointState() ([]byte, error) {
 	c, err := p.Capture()
 	if err != nil {
 		return nil, err
 	}
-	return c.Encode()
+	return c.Encode(), nil
 }
 
-// RestoreCheckpoint restores a CheckpointState snapshot into this
-// predictor's existing models, validating dimensions and values so a
-// corrupt snapshot is rejected with an error instead of applied.
-func (p *Predictor) RestoreCheckpoint(raw json.RawMessage) error {
-	var st predictorState
-	if err := json.Unmarshal(raw, &st); err != nil {
+// CheckpointSummary is what a predictor blob says about itself, for
+// operators (gsight-inspect snapshot).
+type CheckpointSummary struct {
+	Version int
+	Dim     int
+	Kinds   []KindSummary
+	// Tier-0 scorer: ingest generation and ridge ring occupancy.
+	Tier0Gen     uint64
+	Tier0Rows    int
+	Tier0Seen    uint64
+	Tier0Trained bool
+}
+
+// KindSummary is one QoS kind's part of a CheckpointSummary.
+type KindSummary struct {
+	Kind        QoSKind
+	Trained     bool
+	Seen        int
+	Trees       int
+	WindowRows  int
+	PendingRows int
+}
+
+// decodedCheckpoint is a validated blob: the summary always, and when
+// read for a predictor the state to install.
+type decodedCheckpoint struct {
+	CheckpointSummary
+	forests  [numQoSKinds]*ml.ForestDecoded
+	pendingX [numQoSKinds][][]float64
+	pendingY [numQoSKinds][]float64
+	ridge    *ml.RidgeDecoded
+}
+
+// readCheckpoint is the one decoder of the predictor blob. For a
+// predictor it validates against that predictor's configuration — coder
+// dimension, window and tree capacities, ridge shape — and builds the
+// replacement state; with p nil it checks everything that needs no
+// configuration, allocates nothing per row and fills the summary only.
+// Failures are recorded on r.
+func readCheckpoint(r *wire.Reader, p *Predictor) *decodedCheckpoint {
+	d := &decodedCheckpoint{}
+	if magic := r.Bytes(len(checkpointMagic), "predictor checkpoint magic"); string(magic) != checkpointMagic {
+		r.Failf("not a predictor checkpoint (magic %q)", magic)
+		return d
+	}
+	d.Version = int(r.U32("predictor checkpoint version"))
+	if d.Version != checkpointVersion {
+		r.Failf("unsupported predictor checkpoint version %d, want %d", d.Version, checkpointVersion)
+		return d
+	}
+	d.Dim = int(r.U32("coder dim"))
+	if p != nil && d.Dim != p.coder.Dim() {
+		r.Failf("checkpoint rows have %d features, coder dim is %d", d.Dim, p.coder.Dim())
+		return d
+	}
+	if kinds := r.U32("kind count"); kinds != uint32(numQoSKinds) {
+		r.Failf("predictor checkpoint has %d kinds, want %d", kinds, int(numQoSKinds))
+		return d
+	}
+	for k := 0; k < int(numQoSKinds) && r.Err() == nil; k++ {
+		var lim *ml.ForestLimits
+		if p != nil {
+			f, err := forestOf(p.models[k])
+			if err != nil {
+				r.Failf("%v kind: %v", QoSKind(k), err)
+				return d
+			}
+			lim = f.StateLimits(d.Dim)
+		}
+		ks := KindSummary{Kind: QoSKind(k), Trained: r.Bool("trained flag")}
+		seen := r.U64("sample count")
+		if seen > math.MaxInt64 {
+			r.Failf("%v sample count %d out of range", QoSKind(k), seen)
+			return d
+		}
+		ks.Seen = int(seen)
+		fd := ml.ReadForestState(r, lim)
+		ks.Trees, ks.WindowRows = fd.Trees, fd.WindowRows
+		d.forests[k] = fd
+
+		ks.PendingRows = r.Count(1+8, "pending row count")
+		if lim != nil && ks.PendingRows > lim.Window {
+			r.Failf("%v has %d pending rows, more than the window capacity %d", QoSKind(k), ks.PendingRows, lim.Window)
+			return d
+		}
+		if lim != nil {
+			d.pendingX[k] = make([][]float64, ks.PendingRows)
+			d.pendingY[k] = make([]float64, ks.PendingRows)
+		}
+		for i := 0; i < ks.PendingRows && r.Err() == nil; i++ {
+			var row []float64
+			if lim != nil {
+				row = make([]float64, d.Dim)
+				d.pendingX[k][i] = row
+			}
+			r.Sparse(row, d.Dim, "pending row")
+		}
+		r.F64s(d.pendingY[k], ks.PendingRows, "pending labels")
+		if err := r.Err(); err != nil {
+			// Name the kind once, here, instead of in every message.
+			r.Annotate(QoSKind(k).String() + " kind")
+			return d
+		}
+		d.Kinds = append(d.Kinds, ks)
+	}
+	d.Tier0Gen = r.U64("tier0 generation")
+	var rlim *ml.RidgeLimits
+	if p != nil {
+		rlim = p.tier0.ridge.StateLimits()
+	}
+	d.ridge = ml.ReadRidgeState(r, rlim)
+	d.Tier0Rows, d.Tier0Seen, d.Tier0Trained = d.ridge.Rows, d.ridge.Seen, d.ridge.Trained
+	return d
+}
+
+// SummarizeCheckpoint validates a predictor blob as far as it can
+// without a predictor's configuration and reports its counts. It reads
+// through the decoder RestoreCheckpoint uses.
+func SummarizeCheckpoint(blob []byte) (*CheckpointSummary, error) {
+	r := wire.NewReader(blob)
+	d := readCheckpoint(r, nil)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: predictor checkpoint: %w", err)
+	}
+	return &d.CheckpointSummary, nil
+}
+
+// RestoreCheckpoint restores a CheckpointState blob into this
+// predictor's existing models. The whole blob is decoded and validated
+// — dimensions, capacities, finiteness, tree structure, RNG state, no
+// bytes left over — before anything is installed, so a corrupt blob is
+// rejected with an error and the predictor untouched.
+func (p *Predictor) RestoreCheckpoint(blob []byte) error {
+	r := wire.NewReader(blob)
+	d := readCheckpoint(r, p)
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("core: predictor checkpoint: %w", err)
 	}
-	if st.Version != 1 {
-		return fmt.Errorf("core: unsupported predictor checkpoint version %d", st.Version)
-	}
-	if len(st.Kinds) != int(numQoSKinds) {
-		return fmt.Errorf("core: predictor checkpoint has %d kinds, want %d", len(st.Kinds), int(numQoSKinds))
-	}
-	dim := p.coder.Dim()
-	for k, ks := range st.Kinds {
-		if len(ks.PendingX) != len(ks.PendingY) {
-			return fmt.Errorf("core: %v pending X/Y length mismatch (%d vs %d)", QoSKind(k), len(ks.PendingX), len(ks.PendingY))
-		}
-		if ks.Seen < 0 {
-			return fmt.Errorf("core: %v negative sample count %d", QoSKind(k), ks.Seen)
-		}
-		for i, row := range ks.PendingX {
-			if len(row) != dim {
-				return fmt.Errorf("core: %v pending row %d has %d features, coder dim is %d", QoSKind(k), i, len(row), dim)
-			}
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("core: %v pending row %d has non-finite features", QoSKind(k), i)
-				}
-			}
-			if math.IsNaN(ks.PendingY[i]) || math.IsInf(ks.PendingY[i], 0) {
-				return fmt.Errorf("core: %v pending label %d non-finite", QoSKind(k), i)
-			}
-		}
-	}
-	// Pending buffers validated up front; forest states validate inside
-	// RestoreState before mutating. A restore error aborts the caller's
-	// resume, so a partially-applied predictor is never used.
-	for k, ks := range st.Kinds {
-		f, err := forestOf(p.models[k])
-		if err != nil {
-			return fmt.Errorf("%v kind: %w", QoSKind(k), err)
-		}
-		if err := f.RestoreState(ks.Forest); err != nil {
-			return fmt.Errorf("core: %v kind: %w", QoSKind(k), err)
-		}
-		p.trained[k] = ks.Trained
-		p.seen[k] = ks.Seen
+	for k := range p.models {
+		f, _ := forestOf(p.models[k]) // checked by readCheckpoint
+		f.Install(d.forests[k])
+		p.trained[k] = d.Kinds[k].Trained
+		p.seen[k] = d.Kinds[k].Seen
 		p.pending[k].Reset()
-		for i := range ks.PendingY {
-			p.pending[k].Append(ks.PendingX[i], ks.PendingY[i])
+		for i, y := range d.pendingY[k] {
+			p.pending[k].Append(d.pendingX[k][i], y)
 		}
 	}
-	if st.Tier0 != nil {
-		if err := p.tier0.ridge.RestoreState(st.Tier0.Ridge); err != nil {
-			return fmt.Errorf("core: tier0: %w", err)
-		}
-		p.tier0.gen = st.Tier0.Gen
-	} else {
-		p.tier0.ridge.Reset()
-		p.tier0.gen = 0
-	}
+	p.tier0.ridge.Install(d.ridge)
+	p.tier0.gen = d.Tier0Gen
 	return nil
 }
 

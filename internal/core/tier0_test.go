@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"strings"
 	"testing"
 
 	"gsight/internal/profile"
@@ -10,7 +10,7 @@ import (
 
 // tier0Obs drives one IPC observation through a predictor, same shape
 // as the checkpoint tests use.
-func tier0Obs(t *testing.T, p *Predictor, i int) {
+func tier0Obs(t testing.TB, p *Predictor, i int) {
 	t.Helper()
 	mm := scInput(workload.MatMul(), 0, 0)
 	dd := scInput(workload.DD(), i%2, float64(i%7)*10)
@@ -122,8 +122,11 @@ func TestPredictorCheckpointTier0RoundTrip(t *testing.T) {
 	}
 }
 
-// TestPredictorRestoreWithoutTier0Resets: checkpoints written before
-// the two-tier path existed restore cleanly with an empty scorer.
+// TestPredictorRestoreWithoutTier0Resets: the tier-0 section is part of
+// every checkpoint. One cut off before it is rejected and leaves the
+// receiving scorer alone; one taken before the scorer ever trained
+// restores as an empty scorer, resetting whatever the receiver had
+// learnt.
 func TestPredictorRestoreWithoutTier0Resets(t *testing.T) {
 	a := ckptPredictor(5)
 	for i := 0; i < 24; i++ {
@@ -133,24 +136,28 @@ func TestPredictorRestoreWithoutTier0Resets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
+	b := ckptPredictor(5)
+	for i := 0; i < 44; i++ {
+		tier0Obs(t, b, i) // a trained scorer of its own
 	}
-	delete(st, "tier0")
-	legacy, err := json.Marshal(st)
+	gen := b.Tier0().Gen()
+	noTier0 := raw[:layoutOf(t, raw).tier0]
+	if err := b.RestoreCheckpoint(noTier0); err == nil || !strings.Contains(err.Error(), "tier0 generation") {
+		t.Fatalf("checkpoint without its tier-0 section: got %v", err)
+	}
+	if tb := b.Tier0(); !tb.Ready() || tb.Gen() != gen {
+		t.Fatalf("rejected checkpoint left scorer gen=%d ready=%v, want gen=%d ready", tb.Gen(), tb.Ready(), gen)
+	}
+
+	untrained, err := ckptPredictor(5).CheckpointState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := ckptPredictor(5)
-	for i := 0; i < 24; i++ {
-		tier0Obs(t, b, i) // dirty the scorer first; restore must clear it
-	}
-	if err := b.RestoreCheckpoint(legacy); err != nil {
+	if err := b.RestoreCheckpoint(untrained); err != nil {
 		t.Fatal(err)
 	}
 	if tb := b.Tier0(); tb.Ready() || tb.Gen() != 0 {
-		t.Fatalf("legacy checkpoint left scorer gen=%d ready=%v, want empty", tb.Gen(), tb.Ready())
+		t.Fatalf("untrained checkpoint left scorer gen=%d ready=%v, want empty", tb.Gen(), tb.Ready())
 	}
 }
 

@@ -2,10 +2,24 @@ package ml
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gsight/internal/rng"
+	"gsight/internal/wire"
 )
+
+// restoreForest reads one forest section under f's limits and installs
+// it, the way core.Predictor.RestoreCheckpoint does per QoS kind.
+func restoreForest(f *Forest, data []byte, dim int) error {
+	r := wire.NewReader(data)
+	d := ReadForestState(r, f.StateLimits(dim))
+	if err := r.Done(); err != nil {
+		return err
+	}
+	f.Install(d)
+	return nil
+}
 
 func ckptForestData(seed uint64, n int) ([][]float64, []float64) {
 	r := rng.New(seed)
@@ -19,7 +33,7 @@ func ckptForestData(seed uint64, n int) ([][]float64, []float64) {
 	return X, y
 }
 
-// TestForestStateRoundTrip: restoring an ExportState snapshot into a
+// TestForestStateRoundTrip: restoring a captured section into a
 // same-configured forest must make every subsequent update and
 // prediction byte-identical to the original's — including updates that
 // draw from the restored RNG cursor and window.
@@ -35,8 +49,15 @@ func TestForestStateRoundTrip(t *testing.T) {
 	}
 
 	b := NewForest(cfg)
-	if err := b.RestoreState(a.ExportState()); err != nil {
+	state := a.Capture().AppendTo(nil)
+	if err := restoreForest(b, state, 3); err != nil {
 		t.Fatal(err)
+	}
+	if again := b.Capture().AppendTo(nil); string(again) != string(state) {
+		t.Fatal("restored forest re-encodes to different bytes")
+	}
+	if d := ReadForestState(wire.NewReader(state), nil); d.Trees != 6 || d.WindowRows != 64 || d.Dim != 3 || !d.Fitted {
+		t.Fatalf("limit-free read reports %+v", d)
 	}
 	for i, x := range X {
 		pa, pb := a.Predict(x), b.Predict(x)
@@ -61,7 +82,8 @@ func TestForestStateRoundTrip(t *testing.T) {
 }
 
 // TestForestRestoreRejectsCorruptState: structural and numeric
-// corruption must be rejected before any state is applied.
+// corruption must be rejected, with the reason, before any state is
+// applied.
 func TestForestRestoreRejectsCorruptState(t *testing.T) {
 	cfg := ForestConfig{Trees: 4, Seed: 3, Window: 32}
 	src := NewForest(cfg)
@@ -71,28 +93,56 @@ func TestForestRestoreRejectsCorruptState(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		mutate func(*ForestState)
+		mutate func(*ForestCapture)
+		want   string
 	}{
-		{"bad version", func(s *ForestState) { s.Version = 99 }},
-		{"zero rng", func(s *ForestState) { s.Rng = [4]uint64{} }},
-		{"window overflow", func(s *ForestState) {
-			for len(s.WindowY) <= cfg.Window {
-				s.WindowX = append(s.WindowX, s.WindowX[0])
-				s.WindowY = append(s.WindowY, s.WindowY[0])
+		{"zero rng", func(c *ForestCapture) { c.rng = [4]uint64{} }, "all-zero state"},
+		{"window overflow", func(c *ForestCapture) {
+			for len(c.windowY) <= cfg.Window {
+				c.windowX = append(c.windowX, c.windowX[0])
+				c.windowY = append(c.windowY, c.windowY[0])
 			}
-		}},
-		{"dim mismatch row", func(s *ForestState) { s.WindowX[0] = []float64{1} }},
-		{"nan label", func(s *ForestState) { s.WindowY[0] = math.NaN() }},
-		{"nan feature", func(s *ForestState) { s.WindowX[0] = []float64{math.Inf(1), 0, 0} }},
-		{"fitted without trees", func(s *ForestState) { s.Trees = nil }},
-		{"xy length mismatch", func(s *ForestState) { s.WindowY = s.WindowY[:len(s.WindowY)-1] }},
+		}, "exceeds configured capacity"},
+		{"too many trees", func(c *ForestCapture) { c.trees = append(c.trees, c.trees[0]) }, "configured max"},
+		{"wrong dim", func(c *ForestCapture) { c.dim = 4 }, "forest dim 4, want 3"},
+		{"tree dim", func(c *ForestCapture) { c.trees[0] = &Tree{dim: 2, nodes: c.trees[0].nodes} }, "tree dim 2"},
+		{"long row", func(c *ForestCapture) { c.windowX[0] = []float64{0, 0, 0, 0, 1} }, "past the row end"},
+		{"nan label", func(c *ForestCapture) { c.windowY[0] = math.NaN() }, "non-finite"},
+		{"inf feature", func(c *ForestCapture) { c.windowX[0] = []float64{math.Inf(1), 0, 0} }, "non-finite"},
+		{"nan threshold", func(c *ForestCapture) {
+			c.trees[0] = &Tree{dim: 3, nodes: []treeNode{{feature: -1, thresh: math.NaN()}}}
+		}, "non-finite"},
+		{"fitted without trees", func(c *ForestCapture) { c.trees = nil }, "no trees"},
+		{"empty tree", func(c *ForestCapture) { c.trees[0] = &Tree{dim: 3} }, "no nodes"},
+		{"feature beyond dim", func(c *ForestCapture) {
+			c.trees[0] = &Tree{dim: 3, nodes: []treeNode{{feature: 3, left: 1, right: 2}, {feature: -1}, {feature: -1}}}
+		}, "outside dim"},
+		{"child before parent", func(c *ForestCapture) {
+			c.trees[0] = &Tree{dim: 3, nodes: []treeNode{{feature: 0, left: 0, right: 1}, {feature: -1}}}
+		}, "child out of range"},
+		{"child past the end", func(c *ForestCapture) {
+			c.trees[0] = &Tree{dim: 3, nodes: []treeNode{{feature: 0, left: 1, right: 2}, {feature: -1}}}
+		}, "child out of range"},
 	}
 	for _, tc := range cases {
-		st := src.ExportState()
-		tc.mutate(&st)
+		c := src.Capture()
+		tc.mutate(&c)
 		dst := NewForest(cfg)
-		if err := dst.RestoreState(st); err == nil {
-			t.Errorf("%s: corrupt state accepted", tc.name)
+		err := restoreForest(dst, c.AppendTo(nil), 3)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
 		}
+		if dst.fitted || dst.buf.Len() != 0 {
+			t.Errorf("%s: rejected state was applied", tc.name)
+		}
+	}
+	good := src.Capture().AppendTo(nil)
+	for _, n := range []int{0, 3, 5, 37, 41, len(good) / 2, len(good) - 1} {
+		if err := restoreForest(NewForest(cfg), good[:n], 3); err == nil {
+			t.Errorf("section truncated to %d of %d bytes accepted", n, len(good))
+		}
+	}
+	if err := restoreForest(NewForest(cfg), append(good[:len(good):len(good)], 0), 3); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("trailing byte: got %v", err)
 	}
 }

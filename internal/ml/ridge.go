@@ -217,100 +217,3 @@ func (r *Ridge) Predict(x []float64) float64 {
 	}
 	return v
 }
-
-// RidgeState is the full live state of a ridge model for
-// crash-consistent checkpointing, mirroring ForestState: the Gram
-// accumulators are carried verbatim (rebuilding them from the ring
-// would change float accumulation order), and ring rows are carried in
-// logical oldest-first order so the seam position is unobservable.
-type RidgeState struct {
-	Version int         `json:"version"`
-	Dim     int         `json:"dim"`
-	Seen    uint64      `json:"seen"`
-	Trained bool        `json:"trained"`
-	A       []float64   `json:"a,omitempty"`
-	B       []float64   `json:"b,omitempty"`
-	W       []float64   `json:"w,omitempty"`
-	RingX   [][]float64 `json:"ring_x,omitempty"`
-	RingY   []float64   `json:"ring_y,omitempty"`
-}
-
-// ExportState snapshots the live state. Ring rows are copied (into one
-// flat backing array — the ring overwrites its slots in place) so the
-// snapshot stays stable across subsequent Observes.
-func (r *Ridge) ExportState() RidgeState {
-	st := RidgeState{
-		Version: 1,
-		Dim:     r.d,
-		Seen:    r.seen,
-		Trained: r.trained,
-		A:       append([]float64(nil), r.a...),
-		B:       append([]float64(nil), r.b...),
-		W:       append([]float64(nil), r.w...),
-		RingX:   make([][]float64, r.n),
-		RingY:   make([]float64, r.n),
-	}
-	flat := make([]float64, r.n*r.d)
-	for i := 0; i < r.n; i++ {
-		p := r.head + i
-		if p >= r.n {
-			p -= r.n
-		}
-		row := flat[i*r.d : (i+1)*r.d : (i+1)*r.d]
-		copy(row, r.ringX[p*r.d:(p+1)*r.d])
-		st.RingX[i] = row
-		st.RingY[i] = r.ringY[p]
-	}
-	return st
-}
-
-// RestoreState replaces the live state with a snapshot, validating
-// dimensions and finiteness so corrupt on-disk state is rejected.
-func (r *Ridge) RestoreState(st RidgeState) error {
-	if st.Version != 1 {
-		return fmt.Errorf("ml: unsupported ridge state version %d", st.Version)
-	}
-	if st.Dim != r.d {
-		return fmt.Errorf("ml: ridge state dim %d != configured %d", st.Dim, r.d)
-	}
-	if len(st.A) != r.d*r.d || len(st.B) != r.d || len(st.W) != r.d {
-		return fmt.Errorf("ml: ridge state accumulator sizes %d/%d/%d do not match dim %d", len(st.A), len(st.B), len(st.W), r.d)
-	}
-	if len(st.RingX) != len(st.RingY) {
-		return fmt.Errorf("ml: ridge state ring X/Y length mismatch (%d vs %d)", len(st.RingX), len(st.RingY))
-	}
-	if len(st.RingY) > r.window {
-		return fmt.Errorf("ml: ridge state ring %d exceeds capacity %d", len(st.RingY), r.window)
-	}
-	for _, s := range [][]float64{st.A, st.B, st.W, st.RingY} {
-		for _, v := range s {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("ml: ridge state has non-finite values")
-			}
-		}
-	}
-	for i, row := range st.RingX {
-		if len(row) != r.d {
-			return fmt.Errorf("ml: ridge state ring row %d has %d features, dim is %d", i, len(row), r.d)
-		}
-		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("ml: ridge state ring row %d has non-finite features", i)
-			}
-		}
-	}
-	copy(r.a, st.A)
-	copy(r.b, st.B)
-	copy(r.w, st.W)
-	r.ringX = r.ringX[:0]
-	r.ringY = r.ringY[:0]
-	r.n, r.head = 0, 0
-	for i, row := range st.RingX {
-		r.ringX = append(r.ringX, row...)
-		r.ringY = append(r.ringY, st.RingY[i])
-		r.n++
-	}
-	r.seen = st.Seen
-	r.trained = st.Trained
-	return nil
-}

@@ -3,7 +3,10 @@ package ml
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"gsight/internal/wire"
 )
 
 // ridgeSample builds a deterministic synthetic sample x and label
@@ -112,8 +115,15 @@ func TestRidgeStateRoundTrip(t *testing.T) {
 	}
 	a.Refresh()
 	b := NewRidge(d, window, 1e-6)
-	if err := b.RestoreState(a.ExportState()); err != nil {
+	state := a.Capture().AppendTo(nil)
+	if len(state) != a.Capture().SizeHint() {
+		t.Fatalf("SizeHint %d, section is %d bytes", a.Capture().SizeHint(), len(state))
+	}
+	if err := restoreRidge(b, state); err != nil {
 		t.Fatal(err)
+	}
+	if again := b.Capture().AppendTo(nil); string(again) != string(state) {
+		t.Fatal("restored ridge re-encodes to different bytes")
 	}
 	if b.Seen() != a.Seen() || b.Len() != a.Len() || b.Trained() != a.Trained() {
 		t.Fatalf("restored counters diverge: seen %d/%d len %d/%d", b.Seen(), a.Seen(), b.Len(), a.Len())
@@ -138,23 +148,48 @@ func TestRidgeStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRidgeRestoreRejectsCorrupt(t *testing.T) {
-	r := NewRidge(4, 64, 1e-3)
-	good := r.ExportState()
-	cases := []func(st *RidgeState){
-		func(st *RidgeState) { st.Version = 2 },
-		func(st *RidgeState) { st.Dim = 5 },
-		func(st *RidgeState) { st.A = st.A[:3] },
-		func(st *RidgeState) { st.A[0] = math.NaN() },
-		func(st *RidgeState) { st.RingX = [][]float64{{1, 2}}; st.RingY = []float64{1} },
-		func(st *RidgeState) { st.RingY = []float64{1} },
+// restoreRidge reads one ridge section under r's limits and installs it.
+func restoreRidge(r *Ridge, data []byte) error {
+	rd := wire.NewReader(data)
+	d := ReadRidgeState(rd, r.StateLimits())
+	if err := rd.Done(); err != nil {
+		return err
 	}
-	for i, corrupt := range cases {
-		st := good
-		st.A = append([]float64(nil), good.A...)
-		corrupt(&st)
-		if err := NewRidge(4, 64, 1e-3).RestoreState(st); err == nil {
-			t.Fatalf("case %d: corrupt state accepted", i)
+	r.Install(d)
+	return nil
+}
+
+func TestRidgeRestoreRejectsCorrupt(t *testing.T) {
+	src := NewRidge(4, 24, 1e-3)
+	for i := 0; i < 30; i++ {
+		x, y := ridgeSample(i, 4)
+		src.Observe(x, y)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(c *RidgeCapture)
+		want    string
+	}{
+		{"dim", func(c *RidgeCapture) { c.d = 5 }, "ridge dim 5 != configured 4"},
+		{"short accumulator", func(c *RidgeCapture) { c.a = c.a[:3] }, ""},
+		{"nan accumulator", func(c *RidgeCapture) { c.a[0] = math.NaN() }, "non-finite"},
+		{"inf ring row", func(c *RidgeCapture) { c.ringX[5] = math.Inf(-1) }, "non-finite"},
+		{"ring over capacity", func(c *RidgeCapture) {
+			c.ringX = append(c.ringX, c.ringX[:4]...)
+			c.ringY = append(c.ringY, 1)
+		}, "exceeds capacity"},
+		{"labels without rows", func(c *RidgeCapture) { c.ringX = c.ringX[:4] }, ""},
+	}
+	for _, tc := range cases {
+		c := src.Capture()
+		tc.corrupt(&c)
+		dst := NewRidge(4, 24, 1e-3)
+		err := restoreRidge(dst, c.AppendTo(nil))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if dst.Len() != 0 || dst.Seen() != 0 {
+			t.Errorf("%s: rejected state was applied", tc.name)
 		}
 	}
 }

@@ -14,6 +14,12 @@ import (
 // entry survives a power cut. A crash at any instant leaves either the
 // old file or the complete new one on disk — never a torn mix.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	return writeFileAtomic(path, perm, data)
+}
+
+// writeFileAtomic is WriteFileAtomic over a file given in parts, written
+// in order.
+func writeFileAtomic(path string, perm os.FileMode, parts ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -21,9 +27,11 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op once the rename has happened
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: %s: %w", path, err)
+	for _, part := range parts {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			return fmt.Errorf("persist: %s: %w", path, err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

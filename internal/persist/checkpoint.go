@@ -1,10 +1,7 @@
 package persist
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"gsight/internal/wire"
 )
 
 // Crash-consistent snapshot envelope. A checkpoint directory holds a
@@ -21,32 +20,51 @@ import (
 //	snap-000000001.ckpt   wal-000000001.jsonl
 //	snap-000000002.ckpt   wal-000000002.jsonl
 //
-// A snapshot file is one JSON object {version, seq, sha256, payload}:
-// the sha256 is the hex digest of the payload's raw bytes, so any
-// torn, truncated or bit-flipped snapshot is detected on load and the
-// loader falls back to the previous generation. What the fallback means
-// for the WALs is the caller's to decide, because the two controllers
-// recover differently: the platform re-executes the span after the
-// snapshot it loaded and drops the newer WALs (RemoveWALsAfter); the
-// serving daemon's WALs hold acknowledged records, so it replays the
-// whole chain wal-N, wal-(N+1), … on top of snapshot N. Snapshots are
-// written via WriteFileAtomic, so a crash during a write never destroys
-// the previous valid snapshot. The payload itself is opaque to this
-// package — the caller owns its schema — which keeps persist free of
-// import cycles.
+// A snapshot file is a fixed little-endian header followed by an opaque
+// payload (byte layout in DESIGN.md §12):
+//
+//	magic "GSIGHTSN" | format version u32 | seq u64 | payload length u64 | sha256(payload)
+//
+// so any torn, truncated or bit-flipped snapshot is detected on load
+// and the loader falls back to the previous generation. What the
+// fallback means for the WALs is the caller's to decide, because the
+// two controllers recover differently: the platform re-executes the
+// span after the snapshot it loaded and drops the newer WALs
+// (RemoveWALsAfter); the serving daemon's WALs hold acknowledged
+// records, so it replays the whole chain wal-N, wal-(N+1), … on top of
+// snapshot N. Snapshots are written via WriteFileAtomic, so a crash
+// during a write never destroys the previous valid snapshot. The
+// payload is opaque to the envelope — the caller owns its schema —
+// which keeps persist free of import cycles; controllers that carry a
+// predictor frame theirs with FramePayload.
 
-// SnapshotVersion is the envelope format version.
-const SnapshotVersion = 1
+// SnapshotVersion is the snapshot format version: it covers the
+// envelope header and the payload framing of FramePayload. Format 1 was
+// a JSON object {version, seq, sha256, payload}.
+const SnapshotVersion = 2
 
 const (
 	snapPrefix = "snap-"
 	snapSuffix = ".ckpt"
 	walPrefix  = "wal-"
 	walSuffix  = ".jsonl"
+
+	snapMagic      = "GSIGHTSN"
+	snapHeaderSize = len(snapMagic) + 4 + 8 + 8 + sha256.Size
 )
 
 // ErrNoSnapshot reports a checkpoint directory with no valid snapshot.
 var ErrNoSnapshot = errors.New("persist: no valid snapshot")
+
+// ErrSnapshotVersion reports a snapshot written in a format this build
+// does not read — older (the JSON envelope) or newer. It is not
+// corruption: the file is intact and some other build reads it, so
+// nothing is deleted and nothing falls back.
+var ErrSnapshotVersion = errors.New("persist: unsupported snapshot format")
+
+// ErrSnapshotCorrupt reports a snapshot that is not a whole envelope of
+// any known format: truncated, bit-flipped or foreign bytes.
+var ErrSnapshotCorrupt = errors.New("persist: corrupt snapshot")
 
 // SnapshotPath returns the snapshot file name for a generation.
 func SnapshotPath(dir string, seq uint64) string {
@@ -58,67 +76,117 @@ func WALPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%09d%s", walPrefix, seq, walSuffix))
 }
 
-type snapshotEnvelope struct {
-	Version int             `json:"version"`
-	Seq     uint64          `json:"seq"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// EncodeSnapshot wraps a payload in a checksummed envelope.
-// Marshalling a RawMessage validates it, so an invalid payload is
-// rejected without a separate scan of what may be tens of megabytes; an
-// empty one is checked here because it would marshal as null and fail
-// its checksum only on load.
-func EncodeSnapshot(seq uint64, payload []byte) ([]byte, error) {
+// snapshotHeader builds the envelope header for a payload, hashing it
+// (the one pass over its bytes besides the write).
+func snapshotHeader(seq uint64, payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("persist: snapshot %d: empty payload", seq)
 	}
+	h := make([]byte, 0, snapHeaderSize)
+	h = append(h, snapMagic...)
+	h = wire.AppendU32(h, SnapshotVersion)
+	h = wire.AppendU64(h, seq)
+	h = wire.AppendU64(h, uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(snapshotEnvelope{
-		Version: SnapshotVersion,
-		Seq:     seq,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
+	return append(h, sum[:]...), nil
+}
+
+// EncodeSnapshot wraps a payload in a checksummed envelope. The payload
+// is opaque; only an empty one is rejected, since no controller state
+// encodes to nothing.
+func EncodeSnapshot(seq uint64, payload []byte) ([]byte, error) {
+	h, err := snapshotHeader(seq, payload)
 	if err != nil {
-		return nil, fmt.Errorf("persist: snapshot %d: payload is not valid JSON: %w", seq, err)
+		return nil, err
 	}
-	return data, nil
+	return append(h, payload...), nil
+}
+
+// SnapshotHeader is a decoded envelope header.
+type SnapshotHeader struct {
+	Format     uint32
+	Seq        uint64
+	PayloadLen uint64
+	SHA256     [sha256.Size]byte
+}
+
+// DecodeSnapshotHeader validates an envelope and returns its header and
+// payload (a view of data, not a copy). A recognisable envelope of
+// another format version — the `{` of the JSON envelope, or this magic
+// with a different version word — is ErrSnapshotVersion; anything else
+// that does not verify — short, foreign, wrong length, checksum
+// mismatch — is ErrSnapshotCorrupt, never a silently wrong payload.
+func DecodeSnapshotHeader(data []byte) (SnapshotHeader, []byte, error) {
+	var h SnapshotHeader
+	if len(data) > 0 && data[0] == '{' {
+		return h, nil, fmt.Errorf("%w: file is format 1 (JSON envelope), this build reads format %d", ErrSnapshotVersion, SnapshotVersion)
+	}
+	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
+		return h, nil, fmt.Errorf("%w: not a snapshot envelope", ErrSnapshotCorrupt)
+	}
+	r := wire.NewReader(data[len(snapMagic):])
+	h.Format = r.U32("format version")
+	if h.Format != SnapshotVersion {
+		return h, nil, fmt.Errorf("%w: file is format %d, this build reads format %d", ErrSnapshotVersion, h.Format, SnapshotVersion)
+	}
+	h.Seq = r.U64("seq")
+	h.PayloadLen = r.U64("payload length")
+	copy(h.SHA256[:], r.Bytes(sha256.Size, "checksum"))
+	if err := r.Err(); err != nil {
+		return h, nil, fmt.Errorf("%w: truncated header: %v", ErrSnapshotCorrupt, err)
+	}
+	payload := r.Rest()
+	if h.PayloadLen != uint64(len(payload)) {
+		return h, nil, fmt.Errorf("%w: snapshot %d: header says %d payload bytes, file holds %d", ErrSnapshotCorrupt, h.Seq, h.PayloadLen, len(payload))
+	}
+	if sha256.Sum256(payload) != h.SHA256 {
+		return h, nil, fmt.Errorf("%w: snapshot %d: checksum mismatch", ErrSnapshotCorrupt, h.Seq)
+	}
+	return h, payload, nil
 }
 
 // DecodeSnapshot validates an envelope and returns its sequence number
-// and payload. Corruption anywhere — malformed JSON, a version skew, a
-// checksum mismatch — is an error, never a silently wrong payload.
+// and payload; see DecodeSnapshotHeader for the errors.
 func DecodeSnapshot(data []byte) (uint64, []byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var env snapshotEnvelope
-	if err := dec.Decode(&env); err != nil {
-		return 0, nil, fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if env.Version != SnapshotVersion {
-		return 0, nil, fmt.Errorf("persist: unsupported snapshot version %d", env.Version)
-	}
-	sum := sha256.Sum256(env.Payload)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		return 0, nil, fmt.Errorf("persist: snapshot %d: checksum mismatch", env.Seq)
-	}
-	return env.Seq, env.Payload, nil
+	h, payload, err := DecodeSnapshotHeader(data)
+	return h.Seq, payload, err
 }
 
 // WriteSnapshot writes generation seq's snapshot atomically and returns
-// its path.
+// its path. Header and payload go to the file as they are, with no
+// joined copy in between.
 func WriteSnapshot(dir string, seq uint64, payload []byte) (string, error) {
-	data, err := EncodeSnapshot(seq, payload)
+	h, err := snapshotHeader(seq, payload)
 	if err != nil {
 		return "", err
 	}
 	path := SnapshotPath(dir, seq)
-	if err := WriteFileAtomic(path, data, 0o644); err != nil {
+	if err := writeFileAtomic(path, 0o644, h, payload); err != nil {
 		return "", err
 	}
 	return path, nil
+}
+
+// FramePayload lays out a controller's snapshot payload: the length of
+// its JSON section (u32), the JSON section, then the predictor blob to
+// the end (empty when the controller runs without one). The blob never
+// passes through a JSON encoder or decoder.
+func FramePayload(controllerJSON, predictorBlob []byte) []byte {
+	p := make([]byte, 0, 4+len(controllerJSON)+len(predictorBlob))
+	p = wire.AppendU32(p, uint32(len(controllerJSON)))
+	p = append(p, controllerJSON...)
+	return append(p, predictorBlob...)
+}
+
+// SplitPayload undoes FramePayload, returning views of payload.
+func SplitPayload(payload []byte) (controllerJSON, predictorBlob []byte, err error) {
+	r := wire.NewReader(payload)
+	n := r.Count(1, "controller section length")
+	controllerJSON = r.Bytes(n, "controller section")
+	if err := r.Err(); err != nil {
+		return nil, nil, fmt.Errorf("persist: snapshot payload: %w", err)
+	}
+	return controllerJSON, r.Rest(), nil
 }
 
 // SnapshotInfo names one snapshot generation on disk.
@@ -169,32 +237,55 @@ func generations(dir, prefix, suffix string) ([]SnapshotInfo, error) {
 // never touched — a rejected generation's WAL may hold records the
 // caller has acknowledged. It returns ErrNoSnapshot when the directory
 // holds no valid snapshot.
+//
+// A snapshot in another format version is not corruption. The walk
+// stops at it with ErrSnapshotVersion and deletes nothing, not even the
+// corrupt generations it passed on the way: a build pointed at another
+// build's data directory must leave it as it found it.
 func LatestSnapshot(dir string) (payload []byte, seq uint64, err error) {
 	infos, err := Snapshots(dir)
 	if err != nil {
 		return nil, 0, err
 	}
-	var lastErr error
+	var (
+		lastErr  error
+		rejected []string
+	)
 	for i := len(infos) - 1; i >= 0; i-- {
 		info := infos[i]
 		data, err := os.ReadFile(info.Path)
 		if err == nil {
 			var gotSeq uint64
 			gotSeq, payload, err = DecodeSnapshot(data)
+			if errors.Is(err, ErrSnapshotVersion) {
+				return nil, 0, fmt.Errorf("%s: %w", info.Path, err)
+			}
 			if err == nil && gotSeq != info.Seq {
-				err = fmt.Errorf("persist: %s: envelope seq %d does not match file name", info.Path, gotSeq)
+				err = fmt.Errorf("%w: envelope seq %d does not match file name", ErrSnapshotCorrupt, gotSeq)
 			}
 			if err == nil {
+				removeAll(rejected)
 				return payload, info.Seq, nil
 			}
 		}
-		lastErr = fmt.Errorf("persist: %s: %w", info.Path, err)
-		os.Remove(info.Path)
+		if lastErr == nil {
+			lastErr = fmt.Errorf("%s: %w", info.Path, err)
+		}
+		rejected = append(rejected, info.Path)
 	}
+	removeAll(rejected)
 	if lastErr != nil {
 		return nil, 0, fmt.Errorf("%w (newest rejected: %v)", ErrNoSnapshot, lastErr)
 	}
 	return nil, 0, ErrNoSnapshot
+}
+
+// removeAll deletes rejected snapshot files, best effort: one that
+// stays behind is rejected again by the next load.
+func removeAll(paths []string) {
+	for _, p := range paths {
+		os.Remove(p)
+	}
 }
 
 // PruneCheckpoints deletes generations older than keepFrom: snapshots

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -55,23 +56,138 @@ func TestDecodeSnapshotDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one payload byte: the checksum must catch it.
-	bad := append([]byte(nil), data...)
-	i := bytes.LastIndexByte(bad, '1')
-	bad[i] = '2'
-	if _, _, err := DecodeSnapshot(bad); err == nil {
-		t.Fatal("corrupted snapshot decoded without error")
+	// Flip one bit anywhere — magic, length, checksum, payload: it must
+	// be caught as corruption, in the version word as skew. The checksum
+	// covers the payload only; a flipped seq decodes as another seq,
+	// which no longer matches the file's name (LatestSnapshot checks).
+	for i := range data {
+		bad := append([]byte(nil), data...)
+		bad[i] ^= 0x04
+		seq, _, err := DecodeSnapshot(bad)
+		var ok bool
+		switch {
+		case i < len(snapMagic):
+			ok = errors.Is(err, ErrSnapshotCorrupt)
+		case i < len(snapMagic)+4:
+			ok = errors.Is(err, ErrSnapshotVersion)
+		case i < len(snapMagic)+4+8:
+			ok = err == nil && seq != 1
+		default:
+			ok = errors.Is(err, ErrSnapshotCorrupt)
+		}
+		if !ok {
+			t.Fatalf("bit flip in byte %d: got seq %d, %v", i, seq, err)
+		}
 	}
-	if _, _, err := DecodeSnapshot(data[:len(data)/2]); err == nil {
-		t.Fatal("truncated snapshot decoded without error")
+	dir := t.TempDir()
+	if err := os.WriteFile(SnapshotPath(dir, 5), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LatestSnapshot(dir); !errors.Is(err, ErrNoSnapshot) || !strings.Contains(err.Error(), "does not match file name") {
+		t.Fatalf("snapshot 1 under generation 5's name: got %v", err)
+	}
+	for n := 0; n < len(data); n++ {
+		if _, _, err := DecodeSnapshot(data[:n]); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("truncated to %d bytes: got %v", n, err)
+		}
+	}
+	if _, _, err := DecodeSnapshot(append(append([]byte(nil), data...), 0)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("trailing byte: got %v", err)
 	}
 }
 
+// TestEncodeSnapshotRejectsInvalidPayload: the envelope no longer reads
+// its payload, so the one payload it can call invalid is the empty one;
+// bytes that are not JSON travel like any others.
 func TestEncodeSnapshotRejectsInvalidPayload(t *testing.T) {
-	for _, payload := range []string{"not json", `{"a":1} trailing`, `{"a":`, ""} {
-		if _, err := EncodeSnapshot(1, []byte(payload)); err == nil {
-			t.Errorf("invalid payload %q accepted", payload)
+	if _, err := EncodeSnapshot(1, nil); err == nil {
+		t.Error("empty payload accepted")
+	}
+	if _, err := WriteSnapshot(t.TempDir(), 1, nil); err == nil {
+		t.Error("empty payload written")
+	}
+	for _, payload := range []string{"not json", "\x00\xff{", `{"a":`} {
+		data, err := EncodeSnapshot(1, []byte(payload))
+		if err != nil {
+			t.Fatalf("opaque payload %q rejected: %v", payload, err)
 		}
+		if _, got, err := DecodeSnapshot(data); err != nil || string(got) != payload {
+			t.Errorf("opaque payload %q came back as %q, %v", payload, got, err)
+		}
+	}
+}
+
+func TestFramePayloadRoundTrip(t *testing.T) {
+	for _, c := range []struct{ ctl, blob string }{
+		{`{"seed":7}`, "GSPC\x02\x00\x00\x00rest"},
+		{`{"seed":7}`, ""},
+		{"", "blob only"},
+	} {
+		ctl, blob, err := SplitPayload(FramePayload([]byte(c.ctl), []byte(c.blob)))
+		if err != nil || string(ctl) != c.ctl || string(blob) != c.blob {
+			t.Errorf("frame(%q, %q) split into %q, %q, %v", c.ctl, c.blob, ctl, blob, err)
+		}
+	}
+	for _, bad := range [][]byte{nil, {1, 0}, {5, 0, 0, 0, 'a', 'b'}, {0xff, 0xff, 0xff, 0xff}} {
+		if _, _, err := SplitPayload(bad); err == nil {
+			t.Errorf("payload %v split without error", bad)
+		}
+	}
+}
+
+// format1Snapshot is a snapshot file as builds before the binary
+// envelope wrote it.
+const format1Snapshot = `{"version":1,"seq":2,"sha256":"015abd7f5cc57a2dd94b7590f04ad8084273905ee33ec5cebeae62276a97f862","payload":{"a":1}}`
+
+// TestLatestSnapshotRefusesOtherFormatVersions: a snapshot in a format
+// this build does not read is not corruption. Nothing is deleted — not
+// the snapshot, not older generations, not a corrupt file passed on the
+// way — and the error names both versions.
+func TestLatestSnapshotRefusesOtherFormatVersions(t *testing.T) {
+	newer, err := EncodeSnapshot(2, []byte(`{"a":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer[len(snapMagic)] = 9
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"older", []byte(format1Snapshot), "file is format 1 (JSON envelope), this build reads format 2"},
+		{"newer", newer, "file is format 9, this build reads format 2"},
+	} {
+		dir := t.TempDir()
+		files := map[string][]byte{
+			SnapshotPath(dir, 1): []byte(format1Snapshot),
+			SnapshotPath(dir, 2): c.file,
+			SnapshotPath(dir, 3): []byte("garbage a crash left"),
+			WALPath(dir, 2):      []byte("acked records"),
+		}
+		for path, data := range files {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, err := LatestSnapshot(dir)
+		if !errors.Is(err, ErrSnapshotVersion) || errors.Is(err, ErrNoSnapshot) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: got %v, want ErrSnapshotVersion saying %q", c.name, err, c.want)
+		}
+		for path, data := range files {
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s: %s changed (%v)", c.name, filepath.Base(path), err)
+			}
+		}
+	}
+	// A readable generation newer than the foreign one is served: the
+	// walk never reaches what it cannot read.
+	dir := t.TempDir()
+	os.WriteFile(SnapshotPath(dir, 1), []byte(format1Snapshot), 0o644)
+	if _, err := WriteSnapshot(dir, 2, []byte(`{"gen":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if payload, seq, err := LatestSnapshot(dir); err != nil || seq != 2 || string(payload) != `{"gen":2}` {
+		t.Fatalf("mixed dir: seq=%d payload=%s err=%v", seq, payload, err)
 	}
 }
 

@@ -2,37 +2,40 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzLoadSnapshot throws arbitrary bytes at the snapshot decoder: it
-// must reject or accept cleanly, and anything it accepts must be a
-// checksum-consistent envelope that re-encodes to an equivalent one.
+// must reject or accept cleanly, telling version skew from corruption,
+// and anything it accepts must be the very envelope EncodeSnapshot
+// writes for that sequence number and payload.
 func FuzzLoadSnapshot(f *testing.F) {
-	good, err := EncodeSnapshot(3, []byte(`{"state":{"step":42},"rnd":[1,2,3,4]}`))
+	good, err := EncodeSnapshot(3, FramePayload([]byte(`{"state":{"step":42},"rnd":[1,2,3,4]}`), []byte("GSPC\x02\x00\x00\x00")))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good)
-	f.Add([]byte(`{}`))
+	f.Add(good[:snapHeaderSize])
 	f.Add([]byte(`{"version":1,"seq":1,"sha256":"","payload":{}}`))
-	f.Add([]byte(`{"version":99,"seq":0,"sha256":"00","payload":null}`))
-	f.Add([]byte("not json at all"))
+	f.Add(append([]byte(snapMagic), 3, 0, 0, 0))
+	f.Add([]byte("neither envelope"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, payload, err := DecodeSnapshot(data)
 		if err != nil {
+			if errors.Is(err, ErrSnapshotVersion) == errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("rejection is neither or both of version skew and corruption: %v", err)
+			}
 			return
 		}
-		// Accepted: the payload must survive an encode/decode round trip.
 		re, err := EncodeSnapshot(seq, payload)
 		if err != nil {
 			t.Fatalf("accepted snapshot does not re-encode: %v", err)
 		}
-		seq2, payload2, err := DecodeSnapshot(re)
-		if err != nil || seq2 != seq || !bytes.Equal(payload, payload2) {
-			t.Fatalf("round trip diverged: %v", err)
+		if !bytes.Equal(re, data) {
+			t.Fatal("accepted snapshot re-encodes to different bytes")
 		}
 	})
 }

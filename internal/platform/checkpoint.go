@@ -163,8 +163,9 @@ type stateCkpt struct {
 	SchedSeq uint64   `json:"sched_seq,omitempty"`
 }
 
-// ckptPayload is the platform's snapshot schema, carried opaquely by
-// the persist envelope.
+// ckptPayload is the platform's snapshot schema: the JSON section of
+// the payload (persist.FramePayload). The predictor's checkpoint, when a
+// predictor is attached, is the binary blob framed after it.
 type ckptPayload struct {
 	Seed      uint64  `json:"seed"`
 	Scheduler string  `json:"scheduler"`
@@ -192,8 +193,7 @@ type ckptPayload struct {
 	DegradedReason string  `json:"degraded_reason,omitempty"`
 	DegradedSinceS float64 `json:"degraded_since_s,omitempty"`
 
-	Stats     *Stats          `json:"stats"`
-	Predictor json.RawMessage `json:"predictor,omitempty"`
+	Stats *Stats `json:"stats"`
 
 	LogSeq   uint64 `json:"log_seq"`
 	LogBytes int64  `json:"log_bytes"`
@@ -472,12 +472,12 @@ func (r *runner) capturePayload(firedUpTo float64, step int) ([]byte, error) {
 			SLA:         d.SLA,
 		})
 	}
+	var predictor []byte
 	if r.cfg.Predictor != nil {
-		raw, err := r.cfg.Predictor.(core.Checkpointable).CheckpointState()
-		if err != nil {
+		var err error
+		if predictor, err = r.cfg.Predictor.(core.Checkpointable).CheckpointState(); err != nil {
 			return nil, fmt.Errorf("platform: checkpoint predictor: %w", err)
 		}
-		p.Predictor = raw
 	}
 	if r.ins.Decisions != nil {
 		p.LogSeq, p.LogBytes = r.ins.Decisions.Offset()
@@ -489,7 +489,25 @@ func (r *runner) capturePayload(firedUpTo float64, step int) ([]byte, error) {
 		}
 		p.Obs = raw
 	}
-	return json.Marshal(&p)
+	ctl, err := json.Marshal(&p)
+	if err != nil {
+		return nil, err
+	}
+	return persist.FramePayload(ctl, predictor), nil
+}
+
+// decodePayload splits a snapshot payload into the platform's JSON
+// section, parsed, and the predictor blob, untouched.
+func decodePayload(payload []byte) (*ckptPayload, []byte, error) {
+	ctl, predictor, err := persist.SplitPayload(payload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("platform: %w", err)
+	}
+	var p ckptPayload
+	if err := json.Unmarshal(ctl, &p); err != nil {
+		return nil, nil, fmt.Errorf("platform: checkpoint payload: %w", err)
+	}
+	return &p, predictor, nil
 }
 
 // resume loads the latest valid snapshot and WAL from the checkpoint
@@ -501,11 +519,11 @@ func (r *runner) resume() error {
 	if err != nil {
 		return err
 	}
-	var p ckptPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return fmt.Errorf("platform: checkpoint payload: %w", err)
+	p, predictor, err := decodePayload(payload)
+	if err != nil {
+		return err
 	}
-	if err := r.restorePayload(&p); err != nil {
+	if err := r.restorePayload(p, predictor); err != nil {
 		return err
 	}
 	// A newer WAL means LatestSnapshot fell back over a corrupt
@@ -536,7 +554,7 @@ func (r *runner) resume() error {
 // structure the step loop reads is either restored verbatim or
 // reconstructed deterministically, so the next step computes exactly
 // what the uninterrupted run's would have.
-func (r *runner) restorePayload(p *ckptPayload) error {
+func (r *runner) restorePayload(p *ckptPayload, predictor []byte) error {
 	cfg := &r.cfg
 	if p.Seed != cfg.Seed {
 		return fmt.Errorf("platform: checkpoint seed %d, run configured with %d", p.Seed, cfg.Seed)
@@ -726,10 +744,10 @@ func (r *runner) restorePayload(p *ckptPayload) error {
 		}
 	}
 	if cfg.Predictor != nil {
-		if len(p.Predictor) == 0 {
+		if len(predictor) == 0 {
 			return fmt.Errorf("platform: checkpoint has no predictor state but a predictor is attached")
 		}
-		if err := cfg.Predictor.(core.Checkpointable).RestoreCheckpoint(p.Predictor); err != nil {
+		if err := cfg.Predictor.(core.Checkpointable).RestoreCheckpoint(predictor); err != nil {
 			return err
 		}
 	}
@@ -777,9 +795,9 @@ func PeekCheckpoint(dir string) (*CheckpointMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	var p ckptPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, fmt.Errorf("platform: checkpoint payload: %w", err)
+	p, _, err := decodePayload(payload)
+	if err != nil {
+		return nil, err
 	}
 	ost, err := obs.DecodeState(p.Obs)
 	if err != nil {

@@ -306,6 +306,39 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesOtherSnapshotFormat: a checkpoint dir written in
+// another snapshot format version is neither resumed nor "repaired".
+// PeekCheckpoint and a resuming Run both stop with
+// persist.ErrSnapshotVersion — not ErrNoSnapshot, which would start the
+// run fresh over it — and the files stay as they were.
+func TestResumeRefusesOtherSnapshotFormat(t *testing.T) {
+	dir := t.TempDir()
+	const old = `{"version":1,"seq":1,"sha256":"44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a","payload":{}}`
+	snap, wal := persist.SnapshotPath(dir, 1), persist.WALPath(dir, 1)
+	if err := os.WriteFile(snap, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal, []byte("records"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, peekErr := PeekCheckpoint(dir)
+	cfg := ckptConfig(29)
+	cfg.Checkpoint = CheckpointConfig{Dir: dir, Resume: true}
+	_, runErr := Run(context.Background(), cfg)
+	for what, err := range map[string]error{"PeekCheckpoint": peekErr, "Run": runErr} {
+		if !errors.Is(err, persist.ErrSnapshotVersion) || errors.Is(err, persist.ErrNoSnapshot) ||
+			!strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), "reads format 2") {
+			t.Errorf("%s: got %v, want ErrSnapshotVersion naming both formats", what, err)
+		}
+	}
+	if got, err := os.ReadFile(snap); err != nil || string(got) != old {
+		t.Errorf("snapshot changed: %q (%v)", got, err)
+	}
+	if got, err := os.ReadFile(wal); err != nil || string(got) != "records" {
+		t.Errorf("wal changed: %q (%v)", got, err)
+	}
+}
+
 // TestCheckpointRequiresCheckpointablePredictor: enabling checkpointing
 // with a predictor that cannot snapshot its learning state is a
 // configuration error, not a silent fork of the learning stream.

@@ -321,12 +321,9 @@ func (s *Server) restore() error {
 	}
 	s.met.takeovers.Inc()
 
-	var snap snapshotState
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return fmt.Errorf("serve: snapshot payload: %w", err)
-	}
-	if snap.Version != snapshotStateVersion {
-		return fmt.Errorf("serve: unsupported snapshot version %d", snap.Version)
+	snap, blob, err := decodeSnapshotPayload(payload)
+	if err != nil {
+		return err
 	}
 	// Rebuild the running set through Commit (restores Used vectors),
 	// then pin the commit clock to the snapshot's.
@@ -341,10 +338,8 @@ func (s *Server) restore() error {
 	}
 	s.state.Recount()
 	s.state.RestoreEpochs(snap.Epochs, snap.SchedSeq)
-	if len(snap.Predictor) > 0 {
-		if err := s.pred.RestoreCheckpoint(snap.Predictor); err != nil {
-			return fmt.Errorf("serve: predictor restore: %w", err)
-		}
+	if err := s.pred.RestoreCheckpoint(blob); err != nil {
+		return fmt.Errorf("serve: predictor restore: %w", err)
 	}
 	s.applied = snap.Applied
 	s.snapSeq = snap.Applied

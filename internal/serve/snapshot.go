@@ -37,7 +37,7 @@ import (
 // snapshotCut is generation gen's snapshot, frozen at a record boundary.
 type snapshotCut struct {
 	gen     uint64
-	state   snapshotState // Predictor is filled in by publish
+	state   snapshotState
 	pred    *core.PredictorCapture
 	waiters []*pending // forced snapshots, answered once gen is durable
 }
@@ -192,15 +192,13 @@ func (s *Server) publish(cut *snapshotCut) (err error) {
 	if s.publishHook != nil {
 		s.publishHook("start")
 	}
-	if cut.state.Predictor, err = cut.pred.Encode(); err != nil {
-		return fmt.Errorf("serve: predictor checkpoint: %w", err)
-	}
 	rs := cut.state.Responses
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Order < rs[j].Order })
-	payload, err := json.Marshal(&cut.state)
+	ctl, err := json.Marshal(&cut.state)
 	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
+	payload := persist.FramePayload(ctl, cut.pred.Encode())
 	if err := s.logF.Sync(); err != nil {
 		return fmt.Errorf("serve: decision log sync: %w", err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -544,4 +545,39 @@ func TestServeStopConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestServeRefusesOtherSnapshotFormat: a data dir written by a build
+// with another snapshot format is not a corrupt one. The daemon must
+// refuse to start, say which format it found and which it reads, and
+// leave every file as it was — deleting the snapshots as "corrupt"
+// would end in a fresh bootstrap beside an orphaned WAL chain.
+func TestServeRefusesOtherSnapshotFormat(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"snap-000000001.ckpt":      `{"version":1,"seq":1,"sha256":"44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a","payload":{}}`,
+		"snap-000000002.ckpt":      `{"version":1,"seq":2,"sha256":"44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a","payload":{}}`,
+		"wal-000000002.jsonl":      "",
+		"decisions.jsonl":          `{"seq":1,"kind":"release","release":{"name":"x","released":false}}` + "\n",
+		"snap-000000003.ckpt.tmp1": "half a snapshot",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := New(snapConfig(dir, nil))
+	if !errors.Is(err, persist.ErrSnapshotVersion) ||
+		!strings.Contains(err.Error(), "format 1") || !strings.Contains(err.Error(), fmt.Sprintf("format %d", persist.SnapshotVersion)) {
+		t.Fatalf("start on a format-1 data dir: err = %v, want ErrSnapshotVersion naming both formats", err)
+	}
+	for name, data := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != data {
+			t.Errorf("%s changed: %q (%v)", name, got, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
+		t.Errorf("data dir now holds %s", listDir(t, dir))
+	}
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+
+	"gsight/internal/persist"
 )
 
 // The daemon's durability schema. Every acknowledged request is one
@@ -101,10 +103,13 @@ func placedOutcome(outcome string) bool {
 	return false
 }
 
-// snapshotState is the daemon's checkpoint payload: everything needed
-// to continue the decision stream byte-identically — cluster running
-// set, predictor learning state, the applied high-water marks, and
-// the response cache that answers duplicate retries after takeover.
+// snapshotState is the JSON section of the daemon's checkpoint payload
+// (persist.FramePayload): everything needed to continue the decision
+// stream byte-identically except the online learner — cluster running
+// set, the applied high-water marks, and the response cache that
+// answers duplicate retries after takeover. The learner's full
+// checkpoint (forests, windows, pending observation buffers) is the
+// binary blob framed after it.
 type snapshotState struct {
 	Version int `json:"version"`
 	// Applied is the last applied record sequence number; WAL records
@@ -123,15 +128,30 @@ type snapshotState struct {
 	// Running is the deployed set (profiles rehydrate from the catalog
 	// by archetype).
 	Running []deployedState `json:"running,omitempty"`
-	// Predictor is the online learner's full checkpoint (forests,
-	// windows, pending observation buffers).
-	Predictor json.RawMessage `json:"predictor,omitempty"`
 	// Responses is the duplicate-answer cache: order → response JSON
 	// for recently acknowledged ordered requests.
 	Responses []cachedResponse `json:"responses,omitempty"`
 }
 
 const snapshotStateVersion = 1
+
+// decodeSnapshotPayload splits a snapshot payload into the daemon's
+// JSON section, parsed and version-checked, and the predictor blob,
+// untouched.
+func decodeSnapshotPayload(payload []byte) (*snapshotState, []byte, error) {
+	ctl, blob, err := persist.SplitPayload(payload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: %w", err)
+	}
+	var snap snapshotState
+	if err := json.Unmarshal(ctl, &snap); err != nil {
+		return nil, nil, fmt.Errorf("serve: snapshot payload: %w", err)
+	}
+	if snap.Version != snapshotStateVersion {
+		return nil, nil, fmt.Errorf("serve: unsupported snapshot version %d", snap.Version)
+	}
+	return &snap, blob, nil
+}
 
 // deployedState serializes one running deployment.
 type deployedState struct {

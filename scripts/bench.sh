@@ -22,7 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkInference$|BenchmarkInferenceBatch$|BenchmarkIncrementalUpdate$|BenchmarkEncode$|BenchmarkScenarioEvaluation$|BenchmarkNewCatalog$|BenchmarkForestTraining$|BenchmarkForestTrainingParallel$|BenchmarkBootstrapFit$|BenchmarkBinarySearchScheduling$|BenchmarkSchedulingInstrumented$|BenchmarkShardedScheduling$|BenchmarkShardedPlacement$|BenchmarkTwoTierPlacement$|BenchmarkFaultyPlatform$|BenchmarkTracedPlatform$|BenchmarkEngineStep$|BenchmarkPlatformStep$|BenchmarkServePlacement$'
+BENCHES='BenchmarkInference$|BenchmarkInferenceBatch$|BenchmarkIncrementalUpdate$|BenchmarkEncode$|BenchmarkScenarioEvaluation$|BenchmarkNewCatalog$|BenchmarkForestTraining$|BenchmarkForestTrainingParallel$|BenchmarkBootstrapFit$|BenchmarkPredictorCheckpoint$|BenchmarkPredictorRestore$|BenchmarkBinarySearchScheduling$|BenchmarkSchedulingInstrumented$|BenchmarkShardedScheduling$|BenchmarkShardedPlacement$|BenchmarkTwoTierPlacement$|BenchmarkFaultyPlatform$|BenchmarkTracedPlatform$|BenchmarkEngineStep$|BenchmarkPlatformStep$|BenchmarkServePlacement$'
 ML_BENCHES='BenchmarkWindowAbsorb$'
 PERSIST_BENCHES='BenchmarkCheckpointSnapshot$|BenchmarkWALAppend$|BenchmarkWALAppendGroup$|BenchmarkWALAppendSyncEach$'
 

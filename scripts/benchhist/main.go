@@ -32,6 +32,9 @@ type result struct {
 	// (b.ReportMetric "p99_ms"): placement p99 at 32 concurrent
 	// clients against the in-process daemon.
 	P99Ms float64 `json:"p99_ms,omitempty"`
+	// StateBytes records the checkpoint benchmarks' encoded predictor
+	// size (b.ReportMetric "state_bytes").
+	StateBytes int64 `json:"state_bytes,omitempty"`
 }
 
 type entry struct {
@@ -214,6 +217,8 @@ func parseBenchLine(line string) (string, result, bool) {
 			r.PlacementsPerSec = v
 		case "p99_ms":
 			r.P99Ms = v
+		case "state_bytes":
+			r.StateBytes = int64(v)
 		}
 	}
 	return name, r, seen
