@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check race bench build vet vuln test fuzzsmoke crashcheck servecheck benchcheck docs-numbers docscheck
+.PHONY: check race bench build vet vuln test fuzzsmoke crashcheck servecheck benchcheck docs-numbers docscheck nodeprecated loc
 
 build:
 	$(GO) build ./...
@@ -49,7 +49,20 @@ servecheck:
 benchcheck:
 	scripts/bench.sh check
 
-check: build vet vuln test fuzzsmoke crashcheck servecheck benchcheck docscheck
+# What a deletion pass removed stays removed: no Deprecated: marker in
+# a .go file outside benchmark/ (a wrapper kept for old callers is
+# deleted, not annotated), and no import of the retired sortx package.
+nodeprecated:
+	@if grep -rnE --include='*.go' --exclude-dir=benchmark 'Deprecated:|"gsight/internal/sortx"' .; then \
+		echo "nodeprecated: delete the wrapper / use slices.SortFunc"; exit 1; \
+	fi
+
+check: build vet vuln test fuzzsmoke crashcheck servecheck benchcheck docscheck nodeprecated
+
+# Non-test Go lines of the root module's product code (the figure
+# CHANGES.md and ROADMAP quote).
+loc:
+	@(find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat; cat gsight.go) | wc -l
 
 race:
 	$(GO) test -race ./internal/ml ./internal/core ./internal/sched ./internal/experiments ./internal/telemetry ./internal/persist ./internal/serve \

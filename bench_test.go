@@ -7,15 +7,12 @@ package gsight
 // whole pipeline exercised and timed under `go test -bench`.
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"gsight/internal/core"
 	"gsight/internal/experiments"
@@ -26,7 +23,6 @@ import (
 	"gsight/internal/sched"
 	"gsight/internal/serve"
 	"gsight/internal/sim"
-	"gsight/internal/telemetry"
 )
 
 // benchOptions keeps bench iterations affordable while preserving every
@@ -113,9 +109,6 @@ func BenchmarkFig14Overhead(b *testing.B) { runExperiment(b, "fig14") }
 
 // BenchmarkExtPCA runs the §6.4 PCA ablation.
 func BenchmarkExtPCA(b *testing.B) { runExperiment(b, "ext-pca") }
-
-// BenchmarkExtHierarchy runs the §6.4 hierarchical-scheduling ablation.
-func BenchmarkExtHierarchy(b *testing.B) { runExperiment(b, "ext-hierarchy") }
 
 // BenchmarkExtColdStart runs the §5.2 cold-start-aware prediction study.
 func BenchmarkExtColdStart(b *testing.B) { runExperiment(b, "ext-coldstart") }
@@ -539,12 +532,12 @@ func BenchmarkShardedPlacement(b *testing.B) {
 // each idleEvery-th holds one latency-sensitive antagonist workload —
 // the worst case for the spread ladder, and the scenario the two-tier
 // prune exists for (DESIGN.md §15).
-func contendedState(n, idleEvery int, obs []core.Observation, spec resources.ServerSpec) *DirectState {
+func contendedState(n, idleEvery int, obs []core.Observation, spec resources.ServerSpec) *sched.State {
 	caps := make([]resources.Vector, n)
 	for i := range caps {
 		caps[i] = spec.Capacity
 	}
-	st := &DirectState{Caps: caps, Used: make([]resources.Vector, n)}
+	st := &sched.State{Caps: caps, Used: make([]resources.Vector, n)}
 	for i := 0; i < n; i++ {
 		if i%idleEvery == 0 {
 			continue
@@ -745,12 +738,12 @@ func BenchmarkPlatformStep(b *testing.B) {
 // schedState builds a flat 8-server state. The composite literal stays
 // stack-allocatable inside benchmark loops (the sealed ClusterView
 // keeps Place from leaking it), which the alloc-budget tests rely on.
-func schedState(spec resources.ServerSpec) *DirectState {
+func schedState(spec resources.ServerSpec) *sched.State {
 	caps := make([]resources.Vector, 8)
 	for i := range caps {
 		caps[i] = spec.Capacity
 	}
-	return &DirectState{Caps: caps, Used: make([]resources.Vector, 8)}
+	return &sched.State{Caps: caps, Used: make([]resources.Vector, 8)}
 }
 
 // benchedIDs is the static list of experiment ids with a Benchmark*
@@ -762,7 +755,7 @@ var benchedIDs = []string{
 	"table1", "table3", "table4",
 	"fig3a", "fig3b", "fig4", "fig5", "fig7", "fig8", "fig9",
 	"fig10a", "fig10b", "fig10c", "fig11", "fig12", "fig13", "fig14",
-	"ext-pca", "ext-hierarchy", "ext-coldstart", "ext-isolation",
+	"ext-pca", "ext-coldstart", "ext-isolation",
 	"ext-resilience", "ext-soak", "ext-scale", "ext-twotier",
 }
 
@@ -812,50 +805,4 @@ func TestBenchRegistryCoverage(t *testing.T) {
 			t.Errorf("unexpected experiment id %q", id)
 		}
 	}
-}
-
-// BenchmarkServePlacement measures end-to-end placement latency
-// through the gsight-serve daemon — HTTP decode, admission, the
-// committer's PlaceAll round, the group-commit WAL fsync — under 32
-// concurrent closed-loop clients. Reports the p99 in milliseconds
-// (the ISSUE's serving SLO metric) alongside throughput; each placed
-// instance is released immediately so the cluster never fills.
-func BenchmarkServePlacement(b *testing.B) {
-	srv, err := serve.New(serve.Config{
-		DataDir: b.TempDir(),
-		Seed:    7,
-		Train:   4,
-		Placers: 2,
-		Health:  telemetry.NewHealth(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer func() {
-		hs.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Stop(ctx)
-	}()
-
-	b.ResetTimer()
-	res, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		Addrs:       []string{hs.URL},
-		Workers:     32,
-		Requests:    b.N,
-		Warmup:      0,
-		Seed:        11,
-		Workloads:   []string{"matmul", "social-network", "dd", "e-commerce", "kmeans"},
-		ReleaseFrac: 1,
-	})
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Errors > 0 {
-		b.Fatalf("%d errors: %s", res.Errors, res)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
-	b.ReportMetric(res.P99Ms, "p99_ms")
 }

@@ -28,21 +28,20 @@ import (
 
 func main() {
 	var (
-		dataDir  = flag.String("data", "", "data directory (snapshots, WAL, decision log, lease) — required")
-		addr     = flag.String("addr", "127.0.0.1:7070", "API listen address")
-		servers  = flag.Int("servers", 0, "cluster size (0 = the paper's 8-node testbed)")
-		shards   = flag.Int("shards", 0, "state shards (0 = auto)")
-		placers  = flag.Int("placers", 4, "placement workers")
-		seed     = flag.Uint64("seed", 42, "catalog / training seed (must match across active and standby)")
-		train    = flag.Int("train", 40, "bootstrap training scenarios (0 = start untrained, serve degraded)")
-		topk     = flag.Int("topk", 0, "tier-0 candidate pruning (0 = off)")
-		queueCap = flag.Int("queue", 256, "admission queue capacity (overflow sheds with 429)")
+		dataDir   = flag.String("data", "", "data directory (snapshots, WAL, decision log, lease) — required")
+		addr      = flag.String("addr", "127.0.0.1:7070", "API listen address")
+		servers   = flag.Int("servers", 0, "cluster size (0 = the paper's 8-node testbed)")
+		shards    = flag.Int("shards", 0, "state shards (0 = auto)")
+		placers   = flag.Int("placers", 4, "placement workers")
+		seed      = flag.Uint64("seed", 42, "catalog / training seed (must match across active and standby)")
+		train     = flag.Int("train", 40, "bootstrap training scenarios (0 = start untrained, serve degraded)")
+		topk      = flag.Int("topk", 0, "tier-0 candidate pruning (0 = off)")
+		queueCap  = flag.Int("queue", 256, "admission queue capacity (overflow sheds with 429)")
 		snapEvery = flag.Int("snapshot-every", 1024, "records between snapshots")
-		keep     = flag.Int("keep", 3, "checkpoint generations retained")
-		window   = flag.Duration("flush-window", 0, "group-commit coalescing window (0 = flush immediately)")
-		standby  = flag.Bool("standby", false, "start as hot standby: wait for the active's lease to lapse")
-		ttl      = flag.Duration("lease-ttl", 2*time.Second, "leadership lease duration")
-		owner    = flag.String("owner", "", "lease owner name (default host:pid)")
+		keep      = flag.Int("keep", 3, "checkpoint generations retained")
+		standby   = flag.Bool("standby", false, "start as hot standby: wait for the active's lease to lapse")
+		ttl       = flag.Duration("lease-ttl", 2*time.Second, "leadership lease duration")
+		owner     = flag.String("owner", "", "lease owner name (default host:pid)")
 	)
 	flag.Parse()
 	if *dataDir == "" {
@@ -96,7 +95,6 @@ func main() {
 		QueueCap:      *queueCap,
 		SnapshotEvery: *snapEvery,
 		Keep:          *keep,
-		FlushWindow:   *window,
 		Health:        health,
 		Logf:          logf,
 	})

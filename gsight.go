@@ -246,12 +246,6 @@ type (
 	// schedulers read. At one shard it behaves exactly like the
 	// pre-sharding direct state.
 	SchedulerState = sched.ShardedState
-	// DirectState is the flat cluster state SchedulerState wraps.
-	//
-	// Deprecated: construct a SchedulerState (NewSchedulerState) and use
-	// Base() for direct field surgery; this alias remains for callers of
-	// the pre-sharding API.
-	DirectState = sched.State
 	// ClusterView is the read-only cluster surface schedulers consume.
 	ClusterView = sched.ClusterView
 	// SchedulerTxn is one snapshot-isolated placement transaction
@@ -300,14 +294,6 @@ func NewScheduler(p QoSPredictor, opts ...Option) *sched.Gsight {
 func NewSchedulerState(m *Model, opts ...Option) *SchedulerState {
 	o := buildOptions(opts)
 	return sched.ShardedStateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers(), o.shards)
-}
-
-// NewDirectState returns the flat pre-sharding cluster state.
-//
-// Deprecated: use NewSchedulerState; it is placement-identical and
-// adds the transaction/sharding surface.
-func NewDirectState(m *Model) *DirectState {
-	return sched.StateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers())
 }
 
 // NewPlacerPool builds a placer pool over the state. WithPlacers sets

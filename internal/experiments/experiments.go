@@ -180,7 +180,6 @@ func Registry() []struct {
 		// Extensions: the paper's §5.2 / §6.3 / §6.4 forward-looking
 		// material, implemented and measured.
 		{"ext-pca", ExtPCA},
-		{"ext-hierarchy", ExtHierarchy},
 		{"ext-coldstart", ExtColdStart},
 		{"ext-isolation", ExtIsolation},
 		{"ext-resilience", ExtResilience},

@@ -14,7 +14,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "table3", "table4",
 		"fig3a", "fig3b", "fig4", "fig5", "fig7", "fig8", "fig9",
 		"fig10a", "fig10b", "fig10c", "fig11", "fig12", "fig13", "fig14",
-		"ext-pca", "ext-hierarchy", "ext-coldstart", "ext-isolation",
+		"ext-pca", "ext-coldstart", "ext-isolation",
 		"ext-resilience", "ext-soak", "ext-scale", "ext-twotier",
 	}
 	got := IDs()
@@ -256,16 +256,6 @@ func TestExtSoakScalesVolume(t *testing.T) {
 	}
 	if scaled <= base {
 		t.Fatalf("rate-scaled soak replays %vM inv/day, baseline %vM — scaling had no effect", scaled, base)
-	}
-}
-
-func TestExtHierarchyRuns(t *testing.T) {
-	rep, err := ExtHierarchy(nil, tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 cluster sizes", len(rep.Rows))
 	}
 }
 

@@ -9,16 +9,16 @@ import (
 	"gsight/internal/isolation"
 	"gsight/internal/ml"
 	"gsight/internal/perfmodel"
-	"gsight/internal/resources"
 	"gsight/internal/scenario"
-	"gsight/internal/sched"
 	"gsight/internal/workload"
 )
 
 // The ext-* experiments implement the paper's forward-looking material:
-// PCA dimensionality reduction and hierarchical scheduling (§6.4,
-// future work), cold-start-aware prediction (§5.2), and the claimed
-// orthogonality to reactive isolation control (§6.3).
+// PCA dimensionality reduction (§6.4, future work), cold-start-aware
+// prediction (§5.2), and the claimed orthogonality to reactive
+// isolation control (§6.3). The §6.4 hierarchy proposal is answered by
+// the home-window ladder and tier-0 pruning; ext-scale and ext-twotier
+// report decision latency against cluster size.
 
 // ExtPCA quantifies the §6.4 dimensionality-reduction proposal: IRFR on
 // the raw 32nS+2n code vs IRFR behind PCA projections of decreasing
@@ -70,68 +70,6 @@ func ExtPCA(ctx context.Context, opt Options) (*Report, error) {
 		}
 	}
 	r.AddNote("the paper proposes PCA to keep the 32nS+2n code tractable when workflows span hundreds of servers (§6.4)")
-	return r, nil
-}
-
-// ExtHierarchy quantifies the §6.4 hierarchy-scheduling proposal:
-// placement decision latency of the flat binary-search scheduler vs the
-// zone-hierarchical wrapper as the cluster grows.
-func ExtHierarchy(ctx context.Context, opt Options) (*Report, error) {
-	_, g := newLab(opt)
-	obs, err := collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(400, 100), 2)
-	if err != nil {
-		return nil, err
-	}
-	p := core.NewPredictor(core.Config{Seed: opt.Seed})
-	if err := p.TrainObservations(core.IPCQoS, obs); err != nil {
-		return nil, err
-	}
-	spec := resources.DefaultServerSpec("ext")
-	sn := workload.SocialNetwork()
-
-	r := &Report{
-		ID:      "ext-hierarchy",
-		Title:   "Hierarchical scheduling (paper §6.4 future work): decision latency vs cluster size",
-		Columns: []string{"servers", "flat decision", "hierarchical decision", "speedup"},
-	}
-	for _, servers := range []int{8, 32, 128, 512} {
-		st := sched.StateFromProfiles(spec, servers)
-		// pre-load a third of the servers so zone selection has work
-		for s := 0; s < servers; s += 3 {
-			seed := platformInput(workload.MatMul(), 1, spec)
-			seed.Name = fmt.Sprintf("seed-%d", s)
-			seed.Placement = []int{s}
-			st.Commit(seed, sched.SLA{})
-		}
-		req := func() *sched.Request {
-			in := platformInput(sn, 12, spec)
-			in.QPSFrac = 0.5
-			return &sched.Request{Input: in, SLA: sched.SLA{MinIPC: 0.8}}
-		}
-		const iters = 20
-		flat := sched.NewGsight(p)
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := flat.Place(st, req()); err != nil {
-				return nil, err
-			}
-		}
-		flatPer := time.Since(t0) / iters
-		hier := sched.NewHierarchical(sched.NewGsight(p), 8)
-		t0 = time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := hier.Place(st, req()); err != nil {
-				return nil, err
-			}
-		}
-		hierPer := time.Since(t0) / iters
-		speedup := float64(flatPer) / float64(hierPer)
-		r.AddRow(fmt.Sprintf("%d", servers),
-			flatPer.Round(time.Microsecond).String(),
-			hierPer.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1fx", speedup))
-	}
-	r.AddNote("the coder caps spatial rows at 8 servers, so the flat scheduler's prediction cost is per-candidate; hierarchy also bounds the candidate search itself")
 	return r, nil
 }
 

@@ -83,7 +83,7 @@ type LSResult struct {
 // that solve repeatedly (the stepper, the SC co-execution) compute
 // these once and pass them to solveLSWithRefs.
 func (m *Model) idealRefsInto(sv *lsSolver, dst []float64, deps []*Deployment) []float64 {
-	dst = resizeF64(dst, len(deps))
+	dst = resize(dst, len(deps))
 	for i, d := range deps {
 		sv.depBuf[0] = d
 		sol := m.solveLSWithRefs(sv, sv.depBuf[:1], nil, 0, true, nil)
@@ -124,10 +124,7 @@ func (m *Model) solveLSWithRefs(sv *lsSolver, deps []*Deployment, bg *demandStor
 		// per-iteration composeE2E calls don't re-derive it. The topo
 		// order lists callers before callees, so one forward pass
 		// closes the set.
-		if cap(st.reach) < n {
-			st.reach = make([]bool, n)
-		}
-		st.reach = st.reach[:n]
+		st.reach = resize(st.reach, n)
 		for f := range st.reach {
 			st.reach[f] = false
 		}
@@ -142,13 +139,13 @@ func (m *Model) solveLSWithRefs(sv *lsSolver, deps []*Deployment, bg *demandStor
 				}
 			}
 		}
-		st.arrival = resizeF64(st.arrival, n)
-		st.rho = resizeF64(st.rho, n)
-		st.sigma = resizeF64(st.sigma, n)
-		st.sigmaC = resizeF64(st.sigmaC, n)
-		st.svcMs = resizeF64(st.svcMs, n)
-		st.exerted = resizeVec(st.exerted, n)
-		st.perFunc = resizePerf(st.perFunc, n)
+		st.arrival = resize(st.arrival, n)
+		st.rho = resize(st.rho, n)
+		st.sigma = resize(st.sigma, n)
+		st.sigmaC = resize(st.sigmaC, n)
+		st.svcMs = resize(st.svcMs, n)
+		st.exerted = resize(st.exerted, n)
+		st.perFunc = resize(st.perFunc, n)
 		for f := 0; f < n; f++ {
 			st.arrival[f] = 0
 			st.rho[f] = 0.5
@@ -255,10 +252,7 @@ func (m *Model) solveLSWithRefs(sv *lsSolver, deps []*Deployment, bg *demandStor
 		for i := range sv.states {
 			st := &sv.states[i]
 			d := st.dep
-			if cap(st.sctx) < len(d.W.Functions) {
-				st.sctx = make([]slowCtx, len(d.W.Functions))
-			}
-			st.sctx = st.sctx[:len(d.W.Functions)]
+			st.sctx = resize(st.sctx, len(d.W.Functions))
 			for f := range d.W.Functions {
 				cx := &st.sctx[f]
 				m.buildSlowCtx(cx, demand, d.Placement[f], m.resolveSocket(d, f), d.Protected)
@@ -376,23 +370,12 @@ func (m *Model) solveLSWithRefs(sv *lsSolver, deps []*Deployment, bg *demandStor
 	return out
 }
 
-func resizeF64(s []float64, n int) []float64 {
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Fresh capacity is zeroed; reused elements keep what the
+// last user left.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeVec(s []resources.Vector, n int) []resources.Vector {
-	if cap(s) < n {
-		return make([]resources.Vector, n)
-	}
-	return s[:n]
-}
-
-func resizePerf(s []FuncPerf, n int) []FuncPerf {
-	if cap(s) < n {
-		return make([]FuncPerf, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -442,10 +425,7 @@ func (m *Model) propagateArrivals(st *lsState) {
 // visited scratch. The order is identical to topoOrder's.
 func (sv *lsSolver) topoInto(out []int, w *workload.Workload) []int {
 	n := len(w.Functions)
-	if cap(sv.visited) < n {
-		sv.visited = make([]bool, n)
-	}
-	sv.visited = sv.visited[:n]
+	sv.visited = resize(sv.visited, n)
 	for i := range sv.visited {
 		sv.visited[i] = false
 	}
@@ -577,10 +557,7 @@ type pathStats struct {
 func (m *Model) composeE2E(sv *lsSolver, st *lsState, gwMean, gwP99 float64) (meanMs, p99Ms float64) {
 	w := st.dep.W
 	n := len(w.Functions)
-	if cap(sv.memo) < n {
-		sv.memo = make([]pathStats, n)
-	}
-	sv.memo = sv.memo[:n]
+	sv.memo = resize(sv.memo, n)
 	// Walk the topological order backwards (callees before callers),
 	// visiting the precomputed sync-reachable closure (st.reach — the
 	// functions the recursive walk would visit; async callees are off

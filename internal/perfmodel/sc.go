@@ -95,10 +95,8 @@ type coScratch struct {
 // which Evaluate's callers share between goroutines.
 func (m *Model) coExecute(sv *lsSolver, scDeps, lsDeps []*Deployment) ([]scState, []LSResult) {
 	co := &sv.co
-	if cap(co.states) < len(scDeps) {
-		co.states = make([]scState, len(scDeps))
-	}
-	states := co.states[:len(scDeps)]
+	co.states = resize(co.states, len(scDeps))
+	states := co.states
 	horizon := m.Cfg.StepS
 	extraInstances := 0
 	for i, d := range scDeps {
@@ -121,7 +119,7 @@ func (m *Model) coExecute(sv *lsSolver, scDeps, lsDeps []*Deployment) ([]scState
 	}
 	accs := co.accs[:len(lsDeps)]
 	for i, d := range lsDeps {
-		pf := resizePerf(accs[i].PerFunc, len(d.W.Functions))
+		pf := resize(accs[i].PerFunc, len(d.W.Functions))
 		clear(pf)
 		accs[i] = LSResult{PerFunc: pf}
 	}

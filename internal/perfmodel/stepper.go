@@ -261,7 +261,7 @@ func (st *Stepper) Step(dt float64, rnd *rng.Rand) *StepReport {
 	// before protected), so a linear walk folds the demand in the same
 	// fixed order the map-era sort produced — float addition is not
 	// associative, and untouched slots contribute exact zeros.
-	rep.ServerDemand = resizeVec(rep.ServerDemand, st.m.Testbed.NumServers())
+	rep.ServerDemand = resize(rep.ServerDemand, st.m.Testbed.NumServers())
 	for i := range rep.ServerDemand {
 		rep.ServerDemand[i] = resources.Vector{}
 	}

@@ -1,178 +1,14 @@
 package persist
 
-import (
-	"errors"
-	"sync"
-	"time"
-)
+import "time"
 
-// GroupWAL wraps a WAL with group commit: concurrent appenders enqueue
-// records and block until an fsync covers them, while a single
-// committer goroutine drains the queue, writes everything pending and
-// issues ONE fsync for the whole batch. Under concurrent ingest the
-// natural pile-up during each fsync forms the next batch, so the
-// per-record cost amortizes to (fsync latency / batch size) instead of
-// serializing every append behind its own disk flush. An optional
-// flush window adds bounded extra coalescing for low-concurrency
-// callers at the price of that much acknowledgement latency.
-//
-// Durability contract: when Append (or AppendBatch) returns nil, the
-// record's bytes — checksummed line framing included — have been
-// fsynced. A write or sync failure is sticky: it is delivered to every
-// waiter of the failed batch and every later call, because a WAL whose
-// tail state is unknown must not accept more acknowledgements.
-type GroupWAL struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	wal     *WAL
-	queue   []groupEntry
-	err     error // sticky; set by the first failed flush
-	closing bool
-	done    chan struct{}
-	window  time.Duration
-}
+// The serving daemon's committer appends and fsyncs its own batches
+// (WAL.AppendBatch); what is left here is what the frozen
+// benchmark/probes.go compiles against. Owed to the next [benchmark]
+// PR: call CreateWAL + AppendBatch there and delete this file.
 
-// groupEntry is one queued record. A nil payload is a sync barrier:
-// the flusher skips the write but the waiter still observes the
-// batch's fsync result.
-type groupEntry struct {
-	payload []byte
-	done    chan error // nil for all but the last record of a batch
-}
+// GroupWAL is the WAL.
+type GroupWAL = WAL
 
-// ErrWALClosed reports an append against a closed GroupWAL.
-var ErrWALClosed = errors.New("persist: group wal closed")
-
-// NewGroupWAL starts group commit over an open WAL, taking ownership
-// of it (Close closes the underlying log). window bounds how long the
-// flusher waits for more records after waking with a non-empty queue;
-// 0 flushes as soon as the flusher is free, which is already group
-// commit under load.
-func NewGroupWAL(w *WAL, window time.Duration) *GroupWAL {
-	g := &GroupWAL{wal: w, window: window, done: make(chan struct{})}
-	g.cond = sync.NewCond(&g.mu)
-	go g.flusher()
-	return g
-}
-
-// Append writes one record and blocks until a group fsync covers it.
-// The payload must not contain a newline and must stay unmodified
-// until Append returns (it is not copied — the call blocks anyway).
-func (g *GroupWAL) Append(payload []byte) error {
-	return g.enqueue([][]byte{payload})
-}
-
-// AppendBatch writes the payloads contiguously, in order, covered by a
-// single group fsync. An empty batch is a sync barrier: it returns
-// after every previously-queued record is durable.
-func (g *GroupWAL) AppendBatch(payloads [][]byte) error {
-	return g.enqueue(payloads)
-}
-
-// Sync blocks until everything queued before it is fsynced.
-func (g *GroupWAL) Sync() error {
-	return g.enqueue(nil)
-}
-
-func (g *GroupWAL) enqueue(payloads [][]byte) error {
-	ch := make(chan error, 1)
-	g.mu.Lock()
-	if g.err != nil {
-		err := g.err
-		g.mu.Unlock()
-		return err
-	}
-	if g.closing {
-		g.mu.Unlock()
-		return ErrWALClosed
-	}
-	for i, p := range payloads {
-		e := groupEntry{payload: p}
-		if i == len(payloads)-1 {
-			e.done = ch
-		}
-		g.queue = append(g.queue, e)
-	}
-	if len(payloads) == 0 {
-		g.queue = append(g.queue, groupEntry{done: ch})
-	}
-	g.cond.Signal()
-	g.mu.Unlock()
-	return <-ch
-}
-
-// flusher is the single committer goroutine: it drains the queue in
-// batches, writes each batch and fsyncs once per batch.
-func (g *GroupWAL) flusher() {
-	defer close(g.done)
-	for {
-		g.mu.Lock()
-		for len(g.queue) == 0 && !g.closing {
-			g.cond.Wait()
-		}
-		if len(g.queue) == 0 && g.closing {
-			g.mu.Unlock()
-			return
-		}
-		if g.window > 0 {
-			// Bounded coalescing: let stragglers join the batch.
-			g.mu.Unlock()
-			time.Sleep(g.window)
-			g.mu.Lock()
-		}
-		batch := g.queue
-		g.queue = nil
-		sticky := g.err
-		g.mu.Unlock()
-
-		err := sticky
-		if err == nil {
-			for i := range batch {
-				if batch[i].payload == nil {
-					continue
-				}
-				if err = g.wal.Append(batch[i].payload); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				err = g.wal.Sync()
-			}
-		}
-		if err != nil && sticky == nil {
-			g.mu.Lock()
-			g.err = err
-			g.mu.Unlock()
-		}
-		for i := range batch {
-			if batch[i].done != nil {
-				batch[i].done <- err
-			}
-		}
-	}
-}
-
-// Close drains the queue, stops the flusher and closes the underlying
-// WAL. Appends racing with Close either complete durably or fail with
-// ErrWALClosed.
-func (g *GroupWAL) Close() error {
-	g.mu.Lock()
-	if g.closing {
-		g.mu.Unlock()
-		<-g.done
-		return g.err
-	}
-	g.closing = true
-	g.cond.Signal()
-	g.mu.Unlock()
-	<-g.done
-	err := g.wal.Close()
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = ErrWALClosed
-	} else {
-		err = g.err
-	}
-	g.mu.Unlock()
-	return err
-}
+// NewGroupWAL returns w; the window is ignored.
+func NewGroupWAL(w *WAL, _ time.Duration) *WAL { return w }

@@ -1,47 +1,26 @@
 package persist
 
 import (
-	"fmt"
+	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestGroupWALConcurrentAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	w, err := CreateWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGroupWAL(w, 0)
+// These tests pin WAL.AppendBatch through the NewGroupWAL shim, the
+// call sequence benchmark/probes.go compiles against.
 
-	const workers, perWorker = 8, 50
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < perWorker; j++ {
-				if err := g.Append([]byte(fmt.Sprintf(`{"w":%d,"j":%d}`, i, j))); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := g.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
+func walRecords(t *testing.T, path string) []string {
+	t.Helper()
 	recs, _, err := ReplayWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != workers*perWorker {
-		t.Fatalf("replayed %d records, want %d", len(recs), workers*perWorker)
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = string(r)
 	}
+	return out
 }
 
 func TestGroupWALBatchOrderAndBarrier(t *testing.T) {
@@ -51,32 +30,46 @@ func TestGroupWALBatchOrderAndBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGroupWAL(w, time.Millisecond)
+	if g != w {
+		t.Fatal("NewGroupWAL must return the WAL it was given")
+	}
+
+	// A bare Append stays in the buffer: nothing reaches the file until
+	// a batch (or Sync) flushes, so a batch costs one flush + fsync, not
+	// one per record.
+	if err := g.Append([]byte(`{"seq":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("Append alone wrote %d bytes (err %v); it must only buffer", fi.Size(), err)
+	}
+	// The empty batch is the sync barrier for what was appended before.
+	if err := g.AppendBatch(nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	if got := walRecords(t, path); len(got) != 1 || got[0] != `{"seq":0}` {
+		t.Fatalf("after the barrier the file holds %q", got)
+	}
 
 	batch := [][]byte{[]byte(`{"seq":1}`), []byte(`{"seq":2}`), []byte(`{"seq":3}`)}
 	if err := g.AppendBatch(batch); err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	if err := g.Sync(); err != nil {
-		t.Fatalf("sync barrier: %v", err)
+	if n := w.w.Buffered(); n != 0 {
+		t.Fatalf("%d bytes still buffered after AppendBatch returned", n)
 	}
 	// The batch is durable before Close: replay the live file.
-	recs, _, err := ReplayWAL(path)
-	if err != nil {
-		t.Fatal(err)
+	got := walRecords(t, path)
+	if len(got) != 1+len(batch) {
+		t.Fatalf("replayed %d records, want %d", len(got), 1+len(batch))
 	}
-	if len(recs) != len(batch) {
-		t.Fatalf("replayed %d records, want %d", len(recs), len(batch))
-	}
-	for i, rec := range recs {
-		if string(rec) != string(batch[i]) {
+	for i, rec := range got[1:] {
+		if rec != string(batch[i]) {
 			t.Fatalf("record %d = %q, want %q (batch order broken)", i, rec, batch[i])
 		}
 	}
 	if err := g.Close(); err != nil {
 		t.Fatalf("close: %v", err)
-	}
-	if err := g.Append([]byte("late")); err != ErrWALClosed {
-		t.Fatalf("append after close: %v, want ErrWALClosed", err)
 	}
 }
 
@@ -87,67 +80,37 @@ func TestGroupWALStickyError(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewGroupWAL(w, 0)
-	// A payload with a newline is rejected by WAL.Append inside the
-	// flusher; the error must reach the waiter and then stick.
-	if err := g.Append([]byte("bad\nrecord")); err == nil {
-		t.Fatal("append of newline payload succeeded")
+	if err := g.AppendBatch([][]byte{[]byte("good")}); err != nil {
+		t.Fatal(err)
 	}
-	if err := g.Append([]byte("good")); err == nil {
-		t.Fatal("append after flush failure succeeded; error must be sticky")
+	// Pull the file out from under the log: the next batch's flush fails.
+	w.f.Close()
+	first := g.AppendBatch([][]byte{[]byte("lost")})
+	if first == nil {
+		t.Fatal("batch on a closed file succeeded")
 	}
-	g.Close()
-}
-
-// BenchmarkWALAppendGroup measures group-committed durable appends
-// under concurrent ingest — the serving daemon's WAL-before-ack path.
-// Compare BenchmarkWALAppendSyncEach: the same durability with one
-// fsync per record, which group commit exists to amortize.
-func BenchmarkWALAppendGroup(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "wal.jsonl")
-	w, err := CreateWAL(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := NewGroupWAL(w, 0)
-	defer g.Close()
-	payload := []byte(`{"seq":123,"kind":"place","workload":"matmul","placement":[0,1,2,3]}`)
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if err := g.Append(payload); err != nil {
-				b.Error(err)
-				return
-			}
+	// Every later call — a valid batch, the barrier — reports that first
+	// failure and writes nothing.
+	for _, batch := range [][][]byte{{[]byte("later")}, nil} {
+		if err := g.AppendBatch(batch); err != first {
+			t.Fatalf("after a failed batch got %v, want the first failure %v", err, first)
 		}
-	})
-}
-
-// BenchmarkWALAppendSyncEach is the ungrouped baseline: every record
-// pays its own fsync, appenders serialized behind a mutex.
-func BenchmarkWALAppendSyncEach(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "wal.jsonl")
-	w, err := CreateWAL(path)
-	if err != nil {
-		b.Fatal(err)
 	}
-	defer w.Close()
-	var mu sync.Mutex
-	payload := []byte(`{"seq":123,"kind":"place","workload":"matmul","placement":[0,1,2,3]}`)
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			mu.Lock()
-			err := w.Append(payload)
-			if err == nil {
-				err = w.Sync()
-			}
-			mu.Unlock()
-			if err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
+	if got := walRecords(t, path); len(got) != 1 || got[0] != "good" {
+		t.Fatalf("file holds %q, want only the acknowledged record", got)
+	}
+
+	// A record the framing rejects fails its batch the same way.
+	w2, err := CreateWAL(filepath.Join(t.TempDir(), "wal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	bad := w2.AppendBatch([][]byte{[]byte("ok"), []byte("bad\nrecord")})
+	if bad == nil {
+		t.Fatal("batch with a newline payload succeeded")
+	}
+	if err := w2.AppendBatch([][]byte{[]byte("good")}); err != bad {
+		t.Fatalf("append after a rejected record: %v, want sticky %v", err, bad)
+	}
 }

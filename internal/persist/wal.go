@@ -25,11 +25,12 @@ var walTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WAL is an open write-ahead log. Appends are buffered; Sync flushes
 // and fsyncs. Not goroutine-safe — the platform appends from its
-// single-threaded event loop.
+// single-threaded event loop, the serving daemon from its committer.
 type WAL struct {
 	f   *os.File
 	w   *bufio.Writer
 	buf []byte
+	err error // sticky; the first failed AppendBatch
 }
 
 // CreateWAL creates (or truncates) the log at path and fsyncs the
@@ -79,6 +80,28 @@ func (w *WAL) Append(payload []byte) error {
 	w.buf = b
 	_, err := w.w.Write(b)
 	return err
+}
+
+// AppendBatch writes the payloads contiguously, in order, covered by a
+// single fsync. An empty batch is a sync barrier: it returns after
+// every previously-appended record is durable.
+//
+// Durability contract: when AppendBatch returns nil, the records'
+// bytes — checksummed line framing included — have been fsynced. A
+// write or sync failure is sticky: it is delivered to the failed batch
+// and every later call, because a WAL whose tail state is unknown must
+// not accept more acknowledgements.
+func (w *WAL) AppendBatch(payloads [][]byte) error {
+	if w.err != nil {
+		return w.err
+	}
+	for _, p := range payloads {
+		if w.err = w.Append(p); w.err != nil {
+			return w.err
+		}
+	}
+	w.err = w.Sync()
+	return w.err
 }
 
 // Sync flushes buffered records and fsyncs the file.

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"gsight/internal/core"
@@ -11,8 +14,8 @@ import (
 	"gsight/internal/workload"
 )
 
-// noBatch hides a predictor's batch fast path behind the plain
-// interface, forcing the scheduler down the sequential check loop.
+// noBatch hides a predictor's batch path behind the plain interface,
+// as the baseline predictors' wrappers do.
 type noBatch struct{ core.QoSPredictor }
 
 func trainedSchedPredictor(t *testing.T) *core.Predictor {
@@ -53,9 +56,11 @@ func trainedSchedPredictor(t *testing.T) *core.Predictor {
 }
 
 // TestGsightBatchMatchesSequential drives two schedulers — one on the
-// predictor's batched check path, one forced sequential — through the
-// same request sequence. Batched predictions are bit-identical to
-// single ones, so every placement decision must agree.
+// predictor's batch path, one on a predictor without PredictBatchInto,
+// which Gsight serves through its one-Predict-per-query adapter —
+// through the same request sequence. Batched predictions are
+// bit-identical to single ones, so every placement and the candidate's
+// recorded predictions (Detail.PredIPC/PredJCTS) must agree.
 func TestGsightBatchMatchesSequential(t *testing.T) {
 	p := trainedSchedPredictor(t)
 	reqs := []*Request{
@@ -65,32 +70,88 @@ func TestGsightBatchMatchesSequential(t *testing.T) {
 		{Input: inputFor(workload.DD(), 0), SLA: SLA{MinIPC: 0.3, MaxJCTFactor: 4}, SoloDurationS: 45},
 		{Input: inputFor(workload.MLServing(), 0.3), SLA: SLA{MinIPC: 0.4}},
 	}
-	run := func(pred core.QoSPredictor) [][]int {
+	type decision struct {
+		placement []int
+		detail    PlacementDetail
+	}
+	run := func(pred core.QoSPredictor) []decision {
 		st := StateFromProfiles(spec, 8)
 		g := NewGsight(pred)
-		var placements [][]int
+		var out []decision
 		for _, req := range reqs {
-			placement, err := g.Place(st, req)
+			r := *req
+			var d PlacementDetail
+			r.Detail = &d
+			placement, err := g.Place(st, &r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			in := req.Input
+			in := r.Input
 			in.Placement = placement
-			st.Commit(in, req.SLA)
-			placements = append(placements, placement)
+			st.Commit(in, r.SLA)
+			out = append(out, decision{placement, d})
 		}
-		return placements
+		return out
 	}
 	batched := run(p)
 	sequential := run(noBatch{p})
+	vetted := 0
 	for i := range reqs {
-		if len(batched[i]) != len(sequential[i]) {
-			t.Fatalf("request %d: placement lengths differ", i)
+		if !reflect.DeepEqual(batched[i], sequential[i]) {
+			t.Fatalf("request %d: batched %+v vs sequential %+v", i, batched[i], sequential[i])
 		}
-		for f := range batched[i] {
-			if batched[i][f] != sequential[i][f] {
-				t.Fatalf("request %d fn %d: batched %v vs sequential %v",
-					i, f, batched[i], sequential[i])
+		if batched[i].detail.PredIPC != 0 || batched[i].detail.PredJCTS != 0 {
+			vetted++
+		}
+	}
+	if vetted == 0 {
+		t.Fatal("no placement recorded a candidate prediction; the comparison is vacuous")
+	}
+}
+
+// failing is a predictor whose every prediction fails with err; the
+// batch variant adds the PredictBatchInto fast path.
+type failing struct {
+	core.QoSPredictor
+	err error
+}
+
+func (f failing) Predict(core.QoSKind, int, []core.WorkloadInput) (float64, error) {
+	return 0, fmt.Errorf("%w: stub", f.err)
+}
+
+type failingBatch struct{ failing }
+
+func (f failingBatch) PredictBatchInto(core.QoSKind, []core.Query, []float64) error {
+	return fmt.Errorf("%w: stub", f.err)
+}
+
+// TestGsightPredictorErrorsWithAndWithoutBatch: a predictor error means
+// the same to Place whichever way the SLA checks reach the predictor —
+// ErrNotTrained and ErrUnavailable surface (errors.Is holds, outcome
+// "error"), ErrTooManyServers accepts the candidate on capacity.
+func TestGsightPredictorErrorsWithAndWithoutBatch(t *testing.T) {
+	for _, cause := range []error{core.ErrNotTrained, core.ErrUnavailable, core.ErrTooManyServers} {
+		var got [2]struct {
+			placement []int
+			err       error
+			detail    PlacementDetail
+		}
+		for i, pred := range []core.QoSPredictor{failingBatch{failing{err: cause}}, failing{err: cause}} {
+			st := StateFromProfiles(spec, 8)
+			req := &Request{Input: inputFor(workload.SocialNetwork(), 0.5), SLA: SLA{MinIPC: 0.4}, Detail: &got[i].detail}
+			got[i].placement, got[i].err = NewGsight(pred).Place(st, req)
+		}
+		if !reflect.DeepEqual(got[0].placement, got[1].placement) || got[0].detail != got[1].detail {
+			t.Fatalf("%v: batch %+v vs loop %+v", cause, got[0], got[1])
+		}
+		for _, g := range got {
+			if cause == core.ErrTooManyServers {
+				if g.err != nil || g.detail.Outcome != "placed" || len(g.placement) == 0 {
+					t.Fatalf("%v: want capacity acceptance, got %+v", cause, g)
+				}
+			} else if !errors.Is(g.err, cause) || g.detail.Outcome != "error" {
+				t.Fatalf("%v: want the predictor error surfaced, got %+v", cause, g)
 			}
 		}
 	}

@@ -1,13 +1,14 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"gsight/internal/core"
 	"gsight/internal/resources"
-	"gsight/internal/sortx"
 	"gsight/internal/telemetry"
 	"gsight/internal/workload"
 )
@@ -312,8 +313,8 @@ func insertionSort(ids []int, less func(a, b int) bool) {
 
 // sortCutoff is the list length above which the schedulers switch from
 // insertion sort (O(n²), but fastest on the paper's 8-server lists) to
-// the sortx pdqsort port. Testbed-size clusters never cross it, so the
-// legacy paths are untouched instruction for instruction.
+// slices.SortFunc. Testbed-size clusters never cross it, so the legacy
+// paths are untouched instruction for instruction.
 const sortCutoff = 32
 
 // sortIDs orders ids like insertionSort would, at any length. Above
@@ -327,14 +328,14 @@ func sortIDs(ids []int, less func(a, b int) bool) {
 		insertionSort(ids, less)
 		return
 	}
-	sortx.Ints(ids, func(a, b int) bool {
+	slices.SortFunc(ids, func(a, b int) int {
 		if less(a, b) {
-			return true
+			return -1
 		}
 		if less(b, a) {
-			return false
+			return 1
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 }
 
@@ -396,40 +397,36 @@ func selectIDs(ids []int, k int, less func(a, b int) bool) {
 	sortIDs(ids[:k], less)
 }
 
-func resizeInts(s []int, n int) []int {
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Fresh capacity is zeroed; reused elements keep what the
+// last user left.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func resizeVecs(s []resources.Vector, n int) []resources.Vector {
-	if cap(s) < n {
-		return make([]resources.Vector, n)
-	}
-	return s[:n]
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// batchPredictor is the optional fast path of a QoSPredictor: all SLA
-// checks of one candidate placement issued as a single batch. Results
-// must be bit-identical to per-query Predict calls (core.Predictor's
-// contract), so schedulers may use whichever path is available.
+// batchPredictor is how Gsight issues SLA checks: all checks of one
+// candidate placement and QoS kind as a single batch. Results must be
+// bit-identical to per-query Predict calls (core.Predictor's contract).
 type batchPredictor interface {
 	PredictBatchInto(kind core.QoSKind, queries []core.Query, out []float64) error
+}
+
+// loopBatch serves a QoSPredictor without a batch path (the baseline
+// predictors) one Predict per query.
+type loopBatch struct{ p core.QoSPredictor }
+
+func (l loopBatch) PredictBatchInto(kind core.QoSKind, queries []core.Query, out []float64) error {
+	for i, q := range queries {
+		v, err := l.p.Predict(kind, q.Target, q.Inputs)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
 }
 
 // ---- Gsight binary-search scheduler (§4) ----
@@ -592,8 +589,8 @@ func (g *Gsight) Place(v ClusterView, req *Request) ([]int, error) {
 	// per-server functions of the immutable snapshot, so the cached
 	// comparison results — and the resulting permutation — are exactly
 	// the legacy ones.
-	sc.sortCPU = resizeFloats(sc.sortCPU, s)
-	sc.sortActive = resizeBools(sc.sortActive, s)
+	sc.sortCPU = resize(sc.sortCPU, s)
+	sc.sortActive = resize(sc.sortActive, s)
 	for _, i := range sc.order {
 		sc.sortCPU[i] = st.Free(i)[resources.CPU]
 		sc.sortActive[i] = !st.Used[i].IsZero()
@@ -736,12 +733,12 @@ func (g *Gsight) candidate(st *State, req *Request, servers []int) ([]int, error
 	in := &req.Input
 	n := len(in.Profiles)
 	sc := &g.scratch
-	sc.placement = resizeInts(sc.placement, n)
-	sc.free = resizeVecs(sc.free, st.NumServers())
+	sc.placement = resize(sc.placement, n)
+	sc.free = resize(sc.free, st.NumServers())
 	for _, s := range servers {
 		sc.free[s] = st.Free(s)
 	}
-	sc.fnOrder = resizeInts(sc.fnOrder, n)
+	sc.fnOrder = resize(sc.fnOrder, n)
 	for i := range sc.fnOrder {
 		sc.fnOrder[i] = i
 	}
@@ -819,15 +816,13 @@ func needsJCT(inputs []core.WorkloadInput, slas []SLA, durations []float64, i in
 
 // checkAll verifies every workload's SLA under the colocation described
 // by inputs, reporting the verdict and the number of QoS predictions
-// issued. With a batch-capable predictor all IPC checks (then all JCT
-// checks) go out as one PredictBatchInto call each; predictions are
-// bit-identical to the sequential path, so the verdict is too. A batch
-// error other than ErrTooManyServers falls back to the sequential loop
-// so error values keep their legacy shape.
+// asked for. All IPC checks (then all JCT checks) go out as one
+// PredictBatchInto call each; a batch error other than
+// ErrTooManyServers is the caller's predictor error.
 func (g *Gsight) checkAll(inputs []core.WorkloadInput, slas []SLA, durations []float64) (bool, int, error) {
 	bp, ok := g.Predictor.(batchPredictor)
 	if !ok {
-		return g.checkSequential(inputs, slas, durations)
+		bp = loopBatch{g.Predictor}
 	}
 	sc := &g.scratch
 	sc.candIPC, sc.candJCT = 0, 0
@@ -844,25 +839,22 @@ func (g *Gsight) checkAll(inputs []core.WorkloadInput, slas []SLA, durations []f
 		}
 	}
 	checks := len(sc.queries)
-	sc.preds = resizeFloats(sc.preds, len(sc.queries))
+	sc.preds = resize(sc.preds, checks)
+	var err error
 	if nIPC > 0 {
-		if err := bp.PredictBatchInto(core.IPCQoS, sc.queries[:nIPC], sc.preds[:nIPC]); err != nil {
-			if errors.Is(err, core.ErrTooManyServers) {
-				// Beyond the code's spatial rows the predictor cannot
-				// see the whole colocation (§6.4's scaling limit); fall
-				// back to capacity-based acceptance for this candidate.
-				return true, checks, nil
-			}
-			return g.checkSequential(inputs, slas, durations)
-		}
+		err = bp.PredictBatchInto(core.IPCQoS, sc.queries[:nIPC], sc.preds[:nIPC])
 	}
-	if n := len(sc.queries); n > nIPC {
-		if err := bp.PredictBatchInto(core.JCTQoS, sc.queries[nIPC:n], sc.preds[nIPC:n]); err != nil {
-			if errors.Is(err, core.ErrTooManyServers) {
-				return true, checks, nil
-			}
-			return g.checkSequential(inputs, slas, durations)
-		}
+	if err == nil && checks > nIPC {
+		err = bp.PredictBatchInto(core.JCTQoS, sc.queries[nIPC:], sc.preds[nIPC:])
+	}
+	if errors.Is(err, core.ErrTooManyServers) {
+		// Beyond the code's spatial rows the predictor cannot see the
+		// whole colocation (§6.4's scaling limit); fall back to
+		// capacity-based acceptance for this candidate.
+		return true, checks, nil
+	}
+	if err != nil {
+		return false, checks, err
 	}
 	// The candidate workload is always inputs[0], so when it carries
 	// an SLA its predictions head each batch section.
@@ -887,58 +879,6 @@ func (g *Gsight) checkAll(inputs []core.WorkloadInput, slas []SLA, durations []f
 				return false, checks, nil
 			}
 			k++
-		}
-	}
-	return true, checks, nil
-}
-
-// checkSequential is the one-Predict-per-check path, kept for
-// predictors without a batch interface and as the error-path fallback.
-func (g *Gsight) checkSequential(inputs []core.WorkloadInput, slas []SLA, durations []float64) (bool, int, error) {
-	g.scratch.candIPC, g.scratch.candJCT = 0, 0
-	checks := 0
-	for i := range inputs {
-		ok, n, err := g.checkOne(i, inputs, slas[i], durations[i])
-		checks += n
-		if errors.Is(err, core.ErrTooManyServers) {
-			return true, checks, nil
-		}
-		if err != nil {
-			return false, checks, err
-		}
-		if !ok {
-			return false, checks, nil
-		}
-	}
-	return true, checks, nil
-}
-
-func (g *Gsight) checkOne(target int, inputs []core.WorkloadInput, sla SLA, soloDur float64) (bool, int, error) {
-	checks := 0
-	if sla.MinIPC > 0 {
-		checks++
-		ipc, err := g.Predictor.Predict(core.IPCQoS, target, inputs)
-		if err != nil {
-			return false, checks, err
-		}
-		if target == 0 {
-			g.scratch.candIPC = ipc
-		}
-		if ipc < sla.MinIPC {
-			return false, checks, nil
-		}
-	}
-	if sla.MaxJCTFactor > 0 && soloDur > 0 && inputs[target].Class != workload.LS {
-		checks++
-		jct, err := g.Predictor.Predict(core.JCTQoS, target, inputs)
-		if err != nil {
-			return false, checks, err
-		}
-		if target == 0 {
-			g.scratch.candJCT = jct
-		}
-		if jct > soloDur*sla.MaxJCTFactor {
-			return false, checks, nil
 		}
 	}
 	return true, checks, nil
@@ -1015,7 +955,7 @@ func (b *BestFit) Place(v ClusterView, req *Request) ([]int, error) {
 	in := &req.Input
 	n := len(in.Profiles)
 	placement := make([]int, n)
-	b.free = resizeVecs(b.free, st.NumServers())
+	b.free = resize(b.free, st.NumServers())
 	for s := range b.free {
 		b.free[s] = st.Free(s)
 	}
@@ -1129,11 +1069,11 @@ func (w *WorstFit) Place(v ClusterView, req *Request) ([]int, error) {
 	in := &req.Input
 	n := len(in.Profiles)
 	placement := make([]int, n)
-	w.free = resizeVecs(w.free, st.NumServers())
+	w.free = resize(w.free, st.NumServers())
 	for s := range w.free {
 		w.free[s] = st.Free(s)
 	}
-	w.fnOrder = resizeInts(w.fnOrder, n)
+	w.fnOrder = resize(w.fnOrder, n)
 	for i := range w.fnOrder {
 		w.fnOrder[i] = i
 	}

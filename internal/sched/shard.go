@@ -420,17 +420,14 @@ func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *T
 // workloads project only when every function lives inside the window
 // (their placements translate to window-local indices via the arena).
 // Workloads that span the window edge still weigh in through the Used
-// vectors of their in-window servers — the same semantics the zone
-// hierarchy uses.
+// vectors of their in-window servers.
 func (scr *txnScratch) project(ss *ShardedState, h, w int) {
 	n := ss.st.NumServers()
 	sub := &scr.sub
-	sub.Caps = resizeVecs(sub.Caps, w)
-	sub.Used = resizeVecs(sub.Used, w)
-	if cap(scr.offline) < w {
-		scr.offline = make([]bool, w)
-	}
-	sub.Offline = scr.offline[:w]
+	sub.Caps = resize(sub.Caps, w)
+	sub.Used = resize(sub.Used, w)
+	scr.offline = resize(scr.offline, w)
+	sub.Offline = scr.offline
 	sub.Running = sub.Running[:0]
 	sub.counted = false
 	scr.arena = scr.arena[:0]
@@ -474,13 +471,6 @@ func (scr *txnScratch) project(ss *ShardedState, h, w int) {
 	}
 }
 
-func resizeUints(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
 // cellEnd returns the first server index of shard sh+1 (== n for the
 // last shard).
 func (ss *ShardedState) cellEnd(sh int) int {
@@ -492,7 +482,7 @@ func (ss *ShardedState) cellEnd(sh int) int {
 // the accepted window read.
 func (ss *ShardedState) capture(t *Txn) {
 	n := len(ss.st.Caps)
-	t.stamps = resizeUints(t.stamps, t.width)
+	t.stamps = resize(t.stamps, t.width)
 	t.shardBase = ss.ShardOf(t.start % n)
 	t.shardStamps = t.shardStamps[:0]
 	i := 0

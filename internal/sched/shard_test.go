@@ -12,18 +12,25 @@ import (
 	"gsight/internal/workload"
 )
 
-// TestSortIDsMatchesInsertionSort proves the pdqsort path produces the
-// EXACT permutation insertionSort (stable) produces, at sizes well
-// past the cutoff and with heavy ties — the schedulers' float
+// TestSortIDsMatchesInsertionSort proves the slices.SortFunc path
+// produces the EXACT permutation insertionSort (stable) produces, at
+// every size from the cutoff through pdqsort's own small-slice and
+// ninther thresholds up to 4096, with heavy ties — the schedulers' float
 // accumulation order rides on this. The call sites always enumerate
 // ids in ascending order first, which the test mirrors: under that
 // precondition the id tie-break reproduces stability.
 func TestSortIDsMatchesInsertionSort(t *testing.T) {
 	r := rng.New(5)
-	for _, n := range []int{0, 1, 8, 32, 33, 100, 1000, 5000} {
+	sizes := []int{0, 1, 8, 32, 5000}
+	for n := 33; n <= 4096; n += 1 + n/16 {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 4096)
+	for i, n := range sizes {
+		distinct := []float64{2, 5, 64}[i%3] // all tie-heavy, from two keys up
 		keys := make([]float64, n)
 		for i := range keys {
-			keys[i] = float64(int(r.Range(0, 5))) // few distinct values: tie-heavy
+			keys[i] = float64(int(r.Range(0, distinct)))
 		}
 		a := make([]int, n)
 		b := make([]int, n)

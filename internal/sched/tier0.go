@@ -67,13 +67,6 @@ type tier0Scratch struct {
 	pruned int
 }
 
-func resizeBytes(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	return s[:n]
-}
-
 // tier0Entry resolves (filling or refreshing) the score-cache entry for
 // the request's archetype. capRef is the per-server CPU capacity the
 // load buckets span; entries refresh whenever the scorer generation or
@@ -109,8 +102,8 @@ func (g *Gsight) tier0Rank(st *State, req *Request) {
 	t0 := &g.t0
 	sc := &g.scratch
 	n := st.NumServers()
-	t0.rank = resizeBytes(t0.rank, n)
-	t0.score = resizeFloats(t0.score, n)
+	t0.rank = resize(t0.rank, n)
+	t0.score = resize(t0.score, n)
 
 	capRef := st.Caps[sc.order[0]][resources.CPU]
 	e := g.tier0Entry(req, capRef)

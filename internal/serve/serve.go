@@ -62,7 +62,7 @@ type Server struct {
 
 	// Committer-owned state (single goroutine; no locks).
 	gen       uint64 // generation of the live WAL (the last cut's)
-	wal       *persist.GroupWAL
+	wal       *persist.WAL
 	logF      *os.File
 	logBytes  int64
 	applied   uint64 // last applied record seq
@@ -120,9 +120,6 @@ type Config struct {
 	SnapshotEvery int
 	// Keep is the checkpoint generations retained. Default 3.
 	Keep int
-	// FlushWindow is the group-commit coalescing window (0 = flush as
-	// soon as the WAL flusher is free).
-	FlushWindow time.Duration
 	// Sink receives serving metrics; nil allocates a private one.
 	Sink *telemetry.Sink
 	// Health, when set, tracks readiness through restore and drain.
@@ -211,6 +208,8 @@ type pending struct {
 	qos   string  // observe: QoS kind ("ipc", "p99", "jct")
 	value float64 // observe: measured value
 	reply chan pendingResp
+	// abandoned is set by enqueue when its caller stopped waiting (503).
+	abandoned atomic.Bool
 }
 
 // ctlSnapshot is the admin snapshot control message (no WAL record).
@@ -402,7 +401,7 @@ func (s *Server) restore() error {
 	if err != nil {
 		return fmt.Errorf("serve: wal: %w", err)
 	}
-	s.wal = persist.NewGroupWAL(w, s.cfg.FlushWindow)
+	s.wal = w
 	s.logf("restored snapshot gen %d, replayed %d wal records from generations %d..%d (applied seq %d, next order %d)",
 		gen, s.applied-snap.Applied, gen, s.gen, s.applied, s.nextOrder)
 	// Compact immediately: the takeover (or restart) starts its own
@@ -596,7 +595,7 @@ func (s *Server) committerLoop() {
 			if err := s.snapshot(false); err != nil {
 				s.logf("final snapshot: %v", err)
 			}
-			if err := s.wal.Close(); err != nil && !errors.Is(err, persist.ErrWALClosed) {
+			if err := s.wal.Close(); err != nil {
 				s.logf("wal close: %v", err)
 			}
 			s.logF.Sync()
@@ -646,9 +645,17 @@ func (s *Server) nextBatch() (batch []*pending, stopped bool) {
 // items pass straight through; the expected order admits and unparks
 // its successors; duplicates answer from the response cache; future
 // orders park (bounded — overflow sheds).
+//
+// An unordered item whose caller already gave up is dropped: its client
+// was told 503 and has no name to release, so committing it would hold
+// capacity for nobody. An abandoned ordered item still commits — the
+// stream must not skip an order, and the client's retry of that order is
+// answered from the response cache.
 func (s *Server) admit(p *pending, batch *[]*pending) {
 	if p.order == 0 || p.kind == ctlSnapshot {
-		*batch = append(*batch, p)
+		if !p.abandoned.Load() {
+			*batch = append(*batch, p)
+		}
 		return
 	}
 	switch {
@@ -714,7 +721,7 @@ func (s *Server) fence(batch []*pending, err error) {
 }
 
 // commitBatch processes one admitted batch: decide everything, append
-// every record to the WAL under ONE group fsync, emit the decision
+// every record to the WAL under ONE fsync, emit the decision
 // lines, then acknowledge. Contiguous placements decide through the
 // placer pool (concurrent propose, serial commit); observations and
 // releases apply serially at their positions. Snapshot controls split
@@ -895,7 +902,8 @@ func responseFor(rec *walRecord) (json.RawMessage, error) {
 }
 
 // enqueue hands a request to the committer, shedding with 429 when
-// the admission queue is full.
+// the admission queue is full. A caller whose context ends first gets
+// 503 and the request is marked abandoned (see admit).
 func (s *Server) enqueue(ctx context.Context, p *pending) pendingResp {
 	select {
 	case <-s.stopC:
@@ -912,6 +920,7 @@ func (s *Server) enqueue(ctx context.Context, p *pending) pendingResp {
 	case r := <-p.reply:
 		return r
 	case <-ctx.Done():
+		p.abandoned.Store(true)
 		s.met.timeouts.Inc()
 		return pendingResp{status: 503, err: fmt.Errorf("serve: %w", ctx.Err())}
 	}

@@ -316,3 +316,79 @@ func TestServeReadyLifecycle(t *testing.T) {
 		t.Fatalf("after Stop: ready=%v reason=%q, want draining", ok, reason)
 	}
 }
+
+// TestServeTimedOutUnorderedRequestIsNotCommitted: a request whose
+// context expires while the committer is busy gets 503; once the
+// committer is free again it must not commit that request — the client
+// was told it failed and, unordered, has no name to release. An ordered
+// request in the same position still commits, and its retry is answered
+// from the response cache.
+func TestServeTimedOutUnorderedRequestIsNotCommitted(t *testing.T) {
+	srv, _, cl := testServer(t, nil)
+	ctx := context.Background()
+
+	// Stall the committer: it blocks acknowledging a request whose reply
+	// channel nobody reads yet. Its decision line is written just before
+	// that send, so a non-empty log means the batch is closed and nothing
+	// sent from here on can ride in it.
+	stall := &pending{kind: kindPlace, arch: "matmul", reply: make(chan pendingResp)}
+	srv.intake <- stall
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if fi, err := os.Stat(srv.logPath()); err == nil && fi.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the committer never logged the stalling placement")
+		}
+	}
+
+	expired, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancel()
+	for _, order := range []uint64{0, 1} {
+		resp := srv.enqueue(expired, &pending{kind: kindPlace, order: order, arch: "social-network",
+			reply: make(chan pendingResp, 1)})
+		if resp.status != http.StatusServiceUnavailable {
+			t.Fatalf("order %d: enqueue behind a stalled committer = %+v, want 503", order, resp)
+		}
+	}
+	stalled := <-stall.reply // releases the committer
+	if stalled.err != nil {
+		t.Fatalf("stalling placement: %v", stalled.err)
+	}
+	var first placeResponse
+	if err := json.Unmarshal(stalled.payload, &first); err != nil {
+		t.Fatal(err)
+	}
+
+	// Release every name a client was given. The first release is
+	// answered after whatever was queued before it, and the ordered
+	// request committed right behind the stalling placement: its retry
+	// gets that answer.
+	if rel, err := cl.Release(ctx, ReleaseRequest{Name: first.Name}); err != nil || !rel.Released {
+		t.Fatalf("release %s: %+v, %v", first.Name, rel, err)
+	}
+	ack, err := cl.Place(ctx, PlaceRequest{Workload: "social-network", Order: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Seq != 2 {
+		t.Fatalf("ordered request committed at seq %d, want 2", ack.Seq)
+	}
+	if rel, err := cl.Release(ctx, ReleaseRequest{Name: ack.Name}); err != nil || !rel.Released {
+		t.Fatalf("release %s: %+v, %v", ack.Name, rel, err)
+	}
+	// The committer is idle again, so its state is safe to read: four
+	// records, and nothing left holding capacity.
+	if srv.Applied() != 4 {
+		t.Fatalf("applied seq %d, want 4: the timed-out unordered placement was committed", srv.Applied())
+	}
+	st := srv.state.Base()
+	for i, used := range st.Used {
+		if !used.IsZero() {
+			t.Fatalf("server %d still has %v allocated to %d workloads no client can name", i, used, len(st.Running))
+		}
+	}
+	if got := srv.met.timeouts.Value(); got != 2 {
+		t.Fatalf("serve_timeout_total = %d, want 2", got)
+	}
+}

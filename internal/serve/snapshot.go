@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -150,7 +149,7 @@ func (s *Server) cut() (*snapshotCut, error) {
 	}
 
 	if s.wal != nil {
-		if err := s.wal.Close(); err != nil && !errors.Is(err, persist.ErrWALClosed) {
+		if err := s.wal.Close(); err != nil {
 			return fail(fmt.Errorf("serve: wal rotate: %w", err))
 		}
 	}
@@ -160,7 +159,7 @@ func (s *Server) cut() (*snapshotCut, error) {
 	if err != nil {
 		return fail(err)
 	}
-	s.wal = persist.NewGroupWAL(w, s.cfg.FlushWindow)
+	s.wal = w
 	s.gen = cut.gen
 	s.snapSeq = s.applied
 	return cut, nil

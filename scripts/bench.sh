@@ -22,9 +22,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkInference$|BenchmarkInferenceBatch$|BenchmarkIncrementalUpdate$|BenchmarkEncode$|BenchmarkScenarioEvaluation$|BenchmarkNewCatalog$|BenchmarkForestTraining$|BenchmarkForestTrainingParallel$|BenchmarkBootstrapFit$|BenchmarkPredictorCheckpoint$|BenchmarkPredictorRestore$|BenchmarkBinarySearchScheduling$|BenchmarkSchedulingInstrumented$|BenchmarkShardedScheduling$|BenchmarkShardedPlacement$|BenchmarkTwoTierPlacement$|BenchmarkFaultyPlatform$|BenchmarkTracedPlatform$|BenchmarkEngineStep$|BenchmarkPlatformStep$|BenchmarkServePlacement$'
+BENCHES='BenchmarkInference$|BenchmarkInferenceBatch$|BenchmarkIncrementalUpdate$|BenchmarkEncode$|BenchmarkScenarioEvaluation$|BenchmarkNewCatalog$|BenchmarkForestTraining$|BenchmarkForestTrainingParallel$|BenchmarkBootstrapFit$|BenchmarkPredictorCheckpoint$|BenchmarkPredictorRestore$|BenchmarkBinarySearchScheduling$|BenchmarkSchedulingInstrumented$|BenchmarkShardedScheduling$|BenchmarkShardedPlacement$|BenchmarkTwoTierPlacement$|BenchmarkFaultyPlatform$|BenchmarkTracedPlatform$|BenchmarkEngineStep$|BenchmarkPlatformStep$'
 ML_BENCHES='BenchmarkWindowAbsorb$'
-PERSIST_BENCHES='BenchmarkCheckpointSnapshot$|BenchmarkWALAppend$|BenchmarkWALAppendGroup$|BenchmarkWALAppendSyncEach$'
+PERSIST_BENCHES='BenchmarkCheckpointSnapshot$|BenchmarkWALAppend$'
 
 if [ "${1:-}" = "check" ]; then
     OUT="${2:-BENCH_gsight.json}"

@@ -28,10 +28,6 @@ type result struct {
 	// PlacementsPerSec records the sharded-placement benchmarks'
 	// custom throughput metric (b.ReportMetric "placements/s").
 	PlacementsPerSec float64 `json:"placements_per_sec,omitempty"`
-	// P99Ms records the serving benchmark's tail-latency metric
-	// (b.ReportMetric "p99_ms"): placement p99 at 32 concurrent
-	// clients against the in-process daemon.
-	P99Ms float64 `json:"p99_ms,omitempty"`
 	// StateBytes records the checkpoint benchmarks' encoded predictor
 	// size (b.ReportMetric "state_bytes").
 	StateBytes int64 `json:"state_bytes,omitempty"`
@@ -215,8 +211,6 @@ func parseBenchLine(line string) (string, result, bool) {
 			r.AllocsPerOp = int64(v)
 		case "placements/s":
 			r.PlacementsPerSec = v
-		case "p99_ms":
-			r.P99Ms = v
 		case "state_bytes":
 			r.StateBytes = int64(v)
 		}

@@ -1,8 +1,9 @@
-// Command docnumbers rewrites the start-up timing tables quoted in the
-// prose docs from a benchmark result file (`go run -C benchmark . -seed
-// N` writes one to benchmark/out/), so those figures are generated, not
+// Command docnumbers rewrites the timing tables quoted in the prose
+// docs from a benchmark result file (`go run -C benchmark . -seed N`
+// writes one to benchmark/out/), so those figures are generated, not
 // typed. In each file named on the command line it replaces what stands
-// between `<!-- docnumbers:startup -->` and `<!-- /docnumbers:startup -->`.
+// between `<!-- docnumbers:NAME -->` and `<!-- /docnumbers:NAME -->` for
+// every table NAME below that the file carries (at least one).
 //
 // Usage: go run ./scripts/docnumbers [-result FILE] [-check] DESIGN.md README.md
 package main
@@ -16,20 +17,29 @@ import (
 	"strings"
 )
 
-const (
-	beginMark = "<!-- docnumbers:startup -->"
-	endMark   = "<!-- /docnumbers:startup -->"
-)
+type row struct{ name, what string }
 
-// rows are the metrics of the table, in order, with what they time.
-var rows = []struct{ name, what string }{
-	{"setup_s", "the gated total: daemon start + `gsight-sim` start (the placer stage runs in the traced pass only)"},
-	{"setup.serve_s", "`serve.New` on an empty data dir: catalog, bootstrap fit, genesis snapshot"},
-	{"setup.placer_s", "`NewCatalog` + `Train(40)` + the cluster build"},
-	{"setup.sim_s", "`gsight-sim` from exec to its first step"},
-	{"serve.catalog_ms", "`serve.NewCatalog` alone"},
-	{"serve.restore_s", "crash restart, which is also the standby's takeover once the lease expires: `serve.New` on the data dir a killed daemon left"},
-	{"perfmodel.evaluate_us_p50", "one `perfmodel.Evaluate`"},
+// tables are the generated blocks: per table the metrics, in order,
+// with what they time.
+var tables = []struct {
+	name string
+	rows []row
+}{
+	{"startup", []row{
+		{"setup_s", "the gated total: daemon start + `gsight-sim` start (the placer stage runs in the traced pass only)"},
+		{"setup.serve_s", "`serve.New` on an empty data dir: catalog, bootstrap fit, genesis snapshot"},
+		{"setup.placer_s", "`NewCatalog` + `Train(40)` + the cluster build"},
+		{"setup.sim_s", "`gsight-sim` from exec to its first step"},
+		{"serve.catalog_ms", "`serve.NewCatalog` alone"},
+		{"serve.restore_s", "crash restart, which is also the standby's takeover once the lease expires: `serve.New` on the data dir a killed daemon left"},
+		{"perfmodel.evaluate_us_p50", "one `perfmodel.Evaluate`"},
+	}},
+	{"served", []row{
+		{"serve.place_per_s", "closed-loop placements acknowledged per second (each followed by its release), stalls included"},
+		{"serve.closed_p50_ms", "closed-loop `POST /v1/place`: request to durable ack, pooled median"},
+		{"serve.handler_p50_ms", "the same request inside `Handler().ServeHTTP`: decode, intake, `PlaceAll`, WAL append + fsync, ack"},
+		{"serve.http_overhead_p50_ms", "the client round trip minus the handler span"},
+	}},
 }
 
 type resultFile struct {
@@ -49,22 +59,33 @@ func main() {
 	result := flag.String("result", "scripts/docnumbers/result.json", "benchmark result file to quote")
 	check := flag.Bool("check", false, "rewrite nothing; exit 1 if a file is out of date")
 	flag.Parse()
-	block, err := render(*result)
-	if err != nil {
-		fatal(err)
-	}
 	stale := false
 	for _, path := range flag.Args() {
 		old, err := os.ReadFile(path)
 		if err != nil {
 			fatal(err)
 		}
-		i, j := bytes.Index(old, []byte(beginMark)), bytes.Index(old, []byte(endMark))
-		if i < 0 || j < i {
-			fatal(fmt.Errorf("%s: no %s ... %s block", path, beginMark, endMark))
+		updated, found := old, false
+		for _, t := range tables {
+			beginMark := "<!-- docnumbers:" + t.name + " -->"
+			endMark := "<!-- /docnumbers:" + t.name + " -->"
+			i, j := bytes.Index(updated, []byte(beginMark)), bytes.Index(updated, []byte(endMark))
+			if i < 0 {
+				continue
+			}
+			if j < i {
+				fatal(fmt.Errorf("%s: %s without %s", path, beginMark, endMark))
+			}
+			block, err := render(*result, t.rows)
+			if err != nil {
+				fatal(err)
+			}
+			found = true
+			updated = append(append(append([]byte{}, updated[:i+len(beginMark)]...), block...), updated[j:]...)
 		}
-		updated := append(append(append([]byte{}, old[:i+len(beginMark)]...), block...), old[j:]...)
 		switch {
+		case !found:
+			fatal(fmt.Errorf("%s: no <!-- docnumbers:NAME --> block", path))
 		case bytes.Equal(old, updated):
 		case *check:
 			fmt.Fprintf(os.Stderr, "docnumbers: %s is out of date with %s\n", path, *result)
@@ -81,10 +102,10 @@ func main() {
 	}
 }
 
-// render builds the table: one row per metric, one column per workload,
+// render builds one table: one row per metric, one column per workload,
 // each value as the result file has it (untraced pass first, so the
 // end-to-end figures are the ones measured with tracing off).
-func render(path string) (string, error) {
+func render(path string, rows []row) (string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return "", err
@@ -102,7 +123,11 @@ func render(path string) (string, error) {
 		}
 		for name, m := range run.Metrics {
 			if key := run.Workload + "/" + name; cell[key] == "" {
-				cell[key] = fmt.Sprintf("%.3g %s", m.Value, m.Unit)
+				format := "%.3g %s"
+				if m.Value >= 1000 {
+					format = "%.0f %s" // %.3g would print an exponent
+				}
+				cell[key] = fmt.Sprintf(format, m.Value, m.Unit)
 			}
 		}
 	}
