@@ -124,7 +124,7 @@ func BenchmarkExtResilience(b *testing.B) { runExperiment(b, "ext-resilience") }
 // (rate and time factors) through the allocation-free step loop.
 func BenchmarkExtSoak(b *testing.B) { runExperiment(b, "ext-soak") }
 
-// BenchmarkExtScale runs the sharded-state scale ladder (8 to 10k
+// BenchmarkExtScale runs the shared-state scale ladder (8 to 10k
 // servers) under Gsight and the baselines — the placements/sec column
 // in its report is the headline number.
 func BenchmarkExtScale(b *testing.B) { runExperiment(b, "ext-scale") }
@@ -462,16 +462,15 @@ func BenchmarkSchedulingInstrumented(b *testing.B) {
 }
 
 // BenchmarkShardedScheduling measures one placement proposal through
-// the sharded state's transaction path at testbed size (single shard —
-// exact legacy behavior). The sealed ClusterView keeps the snapshot
-// from escaping, so the budget is the same 1 alloc/op (the returned
-// placement slice) as direct Place; benchhist -check gates it against
-// the history alongside BenchmarkBinarySearchScheduling.
+// the shared state's Propose path at testbed size, where it is exactly
+// a direct Place against the backing state. The budget is the same
+// 1 alloc/op (the returned placement slice); benchhist -check gates it
+// against the history alongside BenchmarkBinarySearchScheduling.
 func BenchmarkShardedScheduling(b *testing.B) {
 	p, obs := trainedPredictor(b)
 	spec := resources.DefaultServerSpec("bench")
 	scheduler := NewScheduler(p)
-	ss := sched.ShardedStateFromProfiles(spec, 8, 1)
+	ss := sched.ShardedStateFromProfiles(spec, 8, 0)
 	// One reusable request: inside propose the scheduler is an
 	// interface, so a per-iteration literal would escape and charge
 	// the caller's allocation to the propose path under test.
@@ -488,43 +487,40 @@ func BenchmarkShardedScheduling(b *testing.B) {
 }
 
 // BenchmarkShardedPlacement measures the full propose/commit/release
-// cycle at cluster scale: 1k and 10k servers, shards 1 vs 16. Requests
-// hash to a fixed-size home window, so ns/op is bounded by window size
-// rather than server count; the shard axis isolates the epoch
-// bookkeeping cost and placements/s is the headline throughput number
+// cycle at cluster scale: 1k and 10k servers. Requests hash to a
+// fixed-size home window, so ns/op is bounded by window size rather
+// than server count; placements/s is the headline throughput number
 // recorded in BENCH_gsight.json.
 func BenchmarkShardedPlacement(b *testing.B) {
 	p, obs := trainedPredictor(b)
 	spec := resources.DefaultServerSpec("bench")
 	for _, n := range []int{1000, 10000} {
-		for _, shards := range []int{1, 16} {
-			b.Run(fmt.Sprintf("servers=%d/shards=%d", n, shards), func(b *testing.B) {
-				scheduler := NewScheduler(p)
-				ss := sched.ShardedStateFromProfiles(spec, n, shards)
-				names := make([]string, 256)
-				for i := range names {
-					names[i] = fmt.Sprintf("bench-%03d", i)
+		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
+			scheduler := NewScheduler(p)
+			ss := sched.ShardedStateFromProfiles(spec, n, 0)
+			names := make([]string, 256)
+			for i := range names {
+				names[i] = fmt.Sprintf("bench-%03d", i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := obs[i%len(obs)]
+				in := o.Inputs[o.Target]
+				in.Name = names[i%len(names)]
+				req := &PlacementRequest{Input: in, SLA: SLA{MinIPC: 0.5}}
+				pl, err := ss.Propose(scheduler, req)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					o := obs[i%len(obs)]
-					in := o.Inputs[o.Target]
-					in.Name = names[i%len(names)]
-					req := &PlacementRequest{Input: in, SLA: SLA{MinIPC: 0.5}}
-					pl, err := ss.Propose(scheduler, req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					in.Placement = pl
-					ss.Commit(in, req.SLA)
-					if !ss.Release(in.Name) {
-						b.Fatal("release failed")
-					}
+				in.Placement = pl
+				ss.Commit(in, req.SLA)
+				if !ss.Release(in.Name) {
+					b.Fatal("release failed")
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
-			})
-		}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
+		})
 	}
 }
 
@@ -736,8 +732,8 @@ func BenchmarkPlatformStep(b *testing.B) {
 }
 
 // schedState builds a flat 8-server state. The composite literal stays
-// stack-allocatable inside benchmark loops (the sealed ClusterView
-// keeps Place from leaking it), which the alloc-budget tests rely on.
+// stack-allocatable inside benchmark loops (Place takes the *State and
+// does not retain it), which the alloc-budget tests rely on.
 func schedState(spec resources.ServerSpec) *sched.State {
 	caps := make([]resources.Vector, 8)
 	for i := range caps {

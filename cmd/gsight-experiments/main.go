@@ -45,7 +45,6 @@ func main() {
 	reportPath := flag.String("report", "", "write a JSON run report to this file")
 	decisionPath := flag.String("decision-log", "", "write the JSONL decision log to this file")
 	servers := flag.Int("servers", 0, "ext-scale: run a single server-count rung instead of the 8/256/1k/10k ladder")
-	shards := flag.Int("shards", 0, "ext-scale: scheduler-state shard count (0 = auto; outcomes are shard-independent)")
 	placers := flag.Int("placers", 0, "ext-scale: concurrent placer workers (0 = auto; results identical at any count)")
 	topk := flag.Int("topk", 0, "ext-twotier: run a single top-K rung instead of the 4/8/16/32/\u221e sweep (0 = full sweep)")
 	flag.Parse()
@@ -66,7 +65,7 @@ func main() {
 		scale: *scale, seed: *seed, run: *run, format: *format, out: *out,
 		parallel: *parallel, debugAddr: *debugAddr, reportPath: *reportPath,
 		decisionPath: *decisionPath,
-		servers: *servers, shards: *shards, placers: *placers,
+		servers: *servers, placers: *placers,
 		topk: *topk,
 	})
 	if !ok {
@@ -85,7 +84,6 @@ type config struct {
 	reportPath   string
 	decisionPath string
 	servers      int
-	shards       int
 	placers      int
 	topk         int
 }
@@ -138,7 +136,7 @@ func runAll(ctx context.Context, log *logx.Logger, cfg config) bool {
 	}
 	opt := experiments.Options{
 		Seed: cfg.seed, Scale: cfg.scale,
-		Servers: cfg.servers, Shards: cfg.shards, Placers: cfg.placers,
+		Servers: cfg.servers, Placers: cfg.placers,
 		TopK: cfg.topk,
 	}
 	for i := range ids {

@@ -31,7 +31,6 @@ func main() {
 		dataDir   = flag.String("data", "", "data directory (snapshots, WAL, decision log, lease) — required")
 		addr      = flag.String("addr", "127.0.0.1:7070", "API listen address")
 		servers   = flag.Int("servers", 0, "cluster size (0 = the paper's 8-node testbed)")
-		shards    = flag.Int("shards", 0, "state shards (0 = auto)")
 		placers   = flag.Int("placers", 4, "placement workers")
 		seed      = flag.Uint64("seed", 42, "catalog / training seed (must match across active and standby)")
 		train     = flag.Int("train", 40, "bootstrap training scenarios (0 = start untrained, serve degraded)")
@@ -87,7 +86,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		DataDir:       *dataDir,
 		Servers:       *servers,
-		Shards:        *shards,
 		Placers:       *placers,
 		Seed:          *seed,
 		Train:         *train,

@@ -80,8 +80,6 @@ func main() {
 	rateScale := flag.Float64("rate-scale", 1, "multiply every service's invocation rate (and its MaxQPS ceiling) for soak runs")
 	timeScale := flag.Float64("time-scale", 1, "compress the diurnal/weekly trace clock: k replays k days of rate structure per simulated day")
 	servers := flag.Int("servers", 0, "cluster size (0 = the paper's 8-node testbed)")
-	shards := flag.Int("shards", 0, "scheduler-state shards (0 = 1; placement outcomes are shard-independent)")
-	placers := flag.Int("placers", 0, "concurrent placer workers for initial deployment (0 = serial; results identical)")
 	topk := flag.Int("topk", 0, "two-tier placement: tier-0 score prunes candidates to the top K before full prediction (0 = K=∞, pruning off)")
 	flag.Parse()
 
@@ -108,8 +106,6 @@ func main() {
 		recordDir:     *recordDir,
 		scaling:       trace.Scaling{RateFactor: *rateScale, TimeFactor: *timeScale},
 		servers:       *servers,
-		shards:        *shards,
-		placers:       *placers,
 		topk:          *topk,
 	}); err != nil {
 		log.Errorf("%v", err)
@@ -142,8 +138,6 @@ type options struct {
 	recordDir     string
 	scaling       trace.Scaling
 	servers       int
-	shards        int
-	placers       int
 	topk          int
 }
 
@@ -281,31 +275,23 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 
 	var pred core.QoSPredictor
 	var scheduler sched.Scheduler
-	var factory func() sched.Scheduler
 	needTraining := true
 	switch opt.scheduler {
 	case "gsight":
 		p := core.NewPredictor(core.Config{Seed: opt.seed})
 		pred = p
-		twoTier := func(g *sched.Gsight) *sched.Gsight {
-			if opt.topk > 0 {
-				g.Tier0 = p.Tier0()
-				g.TopK = opt.topk
-			}
-			return g
+		g := sched.NewGsight(p)
+		if opt.topk > 0 {
+			g.Tier0 = p.Tier0()
+			g.TopK = opt.topk
 		}
-		scheduler = twoTier(sched.NewGsight(p))
-		// Pool workers share the (read-only at placement time)
-		// predictor but get private scheduler scratch.
-		factory = func() sched.Scheduler { return twoTier(sched.NewGsight(p)) }
+		scheduler = g
 	case "bestfit":
 		p := baselines.NewPythia(opt.seed)
 		pred = p
 		scheduler = sched.NewBestFit(p)
-		factory = func() sched.Scheduler { return sched.NewBestFit(p) }
 	case "worstfit":
 		scheduler = sched.NewWorstFit()
-		factory = func() sched.Scheduler { return sched.NewWorstFit() }
 		needTraining = false
 	default:
 		return fmt.Errorf("unknown scheduler %q", opt.scheduler)
@@ -349,33 +335,8 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 	if needTraining {
 		log.Infof("bootstrapping %s's predictor on %d scenarios...", scheduler.Name(), opt.trainScen)
 		t0 := time.Now()
-		var ipcObs, jctObs []core.Observation
-		for i := 0; i < opt.trainScen; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			sc := g.Colocation(core.LSSC, 2+g.Rand().Intn(2))
-			samples, err := g.Label(sc)
-			if err != nil {
-				return fmt.Errorf("labeling: %w", err)
-			}
-			for _, s := range samples {
-				o := core.Observation{Target: s.Target, Inputs: s.Inputs, Label: s.Label}
-				switch s.Kind {
-				case core.IPCQoS:
-					ipcObs = append(ipcObs, o)
-				case core.JCTQoS:
-					jctObs = append(jctObs, o)
-				}
-			}
-		}
-		if err := pred.TrainObservations(core.IPCQoS, ipcObs); err != nil {
-			return fmt.Errorf("training: %w", err)
-		}
-		if len(jctObs) > 0 {
-			if err := pred.TrainObservations(core.JCTQoS, jctObs); err != nil {
-				return fmt.Errorf("training: %w", err)
-			}
+		if err := g.Bootstrap(ctx, pred, opt.trainScen); err != nil {
+			return err
 		}
 		log.Infof("trained in %v", time.Since(t0).Round(time.Millisecond))
 	}
@@ -444,9 +405,6 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 			Resume:    opt.resume,
 			FlushLog:  flushLog,
 		},
-		Shards:           opt.shards,
-		Placers:          opt.placers,
-		SchedulerFactory: factory,
 	})
 	if err != nil {
 		if errors.Is(err, platform.ErrControllerCrashed) {

@@ -1,7 +1,7 @@
-// Scheduling walkthrough on the sharded-state API (DESIGN.md §14):
+// Scheduling walkthrough on the shared-state API (DESIGN.md §14):
 // trains Gsight, places workloads through snapshot-isolated
 // transactions (including a forced commit conflict and its retry),
-// drains a request stream through the concurrent placer pool at 1024
+// places a request stream through the concurrent placer pool at 1024
 // servers, then runs the §6.3 platform bake-off — Gsight's
 // binary-search scheduler vs Pythia's Best Fit and Worst Fit — plus a
 // chaos-fault rerun to show graceful degradation. Everything here uses
@@ -65,7 +65,7 @@ func main() {
 	// loser re-proposes against the fresh state.
 	fmt.Println("\n== snapshot-isolated placement transactions ==")
 	scheduler := gsight.NewScheduler(gsightPred)
-	state := gsight.NewSchedulerState(model, gsight.WithShards(2))
+	state := gsight.NewSchedulerState(model)
 
 	t1, t2 := state.Begin(), state.Begin()
 	p1, err := t1.Propose(scheduler, request(0, "tenant-a"))
@@ -75,7 +75,7 @@ func main() {
 	must(t1.Commit())
 	fmt.Printf("  txn 1 committed tenant-a at servers %v\n", p1)
 	if err := t2.Commit(); errors.Is(err, gsight.ErrTxnConflict) {
-		fmt.Println("  txn 2 conflicted (same window, stale epochs) — re-proposing...")
+		fmt.Println("  txn 2 conflicted (its window was touched) — re-proposing...")
 		p2, err := t2.Propose(scheduler, request(0, "tenant-b"))
 		must(err)
 		must(t2.Commit())
@@ -85,14 +85,12 @@ func main() {
 	}
 
 	// -- The placer pool at cluster scale ---------------------------
-	// 1024 servers, 8 epoch shards, 4 concurrent placers. Requests
-	// hash to a fixed-size home window and spill outward only on
-	// rejection, so per-placement cost is bounded by window size, not
-	// cluster size — and results are byte-identical at any shard or
-	// placer count.
+	// 1024 servers, 4 concurrent placers. Requests hash to a
+	// fixed-size home window and spill outward only on rejection, so
+	// per-placement cost is bounded by window size, not cluster size —
+	// and results are those of serial placement at any placer count.
 	fmt.Println("\n== placer pool on a 1024-server cluster ==")
-	big := gsight.NewSchedulerState(gsight.NewScaledTestbedModel(1024),
-		gsight.WithShards(8))
+	big := gsight.NewSchedulerState(gsight.NewScaledTestbedModel(1024))
 	pool := gsight.NewPlacerPool(big,
 		func() gsight.Scheduler { return gsight.NewScheduler(gsightPred) },
 		gsight.WithPlacers(4))
@@ -110,11 +108,11 @@ func main() {
 		}
 		retries += r.Retries
 	}
-	fmt.Printf("  placed %d/%d requests in %v (%.0f placements/s, %d commit retries)\n",
+	fmt.Printf("  placed %d/%d requests in %v (%.0f placements/s, %d re-proposed at commit)\n",
 		placed, len(reqs), elapsed.Round(time.Millisecond),
 		float64(len(reqs))/elapsed.Seconds(), retries)
 	fmt.Printf("  servers: %d online, %d hosting work\n",
-		big.OnlineServers(), big.ActiveServers())
+		big.Base().OnlineServers(), big.ActiveServers())
 
 	// -- Platform bake-off (§6.3 in miniature) ----------------------
 	// SLAs via the latency->IPC transform (Figure 7).
@@ -158,7 +156,6 @@ func main() {
 			DurationS:       durationS,
 			StepS:           30,
 			Seed:            42,
-			Shards:          2, // sharded state in the runner; placements unchanged
 			Faults:          entry.faults,
 		})
 		if err != nil {

@@ -50,7 +50,6 @@ type options struct {
 	seed     *uint64
 	sink     *telemetry.Sink
 	fallback sched.Scheduler
-	shards   int
 	placers  int
 	topk     int
 }
@@ -81,18 +80,9 @@ func WithFallback(s Scheduler) Option {
 	return func(o *options) { o.fallback = s }
 }
 
-// WithShards partitions scheduler-state epoch bookkeeping into n cells
-// (NewSchedulerState, PlatformConfig via NewPlatformConfig helpers).
-// Placement outcomes are shard-count-independent; shards only refine
-// conflict detection under concurrent placers. <= 1 means one shard —
-// exact legacy behavior.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
-}
-
-// WithPlacers sets the number of concurrent placer workers draining a
-// placement queue (NewPlacerPool). <= 1 means serial; results are
-// byte-identical at any worker count.
+// WithPlacers sets the number of concurrent placer workers proposing a
+// batch (NewPlacerPool). <= 1 means serial; results are byte-identical
+// at any worker count.
 func WithPlacers(k int) Option {
 	return func(o *options) { o.placers = k }
 }
@@ -208,7 +198,7 @@ func NewTestbedModel() *Model {
 }
 
 // NewScaledTestbedModel returns a cluster of n testbed-class nodes —
-// the scaled target the sharded scheduling state (DESIGN.md §14)
+// the scaled target the shared scheduling state (DESIGN.md §14)
 // places against. NewTestbedModel is the paper's 8-node instance.
 func NewScaledTestbedModel(n int) *Model {
 	return perfmodel.New(resources.NewTestbed(n))
@@ -235,24 +225,24 @@ type (
 // profiling every workload once (the solo-run phase).
 func NewGenerator(m *Model, seed uint64) *Generator { return scenario.NewGenerator(m, seed) }
 
-// Scheduling (§4, sharded-state redesign in DESIGN.md §14).
+// Scheduling (§4; shared-state placement at scale in DESIGN.md §14).
 type (
 	// Scheduler decides placements.
 	Scheduler = sched.Scheduler
 	// SLA is a workload's admission contract.
 	SLA = sched.SLA
-	// SchedulerState is the scheduler's cluster state: a sharded,
-	// transaction-capable wrapper whose ClusterView surface is what
-	// schedulers read. At one shard it behaves exactly like the
-	// pre-sharding direct state.
+	// SchedulerState is the shared cluster state placements commit
+	// into: a ClusterState plus one stamp per server, so a transaction
+	// can tell whether the servers it read were touched since.
 	SchedulerState = sched.ShardedState
-	// ClusterView is the read-only cluster surface schedulers consume.
-	ClusterView = sched.ClusterView
+	// ClusterState is what Scheduler.Place reads (capacities, usage,
+	// the running set, the online mask); SchedulerState.Base returns it.
+	ClusterState = sched.State
 	// SchedulerTxn is one snapshot-isolated placement transaction
 	// (Begin/Propose/Commit with commit-time conflict detection).
 	SchedulerTxn = sched.Txn
-	// PlacerPool drains placement requests through K concurrent
-	// workers with deterministic, serial-equivalent results.
+	// PlacerPool places request batches with K concurrent workers;
+	// the result is serial placement in request order.
 	PlacerPool = sched.PlacerPool
 	// PlaceResult is one request's outcome from a PlacerPool.
 	PlaceResult = sched.PlaceResult
@@ -289,11 +279,9 @@ func NewScheduler(p QoSPredictor, opts ...Option) *sched.Gsight {
 }
 
 // NewSchedulerState returns an empty scheduler cluster state sized to
-// the model's testbed. WithShards partitions its epoch bookkeeping;
-// the default is one shard (exact legacy behavior).
-func NewSchedulerState(m *Model, opts ...Option) *SchedulerState {
-	o := buildOptions(opts)
-	return sched.ShardedStateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers(), o.shards)
+// the model's testbed.
+func NewSchedulerState(m *Model) *SchedulerState {
+	return sched.ShardedStateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers(), 0)
 }
 
 // NewPlacerPool builds a placer pool over the state. WithPlacers sets

@@ -27,7 +27,7 @@ import (
 // which is the "explicit invalidation on observation ingest". All state
 // is a pure function of the observation stream: no RNG, no clock, so
 // cached scores are byte-identical across checkpoint/resume and at any
-// shard/placer count.
+// placer count.
 type Tier0 struct {
 	coder Coder
 	ridge *ml.Ridge

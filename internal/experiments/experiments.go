@@ -16,6 +16,7 @@ import (
 	"gsight/internal/resources"
 	"gsight/internal/rng"
 	"gsight/internal/scenario"
+	"gsight/internal/sched"
 )
 
 // Options scales experiment effort. Scale 1.0 reproduces the paper-size
@@ -27,10 +28,9 @@ type Options struct {
 	// Servers restricts ext-scale to one server-count rung (> 0); the
 	// default runs the full 8/256/1k/10k ladder.
 	Servers int
-	// Shards and Placers override ext-scale's sharded-state geometry
-	// (<= 0 auto-sizes). Placement outcomes are identical either way —
-	// they only trade off conflict granularity and concurrency.
-	Shards  int
+	// Placers overrides the placer-pool worker count of ext-scale and
+	// ext-twotier (<= 0 auto-sizes). Placement outcomes are identical
+	// either way.
 	Placers int
 	// TopK restricts ext-twotier to one prune-depth rung (> 0); the
 	// default sweeps K over 4/8/16/32/∞.
@@ -250,15 +250,6 @@ func trainTest(obs []core.Observation, holdEvery int) (train, test []core.Observ
 	return train, test
 }
 
-// batchQoSPredictor is the optional batched inference fast path
-// (core.Predictor has it; the baselines do not). Batched predictions
-// are bit-identical to per-query Predict, so results don't depend on
-// which path runs.
-type batchQoSPredictor interface {
-	core.QoSPredictor
-	PredictBatch(kind core.QoSKind, queries []core.Query) ([]float64, error)
-}
-
 // mapeOf evaluates a predictor's mean relative error on observations.
 func mapeOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) (float64, error) {
 	errs, err := errsOf(p, kind, obs)
@@ -275,8 +266,8 @@ func mapeOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) (flo
 	return sum / float64(len(errs)), nil
 }
 
-// errsOf returns per-sample relative errors, using the predictor's
-// batched path when it has one.
+// errsOf returns per-sample relative errors, through the predictor's
+// batched path when it has one (bit-identical to per-query Predict).
 func errsOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) ([]float64, error) {
 	kept := make([]core.Observation, 0, len(obs))
 	for _, o := range obs {
@@ -288,24 +279,12 @@ func errsOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) ([]f
 		return nil, nil
 	}
 	preds := make([]float64, len(kept))
-	if bp, ok := p.(batchQoSPredictor); ok {
-		queries := make([]core.Query, len(kept))
-		for i, o := range kept {
-			queries[i] = core.Query{Target: o.Target, Inputs: o.Inputs}
-		}
-		got, err := bp.PredictBatch(kind, queries)
-		if err != nil {
-			return nil, err
-		}
-		preds = got
-	} else {
-		for i, o := range kept {
-			got, err := p.Predict(kind, o.Target, o.Inputs)
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = got
-		}
+	queries := make([]core.Query, len(kept))
+	for i, o := range kept {
+		queries[i] = core.Query{Target: o.Target, Inputs: o.Inputs}
+	}
+	if err := sched.AsBatch(p).PredictBatchInto(kind, queries, preds); err != nil {
+		return nil, err
 	}
 	out := make([]float64, len(kept))
 	for i, o := range kept {

@@ -15,42 +15,31 @@ func scaleDecisionRows(r *Report) [][]string {
 	return out
 }
 
-// TestExtScaleShardPlacerIdentity is the tentpole acceptance check at
-// the experiment level: the same seed produces byte-identical decision
-// rows at every shard x placer combination, including the shards=1,
-// placers=1 legacy-equivalent configuration.
-func TestExtScaleShardPlacerIdentity(t *testing.T) {
-	run := func(shards, placers int) [][]string {
+// TestExtScalePlacerIdentity is the acceptance check at the experiment
+// level: the same seed produces byte-identical decision rows at every
+// placer count, the one-placer run being the serial reference.
+func TestExtScalePlacerIdentity(t *testing.T) {
+	run := func(placers int) [][]string {
 		opt := tiny()
 		opt.Servers = 256 // one rung keeps the matrix affordable
-		opt.Shards = shards
 		opt.Placers = placers
 		rep, err := ExtScale(nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return scaleDecisionRows(rep)
+		rows := scaleDecisionRows(rep)
+		for _, row := range rows {
+			row[2] = "-" // the placers column differs by construction
+		}
+		return rows
 	}
-	ref := run(1, 1)
+	ref := run(1)
 	if len(ref) == 0 {
 		t.Fatal("empty report")
 	}
-	for _, c := range []struct{ shards, placers int }{{4, 1}, {1, 8}, {16, 8}} {
-		got := run(c.shards, c.placers)
-		// The shards/placers columns themselves differ by construction;
-		// blank them before comparing.
-		blank := func(rows [][]string) [][]string {
-			out := make([][]string, len(rows))
-			for i, row := range rows {
-				cp := append([]string(nil), row...)
-				cp[2], cp[3] = "-", "-"
-				out[i] = cp
-			}
-			return out
-		}
-		if !reflect.DeepEqual(blank(got), blank(ref)) {
-			t.Fatalf("shards=%d placers=%d decisions diverged from shards=1 placers=1:\n%v\nvs\n%v",
-				c.shards, c.placers, got, ref)
+	for _, placers := range []int{2, 8} {
+		if got := run(placers); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("placers=%d decisions diverged from placers=1:\n%v\nvs\n%v", placers, got, ref)
 		}
 	}
 }

@@ -3,16 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"time"
 
-	"gsight/internal/core"
-	"gsight/internal/perfmodel"
-	"gsight/internal/profile"
-	"gsight/internal/resources"
-	"gsight/internal/rng"
 	"gsight/internal/sched"
-	"gsight/internal/workload"
 )
 
 // twotierRungs is the ext-twotier cluster ladder: the two cluster sizes
@@ -35,30 +27,9 @@ func ExtTwoTier(ctx context.Context, opt Options) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	_, g := newLab(opt)
-	obs, err := collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(600, 90), 3)
+	lab, err := newScaleLab(ctx, opt, "twotier")
 	if err != nil {
 		return nil, err
-	}
-	jctObs, err := collectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(300, 60), 2)
-	if err != nil {
-		return nil, err
-	}
-	gsightP := core.NewPredictor(core.Config{Seed: opt.Seed})
-	if err := gsightP.TrainObservations(core.IPCQoS, obs); err != nil {
-		return nil, err
-	}
-	if err := gsightP.TrainObservations(core.JCTQoS, jctObs); err != nil {
-		return nil, err
-	}
-
-	spec := resources.DefaultServerSpec("twotier")
-	prnd := rng.Stream(opt.Seed, "ext-twotier-profiles")
-	mix := make([]*workload.Workload, len(scaleMix))
-	profs := make([][]profile.Profile, len(scaleMix))
-	for i, wf := range scaleMix {
-		mix[i] = wf()
-		profs[i] = profile.WorkloadProfiles(mix[i], spec, prnd.Split())
 	}
 
 	rungs := twotierRungs
@@ -73,130 +44,51 @@ func ExtTwoTier(ctx context.Context, opt Options) (*Report, error) {
 		ID:    "ext-twotier",
 		Title: "Two-tier placement: QoS-density lost vs wall-clock gained as K shrinks",
 		Columns: []string{
-			"servers", "topk", "shards", "placers", "placed",
+			"servers", "topk", "placers", "placed",
 			"density", "SLA-admit", "QoS-density", "QoSd-loss", "placements/s", "speedup",
 		},
 	}
+	placers := scalePlacers(opt)
 	for _, n := range rungs {
-		shards := opt.Shards
-		if shards <= 0 {
-			if shards = n / 64; shards < 1 {
-				shards = 1
-			} else if shards > 16 {
-				shards = 16
-			}
-		}
-		placers := opt.Placers
-		if placers <= 0 {
-			if placers = runtime.GOMAXPROCS(0); placers > 8 {
-				placers = 8
-			}
-		}
-		reqs := twotierRequests(opt, n, mix, profs)
+		// Archetype run names ("twotier-matmul#17"), so tier-0 score
+		// caching keys to the five archetypes instead of one entry per
+		// request — the access pattern a real platform produces.
+		reqs := lab.requests(opt, n, "twotier-%s#%d")
 		baseQoSd, basePerSec := 0.0, 0.0
 		for _, k := range ks {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			factory := func() sched.Scheduler {
-				s := sched.NewGsight(gsightP)
+				s := sched.NewGsight(lab.gsightP)
 				if k > 0 {
-					s.Tier0 = gsightP.Tier0()
+					s.Tier0 = lab.gsightP.Tier0()
 					s.TopK = k
 				}
 				return s
 			}
-			ss := sched.ShardedStateFromProfiles(spec, n, shards)
-			pool := sched.NewPlacerPool(ss, placers, factory)
-			t0 := time.Now()
-			results := pool.PlaceAll(reqs)
-			elapsed := time.Since(t0)
-			placed, vetted, instances := 0, 0, 0
-			for i, res := range results {
-				if res.Err != nil {
-					continue
-				}
-				placed++
-				if res.Outcome == "placed" {
-					vetted++
-				}
-				in := &reqs[i].Input
-				for f := range in.Profiles {
-					if in.Replicas != nil {
-						instances += in.Replicas[f]
-					} else {
-						instances++
-					}
-				}
-			}
-			density, active := 0.0, ss.ActiveServers()
-			if active > 0 {
-				density = float64(instances) / (float64(active) * spec.Capacity[resources.CPU])
-			}
-			slaFrac := 0.0
-			if placed > 0 {
-				slaFrac = float64(vetted) / float64(placed)
-			}
-			qosd := density * slaFrac
-			perSec := float64(len(reqs)) / elapsed.Seconds()
+			c := lab.run(n, placers, reqs, factory)
+			qosd := c.density * c.slaFrac
 			kLabel, loss, speedup := "∞", "-", "-"
 			if k == 0 {
-				baseQoSd, basePerSec = qosd, perSec
+				baseQoSd, basePerSec = qosd, c.perSec
 			} else {
 				kLabel = fmt.Sprintf("%d", k)
 				if baseQoSd > 0 {
 					loss = pct((baseQoSd - qosd) / baseQoSd)
 				}
 				if basePerSec > 0 {
-					speedup = fmt.Sprintf("%.2fx", perSec/basePerSec)
+					speedup = fmt.Sprintf("%.2fx", c.perSec/basePerSec)
 				}
 			}
 			r.AddRow(
-				fmt.Sprintf("%d", n), kLabel,
-				fmt.Sprintf("%d", shards), fmt.Sprintf("%d", placers),
-				fmt.Sprintf("%d/%d", placed, len(reqs)),
-				f2(density), pct(slaFrac), f2(qosd), loss, f0(perSec), speedup,
+				fmt.Sprintf("%d", n), kLabel, fmt.Sprintf("%d", placers),
+				fmt.Sprintf("%d/%d", c.placed, len(reqs)),
+				f2(c.density), pct(c.slaFrac), f2(qosd), loss, f0(c.perSec), speedup,
 			)
 		}
 	}
 	r.AddNote("K=∞ disables pruning and reproduces the legacy placements byte-for-byte; finite K runs the binary-search ladder over only the top-K tier-0-ranked candidates")
 	r.AddNote("QoSd-loss and speedup are relative to the same rung's K=∞ row; every column except placements/s and speedup is deterministic per seed")
 	return r, nil
-}
-
-// twotierRequests mirrors scaleRequests but stamps archetype run names
-// ("twotier-matmul#17"), so tier-0 score caching keys to the five
-// archetypes instead of one entry per request — the access pattern a
-// real platform produces.
-func twotierRequests(opt Options, n int, mix []*workload.Workload, profs [][]profile.Profile) []*sched.Request {
-	total := opt.n(2*n, min(n, 64))
-	if total > 20000 {
-		total = 20000
-	}
-	reqs := make([]*sched.Request, total)
-	for i := range reqs {
-		k := i % len(mix)
-		w, ps := mix[k], profs[k]
-		in := core.WorkloadInput{
-			Name:      fmt.Sprintf("twotier-%s#%d", w.Name, i),
-			Class:     w.Class,
-			Profiles:  ps,
-			Placement: make([]int, len(ps)),
-		}
-		var sla sched.SLA
-		switch w.Class {
-		case workload.LS:
-			in.QPSFrac = 0.35
-			in.Replicas = make([]int, len(ps))
-			for f := range in.Replicas {
-				in.Replicas[f] = perfmodel.LSReplicasFor(w, f, in.QPSFrac*w.MaxQPS)
-			}
-			sla.MinIPC = 0.9
-		default:
-			in.LifetimeS = w.SoloDurationS
-			sla.MaxJCTFactor = 2.0
-		}
-		reqs[i] = &sched.Request{Input: in, SLA: sla, SoloDurationS: w.SoloDurationS}
-	}
-	return reqs
 }

@@ -34,9 +34,9 @@ func TestExtTwoTierSweep(t *testing.T) {
 			t.Fatalf("row %d: topk %s, want %s", i, row[1], wantK[i])
 		}
 		isBase := wantK[i] == "∞"
-		if (row[8] == "-") != isBase || (row[10] == "-") != isBase {
+		if (row[7] == "-") != isBase || (row[9] == "-") != isBase {
 			t.Fatalf("row %d (K=%s): delta columns %q/%q mismatch baseline=%v",
-				i, wantK[i], row[8], row[10], isBase)
+				i, wantK[i], row[7], row[9], isBase)
 		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package persist serializes the artifacts a production deployment of
-// Gsight keeps across restarts: solo-run profile stores (profiling is
-// a one-time cost the paper amortizes, §6.4), calibrated latency-IPC
-// curves, labeled datasets, and trained random-forest models. Formats
-// are plain JSON — inspectable, diffable, stdlib-only.
+// Package persist holds what a deployment of Gsight keeps across
+// restarts: solo-run profile stores (profiling is a one-time cost the
+// paper amortizes, §6.4) as plain JSON, and the durable-log primitives
+// both controllers recover from — the checksummed WAL and the binary
+// snapshot envelope. It knows nothing of schedulers or learners: their
+// state reaches it as opaque payloads.
 package persist
 
 import (
@@ -13,10 +14,8 @@ import (
 	"os"
 
 	"gsight/internal/metrics"
-	"gsight/internal/ml"
 	"gsight/internal/profile"
 	"gsight/internal/resources"
-	"gsight/internal/sched"
 )
 
 // allFinite reports whether every value is a real number. Loaders
@@ -140,72 +139,4 @@ func LoadStoreFile(path string) (*profile.Store, error) {
 		return nil, fmt.Errorf("persist: %s: %w", path, err)
 	}
 	return s, nil
-}
-
-// curveJSON is the on-disk latency-IPC curve.
-type curveJSON struct {
-	Version int                `json:"version"`
-	Points  []sched.CurvePoint `json:"points"`
-}
-
-// SaveCurve writes a calibrated curve as JSON.
-func SaveCurve(w io.Writer, c *sched.Curve) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(curveJSON{Version: 1, Points: c.Points()})
-}
-
-// LoadCurve reads a curve from JSON.
-func LoadCurve(r io.Reader) (*sched.Curve, error) {
-	var in curveJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("persist: decode curve: %w", err)
-	}
-	if in.Version != 1 {
-		return nil, fmt.Errorf("persist: unsupported curve version %d", in.Version)
-	}
-	for i, p := range in.Points {
-		if math.IsNaN(p.IPC) || math.IsInf(p.IPC, 0) || math.IsNaN(p.P99Ms) || math.IsInf(p.P99Ms, 0) {
-			return nil, fmt.Errorf("persist: curve point %d has non-finite values", i)
-		}
-	}
-	return sched.NewCurve(in.Points), nil
-}
-
-// datasetJSON is the on-disk labeled dataset.
-type datasetJSON struct {
-	Version int         `json:"version"`
-	X       [][]float64 `json:"x"`
-	Y       []float64   `json:"y"`
-}
-
-// SaveDataset writes a labeled dataset as JSON.
-func SaveDataset(w io.Writer, ds *ml.Dataset) error {
-	return json.NewEncoder(w).Encode(datasetJSON{Version: 1, X: ds.X, Y: ds.Y})
-}
-
-// LoadDataset reads a labeled dataset from JSON.
-func LoadDataset(r io.Reader) (*ml.Dataset, error) {
-	var in datasetJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("persist: decode dataset: %w", err)
-	}
-	if in.Version != 1 {
-		return nil, fmt.Errorf("persist: unsupported dataset version %d", in.Version)
-	}
-	if len(in.X) != len(in.Y) {
-		return nil, fmt.Errorf("persist: dataset X/Y length mismatch (%d vs %d)", len(in.X), len(in.Y))
-	}
-	if !allFinite(in.Y) {
-		return nil, fmt.Errorf("persist: dataset labels have non-finite values")
-	}
-	for i, row := range in.X {
-		if len(in.X) > 0 && len(row) != len(in.X[0]) {
-			return nil, fmt.Errorf("persist: dataset row %d has %d features, row 0 has %d", i, len(row), len(in.X[0]))
-		}
-		if !allFinite(row) {
-			return nil, fmt.Errorf("persist: dataset row %d has non-finite values", i)
-		}
-	}
-	return &ml.Dataset{X: in.X, Y: in.Y}, nil
 }

@@ -2,16 +2,16 @@ package persist
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"gsight/internal/ml"
 	"gsight/internal/profile"
 	"gsight/internal/resources"
-	"gsight/internal/rng"
-	"gsight/internal/sched"
 	"gsight/internal/workload"
 )
 
@@ -84,55 +84,24 @@ func TestStoreFileHelpers(t *testing.T) {
 	}
 }
 
-func TestCurveRoundTrip(t *testing.T) {
-	c := sched.NewCurve([]sched.CurvePoint{
-		{IPC: 1.0, P99Ms: 300}, {IPC: 1.1, P99Ms: 150}, {IPC: 1.2, P99Ms: 100},
-	})
-	var buf bytes.Buffer
-	if err := SaveCurve(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCurve(&buf)
+// TestPersistImportsNoSchedulerOrLearner pins the layering: persist
+// stores opaque payloads and must not grow back a dependency on the
+// packages whose state it stores.
+func TestPersistImportsNoSchedulerOrLearner(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Points()) != 3 {
-		t.Fatalf("points = %d", len(got.Points()))
-	}
-	a, okA := c.MinIPCFor(200)
-	b, okB := got.MinIPCFor(200)
-	if okA != okB || a != b {
-		t.Fatalf("curve behaviour changed after round trip: %v/%v vs %v/%v", a, okA, b, okB)
-	}
-	if _, err := LoadCurve(strings.NewReader(`{"version":9}`)); err == nil {
-		t.Fatal("bad version must error")
-	}
-}
-
-func TestDatasetRoundTrip(t *testing.T) {
-	ds := &ml.Dataset{}
-	r := rng.New(1)
-	for i := 0; i < 50; i++ {
-		ds.Append([]float64{r.Float64(), r.Float64()}, r.Float64())
-	}
-	var buf bytes.Buffer
-	if err := SaveDataset(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 50 {
-		t.Fatalf("dataset length = %d", got.Len())
-	}
-	for i := range ds.Y {
-		if ds.Y[i] != got.Y[i] || ds.X[i][0] != got.X[i][0] {
-			t.Fatal("dataset contents changed")
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"gsight/internal/sched"` || imp.Path.Value == `"gsight/internal/ml"` {
+					t.Errorf("%s imports %s", name, imp.Path.Value)
+				}
+			}
 		}
-	}
-	if _, err := LoadDataset(strings.NewReader(`{"version":1,"x":[[1]],"y":[]}`)); err == nil {
-		t.Fatal("mismatched X/Y must error")
 	}
 }
 

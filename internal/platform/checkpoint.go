@@ -153,14 +153,6 @@ type stateCkpt struct {
 	Used    []resources.Vector `json:"used"`
 	Offline []bool             `json:"offline,omitempty"`
 	Running []runningCkpt      `json:"running"`
-	// Sharded-state bookkeeping (DESIGN.md §14). Epochs holds the
-	// per-shard commit stamps; SchedSeq the global sequence counter.
-	// Absent on pre-sharding snapshots — restore then resets every
-	// epoch, which is always sound (no transaction survives a restore).
-	// The placer queue has no field: snapshots are taken at step
-	// boundaries, where the queue is provably drained.
-	Epochs   []uint64 `json:"epochs,omitempty"`
-	SchedSeq uint64   `json:"sched_seq,omitempty"`
 }
 
 // ckptPayload is the platform's snapshot schema: the JSON section of
@@ -454,11 +446,9 @@ func (r *runner) capturePayload(firedUpTo float64, step int) ([]byte, error) {
 		})
 	}
 	p.State = stateCkpt{
-		Caps:     r.state.Base().Caps,
-		Used:     r.state.Base().Used,
-		Offline:  r.state.Base().Offline,
-		Epochs:   r.state.RawEpochs(),
-		SchedSeq: r.state.Seq(),
+		Caps:    r.state.Base().Caps,
+		Used:    r.state.Base().Used,
+		Offline: r.state.Base().Offline,
 	}
 	for _, d := range r.state.Base().Running {
 		p.State.Running = append(p.State.Running, runningCkpt{
@@ -697,11 +687,10 @@ func (r *runner) restorePayload(p *ckptPayload, predictor []byte) error {
 		})
 	}
 
-	// The surgery above bypassed the counted caches; rebuild them, then
-	// put the shard epochs back exactly as captured (nil Epochs — a
-	// pre-sharding snapshot — degrades to a reset, which is sound).
-	st.Recount()
-	r.state.RestoreEpochs(p.State.Epochs, p.State.SchedSeq)
+	// The surgery above bypassed the counted caches and the stamps;
+	// Recount rebuilds the first and restamps every server (no
+	// transaction survives a restore, so the commit clock is not state).
+	r.state.Recount()
 
 	// Fault state: the injector's live view, plus its side effects on
 	// the model and the (already restored) capacity vectors.

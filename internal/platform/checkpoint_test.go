@@ -143,24 +143,82 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 		{AtS: 910, Kind: faults.ControllerCrash},  // mid-horizon
 		{AtS: 1730, Kind: faults.ControllerCrash}, // near the end
 	}}
-	res := runToCompletion(t, seed, t.TempDir(), crashes, 300, nil)
-	if res.incarnations != 4 {
-		t.Fatalf("incarnations = %d, want 4 (three crashes + final)", res.incarnations)
+	for _, tc := range []struct {
+		name    string
+		between func(dir string) func(int)
+	}{
+		{"snapshots as written", func(string) func(int) { return nil }},
+		// Every directory written before the commit clock left the
+		// schema carries it in the state section; it must be ignored.
+		{"snapshots carrying epochs and sched_seq", func(dir string) func(int) {
+			return func(int) { addLegacyClock(t, dir) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			res := runToCompletion(t, seed, dir, crashes, 300, tc.between(dir))
+			if res.incarnations != 4 {
+				t.Fatalf("incarnations = %d, want 4 (three crashes + final)", res.incarnations)
+			}
+			if a, b := statsJSON(t, baseStats), statsJSON(t, res.stats); !bytes.Equal(a, b) {
+				t.Fatalf("stats diverged after crash-resume:\nbase    %s\nresumed %s", a, b)
+			}
+			if !bytes.Equal(baseLog.Bytes(), res.log) {
+				t.Fatalf("decision log diverged after crash-resume:\nbase    %d bytes\nresumed %d bytes\nbase    %q\nresumed %q",
+					baseLog.Len(), len(res.log), truncStr(baseLog.String()), truncStr(string(res.log)))
+			}
+			if !bytes.Equal(baseTrace.Bytes(), res.trace) {
+				t.Fatalf("trace diverged after crash-resume: base %d bytes, resumed %d bytes",
+					baseTrace.Len(), len(res.trace))
+			}
+			if !bytes.Equal(baseFlight.Bytes(), res.flight) {
+				t.Fatalf("flight recording diverged after crash-resume: base %d bytes, resumed %d bytes",
+					baseFlight.Len(), len(res.flight))
+			}
+		})
 	}
-	if a, b := statsJSON(t, baseStats), statsJSON(t, res.stats); !bytes.Equal(a, b) {
-		t.Fatalf("stats diverged after crash-resume:\nbase    %s\nresumed %s", a, b)
+}
+
+// addLegacyClock rewrites every snapshot in dir so its state section
+// carries the epochs and sched_seq fields snapshots held before the
+// commit clock was dropped from the schema.
+func addLegacyClock(t *testing.T, dir string) {
+	t.Helper()
+	snaps, err := persist.Snapshots(dir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshots to rewrite in %s: %v", dir, err)
 	}
-	if !bytes.Equal(baseLog.Bytes(), res.log) {
-		t.Fatalf("decision log diverged after crash-resume:\nbase    %d bytes\nresumed %d bytes\nbase    %q\nresumed %q",
-			baseLog.Len(), len(res.log), truncStr(baseLog.String()), truncStr(string(res.log)))
-	}
-	if !bytes.Equal(baseTrace.Bytes(), res.trace) {
-		t.Fatalf("trace diverged after crash-resume: base %d bytes, resumed %d bytes",
-			baseTrace.Len(), len(res.trace))
-	}
-	if !bytes.Equal(baseFlight.Bytes(), res.flight) {
-		t.Fatalf("flight recording diverged after crash-resume: base %d bytes, resumed %d bytes",
-			baseFlight.Len(), len(res.flight))
+	for _, sn := range snaps {
+		data, err := os.ReadFile(sn.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, payload, err := persist.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, blob, err := persist.SplitPayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc, state map[string]json.RawMessage
+		if err := json.Unmarshal(ctl, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(doc["state"], &state); err != nil {
+			t.Fatal(err)
+		}
+		state["epochs"] = json.RawMessage(`[41,7,41,12]`)
+		state["sched_seq"] = json.RawMessage(`41`)
+		if doc["state"], err = json.Marshal(state); err != nil {
+			t.Fatal(err)
+		}
+		if ctl, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := persist.WriteSnapshot(dir, seq, persist.FramePayload(ctl, blob)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -180,7 +238,7 @@ type cancelAfter struct {
 	n      int
 }
 
-func (c *cancelAfter) Place(st sched.ClusterView, req *sched.Request) ([]int, error) {
+func (c *cancelAfter) Place(st *sched.State, req *sched.Request) ([]int, error) {
 	c.n--
 	if c.n == 0 {
 		c.cancel()

@@ -29,7 +29,7 @@ func (untrainedPredictor) Name() string                                         
 // flakyScheduler fails every Place with a transient error.
 type flakyScheduler struct{ calls int }
 
-func (f *flakyScheduler) Place(sched.ClusterView, *sched.Request) ([]int, error) {
+func (f *flakyScheduler) Place(*sched.State, *sched.Request) ([]int, error) {
 	f.calls++
 	return nil, errors.New("transient RPC failure")
 }

@@ -125,20 +125,6 @@ type Config struct {
 	// Checkpoint enables crash-consistent snapshots and recovery
 	// (DESIGN.md §12); the zero value disables it.
 	Checkpoint CheckpointConfig
-	// Shards partitions the scheduler state's epoch bookkeeping
-	// (DESIGN.md §14). <= 1 is a single shard — exact legacy behavior.
-	// Placement outcomes are shard-count-independent either way; shards
-	// only change conflict-detection granularity under concurrent
-	// placers.
-	Shards int
-	// Placers drains the initial service deployment through a
-	// concurrent placer pool when > 1. Requires SchedulerFactory (each
-	// worker needs its own scheduler instance); results are
-	// byte-identical to the serial path at any worker count.
-	Placers int
-	// SchedulerFactory builds per-worker schedulers for the placer
-	// pool. Ignored when Placers <= 1.
-	SchedulerFactory func() sched.Scheduler
 }
 
 // DegradedInterval is a [StartS, EndS) window of simulation time the
@@ -351,7 +337,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	state := sched.ShardedStateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers(), cfg.Shards)
+	state := sched.ShardedStateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers(), 0)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &runner{
@@ -424,10 +410,8 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	return r.stats, nil
 }
 
-// deployServices places the resident services through the scheduler —
-// serially by default, or through a concurrent placer pool when
-// Config.Placers > 1 (byte-identical results either way; see
-// DESIGN.md §14).
+// deployServices places the resident services through the scheduler,
+// in config order.
 func (r *runner) deployServices() error {
 	r.services = make([]*serviceState, 0, len(r.cfg.Services))
 	for _, svc := range r.cfg.Services {
@@ -442,15 +426,6 @@ func (r *runner) deployServices() error {
 		}
 		r.services = append(r.services, &serviceState{svc: svc, dep: dep, profiles: ps})
 	}
-	// The pool commits internally, bypassing the per-placement WAL,
-	// the decision log and the trace — streams that record serial
-	// per-placement events (and whose proposal-time details would be
-	// placer-count-dependent). Any such observer pins the serial path;
-	// the placements themselves are identical either way.
-	if r.cfg.Placers > 1 && r.cfg.SchedulerFactory != nil &&
-		r.ck == nil && r.ins.Decisions == nil && r.obs == nil {
-		return r.deployServicesPooled()
-	}
 	for _, ss := range r.services {
 		in := ss.syncInput()
 		req := &sched.Request{Input: *in, SLA: ss.svc.SLA}
@@ -461,38 +436,6 @@ func (r *runner) deployServices() error {
 		copy(ss.dep.Placement, placement)
 		copy(in.Placement, placement)
 		r.state.Commit(*in, ss.svc.SLA)
-		if err := r.stepper.AddLS(ss.dep); err != nil {
-			return err
-		}
-		for _, rep := range ss.dep.Replicas {
-			r.stats.ColdStarts += rep
-		}
-	}
-	return nil
-}
-
-// deployServicesPooled drains the initial deployment through K
-// concurrent placer workers. The pool commits winning placements
-// itself; this only copies results back and registers the deployments
-// in config order.
-func (r *runner) deployServicesPooled() error {
-	reqs := make([]*sched.Request, len(r.services))
-	for i, ss := range r.services {
-		reqs[i] = &sched.Request{Input: *ss.syncInput(), SLA: ss.svc.SLA}
-	}
-	pool := sched.NewPlacerPool(r.state, r.cfg.Placers, r.cfg.SchedulerFactory)
-	t0 := time.Now()
-	results := pool.PlaceAll(reqs)
-	r.stats.SchedulingTime += time.Since(t0)
-	for i, res := range results {
-		ss := r.services[i]
-		r.stats.Placements++
-		r.stats.PlacementRetries += res.Retries
-		if res.Err != nil {
-			return fmt.Errorf("platform: deploying %s: %w", ss.svc.W.Name, res.Err)
-		}
-		copy(ss.dep.Placement, res.Placement)
-		copy(ss.in.Placement, res.Placement)
 		if err := r.stepper.AddLS(ss.dep); err != nil {
 			return err
 		}
@@ -1386,8 +1329,8 @@ func refreshState(state *sched.ShardedState, services []*serviceState, activeSC 
 	for _, a := range activeSC {
 		st.Commit(a.input, a.sla)
 	}
-	// The surgery above bypassed epoch bookkeeping; Recount restores the
-	// counted-mode caches and conservatively re-stamps every epoch.
+	// The surgery above bypassed the stamps; Recount restores the
+	// counted-mode caches and restamps every server.
 	state.Recount()
 }
 

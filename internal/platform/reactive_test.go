@@ -51,7 +51,7 @@ func resultWorstLast(n int) perfmodel.LSResult {
 }
 
 func TestRefreshStateRebuildsBookkeeping(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 1)
+	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 0)
 	st := sst.Base()
 	ss := lsFixture(workload.SocialNetwork(), 0)
 	jobs := []*scActive{scFixture(7, workload.DD(), 1)}
@@ -84,7 +84,7 @@ func TestRefreshStateRebuildsBookkeeping(t *testing.T) {
 }
 
 func TestMigrateWorstSpreadsOffHotServer(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 1)
+	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 0)
 	st := sst.Base()
 	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
@@ -111,7 +111,7 @@ func TestMigrateWorstSpreadsOffHotServer(t *testing.T) {
 }
 
 func TestMigrateWorstSkipsOfflineServers(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 3, 1)
+	sst := sched.ShardedStateFromProfiles(testbedSpec(), 3, 0)
 	st := sst.Base()
 	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
@@ -130,7 +130,7 @@ func TestMigrateWorstSkipsOfflineServers(t *testing.T) {
 }
 
 func TestMigrateWorstAllOffline(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 2, 1)
+	sst := sched.ShardedStateFromProfiles(testbedSpec(), 2, 0)
 	st := sst.Base()
 	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
@@ -143,7 +143,7 @@ func TestMigrateWorstAllOffline(t *testing.T) {
 }
 
 func TestEvictSCMovesLargestCorunner(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 1)
+	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 0)
 	st := sst.Base()
 	small := scFixture(1, workload.DD(), 0)
 	big := scFixture(2, workload.MatMul(), 0)
@@ -183,7 +183,7 @@ func TestEvictSCMovesLargestCorunner(t *testing.T) {
 }
 
 func TestEvictSCRespectsOffline(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 3, 1)
+	sst := sched.ShardedStateFromProfiles(testbedSpec(), 3, 0)
 	st := sst.Base()
 	job := scFixture(1, workload.DD(), 0)
 	jobs := []*scActive{job}
@@ -200,7 +200,7 @@ func TestEvictSCRespectsOffline(t *testing.T) {
 }
 
 func TestEvictSCNowhereToGo(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 2, 1)
+	sst := sched.ShardedStateFromProfiles(testbedSpec(), 2, 0)
 	st := sst.Base()
 	job := scFixture(1, workload.DD(), 0)
 	jobs := []*scActive{job}
@@ -212,7 +212,7 @@ func TestEvictSCNowhereToGo(t *testing.T) {
 }
 
 func TestEvictSCNoCorunner(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 1)
+	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 0)
 	st := sst.Base()
 	jobs := []*scActive{scFixture(1, workload.DD(), 3)}
 	refreshState(sst, nil, jobs)

@@ -7,6 +7,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 
 	"gsight/internal/core"
@@ -310,6 +311,41 @@ func (g *Generator) Dataset(coder core.Coder, kind core.ColocationKind, nScenari
 		}
 	}
 	return out, nil
+}
+
+// Bootstrap trains pred on n labeled LS+SC colocations of two or three
+// workloads — what gsight-sim and gsight-serve do before they place
+// anything. ctx is checked between scenarios.
+func (g *Generator) Bootstrap(ctx context.Context, pred core.QoSPredictor, n int) error {
+	var ipcObs, jctObs []core.Observation
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		sc := g.Colocation(core.LSSC, 2+g.rnd.Intn(2))
+		samples, err := g.Label(sc)
+		if err != nil {
+			return fmt.Errorf("scenario: labeling: %w", err)
+		}
+		for _, s := range samples {
+			o := core.Observation{Target: s.Target, Inputs: s.Inputs, Label: s.Label}
+			switch s.Kind {
+			case core.IPCQoS:
+				ipcObs = append(ipcObs, o)
+			case core.JCTQoS:
+				jctObs = append(jctObs, o)
+			}
+		}
+	}
+	if err := pred.TrainObservations(core.IPCQoS, ipcObs); err != nil {
+		return fmt.Errorf("scenario: training: %w", err)
+	}
+	if len(jctObs) > 0 {
+		if err := pred.TrainObservations(core.JCTQoS, jctObs); err != nil {
+			return fmt.Errorf("scenario: training: %w", err)
+		}
+	}
+	return nil
 }
 
 // FastConfig reduces the co-execution resolution for bulk dataset

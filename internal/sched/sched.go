@@ -208,28 +208,31 @@ func (st *State) Commit(in core.WorkloadInput, sla SLA) {
 	st.Running = append(st.Running, Deployed{Input: in, SLA: sla})
 }
 
+// indexOf returns the first index of name in Running, -1 if absent —
+// the map lookup when counted, the legacy scan otherwise.
+func (st *State) indexOf(name string) int {
+	if st.counted {
+		if i, ok := st.nameIdx[name]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range st.Running {
+		if st.Running[i].Input.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Release removes the named workload from the state. With the cached
 // bookkeeping the name lookup is a map hit instead of a scan over
 // Running; the splice stays ordered either way because the running
 // set's iteration order feeds the predictor's colocation queries.
 func (st *State) Release(name string) bool {
-	i := -1
-	if st.counted {
-		idx, ok := st.nameIdx[name]
-		if !ok {
-			return false
-		}
-		i = idx
-	} else {
-		for j := range st.Running {
-			if st.Running[j].Input.Name == name {
-				i = j
-				break
-			}
-		}
-		if i == -1 {
-			return false
-		}
+	i := st.indexOf(name)
+	if i < 0 {
+		return false
 	}
 	d := &st.Running[i]
 	for f := range d.Input.Profiles {
@@ -272,14 +275,13 @@ func (st *State) ActiveServers() int {
 	return n
 }
 
-// Scheduler decides placements. Place consumes a read-only
-// ClusterView and must not mutate the cluster — applying the returned
-// placement is the caller's job (State.Commit directly, or a Txn
-// commit under concurrent placers).
+// Scheduler decides placements. Place reads st and must not mutate it
+// — applying the returned placement is the caller's job (State.Commit
+// directly, or a Txn commit under concurrent placers).
 type Scheduler interface {
 	Name() string
 	// Place returns a server index per function of req's workload.
-	Place(v ClusterView, req *Request) ([]int, error)
+	Place(st *State, req *Request) ([]int, error)
 }
 
 // memFits checks the incompressible resource: memory must fit; CPU may
@@ -407,15 +409,22 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// batchPredictor is how Gsight issues SLA checks: all checks of one
+// BatchPredictor is how Gsight issues SLA checks: all checks of one
 // candidate placement and QoS kind as a single batch. Results must be
 // bit-identical to per-query Predict calls (core.Predictor's contract).
-type batchPredictor interface {
+type BatchPredictor interface {
 	PredictBatchInto(kind core.QoSKind, queries []core.Query, out []float64) error
 }
 
-// loopBatch serves a QoSPredictor without a batch path (the baseline
-// predictors) one Predict per query.
+// AsBatch returns p's batch path, or, for a QoSPredictor without one
+// (the baseline predictors), an adapter issuing one Predict per query.
+func AsBatch(p core.QoSPredictor) BatchPredictor {
+	if bp, ok := p.(BatchPredictor); ok {
+		return bp
+	}
+	return loopBatch{p}
+}
+
 type loopBatch struct{ p core.QoSPredictor }
 
 func (l loopBatch) PredictBatchInto(kind core.QoSKind, queries []core.Query, out []float64) error {
@@ -427,6 +436,64 @@ func (l loopBatch) PredictBatchInto(kind core.QoSKind, queries []core.Query, out
 		out[i] = v
 	}
 	return nil
+}
+
+// decisionRecorder is the part of a scheduler that accounts for its
+// decisions: the instrument set and a scheduler-owned event so logging
+// allocates nothing. Embedded in every stock scheduler.
+type decisionRecorder struct {
+	name string // the scheduler's, set by instrument
+	ins  telemetry.SchedulerInstruments
+	ev   telemetry.PlacementDecision // reusable decision event
+}
+
+func (r *decisionRecorder) instrument(s *telemetry.Sink, name string) {
+	r.name = name
+	r.ins = s.Scheduler(name)
+}
+
+// finish records one decision — counters, the decision-log event and
+// req.Detail — and ends the span; beyond the Detail write it is a
+// no-op when uninstrumented. t0 is the two-tier context of a pruned
+// decision, nil otherwise.
+func (r *decisionRecorder) finish(span telemetry.Span, st *State, req *Request, placement []int, d PlacementDetail, t0 *tier0Scratch) {
+	r.ins.Placements.Inc()
+	if placement == nil {
+		r.ins.Failures.Inc()
+	}
+	if d.Outcome == "fallback" {
+		r.ins.Fallbacks.Inc()
+	}
+	r.ins.SearchIterations.Observe(float64(d.SpreadLevels))
+	r.ins.SLAChecks.Observe(float64(d.SLAChecks))
+	if r.ins.Decisions != nil {
+		r.ev = telemetry.PlacementDecision{
+			Scheduler:     r.name,
+			Workload:      req.Input.Name,
+			Class:         req.Input.Class.String(),
+			Functions:     len(req.Input.Profiles),
+			Servers:       st.NumServers(),
+			ActiveServers: st.ActiveServers(),
+			SpreadLevels:  d.SpreadLevels,
+			SLAChecks:     d.SLAChecks,
+			Outcome:       d.Outcome,
+			Reason:        d.Reason,
+			Placement:     placement,
+		}
+		if t0 != nil {
+			r.ev.Tier0 = true
+			r.ev.Tier0Kept = t0.kept
+			r.ev.Tier0Pruned = t0.pruned
+			if len(placement) > 0 {
+				r.ev.Tier0Score = t0.score[placement[0]]
+			}
+		}
+		r.ins.Decisions.Placement(&r.ev)
+	}
+	if req.Detail != nil {
+		*req.Detail = d
+	}
+	span.End()
 }
 
 // ---- Gsight binary-search scheduler (§4) ----
@@ -462,9 +529,8 @@ type Gsight struct {
 
 	scratch placeScratch
 	t0      tier0Scratch
-	ins     telemetry.SchedulerInstruments
 	t0ins   telemetry.Tier0Instruments
-	ev      telemetry.PlacementDecision // reusable decision event
+	decisionRecorder
 }
 
 // placeScratch is the per-scheduler reusable state of one Place call:
@@ -485,8 +551,8 @@ type placeScratch struct {
 	queries    []core.Query
 	preds      []float64
 	// candIPC/candJCT hold the latest SLA check's predictions for the
-	// candidate workload itself (inputs[0]); finish copies them into
-	// Request.Detail on an accepted placement.
+	// candidate workload itself (inputs[0]); an accepted placement
+	// reports them through Request.Detail.
 	candIPC float64
 	candJCT float64
 }
@@ -507,67 +573,32 @@ func (g *Gsight) Name() string { return "Gsight" }
 // counters register only when two-tier placement is configured, so
 // reports from runs without pruning keep their legacy metrics snapshot.
 func (g *Gsight) Instrument(s *telemetry.Sink) {
-	g.ins = s.Scheduler(g.Name())
+	g.instrument(s, g.Name())
 	if g.Tier0 != nil && g.TopK > 0 {
 		g.t0ins = s.SchedulerTier0(g.Name())
 	}
 }
 
-// finish records one decision into the instruments; a no-op when
-// uninstrumented. The event struct is scheduler-owned scratch so
-// logging allocates nothing.
-func (g *Gsight) finish(span telemetry.Span, st *State, req *Request, placement []int, iters, checks int, outcome, reason string) {
-	g.ins.Placements.Inc()
-	if placement == nil {
-		g.ins.Failures.Inc()
-	}
-	if outcome == "fallback" {
-		g.ins.Fallbacks.Inc()
-	}
-	g.ins.SearchIterations.Observe(float64(iters))
-	g.ins.SLAChecks.Observe(float64(checks))
-	if g.ins.Decisions != nil {
-		g.ev = telemetry.PlacementDecision{
-			Scheduler:     g.Name(),
-			Workload:      req.Input.Name,
-			Class:         req.Input.Class.String(),
-			Functions:     len(req.Input.Profiles),
-			Servers:       st.NumServers(),
-			ActiveServers: st.ActiveServers(),
-			SpreadLevels:  iters,
-			SLAChecks:     checks,
-			Outcome:       outcome,
-			Reason:        reason,
-			Placement:     placement,
-		}
-		if g.t0.active {
-			g.ev.Tier0 = true
-			g.ev.Tier0Kept = g.t0.kept
-			g.ev.Tier0Pruned = g.t0.pruned
-			if len(placement) > 0 {
-				g.ev.Tier0Score = g.t0.score[placement[0]]
-			}
-		}
-		g.ins.Decisions.Placement(&g.ev)
-	}
-	if req.Detail != nil {
-		*req.Detail = PlacementDetail{Outcome: outcome, Reason: reason, SpreadLevels: iters, SLAChecks: checks}
-		if outcome == "placed" {
-			req.Detail.PredIPC = g.scratch.candIPC
-			req.Detail.PredJCTS = g.scratch.candJCT
-		}
-	}
-	span.End()
-}
-
 // Place implements Scheduler.
-func (g *Gsight) Place(v ClusterView, req *Request) ([]int, error) {
-	st := viewState(v)
-	s := st.NumServers()
-	if s == 0 {
+func (g *Gsight) Place(st *State, req *Request) ([]int, error) {
+	if st.NumServers() == 0 {
 		return nil, fmt.Errorf("sched: empty cluster")
 	}
 	span := telemetry.StartSpan(g.ins.PlaceSeconds)
+	var d PlacementDetail
+	out, err := g.search(st, req, &d)
+	var t0 *tier0Scratch
+	if g.t0.active {
+		t0 = &g.t0
+	}
+	g.finish(span, st, req, out, d, t0)
+	return out, err
+}
+
+// search is the binary search over spatial overlap. It accounts for
+// the decision in d; Place records it.
+func (g *Gsight) search(st *State, req *Request, d *PlacementDetail) ([]int, error) {
+	s := st.NumServers()
 	// Candidate server order: online servers only, busiest (least free
 	// CPU) first — packing onto already-active servers minimizes
 	// active-server count.
@@ -580,7 +611,7 @@ func (g *Gsight) Place(v ClusterView, req *Request) ([]int, error) {
 	}
 	g.t0.active = false
 	if len(sc.order) == 0 {
-		g.finish(span, st, req, nil, 0, 0, "rejected", "no-fit")
+		d.Outcome, d.Reason = "rejected", "no-fit"
 		return nil, fmt.Errorf("%w: no online servers", ErrNoPlacement)
 	}
 	// Sort keys are cached per server id before sorting: Free() costs a
@@ -632,20 +663,18 @@ func (g *Gsight) Place(v ClusterView, req *Request) ([]int, error) {
 
 	online := len(sc.order)
 	var lastErr, fullErr error
-	iters, checks := 0, 0
-	reason := ""
 	for k := 1; ; k *= 2 {
 		if k > online {
 			k = online
 		}
-		iters++
+		d.SpreadLevels++
 		placement, err := g.candidate(st, req, sc.order[:k])
 		if k == online {
 			fullErr = err
 		}
 		if err == nil {
 			ok, n, err := g.satisfies(st, req, placement)
-			checks += n
+			d.SLAChecks += n
 			if err != nil {
 				// The predictor cannot vet the candidate. With a
 				// fallback policy the request is still served —
@@ -655,23 +684,23 @@ func (g *Gsight) Place(v ClusterView, req *Request) ([]int, error) {
 					out, ferr := fallbackPlace(g.Fallback, st, req)
 					if ferr == nil {
 						g.ins.Fallbacks.Inc()
-						g.finish(span, st, req, out, iters, checks, "degraded", "predictor-error")
+						d.Outcome, d.Reason = "degraded", "predictor-error"
 						return out, nil
 					}
 				}
-				g.finish(span, st, req, nil, iters, checks, "error", "predictor-error")
+				d.Outcome, d.Reason = "error", "predictor-error"
 				return nil, err
 			}
 			if ok {
-				out := append([]int(nil), placement...)
-				g.finish(span, st, req, out, iters, checks, "placed", "")
-				return out, nil
+				d.Outcome, d.Reason = "placed", ""
+				d.PredIPC, d.PredJCTS = sc.candIPC, sc.candJCT
+				return append([]int(nil), placement...), nil
 			}
 			g.ins.SLARejections.Inc()
-			reason = "sla-violated"
+			d.Reason = "sla-violated"
 			lastErr = fmt.Errorf("SLA violated at spread %d", k)
 		} else {
-			reason = "no-fit"
+			d.Reason = "no-fit"
 			lastErr = err
 		}
 		if k == online {
@@ -685,12 +714,11 @@ func (g *Gsight) Place(v ClusterView, req *Request) ([]int, error) {
 	// re-evaluation of the same server set is skipped: degraded paths no
 	// longer pay a second headroom scan for a result that cannot differ.
 	if fullErr != nil {
-		g.finish(span, st, req, nil, iters, checks, "rejected", reason)
+		d.Outcome = "rejected"
 		return nil, fmt.Errorf("%w: %v", ErrNoPlacement, lastErr)
 	}
-	out := append([]int(nil), sc.placement...)
-	g.finish(span, st, req, out, iters, checks, "fallback", reason)
-	return out, nil
+	d.Outcome = "fallback"
+	return append([]int(nil), sc.placement...), nil
 }
 
 // fallbackPlace dispatches a degraded-mode placement. The stock
@@ -820,10 +848,7 @@ func needsJCT(inputs []core.WorkloadInput, slas []SLA, durations []float64, i in
 // PredictBatchInto call each; a batch error other than
 // ErrTooManyServers is the caller's predictor error.
 func (g *Gsight) checkAll(inputs []core.WorkloadInput, slas []SLA, durations []float64) (bool, int, error) {
-	bp, ok := g.Predictor.(batchPredictor)
-	if !ok {
-		bp = loopBatch{g.Predictor}
-	}
+	bp := AsBatch(g.Predictor)
 	sc := &g.scratch
 	sc.candIPC, sc.candJCT = 0, 0
 	sc.queries = sc.queries[:0]
@@ -897,8 +922,7 @@ type BestFit struct {
 	free   []resources.Vector
 	inputs []core.WorkloadInput
 	spread WorstFit // SLA-violation fallback, reused across calls
-	ins    telemetry.SchedulerInstruments
-	ev     telemetry.PlacementDecision
+	decisionRecorder
 }
 
 // NewBestFit returns Pythia's placement policy around a predictor:
@@ -913,45 +937,19 @@ func NewBestFit(p core.QoSPredictor) *BestFit {
 func (b *BestFit) Name() string { return "BestFit" }
 
 // Instrument attaches a telemetry sink (Nop-safe, decision-neutral).
-func (b *BestFit) Instrument(s *telemetry.Sink) { b.ins = s.Scheduler(b.Name()) }
-
-// finish records one decision; a no-op when uninstrumented.
-func (b *BestFit) finish(span telemetry.Span, st *State, req *Request, placement []int, checks int, outcome, reason string) {
-	b.ins.Placements.Inc()
-	if placement == nil {
-		b.ins.Failures.Inc()
-	}
-	if outcome == "fallback" {
-		b.ins.Fallbacks.Inc()
-	}
-	b.ins.SearchIterations.Observe(1)
-	b.ins.SLAChecks.Observe(float64(checks))
-	if b.ins.Decisions != nil {
-		b.ev = telemetry.PlacementDecision{
-			Scheduler:     b.Name(),
-			Workload:      req.Input.Name,
-			Class:         req.Input.Class.String(),
-			Functions:     len(req.Input.Profiles),
-			Servers:       st.NumServers(),
-			ActiveServers: st.ActiveServers(),
-			SpreadLevels:  1,
-			SLAChecks:     checks,
-			Outcome:       outcome,
-			Reason:        reason,
-			Placement:     placement,
-		}
-		b.ins.Decisions.Placement(&b.ev)
-	}
-	if req.Detail != nil {
-		*req.Detail = PlacementDetail{Outcome: outcome, Reason: reason, SpreadLevels: 1, SLAChecks: checks}
-	}
-	span.End()
-}
+func (b *BestFit) Instrument(s *telemetry.Sink) { b.instrument(s, b.Name()) }
 
 // Place implements Scheduler.
-func (b *BestFit) Place(v ClusterView, req *Request) ([]int, error) {
-	st := viewState(v)
+func (b *BestFit) Place(st *State, req *Request) ([]int, error) {
 	span := telemetry.StartSpan(b.ins.PlaceSeconds)
+	d := PlacementDetail{SpreadLevels: 1}
+	out, err := b.search(st, req, &d)
+	b.finish(span, st, req, out, d, nil)
+	return out, err
+}
+
+// search is the best-fit packing; it accounts for the decision in d.
+func (b *BestFit) search(st *State, req *Request, d *PlacementDetail) ([]int, error) {
 	in := &req.Input
 	n := len(in.Profiles)
 	placement := make([]int, n)
@@ -978,7 +976,7 @@ func (b *BestFit) Place(v ClusterView, req *Request) ([]int, error) {
 			}
 		}
 		if best == -1 {
-			b.finish(span, st, req, nil, 0, "rejected", "no-fit")
+			d.Outcome, d.Reason = "rejected", "no-fit"
 			return nil, fmt.Errorf("%w: best fit found no server for function %d", ErrNoPlacement, f)
 		}
 		placement[f] = best
@@ -988,26 +986,24 @@ func (b *BestFit) Place(v ClusterView, req *Request) ([]int, error) {
 		cand := req.Input
 		cand.Placement = placement
 		b.inputs = append(b.inputs[:0], cand)
-		for _, d := range st.Running {
-			b.inputs = append(b.inputs, d.Input)
+		for i := range st.Running {
+			b.inputs = append(b.inputs, st.Running[i].Input)
 		}
+		d.SLAChecks = 1
 		ipc, err := b.Predictor.Predict(core.IPCQoS, 0, b.inputs)
 		if err == nil && ipc < req.SLA.MinIPC {
 			// Pythia's reaction: spread to the emptiest servers.
 			b.ins.SLARejections.Inc()
 			b.spread.CPUOversub = b.CPUOversub
+			d.Outcome, d.Reason = "fallback", "sla-violated"
 			spreadPlacement, err := b.spread.Place(st, req)
 			if err != nil {
-				b.finish(span, st, req, nil, 1, "rejected", "sla-violated")
-			} else {
-				b.finish(span, st, req, spreadPlacement, 1, "fallback", "sla-violated")
+				d.Outcome = "rejected"
 			}
 			return spreadPlacement, err
 		}
-		b.finish(span, st, req, placement, 1, "placed", "")
-		return placement, nil
 	}
-	b.finish(span, st, req, placement, 0, "placed", "")
+	d.Outcome = "placed"
 	return placement, nil
 }
 
@@ -1020,8 +1016,7 @@ type WorstFit struct {
 
 	free    []resources.Vector
 	fnOrder []int
-	ins     telemetry.SchedulerInstruments
-	ev      telemetry.PlacementDecision
+	decisionRecorder
 }
 
 // NewWorstFit returns the spreading strawman (request-based capacity).
@@ -1031,41 +1026,22 @@ func NewWorstFit() *WorstFit { return &WorstFit{CPUOversub: 1.0} }
 func (w *WorstFit) Name() string { return "WorstFit" }
 
 // Instrument attaches a telemetry sink (Nop-safe, decision-neutral).
-func (w *WorstFit) Instrument(s *telemetry.Sink) { w.ins = s.Scheduler(w.Name()) }
-
-// finish records one decision; a no-op when uninstrumented.
-func (w *WorstFit) finish(span telemetry.Span, st *State, req *Request, placement []int, outcome, reason string) {
-	w.ins.Placements.Inc()
-	if placement == nil {
-		w.ins.Failures.Inc()
-	}
-	w.ins.SearchIterations.Observe(1)
-	w.ins.SLAChecks.Observe(0)
-	if w.ins.Decisions != nil {
-		w.ev = telemetry.PlacementDecision{
-			Scheduler:     w.Name(),
-			Workload:      req.Input.Name,
-			Class:         req.Input.Class.String(),
-			Functions:     len(req.Input.Profiles),
-			Servers:       st.NumServers(),
-			ActiveServers: st.ActiveServers(),
-			SpreadLevels:  1,
-			Outcome:       outcome,
-			Reason:        reason,
-			Placement:     placement,
-		}
-		w.ins.Decisions.Placement(&w.ev)
-	}
-	if req.Detail != nil {
-		*req.Detail = PlacementDetail{Outcome: outcome, Reason: reason, SpreadLevels: 1}
-	}
-	span.End()
-}
+func (w *WorstFit) Instrument(s *telemetry.Sink) { w.instrument(s, w.Name()) }
 
 // Place implements Scheduler.
-func (w *WorstFit) Place(v ClusterView, req *Request) ([]int, error) {
-	st := viewState(v)
+func (w *WorstFit) Place(st *State, req *Request) ([]int, error) {
 	span := telemetry.StartSpan(w.ins.PlaceSeconds)
+	d := PlacementDetail{Outcome: "placed", SpreadLevels: 1}
+	out, err := w.search(st, req)
+	if err != nil {
+		d.Outcome, d.Reason = "rejected", "no-fit"
+	}
+	w.finish(span, st, req, out, d, nil)
+	return out, err
+}
+
+// search is the worst-fit spreading.
+func (w *WorstFit) search(st *State, req *Request) ([]int, error) {
 	in := &req.Input
 	n := len(in.Profiles)
 	placement := make([]int, n)
@@ -1103,13 +1079,11 @@ func (w *WorstFit) Place(v ClusterView, req *Request) ([]int, error) {
 			}
 		}
 		if best == -1 {
-			w.finish(span, st, req, nil, "rejected", "no-fit")
 			return nil, fmt.Errorf("%w: worst fit found no server for function %d", ErrNoPlacement, f)
 		}
 		placement[f] = best
 		w.free[best] = w.free[best].Sub(alloc).Clamped()
 	}
-	w.finish(span, st, req, placement, "placed", "")
 	return placement, nil
 }
 

@@ -10,175 +10,95 @@ import (
 	"gsight/internal/resources"
 )
 
-// This file implements sharded shared-state scheduling: the scale path
-// that takes the paper's 8-node placement search to thousands of
-// servers without giving up the repository's determinism contract.
+// This file implements shared-state scheduling at scale: the path that
+// takes the paper's 8-node placement search to thousands of servers
+// without giving up the repository's determinism contract.
 //
 // The design follows the shared-state optimistic concurrency of
 // cluster schedulers like Omega and arktos' partitioned global
-// scheduler: placements are proposed against a read-only snapshot
-// (ClusterView) and applied through a commit step that detects
-// conflicting intervening commits by epoch comparison. Three layers:
+// scheduler: placements are proposed against a frozen state and applied
+// through a commit step that detects intervening commits at the
+// granularity of the resource claimed. Three layers:
 //
-//   - ShardedState wraps one State with per-server epoch stamps plus
-//     per-shard epoch summaries over N contiguous cells of the server
-//     set. Every mutation (Commit/Release/SetOffline/SetCap) bumps the
-//     epochs of the servers it touches.
+//   - ShardedState is one State plus one stamp per server: every
+//     mutation (Commit/Release/SetOffline/SetCap) advances the commit
+//     sequence number and stamps the servers it touches with it.
 //   - Txn is one optimistic placement: Propose places against a
-//     bounded window of the cluster, recording the epochs it read;
-//     Commit re-checks those epochs and applies the placement, or
-//     fails with ErrTxnConflict so the caller retries against the
-//     refreshed state.
-//   - PlacerPool drains a request queue with K concurrent placer
-//     workers in deterministic bulk-synchronous rounds: parallel
-//     propose against the frozen state, then serial commits in
-//     request-seq order. Conflicts resolve by the (epoch, request-seq)
-//     tie-break — the earliest sequence number always commits clean,
-//     which both guarantees progress and makes same-seed runs
-//     byte-identical at any shard and worker count.
+//     bounded window of the cluster and remembers the sequence number
+//     it read at; Commit applies the placement unless a server of the
+//     accepted window carries a later stamp, in which case it fails
+//     with ErrTxnConflict and the caller re-proposes.
+//   - PlacerPool places a batch with K workers: one parallel propose
+//     phase against the frozen state, then one serial commit pass in
+//     request order that re-proposes a stale proposal on the spot. The
+//     result is serial Propose+Commit in request order by
+//     construction, at any worker count and any batch split.
 //
-// Windows, not shards, bound a proposal's view: a request hashes to a
-// preferred start position and is first offered a windowBase-server
-// window from there, doubling ("spilling to neighbors") whenever the
-// window has no feasible, SLA-clean placement, until the window covers
-// the cluster. The window geometry is deliberately expressed in
-// servers rather than shard multiples so decisions do not depend on
-// the shard count — shards partition only the epoch bookkeeping, and
-// the per-server stamps keep conflict detection exact at any
-// granularity. At cluster sizes up to windowBase the first window is
-// already the full view, so testbed-size runs execute the legacy
-// single-state search instruction for instruction.
+// Windows bound a proposal's reads: a request hashes to a preferred
+// start position and is first offered a windowBase-server window from
+// there, doubling ("spilling to neighbors") whenever the window has no
+// feasible, SLA-clean placement, until the window covers the cluster.
+// Every narrower window the ladder tried lies inside the accepted one,
+// so the accepted window's stamps cover everything the proposal read.
+// At cluster sizes up to windowBase the first window is already the
+// full view, so testbed-size runs execute the single-state search
+// instruction for instruction.
 
 // windowBase is the initial placement window width. It equals the
 // paper's testbed size, so clusters up to 8 servers place against the
 // full view on the first attempt (the legacy-equivalence anchor).
 const windowBase = 8
 
-// maxTxnAttempts bounds how many times a request is re-proposed after
-// commit-time conflicts before it is rejected with ErrNoPlacement.
-const maxTxnAttempts = 8
-
 // ErrTxnConflict reports a stale transaction: between Propose and
-// Commit another commit touched a server the proposal read. The caller
-// re-proposes against the refreshed state (bounded by maxTxnAttempts).
-var ErrTxnConflict = errors.New("sched: transaction conflict (stale epoch)")
+// Commit a mutation touched a server the proposal read. The caller
+// re-proposes against the current state.
+var ErrTxnConflict = errors.New("sched: transaction conflict (stale stamp)")
 
-// ShardedState is the scalable scheduler state: one backing State
-// (identical arithmetic to the legacy path — shards=1 runs are
-// bit-identical to direct State use) plus epoch bookkeeping for
-// optimistic concurrency. All mutating methods are serial-commit
+// ShardedState is the shared scheduler state: one backing State
+// (identical arithmetic to direct State use) plus one stamp per server
+// for optimistic concurrency. All mutating methods are serial-commit
 // entry points; concurrent proposals are read-only.
 type ShardedState struct {
-	st      State
-	shards  int
-	epochs  []uint64 // per-shard epoch summary (max of member servers)
-	sepochs []uint64 // per-server epoch stamps (exact conflict unit)
-	seq     uint64   // commit sequence number, bumped by every mutation
+	st     State
+	stamps []uint64 // stamps[s] is seq at the last mutation touching s
+	seq    uint64   // commit sequence number, bumped by every mutation
 
 	scr txnScratch // serial Propose scratch (not used by Begin/pool)
 }
 
-// NewShardedState builds a sharded state over the given capacities.
-// shards is clamped to [1, len(caps)].
-func NewShardedState(caps []resources.Vector, shards int) *ShardedState {
-	n := len(caps)
-	if shards < 1 {
-		shards = 1
-	}
-	if n > 0 && shards > n {
-		shards = n
-	}
-	ss := &ShardedState{
-		st: State{
-			Caps: append([]resources.Vector(nil), caps...),
-			Used: make([]resources.Vector, n),
-		},
-		shards:  shards,
-		epochs:  make([]uint64, shards),
-		sepochs: make([]uint64, n),
-	}
+// ShardedStateFromProfiles builds a shared state over n servers of the
+// given spec, mirroring StateFromProfiles. The third argument is
+// ignored: it was a shard count, kept only because the frozen
+// benchmark/ module passes one (ROADMAP item 4, the shim bullet).
+func ShardedStateFromProfiles(spec resources.ServerSpec, n int, _ int) *ShardedState {
+	ss := &ShardedState{st: *StateFromProfiles(spec, n), stamps: make([]uint64, n)}
 	ss.st.Recount()
 	return ss
-}
-
-// ShardedStateFromProfiles is the profile-spec convenience mirroring
-// StateFromProfiles.
-func ShardedStateFromProfiles(spec resources.ServerSpec, n, shards int) *ShardedState {
-	caps := make([]resources.Vector, n)
-	for i := range caps {
-		caps[i] = spec.Capacity
-	}
-	return NewShardedState(caps, shards)
 }
 
 // Base exposes the backing State for read access and for the recovery
 // paths that patch state in place (checkpoint restore, post-crash
 // refresh). After mutating Base()'s fields directly, call Recount —
-// both the cached counts and the epoch stamps must be refreshed.
+// both the cached counts and the stamps must be refreshed.
 func (ss *ShardedState) Base() *State { return &ss.st }
 
-// Shards returns the shard count.
-func (ss *ShardedState) Shards() int { return ss.shards }
-
-// ShardOf maps a server index to its shard (contiguous balanced
-// cells).
-func (ss *ShardedState) ShardOf(s int) int { return s * ss.shards / len(ss.st.Caps) }
-
-// Seq returns the commit sequence number (serialized in checkpoints).
-func (ss *ShardedState) Seq() uint64 { return ss.seq }
-
-// Epoch returns shard sh's current epoch.
-func (ss *ShardedState) Epoch(sh int) uint64 { return ss.epochs[sh] }
-
-// RawEpochs copies out the per-shard epochs for serialization.
-func (ss *ShardedState) RawEpochs() []uint64 {
-	return append([]uint64(nil), ss.epochs...)
-}
-
-// RestoreEpochs reinstates serialized epoch state after a checkpoint
-// restore. A nil or mismatched epochs slice (older snapshot, different
-// shard flag) degrades safely: every epoch is reset to seq, which
-// invalidates nothing because no proposal survives a restore.
-func (ss *ShardedState) RestoreEpochs(epochs []uint64, seq uint64) {
-	ss.seq = seq
-	if len(epochs) == ss.shards {
-		copy(ss.epochs, epochs)
-	} else {
-		for i := range ss.epochs {
-			ss.epochs[i] = seq
-		}
-	}
-	for i := range ss.sepochs {
-		ss.sepochs[i] = seq
-	}
-}
-
 // Recount refreshes the cached counts after direct surgery on Base()
-// and advances every epoch (the surgery invalidates any outstanding
+// and restamps every server (the surgery invalidates any outstanding
 // proposal).
 func (ss *ShardedState) Recount() {
 	ss.st.Recount()
 	ss.seq++
-	for i := range ss.epochs {
-		ss.epochs[i] = ss.seq
-	}
-	for i := range ss.sepochs {
-		ss.sepochs[i] = ss.seq
+	for i := range ss.stamps {
+		ss.stamps[i] = ss.seq
 	}
 }
 
-// touch stamps server s with the current sequence number.
-func (ss *ShardedState) touch(s int) {
-	ss.sepochs[s] = ss.seq
-	ss.epochs[ss.ShardOf(s)] = ss.seq
-}
-
-// Commit applies a placement — legacy State.Commit plus epoch stamps
-// on the touched servers.
+// Commit applies a placement — State.Commit plus stamps on the touched
+// servers.
 func (ss *ShardedState) Commit(in core.WorkloadInput, sla SLA) {
 	ss.seq++
 	for f := range in.Profiles {
-		ss.touch(in.Placement[f])
+		ss.stamps[in.Placement[f]] = ss.seq
 	}
 	ss.st.Commit(in, sla)
 }
@@ -196,7 +116,7 @@ func (ss *ShardedState) Release(name string) bool {
 	ss.seq++
 	d := &ss.st.Running[i]
 	for f := range d.Input.Profiles {
-		ss.touch(d.Input.Placement[f])
+		ss.stamps[d.Input.Placement[f]] = ss.seq
 	}
 	return ss.st.Release(name)
 }
@@ -204,7 +124,7 @@ func (ss *ShardedState) Release(name string) bool {
 // SetOffline cordons or restores server s, stamping it.
 func (ss *ShardedState) SetOffline(s int, down bool) {
 	ss.seq++
-	ss.touch(s)
+	ss.stamps[s] = ss.seq
 	ss.st.SetOffline(s, down)
 }
 
@@ -212,45 +132,19 @@ func (ss *ShardedState) SetOffline(s int, down bool) {
 // stamping it.
 func (ss *ShardedState) SetCap(s int, v resources.Vector) {
 	ss.seq++
-	ss.touch(s)
+	ss.stamps[s] = ss.seq
 	ss.st.Caps[s] = v
 }
 
-// ClusterView delegation: schedulers handed a *ShardedState read the
-// backing state directly (viewState short-circuits the interface).
+// Read-only conveniences for the controllers that hold a
+// *ShardedState; schedulers read Base() directly.
 
 func (ss *ShardedState) NumServers() int                  { return ss.st.NumServers() }
-func (ss *ShardedState) Capacity(s int) resources.Vector  { return ss.st.Caps[s] }
 func (ss *ShardedState) Allocated(s int) resources.Vector { return ss.st.Used[s] }
 func (ss *ShardedState) Free(s int) resources.Vector      { return ss.st.Free(s) }
 func (ss *ShardedState) Online(s int) bool                { return ss.st.Online(s) }
-func (ss *ShardedState) OnlineServers() int               { return ss.st.OnlineServers() }
 func (ss *ShardedState) ActiveServers() int               { return ss.st.ActiveServers() }
 func (ss *ShardedState) NumRunning() int                  { return len(ss.st.Running) }
-func (ss *ShardedState) RunningAt(i int) Deployed         { return ss.st.Running[i] }
-func (ss *ShardedState) sealed()                          {}
-
-var (
-	_ ClusterView = (*State)(nil)
-	_ ClusterView = (*ShardedState)(nil)
-)
-
-// indexOf returns the first index of name in Running, -1 if absent —
-// the map lookup when counted, the legacy scan otherwise.
-func (st *State) indexOf(name string) int {
-	if st.counted {
-		if i, ok := st.nameIdx[name]; ok {
-			return i
-		}
-		return -1
-	}
-	for i := range st.Running {
-		if st.Running[i].Input.Name == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // txnScratch is the reusable workspace of one proposal ladder: the
 // projected window sub-state, the placement-translation arena and the
@@ -263,18 +157,16 @@ type txnScratch struct {
 }
 
 // Txn is one optimistic placement transaction. Propose records what
-// was read (window plus epoch stamps); Commit validates and applies.
-// A Txn is single-use per Propose: re-proposing after a conflict
-// overwrites it in place.
+// was read (the accepted window and the sequence number it was read
+// at); Commit validates and applies. A Txn is single-use per Propose:
+// re-proposing after a conflict overwrites it in place.
 type Txn struct {
 	ss  *ShardedState
 	req *Request
 	scr *txnScratch // standalone transactions own scratch; pool txns borrow the worker's
 
-	start, width int      // accepted window ([0,n) when full view)
-	stamps       []uint64 // per-server epochs read, window order
-	shardBase    int      // shard of start
-	shardStamps  []uint64 // per-shard epochs read, cell order from shardBase
+	start, width int    // accepted window ([0,n) when full view)
+	seq          uint64 // state sequence number the window was read at
 
 	placement []int
 	outcome   string
@@ -288,17 +180,16 @@ func (ss *ShardedState) Begin() *Txn {
 	return &Txn{ss: ss, scr: &txnScratch{}}
 }
 
-// Propose places req through s against the current state, recording
-// the epochs read. It returns the proposed global placement; Commit
-// applies it.
+// Propose places req through s against the current state. It returns
+// the proposed global placement; Commit applies it.
 func (t *Txn) Propose(s Scheduler, req *Request) ([]int, error) {
-	t.ss.propose(s, req, t.scr, t, true)
+	t.ss.propose(s, req, t.scr, t)
 	return t.placement, t.err
 }
 
-// Commit validates the proposal's epoch stamps and applies the
-// placement. ErrTxnConflict means another commit touched the window
-// since Propose — re-propose and retry (bounded by the caller).
+// Commit applies the proposed placement unless the state moved under
+// it. ErrTxnConflict means a mutation touched the accepted window
+// since Propose — re-propose and retry.
 func (t *Txn) Commit() error {
 	if t.err != nil {
 		return t.err
@@ -306,7 +197,7 @@ func (t *Txn) Commit() error {
 	if t.committed {
 		return fmt.Errorf("sched: transaction already committed")
 	}
-	if !t.ss.validate(t) {
+	if !t.ss.fresh(t) {
 		return ErrTxnConflict
 	}
 	in := t.req.Input
@@ -317,19 +208,18 @@ func (t *Txn) Commit() error {
 }
 
 // Propose is the serial placement entry point the platform runner
-// uses: the window ladder without transaction stamps (the caller
-// commits directly; with no concurrent committers there is nothing to
-// validate). At testbed sizes this is exactly a legacy s.Place against
-// the backing state, and it adds no allocations to that path.
+// uses: the window ladder with the caller committing directly. At
+// testbed sizes this is exactly s.Place against the backing state, and
+// it adds no allocations to that path.
 func (ss *ShardedState) Propose(s Scheduler, req *Request) ([]int, error) {
 	var t Txn
-	ss.propose(s, req, &ss.scr, &t, false)
+	ss.propose(s, req, &ss.scr, &t)
 	return t.placement, t.err
 }
 
 // fnv32 is FNV-1a — the request-to-window hash. It depends only on
 // the workload name, so a request targets the same home window at any
-// shard or worker count.
+// worker count.
 func fnv32(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -340,8 +230,7 @@ func fnv32(s string) uint32 {
 }
 
 // propose runs the window ladder for one request and fills t with the
-// outcome. capture records epoch stamps for Commit-time validation
-// (skipped on the serial path).
+// outcome, the accepted window and the sequence number it was read at.
 //
 // Ladder policy: start at the request's home window; widen on
 // ErrNoPlacement (nothing fits / every feasible spread violates an
@@ -352,13 +241,8 @@ func fnv32(s string) uint32 {
 // like) bubble to the caller, whose degraded-mode policy is not the
 // ladder's business. Once the window covers the cluster the decision
 // is final either way.
-func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *Txn, capture bool) {
-	t.ss = ss
-	t.req = req
-	t.placement = nil
-	t.outcome = ""
-	t.err = nil
-	t.committed = false
+func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *Txn) {
+	*t = Txn{ss: ss, req: req, scr: t.scr, seq: ss.seq}
 	n := ss.st.NumServers()
 	if n == 0 {
 		t.err = fmt.Errorf("sched: empty cluster")
@@ -378,11 +262,8 @@ func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *T
 		if w >= n {
 			// Full view: place directly against the backing state.
 			t.start, t.width = 0, n
-			out, err := s.Place(&ss.st, req)
-			t.placement, t.err, t.outcome = out, err, req.Detail.Outcome
-			if capture && t.err == nil {
-				ss.capture(t)
-			}
+			t.placement, t.err = s.Place(&ss.st, req)
+			t.outcome = req.Detail.Outcome
 			return
 		}
 		t.start, t.width = h, w
@@ -408,9 +289,6 @@ func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *T
 			out[f] = g
 		}
 		t.placement, t.outcome = out, req.Detail.Outcome
-		if capture {
-			ss.capture(t)
-		}
 		return
 	}
 }
@@ -471,102 +349,42 @@ func (scr *txnScratch) project(ss *ShardedState, h, w int) {
 	}
 }
 
-// cellEnd returns the first server index of shard sh+1 (== n for the
-// last shard).
-func (ss *ShardedState) cellEnd(sh int) int {
-	n := len(ss.st.Caps)
-	return ((sh+1)*n + ss.shards - 1) / ss.shards
-}
-
-// capture records the epoch stamps of every server (and shard cell)
-// the accepted window read.
-func (ss *ShardedState) capture(t *Txn) {
-	n := len(ss.st.Caps)
-	t.stamps = resize(t.stamps, t.width)
-	t.shardBase = ss.ShardOf(t.start % n)
-	t.shardStamps = t.shardStamps[:0]
-	i := 0
-	for i < t.width {
+// fresh reports whether no server of t's accepted window was touched
+// since the proposal read it. The stamps are exact: a conflict is
+// declared if and only if a server the proposal read was mutated.
+func (ss *ShardedState) fresh(t *Txn) bool {
+	n := len(ss.stamps)
+	for i := 0; i < t.width; i++ {
 		g := t.start + i
 		if g >= n {
 			g -= n
 		}
-		sh := ss.ShardOf(g)
-		rel := sh - t.shardBase
-		if rel < 0 {
-			rel += ss.shards
+		if ss.stamps[g] > t.seq {
+			return false
 		}
-		if rel == len(t.shardStamps) {
-			t.shardStamps = append(t.shardStamps, ss.epochs[sh])
-		}
-		span := ss.cellEnd(sh) - g
-		if span > t.width-i {
-			span = t.width - i
-		}
-		for k := 0; k < span; k++ {
-			gg := g + k // within one cell, no wrap
-			t.stamps[i+k] = ss.sepochs[gg]
-		}
-		i += span
-	}
-}
-
-// validate re-checks a proposal's stamps against the current epochs.
-// Per-shard epochs are the fast filter — an untouched cell is skipped
-// in one comparison — and the per-server stamps decide exactly, so
-// the verdict is independent of the shard count: a conflict is
-// declared if and only if a server the proposal read was touched.
-func (ss *ShardedState) validate(t *Txn) bool {
-	n := len(ss.st.Caps)
-	i := 0
-	for i < t.width {
-		g := t.start + i
-		if g >= n {
-			g -= n
-		}
-		sh := ss.ShardOf(g)
-		rel := sh - t.shardBase
-		if rel < 0 {
-			rel += ss.shards
-		}
-		span := ss.cellEnd(sh) - g
-		if span > t.width-i {
-			span = t.width - i
-		}
-		if ss.epochs[sh] != t.shardStamps[rel] {
-			for k := 0; k < span; k++ {
-				if ss.sepochs[g+k] != t.stamps[i+k] {
-					return false
-				}
-			}
-		}
-		i += span
 	}
 	return true
 }
 
-// PlaceResult is one request's outcome from a PlacerPool drain.
+// PlaceResult is one request's outcome from PlacerPool.PlaceAll.
 type PlaceResult struct {
 	// Placement holds global server indices; nil when Err is set.
 	Placement []int
-	Err       error
-	// Outcome mirrors PlacementDetail.Outcome for the final attempt.
+	// Err is the scheduler's own error for this request, if any.
+	Err error
+	// Outcome mirrors PlacementDetail.Outcome.
 	Outcome string
-	// Retries counts commit-time conflicts before the final verdict.
+	// Retries is 1 when the parallel proposal went stale and the
+	// request was re-proposed in the commit pass, 0 otherwise.
 	Retries int
-	// Window is the accepted view width (NumServers for a full view).
-	Window int
-	// Seq is the commit sequence number of the applied placement.
-	Seq uint64
 }
 
-// PlacerPool drains placement queues with K concurrent workers over
+// PlacerPool places request batches with K concurrent workers over
 // one ShardedState. Each worker owns a scheduler instance (from the
 // factory — scheduler scratch is not goroutine-safe, predictors may
 // be shared) and a proposal scratch.
 type PlacerPool struct {
 	ss      *ShardedState
-	workers int
 	scheds  []Scheduler
 	scratch []txnScratch
 }
@@ -579,7 +397,6 @@ func NewPlacerPool(ss *ShardedState, workers int, factory func() Scheduler) *Pla
 	}
 	p := &PlacerPool{
 		ss:      ss,
-		workers: workers,
 		scheds:  make([]Scheduler, workers),
 		scratch: make([]txnScratch, workers),
 	}
@@ -589,112 +406,62 @@ func NewPlacerPool(ss *ShardedState, workers int, factory func() Scheduler) *Pla
 	return p
 }
 
-// Workers returns the worker count.
-func (p *PlacerPool) Workers() int { return p.workers }
-
-// PlaceAll drains the request queue: placements are proposed in
-// parallel and committed serially, and the returned results line up
-// with reqs. The run is deterministic at any worker count:
+// PlaceAll places reqs and returns results lined up with them. The
+// outcome — placements, errors, final state — is that of serial
+// Propose+Commit over reqs in order, at any worker count and however a
+// request stream is cut into batches:
 //
-//   - Rounds are bulk-synchronous. During a round's propose phase the
-//     state is frozen, so every proposal is a pure function of
-//     (round-start state, request) — which worker computes it cannot
-//     matter.
-//   - Commits apply in ascending request order (the request-seq half
-//     of the (epoch, request-seq) tie-break). A proposal whose stamps
-//     went stale — an earlier request touched its window this round —
-//     re-enters the next round; after maxTxnAttempts conflicts it is
-//     rejected with ErrNoPlacement.
-//   - The earliest pending request always validates against the
-//     round-start state it was proposed on, so every round retires at
-//     least one request: the drain terminates without timeouts.
+//   - Propose phase: the workers propose every request against the
+//     frozen state. A proposal is a pure function of (state, request),
+//     so which worker computes it cannot matter.
+//   - Commit pass: serial, in request order. A proposal whose window no
+//     earlier request of the batch touched is, by that purity, exactly
+//     what a serial run would have computed here, and is applied as
+//     it stands. A stale one is re-proposed on the spot against the
+//     current state — the serial computation itself — and applied.
 //
-// Accepted placements are committed into the pool's ShardedState
-// before PlaceAll returns; rejections and scheduler errors are final.
+// No request fails for contention: the only errors are the
+// scheduler's own. Accepted placements are committed into the pool's
+// ShardedState before PlaceAll returns.
 func (p *PlacerPool) PlaceAll(reqs []*Request) []PlaceResult {
-	n := len(reqs)
-	results := make([]PlaceResult, n)
-	if n == 0 {
-		return results
-	}
-	txns := make([]Txn, n)
-	attempts := make([]int, n)
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		// Propose phase: workers drain the pending queue through an
-		// atomic cursor. Assignment order is irrelevant (proposals are
-		// pure reads of the frozen state into per-request slots).
-		nw := p.workers
-		if nw > len(pending) {
-			nw = len(pending)
+	results := make([]PlaceResult, len(reqs))
+	txns := make([]Txn, len(reqs))
+	if nw := min(len(p.scheds), len(reqs)); nw <= 1 {
+		for i, req := range reqs {
+			p.ss.propose(p.scheds[0], req, &p.scratch[0], &txns[i])
 		}
-		if nw == 1 {
-			for _, seq := range pending {
-				p.ss.propose(p.scheds[0], reqs[seq], &p.scratch[0], &txns[seq], true)
-			}
-		} else {
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(pending) {
-							return
-						}
-						seq := pending[i]
-						p.ss.propose(p.scheds[w], reqs[seq], &p.scratch[w], &txns[seq], true)
+	} else {
+		// Workers drain the batch through an atomic cursor into
+		// per-request slots; assignment order is irrelevant.
+		var cursor atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < nw; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for {
+					i := int(cursor.Add(1)) - 1
+					if i >= len(reqs) {
+						return
 					}
-				}(w)
-			}
-			wg.Wait()
+					p.ss.propose(p.scheds[w], reqs[i], &p.scratch[w], &txns[i])
+				}
+			}(w)
 		}
-		// Commit phase: serial, ascending request seq.
-		keep := pending[:0]
-		for _, seq := range pending {
-			t := &txns[seq]
-			if t.err == nil && !p.ss.validate(t) {
-				attempts[seq]++
-				if attempts[seq] >= maxTxnAttempts {
-					results[seq] = PlaceResult{
-						Err:     fmt.Errorf("%w: conflict budget exhausted after %d attempts", ErrNoPlacement, attempts[seq]),
-						Outcome: "rejected",
-						Retries: attempts[seq],
-						Window:  t.width,
-					}
-				} else {
-					keep = append(keep, seq)
-				}
-				continue
-			}
-			if t.err != nil {
-				// Deterministic failure against this round's state;
-				// commits only add load, so it cannot succeed later.
-				results[seq] = PlaceResult{
-					Err:     t.err,
-					Outcome: t.outcome,
-					Retries: attempts[seq],
-					Window:  t.width,
-				}
-				continue
-			}
-			in := reqs[seq].Input
+		wg.Wait()
+	}
+	for i, req := range reqs {
+		t, res := &txns[i], &results[i]
+		if !p.ss.fresh(t) {
+			p.ss.propose(p.scheds[0], req, &p.scratch[0], t)
+			res.Retries = 1
+		}
+		res.Placement, res.Err, res.Outcome = t.placement, t.err, t.outcome
+		if t.err == nil {
+			in := req.Input
 			in.Placement = t.placement
-			p.ss.Commit(in, reqs[seq].SLA)
-			results[seq] = PlaceResult{
-				Placement: t.placement,
-				Outcome:   t.outcome,
-				Retries:   attempts[seq],
-				Window:    t.width,
-				Seq:       p.ss.seq,
-			}
+			p.ss.Commit(in, req.SLA)
 		}
-		pending = keep
 	}
 	return results
 }

@@ -148,46 +148,44 @@ func TestCountedBookkeepingMatchesScan(t *testing.T) {
 }
 
 // TestShardedLegacyEquivalence: at testbed size (8 <= windowBase) a
-// ShardedState run — any shard count — must be bit-identical to
-// driving a plain State directly: same placements, same Used floats.
+// ShardedState run must be bit-identical to driving a plain State
+// directly: same placements, same Used floats.
 func TestShardedLegacyEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		legacy := StateFromProfiles(spec, 8)
-		ss := ShardedStateFromProfiles(spec, 8, shards)
-		g1 := NewGsight(&stubPredictor{ipc: 2})
-		g2 := NewGsight(&stubPredictor{ipc: 2})
-		for i := 0; i < 12; i++ {
-			in := inputFor(workload.MatMul(), 0)
-			in.Name = fmt.Sprintf("wl-%d", i)
-			req1 := &Request{Input: in, SLA: SLA{MinIPC: 0.5}}
-			req2 := &Request{Input: in, SLA: SLA{MinIPC: 0.5}}
-			p1, err1 := g1.Place(legacy, req1)
-			p2, err2 := ss.Propose(g2, req2)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("shards=%d wl %d: err %v vs %v", shards, i, err1, err2)
-			}
-			if !reflect.DeepEqual(p1, p2) {
-				t.Fatalf("shards=%d wl %d: placement %v vs %v", shards, i, p1, p2)
-			}
-			if err1 == nil {
-				in1 := in
-				in1.Placement = p1
-				legacy.Commit(in1, req1.SLA)
-				in2 := in
-				in2.Placement = p2
-				ss.Commit(in2, req2.SLA)
-			}
-			if i == 6 {
-				legacy.Release("wl-2")
-				ss.Release("wl-2")
-			}
+	legacy := StateFromProfiles(spec, 8)
+	ss := ShardedStateFromProfiles(spec, 8, 0)
+	g1 := NewGsight(&stubPredictor{ipc: 2})
+	g2 := NewGsight(&stubPredictor{ipc: 2})
+	for i := 0; i < 12; i++ {
+		in := inputFor(workload.MatMul(), 0)
+		in.Name = fmt.Sprintf("wl-%d", i)
+		req1 := &Request{Input: in, SLA: SLA{MinIPC: 0.5}}
+		req2 := &Request{Input: in, SLA: SLA{MinIPC: 0.5}}
+		p1, err1 := g1.Place(legacy, req1)
+		p2, err2 := ss.Propose(g2, req2)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("wl %d: err %v vs %v", i, err1, err2)
 		}
-		for s := 0; s < 8; s++ {
-			for k := range legacy.Used[s] {
-				if legacy.Used[s][k] != ss.Base().Used[s][k] {
-					t.Fatalf("shards=%d server %d kind %d: Used %v != %v (must be bit-identical)",
-						shards, s, k, ss.Base().Used[s][k], legacy.Used[s][k])
-				}
+		if !reflect.DeepEqual(p1, p2) {
+			t.Fatalf("wl %d: placement %v vs %v", i, p1, p2)
+		}
+		if err1 == nil {
+			in1 := in
+			in1.Placement = p1
+			legacy.Commit(in1, req1.SLA)
+			in2 := in
+			in2.Placement = p2
+			ss.Commit(in2, req2.SLA)
+		}
+		if i == 6 {
+			legacy.Release("wl-2")
+			ss.Release("wl-2")
+		}
+	}
+	for s := 0; s < 8; s++ {
+		for k := range legacy.Used[s] {
+			if legacy.Used[s][k] != ss.Base().Used[s][k] {
+				t.Fatalf("server %d kind %d: Used %v != %v (must be bit-identical)",
+					s, k, ss.Base().Used[s][k], legacy.Used[s][k])
 			}
 		}
 	}
@@ -198,7 +196,7 @@ func TestShardedLegacyEquivalence(t *testing.T) {
 // second fails with ErrTxnConflict and succeeds after re-proposing
 // against the refreshed state.
 func TestForcedTxnConflict(t *testing.T) {
-	ss := ShardedStateFromProfiles(spec, 4, 2)
+	ss := ShardedStateFromProfiles(spec, 4, 0)
 	g := NewGsight(&stubPredictor{ipc: 2})
 
 	inA := inputFor(workload.MatMul(), 0)
@@ -228,8 +226,7 @@ func TestForcedTxnConflict(t *testing.T) {
 	if err := txB.Commit(); !errors.Is(err, ErrTxnConflict) {
 		t.Fatalf("stale transaction must conflict, got %v", err)
 	}
-	// Bounded deterministic retry: re-propose against the refreshed
-	// state, then commit cleanly.
+	// Re-propose against the refreshed state, then commit cleanly.
 	if _, err := txB.Propose(g, reqB); err != nil {
 		t.Fatal(err)
 	}
@@ -266,27 +263,18 @@ func resultKey(r PlaceResult) string {
 	if r.Err != nil {
 		e = r.Err.Error()
 	}
-	return fmt.Sprintf("%v|%s|%d|%d|%d|%s", r.Placement, r.Outcome, r.Retries, r.Window, r.Seq, e)
+	return fmt.Sprintf("%v|%s|%d|%s", r.Placement, r.Outcome, r.Retries, e)
 }
 
-// TestPlacerPoolDeterminism is the tentpole contract: same seed, same
-// requests — byte-identical results and final state at every
-// shards × placers combination (shards=1 x placers=1 doubles as the
-// serial legacy reference).
+// TestPlacerPoolDeterminism: same requests — byte-identical results
+// (retry counts included) and final state at every placer count.
 func TestPlacerPoolDeterminism(t *testing.T) {
 	const servers = 64
-	type cfg struct{ shards, placers int }
-	var cfgs []cfg
-	for _, s := range []int{1, 4, 16} {
-		for _, p := range []int{1, 8} {
-			cfgs = append(cfgs, cfg{s, p})
-		}
-	}
 	var refKeys []string
 	var refUsed []resources.Vector
-	for _, c := range cfgs {
-		ss := ShardedStateFromProfiles(spec, servers, c.shards)
-		pool := NewPlacerPool(ss, c.placers, func() Scheduler {
+	for _, placers := range []int{1, 2, 8} {
+		ss := ShardedStateFromProfiles(spec, servers, 0)
+		pool := NewPlacerPool(ss, placers, func() Scheduler {
 			return NewGsight(&stubPredictor{ipc: 2})
 		})
 		results := pool.PlaceAll(poolRequests(48))
@@ -300,15 +288,13 @@ func TestPlacerPoolDeterminism(t *testing.T) {
 		}
 		for i := range keys {
 			if keys[i] != refKeys[i] {
-				t.Fatalf("shards=%d placers=%d req %d: result %q != reference %q",
-					c.shards, c.placers, i, keys[i], refKeys[i])
+				t.Fatalf("placers=%d req %d: result %q != reference %q", placers, i, keys[i], refKeys[i])
 			}
 		}
 		for s := range refUsed {
 			for k := range refUsed[s] {
 				if ss.Base().Used[s][k] != refUsed[s][k] {
-					t.Fatalf("shards=%d placers=%d server %d kind %d: Used not bit-identical",
-						c.shards, c.placers, s, k)
+					t.Fatalf("placers=%d server %d kind %d: Used not bit-identical", placers, s, k)
 				}
 			}
 		}
@@ -320,7 +306,7 @@ func TestPlacerPoolDeterminism(t *testing.T) {
 // state's Used exactly, and no placement may target an offline server.
 func TestPlacerPoolCommitsAreConsistent(t *testing.T) {
 	const servers = 96
-	ss := ShardedStateFromProfiles(spec, servers, 8)
+	ss := ShardedStateFromProfiles(spec, servers, 0)
 	ss.SetOffline(3, true)
 	ss.SetOffline(70, true)
 	pool := NewPlacerPool(ss, 4, func() Scheduler {
@@ -371,7 +357,7 @@ func TestPlacerPoolCommitsAreConsistent(t *testing.T) {
 // next proposal that lands there (densification packs onto it).
 func TestWindowProjection(t *testing.T) {
 	const servers = 256
-	ss := ShardedStateFromProfiles(spec, servers, 4)
+	ss := ShardedStateFromProfiles(spec, servers, 0)
 	g := NewGsight(&stubPredictor{ipc: 2})
 
 	in := inputFor(workload.MatMul(), 0)
@@ -409,49 +395,6 @@ func TestWindowProjection(t *testing.T) {
 	}
 	if ss.ActiveServers() != 1 {
 		t.Fatalf("want 1 active server, got %d", ss.ActiveServers())
-	}
-}
-
-// TestShardedEpochRoundTrip covers the checkpoint surface: epochs and
-// seq survive RawEpochs/RestoreEpochs, and a mismatched shard count
-// degrades to the reset-all path without invalidating future commits.
-func TestShardedEpochRoundTrip(t *testing.T) {
-	ss := ShardedStateFromProfiles(spec, 16, 4)
-	in := inputFor(workload.MatMul(), 0)
-	in.Name = "ck"
-	in.Placement = []int{5}
-	ss.Commit(in, SLA{})
-	ep, seq := ss.RawEpochs(), ss.Seq()
-	if len(ep) != 4 {
-		t.Fatalf("want 4 epochs, got %d", len(ep))
-	}
-
-	fresh := ShardedStateFromProfiles(spec, 16, 4)
-	fresh.RestoreEpochs(ep, seq)
-	if fresh.Seq() != seq {
-		t.Fatalf("seq %d != %d", fresh.Seq(), seq)
-	}
-	for i := range ep {
-		if fresh.Epoch(i) != ep[i] {
-			t.Fatalf("epoch %d: %d != %d", i, fresh.Epoch(i), ep[i])
-		}
-	}
-	// Old snapshot shape (no epochs): everything resets to seq.
-	fresh.RestoreEpochs(nil, seq)
-	for i := 0; i < fresh.Shards(); i++ {
-		if fresh.Epoch(i) != seq {
-			t.Fatalf("reset epoch %d: %d != %d", i, fresh.Epoch(i), seq)
-		}
-	}
-	// Commits after a restore still conflict-detect correctly.
-	tx := fresh.Begin()
-	g := NewGsight(&stubPredictor{ipc: 2})
-	if _, err := tx.Propose(g, &Request{Input: in, SLA: SLA{MinIPC: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	fresh.SetOffline(0, true) // touches the window
-	if err := tx.Commit(); !errors.Is(err, ErrTxnConflict) {
-		t.Fatalf("post-restore staleness must conflict, got %v", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 //
 // Everything here is a pure function of (archetype profiles, scorer
 // generation, server load) — no wall clock, no RNG, no iteration over
-// map order — so placements are byte-identical at any shard/placer
+// map order — so placements are byte-identical at any placer
 // count and across checkpoint/resume.
 
 // tier0Buckets quantizes a server's CPU allocation (as a fraction of

@@ -5,6 +5,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -125,39 +126,12 @@ func (c *Catalog) Request(arch, instance string, qpsFrac float64) (*sched.Reques
 	return req, nil
 }
 
-// Train bootstraps the predictor on n labeled colocation scenarios —
-// the same loop gsight-sim runs before a simulation. n == 0 leaves
-// the predictor untrained (every placement takes the degraded-mode
-// fallback path until observations arrive).
+// Train bootstraps the predictor on n labeled colocation scenarios.
+// n == 0 leaves the predictor untrained (every placement takes the
+// degraded-mode fallback path until observations arrive).
 func (c *Catalog) Train(pred core.QoSPredictor, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	g := c.gen
-	var ipcObs, jctObs []core.Observation
-	for i := 0; i < n; i++ {
-		sc := g.Colocation(core.LSSC, 2+g.Rand().Intn(2))
-		samples, err := g.Label(sc)
-		if err != nil {
-			return fmt.Errorf("serve: labeling: %w", err)
-		}
-		for _, s := range samples {
-			o := core.Observation{Target: s.Target, Inputs: s.Inputs, Label: s.Label}
-			switch s.Kind {
-			case core.IPCQoS:
-				ipcObs = append(ipcObs, o)
-			case core.JCTQoS:
-				jctObs = append(jctObs, o)
-			}
-		}
-	}
-	if err := pred.TrainObservations(core.IPCQoS, ipcObs); err != nil {
-		return fmt.Errorf("serve: training: %w", err)
-	}
-	if len(jctObs) > 0 {
-		if err := pred.TrainObservations(core.JCTQoS, jctObs); err != nil {
-			return fmt.Errorf("serve: training: %w", err)
-		}
-	}
-	return nil
+	return c.gen.Bootstrap(context.Background(), pred, n)
 }

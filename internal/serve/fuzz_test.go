@@ -16,7 +16,7 @@ import (
 // across a marshal/parse round trip.
 func FuzzRestoreSnapshotPayload(f *testing.F) {
 	ctl, err := json.Marshal(&snapshotState{
-		Version: snapshotStateVersion, Applied: 9, NextOrder: 4, LogBytes: 512, SchedSeq: 3, Epochs: []uint64{1, 2},
+		Version: snapshotStateVersion, Applied: 9, NextOrder: 4, LogBytes: 512,
 		Running:   []deployedState{{Name: "matmul#1", Archetype: "matmul", Placement: []int{0, 3}, MaxJCT: 1.5}},
 		Responses: []cachedResponse{{Order: 3, Resp: json.RawMessage(`{"outcome":"placed"}`)}},
 	})
@@ -29,6 +29,9 @@ func FuzzRestoreSnapshotPayload(f *testing.F) {
 	f.Add(persist.FramePayload([]byte(`{"version":1,"running":[{"placement":"x"}]}`), nil))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, '{', '}'})
 	f.Add(ctl) // a format-1 payload: bare JSON, no framing
+	// The commit-clock fields every snapshot carried before they were
+	// dropped: ignored, not refused.
+	f.Add(persist.FramePayload([]byte(`{"version":1,"applied":9,"sched_seq":3,"epochs":[1,2]}`), nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		snap, blob, err := decodeSnapshotPayload(payload)
 		if err != nil {

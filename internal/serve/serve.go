@@ -33,11 +33,12 @@ import (
 // order through a reorder buffer, so the stream is independent of
 // network interleaving, batch boundaries and crash/takeover timing:
 //
-//   - PlaceAll batches are serial-equivalent — a proposal only reads
-//     its placement window, and a commit validates those exact epoch
-//     stamps, so any request affected by an earlier commit re-proposes
-//     against the refreshed state. Splitting a run of placements
-//     across batches cannot change any decision.
+//   - PlaceAll is serial placement in request order by construction —
+//     a proposal only reads its placement window, and the commit pass
+//     re-proposes, against the current state, any request whose window
+//     an earlier commit touched. Splitting a run of placements across
+//     batches cannot change any decision, and no request is rejected
+//     for contention.
 //   - The online learner's flush cadence is a function of the
 //     observation count, and observations apply in record order.
 //   - Replay applies stored decisions (no re-scheduling), so a resumed
@@ -100,8 +101,7 @@ type Config struct {
 	DataDir string
 	// Servers is the cluster size (0 = the paper's 8-node testbed).
 	Servers int
-	// Shards / Placers configure the sharded state and placer pool.
-	Shards  int
+	// Placers is the placer pool's worker count (default 1).
 	Placers int
 	// Seed drives the catalog, SLA curves and bootstrap training.
 	Seed uint64
@@ -192,7 +192,7 @@ func newServeMetrics(reg *telemetry.Registry) serveMetrics {
 		inflight:     reg.Gauge("serve_snapshot_inflight", "1 while a snapshot is being published in the background"),
 		replayed:     reg.Counter("serve_replayed_records_total", "WAL records replayed at startup"),
 		takeovers:    reg.Counter("serve_takeovers_total", "restores from an existing snapshot (restart or takeover)"),
-		conflicts:    reg.Counter("serve_commit_conflicts_total", "placement commit retries (stale-epoch re-proposals)"),
+		conflicts:    reg.Counter("serve_commit_conflicts_total", "placements re-proposed in the commit pass (stale window)"),
 		batchSize:    reg.Histogram("serve_batch_records", "records per commit batch", telemetry.ExpBuckets(1, 2, 12)),
 		placeLatency: reg.Histogram("serve_place_seconds", "placement request latency", telemetry.DurationBuckets()),
 	}
@@ -245,7 +245,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		cat:     cat,
 		pred:    pred,
-		state:   sched.ShardedStateFromProfiles(cat.Spec(), cfg.Servers, cfg.Shards),
+		state:   sched.ShardedStateFromProfiles(cat.Spec(), cfg.Servers, 0),
 		intake:  make(chan *pending, cfg.QueueCap),
 		stopC:   make(chan struct{}),
 		doneC:   make(chan struct{}),
@@ -258,10 +258,6 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 	s.nextOrder = 1
-	placers := cfg.Placers
-	if placers < 1 {
-		placers = 1
-	}
 	factory := func() sched.Scheduler {
 		g := sched.NewGsight(pred)
 		g.Fallback = sched.NewWorstFit()
@@ -271,7 +267,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		return g
 	}
-	s.pool = sched.NewPlacerPool(s.state, placers, factory)
+	s.pool = sched.NewPlacerPool(s.state, cfg.Placers, factory)
 
 	if err := s.restore(); err != nil {
 		return nil, err
@@ -324,8 +320,7 @@ func (s *Server) restore() error {
 	if err != nil {
 		return err
 	}
-	// Rebuild the running set through Commit (restores Used vectors),
-	// then pin the commit clock to the snapshot's.
+	// Rebuild the running set through Commit (restores Used vectors).
 	for _, d := range snap.Running {
 		req, err := s.cat.Request(d.Archetype, d.Name, d.QPSFrac)
 		if err != nil {
@@ -336,7 +331,6 @@ func (s *Server) restore() error {
 		s.state.Commit(in, sched.SLA{MinIPC: d.MinIPC, MaxJCTFactor: d.MaxJCT})
 	}
 	s.state.Recount()
-	s.state.RestoreEpochs(snap.Epochs, snap.SchedSeq)
 	if err := s.pred.RestoreCheckpoint(blob); err != nil {
 		return fmt.Errorf("serve: predictor restore: %w", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"gsight/internal/persist"
 	"gsight/internal/telemetry"
 )
 
@@ -249,23 +250,72 @@ func TestServeRestartContinuesStream(t *testing.T) {
 	}
 
 	const total = 24
-	split := t.TempDir()
-	run(split, 0, 9)
-	run(split, 9, total)
 	whole := t.TempDir()
 	run(whole, 0, total)
+	want, err := os.ReadFile(filepath.Join(whole, "decisions.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		between func(dir string)
+	}{
+		{"snapshots as written", func(string) {}},
+		// Every data dir written before the commit clock left the
+		// snapshot schema carries it; it must be ignored.
+		{"snapshots carrying epochs and sched_seq", func(dir string) { addLegacyClock(t, dir) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			split := t.TempDir()
+			run(split, 0, 9)
+			tc.between(split)
+			run(split, 9, total)
+			got, err := os.ReadFile(filepath.Join(split, "decisions.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("restarted decision log diverged from uninterrupted run:\n--- split (%d bytes)\n%s\n--- whole (%d bytes)\n%s",
+					len(got), got, len(want), want)
+			}
+		})
+	}
+}
 
-	a, err := os.ReadFile(filepath.Join(split, "decisions.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+// addLegacyClock rewrites every snapshot in dir so its JSON section
+// carries the sched_seq and epochs fields snapshots held before the
+// commit clock was dropped from the schema.
+func addLegacyClock(t *testing.T, dir string) {
+	t.Helper()
+	snaps, err := persist.Snapshots(dir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshots to rewrite in %s: %v", dir, err)
 	}
-	b, err := os.ReadFile(filepath.Join(whole, "decisions.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("restarted decision log diverged from uninterrupted run:\n--- split (%d bytes)\n%s\n--- whole (%d bytes)\n%s",
-			len(a), a, len(b), b)
+	for _, sn := range snaps {
+		data, err := os.ReadFile(sn.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, payload, err := persist.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, blob, err := persist.SplitPayload(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(ctl, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["sched_seq"] = json.RawMessage(`41`)
+		doc["epochs"] = json.RawMessage(`[41,7,41,12]`)
+		if ctl, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := persist.WriteSnapshot(dir, seq, persist.FramePayload(ctl, blob)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -390,5 +440,79 @@ func TestServeTimedOutUnorderedRequestIsNotCommitted(t *testing.T) {
 	}
 	if got := srv.met.timeouts.Value(); got != 2 {
 		t.Fatalf("serve_timeout_total = %d, want 2", got)
+	}
+}
+
+// TestServeContentionIsNeverARejection: 32 concurrent clients each
+// place and release one small archetype ten times. The cluster never
+// holds more than 33 instances, so every placement fits; requests that
+// share a commit batch contend for the same 8 servers, and contention
+// must cost a re-proposal, never the request. The first wave is held
+// behind a stalled committer so all 32 land in one batch — more than
+// any bounded retry budget survives on a cluster one window wide.
+func TestServeContentionIsNeverARejection(t *testing.T) {
+	const clients, rounds = 32, 10
+	srv, _, cl := testServer(t, nil)
+	ctx := context.Background()
+
+	stall := &pending{kind: kindPlace, arch: "matmul", reply: make(chan pendingResp)}
+	srv.intake <- stall
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+		}
+	}
+	waitFor("the committer never logged the stalling placement", func() bool {
+		fi, err := os.Stat(srv.logPath())
+		return err == nil && fi.Size() > 0
+	})
+
+	var wg sync.WaitGroup
+	failures := make(chan string, clients*rounds)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ack, err := cl.Place(ctx, PlaceRequest{Workload: "matmul"})
+				if err != nil {
+					failures <- err.Error()
+					return
+				}
+				if ack.Outcome == "rejected" || strings.Contains(ack.Reason, "conflict") {
+					failures <- fmt.Sprintf("seq %d: outcome %q, reason %q", ack.Seq, ack.Outcome, ack.Reason)
+				}
+				if len(ack.Placement) == 0 {
+					continue
+				}
+				if rel, err := cl.Release(ctx, ReleaseRequest{Name: ack.Name}); err != nil || !rel.Released {
+					failures <- fmt.Sprintf("release %s: %+v, %v", ack.Name, rel, err)
+					return
+				}
+			}
+		}()
+	}
+	waitFor("the first wave never queued up", func() bool { return len(srv.intake) == clients })
+	stalled := <-stall.reply // releases the committer onto a 32-placement batch
+	wg.Wait()
+	close(failures)
+	for f := range failures {
+		t.Error(f)
+	}
+
+	var first placeResponse
+	if err := json.Unmarshal(stalled.payload, &first); err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := cl.Release(ctx, ReleaseRequest{Name: first.Name}); err != nil || !rel.Released {
+		t.Fatalf("release %s: %+v, %v", first.Name, rel, err)
+	}
+	for i, used := range srv.state.Base().Used {
+		if !used.IsZero() {
+			t.Fatalf("server %d still has %v allocated after every instance was released", i, used)
+		}
 	}
 }

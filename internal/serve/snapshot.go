@@ -14,7 +14,7 @@ import (
 // while megabytes of predictor state are encoded and fsynced.
 //
 // The CUT is the committer's half, at a record boundary N: copy the
-// running set, epochs, response cache and log offset, take a frozen
+// running set, response cache and log offset, take a frozen
 // view of the predictor (core.Predictor.Capture: slice headers and
 // tree pointers only), and rotate the WAL at once — close wal-g, create
 // wal-(g+1). From here on wal-(g+1) holds exactly the records after N,
@@ -129,8 +129,6 @@ func (s *Server) cut() (*snapshotCut, error) {
 		Applied:   s.applied,
 		NextOrder: s.nextOrder,
 		LogBytes:  s.logBytes,
-		SchedSeq:  s.state.Seq(),
-		Epochs:    s.state.RawEpochs(),
 	}
 	for i := range st.Running {
 		d := &st.Running[i]

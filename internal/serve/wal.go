@@ -122,9 +122,6 @@ type snapshotState struct {
 	// file is flushed+fsynced first). Takeover truncates the log here
 	// and re-emits the replayed WAL records after it.
 	LogBytes int64 `json:"log_bytes"`
-	// SchedSeq / Epochs restore the sharded state's commit clock.
-	SchedSeq uint64   `json:"sched_seq"`
-	Epochs   []uint64 `json:"epochs,omitempty"`
 	// Running is the deployed set (profiles rehydrate from the catalog
 	// by archetype).
 	Running []deployedState `json:"running,omitempty"`

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"testing"
 
 	"gsight/internal/rng"
@@ -72,58 +71,6 @@ func TestScalingApply(t *testing.T) {
 	r := Scaling{}.Apply(p)
 	if r.BaseQPS != p.BaseQPS || r.TimeScale != 1 {
 		t.Fatalf("zero scaling changed the pattern: %+v", r)
-	}
-}
-
-// TestEmpiricalPatternWrapsAtHorizon pins long-horizon replay: past
-// HorizonS the trace repeats exactly, arbitrarily far out.
-func TestEmpiricalPatternWrapsAtHorizon(t *testing.T) {
-	arrivals := []float64{0.5, 1.5, 1.7, 2.5, 3.9}
-	p, err := NewEmpiricalPattern(arrivals, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := p.HorizonS(); h != 4 {
-		t.Fatalf("HorizonS = %v, want 4", h)
-	}
-	for _, tt := range []float64{0, 0.25, 1.9, 3.999} {
-		base := p.RateAt(tt)
-		for _, laps := range []float64{1, 2, 250000} { // ~11 simulated days at horizon 4
-			if got := p.RateAt(tt + laps*p.HorizonS()); got != base {
-				t.Fatalf("RateAt(%v + %v laps) = %v, want %v", tt, laps, got, base)
-			}
-		}
-	}
-	if p.RateAt(-5) != p.RateAt(0) {
-		t.Fatal("negative times must clamp to the first bin")
-	}
-}
-
-// TestEmpiricalPatternScaled pins the derived-pattern semantics: rates
-// multiply by the rate factor, the horizon shrinks by the time factor,
-// and the receiver is untouched.
-func TestEmpiricalPatternScaled(t *testing.T) {
-	p, err := NewEmpiricalPattern([]float64{0.5, 1.5, 1.7, 2.5}, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origMean := p.MeanRate()
-	s := p.Scaled(Scaling{RateFactor: 10, TimeFactor: 3})
-	if h := s.HorizonS(); math.Abs(h-1) > 1e-12 {
-		t.Fatalf("scaled horizon = %v, want 1 (3/3)", h)
-	}
-	if got, want := s.MeanRate(), 10*origMean; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("scaled mean rate = %v, want %v", got, want)
-	}
-	// Bin b of the scaled trace replays bin b of the original, 10x up.
-	for b := 0; b < 3; b++ {
-		orig := p.RateAt(float64(b) + 0.5)
-		if got := s.RateAt((float64(b) + 0.5) / 3); got != 10*orig {
-			t.Fatalf("bin %d: scaled rate %v, want %v", b, got, 10*orig)
-		}
-	}
-	if p.MeanRate() != origMean || p.HorizonS() != 3 {
-		t.Fatal("Scaled mutated its receiver")
 	}
 }
 

@@ -118,9 +118,9 @@ func trainingSet(t *testing.T, n int) []gsight.Observation {
 	return obs[:n]
 }
 
-func testState(t *testing.T) *gsight.SchedulerState {
+func testState(t *testing.T) *gsight.ClusterState {
 	t.Helper()
-	return gsight.NewSchedulerState(gsight.NewTestbedModel())
+	return gsight.NewSchedulerState(gsight.NewTestbedModel()).Base()
 }
 
 func testRequest(t *testing.T) *gsight.PlacementRequest {

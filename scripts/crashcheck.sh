@@ -10,20 +10,17 @@
 # headline recovery guarantee, checked on the real binary rather than
 # in-process test harnesses.
 #
-# Usage: scripts/crashcheck.sh [hours] [train] [seed] [shards] [topk]
-#   shards defaults to 4 so the gate exercises the sharded scheduling
-#   state's epoch serialization (DESIGN.md §14), not just the legacy
-#   single-shard path. topk defaults to 4 so two-tier placement (the
-#   tier-0 score cache and its checkpointed ridge state, DESIGN.md §15)
-#   is part of the resume-equivalence guarantee; pass 0 to disable.
+# Usage: scripts/crashcheck.sh [hours] [train] [seed] [topk]
+#   topk defaults to 4 so two-tier placement (the tier-0 score cache
+#   and its checkpointed ridge state, DESIGN.md §15) is part of the
+#   resume-equivalence guarantee; pass 0 to disable.
 set -eu
 
 cd "$(dirname "$0")/.."
 HOURS="${1:-1}"
 TRAIN="${2:-64}"
 SEED="${3:-42}"
-SHARDS="${4:-4}"
-TOPK="${5:-4}"
+TOPK="${4:-4}"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT INT TERM
@@ -36,7 +33,7 @@ cat > "$WORK/crash.json" <<EOF
  {"at_s":2600,"kind":"controller-crash"}]}
 EOF
 
-common="-hours $HOURS -train $TRAIN -seed $SEED -shards $SHARDS -topk $TOPK -quiet"
+common="-hours $HOURS -train $TRAIN -seed $SEED -topk $TOPK -quiet"
 
 echo "crashcheck: baseline run (no faults, no checkpoints)..."
 "$WORK/gsight-sim" $common -record "$WORK/rec-base" \
