@@ -666,7 +666,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		if st.FaultEvents == 0 {
 			b.Fatal("chaos run injected no faults")
 		}
-		if rec.Trace().Events() == 0 || rec.Flight().Frames() == 0 {
+		if rec.Trace().Stream().Records() == 0 || rec.Flight().Stream().Records() == 0 {
 			b.Fatal("recorder captured nothing")
 		}
 	}

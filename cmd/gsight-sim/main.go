@@ -26,12 +26,12 @@
 // full observability bundle into a directory — trace.json plus
 // flight.bin, the step-sampled flight recording gsight-inspect reads.
 // Both streams are simulation-time only (same-seed runs are
-// byte-identical) and checkpoint-aware: on -resume they are truncated
-// to the snapshot's offsets and continued seamlessly.
+// byte-identical) and checkpoint-aware: every snapshot fsyncs them up to
+// the offsets it records, and on -resume the platform cuts them back to
+// those offsets and continues seamlessly.
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -143,9 +143,9 @@ type options struct {
 
 func run(ctx context.Context, log *logx.Logger, opt options) error {
 	// Resuming? Peek at the newest valid snapshot before touching the
-	// decision log or the predictor: it decides whether the log is
-	// truncated-and-continued and whether bootstrap training is skipped
-	// (the restored predictor state supersedes it).
+	// output files or the predictor: it decides whether the files are
+	// continued or created and whether bootstrap training is skipped (the
+	// restored predictor state supersedes it).
 	var resumeMeta *platform.CheckpointMeta
 	if opt.resume {
 		if opt.checkpointDir == "" {
@@ -165,29 +165,39 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 	}
 
 	sink := telemetry.New()
-	// Every checkpoint-aware stream (decision log, trace, flight
-	// recording) registers its flush here; the composed function runs
-	// before each snapshot so the on-disk bytes cover the recorded
-	// offsets.
-	var flushFns []func() error
-	// openStream (re)opens one output stream: truncate-and-append on
-	// resume, fresh otherwise. The returned writer is flushed and closed
-	// when run returns.
-	openStream := func(path string, resumeBytes int64) (*bufio.Writer, func(), error) {
-		var f *os.File
-		var err error
-		if resumeMeta != nil {
-			f, err = persist.OpenAppendTruncated(path, resumeBytes)
-		} else {
-			f, err = os.Create(path)
+	// openOut opens one checkpoint-aware output file (decision log,
+	// trace, flight recording): as it stands when resuming — the platform
+	// cuts it back to the snapshot's offset — and empty otherwise. When
+	// run returns, however it returns, the streams over the files are
+	// flushed and then the files closed, so a failed or interrupted run
+	// still leaves whole records on disk.
+	var (
+		files   []*os.File
+		streams []*telemetry.Stream
+	)
+	openOut := func(path string) (*os.File, error) {
+		flag := os.O_RDWR | os.O_CREATE
+		if resumeMeta == nil {
+			flag |= os.O_TRUNC
 		}
-		if err != nil {
-			return nil, nil, err
+		f, err := os.OpenFile(path, flag, 0o644)
+		if err == nil {
+			files = append(files, f)
 		}
-		bw := bufio.NewWriter(f)
-		flushFns = append(flushFns, bw.Flush)
-		return bw, func() { bw.Flush(); f.Close() }, nil
+		return f, err
 	}
+	defer func() {
+		for _, st := range streams {
+			if err := st.Flush(); err != nil {
+				log.Errorf("%v", err)
+			}
+		}
+		for _, f := range files {
+			if err := f.Close(); err != nil {
+				log.Errorf("%v", err)
+			}
+		}
+	}()
 	// Observability recording paths: -trace writes the lifecycle trace
 	// alone, -record captures the full bundle (trace + flight recording)
 	// into a directory gsight-inspect can read back. The directory is
@@ -204,19 +214,12 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 		flightPath = filepath.Join(opt.recordDir, "flight.bin")
 	}
 	if opt.decisionPath != "" {
-		// Continue the interrupted log: drop everything after the
-		// snapshot's offset, then append. The platform re-emits the
-		// replayed window so the bytes line up exactly.
-		var resumeBytes int64
-		if resumeMeta != nil {
-			resumeBytes = resumeMeta.LogBytes
-		}
-		bw, closeLog, err := openStream(opt.decisionPath, resumeBytes)
+		f, err := openOut(opt.decisionPath)
 		if err != nil {
 			return fmt.Errorf("decision log: %w", err)
 		}
-		defer closeLog()
-		sink.WithDecisions(bw)
+		sink.WithDecisions(f)
+		streams = append(streams, sink.Decisions.Stream())
 	}
 	if opt.debugAddr != "" {
 		addr, err := telemetry.ServeDebug(opt.debugAddr, sink.Registry)
@@ -247,30 +250,21 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 	if tracePath != "" || flightPath != "" {
 		obsCfg := obs.Config{Servers: m.Testbed.NumServers(), StepS: simStepS}
 		if tracePath != "" {
-			var resumeBytes int64
-			if resumeMeta != nil {
-				resumeBytes = resumeMeta.TraceBytes
-			}
-			bw, closeTrace, err := openStream(tracePath, resumeBytes)
+			f, err := openOut(tracePath)
 			if err != nil {
 				return fmt.Errorf("trace: %w", err)
 			}
-			defer closeTrace()
-			obsCfg.Trace = bw
+			obsCfg.Trace = f
 		}
 		if flightPath != "" {
-			var resumeBytes int64
-			if resumeMeta != nil {
-				resumeBytes = resumeMeta.FlightBytes
-			}
-			bw, closeFlight, err := openStream(flightPath, resumeBytes)
+			f, err := openOut(flightPath)
 			if err != nil {
 				return fmt.Errorf("flight recording: %w", err)
 			}
-			defer closeFlight()
-			obsCfg.Flight = bw
+			obsCfg.Flight = f
 		}
 		recorder = obs.New(obsCfg)
+		streams = append(streams, recorder.Trace().Stream(), recorder.Flight().Stream())
 	}
 
 	var pred core.QoSPredictor
@@ -363,22 +357,6 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 		log.Infof("trace scaling: rate x%.1f, time x%.1f", opt.scaling.Rate(), opt.scaling.Time())
 	}
 
-	// One flush function covering every open stream: the checkpointer
-	// calls it before each snapshot so the on-disk bytes reach the
-	// offsets the snapshot records.
-	var flushLog func() error
-	if len(flushFns) > 0 {
-		fns := flushFns
-		flushLog = func() error {
-			for _, fn := range fns {
-				if err := fn(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-
 	log.Infof("running %.0fh trace-driven simulation under %s...", opt.hours, scheduler.Name())
 	t0 := time.Now()
 	st, err := platform.Run(ctx, platform.Config{
@@ -403,7 +381,6 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 			Dir:       opt.checkpointDir,
 			IntervalS: opt.checkpointInt,
 			Resume:    opt.resume,
-			FlushLog:  flushLog,
 		},
 	})
 	if err != nil {
@@ -418,7 +395,7 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 			return fmt.Errorf("observability recording: %w", err)
 		}
 		log.Infof("recorded %d trace events, %d flight frames",
-			recorder.Trace().Events(), recorder.Flight().Frames())
+			recorder.Trace().Stream().Records(), recorder.Flight().Stream().Records())
 	}
 
 	fmt.Printf("function density (inst/core): mean %.3f, p50 %.3f, p90 %.3f\n",

@@ -5,7 +5,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"strings"
 
 	"gsight"
-	"gsight/internal/ml"
 	"gsight/internal/persist"
 	"gsight/internal/profile"
 	"gsight/internal/scenario"
@@ -150,22 +148,25 @@ func main() {
 	fmt.Printf("ticket-shop IPC beside matmul: predicted %.3f, measured %.3f\n",
 		predicted, truth.Deployments[0].IPC)
 
-	// 5. Persist the trained forest; a restarted controller reloads it
-	//    and keeps predicting without retraining.
-	forest, ok := pred.Model(gsight.IPCQoS).(*ml.Forest)
-	if !ok {
-		log.Fatal("default model should be a forest")
-	}
-	var buf bytes.Buffer
-	if err := ml.WriteForest(&buf, forest); err != nil {
-		log.Fatal(err)
-	}
-	reloaded, err := ml.ReadForest(bytes.NewReader(buf.Bytes()))
+	// 5. Persist the trained predictor the way the controllers do — the
+	//    binary checkpoint their snapshots carry; a restarted controller
+	//    restores it and keeps predicting without retraining.
+	blob, err := pred.CheckpointState()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("model survives restart: %d trees, %d KB on disk\n",
-		reloaded.NumTrees(), buf.Len()/1024)
+	restarted := gsight.NewPredictor(gsight.PredictorConfig{Seed: 11})
+	if err := restarted.RestoreCheckpoint(blob); err != nil {
+		log.Fatal(err)
+	}
+	again, err := restarted.Predict(gsight.IPCQoS, 0, inputs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if again != predicted {
+		log.Fatalf("restored predictor predicts %v, the original %v", again, predicted)
+	}
+	fmt.Printf("model survives restart: same prediction, %d KB on disk\n", len(blob)/1024)
 }
 
 func pathNames(w *workload.Workload) []string {

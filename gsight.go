@@ -402,8 +402,8 @@ type (
 var ErrControllerCrashed = platform.ErrControllerCrashed
 
 // PeekPlatformCheckpoint inspects a checkpoint directory without
-// restoring anything: callers use it to decide whether to resume and
-// how far to truncate an interrupted decision log.
+// restoring anything: callers use it to decide whether to resume. The
+// resumed run cuts its own output streams back to the snapshot.
 var PeekPlatformCheckpoint = platform.PeekCheckpoint
 
 // DefaultTracePattern returns the Azure-like diurnal + bursts + noise

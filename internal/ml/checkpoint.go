@@ -8,9 +8,9 @@ import (
 )
 
 // Crash-consistent checkpoints of the learners' live state, in the
-// binary layout of DESIGN.md §12. Unlike ForestExport (a portable
-// trained model, JSON), a checkpoint carries everything a resumed
-// controller needs to continue the exact incremental-learning stream:
+// binary layout of DESIGN.md §12 — the one model format on disk. A
+// checkpoint carries everything a resumed controller needs to continue
+// the exact incremental-learning stream:
 // the trees, the ring training window in logical (oldest-first) order,
 // and the RNG cursor the next update's bootstraps will draw from.
 // Restoring one into a same-configured forest makes every subsequent
@@ -187,6 +187,10 @@ func ReadForestState(r *wire.Reader, lim *ForestLimits) *ForestDecoded {
 	}
 
 	d.WindowRows = r.Count(1+8, "forest window row count")
+	if d.WindowRows > maxWindowRows {
+		r.Failf("forest window has %d rows, the kernel ranks at most %d", d.WindowRows, maxWindowRows)
+		return d
+	}
 	if keep && d.WindowRows > lim.Window {
 		r.Failf("forest window %d exceeds configured capacity %d", d.WindowRows, lim.Window)
 		return d

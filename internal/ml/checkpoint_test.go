@@ -146,3 +146,34 @@ func TestForestRestoreRejectsCorruptState(t *testing.T) {
 		t.Errorf("trailing byte: got %v", err)
 	}
 }
+
+// TestReadForestRejectsJunk: the limit-free reader — what gsight-inspect
+// runs over a snapshot it has no predictor for — rejects what is not a
+// forest section as firmly as the restoring reader does: foreign bytes,
+// a section cut short, and a structurally complete one whose tree points
+// outside itself.
+func TestReadForestRejectsJunk(t *testing.T) {
+	src := NewForest(ForestConfig{Trees: 2, Seed: 5, Window: 16})
+	X, y := ckptForestData(3, 16)
+	if err := src.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	good := src.Capture().AppendTo(nil)
+	if r := wire.NewReader(good); ReadForestState(r, nil) == nil || r.Done() != nil {
+		t.Fatalf("a good section is refused: %v", r.Err())
+	}
+	bad := src.Capture()
+	bad.trees[0] = &Tree{dim: 3, nodes: []treeNode{{feature: 0, left: 9, right: 1}, {feature: -1}}}
+	for name, data := range map[string][]byte{
+		"junk":           []byte("junk"),
+		"empty":          nil,
+		"cut short":      good[:len(good)-9],
+		"child past end": bad.AppendTo(nil),
+	} {
+		r := wire.NewReader(data)
+		ReadForestState(r, nil)
+		if r.Done() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

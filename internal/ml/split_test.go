@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"gsight/internal/rng"
+	"gsight/internal/wire"
 )
 
 // refTree is the reference split search the production kernel must
@@ -368,8 +370,8 @@ func TestSplitSearchRingWrappedWindow(t *testing.T) {
 
 // TestWindowRowLimit pins the explicit handling of the uint16 rank
 // width: 65536 rows of all-distinct values train (ranks reach 65535),
-// one row more is refused, and so is a forest configured — or imported
-// — with a window that could outgrow it.
+// one row more is refused, and so is a forest configured — or restored
+// from a checkpoint — with a window that could outgrow it.
 func TestWindowRowLimit(t *testing.T) {
 	X := make([][]float64, maxWindowRows+1)
 	y := make([]float64, len(X))
@@ -399,9 +401,20 @@ func TestWindowRowLimit(t *testing.T) {
 	if err := ok.Fit(X[:10], y[:10]); err != nil {
 		t.Fatalf("forest with window %d: %v", maxWindowRows, err)
 	}
-	e := ok.Export()
-	e.Config.Window = maxWindowRows + 1
-	if _, err := ImportForest(e); !errors.Is(err, ErrWindowTooLarge) {
-		t.Fatalf("import with window %d: err = %v, want ErrWindowTooLarge", maxWindowRows+1, err)
+	// A checkpoint claiming more rows than the kernel can rank is refused
+	// whatever capacity the reader was configured with, and without one
+	// (inspection) too.
+	c := ok.Capture()
+	for len(c.windowY) <= maxWindowRows {
+		c.windowX = append(c.windowX, c.windowX[0])
+		c.windowY = append(c.windowY, c.windowY[0])
+	}
+	section := c.AppendTo(nil)
+	for _, lim := range []*ForestLimits{nil, {Dim: 1, Window: maxWindowRows + 1, MaxTrees: 2}} {
+		r := wire.NewReader(section)
+		ReadForestState(r, lim)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "65536") {
+			t.Fatalf("section with %d window rows under limits %+v: err = %v, want the 65536-row refusal", len(c.windowY), lim, err)
+		}
 	}
 }

@@ -5,15 +5,8 @@ import (
 	"testing"
 )
 
-// forestBytes serializes f, failing the test on error.
-func forestBytes(t *testing.T, f *Forest) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteForest(&buf, f); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+// forestBytes serializes f's live state: trees, window and RNG cursor.
+func forestBytes(f *Forest) []byte { return f.Capture().AppendTo(nil) }
 
 // TestForestParallelFitByteIdentical pins the central determinism claim
 // of the parallel training path: every tree's bootstrap and split-RNG
@@ -41,9 +34,9 @@ func TestForestParallelFitByteIdentical(t *testing.T) {
 		}
 		return f
 	}
-	serial := forestBytes(t, build(1))
+	serial := forestBytes(build(1))
 	for _, workers := range []int{2, 7} {
-		if got := forestBytes(t, build(workers)); !bytes.Equal(got, serial) {
+		if got := forestBytes(build(workers)); !bytes.Equal(got, serial) {
 			t.Fatalf("workers=%d forest differs from serial (%d vs %d bytes)",
 				workers, len(got), len(serial))
 		}
@@ -134,7 +127,7 @@ func TestForestWindowWrapDeterministic(t *testing.T) {
 		t.Fatalf("expected distinct seams, got head %d vs %d",
 			wrapped.buf.head, fresh.buf.head)
 	}
-	if got, want := forestBytes(t, wrapped), forestBytes(t, fresh); !bytes.Equal(got, want) {
+	if got, want := forestBytes(wrapped), forestBytes(fresh); !bytes.Equal(got, want) {
 		t.Fatal("same logical window trained different forests")
 	}
 }

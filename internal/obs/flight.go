@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+
+	"gsight/internal/telemetry"
 )
 
 // Flight-recorder binary format (little-endian, packed, no padding):
@@ -18,8 +19,7 @@ import (
 //
 // Every frame is the same size, so readers can seek by step and a
 // checkpointed (frames, bytes) offset identifies an exact truncation
-// point. The header is written lazily before the first frame — a
-// resumed run Rewinds to a non-zero offset and never duplicates it.
+// point.
 const (
 	flightMagic   = "GFR1"
 	FlightVersion = 1
@@ -48,11 +48,11 @@ type Frame struct {
 	// Pending is the batch-job submissions still ahead in the arrival
 	// timeline (not the raw engine queue depth, which would leak
 	// crash-schedule events and break crash/resume byte-identity).
-	Pending uint32
-	Density       float32
-	GoodDensity   float32
-	CPUUtil       float32
-	MemUtil       float32
+	Pending     uint32
+	Density     float32
+	GoodDensity float32
+	CPUUtil     float32
+	MemUtil     float32
 	// Per-server columns, each len == header servers.
 	CPUDemand   []float32
 	MemUsed     []float32
@@ -60,68 +60,31 @@ type Frame struct {
 }
 
 // Flight is the step-sampled flight recorder: one fixed-size binary
-// frame per platform step, appended to w. Like the tracer it counts
-// (frames, bytes) for checkpoint-aware Rewind, builds frames in a
-// reusable buffer, and treats write errors as best-effort.
+// frame per platform step. Like the tracer it is an encoder over a
+// telemetry.Stream, whose preamble is the header.
 type Flight struct {
-	mu      sync.Mutex
-	w       io.Writer
-	buf     []byte
+	s       *telemetry.Stream
 	servers int
-	stepS   float64
-	frames  uint64
-	bytes   int64
-	err     error
 }
 
 // NewFlight records frames for a servers-sized cluster stepping every
 // stepS simulated seconds. Callers own w's lifecycle.
 func NewFlight(w io.Writer, servers int, stepS float64) *Flight {
-	return &Flight{w: w, servers: servers, stepS: stepS}
+	h := append(make([]byte, 0, flightHeaderSize), flightMagic...)
+	h = binary.LittleEndian.AppendUint16(h, FlightVersion)
+	h = binary.LittleEndian.AppendUint16(h, uint16(servers))
+	h = binary.LittleEndian.AppendUint64(h, floatBits(stepS))
+	return &Flight{s: telemetry.NewStream(w, h, 0), servers: servers}
 }
 
-// Frames returns the number of frames recorded so far.
-func (f *Flight) Frames() uint64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.frames
-}
-
-// Err returns the first write error, if any.
-func (f *Flight) Err() error {
+// Stream returns the recorder's counted stream (frames recorded, first
+// write error). Nil for a nil recorder, which the stream's methods
+// accept.
+func (f *Flight) Stream() *telemetry.Stream {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-// Offset returns the recording position — frames and bytes — for
-// checkpointing.
-func (f *Flight) Offset() (frames uint64, bytes int64) {
-	if f == nil {
-		return 0, 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.frames, f.bytes
-}
-
-// Rewind resets the recording position to a checkpointed Offset. The
-// caller owns the underlying writer and must have truncated it to the
-// matching byte offset.
-func (f *Flight) Rewind(frames uint64, bytes int64) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.frames = frames
-	f.bytes = bytes
-	f.mu.Unlock()
+	return f.s
 }
 
 // Record appends one frame. The per-server slices must be servers
@@ -130,17 +93,7 @@ func (f *Flight) Record(fr *Frame) {
 	if f == nil {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.frames == 0 && f.bytes == 0 {
-		b := append(f.buf[:0], flightMagic...)
-		b = binary.LittleEndian.AppendUint16(b, FlightVersion)
-		b = binary.LittleEndian.AppendUint16(b, uint16(f.servers))
-		b = binary.LittleEndian.AppendUint64(b, floatBits(f.stepS))
-		f.write(b)
-		f.buf = b
-	}
-	b := f.buf[:0]
+	b, _ := f.s.Begin()
 	b = binary.LittleEndian.AppendUint64(b, floatBits(fr.SimTimeS))
 	b = binary.LittleEndian.AppendUint32(b, fr.Step)
 	b = append(b, fr.Flags)
@@ -155,17 +108,7 @@ func (f *Flight) Record(fr *Frame) {
 		b = binary.LittleEndian.AppendUint32(b, float32Bits(fr.MemUsed[s]))
 		b = append(b, fr.ServerFlags[s])
 	}
-	f.buf = b
-	f.frames++
-	f.write(b)
-}
-
-// write appends b, tracking bytes. Callers hold f.mu.
-func (f *Flight) write(b []byte) {
-	f.bytes += int64(len(b))
-	if _, err := f.w.Write(b); err != nil && f.err == nil {
-		f.err = err
-	}
+	f.s.End(b)
 }
 
 // FlightData is a fully decoded recording.

@@ -4,9 +4,10 @@
 // tracking with Page–Hinkley drift detection.
 //
 // Everything is recorded in simulation time only, so a fixed-seed run
-// produces byte-identical outputs, and every stream counts its own
-// (records, bytes) offsets with a Rewind like the decision log, so a
-// crash/resume recording is identical to an uninterrupted one. The
+// produces byte-identical outputs, and every stream is a
+// telemetry.Stream like the decision log — counted, synced before a
+// checkpoint and cut back to it on resume — so a crash/resume recording
+// is identical to an uninterrupted one. The
 // whole package is nil-safe: a nil *Recorder (observability disabled)
 // makes every hook a predictable branch and keeps the platform's
 // steady-state step loop allocation-free.
@@ -14,6 +15,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 )
@@ -112,17 +114,28 @@ func (r *Recorder) Err() error {
 	if r == nil {
 		return nil
 	}
-	if err := r.tr.Err(); err != nil {
+	if err := r.tr.Stream().Err(); err != nil {
 		return err
 	}
-	return r.fl.Err()
+	return r.fl.Stream().Err()
+}
+
+// Sync makes both streams durable up to their current offsets. The
+// platform calls it before CheckpointState, so a snapshot never records
+// an offset the disk does not hold.
+func (r *Recorder) Sync() error {
+	if r == nil {
+		return nil
+	}
+	if err := r.tr.Stream().Sync(); err != nil {
+		return err
+	}
+	return r.fl.Stream().Sync()
 }
 
 // State is a Recorder's checkpointed position: stream offsets plus the
 // serialized prediction-quality tracker. It rides inside the platform
-// checkpoint payload; resuming truncates each stream file to its byte
-// offset and Rewinds the counters, so the resumed run re-emits exactly
-// the records the crash cut off.
+// checkpoint payload.
 type State struct {
 	TraceEvents  uint64          `json:"trace_events"`
 	TraceBytes   int64           `json:"trace_bytes"`
@@ -131,29 +144,15 @@ type State struct {
 	PredQ        json.RawMessage `json:"predq,omitempty"`
 }
 
-// DecodeState parses a checkpointed Recorder state (e.g. for
-// PeekCheckpoint, which needs the byte offsets to truncate stream
-// files before resuming). A nil raw decodes to the zero State.
-func DecodeState(raw json.RawMessage) (State, error) {
-	var st State
-	if len(raw) == 0 {
-		return st, nil
-	}
-	err := json.Unmarshal(raw, &st)
-	return st, err
-}
-
-// CheckpointState captures the Recorder's position for a checkpoint.
-// The caller must have flushed any buffering around the stream writers
-// first (the platform's snapshot path does, via FlushLog) so the
-// on-disk bytes cover the recorded offsets.
+// CheckpointState captures the Recorder's position for a checkpoint
+// (after Sync).
 func (r *Recorder) CheckpointState() (json.RawMessage, error) {
 	if r == nil {
 		return nil, nil
 	}
 	var st State
-	st.TraceEvents, st.TraceBytes = r.tr.Offset()
-	st.FlightFrames, st.FlightBytes = r.fl.Offset()
+	st.TraceEvents, st.TraceBytes = r.tr.Stream().Offset()
+	st.FlightFrames, st.FlightBytes = r.fl.Stream().Offset()
 	var err error
 	if st.PredQ, err = r.pq.marshal(); err != nil {
 		return nil, err
@@ -161,20 +160,26 @@ func (r *Recorder) CheckpointState() (json.RawMessage, error) {
 	return json.Marshal(st)
 }
 
-// RestoreCheckpoint rewinds the Recorder to a checkpointed state. The
-// caller owns the stream files and must have truncated them to the
-// recorded byte offsets (a nil/absent state rewinds everything to
-// zero, matching files truncated to empty).
+// RestoreCheckpoint returns the Recorder to a checkpointed state: each
+// stream is cut back to its recorded offset, so the resumed run re-emits
+// exactly the records the crash cut off. A nil/absent state cuts
+// everything to empty.
 func (r *Recorder) RestoreCheckpoint(raw json.RawMessage) error {
 	if r == nil {
 		return nil
 	}
-	st, err := DecodeState(raw)
-	if err != nil {
-		return err
+	var st State
+	if len(raw) > 0 {
+		if err := json.Unmarshal(raw, &st); err != nil {
+			return err
+		}
 	}
-	r.tr.Rewind(st.TraceEvents, st.TraceBytes)
-	r.fl.Rewind(st.FlightFrames, st.FlightBytes)
+	if err := r.tr.Stream().TruncateTo(st.TraceEvents, st.TraceBytes); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	if err := r.fl.Stream().TruncateTo(st.FlightFrames, st.FlightBytes); err != nil {
+		return fmt.Errorf("flight recording: %w", err)
+	}
 	if len(st.PredQ) > 0 {
 		return r.pq.unmarshal(st.PredQ)
 	}

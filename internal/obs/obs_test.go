@@ -56,10 +56,10 @@ func TestTracerStreamShape(t *testing.T) {
 			t.Fatalf("non-metadata event without ts: %q", ln)
 		}
 	}
-	if got := tr.Events(); got != uint64(events) {
-		t.Fatalf("Events() = %d, stream has %d", got, events)
+	if got := tr.Stream().Records(); got != uint64(events) {
+		t.Fatalf("Records() = %d, stream has %d", got, events)
 	}
-	if _, b := tr.Offset(); b != int64(len(out)) {
+	if _, b := tr.Stream().Offset(); b != int64(len(out)) {
 		t.Fatalf("Offset bytes = %d, wrote %d", b, len(out))
 	}
 	if !strings.Contains(out, `"schema":1`) {
@@ -80,16 +80,17 @@ func TestTracerDeterminismAndRewind(t *testing.T) {
 		t.Fatal("same event sequence must produce byte-identical traces")
 	}
 
-	// Crash after 7 events, resume from a checkpoint taken at 5:
-	// truncate to the checkpointed offset, Rewind, replay the tail.
+	// Crash after 7 events, resume from a checkpoint taken at 5: cut
+	// back to the checkpointed offset, replay the tail.
 	var crashed bytes.Buffer
 	tr3 := NewTracer(&crashed)
 	driveTracer(tr3, 0, 5)
-	ckEvents, ckBytes := tr3.Offset()
+	ckEvents, ckBytes := tr3.Stream().Offset()
 	driveTracer(tr3, 5, 7) // lost to the crash
-	crashed.Truncate(int(ckBytes))
 	tr4 := NewTracer(&crashed)
-	tr4.Rewind(ckEvents, ckBytes)
+	if err := tr4.Stream().TruncateTo(ckEvents, ckBytes); err != nil {
+		t.Fatal(err)
+	}
 	driveTracer(tr4, 5, 12)
 	if !bytes.Equal(full.Bytes(), crashed.Bytes()) {
 		t.Fatal("crash/resume trace differs from uninterrupted trace")
@@ -126,10 +127,10 @@ func TestFlightRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fl.Record(makeFrame(i, servers))
 	}
-	if fl.Frames() != 10 {
-		t.Fatalf("Frames() = %d, want 10", fl.Frames())
+	if n := fl.Stream().Records(); n != 10 {
+		t.Fatalf("Records() = %d, want 10", n)
 	}
-	if _, b := fl.Offset(); b != int64(buf.Len()) {
+	if _, b := fl.Stream().Offset(); b != int64(buf.Len()) {
 		t.Fatalf("Offset bytes = %d, wrote %d", b, buf.Len())
 	}
 	fd, err := ReadFlight(bytes.NewReader(buf.Bytes()))
@@ -176,11 +177,12 @@ func TestFlightRewind(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		fl2.Record(makeFrame(i, servers))
 	}
-	ckFrames, ckBytes := fl2.Offset()
+	ckFrames, ckBytes := fl2.Stream().Offset()
 	fl2.Record(makeFrame(4, servers)) // lost to the crash
-	crashed.Truncate(int(ckBytes))
 	fl3 := NewFlight(&crashed, servers, 30)
-	fl3.Rewind(ckFrames, ckBytes)
+	if err := fl3.Stream().TruncateTo(ckFrames, ckBytes); err != nil {
+		t.Fatal(err)
+	}
 	for i := 4; i < 8; i++ {
 		fl3.Record(makeFrame(i, servers))
 	}
@@ -295,12 +297,6 @@ func TestRecorderCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(rec, 25, 31) // lost to the crash
-	st, err := DecodeState(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctr.Truncate(int(st.TraceBytes))
-	cfl.Truncate(int(st.FlightBytes))
 	rec2 := newRec(&ctr, &cfl)
 	if err := rec2.RestoreCheckpoint(raw); err != nil {
 		t.Fatal(err)
@@ -331,6 +327,9 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatal("nil recorder fired drift")
 	}
 	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if raw, err := r.CheckpointState(); raw != nil || err != nil {

@@ -3,7 +3,8 @@ package obs
 import (
 	"io"
 	"strconv"
-	"sync"
+
+	"gsight/internal/telemetry"
 )
 
 // TraceSchema is the trace format version, recorded in a metadata
@@ -21,105 +22,52 @@ const TraceSchema = 1
 //
 // Determinism: timestamps are simulation time converted to
 // microseconds (the trace-event unit) — never wall clock — so a
-// fixed-seed run emits a byte-identical trace. Events are built by
-// hand into a reusable buffer under a mutex, like the decision log, so
-// steady-state tracing allocates nothing.
+// fixed-seed run emits a byte-identical trace. Like the decision log it
+// is an encoder over a telemetry.Stream: events are built by hand into
+// the stream's reusable buffer under its lock, so steady-state tracing
+// allocates nothing.
 //
-// The preamble (array opener plus metadata events) is written lazily
-// before the first event: a resumed run Rewinds to a non-zero offset
-// and never duplicates it.
-type Tracer struct {
-	mu     sync.Mutex
-	w      io.Writer
-	buf    []byte
-	events uint64
-	bytes  int64
-	err    error
-}
+// The array opener and the two metadata events are the stream's
+// preamble: a resumed run, truncated to a non-zero offset, never
+// duplicates them.
+type Tracer struct{ s *telemetry.Stream }
 
-// NewTracer streams trace events to w. Callers own w's lifecycle (and
-// any buffering/flushing); the tracer only writes whole lines.
+// tracePreamble opens the array and names the process and the schema:
+// two metadata events.
+var tracePreamble = []byte("[\n" +
+	`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"gsight platform"}},` + "\n" +
+	`{"name":"gsight_trace","ph":"M","pid":1,"tid":0,"args":{"schema":` + strconv.Itoa(TraceSchema) + "}},\n")
+
+// NewTracer streams trace events to w. Callers own w's lifecycle; the
+// tracer only writes whole lines.
 func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{w: w}
+	return &Tracer{s: telemetry.NewStream(w, tracePreamble, 2)}
 }
 
-// Events returns the number of events emitted so far (the preamble's
-// metadata events included).
-func (t *Tracer) Events() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events
-}
-
-// Err returns the first write error, if any — tracing is best-effort
-// and never fails the traced operation.
-func (t *Tracer) Err() error {
+// Stream returns the tracer's counted stream (events emitted, the
+// preamble's metadata events included; first write error — tracing is
+// best-effort and never fails the traced operation). Nil for a nil
+// tracer, which the stream's methods accept.
+func (t *Tracer) Stream() *telemetry.Stream {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
+	return t.s
 }
 
-// Offset returns the trace position — events emitted and bytes written
-// — for checkpointing. A resumed run that truncates its trace file to
-// the byte offset and calls Rewind continues the exact same stream.
-func (t *Tracer) Offset() (events uint64, bytes int64) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events, t.bytes
+// emit closes the args object opened at index a, finishes the event
+// line begin started and writes it.
+func (t *Tracer) emit(b []byte, a int) {
+	b[a] = '{'
+	t.s.End(append(b, '}', '}', ',', '\n'))
 }
 
-// Rewind resets the trace position to a checkpointed Offset. It
-// adjusts only the counters: the caller owns the underlying writer and
-// must have truncated it to the matching byte offset.
-func (t *Tracer) Rewind(events uint64, bytes int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = events
-	t.bytes = bytes
-	t.mu.Unlock()
-}
-
-// write appends b to the stream, tracking bytes. Callers hold t.mu.
-func (t *Tracer) write(b []byte) {
-	t.bytes += int64(len(b))
-	if _, err := t.w.Write(b); err != nil && t.err == nil {
-		t.err = err
-	}
-}
-
-// emit finishes the event line in b and writes it. Callers hold t.mu.
-func (t *Tracer) emit(b []byte) {
-	b = append(b, '}', ',', '\n')
-	t.buf = b // retain grown capacity for the next event
-	t.events++
-	t.write(b)
-}
-
-// begin opens a new event: preamble if the stream is empty, then
+// begin opens a new event:
 // {"name":"<name>","cat":"<cat>","ph":"<ph>","ts":<simTimeS*1e6>,
-// "pid":1,"tid":0. Callers hold t.mu and must close with emit.
+// "pid":1,"tid":0. The stream stays locked until emit.
 func (t *Tracer) begin(name, cat string, ph byte, simTimeS float64) []byte {
-	if t.events == 0 && t.bytes == 0 {
-		t.write([]byte("[\n"))
-		b := append(t.buf[:0], `{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"gsight platform"}`...)
-		t.emit(b)
-		b = append(t.buf[:0], `{"name":"gsight_trace","ph":"M","pid":1,"tid":0,"args":{"schema":`...)
-		b = strconv.AppendInt(b, TraceSchema, 10)
-		b = append(b, '}')
-		t.emit(b)
-	}
-	b := append(t.buf[:0], `{"name":`...)
+	b, _ := t.s.Begin()
+	b = append(b, `{"name":`...)
 	b = strconv.AppendQuote(b, name)
 	b = append(b, `,"cat":`...)
 	b = strconv.AppendQuote(b, cat)
@@ -131,57 +79,13 @@ func (t *Tracer) begin(name, cat string, ph byte, simTimeS float64) []byte {
 	return b
 }
 
-// argsKey opens the args object on first use and appends a field key.
-func argsKey(b []byte, first *bool, key string) []byte {
-	if *first {
-		b = append(b, `,"args":{`...)
-		*first = false
-	} else {
-		b = append(b, ',')
-	}
-	b = append(b, '"')
-	b = append(b, key...)
-	return append(b, '"', ':')
-}
-
-func argsStr(b []byte, first *bool, key, v string) []byte {
-	b = argsKey(b, first, key)
-	return strconv.AppendQuote(b, v)
-}
-
-func argsInt(b []byte, first *bool, key string, v int) []byte {
-	b = argsKey(b, first, key)
-	return strconv.AppendInt(b, int64(v), 10)
-}
-
-func argsFloat(b []byte, first *bool, key string, v float64) []byte {
-	b = argsKey(b, first, key)
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-func argsBool(b []byte, first *bool, key string, v bool) []byte {
-	b = argsKey(b, first, key)
-	return strconv.AppendBool(b, v)
-}
-
-func argsInts(b []byte, first *bool, key string, vs []int) []byte {
-	b = argsKey(b, first, key)
-	b = append(b, '[')
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return append(b, ']')
-}
-
-// closeArgs closes the args object if one was opened.
-func closeArgs(b []byte, first bool) []byte {
-	if !first {
-		b = append(b, '}')
-	}
-	return b
+// args opens the event's args object. Its fields follow, appended with
+// telemetry.AppendStr and siblings — comma first, so emit turns the
+// first field's comma, at the returned index, into the opening brace.
+// Every event has at least one unconditional field.
+func args(b []byte) ([]byte, int) {
+	b = append(b, `,"args":`...)
+	return b, len(b)
 }
 
 // JobBegin opens a job's async span at its admission: the job was
@@ -192,19 +96,16 @@ func (t *Tracer) JobBegin(id int, archetype, job string, simTimeS float64, serve
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	b := t.begin(archetype, "job", 'b', simTimeS)
 	b = append(b, `,"id":`...)
 	b = strconv.AppendInt(b, int64(id), 10)
-	first := true
-	b = argsStr(b, &first, "job", job)
-	b = argsInts(b, &first, "servers", servers)
+	b, a := args(b)
+	b = telemetry.AppendStr(b, "job", job)
+	b = telemetry.AppendInts(b, "servers", servers)
 	if predJCTS > 0 {
-		b = argsFloat(b, &first, "pred_jct_s", predJCTS)
+		b = telemetry.AppendFloat(b, "pred_jct_s", predJCTS)
 	}
-	b = closeArgs(b, first)
-	t.emit(b)
-	t.mu.Unlock()
+	t.emit(b, a)
 }
 
 // JobEnd closes a job's async span at completion with the observed
@@ -215,21 +116,18 @@ func (t *Tracer) JobEnd(id int, archetype string, simTimeS, jctS, slowdown float
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	b := t.begin(archetype, "job", 'e', simTimeS)
 	b = append(b, `,"id":`...)
 	b = strconv.AppendInt(b, int64(id), 10)
-	first := true
-	b = argsFloat(b, &first, "jct_s", jctS)
+	b, a := args(b)
+	b = telemetry.AppendFloat(b, "jct_s", jctS)
 	if slowdown > 0 {
-		b = argsFloat(b, &first, "slowdown", slowdown)
+		b = telemetry.AppendFloat(b, "slowdown", slowdown)
 	}
 	if checked {
-		b = argsBool(b, &first, "sla_ok", slaOK)
+		b = telemetry.AppendBool(b, "sla_ok", slaOK)
 	}
-	b = closeArgs(b, first)
-	t.emit(b)
-	t.mu.Unlock()
+	t.emit(b, a)
 }
 
 // PlacementInfo is one scheduling decision as the tracer records it:
@@ -253,29 +151,26 @@ func (t *Tracer) Placement(simTimeS float64, p *PlacementInfo) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	b := t.begin("placement", "sched", 'i', simTimeS)
 	b = append(b, `,"s":"t"`...)
-	first := true
-	b = argsStr(b, &first, "workload", p.Workload)
-	b = argsStr(b, &first, "outcome", p.Outcome)
+	b, a := args(b)
+	b = telemetry.AppendStr(b, "workload", p.Workload)
+	b = telemetry.AppendStr(b, "outcome", p.Outcome)
 	if p.Reason != "" {
-		b = argsStr(b, &first, "reason", p.Reason)
+		b = telemetry.AppendStr(b, "reason", p.Reason)
 	}
-	b = argsInt(b, &first, "spread_levels", p.SpreadLevels)
-	b = argsInt(b, &first, "sla_checks", p.SLAChecks)
+	b = telemetry.AppendInt(b, "spread_levels", p.SpreadLevels)
+	b = telemetry.AppendInt(b, "sla_checks", p.SLAChecks)
 	if p.Placement != nil {
-		b = argsInts(b, &first, "placement", p.Placement)
+		b = telemetry.AppendInts(b, "placement", p.Placement)
 	}
 	if p.PredIPC > 0 {
-		b = argsFloat(b, &first, "pred_ipc", p.PredIPC)
+		b = telemetry.AppendFloat(b, "pred_ipc", p.PredIPC)
 	}
 	if p.PredJCTS > 0 {
-		b = argsFloat(b, &first, "pred_jct_s", p.PredJCTS)
+		b = telemetry.AppendFloat(b, "pred_jct_s", p.PredJCTS)
 	}
-	b = closeArgs(b, first)
-	t.emit(b)
-	t.mu.Unlock()
+	t.emit(b, a)
 }
 
 // Reactive records a runtime SLA-control action (corunner eviction or
@@ -285,15 +180,12 @@ func (t *Tracer) Reactive(simTimeS float64, action, service string, moved int) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	b := t.begin(action, "reactive", 'i', simTimeS)
 	b = append(b, `,"s":"t"`...)
-	first := true
-	b = argsStr(b, &first, "service", service)
-	b = argsInt(b, &first, "moved", moved)
-	b = closeArgs(b, first)
-	t.emit(b)
-	t.mu.Unlock()
+	b, a := args(b)
+	b = telemetry.AppendStr(b, "service", service)
+	b = telemetry.AppendInt(b, "moved", moved)
+	t.emit(b, a)
 }
 
 // Fault records an injected fault transition as an instant event.
@@ -301,17 +193,14 @@ func (t *Tracer) Fault(simTimeS float64, kind string, node int, displaced int) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	b := t.begin(kind, "fault", 'i', simTimeS)
 	b = append(b, `,"s":"g"`...)
-	first := true
-	b = argsInt(b, &first, "node", node)
+	b, a := args(b)
+	b = telemetry.AppendInt(b, "node", node)
 	if displaced != 0 {
-		b = argsInt(b, &first, "displaced", displaced)
+		b = telemetry.AppendInt(b, "displaced", displaced)
 	}
-	b = closeArgs(b, first)
-	t.emit(b)
-	t.mu.Unlock()
+	t.emit(b, a)
 }
 
 // Degraded records the platform entering or leaving degraded placement
@@ -320,15 +209,12 @@ func (t *Tracer) Degraded(simTimeS float64, entered bool, reason string) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	b := t.begin("degraded", "fault", 'i', simTimeS)
 	b = append(b, `,"s":"g"`...)
-	first := true
-	b = argsBool(b, &first, "entered", entered)
-	b = argsStr(b, &first, "reason", reason)
-	b = closeArgs(b, first)
-	t.emit(b)
-	t.mu.Unlock()
+	b, a := args(b)
+	b = telemetry.AppendBool(b, "entered", entered)
+	b = telemetry.AppendStr(b, "reason", reason)
+	t.emit(b, a)
 }
 
 // PredSample records one prediction-quality sample — a predicted vs
@@ -339,17 +225,14 @@ func (t *Tracer) PredSample(simTimeS float64, archetype, qos string, predicted, 
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	b := t.begin("sample", "predq", 'i', simTimeS)
 	b = append(b, `,"s":"t"`...)
-	first := true
-	b = argsStr(b, &first, "archetype", archetype)
-	b = argsStr(b, &first, "qos", qos)
-	b = argsFloat(b, &first, "pred", predicted)
-	b = argsFloat(b, &first, "obs", observed)
-	b = closeArgs(b, first)
-	t.emit(b)
-	t.mu.Unlock()
+	b, a := args(b)
+	b = telemetry.AppendStr(b, "archetype", archetype)
+	b = telemetry.AppendStr(b, "qos", qos)
+	b = telemetry.AppendFloat(b, "pred", predicted)
+	b = telemetry.AppendFloat(b, "obs", observed)
+	t.emit(b, a)
 }
 
 // Drift records a predictor-drift detection as an instant event.
@@ -357,17 +240,14 @@ func (t *Tracer) Drift(simTimeS float64, d *DriftInfo) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	b := t.begin("predictor_drift", "predq", 'i', simTimeS)
 	b = append(b, `,"s":"g"`...)
-	first := true
-	b = argsStr(b, &first, "archetype", d.Archetype)
-	b = argsStr(b, &first, "qos", d.QoS)
-	b = argsInt(b, &first, "window", d.Window)
-	b = argsFloat(b, &first, "mean_err", d.MeanErr)
-	b = argsFloat(b, &first, "mape", d.MAPE)
-	b = argsFloat(b, &first, "ph", d.PH)
-	b = closeArgs(b, first)
-	t.emit(b)
-	t.mu.Unlock()
+	b, a := args(b)
+	b = telemetry.AppendStr(b, "archetype", d.Archetype)
+	b = telemetry.AppendStr(b, "qos", d.QoS)
+	b = telemetry.AppendInt(b, "window", d.Window)
+	b = telemetry.AppendFloat(b, "mean_err", d.MeanErr)
+	b = telemetry.AppendFloat(b, "mape", d.MAPE)
+	b = telemetry.AppendFloat(b, "ph", d.PH)
+	t.emit(b, a)
 }

@@ -26,14 +26,11 @@ import (
 //	magic "GSIGHTSN" | format version u32 | seq u64 | payload length u64 | sha256(payload)
 //
 // so any torn, truncated or bit-flipped snapshot is detected on load
-// and the loader falls back to the previous generation. What the
-// fallback means for the WALs is the caller's to decide, because the
-// two controllers recover differently: the platform re-executes the
-// span after the snapshot it loaded and drops the newer WALs
-// (RemoveWALsAfter); the serving daemon's WALs hold acknowledged
-// records, so it replays the whole chain wal-N, wal-(N+1), … on top of
-// snapshot N. Snapshots are written via WriteFileAtomic, so a crash
-// during a write never destroys the previous valid snapshot. The
+// and the loader falls back to the previous generation; the WALs of the
+// generations it fell back over are kept and read as one chain on top
+// of the snapshot it loaded (Store.Recover). Snapshots are written via
+// WriteFileAtomic, so a crash during a write never destroys the
+// previous valid snapshot. The
 // payload is opaque to the envelope — the caller owns its schema —
 // which keeps persist free of import cycles; controllers that carry a
 // predictor frame theirs with FramePayload.
@@ -232,16 +229,18 @@ func generations(dir, prefix, suffix string) ([]SnapshotInfo, error) {
 }
 
 // LatestSnapshot loads the newest valid snapshot in dir, falling back
-// over corrupt or truncated generations: each rejected snapshot file is
-// deleted so the directory converges back to a valid state. WALs are
-// never touched — a rejected generation's WAL may hold records the
-// caller has acknowledged. It returns ErrNoSnapshot when the directory
-// holds no valid snapshot.
+// over corrupt or truncated generations: each snapshot whose bytes were
+// read and failed the envelope check is deleted so the directory
+// converges back to a valid state. WALs are never touched — a rejected
+// generation's WAL may hold records the caller has acknowledged. It
+// returns ErrNoSnapshot when the directory holds no valid snapshot.
 //
-// A snapshot in another format version is not corruption. The walk
-// stops at it with ErrSnapshotVersion and deletes nothing, not even the
-// corrupt generations it passed on the way: a build pointed at another
-// build's data directory must leave it as it found it.
+// Only verified corruption is fallen back over. A snapshot in another
+// format version, or one that could not be read at all (EIO, EACCES,
+// EMFILE: the bytes may be fine), stops the walk with an error naming
+// the file and deletes nothing, not even the corrupt generations passed
+// on the way: a build pointed at another build's data directory, or at
+// a disk having a bad moment, must leave it as it found it.
 func LatestSnapshot(dir string) (payload []byte, seq uint64, err error) {
 	infos, err := Snapshots(dir)
 	if err != nil {
@@ -254,19 +253,19 @@ func LatestSnapshot(dir string) (payload []byte, seq uint64, err error) {
 	for i := len(infos) - 1; i >= 0; i-- {
 		info := infos[i]
 		data, err := os.ReadFile(info.Path)
+		if err != nil {
+			return nil, 0, fmt.Errorf("persist: snapshot unreadable, nothing deleted: %w", err)
+		}
+		gotSeq, payload, err := DecodeSnapshot(data)
+		if errors.Is(err, ErrSnapshotVersion) {
+			return nil, 0, fmt.Errorf("%s: %w", info.Path, err)
+		}
+		if err == nil && gotSeq != info.Seq {
+			err = fmt.Errorf("%w: envelope seq %d does not match file name", ErrSnapshotCorrupt, gotSeq)
+		}
 		if err == nil {
-			var gotSeq uint64
-			gotSeq, payload, err = DecodeSnapshot(data)
-			if errors.Is(err, ErrSnapshotVersion) {
-				return nil, 0, fmt.Errorf("%s: %w", info.Path, err)
-			}
-			if err == nil && gotSeq != info.Seq {
-				err = fmt.Errorf("%w: envelope seq %d does not match file name", ErrSnapshotCorrupt, gotSeq)
-			}
-			if err == nil {
-				removeAll(rejected)
-				return payload, info.Seq, nil
-			}
+			removeAll(rejected)
+			return payload, info.Seq, nil
 		}
 		if lastErr == nil {
 			lastErr = fmt.Errorf("%s: %w", info.Path, err)
@@ -301,23 +300,8 @@ func PruneCheckpoints(dir string, keepFrom uint64) error {
 	if err != nil {
 		return err
 	}
-	return removeWhere(append(snaps, wals...), func(seq uint64) bool { return seq < keepFrom })
-}
-
-// RemoveWALsAfter deletes the WALs of generations newer than seq. A
-// controller that recovers by re-execution calls it after loading
-// snapshot seq: those WALs describe a future it is about to re-create.
-func RemoveWALsAfter(dir string, seq uint64) error {
-	wals, err := generations(dir, walPrefix, walSuffix)
-	if err != nil {
-		return err
-	}
-	return removeWhere(wals, func(s uint64) bool { return s > seq })
-}
-
-func removeWhere(files []SnapshotInfo, drop func(seq uint64) bool) error {
-	for _, f := range files {
-		if !drop(f.Seq) {
+	for _, f := range append(snaps, wals...) {
+		if f.Seq >= keepFrom {
 			continue
 		}
 		if err := os.Remove(f.Path); err != nil && !os.IsNotExist(err) {

@@ -233,16 +233,30 @@ func TestLatestSnapshotFallsBackOverCorruptGenerations(t *testing.T) {
 	if _, err := os.Stat(walPath); err != nil {
 		t.Fatalf("corrupt generation's WAL must survive the fallback: %v", err)
 	}
-	// The re-executing caller's follow-up drops it, and only it.
-	os.WriteFile(WALPath(dir, 2), []byte("keep"), 0o644)
-	if err := RemoveWALsAfter(dir, seq); err != nil {
+}
+
+// TestLatestSnapshotKeepsUnreadableSnapshot: only a snapshot whose bytes
+// were read and failed the envelope check is deleted. One that cannot be
+// read at all — here a symlink to a directory, standing in for EIO,
+// EACCES or EMFILE — may be intact: the walk stops with an error naming
+// it and both entries stay.
+func TestLatestSnapshotKeepsUnreadableSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := WriteSnapshot(dir, 1, []byte(`{"gen":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
-		t.Fatal("RemoveWALsAfter left the newer generation's WAL")
+	unreadable := SnapshotPath(dir, 2)
+	if err := os.Symlink(t.TempDir(), unreadable); err != nil {
+		t.Skipf("no symlinks here: %v", err)
 	}
-	if _, err := os.Stat(WALPath(dir, 2)); err != nil {
-		t.Fatalf("RemoveWALsAfter removed the loaded generation's WAL: %v", err)
+	payload, seq, err := LatestSnapshot(dir)
+	if err == nil || errors.Is(err, ErrNoSnapshot) || !strings.Contains(err.Error(), unreadable) {
+		t.Fatalf("got payload=%s seq=%d err=%v, want an error naming %s", payload, seq, err, unreadable)
+	}
+	for _, path := range []string{SnapshotPath(dir, 1), unreadable} {
+		if _, err := os.Lstat(path); err != nil {
+			t.Errorf("%s did not survive: %v", filepath.Base(path), err)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -102,41 +101,5 @@ func TestPersistImportsNoSchedulerOrLearner(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestOpenAppendTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.log")
-	if err := os.WriteFile(path, []byte("keep|cut off by the crash"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenAppendTruncated(path, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("resumed"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "keep|resumed" {
-		t.Fatalf("stream after truncated reopen = %q", got)
-	}
-	// A missing file resumes only from offset 0 (fresh stream).
-	fresh := filepath.Join(t.TempDir(), "fresh.log")
-	f, err = OpenAppendTruncated(fresh, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	// A file shorter than the recorded offset is corruption, not
-	// something to zero-extend.
-	if _, err := OpenAppendTruncated(fresh, 99); err == nil {
-		t.Fatal("short file must be rejected, not zero-extended")
 	}
 }

@@ -50,7 +50,9 @@ func CreateWAL(path string) (*WAL, error) {
 
 // OpenWALAppend opens the log at path for appending after its valid
 // prefix: the file is truncated to validLen (discarding any torn tail
-// ReplayWAL rejected) and positioned at the end.
+// ReplayWAL rejected) and positioned at the end. A missing file is
+// created, so like CreateWAL it fsyncs the parent directory before
+// returning.
 func OpenWALAppend(path string, validLen int64) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -63,6 +65,10 @@ func OpenWALAppend(path string, validLen int64) (*WAL, error) {
 	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("persist: wal %s: %w", path, err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return &WAL{f: f, w: bufio.NewWriter(f)}, nil
 }

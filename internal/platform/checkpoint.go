@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"gsight/internal/core"
 	"gsight/internal/faults"
-	"gsight/internal/obs"
 	"gsight/internal/perfmodel"
 	"gsight/internal/persist"
 	"gsight/internal/profile"
@@ -46,28 +44,15 @@ type CheckpointConfig struct {
 	// 1800 s. Snapshots land on step boundaries.
 	IntervalS float64
 	// Resume continues from the latest valid snapshot in Dir (replaying
-	// its WAL) instead of starting fresh. With no valid snapshot the
-	// run starts fresh — so a retry loop can pass Resume
+	// the WAL chain after it) instead of starting fresh. With no valid
+	// snapshot the run starts fresh — so a retry loop can pass Resume
 	// unconditionally.
 	Resume bool
-	// Keep bounds retained snapshot generations; <= 0 means 2 (the
-	// newest plus one fallback).
-	Keep int
-	// FlushLog, when set, is called right before each snapshot so the
-	// decision log's on-disk bytes cover the offset the snapshot
-	// records (the caller owns the log file and its buffering).
-	FlushLog func() error
 }
 
-func (c CheckpointConfig) withDefaults() CheckpointConfig {
-	if c.IntervalS <= 0 {
-		c.IntervalS = 1800
-	}
-	if c.Keep <= 0 {
-		c.Keep = 2
-	}
-	return c
-}
+// checkpointKeep is the number of snapshot generations retained: the
+// newest plus one fallback.
+const checkpointKeep = 2
 
 // deploymentCkpt is a perfmodel.Deployment's checkpoint form; the
 // workload itself is rebuilt from config.
@@ -210,14 +195,12 @@ type walRecord struct {
 }
 
 // checkpointer drives snapshots, the WAL, and replay verification for
-// one runner.
+// one runner, on a persist.Store.
 type checkpointer struct {
-	r   *runner
-	cfg CheckpointConfig
-
-	seq       uint64 // generation of the newest snapshot on disk
+	r         *runner
+	intervalS float64
+	store     *persist.Store
 	lastSnapS float64
-	wal       *persist.WAL
 	// queue holds the crashed incarnation's surviving WAL records; while
 	// non-empty the run is replaying and every regenerated record is
 	// verified against the head instead of appended.
@@ -226,24 +209,20 @@ type checkpointer struct {
 
 // newCheckpointer validates the configuration and prepares dir.
 func newCheckpointer(r *runner) (*checkpointer, error) {
-	cfg := r.cfg.Checkpoint.withDefaults()
 	if r.cfg.Predictor != nil {
 		if _, ok := r.cfg.Predictor.(core.Checkpointable); !ok {
 			return nil, fmt.Errorf("platform: checkpointing requires a checkpointable predictor, %T is not", r.cfg.Predictor)
 		}
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	store, err := persist.OpenStore(r.cfg.Checkpoint.Dir, checkpointKeep)
+	if err != nil {
 		return nil, fmt.Errorf("platform: checkpoint dir: %w", err)
 	}
-	return &checkpointer{r: r, cfg: cfg}, nil
-}
-
-// close releases the WAL handle, preserving the first error.
-func (c *checkpointer) close() {
-	if c.wal != nil {
-		c.wal.Close()
-		c.wal = nil
+	c := &checkpointer{r: r, intervalS: r.cfg.Checkpoint.IntervalS, store: store}
+	if c.intervalS <= 0 {
+		c.intervalS = 1800
 	}
+	return c, nil
 }
 
 // replaying reports whether crashed-incarnation records remain to be
@@ -278,103 +257,49 @@ func (c *checkpointer) note(rec *walRecord) {
 		c.queue = c.queue[1:]
 		return
 	}
-	if c.wal == nil {
+	wal := c.store.Live()
+	if wal == nil {
 		return // fresh run before the first snapshot: nothing to log yet
 	}
-	if err := c.wal.Append(data); err != nil {
+	if err := wal.Append(data); err != nil {
 		c.fail(fmt.Errorf("platform: wal append: %w", err))
 		return
 	}
 	c.r.ins.WALRecords.Inc()
 }
 
-func (c *checkpointer) notePlacement(simS float64, name string, placement []int, rejected bool) {
-	c.note(&walRecord{T: "place", SimS: simS, Name: name, Placement: placement, Rejected: rejected})
-}
-
-func (c *checkpointer) noteObservation(simS float64, kind string, target int, label float64) {
-	c.note(&walRecord{T: "obs", SimS: simS, Kind: kind, Target: target, Label: label})
-}
-
-// consumeCrash handles a controller-crash fault op during replay: the
-// crashed incarnation's WAL ends with a crash marker, and popping it
-// here is what stops the resumed run from dying at the same event
-// forever. It reports whether the crash was already taken.
-func (c *checkpointer) consumeCrash(simS float64) bool {
-	if !c.replaying() {
-		return false
-	}
-	data, err := json.Marshal(&walRecord{T: "crash", SimS: simS})
-	if err != nil || !bytes.Equal(c.queue[0], data) {
-		c.fail(fmt.Errorf("platform: resume diverged from WAL at controller-crash, sim time %g", simS))
-		return true // aborting; do not crash again
-	}
-	c.queue = c.queue[1:]
-	return true
-}
-
-// recordCrash durably marks a crash being taken: the marker is the last
-// record the dying incarnation writes, fsynced before the run unwinds.
-func (c *checkpointer) recordCrash(simS float64) {
-	if c.wal == nil {
-		return
-	}
-	data, err := json.Marshal(&walRecord{T: "crash", SimS: simS})
-	if err == nil {
-		err = c.wal.Append(data)
-	}
-	if err == nil {
-		err = c.wal.Sync()
-	}
-	if err != nil {
-		c.fail(fmt.Errorf("platform: crash marker: %w", err))
-	}
-}
-
 // maybeSnapshot writes a snapshot when the interval has elapsed. It
-// never snapshots mid-replay: the WAL generation on disk still
-// describes spans the resumed run has not re-verified.
+// never snapshots mid-replay: the WAL chain on disk still describes
+// spans the resumed run has not re-verified.
 func (c *checkpointer) maybeSnapshot(now float64, step int) error {
-	if c.replaying() || now-c.lastSnapS < c.cfg.IntervalS {
+	if c.replaying() || now-c.lastSnapS < c.intervalS {
 		return nil
 	}
 	return c.snapshot(now, step)
 }
 
 // snapshot captures the runner at a boundary (firedUpTo = -1 before the
-// loop), writes generation seq+1 atomically, rotates the WAL and prunes
-// old generations.
+// loop) as the next generation: every output stream is fsynced up to the
+// offset the payload is about to record, the WAL rotates, and the
+// snapshot is published.
 func (c *checkpointer) snapshot(firedUpTo float64, step int) error {
 	span := telemetry.StartSpan(c.r.ins.CheckpointSeconds)
-	if c.cfg.FlushLog != nil {
-		if err := c.cfg.FlushLog(); err != nil {
-			return fmt.Errorf("platform: checkpoint flush log: %w", err)
-		}
+	if err := c.r.ins.Decisions.Stream().Sync(); err != nil {
+		return fmt.Errorf("platform: checkpoint: decision log: %w", err)
+	}
+	if err := c.r.obs.Sync(); err != nil {
+		return fmt.Errorf("platform: checkpoint: obs: %w", err)
 	}
 	payload, err := c.r.capturePayload(firedUpTo, step)
 	if err != nil {
 		return err
 	}
-	if c.wal != nil {
-		if err := c.wal.Close(); err != nil {
-			return fmt.Errorf("platform: wal close: %w", err)
-		}
-		c.wal = nil
+	gen, err := c.store.Rotate()
+	if err == nil {
+		err = c.store.Publish(gen, payload)
 	}
-	next := c.seq + 1
-	if _, err := persist.WriteSnapshot(c.cfg.Dir, next, payload); err != nil {
-		return fmt.Errorf("platform: checkpoint: %w", err)
-	}
-	wal, err := persist.CreateWAL(persist.WALPath(c.cfg.Dir, next))
 	if err != nil {
 		return fmt.Errorf("platform: checkpoint: %w", err)
-	}
-	c.wal = wal
-	c.seq = next
-	if c.seq > uint64(c.cfg.Keep) {
-		if err := persist.PruneCheckpoints(c.cfg.Dir, c.seq-uint64(c.cfg.Keep)+1); err != nil {
-			return err
-		}
 	}
 	if firedUpTo > 0 {
 		c.lastSnapS = firedUpTo
@@ -469,15 +394,10 @@ func (r *runner) capturePayload(firedUpTo float64, step int) ([]byte, error) {
 			return nil, fmt.Errorf("platform: checkpoint predictor: %w", err)
 		}
 	}
-	if r.ins.Decisions != nil {
-		p.LogSeq, p.LogBytes = r.ins.Decisions.Offset()
-	}
-	if r.obs != nil {
-		raw, err := r.obs.CheckpointState()
-		if err != nil {
-			return nil, fmt.Errorf("platform: checkpoint obs: %w", err)
-		}
-		p.Obs = raw
+	p.LogSeq, p.LogBytes = r.ins.Decisions.Stream().Offset()
+	var err error
+	if p.Obs, err = r.obs.CheckpointState(); err != nil {
+		return nil, fmt.Errorf("platform: checkpoint obs: %w", err)
 	}
 	ctl, err := json.Marshal(&p)
 	if err != nil {
@@ -500,39 +420,27 @@ func decodePayload(payload []byte) (*ckptPayload, []byte, error) {
 	return &p, predictor, nil
 }
 
-// resume loads the latest valid snapshot and WAL from the checkpoint
-// directory and rebuilds the runner mid-horizon. It reports
+// resume recovers the checkpoint directory and rebuilds the runner
+// mid-horizon from its newest valid snapshot; the WAL chain after it
+// becomes the replay queue, and the chain's last file keeps taking the
+// records the run appends once the queue has drained. It reports
 // persist.ErrNoSnapshot when the directory has nothing to resume from.
 func (r *runner) resume() error {
 	c := r.ck
-	payload, seq, err := persist.LatestSnapshot(c.cfg.Dir)
+	rec, err := c.store.Recover()
 	if err != nil {
 		return err
 	}
-	p, predictor, err := decodePayload(payload)
+	p, predictor, err := decodePayload(rec.Payload)
 	if err != nil {
 		return err
 	}
 	if err := r.restorePayload(p, predictor); err != nil {
 		return err
 	}
-	// A newer WAL means LatestSnapshot fell back over a corrupt
-	// generation; the run re-executes that span, so its old log goes.
-	if err := persist.RemoveWALsAfter(c.cfg.Dir, seq); err != nil {
-		return err
+	for _, records := range rec.Chain {
+		c.queue = append(c.queue, records...)
 	}
-	walPath := persist.WALPath(c.cfg.Dir, seq)
-	records, validLen, err := persist.ReplayWAL(walPath)
-	if err != nil {
-		return err
-	}
-	wal, err := persist.OpenWALAppend(walPath, validLen)
-	if err != nil {
-		return err
-	}
-	c.wal = wal
-	c.queue = records
-	c.seq = seq
 	if p.FiredUpToS > 0 {
 		c.lastSnapS = p.FiredUpToS
 	}
@@ -721,16 +629,13 @@ func (r *runner) restorePayload(p *ckptPayload, predictor []byte) error {
 	r.scheduleFaults(p.FiredUpToS)
 	r.registerArrivals(p.FiredUpToS)
 
-	if r.ins.Decisions != nil {
-		r.ins.Decisions.Rewind(p.LogSeq, p.LogBytes)
+	// Cut every output stream back to the offset the snapshot recorded:
+	// the resumed run re-emits what came after it, byte for byte.
+	if err := r.ins.Decisions.Stream().TruncateTo(p.LogSeq, p.LogBytes); err != nil {
+		return fmt.Errorf("platform: checkpoint decision log: %w", err)
 	}
-	if r.obs != nil {
-		// The caller owns the stream files and truncated them to the
-		// offsets PeekCheckpoint reported; rewinding the counters makes
-		// the resumed streams continue byte-identically.
-		if err := r.obs.RestoreCheckpoint(p.Obs); err != nil {
-			return fmt.Errorf("platform: checkpoint obs: %w", err)
-		}
+	if err := r.obs.RestoreCheckpoint(p.Obs); err != nil {
+		return fmt.Errorf("platform: checkpoint obs: %w", err)
 	}
 	if cfg.Predictor != nil {
 		if len(predictor) == 0 {
@@ -759,23 +664,14 @@ func (r *runner) serviceByName(name string) *serviceState {
 
 // CheckpointMeta is the latest resumable position in a checkpoint
 // directory. Callers use it before a resume to decide whether to skip
-// bootstrap work and to truncate an external decision-log file to the
-// recorded offset.
+// bootstrap work and whether their output files are continued or
+// created.
 type CheckpointMeta struct {
 	Seq       uint64
 	SimTimeS  float64 // sim time through which the snapshot's events ran
 	Step      int
 	Seed      uint64
 	Scheduler string
-	LogSeq    uint64
-	LogBytes  int64
-	// Observability stream offsets (zero when the snapshot carried no
-	// obs state): resuming truncates the trace file to TraceBytes and
-	// the flight recording to FlightBytes before reopening them.
-	TraceEvents  uint64
-	TraceBytes   int64
-	FlightFrames uint64
-	FlightBytes  int64
 }
 
 // PeekCheckpoint reads the latest valid snapshot's metadata.
@@ -788,37 +684,36 @@ func PeekCheckpoint(dir string) (*CheckpointMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	ost, err := obs.DecodeState(p.Obs)
-	if err != nil {
-		return nil, fmt.Errorf("platform: checkpoint obs state: %w", err)
-	}
 	return &CheckpointMeta{
-		Seq:          seq,
-		SimTimeS:     p.FiredUpToS,
-		Step:         p.Step,
-		Seed:         p.Seed,
-		Scheduler:    p.Scheduler,
-		LogSeq:       p.LogSeq,
-		LogBytes:     p.LogBytes,
-		TraceEvents:  ost.TraceEvents,
-		TraceBytes:   ost.TraceBytes,
-		FlightFrames: ost.FlightFrames,
-		FlightBytes:  ost.FlightBytes,
+		Seq:       seq,
+		SimTimeS:  p.FiredUpToS,
+		Step:      p.Step,
+		Seed:      p.Seed,
+		Scheduler: p.Scheduler,
 	}, nil
 }
 
-// controllerCrash takes (or replays) an injected controller-crash: on
-// the first encounter it durably marks the crash and kills the run with
-// ErrControllerCrashed; when the resumed run re-reaches the event, the
-// WAL marker turns it into a no-op. The op is invisible in every output
-// (no counters, no decision events, no RNG draws), so a crashed-and-
-// resumed run stays byte-identical to one that never crashed.
+// controllerCrash takes (or replays) an injected controller-crash. On
+// the first encounter the crash marker is the last record the dying
+// incarnation writes, fsynced before the run unwinds with
+// ErrControllerCrashed; when the resumed run re-reaches the event the
+// marker is the next record of the replay queue, and verifying it there
+// is what stops the run from dying at the same event forever. The op is
+// invisible in every run output (no decision events, no RNG draws, no
+// Stats), so a crashed-and-resumed run stays byte-identical to one that
+// never crashed.
 func (r *runner) controllerCrash() {
-	if r.ck != nil {
-		if r.ck.consumeCrash(r.engine.Now()) {
-			return
+	if c := r.ck; c != nil {
+		taken := c.replaying()
+		c.note(&walRecord{T: "crash", SimS: r.engine.Now()})
+		if taken || r.ckErr != nil {
+			return // already taken, or aborting: do not crash again
 		}
-		r.ck.recordCrash(r.engine.Now())
+		if wal := c.store.Live(); wal != nil {
+			if err := wal.Sync(); err != nil {
+				c.fail(fmt.Errorf("platform: crash marker: %w", err))
+			}
+		}
 	}
 	r.crashed = true
 	r.cancel()

@@ -67,12 +67,13 @@ type ckptRun struct {
 // runToCompletion drives a checkpointed run through every injected
 // controller crash, rebuilding predictor, scheduler, sink, decision
 // log and observability recorder per incarnation exactly like a process
-// restart would, truncating every stream to each resumed snapshot's
-// recorded offsets. between, when set, runs after each crashed
-// incarnation (fault injection on the checkpoint files themselves).
+// restart would: each incarnation's streams open over whatever the last
+// one left, and the resumed platform cuts them back to the snapshot's
+// offsets itself. between, when set, runs after each crashed incarnation
+// (fault injection on the checkpoint files themselves).
 func runToCompletion(t *testing.T, seed uint64, dir string, schedule *faults.Schedule, intervalS float64, between func(incarnation int)) ckptRun {
 	t.Helper()
-	var logBytes, traceBytes, flightBytes []byte
+	var logBuf, traceBuf, flightBuf bytes.Buffer
 	for incarnation := 1; ; incarnation++ {
 		if incarnation > 20 {
 			t.Fatal("resume loop did not converge")
@@ -80,32 +81,9 @@ func runToCompletion(t *testing.T, seed uint64, dir string, schedule *faults.Sch
 		cfg := ckptConfig(seed)
 		cfg.Faults = schedule
 		cfg.Checkpoint = CheckpointConfig{Dir: dir, IntervalS: intervalS, Resume: incarnation > 1}
-		if incarnation > 1 {
-			meta, err := PeekCheckpoint(dir)
-			if err != nil {
-				t.Fatalf("incarnation %d: %v", incarnation, err)
-			}
-			if int64(len(logBytes)) < meta.LogBytes {
-				t.Fatalf("incarnation %d: decision log has %d bytes, snapshot records %d",
-					incarnation, len(logBytes), meta.LogBytes)
-			}
-			if int64(len(traceBytes)) < meta.TraceBytes || int64(len(flightBytes)) < meta.FlightBytes {
-				t.Fatalf("incarnation %d: trace/flight have %d/%d bytes, snapshot records %d/%d",
-					incarnation, len(traceBytes), len(flightBytes), meta.TraceBytes, meta.FlightBytes)
-			}
-			logBytes = logBytes[:meta.LogBytes]
-			traceBytes = traceBytes[:meta.TraceBytes]
-			flightBytes = flightBytes[:meta.FlightBytes]
-		}
-		buf := bytes.NewBuffer(logBytes)
-		tbuf := bytes.NewBuffer(traceBytes)
-		fbuf := bytes.NewBuffer(flightBytes)
-		cfg.Telemetry = telemetry.New().WithDecisions(buf)
-		obsFor(&cfg, tbuf, fbuf)
+		cfg.Telemetry = telemetry.New().WithDecisions(&logBuf)
+		obsFor(&cfg, &traceBuf, &flightBuf)
 		st, err := Run(context.Background(), cfg)
-		logBytes = append([]byte(nil), buf.Bytes()...)
-		traceBytes = append([]byte(nil), tbuf.Bytes()...)
-		flightBytes = append([]byte(nil), fbuf.Bytes()...)
 		if errors.Is(err, ErrControllerCrashed) {
 			if between != nil {
 				between(incarnation)
@@ -115,7 +93,7 @@ func runToCompletion(t *testing.T, seed uint64, dir string, schedule *faults.Sch
 		if err != nil {
 			t.Fatalf("incarnation %d: %v", incarnation, err)
 		}
-		return ckptRun{stats: st, log: logBytes, trace: traceBytes, flight: flightBytes, incarnations: incarnation}
+		return ckptRun{stats: st, log: logBuf.Bytes(), trace: traceBuf.Bytes(), flight: flightBuf.Bytes(), incarnations: incarnation}
 	}
 }
 
@@ -277,13 +255,9 @@ func TestCancelMidRunResumesByteIdentical(t *testing.T) {
 		t.Fatalf("no valid snapshot after mid-run kill: %v", err)
 	}
 
-	meta, err := PeekCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	resumed := ckptConfig(seed)
 	resumed.Checkpoint = CheckpointConfig{Dir: dir, IntervalS: 300, Resume: true}
-	resLog := bytes.NewBuffer(append([]byte(nil), killedLog.Bytes()[:meta.LogBytes]...))
+	resLog := &killedLog // continued: the platform cuts it back to the snapshot's offset
 	resumed.Telemetry = telemetry.New().WithDecisions(resLog)
 	st, err := Run(context.Background(), resumed)
 	if err != nil {
@@ -297,12 +271,14 @@ func TestCancelMidRunResumesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotFallsBack flips a byte in the newest snapshot after
-// a crash: resume must detect the corruption by checksum, reject that
-// generation cleanly, fall back to the previous valid snapshot, and
-// still finish byte-identical. The crash re-fires once (its durable
-// marker lived in the discarded generation's WAL) before the run gets
-// past it.
+// TestCorruptSnapshotFallsBack loses the newest snapshot after a crash —
+// a flipped byte, which resume must detect by checksum and fall back
+// over, or a snapshot that was never published, which is what a crash
+// between the WAL rotation and the publish leaves. Either way the WAL
+// chain after the previous snapshot holds everything since, the crash
+// marker included: the run resumes from the older snapshot, verifies its
+// way through both WALs, does not take the crash a second time, and
+// finishes byte-identical in every output.
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	const seed = 13
 	base := ckptConfig(seed)
@@ -314,34 +290,59 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
 	crashes := &faults.Schedule{Events: []faults.Event{{AtS: 1000, Kind: faults.ControllerCrash}}}
-	res := runToCompletion(t, seed, dir, crashes, 300, func(incarnation int) {
-		if incarnation != 1 {
-			return
-		}
-		snaps, err := persist.Snapshots(dir)
-		if err != nil || len(snaps) == 0 {
-			t.Fatalf("no snapshots to corrupt: %v", err)
-		}
-		path := snaps[len(snaps)-1].Path
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x40
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if res.incarnations != 3 {
-		t.Fatalf("incarnations = %d, want 3 (crash, re-fired crash after fallback, final)", res.incarnations)
-	}
-	if a, b := statsJSON(t, baseStats), statsJSON(t, res.stats); !bytes.Equal(a, b) {
-		t.Fatalf("stats diverged after corrupt-snapshot fallback:\nbase    %s\nresumed %s", a, b)
-	}
-	if !bytes.Equal(baseLog.Bytes(), res.log) {
-		t.Fatal("decision log diverged after corrupt-snapshot fallback")
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, newest string)
+	}{
+		{"newest snapshot corrupt", func(t *testing.T, newest string) {
+			data, err := os.ReadFile(newest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x40
+			if err := os.WriteFile(newest, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"rotated WAL with no snapshot", func(t *testing.T, newest string) {
+			if err := os.Remove(newest); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			res := runToCompletion(t, seed, dir, crashes, 300, func(incarnation int) {
+				if incarnation != 1 {
+					return
+				}
+				snaps, err := persist.Snapshots(dir)
+				if err != nil || len(snaps) < 2 {
+					t.Fatalf("want two snapshot generations to lose the newer of: %v, %v", snaps, err)
+				}
+				newest := snaps[len(snaps)-1]
+				if _, err := os.Stat(persist.WALPath(dir, newest.Seq)); err != nil {
+					t.Fatalf("newest generation has no WAL: %v", err)
+				}
+				tc.damage(t, newest.Path)
+			})
+			if res.incarnations != 2 {
+				t.Fatalf("incarnations = %d, want 2 (crash, final): the crash marker is in the chained WAL", res.incarnations)
+			}
+			if a, b := statsJSON(t, baseStats), statsJSON(t, res.stats); !bytes.Equal(a, b) {
+				t.Fatalf("stats diverged after the fallback:\nbase    %s\nresumed %s", a, b)
+			}
+			if !bytes.Equal(baseLog.Bytes(), res.log) {
+				t.Fatal("decision log diverged after the fallback")
+			}
+			if !bytes.Equal(baseTrace.Bytes(), res.trace) {
+				t.Fatal("trace diverged after the fallback")
+			}
+			if !bytes.Equal(baseFlight.Bytes(), res.flight) {
+				t.Fatal("flight recording diverged after the fallback")
+			}
+		})
 	}
 }
 
@@ -420,5 +421,153 @@ func TestResumeEmptyDirStartsFresh(t *testing.T) {
 	}
 	if st.Steps != 60 {
 		t.Fatalf("steps = %d, want 60", st.Steps)
+	}
+}
+
+// recFile is an output file that counts the bytes written to it and the
+// bytes an fsync has covered, and runs a check before every write and
+// fsync — the two events after which those counts change.
+type recFile struct {
+	*os.File
+	written, synced int64
+	before          func()
+}
+
+func (f *recFile) Write(p []byte) (int, error) {
+	f.before()
+	n, err := f.File.Write(p)
+	f.written += int64(n)
+	return n, err
+}
+
+func (f *recFile) Sync() error {
+	f.before()
+	err := f.File.Sync()
+	if err == nil {
+		f.synced = f.written
+	}
+	return err
+}
+
+func (f *recFile) Truncate(size int64) error {
+	f.before()
+	err := f.File.Truncate(size)
+	if err == nil {
+		f.written, f.synced = size, min(f.synced, size)
+	}
+	return err
+}
+
+// TestSnapshotRecordsOnlyFsyncedOffsets: "offset recorded ⇒ bytes
+// durable". The decision log, trace and flight recording run on real
+// files whose writes and fsyncs are counted; before each of those events
+// every snapshot that has appeared in the checkpoint directory is opened,
+// and the offsets it records must already be covered by an fsync of the
+// stream they point into — the fsync came before the snapshot's rename,
+// because nothing else happened to the files in between. The run crashes
+// once and resumes over the same files, so the cut-back path is covered
+// too, and still ends byte-identical to the in-memory baseline.
+func TestSnapshotRecordsOnlyFsyncedOffsets(t *testing.T) {
+	const seed = 17
+	base := ckptConfig(seed)
+	var baseLog, baseTrace, baseFlight bytes.Buffer
+	base.Telemetry = telemetry.New().WithDecisions(&baseLog)
+	obsFor(&base, &baseTrace, &baseFlight)
+	if _, err := Run(context.Background(), base); err != nil {
+		t.Fatal(err)
+	}
+
+	ckDir, outDir := t.TempDir(), t.TempDir()
+	var logF, traceF, flightF *recFile
+	checked := map[string]bool{}
+	check := func() {
+		snaps, err := persist.Snapshots(ckDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sn := range snaps {
+			if checked[sn.Path] {
+				continue
+			}
+			checked[sn.Path] = true
+			data, err := os.ReadFile(sn.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, payload, err := persist.DecodeSnapshot(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _, err := decodePayload(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ost obs.State
+			if err := json.Unmarshal(p.Obs, &ost); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				stream   string
+				recorded int64
+				f        *recFile
+			}{{"decision log", p.LogBytes, logF}, {"trace", ost.TraceBytes, traceF}, {"flight recording", ost.FlightBytes, flightF}} {
+				if c.recorded > c.f.synced {
+					t.Errorf("snapshot %d records %s offset %d, only %d bytes were fsynced before it was published",
+						sn.Seq, c.stream, c.recorded, c.f.synced)
+				}
+			}
+			if p.LogBytes == 0 || ost.TraceBytes == 0 {
+				t.Errorf("snapshot %d records empty streams (log %d, trace %d)", sn.Seq, p.LogBytes, ost.TraceBytes)
+			}
+		}
+	}
+	open := func(name string) *recFile {
+		f, err := os.OpenFile(outDir+"/"+name, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What a previous incarnation left is on disk but not known synced.
+		return &recFile{File: f, written: st.Size(), before: check}
+	}
+	crashes := &faults.Schedule{Events: []faults.Event{{AtS: 1000, Kind: faults.ControllerCrash}}}
+	for incarnation := 1; ; incarnation++ {
+		cfg := ckptConfig(seed)
+		cfg.Faults = crashes
+		cfg.Checkpoint = CheckpointConfig{Dir: ckDir, IntervalS: 300, Resume: incarnation > 1}
+		logF, traceF, flightF = open("decisions.jsonl"), open("trace.json"), open("flight.bin")
+		cfg.Telemetry = telemetry.New().WithDecisions(logF)
+		cfg.Obs = obs.New(obs.Config{Trace: traceF, Flight: flightF, Servers: cfg.Model.Testbed.NumServers(), StepS: cfg.StepS})
+		_, err := Run(context.Background(), cfg)
+		if ferr := cfg.Telemetry.Decisions.Stream().Flush(); ferr != nil {
+			t.Fatal(ferr)
+		}
+		if ferr := cfg.Obs.Sync(); ferr != nil {
+			t.Fatal(ferr)
+		}
+		check()
+		if incarnation == 1 && errors.Is(err, ErrControllerCrashed) {
+			continue
+		}
+		if err != nil || incarnation != 2 {
+			t.Fatalf("incarnation %d: %v", incarnation, err)
+		}
+		break
+	}
+	if len(checked) < 5 {
+		t.Fatalf("only %d snapshots were checked", len(checked))
+	}
+	for name, want := range map[string][]byte{"decisions.jsonl": baseLog.Bytes(), "trace.json": baseTrace.Bytes(), "flight.bin": baseFlight.Bytes()} {
+		got, err := os.ReadFile(outDir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s on disk differs from the uninterrupted in-memory run (%d vs %d bytes)", name, len(got), len(want))
+		}
 	}
 }

@@ -376,7 +376,10 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 			return nil, err
 		}
 		r.ck = ck
-		defer ck.close()
+		// The simulator's WAL is a verification aid, not an
+		// acknowledgement: a failed close costs a resumed run nothing
+		// it would not re-execute.
+		defer func() { _ = ck.store.Close() }()
 	}
 	resumed := false
 	if r.ck != nil && cfg.Checkpoint.Resume {
@@ -621,7 +624,7 @@ func (r *runner) place(req *sched.Request) ([]int, error) {
 	}
 	placement, err := r.placeInner(req)
 	if r.ck != nil {
-		r.ck.notePlacement(r.engine.Now(), req.Input.Name, placement, err != nil)
+		r.ck.note(&walRecord{T: "place", SimS: r.engine.Now(), Name: req.Input.Name, Placement: placement, Rejected: err != nil})
 	}
 	if r.obs != nil {
 		r.tracePlacement(req, placement, err)
@@ -1095,7 +1098,7 @@ func (r *runner) loop() error {
 				}
 				_ = cfg.Predictor.Observe(core.IPCQoS, i, inputs, lr.IPC)
 				if r.ck != nil {
-					r.ck.noteObservation(now, "ipc", i, lr.IPC)
+					r.ck.note(&walRecord{T: "obs", SimS: now, Kind: "ipc", Target: i, Label: lr.IPC})
 				}
 			}
 		}

@@ -68,7 +68,7 @@ func TestTelemetryNopEquivalence(t *testing.T) {
 		if got := placeSequence(live); !reflect.DeepEqual(got, plain) {
 			t.Errorf("%s: live-instrumented placements differ: %v vs %v", name, got, plain)
 		}
-		if sink.Decisions.Events() == 0 {
+		if sink.Decisions.Stream().Records() == 0 {
 			t.Errorf("%s: live sink recorded no decisions", name)
 		}
 	}

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -62,13 +62,12 @@ type Server struct {
 	durableGen atomic.Uint64
 
 	// Committer-owned state (single goroutine; no locks).
-	gen       uint64 // generation of the live WAL (the last cut's)
-	wal       *persist.WAL
-	logF      *os.File
-	logBytes  int64
-	applied   uint64 // last applied record seq
-	snapSeq   uint64 // applied seq at the last snapshot
-	nextOrder uint64 // next client order the reorder buffer admits
+	store     *persist.Store    // snapshot generations and the live WAL
+	log       *telemetry.Stream // decisions.jsonl: WAL payloads verbatim
+	logF      io.Closer         // the file under log
+	applied   uint64            // last applied record seq
+	snapSeq   uint64            // applied seq at the last snapshot
+	nextOrder uint64            // next client order the reorder buffer admits
 	parked    map[uint64]*pending
 	resp      map[uint64]json.RawMessage // order → response (dup answers)
 	respRing  []uint64                   // eviction order for resp
@@ -231,7 +230,8 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
+	store, err := persist.OpenStore(cfg.DataDir, cfg.Keep)
+	if err != nil {
 		return nil, fmt.Errorf("serve: data dir: %w", err)
 	}
 	cfg.Health.SetReady(false, "starting")
@@ -246,6 +246,7 @@ func New(cfg Config) (*Server, error) {
 		cat:     cat,
 		pred:    pred,
 		state:   sched.ShardedStateFromProfiles(cat.Spec(), cfg.Servers, 0),
+		store:   store,
 		intake:  make(chan *pending, cfg.QueueCap),
 		stopC:   make(chan struct{}),
 		doneC:   make(chan struct{}),
@@ -291,19 +292,47 @@ func (s *Server) Applied() uint64 { return s.applied }
 // Catalog exposes the archetype catalog.
 func (s *Server) Catalog() *Catalog { return s.cat }
 
-// restore loads the newest valid snapshot N, replays the WAL chain
-// wal-N, wal-(N+1), … on top of it and regenerates the decision log to
+// openLog opens decisions.jsonl. A variable so a test can record the
+// order of its writes and fsyncs; nothing outside tests assigns it.
+var openLog = func(path string, flag int) (io.WriteCloser, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// openDecisionLog opens the decision log as a counted stream: created
+// empty for a fresh lineage, otherwise as it stands, for restore to cut
+// back to the snapshot's offset.
+func (s *Server) openDecisionLog(fresh bool) error {
+	flag := os.O_RDWR | os.O_CREATE
+	if fresh {
+		flag |= os.O_TRUNC
+	}
+	f, err := openLog(s.logPath(), flag)
+	if err != nil {
+		return fmt.Errorf("serve: decision log: %w", err)
+	}
+	s.logF = f
+	s.log = telemetry.NewStream(f, nil, 0)
+	return nil
+}
+
+// restore recovers the data dir through the store — newest valid
+// snapshot, then the WAL chain after it — re-commits every chained
+// record on top of the snapshot and regenerates the decision log to
 // exactly the acknowledged prefix. The chain is longer than one file
 // when the previous incarnation died between rotating the WAL and
 // publishing that generation's snapshot, or when the newest snapshot is
-// corrupt and LatestSnapshot fell back; either way every acknowledged
-// record is in some wal-k with k >= N, and record sequence numbers must
-// continue without a gap across the files. A directory without a
-// snapshot is a fresh start: bootstrap-train and write the genesis
-// generation, so every later incarnation (restart, standby takeover)
-// restores the same trained lineage instead of re-training divergently.
+// corrupt; either way every acknowledged record is in it, and record
+// sequence numbers must continue without a gap across the files. A
+// directory without a snapshot is a fresh start: bootstrap-train and
+// write the genesis generation, so every later incarnation (restart,
+// standby takeover) restores the same trained lineage instead of
+// re-training divergently.
 func (s *Server) restore() error {
-	payload, gen, err := persist.LatestSnapshot(s.cfg.DataDir)
+	rec, err := s.store.Recover()
 	if errors.Is(err, persist.ErrNoSnapshot) {
 		if fi, serr := os.Stat(s.logPath()); serr == nil && fi.Size() > 0 {
 			return fmt.Errorf("serve: restore: %w, but %s holds %d bytes of acknowledged decisions; refusing to bootstrap over them",
@@ -316,19 +345,21 @@ func (s *Server) restore() error {
 	}
 	s.met.takeovers.Inc()
 
-	snap, blob, err := decodeSnapshotPayload(payload)
+	snap, blob, err := decodeSnapshotPayload(rec.Payload)
 	if err != nil {
 		return err
 	}
+	if snap.Servers != 0 && snap.Servers != s.state.NumServers() {
+		return fmt.Errorf("serve: snapshot %d is of a %d-server cluster, daemon configured with %d",
+			rec.Gen, snap.Servers, s.state.NumServers())
+	}
 	// Rebuild the running set through Commit (restores Used vectors).
 	for _, d := range snap.Running {
-		req, err := s.cat.Request(d.Archetype, d.Name, d.QPSFrac)
+		req, err := s.storedRequest(d.Archetype, d.Name, d.QPSFrac, d.Placement)
 		if err != nil {
-			return fmt.Errorf("serve: snapshot running set: %w", err)
+			return fmt.Errorf("serve: snapshot %d running set: %w", rec.Gen, err)
 		}
-		in := req.Input
-		in.Placement = append([]int(nil), d.Placement...)
-		s.state.Commit(in, sched.SLA{MinIPC: d.MinIPC, MaxJCTFactor: d.MaxJCT})
+		s.state.Commit(req.Input, sched.SLA{MinIPC: d.MinIPC, MaxJCTFactor: d.MaxJCT})
 	}
 	s.state.Recount()
 	if err := s.pred.RestoreCheckpoint(blob); err != nil {
@@ -343,61 +374,36 @@ func (s *Server) restore() error {
 	for _, cr := range snap.Responses {
 		s.cacheResponse(cr.Order, cr.Resp)
 	}
-	s.durableGen.Store(gen)
+	s.durableGen.Store(rec.Gen)
 
-	// Continue the decision log from the snapshot's recorded offset,
-	// re-emitting the replayed records so the bytes line up exactly
-	// with an uninterrupted run.
-	logF, err := persist.OpenAppendTruncated(s.logPath(), snap.LogBytes)
-	if err != nil {
+	// Continue the decision log from the snapshot's recorded offset (one
+	// line per applied record), re-emitting the replayed records so the
+	// bytes line up exactly with an uninterrupted run.
+	if err := s.openDecisionLog(false); err != nil {
+		return err
+	}
+	if err := s.log.TruncateTo(snap.Applied, snap.LogBytes); err != nil {
 		return fmt.Errorf("serve: decision log: %w", err)
 	}
-	s.logF = logF
-	s.logBytes = snap.LogBytes
-
-	var (
-		walPath  string
-		validLen int64
-	)
-	for g := gen; ; g++ {
-		path := persist.WALPath(s.cfg.DataDir, g)
-		if g > gen {
-			if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
-				break
-			} else if err != nil {
-				return fmt.Errorf("serve: wal chain: %w", err)
-			}
-		}
-		records, n, err := persist.ReplayWAL(path)
-		if err != nil {
-			return fmt.Errorf("serve: wal replay: %w", err)
-		}
+	for i, records := range rec.Chain {
 		for _, raw := range records {
-			rec, err := decodeRecord(raw)
+			r, err := decodeRecord(raw)
 			if err != nil {
 				return err
 			}
-			if rec.Seq != s.applied+1 {
-				return fmt.Errorf("serve: wal replay: %s holds seq %d after seq %d; the chain from snapshot %d has a gap",
-					filepath.Base(path), rec.Seq, s.applied, gen)
+			if r.Seq != s.applied+1 {
+				return fmt.Errorf("serve: wal replay: generation %d holds seq %d after seq %d; the chain from snapshot %d has a gap",
+					rec.Gen+uint64(i), r.Seq, s.applied, rec.Gen)
 			}
-			if err := s.applyRecord(rec); err != nil {
-				return fmt.Errorf("serve: wal replay seq %d: %w", rec.Seq, err)
+			if err := s.applyRecord(r); err != nil {
+				return fmt.Errorf("serve: wal replay seq %d: %w", r.Seq, err)
 			}
-			if err := s.emitLog(raw); err != nil {
-				return err
-			}
+			s.emitLog(raw)
 			s.met.replayed.Inc()
 		}
-		walPath, validLen, s.gen = path, n, g
 	}
-	w, err := persist.OpenWALAppend(walPath, validLen)
-	if err != nil {
-		return fmt.Errorf("serve: wal: %w", err)
-	}
-	s.wal = w
 	s.logf("restored snapshot gen %d, replayed %d wal records from generations %d..%d (applied seq %d, next order %d)",
-		gen, s.applied-snap.Applied, gen, s.gen, s.applied, s.nextOrder)
+		rec.Gen, s.applied-snap.Applied, rec.Gen, s.store.Gen(), s.applied, s.nextOrder)
 	// Compact immediately: the takeover (or restart) starts its own
 	// generation, so the replayed window is never replayed twice.
 	return s.snapshot(false)
@@ -416,22 +422,41 @@ func (s *Server) bootstrap() error {
 	} else {
 		s.logf("predictor untrained (-train 0): placements degrade to the fallback scheduler")
 	}
-	logF, err := os.Create(s.logPath())
-	if err != nil {
-		return fmt.Errorf("serve: decision log: %w", err)
+	if err := s.openDecisionLog(true); err != nil {
+		return err
 	}
-	s.logF = logF
-	s.logBytes = 0
 	return s.snapshot(false)
 }
 
-// emitLog appends one decision line (a WAL payload verbatim).
-func (s *Server) emitLog(payload []byte) error {
-	if _, err := s.logF.Write(append(payload, '\n')); err != nil {
-		return fmt.Errorf("serve: decision log: %w", err)
+// emitLog appends one decision line (a WAL payload verbatim) to the
+// stream's buffer; the committer flushes once per batch, before the
+// acknowledgements.
+func (s *Server) emitLog(payload []byte) {
+	b, _ := s.log.Begin()
+	s.log.End(append(append(b, payload...), '\n'))
+}
+
+// storedRequest rebuilds the request of a stored placement — from a
+// snapshot's running set or a replayed place record — with the placement
+// filled in, after checking it against the catalog and the cluster: a
+// data dir written for another cluster size or archetype set is refused,
+// not indexed out of range.
+func (s *Server) storedRequest(archetype, name string, qpsFrac float64, placement []int) (*sched.Request, error) {
+	req, err := s.cat.Request(archetype, name, qpsFrac)
+	if err != nil {
+		return nil, err
 	}
-	s.logBytes += int64(len(payload)) + 1
-	return nil
+	if len(placement) != len(req.Input.Profiles) {
+		return nil, fmt.Errorf("serve: %s: stored placement has %d entries, archetype %s has %d functions",
+			name, len(placement), archetype, len(req.Input.Profiles))
+	}
+	for _, sv := range placement {
+		if sv < 0 || sv >= s.state.NumServers() {
+			return nil, fmt.Errorf("serve: %s: stored placement names server %d, cluster has %d", name, sv, s.state.NumServers())
+		}
+	}
+	req.Input.Placement = append([]int(nil), placement...)
+	return req, nil
 }
 
 // applyRecord folds one replayed WAL record into the daemon state —
@@ -448,13 +473,11 @@ func (s *Server) applyRecord(rec *walRecord) error {
 			return errors.New("serve: place record without body")
 		}
 		if placedOutcome(p.Outcome) {
-			req, err := s.cat.Request(p.Workload, p.Name, p.QPSFrac)
+			req, err := s.storedRequest(p.Workload, p.Name, p.QPSFrac, p.Placement)
 			if err != nil {
 				return err
 			}
-			in := req.Input
-			in.Placement = append([]int(nil), p.Placement...)
-			s.state.Commit(in, req.SLA)
+			s.state.Commit(req.Input, req.SLA)
 		}
 	case kindObserve:
 		o := rec.Obs
@@ -589,10 +612,12 @@ func (s *Server) committerLoop() {
 			if err := s.snapshot(false); err != nil {
 				s.logf("final snapshot: %v", err)
 			}
-			if err := s.wal.Close(); err != nil {
+			if err := s.store.Close(); err != nil {
 				s.logf("wal close: %v", err)
 			}
-			s.logF.Sync()
+			if err := s.log.Sync(); err != nil {
+				s.logf("decision log: %v", err)
+			}
 			s.logF.Close()
 			return
 		}
@@ -715,8 +740,8 @@ func (s *Server) fence(batch []*pending, err error) {
 }
 
 // commitBatch processes one admitted batch: decide everything, append
-// every record to the WAL under ONE fsync, emit the decision
-// lines, then acknowledge. Contiguous placements decide through the
+// every record to the WAL under ONE fsync, write the decision lines,
+// then acknowledge. Contiguous placements decide through the
 // placer pool (concurrent propose, serial commit); observations and
 // releases apply serially at their positions. Snapshot controls split
 // the batch: the records before the control are acknowledged first, so
@@ -789,13 +814,17 @@ func (s *Server) commitBatch(batch []*pending) error {
 			}
 			payloads[i] = b
 		}
-		if err := s.wal.AppendBatch(payloads); err != nil {
+		if err := s.store.Live().AppendBatch(payloads); err != nil {
 			return fmt.Errorf("serve: wal append: %w", err)
 		}
+		// The decision lines reach the file in one write, before any
+		// acknowledgement: a reader of decisions.jsonl never sees fewer
+		// lines than there are acknowledged operations.
 		for _, b := range payloads {
-			if err := s.emitLog(b); err != nil {
-				return err
-			}
+			s.emitLog(b)
+		}
+		if err := s.log.Flush(); err != nil {
+			return fmt.Errorf("serve: decision log: %w", err)
 		}
 		s.met.walRecords.Add(uint64(len(records)))
 		for i, rec := range records {

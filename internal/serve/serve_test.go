@@ -282,10 +282,22 @@ func TestServeRestartContinuesStream(t *testing.T) {
 	}
 }
 
-// addLegacyClock rewrites every snapshot in dir so its JSON section
-// carries the sched_seq and epochs fields snapshots held before the
-// commit clock was dropped from the schema.
+// addLegacyClock rewrites every snapshot in dir into the form older
+// builds wrote: carrying the sched_seq and epochs fields snapshots held
+// before the commit clock was dropped from the schema, and without the
+// servers field they did not have yet.
 func addLegacyClock(t *testing.T, dir string) {
+	t.Helper()
+	rewriteSnapshots(t, dir, func(doc map[string]json.RawMessage) {
+		doc["sched_seq"] = json.RawMessage(`41`)
+		doc["epochs"] = json.RawMessage(`[41,7,41,12]`)
+		delete(doc, "servers")
+	})
+}
+
+// rewriteSnapshots applies edit to the JSON section of every snapshot
+// in dir and writes each back under a valid envelope.
+func rewriteSnapshots(t *testing.T, dir string, edit func(doc map[string]json.RawMessage)) {
 	t.Helper()
 	snaps, err := persist.Snapshots(dir)
 	if err != nil || len(snaps) == 0 {
@@ -308,8 +320,7 @@ func addLegacyClock(t *testing.T, dir string) {
 		if err := json.Unmarshal(ctl, &doc); err != nil {
 			t.Fatal(err)
 		}
-		doc["sched_seq"] = json.RawMessage(`41`)
-		doc["epochs"] = json.RawMessage(`[41,7,41,12]`)
+		edit(doc)
 		if ctl, err = json.Marshal(doc); err != nil {
 			t.Fatal(err)
 		}

@@ -16,22 +16,23 @@ import (
 // The CUT is the committer's half, at a record boundary N: copy the
 // running set, response cache and log offset, take a frozen
 // view of the predictor (core.Predictor.Capture: slice headers and
-// tree pointers only), and rotate the WAL at once — close wal-g, create
-// wal-(g+1). From here on wal-(g+1) holds exactly the records after N,
-// whether or not snapshot g+1 ever reaches the disk.
+// tree pointers only), and rotate the store's WAL at once. From here on
+// the new generation's WAL holds exactly the records after N, whether
+// or not its snapshot ever reaches the disk.
 //
-// The PUBLISH is everything slow — encode, fsync decisions.jsonl, write
-// snap-(g+1) atomically, prune — and runs on one background goroutine,
+// The PUBLISH is everything slow — encode, fsync the decision log,
+// publish the snapshot, prune — and runs on one background goroutine,
 // at most one at a time; a snapshot that comes due meanwhile is
 // deferred to the boundary after the publish ends, not queued. Callers
 // with nothing to overlap (bootstrap, restore-time compaction, drain)
 // run the same two functions back to back.
 //
 // What is durable when: an acknowledged record is fsynced in the live
-// WAL before its ack, as ever. Until snap-(g+1) lands, recovery starts
-// from snapshot g and replays wal-g then wal-(g+1) (restore walks the
-// chain); once it lands, from g+1 and wal-(g+1) alone. A crash anywhere
-// in between loses nothing and re-derives the same stream.
+// WAL before its ack, as ever. Until the cut's snapshot lands, recovery
+// starts from the previous one and replays the WAL chain through the
+// rotated file (persist.Store.Recover, DESIGN.md §12); once it lands,
+// from it and its own WAL alone. A crash anywhere in between loses
+// nothing and re-derives the same stream.
 
 // snapshotCut is generation gen's snapshot, frozen at a record boundary.
 type snapshotCut struct {
@@ -111,7 +112,7 @@ func (s *Server) awaitPublish() {
 func (s *Server) cut() (*snapshotCut, error) {
 	span := telemetry.StartSpan(s.met.capture)
 	defer span.End()
-	cut := &snapshotCut{gen: s.gen + 1, waiters: s.snapWaiters}
+	cut := &snapshotCut{waiters: s.snapWaiters}
 	s.snapWaiters = nil
 	fail := func(err error) (*snapshotCut, error) {
 		cut.answer(pendingResp{status: 500, err: err})
@@ -124,11 +125,13 @@ func (s *Server) cut() (*snapshotCut, error) {
 	}
 	cut.pred = pred
 	st := s.state.Base()
+	_, logBytes := s.log.Offset()
 	cut.state = snapshotState{
 		Version:   snapshotStateVersion,
 		Applied:   s.applied,
 		NextOrder: s.nextOrder,
-		LogBytes:  s.logBytes,
+		LogBytes:  logBytes,
+		Servers:   s.state.NumServers(),
 	}
 	for i := range st.Running {
 		d := &st.Running[i]
@@ -146,19 +149,11 @@ func (s *Server) cut() (*snapshotCut, error) {
 		cut.state.Responses = append(cut.state.Responses, cachedResponse{Order: o, Resp: s.resp[o]})
 	}
 
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil {
-			return fail(fmt.Errorf("serve: wal rotate: %w", err))
-		}
+	// Rotate fsyncs the new WAL's directory entry, so the file exists
+	// durably before the first record appended to it is acknowledged.
+	if cut.gen, err = s.store.Rotate(); err != nil {
+		return fail(fmt.Errorf("serve: wal rotate: %w", err))
 	}
-	// CreateWAL fsyncs the directory, so the file exists durably before
-	// the first record appended to it is acknowledged.
-	w, err := persist.CreateWAL(persist.WALPath(s.cfg.DataDir, cut.gen))
-	if err != nil {
-		return fail(err)
-	}
-	s.wal = w
-	s.gen = cut.gen
 	s.snapSeq = s.applied
 	return cut, nil
 }
@@ -172,8 +167,8 @@ func (c *snapshotCut) answer(r pendingResp) {
 
 // publish makes the cut's generation durable: decision log fsynced
 // first (so LogBytes is on disk — the file only grows, so syncing later
-// than the cut covers it), then the snapshot envelope; old generations
-// are pruned. It touches no committer-owned state, so it runs on the
+// than the cut covers it), then the snapshot; old generations are
+// pruned. It touches no committer-owned state, so it runs on the
 // publisher goroutine as well as inline.
 func (s *Server) publish(cut *snapshotCut) (err error) {
 	span := telemetry.StartSpan(s.met.publish)
@@ -196,19 +191,16 @@ func (s *Server) publish(cut *snapshotCut) (err error) {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	payload := persist.FramePayload(ctl, cut.pred.Encode())
-	if err := s.logF.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("serve: decision log sync: %w", err)
 	}
-	if _, err := persist.WriteSnapshot(s.cfg.DataDir, cut.gen, payload); err != nil {
+	if err := s.store.Publish(cut.gen, payload); err != nil {
 		return err
 	}
 	s.durableGen.Store(cut.gen)
 	s.met.snapshots.Inc()
 	if s.publishHook != nil {
-		s.publishHook("written")
-	}
-	if keep := uint64(s.cfg.Keep); cut.gen > keep {
-		return persist.PruneCheckpoints(s.cfg.DataDir, cut.gen-keep+1)
+		s.publishHook("published")
 	}
 	return nil
 }

@@ -118,10 +118,14 @@ type snapshotState struct {
 	// NextOrder is the next client order number the reorder buffer
 	// admits; orders below it are duplicates.
 	NextOrder uint64 `json:"next_order"`
-	// LogBytes is the decision log's byte length at snapshot time (the
-	// file is flushed+fsynced first). Takeover truncates the log here
+	// LogBytes is the decision log's byte length at the cut (fsynced
+	// before the snapshot is published). Takeover truncates the log here
 	// and re-emits the replayed WAL records after it.
 	LogBytes int64 `json:"log_bytes"`
+	// Servers is the cluster size the running set's placements index
+	// into; restore refuses a daemon configured with another. Absent in
+	// snapshots written before the field existed, which go unchecked.
+	Servers int `json:"servers,omitempty"`
 	// Running is the deployed set (profiles rehydrate from the catalog
 	// by archetype).
 	Running []deployedState `json:"running,omitempty"`

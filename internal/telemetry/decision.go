@@ -3,148 +3,96 @@ package telemetry
 import (
 	"io"
 	"strconv"
-	"sync"
 )
 
 // DecisionLog writes structured JSONL decision traces: one JSON object
 // per line, fields in a fixed order, monotonically increasing sequence
-// numbers. Events are built by hand into a reusable buffer under a
-// mutex, so steady-state logging allocates nothing and concurrent
-// writers never interleave bytes.
+// numbers. It is an encoder over a Stream: events are built by hand into
+// the stream's reusable buffer under its lock, so steady-state logging
+// allocates nothing and concurrent writers never interleave bytes.
 //
 // Determinism: events carry no wall-clock fields (timings belong to
 // histograms), so a fixed-seed run emits a byte-identical log.
 //
 // The first line of every log is a header event carrying the format
 // version ({"event":"header","seq":0,"schema":N}); readers reject
-// schemas they do not understand instead of misparsing. The header is
-// emitted lazily before the first event so a resumed run — which
-// Rewinds to a non-zero offset — never duplicates it.
-type DecisionLog struct {
-	mu    sync.Mutex
-	w     io.Writer
-	buf   []byte
-	seq   uint64
-	bytes int64
-	err   error
-}
+// schemas they do not understand instead of misparsing. It is the
+// stream's preamble, so a resumed run — truncated to a non-zero offset —
+// never duplicates it.
+type DecisionLog struct{ s *Stream }
 
 // DecisionLogSchema is the current decision-log format version,
 // recorded in the header event. Bump it on any incompatible change to
 // event shapes so gsight-inspect can reject logs it cannot read.
 const DecisionLogSchema = 1
 
-// NewDecisionLog logs events to w. Callers own w's lifecycle (and any
-// buffering/flushing); the log only writes whole lines.
+// decisionHeader is the log's preamble: the header event, counted as
+// record 0.
+var decisionHeader = []byte(`{"event":"header","seq":0,"schema":` + strconv.Itoa(DecisionLogSchema) + "}\n")
+
+// NewDecisionLog logs events to w (see Stream for what a file, a
+// bytes.Buffer and any other writer each get). Callers own w's
+// lifecycle; the log only writes whole lines.
 func NewDecisionLog(w io.Writer) *DecisionLog {
-	return &DecisionLog{w: w}
+	return &DecisionLog{s: NewStream(w, decisionHeader, 1)}
 }
 
-// Events returns the number of events emitted so far.
-func (l *DecisionLog) Events() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Err returns the first write error, if any — decision logging is
-// best-effort and never fails the instrumented operation.
-func (l *DecisionLog) Err() error {
+// Stream returns the log's counted stream — position, Sync, TruncateTo,
+// first write error (decision logging is best-effort and never fails the
+// instrumented operation). Nil for a nil log, which Stream's methods
+// accept.
+func (l *DecisionLog) Stream() *Stream {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
+	return l.s
 }
 
-// Offset returns the log position — events emitted and bytes written —
-// for checkpointing. A resumed run that truncates its log file to the
-// byte offset and calls Rewind continues the exact same line sequence.
-func (l *DecisionLog) Offset() (seq uint64, bytes int64) {
-	if l == nil {
-		return 0, 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq, l.bytes
-}
-
-// Rewind resets the log position to a checkpointed Offset. It adjusts
-// only the counters: the caller owns the underlying writer and must
-// have truncated it to the matching byte offset.
-func (l *DecisionLog) Rewind(seq uint64, bytes int64) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.seq = seq
-	l.bytes = bytes
-	l.mu.Unlock()
-}
-
-// emit finishes the line in l.buf and writes it. Callers hold l.mu.
-func (l *DecisionLog) emit(b []byte) {
-	b = append(b, '}', '\n')
-	l.buf = b // retain grown capacity for the next event
-	l.seq++
-	l.bytes += int64(len(b))
-	if _, err := l.w.Write(b); err != nil && l.err == nil {
-		l.err = err
-	}
-}
-
-// begin starts a new event line: {"event":"<kind>","seq":N — emitting
-// the schema header first if this log has never written a byte (a
-// Rewind to a non-zero offset leaves the on-disk header in place).
-// Callers hold l.mu.
+// begin starts a new event line: {"event":"<kind>","seq":N. The stream
+// stays locked until emit.
 func (l *DecisionLog) begin(kind string) []byte {
-	if l.seq == 0 && l.bytes == 0 {
-		b := l.buf[:0]
-		b = append(b, `{"event":"header","seq":0,"schema":`...)
-		b = strconv.AppendInt(b, DecisionLogSchema, 10)
-		l.emit(b)
-	}
-	b := l.buf[:0]
+	b, seq := l.s.Begin()
 	b = append(b, `{"event":`...)
 	b = strconv.AppendQuote(b, kind)
 	b = append(b, `,"seq":`...)
-	b = strconv.AppendUint(b, l.seq, 10)
-	return b
+	return strconv.AppendUint(b, seq, 10)
 }
 
-func appendStr(b []byte, key, v string) []byte {
+// emit finishes the line begin started and writes it.
+func (l *DecisionLog) emit(b []byte) { l.s.End(append(b, '}', '\n')) }
+
+// AppendStr and its siblings append one JSON object field, comma first:
+// ,"key":value. The decision log's events and the lifecycle trace's args
+// are built from them.
+func AppendStr(b []byte, key, v string) []byte {
 	b = append(b, ',', '"')
 	b = append(b, key...)
 	b = append(b, '"', ':')
 	return strconv.AppendQuote(b, v)
 }
 
-func appendInt(b []byte, key string, v int) []byte {
+func AppendInt(b []byte, key string, v int) []byte {
 	b = append(b, ',', '"')
 	b = append(b, key...)
 	b = append(b, '"', ':')
 	return strconv.AppendInt(b, int64(v), 10)
 }
 
-func appendFloat(b []byte, key string, v float64) []byte {
+func AppendFloat(b []byte, key string, v float64) []byte {
 	b = append(b, ',', '"')
 	b = append(b, key...)
 	b = append(b, '"', ':')
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-func appendBool(b []byte, key string, v bool) []byte {
+func AppendBool(b []byte, key string, v bool) []byte {
 	b = append(b, ',', '"')
 	b = append(b, key...)
 	b = append(b, '"', ':')
 	return strconv.AppendBool(b, v)
 }
 
-func appendInts(b []byte, key string, vs []int) []byte {
+func AppendInts(b []byte, key string, vs []int) []byte {
 	b = append(b, ',', '"')
 	b = append(b, key...)
 	b = append(b, '"', ':', '[')
@@ -203,30 +151,28 @@ func (l *DecisionLog) Placement(e *PlacementDecision) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	b := l.begin("placement")
-	b = appendStr(b, "scheduler", e.Scheduler)
-	b = appendStr(b, "workload", e.Workload)
-	b = appendStr(b, "class", e.Class)
-	b = appendInt(b, "functions", e.Functions)
-	b = appendInt(b, "servers", e.Servers)
-	b = appendInt(b, "active_servers", e.ActiveServers)
-	b = appendInt(b, "spread_levels", e.SpreadLevels)
-	b = appendInt(b, "sla_checks", e.SLAChecks)
-	b = appendStr(b, "outcome", e.Outcome)
+	b = AppendStr(b, "scheduler", e.Scheduler)
+	b = AppendStr(b, "workload", e.Workload)
+	b = AppendStr(b, "class", e.Class)
+	b = AppendInt(b, "functions", e.Functions)
+	b = AppendInt(b, "servers", e.Servers)
+	b = AppendInt(b, "active_servers", e.ActiveServers)
+	b = AppendInt(b, "spread_levels", e.SpreadLevels)
+	b = AppendInt(b, "sla_checks", e.SLAChecks)
+	b = AppendStr(b, "outcome", e.Outcome)
 	if e.Reason != "" {
-		b = appendStr(b, "reason", e.Reason)
+		b = AppendStr(b, "reason", e.Reason)
 	}
 	if e.Placement != nil {
-		b = appendInts(b, "placement", e.Placement)
+		b = AppendInts(b, "placement", e.Placement)
 	}
 	if e.Tier0 {
-		b = appendInt(b, "tier0_kept", e.Tier0Kept)
-		b = appendInt(b, "tier0_pruned", e.Tier0Pruned)
-		b = appendFloat(b, "tier0_score", e.Tier0Score)
+		b = AppendInt(b, "tier0_kept", e.Tier0Kept)
+		b = AppendInt(b, "tier0_pruned", e.Tier0Pruned)
+		b = AppendFloat(b, "tier0_score", e.Tier0Score)
 	}
 	l.emit(b)
-	l.mu.Unlock()
 }
 
 // ExperimentRun records one experiment's outcome in a harness run.
@@ -243,12 +189,10 @@ func (l *DecisionLog) Experiment(e *ExperimentRun) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	b := l.begin("experiment")
-	b = appendStr(b, "id", e.ID)
-	b = appendStr(b, "status", e.Status)
+	b = AppendStr(b, "id", e.ID)
+	b = AppendStr(b, "status", e.Status)
 	l.emit(b)
-	l.mu.Unlock()
 }
 
 // PredictorUpdate records one predictor training step: the offline
@@ -268,15 +212,13 @@ func (l *DecisionLog) PredictorUpdate(e *PredictorUpdate) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	b := l.begin("predictor_update")
-	b = appendStr(b, "predictor", e.Predictor)
-	b = appendStr(b, "kind", e.Kind)
-	b = appendStr(b, "phase", e.Phase)
-	b = appendInt(b, "batch", e.Batch)
-	b = appendInt(b, "samples_seen", e.SamplesSeen)
+	b = AppendStr(b, "predictor", e.Predictor)
+	b = AppendStr(b, "kind", e.Kind)
+	b = AppendStr(b, "phase", e.Phase)
+	b = AppendInt(b, "batch", e.Batch)
+	b = AppendInt(b, "samples_seen", e.SamplesSeen)
 	l.emit(b)
-	l.mu.Unlock()
 }
 
 // ReactiveAction records one runtime SLA-control action of the
@@ -294,14 +236,12 @@ func (l *DecisionLog) Reactive(e *ReactiveAction) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	b := l.begin("reactive")
-	b = appendFloat(b, "sim_time_s", e.SimTimeS)
-	b = appendStr(b, "action", e.Action)
-	b = appendStr(b, "service", e.Service)
-	b = appendInt(b, "moved", e.Moved)
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
+	b = AppendStr(b, "action", e.Action)
+	b = AppendStr(b, "service", e.Service)
+	b = AppendInt(b, "moved", e.Moved)
 	l.emit(b)
-	l.mu.Unlock()
 }
 
 // FaultEvent records one injected fault transition and what the
@@ -323,18 +263,16 @@ func (l *DecisionLog) Fault(e *FaultEvent) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	b := l.begin("fault")
-	b = appendFloat(b, "sim_time_s", e.SimTimeS)
-	b = appendStr(b, "kind", e.Kind)
-	b = appendInt(b, "node", e.Node)
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
+	b = AppendStr(b, "kind", e.Kind)
+	b = AppendInt(b, "node", e.Node)
 	if e.Factor != 0 {
-		b = appendFloat(b, "factor", e.Factor)
+		b = AppendFloat(b, "factor", e.Factor)
 	}
-	b = appendInt(b, "displaced_services", e.DisplacedServices)
-	b = appendInt(b, "displaced_jobs", e.DisplacedJobs)
+	b = AppendInt(b, "displaced_services", e.DisplacedServices)
+	b = AppendInt(b, "displaced_jobs", e.DisplacedJobs)
 	l.emit(b)
-	l.mu.Unlock()
 }
 
 // DegradedTransition records the platform entering or leaving degraded
@@ -367,17 +305,15 @@ func (l *DecisionLog) Drift(e *DriftEvent) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	b := l.begin("predictor_drift")
-	b = appendFloat(b, "sim_time_s", e.SimTimeS)
-	b = appendStr(b, "qos", e.QoS)
-	b = appendStr(b, "archetype", e.Archetype)
-	b = appendInt(b, "window", e.Window)
-	b = appendFloat(b, "mean_err", e.MeanErr)
-	b = appendFloat(b, "mape", e.MAPE)
-	b = appendFloat(b, "ph", e.PH)
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
+	b = AppendStr(b, "qos", e.QoS)
+	b = AppendStr(b, "archetype", e.Archetype)
+	b = AppendInt(b, "window", e.Window)
+	b = AppendFloat(b, "mean_err", e.MeanErr)
+	b = AppendFloat(b, "mape", e.MAPE)
+	b = AppendFloat(b, "ph", e.PH)
 	l.emit(b)
-	l.mu.Unlock()
 }
 
 // Degraded emits a degraded-mode transition event.
@@ -385,12 +321,10 @@ func (l *DecisionLog) Degraded(e *DegradedTransition) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	b := l.begin("degraded")
-	b = appendFloat(b, "sim_time_s", e.SimTimeS)
-	b = appendBool(b, "entered", e.Entered)
-	b = appendStr(b, "reason", e.Reason)
-	b = appendStr(b, "fallback", e.Fallback)
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
+	b = AppendBool(b, "entered", e.Entered)
+	b = AppendStr(b, "reason", e.Reason)
+	b = AppendStr(b, "fallback", e.Fallback)
 	l.emit(b)
-	l.mu.Unlock()
 }

@@ -146,7 +146,7 @@ func (s *Sink) Report(tool string, config, summary map[string]interface{}) *RunR
 	rep := &RunReport{Tool: tool, Config: config, Summary: summary}
 	if s != nil {
 		rep.Metrics = s.Registry.Snapshot()
-		rep.DecisionEvents = s.Decisions.Events()
+		rep.DecisionEvents = s.Decisions.Stream().Records()
 	}
 	return rep
 }

@@ -14,8 +14,8 @@ func TestFaultAndDegradedEvents(t *testing.T) {
 	l.Fault(&FaultEvent{SimTimeS: 400, Kind: "slow-set", Node: 1, Factor: 0.5})
 	l.Degraded(&DegradedTransition{SimTimeS: 500, Entered: true, Reason: "predictor-unavailable", Fallback: "WorstFit"})
 	l.Degraded(&DegradedTransition{SimTimeS: 600, Entered: false, Reason: "predictor-unavailable", Fallback: "WorstFit"})
-	if l.Events() != 5 { // schema header + 4 events
-		t.Fatalf("events = %d", l.Events())
+	if l.Stream().Records() != 5 { // schema header + 4 events
+		t.Fatalf("events = %d", l.Stream().Records())
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	for i, line := range lines {
@@ -52,7 +52,7 @@ func TestFaultEventsNilSafe(t *testing.T) {
 	var l *DecisionLog
 	l.Fault(&FaultEvent{Kind: "node-down"})
 	l.Degraded(&DegradedTransition{Entered: true})
-	if l.Events() != 0 {
+	if l.Stream().Records() != 0 {
 		t.Fatal("nil log must absorb events")
 	}
 }

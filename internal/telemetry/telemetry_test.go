@@ -169,8 +169,8 @@ func TestDecisionLogJSONL(t *testing.T) {
 	})
 	l.PredictorUpdate(&PredictorUpdate{Predictor: "Gsight", Kind: "ipc", Phase: "update", Batch: 100, SamplesSeen: 300})
 	l.Reactive(&ReactiveAction{SimTimeS: 120, Action: "evict-corunner", Service: "e-commerce", Moved: 2})
-	if l.Events() != 4 { // schema header + 3 events
-		t.Fatalf("events = %d", l.Events())
+	if l.Stream().Records() != 4 { // schema header + 3 events
+		t.Fatalf("events = %d", l.Stream().Records())
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 4 {
@@ -368,37 +368,48 @@ func TestDecisionLogOffsetAndRewind(t *testing.T) {
 		}
 	}
 	emit(3)
-	seq, bytesAt := l.Offset()
+	seq, bytesAt := l.Stream().Offset()
 	if seq != 4 || bytesAt != int64(buf.Len()) { // header + 3 events
 		t.Fatalf("offset = (%d, %d), want (4, %d)", seq, bytesAt, buf.Len())
 	}
-	prefix := append([]byte(nil), buf.Bytes()...)
-	emit(2)
+	emit(1)
+	crashed := append([]byte(nil), buf.Bytes()...) // one event past the checkpoint
+	emit(1)
 
-	// A resumed run truncates its log to the checkpointed offset,
-	// rewinds, and re-emits: the bytes must line up exactly.
-	var buf2 bytes.Buffer
-	buf2.Write(prefix)
-	l2 := NewDecisionLog(&buf2)
-	l2.Rewind(seq, bytesAt)
+	// A resumed run cuts its log back to the checkpointed offset and
+	// re-emits: the bytes must line up exactly.
+	buf2 := bytes.NewBuffer(crashed)
+	l2 := NewDecisionLog(buf2)
+	if err := l2.Stream().TruncateTo(seq, bytesAt); err != nil {
+		t.Fatal(err)
+	}
+	if int64(buf2.Len()) != bytesAt {
+		t.Fatalf("truncated log holds %d bytes, want %d", buf2.Len(), bytesAt)
+	}
 	for i := 0; i < 2; i++ {
-		l2.Reactive(&ReactiveAction{SimTimeS: float64(i), Action: "evict-corunner", Service: "svc", Moved: 1})
+		l2.Reactive(&ReactiveAction{Action: "evict-corunner", Service: "svc", Moved: 1})
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("rewound log diverged:\n%q\n%q", buf.Bytes(), buf2.Bytes())
+		t.Fatalf("resumed log diverged:\n%q\n%q", buf.Bytes(), buf2.Bytes())
 	}
-	if s2, b2 := l2.Offset(); s2 != 6 || b2 != int64(buf2.Len()) {
-		t.Fatalf("post-rewind offset = (%d, %d)", s2, b2)
+	if s2, b2 := l2.Stream().Offset(); s2 != 6 || b2 != int64(buf2.Len()) {
+		t.Fatalf("post-resume offset = (%d, %d)", s2, b2)
 	}
-	// A rewind to a non-zero offset must not re-emit the header; only
-	// a log rewound to zero (file truncated empty) writes it again.
+	// A truncate to a non-zero offset must not re-emit the header; only
+	// a log cut to zero writes it again (TestStreamModel).
 	if strings.Count(buf2.String(), `"event":"header"`) != 1 {
 		t.Fatalf("resumed log duplicated the header:\n%s", buf2.String())
 	}
+	// A log shorter than the offset is refused.
+	if err := NewDecisionLog(bytes.NewBuffer(crashed[:bytesAt-1])).Stream().TruncateTo(seq, bytesAt); err == nil {
+		t.Fatal("a log shorter than the resume offset was accepted")
+	}
 	// Nil log is inert.
 	var nilLog *DecisionLog
-	if s, b := nilLog.Offset(); s != 0 || b != 0 {
+	if s, b := nilLog.Stream().Offset(); s != 0 || b != 0 {
 		t.Fatal("nil Offset not zero")
 	}
-	nilLog.Rewind(1, 1)
+	if err := nilLog.Stream().TruncateTo(1, 1); err != nil {
+		t.Fatal(err)
+	}
 }
