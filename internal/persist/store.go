@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 )
@@ -8,9 +10,11 @@ import (
 // Store is the generation manager both controllers checkpoint through:
 // one directory of rolling generations, each a WAL of the records after
 // a boundary and — once published — the snapshot taken at it (layout in
-// checkpoint.go, protocol in DESIGN.md §12). It knows one recovery
-// procedure and leaves to its caller what a recovered record means: the
-// simulator verifies it against re-execution, the daemon re-commits it.
+// checkpoint.go, protocol in DESIGN.md §12). It also owns the one
+// recovery rule: the caller restores the snapshot and re-executes what
+// came after it, and every record the re-execution appends is verified
+// byte for byte against the recovered chain until the chain drains.
+// Only then do appends reach the live WAL.
 //
 // A boundary is crossed in two steps, in either order: Rotate starts the
 // next generation's WAL, Publish writes a generation's snapshot and
@@ -19,15 +23,26 @@ import (
 // way: newest valid snapshot N, then every record in wal-N, wal-(N+1),
 // … — the chain.
 //
-// Rotate, Live and Recover belong to the one goroutine that appends;
-// Publish touches only the directory, so it may run on another while
-// records keep landing in the rotated WAL.
+// Rotate, Live, Append and Recover belong to the one goroutine that
+// appends; Publish touches only the directory, so it may run on another
+// while records keep landing in the rotated WAL.
 type Store struct {
 	dir  string
 	keep int
 	gen  uint64 // generation of the live WAL; 0 before the first Rotate
 	wal  *WAL
+
+	// replay is the part of the recovered chain not yet re-executed,
+	// one list per file; its head file is generation replayGen, of which
+	// replayPos records are already verified.
+	replay    [][][]byte
+	replayGen uint64
+	replayPos int
 }
+
+// ErrDiverged reports a re-executed record that differs from the one the
+// recovered WAL holds at its position.
+var ErrDiverged = errors.New("persist: re-execution diverged from the recovered WAL")
 
 // OpenStore prepares dir (created if missing) to hold generations, of
 // which Publish retains the newest keep.
@@ -53,9 +68,10 @@ type Recovered struct {
 // reads the WAL chain after it, and reopens the chain's last file as the
 // live WAL after its valid prefix: a torn tail is cut, and the file's
 // directory entry is fsynced before Recover returns, so a record
-// acknowledged into it cannot outlive its file. ErrNoSnapshot means
-// there is nothing to recover from; like every error of the snapshot
-// walk it comes back before any WAL is opened.
+// acknowledged into it cannot outlive its file. The chain becomes the
+// replay queue Append and AppendBatch verify against. ErrNoSnapshot
+// means there is nothing to recover from; like every error of the
+// snapshot walk it comes back before any WAL is opened.
 func (s *Store) Recover() (*Recovered, error) {
 	payload, gen, err := LatestSnapshot(s.dir)
 	if err != nil {
@@ -82,7 +98,58 @@ func (s *Store) Recover() (*Recovered, error) {
 	if s.wal, err = OpenWALAppend(WALPath(s.dir, s.gen), validLen); err != nil {
 		return nil, err
 	}
+	s.replay, s.replayGen, s.replayPos = rec.Chain, gen, 0
 	return rec, nil
+}
+
+// Replaying reports whether recovered records remain to be re-executed.
+func (s *Store) Replaying() bool {
+	for len(s.replay) > 0 && s.replayPos == len(s.replay[0]) {
+		s.replay, s.replayGen, s.replayPos = s.replay[1:], s.replayGen+1, 0
+	}
+	return len(s.replay) > 0
+}
+
+// verify consumes the leading payloads the replay queue still covers,
+// each of which must equal the queue's head, and returns how many. A
+// mismatch is ErrDiverged, naming the generation, the position and both
+// records, and consumes nothing.
+func (s *Store) verify(payloads [][]byte) (int, error) {
+	replay, gen, pos := s.replay, s.replayGen, s.replayPos
+	for n, p := range payloads {
+		if !s.Replaying() {
+			return n, nil
+		}
+		if logged := s.replay[0][s.replayPos]; !bytes.Equal(logged, p) {
+			err := fmt.Errorf("%w: record %d of %s\n  logged:      %s\n  re-executed: %s",
+				ErrDiverged, s.replayPos+1, WALPath(s.dir, s.replayGen), logged, p)
+			s.replay, s.replayGen, s.replayPos = replay, gen, pos
+			return 0, err
+		}
+		s.replayPos++
+	}
+	return len(payloads), nil
+}
+
+// Append verifies payload against the replay queue while recovered
+// records remain, and appends it to the live WAL (buffered, like
+// WAL.Append) once the queue has drained.
+func (s *Store) Append(payload []byte) error {
+	if n, err := s.verify([][]byte{payload}); n > 0 || err != nil {
+		return err
+	}
+	return s.wal.Append(payload)
+}
+
+// AppendBatch is Append under one fsync (WAL.AppendBatch): the records
+// the replay queue still covers are verified, the rest appended. On a
+// mismatch nothing is written.
+func (s *Store) AppendBatch(payloads [][]byte) error {
+	n, err := s.verify(payloads)
+	if err != nil || (n > 0 && n == len(payloads)) {
+		return err
+	}
+	return s.wal.AppendBatch(payloads[n:])
 }
 
 // Gen is the live WAL's generation: the last Rotate's, or after Recover
@@ -96,8 +163,13 @@ func (s *Store) Live() *WAL { return s.wal }
 // Rotate closes the live WAL (flushed and fsynced) and creates the next
 // generation's, its directory entry durable before Rotate returns. That
 // WAL holds exactly the records after this boundary, whether or not the
-// boundary's snapshot is ever published.
+// boundary's snapshot is ever published. It refuses while recovered
+// records remain to be re-executed: the chain would not describe the
+// boundary.
 func (s *Store) Rotate() (gen uint64, err error) {
+	if s.Replaying() {
+		return 0, errors.New("persist: rotate before the recovered WAL chain was re-executed")
+	}
 	if err := s.Close(); err != nil {
 		return 0, err
 	}

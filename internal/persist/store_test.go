@@ -137,6 +137,77 @@ func TestStoreRecoversChain(t *testing.T) {
 	}
 }
 
+// TestStoreVerifiesReplayedRecords: after Recover, Append and AppendBatch
+// compare each record with the recovered chain, across its files, and
+// write nothing until the chain has drained; a mismatch names the file,
+// the position and both records, and consumes and writes nothing.
+func TestStoreVerifiesReplayedRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen, records := range [][]string{{"a", "b"}, {"c"}} {
+		if _, err := s.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		if gen == 0 {
+			if err := s.Publish(1, []byte("state-1")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendAll(t, s, records...)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal2 := func() string {
+		t.Helper()
+		records, _, err := ReplayWAL(WALPath(dir, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chainStrings([][][]byte{records})
+	}
+
+	if s, err = OpenStore(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append([]byte("a")); err != nil || !s.Replaying() {
+		t.Fatalf("verifying the first record: %v, replaying %v", err, s.Replaying())
+	}
+	if _, err := s.Rotate(); err == nil {
+		t.Fatal("Rotate with recovered records left")
+	}
+	err = s.AppendBatch([][]byte{[]byte("b"), []byte("x")})
+	if !errors.Is(err, ErrDiverged) {
+		t.Fatalf("a batch diverging at its second record: %v", err)
+	}
+	for _, want := range []string{WALPath(dir, 2), "record 1 ", "logged:      c", "re-executed: x"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("divergence error %q does not name %q", err, want)
+		}
+	}
+	// Nothing was consumed: the batch verifies once it matches, and the
+	// records past the chain's end are appended.
+	if err := s.AppendBatch([][]byte{[]byte("b"), []byte("c"), []byte("d")}); err != nil || s.Replaying() {
+		t.Fatalf("a batch spanning the chain's end: %v, replaying %v", err, s.Replaying())
+	}
+	if err := s.Append([]byte("e")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Live().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := wal2(); got != "c,d,e" {
+		t.Fatalf("wal-2 after replay = %q, want the recovered record and the two appended", got)
+	}
+}
+
 // TestStoreRecoverTouchesNothingItCannotUse: with no snapshot, or one in
 // another format version, Recover reports it and leaves every file as it
 // was — no WAL truncated, created or reopened.

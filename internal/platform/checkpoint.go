@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -194,17 +193,14 @@ type walRecord struct {
 	Label     float64 `json:"label,omitempty"`
 }
 
-// checkpointer drives snapshots, the WAL, and replay verification for
-// one runner, on a persist.Store.
+// checkpointer drives snapshots and the WAL for one runner, on a
+// persist.Store, which also verifies a resumed run's records against
+// the crashed incarnation's until they are used up.
 type checkpointer struct {
 	r         *runner
 	intervalS float64
 	store     *persist.Store
 	lastSnapS float64
-	// queue holds the crashed incarnation's surviving WAL records; while
-	// non-empty the run is replaying and every regenerated record is
-	// verified against the head instead of appended.
-	queue [][]byte
 }
 
 // newCheckpointer validates the configuration and prepares dir.
@@ -225,10 +221,6 @@ func newCheckpointer(r *runner) (*checkpointer, error) {
 	return c, nil
 }
 
-// replaying reports whether crashed-incarnation records remain to be
-// verified.
-func (c *checkpointer) replaying() bool { return len(c.queue) > 0 }
-
 // fail aborts the run with a checkpoint/replay error.
 func (c *checkpointer) fail(err error) {
 	if c.r.ckErr == nil {
@@ -237,42 +229,35 @@ func (c *checkpointer) fail(err error) {
 	c.r.cancel()
 }
 
-// note verifies rec against the replay queue, or appends it to the WAL
-// once the queue has drained. Any mismatch means the resumed run
-// diverged from the crashed one — a corrupt snapshot the checksum
-// missed, or changed config — and aborts rather than silently forking
-// history.
+// note hands rec to the store: verified against the crashed
+// incarnation's record while a resumed run replays, appended to the WAL
+// after. Any mismatch means the resumed run diverged from the crashed
+// one — a corrupt snapshot the checksum missed, or changed config — and
+// aborts rather than silently forking history.
 func (c *checkpointer) note(rec *walRecord) {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		c.fail(fmt.Errorf("platform: wal record: %w", err))
 		return
 	}
-	if c.replaying() {
-		if !bytes.Equal(c.queue[0], data) {
-			c.fail(fmt.Errorf("platform: resume diverged from WAL at sim time %g: logged %s, regenerated %s",
-				rec.SimS, c.queue[0], data))
-			return
-		}
-		c.queue = c.queue[1:]
-		return
-	}
-	wal := c.store.Live()
-	if wal == nil {
+	if c.store.Live() == nil {
 		return // fresh run before the first snapshot: nothing to log yet
 	}
-	if err := wal.Append(data); err != nil {
-		c.fail(fmt.Errorf("platform: wal append: %w", err))
+	replaying := c.store.Replaying()
+	if err := c.store.Append(data); err != nil {
+		c.fail(fmt.Errorf("platform: wal record at sim time %g: %w", rec.SimS, err))
 		return
 	}
-	c.r.ins.WALRecords.Inc()
+	if !replaying {
+		c.r.ins.WALRecords.Inc()
+	}
 }
 
 // maybeSnapshot writes a snapshot when the interval has elapsed. It
 // never snapshots mid-replay: the WAL chain on disk still describes
 // spans the resumed run has not re-verified.
 func (c *checkpointer) maybeSnapshot(now float64, step int) error {
-	if c.replaying() || now-c.lastSnapS < c.intervalS {
+	if c.store.Replaying() || now-c.lastSnapS < c.intervalS {
 		return nil
 	}
 	return c.snapshot(now, step)
@@ -421,10 +406,11 @@ func decodePayload(payload []byte) (*ckptPayload, []byte, error) {
 }
 
 // resume recovers the checkpoint directory and rebuilds the runner
-// mid-horizon from its newest valid snapshot; the WAL chain after it
-// becomes the replay queue, and the chain's last file keeps taking the
-// records the run appends once the queue has drained. It reports
-// persist.ErrNoSnapshot when the directory has nothing to resume from.
+// mid-horizon from its newest valid snapshot; the store verifies the
+// re-executed records against the WAL chain after it, and the chain's
+// last file keeps taking the records the run appends once the chain is
+// used up. It reports persist.ErrNoSnapshot when the directory has
+// nothing to resume from.
 func (r *runner) resume() error {
 	c := r.ck
 	rec, err := c.store.Recover()
@@ -437,9 +423,6 @@ func (r *runner) resume() error {
 	}
 	if err := r.restorePayload(p, predictor); err != nil {
 		return err
-	}
-	for _, records := range rec.Chain {
-		c.queue = append(c.queue, records...)
 	}
 	if p.FiredUpToS > 0 {
 		c.lastSnapS = p.FiredUpToS
@@ -704,7 +687,7 @@ func PeekCheckpoint(dir string) (*CheckpointMeta, error) {
 // never crashed.
 func (r *runner) controllerCrash() {
 	if c := r.ck; c != nil {
-		taken := c.replaying()
+		taken := c.store.Replaying()
 		c.note(&walRecord{T: "crash", SimS: r.engine.Now()})
 		if taken || r.ckErr != nil {
 			return // already taken, or aborting: do not crash again

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -165,10 +164,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if len(reqs) == 0 {
 		reqs = []PlaceRequest{body.PlaceRequest}
 	}
-	for _, pr := range reqs {
-		if _, ok := s.cat.Get(pr.Workload); !ok {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("unknown workload %q (see /v1/state for the catalog)", pr.Workload)})
+	ps := make([]*pending, len(reqs))
+	for i, pr := range reqs {
+		ps[i] = &pending{kind: kindPlace, order: pr.Order, arch: pr.Workload,
+			qps: pr.QPSFrac, reply: make(chan pendingResp, 1)}
+		if err := s.validate(ps[i]); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
 	}
@@ -176,8 +177,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	t0 := time.Now()
 	if len(body.Batch) == 0 {
-		resp := s.enqueue(ctx, &pending{kind: kindPlace, order: reqs[0].Order,
-			arch: reqs[0].Workload, qps: reqs[0].QPSFrac, reply: make(chan pendingResp, 1)})
+		resp := s.enqueue(ctx, ps[0])
 		s.met.placeLatency.Observe(time.Since(t0).Seconds())
 		writeResp(w, resp)
 		return
@@ -185,12 +185,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// Batch mode: enqueue every request, then gather. Items keep their
 	// client order numbers; the committer coalesces whatever lands in
 	// the same batch window into single PlaceAll/fsync rounds.
-	ps := make([]*pending, len(reqs))
 	answers := make([]pendingResp, len(reqs))
-	for i, pr := range reqs {
-		ps[i] = &pending{kind: kindPlace, order: pr.Order, arch: pr.Workload,
-			qps: pr.QPSFrac, reply: make(chan pendingResp, 1)}
-	}
 	for i, p := range ps {
 		answers[i] = s.enqueue(ctx, p)
 	}
@@ -211,15 +206,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &body) {
 		return
 	}
-	if _, ok := qosKind(body.QoS); !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error: fmt.Sprintf("unknown qos kind %q (want ipc, p99 or jct)", body.QoS)})
+	p := &pending{kind: kindObserve, order: body.Order,
+		name: body.Name, qos: body.QoS, value: body.Value, reply: make(chan pendingResp, 1)}
+	if err := s.validate(p); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout())
 	defer cancel()
-	writeResp(w, s.enqueue(ctx, &pending{kind: kindObserve, order: body.Order,
-		name: body.Name, qos: body.QoS, value: body.Value, reply: make(chan pendingResp, 1)}))
+	writeResp(w, s.enqueue(ctx, p))
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {

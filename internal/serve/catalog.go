@@ -78,20 +78,6 @@ func (c *Catalog) add(a *Archetype) {
 // Names lists the archetypes, sorted.
 func (c *Catalog) Names() []string { return c.names }
 
-// Get resolves an archetype by name (also accepting instance names
-// like "matmul#17" via the BaseName convention).
-func (c *Catalog) Get(name string) (*Archetype, bool) {
-	if a, ok := c.byName[name]; ok {
-		return a, true
-	}
-	base, hashed := core.BaseName(name)
-	if hashed {
-		a, ok := c.byName[base]
-		return a, ok
-	}
-	return nil, false
-}
-
 // Spec returns the lab server spec (capacity vector source for
 // cluster construction).
 func (c *Catalog) Spec() resources.ServerSpec { return c.gen.Spec() }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -185,31 +187,43 @@ func TestServeLearnerIndependentOfBatching(t *testing.T) {
 }
 
 // truncatedCopy writes into dst the data dir src left behind when it
-// was abandoned after record k: src's snapshot generation 1 with its WAL
-// and decision log cut back to their first k records. It is what a crash
-// right after record k leaves when no snapshot was cut since genesis.
-func truncatedCopy(t *testing.T, src, dst string, k int) {
+// was abandoned after record k: the genesis snapshot and every snapshot
+// cut by then — generation g+2 was cut after record cuts[g] — each
+// generation's WAL cut back to the records up to k, and the decision log
+// cut back to its first k lines. src must have pruned nothing.
+func truncatedCopy(t *testing.T, src, dst string, k int, cuts ...int) {
 	t.Helper()
-	snap, err := os.ReadFile(persist.SnapshotPath(src, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(persist.SnapshotPath(dst, 1), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	records, _, err := persist.ReplayWAL(persist.WALPath(src, 1))
-	if err != nil || len(records) < k {
-		t.Fatalf("wal-1: %d records, err %v", len(records), err)
-	}
-	w, err := persist.CreateWAL(persist.WALPath(dst, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AppendBatch(records[:k]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	starts := append([]int{0}, cuts...) // the record each generation's WAL starts after
+	for g, from := range starts {
+		if from > k {
+			break
+		}
+		gen := uint64(g + 1)
+		snap, err := os.ReadFile(persist.SnapshotPath(src, gen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(persist.SnapshotPath(dst, gen), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n := k - from
+		if g+1 < len(starts) {
+			n = min(n, starts[g+1]-from)
+		}
+		records, _, err := persist.ReplayWAL(persist.WALPath(src, gen))
+		if err != nil || len(records) < n {
+			t.Fatalf("wal-%d: %d records, err %v", gen, len(records), err)
+		}
+		w, err := persist.CreateWAL(persist.WALPath(dst, gen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendBatch(records[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	log, err := os.ReadFile(filepath.Join(src, "decisions.jsonl"))
 	if err != nil {
@@ -311,6 +325,110 @@ func TestServeCrashInsideInstallWindow(t *testing.T) {
 			t.Fatalf("restore did not report the carried install:\n%s", line)
 		}
 	})
+}
+
+// observeScript is a short mixed load whose learner flushes once: every
+// step places an instance and observes it four times, and from the third
+// step on releases the instance placed two steps earlier.
+func observeScript(steps int) []scriptOp {
+	mix := []string{"matmul", "social-network", "dd", "e-commerce"}
+	var ops []scriptOp
+	var names []string
+	for k := 0; k < steps; k++ {
+		arch := mix[k%len(mix)]
+		name := fmt.Sprintf("%s#o%d", arch, len(ops)+1)
+		names = append(names, name)
+		ops = append(ops, scriptOp{kind: kindPlace, arch: arch})
+		for j := 0; j < 4; j++ {
+			ops = append(ops, scriptOp{kind: kindObserve, name: name, value: 1 + 0.01*float64((k+j)%7)})
+		}
+		if k >= 2 {
+			ops = append(ops, scriptOp{kind: kindRelease, name: names[k-2]})
+		}
+	}
+	return ops
+}
+
+// stateOf reads srv's /v1/state without its wall-clock fields: uptime,
+// and the newest durable generation, which a restore's compaction moves.
+func stateOf(t *testing.T, srv *Server) stateResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/state", nil))
+	var st stateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	st.UptimeS, st.Snapshots = 0, 0
+	return st
+}
+
+// TestServeRestartAtEveryRecord abandons the daemon at every record
+// boundary of a short ordered run — place, observe and release mixed,
+// one learner flush and its install, one forced snapshot inside the
+// install window — restores a copy of what it left and finishes the run.
+// The decision log, /v1/state and the predictor must equal the
+// uninterrupted run's: the decision stream is a function of the admitted
+// order alone, whatever was replayed.
+func TestServeRestartAtEveryRecord(t *testing.T) {
+	lag := learnerLag
+	t.Cleanup(func() { learnerLag = lag }) // after the parallel subtests
+	learnerLag = 16
+	ops := observeScript(30)
+	n := flushRecord(ops, 1)
+	due, cut := n+learnerLag, n+learnerLag/2
+	if n < 0 || due >= len(ops) {
+		t.Fatalf("script too short: flush at %d, %d ops", n, len(ops))
+	}
+	// finish runs ops[k:] on srv, forcing the snapshot after record cut
+	// if srv has not passed it.
+	finish := func(t *testing.T, srv *Server, k int) {
+		if k < cut {
+			send(t, srv, ops, k, cut)
+			forceSnapshot(t, srv)
+			k = cut
+		}
+		send(t, srv, ops, k, len(ops))
+	}
+
+	live, err := New(snapConfig(t.TempDir(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish(t, live, 0)
+	walked := t.TempDir()
+	copyDir(t, live.cfg.DataDir, walked) // before the drain's snapshot
+	wantState := stateOf(t, live)
+	wantLog, wantPred := stopped(t, live)
+
+	stride := 1
+	if raceEnabled {
+		stride = 17
+	}
+	for k := 0; k <= len(ops); k += stride {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			truncatedCopy(t, walked, dir, k, cut)
+			srv, err := New(snapConfig(dir, nil))
+			if err != nil {
+				t.Fatalf("restore after record %d: %v", k, err)
+			}
+			if srv.Applied() != uint64(k) {
+				t.Fatalf("restored at record %d, abandoned after %d", srv.Applied(), k)
+			}
+			finish(t, srv, k)
+			state := stateOf(t, srv)
+			log, pred := stopped(t, srv)
+			if !reflect.DeepEqual(state, wantState) {
+				t.Fatalf("/v1/state after a restart at record %d: %+v, uninterrupted %+v", k, state, wantState)
+			}
+			if !bytes.Equal(log, wantLog) || !bytes.Equal(pred, wantPred) {
+				t.Fatalf("restart at record %d: decision log equal %v, predictor equal %v",
+					k, bytes.Equal(log, wantLog), bytes.Equal(pred, wantPred))
+			}
+		})
+	}
 }
 
 // TestServeRetryOfUncommittedOrder: a retry of an ordered request that

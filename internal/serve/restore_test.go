@@ -2,11 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +63,149 @@ func TestServeRefusesDataDirOfAnotherCluster(t *testing.T) {
 	// Nothing was damaged by the refusals: the right size still restores.
 	if err := restore(dir, 16); err != nil {
 		t.Fatalf("restore on 16 servers after the refusals: %v", err)
+	}
+}
+
+// readDir returns every regular file of a flat directory by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// TestServeRestoreRefusesDivergentRecord: a WAL record that re-executes
+// differently — here one placement rewritten under a fresh checksum, as
+// a build with another model or scheduler would have decided it — is
+// refused. The error names the record's seq and shows both records, and
+// no file in the data dir changes.
+func TestServeRestoreRefusesDivergentRecord(t *testing.T) {
+	dir := t.TempDir()
+	live, err := New(snapConfig(dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, live, script(6), 0, 20)
+	crashed := t.TempDir()
+	copyDir(t, dir, crashed)
+	stopNow(t, live)
+
+	records, _, err := persist.ReplayWAL(persist.WALPath(crashed, 1))
+	if err != nil || len(records) != 20 {
+		t.Fatalf("wal-1: %d records, err %v", len(records), err)
+	}
+	const forged = 14 // the fifth step's placement
+	r, err := decodeRecord(records[forged-1])
+	if err != nil || r.Place == nil || len(r.Place.Placement) == 0 {
+		t.Fatalf("record %d is not a placement: %s", forged, records[forged-1])
+	}
+	r.Place.Placement[0] = (r.Place.Placement[0] + 1) % live.state.NumServers()
+	original := records[forged-1]
+	if records[forged-1], err = encodeRecord(r); err != nil {
+		t.Fatal(err)
+	}
+	w, err := persist.CreateWAL(persist.WALPath(crashed, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBatch(records); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := readDir(t, crashed)
+	_, err = New(snapConfig(crashed, nil))
+	if !errors.Is(err, persist.ErrDiverged) {
+		t.Fatalf("restore over a forged placement: err = %v, want ErrDiverged", err)
+	}
+	for _, want := range []string{fmt.Sprintf("seq %d", forged), string(records[forged-1]), string(original)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not name %s", err, want)
+		}
+	}
+	after := readDir(t, crashed)
+	if len(after) != len(before) {
+		t.Fatalf("data dir now holds %s", listDir(t, crashed))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Errorf("%s changed", name)
+		}
+	}
+}
+
+// churnScript places n instances and, from the thirteenth on, releases
+// the one placed twelve steps earlier: place/release churn over a
+// running set of about a dozen.
+func churnScript(n int) []scriptOp {
+	mix := []string{"matmul", "social-network", "dd", "e-commerce", "kmeans"}
+	var ops []scriptOp
+	var names []string
+	for k := 0; k < n; k++ {
+		arch := mix[k%len(mix)]
+		names = append(names, fmt.Sprintf("%s#o%d", arch, len(ops)+1))
+		ops = append(ops, scriptOp{kind: kindPlace, arch: arch})
+		if k >= 12 {
+			ops = append(ops, scriptOp{kind: kindRelease, name: names[k-12]})
+		}
+	}
+	return ops
+}
+
+// forceSnapshot cuts a snapshot on srv's committer and waits until it
+// is durable.
+func forceSnapshot(t *testing.T, srv *Server) {
+	t.Helper()
+	if r := srv.enqueue(context.Background(), &pending{kind: ctlSnapshot, reply: make(chan pendingResp, 1)}); r.err != nil {
+		t.Fatalf("snapshot: %v", r.err)
+	}
+}
+
+// TestServeSnapshotKeepsUsedBitForBit: after a thousand placements and
+// releases, a snapshot restores every server's Used vector bit for bit
+// as the live state holds it — what a rebuild from the running set does
+// not reproduce — and counts the same active servers.
+func TestServeSnapshotKeepsUsedBitForBit(t *testing.T) {
+	dir := t.TempDir()
+	live, err := New(snapConfig(dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopNow(t, live)
+	ops := churnScript(1000)
+	send(t, live, ops, 0, len(ops))
+	forceSnapshot(t, live)
+	want := slices.Clone(live.state.Base().Used)
+	wantActive := live.state.ActiveServers()
+
+	restoredDir := t.TempDir()
+	copyDir(t, dir, restoredDir)
+	restored, err := New(snapConfig(restoredDir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopNow(t, restored)
+	got := restored.state.Base().Used
+	for s := range want {
+		for k := range want[s] {
+			if math.Float64bits(got[s][k]) != math.Float64bits(want[s][k]) {
+				t.Errorf("server %d resource %d: restored %v (%#x), live %v (%#x)",
+					s, k, got[s][k], math.Float64bits(got[s][k]), want[s][k], math.Float64bits(want[s][k]))
+			}
+		}
+	}
+	if got := restored.state.ActiveServers(); got != wantActive {
+		t.Errorf("restored state counts %d active servers, live %d", got, wantActive)
 	}
 }
 

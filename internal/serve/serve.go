@@ -45,10 +45,12 @@ import (
 //     at record N+learnerLag (core.Config.InstallLag; the predictor
 //     counts records through Tick), and no PlaceAll run straddles an
 //     install.
-//   - Replay applies stored decisions (no re-scheduling), so a resumed
-//     or taken-over daemon continues from exactly the acknowledged
-//     prefix; duplicate retries of acknowledged orders are answered
-//     from a response cache instead of re-executed.
+//   - Restore re-executes the acknowledged requests through the same
+//     commit path, and the store verifies every regenerated record
+//     against the WAL byte for byte, so a resumed or taken-over daemon
+//     continues from exactly the acknowledged prefix — or refuses to
+//     start. Duplicate retries of acknowledged orders are answered from
+//     a response cache instead of re-executed.
 type Server struct {
 	cfg   Config
 	cat   *Catalog
@@ -167,12 +169,13 @@ const respCacheCap = 4096
 // the trees it trains in the background: long enough for an update to
 // finish under load (serve_learner_install_wait_seconds says whether it
 // is), short enough that the model is at most this many records stale.
-const learnerLag = 256
+// A variable so a test can shorten the window; nothing outside tests
+// assigns it.
+var learnerLag = 256
 
 // serveMetrics are the serving-path instruments.
 type serveMetrics struct {
 	place, observe, release *telemetry.Counter
-	rejected, degraded      *telemetry.Counter
 	shed, dups, timeouts    *telemetry.Counter
 	walRecords, snapshots   *telemetry.Counter
 	replayed, takeovers     *telemetry.Counter
@@ -189,8 +192,6 @@ func newServeMetrics(reg *telemetry.Registry) serveMetrics {
 		place:        reg.Counter("serve_place_total", "placement requests acknowledged"),
 		observe:      reg.Counter("serve_observe_total", "observations acknowledged"),
 		release:      reg.Counter("serve_release_total", "releases acknowledged"),
-		rejected:     reg.Counter("serve_rejected_total", "placements rejected (no feasible placement)"),
-		degraded:     reg.Counter("serve_degraded_total", "placements served by the degraded fallback"),
 		shed:         reg.Counter("serve_shed_total", "requests shed with 429 (queue or reorder buffer full)"),
 		dups:         reg.Counter("serve_duplicate_total", "duplicate ordered requests answered from cache"),
 		timeouts:     reg.Counter("serve_timeout_total", "requests that timed out waiting for the committer"),
@@ -299,6 +300,7 @@ func New(cfg Config) (*Server, error) {
 	s.pool = sched.NewPlacerPool(s.state, cfg.Placers, factory)
 
 	if err := s.restore(); err != nil {
+		s.store.Close()
 		return nil, err
 	}
 	go s.committerLoop()
@@ -348,17 +350,21 @@ func (s *Server) openDecisionLog(fresh bool) error {
 }
 
 // restore recovers the data dir through the store — newest valid
-// snapshot, then the WAL chain after it — re-commits every chained
-// record on top of the snapshot and regenerates the decision log to
-// exactly the acknowledged prefix. The chain is longer than one file
-// when the previous incarnation died between rotating the WAL and
-// publishing that generation's snapshot, or when the newest snapshot is
-// corrupt; either way every acknowledged record is in it, and record
-// sequence numbers must continue without a gap across the files. A
-// directory without a snapshot is a fresh start: bootstrap-train and
-// write the genesis generation, so every later incarnation (restart,
-// standby takeover) restores the same trained lineage instead of
-// re-training divergently.
+// snapshot, then the WAL chain after it — re-executes every chained
+// record's request on top of the snapshot, the store verifying each
+// regenerated record against the stored one, and regenerates the
+// decision log to exactly the acknowledged prefix. A record that
+// re-executes differently (another build's model or scheduler, a
+// snapshot the checksum missed) is refused, and the decision log is
+// only cut once the whole chain has verified, so a refusal leaves every
+// file as it was. The chain is longer than one file when the previous
+// incarnation died between rotating the WAL and publishing that
+// generation's snapshot, or when the newest snapshot is corrupt; either
+// way every acknowledged record is in it, and record sequence numbers
+// must continue without a gap across the files. A directory without a
+// snapshot is a fresh start: bootstrap-train and write the genesis
+// generation, so every later incarnation (restart, standby takeover)
+// restores the same trained lineage instead of re-training divergently.
 func (s *Server) restore() error {
 	rec, err := s.store.Recover()
 	if errors.Is(err, persist.ErrNoSnapshot) {
@@ -381,15 +387,9 @@ func (s *Server) restore() error {
 		return fmt.Errorf("serve: snapshot %d is of a %d-server cluster, daemon configured with %d",
 			rec.Gen, snap.Servers, s.state.NumServers())
 	}
-	// Rebuild the running set through Commit (restores Used vectors).
-	for _, d := range snap.Running {
-		req, err := s.storedRequest(d.Archetype, d.Name, d.QPSFrac, d.Placement)
-		if err != nil {
-			return fmt.Errorf("serve: snapshot %d running set: %w", rec.Gen, err)
-		}
-		s.state.Commit(req.Input, sched.SLA{MinIPC: d.MinIPC, MaxJCTFactor: d.MaxJCT})
+	if err := s.restoreState(snap); err != nil {
+		return fmt.Errorf("serve: snapshot %d: %w", rec.Gen, err)
 	}
-	s.state.Recount()
 	if err := s.pred.RestoreCheckpoint(blob); err != nil {
 		return fmt.Errorf("serve: predictor restore: %w", err)
 	}
@@ -408,30 +408,28 @@ func (s *Server) restore() error {
 	}
 	s.durableGen.Store(rec.Gen)
 
-	// Continue the decision log from the snapshot's recorded offset (one
-	// line per applied record), re-emitting the replayed records so the
-	// bytes line up exactly with an uninterrupted run.
+	// Re-execute with the decision lines going nowhere, then continue the
+	// decision log from the snapshot's recorded offset (one line per
+	// applied record) with the verified records, so the bytes line up
+	// exactly with an uninterrupted run.
+	s.log = telemetry.NewStream(io.Discard, nil, 0)
+	for i, records := range rec.Chain {
+		for _, raw := range records {
+			if err := s.replay(raw, rec.Gen+uint64(i)); err != nil {
+				return err
+			}
+			s.met.replayed.Inc()
+		}
+	}
 	if err := s.openDecisionLog(false); err != nil {
 		return err
 	}
 	if err := s.log.TruncateTo(snap.Applied, snap.LogBytes); err != nil {
 		return fmt.Errorf("serve: decision log: %w", err)
 	}
-	for i, records := range rec.Chain {
+	for _, records := range rec.Chain {
 		for _, raw := range records {
-			r, err := decodeRecord(raw)
-			if err != nil {
-				return err
-			}
-			if r.Seq != s.applied+1 {
-				return fmt.Errorf("serve: wal replay: generation %d holds seq %d after seq %d; the chain from snapshot %d has a gap",
-					rec.Gen+uint64(i), r.Seq, s.applied, rec.Gen)
-			}
-			if err := s.applyRecord(r); err != nil {
-				return fmt.Errorf("serve: wal replay seq %d: %w", r.Seq, err)
-			}
 			s.emitLog(raw)
-			s.met.replayed.Inc()
 		}
 	}
 	learner := ""
@@ -476,82 +474,92 @@ func (s *Server) emitLog(payload []byte) {
 	s.log.End(append(append(b, payload...), '\n'))
 }
 
-// storedRequest rebuilds the request of a stored placement — from a
-// snapshot's running set or a replayed place record — with the placement
-// filled in, after checking it against the catalog and the cluster: a
-// data dir written for another cluster size or archetype set is refused,
-// not indexed out of range.
-func (s *Server) storedRequest(archetype, name string, qpsFrac float64, placement []int) (*sched.Request, error) {
-	req, err := s.cat.Request(archetype, name, qpsFrac)
-	if err != nil {
-		return nil, err
-	}
-	if len(placement) != len(req.Input.Profiles) {
-		return nil, fmt.Errorf("serve: %s: stored placement has %d entries, archetype %s has %d functions",
-			name, len(placement), archetype, len(req.Input.Profiles))
-	}
-	for _, sv := range placement {
-		if sv < 0 || sv >= s.state.NumServers() {
-			return nil, fmt.Errorf("serve: %s: stored placement names server %d, cluster has %d", name, sv, s.state.NumServers())
+// restoreState rebuilds the cluster state a snapshot recorded: the
+// running set re-committed from the catalog, each stored placement
+// checked against the cluster first — a data dir written for another
+// cluster size or archetype set is refused, not indexed out of range —
+// and then Used verbatim over the rebuilt vectors, whose rounding is not
+// the live state's. A snapshot from before Used was stored keeps the
+// rebuild.
+func (s *Server) restoreState(snap *snapshotState) error {
+	st := s.state.Base()
+	for _, d := range snap.Running {
+		req, err := s.cat.Request(d.Archetype, d.Name, d.QPSFrac)
+		if err != nil {
+			return err
 		}
+		if len(d.Placement) != len(req.Input.Profiles) {
+			return fmt.Errorf("serve: %s: stored placement has %d entries, archetype %s has %d functions",
+				d.Name, len(d.Placement), d.Archetype, len(req.Input.Profiles))
+		}
+		for _, sv := range d.Placement {
+			if sv < 0 || sv >= s.state.NumServers() {
+				return fmt.Errorf("serve: %s: stored placement names server %d, cluster has %d", d.Name, sv, s.state.NumServers())
+			}
+		}
+		req.Input.Placement = d.Placement
+		st.Commit(req.Input, sched.SLA{MinIPC: d.MinIPC, MaxJCTFactor: d.MaxJCT})
 	}
-	req.Input.Placement = append([]int(nil), placement...)
-	return req, nil
+	if snap.Used != nil {
+		if len(snap.Used) != len(st.Used) {
+			return fmt.Errorf("serve: stored usage covers %d servers, cluster has %d", len(snap.Used), len(st.Used))
+		}
+		copy(st.Used, snap.Used)
+	}
+	s.state.Recount()
+	return nil
 }
 
-// applyRecord folds one replayed WAL record into the daemon state —
-// the stored decision, never a re-run of the scheduler. Mismatches
-// between the stored effect and the replayed one (an observation that
-// applied then but not now, a release of a workload that is not
-// running) mean the snapshot and WAL disagree; refusing to serve beats
-// silently forking the decision stream.
-func (s *Server) applyRecord(rec *walRecord) error {
-	switch rec.Kind {
-	case kindPlace:
-		p := rec.Place
-		if p == nil {
-			return errors.New("serve: place record without body")
-		}
-		if placedOutcome(p.Outcome) {
-			req, err := s.storedRequest(p.Workload, p.Name, p.QPSFrac, p.Placement)
-			if err != nil {
-				return err
-			}
-			s.state.Commit(req.Input, req.SLA)
-		}
-	case kindObserve:
-		o := rec.Obs
-		if o == nil {
-			return errors.New("serve: observe record without body")
-		}
-		applied := s.applyObserve(o.Name, o.QoS, o.Value)
-		if applied != o.Applied {
-			return fmt.Errorf("serve: observation of %s replayed applied=%v, record says %v",
-				o.Name, applied, o.Applied)
-		}
-	case kindRelease:
-		r := rec.Rel
-		if r == nil {
-			return errors.New("serve: release record without body")
-		}
-		released := s.state.Release(r.Name)
-		if released != r.Released {
-			return fmt.Errorf("serve: release of %s replayed released=%v, record says %v",
-				r.Name, released, r.Released)
-		}
-	default:
-		return fmt.Errorf("serve: unknown record kind %q", rec.Kind)
-	}
-	if err := s.tick(); err != nil {
+// replay re-executes the request of one recovered WAL record of
+// generation gen through the committer's own path; the store verifies
+// the record it regenerates against raw. The request is parsed and
+// checked as the handlers check one, so a record that could never have
+// been acknowledged is refused like a divergent one, and a refusal
+// leaves the applied sequence where it was.
+func (s *Server) replay(raw []byte, gen uint64) error {
+	r, err := decodeRecord(raw)
+	if err != nil {
 		return err
 	}
-	s.applied = rec.Seq
-	if rec.Order > 0 {
-		if rec.Order >= s.nextOrder {
-			s.nextOrder = rec.Order + 1
+	if r.Seq != s.applied+1 {
+		return fmt.Errorf("serve: wal replay: generation %d holds seq %d after seq %d; the chain has a gap",
+			gen, r.Seq, s.applied)
+	}
+	p := &pending{kind: r.Kind, order: r.Order, reply: make(chan pendingResp, 1)}
+	switch {
+	case r.Kind == kindPlace && r.Place != nil:
+		p.arch, p.qps = r.Place.Workload, r.Place.QPSFrac
+	case r.Kind == kindObserve && r.Obs != nil:
+		p.name, p.qos, p.value = r.Obs.Name, r.Obs.QoS, r.Obs.Value
+	case r.Kind == kindRelease && r.Rel != nil:
+		p.name = r.Rel.Name
+	default:
+		return fmt.Errorf("serve: wal replay seq %d: a %q record without its request", r.Seq, r.Kind)
+	}
+	if err := s.validate(p); err != nil {
+		return fmt.Errorf("serve: wal replay seq %d: %w", r.Seq, err)
+	}
+	if err := s.commitBatch([]*pending{p}); err != nil {
+		return fmt.Errorf("serve: wal replay seq %d: %w", r.Seq, err)
+	}
+	if r.Order >= s.nextOrder {
+		s.nextOrder = r.Order + 1
+	}
+	return nil
+}
+
+// validate makes the checks the handlers make before a request reaches
+// the committer: a placement names a catalog archetype (not an instance
+// name like "matmul#17"), an observation a known QoS kind.
+func (s *Server) validate(p *pending) error {
+	switch p.kind {
+	case kindPlace:
+		if _, ok := s.cat.byName[p.arch]; !ok {
+			return fmt.Errorf("unknown workload %q (see /v1/state for the catalog)", p.arch)
 		}
-		if resp, err := responseFor(rec); err == nil {
-			s.cacheResponse(rec.Order, resp)
+	case kindObserve:
+		if _, ok := qosKind(p.qos); !ok {
+			return fmt.Errorf("unknown qos kind %q (want ipc, p99 or jct)", p.qos)
 		}
 	}
 	return nil
@@ -879,8 +887,11 @@ func (s *Server) commitBatch(batch []*pending) error {
 			}
 			payloads[i] = b
 		}
-		if err := s.store.Live().AppendBatch(payloads); err != nil {
-			return fmt.Errorf("serve: wal append: %w", err)
+		// While restore re-executes, the store verifies instead of
+		// appending.
+		replaying := s.store.Replaying()
+		if err := s.store.AppendBatch(payloads); err != nil {
+			return fmt.Errorf("serve: wal: %w", err)
 		}
 		// The decision lines reach the file in one write, before any
 		// acknowledgement: a reader of decisions.jsonl never sees fewer
@@ -891,7 +902,9 @@ func (s *Server) commitBatch(batch []*pending) error {
 		if err := s.log.Flush(); err != nil {
 			return fmt.Errorf("serve: decision log: %w", err)
 		}
-		s.met.walRecords.Add(uint64(len(records)))
+		if !replaying {
+			s.met.walRecords.Add(uint64(len(records)))
+		}
 		for i, rec := range records {
 			s.applied = rec.Seq
 			resp, err := responseFor(rec)

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gsight/internal/core"
@@ -14,9 +15,10 @@ import (
 // while megabytes of predictor state are encoded and fsynced.
 //
 // The CUT is the committer's half, at a record boundary N: copy the
-// running set, response cache and log offset, take a frozen
-// view of the predictor (core.Predictor.Capture: slice headers and
-// tree pointers only), and rotate the store's WAL at once. From here on
+// running set, every server's usage, the response cache and the log
+// offset, take a frozen view of the predictor (core.Predictor.Capture:
+// slice headers and tree pointers only), and rotate the store's WAL at
+// once. From here on
 // the new generation's WAL holds exactly the records after N, whether
 // or not its snapshot ever reaches the disk.
 //
@@ -132,6 +134,7 @@ func (s *Server) cut() (*snapshotCut, error) {
 		NextOrder: s.nextOrder,
 		LogBytes:  logBytes,
 		Servers:   s.state.NumServers(),
+		Used:      slices.Clone(st.Used),
 	}
 	for i := range st.Running {
 		d := &st.Running[i]

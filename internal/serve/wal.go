@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gsight/internal/persist"
+	"gsight/internal/resources"
 )
 
 // The daemon's durability schema. Every acknowledged request is one
@@ -16,11 +17,12 @@ import (
 // cannot lose or reinvent an acked decision, and the servecheck gate
 // can demand byte identity with an uninterrupted run.
 //
-// Replay applies records without re-running the scheduler: placements
-// commit the stored server assignment into the cluster state, and
-// observations re-feed the online learner in record order (the
-// predictor's flush cadence is a pure function of the observation
-// count, so the learner state converges to the active's exactly).
+// Replay re-executes each record's request — kind, workload, qps_frac,
+// order, name, qos and value — through the committer's own path, and
+// persist.Store verifies the record that produces against the stored
+// one byte for byte. The decision fields are never applied, only
+// compared: a standby restores by proving it would have decided the
+// same, and refuses to serve when it would not.
 
 // Record kinds.
 const (
@@ -93,16 +95,6 @@ func decodeRecord(payload []byte) (*walRecord, error) {
 	return &r, nil
 }
 
-// placedOutcome reports whether a place record committed capacity
-// (i.e. replay must re-commit its placement).
-func placedOutcome(outcome string) bool {
-	switch outcome {
-	case "placed", "fallback", "degraded":
-		return true
-	}
-	return false
-}
-
 // snapshotState is the JSON section of the daemon's checkpoint payload
 // (persist.FramePayload): everything needed to continue the decision
 // stream byte-identically except the online learner — cluster running
@@ -129,6 +121,12 @@ type snapshotState struct {
 	// Running is the deployed set (profiles rehydrate from the catalog
 	// by archetype).
 	Running []deployedState `json:"running,omitempty"`
+	// Used is every server's allocated vector, verbatim: the live values
+	// are the outcome of an exact sequence of adds and subtracts that a
+	// rebuild from Running would not round the same, and replay must
+	// re-execute on exactly the state that decided. Absent in snapshots
+	// written before the field existed, which rebuild it from Running.
+	Used []resources.Vector `json:"used,omitempty"`
 	// Responses is the duplicate-answer cache: order → response JSON
 	// for recently acknowledged ordered requests.
 	Responses []cachedResponse `json:"responses,omitempty"`
