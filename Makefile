@@ -52,11 +52,12 @@ benchcheck:
 # What a deletion pass removed stays removed: no Deprecated: marker in
 # a .go file outside benchmark/ (a wrapper kept for old callers is
 # deleted, not annotated), no import of the retired sortx package, none
-# of the sealed view, the conflict budget or the shard option, and none
-# of the peek-truncate-rewind protocol or the JSON forest format.
+# of the sealed view, the conflict budget or the shard option, none
+# of the peek-truncate-rewind protocol or the JSON forest format, and
+# neither the daemon's re-commit replay nor the platform's retry ladder.
 nodeprecated:
-	@if grep -rnE --include='*.go' --exclude-dir=benchmark 'Deprecated:|"gsight/internal/sortx"|ClusterView|maxTxnAttempts|WithShards|FlushLog|RemoveWALsAfter|OpenAppendTruncated|ForestExport' .; then \
-		echo "nodeprecated: a retired name is back (delete the wrapper; slices.SortFunc; Place takes *State; PlaceAll has no budget or shards; telemetry.Stream syncs and truncates, persist.Store recovers the WAL chain; predictor checkpoints are the model format)"; exit 1; \
+	@if grep -rnE --include='*.go' --exclude-dir=benchmark 'Deprecated:|"gsight/internal/sortx"|ClusterView|maxTxnAttempts|WithShards|FlushLog|RemoveWALsAfter|OpenAppendTruncated|ForestExport|applyRecord|placedOutcome|RetryPolicy|PlacementRetries' .; then \
+		echo "nodeprecated: a retired name is back (delete the wrapper; slices.SortFunc; Place takes *State; PlaceAll has no budget or shards; telemetry.Stream syncs and truncates, persist.Store recovers the WAL chain and verifies its re-execution; predictor checkpoints are the model format; a placement asks the primary once)"; exit 1; \
 	fi
 
 check: build vet vuln test fuzzsmoke crashcheck servecheck benchcheck docscheck nodeprecated loccheck
@@ -70,7 +71,7 @@ loc:
 # grow past the figure the last deletion pass left. A PR that removes
 # lines lowers LOC_CEILING to its own `make loc`; one that must add
 # lines says why in CHANGES.md and raises it in the same commit.
-LOC_CEILING = 27157
+LOC_CEILING = 27086
 loccheck:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loccheck: $$n non-test lines > ceiling $(LOC_CEILING)"; exit 1; \

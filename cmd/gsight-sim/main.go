@@ -425,8 +425,8 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 	if st.FaultEvents > 0 || len(st.Degraded) > 0 {
 		fmt.Printf("\nfaults: %d events, %d services displaced, %d jobs displaced\n",
 			st.FaultEvents, st.DisplacedServices, st.DisplacedJobs)
-		fmt.Printf("degraded: %d placements via fallback, %d/%d steps in degraded mode, %d retries\n",
-			st.DegradedPlacements, st.DegradedSteps, st.Steps, st.PlacementRetries)
+		fmt.Printf("degraded: %d placements via fallback, %d/%d steps in degraded mode\n",
+			st.DegradedPlacements, st.DegradedSteps, st.Steps)
 		for _, d := range st.Degraded {
 			fmt.Printf("degraded window [%.0fs, %.0fs): %s\n", d.StartS, d.EndS, d.Reason)
 		}
@@ -467,7 +467,6 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 				"displaced_jobs":      st.DisplacedJobs,
 				"degraded_placements": st.DegradedPlacements,
 				"degraded_steps":      st.DegradedSteps,
-				"placement_retries":   st.PlacementRetries,
 				"degraded_intervals":  degraded,
 			})
 		if err := telemetry.WriteRunReport(opt.reportPath, rep); err != nil {

@@ -381,8 +381,6 @@ type (
 	PlatformStats = platform.Stats
 	// PlatformService is one resident latency-sensitive service.
 	PlatformService = platform.LSService
-	// PlatformRetryPolicy bounds placement retries on transient errors.
-	PlatformRetryPolicy = platform.RetryPolicy
 	// DegradedInterval is a window of simulation time spent placing
 	// through the fallback policy.
 	DegradedInterval = platform.DegradedInterval

@@ -9,11 +9,11 @@
 //
 // The platform is resilient by construction (DESIGN.md §11): an
 // optional fault schedule injects node crashes, stragglers, cold-start
-// storms and predictor outages; placement calls get bounded retries
-// with capped backoff; services displaced by a crash are re-placed
-// through the scheduler; and when the predictor is unavailable or
-// untrained the platform degrades to a capacity-based fallback policy
-// and records the degraded interval instead of failing the run.
+// storms and predictor outages; services displaced by a crash are
+// re-placed through the scheduler; and when the predictor is
+// unavailable or untrained, or the scheduler fails unexpectedly, the
+// platform degrades to a capacity-based fallback policy and records the
+// degraded interval instead of failing the run.
 package platform
 
 import (
@@ -45,41 +45,6 @@ type LSService struct {
 	// SLA is the admission contract (IPC floor from the Figure 7
 	// transform); the runtime check still uses the raw p99 target.
 	SLA sched.SLA
-}
-
-// RetryPolicy bounds the platform's placement retries on transient
-// scheduler errors. Deterministic rejections (sched.ErrNoPlacement)
-// and predictor-degradation signals (core.ErrNotTrained,
-// core.ErrUnavailable) are never retried — the former cannot change,
-// the latter route to the fallback policy. Backoff is wall clock only
-// and never enters the decision log, so retries cannot break same-seed
-// byte-identity.
-type RetryPolicy struct {
-	// MaxAttempts per placement call; <= 0 means 3.
-	MaxAttempts int
-	// BaseBackoff doubles per failed attempt up to MaxBackoff;
-	// <= 0 means 1ms base and 16ms cap.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Timeout caps one placement call's total wall clock including
-	// retries; <= 0 means 500ms.
-	Timeout time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 16 * time.Millisecond
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = 500 * time.Millisecond
-	}
-	return p
 }
 
 // Config parameterizes a platform run.
@@ -120,8 +85,6 @@ type Config struct {
 	// or untrained, or persistent scheduler failure); nil means
 	// sched.NewWorstFit().
 	Fallback sched.Scheduler
-	// Retry bounds placement retries on transient scheduler errors.
-	Retry RetryPolicy
 	// Checkpoint enables crash-consistent snapshots and recovery
 	// (DESIGN.md §12); the zero value disables it.
 	Checkpoint CheckpointConfig
@@ -172,7 +135,6 @@ type Stats struct {
 	DisplacedJobs      int // batch jobs moved off crashed nodes
 	DegradedPlacements int // placements served by the fallback policy
 	DegradedSteps      int // steps spent in degraded mode
-	PlacementRetries   int // placement attempts retried
 	// Degraded lists the degraded-mode windows of the run.
 	Degraded []DegradedInterval
 }
@@ -250,7 +212,6 @@ type runner struct {
 	engine   sim.Engine
 	inj      *faults.Injector
 	fallback sched.Scheduler
-	retry    RetryPolicy
 
 	// Checkpointing state: cancel kills the run from inside an event
 	// (controller crash, replay divergence); arrivals keeps the full
@@ -353,7 +314,6 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		rnd:      rng.Stream(cfg.Seed, "platform"),
 		inj:      inj,
 		fallback: fallback,
-		retry:    cfg.Retry.withDefaults(),
 		stats: &Stats{
 			SchedulerName: cfg.Scheduler.Name(),
 			SLAOK:         make(map[string][]bool),
@@ -610,12 +570,14 @@ func (r *runner) placeFallback(req *sched.Request) ([]int, error) {
 	return placement, nil
 }
 
-// place is the platform's single placement entry point: primary
-// scheduler with bounded retry on transient errors, immediate
-// degradation to the fallback policy on predictor errors (or during an
-// injected predictor outage), and no retry on deterministic
-// rejections. The final outcome (not the internal attempts) is
-// WAL-logged when checkpointing is on.
+// place is the platform's single placement entry point: the primary
+// scheduler, immediate degradation to the fallback policy on predictor
+// errors (or during an injected predictor outage), one fallback attempt
+// on any other unexpected error, and no fallback for deterministic
+// rejections. No path retries: every scheduler answers an unchanged
+// state the same way, and a retry timeout would be the only wall-clock
+// input on the decision path. The outcome is WAL-logged when
+// checkpointing is on.
 func (r *runner) place(req *sched.Request) ([]int, error) {
 	if r.obs != nil {
 		r.obsDetail = sched.PlacementDetail{}
@@ -673,57 +635,29 @@ func (r *runner) placeInner(req *sched.Request) ([]int, error) {
 		// until the outage ends.
 		return r.placeFallback(req)
 	}
-	backoff := r.retry.BaseBackoff
-	deadline := time.Now().Add(r.retry.Timeout)
-	var placement []int
-	var err error
-	for attempt := 1; ; attempt++ {
-		placement, err = r.placeWith(r.cfg.Scheduler, req)
-		if err == nil {
-			if r.degraded && r.degradedReason == reasonUntrained {
-				// The predictor has caught up (trained or recovered):
-				// leave degraded mode.
-				r.exitDegraded()
-			}
-			return placement, nil
+	placement, err := r.placeWith(r.cfg.Scheduler, req)
+	switch {
+	case err == nil:
+		if r.degraded && r.degradedReason == reasonUntrained {
+			// The predictor has caught up (trained or recovered):
+			// leave degraded mode.
+			r.exitDegraded()
 		}
-		if errors.Is(err, sched.ErrNoPlacement) {
-			return nil, err // deterministic: retrying cannot help
-		}
-		if errors.Is(err, core.ErrNotTrained) {
-			r.enterDegraded(reasonUntrained)
-			return r.placeFallback(req)
-		}
-		if errors.Is(err, core.ErrUnavailable) {
-			r.enterDegraded(reasonUnavailable)
-			return r.placeFallback(req)
-		}
-		if attempt >= r.retry.MaxAttempts || r.ctx.Err() != nil || !time.Now().Before(deadline) {
-			break
-		}
-		r.stats.PlacementRetries++
-		r.ins.PlacementRetries.Inc()
-		sleepCtx(r.ctx, backoff)
-		backoff *= 2
-		if backoff > r.retry.MaxBackoff {
-			backoff = r.retry.MaxBackoff
-		}
+		return placement, nil
+	case errors.Is(err, sched.ErrNoPlacement):
+		return nil, err // deterministic: the cluster cannot host it
+	case errors.Is(err, core.ErrNotTrained):
+		r.enterDegraded(reasonUntrained)
+		return r.placeFallback(req)
+	case errors.Is(err, core.ErrUnavailable):
+		r.enterDegraded(reasonUnavailable)
+		return r.placeFallback(req)
 	}
-	// Persistent unexpected failure: degrade rather than fail the run.
+	// Unexpected failure: degrade rather than fail the run.
 	if out, ferr := r.placeFallback(req); ferr == nil {
 		return out, nil
 	}
 	return nil, err
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }
 
 // enterDegraded opens a degraded interval (idempotent while open).

@@ -81,7 +81,6 @@ func TestPlatformResilienceInstrumentsRegistered(t *testing.T) {
 		"platform_displaced_jobs_total":      ins.DisplacedJobs,
 		"platform_degraded_placements_total": ins.DegradedPlacements,
 		"platform_degraded_steps_total":      ins.DegradedSteps,
-		"platform_placement_retries_total":   ins.PlacementRetries,
 	} {
 		if c == nil {
 			t.Fatalf("%s not registered", name)

@@ -208,7 +208,6 @@ type PlatformInstruments struct {
 	DisplacedJobs      *Counter // batch jobs moved off crashed nodes
 	DegradedPlacements *Counter // placements served by the fallback policy
 	DegradedSteps      *Counter // steps spent in degraded mode
-	PlacementRetries   *Counter // placement attempts retried after transient errors
 	// Checkpointing (crash recovery).
 	Checkpoints       *Counter   // snapshots written
 	CheckpointSeconds *Histogram // wall-clock seconds per snapshot write
@@ -234,7 +233,6 @@ func (s *Sink) Platform() PlatformInstruments {
 		DisplacedJobs:      r.Counter("platform_displaced_jobs_total", "batch jobs moved off crashed nodes"),
 		DegradedPlacements: r.Counter("platform_degraded_placements_total", "placements served by the fallback policy"),
 		DegradedSteps:      r.Counter("platform_degraded_steps_total", "steps spent in degraded mode"),
-		PlacementRetries:   r.Counter("platform_placement_retries_total", "placement attempts retried after transient errors"),
 		Checkpoints:        r.Counter("platform_checkpoints_total", "controller snapshots written"),
 		CheckpointSeconds:  r.Histogram("platform_checkpoint_seconds", "wall-clock seconds per snapshot write", DurationBuckets()),
 		WALRecords:         r.Counter("platform_wal_records_total", "write-ahead-log records appended"),
