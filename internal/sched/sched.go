@@ -87,14 +87,19 @@ type State struct {
 	counted bool
 	online  int
 	active  int
+	// funcs[s] counts the functions placed on server s. When the last
+	// one leaves, Release sets Used[s] to exactly zero: subtracting
+	// allocations in floating point can leave residue that would keep an
+	// empty server active.
+	funcs []int
 	// nameIdx maps a workload name to its first index in Running,
 	// matching Release's first-match semantics when names repeat.
 	nameIdx map[string]int
 }
 
-// Recount rebuilds the cached online/active counts and the
-// name→index map from the current field values and enables their
-// maintenance through SetOffline/Commit/Release. Call it after
+// Recount rebuilds the cached online/active counts, the per-server
+// function counts and the name→index map from the current field values
+// and enables their maintenance through SetOffline/Commit/Release. Call it after
 // mutating Used, Running or Offline directly (checkpoint restore,
 // state refresh); Caps may always be patched in place.
 func (st *State) Recount() {
@@ -108,6 +113,14 @@ func (st *State) Recount() {
 	for s := range st.Used {
 		if !st.Used[s].IsZero() {
 			st.active++
+		}
+	}
+	st.funcs = resize(st.funcs, len(st.Caps))
+	clear(st.funcs)
+	for i := range st.Running {
+		in := &st.Running[i].Input
+		for f := range in.Profiles {
+			st.funcs[in.Placement[f]]++
 		}
 	}
 	if st.nameIdx == nil {
@@ -195,8 +208,11 @@ func (st *State) Commit(in core.WorkloadInput, sla SLA) {
 	for f := range in.Profiles {
 		s := in.Placement[f]
 		next := st.Used[s].Add(AllocOf(&in, f))
-		if st.counted && st.Used[s].IsZero() && !next.IsZero() {
-			st.active++
+		if st.counted {
+			st.funcs[s]++
+			if st.Used[s].IsZero() && !next.IsZero() {
+				st.active++
+			}
 		}
 		st.Used[s] = next
 	}
@@ -238,8 +254,13 @@ func (st *State) Release(name string) bool {
 	for f := range d.Input.Profiles {
 		s := d.Input.Placement[f]
 		next := st.Used[s].Sub(AllocOf(&d.Input, f)).Clamped()
-		if st.counted && !st.Used[s].IsZero() && next.IsZero() {
-			st.active--
+		if st.counted {
+			if st.funcs[s]--; st.funcs[s] == 0 {
+				next = resources.Vector{}
+			}
+			if !st.Used[s].IsZero() && next.IsZero() {
+				st.active--
+			}
 		}
 		st.Used[s] = next
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gsight/internal/core"
 	"gsight/internal/resources"
 	"gsight/internal/rng"
 	"gsight/internal/workload"
@@ -143,6 +144,53 @@ func TestCountedBookkeepingMatchesScan(t *testing.T) {
 		}
 		if len(counted.Running) != len(plain.Running) {
 			t.Fatalf("step %d: Running diverged", i)
+		}
+	}
+}
+
+// TestReleaseEverythingLeavesNoActiveServer: after two thousand random
+// placements and releases of a workload mix, releasing what is left
+// must leave every server's Used at exactly zero and no server active —
+// floating-point subtraction residue must not keep an empty server in
+// the density denominator or first in the "active first" order.
+func TestReleaseEverythingLeavesNoActiveServer(t *testing.T) {
+	const n = 8
+	ss := ShardedStateFromProfiles(spec, n, 0)
+	mix := []*workload.Workload{workload.SocialNetwork(), workload.ECommerce(), workload.MatMul(),
+		workload.KMeans(), workload.VideoProcessing(), workload.DD()}
+	inputs := make([]core.WorkloadInput, len(mix))
+	for i, w := range mix {
+		inputs[i] = inputFor(w, 0.3+0.1*float64(i))
+	}
+	r := rng.New(5)
+	var names []string
+	for i := 0; i < 2000; i++ {
+		if len(names) > 0 && r.Intn(2) == 0 {
+			k := r.Intn(len(names))
+			if !ss.Release(names[k]) {
+				t.Fatalf("release of running %s failed", names[k])
+			}
+			names = append(names[:k], names[k+1:]...)
+			continue
+		}
+		in := inputs[r.Intn(len(inputs))]
+		in.Name = fmt.Sprintf("%s#%d", in.Name, i)
+		in.Placement = make([]int, len(in.Profiles))
+		for f := range in.Placement {
+			in.Placement[f] = r.Intn(n)
+		}
+		ss.Commit(in, SLA{})
+		names = append(names, in.Name)
+	}
+	for _, nm := range names {
+		ss.Release(nm)
+	}
+	if got := ss.ActiveServers(); got != 0 {
+		t.Errorf("%d servers active with nothing placed", got)
+	}
+	for s, used := range ss.Base().Used {
+		if used != (resources.Vector{}) {
+			t.Errorf("server %d holds %v with nothing placed", s, used)
 		}
 	}
 }
