@@ -82,7 +82,7 @@ type Config struct {
 	// healthy cluster.
 	Faults *faults.Schedule
 	// Fallback serves placements while degraded (predictor unavailable
-	// or untrained, or persistent scheduler failure); nil means
+	// or untrained, or an unexpected scheduler error); nil means
 	// sched.NewWorstFit().
 	Fallback sched.Scheduler
 	// Checkpoint enables crash-consistent snapshots and recovery

@@ -99,9 +99,9 @@ type State struct {
 
 // Recount rebuilds the cached online/active counts, the per-server
 // function counts and the name→index map from the current field values
-// and enables their maintenance through SetOffline/Commit/Release. Call it after
-// mutating Used, Running or Offline directly (checkpoint restore,
-// state refresh); Caps may always be patched in place.
+// and enables their maintenance through SetOffline/Commit/Release. Call
+// it after mutating Used, Running or Offline directly (checkpoint
+// restore, state refresh); Caps may always be patched in place.
 func (st *State) Recount() {
 	st.online = 0
 	for s := range st.Caps {

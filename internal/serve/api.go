@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"time"
 
 	"gsight/internal/core"
@@ -164,11 +163,8 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if len(reqs) == 0 {
 		reqs = []PlaceRequest{body.PlaceRequest}
 	}
-	ps := make([]*pending, len(reqs))
-	for i, pr := range reqs {
-		ps[i] = &pending{kind: kindPlace, order: pr.Order, arch: pr.Workload,
-			qps: pr.QPSFrac, reply: make(chan pendingResp, 1)}
-		if err := s.validate(ps[i]); err != nil {
+	for _, pr := range reqs {
+		if err := s.validate(kindPlace, pr.Workload, ""); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
@@ -177,7 +173,8 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	t0 := time.Now()
 	if len(body.Batch) == 0 {
-		resp := s.enqueue(ctx, ps[0])
+		resp := s.enqueue(ctx, &pending{kind: kindPlace, order: reqs[0].Order,
+			arch: reqs[0].Workload, qps: reqs[0].QPSFrac, reply: make(chan pendingResp, 1)})
 		s.met.placeLatency.Observe(time.Since(t0).Seconds())
 		writeResp(w, resp)
 		return
@@ -185,7 +182,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// Batch mode: enqueue every request, then gather. Items keep their
 	// client order numbers; the committer coalesces whatever lands in
 	// the same batch window into single PlaceAll/fsync rounds.
+	ps := make([]*pending, len(reqs))
 	answers := make([]pendingResp, len(reqs))
+	for i, pr := range reqs {
+		ps[i] = &pending{kind: kindPlace, order: pr.Order, arch: pr.Workload,
+			qps: pr.QPSFrac, reply: make(chan pendingResp, 1)}
+	}
 	for i, p := range ps {
 		answers[i] = s.enqueue(ctx, p)
 	}
@@ -206,15 +208,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &body) {
 		return
 	}
-	p := &pending{kind: kindObserve, order: body.Order,
-		name: body.Name, qos: body.QoS, value: body.Value, reply: make(chan pendingResp, 1)}
-	if err := s.validate(p); err != nil {
+	if err := s.validate(kindObserve, "", body.QoS); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout())
 	defer cancel()
-	writeResp(w, s.enqueue(ctx, p))
+	writeResp(w, s.enqueue(ctx, &pending{kind: kindObserve, order: body.Order,
+		name: body.Name, qos: body.QoS, value: body.Value, reply: make(chan pendingResp, 1)}))
 }
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -261,10 +262,4 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		UptimeS:   time.Since(s.started).Seconds(),
 		Trained:   s.pred.SamplesSeen(core.IPCQoS) > 0,
 	})
-}
-
-// parseOrder is a small helper shared with the load generator.
-func parseOrder(s string) uint64 {
-	v, _ := strconv.ParseUint(s, 10, 64)
-	return v
 }

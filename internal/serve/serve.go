@@ -536,7 +536,7 @@ func (s *Server) replay(raw []byte, gen uint64) error {
 	default:
 		return fmt.Errorf("serve: wal replay seq %d: a %q record without its request", r.Seq, r.Kind)
 	}
-	if err := s.validate(p); err != nil {
+	if err := s.validate(p.kind, p.arch, p.qos); err != nil {
 		return fmt.Errorf("serve: wal replay seq %d: %w", r.Seq, err)
 	}
 	if err := s.commitBatch([]*pending{p}); err != nil {
@@ -551,15 +551,15 @@ func (s *Server) replay(raw []byte, gen uint64) error {
 // validate makes the checks the handlers make before a request reaches
 // the committer: a placement names a catalog archetype (not an instance
 // name like "matmul#17"), an observation a known QoS kind.
-func (s *Server) validate(p *pending) error {
-	switch p.kind {
+func (s *Server) validate(kind, workload, qos string) error {
+	switch kind {
 	case kindPlace:
-		if _, ok := s.cat.byName[p.arch]; !ok {
-			return fmt.Errorf("unknown workload %q (see /v1/state for the catalog)", p.arch)
+		if _, ok := s.cat.byName[workload]; !ok {
+			return fmt.Errorf("unknown workload %q (see /v1/state for the catalog)", workload)
 		}
 	case kindObserve:
-		if _, ok := qosKind(p.qos); !ok {
-			return fmt.Errorf("unknown qos kind %q (want ipc, p99 or jct)", p.qos)
+		if _, ok := qosKind(qos); !ok {
+			return fmt.Errorf("unknown qos kind %q (want ipc, p99 or jct)", qos)
 		}
 	}
 	return nil

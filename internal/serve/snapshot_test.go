@@ -492,7 +492,13 @@ func TestServeSnapshotDeferredWhilePublishing(t *testing.T) {
 	if got := snap.Histograms["serve_snapshot_publish_seconds"].Count; got != 3 {
 		t.Fatalf("publish histogram count = %d, want 3", got)
 	}
-	if got := snap.Gauges["serve_snapshot_inflight"]; got != 0 {
+	// The publisher answers the forced snapshot before it hands its result
+	// to the committer, which clears the gauge when it reaps it.
+	inflight := func() float64 { return sink.Registry.Snapshot().Gauges["serve_snapshot_inflight"] }
+	for deadline := time.Now().Add(10 * time.Second); inflight() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := inflight(); got != 0 {
 		t.Fatalf("inflight gauge = %v after the publish ended, want 0", got)
 	}
 }
