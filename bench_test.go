@@ -462,15 +462,16 @@ func BenchmarkSchedulingInstrumented(b *testing.B) {
 }
 
 // BenchmarkShardedScheduling measures one placement proposal through
-// the shared state's Propose path at testbed size, where it is exactly
-// a direct Place against the backing state. The budget is the same
+// State.Propose at testbed size, where it is exactly a direct Place
+// against the state. The budget is the same
 // 1 alloc/op (the returned placement slice); benchhist -check gates it
 // against the history alongside BenchmarkBinarySearchScheduling.
 func BenchmarkShardedScheduling(b *testing.B) {
 	p, obs := trainedPredictor(b)
 	spec := resources.DefaultServerSpec("bench")
 	scheduler := NewScheduler(p)
-	ss := sched.ShardedStateFromProfiles(spec, 8, 0)
+	ss := sched.StateFromProfiles(spec, 8)
+	ss.Recount()
 	// One reusable request: inside propose the scheduler is an
 	// interface, so a per-iteration literal would escape and charge
 	// the caller's allocation to the propose path under test.
@@ -497,7 +498,8 @@ func BenchmarkShardedPlacement(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
 			scheduler := NewScheduler(p)
-			ss := sched.ShardedStateFromProfiles(spec, n, 0)
+			ss := sched.StateFromProfiles(spec, n)
+			ss.Recount()
 			names := make([]string, 256)
 			for i := range names {
 				names[i] = fmt.Sprintf("bench-%03d", i)

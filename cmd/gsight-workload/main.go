@@ -1,6 +1,8 @@
 // Command gsight-workload validates a JSON workload definition and
 // reports how the system will see it: the call-path structure, critical
-// path, solo-run profile, default replica sizing, and — optionally — a
+// path, solo-run profile (the per-function table of every model input
+// metric, what the paper's perf/pqos collector would report, §3.2),
+// default replica sizing, and — optionally — a
 // quick interference characterization against the catalog
 // micro-benchmarks (a one-workload Figure 3(a)).
 //
@@ -92,16 +94,16 @@ func main() {
 
 	spec := resources.DefaultServerSpec("validator")
 	ps := profile.WorkloadProfiles(w, spec, nil)
-	fmt.Println("\nsolo-run profile (16 model inputs):")
-	fmt.Printf("  %-22s", "function")
-	for _, id := range []metrics.ID{metrics.IPC, metrics.CPUUtil, metrics.LLCOcc, metrics.L3MPKI, metrics.NetBW, metrics.DiskIO} {
-		fmt.Printf("  %10s", id)
+	fmt.Printf("\nsolo-run profile (%d model inputs):\n", len(metrics.Selected()))
+	fmt.Printf("  %-22s", "metric")
+	for _, p := range ps {
+		fmt.Printf("  %12s", trunc(p.Function, 12))
 	}
 	fmt.Println()
-	for _, p := range ps {
-		fmt.Printf("  %-22s", p.Function)
-		for _, id := range []metrics.ID{metrics.IPC, metrics.CPUUtil, metrics.LLCOcc, metrics.L3MPKI, metrics.NetBW, metrics.DiskIO} {
-			fmt.Printf("  %10.3f", p.Metrics[id])
+	for _, id := range metrics.Selected() {
+		fmt.Printf("  %-22s", id)
+		for _, p := range ps {
+			fmt.Printf("  %12.3f", p.Metrics[id])
 		}
 		fmt.Println()
 	}
@@ -179,6 +181,13 @@ func deploy(w *workload.Workload, m *perfmodel.Model) *perfmodel.Deployment {
 		d.QPS = w.MaxQPS / 2
 	}
 	return d
+}
+
+func trunc(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	return s[:n]
 }
 
 func fatal(format string, args ...interface{}) {

@@ -231,16 +231,10 @@ type (
 	Scheduler = sched.Scheduler
 	// SLA is a workload's admission contract.
 	SLA = sched.SLA
-	// SchedulerState is the shared cluster state placements commit
-	// into: a ClusterState plus one stamp per server, so a transaction
-	// can tell whether the servers it read were touched since.
-	SchedulerState = sched.ShardedState
-	// ClusterState is what Scheduler.Place reads (capacities, usage,
-	// the running set, the online mask); SchedulerState.Base returns it.
-	ClusterState = sched.State
-	// SchedulerTxn is one snapshot-isolated placement transaction
-	// (Begin/Propose/Commit with commit-time conflict detection).
-	SchedulerTxn = sched.Txn
+	// SchedulerState is the cluster state Scheduler.Place reads
+	// (capacities, usage, the running set, the online mask) and
+	// placements commit into.
+	SchedulerState = sched.State
 	// PlacerPool places request batches with K concurrent workers;
 	// the result is serial placement in request order.
 	PlacerPool = sched.PlacerPool
@@ -251,10 +245,6 @@ type (
 	// Curve is a latency-IPC correlation curve (Figure 7).
 	Curve = sched.Curve
 )
-
-// ErrTxnConflict is returned by SchedulerTxn.Commit when another commit
-// touched the proposal's window first; re-propose and retry.
-var ErrTxnConflict = sched.ErrTxnConflict
 
 // NewScheduler returns the Gsight binary-search scheduler around a
 // trained predictor. Options: WithTelemetry instruments it,
@@ -281,7 +271,9 @@ func NewScheduler(p QoSPredictor, opts ...Option) *sched.Gsight {
 // NewSchedulerState returns an empty scheduler cluster state sized to
 // the model's testbed.
 func NewSchedulerState(m *Model) *SchedulerState {
-	return sched.ShardedStateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers(), 0)
+	st := sched.StateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers())
+	st.Recount()
+	return st
 }
 
 // NewPlacerPool builds a placer pool over the state. WithPlacers sets

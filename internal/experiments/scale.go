@@ -119,8 +119,8 @@ type scaleRun struct {
 }
 
 func (l *scaleLab) run(n, placers int, reqs []*sched.Request, factory func() sched.Scheduler) scaleRun {
-	ss := sched.ShardedStateFromProfiles(l.spec, n, 0)
-	pool := sched.NewPlacerPool(ss, placers, factory)
+	st := sched.StateFromProfiles(l.spec, n)
+	pool := sched.NewPlacerPool(st, placers, factory)
 	t0 := time.Now()
 	results := pool.PlaceAll(reqs)
 	elapsed := time.Since(t0)
@@ -143,7 +143,7 @@ func (l *scaleLab) run(n, placers int, reqs []*sched.Request, factory func() sch
 			}
 		}
 	}
-	if active := ss.ActiveServers(); active > 0 {
+	if active := st.ActiveServers(); active > 0 {
 		out.density = float64(instances) / (float64(active) * l.spec.Capacity[resources.CPU])
 	}
 	if out.placed > 0 {

@@ -206,27 +206,3 @@ func Errors(model Regressor, X [][]float64, y []float64) []float64 {
 	}
 	return out
 }
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}

@@ -343,14 +343,6 @@ func (m *Model) SetCapacityScale(s int, f float64) {
 	m.capScale[s] = f
 }
 
-// CapacityScale returns server s's current capacity multiplier.
-func (m *Model) CapacityScale(s int) float64 {
-	if f, ok := m.capScale[s]; ok {
-		return f
-	}
-	return 1
-}
-
 // New returns a model of the given testbed with default calibration.
 func New(tb *resources.Testbed) *Model {
 	return &Model{Testbed: tb, Cfg: DefaultConfig()}
@@ -509,24 +501,6 @@ func (ds *demandStore) addAt(ski, svi int, v *resources.Vector) {
 	sv[resources.Disk] += v[resources.Disk]
 }
 
-// classAndTotal returns a domain's demand for one class and for both
-// classes combined, for resource index k. Reads never grow or touch:
-// unknown domains are zero, as with the map.
-func (ds *demandStore) classAndTotal(server, socket int, prot bool, k int) (class, total float64) {
-	si := socket + 1
-	if si >= ds.sockStride {
-		return 0, 0
-	}
-	base := (server*ds.sockStride + si) * 2
-	p := 0
-	if prot {
-		p = 1
-	}
-	class = ds.vecs[base+p][k]
-	total = class + ds.vecs[base+1-p][k]
-	return class, total
-}
-
 // pressure returns the contention pressure for utilization u of kind k.
 func (c *Config) pressure(k resources.Kind, u float64) float64 {
 	knee := c.Knee[k]
@@ -539,20 +513,6 @@ func (c *Config) pressure(k resources.Kind, u float64) float64 {
 	}
 	d := 1 - knee
 	return c.Quad[k]*d*d + c.Over[k]*(u-1)
-}
-
-// domainCapacity returns the capacity of kind k in the given domain of
-// server spec.
-func domainCapacity(spec resources.ServerSpec, k resources.Kind) float64 {
-	cap := spec.Capacity[k]
-	if socketScoped(k) {
-		if k == resources.LLC {
-			// The E7-4820v4 carries a full 25 MB LLC per socket.
-			return cap
-		}
-		return cap / float64(max(1, spec.Sockets))
-	}
-	return cap
 }
 
 // computeScoped reports whether contention on the resource stalls the
@@ -583,9 +543,9 @@ func (m *Model) slowdown(server, socket int, prot bool, total *demandStore, own 
 	capF, hasCapScale := m.capScale[server]
 	// Dense-store slot bases for the two domains the function occupies:
 	// socket-scoped kinds read (server, socket), the rest (server, -1).
-	// Precomputing them here replaces a classAndTotal slot computation
-	// per kind with two array reads; the loads and float adds are the
-	// same ones classAndTotal performs, in the same order.
+	// Precomputed once, so each kind costs two array reads: the class
+	// slot, then the class plus the other class's slot. A domain the
+	// store has never grown to reads as zero.
 	stride := total.sockStride
 	svBase := server * stride * 2
 	skBase := -1
@@ -601,8 +561,9 @@ func (m *Model) slowdown(server, socket int, prot bool, total *demandStore, own 
 	for k := 0; k < int(resources.NumKinds); k++ {
 		kind := resources.Kind(k)
 		ss := socketScoped(kind)
-		// Inlined domainCapacity(spec, kind): identical branches and
-		// the identical division.
+		// The domain's capacity: socket-scoped kinds split the server's
+		// capacity across sockets, except LLC (the E7-4820v4 carries a
+		// full 25 MB LLC per socket).
 		cap := spec.Capacity[k]
 		if ss && kind != resources.LLC {
 			cap /= sockets
@@ -708,8 +669,7 @@ func (m *Model) buildSlowCtx(cx *slowCtx, ds *demandStore, server, socket int, p
 	for k := 0; k < int(resources.NumKinds); k++ {
 		kind := resources.Kind(k)
 		ss := socketScoped(kind)
-		// domainCapacity(spec, kind), inlined: same branches, same
-		// division.
+		// The domain's capacity, as in slowdown.
 		cap := spec.Capacity[k]
 		if ss && kind != resources.LLC {
 			cap /= sockets

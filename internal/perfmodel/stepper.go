@@ -59,7 +59,7 @@ type CompletedJob struct {
 // StepReport is the outcome of one Step.
 type StepReport struct {
 	Now       float64
-	LS        []LSResult // aligned with LSDeployments()
+	LS        []LSResult // one per LS deployment, in AddLS order
 	Completed []CompletedJob
 	ActiveSC  int
 	// ServerDemand[s] is the total resource demand exerted on server s
@@ -88,23 +88,6 @@ func (st *Stepper) AddLS(d *Deployment) error {
 	st.dirty = true
 	return nil
 }
-
-// RemoveLS removes the named LS deployment.
-func (st *Stepper) RemoveLS(name string) bool {
-	for i, d := range st.ls {
-		if d.W.Name == name {
-			st.ls = append(st.ls[:i], st.ls[i+1:]...)
-			st.dirty = true
-			return true
-		}
-	}
-	return false
-}
-
-// LSDeployments exposes the registered LS deployments; callers may
-// mutate QPS, Replicas and Placement but must call MarkDirty afterwards
-// when placement or replica counts change.
-func (st *Stepper) LSDeployments() []*Deployment { return st.ls }
 
 // MarkDirty forces recomputation of the no-interference references
 // (needed after placement or replica changes).

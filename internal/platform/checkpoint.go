@@ -356,11 +356,11 @@ func (r *runner) capturePayload(firedUpTo float64, step int) ([]byte, error) {
 		})
 	}
 	p.State = stateCkpt{
-		Caps:    r.state.Base().Caps,
-		Used:    r.state.Base().Used,
-		Offline: r.state.Base().Offline,
+		Caps:    r.state.Caps,
+		Used:    r.state.Used,
+		Offline: r.state.Offline,
 	}
-	for _, d := range r.state.Base().Running {
+	for _, d := range r.state.Running {
 		p.State.Running = append(p.State.Running, runningCkpt{
 			Name:        d.Input.Name,
 			Class:       int(d.Input.Class),
@@ -537,7 +537,7 @@ func (r *runner) restorePayload(p *ckptPayload, predictor []byte) error {
 	}
 
 	// Scheduler state, verbatim.
-	st := r.state.Base()
+	st := r.state
 	copy(st.Caps, p.State.Caps)
 	copy(st.Used, p.State.Used)
 	if p.State.Offline != nil {
@@ -580,7 +580,7 @@ func (r *runner) restorePayload(p *ckptPayload, predictor []byte) error {
 
 	// The surgery above bypassed the counted caches and the stamps;
 	// Recount rebuilds the first and restamps every server (no
-	// transaction survives a restore, so the commit clock is not state).
+	// proposal survives a restore, so the commit clock is not state).
 	r.state.Recount()
 
 	// Fault state: the injector's live view, plus its side effects on

@@ -60,10 +60,7 @@ type Config struct {
 	// DurationS and StepS control the simulated horizon.
 	DurationS float64
 	StepS     float64
-	// ViolationPatience is how many consecutive SLA-violating steps
-	// trigger a reactive spread of the worst function.
-	ViolationPatience int
-	Seed              uint64
+	Seed      uint64
 	// Predictor, when set, receives online observations (incremental
 	// learning during operation).
 	Predictor core.QoSPredictor
@@ -81,10 +78,6 @@ type Config struct {
 	// stragglers, cold-start storms, predictor outages); nil runs a
 	// healthy cluster.
 	Faults *faults.Schedule
-	// Fallback serves placements while degraded (predictor unavailable
-	// or untrained, or an unexpected scheduler error); nil means
-	// sched.NewWorstFit().
-	Fallback sched.Scheduler
 	// Checkpoint enables crash-consistent snapshots and recovery
 	// (DESIGN.md §12); the zero value disables it.
 	Checkpoint CheckpointConfig
@@ -176,6 +169,10 @@ type serviceState struct {
 	cooldown int
 }
 
+// violationPatience is how many consecutive SLA-violating steps trigger
+// a reactive spread of the worst function.
+const violationPatience = 3
+
 // Degradation reasons recorded on intervals and transition events.
 const (
 	reasonUnavailable = "predictor-unavailable"
@@ -189,7 +186,7 @@ type runner struct {
 	ctx      context.Context
 	m        *perfmodel.Model
 	stepper  *perfmodel.Stepper
-	state    *sched.ShardedState
+	state    *sched.State
 	baseCaps []resources.Vector
 	spec     resources.ServerSpec
 	noise    *rng.Rand
@@ -283,22 +280,16 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if cfg.DurationS <= 0 {
 		cfg.DurationS = 86400
 	}
-	if cfg.ViolationPatience <= 0 {
-		cfg.ViolationPatience = 3
-	}
 	if cfg.ObserveEvery <= 0 {
 		cfg.ObserveEvery = 10
-	}
-	fallback := cfg.Fallback
-	if fallback == nil {
-		fallback = sched.NewWorstFit()
 	}
 	m := cfg.Model
 	inj, err := faults.NewInjector(cfg.Faults, m.Testbed.NumServers())
 	if err != nil {
 		return nil, err
 	}
-	state := sched.ShardedStateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers(), 0)
+	state := sched.StateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers())
+	state.Recount()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &runner{
@@ -308,12 +299,12 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		m:        m,
 		stepper:  m.NewStepper(),
 		state:    state,
-		baseCaps: append([]resources.Vector(nil), state.Base().Caps...),
+		baseCaps: append([]resources.Vector(nil), state.Caps...),
 		spec:     m.Testbed.Servers[0],
 		noise:    rng.Stream(cfg.Seed, "platform-noise"),
 		rnd:      rng.Stream(cfg.Seed, "platform"),
 		inj:      inj,
-		fallback: fallback,
+		fallback: sched.NewWorstFit(),
 		stats: &Stats{
 			SchedulerName: cfg.Scheduler.Name(),
 			SLAOK:         make(map[string][]bool),
@@ -811,7 +802,7 @@ func (r *runner) evacuate(node int) (displacedSvc, displacedJobs int) {
 				}
 			}
 			copy(ss.dep.Placement, placement)
-		} else if alt := emptiestOnline(r.state.Base(), node); alt != -1 {
+		} else if alt := emptiestOnline(r.state, node); alt != -1 {
 			for f, s := range ss.dep.Placement {
 				if s == node {
 					ss.dep.Placement[f] = alt
@@ -828,7 +819,7 @@ func (r *runner) evacuate(node int) (displacedSvc, displacedJobs int) {
 			continue
 		}
 		displacedJobs++
-		alt := emptiestOnline(r.state.Base(), node)
+		alt := emptiestOnline(r.state, node)
 		if alt == -1 {
 			continue // whole cluster down; nowhere to go
 		}
@@ -974,7 +965,7 @@ func (r *runner) loop() error {
 				ss.violations = 0
 			} else {
 				ss.violations++
-				if ss.violations >= cfg.ViolationPatience {
+				if ss.violations >= violationPatience {
 					// Reactive control, in the paper's Observation 5
 					// shape: first move the corunner — evict a batch
 					// job sharing the hottest function's server —
@@ -983,10 +974,10 @@ func (r *runner) loop() error {
 					// the density price of crossing the SLA, paid
 					// most often by inaccurate predictors.
 					hot := ss.dep.Placement[worstFuncs(lr, 1)[0]]
-					if evictSC(r.state.Base(), r.activeSC, hot) {
+					if evictSC(r.state, r.activeSC, hot) {
 						stats.Migrations++
 						moved := 1
-						if n := migrateWorst(r.m, r.state.Base(), ss, lr, 1); n > 0 {
+						if n := migrateWorst(r.m, r.state, ss, lr, 1); n > 0 {
 							stats.Migrations += n
 							stats.ColdStarts += n
 							moved += n
@@ -1001,7 +992,7 @@ func (r *runner) loop() error {
 						if r.obs != nil {
 							r.obs.Trace().Reactive(now, "evict-corunner", ss.svc.W.Name, moved)
 						}
-					} else if n := migrateWorst(r.m, r.state.Base(), ss, lr, 3); n > 0 {
+					} else if n := migrateWorst(r.m, r.state, ss, lr, 3); n > 0 {
 						stats.Migrations += n
 						stats.ColdStarts += n
 						ss.cooldown = 40
@@ -1070,12 +1061,12 @@ func (r *runner) loop() error {
 		instances += countSCInstances(r.activeSC)
 		activeServers, cpuDem, memAlloc := 0, 0.0, 0.0
 		for s, d := range rep.ServerDemand {
-			if d.IsZero() && r.state.Allocated(s).IsZero() {
+			if d.IsZero() && r.state.Used[s].IsZero() {
 				continue
 			}
 			activeServers++
 			cpuDem += d[resources.CPU]
-			memAlloc += r.state.Allocated(s)[resources.Memory]
+			memAlloc += r.state.Used[s][resources.Memory]
 		}
 		density, goodDensity, cpuUtil, memUtil := 0.0, 0.0, 0.0, 0.0
 		if activeServers > 0 {
@@ -1192,7 +1183,7 @@ func (r *runner) recordFrame(now float64, step int, demand []resources.Vector, a
 	fr.MemUtil = float32(memUtil)
 	for s := range fr.CPUDemand {
 		fr.CPUDemand[s] = float32(demand[s][resources.CPU])
-		fr.MemUsed[s] = float32(r.state.Allocated(s)[resources.Memory])
+		fr.MemUsed[s] = float32(r.state.Used[s][resources.Memory])
 		var sf uint8
 		if r.inj.NodeDown(s) {
 			sf |= obs.ServerDown
@@ -1254,8 +1245,7 @@ func (ss *serviceState) syncInto(in *core.WorkloadInput) *core.WorkloadInput {
 // services in config order, then jobs ascending by submission id — is
 // the fixed order the map-era sortedSC sort produced, which float
 // accumulation into Used depends on.
-func refreshState(state *sched.ShardedState, services []*serviceState, activeSC []*scActive) {
-	st := state.Base()
+func refreshState(st *sched.State, services []*serviceState, activeSC []*scActive) {
 	for s := range st.Used {
 		st.Used[s] = resources.Vector{}
 	}
@@ -1266,9 +1256,9 @@ func refreshState(state *sched.ShardedState, services []*serviceState, activeSC 
 	for _, a := range activeSC {
 		st.Commit(a.input, a.sla)
 	}
-	// The surgery above bypassed the stamps; Recount restores the
-	// counted-mode caches and restamps every server.
-	state.Recount()
+	// The surgery above left the counted-mode caches stale; Recount
+	// rebuilds them and restamps every server.
+	st.Recount()
 }
 
 type scActive struct {

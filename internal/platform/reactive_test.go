@@ -51,11 +51,10 @@ func resultWorstLast(n int) perfmodel.LSResult {
 }
 
 func TestRefreshStateRebuildsBookkeeping(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 0)
-	st := sst.Base()
+	st := sched.StateFromProfiles(testbedSpec(), 4)
 	ss := lsFixture(workload.SocialNetwork(), 0)
 	jobs := []*scActive{scFixture(7, workload.DD(), 1)}
-	refreshState(sst, []*serviceState{ss}, jobs)
+	refreshState(st, []*serviceState{ss}, jobs)
 	if len(st.Running) != 2 {
 		t.Fatalf("running = %d, want service + job", len(st.Running))
 	}
@@ -71,7 +70,7 @@ func TestRefreshStateRebuildsBookkeeping(t *testing.T) {
 	for f := range ss.dep.Placement {
 		ss.dep.Placement[f] = 2
 	}
-	refreshState(sst, []*serviceState{ss}, jobs)
+	refreshState(st, []*serviceState{ss}, jobs)
 	if !st.Used[0].IsZero() {
 		t.Fatal("stale allocation on evacuated server after refresh")
 	}
@@ -84,11 +83,10 @@ func TestRefreshStateRebuildsBookkeeping(t *testing.T) {
 }
 
 func TestMigrateWorstSpreadsOffHotServer(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 0)
-	st := sst.Base()
+	st := sched.StateFromProfiles(testbedSpec(), 4)
 	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
-	refreshState(sst, []*serviceState{ss}, nil)
+	refreshState(st, []*serviceState{ss}, nil)
 	lr := resultWorstLast(len(ss.dep.Placement))
 	moved := migrateWorst(m, st, ss, lr, 3)
 	if moved != 3 {
@@ -111,11 +109,10 @@ func TestMigrateWorstSpreadsOffHotServer(t *testing.T) {
 }
 
 func TestMigrateWorstSkipsOfflineServers(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 3, 0)
-	st := sst.Base()
+	st := sched.StateFromProfiles(testbedSpec(), 3)
 	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
-	refreshState(sst, []*serviceState{ss}, nil)
+	refreshState(st, []*serviceState{ss}, nil)
 	st.SetOffline(1, true)
 	lr := resultWorstLast(len(ss.dep.Placement))
 	moved := migrateWorst(m, st, ss, lr, 2)
@@ -130,11 +127,10 @@ func TestMigrateWorstSkipsOfflineServers(t *testing.T) {
 }
 
 func TestMigrateWorstAllOffline(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 2, 0)
-	st := sst.Base()
+	st := sched.StateFromProfiles(testbedSpec(), 2)
 	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
-	refreshState(sst, []*serviceState{ss}, nil)
+	refreshState(st, []*serviceState{ss}, nil)
 	st.SetOffline(1, true)
 	// Only the hot server itself is online: there is nowhere to go.
 	if moved := migrateWorst(m, st, ss, resultWorstLast(len(ss.dep.Placement)), 2); moved != 0 {
@@ -143,13 +139,12 @@ func TestMigrateWorstAllOffline(t *testing.T) {
 }
 
 func TestEvictSCMovesLargestCorunner(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 0)
-	st := sst.Base()
+	st := sched.StateFromProfiles(testbedSpec(), 4)
 	small := scFixture(1, workload.DD(), 0)
 	big := scFixture(2, workload.MatMul(), 0)
 	elsewhere := scFixture(3, workload.FloatOp(), 2)
 	jobs := []*scActive{small, big, elsewhere}
-	refreshState(sst, nil, jobs)
+	refreshState(st, nil, jobs)
 	if !evictSC(st, jobs, 0) {
 		t.Fatal("no corunner evicted from the hot server")
 	}
@@ -183,11 +178,10 @@ func TestEvictSCMovesLargestCorunner(t *testing.T) {
 }
 
 func TestEvictSCRespectsOffline(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 3, 0)
-	st := sst.Base()
+	st := sched.StateFromProfiles(testbedSpec(), 3)
 	job := scFixture(1, workload.DD(), 0)
 	jobs := []*scActive{job}
-	refreshState(sst, nil, jobs)
+	refreshState(st, nil, jobs)
 	st.SetOffline(1, true)
 	if !evictSC(st, jobs, 0) {
 		t.Fatal("eviction failed with server 2 still online")
@@ -200,11 +194,10 @@ func TestEvictSCRespectsOffline(t *testing.T) {
 }
 
 func TestEvictSCNowhereToGo(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 2, 0)
-	st := sst.Base()
+	st := sched.StateFromProfiles(testbedSpec(), 2)
 	job := scFixture(1, workload.DD(), 0)
 	jobs := []*scActive{job}
-	refreshState(sst, nil, jobs)
+	refreshState(st, nil, jobs)
 	st.SetOffline(1, true)
 	if evictSC(st, jobs, 0) {
 		t.Fatal("evicted a job with every other server offline")
@@ -212,10 +205,9 @@ func TestEvictSCNowhereToGo(t *testing.T) {
 }
 
 func TestEvictSCNoCorunner(t *testing.T) {
-	sst := sched.ShardedStateFromProfiles(testbedSpec(), 4, 0)
-	st := sst.Base()
+	st := sched.StateFromProfiles(testbedSpec(), 4)
 	jobs := []*scActive{scFixture(1, workload.DD(), 3)}
-	refreshState(sst, nil, jobs)
+	refreshState(st, nil, jobs)
 	if evictSC(st, jobs, 0) {
 		t.Fatal("evicted a job that was not on the hot server")
 	}

@@ -123,9 +123,6 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Range returns a uniform value in [lo, hi).
 func (r *Rand) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()

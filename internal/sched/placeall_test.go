@@ -14,18 +14,18 @@ import (
 
 // serialReference is what PlaceAll must equal: Propose+Commit over reqs
 // in order on one scheduler.
-func serialReference(ss *ShardedState, s Scheduler, reqs []*Request) []PlaceResult {
+func serialReference(st *State, s Scheduler, reqs []*Request) []PlaceResult {
 	out := make([]PlaceResult, len(reqs))
 	for i, req := range reqs {
 		var d PlacementDetail
 		req.Detail = &d
-		p, err := ss.Propose(s, req)
+		p, err := st.Propose(s, req)
 		req.Detail = nil
 		out[i] = PlaceResult{Placement: p, Err: err, Outcome: d.Outcome}
 		if err == nil {
 			in := req.Input
 			in.Placement = p
-			ss.Commit(in, req.SLA)
+			st.Commit(in, req.SLA)
 		}
 	}
 	return out
@@ -35,7 +35,7 @@ func serialReference(ss *ShardedState, s Scheduler, reqs []*Request) []PlaceResu
 // the same requests — placements, outcomes, errors and the final state
 // bit for bit — ignoring Retries, which legitimately depends on the
 // batch split.
-func sameDecisions(t *testing.T, label string, got, want []PlaceResult, gotSS, wantSS *ShardedState) {
+func sameDecisions(t *testing.T, label string, got, want []PlaceResult, gotSt, wantSt *State) {
 	t.Helper()
 	for i := range want {
 		g, w := got[i], want[i]
@@ -44,14 +44,14 @@ func sameDecisions(t *testing.T, label string, got, want []PlaceResult, gotSS, w
 			t.Fatalf("%s: request %d: %s, serial reference %s", label, i, resultKey(g), resultKey(w))
 		}
 	}
-	if !reflect.DeepEqual(gotSS.Base().Used, wantSS.Base().Used) {
+	if !reflect.DeepEqual(gotSt.Used, wantSt.Used) {
 		t.Fatalf("%s: final Used vectors differ from the serial reference", label)
 	}
-	if len(gotSS.Base().Running) != len(wantSS.Base().Running) {
-		t.Fatalf("%s: running %d, serial reference %d", label, len(gotSS.Base().Running), len(wantSS.Base().Running))
+	if len(gotSt.Running) != len(wantSt.Running) {
+		t.Fatalf("%s: running %d, serial reference %d", label, len(gotSt.Running), len(wantSt.Running))
 	}
-	for i, d := range wantSS.Base().Running {
-		if gotSS.Base().Running[i].Input.Name != d.Input.Name {
+	for i, d := range wantSt.Running {
+		if gotSt.Running[i].Input.Name != d.Input.Name {
 			t.Fatalf("%s: running set order differs at %d", label, i)
 		}
 	}
@@ -75,17 +75,17 @@ func TestPlaceAllSmallClusterPlacesEverything(t *testing.T) {
 		return reqs
 	}
 	factory := func() Scheduler { return NewGsight(&stubPredictor{ipc: 2}) }
-	refSS := ShardedStateFromProfiles(spec, 8, 0)
-	ref := serialReference(refSS, factory(), mk())
+	refSt := countedState(8)
+	ref := serialReference(refSt, factory(), mk())
 	for _, workers := range []int{1, 4} {
-		ss := ShardedStateFromProfiles(spec, 8, 0)
-		got := NewPlacerPool(ss, workers, factory).PlaceAll(mk())
+		st := countedState(8)
+		got := NewPlacerPool(st, workers, factory).PlaceAll(mk())
 		for i, r := range got {
 			if r.Err != nil || r.Outcome != "placed" {
 				t.Fatalf("workers=%d: request %d on an empty cluster: outcome %q, err %v", workers, i, r.Outcome, r.Err)
 			}
 		}
-		sameDecisions(t, fmt.Sprintf("workers=%d", workers), got, ref, ss, refSS)
+		sameDecisions(t, fmt.Sprintf("workers=%d", workers), got, ref, st, refSt)
 	}
 }
 
@@ -125,8 +125,8 @@ func mixedStream(r *rng.Rand, n int) []*Request {
 // fillThreeQuarters commits background jobs round-robin until the
 // cluster's CPU is three-quarters allocated, with every fourth server
 // left empty so windows see a mix of active and idle candidates.
-func fillThreeQuarters(ss *ShardedState) {
-	n := ss.NumServers()
+func fillThreeQuarters(st *State) {
+	n := st.NumServers()
 	for s := 0; s < n; s++ {
 		if s%4 == 3 {
 			continue
@@ -135,7 +135,7 @@ func fillThreeQuarters(ss *ShardedState) {
 		in.Name = fmt.Sprintf("fill-%d", s)
 		in.Profiles[0].Alloc = spec.Capacity.Scale(0.75)
 		in.Placement = []int{s}
-		ss.Commit(in, SLA{})
+		st.Commit(in, SLA{})
 	}
 	// A handful of multi-function residents whose SLAs the candidates
 	// must not regress, straddling window edges.
@@ -145,7 +145,7 @@ func fillThreeQuarters(ss *ShardedState) {
 		for f := range in.Placement {
 			in.Placement[f] = (i*32 + 3 + 4*f) % n
 		}
-		ss.Commit(in, SLA{MinIPC: 0.3})
+		st.Commit(in, SLA{MinIPC: 0.3})
 	}
 }
 
@@ -168,9 +168,9 @@ func TestPlaceAllBatchSplitIndependence(t *testing.T) {
 				return g
 			}
 			mk := func() []*Request { return mixedStream(rng.Stream(11, "placeall-stream"), stream) }
-			refSS := ShardedStateFromProfiles(spec, servers, 0)
-			fillThreeQuarters(refSS)
-			ref := serialReference(refSS, factory(), mk())
+			refSt := countedState(servers)
+			fillThreeQuarters(refSt)
+			ref := serialReference(refSt, factory(), mk())
 			placed, rejected := 0, 0
 			for _, r := range ref {
 				if r.Err == nil {
@@ -199,16 +199,16 @@ func TestPlaceAllBatchSplitIndependence(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 7} {
 				for si, cut := range splits {
-					ss := ShardedStateFromProfiles(spec, servers, 0)
-					fillThreeQuarters(ss)
-					pool := NewPlacerPool(ss, workers, factory)
+					st := countedState(servers)
+					fillThreeQuarters(st)
+					pool := NewPlacerPool(st, workers, factory)
 					reqs := mk()
 					var got []PlaceResult
 					for _, b := range cut {
 						got = append(got, pool.PlaceAll(reqs[len(got):len(got)+b])...)
 					}
 					label := fmt.Sprintf("servers=%d topk=%d workers=%d split=%d", servers, topK, workers, si)
-					sameDecisions(t, label, got, ref, ss, refSS)
+					sameDecisions(t, label, got, ref, st, refSt)
 				}
 			}
 		}
@@ -216,16 +216,16 @@ func TestPlaceAllBatchSplitIndependence(t *testing.T) {
 }
 
 // TestTxnConflictIffWindowTouched is the stamp oracle: after random
-// mutations between Propose and Commit, Commit reports ErrTxnConflict
-// exactly when a server of the accepted window was touched — checked
-// against a brute-force touched set.
+// mutations following a proposal, the proposal goes stale exactly when
+// a server of its accepted window was touched — checked against a
+// brute-force touched set.
 func TestTxnConflictIffWindowTouched(t *testing.T) {
 	const servers = 96
 	r := rng.Stream(23, "stamp-oracle")
 	g := NewGsight(&stubPredictor{ipc: 2})
 	conflicts, clean := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		ss := ShardedStateFromProfiles(spec, servers, 0)
+		st := countedState(servers)
 		var names []string
 		touched := make([]bool, servers)
 		mutate := func(record bool) {
@@ -237,20 +237,20 @@ func TestTxnConflictIffWindowTouched(t *testing.T) {
 			switch k := r.Intn(4); {
 			case k == 0 && len(names) > 0: // release
 				i := r.Intn(len(names))
-				d := ss.Base().Running[ss.IndexOf(names[i])]
+				d := st.Running[st.IndexOf(names[i])]
 				for _, s := range d.Input.Placement {
 					mark(s)
 				}
-				ss.Release(names[i])
+				st.Release(names[i])
 				names = append(names[:i], names[i+1:]...)
 			case k == 1:
 				s := r.Intn(servers)
 				mark(s)
-				ss.SetOffline(s, r.Intn(2) == 0)
+				st.SetOffline(s, r.Intn(2) == 0)
 			case k == 2:
 				s := r.Intn(servers)
 				mark(s)
-				ss.SetCap(s, spec.Capacity.Scale(r.Range(0.5, 1)))
+				st.SetCap(s, spec.Capacity.Scale(r.Range(0.5, 1)))
 			default: // commit
 				in := inputFor(workload.ECommerce(), 0.2)
 				in.Name = fmt.Sprintf("bg-%d-%d", trial, len(names)+r.Intn(1<<20))
@@ -258,7 +258,7 @@ func TestTxnConflictIffWindowTouched(t *testing.T) {
 					in.Placement[f] = r.Intn(servers)
 					mark(in.Placement[f])
 				}
-				ss.Commit(in, SLA{})
+				st.Commit(in, SLA{})
 				names = append(names, in.Name)
 			}
 		}
@@ -267,20 +267,21 @@ func TestTxnConflictIffWindowTouched(t *testing.T) {
 		}
 		in := inputFor(workload.MatMul(), 0)
 		in.Name = fmt.Sprintf("probe-%d", r.Intn(1<<20))
-		tx := ss.Begin()
-		if _, err := tx.Propose(g, &Request{Input: in, SLA: SLA{MinIPC: 0.5}}); err != nil {
-			t.Fatal(err)
+		var scr proposeScratch
+		var p proposal
+		st.propose(g, &Request{Input: in, SLA: SLA{MinIPC: 0.5}}, &scr, &p)
+		if p.err != nil {
+			t.Fatal(p.err)
 		}
 		for i := r.Intn(4); i > 0; i-- {
 			mutate(true)
 		}
 		want := false
-		for i := 0; i < tx.width; i++ {
-			want = want || touched[(tx.start+i)%servers]
+		for i := 0; i < p.width; i++ {
+			want = want || touched[(p.start+i)%servers]
 		}
-		err := tx.Commit()
-		if got := errors.Is(err, ErrTxnConflict); got != want {
-			t.Fatalf("trial %d: window [%d,+%d) touched=%v but Commit returned %v", trial, tx.start, tx.width, want, err)
+		if got := !st.fresh(&p); got != want {
+			t.Fatalf("trial %d: window [%d,+%d) touched=%v but stale=%v", trial, p.start, p.width, want, got)
 		}
 		if want {
 			conflicts++
@@ -289,6 +290,6 @@ func TestTxnConflictIffWindowTouched(t *testing.T) {
 		}
 	}
 	if conflicts < 20 || clean < 20 {
-		t.Fatalf("oracle is lopsided: %d conflicts, %d clean commits", conflicts, clean)
+		t.Fatalf("oracle is lopsided: %d conflicts, %d clean proposals", conflicts, clean)
 	}
 }

@@ -62,10 +62,12 @@ type Deployed struct {
 	SLA   SLA
 }
 
-// State is the scheduler's view of the cluster. Its exported fields
-// remain directly addressable (tests and the platform's recovery path
-// build and patch states by hand), so the O(1) bookkeeping below is
-// opt-in: Recount() snapshots the counts and keeps them maintained
+// State is the scheduler's view of the cluster, the one placements are
+// searched against and committed into. Its exported fields remain
+// directly addressable (tests and the platform's recovery path build
+// and patch states by hand), so the O(1) bookkeeping below is opt-in:
+// Recount() snapshots the counts and keeps them — and the per-server
+// commit stamps that PlacerPool's conflict check reads — maintained
 // through the mutating methods. A state whose fields were mutated
 // directly must call Recount() again before the cached counts are
 // trusted — states that never opt in keep the legacy scan behavior.
@@ -95,13 +97,21 @@ type State struct {
 	// nameIdx maps a workload name to its first index in Running,
 	// matching Release's first-match semantics when names repeat.
 	nameIdx map[string]int
+	// seq is the commit sequence number, advanced by every mutation;
+	// stamps[s] is seq at the last mutation touching server s (shard.go).
+	seq    uint64
+	stamps []uint64
+	// scr is the serial Propose's window scratch, allocated on first
+	// use: a State cannot hold its own window sub-state by value.
+	scr *proposeScratch
 }
 
 // Recount rebuilds the cached online/active counts, the per-server
 // function counts and the name→index map from the current field values
-// and enables their maintenance through SetOffline/Commit/Release. Call
-// it after mutating Used, Running or Offline directly (checkpoint
-// restore, state refresh); Caps may always be patched in place.
+// and enables their maintenance through SetOffline/SetCap/Commit/Release.
+// It also restamps every server: the surgery it follows invalidates any
+// outstanding proposal. Call it after mutating Used, Running or Offline
+// directly (checkpoint restore, state refresh).
 func (st *State) Recount() {
 	st.online = 0
 	for s := range st.Caps {
@@ -134,7 +144,21 @@ func (st *State) Recount() {
 			st.nameIdx[nm] = i
 		}
 	}
+	st.seq++
+	st.stamps = resize(st.stamps, len(st.Caps))
+	for s := range st.stamps {
+		st.stamps[s] = st.seq
+	}
 	st.counted = true
+}
+
+// touch advances seq for a one-server mutation and stamps server s
+// (counted states only).
+func (st *State) touch(s int) {
+	st.seq++
+	if st.counted {
+		st.stamps[s] = st.seq
+	}
 }
 
 // NumServers returns the cluster size.
@@ -144,6 +168,7 @@ func (st *State) NumServers() int { return len(st.Caps) }
 // placement. Existing allocations on an offline server are untouched —
 // evacuating them is the platform's job, not the scheduler's.
 func (st *State) SetOffline(s int, down bool) {
+	st.touch(s)
 	if st.Offline == nil {
 		if !down {
 			return
@@ -158,6 +183,12 @@ func (st *State) SetOffline(s int, down bool) {
 		}
 	}
 	st.Offline[s] = down
+}
+
+// SetCap repoints server s's capacity (fault-injection degradation).
+func (st *State) SetCap(s int, v resources.Vector) {
+	st.touch(s)
+	st.Caps[s] = v
 }
 
 // Online reports whether server s accepts placements.
@@ -205,11 +236,13 @@ func AllocOf(in *core.WorkloadInput, f int) resources.Vector {
 
 // Commit applies a placement to the state's bookkeeping.
 func (st *State) Commit(in core.WorkloadInput, sla SLA) {
+	st.seq++
 	for f := range in.Profiles {
 		s := in.Placement[f]
 		next := st.Used[s].Add(AllocOf(&in, f))
 		if st.counted {
 			st.funcs[s]++
+			st.stamps[s] = st.seq
 			if st.Used[s].IsZero() && !next.IsZero() {
 				st.active++
 			}
@@ -224,9 +257,9 @@ func (st *State) Commit(in core.WorkloadInput, sla SLA) {
 	st.Running = append(st.Running, Deployed{Input: in, SLA: sla})
 }
 
-// indexOf returns the first index of name in Running, -1 if absent —
+// IndexOf returns the first index of name in Running, -1 if absent —
 // the map lookup when counted, the legacy scan otherwise.
-func (st *State) indexOf(name string) int {
+func (st *State) IndexOf(name string) int {
 	if st.counted {
 		if i, ok := st.nameIdx[name]; ok {
 			return i
@@ -246,15 +279,17 @@ func (st *State) indexOf(name string) int {
 // Running; the splice stays ordered either way because the running
 // set's iteration order feeds the predictor's colocation queries.
 func (st *State) Release(name string) bool {
-	i := st.indexOf(name)
+	i := st.IndexOf(name)
 	if i < 0 {
 		return false
 	}
+	st.seq++
 	d := &st.Running[i]
 	for f := range d.Input.Profiles {
 		s := d.Input.Placement[f]
 		next := st.Used[s].Sub(AllocOf(&d.Input, f)).Clamped()
 		if st.counted {
+			st.stamps[s] = st.seq
 			if st.funcs[s]--; st.funcs[s] == 0 {
 				next = resources.Vector{}
 			}
@@ -297,29 +332,12 @@ func (st *State) ActiveServers() int {
 }
 
 // Scheduler decides placements. Place reads st and must not mutate it
-// — applying the returned placement is the caller's job (State.Commit
-// directly, or a Txn commit under concurrent placers).
+// — applying the returned placement is the caller's job (State.Commit,
+// directly or through PlacerPool.PlaceAll).
 type Scheduler interface {
 	Name() string
 	// Place returns a server index per function of req's workload.
 	Place(st *State, req *Request) ([]int, error)
-}
-
-// memFits checks the incompressible resource: memory must fit; CPU may
-// oversubscribe (interference absorbs it) up to the given factor.
-// Offline servers never fit.
-func fits(st *State, s int, add resources.Vector, cpuOversub float64) bool {
-	if !st.Online(s) {
-		return false
-	}
-	used := st.Used[s].Add(add)
-	if used[resources.Memory] > st.Caps[s][resources.Memory] {
-		return false
-	}
-	if used[resources.CPU] > st.Caps[s][resources.CPU]*cpuOversub {
-		return false
-	}
-	return true
 }
 
 // insertionSort stably sorts ids in place with the given element-wise
@@ -1108,21 +1126,12 @@ func (w *WorstFit) search(st *State, req *Request) ([]int, error) {
 	return placement, nil
 }
 
-// NewState builds a State over n default servers.
-func NewState(caps []resources.Vector) *State {
-	st := &State{
-		Caps: append([]resources.Vector(nil), caps...),
-		Used: make([]resources.Vector, len(caps)),
+// StateFromProfiles builds an empty State over n servers of the given
+// spec; Recount opts it into counted mode.
+func StateFromProfiles(spec resources.ServerSpec, n int) *State {
+	st := &State{Caps: make([]resources.Vector, n), Used: make([]resources.Vector, n)}
+	for i := range st.Caps {
+		st.Caps[i] = spec.Capacity
 	}
 	return st
-}
-
-// StateFromProfiles is a convenience: capacity vectors from a profile
-// spec repeated n times.
-func StateFromProfiles(spec resources.ServerSpec, n int) *State {
-	caps := make([]resources.Vector, n)
-	for i := range caps {
-		caps[i] = spec.Capacity
-	}
-	return NewState(caps)
 }

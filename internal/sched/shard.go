@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"gsight/internal/core"
-	"gsight/internal/resources"
 )
 
 // This file implements shared-state scheduling at scale: the path that
@@ -18,16 +15,13 @@ import (
 // cluster schedulers like Omega and arktos' partitioned global
 // scheduler: placements are proposed against a frozen state and applied
 // through a commit step that detects intervening commits at the
-// granularity of the resource claimed. Three layers:
+// granularity of the resource claimed. Two pieces:
 //
-//   - ShardedState is one State plus one stamp per server: every
-//     mutation (Commit/Release/SetOffline/SetCap) advances the commit
-//     sequence number and stamps the servers it touches with it.
-//   - Txn is one optimistic placement: Propose places against a
-//     bounded window of the cluster and remembers the sequence number
-//     it read at; Commit applies the placement unless a server of the
-//     accepted window carries a later stamp, in which case it fails
-//     with ErrTxnConflict and the caller re-proposes.
+//   - A proposal is one request placed against a bounded window of the
+//     State. It remembers the window it accepted and the State's commit
+//     sequence number it read at; it is stale exactly when a mutation
+//     (Commit/Release/SetOffline/SetCap) has since stamped a server of
+//     that window (State keeps the stamps in counted mode).
 //   - PlacerPool places a batch with K workers: one parallel propose
 //     phase against the frozen state, then one serial commit pass in
 //     request order that re-proposes a stale proposal on the spot. The
@@ -49,172 +43,39 @@ import (
 // full view on the first attempt (the legacy-equivalence anchor).
 const windowBase = 8
 
-// ErrTxnConflict reports a stale transaction: between Propose and
-// Commit a mutation touched a server the proposal read. The caller
-// re-proposes against the current state.
-var ErrTxnConflict = errors.New("sched: transaction conflict (stale stamp)")
-
-// ShardedState is the shared scheduler state: one backing State
-// (identical arithmetic to direct State use) plus one stamp per server
-// for optimistic concurrency. All mutating methods are serial-commit
-// entry points; concurrent proposals are read-only.
-type ShardedState struct {
-	st     State
-	stamps []uint64 // stamps[s] is seq at the last mutation touching s
-	seq    uint64   // commit sequence number, bumped by every mutation
-
-	scr txnScratch // serial Propose scratch (not used by Begin/pool)
-}
-
-// ShardedStateFromProfiles builds a shared state over n servers of the
-// given spec, mirroring StateFromProfiles. The third argument is
-// ignored: it was a shard count, kept only because the frozen
-// benchmark/ module passes one (ROADMAP item 4, the shim bullet).
-func ShardedStateFromProfiles(spec resources.ServerSpec, n int, _ int) *ShardedState {
-	ss := &ShardedState{st: *StateFromProfiles(spec, n), stamps: make([]uint64, n)}
-	ss.st.Recount()
-	return ss
-}
-
-// Base exposes the backing State for read access and for the recovery
-// paths that patch state in place (checkpoint restore, post-crash
-// refresh). After mutating Base()'s fields directly, call Recount —
-// both the cached counts and the stamps must be refreshed.
-func (ss *ShardedState) Base() *State { return &ss.st }
-
-// Recount refreshes the cached counts after direct surgery on Base()
-// and restamps every server (the surgery invalidates any outstanding
-// proposal).
-func (ss *ShardedState) Recount() {
-	ss.st.Recount()
-	ss.seq++
-	for i := range ss.stamps {
-		ss.stamps[i] = ss.seq
-	}
-}
-
-// Commit applies a placement — State.Commit plus stamps on the touched
-// servers.
-func (ss *ShardedState) Commit(in core.WorkloadInput, sla SLA) {
-	ss.seq++
-	for f := range in.Profiles {
-		ss.stamps[in.Placement[f]] = ss.seq
-	}
-	ss.st.Commit(in, sla)
-}
-
-// IndexOf returns the running-set index of the named workload (its
-// first occurrence), -1 if it is not running: a map hit, like Release.
-func (ss *ShardedState) IndexOf(name string) int { return ss.st.indexOf(name) }
-
-// Release removes the named workload, stamping its servers.
-func (ss *ShardedState) Release(name string) bool {
-	i := ss.st.indexOf(name)
-	if i < 0 {
-		return false
-	}
-	ss.seq++
-	d := &ss.st.Running[i]
-	for f := range d.Input.Profiles {
-		ss.stamps[d.Input.Placement[f]] = ss.seq
-	}
-	return ss.st.Release(name)
-}
-
-// SetOffline cordons or restores server s, stamping it.
-func (ss *ShardedState) SetOffline(s int, down bool) {
-	ss.seq++
-	ss.stamps[s] = ss.seq
-	ss.st.SetOffline(s, down)
-}
-
-// SetCap repoints server s's capacity (fault-injection degradation),
-// stamping it.
-func (ss *ShardedState) SetCap(s int, v resources.Vector) {
-	ss.seq++
-	ss.stamps[s] = ss.seq
-	ss.st.Caps[s] = v
-}
-
-// Read-only conveniences for the controllers that hold a
-// *ShardedState; schedulers read Base() directly.
-
-func (ss *ShardedState) NumServers() int                  { return ss.st.NumServers() }
-func (ss *ShardedState) Allocated(s int) resources.Vector { return ss.st.Used[s] }
-func (ss *ShardedState) Free(s int) resources.Vector      { return ss.st.Free(s) }
-func (ss *ShardedState) Online(s int) bool                { return ss.st.Online(s) }
-func (ss *ShardedState) ActiveServers() int               { return ss.st.ActiveServers() }
-func (ss *ShardedState) NumRunning() int                  { return len(ss.st.Running) }
-
-// txnScratch is the reusable workspace of one proposal ladder: the
+// proposeScratch is the reusable workspace of one proposal ladder: the
 // projected window sub-state, the placement-translation arena and the
 // outcome detail attached to requests whose caller passed none.
-type txnScratch struct {
+type proposeScratch struct {
 	sub     State
 	offline []bool
 	arena   []int
 	detail  PlacementDetail
 }
 
-// Txn is one optimistic placement transaction. Propose records what
-// was read (the accepted window and the sequence number it was read
-// at); Commit validates and applies. A Txn is single-use per Propose:
-// re-proposing after a conflict overwrites it in place.
-type Txn struct {
-	ss  *ShardedState
-	req *Request
-	scr *txnScratch // standalone transactions own scratch; pool txns borrow the worker's
-
+// proposal is one request's placement as read from the state: the
+// accepted window, the sequence number it was read at and the outcome.
+type proposal struct {
 	start, width int    // accepted window ([0,n) when full view)
 	seq          uint64 // state sequence number the window was read at
 
 	placement []int
 	outcome   string
 	err       error
-	committed bool
-}
-
-// Begin opens a standalone transaction (tests, external drivers). The
-// PlacerPool manages its own transactions and scratch.
-func (ss *ShardedState) Begin() *Txn {
-	return &Txn{ss: ss, scr: &txnScratch{}}
-}
-
-// Propose places req through s against the current state. It returns
-// the proposed global placement; Commit applies it.
-func (t *Txn) Propose(s Scheduler, req *Request) ([]int, error) {
-	t.ss.propose(s, req, t.scr, t)
-	return t.placement, t.err
-}
-
-// Commit applies the proposed placement unless the state moved under
-// it. ErrTxnConflict means a mutation touched the accepted window
-// since Propose — re-propose and retry.
-func (t *Txn) Commit() error {
-	if t.err != nil {
-		return t.err
-	}
-	if t.committed {
-		return fmt.Errorf("sched: transaction already committed")
-	}
-	if !t.ss.fresh(t) {
-		return ErrTxnConflict
-	}
-	in := t.req.Input
-	in.Placement = t.placement
-	t.ss.Commit(in, t.req.SLA)
-	t.committed = true
-	return nil
 }
 
 // Propose is the serial placement entry point the platform runner
 // uses: the window ladder with the caller committing directly. At
-// testbed sizes this is exactly s.Place against the backing state, and
-// it adds no allocations to that path.
-func (ss *ShardedState) Propose(s Scheduler, req *Request) ([]int, error) {
-	var t Txn
-	ss.propose(s, req, &ss.scr, &t)
-	return t.placement, t.err
+// testbed sizes this is exactly s.Place against the state, and after
+// the first call, which creates the scratch, it adds no allocations to
+// that path.
+func (st *State) Propose(s Scheduler, req *Request) ([]int, error) {
+	if st.scr == nil {
+		st.scr = new(proposeScratch)
+	}
+	var p proposal
+	st.propose(s, req, st.scr, &p)
+	return p.placement, p.err
 }
 
 // fnv32 is FNV-1a — the request-to-window hash. It depends only on
@@ -229,7 +90,7 @@ func fnv32(s string) uint32 {
 	return h
 }
 
-// propose runs the window ladder for one request and fills t with the
+// propose runs the window ladder for one request and fills p with the
 // outcome, the accepted window and the sequence number it was read at.
 //
 // Ladder policy: start at the request's home window; widen on
@@ -241,11 +102,11 @@ func fnv32(s string) uint32 {
 // like) bubble to the caller, whose degraded-mode policy is not the
 // ladder's business. Once the window covers the cluster the decision
 // is final either way.
-func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *Txn) {
-	*t = Txn{ss: ss, req: req, scr: t.scr, seq: ss.seq}
-	n := ss.st.NumServers()
+func (st *State) propose(s Scheduler, req *Request, scr *proposeScratch, p *proposal) {
+	*p = proposal{seq: st.seq}
+	n := st.NumServers()
 	if n == 0 {
-		t.err = fmt.Errorf("sched: empty cluster")
+		p.err = fmt.Errorf("sched: empty cluster")
 		return
 	}
 	// Outcome inspection needs a detail record; lend the scratch one to
@@ -260,21 +121,21 @@ func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *T
 	h := int(fnv32(req.Input.Name) % uint32(n))
 	for w := windowBase; ; w *= 2 {
 		if w >= n {
-			// Full view: place directly against the backing state.
-			t.start, t.width = 0, n
-			t.placement, t.err = s.Place(&ss.st, req)
-			t.outcome = req.Detail.Outcome
+			// Full view: place directly against the state.
+			p.start, p.width = 0, n
+			p.placement, p.err = s.Place(st, req)
+			p.outcome = req.Detail.Outcome
 			return
 		}
-		t.start, t.width = h, w
-		scr.project(ss, h, w)
+		p.start, p.width = h, w
+		scr.project(st, h, w)
 		out, err := s.Place(&scr.sub, req)
 		if err != nil {
 			if errors.Is(err, ErrNoPlacement) {
 				continue // spill to neighbors: double the window
 			}
-			t.err = err
-			t.outcome = req.Detail.Outcome
+			p.err = err
+			p.outcome = req.Detail.Outcome
 			return
 		}
 		if req.Detail.Outcome == "fallback" {
@@ -288,7 +149,7 @@ func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *T
 			}
 			out[f] = g
 		}
-		t.placement, t.outcome = out, req.Detail.Outcome
+		p.placement, p.outcome = out, req.Detail.Outcome
 		return
 	}
 }
@@ -299,8 +160,8 @@ func (ss *ShardedState) propose(s Scheduler, req *Request, scr *txnScratch, t *T
 // (their placements translate to window-local indices via the arena).
 // Workloads that span the window edge still weigh in through the Used
 // vectors of their in-window servers.
-func (scr *txnScratch) project(ss *ShardedState, h, w int) {
-	n := ss.st.NumServers()
+func (scr *proposeScratch) project(st *State, h, w int) {
+	n := st.NumServers()
 	sub := &scr.sub
 	sub.Caps = resize(sub.Caps, w)
 	sub.Used = resize(sub.Used, w)
@@ -309,18 +170,18 @@ func (scr *txnScratch) project(ss *ShardedState, h, w int) {
 	sub.Running = sub.Running[:0]
 	sub.counted = false
 	scr.arena = scr.arena[:0]
-	hasOffline := ss.st.Offline != nil
+	hasOffline := st.Offline != nil
 	for i := 0; i < w; i++ {
 		g := h + i
 		if g >= n {
 			g -= n
 		}
-		sub.Caps[i] = ss.st.Caps[g]
-		sub.Used[i] = ss.st.Used[g]
-		sub.Offline[i] = hasOffline && ss.st.Offline[g]
+		sub.Caps[i] = st.Caps[g]
+		sub.Used[i] = st.Used[g]
+		sub.Offline[i] = hasOffline && st.Offline[g]
 	}
-	for di := range ss.st.Running {
-		d := &ss.st.Running[di]
+	for di := range st.Running {
+		d := &st.Running[di]
 		inside := true
 		for f := range d.Input.Profiles {
 			rel := d.Input.Placement[f] - h
@@ -349,17 +210,17 @@ func (scr *txnScratch) project(ss *ShardedState, h, w int) {
 	}
 }
 
-// fresh reports whether no server of t's accepted window was touched
+// fresh reports whether no server of p's accepted window was touched
 // since the proposal read it. The stamps are exact: a conflict is
 // declared if and only if a server the proposal read was mutated.
-func (ss *ShardedState) fresh(t *Txn) bool {
-	n := len(ss.stamps)
-	for i := 0; i < t.width; i++ {
-		g := t.start + i
+func (st *State) fresh(p *proposal) bool {
+	n := len(st.stamps)
+	for i := 0; i < p.width; i++ {
+		g := p.start + i
 		if g >= n {
 			g -= n
 		}
-		if ss.stamps[g] > t.seq {
+		if st.stamps[g] > p.seq {
 			return false
 		}
 	}
@@ -380,25 +241,30 @@ type PlaceResult struct {
 }
 
 // PlacerPool places request batches with K concurrent workers over
-// one ShardedState. Each worker owns a scheduler instance (from the
-// factory — scheduler scratch is not goroutine-safe, predictors may
-// be shared) and a proposal scratch.
+// one State. Each worker owns a scheduler instance (from the factory —
+// scheduler scratch is not goroutine-safe, predictors may be shared)
+// and a proposal scratch.
 type PlacerPool struct {
-	ss      *ShardedState
+	st      *State
 	scheds  []Scheduler
-	scratch []txnScratch
+	scratch []proposeScratch
 }
 
-// NewPlacerPool builds a pool of `workers` placers (clamped to >= 1).
-// factory must return a fresh Scheduler per call.
-func NewPlacerPool(ss *ShardedState, workers int, factory func() Scheduler) *PlacerPool {
+// NewPlacerPool builds a pool of `workers` placers (clamped to >= 1)
+// over st, switching st to counted mode if it is not already (the
+// conflict check reads its stamps). factory must return a fresh
+// Scheduler per call.
+func NewPlacerPool(st *State, workers int, factory func() Scheduler) *PlacerPool {
 	if workers < 1 {
 		workers = 1
 	}
+	if !st.counted {
+		st.Recount()
+	}
 	p := &PlacerPool{
-		ss:      ss,
+		st:      st,
 		scheds:  make([]Scheduler, workers),
-		scratch: make([]txnScratch, workers),
+		scratch: make([]proposeScratch, workers),
 	}
 	for i := range p.scheds {
 		p.scheds[i] = factory()
@@ -422,13 +288,13 @@ func NewPlacerPool(ss *ShardedState, workers int, factory func() Scheduler) *Pla
 //
 // No request fails for contention: the only errors are the
 // scheduler's own. Accepted placements are committed into the pool's
-// ShardedState before PlaceAll returns.
+// State before PlaceAll returns.
 func (p *PlacerPool) PlaceAll(reqs []*Request) []PlaceResult {
 	results := make([]PlaceResult, len(reqs))
-	txns := make([]Txn, len(reqs))
+	props := make([]proposal, len(reqs))
 	if nw := min(len(p.scheds), len(reqs)); nw <= 1 {
 		for i, req := range reqs {
-			p.ss.propose(p.scheds[0], req, &p.scratch[0], &txns[i])
+			p.st.propose(p.scheds[0], req, &p.scratch[0], &props[i])
 		}
 	} else {
 		// Workers drain the batch through an atomic cursor into
@@ -444,23 +310,23 @@ func (p *PlacerPool) PlaceAll(reqs []*Request) []PlaceResult {
 					if i >= len(reqs) {
 						return
 					}
-					p.ss.propose(p.scheds[w], reqs[i], &p.scratch[w], &txns[i])
+					p.st.propose(p.scheds[w], reqs[i], &p.scratch[w], &props[i])
 				}
 			}(w)
 		}
 		wg.Wait()
 	}
 	for i, req := range reqs {
-		t, res := &txns[i], &results[i]
-		if !p.ss.fresh(t) {
-			p.ss.propose(p.scheds[0], req, &p.scratch[0], t)
+		pr, res := &props[i], &results[i]
+		if !p.st.fresh(pr) {
+			p.st.propose(p.scheds[0], req, &p.scratch[0], pr)
 			res.Retries = 1
 		}
-		res.Placement, res.Err, res.Outcome = t.placement, t.err, t.outcome
-		if t.err == nil {
+		res.Placement, res.Err, res.Outcome = pr.placement, pr.err, pr.outcome
+		if pr.err == nil {
 			in := req.Input
-			in.Placement = t.placement
-			p.ss.Commit(in, req.SLA)
+			in.Placement = pr.placement
+			p.st.Commit(in, req.SLA)
 		}
 	}
 	return results

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -155,7 +154,7 @@ func TestCountedBookkeepingMatchesScan(t *testing.T) {
 // the density denominator or first in the "active first" order.
 func TestReleaseEverythingLeavesNoActiveServer(t *testing.T) {
 	const n = 8
-	ss := ShardedStateFromProfiles(spec, n, 0)
+	st := countedState(n)
 	mix := []*workload.Workload{workload.SocialNetwork(), workload.ECommerce(), workload.MatMul(),
 		workload.KMeans(), workload.VideoProcessing(), workload.DD()}
 	inputs := make([]core.WorkloadInput, len(mix))
@@ -167,7 +166,7 @@ func TestReleaseEverythingLeavesNoActiveServer(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		if len(names) > 0 && r.Intn(2) == 0 {
 			k := r.Intn(len(names))
-			if !ss.Release(names[k]) {
+			if !st.Release(names[k]) {
 				t.Fatalf("release of running %s failed", names[k])
 			}
 			names = append(names[:k], names[k+1:]...)
@@ -179,16 +178,16 @@ func TestReleaseEverythingLeavesNoActiveServer(t *testing.T) {
 		for f := range in.Placement {
 			in.Placement[f] = r.Intn(n)
 		}
-		ss.Commit(in, SLA{})
+		st.Commit(in, SLA{})
 		names = append(names, in.Name)
 	}
 	for _, nm := range names {
-		ss.Release(nm)
+		st.Release(nm)
 	}
-	if got := ss.ActiveServers(); got != 0 {
+	if got := st.ActiveServers(); got != 0 {
 		t.Errorf("%d servers active with nothing placed", got)
 	}
-	for s, used := range ss.Base().Used {
+	for s, used := range st.Used {
 		if used != (resources.Vector{}) {
 			t.Errorf("server %d holds %v with nothing placed", s, used)
 		}
@@ -196,11 +195,12 @@ func TestReleaseEverythingLeavesNoActiveServer(t *testing.T) {
 }
 
 // TestShardedLegacyEquivalence: at testbed size (8 <= windowBase) a
-// ShardedState run must be bit-identical to driving a plain State
-// directly: same placements, same Used floats.
+// run through the window ladder (Propose on a counted State) must be
+// bit-identical to calling Place on a plain State directly: same
+// placements, same Used floats.
 func TestShardedLegacyEquivalence(t *testing.T) {
 	legacy := StateFromProfiles(spec, 8)
-	ss := ShardedStateFromProfiles(spec, 8, 0)
+	st := countedState(8)
 	g1 := NewGsight(&stubPredictor{ipc: 2})
 	g2 := NewGsight(&stubPredictor{ipc: 2})
 	for i := 0; i < 12; i++ {
@@ -209,7 +209,7 @@ func TestShardedLegacyEquivalence(t *testing.T) {
 		req1 := &Request{Input: in, SLA: SLA{MinIPC: 0.5}}
 		req2 := &Request{Input: in, SLA: SLA{MinIPC: 0.5}}
 		p1, err1 := g1.Place(legacy, req1)
-		p2, err2 := ss.Propose(g2, req2)
+		p2, err2 := st.Propose(g2, req2)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("wl %d: err %v vs %v", i, err1, err2)
 		}
@@ -222,72 +222,56 @@ func TestShardedLegacyEquivalence(t *testing.T) {
 			legacy.Commit(in1, req1.SLA)
 			in2 := in
 			in2.Placement = p2
-			ss.Commit(in2, req2.SLA)
+			st.Commit(in2, req2.SLA)
 		}
 		if i == 6 {
 			legacy.Release("wl-2")
-			ss.Release("wl-2")
+			st.Release("wl-2")
 		}
 	}
 	for s := 0; s < 8; s++ {
 		for k := range legacy.Used[s] {
-			if legacy.Used[s][k] != ss.Base().Used[s][k] {
+			if legacy.Used[s][k] != st.Used[s][k] {
 				t.Fatalf("server %d kind %d: Used %v != %v (must be bit-identical)",
-					s, k, ss.Base().Used[s][k], legacy.Used[s][k])
+					s, k, st.Used[s][k], legacy.Used[s][k])
 			}
 		}
 	}
 }
 
-// TestForcedTxnConflict commits two transactions that touch the same
-// server: the first (lower request-seq) wins deterministically, the
-// second fails with ErrTxnConflict and succeeds after re-proposing
-// against the refreshed state.
+// TestForcedTxnConflict places two requests as one batch on a 4-server
+// cluster: both are proposed against the same snapshot, so the first
+// commit stales the second, which PlaceAll re-proposes against the
+// refreshed state and commits.
 func TestForcedTxnConflict(t *testing.T) {
-	ss := ShardedStateFromProfiles(spec, 4, 0)
-	g := NewGsight(&stubPredictor{ipc: 2})
-
-	inA := inputFor(workload.MatMul(), 0)
-	inA.Name = "txn-a"
-	inB := inputFor(workload.MatMul(), 0)
-	inB.Name = "txn-b"
-	reqA := &Request{Input: inA, SLA: SLA{MinIPC: 0.5}}
-	reqB := &Request{Input: inB, SLA: SLA{MinIPC: 0.5}}
-
-	txA := ss.Begin()
-	txB := ss.Begin()
-	pA, err := txA.Propose(g, reqA)
-	if err != nil {
-		t.Fatal(err)
+	st := countedState(4)
+	var reqs []*Request
+	for _, name := range []string{"batch-a", "batch-b"} {
+		in := inputFor(workload.MatMul(), 0)
+		in.Name = name
+		reqs = append(reqs, &Request{Input: in, SLA: SLA{MinIPC: 0.5}})
 	}
-	pB, err := txB.Propose(g, reqB)
-	if err != nil {
-		t.Fatal(err)
+	pool := NewPlacerPool(st, 2, func() Scheduler { return NewGsight(&stubPredictor{ipc: 2}) })
+	res := pool.PlaceAll(reqs)
+	for i, want := range []int{0, 1} {
+		if res[i].Err != nil {
+			t.Fatalf("request %d: %v", i, res[i].Err)
+		}
+		if res[i].Retries != want {
+			t.Fatalf("request %d: %d retries, want %d", i, res[i].Retries, want)
+		}
 	}
-	// Proposed against the same snapshot, both pack the same server.
-	if !reflect.DeepEqual(pA, pB) {
-		t.Fatalf("same-snapshot proposals differ: %v vs %v", pA, pB)
-	}
-	if err := txA.Commit(); err != nil {
-		t.Fatalf("first committer must win: %v", err)
-	}
-	if err := txB.Commit(); !errors.Is(err, ErrTxnConflict) {
-		t.Fatalf("stale transaction must conflict, got %v", err)
-	}
-	// Re-propose against the refreshed state, then commit cleanly.
-	if _, err := txB.Propose(g, reqB); err != nil {
-		t.Fatal(err)
-	}
-	if err := txB.Commit(); err != nil {
-		t.Fatalf("retried transaction must commit: %v", err)
-	}
-	if got := len(ss.Base().Running); got != 2 {
+	if got := len(st.Running); got != 2 {
 		t.Fatalf("want 2 running workloads, got %d", got)
 	}
-	// A second commit of the same transaction is refused.
-	if err := txB.Commit(); err == nil {
-		t.Fatal("double commit must fail")
-	}
+}
+
+// countedState is an n-server State in counted mode, as the
+// controllers build it.
+func countedState(n int) *State {
+	st := StateFromProfiles(spec, n)
+	st.Recount()
+	return st
 }
 
 // poolRequests builds a deterministic request mix: BG jobs and LS
@@ -321,8 +305,8 @@ func TestPlacerPoolDeterminism(t *testing.T) {
 	var refKeys []string
 	var refUsed []resources.Vector
 	for _, placers := range []int{1, 2, 8} {
-		ss := ShardedStateFromProfiles(spec, servers, 0)
-		pool := NewPlacerPool(ss, placers, func() Scheduler {
+		st := countedState(servers)
+		pool := NewPlacerPool(st, placers, func() Scheduler {
 			return NewGsight(&stubPredictor{ipc: 2})
 		})
 		results := pool.PlaceAll(poolRequests(48))
@@ -331,7 +315,7 @@ func TestPlacerPoolDeterminism(t *testing.T) {
 			keys[i] = resultKey(r)
 		}
 		if refKeys == nil {
-			refKeys, refUsed = keys, ss.Base().Used
+			refKeys, refUsed = keys, st.Used
 			continue
 		}
 		for i := range keys {
@@ -341,7 +325,7 @@ func TestPlacerPoolDeterminism(t *testing.T) {
 		}
 		for s := range refUsed {
 			for k := range refUsed[s] {
-				if ss.Base().Used[s][k] != refUsed[s][k] {
+				if st.Used[s][k] != refUsed[s][k] {
 					t.Fatalf("placers=%d server %d kind %d: Used not bit-identical", placers, s, k)
 				}
 			}
@@ -354,10 +338,10 @@ func TestPlacerPoolDeterminism(t *testing.T) {
 // state's Used exactly, and no placement may target an offline server.
 func TestPlacerPoolCommitsAreConsistent(t *testing.T) {
 	const servers = 96
-	ss := ShardedStateFromProfiles(spec, servers, 0)
-	ss.SetOffline(3, true)
-	ss.SetOffline(70, true)
-	pool := NewPlacerPool(ss, 4, func() Scheduler {
+	st := countedState(servers)
+	st.SetOffline(3, true)
+	st.SetOffline(70, true)
+	pool := NewPlacerPool(st, 4, func() Scheduler {
 		return NewGsight(&stubPredictor{ipc: 2})
 	})
 	reqs := poolRequests(64)
@@ -389,12 +373,12 @@ func TestPlacerPoolCommitsAreConsistent(t *testing.T) {
 	}
 	for s := range want {
 		for k := range want[s] {
-			if math.Abs(want[s][k]-ss.Base().Used[s][k]) > 1e-9 {
-				t.Fatalf("server %d kind %d: recomputed %v != state %v", s, k, want[s][k], ss.Base().Used[s][k])
+			if math.Abs(want[s][k]-st.Used[s][k]) > 1e-9 {
+				t.Fatalf("server %d kind %d: recomputed %v != state %v", s, k, want[s][k], st.Used[s][k])
 			}
 		}
 	}
-	if got := len(ss.Base().Running); got != placed {
+	if got := len(st.Running); got != placed {
 		t.Fatalf("running %d != placed %d", got, placed)
 	}
 }
@@ -405,13 +389,13 @@ func TestPlacerPoolCommitsAreConsistent(t *testing.T) {
 // next proposal that lands there (densification packs onto it).
 func TestWindowProjection(t *testing.T) {
 	const servers = 256
-	ss := ShardedStateFromProfiles(spec, servers, 0)
+	st := countedState(servers)
 	g := NewGsight(&stubPredictor{ipc: 2})
 
 	in := inputFor(workload.MatMul(), 0)
 	in.Name = "window-probe"
 	req := &Request{Input: in, SLA: SLA{MinIPC: 0.5}}
-	p1, err := ss.Propose(g, req)
+	p1, err := st.Propose(g, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,22 +411,22 @@ func TestWindowProjection(t *testing.T) {
 	}
 	in1 := in
 	in1.Placement = p1
-	ss.Commit(in1, req.SLA)
+	st.Commit(in1, req.SLA)
 
 	// Same home window again: the committed workload must be seen, so
 	// the packer lands on the same (now active) server.
 	in2 := inputFor(workload.MatMul(), 0)
 	in2.Name = "window-probe" // same hash, distinct deployment
 	req2 := &Request{Input: in2, SLA: SLA{MinIPC: 0.5}}
-	p2, err := ss.Propose(g, req2)
+	p2, err := st.Propose(g, req2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2[0] != p1[0] {
 		t.Fatalf("densification lost across window projection: %v then %v", p1, p2)
 	}
-	if ss.ActiveServers() != 1 {
-		t.Fatalf("want 1 active server, got %d", ss.ActiveServers())
+	if st.ActiveServers() != 1 {
+		t.Fatalf("want 1 active server, got %d", st.ActiveServers())
 	}
 }
 
@@ -497,7 +481,7 @@ func BenchmarkReleaseLookup(b *testing.B) {
 			// Release near the tail (the scan's worst case), re-commit
 			// to keep the set stable.
 			nm := fmt.Sprintf("rel-%d", nRunning-1-(i%8))
-			idx := st.indexOf(nm)
+			idx := st.IndexOf(nm)
 			if idx < 0 {
 				b.Fatal("lost workload")
 			}

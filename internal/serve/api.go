@@ -256,7 +256,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, stateResponse{
 		Applied:   s.applied,
 		Servers:   s.state.NumServers(),
-		Running:   s.state.NumRunning(),
+		Running:   len(s.state.Running),
 		Catalog:   s.cat.Names(),
 		Snapshots: s.durableGen.Load(),
 		UptimeS:   time.Since(s.started).Seconds(),

@@ -185,7 +185,7 @@ func TestServeSnapshotKeepsUsedBitForBit(t *testing.T) {
 	ops := churnScript(1000)
 	send(t, live, ops, 0, len(ops))
 	forceSnapshot(t, live)
-	want := slices.Clone(live.state.Base().Used)
+	want := slices.Clone(live.state.Used)
 	wantActive := live.state.ActiveServers()
 
 	restoredDir := t.TempDir()
@@ -195,7 +195,7 @@ func TestServeSnapshotKeepsUsedBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stopNow(t, restored)
-	got := restored.state.Base().Used
+	got := restored.state.Used
 	for s := range want {
 		for k := range want[s] {
 			if math.Float64bits(got[s][k]) != math.Float64bits(want[s][k]) {

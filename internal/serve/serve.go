@@ -55,7 +55,7 @@ type Server struct {
 	cfg   Config
 	cat   *Catalog
 	pred  *core.Predictor
-	state *sched.ShardedState
+	state *sched.State
 	pool  *sched.PlacerPool
 
 	intake   chan *pending
@@ -273,7 +273,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		cat:     cat,
 		pred:    pred,
-		state:   sched.ShardedStateFromProfiles(cat.Spec(), cfg.Servers, 0),
+		state:   sched.StateFromProfiles(cat.Spec(), cfg.Servers),
 		store:   store,
 		intake:  make(chan *pending, cfg.QueueCap),
 		stopC:   make(chan struct{}),
@@ -482,7 +482,7 @@ func (s *Server) emitLog(payload []byte) {
 // the live state's. A snapshot from before Used was stored keeps the
 // rebuild.
 func (s *Server) restoreState(snap *snapshotState) error {
-	st := s.state.Base()
+	st := s.state
 	for _, d := range snap.Running {
 		req, err := s.cat.Request(d.Archetype, d.Name, d.QPSFrac)
 		if err != nil {
@@ -588,7 +588,7 @@ func (s *Server) applyObserve(name, qos string, value float64) bool {
 	if idx < 0 {
 		return false
 	}
-	st := s.state.Base()
+	st := s.state
 	target := &st.Running[idx]
 	if s.obsOn == nil {
 		s.obsOn = make([]bool, s.state.NumServers())

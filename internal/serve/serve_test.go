@@ -443,7 +443,7 @@ func TestServeTimedOutUnorderedRequestIsNotCommitted(t *testing.T) {
 	if srv.Applied() != 4 {
 		t.Fatalf("applied seq %d, want 4: the timed-out unordered placement was committed", srv.Applied())
 	}
-	st := srv.state.Base()
+	st := srv.state
 	for i, used := range st.Used {
 		if !used.IsZero() {
 			t.Fatalf("server %d still has %v allocated to %d workloads no client can name", i, used, len(st.Running))
@@ -521,7 +521,7 @@ func TestServeContentionIsNeverARejection(t *testing.T) {
 	if rel, err := cl.Release(ctx, ReleaseRequest{Name: first.Name}); err != nil || !rel.Released {
 		t.Fatalf("release %s: %+v, %v", first.Name, rel, err)
 	}
-	for i, used := range srv.state.Base().Used {
+	for i, used := range srv.state.Used {
 		if !used.IsZero() {
 			t.Fatalf("server %d still has %v allocated after every instance was released", i, used)
 		}

@@ -126,7 +126,7 @@ func (s *Server) cut() (*snapshotCut, error) {
 		return fail(fmt.Errorf("serve: predictor checkpoint: %w", err))
 	}
 	cut.pred = pred
-	st := s.state.Base()
+	st := s.state
 	_, logBytes := s.log.Offset()
 	cut.state = snapshotState{
 		Version:   snapshotStateVersion,

@@ -118,9 +118,9 @@ func trainingSet(t *testing.T, n int) []gsight.Observation {
 	return obs[:n]
 }
 
-func testState(t *testing.T) *gsight.ClusterState {
+func testState(t *testing.T) *gsight.SchedulerState {
 	t.Helper()
-	return gsight.NewSchedulerState(gsight.NewTestbedModel()).Base()
+	return gsight.NewSchedulerState(gsight.NewTestbedModel())
 }
 
 func testRequest(t *testing.T) *gsight.PlacementRequest {
