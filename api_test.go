@@ -8,57 +8,23 @@ import (
 	"gsight"
 )
 
-func TestWithSeedOverridesConfig(t *testing.T) {
-	obs := trainingSet(t, 60)
-	predict := func(p *gsight.Predictor) float64 {
-		if err := p.TrainObservations(gsight.IPCQoS, obs); err != nil {
-			t.Fatal(err)
-		}
-		v, err := p.Predict(gsight.IPCQoS, obs[0].Target, obs[0].Inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	base := predict(gsight.NewPredictor(gsight.PredictorConfig{Seed: 1}, gsight.WithSeed(7)))
-	same := predict(gsight.NewPredictor(gsight.PredictorConfig{Seed: 7}))
-	if base != same {
-		t.Fatalf("WithSeed(7) != Seed:7 config: %v vs %v", base, same)
-	}
-}
-
-func TestWithFallbackServesDegradedPlacements(t *testing.T) {
-	// An untrained predictor makes the Gsight scheduler error; the
-	// fallback option turns that into a served placement.
+func TestFallbackServesDegradedPlacements(t *testing.T) {
+	// An untrained predictor makes the Gsight scheduler error; a
+	// fallback policy turns that into a served placement.
 	st := testState(t)
 	req := testRequest(t)
 	bare := gsight.NewScheduler(gsight.NewPredictor(gsight.PredictorConfig{Seed: 3}))
 	if _, err := bare.Place(st, req); err == nil {
 		t.Fatal("untrained scheduler without fallback must error")
 	}
-	with := gsight.NewScheduler(gsight.NewPredictor(gsight.PredictorConfig{Seed: 3}),
-		gsight.WithFallback(gsight.NewWorstFit()))
+	with := gsight.NewScheduler(gsight.NewPredictor(gsight.PredictorConfig{Seed: 3}))
+	with.Fallback = gsight.NewWorstFit()
 	placement, err := with.Place(st, req)
 	if err != nil {
 		t.Fatalf("fallback did not serve the placement: %v", err)
 	}
 	if len(placement) == 0 {
 		t.Fatal("empty placement")
-	}
-}
-
-func TestInapplicableOptionsIgnored(t *testing.T) {
-	// A shared option list configures predictor and scheduler alike;
-	// options that do not apply are silently ignored.
-	opts := []gsight.Option{
-		gsight.WithSeed(5),
-		gsight.WithTelemetry(gsight.NewTelemetry()),
-		gsight.WithFallback(gsight.NewWorstFit()),
-	}
-	p := gsight.NewPredictor(gsight.PredictorConfig{}, opts...)
-	s := gsight.NewScheduler(p, opts...)
-	if s == nil || p == nil {
-		t.Fatal("constructors rejected a mixed option list")
 	}
 }
 
@@ -97,25 +63,6 @@ func TestRunExperimentCancellation(t *testing.T) {
 	if _, err := gsight.RunExperiment(ctx, "fig3a", gsight.ExperimentOptions{Seed: 1, Scale: 0.02}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-}
-
-// trainingSet draws labeled colocations from the scenario generator.
-func trainingSet(t *testing.T, n int) []gsight.Observation {
-	t.Helper()
-	gen := gsight.NewGenerator(gsight.NewTestbedModel(), 99)
-	var obs []gsight.Observation
-	for len(obs) < n {
-		samples, err := gen.Label(gen.Colocation(gsight.LSSC, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range samples {
-			if s.Kind == gsight.IPCQoS {
-				obs = append(obs, gsight.Observation{Target: s.Target, Inputs: s.Inputs, Label: s.Label})
-			}
-		}
-	}
-	return obs[:n]
 }
 
 func testState(t *testing.T) *gsight.SchedulerState {

@@ -572,11 +572,8 @@ func BenchmarkTwoTierPlacement(b *testing.B) {
 				name = "inf"
 			}
 			b.Run(fmt.Sprintf("servers=%d/topk=%s", n, name), func(b *testing.B) {
-				opts := []Option{}
-				if k > 0 {
-					opts = append(opts, WithTopK(k))
-				}
-				scheduler := NewScheduler(p, opts...)
+				scheduler := NewScheduler(p)
+				scheduler.Tier0, scheduler.TopK = p.Tier0(), k
 				req := &PlacementRequest{Input: target, SLA: SLA{MinIPC: 0.98}}
 				if _, err := scheduler.Place(st, req); err != nil {
 					b.Fatal(err)

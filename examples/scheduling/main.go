@@ -42,7 +42,7 @@ func main() {
 			}
 		}
 	}
-	gsightPred := gsight.NewPredictor(gsight.PredictorConfig{}, gsight.WithSeed(42))
+	gsightPred := gsight.NewPredictor(gsight.PredictorConfig{Seed: 42})
 	must(gsightPred.TrainObservations(gsight.IPCQoS, ipcObs))
 	must(gsightPred.TrainObservations(gsight.JCTQoS, jctObs))
 	pythiaPred := gsight.NewPythia(43)
@@ -64,9 +64,8 @@ func main() {
 	// every proposal reads the whole cluster, so tenant-b's goes stale.
 	fmt.Println("\n== optimistic batch placement ==")
 	state := gsight.NewSchedulerState(model)
-	batch := gsight.NewPlacerPool(state,
-		func() gsight.Scheduler { return gsight.NewScheduler(gsightPred) },
-		gsight.WithPlacers(2))
+	batch := gsight.NewPlacerPool(state, 2,
+		func() gsight.Scheduler { return gsight.NewScheduler(gsightPred) })
 	for i, r := range batch.PlaceAll([]*gsight.PlacementRequest{
 		request(0, "tenant-a"), request(0, "tenant-b"),
 	}) {
@@ -81,9 +80,8 @@ func main() {
 	// and results are those of serial placement at any placer count.
 	fmt.Println("\n== placer pool on a 1024-server cluster ==")
 	big := gsight.NewSchedulerState(gsight.NewScaledTestbedModel(1024))
-	pool := gsight.NewPlacerPool(big,
-		func() gsight.Scheduler { return gsight.NewScheduler(gsightPred) },
-		gsight.WithPlacers(4))
+	pool := gsight.NewPlacerPool(big, 4,
+		func() gsight.Scheduler { return gsight.NewScheduler(gsightPred) })
 	reqs := make([]*gsight.PlacementRequest, 512)
 	for i := range reqs {
 		reqs[i] = request(i, fmt.Sprintf("tenant-%03d", i))

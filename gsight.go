@@ -10,13 +10,16 @@
 //
 // This root package re-exports the library's public surface; the
 // implementation lives under internal/ (see DESIGN.md for the module
-// map). A typical flow:
+// map). Components are configured one way: a config struct where the
+// constructor takes one, and the returned value's exported fields and
+// methods otherwise. A typical flow:
 //
 //	m := gsight.NewTestbedModel()                 // simulated cluster
 //	gen := gsight.NewGenerator(m, 42)             // profiling + scenarios
 //	pred := gsight.NewPredictor(gsight.PredictorConfig{Seed: 42})
 //	... train on labeled colocations, then:
 //	scheduler := gsight.NewScheduler(pred)        // §4's binary search
+//	scheduler.Fallback = gsight.NewWorstFit()     // serve what pred cannot vet
 //
 // See examples/ for runnable programs and cmd/gsight-experiments for
 // the paper-reproduction harness.
@@ -40,61 +43,6 @@ import (
 	"gsight/internal/workload"
 )
 
-// Option configures a constructor. Options compose left to right; an
-// option that does not apply to the component being built is ignored,
-// so a shared option list can configure a predictor and a scheduler
-// alike.
-type Option func(*options)
-
-type options struct {
-	seed     *uint64
-	sink     *telemetry.Sink
-	fallback sched.Scheduler
-	placers  int
-	topk     int
-}
-
-func buildOptions(opts []Option) options {
-	var o options
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
-// WithSeed overrides the component's RNG seed (predictors).
-func WithSeed(seed uint64) Option {
-	return func(o *options) { o.seed = &seed }
-}
-
-// WithTelemetry instruments the component with the sink (predictors and
-// schedulers). TelemetryNop (nil) keeps it uninstrumented.
-func WithTelemetry(s *TelemetrySink) Option {
-	return func(o *options) { o.sink = s }
-}
-
-// WithFallback sets the scheduler's degraded-mode policy: placements
-// the predictor cannot vet (untrained, erroring) are served by s
-// instead of being rejected (schedulers).
-func WithFallback(s Scheduler) Option {
-	return func(o *options) { o.fallback = s }
-}
-
-// WithPlacers sets the number of concurrent placer workers proposing a
-// batch (NewPlacerPool). <= 1 means serial; results are byte-identical
-// at any worker count.
-func WithPlacers(k int) Option {
-	return func(o *options) { o.placers = k }
-}
-
-// WithTopK enables two-tier placement (NewScheduler): the predictor's
-// tier-0 interference scorer prunes the candidate servers to the top K
-// before full IRFR prediction vets the finalists. <= 0 means K=∞ —
-// pruning disabled, exact legacy placements.
-func WithTopK(k int) Option {
-	return func(o *options) { o.topk = k }
-}
-
 // Core predictor types (§3).
 type (
 	// Predictor is the Gsight performance predictor.
@@ -103,76 +51,34 @@ type (
 	PredictorConfig = core.Config
 	// QoSPredictor is the interface Gsight shares with the baselines.
 	QoSPredictor = core.QoSPredictor
-	// QoSKind selects the predicted metric (IPC, tail latency, JCT).
-	QoSKind = core.QoSKind
 	// Observation is one labeled colocation.
 	Observation = core.Observation
 	// WorkloadInput is the predictor-visible description of a deployed
 	// workload.
 	WorkloadInput = core.WorkloadInput
-	// Coder is the paper's spatial-temporal interference code layout.
-	Coder = core.Coder
-	// ColocationKind classifies colocations (LS+LS, LS+SC/BG, ...).
-	ColocationKind = core.ColocationKind
 )
 
 // QoS kinds.
 const (
-	IPCQoS         = core.IPCQoS
-	TailLatencyQoS = core.TailLatencyQoS
-	JCTQoS         = core.JCTQoS
+	IPCQoS = core.IPCQoS
+	JCTQoS = core.JCTQoS
 )
 
-// Colocation kinds.
-const (
-	LSLS = core.LSLS
-	LSSC = core.LSSC
-	SCSC = core.SCSC
-	BGBG = core.BGBG
-)
+// LSSC is the LS + SC/BG colocation kind.
+const LSSC = core.LSSC
 
 // NewPredictor returns an untrained Gsight predictor (IRFR by default).
-// Options refine the struct config: WithSeed overrides cfg.Seed,
-// WithTelemetry instruments the predictor.
-func NewPredictor(cfg PredictorConfig, opts ...Option) *Predictor {
-	o := buildOptions(opts)
-	if o.seed != nil {
-		cfg.Seed = *o.seed
-	}
-	p := core.NewPredictor(cfg)
-	if o.sink != nil {
-		p.Instrument(o.sink)
-	}
-	return p
-}
+// Instrument attaches a telemetry sink.
+func NewPredictor(cfg PredictorConfig) *Predictor { return core.NewPredictor(cfg) }
 
-// DefaultCoder returns the paper's 8-server, 10-workload code layout.
-func DefaultCoder() Coder { return core.DefaultCoder() }
-
-// Baseline predictors (Table 2 comparisons).
-var (
-	// NewESP builds the ESP baseline (4 microarchitecture metrics).
-	NewESP = baselines.NewESP
-	// NewPythia builds the Pythia baseline (workload-level linear
-	// regression).
-	NewPythia = baselines.NewPythia
-)
+// NewPythia builds the Pythia baseline predictor (workload-level linear
+// regression; Table 2 comparisons).
+var NewPythia = baselines.NewPythia
 
 // Workload modeling.
 type (
 	// Workload is a call-path DAG of serverless functions.
 	Workload = workload.Workload
-	// Function is one serverless function archetype.
-	Function = workload.Function
-	// WorkloadClass is BG, SC or LS.
-	WorkloadClass = workload.Class
-)
-
-// Workload classes.
-const (
-	BG = workload.BG
-	SC = workload.SC
-	LS = workload.LS
 )
 
 // Catalog returns the benchmark catalog (social network, e-commerce,
@@ -217,8 +123,6 @@ func SpreadDeployment(w *Workload, tb *Testbed) *Deployment {
 type (
 	// Generator draws randomized labeled colocations.
 	Generator = scenario.Generator
-	// Sample is one labeled observation from a generator.
-	Sample = scenario.Sample
 )
 
 // NewGenerator builds a scenario generator over the benchmark catalog,
@@ -238,35 +142,19 @@ type (
 	// PlacerPool places request batches with K concurrent workers;
 	// the result is serial placement in request order.
 	PlacerPool = sched.PlacerPool
-	// PlaceResult is one request's outcome from a PlacerPool.
-	PlaceResult = sched.PlaceResult
 	// PlacementRequest asks for a workload placement.
 	PlacementRequest = sched.Request
-	// Curve is a latency-IPC correlation curve (Figure 7).
-	Curve = sched.Curve
 )
 
 // NewScheduler returns the Gsight binary-search scheduler around a
-// trained predictor. Options: WithTelemetry instruments it,
-// WithFallback serves predictor-errored placements through a backup
-// policy (outcome "degraded") instead of rejecting them.
-func NewScheduler(p QoSPredictor, opts ...Option) *sched.Gsight {
-	o := buildOptions(opts)
-	g := sched.NewGsight(p)
-	if o.fallback != nil {
-		g.Fallback = o.fallback
-	}
-	if o.topk > 0 {
-		if cp, ok := p.(*core.Predictor); ok {
-			g.Tier0 = cp.Tier0()
-			g.TopK = o.topk
-		}
-	}
-	if o.sink != nil {
-		g.Instrument(o.sink)
-	}
-	return g
-}
+// trained predictor. Its fields and methods configure it: Fallback
+// serves placements the predictor cannot vet through a backup policy
+// (outcome "degraded") instead of rejecting them; Tier0 (the
+// predictor's Tier0()) and TopK > 0 together prune the candidate
+// servers to the top K by tier-0 interference score before full
+// prediction vets the finalists (two-tier placement, DESIGN.md §15);
+// Instrument attaches a telemetry sink, after TopK is set.
+func NewScheduler(p QoSPredictor) *sched.Gsight { return sched.NewGsight(p) }
 
 // NewSchedulerState returns an empty scheduler cluster state sized to
 // the model's testbed.
@@ -276,12 +164,12 @@ func NewSchedulerState(m *Model) *SchedulerState {
 	return st
 }
 
-// NewPlacerPool builds a placer pool over the state. WithPlacers sets
-// the worker count (default 1 — serial). factory must return a fresh
+// NewPlacerPool builds a placer pool over the state with the given
+// number of concurrent placer workers (<= 1 means serial; results are
+// byte-identical at any worker count). factory must return a fresh
 // Scheduler per call; workers never share one.
-func NewPlacerPool(s *SchedulerState, factory func() Scheduler, opts ...Option) *PlacerPool {
-	o := buildOptions(opts)
-	return sched.NewPlacerPool(s, o.placers, factory)
+func NewPlacerPool(s *SchedulerState, workers int, factory func() Scheduler) *PlacerPool {
+	return sched.NewPlacerPool(s, workers, factory)
 }
 
 // NewBestFit returns Pythia's Best Fit policy.
@@ -294,54 +182,22 @@ func NewWorstFit() *sched.WorstFit { return sched.NewWorstFit() }
 // testbed (the §6.3 SLA transformation source).
 var BuildCurve = sched.BuildCurve
 
-// Observability (see DESIGN.md §10).
-type (
-	// TelemetrySink bundles a metrics registry with an optional JSONL
-	// decision log; pass it to Instrument methods and platform configs.
-	TelemetrySink = telemetry.Sink
-	// TelemetryRunReport is the exportable JSON summary of a run.
-	TelemetryRunReport = telemetry.RunReport
-)
-
-// NewTelemetry returns a live sink with a fresh metrics registry.
+// NewTelemetry returns a live telemetry sink with a fresh metrics
+// registry (DESIGN.md §10); pass it to Instrument methods and platform
+// configs.
 var NewTelemetry = telemetry.New
-
-// TelemetryNop is the disabled sink: instrumenting with it is exactly
-// equivalent to not instrumenting at all (bit-identical, alloc-neutral).
-var TelemetryNop = telemetry.Nop
-
-// ServeDebug starts the background debug HTTP server (/metrics in
-// Prometheus text format, /debug/vars, /debug/pprof).
-var ServeDebug = telemetry.ServeDebug
 
 // Run recording (DESIGN.md §13): invocation-lifecycle tracing, the
 // step-sampled flight recorder, and online prediction-quality tracking.
 type (
-	// Recorder bundles a run's observability streams; pass it to
-	// PlatformConfig.Obs. A nil *Recorder disables recording with zero
-	// overhead.
-	Recorder = obs.Recorder
 	// RecorderConfig selects which streams a Recorder writes.
 	RecorderConfig = obs.Config
-	// TraceTracer streams lifecycle events as Chrome trace-event JSON
-	// (loadable in Perfetto).
-	TraceTracer = obs.Tracer
-	// FlightRecording is a decoded flight-recorder stream.
-	FlightRecording = obs.FlightData
-	// FlightFrame is one step sample of cluster state.
-	FlightFrame = obs.Frame
-	// PredictionQuality is the online rolling-error and drift tracker.
-	PredictionQuality = obs.PredQ
-	// PredictionDrift describes one Page–Hinkley drift detection.
-	PredictionDrift = obs.DriftInfo
 )
 
-// NewRecorder builds a run recorder writing the configured streams.
+// NewRecorder builds a run recorder writing the configured streams;
+// pass it to PlatformConfig.Obs. A nil recorder disables recording with
+// zero overhead.
 var NewRecorder = obs.New
-
-// ReadFlightRecording decodes a flight-recorder stream (flight.bin
-// from gsight-sim -record), dropping a torn final frame.
-var ReadFlightRecording = obs.ReadFlight
 
 // Experiments: the paper-reproduction harness.
 type (
@@ -359,12 +215,6 @@ func RunExperiment(ctx context.Context, id string, opt ExperimentOptions) (*Expe
 	return experiments.Run(ctx, id, opt)
 }
 
-// ExperimentIDs lists every reproducible table and figure.
-func ExperimentIDs() []string { return experiments.IDs() }
-
-// DefaultExperimentOptions returns full-scale, seed-42 options.
-func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOptions() }
-
 // Platform: the trace-driven serverless platform simulation (§6.3).
 type (
 	// PlatformConfig parameterizes RunPlatform.
@@ -373,16 +223,9 @@ type (
 	PlatformStats = platform.Stats
 	// PlatformService is one resident latency-sensitive service.
 	PlatformService = platform.LSService
-	// DegradedInterval is a window of simulation time spent placing
-	// through the fallback policy.
-	DegradedInterval = platform.DegradedInterval
-	// TracePattern shapes a service's request-rate trace.
-	TracePattern = trace.Pattern
 	// PlatformCheckpoint configures crash-consistent checkpointing of a
 	// platform run (PlatformConfig.Checkpoint, DESIGN.md §12).
 	PlatformCheckpoint = platform.CheckpointConfig
-	// CheckpointMeta summarizes the newest valid checkpoint on disk.
-	CheckpointMeta = platform.CheckpointMeta
 )
 
 // ErrControllerCrashed is returned by RunPlatform when an injected
@@ -413,20 +256,12 @@ func RunPlatform(ctx context.Context, cfg PlatformConfig) (*PlatformStats, error
 type (
 	// FaultSchedule is a deterministic timeline of fault events.
 	FaultSchedule = faults.Schedule
-	// FaultEvent is one scheduled fault.
-	FaultEvent = faults.Event
-	// FaultKind names a fault event type ("node-crash", "slow-node",
-	// "cold-start-storm", "predictor-down", ...).
-	FaultKind = faults.Kind
 )
 
 // FaultScenario builds a named seeded scenario ("node-crash",
 // "rolling-crashes", "stragglers", "cold-start-storm",
 // "predictor-outage", "chaos") sized to a run's duration and cluster.
 var FaultScenario = faults.Scenario
-
-// FaultScenarioNames lists the named fault scenarios.
-var FaultScenarioNames = faults.Names
 
 // LoadFaultSchedule reads a JSON fault schedule from a file.
 var LoadFaultSchedule = faults.LoadFile

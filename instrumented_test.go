@@ -95,7 +95,8 @@ func TestTwoTierAllocBudget(t *testing.T) {
 	pauseGC(t)
 	p, obs := trainedPredictor(t)
 	spec := resources.DefaultServerSpec("alloc")
-	scheduler := NewScheduler(p, WithTopK(4))
+	scheduler := NewScheduler(p)
+	scheduler.Tier0, scheduler.TopK = p.Tier0(), 4
 	o := obs[0]
 	allocs := testing.AllocsPerRun(200, func() {
 		st := schedState(spec)

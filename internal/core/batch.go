@@ -9,15 +9,15 @@ import (
 )
 
 // Query is one prediction request in a batch: which member of Inputs is
-// the target workload. PredictBatch only reads Inputs for the duration
-// of the call; callers may reuse the backing slices afterwards.
+// the target workload. PredictBatchInto only reads Inputs for the
+// duration of the call; callers may reuse the backing slices afterwards.
 type Query struct {
 	Target int
 	Inputs []WorkloadInput
 }
 
-// batchScratch holds the reusable buffers of one PredictBatch call: a
-// flat float backing array, row views into it, and the raw model
+// batchScratch holds the reusable buffers of one PredictBatchInto call:
+// a flat float backing array, row views into it, and the raw model
 // outputs. Rows only ever point into flat, so pooling retains no caller
 // data.
 type batchScratch struct {
@@ -28,22 +28,12 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() interface{} { return new(batchScratch) }}
 
-// PredictBatch estimates the QoS of many colocations at once: every
+// PredictBatchInto estimates the QoS of many colocations at once into a
+// caller-owned result slice (len(out) must equal len(queries)): every
 // query is encoded into one pooled backing array and the model runs its
 // batched inference path (ml.BatchRegressor) when it has one. Results
 // are bit-identical to calling Predict per query — batching changes
 // memory traffic, never arithmetic.
-func (p *Predictor) PredictBatch(kind QoSKind, queries []Query) ([]float64, error) {
-	out := make([]float64, len(queries))
-	if err := p.PredictBatchInto(kind, queries, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-owned result
-// slice (len(out) must equal len(queries)), for hot paths that reuse
-// their own scratch.
 func (p *Predictor) PredictBatchInto(kind QoSKind, queries []Query, out []float64) error {
 	if !p.trained[kind] {
 		return fmt.Errorf("%w: %v", ErrNotTrained, kind)

@@ -173,12 +173,9 @@ func trainedTestPredictor(t *testing.T) (*Predictor, []Query) {
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	p, queries := trainedTestPredictor(t)
 	for _, kind := range []QoSKind{IPCQoS, JCTQoS} {
-		got, err := p.PredictBatch(kind, queries)
-		if err != nil {
-			t.Fatalf("%v: PredictBatch: %v", kind, err)
-		}
-		if len(got) != len(queries) {
-			t.Fatalf("%v: got %d results for %d queries", kind, len(got), len(queries))
+		got := make([]float64, len(queries))
+		if err := p.PredictBatchInto(kind, queries, got); err != nil {
+			t.Fatalf("%v: PredictBatchInto: %v", kind, err)
 		}
 		for i, q := range queries {
 			want, err := p.Predict(kind, q.Target, q.Inputs)
@@ -194,19 +191,19 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 
 func TestPredictBatchErrors(t *testing.T) {
 	p, queries := trainedTestPredictor(t)
-	if _, err := p.PredictBatch(TailLatencyQoS, queries); err == nil {
+	if err := p.PredictBatchInto(TailLatencyQoS, queries, make([]float64, len(queries))); err == nil {
 		t.Fatal("untrained kind accepted")
 	}
 	if err := p.PredictBatchInto(IPCQoS, queries, make([]float64, len(queries)-1)); err == nil {
 		t.Fatal("short out slice accepted")
 	}
-	if out, err := p.PredictBatch(IPCQoS, nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty batch: out=%v err=%v", out, err)
+	if err := p.PredictBatchInto(IPCQoS, nil, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
 	}
 }
 
 // TestPredictConcurrent exercises the pooled encode buffers under
-// concurrent Predict and PredictBatch calls (run with -race).
+// concurrent Predict and PredictBatchInto calls (run with -race).
 func TestPredictConcurrent(t *testing.T) {
 	p, queries := trainedTestPredictor(t)
 	want := make([]float64, len(queries))
@@ -222,8 +219,8 @@ func TestPredictConcurrent(t *testing.T) {
 		go func(g int) {
 			for round := 0; round < 20; round++ {
 				if g%2 == 0 {
-					got, err := p.PredictBatch(IPCQoS, queries)
-					if err != nil {
+					got := make([]float64, len(queries))
+					if err := p.PredictBatchInto(IPCQoS, queries, got); err != nil {
 						done <- err
 						return
 					}

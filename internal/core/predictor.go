@@ -209,17 +209,9 @@ func NewPredictor(cfg Config) *Predictor {
 // Coder exposes the feature layout (for importance mapping).
 func (p *Predictor) Coder() Coder { return p.coder }
 
-// Model returns the underlying model for a QoS kind.
-func (p *Predictor) Model(kind QoSKind) ml.Incremental { return p.models[kind] }
-
 // Tier0 returns the tier-0 candidate scorer, trained alongside the IPC
 // forest. Schedulers attach it to enable top-K candidate pruning.
 func (p *Predictor) Tier0() *Tier0 { return p.tier0 }
-
-// Encode exposes the feature encoding for external tooling.
-func (p *Predictor) Encode(target int, ws []WorkloadInput) ([]float64, error) {
-	return p.coder.Encode(target, ws)
-}
 
 // Name identifies the predictor in experiment reports.
 func (p *Predictor) Name() string { return "Gsight" }

@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"gsight/internal/core"
@@ -36,9 +35,6 @@ type Options struct {
 	// default sweeps K over 4/8/16/32/∞.
 	TopK int
 }
-
-// DefaultOptions returns full-scale, seed-42 options.
-func DefaultOptions() Options { return Options{Seed: 42, Scale: 1.0} }
 
 // n scales a full-size count, with a floor to keep experiments sound.
 func (o Options) n(full, floor int) int {
@@ -225,16 +221,6 @@ func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
-
-// sortedKeys returns a map's keys in order.
-func sortedKeys(m map[string][]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // trainTest splits observations into train/test by holding out every
 // holdEvery-th item — deterministic and stratified over generation

@@ -150,10 +150,3 @@ func StaticPartition(m *perfmodel.Model, frac float64) error {
 	}
 	return nil
 }
-
-// Clear removes every partition.
-func Clear(m *perfmodel.Model) {
-	for s := 0; s < m.Testbed.NumServers(); s++ {
-		m.SetPartition(s, perfmodel.Partition{})
-	}
-}

@@ -95,10 +95,6 @@ func TestStaticPartitionValidation(t *testing.T) {
 	if len(m.Partitions) != 8 {
 		t.Fatalf("partitions on %d servers, want 8", len(m.Partitions))
 	}
-	Clear(m)
-	if len(m.Partitions) != 0 {
-		t.Fatal("Clear left partitions behind")
-	}
 }
 
 func TestControllerGrowsOnViolation(t *testing.T) {

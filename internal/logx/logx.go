@@ -52,9 +52,6 @@ func Default(verbose, quiet bool) *Logger {
 	return New(os.Stderr, LevelFor(verbose, quiet))
 }
 
-// Level returns the logger's level.
-func (l *Logger) Level() Level { return l.lvl }
-
 func (l *Logger) printf(format string, args ...interface{}) {
 	l.mu.Lock()
 	fmt.Fprintf(l.w, format+"\n", args...)

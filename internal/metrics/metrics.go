@@ -128,12 +128,3 @@ func Mix(vs []Vector, weights []float64) Vector {
 	}
 	return out
 }
-
-// All returns every candidate metric ID in order.
-func All() []ID {
-	ids := make([]ID, NumCandidates)
-	for i := range ids {
-		ids[i] = ID(i)
-	}
-	return ids
-}

@@ -7,7 +7,7 @@ import (
 
 func TestNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, id := range All() {
+	for id := ID(0); id < NumCandidates; id++ {
 		name := id.String()
 		if name == "" || seen[name] {
 			t.Fatalf("metric %d has bad/duplicate name %q", id, name)

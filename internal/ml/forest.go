@@ -384,14 +384,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	return sum / float64(len(f.trees))
 }
 
-// PredictBatch predicts every sample of X. Results are bit-identical to
-// calling Predict per sample.
-func (f *Forest) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	f.PredictBatchInto(X, out)
-	return out
-}
-
 // batchParallelMin is the per-worker sample count below which goroutine
 // fan-out costs more than it saves.
 const batchParallelMin = 16

@@ -58,10 +58,8 @@ func TestForestPredictBatchMatchesPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 7, 300} {
-		got := f.PredictBatch(X[:n])
-		if len(got) != n {
-			t.Fatalf("batch size %d returned %d results", n, len(got))
-		}
+		got := make([]float64, n)
+		f.PredictBatchInto(X[:n], got)
 		for i := 0; i < n; i++ {
 			if want := f.Predict(X[i]); got[i] != want {
 				t.Fatalf("batch %d sample %d: %v != %v", n, i, got[i], want)
@@ -72,11 +70,10 @@ func TestForestPredictBatchMatchesPredict(t *testing.T) {
 
 func TestForestPredictBatchEmptyAndUntrained(t *testing.T) {
 	f := NewForest(ForestConfig{Trees: 4})
-	if out := f.PredictBatch(nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d results", len(out))
-	}
-	out := f.PredictBatch([][]float64{{1, 2}})
-	if len(out) != 1 || out[0] != 0 {
+	f.PredictBatchInto(nil, nil)
+	out := []float64{7}
+	f.PredictBatchInto([][]float64{{1, 2}}, out)
+	if out[0] != 0 {
 		t.Fatalf("untrained forest batch = %v, want [0]", out)
 	}
 }

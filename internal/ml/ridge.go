@@ -65,9 +65,6 @@ func NewRidge(d, window int, lambda float64) *Ridge {
 	}
 }
 
-// Dim returns the feature dimension.
-func (r *Ridge) Dim() int { return r.d }
-
 // Len returns the number of retained samples.
 func (r *Ridge) Len() int { return r.n }
 

@@ -65,9 +65,6 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Enabled reports whether any observability is attached.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Trace returns the lifecycle tracer (nil-safe; may be nil).
 func (r *Recorder) Trace() *Tracer {
 	if r == nil {
@@ -82,14 +79,6 @@ func (r *Recorder) Flight() *Flight {
 		return nil
 	}
 	return r.fl
-}
-
-// PredQ returns the prediction-quality tracker (nil-safe; may be nil).
-func (r *Recorder) PredQ() *PredQ {
-	if r == nil {
-		return nil
-	}
-	return r.pq
 }
 
 // TrackPrediction folds one predicted/observed pair into the quality

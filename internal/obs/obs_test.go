@@ -318,9 +318,6 @@ func TestRecorderCheckpointResume(t *testing.T) {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder must report disabled")
-	}
 	r.Trace().JobBegin(1, "a", "a#0", 0, nil, 0)
 	r.Flight().Record(nil)
 	if _, fired := r.TrackPrediction(0, "a", "jct", 1, 1); fired {

@@ -73,9 +73,6 @@ func (m *Model) NewStepper() *Stepper {
 	return &Stepper{m: m, dirty: true, sv: m.newSolver(), bg: newDemandStore(m.Testbed)}
 }
 
-// Now returns the current simulation time in seconds.
-func (st *Stepper) Now() float64 { return st.now }
-
 // AddLS registers a latency-sensitive deployment.
 func (st *Stepper) AddLS(d *Deployment) error {
 	if d.W.Class != workload.LS {
@@ -104,17 +101,6 @@ func (st *Stepper) AddSC(d *Deployment) (int, error) {
 	st.nextID++
 	st.sc = append(st.sc, &scRun{id: st.nextID, dep: d, started: st.now})
 	return st.nextID, nil
-}
-
-// ActiveSC returns the number of running SC/BG jobs.
-func (st *Stepper) ActiveSC() int {
-	n := 0
-	for _, r := range st.sc {
-		if !r.done {
-			n++
-		}
-	}
-	return n
 }
 
 // SCRunState is one running SC/BG job's checkpoint form; jobs are

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"gsight/internal/metrics"
 	"gsight/internal/profile"
@@ -125,18 +124,4 @@ func SaveStoreFile(path string, s *profile.Store, workloads []string) error {
 	return writeFileWith(path, func(w io.Writer) error {
 		return SaveStore(w, s, workloads)
 	})
-}
-
-// LoadStoreFile reads a profile store from a file.
-func LoadStoreFile(path string) (*profile.Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := LoadStore(f)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %s: %w", path, err)
-	}
-	return s, nil
 }

@@ -1196,23 +1196,6 @@ func (r *runner) recordFrame(now float64, step int, demand []resources.Vector, a
 	fl.Record(fr)
 }
 
-// inputFor builds the scheduler-visible input of a deployment.
-func inputFor(w *workload.Workload, dep *perfmodel.Deployment, ps []profile.Profile) core.WorkloadInput {
-	in := core.WorkloadInput{
-		Name:      w.Name,
-		Class:     w.Class,
-		Profiles:  ps,
-		Placement: append([]int(nil), dep.Placement...),
-		Replicas:  append([]int(nil), dep.Replicas...),
-	}
-	if w.Class == workload.LS {
-		in.QPSFrac = perfmodel.LoadFactor(dep)
-	} else {
-		in.LifetimeS = w.SoloDurationS
-	}
-	return in
-}
-
 // syncInput refreshes the service's persistent scheduler input from
 // its deployment — the allocation-free replacement for building a
 // fresh input per call. The returned pointer is ss.in itself.

@@ -3,6 +3,7 @@ package platform
 import (
 	"testing"
 
+	"gsight/internal/core"
 	"gsight/internal/perfmodel"
 	"gsight/internal/profile"
 	"gsight/internal/resources"
@@ -36,7 +37,14 @@ func scFixture(id int, w *workload.Workload, on int) *scActive {
 	for f := range dep.Placement {
 		dep.Placement[f] = on
 	}
-	in := inputFor(w, dep, ps)
+	in := core.WorkloadInput{
+		Name:      w.Name,
+		Class:     w.Class,
+		Profiles:  ps,
+		Placement: append([]int(nil), dep.Placement...),
+		Replicas:  append([]int(nil), dep.Replicas...),
+		LifetimeS: w.SoloDurationS,
+	}
 	return &scActive{id: id, input: in, sla: sched.SLA{}, dep: dep}
 }
 

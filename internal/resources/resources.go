@@ -103,36 +103,6 @@ func (v Vector) Div(w Vector) Vector {
 	return v
 }
 
-// MaxElem returns the largest element of v.
-func (v Vector) MaxElem() float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of all elements of v.
-func (v Vector) Sum() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Fits reports whether v <= w element-wise.
-func (v Vector) Fits(w Vector) bool {
-	for i := range v {
-		if v[i] > w[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // IsZero reports whether every element of v is zero.
 func (v Vector) IsZero() bool {
 	for _, x := range v {

@@ -73,20 +73,8 @@ func TestVectorPredicates(t *testing.T) {
 	if v.IsZero() {
 		t.Fatal("non-zero vector reported zero")
 	}
-	if !v.Fits(Vector{1, 1, 1, 1, 1, 1}) {
-		t.Fatal("Fits false negative")
-	}
-	if v.Fits(Vector{0.5, 1, 1, 1, 1, 1}) {
-		t.Fatal("Fits false positive")
-	}
 	if got := (Vector{-1, 2, -3, 0, 0, 0}).Clamped(); got != (Vector{0, 2, 0, 0, 0, 0}) {
 		t.Fatalf("Clamped = %v", got)
-	}
-	if got := (Vector{1, 2, 3, 9, 5, 6}).MaxElem(); got != 9 {
-		t.Fatalf("MaxElem = %v", got)
-	}
-	if got := (Vector{1, 2, 3, 4, 5, 6}).Sum(); got != 21 {
-		t.Fatalf("Sum = %v", got)
 	}
 }
 

@@ -73,8 +73,6 @@ type Sample struct {
 	Target int
 	Kind   core.QoSKind
 	Label  float64
-	// Colocation is the §3.3 model form this sample belongs to.
-	Colocation core.ColocationKind
 }
 
 // Generator produces randomized colocation scenarios and their labels.
@@ -263,19 +261,18 @@ func (g *Generator) LabelWith(sc *perfmodel.Scenario, noise *rng.Rand) ([]Sample
 		}
 		inputs[i] = InputFrom(d, ps)
 	}
-	kind := core.Classify(inputs)
 	var out []Sample
 	for i, d := range sc.Deployments {
 		r := res.Deployments[i]
 		switch d.W.Class {
 		case workload.LS:
 			out = append(out,
-				Sample{inputs, i, core.IPCQoS, r.IPC, kind},
-				Sample{inputs, i, core.TailLatencyQoS, r.E2EP99Ms, kind})
+				Sample{inputs, i, core.IPCQoS, r.IPC},
+				Sample{inputs, i, core.TailLatencyQoS, r.E2EP99Ms})
 		case workload.SC:
 			out = append(out,
-				Sample{inputs, i, core.JCTQoS, r.JCTS, kind},
-				Sample{inputs, i, core.IPCQoS, r.IPC, kind})
+				Sample{inputs, i, core.JCTQoS, r.JCTS},
+				Sample{inputs, i, core.IPCQoS, r.IPC})
 		default:
 			// BG: the paper never predicts BG QoS.
 		}
@@ -354,11 +351,6 @@ func (g *Generator) Bootstrap(ctx context.Context, pred core.QoSPredictor, n int
 func FastConfig(m *perfmodel.Model) {
 	m.Cfg.StepS = 5
 	m.Cfg.FixedPointIters = 10
-}
-
-// PoolWorkloads returns every workload the generator draws from.
-func (g *Generator) PoolWorkloads() []*workload.Workload {
-	return append(append([]*workload.Workload{}, g.LSPool...), g.SCPool...)
 }
 
 // Rand exposes the generator's randomness stream (for experiment code

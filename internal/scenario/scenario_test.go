@@ -21,7 +21,7 @@ func TestGeneratorProfilesPools(t *testing.T) {
 	if g.Store.Len() != len(g.LSPool)+len(g.SCPool) {
 		t.Fatalf("profiled %d workloads, want %d", g.Store.Len(), len(g.LSPool)+len(g.SCPool))
 	}
-	for _, w := range g.PoolWorkloads() {
+	for _, w := range append(append([]*workload.Workload{}, g.LSPool...), g.SCPool...) {
 		ps, ok := g.Store.Get(w.Name)
 		if !ok || len(ps) != len(w.Functions) {
 			t.Fatalf("workload %q not fully profiled", w.Name)

@@ -74,29 +74,6 @@ func (c *Curve) MinIPCFor(slaMs float64) (float64, bool) {
 	return minIPC, ok
 }
 
-// P99At estimates the expected p99 at the given IPC by nearest-point
-// window averaging.
-func (c *Curve) P99At(ipc float64) float64 {
-	if len(c.points) == 0 {
-		return 0
-	}
-	i := sort.Search(len(c.points), func(j int) bool { return c.points[j].IPC >= ipc })
-	lo := i - 2
-	hi := i + 2
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= len(c.points) {
-		hi = len(c.points) - 1
-	}
-	sum, n := 0.0, 0
-	for j := lo; j <= hi; j++ {
-		sum += c.points[j].P99Ms
-		n++
-	}
-	return sum / float64(n)
-}
-
 // Points returns the curve's observations (for plotting Figure 7).
 func (c *Curve) Points() []CurvePoint {
 	return append([]CurvePoint(nil), c.points...)

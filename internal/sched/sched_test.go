@@ -220,9 +220,6 @@ func TestCurveSLATransform(t *testing.T) {
 	if _, ok := c.MinIPCFor(1); ok {
 		t.Fatal("1ms SLA should be unsatisfiable")
 	}
-	if got := c.P99At(1.2); got < 40 || got > 60 {
-		t.Fatalf("P99At(1.2) = %v, want ~50", got)
-	}
 	empty := NewCurve(nil)
 	if _, ok := empty.MinIPCFor(10); ok {
 		t.Fatal("empty curve cannot satisfy")

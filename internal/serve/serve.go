@@ -319,9 +319,6 @@ func LeasePath(dir string) string { return filepath.Join(dir, "lease.json") }
 // advisory under load).
 func (s *Server) Applied() uint64 { return s.applied }
 
-// Catalog exposes the archetype catalog.
-func (s *Server) Catalog() *Catalog { return s.cat }
-
 // openLog opens decisions.jsonl. A variable so a test can record the
 // order of its writes and fsyncs; nothing outside tests assigns it.
 var openLog = func(path string, flag int) (io.WriteCloser, error) {

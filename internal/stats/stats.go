@@ -127,10 +127,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// P99 is shorthand for the 99th percentile, the paper's headline tail
-// latency metric.
-func P99(xs []float64) float64 { return Percentile(xs, 99) }
-
 // Median is shorthand for the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
@@ -315,9 +311,6 @@ func (o *Online) Variance() float64 {
 	}
 	return o.m2 / float64(o.n)
 }
-
-// Std returns the running population standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Variance()) }
 
 // MAPE returns the mean absolute percentage error between predictions
 // and truth: mean(|pred-true|/|true|). Entries with true == 0 are

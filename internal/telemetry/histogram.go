@@ -122,14 +122,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Load()
 }
 
-// Name returns the registered metric name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Quantile returns the q-th quantile (0 < q <= 1). While the sample
 // count fits the raw buffer the value is exact (nearest-rank on the
 // retained samples); beyond that it is estimated by linear

@@ -57,14 +57,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Name returns the registered metric name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is an atomically settable float64. Safe on a nil receiver.
 type Gauge struct {
 	name, help string
@@ -87,14 +79,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // Span measures one timed section into a histogram. It is a value type:

@@ -311,16 +311,6 @@ func (w *Workload) CriticalPath() []int {
 	return path
 }
 
-// OnCriticalPath reports whether function fn lies on the critical path.
-func (w *Workload) OnCriticalPath(fn int) bool {
-	for _, i := range w.CriticalPath() {
-		if i == fn {
-			return true
-		}
-	}
-	return false
-}
-
 // TotalDemand returns the sum of all functions' solo demands.
 func (w *Workload) TotalDemand() resources.Vector {
 	var total resources.Vector
