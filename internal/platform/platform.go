@@ -977,7 +977,7 @@ func (r *runner) loop() error {
 					if evictSC(r.state, r.activeSC, hot) {
 						stats.Migrations++
 						moved := 1
-						if n := migrateWorst(r.m, r.state, ss, lr, 1); n > 0 {
+						if n := migrateWorst(r.state, ss, lr, 1); n > 0 {
 							stats.Migrations += n
 							stats.ColdStarts += n
 							moved += n
@@ -992,7 +992,7 @@ func (r *runner) loop() error {
 						if r.obs != nil {
 							r.obs.Trace().Reactive(now, "evict-corunner", ss.svc.W.Name, moved)
 						}
-					} else if n := migrateWorst(r.m, r.state, ss, lr, 3); n > 0 {
+					} else if n := migrateWorst(r.state, ss, lr, 3); n > 0 {
 						stats.Migrations += n
 						stats.ColdStarts += n
 						ss.cooldown = 40
@@ -1305,7 +1305,7 @@ func worstFuncs(r perfmodel.LSResult, n int) []int {
 // migrateWorst spreads the n worst functions of a violating service to
 // the emptiest online servers — the platform's reactive control. It
 // returns how many functions moved.
-func migrateWorst(m *perfmodel.Model, state *sched.State, ss *serviceState, r perfmodel.LSResult, n int) int {
+func migrateWorst(state *sched.State, ss *serviceState, r perfmodel.LSResult, n int) int {
 	moved := 0
 	taken := map[int]bool{}
 	// Prefer relieving pressure within the already-active fleet: waking

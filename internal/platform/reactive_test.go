@@ -92,11 +92,10 @@ func TestRefreshStateRebuildsBookkeeping(t *testing.T) {
 
 func TestMigrateWorstSpreadsOffHotServer(t *testing.T) {
 	st := sched.StateFromProfiles(testbedSpec(), 4)
-	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
 	refreshState(st, []*serviceState{ss}, nil)
 	lr := resultWorstLast(len(ss.dep.Placement))
-	moved := migrateWorst(m, st, ss, lr, 3)
+	moved := migrateWorst(st, ss, lr, 3)
 	if moved != 3 {
 		t.Fatalf("moved = %d, want 3", moved)
 	}
@@ -118,12 +117,11 @@ func TestMigrateWorstSpreadsOffHotServer(t *testing.T) {
 
 func TestMigrateWorstSkipsOfflineServers(t *testing.T) {
 	st := sched.StateFromProfiles(testbedSpec(), 3)
-	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
 	refreshState(st, []*serviceState{ss}, nil)
 	st.SetOffline(1, true)
 	lr := resultWorstLast(len(ss.dep.Placement))
-	moved := migrateWorst(m, st, ss, lr, 2)
+	moved := migrateWorst(st, ss, lr, 2)
 	if moved == 0 {
 		t.Fatal("nothing moved despite an online target")
 	}
@@ -136,12 +134,11 @@ func TestMigrateWorstSkipsOfflineServers(t *testing.T) {
 
 func TestMigrateWorstAllOffline(t *testing.T) {
 	st := sched.StateFromProfiles(testbedSpec(), 2)
-	m := perfmodel.New(resources.DefaultTestbed())
 	ss := lsFixture(workload.SocialNetwork(), 0)
 	refreshState(st, []*serviceState{ss}, nil)
 	st.SetOffline(1, true)
 	// Only the hot server itself is online: there is nowhere to go.
-	if moved := migrateWorst(m, st, ss, resultWorstLast(len(ss.dep.Placement)), 2); moved != 0 {
+	if moved := migrateWorst(st, ss, resultWorstLast(len(ss.dep.Placement)), 2); moved != 0 {
 		t.Fatalf("moved = %d with no alternative server", moved)
 	}
 }
