@@ -1,8 +1,6 @@
 package gsight_test
 
 import (
-	"context"
-	"errors"
 	"testing"
 
 	"gsight"
@@ -54,14 +52,6 @@ func TestRunPlatformRootAPI(t *testing.T) {
 	}
 	if len(st.Degraded) == 0 {
 		t.Fatal("predictor outage left no degraded interval")
-	}
-}
-
-func TestRunExperimentCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := gsight.RunExperiment(ctx, "fig3a", gsight.ExperimentOptions{Seed: 1, Scale: 0.02}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -17,12 +17,14 @@ import (
 	"gsight/internal/core"
 	"gsight/internal/experiments"
 	"gsight/internal/ml"
+	"gsight/internal/obs"
 	"gsight/internal/perfmodel"
 	"gsight/internal/resources"
 	"gsight/internal/scenario"
 	"gsight/internal/sched"
 	"gsight/internal/serve"
 	"gsight/internal/sim"
+	"gsight/internal/telemetry"
 )
 
 // benchOptions keeps bench iterations affordable while preserving every
@@ -449,7 +451,7 @@ func BenchmarkSchedulingInstrumented(b *testing.B) {
 	p, obs := trainedPredictor(b)
 	spec := resources.DefaultServerSpec("bench")
 	scheduler := NewScheduler(p)
-	scheduler.Instrument(NewTelemetry().WithDecisions(io.Discard))
+	scheduler.Instrument(telemetry.New().WithDecisions(io.Discard))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := schedState(spec)
@@ -641,7 +643,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		rec := NewRecorder(RecorderConfig{
+		rec := obs.New(obs.Config{
 			Trace: io.Discard, Flight: io.Discard, Servers: 8, StepS: 30,
 		})
 		st, err := RunPlatform(nil, PlatformConfig{
@@ -683,8 +685,8 @@ func BenchmarkEngineStep(b *testing.B) {
 		// of batching every timer into one slot.
 		d := 1.0 + float64(i)*0.37
 		var fn func()
-		fn = func() { e.After(d, fn) }
-		e.After(d, fn)
+		fn = func() { e.At(e.Now()+d, fn) }
+		e.At(e.Now()+d, fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -48,6 +48,10 @@ func main() {
 	placers := flag.Int("placers", 0, "ext-scale: concurrent placer workers (0 = auto; results identical at any count)")
 	topk := flag.Int("topk", 0, "ext-twotier: run a single top-K rung instead of the 4/8/16/32/\u221e sweep (0 = full sweep)")
 	flag.Parse()
+	if *format != "text" && *format != "markdown" {
+		fmt.Fprintf(os.Stderr, "gsight-experiments: unknown -format %q (want text or markdown)\n", *format)
+		os.Exit(2)
+	}
 
 	log := logx.Default(*verbose, *quiet)
 
@@ -64,9 +68,7 @@ func main() {
 	ok := runAll(ctx, log, config{
 		scale: *scale, seed: *seed, run: *run, format: *format, out: *out,
 		parallel: *parallel, debugAddr: *debugAddr, reportPath: *reportPath,
-		decisionPath: *decisionPath,
-		servers: *servers, placers: *placers,
-		topk: *topk,
+		decisionPath: *decisionPath, servers: *servers, placers: *placers, topk: *topk,
 	})
 	if !ok {
 		os.Exit(1)
@@ -74,11 +76,11 @@ func main() {
 }
 
 type config struct {
-	scale      float64
-	seed       uint64
-	run        string
-	format     string
-	out        string
+	scale        float64
+	seed         uint64
+	run          string
+	format       string
+	out          string
 	parallel     bool
 	debugAddr    string
 	reportPath   string

@@ -26,19 +26,19 @@ import (
 
 func main() {
 	var (
-		addrs     = flag.String("addr", "http://127.0.0.1:7070", "daemon base URLs, comma-separated (active first)")
-		rate      = flag.Float64("rate", 0, "offered arrival rate in requests/s (0 = closed loop)")
-		workers   = flag.Int("workers", 32, "max in-flight requests (open loop) / client count (closed loop)")
-		n         = flag.Int("n", 1000, "measured requests")
-		warmup    = flag.Int("warmup", 100, "warmup requests (excluded from percentiles)")
-		seed      = flag.Uint64("seed", 1, "arrival clock and workload mix seed")
-		mix       = flag.String("mix", "", "workload mix, comma-separated (default: the daemon's full catalog)")
-		release   = flag.Float64("release", 0.5, "probability of releasing each placed instance immediately")
-		observe   = flag.Float64("observe", 0.2, "probability of feeding back a QoS observation per placement")
-		ordered   = flag.Bool("ordered", false, "stamp requests with global order numbers (byte-replayable run)")
+		addrs      = flag.String("addr", "http://127.0.0.1:7070", "daemon base URLs, comma-separated (active first)")
+		rate       = flag.Float64("rate", 0, "offered arrival rate in requests/s (0 = closed loop)")
+		workers    = flag.Int("workers", 32, "max in-flight requests (open loop) / client count (closed loop)")
+		n          = flag.Int("n", 1000, "measured requests")
+		warmup     = flag.Int("warmup", 100, "warmup requests (excluded from percentiles)")
+		seed       = flag.Uint64("seed", 1, "arrival clock and workload mix seed")
+		mix        = flag.String("mix", "", "workload mix, comma-separated (default: the daemon's full catalog)")
+		release    = flag.Float64("release", 0.5, "probability of releasing each placed instance immediately")
+		observe    = flag.Float64("observe", 0.2, "probability of feeding back a QoS observation per placement")
+		ordered    = flag.Bool("ordered", false, "stamp requests with global order numbers (byte-replayable run)")
 		startOrder = flag.Uint64("start-order", 1, "first order number for -ordered runs")
-		jsonOut   = flag.Bool("json", false, "emit the result as JSON")
-		timeout   = flag.Duration("timeout", 10*time.Minute, "overall run timeout")
+		jsonOut    = flag.Bool("json", false, "emit the result as JSON")
+		timeout    = flag.Duration("timeout", 10*time.Minute, "overall run timeout")
 	)
 	flag.Parse()
 

@@ -30,15 +30,12 @@ import (
 
 	"gsight/internal/baselines"
 	"gsight/internal/core"
-	"gsight/internal/experiments"
 	"gsight/internal/faults"
-	"gsight/internal/obs"
 	"gsight/internal/perfmodel"
 	"gsight/internal/platform"
 	"gsight/internal/resources"
 	"gsight/internal/scenario"
 	"gsight/internal/sched"
-	"gsight/internal/telemetry"
 	"gsight/internal/trace"
 	"gsight/internal/workload"
 )
@@ -181,39 +178,6 @@ func NewWorstFit() *sched.WorstFit { return sched.NewWorstFit() }
 // BuildCurve calibrates a workload's latency-IPC curve on the model
 // testbed (the §6.3 SLA transformation source).
 var BuildCurve = sched.BuildCurve
-
-// NewTelemetry returns a live telemetry sink with a fresh metrics
-// registry (DESIGN.md §10); pass it to Instrument methods and platform
-// configs.
-var NewTelemetry = telemetry.New
-
-// Run recording (DESIGN.md §13): invocation-lifecycle tracing, the
-// step-sampled flight recorder, and online prediction-quality tracking.
-type (
-	// RecorderConfig selects which streams a Recorder writes.
-	RecorderConfig = obs.Config
-)
-
-// NewRecorder builds a run recorder writing the configured streams;
-// pass it to PlatformConfig.Obs. A nil recorder disables recording with
-// zero overhead.
-var NewRecorder = obs.New
-
-// Experiments: the paper-reproduction harness.
-type (
-	// ExperimentReport is one regenerated table or figure.
-	ExperimentReport = experiments.Report
-	// ExperimentOptions scales experiment effort.
-	ExperimentOptions = experiments.Options
-)
-
-// RunExperiment regenerates the table/figure with the given id
-// ("table1", "fig3a", ..., "fig14", "ext-resilience"). A nil ctx means
-// context.Background(); cancellation stops the experiment between
-// units of work.
-func RunExperiment(ctx context.Context, id string, opt ExperimentOptions) (*ExperimentReport, error) {
-	return experiments.Run(ctx, id, opt)
-}
 
 // Platform: the trace-driven serverless platform simulation (§6.3).
 type (

@@ -1,5 +1,5 @@
 // Alloc-neutrality tests for the telemetry subsystem: instrumented hot
-// paths must add zero allocations per operation over the Nop baseline.
+// paths must add zero allocations per operation over the nil-sink baseline.
 // testing.AllocsPerRun is exact only without the race runtime's shadow
 // allocations, so this file is excluded from -race runs; the functional
 // equivalence tests in internal/sched cover the race configuration.
@@ -28,7 +28,7 @@ func pauseGC(t *testing.T) {
 
 // TestSchedulingAllocNeutral pins the acceptance criterion for the
 // scheduler: Place with a live sink and decision log allocates exactly
-// what the Nop-instrumented scheduler does.
+// what the nil-sink-instrumented scheduler does.
 func TestSchedulingAllocNeutral(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor bootstrap is slow")
@@ -50,10 +50,10 @@ func TestSchedulingAllocNeutral(t *testing.T) {
 		})
 	}
 
-	nop := measure(telemetry.Nop)
+	nop := measure(nil)
 	live := measure(telemetry.New().WithDecisions(io.Discard))
 	if live > nop {
-		t.Fatalf("instrumented Place allocates more than Nop: %.1f > %.1f allocs/op", live, nop)
+		t.Fatalf("instrumented Place allocates more than the nil sink: %.1f > %.1f allocs/op", live, nop)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestInstrumentedOutputsIdentical(t *testing.T) {
 	}
 	plain, obs := trainedPredictor(t)
 	inst, _ := trainedPredictor(t)
-	inst.Instrument(NewTelemetry().WithDecisions(io.Discard))
+	inst.Instrument(telemetry.New().WithDecisions(io.Discard))
 	for i := 0; i < 25; i++ {
 		o := obs[i%len(obs)]
 		a, err := plain.Predict(core.IPCQoS, o.Target, o.Inputs)

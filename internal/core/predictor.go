@@ -147,7 +147,7 @@ type LearnerInstruments struct {
 func (p *Predictor) InstrumentLearner(li LearnerInstruments) { p.lins = li }
 
 // Instrument attaches a telemetry sink to the predictor and its models.
-// Instrumenting with telemetry.Nop leaves every output bit-identical.
+// Instrumenting with a nil sink leaves every output bit-identical.
 func (p *Predictor) Instrument(s *telemetry.Sink) {
 	p.ins = s.Predictor()
 	fi := s.Forest()

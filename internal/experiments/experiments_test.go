@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +10,14 @@ import (
 
 // tiny returns the smallest options that keep experiments sound.
 func tiny() Options { return Options{Seed: 42, Scale: 0.02} }
+
+func TestRunCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, "fig3a", Options{Seed: 1, Scale: 0.02}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{

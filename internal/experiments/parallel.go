@@ -14,8 +14,8 @@ import (
 // replica tasks already in flight never race a SetTelemetry call.
 var poolIns atomic.Pointer[telemetry.PoolInstruments]
 
-// SetTelemetry attaches the experiments worker pool to a sink; nil (or
-// telemetry.Nop) detaches it. Instrumentation is observation-only: the
+// SetTelemetry attaches the experiments worker pool to a sink; nil
+// detaches it. Instrumentation is observation-only: the
 // fan-out order, worker count and replica results are unchanged.
 func SetTelemetry(s *telemetry.Sink) {
 	if s == nil {

@@ -46,10 +46,6 @@ func NewController(m *perfmodel.Model) *Controller {
 	}
 }
 
-// Fraction returns server s's current protected fraction (0 = no
-// partition installed).
-func (c *Controller) Fraction(s int) float64 { return c.fractions[s] }
-
 // apply installs the fraction on the model as a symmetric CPU/LLC/MemBW
 // partition.
 func (c *Controller) apply(s int, frac float64) {

@@ -104,7 +104,7 @@ func TestControllerGrowsOnViolation(t *testing.T) {
 	if changes := c.Decide(obs); changes != 2 {
 		t.Fatalf("changes = %d, want 2", changes)
 	}
-	f0 := c.Fraction(0)
+	f0 := c.fractions[0]
 	if f0 <= 0 {
 		t.Fatal("no partition installed on violation")
 	}
@@ -112,7 +112,7 @@ func TestControllerGrowsOnViolation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Decide(obs)
 	}
-	if got := c.Fraction(0); got != c.Max {
+	if got := c.fractions[0]; got != c.Max {
 		t.Fatalf("fraction = %v, want capped at %v", got, c.Max)
 	}
 }
@@ -123,13 +123,13 @@ func TestControllerRelaxesOnSlack(t *testing.T) {
 	violating := []Observation{{Servers: []int{3}, P99Ms: 400, SLAMs: 267}}
 	c.Decide(violating)
 	c.Decide(violating)
-	before := c.Fraction(3)
+	before := c.fractions[3]
 	if before == 0 {
 		t.Fatal("setup failed")
 	}
 	comfortable := []Observation{{Servers: []int{3}, P99Ms: 100, SLAMs: 267}}
 	c.Decide(comfortable)
-	after := c.Fraction(3)
+	after := c.fractions[3]
 	if after >= before {
 		t.Fatalf("controller did not relax: %v -> %v", before, after)
 	}
@@ -137,8 +137,8 @@ func TestControllerRelaxesOnSlack(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Decide(comfortable)
 	}
-	if c.Fraction(3) != 0 {
-		t.Fatalf("partition should be torn down, still %v", c.Fraction(3))
+	if c.fractions[3] != 0 {
+		t.Fatalf("partition should be torn down, still %v", c.fractions[3])
 	}
 }
 
@@ -165,7 +165,7 @@ func TestViolationDominatesSlackPerServer(t *testing.T) {
 		{Servers: []int{5}, P99Ms: 50, SLAMs: 267},
 	}
 	c.Decide(obs)
-	if c.Fraction(5) == 0 {
+	if c.fractions[5] == 0 {
 		t.Fatal("violation should dominate slack on a shared server")
 	}
 }

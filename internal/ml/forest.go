@@ -464,9 +464,6 @@ func (f *Forest) Importance() []float64 {
 	return out
 }
 
-// NumTrees returns the current forest size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 var _ Incremental = (*Forest)(nil)
 var _ BatchRegressor = (*Forest)(nil)
 var _ Staged = (*Forest)(nil)

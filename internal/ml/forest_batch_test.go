@@ -95,8 +95,8 @@ func TestForestFitUpdateDeterministic(t *testing.T) {
 		return f
 	}
 	a, b := build(), build()
-	if a.NumTrees() != b.NumTrees() {
-		t.Fatalf("tree counts differ: %d vs %d", a.NumTrees(), b.NumTrees())
+	if len(a.trees) != len(b.trees) {
+		t.Fatalf("tree counts differ: %d vs %d", len(a.trees), len(b.trees))
 	}
 	for i, x := range probe {
 		if pa, pb := a.Predict(x), b.Predict(x); pa != pb {

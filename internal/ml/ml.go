@@ -10,7 +10,6 @@ import (
 	"errors"
 	"math"
 
-	"gsight/internal/rng"
 	"gsight/internal/telemetry"
 )
 
@@ -109,22 +108,6 @@ func (d *Dataset) Reset() {
 	d.Y = d.Y[:0]
 }
 
-// Split shuffles and splits the dataset into train and test parts with
-// the given training fraction.
-func (d *Dataset) Split(trainFrac float64, rnd *rng.Rand) (train, test Dataset) {
-	n := d.Len()
-	perm := rnd.Perm(n)
-	nTrain := int(float64(n) * trainFrac)
-	for i, p := range perm {
-		if i < nTrain {
-			train.Append(d.X[p], d.Y[p])
-		} else {
-			test.Append(d.X[p], d.Y[p])
-		}
-	}
-	return train, test
-}
-
 // Tail returns a dataset view of the last n samples.
 func (d *Dataset) Tail(n int) Dataset {
 	if n >= d.Len() {
@@ -173,36 +156,6 @@ func (s *Scaler) Transform(x []float64) []float64 {
 			continue
 		}
 		out[i] = (v - s.mean[i]) / sd
-	}
-	return out
-}
-
-// MAPE is the paper's prediction error |ŷ-y|/y averaged over the test
-// set, skipping zero targets.
-func MAPE(model Regressor, X [][]float64, y []float64) float64 {
-	sum, n := 0.0, 0
-	for i, x := range X {
-		if y[i] == 0 {
-			continue
-		}
-		sum += math.Abs(model.Predict(x)-y[i]) / math.Abs(y[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// Errors returns the per-sample relative errors (for the Figure 5
-// violin distributions), skipping zero targets.
-func Errors(model Regressor, X [][]float64, y []float64) []float64 {
-	var out []float64
-	for i, x := range X {
-		if y[i] == 0 {
-			continue
-		}
-		out = append(out, math.Abs(model.Predict(x)-y[i])/math.Abs(y[i]))
 	}
 	return out
 }

@@ -65,8 +65,8 @@ func TestTreeFitsNonlinear(t *testing.T) {
 	if e := rmse(tr, Xt, yt); e > 0.8 {
 		t.Fatalf("tree RMSE = %v, want < 0.8", e)
 	}
-	if tr.NumNodes() < 10 {
-		t.Fatalf("tree suspiciously small: %d nodes", tr.NumNodes())
+	if len(tr.nodes) < 10 {
+		t.Fatalf("tree suspiciously small: %d nodes", len(tr.nodes))
 	}
 }
 
@@ -80,8 +80,8 @@ func TestTreePerfectOnConstant(t *testing.T) {
 	if got := tr.Predict([]float64{2.5}); got != 7 {
 		t.Fatalf("constant target prediction = %v", got)
 	}
-	if tr.NumNodes() != 1 {
-		t.Fatalf("constant target should not split: %d nodes", tr.NumNodes())
+	if len(tr.nodes) != 1 {
+		t.Fatalf("constant target should not split: %d nodes", len(tr.nodes))
 	}
 }
 
@@ -152,16 +152,16 @@ func TestForestIncrementalUpdate(t *testing.T) {
 	}
 	// Fixed-capacity ensemble: updates churn trees, never grow the
 	// forest past its configured size.
-	if f.NumTrees() != 16 {
-		t.Fatalf("forest size = %d, want fixed 16", f.NumTrees())
+	if len(f.trees) != 16 {
+		t.Fatalf("forest size = %d, want fixed 16", len(f.trees))
 	}
 	for i := 0; i < 20; i++ {
 		if err := f.Update(X[:50], y[:50]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if f.NumTrees() != 16 {
-		t.Fatalf("forest size drifted: %d trees", f.NumTrees())
+	if len(f.trees) != 16 {
+		t.Fatalf("forest size drifted: %d trees", len(f.trees))
 	}
 	Xt, yt := synth(300, 6, 7, 0)
 	if e := rmse(f, Xt, yt); e > 1.2 {
@@ -175,8 +175,8 @@ func TestForestUpdateBeforeFit(t *testing.T) {
 	if err := f.Update(X, y); err != nil {
 		t.Fatal("Update before Fit should behave as Fit:", err)
 	}
-	if f.NumTrees() != 8 {
-		t.Fatalf("trees = %d, want 8", f.NumTrees())
+	if len(f.trees) != 8 {
+		t.Fatalf("trees = %d, want 8", len(f.trees))
 	}
 }
 
@@ -344,47 +344,6 @@ func TestScaler(t *testing.T) {
 	fresh := NewScaler()
 	if got := fresh.Transform([]float64{3}); got[0] != 3 {
 		t.Fatalf("fresh scaler transform = %v", got)
-	}
-}
-
-func TestDatasetSplit(t *testing.T) {
-	var d Dataset
-	for i := 0; i < 100; i++ {
-		d.Append([]float64{float64(i)}, float64(i))
-	}
-	train, test := d.Split(0.8, rng.New(26))
-	if train.Len() != 80 || test.Len() != 20 {
-		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	seen := map[float64]bool{}
-	for _, y := range append(append([]float64{}, train.Y...), test.Y...) {
-		if seen[y] {
-			t.Fatal("split duplicated a sample")
-		}
-		seen[y] = true
-	}
-	if len(seen) != 100 {
-		t.Fatal("split lost samples")
-	}
-}
-
-func TestMAPEAndErrors(t *testing.T) {
-	f := NewForest(ForestConfig{Trees: 4})
-	X, y := synth(300, 4, 27, 0)
-	if err := f.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if e := MAPE(f, X, y); e < 0 || e > 0.5 {
-		t.Fatalf("training MAPE = %v", e)
-	}
-	errs := Errors(f, X, y)
-	if len(errs) != len(y) {
-		t.Fatalf("Errors length = %d", len(errs))
-	}
-	for _, e := range errs {
-		if e < 0 {
-			t.Fatal("negative error")
-		}
 	}
 }
 

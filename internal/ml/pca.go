@@ -247,11 +247,6 @@ func (p *PCA) Transform(x []float64) []float64 {
 	return out
 }
 
-// ExplainedVariance returns the per-component variances, descending.
-func (p *PCA) ExplainedVariance() []float64 {
-	return append([]float64(nil), p.evals...)
-}
-
 // NumComponents returns the fitted component count.
 func (p *PCA) NumComponents() int { return len(p.comps) }
 

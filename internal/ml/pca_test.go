@@ -37,7 +37,7 @@ func TestPCAFindsDominantDirections(t *testing.T) {
 	if err := p.Fit(X); err != nil {
 		t.Fatal(err)
 	}
-	ev := p.ExplainedVariance()
+	ev := p.evals
 	if len(ev) != 3 {
 		t.Fatalf("components = %d", len(ev))
 	}

@@ -65,12 +65,6 @@ func NewRidge(d, window int, lambda float64) *Ridge {
 	}
 }
 
-// Len returns the number of retained samples.
-func (r *Ridge) Len() int { return r.n }
-
-// Seen returns the total number of samples ever absorbed.
-func (r *Ridge) Seen() uint64 { return r.seen }
-
 // Trained reports whether Predict is backed by a solved fit.
 func (r *Ridge) Trained() bool { return r.trained }
 

@@ -59,7 +59,7 @@ func TestRidgeUntrainedPredictsZero(t *testing.T) {
 		r.Observe(x, y)
 	}
 	if r.Refresh() {
-		t.Fatalf("refresh trained on %d samples, gate is %d", r.Len(), ridgeMinSamples)
+		t.Fatalf("refresh trained on %d samples, gate is %d", r.n, ridgeMinSamples)
 	}
 }
 
@@ -75,8 +75,8 @@ func TestRidgeWindowDowndate(t *testing.T) {
 		x, y := ridgeSample(i, d)
 		r.Observe(x, y)
 	}
-	if r.Len() != window {
-		t.Fatalf("retained %d samples, want %d", r.Len(), window)
+	if r.n != window {
+		t.Fatalf("retained %d samples, want %d", r.n, window)
 	}
 	fresh := NewRidge(d, window, 1e-6)
 	for i := total - window; i < total; i++ {
@@ -125,8 +125,8 @@ func TestRidgeStateRoundTrip(t *testing.T) {
 	if again := b.Capture().AppendTo(nil); string(again) != string(state) {
 		t.Fatal("restored ridge re-encodes to different bytes")
 	}
-	if b.Seen() != a.Seen() || b.Len() != a.Len() || b.Trained() != a.Trained() {
-		t.Fatalf("restored counters diverge: seen %d/%d len %d/%d", b.Seen(), a.Seen(), b.Len(), a.Len())
+	if b.seen != a.seen || b.n != a.n || b.Trained() != a.Trained() {
+		t.Fatalf("restored counters diverge: seen %d/%d len %d/%d", b.seen, a.seen, b.n, a.n)
 	}
 	probe, _ := ridgeSample(999, d)
 	if a.Predict(probe) != b.Predict(probe) {
@@ -188,7 +188,7 @@ func TestRidgeRestoreRejectsCorrupt(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
 		}
-		if dst.Len() != 0 || dst.Seen() != 0 {
+		if dst.n != 0 || dst.seen != 0 {
 			t.Errorf("%s: rejected state was applied", tc.name)
 		}
 	}

@@ -384,8 +384,8 @@ func TestWindowRowLimit(t *testing.T) {
 	if err := tree.Fit(X[:maxWindowRows], y[:maxWindowRows]); err != nil {
 		t.Fatalf("fit on %d rows: %v", maxWindowRows, err)
 	}
-	if lo, hi := tree.Predict(X[0]), tree.Predict(X[maxWindowRows-1]); tree.NumNodes() != 15 || hi-lo < maxWindowRows/2 {
-		t.Fatalf("tree on %d distinct rows: %d nodes, predicts %v..%v", maxWindowRows, tree.NumNodes(), lo, hi)
+	if lo, hi := tree.Predict(X[0]), tree.Predict(X[maxWindowRows-1]); len(tree.nodes) != 15 || hi-lo < maxWindowRows/2 {
+		t.Fatalf("tree on %d distinct rows: %d nodes, predicts %v..%v", maxWindowRows, len(tree.nodes), lo, hi)
 	}
 	if err := tree.Fit(X, y); !errors.Is(err, ErrWindowTooLarge) {
 		t.Fatalf("fit on %d rows: err = %v, want ErrWindowTooLarge", len(X), err)

@@ -42,8 +42,8 @@ func TestStagedUpdateMatchesUpdate(t *testing.T) {
 				t.Fatalf("log=%v, batch %d: staged forest differs from Update's", log, i)
 			}
 		}
-		if inline.buf.head == 0 || inline.NumTrees() != cfg.Trees {
-			t.Fatalf("log=%v: the window did not wrap or no update pruned (%d trees)", log, inline.NumTrees())
+		if inline.buf.head == 0 || len(inline.trees) != cfg.Trees {
+			t.Fatalf("log=%v: the window did not wrap or no update pruned (%d trees)", log, len(inline.trees))
 		}
 	}
 }

@@ -373,6 +373,3 @@ func (t *Tree) Importance() []float64 {
 	copy(out, t.importance)
 	return out
 }
-
-// NumNodes returns the size of the grown tree.
-func (t *Tree) NumNodes() int { return len(t.nodes) }

@@ -38,10 +38,6 @@ type Config struct {
 	// samples (frame geometry and header fields).
 	Servers int
 	StepS   float64
-	// PHLambda/PHDelta tune the Page–Hinkley drift detector;
-	// non-positive values get NewPredQ's defaults.
-	PHLambda float64
-	PHDelta  float64
 }
 
 // Recorder is the run-attached observability bundle. The zero of its
@@ -55,7 +51,7 @@ type Recorder struct {
 
 // New builds a Recorder from cfg.
 func New(cfg Config) *Recorder {
-	r := &Recorder{pq: NewPredQ(cfg.PHLambda, cfg.PHDelta)}
+	r := &Recorder{pq: NewPredQ(0, 0)}
 	if cfg.Trace != nil {
 		r.tr = NewTracer(cfg.Trace)
 	}

@@ -282,7 +282,9 @@ func TestRecorderCheckpointResume(t *testing.T) {
 		}
 	}
 	newRec := func(tb, fb *bytes.Buffer) *Recorder {
-		return New(Config{Trace: tb, Flight: fb, Servers: servers, StepS: 30, PHLambda: 1.0, PHDelta: 0.01})
+		r := New(Config{Trace: tb, Flight: fb, Servers: servers, StepS: 30})
+		r.pq.Lambda, r.pq.Delta = 1.0, 0.01
+		return r
 	}
 
 	var ftr, ffl bytes.Buffer

@@ -29,16 +29,6 @@ type Result struct {
 	Deployments []DeploymentResult
 }
 
-// ByName returns the result of the named deployment, or nil.
-func (r *Result) ByName(name string) *DeploymentResult {
-	for i := range r.Deployments {
-		if r.Deployments[i].Name == name {
-			return &r.Deployments[i]
-		}
-	}
-	return nil
-}
-
 // Evaluate computes the QoS of every deployment in the scenario. When
 // rnd is non-nil, lognormal measurement noise is applied — tail latency
 // receives extra noise below the latency-IPC knee (Figure 7), which is

@@ -422,7 +422,7 @@ func (m *Model) propagateArrivals(st *lsState) {
 
 // topoInto fills out with the functions reachable from the entry in
 // topological order (callers before callees), reusing the solver's
-// visited scratch. The order is identical to topoOrder's.
+// visited scratch. TestTopoOrder pins it to the recursive reference.
 func (sv *lsSolver) topoInto(out []int, w *workload.Workload) []int {
 	n := len(w.Functions)
 	sv.visited = resize(sv.visited, n)
@@ -446,30 +446,6 @@ func (sv *lsSolver) topoVisit(out []int, w *workload.Workload, i int) []int {
 		out = sv.topoVisit(out, w, c.Callee)
 	}
 	return append(out, i)
-}
-
-// topoOrder returns the functions reachable from the entry in
-// topological order (callers before callees) — the allocating
-// reference form of topoInto, kept for tests and one-off callers.
-func topoOrder(w *workload.Workload) []int {
-	visited := make([]bool, len(w.Functions))
-	var order []int
-	var visit func(i int)
-	visit = func(i int) {
-		if visited[i] {
-			return
-		}
-		visited[i] = true
-		for _, c := range w.Functions[i].Calls {
-			visit(c.Callee)
-		}
-		order = append(order, i)
-	}
-	visit(w.Entry)
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
 }
 
 // gateway models the shared OpenFaaS-style frontend: every invocation

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gsight/internal/resources"
@@ -296,9 +297,34 @@ func TestEvaluateValidates(t *testing.T) {
 	}
 }
 
+// topoOrder is the allocating reference form of lsSolver.topoInto: the
+// functions reachable from the entry, callers before callees.
+func topoOrder(w *workload.Workload) []int {
+	visited := make([]bool, len(w.Functions))
+	var order []int
+	var visit func(i int)
+	visit = func(i int) {
+		if visited[i] {
+			return
+		}
+		visited[i] = true
+		for _, c := range w.Functions[i].Calls {
+			visit(c.Callee)
+		}
+		order = append(order, i)
+	}
+	visit(w.Entry)
+	slices.Reverse(order)
+	return order
+}
+
 func TestTopoOrder(t *testing.T) {
 	sn := workload.SocialNetwork()
 	order := topoOrder(sn)
+	var sv lsSolver
+	if got := sv.topoInto(nil, sn); !slices.Equal(got, order) {
+		t.Fatalf("topoInto = %v, reference order %v", got, order)
+	}
 	if len(order) != 9 {
 		t.Fatalf("topo order covers %d functions, want 9", len(order))
 	}
@@ -434,17 +460,6 @@ func TestGatewayDegradesPastKnee(t *testing.T) {
 	many := run(30) // ~270 extra instances, far past the 110 knee
 	if many <= few {
 		t.Fatalf("gateway should slow down with instance count: %v vs %v", few, many)
-	}
-}
-
-func TestResultByName(t *testing.T) {
-	m := newModel()
-	res := evalOne(t, m, NewDeployment(workload.MatMul()))
-	if res.ByName("matmul") == nil {
-		t.Fatal("ByName failed to find matmul")
-	}
-	if res.ByName("nope") != nil {
-		t.Fatal("ByName found a ghost")
 	}
 }
 

@@ -10,24 +10,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
-	"gsight/internal/metrics"
 	"gsight/internal/profile"
-	"gsight/internal/resources"
 )
-
-// allFinite reports whether every value is a real number. Loaders
-// reject NaN/Inf rather than letting a silently corrupt model poison
-// every downstream prediction.
-func allFinite(vs []float64) bool {
-	for _, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
 
 // profileJSON is the stable on-disk form of a profile.
 type profileJSON struct {
@@ -46,26 +31,6 @@ func toProfileJSON(p profile.Profile) profileJSON {
 		Demand:   p.Demand[:],
 		Alloc:    p.Alloc[:],
 	}
-}
-
-func fromProfileJSON(j profileJSON) (profile.Profile, error) {
-	var p profile.Profile
-	if len(j.Metrics) != int(metrics.NumCandidates) {
-		return p, fmt.Errorf("persist: profile %s/%s has %d metrics, want %d",
-			j.Workload, j.Function, len(j.Metrics), metrics.NumCandidates)
-	}
-	if len(j.Demand) != int(resources.NumKinds) || len(j.Alloc) != int(resources.NumKinds) {
-		return p, fmt.Errorf("persist: profile %s/%s has malformed resource vectors", j.Workload, j.Function)
-	}
-	if !allFinite(j.Metrics) || !allFinite(j.Demand) || !allFinite(j.Alloc) {
-		return p, fmt.Errorf("persist: profile %s/%s has non-finite values", j.Workload, j.Function)
-	}
-	p.Workload = j.Workload
-	p.Function = j.Function
-	copy(p.Metrics[:], j.Metrics)
-	copy(p.Demand[:], j.Demand)
-	copy(p.Alloc[:], j.Alloc)
-	return p, nil
 }
 
 // storeJSON is the on-disk profile store.
@@ -91,30 +56,6 @@ func SaveStore(w io.Writer, s *profile.Store, workloads []string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// LoadStore reads a profile store from JSON.
-func LoadStore(r io.Reader) (*profile.Store, error) {
-	var in storeJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("persist: decode store: %w", err)
-	}
-	if in.Version != 1 {
-		return nil, fmt.Errorf("persist: unsupported store version %d", in.Version)
-	}
-	s := profile.NewStore()
-	for name, js := range in.Workloads {
-		ps := make([]profile.Profile, len(js))
-		for i, j := range js {
-			p, err := fromProfileJSON(j)
-			if err != nil {
-				return nil, err
-			}
-			ps[i] = p
-		}
-		s.Put(name, ps)
-	}
-	return s, nil
 }
 
 // SaveStoreFile writes a profile store to path atomically (temp file +

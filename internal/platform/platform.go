@@ -67,7 +67,7 @@ type Config struct {
 	// ObserveEvery throttles online observations (steps).
 	ObserveEvery int
 	// Telemetry, when set, receives runtime metrics and reactive-control
-	// decision events. telemetry.Nop (nil) leaves the run bit-identical.
+	// decision events. A nil sink leaves the run bit-identical.
 	Telemetry *telemetry.Sink
 	// Obs, when set, records the run's observability streams:
 	// invocation-lifecycle trace, flight recording and prediction-quality

@@ -266,9 +266,6 @@ func (s *Store) ProfileWorkload(w *workload.Workload, spec resources.ServerSpec,
 	return ps
 }
 
-// Len returns the number of profiled workloads.
-func (s *Store) Len() int { return len(s.byWorkload) }
-
 // String summarizes a profile for logs.
 func (p Profile) String() string {
 	return fmt.Sprintf("%s/%s ipc=%.2f cpu=%.0f%% llc=%.1fMB",

@@ -102,7 +102,10 @@ func TestMergedLosesStructure(t *testing.T) {
 		t.Fatalf("merged name = %q", m.Function)
 	}
 	// Demands sum.
-	want := sn.TotalDemand()
+	var want resources.Vector
+	for _, f := range sn.Functions {
+		want = want.Add(f.Demand)
+	}
 	if m.Demand != want {
 		t.Fatalf("merged demand = %v, want %v", m.Demand, want)
 	}
@@ -171,13 +174,13 @@ func TestCoRun(t *testing.T) {
 
 func TestStore(t *testing.T) {
 	s := NewStore()
-	if s.Len() != 0 {
+	if len(s.byWorkload) != 0 {
 		t.Fatal("new store not empty")
 	}
 	sn := workload.SocialNetwork()
 	ps := s.ProfileWorkload(sn, spec, nil)
-	if len(ps) != 9 || s.Len() != 1 {
-		t.Fatalf("store state wrong: %d profiles, %d workloads", len(ps), s.Len())
+	if len(ps) != 9 || len(s.byWorkload) != 1 {
+		t.Fatalf("store state wrong: %d profiles, %d workloads", len(ps), len(s.byWorkload))
 	}
 	got, ok := s.Get("social-network")
 	if !ok || len(got) != 9 {

@@ -43,15 +43,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Kinds returns all resource kinds in order.
-func Kinds() []Kind {
-	ks := make([]Kind, NumKinds)
-	for i := range ks {
-		ks[i] = Kind(i)
-	}
-	return ks
-}
-
 // Vector holds one value per resource kind. Units by convention:
 // CPU in cores, Memory in GB, LLC in MB of working set / occupancy,
 // MemBW in GB/s, Network in Gb/s, Disk in MB/s.
@@ -85,20 +76,6 @@ func (v Vector) Scale(f float64) Vector {
 func (v Vector) Mul(w Vector) Vector {
 	for i := range v {
 		v[i] *= w[i]
-	}
-	return v
-}
-
-// Div returns the element-wise quotient v/w; entries where w is zero
-// yield zero rather than infinity, which is the right behaviour for
-// "utilization of an absent resource".
-func (v Vector) Div(w Vector) Vector {
-	for i := range v {
-		if w[i] == 0 {
-			v[i] = 0
-		} else {
-			v[i] /= w[i]
-		}
 	}
 	return v
 }
@@ -157,15 +134,6 @@ type Testbed struct {
 
 // NumServers returns the number of servers in the testbed.
 func (t *Testbed) NumServers() int { return len(t.Servers) }
-
-// TotalCapacity returns the sum of all server capacities.
-func (t *Testbed) TotalCapacity() Vector {
-	var total Vector
-	for _, s := range t.Servers {
-		total = total.Add(s.Capacity)
-	}
-	return total
-}
 
 // DefaultServerSpec returns the per-node configuration of Table 4:
 // Intel Xeon E7-4820v4 (40 physical cores over 4 sockets, 2.0 GHz),

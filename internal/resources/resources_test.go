@@ -20,18 +20,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKinds(t *testing.T) {
-	ks := Kinds()
-	if len(ks) != int(NumKinds) {
-		t.Fatalf("Kinds() length = %d, want %d", len(ks), NumKinds)
-	}
-	for i, k := range ks {
-		if int(k) != i {
-			t.Fatalf("Kinds()[%d] = %v", i, k)
-		}
-	}
-}
-
 func TestVectorArithmetic(t *testing.T) {
 	v := Vector{1, 2, 3, 4, 5, 6}
 	w := Vector{6, 5, 4, 3, 2, 1}
@@ -51,16 +39,6 @@ func TestVectorArithmetic(t *testing.T) {
 	}
 	if got := v.Mul(w); got != (Vector{6, 10, 12, 12, 10, 6}) {
 		t.Fatalf("Mul = %v", got)
-	}
-}
-
-func TestVectorDivZeroSafe(t *testing.T) {
-	v := Vector{10, 10, 10, 10, 10, 10}
-	w := Vector{2, 0, 5, 0, 10, 1}
-	got := v.Div(w)
-	want := Vector{5, 0, 2, 0, 1, 10}
-	if got != want {
-		t.Fatalf("Div = %v, want %v", got, want)
 	}
 }
 
@@ -125,17 +103,6 @@ func TestDefaultTestbedMatchesTable4(t *testing.T) {
 	}
 	if s.BaseFreqGHz != 2.0 {
 		t.Errorf("base freq = %v, want 2.0", s.BaseFreqGHz)
-	}
-}
-
-func TestTotalCapacity(t *testing.T) {
-	tb := NewTestbed(3)
-	total := tb.TotalCapacity()
-	if total[CPU] != 120 {
-		t.Fatalf("total CPU = %v, want 120", total[CPU])
-	}
-	if total[Memory] != 768 {
-		t.Fatalf("total memory = %v, want 768", total[Memory])
 	}
 }
 

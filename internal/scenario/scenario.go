@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"gsight/internal/core"
-	"gsight/internal/ml"
 	"gsight/internal/perfmodel"
 	"gsight/internal/profile"
 	"gsight/internal/resources"
@@ -275,36 +274,6 @@ func (g *Generator) LabelWith(sc *perfmodel.Scenario, noise *rng.Rand) ([]Sample
 				Sample{inputs, i, core.IPCQoS, r.IPC})
 		default:
 			// BG: the paper never predicts BG QoS.
-		}
-	}
-	return out, nil
-}
-
-// Dataset generates n labeled scenarios of the given colocation kind
-// and encodes them for the predictor, returning one dataset per QoS
-// kind. The coder defines the feature layout.
-func (g *Generator) Dataset(coder core.Coder, kind core.ColocationKind, nScenarios, maxWorkloads int) (map[core.QoSKind]*ml.Dataset, error) {
-	out := map[core.QoSKind]*ml.Dataset{
-		core.IPCQoS:         {},
-		core.TailLatencyQoS: {},
-		core.JCTQoS:         {},
-	}
-	for i := 0; i < nScenarios; i++ {
-		k := 2
-		if maxWorkloads > 2 {
-			k = 2 + g.rnd.Intn(maxWorkloads-1)
-		}
-		sc := g.Colocation(kind, k)
-		samples, err := g.Label(sc)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range samples {
-			x, err := coder.Encode(s.Target, s.Inputs)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: encode: %w", err)
-			}
-			out[s.Kind].Append(x, s.Label)
 		}
 	}
 	return out, nil

@@ -606,7 +606,7 @@ func NewGsight(p core.QoSPredictor) *Gsight {
 // Name implements Scheduler.
 func (g *Gsight) Name() string { return "Gsight" }
 
-// Instrument attaches a telemetry sink. Passing telemetry.Nop (or never
+// Instrument attaches a telemetry sink. Passing a nil sink (or never
 // calling Instrument) leaves every decision and allocation
 // bit-identical to the uninstrumented scheduler. The tier-0 prune
 // counters register only when two-tier placement is configured, so
@@ -975,7 +975,7 @@ func NewBestFit(p core.QoSPredictor) *BestFit {
 // Name implements Scheduler.
 func (b *BestFit) Name() string { return "BestFit" }
 
-// Instrument attaches a telemetry sink (Nop-safe, decision-neutral).
+// Instrument attaches a telemetry sink (nil-safe, decision-neutral).
 func (b *BestFit) Instrument(s *telemetry.Sink) { b.instrument(s, b.Name()) }
 
 // Place implements Scheduler.
@@ -1064,7 +1064,7 @@ func NewWorstFit() *WorstFit { return &WorstFit{CPUOversub: 1.0} }
 // Name implements Scheduler.
 func (w *WorstFit) Name() string { return "WorstFit" }
 
-// Instrument attaches a telemetry sink (Nop-safe, decision-neutral).
+// Instrument attaches a telemetry sink (nil-safe, decision-neutral).
 func (w *WorstFit) Instrument(s *telemetry.Sink) { w.instrument(s, w.Name()) }
 
 // Place implements Scheduler.

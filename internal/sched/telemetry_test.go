@@ -38,7 +38,7 @@ func placeSequence(s Scheduler) [][]int {
 }
 
 // TestTelemetryNopEquivalence pins the tentpole contract: instrumenting
-// a scheduler — with Nop or with a live sink — must leave every
+// a scheduler — with a nil or a live sink — must leave every
 // placement bit-identical to the uninstrumented scheduler.
 func TestTelemetryNopEquivalence(t *testing.T) {
 	build := func(name string) func() Scheduler {
@@ -56,9 +56,9 @@ func TestTelemetryNopEquivalence(t *testing.T) {
 		plain := placeSequence(mk())
 
 		nop := mk()
-		nop.(interface{ Instrument(*telemetry.Sink) }).Instrument(telemetry.Nop)
+		nop.(interface{ Instrument(*telemetry.Sink) }).Instrument(nil)
 		if got := placeSequence(nop); !reflect.DeepEqual(got, plain) {
-			t.Errorf("%s: Nop-instrumented placements differ: %v vs %v", name, got, plain)
+			t.Errorf("%s: nil-sink-instrumented placements differ: %v vs %v", name, got, plain)
 		}
 
 		live := mk()

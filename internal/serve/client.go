@@ -172,11 +172,6 @@ func (c *Client) Release(ctx context.Context, req ReleaseRequest) (*releaseRespo
 	return &ack, nil
 }
 
-// Snapshot forces a checkpoint rotation.
-func (c *Client) Snapshot(ctx context.Context) error {
-	return c.post(ctx, "/v1/snapshot", struct{}{}, nil)
-}
-
 // State fetches the daemon status.
 func (c *Client) State(ctx context.Context) (*stateResponse, error) {
 	addr := c.addrs[c.cur]

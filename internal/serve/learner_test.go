@@ -313,7 +313,7 @@ func TestServeCrashInsideInstallWindow(t *testing.T) {
 		hs := httptest.NewServer(live.Handler())
 		defer hs.Close()
 		send(t, live, ops, 0, n+100)
-		if err := NewClient(hs.URL).Snapshot(context.Background()); err != nil {
+		if err := NewClient(hs.URL).post(context.Background(), "/v1/snapshot", struct{}{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		send(t, live, ops, n+100, n+150)

@@ -49,9 +49,6 @@ func NewLease(path, owner string, ttl time.Duration) *Lease {
 	return &Lease{path: path, owner: owner, ttl: ttl, now: time.Now}
 }
 
-// SetClock injects a clock for tests.
-func (l *Lease) SetClock(now func() time.Time) { l.now = now }
-
 // Epoch returns the fencing epoch of the currently-held lease.
 func (l *Lease) Epoch() uint64 { return l.epoch }
 

@@ -14,12 +14,12 @@ import (
 // fakeClock drives lease expiry without sleeping.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                 { return &fakeClock{t: time.Unix(1000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
 func leaseAt(dir string, owner string, clk *fakeClock) *Lease {
 	l := NewLease(filepath.Join(dir, "lease.json"), owner, time.Second)
-	l.SetClock(clk.now)
+	l.now = clk.now
 	return l
 }
 
@@ -132,7 +132,7 @@ func TestLeaseCorruptFileCountsAsExpired(t *testing.T) {
 	}
 	clk := newFakeClock()
 	l := NewLease(path, "x", time.Second)
-	l.SetClock(clk.now)
+	l.now = clk.now
 	if err := l.Acquire(); err != nil {
 		t.Fatalf("acquire over corrupt lease: %v", err)
 	}

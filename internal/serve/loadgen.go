@@ -13,10 +13,13 @@ import (
 )
 
 // Open-loop load generator: arrivals fire on a Poisson clock that does
-// NOT wait for responses, so a slow daemon accumulates in-flight work
-// instead of silently throttling the offered rate (the coordinated-
-// omission trap a closed loop falls into). Used by cmd/gsight-loadgen,
-// the serving benchmark, and the failover gate's driver.
+// NOT wait for responses, and each request's latency runs from its due
+// instant on that clock, not from when a worker picks it up. A stall
+// that fills every worker therefore shows in the latencies of the
+// requests due during it instead of silently throttling the offered
+// rate (the coordinated-omission trap a closed loop falls into). Used by
+// cmd/gsight-loadgen, the serving benchmark, and the failover gate's
+// driver.
 
 // LoadConfig configures one load run.
 type LoadConfig struct {
@@ -62,20 +65,20 @@ type LoadConfig struct {
 
 // LoadResult summarizes one load run.
 type LoadResult struct {
-	Requests  int           `json:"requests"`
-	Errors    int           `json:"errors"`
-	Shed      int           `json:"shed"` // 429s absorbed by retries
-	Placed    int           `json:"placed"`
-	Rejected  int           `json:"rejected"`
-	Degraded  int           `json:"degraded"`
-	Elapsed   time.Duration `json:"-"`
-	ElapsedS  float64       `json:"elapsed_s"`
-	Throughputs float64     `json:"throughput_rps"`
-	MeanMs    float64       `json:"mean_ms"`
-	P50Ms     float64       `json:"p50_ms"`
-	P95Ms     float64       `json:"p95_ms"`
-	P99Ms     float64       `json:"p99_ms"`
-	MaxMs     float64       `json:"max_ms"`
+	Requests    int           `json:"requests"`
+	Errors      int           `json:"errors"`
+	Shed        int           `json:"shed"` // 429s absorbed by retries
+	Placed      int           `json:"placed"`
+	Rejected    int           `json:"rejected"`
+	Degraded    int           `json:"degraded"`
+	Elapsed     time.Duration `json:"-"`
+	ElapsedS    float64       `json:"elapsed_s"`
+	Throughputs float64       `json:"throughput_rps"`
+	MeanMs      float64       `json:"mean_ms"`
+	P50Ms       float64       `json:"p50_ms"`
+	P95Ms       float64       `json:"p95_ms"`
+	P99Ms       float64       `json:"p99_ms"`
+	MaxMs       float64       `json:"max_ms"`
 	// NextOrder continues an ordered stream in a follow-up run.
 	NextOrder uint64 `json:"-"`
 }
@@ -108,6 +111,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		arch    string
 		order   uint64
 		measure bool
+		// due is the open-loop arrival instant latency is measured
+		// from; zero in closed loop, which measures from pick-up.
+		due time.Time
 		// Ordered runs: the follow-ups' reserved order numbers (0 = none).
 		observe, release uint64
 	}
@@ -135,7 +141,10 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 			}
 			obsRand := rng.Stream(cfg.Seed, fmt.Sprintf("loadgen-obs-%d", id))
 			for j := range jobs {
-				t0 := time.Now()
+				t0 := j.due
+				if t0.IsZero() {
+					t0 = time.Now()
+				}
 				ack, err := cl.Place(ctx, PlaceRequest{Workload: j.arch, Order: j.order})
 				lat := time.Since(t0)
 				mu.Lock()
@@ -220,6 +229,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 			measStart = time.Now()
 		}
 		j := job{arch: cfg.Workloads[mixRand.Intn(len(cfg.Workloads))], measure: measure}
+		if cfg.RateQPS > 0 {
+			j.due = next
+		}
 		if cfg.Ordered {
 			j.order = order
 			order++

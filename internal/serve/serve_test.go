@@ -340,7 +340,7 @@ func TestServeSnapshotEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.Snapshot(ctx); err != nil {
+	if err := cl.post(ctx, "/v1/snapshot", struct{}{}, nil); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	st, err := cl.State(ctx)

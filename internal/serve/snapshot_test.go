@@ -335,7 +335,7 @@ func TestServeCorruptNewestSnapshotKeepsAckedRecords(t *testing.T) {
 		drive(t, cl, crashScript, from, upTo)
 		from = upTo
 		if upTo < crashAt {
-			if err := cl.Snapshot(context.Background()); err != nil {
+			if err := cl.post(context.Background(), "/v1/snapshot", struct{}{}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -452,7 +452,7 @@ func TestServeSnapshotDeferredWhilePublishing(t *testing.T) {
 	drive(t, cl, ops, 0, 64)
 	<-entered
 	forced := make(chan error, 1)
-	go func() { forced <- NewClient(hs.URL).Snapshot(context.Background()) }()
+	go func() { forced <- NewClient(hs.URL).post(context.Background(), "/v1/snapshot", struct{}{}, nil) }()
 	drive(t, cl, ops, 64, 70)
 	select {
 	case err := <-forced:

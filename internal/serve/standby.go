@@ -19,10 +19,9 @@ type StandbyConfig struct {
 	DataDir string
 	// Owner names this process in the lease file.
 	Owner string
-	// TTL is the lease duration the standby will serve with.
+	// TTL is the lease duration the standby will serve with; it checks
+	// the lease every TTL/4.
 	TTL time.Duration
-	// Poll is the lease check interval (default TTL/4).
-	Poll time.Duration
 	// Logf receives progress lines.
 	Logf func(string, ...interface{})
 }
@@ -34,9 +33,6 @@ type StandbyConfig struct {
 func WaitForLease(ctx context.Context, cfg StandbyConfig) (*Lease, error) {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 2 * time.Second
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = cfg.TTL / 4
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
@@ -60,7 +56,7 @@ func WaitForLease(ctx context.Context, cfg StandbyConfig) (*Lease, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(cfg.Poll):
+		case <-time.After(cfg.TTL / 4):
 		}
 	}
 }

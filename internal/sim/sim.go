@@ -93,7 +93,7 @@ func (e *Engine) init() {
 	e.minIdx = nilIdx
 }
 
-// Instrument attaches a telemetry sink (Nop-safe).
+// Instrument attaches a telemetry sink (nil-safe).
 func (e *Engine) Instrument(s *telemetry.Sink) { e.ins = s.Sim() }
 
 // Now returns the current simulation time.
@@ -191,21 +191,6 @@ func (e *Engine) At(t float64, fn func()) {
 	}
 	e.ins.Scheduled.Inc()
 	e.ins.QueueDepth.SetInt(e.cnt)
-}
-
-// After schedules fn d seconds from now.
-func (e *Engine) After(d float64, fn func()) { e.At(e.now+d, fn) }
-
-// Every schedules fn every interval seconds, starting at now+interval,
-// until fn returns false.
-func (e *Engine) Every(interval float64, fn func() bool) {
-	var tick func()
-	tick = func() {
-		if fn() {
-			e.After(interval, tick)
-		}
-	}
-	e.After(interval, tick)
 }
 
 // cascade relinks every event of a slot one level down (or into the
@@ -333,7 +318,7 @@ func (e *Engine) Step() bool {
 }
 
 // peekTime returns the earliest queued event's time; call only when
-// Pending() > 0.
+// cnt > 0.
 func (e *Engine) peekTime() float64 {
 	return e.arena[e.findMin()].time
 }
@@ -364,16 +349,3 @@ func (e *Engine) RunUntilCtx(ctx context.Context, t float64) error {
 	}
 	return ctx.Err()
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.cnt }
-
-// Scheduled returns the total events ever scheduled on this engine —
-// an observability counter for end-of-run summaries. It counts from
-// process start, so unlike Pending it is not invariant across a
-// checkpoint resume and must stay out of byte-compared outputs.
-func (e *Engine) Scheduled() uint64 { return e.seq }
-
-// Executed returns the total events executed on this engine, with the
-// same process-lifetime caveat as Scheduled.
-func (e *Engine) Executed() uint64 { return e.done }

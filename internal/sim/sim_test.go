@@ -35,9 +35,9 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestAfterAndNestedScheduling(t *testing.T) {
 	var e Engine
 	fired := 0
-	e.After(1, func() {
+	e.At(e.Now()+1, func() {
 		fired++
-		e.After(1, func() { fired++ })
+		e.At(e.Now()+1, func() { fired++ })
 	})
 	e.RunUntil(3)
 	if fired != 2 {
@@ -54,22 +54,6 @@ func TestPastEventsRunNow(t *testing.T) {
 	e.RunUntil(6)
 	if !ran {
 		t.Fatal("past-scheduled event never ran")
-	}
-}
-
-func TestEvery(t *testing.T) {
-	var e Engine
-	count := 0
-	e.Every(2, func() bool {
-		count++
-		return count < 4
-	})
-	e.RunUntil(100)
-	if count != 4 {
-		t.Fatalf("Every fired %d times, want 4", count)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after Every stopped", e.Pending())
 	}
 }
 
@@ -99,32 +83,32 @@ func TestStepEmpty(t *testing.T) {
 
 func TestScheduledExecutedCounters(t *testing.T) {
 	var e Engine
-	if e.Scheduled() != 0 || e.Executed() != 0 {
-		t.Fatalf("fresh engine counters = %d/%d", e.Scheduled(), e.Executed())
+	if e.seq != 0 || e.done != 0 {
+		t.Fatalf("fresh engine counters = %d/%d", e.seq, e.done)
 	}
 	for i := 0; i < 5; i++ {
 		e.At(float64(i), func() {})
 	}
-	if e.Scheduled() != 5 {
-		t.Fatalf("Scheduled = %d, want 5", e.Scheduled())
+	if e.seq != 5 {
+		t.Fatalf("Scheduled = %d, want 5", e.seq)
 	}
-	if e.Executed() != 0 {
-		t.Fatalf("Executed = %d before any Step", e.Executed())
+	if e.done != 0 {
+		t.Fatalf("Executed = %d before any Step", e.done)
 	}
 	e.RunUntil(2)
-	if e.Executed() != 3 {
-		t.Fatalf("Executed = %d after running through t=2, want 3", e.Executed())
+	if e.done != 3 {
+		t.Fatalf("Executed = %d after running through t=2, want 3", e.done)
 	}
 	e.RunUntil(10)
-	if e.Executed() != e.Scheduled() {
-		t.Fatalf("drained engine: Executed %d != Scheduled %d", e.Executed(), e.Scheduled())
+	if e.done != e.seq {
+		t.Fatalf("drained engine: Executed %d != Scheduled %d", e.done, e.seq)
 	}
 	// Counters are process-lifetime: they keep growing across reuse
 	// rather than resetting, which is why resume-invariant outputs must
 	// never include them.
 	e.At(11, func() {})
-	if e.Scheduled() != 6 {
-		t.Fatalf("Scheduled = %d after reuse, want 6", e.Scheduled())
+	if e.seq != 6 {
+		t.Fatalf("Scheduled = %d after reuse, want 6", e.seq)
 	}
 }
 
@@ -227,7 +211,7 @@ func TestWheelMatchesHeapProperty(t *testing.T) {
 				dt := rnd.float() * 900
 				e.At(t0, func() {
 					got = append(got, id)
-					e.After(dt, func() { got = append(got, child) })
+					e.At(e.Now()+dt, func() { got = append(got, child) })
 				})
 				ref.push(t0, -id-1) // marker: expand on pop
 				refChildren[id] = refChild{child, dt}
@@ -256,7 +240,7 @@ func TestWheelMatchesHeapProperty(t *testing.T) {
 			case 5: // past (clamps to now)
 				schedule(e.Now() - rnd.float()*50)
 			case 6: // pop a few
-				for k := 0; k < 3 && e.Pending() > 0; k++ {
+				for k := 0; k < 3 && e.cnt > 0; k++ {
 					e.Step()
 					stepRef(&ref, &want)
 				}
@@ -271,7 +255,7 @@ func TestWheelMatchesHeapProperty(t *testing.T) {
 				}
 			}
 		}
-		for e.Pending() > 0 {
+		for e.cnt > 0 {
 			e.Step()
 			stepRef(&ref, &want)
 		}
@@ -323,7 +307,13 @@ func TestWheelLongHorizon(t *testing.T) {
 		e.At(tt, func() { got = append(got, tt) })
 	}
 	ticks := 0
-	e.Every(43200, func() bool { ticks++; return ticks < 900 })
+	var tick func()
+	tick = func() {
+		if ticks++; ticks < 900 {
+			e.At(e.Now()+43200, tick)
+		}
+	}
+	e.At(e.Now()+43200, tick)
 	e.RunUntil(500 * 86400)
 	if len(got) != len(times) {
 		t.Fatalf("fired %d of %d events", len(got), len(times))
@@ -336,8 +326,8 @@ func TestWheelLongHorizon(t *testing.T) {
 	if want := 900; ticks != want {
 		t.Fatalf("periodic ticks = %d, want %d", ticks, want)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d", e.Pending())
+	if e.cnt != 0 {
+		t.Fatalf("pending = %d", e.cnt)
 	}
 }
 
@@ -349,11 +339,11 @@ func TestEngineStepAllocFree(t *testing.T) {
 	var fn func()
 	fn = func() {
 		if e.Now() < 1e6 {
-			e.After(7.25, fn)
+			e.At(e.Now()+7.25, fn)
 		}
 	}
 	for i := 0; i < 64; i++ {
-		e.After(float64(i)*3.5, fn)
+		e.At(e.Now()+float64(i)*3.5, fn)
 	}
 	e.RunUntil(1e4) // warm the arena
 	allocs := testing.AllocsPerRun(200, func() {

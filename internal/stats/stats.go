@@ -1,6 +1,6 @@
 // Package stats provides the descriptive and correlation statistics used
-// throughout the Gsight reproduction: percentiles and CDFs for tail
-// latency reporting, coefficient of variation for Figure 3, and the
+// throughout the Gsight reproduction: percentiles for tail latency
+// reporting, coefficient of variation for Figure 3, and the
 // Pearson and Spearman correlation coefficients used by the Table 3
 // feature screening.
 package stats
@@ -64,20 +64,6 @@ func Min(xs []float64) float64 {
 	m := xs[0]
 	for _, x := range xs[1:] {
 		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs; it panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
 			m = x
 		}
 	}
@@ -193,61 +179,6 @@ func Ranks(xs []float64) []float64 {
 	return ranks
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value float64 // sample value
-	Frac  float64 // fraction of samples <= Value
-}
-
-// CDF returns the empirical cumulative distribution of xs as a sorted
-// list of (value, fraction) points, one per distinct value.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	var pts []CDFPoint
-	for i := 0; i < len(sorted); i++ {
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue
-		}
-		pts = append(pts, CDFPoint{Value: sorted[i], Frac: float64(i+1) / n})
-	}
-	return pts
-}
-
-// Histogram bins xs into nbins equal-width bins across [min, max] and
-// returns the bin edges (nbins+1 values) and counts (nbins values).
-func Histogram(xs []float64, nbins int) (edges []float64, counts []int) {
-	if nbins <= 0 || len(xs) == 0 {
-		return nil, nil
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi {
-		hi = lo + 1
-	}
-	edges = make([]float64, nbins+1)
-	width := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	counts = make([]int, nbins)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts
-}
-
 // Summary holds the five-number-plus summary reported for each
 // experiment series.
 type Summary struct {
@@ -279,89 +210,6 @@ func Summarize(xs []float64) Summary {
 		P99:    percentileSorted(sorted, 99),
 		Max:    sorted[len(sorted)-1],
 	}
-}
-
-// Online accumulates mean and variance incrementally (Welford's
-// algorithm); it is used by long platform simulations where storing
-// every sample would be wasteful.
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (o *Online) Add(x float64) {
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// N returns the number of samples added.
-func (o *Online) N() int { return o.n }
-
-// Mean returns the running mean.
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the running population variance.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// MAPE returns the mean absolute percentage error between predictions
-// and truth: mean(|pred-true|/|true|). Entries with true == 0 are
-// skipped. The paper's "prediction error" metric (§6.2) is exactly this.
-func MAPE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	sum, n := 0.0, 0
-	for i := range pred {
-		if truth[i] == 0 {
-			continue
-		}
-		sum += math.Abs(pred[i]-truth[i]) / math.Abs(truth[i])
-		n++
-	}
-	if n == 0 {
-		return 0, ErrEmpty
-	}
-	return sum / float64(n), nil
-}
-
-// MAE returns the mean absolute error between predictions and truth.
-func MAE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for i := range pred {
-		sum += math.Abs(pred[i] - truth[i])
-	}
-	return sum / float64(len(pred)), nil
-}
-
-// RMSE returns the root mean squared error between predictions and truth.
-func RMSE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred))), nil
 }
 
 // BootstrapCI returns the lo..hi percentile bootstrap confidence

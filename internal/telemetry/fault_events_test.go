@@ -87,8 +87,8 @@ func TestPlatformResilienceInstrumentsRegistered(t *testing.T) {
 		}
 		c.Inc()
 	}
-	// Nop sink leaves them nil and nil-safe.
-	nop := Nop.Platform()
+	// The nil sink leaves them nil and nil-safe.
+	nop := (*Sink)(nil).Platform()
 	nop.FaultEvents.Inc()
 	nop.DegradedSteps.Add(3)
 }

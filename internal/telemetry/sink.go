@@ -3,17 +3,13 @@ package telemetry
 import "io"
 
 // Sink bundles a metrics registry with an optional decision log — the
-// single handle components are instrumented with. The nil sink (Nop)
+// single handle components are instrumented with. The nil sink
 // yields all-nil instruments, so uninstrumented use stays bit-identical
 // and alloc-neutral; tests pin that contract.
 type Sink struct {
 	Registry  *Registry
 	Decisions *DecisionLog
 }
-
-// Nop is the disabled sink: instrumenting a component with Nop is
-// exactly equivalent to not instrumenting it at all.
-var Nop *Sink
 
 // New returns a live sink with a fresh registry and no decision log.
 func New() *Sink { return &Sink{Registry: NewRegistry()} }
@@ -26,7 +22,7 @@ func (s *Sink) WithDecisions(w io.Writer) *Sink {
 	return s
 }
 
-// reg returns the registry (nil for Nop).
+// reg returns the registry (nil for the nil sink).
 func (s *Sink) reg() *Registry {
 	if s == nil {
 		return nil
@@ -34,7 +30,7 @@ func (s *Sink) reg() *Registry {
 	return s.Registry
 }
 
-// dec returns the decision log (nil for Nop or when unattached).
+// dec returns the decision log (nil for the nil sink or when unattached).
 func (s *Sink) dec() *DecisionLog {
 	if s == nil {
 		return nil
@@ -60,7 +56,7 @@ func sanitize(name string) string {
 }
 
 // SchedulerInstruments is the scheduler's pre-registered instrument
-// set. The zero value (from Nop) disables everything.
+// set. The zero value (from the nil sink) disables everything.
 type SchedulerInstruments struct {
 	Placements       *Counter   // placement requests handled
 	Failures         *Counter   // requests that returned an error

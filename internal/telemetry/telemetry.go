@@ -12,7 +12,7 @@
 // *DecisionLog or *Sink turns the operation into a predictable branch
 // and nothing else. Uninstrumented components therefore behave — in
 // results, allocations and (to within a branch) time — exactly like
-// they did before instrumentation existed. telemetry.Nop is the
+// they did before instrumentation existed. A nil *Sink is the
 // canonical disabled sink.
 //
 // Design contract — determinism. Decision-log events carry only

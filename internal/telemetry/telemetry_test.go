@@ -309,18 +309,19 @@ func TestSnapshotAndReport(t *testing.T) {
 }
 
 func TestNopSinkIsFullyDisabled(t *testing.T) {
-	ins := Nop.Scheduler("x")
+	var nop *Sink
+	ins := nop.Scheduler("x")
 	ins.Placements.Inc()
 	ins.PlaceSeconds.Observe(1)
 	ins.Decisions.Placement(&PlacementDecision{})
 	span := StartSpan(ins.PlaceSeconds)
 	span.End()
-	pi := Nop.Predictor()
+	pi := nop.Predictor()
 	if pi.Enabled() {
-		t.Fatal("Nop predictor instruments must be disabled")
+		t.Fatal("nil-sink predictor instruments must be disabled")
 	}
-	if Nop.Report("t", nil, nil).DecisionEvents != 0 {
-		t.Fatal("Nop report should be empty")
+	if nop.Report("t", nil, nil).DecisionEvents != 0 {
+		t.Fatal("nil-sink report should be empty")
 	}
 	var r *Registry
 	if r.Counter("x", "") != nil || r.Snapshot() == nil {

@@ -75,23 +75,9 @@ func TestScalingApply(t *testing.T) {
 }
 
 // TestScaledDeterminism pins same-seed reproducibility at scaled
-// rates: two generations from equal seeds produce identical arrival
-// sequences and identical noisy samples, scaled or not.
+// rates: two draws from equal seeds produce identical noisy samples.
 func TestScaledDeterminism(t *testing.T) {
 	p := Scaling{RateFactor: 2, TimeFactor: 8}.Apply(DefaultPattern(40))
-	a := Arrivals(p, 0, 600, rng.New(7))
-	b := Arrivals(p, 0, 600, rng.New(7))
-	if len(a) == 0 {
-		t.Fatal("no arrivals generated")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same-seed runs generated %d vs %d arrivals", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("arrival %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
 	r1, r2 := rng.New(11), rng.New(11)
 	for i := 0; i < 100; i++ {
 		tt := float64(i) * 30

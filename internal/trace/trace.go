@@ -1,10 +1,7 @@
 // Package trace synthesizes production-like invocation traces in the
 // image of the Azure Functions characterization (Shahrad et al., ATC'20)
 // that the paper drives its evaluation with (§6.1): invocation rates
-// with diurnal and weekly patterns, execution durations where 50% of
-// invocations run under 1 s and 96% of functions average under 60 s,
-// and memory allocations where 90% of functions stay at or below
-// 400 MB.
+// with diurnal and weekly patterns, and Poisson batch-job arrivals.
 package trace
 
 import (
@@ -85,54 +82,6 @@ func (p Pattern) Sample(t float64, rnd *rng.Rand) float64 {
 	return r
 }
 
-// DurationSampler draws function execution durations matching the Azure
-// distribution shape: lognormal with a median near 0.6 s, yielding
-// roughly half of invocations under 1 s and ~96% under 60 s.
-type DurationSampler struct {
-	Mu    float64 // log-mean
-	Sigma float64 // log-std
-	MaxS  float64 // provider cap (AWS Lambda: 900 s)
-}
-
-// DefaultDurations returns the Azure-calibrated sampler.
-func DefaultDurations() DurationSampler {
-	return DurationSampler{Mu: math.Log(0.6), Sigma: 1.9, MaxS: 900}
-}
-
-// Sample draws one duration in seconds.
-func (d DurationSampler) Sample(rnd *rng.Rand) float64 {
-	v := rnd.LogNormal(d.Mu, d.Sigma)
-	if d.MaxS > 0 && v > d.MaxS {
-		v = d.MaxS
-	}
-	return v
-}
-
-// MemorySampler draws per-function memory allocations matching the
-// Azure shape: 50% of runtimes at or below ~170 MB and 90% never above
-// 400 MB, with a tail to the provider cap.
-type MemorySampler struct {
-	MedianMB float64
-	Sigma    float64
-	CapMB    float64
-}
-
-// DefaultMemory returns the Azure-calibrated sampler.
-func DefaultMemory() MemorySampler {
-	// lognormal: median 170 MB, sigma chosen so P90 ~= 400 MB
-	// (400/170 = e^{1.2816*sigma} -> sigma ~= 0.667)
-	return MemorySampler{MedianMB: 170, Sigma: 0.667, CapMB: 3072}
-}
-
-// Sample draws one allocation in MB.
-func (m MemorySampler) Sample(rnd *rng.Rand) float64 {
-	v := m.MedianMB * rnd.LogNormal(0, m.Sigma)
-	if m.CapMB > 0 && v > m.CapMB {
-		v = m.CapMB
-	}
-	return v
-}
-
 // Scaling stretches an invocation pattern along both axes: RateFactor
 // multiplies every instantaneous rate (more invocations per simulated
 // second), TimeFactor compresses the trace clock (more trace horizon
@@ -175,26 +124,6 @@ func (s Scaling) Apply(p Pattern) Pattern {
 	}
 	p.TimeScale = ts * s.Time()
 	return p
-}
-
-// Arrivals generates Poisson arrival times over [start, end) for a
-// time-varying rate by thinning against the pattern's maximum rate.
-func Arrivals(p Pattern, start, end float64, rnd *rng.Rand) []float64 {
-	maxRate := p.BaseQPS * (1 + p.DiurnalAmp) * 1.2
-	if maxRate <= 0 {
-		return nil
-	}
-	var out []float64
-	t := start
-	for {
-		t += rnd.Exp(maxRate)
-		if t >= end {
-			return out
-		}
-		if rnd.Float64() < p.RateAt(t)/maxRate {
-			out = append(out, t)
-		}
-	}
 }
 
 // JobArrivals generates Poisson arrival times of batch (SC/BG) job

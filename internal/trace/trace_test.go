@@ -41,103 +41,6 @@ func TestPatternNonNegative(t *testing.T) {
 	}
 }
 
-func TestDurationDistributionMatchesAzure(t *testing.T) {
-	d := DefaultDurations()
-	r := rng.New(1)
-	const n = 50000
-	under1, under60 := 0, 0
-	for i := 0; i < n; i++ {
-		v := d.Sample(r)
-		if v <= 0 || v > d.MaxS {
-			t.Fatalf("duration %v out of range", v)
-		}
-		if v < 1 {
-			under1++
-		}
-		if v < 60 {
-			under60++
-		}
-	}
-	f1 := float64(under1) / n
-	f60 := float64(under60) / n
-	// Azure: ~50% of invocations < 1 s; ~96% < 60 s.
-	if f1 < 0.40 || f1 > 0.70 {
-		t.Fatalf("fraction under 1s = %v, want ~0.5", f1)
-	}
-	if f60 < 0.90 {
-		t.Fatalf("fraction under 60s = %v, want >= 0.9", f60)
-	}
-}
-
-func TestMemoryDistributionMatchesAzure(t *testing.T) {
-	m := DefaultMemory()
-	r := rng.New(2)
-	const n = 50000
-	var vals []float64
-	for i := 0; i < n; i++ {
-		vals = append(vals, m.Sample(r))
-	}
-	under400 := 0
-	under170 := 0
-	for _, v := range vals {
-		if v <= 0 || v > m.CapMB {
-			t.Fatalf("memory %v out of range", v)
-		}
-		if v <= 400 {
-			under400++
-		}
-		if v <= 170 {
-			under170++
-		}
-	}
-	// Azure: 90% never above 400 MB; 50% of runtimes <= ~170 MB.
-	if f := float64(under400) / n; f < 0.85 || f > 0.95 {
-		t.Fatalf("fraction <= 400MB = %v, want ~0.9", f)
-	}
-	if f := float64(under170) / n; f < 0.45 || f > 0.55 {
-		t.Fatalf("fraction <= 170MB = %v, want ~0.5", f)
-	}
-}
-
-func TestArrivalsRateMatches(t *testing.T) {
-	p := Pattern{BaseQPS: 5} // constant rate, no modulation
-	r := rng.New(3)
-	arr := Arrivals(p, 0, 10000, r)
-	rate := float64(len(arr)) / 10000
-	if math.Abs(rate-5) > 0.3 {
-		t.Fatalf("arrival rate = %v, want ~5", rate)
-	}
-	prev := -1.0
-	for _, a := range arr {
-		if a <= prev || a < 0 || a >= 10000 {
-			t.Fatal("arrivals not sorted within range")
-		}
-		prev = a
-	}
-	if Arrivals(Pattern{}, 0, 100, r) != nil {
-		t.Fatal("zero-rate pattern should produce no arrivals")
-	}
-}
-
-func TestArrivalsFollowDiurnal(t *testing.T) {
-	p := DefaultPattern(2)
-	r := rng.New(4)
-	arr := Arrivals(p, 0, 86400, r)
-	day, night := 0, 0
-	for _, a := range arr {
-		h := math.Mod(a, 86400) / 3600
-		if h >= 10 && h < 18 {
-			day++
-		}
-		if h >= 0 && h < 8 {
-			night++
-		}
-	}
-	if day <= night {
-		t.Fatalf("diurnal arrivals: day %d <= night %d", day, night)
-	}
-}
-
 func TestJobArrivals(t *testing.T) {
 	r := rng.New(5)
 	arr := JobArrivals(300, 0, 86400, r)

@@ -242,16 +242,6 @@ func (w *Workload) hasCycle() bool {
 // NumFunctions returns the number of functions in the workload.
 func (w *Workload) NumFunctions() int { return len(w.Functions) }
 
-// FunctionIndex returns the index of the named function, or -1.
-func (w *Workload) FunctionIndex(name string) int {
-	for i, f := range w.Functions {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // CriticalPath returns the function indices on the longest
 // BaseServiceMs-weighted path from the entry. Nested calls run inside
 // the caller and sequence calls run after it, so both compose along the
@@ -309,15 +299,6 @@ func (w *Workload) CriticalPath() []int {
 	}
 	walk(w.Entry)
 	return path
-}
-
-// TotalDemand returns the sum of all functions' solo demands.
-func (w *Workload) TotalDemand() resources.Vector {
-	var total resources.Vector
-	for _, f := range w.Functions {
-		total = total.Add(f.Demand)
-	}
-	return total
 }
 
 // Clone returns a deep copy of the workload; schedulers mutate

@@ -192,26 +192,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestFunctionIndex(t *testing.T) {
-	sn := SocialNetwork()
-	if got := sn.FunctionIndex("get-followers"); got != 8 {
-		t.Fatalf("FunctionIndex(get-followers) = %d, want 8", got)
-	}
-	if got := sn.FunctionIndex("nope"); got != -1 {
-		t.Fatalf("FunctionIndex(nope) = %d, want -1", got)
-	}
-}
-
-func TestTotalDemand(t *testing.T) {
-	w := &Workload{Functions: []Function{
-		{Demand: resources.Vector{1, 2, 3, 4, 5, 6}},
-		{Demand: resources.Vector{1, 1, 1, 1, 1, 1}},
-	}}
-	if got := w.TotalDemand(); got != (resources.Vector{2, 3, 4, 5, 6, 7}) {
-		t.Fatalf("TotalDemand = %v", got)
-	}
-}
-
 func TestByClass(t *testing.T) {
 	ls := ByClass(LS)
 	if len(ls) != 4 {

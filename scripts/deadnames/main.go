@@ -1,15 +1,16 @@
-// Command deadnames fails when the module declares a name that nothing
-// references: a package-level function, type, variable or constant, or
-// a method, declared in a non-test file of the root module, with no
-// reference anywhere in the tree — product code, tests, examples,
-// scripts, or a nested module such as benchmark/. A name only tests
-// reference counts as referenced. A method counts as referenced when
-// its receiver implements an interface (declared in the module, in a
-// package it imports, or written inline in a type assertion) that has
-// the method, since calls through the interface name no concrete
-// method. Names of the root package also count as referenced when the
-// root's README.md shows them as gsight.Name, because the README is
-// where library users find them.
+// Command deadnames fails when the module declares a name that no
+// non-test code references: a package-level function, type, variable or
+// constant, or a method, declared in a non-test file of the root
+// module, with no reference from a non-test file anywhere in the tree —
+// product code, examples, scripts, or a nested module such as
+// benchmark/. A reference from a _test.go file does not count: a name
+// only tests reach is deleted with those tests, or moves into them. A
+// method counts as referenced when its receiver implements an interface
+// (declared in non-test code of the module, in a package it imports, or
+// written inline in a type assertion) that has the method, since calls
+// through the interface name no concrete method. Names of the root
+// package also count as referenced when the root's README.md shows them
+// as gsight.Name, because the README is where library users find them.
 //
 //	go run ./scripts/deadnames ROOT
 //
@@ -42,32 +43,39 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	dead, err := find(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	for _, d := range dead {
+		rel, _ := filepath.Rel(root, d.pos.Filename)
+		fmt.Printf("%s:%d: %s is referenced by no non-test code in the tree\n", rel, d.pos.Line, d.name)
+	}
+	if len(dead) > 0 {
+		os.Exit(1)
+	}
+}
+
+// find returns the declarations of the module at root that no non-test
+// code references, in file and line order.
+func find(root string) ([]decl, error) {
 	l := &loader{fset: token.NewFileSet(), dirs: map[string]*build.Package{}, module: map[string]string{},
 		cache: map[string]*types.Package{}, parsed: map[string]*ast.File{}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	mainMod, err := l.discover(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return nil, err
 	}
 	dead, err := l.check(mainMod)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return nil, err
 	}
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil && !os.IsNotExist(err) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return nil, err
 	}
-	dead = dropDocumented(dead, mainMod, readme)
-	for _, d := range dead {
-		rel, _ := filepath.Rel(root, d.pos.Filename)
-		fmt.Printf("%s:%d: %s is referenced by nothing in the tree\n", rel, d.pos.Line, d.name)
-	}
-	if len(dead) > 0 {
-		os.Exit(1)
-	}
+	return dropDocumented(dead, mainMod, readme), nil
 }
 
 type loader struct {
@@ -170,7 +178,7 @@ type decl struct {
 }
 
 // check type-checks every package with its tests and returns the root
-// module's declarations that no identifier in the tree uses.
+// module's declarations that no identifier in a non-test file uses.
 func (l *loader) check(mainMod string) ([]decl, error) {
 	paths := make([]string, 0, len(l.dirs))
 	for p := range l.dirs {
@@ -181,13 +189,19 @@ func (l *loader) check(mainMod string) ([]decl, error) {
 	var decls []decl
 	uses := map[string][]token.Position{}
 	ifaces := map[string]*types.Interface{}
+	// record keeps what non-test files use and the interfaces they
+	// spell; test files are type-checked only so their package compiles.
 	record := func(info *types.Info) {
 		for id, obj := range info.Uses {
-			if k := key(obj); k != "" {
-				uses[k] = append(uses[k], l.fset.Position(id.Pos()))
+			pos := l.fset.Position(id.Pos())
+			if k := key(obj); k != "" && !isTest(pos.Filename) {
+				uses[k] = append(uses[k], pos)
 			}
 		}
-		for _, tv := range info.Types {
+		for e, tv := range info.Types {
+			if isTest(l.fset.Position(e.Pos()).Filename) {
+				continue
+			}
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 				ifaces[types.TypeString(it, qualify)] = it
 			}
@@ -252,7 +266,7 @@ func (l *loader) check(mainMod string) ([]decl, error) {
 func (l *loader) declared(files []*ast.File, info *types.Info) []decl {
 	var out []decl
 	for _, f := range files {
-		if strings.HasSuffix(l.fset.Position(f.Pos()).Filename, "_test.go") {
+		if isTest(l.fset.Position(f.Pos()).Filename) {
 			continue
 		}
 		add := func(id *ast.Ident, node ast.Node) {
@@ -337,6 +351,8 @@ func sigKey(t types.Type) string {
 var anyWord = regexp.MustCompile(`\bany\b`)
 
 func qualify(p *types.Package) string { return p.Path() }
+
+func isTest(filename string) bool { return strings.HasSuffix(filename, "_test.go") }
 
 // key names an object the same way in every type-checked copy of its
 // package; "" for anything not declared at package level.
