@@ -9,7 +9,6 @@ package gsight
 import (
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -162,19 +161,50 @@ func trainedPredictor(b testing.TB) (*core.Predictor, []core.Observation) {
 	return p, obs
 }
 
+// Several micro-benchmarks below take their loop body from an xxxOp
+// function: the body as a function of the iteration index. The
+// benchmark calls it b.N times and allocs_test.go runs the same body
+// under testing.AllocsPerRun, so an allocation budget and the benchmark
+// it pins cannot drift apart.
+
+// runOp warms op once outside the measurement, then times b.N calls.
+func runOp(b *testing.B, op func(int)) {
+	op(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+// inferenceOp is one QoS inference, cycling through the observations.
+func inferenceOp(tb testing.TB, p *core.Predictor, obs []core.Observation) func(int) {
+	return func(i int) {
+		o := obs[i%len(obs)]
+		if _, err := p.Predict(core.IPCQoS, o.Target, o.Inputs); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkInference measures one QoS inference — the paper reports
 // 3.48 ms per inference on its testbed.
 func BenchmarkInference(b *testing.B) {
 	p, obs := trainedPredictor(b)
-	// Warm the predictor's scratch pools outside the measurement.
-	if _, err := p.Predict(core.IPCQoS, obs[0].Target, obs[0].Inputs); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	runOp(b, inferenceOp(b, p, obs))
+}
+
+// inferenceBatchOp is one batched inference over 16 queries.
+func inferenceBatchOp(tb testing.TB, p *core.Predictor, obs []core.Observation) func(int) {
+	const batch = 16
+	queries := make([]core.Query, batch)
+	out := make([]float64, batch)
+	for i := range queries {
 		o := obs[i%len(obs)]
-		if _, err := p.Predict(core.IPCQoS, o.Target, o.Inputs); err != nil {
-			b.Fatal(err)
+		queries[i] = core.Query{Target: o.Target, Inputs: o.Inputs}
+	}
+	return func(int) {
+		if err := p.PredictBatchInto(core.IPCQoS, queries, out); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
@@ -183,22 +213,7 @@ func BenchmarkInference(b *testing.B) {
 // queries at a time — the scheduler's per-candidate check shape.
 func BenchmarkInferenceBatch(b *testing.B) {
 	p, obs := trainedPredictor(b)
-	const batch = 16
-	queries := make([]core.Query, batch)
-	out := make([]float64, batch)
-	for i := range queries {
-		o := obs[i%len(obs)]
-		queries[i] = core.Query{Target: o.Target, Inputs: o.Inputs}
-	}
-	if err := p.PredictBatchInto(core.IPCQoS, queries, out); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.PredictBatchInto(core.IPCQoS, queries, out); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runOp(b, inferenceBatchOp(b, p, obs))
 }
 
 // BenchmarkIncrementalUpdate measures one batched incremental model
@@ -219,22 +234,26 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkEncode measures the spatial-temporal interference coding.
-func BenchmarkEncode(b *testing.B) {
-	_, obs := trainedPredictor(b)
+// encodeOp is one spatial-temporal interference coding.
+func encodeOp(tb testing.TB, obs []core.Observation) func(int) {
 	coder := core.DefaultCoder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		o := obs[i%len(obs)]
 		if _, err := coder.Encode(o.Target, o.Inputs); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkScenarioEvaluation measures one ground-truth evaluation of a
-// two-workload colocation on the simulated testbed.
-func BenchmarkScenarioEvaluation(b *testing.B) {
+// BenchmarkEncode measures the spatial-temporal interference coding.
+func BenchmarkEncode(b *testing.B) {
+	_, obs := trainedPredictor(b)
+	runOp(b, encodeOp(b, obs))
+}
+
+// scenarioEvaluationOp is one ground-truth evaluation of a two-workload
+// colocation, cycling through 16 of them.
+func scenarioEvaluationOp(tb testing.TB) func(int) {
 	m := perfmodel.New(resources.DefaultTestbed())
 	scenario.FastConfig(m)
 	g := scenario.NewGenerator(m, 42)
@@ -242,12 +261,17 @@ func BenchmarkScenarioEvaluation(b *testing.B) {
 	for i := range scenarios {
 		scenarios[i] = g.Colocation(core.LSSC, 2)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		if _, err := m.Evaluate(scenarios[i%len(scenarios)], nil); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkScenarioEvaluation measures one ground-truth evaluation of a
+// two-workload colocation on the simulated testbed.
+func BenchmarkScenarioEvaluation(b *testing.B) {
+	runOp(b, scenarioEvaluationOp(b))
 }
 
 // BenchmarkNewCatalog measures the daemon's start-up calibration —
@@ -426,21 +450,33 @@ func BenchmarkPredictorRestore(b *testing.B) {
 	b.ReportMetric(float64(len(state)), "state_bytes")
 }
 
+// schedulingOp is one placement decision on a fresh 8-server state:
+// state construction, request and Place together. The state is built
+// inline, not by a helper: Place does not retain it, so it stays on the
+// stack. The closure is copied wherever schedulingOp inlines, and the
+// copy does not inline its own calls, so a helper's result would be
+// heap-allocated — three allocations over the 1 alloc/op budget.
+func schedulingOp(tb testing.TB, scheduler *sched.Gsight, obs []core.Observation) func(int) {
+	capacity := resources.DefaultServerSpec("bench").Capacity
+	return func(i int) {
+		var caps, used [8]resources.Vector
+		for j := range caps {
+			caps[j] = capacity
+		}
+		st := &sched.State{Caps: caps[:], Used: used[:]}
+		o := obs[i%len(obs)]
+		req := &PlacementRequest{Input: o.Inputs[o.Target], SLA: SLA{MinIPC: 0.5}}
+		if _, err := scheduler.Place(st, req); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBinarySearchScheduling measures one placement decision of
 // the §4 scheduler (the paper reports "a few milliseconds").
 func BenchmarkBinarySearchScheduling(b *testing.B) {
 	p, obs := trainedPredictor(b)
-	spec := resources.DefaultServerSpec("bench")
-	scheduler := NewScheduler(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := schedState(spec)
-		o := obs[i%len(obs)]
-		req := &PlacementRequest{Input: o.Inputs[o.Target], SLA: SLA{MinIPC: 0.5}}
-		if _, err := scheduler.Place(st, req); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runOp(b, schedulingOp(b, NewScheduler(p), obs))
 }
 
 // BenchmarkSchedulingInstrumented is BenchmarkBinarySearchScheduling
@@ -449,51 +485,43 @@ func BenchmarkBinarySearchScheduling(b *testing.B) {
 // keeps allocs/op identical to the uninstrumented baseline.
 func BenchmarkSchedulingInstrumented(b *testing.B) {
 	p, obs := trainedPredictor(b)
-	spec := resources.DefaultServerSpec("bench")
 	scheduler := NewScheduler(p)
 	scheduler.Instrument(telemetry.New().WithDecisions(io.Discard))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := schedState(spec)
-		o := obs[i%len(obs)]
-		req := &PlacementRequest{Input: o.Inputs[o.Target], SLA: SLA{MinIPC: 0.5}}
-		if _, err := scheduler.Place(st, req); err != nil {
-			b.Fatal(err)
-		}
-	}
+	runOp(b, schedulingOp(b, scheduler, obs))
 }
 
-// BenchmarkShardedScheduling measures one placement proposal through
-// State.Propose at testbed size, where it is exactly a direct Place
-// against the state. The budget is the same
-// 1 alloc/op (the returned placement slice); benchhist -check gates it
-// against the history alongside BenchmarkBinarySearchScheduling.
-func BenchmarkShardedScheduling(b *testing.B) {
-	p, obs := trainedPredictor(b)
-	spec := resources.DefaultServerSpec("bench")
-	scheduler := NewScheduler(p)
-	ss := sched.StateFromProfiles(spec, 8)
+// proposeOp is one placement proposal through State.Propose on an
+// 8-server state, where it is exactly a direct Place against the state.
+func proposeOp(tb testing.TB, scheduler *sched.Gsight, obs []core.Observation) func(int) {
+	ss := sched.StateFromProfiles(resources.DefaultServerSpec("bench"), 8)
 	ss.Recount()
 	// One reusable request: inside propose the scheduler is an
 	// interface, so a per-iteration literal would escape and charge
 	// the caller's allocation to the propose path under test.
 	req := &PlacementRequest{SLA: SLA{MinIPC: 0.5}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		o := obs[i%len(obs)]
 		req.Input = o.Inputs[o.Target]
 		if _, err := ss.Propose(scheduler, req); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkShardedScheduling measures one placement proposal through
+// State.Propose at testbed size. Its budget is
+// BenchmarkBinarySearchScheduling's 1 alloc/op (the returned placement
+// slice).
+func BenchmarkShardedScheduling(b *testing.B) {
+	p, obs := trainedPredictor(b)
+	b.ReportAllocs()
+	runOp(b, proposeOp(b, NewScheduler(p), obs))
 }
 
 // BenchmarkShardedPlacement measures the full propose/commit/release
 // cycle at cluster scale: 1k and 10k servers. Requests hash to a
 // fixed-size home window, so ns/op is bounded by window size rather
-// than server count; placements/s is the headline throughput number
-// recorded in BENCH_gsight.json.
+// than server count; placements/s is the headline throughput number.
 func BenchmarkShardedPlacement(b *testing.B) {
 	p, obs := trainedPredictor(b)
 	spec := resources.DefaultServerSpec("bench")
@@ -554,18 +582,31 @@ func contendedState(n, idleEvery int, obs []core.Observation, spec resources.Ser
 	return st
 }
 
+// twoTierOp is one tight-MinIPC placement of obs[0]'s target workload
+// on st, pruned to the top-k tier-0 finalists (k = 0: the legacy K=∞
+// ladder).
+func twoTierOp(tb testing.TB, p *core.Predictor, obs []core.Observation, st *sched.State, k int) func(int) {
+	scheduler := NewScheduler(p)
+	scheduler.Tier0, scheduler.TopK = p.Tier0(), k
+	o := obs[0]
+	req := &PlacementRequest{Input: o.Inputs[o.Target], SLA: SLA{MinIPC: 0.98}}
+	return func(int) {
+		if _, err := scheduler.Place(st, req); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTwoTierPlacement measures two-tier pruned placement against
 // the legacy K=∞ ladder on a contended cluster: 7 of every 8 servers
 // hold a latency-sensitive antagonist and the request carries a tight
 // MinIPC, so the legacy spread ladder pays 10+ levels of candidate
 // scans and inference before it finds a fit, while the pruned path
-// places among the tier-0 finalists at level one. Steady state must
-// stay within the low-alloc budget (see scripts/bench.sh check).
+// places among the tier-0 finalists at level one. The pruned rows'
+// steady state is pinned at 1 alloc/op (TestTwoTierContendedAllocBudget).
 func BenchmarkTwoTierPlacement(b *testing.B) {
 	p, obs := trainedPredictor(b)
 	spec := resources.DefaultServerSpec("bench")
-	o := obs[0]
-	target := o.Inputs[o.Target]
 	for _, n := range []int{1000, 10000} {
 		st := contendedState(n, 8, obs, spec)
 		for _, k := range []int{8, 32, 0} {
@@ -574,19 +615,8 @@ func BenchmarkTwoTierPlacement(b *testing.B) {
 				name = "inf"
 			}
 			b.Run(fmt.Sprintf("servers=%d/topk=%s", n, name), func(b *testing.B) {
-				scheduler := NewScheduler(p)
-				scheduler.Tier0, scheduler.TopK = p.Tier0(), k
-				req := &PlacementRequest{Input: target, SLA: SLA{MinIPC: 0.98}}
-				if _, err := scheduler.Place(st, req); err != nil {
-					b.Fatal(err)
-				}
 				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := scheduler.Place(st, req); err != nil {
-						b.Fatal(err)
-					}
-				}
+				runOp(b, twoTierOp(b, p, obs, st, k))
 				b.StopTimer()
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
 			})
@@ -634,7 +664,7 @@ func BenchmarkFaultyPlatform(b *testing.B) {
 // prediction-quality tracking, all draining to io.Discard): the same
 // chaos run, so the ns/op delta against BenchmarkFaultyPlatform is the
 // whole-run cost of enabled recording. The contract is <15% overhead;
-// scripts/bench.sh runs both so the pair lands in the history file.
+// run the two as one -bench pair to compare them.
 func BenchmarkTracedPlatform(b *testing.B) {
 	cat := Catalog()
 	const durationS = 2 * 3600
@@ -732,17 +762,6 @@ func BenchmarkPlatformStep(b *testing.B) {
 	}
 }
 
-// schedState builds a flat 8-server state. The composite literal stays
-// stack-allocatable inside benchmark loops (Place takes the *State and
-// does not retain it), which the alloc-budget tests rely on.
-func schedState(spec resources.ServerSpec) *sched.State {
-	caps := make([]resources.Vector, 8)
-	for i := range caps {
-		caps[i] = spec.Capacity
-	}
-	return &sched.State{Caps: caps, Used: make([]resources.Vector, 8)}
-}
-
 // benchedIDs is the static list of experiment ids with a Benchmark*
 // runExperiment wrapper above. Adding an experiment to the registry
 // without benchmarking it (or removing one and leaving a stale bench)
@@ -756,25 +775,11 @@ var benchedIDs = []string{
 	"ext-resilience", "ext-soak", "ext-scale", "ext-twotier",
 }
 
-// historyBenches are the start-up micro-benchmarks whose trajectory
-// BENCH_gsight.json must keep: scripts/bench.sh has to run them.
-var historyBenches = []string{"BenchmarkScenarioEvaluation", "BenchmarkNewCatalog", "BenchmarkBootstrapFit",
-	"BenchmarkPredictorCheckpoint", "BenchmarkPredictorRestore"}
-
 // TestBenchRegistryCoverage pins the registry and the bench list to
 // each other: every registered experiment must have a Benchmark*
 // wrapper (tracked in benchedIDs) and every benched id must still be
-// registered. It also pins historyBenches to scripts/bench.sh.
+// registered.
 func TestBenchRegistryCoverage(t *testing.T) {
-	script, err := os.ReadFile("scripts/bench.sh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range historyBenches {
-		if !strings.Contains(string(script), name+"$") {
-			t.Errorf("scripts/bench.sh does not run %s", name)
-		}
-	}
 	benched := map[string]bool{}
 	for _, id := range benchedIDs {
 		if benched[id] {

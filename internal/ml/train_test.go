@@ -140,6 +140,18 @@ func TestForestWindowWrapDeterministic(t *testing.T) {
 // makes it O(batch); the Dataset-append window it replaced re-copied all
 // retained rows on every overflow.
 func BenchmarkWindowAbsorb(b *testing.B) {
+	absorb := windowAbsorbOp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		absorb()
+	}
+}
+
+// windowAbsorbOp returns BenchmarkWindowAbsorb's loop body, which
+// TestWindowAbsorbAllocFree also runs: one 20-sample batch pushed into
+// a full 12 000-row window.
+func windowAbsorbOp() func() {
 	const win, batch, dim = 12000, 20, 64
 	row := make([]float64, dim)
 	var w window
@@ -147,9 +159,7 @@ func BenchmarkWindowAbsorb(b *testing.B) {
 	for i := 0; i < win; i++ {
 		w.push(row, 1)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		for j := 0; j < batch; j++ {
 			w.push(row, 2)
 		}

@@ -555,8 +555,11 @@ type Gsight struct {
 	// Fallback, when set, serves requests the predictor cannot vet:
 	// if the SLA checks fail with a predictor error (untrained model,
 	// unavailable predictor), Place delegates to Fallback instead of
-	// failing, recording the decision with outcome "degraded".
-	Fallback Scheduler
+	// failing, recording the decision with outcome "degraded". The
+	// concrete type keeps the call direct: through the Scheduler
+	// interface every caller's State and Request would escape to the
+	// heap, even when no fallback ever runs.
+	Fallback *WorstFit
 	// Tier0 and TopK enable two-tier placement: when both are set and
 	// the online-server count exceeds TopK, the tier-0 scorer ranks
 	// candidates and the binary-search ladder runs over only the top-K
@@ -720,7 +723,7 @@ func (g *Gsight) search(st *State, req *Request, d *PlacementDetail) ([]int, err
 				// degraded, capacity-based — instead of failing the
 				// caller's run.
 				if g.Fallback != nil {
-					out, ferr := fallbackPlace(g.Fallback, st, req)
+					out, ferr := g.Fallback.Place(st, req)
 					if ferr == nil {
 						g.ins.Fallbacks.Inc()
 						d.Outcome, d.Reason = "degraded", "predictor-error"
@@ -758,38 +761,6 @@ func (g *Gsight) search(st *State, req *Request, d *PlacementDetail) ([]int, err
 	}
 	d.Outcome = "fallback"
 	return append([]int(nil), sc.placement...), nil
-}
-
-// fallbackPlace dispatches a degraded-mode placement. The stock
-// policies are devirtualized: calling Place through the Scheduler
-// interface forces every caller's State and Request to escape (the
-// compiler must assume the callee retains them), which costs three
-// heap allocations per placement on the hot path even when no fallback
-// ever runs. Unknown implementations still work through the interface;
-// they get shallow copies so the poison stays inside this function.
-// Place implementations read but never restructure the state, so the
-// copies (sharing every backing array) behave identically.
-func fallbackPlace(s Scheduler, st *State, req *Request) ([]int, error) {
-	switch f := s.(type) {
-	case *WorstFit:
-		return f.Place(st, req)
-	case *BestFit:
-		return f.Place(st, req)
-	default:
-		// Deep-copy the state's own slices (not just the struct): a
-		// shallow copy would still leak the caller's backing arrays
-		// into the interface call. This branch only runs during an
-		// actual degraded-mode placement, so the copies are off the
-		// hot path.
-		stc := State{
-			Caps:    append([]resources.Vector(nil), st.Caps...),
-			Used:    append([]resources.Vector(nil), st.Used...),
-			Running: append([]Deployed(nil), st.Running...),
-			Offline: append([]bool(nil), st.Offline...),
-		}
-		reqc := *req
-		return s.Place(&stc, &reqc)
-	}
 }
 
 // candidate builds one placement over the given servers: functions in

@@ -105,9 +105,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// reqTimeout resolves the per-request deadline.
-func (s *Server) reqTimeout() time.Duration { return defaultRequestTimeout }
-
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -169,7 +166,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout())
+	ctx, cancel := context.WithTimeout(r.Context(), defaultRequestTimeout)
 	defer cancel()
 	t0 := time.Now()
 	if len(body.Batch) == 0 {
@@ -212,7 +209,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout())
+	ctx, cancel := context.WithTimeout(r.Context(), defaultRequestTimeout)
 	defer cancel()
 	writeResp(w, s.enqueue(ctx, &pending{kind: kindObserve, order: body.Order,
 		name: body.Name, qos: body.QoS, value: body.Value, reply: make(chan pendingResp, 1)}))
@@ -223,7 +220,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &body) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout())
+	ctx, cancel := context.WithTimeout(r.Context(), defaultRequestTimeout)
 	defer cancel()
 	writeResp(w, s.enqueue(ctx, &pending{kind: kindRelease, order: body.Order,
 		name: body.Name, reply: make(chan pendingResp, 1)}))

@@ -10,8 +10,8 @@ import (
 // ServeDebug starts a background debug HTTP server on addr exposing
 //
 //	/metrics       — the registry in Prometheus text format
-//	/healthz       — liveness probe (always OK without health state)
-//	/readyz        — readiness probe (always OK without health state)
+//	/healthz       — liveness probe (always OK)
+//	/readyz        — readiness probe (always OK)
 //	/debug/vars    — expvar
 //	/debug/pprof/  — runtime profiling (net/http/pprof)
 //
@@ -19,15 +19,8 @@ import (
 // listener cannot be created. The server lives until the process exits;
 // batch tools serve while their run is in flight.
 func ServeDebug(addr string, reg *Registry) (string, error) {
-	return ServeDebugHealth(addr, reg, nil)
-}
-
-// ServeDebugHealth is ServeDebug with a health state backing the
-// /healthz and /readyz probes — the serving daemon's variant, where
-// readiness tracks snapshot load, WAL replay and drain.
-func ServeDebugHealth(addr string, reg *Registry, h *Health) (string, error) {
 	mux := http.NewServeMux()
-	h.Handle(mux)
+	(*Health)(nil).Handle(mux) // no health state: always-OK probes
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = reg.WritePrometheus(w)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -23,12 +24,11 @@ func probeStatus(t *testing.T, url string) (int, string) {
 // → fenced (not live).
 func TestHealthTransitions(t *testing.T) {
 	h := NewHealth()
-	reg := NewRegistry()
-	addr, err := ServeDebugHealth("127.0.0.1:0", reg, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := fmt.Sprintf("http://%s", addr)
+	mux := http.NewServeMux()
+	h.Handle(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	base := srv.URL
 
 	// Starting: live but not ready (snapshot load + WAL replay pending).
 	if code, _ := probeStatus(t, base+"/healthz"); code != http.StatusOK {
@@ -63,8 +63,8 @@ func TestHealthTransitions(t *testing.T) {
 	}
 }
 
-// TestHealthNilAlwaysOK: binaries without health state keep always-OK
-// probes on the legacy ServeDebug path.
+// TestHealthNilAlwaysOK: the batch tools' debug server, which has no
+// health state, answers both probes with 200 ok.
 func TestHealthNilAlwaysOK(t *testing.T) {
 	reg := NewRegistry()
 	addr, err := ServeDebug("127.0.0.1:0", reg)
