@@ -9,26 +9,23 @@
 //	gsight-sim [-scheduler gsight|bestfit|worstfit] [-hours 24]
 //	           [-train 800] [-seed 42] [-v|-quiet]
 //	           [-faults chaos|node-crash|...|schedule.json]
-//	           [-checkpoint-dir ckpt] [-checkpoint-interval 1800] [-resume]
+//	           [-checkpoint-dir ckpt] [-resume]
 //	           [-debug-addr :6060] [-report run.json] [-decision-log run.jsonl]
 //	           [-trace trace.json] [-record dir]
 //
-// With -checkpoint-dir the controller snapshots its full state
-// periodically and logs every decision to a write-ahead log between
-// snapshots. A run killed at any point (including by an injected
-// controller-crash fault, exit code 3) can be rerun with -resume and
-// the same flags: it picks up from the newest valid snapshot and the
-// final report and decision log are byte-identical to an uninterrupted
-// run.
+// A run is a pure function of its flags, so it recovers by re-running.
+// An injected controller-crash fault ends the run with exit code 3;
+// with -checkpoint-dir it first writes a marker counting the crashes
+// taken. Rerun with -resume and the same flags: the run starts again at
+// t = 0, skips the crashes the marker counts, and rewrites every output,
+// byte-identical to an uninterrupted run.
 //
 // -trace writes an invocation-lifecycle trace in Chrome trace-event
 // JSON (loadable in Perfetto or chrome://tracing). -record captures the
 // full observability bundle into a directory — trace.json plus
 // flight.bin, the step-sampled flight recording gsight-inspect reads.
 // Both streams are simulation-time only (same-seed runs are
-// byte-identical) and checkpoint-aware: every snapshot fsyncs them up to
-// the offsets it records, and on -resume the platform cuts them back to
-// those offsets and continues seamlessly.
+// byte-identical).
 package main
 
 import (
@@ -50,7 +47,6 @@ import (
 	"gsight/internal/logx"
 	"gsight/internal/obs"
 	"gsight/internal/perfmodel"
-	"gsight/internal/persist"
 	"gsight/internal/platform"
 	"gsight/internal/resources"
 	"gsight/internal/scenario"
@@ -69,9 +65,8 @@ func main() {
 	verbose := flag.Bool("v", false, "verbose progress")
 	quiet := flag.Bool("quiet", false, "errors only")
 	faultsFlag := flag.String("faults", "", "fault schedule: a named scenario ("+strings.Join(faults.Names(), ", ")+") or a JSON schedule file")
-	checkpointDir := flag.String("checkpoint-dir", "", "write crash-consistent checkpoints to this directory")
-	checkpointInterval := flag.Float64("checkpoint-interval", 1800, "seconds of simulated time between snapshots")
-	resume := flag.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir (fresh start if none)")
+	checkpointDir := flag.String("checkpoint-dir", "", "write a crash marker to this directory when an injected controller crash is taken")
+	resume := flag.Bool("resume", false, "rerun past the crashes the newest valid marker in -checkpoint-dir counts (fresh start if none)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	reportPath := flag.String("report", "", "write a JSON run report to this file")
 	decisionPath := flag.String("decision-log", "", "write the JSONL decision log to this file")
@@ -97,7 +92,6 @@ func main() {
 		seed:          *seed,
 		faults:        *faultsFlag,
 		checkpointDir: *checkpointDir,
-		checkpointInt: *checkpointInterval,
 		resume:        *resume,
 		debugAddr:     *debugAddr,
 		reportPath:    *reportPath,
@@ -129,7 +123,6 @@ type options struct {
 	seed          uint64
 	faults        string
 	checkpointDir string
-	checkpointInt float64
 	resume        bool
 	debugAddr     string
 	reportPath    string
@@ -142,45 +135,22 @@ type options struct {
 }
 
 func run(ctx context.Context, log *logx.Logger, opt options) error {
-	// Resuming? Peek at the newest valid snapshot before touching the
-	// output files or the predictor: it decides whether the files are
-	// continued or created and whether bootstrap training is skipped (the
-	// restored predictor state supersedes it).
-	var resumeMeta *platform.CheckpointMeta
-	if opt.resume {
-		if opt.checkpointDir == "" {
-			return fmt.Errorf("-resume requires -checkpoint-dir")
-		}
-		meta, err := platform.PeekCheckpoint(opt.checkpointDir)
-		switch {
-		case err == nil:
-			resumeMeta = meta
-			log.Infof("resuming from checkpoint seq %d (sim t=%.0fs, step %d)",
-				meta.Seq, meta.SimTimeS, meta.Step)
-		case errors.Is(err, persist.ErrNoSnapshot):
-			log.Infof("no checkpoint in %s; starting fresh", opt.checkpointDir)
-		default:
-			return fmt.Errorf("checkpoint: %w", err)
-		}
+	if opt.resume && opt.checkpointDir == "" {
+		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 
 	sink := telemetry.New()
-	// openOut opens one checkpoint-aware output file (decision log,
-	// trace, flight recording): as it stands when resuming — the platform
-	// cuts it back to the snapshot's offset — and empty otherwise. When
-	// run returns, however it returns, the streams over the files are
-	// flushed and then the files closed, so a failed or interrupted run
-	// still leaves whole records on disk.
+	// openOut creates (or truncates) one output file: decision log,
+	// trace or flight recording. A resumed run re-executes from t = 0 and
+	// writes them all again. When run returns, however it returns, the
+	// streams over the files are flushed and then the files closed, so a
+	// failed or interrupted run still leaves whole records on disk.
 	var (
 		files   []*os.File
 		streams []*telemetry.Stream
 	)
 	openOut := func(path string) (*os.File, error) {
-		flag := os.O_RDWR | os.O_CREATE
-		if resumeMeta == nil {
-			flag |= os.O_TRUNC
-		}
-		f, err := os.OpenFile(path, flag, 0o644)
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err == nil {
 			files = append(files, f)
 		}
@@ -297,10 +267,8 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 		in.Instrument(sink)
 	}
 	// Gsight learns online (§5): attach its predictor so step-boundary
-	// observations flow into the incremental forest — and so checkpoints
-	// carry the full learning state. The baselines stay offline; on
-	// resume they re-train, which is deterministic and reproduces the
-	// exact pre-crash state.
+	// observations flow into the incremental forest. The baselines stay
+	// offline.
 	var onlinePred core.QoSPredictor
 	if _, ok := pred.(core.Checkpointable); ok {
 		onlinePred = pred
@@ -321,11 +289,6 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 		log.Infof("fault schedule %q: %d events", schedule.Name, len(schedule.Events))
 	}
 
-	if resumeMeta != nil && onlinePred != nil {
-		// The snapshot carries the predictor's full online-learning
-		// state; bootstrap training would be discarded by the restore.
-		needTraining = false
-	}
 	if needTraining {
 		log.Infof("bootstrapping %s's predictor on %d scenarios...", scheduler.Name(), opt.trainScen)
 		t0 := time.Now()
@@ -378,9 +341,8 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 		Predictor:       onlinePred,
 		Obs:             recorder,
 		Checkpoint: platform.CheckpointConfig{
-			Dir:       opt.checkpointDir,
-			IntervalS: opt.checkpointInt,
-			Resume:    opt.resume,
+			Dir:    opt.checkpointDir,
+			Resume: opt.resume,
 		},
 	})
 	if err != nil {

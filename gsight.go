@@ -187,21 +187,17 @@ type (
 	PlatformStats = platform.Stats
 	// PlatformService is one resident latency-sensitive service.
 	PlatformService = platform.LSService
-	// PlatformCheckpoint configures crash-consistent checkpointing of a
-	// platform run (PlatformConfig.Checkpoint, DESIGN.md §12).
+	// PlatformCheckpoint configures the crash markers of a platform run
+	// (PlatformConfig.Checkpoint, DESIGN.md §12).
 	PlatformCheckpoint = platform.CheckpointConfig
 )
 
 // ErrControllerCrashed is returned by RunPlatform when an injected
-// "controller-crash" fault kills the run. With checkpointing enabled,
-// rerunning with PlatformCheckpoint.Resume continues from the newest
-// snapshot and reproduces the uninterrupted run byte-for-byte.
+// "controller-crash" fault kills the run. With a marker directory set,
+// rerunning with PlatformCheckpoint.Resume re-executes the run past the
+// crashes already taken and reproduces the uninterrupted run
+// byte-for-byte.
 var ErrControllerCrashed = platform.ErrControllerCrashed
-
-// PeekPlatformCheckpoint inspects a checkpoint directory without
-// restoring anything: callers use it to decide whether to resume. The
-// resumed run cuts its own output streams back to the snapshot.
-var PeekPlatformCheckpoint = platform.PeekCheckpoint
 
 // DefaultTracePattern returns the Azure-like diurnal + bursts + noise
 // pattern around a base request rate.

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 )
@@ -42,11 +41,10 @@ const (
 	PredictorDown Kind = "predictor-down"
 	// PredictorUp ends a predictor outage.
 	PredictorUp Kind = "predictor-up"
-	// ControllerCrash kills the controller process itself at AtS. A
-	// checkpoint-enabled platform run returns ErrControllerCrashed and
-	// can be resumed from disk; the re-executed run recognizes the
-	// already-taken crash (via its WAL marker) and does not die again.
-	// Node, Factor and DurationS are ignored.
+	// ControllerCrash kills the controller process itself at AtS: the
+	// platform run returns ErrControllerCrashed. With crash markers on,
+	// a resumed run re-executes from t = 0 and skips the crashes its
+	// marker counts. Node, Factor and DurationS are ignored.
 	ControllerCrash Kind = "controller-crash"
 )
 
@@ -321,52 +319,4 @@ func (in *Injector) ColdStartFrac() float64 {
 		return 0
 	}
 	return in.stormFrac
-}
-
-// InjectorState is the injector's live fault state at one instant, in
-// checkpoint-serializable form.
-type InjectorState struct {
-	Down      []bool    `json:"down"`
-	Slow      []float64 `json:"slow"`
-	PredDown  int       `json:"pred_down"`
-	Storms    int       `json:"storms"`
-	StormFrac float64   `json:"storm_frac,omitempty"`
-}
-
-// ExportState snapshots the live fault state.
-func (in *Injector) ExportState() InjectorState {
-	return InjectorState{
-		Down:      append([]bool(nil), in.down...),
-		Slow:      append([]float64(nil), in.slow...),
-		PredDown:  in.predDown,
-		Storms:    in.storms,
-		StormFrac: in.stormFrac,
-	}
-}
-
-// RestoreState replaces the live fault state with a snapshot. The
-// expanded timeline is untouched — the platform re-registers the
-// changes still ahead of the snapshot time.
-func (in *Injector) RestoreState(s InjectorState) error {
-	if len(s.Down) != len(in.down) || len(s.Slow) != len(in.slow) {
-		return fmt.Errorf("faults: state for %d/%d servers, injector has %d",
-			len(s.Down), len(s.Slow), len(in.down))
-	}
-	for i, f := range s.Slow {
-		if math.IsNaN(f) || f <= 0 || f > 1 {
-			return fmt.Errorf("faults: state slow[%d] = %g outside (0,1]", i, f)
-		}
-	}
-	if s.PredDown < 0 || s.Storms < 0 {
-		return fmt.Errorf("faults: negative outage counters (%d, %d)", s.PredDown, s.Storms)
-	}
-	if math.IsNaN(s.StormFrac) || s.StormFrac < 0 || s.StormFrac > 1 {
-		return fmt.Errorf("faults: state storm fraction %g outside [0,1]", s.StormFrac)
-	}
-	copy(in.down, s.Down)
-	copy(in.slow, s.Slow)
-	in.predDown = s.PredDown
-	in.storms = s.Storms
-	in.stormFrac = s.StormFrac
-	return nil
 }

@@ -4,18 +4,14 @@
 // tracking with Page–Hinkley drift detection.
 //
 // Everything is recorded in simulation time only, so a fixed-seed run
-// produces byte-identical outputs, and every stream is a
-// telemetry.Stream like the decision log — counted, synced before a
-// checkpoint and cut back to it on resume — so a crash/resume recording
-// is identical to an uninterrupted one. The
-// whole package is nil-safe: a nil *Recorder (observability disabled)
-// makes every hook a predictable branch and keeps the platform's
-// steady-state step loop allocation-free.
+// produces byte-identical outputs, and every stream is a counted
+// telemetry.Stream like the decision log. The whole package is
+// nil-safe: a nil *Recorder (observability disabled) makes every hook a
+// predictable branch and keeps the platform's steady-state step loop
+// allocation-free.
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 )
@@ -103,71 +99,4 @@ func (r *Recorder) Err() error {
 		return err
 	}
 	return r.fl.Stream().Err()
-}
-
-// Sync makes both streams durable up to their current offsets. The
-// platform calls it before CheckpointState, so a snapshot never records
-// an offset the disk does not hold.
-func (r *Recorder) Sync() error {
-	if r == nil {
-		return nil
-	}
-	if err := r.tr.Stream().Sync(); err != nil {
-		return err
-	}
-	return r.fl.Stream().Sync()
-}
-
-// State is a Recorder's checkpointed position: stream offsets plus the
-// serialized prediction-quality tracker. It rides inside the platform
-// checkpoint payload.
-type State struct {
-	TraceEvents  uint64          `json:"trace_events"`
-	TraceBytes   int64           `json:"trace_bytes"`
-	FlightFrames uint64          `json:"flight_frames"`
-	FlightBytes  int64           `json:"flight_bytes"`
-	PredQ        json.RawMessage `json:"predq,omitempty"`
-}
-
-// CheckpointState captures the Recorder's position for a checkpoint
-// (after Sync).
-func (r *Recorder) CheckpointState() (json.RawMessage, error) {
-	if r == nil {
-		return nil, nil
-	}
-	var st State
-	st.TraceEvents, st.TraceBytes = r.tr.Stream().Offset()
-	st.FlightFrames, st.FlightBytes = r.fl.Stream().Offset()
-	var err error
-	if st.PredQ, err = r.pq.marshal(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
-}
-
-// RestoreCheckpoint returns the Recorder to a checkpointed state: each
-// stream is cut back to its recorded offset, so the resumed run re-emits
-// exactly the records the crash cut off. A nil/absent state cuts
-// everything to empty.
-func (r *Recorder) RestoreCheckpoint(raw json.RawMessage) error {
-	if r == nil {
-		return nil
-	}
-	var st State
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return err
-		}
-	}
-	if err := r.tr.Stream().TruncateTo(st.TraceEvents, st.TraceBytes); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := r.fl.Stream().TruncateTo(st.FlightFrames, st.FlightBytes); err != nil {
-		return fmt.Errorf("flight recording: %w", err)
-	}
-	if len(st.PredQ) > 0 {
-		return r.pq.unmarshal(st.PredQ)
-	}
-	*r.pq = *NewPredQ(r.pq.Lambda, r.pq.Delta)
-	return nil
 }

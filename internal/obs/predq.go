@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"math"
-)
+import "math"
 
 // Prediction-quality tracking: every (predicted, observed) pair the
 // platform sees feeds a rolling-window residual tracker, overall and
@@ -11,10 +8,6 @@ import (
 // relative error stream. The platform records the samples in the trace
 // (so gsight-inspect can rebuild error-over-time offline) and emits a
 // predictor_drift decision event when the detector fires.
-//
-// All state is sim-time driven and fully serializable, so a resumed
-// run's tracker continues exactly where the checkpoint left it and
-// drift events land on the same step as in an uninterrupted run.
 
 // predWindowCap is the rolling-window length for signed error and MAPE.
 const predWindowCap = 128
@@ -90,10 +83,10 @@ func (s *QStat) Window() int { return len(s.Ring) }
 // lambda above its running minimum — i.e. when recent errors shifted
 // up from their historical level.
 type phState struct {
-	N    uint64  `json:"n"`
-	Mean float64 `json:"mean"`
-	M    float64 `json:"m"`
-	Min  float64 `json:"min"`
+	N    uint64
+	Mean float64
+	M    float64
+	Min  float64
 }
 
 // add folds x in and reports whether drift was detected; the detector
@@ -135,13 +128,6 @@ type PredQ struct {
 	overall QStat
 	byArch  map[string]*QStat
 	ph      phState
-}
-
-// predqState is the serialized form for checkpoints.
-type predqState struct {
-	Overall QStat             `json:"overall"`
-	ByArch  map[string]*QStat `json:"by_arch,omitempty"`
-	PH      phState           `json:"ph"`
 }
 
 // NewPredQ builds a tracker with the given Page–Hinkley parameters;
@@ -207,24 +193,4 @@ func (q *PredQ) Archetype(name string) *QStat {
 		return nil
 	}
 	return q.byArch[name]
-}
-
-// marshal serializes the tracker for a checkpoint.
-func (q *PredQ) marshal() (json.RawMessage, error) {
-	return json.Marshal(predqState{Overall: q.overall, ByArch: q.byArch, PH: q.ph})
-}
-
-// unmarshal restores a checkpointed tracker state.
-func (q *PredQ) unmarshal(raw json.RawMessage) error {
-	var st predqState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return err
-	}
-	q.overall = st.Overall
-	q.byArch = st.ByArch
-	if q.byArch == nil {
-		q.byArch = map[string]*QStat{}
-	}
-	q.ph = st.PH
-	return nil
 }

@@ -103,73 +103,6 @@ func (st *Stepper) AddSC(d *Deployment) (int, error) {
 	return st.nextID, nil
 }
 
-// SCRunState is one running SC/BG job's checkpoint form; jobs are
-// identified by the id AddSC returned.
-type SCRunState struct {
-	ID       int     `json:"id"`
-	StartedS float64 `json:"started_s"`
-	Progress float64 `json:"progress"`
-}
-
-// StepperState is the stepper's checkpoint form. LSRefs is serialized
-// verbatim rather than recomputed on restore: the no-interference
-// references are only refreshed when the dirty flag is set, so a
-// resumed run recomputing them eagerly (under the current QPS instead
-// of the QPS at the last MarkDirty) would diverge from the
-// uninterrupted run.
-type StepperState struct {
-	NowS   float64      `json:"now_s"`
-	NextID int          `json:"next_id"`
-	Dirty  bool         `json:"dirty"`
-	LSRefs []float64    `json:"ls_refs"`
-	SC     []SCRunState `json:"sc"`
-}
-
-// ExportState snapshots the stepper's time, reference and job state.
-// The LS deployments themselves are owned (and checkpointed) by the
-// caller, which re-registers them via AddLS before RestoreState.
-func (st *Stepper) ExportState() StepperState {
-	out := StepperState{
-		NowS:   st.now,
-		NextID: st.nextID,
-		Dirty:  st.dirty,
-		LSRefs: append([]float64(nil), st.lsRefs...),
-	}
-	for _, run := range st.sc {
-		if run.done {
-			continue
-		}
-		out.SC = append(out.SC, SCRunState{ID: run.id, StartedS: run.started, Progress: run.progress})
-	}
-	return out
-}
-
-// RestoreState restores an ExportState snapshot. deps maps each job id
-// to its (already restored) deployment; the caller must have AddLS'd
-// the LS deployments in their original order first, so LSRefs lines up.
-func (st *Stepper) RestoreState(s StepperState, deps map[int]*Deployment) error {
-	if !s.Dirty && len(s.LSRefs) != len(st.ls) {
-		return fmt.Errorf("perfmodel: stepper state has %d LS refs for %d deployments", len(s.LSRefs), len(st.ls))
-	}
-	runs := make([]*scRun, len(s.SC))
-	for i, r := range s.SC {
-		dep, ok := deps[r.ID]
-		if !ok {
-			return fmt.Errorf("perfmodel: stepper state job %d has no deployment", r.ID)
-		}
-		if r.ID > s.NextID {
-			return fmt.Errorf("perfmodel: stepper state job id %d beyond next id %d", r.ID, s.NextID)
-		}
-		runs[i] = &scRun{id: r.ID, dep: dep, started: r.StartedS, progress: r.Progress}
-	}
-	st.now = s.NowS
-	st.nextID = s.NextID
-	st.dirty = s.Dirty
-	st.lsRefs = append(st.lsRefs[:0], s.LSRefs...)
-	st.sc = runs
-	return nil
-}
-
 // Step advances the scenario by dt seconds and reports the LS QoS over
 // the step plus any jobs that completed. A non-nil rnd adds measurement
 // noise to the reported (not internal) values. The returned report and

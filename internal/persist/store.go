@@ -7,7 +7,7 @@ import (
 	"os"
 )
 
-// Store is the generation manager both controllers checkpoint through:
+// Store is the generation manager the serving daemon checkpoints through:
 // one directory of rolling generations, each a WAL of the records after
 // a boundary and — once published — the snapshot taken at it (layout in
 // checkpoint.go, protocol in DESIGN.md §12). It also owns the one
@@ -23,7 +23,7 @@ import (
 // way: newest valid snapshot N, then every record in wal-N, wal-(N+1),
 // … — the chain.
 //
-// Rotate, Live, Append and Recover belong to the one goroutine that
+// Rotate, AppendBatch and Recover belong to the one goroutine that
 // appends; Publish touches only the directory, so it may run on another
 // while records keep landing in the rotated WAL.
 type Store struct {
@@ -131,19 +131,9 @@ func (s *Store) verify(payloads [][]byte) (int, error) {
 	return len(payloads), nil
 }
 
-// Append verifies payload against the replay queue while recovered
-// records remain, and appends it to the live WAL (buffered, like
-// WAL.Append) once the queue has drained.
-func (s *Store) Append(payload []byte) error {
-	if n, err := s.verify([][]byte{payload}); n > 0 || err != nil {
-		return err
-	}
-	return s.wal.Append(payload)
-}
-
-// AppendBatch is Append under one fsync (WAL.AppendBatch): the records
-// the replay queue still covers are verified, the rest appended. On a
-// mismatch nothing is written.
+// AppendBatch verifies the records the replay queue still covers and
+// appends the rest to the live WAL under one fsync (WAL.AppendBatch).
+// On a mismatch nothing is written.
 func (s *Store) AppendBatch(payloads [][]byte) error {
 	n, err := s.verify(payloads)
 	if err != nil || (n > 0 && n == len(payloads)) {
@@ -155,10 +145,6 @@ func (s *Store) AppendBatch(payloads [][]byte) error {
 // Gen is the live WAL's generation: the last Rotate's, or after Recover
 // the end of the chain.
 func (s *Store) Gen() uint64 { return s.gen }
-
-// Live is the WAL records are appended to, nil before the first Rotate
-// of a fresh directory.
-func (s *Store) Live() *WAL { return s.wal }
 
 // Rotate closes the live WAL (flushed and fsynced) and creates the next
 // generation's, its directory entry durable before Rotate returns. That

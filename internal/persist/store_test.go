@@ -15,7 +15,7 @@ func appendAll(t *testing.T, s *Store, records ...string) {
 	for i, r := range records {
 		batch[i] = []byte(r)
 	}
-	if err := s.Live().AppendBatch(batch); err != nil {
+	if err := s.wal.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -48,7 +48,7 @@ func TestStoreRecoversChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Live() != nil || s.Gen() != 0 {
+		if s.wal != nil || s.Gen() != 0 {
 			t.Fatal("a fresh store has a live WAL")
 		}
 		for gen, records := range [][]string{{"a", "b"}, {"c", "d"}, {"e"}} {
@@ -177,7 +177,7 @@ func TestStoreVerifiesReplayedRecords(t *testing.T) {
 	if _, err := s.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append([]byte("a")); err != nil || !s.Replaying() {
+	if err := s.AppendBatch([][]byte{[]byte("a")}); err != nil || !s.Replaying() {
 		t.Fatalf("verifying the first record: %v, replaying %v", err, s.Replaying())
 	}
 	if _, err := s.Rotate(); err == nil {
@@ -197,10 +197,10 @@ func TestStoreVerifiesReplayedRecords(t *testing.T) {
 	if err := s.AppendBatch([][]byte{[]byte("b"), []byte("c"), []byte("d")}); err != nil || s.Replaying() {
 		t.Fatalf("a batch spanning the chain's end: %v, replaying %v", err, s.Replaying())
 	}
-	if err := s.Append([]byte("e")); err != nil {
+	if err := s.AppendBatch([][]byte{[]byte("e")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Live().Sync(); err != nil {
+	if err := s.wal.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if got := wal2(); got != "c,d,e" {
@@ -233,7 +233,7 @@ func TestStoreRecoverTouchesNothingItCannotUse(t *testing.T) {
 	if got, err := os.ReadFile(wal); err != nil || string(got) != "not a wal line" {
 		t.Fatalf("wal changed: %q, %v", got, err)
 	}
-	if s.Live() != nil {
+	if s.wal != nil {
 		t.Fatal("a failed Recover left a live WAL")
 	}
 }

@@ -16,16 +16,16 @@ import (
 //
 //	crc32c(payload) as 8 hex digits, one space, payload, '\n'
 //
-// Payloads are opaque single-line byte strings (the platform writes
-// compact JSON). A record only counts as valid when its newline made it
-// to disk and its checksum matches, so a crash mid-append loses at most
-// the record being written — never the prefix before it.
+// Payloads are opaque single-line byte strings (the serving daemon
+// writes compact JSON). A record only counts as valid when its newline
+// made it to disk and its checksum matches, so a crash mid-append loses
+// at most the record being written — never the prefix before it.
 
 var walTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WAL is an open write-ahead log. Appends are buffered; Sync flushes
-// and fsyncs. Not goroutine-safe — the platform appends from its
-// single-threaded event loop, the serving daemon from its committer.
+// and fsyncs. Not goroutine-safe — the serving daemon appends from its
+// committer.
 type WAL struct {
 	f   *os.File
 	w   *bufio.Writer

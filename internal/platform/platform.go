@@ -27,7 +27,6 @@ import (
 	"gsight/internal/faults"
 	"gsight/internal/obs"
 	"gsight/internal/perfmodel"
-	"gsight/internal/persist"
 	"gsight/internal/profile"
 	"gsight/internal/resources"
 	"gsight/internal/rng"
@@ -78,8 +77,9 @@ type Config struct {
 	// stragglers, cold-start storms, predictor outages); nil runs a
 	// healthy cluster.
 	Faults *faults.Schedule
-	// Checkpoint enables crash-consistent snapshots and recovery
-	// (DESIGN.md §12); the zero value disables it.
+	// Checkpoint enables crash markers, so a run killed by an injected
+	// controller crash can be resumed (DESIGN.md §12); the zero value
+	// disables them.
 	Checkpoint CheckpointConfig
 }
 
@@ -210,17 +210,16 @@ type runner struct {
 	inj      *faults.Injector
 	fallback sched.Scheduler
 
-	// Checkpointing state: cancel kills the run from inside an event
-	// (controller crash, replay divergence); arrivals keeps the full
-	// submission timeline so snapshots can record what is still ahead;
-	// startS/startStep relocate the loop after a resume.
-	ck        *checkpointer
-	cancel    context.CancelFunc
-	crashed   bool
-	ckErr     error
-	arrivals  []float64
-	startS    float64
-	startStep int
+	// cancel kills the run from inside a controller-crash event, and
+	// crashErr is what the run then returns; crashes counts the crash
+	// events reached and skipCrashes those earlier incarnations took.
+	// arrivals keeps the full submission timeline for the flight
+	// recorder's pending count.
+	cancel      context.CancelFunc
+	crashErr    error
+	crashes     int
+	skipCrashes int
+	arrivals    []float64
 
 	degraded       bool
 	degradedReason string
@@ -266,10 +265,12 @@ type scPoolEntry struct {
 
 // Run executes the simulation and returns its stats. A nil ctx means
 // context.Background(); cancellation returns the context's error with
-// the run's partial state discarded. With Config.Checkpoint enabled,
-// an injected controller-crash returns ErrControllerCrashed and a
-// subsequent Run with Checkpoint.Resume continues the horizon from
-// disk, byte-identical to the uninterrupted same-seed run.
+// the run's partial state discarded. An injected controller-crash
+// returns ErrControllerCrashed; with Config.Checkpoint.Dir set, a
+// subsequent Run with Checkpoint.Resume re-executes the horizon from
+// t = 0 past the crashes already taken, byte-identical to the
+// uninterrupted same-seed run. It writes every output from the start,
+// so it needs fresh (truncated) writers.
 func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -322,42 +323,15 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		r.scPool[i] = scPoolEntry{w: wc, proto: perfmodel.NewDeployment(wc)}
 	}
 	if cfg.Checkpoint.Dir != "" {
-		ck, err := newCheckpointer(r)
-		if err != nil {
-			return nil, err
-		}
-		r.ck = ck
-		// The simulator's WAL is a verification aid, not an
-		// acknowledgement: a failed close costs a resumed run nothing
-		// it would not re-execute.
-		defer func() { _ = ck.store.Close() }()
-	}
-	resumed := false
-	if r.ck != nil && cfg.Checkpoint.Resume {
-		switch err := r.resume(); {
-		case err == nil:
-			resumed = true
-		case errors.Is(err, persist.ErrNoSnapshot):
-			// Nothing to resume from yet: start fresh, so retry loops
-			// can pass Resume unconditionally.
-		default:
+		if err := r.openMarkers(); err != nil {
 			return nil, err
 		}
 	}
-	if !resumed {
-		if err := r.deployServices(); err != nil {
-			return nil, err
-		}
-		r.scheduleFaults(-1)
-		r.scheduleArrivals()
-		if r.ck != nil {
-			// The pre-loop snapshot makes even a crash in the very first
-			// interval resumable.
-			if err := r.ck.snapshot(-1, 0); err != nil {
-				return nil, err
-			}
-		}
+	if err := r.deployServices(); err != nil {
+		return nil, err
 	}
+	r.scheduleFaults()
+	r.scheduleArrivals()
 	if err := r.loop(); err != nil {
 		return nil, err
 	}
@@ -402,36 +376,22 @@ func (r *runner) deployServices() error {
 
 // scheduleFaults registers the fault timeline on the event engine,
 // before job arrivals so a fault and an arrival at the same instant
-// resolve in a fixed order. Only transitions after `after` are
-// registered (-1 for all; a resume re-registers the remainder).
-func (r *runner) scheduleFaults(after float64) {
+// resolve in a fixed order.
+func (r *runner) scheduleFaults() {
 	for _, c := range r.inj.Changes() {
-		if c.AtS <= after {
-			continue
-		}
 		c := c
 		r.engine.At(c.AtS, func() { r.applyFault(c) })
 	}
 }
 
 // scheduleArrivals draws the batch-job submission times and registers
-// them. The times are kept on the runner so snapshots can record what
-// is still ahead.
+// them.
 func (r *runner) scheduleArrivals() {
 	if len(r.cfg.SCPool) == 0 || r.cfg.SCMeanIntervalS <= 0 {
 		return
 	}
 	r.arrivals = trace.JobArrivals(r.cfg.SCMeanIntervalS, 0, r.cfg.DurationS, r.rnd.Split())
-	r.registerArrivals(-1)
-}
-
-// registerArrivals registers the submissions after `after` on the
-// engine.
-func (r *runner) registerArrivals(after float64) {
 	for _, t := range r.arrivals {
-		if t <= after {
-			continue
-		}
 		r.engine.At(t, r.submitFn)
 	}
 }
@@ -567,8 +527,7 @@ func (r *runner) placeFallback(req *sched.Request) ([]int, error) {
 // on any other unexpected error, and no fallback for deterministic
 // rejections. No path retries: every scheduler answers an unchanged
 // state the same way, and a retry timeout would be the only wall-clock
-// input on the decision path. The outcome is WAL-logged when
-// checkpointing is on.
+// input on the decision path.
 func (r *runner) place(req *sched.Request) ([]int, error) {
 	if r.obs != nil {
 		r.obsDetail = sched.PlacementDetail{}
@@ -576,9 +535,6 @@ func (r *runner) place(req *sched.Request) ([]int, error) {
 		r.viaFallback = false
 	}
 	placement, err := r.placeInner(req)
-	if r.ck != nil {
-		r.ck.note(&walRecord{T: "place", SimS: r.engine.Now(), Name: req.Input.Name, Placement: placement, Rejected: err != nil})
-	}
 	if r.obs != nil {
 		r.tracePlacement(req, placement, err)
 		req.Detail = nil
@@ -836,14 +792,12 @@ func (r *runner) evacuate(node int) (displacedSvc, displacedJobs int) {
 	return displacedSvc, displacedJobs
 }
 
-// runErr maps an engine interruption to its cause: a checkpoint/replay
-// failure, an injected controller crash, or the caller's cancellation.
+// runErr maps an engine interruption to its cause: an injected
+// controller crash (or a failure to record it), or the caller's
+// cancellation.
 func (r *runner) runErr(err error) error {
-	if r.ckErr != nil {
-		return r.ckErr
-	}
-	if r.crashed {
-		return ErrControllerCrashed
+	if r.crashErr != nil {
+		return r.crashErr
 	}
 	return err
 }
@@ -855,32 +809,18 @@ func (r *runner) loop() error {
 	ins := r.ins
 	coresPerServer := r.spec.Capacity[resources.CPU]
 	// Pre-size the per-step series so steady-state appends never regrow
-	// their backing arrays (values are unchanged; capacity only).
-	if nSteps := int(cfg.DurationS/cfg.StepS) + 1; nSteps > 0 {
-		for _, ss := range r.services {
-			name := ss.svc.W.Name
-			if cap(stats.SLAOK[name]) < nSteps {
-				grown := make([]bool, len(stats.SLAOK[name]), nSteps)
-				copy(grown, stats.SLAOK[name])
-				stats.SLAOK[name] = grown
-			}
-		}
-		growF := func(s []float64) []float64 {
-			if cap(s) >= nSteps {
-				return s
-			}
-			grown := make([]float64, len(s), nSteps)
-			copy(grown, s)
-			return grown
-		}
-		stats.Density = growF(stats.Density)
-		stats.CPUUtil = growF(stats.CPUUtil)
-		stats.MemUtil = growF(stats.MemUtil)
-		stats.GoodDensity = growF(stats.GoodDensity)
-		stats.ActiveServers = growF(stats.ActiveServers)
+	// their backing arrays.
+	nSteps := int(cfg.DurationS/cfg.StepS) + 1
+	for _, ss := range r.services {
+		stats.SLAOK[ss.svc.W.Name] = make([]bool, 0, nSteps)
 	}
-	step := r.startStep
-	for now := r.startS; now < cfg.DurationS; now += cfg.StepS {
+	stats.Density = make([]float64, 0, nSteps)
+	stats.CPUUtil = make([]float64, 0, nSteps)
+	stats.MemUtil = make([]float64, 0, nSteps)
+	stats.GoodDensity = make([]float64, 0, nSteps)
+	stats.ActiveServers = make([]float64, 0, nSteps)
+	step := 0
+	for now := 0.0; now < cfg.DurationS; now += cfg.StepS {
 		span := telemetry.StartSpan(ins.StepSeconds)
 		// Fire job submissions and fault transitions due by now;
 		// cancellation is checked between events so SIGINT lands
@@ -1022,9 +962,6 @@ func (r *runner) loop() error {
 					}
 				}
 				_ = cfg.Predictor.Observe(core.IPCQoS, i, inputs, lr.IPC)
-				if r.ck != nil {
-					r.ck.note(&walRecord{T: "obs", SimS: now, Kind: "ipc", Target: i, Label: lr.IPC})
-				}
 			}
 		}
 
@@ -1102,14 +1039,6 @@ func (r *runner) loop() error {
 			r.recordFrame(now, step, rep.ServerDemand, activeServers, density, goodDensity, cpuUtil, memUtil)
 		}
 		span.End()
-		if r.ck != nil {
-			if r.ckErr != nil {
-				return r.ckErr
-			}
-			if err := r.ck.maybeSnapshot(now, step); err != nil {
-				return err
-			}
-		}
 	}
 	stats.Steps = step
 	// A degraded window still open at the horizon closes there so the
@@ -1251,8 +1180,7 @@ type scActive struct {
 	sla   sched.SLA
 	dep   *perfmodel.Deployment
 	// predJCTS is the scheduler's JCT estimate at admission (0 when the
-	// decision used no prediction); checkpointed so a resumed run's
-	// quality samples match the uninterrupted run's byte-for-byte.
+	// decision used no prediction).
 	predJCTS float64
 }
 

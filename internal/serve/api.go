@@ -176,9 +176,10 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		writeResp(w, resp)
 		return
 	}
-	// Batch mode: enqueue every request, then gather. Items keep their
-	// client order numbers; the committer coalesces whatever lands in
-	// the same batch window into single PlaceAll/fsync rounds.
+	// Batch mode: the items go through one at a time, each with its
+	// client order number. Each is its own intake entry, commit round
+	// and fsync; nothing is coalesced, and the first failure fails the
+	// call after earlier items committed (ROADMAP.md item 3(b)).
 	ps := make([]*pending, len(reqs))
 	answers := make([]pendingResp, len(reqs))
 	for i, pr := range reqs {

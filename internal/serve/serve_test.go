@@ -195,8 +195,9 @@ func TestServeDuplicateOrder(t *testing.T) {
 	}
 }
 
-// TestServeBatchPlace: the batch form answers one result per request,
-// coalesced through shared fsync rounds.
+// TestServeBatchPlace: the batch form answers one result per request.
+// Each item is its own intake entry, commit round and fsync (ROADMAP.md
+// item 3(b)).
 func TestServeBatchPlace(t *testing.T) {
 	_, hs, _ := testServer(t, nil)
 	body := `{"batch":[{"workload":"matmul"},{"workload":"dd"},{"workload":"social-network"}]}`

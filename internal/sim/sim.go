@@ -323,20 +323,10 @@ func (e *Engine) peekTime() float64 {
 	return e.arena[e.findMin()].time
 }
 
-// RunUntil executes events until the clock would pass t; the clock
-// finishes at exactly t.
-func (e *Engine) RunUntil(t float64) {
-	for e.cnt > 0 && e.peekTime() <= t {
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
-// RunUntilCtx is RunUntil with cancellation: it checks ctx between
-// events and returns ctx.Err() when the context is done, leaving the
-// clock wherever the last executed event put it.
+// RunUntilCtx executes events until the clock would pass t; the clock
+// finishes at exactly t. It checks ctx between events and returns
+// ctx.Err() when the context is done, leaving the clock wherever the
+// last executed event put it.
 func (e *Engine) RunUntilCtx(ctx context.Context, t float64) error {
 	for e.cnt > 0 && e.peekTime() <= t {
 		if err := ctx.Err(); err != nil {

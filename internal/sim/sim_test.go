@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestEventOrdering(t *testing.T) {
 	var e Engine
@@ -8,7 +11,7 @@ func TestEventOrdering(t *testing.T) {
 	e.At(3, func() { got = append(got, 3) })
 	e.At(1, func() { got = append(got, 1) })
 	e.At(2, func() { got = append(got, 2) })
-	e.RunUntil(10)
+	e.RunUntilCtx(context.Background(), 10)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
@@ -24,7 +27,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		e.At(1, func() { got = append(got, i) })
 	}
-	e.RunUntil(2)
+	e.RunUntilCtx(context.Background(), 2)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("FIFO violated: %v", got)
@@ -39,7 +42,7 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 		fired++
 		e.At(e.Now()+1, func() { fired++ })
 	})
-	e.RunUntil(3)
+	e.RunUntilCtx(context.Background(), 3)
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
 	}
@@ -48,10 +51,10 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 func TestPastEventsRunNow(t *testing.T) {
 	var e Engine
 	e.At(5, func() {})
-	e.RunUntil(5)
+	e.RunUntilCtx(context.Background(), 5)
 	ran := false
 	e.At(1, func() { ran = true }) // in the past
-	e.RunUntil(6)
+	e.RunUntilCtx(context.Background(), 6)
 	if !ran {
 		t.Fatal("past-scheduled event never ran")
 	}
@@ -61,14 +64,14 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	var e Engine
 	ran := false
 	e.At(5, func() { ran = true })
-	e.RunUntil(4)
+	e.RunUntilCtx(context.Background(), 4)
 	if ran {
 		t.Fatal("event beyond boundary executed")
 	}
 	if e.Now() != 4 {
 		t.Fatalf("clock = %v", e.Now())
 	}
-	e.RunUntil(5)
+	e.RunUntilCtx(context.Background(), 5)
 	if !ran {
 		t.Fatal("boundary event skipped")
 	}
@@ -95,11 +98,11 @@ func TestScheduledExecutedCounters(t *testing.T) {
 	if e.done != 0 {
 		t.Fatalf("Executed = %d before any Step", e.done)
 	}
-	e.RunUntil(2)
+	e.RunUntilCtx(context.Background(), 2)
 	if e.done != 3 {
 		t.Fatalf("Executed = %d after running through t=2, want 3", e.done)
 	}
-	e.RunUntil(10)
+	e.RunUntilCtx(context.Background(), 10)
 	if e.done != e.seq {
 		t.Fatalf("drained engine: Executed %d != Scheduled %d", e.done, e.seq)
 	}
@@ -246,7 +249,7 @@ func TestWheelMatchesHeapProperty(t *testing.T) {
 				}
 			case 7: // advance the clock across a boundary
 				t1 := e.Now() + rnd.float()*5000
-				e.RunUntil(t1)
+				e.RunUntilCtx(context.Background(), t1)
 				for len(ref.events) > 0 && ref.events[0].time <= t1 {
 					stepRef(&ref, &want)
 				}
@@ -314,7 +317,7 @@ func TestWheelLongHorizon(t *testing.T) {
 		}
 	}
 	e.At(e.Now()+43200, tick)
-	e.RunUntil(500 * 86400)
+	e.RunUntilCtx(context.Background(), 500*86400)
 	if len(got) != len(times) {
 		t.Fatalf("fired %d of %d events", len(got), len(times))
 	}
@@ -345,7 +348,7 @@ func TestEngineStepAllocFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.At(e.Now()+float64(i)*3.5, fn)
 	}
-	e.RunUntil(1e4) // warm the arena
+	e.RunUntilCtx(context.Background(), 1e4) // warm the arena
 	allocs := testing.AllocsPerRun(200, func() {
 		e.At(e.Now()+11, func() {})
 		e.Step()

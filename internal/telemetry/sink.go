@@ -204,12 +204,8 @@ type PlatformInstruments struct {
 	DisplacedJobs      *Counter // batch jobs moved off crashed nodes
 	DegradedPlacements *Counter // placements served by the fallback policy
 	DegradedSteps      *Counter // steps spent in degraded mode
-	// Checkpointing (crash recovery).
-	Checkpoints       *Counter   // snapshots written
-	CheckpointSeconds *Histogram // wall-clock seconds per snapshot write
-	WALRecords        *Counter   // write-ahead-log records appended
-	Resumes           *Counter   // runs resumed from a checkpoint
-	Decisions         *DecisionLog
+	Resumes            *Counter // runs resumed past a crash marker
+	Decisions          *DecisionLog
 }
 
 // Platform registers the platform instrument set (platform_*).
@@ -229,10 +225,7 @@ func (s *Sink) Platform() PlatformInstruments {
 		DisplacedJobs:      r.Counter("platform_displaced_jobs_total", "batch jobs moved off crashed nodes"),
 		DegradedPlacements: r.Counter("platform_degraded_placements_total", "placements served by the fallback policy"),
 		DegradedSteps:      r.Counter("platform_degraded_steps_total", "steps spent in degraded mode"),
-		Checkpoints:        r.Counter("platform_checkpoints_total", "controller snapshots written"),
-		CheckpointSeconds:  r.Histogram("platform_checkpoint_seconds", "wall-clock seconds per snapshot write", DurationBuckets()),
-		WALRecords:         r.Counter("platform_wal_records_total", "write-ahead-log records appended"),
-		Resumes:            r.Counter("platform_resumes_total", "runs resumed from a checkpoint"),
+		Resumes:            r.Counter("platform_resumes_total", "runs resumed past a crash marker"),
 		Decisions:          s.dec(),
 	}
 }

@@ -10,14 +10,14 @@ import (
 	"syscall"
 )
 
-// Stream is the counted append-only output under every checkpoint-aware
-// recording: the decision log, the lifecycle trace, the flight recording
-// and the serving daemon's decisions.jsonl are encoders over it. It owns
-// the writer, the (records, bytes) position and the first write error.
+// Stream is the counted append-only output under every recording: the
+// decision log, the lifecycle trace, the flight recording and the
+// serving daemon's decisions.jsonl are encoders over it. It owns the
+// writer, the (records, bytes) position and the first write error.
 // Sync makes the position durable before a snapshot records it, Offset
 // reads it, and TruncateTo cuts the output back to a recorded position —
-// file and counters in one call — so a resumed run re-emits precisely
-// the records the crash cut off.
+// file and counters in one call — so a restored daemon re-emits
+// precisely the records the crash cut off.
 //
 // A preamble (format header) is written before the first record of a
 // stream at offset (0,0) and never otherwise: a stream cut to a later

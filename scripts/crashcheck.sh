@@ -2,19 +2,21 @@
 # crashcheck.sh — end-to-end kill-and-resume equivalence gate.
 #
 # Runs gsight-sim over the same seeded hour uninterrupted and then with
-# two injected controller crashes, checkpointing enabled and a resume
-# loop (exit code 3 = deliberate crash, rerun with -resume) — once as it
-# is, once with a byte of the newest snapshot flipped after the first
-# crash. Each crashed-and-resumed run must take exactly 3 incarnations
-# and produce a byte-identical decision log, lifecycle trace and flight
-# recording (-record bundle), and an identical report (wall-clock timing
-# lines filtered) — the repo's headline recovery guarantee, checked on
-# the real binary rather than in-process test harnesses.
+# two injected controller crashes, crash markers on and a resume loop
+# (exit code 3 = deliberate crash, rerun with -resume, which re-executes
+# the run from t = 0 past the crashes the newest marker counts) — once
+# as it is, once with a byte of the newest marker flipped after the
+# first crash. The first pass must take exactly 3 incarnations, the
+# second exactly 4 (the corrupt marker is fallen back over, so its crash
+# is taken again), and each must produce a byte-identical decision log,
+# lifecycle trace and flight recording (-record bundle), and an
+# identical report (wall-clock timing lines filtered) — checked on the
+# real binary rather than in-process test harnesses.
 #
 # Usage: scripts/crashcheck.sh [hours] [train] [seed] [topk]
-#   topk defaults to 4 so two-tier placement (the tier-0 score cache
-#   and its checkpointed ridge state, DESIGN.md §15) is part of the
-#   resume-equivalence guarantee; pass 0 to disable.
+#   topk defaults to 4 so two-tier placement (the tier-0 score cache,
+#   DESIGN.md §15) is part of the resume-equivalence guarantee; pass 0
+#   to disable.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,13 +44,12 @@ echo "crashcheck: baseline run (no faults, no checkpoints)..."
 
 # crashed_run <name> <corrupt>: the seeded hour with two controller
 # crashes, resumed until it finishes. With corrupt=1 one byte of the
-# newest snapshot is flipped after the first crash: the resume must fall
-# back one generation and replay the WAL chain through the corrupt one —
-# the crash marker is in that chain, so the crash is not taken again and
-# the run still finishes in exactly 3 incarnations, byte-identical.
+# newest marker is flipped after the first crash: the resume finds no
+# valid marker, starts with no crash skipped and takes the first crash
+# again, so the run finishes in exactly 4 incarnations, byte-identical.
 crashed_run() {
     name="$1"; corrupt="$2"
-    run="-faults $WORK/crash.json -checkpoint-dir $WORK/ck-$name -checkpoint-interval 600 \
+    run="-faults $WORK/crash.json -checkpoint-dir $WORK/ck-$name \
         -record $WORK/rec-$name -decision-log $WORK/$name.jsonl"
     rc=0
     "$WORK/gsight-sim" $common $run > "$WORK/$name.out" || rc=$?
@@ -68,7 +69,8 @@ crashed_run() {
         "$WORK/gsight-sim" $common $run -resume > "$WORK/$name.out" || rc=$?
     done
     [ "$rc" -eq 0 ] || { echo "crashcheck: FAIL (unexpected exit code $rc)" >&2; exit 1; }
-    [ "$tries" -eq 3 ] || { echo "crashcheck: FAIL (expected 3 incarnations, got $tries)" >&2; exit 1; }
+    want=$((3 + corrupt))
+    [ "$tries" -eq "$want" ] || { echo "crashcheck: FAIL (expected $want incarnations, got $tries)" >&2; exit 1; }
 
     if ! cmp -s "$WORK/base.jsonl" "$WORK/$name.jsonl"; then
         echo "crashcheck: FAIL ($name: decision logs differ)" >&2
@@ -93,8 +95,8 @@ crashed_run() {
 }
 grep -v 'wall-clock' "$WORK/base.out" > "$WORK/base.flt"
 
-echo "crashcheck: crashing run (2 controller crashes, 600s snapshots)..."
+echo "crashcheck: crashing run (2 controller crashes)..."
 crashed_run crashed 0
-echo "crashcheck: crashing run again, newest snapshot corrupted after the first crash..."
+echo "crashcheck: crashing run again, newest marker corrupted after the first crash..."
 crashed_run corrupt 1
-echo "crashcheck: OK (both resumed runs byte-identical across $tries incarnations)"
+echo "crashcheck: OK (both resumed runs byte-identical to the uninterrupted run)"
