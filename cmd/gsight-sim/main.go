@@ -138,6 +138,9 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 	if opt.resume && opt.checkpointDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
+	if opt.trainScen < 1 && (opt.scheduler == "gsight" || opt.scheduler == "bestfit") {
+		return fmt.Errorf("-train %d: the %s scheduler needs at least 1 bootstrap scenario", opt.trainScen, opt.scheduler)
+	}
 
 	sink := telemetry.New()
 	// openOut creates (or truncates) one output file: decision log,

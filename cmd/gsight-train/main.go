@@ -139,10 +139,8 @@ func main() {
 	log.Infof("generating %d %s scenarios on the simulated testbed...", *scenarios, colocation)
 	t0 := time.Now()
 	var obs []core.Observation
-	for i := 0; i < *scenarios; i++ {
-		k := 2 + g.Rand().Intn(2)
-		sc := g.Colocation(colocation, k)
-		samples, err := g.Label(sc)
+	for _, d := range g.Draws(colocation, *scenarios, 3) {
+		samples, err := g.LabelWith(d.Scenario, d.Noise)
 		if err != nil {
 			log.Fatalf("labeling: %v", err)
 		}

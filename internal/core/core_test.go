@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gsight/internal/metrics"
@@ -360,6 +362,24 @@ func TestPredictorFlushBeforeTrain(t *testing.T) {
 	}
 	if math.Abs(got-200) > 40 {
 		t.Fatalf("prediction %v, want ~200", got)
+	}
+}
+
+// TestTrainObservationsLowestIndexError: rows are encoded on the pool,
+// and of several bad rows the lowest index's error is returned, at any
+// width.
+func TestTrainObservationsLowestIndexError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	mm := scInput(workload.MatMul(), 0, 0)
+	obs := make([]Observation, 64)
+	for i := range obs {
+		obs[i] = Observation{Inputs: []WorkloadInput{mm}, Label: 100}
+	}
+	obs[9].Target, obs[40].Target = 5, 7
+	p := NewPredictor(Config{Coder: Coder{NumServers: 4, MaxWorkloads: 3}})
+	err := p.TrainObservations(JCTQoS, obs)
+	if err == nil || !strings.Contains(err.Error(), "target 5 out of range") {
+		t.Fatalf("got %v, want row 9's error", err)
 	}
 }
 

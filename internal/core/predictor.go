@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 
 	"gsight/internal/metrics"
 	"gsight/internal/ml"
+	"gsight/internal/par"
 	"gsight/internal/resources"
 	"gsight/internal/telemetry"
 )
@@ -259,13 +261,18 @@ func (p *Predictor) TrainObservations(kind QoSKind, obs []Observation) error {
 		return err
 	}
 	span := telemetry.StartSpan(p.ins.UpdateSeconds)
-	var ds ml.Dataset
-	for _, o := range obs {
+	// Rows are encoded on the pool, each into its own slot.
+	ds := ml.Dataset{X: make([][]float64, len(obs)), Y: make([]float64, len(obs))}
+	if err := par.For(context.Background(), runtime.GOMAXPROCS(0), len(obs), func(_, i int) error {
+		o := &obs[i]
 		x, err := p.coder.Encode(o.Target, o.Inputs)
 		if err != nil {
 			return err
 		}
-		ds.Append(x, o.Label/p.refFor(kind, o.Target, o.Inputs))
+		ds.X[i], ds.Y[i] = x, o.Label/p.refFor(kind, o.Target, o.Inputs)
+		return nil
+	}); err != nil {
+		return err
 	}
 	if err := p.models[kind].Fit(ds.X, ds.Y); err != nil {
 		return err

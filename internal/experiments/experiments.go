@@ -13,7 +13,6 @@ import (
 	"gsight/internal/core"
 	"gsight/internal/perfmodel"
 	"gsight/internal/resources"
-	"gsight/internal/rng"
 	"gsight/internal/scenario"
 	"gsight/internal/sched"
 )
@@ -284,27 +283,16 @@ func errsOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) ([]f
 }
 
 // collectObs draws labeled observations of one QoS kind from randomized
-// colocations. Scenario and noise-stream draws happen sequentially (the
+// colocations. The colocations are drawn serially (Generator.Draws: the
 // generator's RNG order is the determinism anchor); the expensive
 // testbed evaluations then fan out over the worker pool and results are
 // assembled in draw order, so the observation list is byte-identical to
 // a sequential run.
 func collectObs(ctx context.Context, g *scenario.Generator, colocation core.ColocationKind, kind core.QoSKind, scenarios, maxWorkloads int) ([]core.Observation, error) {
-	type draw struct {
-		sc    *perfmodel.Scenario
-		noise *rng.Rand
-	}
-	draws := make([]draw, scenarios)
-	for i := range draws {
-		k := 2
-		if maxWorkloads > 2 {
-			k = 2 + g.Rand().Intn(maxWorkloads-1)
-		}
-		draws[i] = draw{g.Colocation(colocation, k), g.NoiseSplit()}
-	}
+	draws := g.Draws(colocation, scenarios, maxWorkloads)
 	perScenario := make([][]core.Observation, scenarios)
 	err := forEach(ctx, scenarios, func(i int) error {
-		samples, err := g.LabelWith(draws[i].sc, draws[i].noise)
+		samples, err := g.LabelWith(draws[i].Scenario, draws[i].Noise)
 		if err != nil {
 			return err
 		}

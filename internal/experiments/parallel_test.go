@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -64,28 +66,24 @@ func TestFig3aDeterministic(t *testing.T) {
 	}
 }
 
-// TestCollectObsDeterministic: parallel labeling with pre-split noise
-// streams must reproduce the sequential draw order exactly.
+// TestCollectObsDeterministic: parallel labeling with pre-drawn
+// colocations and noise streams must reproduce the sequential draw
+// order exactly, at 1 worker and at 4.
 func TestCollectObsDeterministic(t *testing.T) {
-	run := func() []float64 {
+	run := func(procs int) []core.Observation {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		_, g := newLab(Options{Seed: 7, Scale: 0.02})
 		obs, err := collectObs(nil, g, core.LSSC, core.IPCQoS, 12, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		labels := make([]float64, len(obs))
-		for i, o := range obs {
-			labels[i] = o.Label
-		}
-		return labels
+		return obs
 	}
-	a, b := run(), run()
+	a, b := run(1), run(4)
 	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("label counts: %d vs %d", len(a), len(b))
+		t.Fatalf("observation counts: %d vs %d", len(a), len(b))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("label %d differs: %v vs %v", i, a[i], b[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("observations differ between 1 and 4 workers")
 	}
 }

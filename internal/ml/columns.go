@@ -1,9 +1,10 @@
 package ml
 
 import (
+	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
+
+	"gsight/internal/par"
 )
 
 // maxWindowRows is the largest training window the kernel accepts: a
@@ -95,8 +96,10 @@ func (wc *windowColumns) build(rows [][]float64, y []float64, workers int) error
 		k.sorted = grab(k.sorted, w)
 		k.vals = k.vals[:0]
 	}
-	parallelFor(workers, nc, func(g, c int) { wc.rankColumn(rows, &wc.work[g], c) })
-	return nil
+	return par.For(context.Background(), workers, nc, func(g, c int) error {
+		wc.rankColumn(rows, &wc.work[g], c)
+		return nil
+	})
 }
 
 // rankColumn fills vals[c] and column c's ranks using scratch k.
@@ -133,32 +136,4 @@ func (wc *windowColumns) rankColumn(rows [][]float64, k *rankWork, c int) {
 		}
 		ranks[i] = uint16(a)
 	}
-}
-
-// parallelFor runs fn(g, i) for every i in [0, k) on at most workers
-// goroutines, handing out indices in order, and returns when all calls
-// have; g < workers identifies the calling goroutine. fn must write
-// only state owned by index i or by goroutine g.
-func parallelFor(workers, k int, fn func(g, i int)) {
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		for i := 0; i < k; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < k; i = int(next.Add(1)) - 1 {
-				fn(g, i)
-			}
-		}(g)
-	}
-	wg.Wait()
 }

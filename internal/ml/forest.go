@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"gsight/internal/par"
 	"gsight/internal/rng"
 	"gsight/internal/telemetry"
 )
@@ -251,9 +253,10 @@ func (u *ForestUpdate) Run(workers int) {
 	n, k := len(f.wcY), len(u.rnds)
 	trees := make([]*Tree, k)
 	errs := make([]error, k)
-	parallelFor(workers, k, func(_, t int) {
+	par.For(context.Background(), workers, k, func(_, t int) error {
 		trees[t] = NewTree(f.cfg.Tree)
 		errs[t] = trees[t].fitFromWindow(&f.wc, f.boot[t*n:(t+1)*n], u.rnds[t])
+		return nil
 	})
 	u.err = errors.Join(errs...)
 	u.trees = trees

@@ -203,8 +203,13 @@ func (t *Tree) grow(s *fitScratch, wc *windowColumns, lo, hi, depth int, rnd *rn
 	cols := t.sampleFeatures(s, rnd)
 	bkt := s.bkt
 	for _, c := range cols {
-		accumulate(span, y, wc.ranks[c*w:(c+1)*w], bkt, s.occ)
-		occ := s.occupied(len(wc.vals[c]))
+		rk, k := wc.ranks[c*w:(c+1)*w], len(wc.vals[c])
+		if k <= 64 {
+			s.occ[0] = accumulate64(span, y, rk, bkt)
+		} else {
+			accumulate(span, y, rk, bkt, s.occ)
+		}
+		occ := s.occupied(k)
 		var lSum, lSq float64
 		cum := 0
 		for g, r := range occ[:len(occ)-1] {
@@ -286,6 +291,23 @@ func accumulate(span []int32, y []float64, rk []uint16, bkt []bucket, occ []uint
 		b.sq += v * v
 		occ[r>>6] |= 1 << (r & 63)
 	}
+}
+
+// accumulate64 is accumulate for a column of at most 64 distinct
+// values: it keeps the occupancy bitmap in a register and returns it,
+// so a row does not wait on the previous row's store to the same word.
+func accumulate64(span []int32, y []float64, rk []uint16, bkt []bucket) uint64 {
+	var occ uint64
+	for _, p := range span {
+		v := y[p]
+		r := rk[p]
+		b := &bkt[r]
+		b.n++
+		b.sum += v
+		b.sq += v * v
+		occ |= 1 << (r & 63)
+	}
+	return occ
 }
 
 // sampleFeatures returns the candidate columns to try at one node: the

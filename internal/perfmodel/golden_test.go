@@ -75,6 +75,9 @@ func goldenCases() []goldenCase {
 		for _, fast := range []bool{false, true} {
 			m := newLab(fast)
 			g := scenario.NewGenerator(m, seed)
+			// The generator's measurement-noise stream: nothing in
+			// this loop but the splits below draws from it.
+			noise := rng.Stream(seed, "measurement")
 			for _, k := range kinds {
 				for j := 0; j < 9; j++ {
 					c := goldenCase{
@@ -83,7 +86,7 @@ func goldenCases() []goldenCase {
 						sc:   g.Colocation(k.kind, 2+j%4),
 					}
 					if j%3 != 0 {
-						c.noise = g.NoiseSplit()
+						c.noise = noise.Split()
 					}
 					cases = append(cases, c)
 				}

@@ -9,8 +9,10 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"gsight/internal/core"
+	"gsight/internal/par"
 	"gsight/internal/perfmodel"
 	"gsight/internal/profile"
 	"gsight/internal/resources"
@@ -222,25 +224,48 @@ func (g *Generator) Colocation(kind core.ColocationKind, k int) *perfmodel.Scena
 	return &perfmodel.Scenario{Deployments: deps}
 }
 
-// NoiseSplit draws an independent measurement-noise stream from the
-// generator's noise sequence. Streams are drawn sequentially (each call
-// advances the parent stream) and may then be consumed concurrently —
-// the experiment harness's recipe for parallel labeling with
-// byte-identical results.
-func (g *Generator) NoiseSplit() *rng.Rand { return g.noise.Split() }
+// Draw is one colocation and the measurement-noise stream that labels
+// it. Draws are taken serially from a generator; LabelWith may then run
+// on many of them concurrently.
+type Draw struct {
+	Scenario *perfmodel.Scenario
+	Noise    *rng.Rand
+}
+
+// Draws draws n colocations of kind, each of 2 to maxWorkloads
+// workloads, consuming the generator's streams exactly as n rounds of
+// Colocation and Label would. Labelling the draws with LabelWith, in
+// any order and on any number of goroutines, reproduces those Label
+// calls bit for bit.
+func (g *Generator) Draws(kind core.ColocationKind, n, maxWorkloads int) []Draw {
+	draws := make([]Draw, n)
+	for i := range draws {
+		k := 2
+		if maxWorkloads > 2 {
+			k = 2 + g.rnd.Intn(maxWorkloads-1)
+		}
+		sc := g.Colocation(kind, k)
+		g.profileMissing(sc)
+		draws[i] = Draw{sc, g.noise.Split()}
+	}
+	return draws
+}
 
 // Label evaluates a scenario on the testbed (with measurement noise)
 // and emits one sample per deployment and applicable QoS kind.
 func (g *Generator) Label(sc *perfmodel.Scenario) ([]Sample, error) {
-	// Profile any workload outside the pre-profiled pools before
-	// splitting the noise stream, so LabelWith itself stays free of
-	// generator RNG use.
+	g.profileMissing(sc)
+	return g.LabelWith(sc, g.noise.Split())
+}
+
+// profileMissing profiles any workload of sc outside the store, so that
+// LabelWith itself stays free of generator RNG use.
+func (g *Generator) profileMissing(sc *perfmodel.Scenario) {
 	for _, d := range sc.Deployments {
 		if _, ok := g.Store.Get(d.W.Name); !ok {
 			g.Store.ProfileWorkload(d.W, g.Model.Testbed.Servers[0], g.rnd.Split())
 		}
 	}
-	return g.LabelWith(sc, g.noise.Split())
 }
 
 // LabelWith is Label with a caller-provided noise stream. It reads but
@@ -281,18 +306,27 @@ func (g *Generator) LabelWith(sc *perfmodel.Scenario, noise *rng.Rand) ([]Sample
 
 // Bootstrap trains pred on n labeled LS+SC colocations of two or three
 // workloads — what gsight-sim and gsight-serve do before they place
-// anything. ctx is checked between scenarios.
+// anything. The colocations are drawn serially and labelled on a
+// GOMAXPROCS-wide pool, so the trained model is the same at any width.
+// A cancelled ctx stops the labelling and leaves pred untrained.
 func (g *Generator) Bootstrap(ctx context.Context, pred core.QoSPredictor, n int) error {
-	var ipcObs, jctObs []core.Observation
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sc := g.Colocation(core.LSSC, 2+g.rnd.Intn(2))
-		samples, err := g.Label(sc)
+	if n < 1 {
+		return fmt.Errorf("scenario: bootstrap needs at least one scenario, got n = %d", n)
+	}
+	draws := g.Draws(core.LSSC, n, 3)
+	labels := make([][]Sample, n)
+	if err := par.For(ctx, runtime.GOMAXPROCS(0), n, func(_, i int) error {
+		samples, err := g.LabelWith(draws[i].Scenario, draws[i].Noise)
 		if err != nil {
 			return fmt.Errorf("scenario: labeling: %w", err)
 		}
+		labels[i] = samples
+		return nil
+	}); err != nil {
+		return err
+	}
+	var ipcObs, jctObs []core.Observation
+	for _, samples := range labels {
 		for _, s := range samples {
 			o := core.Observation{Target: s.Target, Inputs: s.Inputs, Label: s.Label}
 			switch s.Kind {

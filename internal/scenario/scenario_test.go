@@ -1,6 +1,12 @@
 package scenario
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gsight/internal/core"
@@ -172,3 +178,100 @@ func TestInputWorkloadLevel(t *testing.T) {
 
 // profileMerged avoids importing profile under a clashing name.
 func profileMerged(ps []profile.Profile) profile.Profile { return profile.Merged(ps) }
+
+// atWidth runs fn with GOMAXPROCS set to procs, the width of every
+// start-up fan-out.
+func atWidth(t *testing.T, procs int, fn func()) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// bootstrapState bootstraps a fresh predictor on n scenarios of a seed-5
+// generator at the given width and returns its checkpoint bytes.
+func bootstrapState(t *testing.T, procs, n int) []byte {
+	t.Helper()
+	var blob []byte
+	atWidth(t, procs, func() {
+		p := core.NewPredictor(core.Config{Seed: 5})
+		if err := newGen(5).Bootstrap(context.Background(), p, n); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if blob, err = p.CheckpointState(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return blob
+}
+
+// TestBootstrapWorkerCountIndependent: labelling and row encoding fan
+// out, and the trained predictor is byte-identical at 1 and 4 workers.
+func TestBootstrapWorkerCountIndependent(t *testing.T) {
+	one, four := bootstrapState(t, 1, 40), bootstrapState(t, 4, 40)
+	if !bytes.Equal(one, four) {
+		t.Fatalf("checkpoint differs between 1 and 4 workers (%d vs %d bytes)", len(one), len(four))
+	}
+}
+
+// TestBootstrapMatchesSerialLabel: Bootstrap trains on exactly the
+// observations a serial Colocation+Label loop yields.
+func TestBootstrapMatchesSerialLabel(t *testing.T) {
+	const n = 40
+	g := newGen(5)
+	var ipc, jct []core.Observation
+	for i := 0; i < n; i++ {
+		samples, err := g.Label(g.Colocation(core.LSSC, 2+g.rnd.Intn(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			o := core.Observation{Target: s.Target, Inputs: s.Inputs, Label: s.Label}
+			switch s.Kind {
+			case core.IPCQoS:
+				ipc = append(ipc, o)
+			case core.JCTQoS:
+				jct = append(jct, o)
+			}
+		}
+	}
+	p := core.NewPredictor(core.Config{Seed: 5})
+	if err := p.TrainObservations(core.IPCQoS, ipc); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TrainObservations(core.JCTQoS, jct); err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bootstrapState(t, 4, n); !bytes.Equal(got, want) {
+		t.Fatal("Bootstrap differs from the serial Colocation+Label loop")
+	}
+}
+
+func TestBootstrapRejectsEmpty(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		g, fresh := newGen(5), newGen(5)
+		err := g.Bootstrap(context.Background(), core.NewPredictor(core.Config{Seed: 5}), n)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("n = %d", n)) {
+			t.Fatalf("n = %d: got %v, want an error naming n", n, err)
+		}
+		if g.rnd.Uint64() != fresh.rnd.Uint64() || g.noise.Uint64() != fresh.noise.Uint64() {
+			t.Fatalf("n = %d: the rejected bootstrap drew from the generator", n)
+		}
+	}
+}
+
+func TestBootstrapCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := core.NewPredictor(core.Config{Seed: 5})
+	if err := newGen(5).Bootstrap(ctx, p, 8); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if _, err := p.Predict(core.IPCQoS, 0, []core.WorkloadInput{{}}); !errors.Is(err, core.ErrNotTrained) {
+		t.Fatalf("predictor trained after a cancelled bootstrap: %v", err)
+	}
+}

@@ -5,8 +5,11 @@
 package sched
 
 import (
+	"context"
+	"runtime"
 	"sort"
 
+	"gsight/internal/par"
 	"gsight/internal/perfmodel"
 	"gsight/internal/rng"
 	"gsight/internal/workload"
@@ -82,15 +85,18 @@ func (c *Curve) Points() []CurvePoint {
 // BuildCurve calibrates a workload's latency-IPC curve offline by
 // sweeping the request load and synthetic corunner pressure on the
 // model testbed — the reproduction's analogue of the paper's 30-minute
-// per-workload calibration run.
+// per-workload calibration run. The sweep is drawn serially and
+// evaluated on a GOMAXPROCS-wide pool, so the curve is the same at any
+// width.
 func BuildCurve(m *perfmodel.Model, w *workload.Workload, samples int, seed uint64) *Curve {
 	rnd := rng.Stream(seed, "curve-"+w.Name)
 	noise := rng.Stream(seed, "curve-noise-"+w.Name)
 	corunners := []*workload.Workload{
 		workload.MatMul(), workload.VideoProcessing(), workload.DD(), workload.Iperf(),
 	}
-	var pts []CurvePoint
-	for i := 0; i < samples; i++ {
+	scs := make([]*perfmodel.Scenario, samples)
+	noises := make([]*rng.Rand, samples)
+	for i := range scs {
 		d := perfmodel.SpreadDeployment(w, m.Testbed)
 		// Sweep the operating-load band, not the saturation edge: the
 		// paper defines the SLA at a fixed reference load, so the
@@ -109,14 +115,26 @@ func BuildCurve(m *perfmodel.Model, w *workload.Workload, samples int, seed uint
 			}
 			deps = append(deps, c)
 		}
-		res, err := m.Evaluate(&perfmodel.Scenario{Deployments: deps}, noise.Split())
-		if err != nil {
-			continue
-		}
-		r := res.Deployments[0]
-		pts = append(pts, CurvePoint{IPC: r.IPC, P99Ms: r.E2EP99Ms})
+		scs[i] = &perfmodel.Scenario{Deployments: deps}
+		noises[i] = noise.Split()
 	}
-	return NewCurve(pts)
+	pts := make([]CurvePoint, samples)
+	ok := make([]bool, samples)
+	par.For(context.Background(), runtime.GOMAXPROCS(0), samples, func(_, i int) error {
+		// A sample the model cannot evaluate is skipped.
+		if res, err := m.Evaluate(scs[i], noises[i]); err == nil {
+			r := res.Deployments[0]
+			pts[i], ok[i] = CurvePoint{IPC: r.IPC, P99Ms: r.E2EP99Ms}, true
+		}
+		return nil
+	})
+	kept := pts[:0]
+	for i, p := range pts {
+		if ok[i] {
+			kept = append(kept, p)
+		}
+	}
+	return NewCurve(kept)
 }
 
 // CalibrateMinIPC turns each LS service's p99 SLA into its IPC

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"gsight/internal/core"
@@ -247,5 +250,27 @@ func TestBuildCurveShape(t *testing.T) {
 	// SLA transformation yields a usable floor.
 	if _, ok := c.MinIPCFor(workload.SocialNetwork().SLAp99Ms); !ok {
 		t.Fatal("SLA transform found no feasible IPC floor")
+	}
+}
+
+// TestCalibrateMinIPCWorkerCountIndependent: the curve sweep is
+// evaluated on a GOMAXPROCS-wide pool; the floors and every curve point
+// are bit-equal at 1 and 4 workers.
+func TestCalibrateMinIPCWorkerCountIndependent(t *testing.T) {
+	m := perfmodel.New(resources.DefaultTestbed())
+	services := []*workload.Workload{workload.SocialNetwork(), workload.ECommerce(), workload.MLServing()}
+	at := func(procs int) ([]float64, []CurvePoint) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return CalibrateMinIPC(m, services, 60, 9), BuildCurve(m, services[0], 60, 9).Points()
+	}
+	floors1, pts1 := at(1)
+	floors4, pts4 := at(4)
+	for i := range floors1 {
+		if math.Float64bits(floors1[i]) != math.Float64bits(floors4[i]) {
+			t.Fatalf("%s floor: %v at 1 worker, %v at 4", services[i].Name, floors1[i], floors4[i])
+		}
+	}
+	if !slices.Equal(pts1, pts4) {
+		t.Fatal("curve points differ between 1 and 4 workers")
 	}
 }
