@@ -40,7 +40,6 @@ func TestRunPlatformRootAPI(t *testing.T) {
 			{W: cat["social-network"], Pattern: gsight.DefaultTracePattern(250), SLA: gsight.SLA{MinIPC: 0.9}},
 		},
 		DurationS: 1800,
-		StepS:     30,
 		Seed:      42,
 		Faults:    sch,
 	})

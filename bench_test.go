@@ -450,23 +450,21 @@ func BenchmarkPredictorRestore(b *testing.B) {
 	b.ReportMetric(float64(len(state)), "state_bytes")
 }
 
-// schedulingOp is one placement decision on a fresh 8-server state:
-// state construction, request and Place together. The state is built
-// inline, not by a helper: Place does not retain it, so it stays on the
-// stack. The closure is copied wherever schedulingOp inlines, and the
-// copy does not inline its own calls, so a helper's result would be
-// heap-allocated — three allocations over the 1 alloc/op budget.
+// schedulingOp is one placement decision on an empty 8-server state:
+// state copy, request and Place together. The copy is made inline, not
+// by a helper: Place does not retain it, so it stays on the stack. The
+// closure is copied wherever schedulingOp inlines, and the copy does
+// not inline its own calls, so a helper's result would be
+// heap-allocated — three allocations over the 1 alloc/op budget. The
+// copy shares the template's counted bookkeeping, which Place only
+// reads.
 func schedulingOp(tb testing.TB, scheduler *sched.Gsight, obs []core.Observation) func(int) {
-	capacity := resources.DefaultServerSpec("bench").Capacity
+	empty := sched.StateFromProfiles(resources.DefaultServerSpec("bench"), 8)
 	return func(i int) {
-		var caps, used [8]resources.Vector
-		for j := range caps {
-			caps[j] = capacity
-		}
-		st := &sched.State{Caps: caps[:], Used: used[:]}
+		st := *empty
 		o := obs[i%len(obs)]
 		req := &PlacementRequest{Input: o.Inputs[o.Target], SLA: SLA{MinIPC: 0.5}}
-		if _, err := scheduler.Place(st, req); err != nil {
+		if _, err := scheduler.Place(&st, req); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -494,7 +492,6 @@ func BenchmarkSchedulingInstrumented(b *testing.B) {
 // 8-server state, where it is exactly a direct Place against the state.
 func proposeOp(tb testing.TB, scheduler *sched.Gsight, obs []core.Observation) func(int) {
 	ss := sched.StateFromProfiles(resources.DefaultServerSpec("bench"), 8)
-	ss.Recount()
 	// One reusable request: inside propose the scheduler is an
 	// interface, so a per-iteration literal would escape and charge
 	// the caller's allocation to the propose path under test.
@@ -529,7 +526,6 @@ func BenchmarkShardedPlacement(b *testing.B) {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
 			scheduler := NewScheduler(p)
 			ss := sched.StateFromProfiles(spec, n)
-			ss.Recount()
 			names := make([]string, 256)
 			for i := range names {
 				names[i] = fmt.Sprintf("bench-%03d", i)
@@ -566,6 +562,7 @@ func contendedState(n, idleEvery int, obs []core.Observation, spec resources.Ser
 		caps[i] = spec.Capacity
 	}
 	st := &sched.State{Caps: caps, Used: make([]resources.Vector, n)}
+	st.Recount()
 	for i := 0; i < n; i++ {
 		if i%idleEvery == 0 {
 			continue
@@ -646,7 +643,6 @@ func BenchmarkFaultyPlatform(b *testing.B) {
 			SCPool:          []*Workload{cat["matmul"], cat["dd"], cat["float-op"]},
 			SCMeanIntervalS: 200,
 			DurationS:       durationS,
-			StepS:           30,
 			Seed:            42,
 			Faults:          chaos,
 		})
@@ -686,7 +682,6 @@ func BenchmarkTracedPlatform(b *testing.B) {
 			SCPool:          []*Workload{cat["matmul"], cat["dd"], cat["float-op"]},
 			SCMeanIntervalS: 200,
 			DurationS:       durationS,
-			StepS:           30,
 			Seed:            42,
 			Faults:          chaos,
 			Obs:             rec,
@@ -748,7 +743,6 @@ func BenchmarkPlatformStep(b *testing.B) {
 			SCPool:          []*Workload{cat["matmul"], cat["dd"]},
 			SCMeanIntervalS: 200,
 			DurationS:       durationS,
-			StepS:           30,
 			Seed:            42,
 		})
 		if err != nil {

@@ -9,16 +9,11 @@
 //	gsight-sim [-scheduler gsight|bestfit|worstfit] [-hours 24]
 //	           [-train 800] [-seed 42] [-v|-quiet]
 //	           [-faults chaos|node-crash|...|schedule.json]
-//	           [-checkpoint-dir ckpt] [-resume]
 //	           [-debug-addr :6060] [-report run.json] [-decision-log run.jsonl]
 //	           [-trace trace.json] [-record dir]
 //
-// A run is a pure function of its flags, so it recovers by re-running.
-// An injected controller-crash fault ends the run with exit code 3;
-// with -checkpoint-dir it first writes a marker counting the crashes
-// taken. Rerun with -resume and the same flags: the run starts again at
-// t = 0, skips the crashes the marker counts, and rewrites every output,
-// byte-identical to an uninterrupted run.
+// A run is a pure function of its flags, so it recovers by re-running:
+// every output is rewritten from t = 0, byte-identical.
 //
 // -trace writes an invocation-lifecycle trace in Chrome trace-event
 // JSON (loadable in Perfetto or chrome://tracing). -record captures the
@@ -30,7 +25,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -65,8 +59,7 @@ func main() {
 	verbose := flag.Bool("v", false, "verbose progress")
 	quiet := flag.Bool("quiet", false, "errors only")
 	faultsFlag := flag.String("faults", "", "fault schedule: a named scenario ("+strings.Join(faults.Names(), ", ")+") or a JSON schedule file")
-	checkpointDir := flag.String("checkpoint-dir", "", "write a crash marker to this directory when an injected controller crash is taken")
-	resume := flag.Bool("resume", false, "rerun past the crashes the newest valid marker in -checkpoint-dir counts (fresh start if none)")
+	flag.String("checkpoint-dir", "", "ignored: still accepted because benchmark/sim.go passes it (ROADMAP 18(a) drops it)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	reportPath := flag.String("report", "", "write a JSON run report to this file")
 	decisionPath := flag.String("decision-log", "", "write the JSONL decision log to this file")
@@ -86,66 +79,49 @@ func main() {
 	// run (not main) owns the deferred cleanups, so a failure exits
 	// through them — buffered decision logs land on disk either way.
 	if err := run(ctx, log, options{
-		scheduler:     *schedName,
-		hours:         *hours,
-		trainScen:     *trainScen,
-		seed:          *seed,
-		faults:        *faultsFlag,
-		checkpointDir: *checkpointDir,
-		resume:        *resume,
-		debugAddr:     *debugAddr,
-		reportPath:    *reportPath,
-		decisionPath:  *decisionPath,
-		tracePath:     *tracePath,
-		recordDir:     *recordDir,
-		scaling:       trace.Scaling{RateFactor: *rateScale, TimeFactor: *timeScale},
-		servers:       *servers,
-		topk:          *topk,
+		scheduler:    *schedName,
+		hours:        *hours,
+		trainScen:    *trainScen,
+		seed:         *seed,
+		faults:       *faultsFlag,
+		debugAddr:    *debugAddr,
+		reportPath:   *reportPath,
+		decisionPath: *decisionPath,
+		tracePath:    *tracePath,
+		recordDir:    *recordDir,
+		scaling:      trace.Scaling{RateFactor: *rateScale, TimeFactor: *timeScale},
+		servers:      *servers,
+		topk:         *topk,
 	}); err != nil {
 		log.Errorf("%v", err)
-		// A deliberate controller crash is distinguishable from real
-		// failures so retry loops can rerun with -resume.
-		if errors.Is(err, platform.ErrControllerCrashed) {
-			os.Exit(3)
-		}
 		os.Exit(1)
 	}
 }
 
-// simStepS is the platform step interval; the flight recorder stamps
-// it into its header so recordings are self-describing.
-const simStepS = 30
-
 type options struct {
-	scheduler     string
-	hours         float64
-	trainScen     int
-	seed          uint64
-	faults        string
-	checkpointDir string
-	resume        bool
-	debugAddr     string
-	reportPath    string
-	decisionPath  string
-	tracePath     string
-	recordDir     string
-	scaling       trace.Scaling
-	servers       int
-	topk          int
+	scheduler    string
+	hours        float64
+	trainScen    int
+	seed         uint64
+	faults       string
+	debugAddr    string
+	reportPath   string
+	decisionPath string
+	tracePath    string
+	recordDir    string
+	scaling      trace.Scaling
+	servers      int
+	topk         int
 }
 
 func run(ctx context.Context, log *logx.Logger, opt options) error {
-	if opt.resume && opt.checkpointDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
 	if opt.trainScen < 1 && (opt.scheduler == "gsight" || opt.scheduler == "bestfit") {
 		return fmt.Errorf("-train %d: the %s scheduler needs at least 1 bootstrap scenario", opt.trainScen, opt.scheduler)
 	}
 
 	sink := telemetry.New()
 	// openOut creates (or truncates) one output file: decision log,
-	// trace or flight recording. A resumed run re-executes from t = 0 and
-	// writes them all again. When run returns, however it returns, the
+	// trace or flight recording. When run returns, however it returns, the
 	// streams over the files are flushed and then the files closed, so a
 	// failed or interrupted run still leaves whole records on disk.
 	var (
@@ -221,7 +197,7 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 
 	var recorder *obs.Recorder
 	if tracePath != "" || flightPath != "" {
-		obsCfg := obs.Config{Servers: m.Testbed.NumServers(), StepS: simStepS}
+		obsCfg := obs.Config{Servers: m.Testbed.NumServers(), StepS: platform.StepS}
 		if tracePath != "" {
 			f, err := openOut(tracePath)
 			if err != nil {
@@ -337,21 +313,13 @@ func run(ctx context.Context, log *logx.Logger, opt options) error {
 		},
 		SCMeanIntervalS: 150,
 		DurationS:       durationS,
-		StepS:           simStepS,
 		Seed:            opt.seed,
 		Telemetry:       sink,
 		Faults:          schedule,
 		Predictor:       onlinePred,
 		Obs:             recorder,
-		Checkpoint: platform.CheckpointConfig{
-			Dir:    opt.checkpointDir,
-			Resume: opt.resume,
-		},
 	})
 	if err != nil {
-		if errors.Is(err, platform.ErrControllerCrashed) {
-			return fmt.Errorf("simulation: %w (rerun with -resume to continue)", err)
-		}
 		return fmt.Errorf("simulation: %w", err)
 	}
 	log.Infof("simulated in %v (%d steps)", time.Since(t0).Round(time.Millisecond), st.Steps)

@@ -142,7 +142,6 @@ func main() {
 			},
 			SCMeanIntervalS: 180,
 			DurationS:       durationS,
-			StepS:           30,
 			Seed:            42,
 			Faults:          entry.faults,
 		})

@@ -134,7 +134,8 @@ type (
 	SLA = sched.SLA
 	// SchedulerState is the cluster state Scheduler.Place reads
 	// (capacities, usage, the running set, the online mask) and
-	// placements commit into.
+	// placements commit into. Build it with NewSchedulerState, or call
+	// Recount after constructing it or editing its fields directly.
 	SchedulerState = sched.State
 	// PlacerPool places request batches with K concurrent workers;
 	// the result is serial placement in request order.
@@ -156,9 +157,7 @@ func NewScheduler(p QoSPredictor) *sched.Gsight { return sched.NewGsight(p) }
 // NewSchedulerState returns an empty scheduler cluster state sized to
 // the model's testbed.
 func NewSchedulerState(m *Model) *SchedulerState {
-	st := sched.StateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers())
-	st.Recount()
-	return st
+	return sched.StateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers())
 }
 
 // NewPlacerPool builds a placer pool over the state with the given
@@ -187,17 +186,7 @@ type (
 	PlatformStats = platform.Stats
 	// PlatformService is one resident latency-sensitive service.
 	PlatformService = platform.LSService
-	// PlatformCheckpoint configures the crash markers of a platform run
-	// (PlatformConfig.Checkpoint, DESIGN.md §12).
-	PlatformCheckpoint = platform.CheckpointConfig
 )
-
-// ErrControllerCrashed is returned by RunPlatform when an injected
-// "controller-crash" fault kills the run. With a marker directory set,
-// rerunning with PlatformCheckpoint.Resume re-executes the run past the
-// crashes already taken and reproduces the uninterrupted run
-// byte-for-byte.
-var ErrControllerCrashed = platform.ErrControllerCrashed
 
 // DefaultTracePattern returns the Azure-like diurnal + bursts + noise
 // pattern around a base request rate.

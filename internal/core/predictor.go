@@ -294,11 +294,6 @@ func (p *Predictor) TrainObservations(kind QoSKind, obs []Observation) error {
 // as a signal to degrade to a capacity-based policy, not to retry.
 var ErrNotTrained = errors.New("core: model not trained")
 
-// ErrUnavailable marks a predictor that is temporarily unreachable
-// (fault injection, a remote inference service being down). Like
-// ErrNotTrained it calls for graceful degradation by the caller.
-var ErrUnavailable = errors.New("core: predictor unavailable")
-
 // Predict estimates ws[target]'s QoS under the colocation. Calling it
 // for an untrained kind returns an error wrapping ErrNotTrained: the
 // paper never predicts before the initial dataset exists.

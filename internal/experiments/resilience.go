@@ -89,7 +89,6 @@ func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
 			SCPool:          scPool,
 			SCMeanIntervalS: 180,
 			DurationS:       duration,
-			StepS:           30,
 			Seed:            opt.Seed,
 			Faults:          schedules[i],
 		})

@@ -108,7 +108,6 @@ func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats
 			SCPool:          scPool,
 			SCMeanIntervalS: 180,
 			DurationS:       duration,
-			StepS:           30,
 			Seed:            opt.Seed,
 		})
 		if err != nil {

@@ -98,7 +98,6 @@ func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
 			SCPool:          []*workload.Workload{workload.MatMul(), workload.DD()},
 			SCMeanIntervalS: 300,
 			DurationS:       duration,
-			StepS:           30,
 			Seed:            opt.Seed,
 		})
 		if err != nil {

@@ -41,11 +41,6 @@ const (
 	PredictorDown Kind = "predictor-down"
 	// PredictorUp ends a predictor outage.
 	PredictorUp Kind = "predictor-up"
-	// ControllerCrash kills the controller process itself at AtS: the
-	// platform run returns ErrControllerCrashed. With crash markers on,
-	// a resumed run re-executes from t = 0 and skips the crashes its
-	// marker counts. Node, Factor and DurationS are ignored.
-	ControllerCrash Kind = "controller-crash"
 )
 
 // Event is one fault occurrence on the simulation timeline.
@@ -85,7 +80,7 @@ func (s *Schedule) Validate(numServers int) error {
 	}
 	for i, e := range s.Events {
 		switch e.Kind {
-		case NodeCrash, NodeRecover, SlowNode, NodeRestore, ColdStartStorm, PredictorDown, PredictorUp, ControllerCrash:
+		case NodeCrash, NodeRecover, SlowNode, NodeRestore, ColdStartStorm, PredictorDown, PredictorUp:
 		default:
 			return fmt.Errorf("faults: event %d: unknown kind %q", i, e.Kind)
 		}
@@ -156,7 +151,6 @@ const (
 	OpStormEnd
 	OpPredictorDown
 	OpPredictorUp
-	OpControllerCrash
 )
 
 // String returns the op's decision-log name.
@@ -178,8 +172,6 @@ func (o Op) String() string {
 		return "predictor-down"
 	case OpPredictorUp:
 		return "predictor-up"
-	case OpControllerCrash:
-		return "controller-crash"
 	}
 	return "unknown"
 }
@@ -261,8 +253,6 @@ func opsFor(k Kind) (begin, end Op) {
 		return OpPredictorDown, OpPredictorUp
 	case PredictorUp:
 		return OpPredictorUp, -1
-	case ControllerCrash:
-		return OpControllerCrash, -1
 	}
 	return -1, -1
 }
@@ -295,10 +285,6 @@ func (in *Injector) Apply(c Change) {
 		if in.predDown > 0 {
 			in.predDown--
 		}
-	case OpControllerCrash:
-		// The crash targets the controller process, not cluster state:
-		// the platform handles the op itself and the injector's live
-		// view is unchanged.
 	}
 }
 

@@ -67,6 +67,22 @@ func TestParseJSONRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestRetiredCrashKindRejected: the simulator has no controller process
+// to kill, so a schedule naming the controller-crash kind is refused
+// like any other unknown kind, and the error says which.
+func TestRetiredCrashKindRejected(t *testing.T) {
+	s, err := ParseJSON(strings.NewReader(`{"events":[{"at_s":1500,"kind":"controller-crash"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(8); err == nil || !strings.Contains(err.Error(), `unknown kind "controller-crash"`) {
+		t.Fatalf("Validate returned %v, want an unknown-kind error naming controller-crash", err)
+	}
+	if _, err := NewInjector(s, 8); err == nil || !strings.Contains(err.Error(), "controller-crash") {
+		t.Fatalf("NewInjector returned %v, want an error naming controller-crash", err)
+	}
+}
+
 func TestInjectorExpansion(t *testing.T) {
 	s := &Schedule{Events: []Event{
 		{AtS: 300, Kind: NodeCrash, Node: 2, DurationS: 600},

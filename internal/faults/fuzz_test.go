@@ -15,8 +15,7 @@ func FuzzParseSchedule(f *testing.F) {
 		{"at_s":300,"kind":"node-crash","node":2,"duration_s":600},
 		{"at_s":500,"kind":"slow-node","node":1,"factor":0.5,"duration_s":100},
 		{"at_s":900,"kind":"cold-start-storm","factor":0.8,"duration_s":120},
-		{"at_s":1200,"kind":"predictor-down","duration_s":300},
-		{"at_s":1500,"kind":"controller-crash"}]}`))
+		{"at_s":1200,"kind":"predictor-down","duration_s":300}]}`))
 	f.Add([]byte(`{"events":[]}`))
 	f.Add([]byte(`{"events":[{"at_s":-1,"kind":"node-crash"}]}`))
 	f.Add([]byte(`{"events":[{"at_s":0,"kind":"no-such-kind"}]}`))

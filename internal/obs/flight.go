@@ -46,8 +46,8 @@ type Frame struct {
 	Flags         uint8
 	ActiveServers uint16
 	// Pending is the batch-job submissions still ahead in the arrival
-	// timeline (not the raw engine queue depth, which would leak
-	// crash-schedule events and break crash/resume byte-identity).
+	// timeline (not the raw engine queue depth, which also holds
+	// fault events).
 	Pending     uint32
 	Density     float32
 	GoodDensity float32

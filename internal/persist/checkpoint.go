@@ -197,9 +197,8 @@ type SnapshotInfo struct {
 
 // Snapshots lists the snapshot generations in dir, ascending by
 // sequence. Leftover temp files from interrupted writes are ignored.
-// A directory that does not exist yet lists as empty: a run killed
-// before its first snapshot landed looks exactly like a fresh start,
-// so retry loops can pass -resume unconditionally.
+// A directory that does not exist yet lists as empty: a process killed
+// before its first snapshot landed looks exactly like a fresh start.
 func Snapshots(dir string) ([]SnapshotInfo, error) {
 	return generations(dir, snapPrefix, snapSuffix)
 }

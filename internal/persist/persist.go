@@ -2,8 +2,7 @@
 // restarts: solo-run profile stores (profiling is a one-time cost the
 // paper amortizes, §6.4) as plain JSON, the durable-log primitives the
 // serving daemon recovers from — the checksummed WAL and the binary
-// snapshot envelope — and, in that envelope, the simulator's crash
-// markers. It knows nothing of schedulers or learners: their
+// snapshot envelope. It knows nothing of schedulers or learners: their
 // state reaches it as opaque payloads.
 package persist
 

@@ -56,15 +56,12 @@ type Config struct {
 	SCPool []*workload.Workload
 	// SCMeanIntervalS is the mean seconds between job submissions.
 	SCMeanIntervalS float64
-	// DurationS and StepS control the simulated horizon.
+	// DurationS is the simulated horizon, run in StepS-second steps.
 	DurationS float64
-	StepS     float64
 	Seed      uint64
 	// Predictor, when set, receives online observations (incremental
-	// learning during operation).
+	// learning during operation) every observeEvery steps.
 	Predictor core.QoSPredictor
-	// ObserveEvery throttles online observations (steps).
-	ObserveEvery int
 	// Telemetry, when set, receives runtime metrics and reactive-control
 	// decision events. A nil sink leaves the run bit-identical.
 	Telemetry *telemetry.Sink
@@ -77,11 +74,15 @@ type Config struct {
 	// stragglers, cold-start storms, predictor outages); nil runs a
 	// healthy cluster.
 	Faults *faults.Schedule
-	// Checkpoint enables crash markers, so a run killed by an injected
-	// controller crash can be resumed (DESIGN.md §12); the zero value
-	// disables them.
-	Checkpoint CheckpointConfig
 }
+
+// StepS is the platform's control interval in simulated seconds: each
+// step samples load, autoscales, advances the performance model and
+// checks SLAs once.
+const StepS = 30
+
+// observeEvery is how many steps apart the online learner is fed.
+const observeEvery = 10
 
 // DegradedInterval is a [StartS, EndS) window of simulation time the
 // platform spent placing through the fallback policy.
@@ -210,16 +211,9 @@ type runner struct {
 	inj      *faults.Injector
 	fallback sched.Scheduler
 
-	// cancel kills the run from inside a controller-crash event, and
-	// crashErr is what the run then returns; crashes counts the crash
-	// events reached and skipCrashes those earlier incarnations took.
 	// arrivals keeps the full submission timeline for the flight
 	// recorder's pending count.
-	cancel      context.CancelFunc
-	crashErr    error
-	crashes     int
-	skipCrashes int
-	arrivals    []float64
+	arrivals []float64
 
 	degraded       bool
 	degradedReason string
@@ -265,24 +259,14 @@ type scPoolEntry struct {
 
 // Run executes the simulation and returns its stats. A nil ctx means
 // context.Background(); cancellation returns the context's error with
-// the run's partial state discarded. An injected controller-crash
-// returns ErrControllerCrashed; with Config.Checkpoint.Dir set, a
-// subsequent Run with Checkpoint.Resume re-executes the horizon from
-// t = 0 past the crashes already taken, byte-identical to the
-// uninterrupted same-seed run. It writes every output from the start,
-// so it needs fresh (truncated) writers.
+// the run's partial state discarded. A run is a pure function of its
+// config and seed, so rerunning it is its recovery (DESIGN.md §12).
 func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.StepS <= 0 {
-		cfg.StepS = 30
-	}
 	if cfg.DurationS <= 0 {
 		cfg.DurationS = 86400
-	}
-	if cfg.ObserveEvery <= 0 {
-		cfg.ObserveEvery = 10
 	}
 	m := cfg.Model
 	inj, err := faults.NewInjector(cfg.Faults, m.Testbed.NumServers())
@@ -290,13 +274,9 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		return nil, err
 	}
 	state := sched.StateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers())
-	state.Recount()
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	r := &runner{
 		cfg:      cfg,
-		ctx:      runCtx,
-		cancel:   cancel,
+		ctx:      ctx,
 		m:        m,
 		stepper:  m.NewStepper(),
 		state:    state,
@@ -321,11 +301,6 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	for i, w := range cfg.SCPool {
 		wc := w.Clone()
 		r.scPool[i] = scPoolEntry{w: wc, proto: perfmodel.NewDeployment(wc)}
-	}
-	if cfg.Checkpoint.Dir != "" {
-		if err := r.openMarkers(); err != nil {
-			return nil, err
-		}
 	}
 	if err := r.deployServices(); err != nil {
 		return nil, err
@@ -596,9 +571,6 @@ func (r *runner) placeInner(req *sched.Request) ([]int, error) {
 	case errors.Is(err, core.ErrNotTrained):
 		r.enterDegraded(reasonUntrained)
 		return r.placeFallback(req)
-	case errors.Is(err, core.ErrUnavailable):
-		r.enterDegraded(reasonUnavailable)
-		return r.placeFallback(req)
 	}
 	// Unexpected failure: degrade rather than fail the run.
 	if out, ferr := r.placeFallback(req); ferr == nil {
@@ -651,13 +623,6 @@ func (r *runner) closeDegraded(endS float64) {
 // schedulable and modeled capacity, storms force cold starts, outages
 // flip degraded mode.
 func (r *runner) applyFault(c faults.Change) {
-	if c.Op == faults.OpControllerCrash {
-		// Handled before any counter or decision event: the crash is
-		// invisible in every output, so a crashed-and-resumed run stays
-		// byte-identical to one that never crashed.
-		r.controllerCrash()
-		return
-	}
 	r.inj.Apply(c)
 	r.stats.FaultEvents++
 	r.ins.FaultEvents.Inc()
@@ -792,16 +757,6 @@ func (r *runner) evacuate(node int) (displacedSvc, displacedJobs int) {
 	return displacedSvc, displacedJobs
 }
 
-// runErr maps an engine interruption to its cause: an injected
-// controller crash (or a failure to record it), or the caller's
-// cancellation.
-func (r *runner) runErr(err error) error {
-	if r.crashErr != nil {
-		return r.crashErr
-	}
-	return err
-}
-
 // loop drives the step loop to the configured horizon.
 func (r *runner) loop() error {
 	cfg := &r.cfg
@@ -810,7 +765,7 @@ func (r *runner) loop() error {
 	coresPerServer := r.spec.Capacity[resources.CPU]
 	// Pre-size the per-step series so steady-state appends never regrow
 	// their backing arrays.
-	nSteps := int(cfg.DurationS/cfg.StepS) + 1
+	nSteps := int(cfg.DurationS/StepS) + 1
 	for _, ss := range r.services {
 		stats.SLAOK[ss.svc.W.Name] = make([]bool, 0, nSteps)
 	}
@@ -820,13 +775,13 @@ func (r *runner) loop() error {
 	stats.GoodDensity = make([]float64, 0, nSteps)
 	stats.ActiveServers = make([]float64, 0, nSteps)
 	step := 0
-	for now := 0.0; now < cfg.DurationS; now += cfg.StepS {
+	for now := 0.0; now < cfg.DurationS; now += StepS {
 		span := telemetry.StartSpan(ins.StepSeconds)
 		// Fire job submissions and fault transitions due by now;
 		// cancellation is checked between events so SIGINT lands
 		// between decisions, never inside one.
 		if err := r.engine.RunUntilCtx(r.ctx, now); err != nil {
-			return r.runErr(err)
+			return err
 		}
 		step++
 		if r.degraded {
@@ -844,7 +799,7 @@ func (r *runner) loop() error {
 				qps = ss.svc.W.MaxQPS
 			}
 			ss.dep.QPS = qps
-			stats.Invocations += qps * cfg.StepS
+			stats.Invocations += qps * StepS
 			changed := false
 			for f := range ss.dep.Replicas {
 				want := perfmodel.LSReplicasFor(ss.svc.W, f, qps*1.1)
@@ -888,7 +843,7 @@ func (r *runner) loop() error {
 		}
 
 		r.noise.SplitInto(&r.noiseChild)
-		rep := r.stepper.Step(cfg.StepS, &r.noiseChild)
+		rep := r.stepper.Step(StepS, &r.noiseChild)
 
 		// SLA monitoring + reactive spreading.
 		for i, ss := range r.services {
@@ -951,7 +906,7 @@ func (r *runner) loop() error {
 			}
 			// Online learning feedback — paused while an injected
 			// outage makes the predictor unreachable.
-			if cfg.Predictor != nil && step%cfg.ObserveEvery == 0 && !r.predictorOut() {
+			if cfg.Predictor != nil && step%observeEvery == 0 && !r.predictorOut() {
 				inputs := r.snapshotInputs()
 				if r.obs != nil {
 					// Predict-then-observe: score the model on the label
@@ -1101,8 +1056,7 @@ func (r *runner) recordFrame(now float64, step int, demand []resources.Vector, a
 	}
 	fr.ActiveServers = uint16(active)
 	// Arrivals still ahead: computed from the (sorted) submission
-	// timeline, never the engine queue — queued controller-crash events
-	// must stay invisible so crash/resume recordings stay identical.
+	// timeline, never the engine queue, which also holds fault events.
 	fr.Pending = uint32(len(r.arrivals) - sort.Search(len(r.arrivals), func(i int) bool {
 		return r.arrivals[i] > now
 	}))

@@ -42,7 +42,6 @@ func shortConfig(s sched.Scheduler, seed uint64) Config {
 		SCPool:          []*workload.Workload{workload.MatMul(), workload.DD(), workload.FloatOp()},
 		SCMeanIntervalS: 200,
 		DurationS:       1800,
-		StepS:           30,
 		Seed:            seed,
 	}
 }

@@ -1,0 +1,167 @@
+package platform
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"testing"
+
+	"gsight/internal/core"
+	"gsight/internal/faults"
+	"gsight/internal/obs"
+	"gsight/internal/sched"
+	"gsight/internal/telemetry"
+)
+
+// A run is a pure function of its config and seed, so running it again
+// is its recovery: these tests pin that a rerun reproduces every output
+// — stats, decision log, trace and flight recording — byte for byte.
+
+// learningChaosConfig is the chaos fault scenario under the Gsight
+// scheduler with a real predictor learning online: every input a rerun
+// must reproduce. A 4 h run feeds the learner fewer than 100
+// observations (one per service every observeEvery steps, paused in
+// predictor outages), so a small update batch makes the forest train
+// mid-run and later placements go through the trained predictor.
+func learningChaosConfig(t *testing.T, seed uint64) Config {
+	t.Helper()
+	pred := core.NewPredictor(core.Config{Seed: seed, UpdateEvery: 16})
+	cfg := shortConfig(sched.NewGsight(pred), seed)
+	cfg.Predictor = pred
+	cfg.DurationS = 4 * 3600
+	chaos, err := faults.Scenario("chaos", seed, cfg.DurationS, cfg.Model.Testbed.NumServers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = chaos
+	return cfg
+}
+
+// outputs is what one run wrote: its stats (wall-clock field zeroed),
+// decision log, trace and flight recording.
+type outputs struct {
+	stats              []byte
+	st                 *Stats
+	log, trace, flight bytes.Buffer
+}
+
+// run executes cfg with fresh output streams attached. The predictor
+// logs its training steps into the same decision log.
+func (o *outputs) run(t *testing.T, ctx context.Context, cfg Config) error {
+	t.Helper()
+	cfg.Telemetry = telemetry.New().WithDecisions(&o.log)
+	if p, ok := cfg.Predictor.(*core.Predictor); ok {
+		p.Instrument(cfg.Telemetry)
+	}
+	cfg.Obs = obs.New(obs.Config{
+		Trace:   &o.trace,
+		Flight:  &o.flight,
+		Servers: cfg.Model.Testbed.NumServers(),
+		StepS:   StepS,
+	})
+	st, err := Run(ctx, cfg)
+	if err != nil {
+		return err
+	}
+	if st.FaultEvents == 0 {
+		t.Fatal("the chaos scenario injected no faults")
+	}
+	o.st = st
+	c := *st
+	c.SchedulingTime = 0
+	if o.stats, err = json.Marshal(&c); err != nil {
+		t.Fatal(err)
+	}
+	return nil
+}
+
+// learned fails the test unless the predictor trained during the run
+// and some placements went through it rather than the fallback.
+func (o *outputs) learned(t *testing.T) {
+	t.Helper()
+	if !bytes.Contains(o.log.Bytes(), []byte(`"predictor_update"`)) {
+		t.Fatal("the predictor never trained: no predictor_update event in the decision log")
+	}
+	if o.st.DegradedPlacements >= o.st.Placements {
+		t.Fatalf("all %d placements went through the fallback; none used the trained predictor", o.st.Placements)
+	}
+}
+
+// same fails the test unless o and want hold identical stats and
+// identical bytes in every stream.
+func (o *outputs) same(t *testing.T, want *outputs) {
+	t.Helper()
+	if !bytes.Equal(want.stats, o.stats) {
+		t.Fatalf("stats diverged:\nwant %s\ngot  %s", want.stats, o.stats)
+	}
+	for _, s := range []struct {
+		name      string
+		want, got *bytes.Buffer
+	}{{"decision log", &want.log, &o.log}, {"trace", &want.trace, &o.trace}, {"flight recording", &want.flight, &o.flight}} {
+		if s.want.Len() == 0 {
+			t.Fatalf("%s is empty", s.name)
+		}
+		if !bytes.Equal(s.want.Bytes(), s.got.Bytes()) {
+			t.Fatalf("%s diverged: want %d bytes, got %d", s.name, s.want.Len(), s.got.Len())
+		}
+	}
+}
+
+// TestChaosLearningRunByteIdentical: two runs of the chaos scenario
+// with an online-learning predictor write the same stats and the same
+// bytes in every stream.
+func TestChaosLearningRunByteIdentical(t *testing.T) {
+	const seed = 7
+	var a, b outputs
+	if err := a.run(t, context.Background(), learningChaosConfig(t, seed)); err != nil {
+		t.Fatal(err)
+	}
+	a.learned(t)
+	if err := b.run(t, context.Background(), learningChaosConfig(t, seed)); err != nil {
+		t.Fatal(err)
+	}
+	b.same(t, &a)
+}
+
+// cancelAfter wraps a scheduler and cancels a context after n Place
+// calls — a kill landing at an arbitrary scheduling decision, not at a
+// fault event or step boundary.
+type cancelAfter struct {
+	sched.Scheduler
+	cancel context.CancelFunc
+	n      int
+}
+
+func (c *cancelAfter) Place(st *sched.State, req *sched.Request) ([]int, error) {
+	c.n--
+	if c.n == 0 {
+		c.cancel()
+	}
+	return c.Scheduler.Place(st, req)
+}
+
+// TestCancelMidRunThenRerunByteIdentical: a run cancelled mid-decision
+// returns context.Canceled, and running the same config again from
+// scratch reproduces the uninterrupted run exactly.
+func TestCancelMidRunThenRerunByteIdentical(t *testing.T) {
+	const seed = 23
+	var base outputs
+	if err := base.run(t, context.Background(), learningChaosConfig(t, seed)); err != nil {
+		t.Fatal(err)
+	}
+	base.learned(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	killed := learningChaosConfig(t, seed)
+	killed.Scheduler = &cancelAfter{Scheduler: killed.Scheduler, cancel: cancel, n: 10}
+	var partial outputs
+	if err := partial.run(t, ctx, killed); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run returned %v, want context.Canceled", err)
+	}
+	var rerun outputs
+	if err := rerun.run(t, context.Background(), learningChaosConfig(t, seed)); err != nil {
+		t.Fatal(err)
+	}
+	rerun.same(t, &base)
+}

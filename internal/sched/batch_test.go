@@ -128,10 +128,10 @@ func (f failingBatch) PredictBatchInto(core.QoSKind, []core.Query, []float64) er
 
 // TestGsightPredictorErrorsWithAndWithoutBatch: a predictor error means
 // the same to Place whichever way the SLA checks reach the predictor —
-// ErrNotTrained and ErrUnavailable surface (errors.Is holds, outcome
-// "error"), ErrTooManyServers accepts the candidate on capacity.
+// ErrNotTrained surfaces (errors.Is holds, outcome "error"),
+// ErrTooManyServers accepts the candidate on capacity.
 func TestGsightPredictorErrorsWithAndWithoutBatch(t *testing.T) {
-	for _, cause := range []error{core.ErrNotTrained, core.ErrUnavailable, core.ErrTooManyServers} {
+	for _, cause := range []error{core.ErrNotTrained, core.ErrTooManyServers} {
 		var got [2]struct {
 			placement []int
 			err       error

@@ -11,12 +11,10 @@ import "gsight/internal/resources"
 // ShardedState is the old name of State.
 type ShardedState = State
 
-// ShardedStateFromProfiles is StateFromProfiles in counted mode; the
-// third argument (a shard count) is ignored.
+// ShardedStateFromProfiles is StateFromProfiles; the third argument (a
+// shard count) is ignored.
 func ShardedStateFromProfiles(spec resources.ServerSpec, n, _ int) *State {
-	st := StateFromProfiles(spec, n)
-	st.Recount()
-	return st
+	return StateFromProfiles(spec, n)
 }
 
 // Base returns st itself.

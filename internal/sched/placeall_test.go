@@ -75,10 +75,10 @@ func TestPlaceAllSmallClusterPlacesEverything(t *testing.T) {
 		return reqs
 	}
 	factory := func() Scheduler { return NewGsight(&stubPredictor{ipc: 2}) }
-	refSt := countedState(8)
+	refSt := StateFromProfiles(spec, 8)
 	ref := serialReference(refSt, factory(), mk())
 	for _, workers := range []int{1, 4} {
-		st := countedState(8)
+		st := StateFromProfiles(spec, 8)
 		got := NewPlacerPool(st, workers, factory).PlaceAll(mk())
 		for i, r := range got {
 			if r.Err != nil || r.Outcome != "placed" {
@@ -168,7 +168,7 @@ func TestPlaceAllBatchSplitIndependence(t *testing.T) {
 				return g
 			}
 			mk := func() []*Request { return mixedStream(rng.Stream(11, "placeall-stream"), stream) }
-			refSt := countedState(servers)
+			refSt := StateFromProfiles(spec, servers)
 			fillThreeQuarters(refSt)
 			ref := serialReference(refSt, factory(), mk())
 			placed, rejected := 0, 0
@@ -199,7 +199,7 @@ func TestPlaceAllBatchSplitIndependence(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 7} {
 				for si, cut := range splits {
-					st := countedState(servers)
+					st := StateFromProfiles(spec, servers)
 					fillThreeQuarters(st)
 					pool := NewPlacerPool(st, workers, factory)
 					reqs := mk()
@@ -225,7 +225,7 @@ func TestTxnConflictIffWindowTouched(t *testing.T) {
 	g := NewGsight(&stubPredictor{ipc: 2})
 	conflicts, clean := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		st := countedState(servers)
+		st := StateFromProfiles(spec, servers)
 		var names []string
 		touched := make([]bool, servers)
 		mutate := func(record bool) {

@@ -63,14 +63,12 @@ type Deployed struct {
 }
 
 // State is the scheduler's view of the cluster, the one placements are
-// searched against and committed into. Its exported fields remain
-// directly addressable (tests and the platform's recovery path build
-// and patch states by hand), so the O(1) bookkeeping below is opt-in:
-// Recount() snapshots the counts and keeps them — and the per-server
-// commit stamps that PlacerPool's conflict check reads — maintained
-// through the mutating methods. A state whose fields were mutated
-// directly must call Recount() again before the cached counts are
-// trusted — states that never opt in keep the legacy scan behavior.
+// searched against and committed into. Alongside its exported fields
+// it keeps O(1) bookkeeping — online/active server counts, per-server
+// function counts, a name index and the per-server commit stamps that
+// PlacerPool's conflict check reads — maintained through the mutating
+// methods. A state built as a literal, or whose fields were mutated
+// directly, must call Recount() before it is used.
 type State struct {
 	// Caps[s] is server s's capacity.
 	Caps []resources.Vector
@@ -82,20 +80,19 @@ type State struct {
 	// cordoned); nil means every server is schedulable.
 	Offline []bool
 
-	// counted enables the cached bookkeeping: online/active server
-	// counts (OnlineServers and ActiveServers are called per placement
-	// and would otherwise scan all servers — ruinous at 10k) and the
-	// name→index map that spares Release its linear scan over Running.
-	counted bool
-	online  int
-	active  int
+	// online and active are the server counts OnlineServers and
+	// ActiveServers return: they are asked per placement, and a scan of
+	// all servers would be ruinous at 10k.
+	online int
+	active int
 	// funcs[s] counts the functions placed on server s. When the last
 	// one leaves, Release sets Used[s] to exactly zero: subtracting
 	// allocations in floating point can leave residue that would keep an
 	// empty server active.
 	funcs []int
 	// nameIdx maps a workload name to its first index in Running,
-	// matching Release's first-match semantics when names repeat.
+	// matching Release's first-match semantics when names repeat; it
+	// spares Release a linear scan over Running.
 	nameIdx map[string]int
 	// seq is the commit sequence number, advanced by every mutation;
 	// stamps[s] is seq at the last mutation touching server s (shard.go).
@@ -107,8 +104,7 @@ type State struct {
 }
 
 // Recount rebuilds the cached online/active counts, the per-server
-// function counts and the name→index map from the current field values
-// and enables their maintenance through SetOffline/SetCap/Commit/Release.
+// function counts and the name→index map from the current field values.
 // It also restamps every server: the surgery it follows invalidates any
 // outstanding proposal. Call it after mutating Used, Running or Offline
 // directly (checkpoint restore, state refresh).
@@ -149,16 +145,12 @@ func (st *State) Recount() {
 	for s := range st.stamps {
 		st.stamps[s] = st.seq
 	}
-	st.counted = true
 }
 
-// touch advances seq for a one-server mutation and stamps server s
-// (counted states only).
+// touch advances seq for a one-server mutation and stamps server s.
 func (st *State) touch(s int) {
 	st.seq++
-	if st.counted {
-		st.stamps[s] = st.seq
-	}
+	st.stamps[s] = st.seq
 }
 
 // NumServers returns the cluster size.
@@ -175,7 +167,7 @@ func (st *State) SetOffline(s int, down bool) {
 		}
 		st.Offline = make([]bool, len(st.Caps))
 	}
-	if st.counted && st.Offline[s] != down {
+	if st.Offline[s] != down {
 		if down {
 			st.online--
 		} else {
@@ -196,23 +188,8 @@ func (st *State) Online(s int) bool {
 	return st.Offline == nil || !st.Offline[s]
 }
 
-// OnlineServers counts the servers accepting placements — O(1) after
-// Recount, a scan otherwise.
-func (st *State) OnlineServers() int {
-	if st.counted {
-		return st.online
-	}
-	if st.Offline == nil {
-		return len(st.Caps)
-	}
-	n := 0
-	for s := range st.Caps {
-		if !st.Offline[s] {
-			n++
-		}
-	}
-	return n
-}
+// OnlineServers counts the servers accepting placements.
+func (st *State) OnlineServers() int { return st.online }
 
 // ErrNoPlacement marks deterministic rejections: the cluster cannot
 // host the request (no fit, or every feasible spread violates an SLA).
@@ -240,44 +217,30 @@ func (st *State) Commit(in core.WorkloadInput, sla SLA) {
 	for f := range in.Profiles {
 		s := in.Placement[f]
 		next := st.Used[s].Add(AllocOf(&in, f))
-		if st.counted {
-			st.funcs[s]++
-			st.stamps[s] = st.seq
-			if st.Used[s].IsZero() && !next.IsZero() {
-				st.active++
-			}
+		st.funcs[s]++
+		st.stamps[s] = st.seq
+		if st.Used[s].IsZero() && !next.IsZero() {
+			st.active++
 		}
 		st.Used[s] = next
 	}
-	if st.counted {
-		if _, ok := st.nameIdx[in.Name]; !ok {
-			st.nameIdx[in.Name] = len(st.Running)
-		}
+	if _, ok := st.nameIdx[in.Name]; !ok {
+		st.nameIdx[in.Name] = len(st.Running)
 	}
 	st.Running = append(st.Running, Deployed{Input: in, SLA: sla})
 }
 
-// IndexOf returns the first index of name in Running, -1 if absent —
-// the map lookup when counted, the legacy scan otherwise.
+// IndexOf returns the first index of name in Running, -1 if absent.
 func (st *State) IndexOf(name string) int {
-	if st.counted {
-		if i, ok := st.nameIdx[name]; ok {
-			return i
-		}
-		return -1
-	}
-	for i := range st.Running {
-		if st.Running[i].Input.Name == name {
-			return i
-		}
+	if i, ok := st.nameIdx[name]; ok {
+		return i
 	}
 	return -1
 }
 
-// Release removes the named workload from the state. With the cached
-// bookkeeping the name lookup is a map hit instead of a scan over
-// Running; the splice stays ordered either way because the running
-// set's iteration order feeds the predictor's colocation queries.
+// Release removes the named workload from the state. The splice keeps
+// Running ordered because the running set's iteration order feeds the
+// predictor's colocation queries.
 func (st *State) Release(name string) bool {
 	i := st.IndexOf(name)
 	if i < 0 {
@@ -288,28 +251,24 @@ func (st *State) Release(name string) bool {
 	for f := range d.Input.Profiles {
 		s := d.Input.Placement[f]
 		next := st.Used[s].Sub(AllocOf(&d.Input, f)).Clamped()
-		if st.counted {
-			st.stamps[s] = st.seq
-			if st.funcs[s]--; st.funcs[s] == 0 {
-				next = resources.Vector{}
-			}
-			if !st.Used[s].IsZero() && next.IsZero() {
-				st.active--
-			}
+		st.stamps[s] = st.seq
+		if st.funcs[s]--; st.funcs[s] == 0 {
+			next = resources.Vector{}
+		}
+		if !st.Used[s].IsZero() && next.IsZero() {
+			st.active--
 		}
 		st.Used[s] = next
 	}
 	st.Running = append(st.Running[:i], st.Running[i+1:]...)
-	if st.counted {
-		delete(st.nameIdx, name)
-		// Indices past the splice shifted down by one; restore the
-		// first-occurrence invariant for the moved entries (a name
-		// repeated across the seam must keep its earliest index).
-		for j := i; j < len(st.Running); j++ {
-			nm := st.Running[j].Input.Name
-			if cur, ok := st.nameIdx[nm]; !ok || cur > j {
-				st.nameIdx[nm] = j
-			}
+	delete(st.nameIdx, name)
+	// Indices past the splice shifted down by one; restore the
+	// first-occurrence invariant for the moved entries (a name repeated
+	// across the seam must keep its earliest index).
+	for j := i; j < len(st.Running); j++ {
+		nm := st.Running[j].Input.Name
+		if cur, ok := st.nameIdx[nm]; !ok || cur > j {
+			st.nameIdx[nm] = j
 		}
 	}
 	return true
@@ -317,19 +276,7 @@ func (st *State) Release(name string) bool {
 
 // ActiveServers counts servers with any allocation — the denominator of
 // the paper's density objective ("minimum number of active servers").
-// O(1) after Recount, a scan otherwise.
-func (st *State) ActiveServers() int {
-	if st.counted {
-		return st.active
-	}
-	n := 0
-	for s := range st.Used {
-		if !st.Used[s].IsZero() {
-			n++
-		}
-	}
-	return n
-}
+func (st *State) ActiveServers() int { return st.active }
 
 // Scheduler decides placements. Place reads st and must not mutate it
 // — applying the returned placement is the caller's job (State.Commit,
@@ -1098,11 +1045,12 @@ func (w *WorstFit) search(st *State, req *Request) ([]int, error) {
 }
 
 // StateFromProfiles builds an empty State over n servers of the given
-// spec; Recount opts it into counted mode.
+// spec.
 func StateFromProfiles(spec resources.ServerSpec, n int) *State {
 	st := &State{Caps: make([]resources.Vector, n), Used: make([]resources.Vector, n)}
 	for i := range st.Caps {
 		st.Caps[i] = spec.Capacity
 	}
+	st.Recount()
 	return st
 }

@@ -21,7 +21,7 @@ import (
 //     State. It remembers the window it accepted and the State's commit
 //     sequence number it read at; it is stale exactly when a mutation
 //     (Commit/Release/SetOffline/SetCap) has since stamped a server of
-//     that window (State keeps the stamps in counted mode).
+//     that window.
 //   - PlacerPool places a batch with K workers: one parallel propose
 //     phase against the frozen state, then one serial commit pass in
 //     request order that re-proposes a stale proposal on the spot. The
@@ -159,7 +159,8 @@ func (st *State) propose(s Scheduler, req *Request, scr *proposeScratch, p *prop
 // workloads project only when every function lives inside the window
 // (their placements translate to window-local indices via the arena).
 // Workloads that span the window edge still weigh in through the Used
-// vectors of their in-window servers.
+// vectors of their in-window servers. The sub-state is read-only, so
+// of the bookkeeping it carries only the online and active counts.
 func (scr *proposeScratch) project(st *State, h, w int) {
 	n := st.NumServers()
 	sub := &scr.sub
@@ -168,7 +169,7 @@ func (scr *proposeScratch) project(st *State, h, w int) {
 	scr.offline = resize(scr.offline, w)
 	sub.Offline = scr.offline
 	sub.Running = sub.Running[:0]
-	sub.counted = false
+	sub.online, sub.active = 0, 0
 	scr.arena = scr.arena[:0]
 	hasOffline := st.Offline != nil
 	for i := 0; i < w; i++ {
@@ -179,6 +180,12 @@ func (scr *proposeScratch) project(st *State, h, w int) {
 		sub.Caps[i] = st.Caps[g]
 		sub.Used[i] = st.Used[g]
 		sub.Offline[i] = hasOffline && st.Offline[g]
+		if !sub.Offline[i] {
+			sub.online++
+		}
+		if !sub.Used[i].IsZero() {
+			sub.active++
+		}
 	}
 	for di := range st.Running {
 		d := &st.Running[di]
@@ -251,15 +258,10 @@ type PlacerPool struct {
 }
 
 // NewPlacerPool builds a pool of `workers` placers (clamped to >= 1)
-// over st, switching st to counted mode if it is not already (the
-// conflict check reads its stamps). factory must return a fresh
-// Scheduler per call.
+// over st. factory must return a fresh Scheduler per call.
 func NewPlacerPool(st *State, workers int, factory func() Scheduler) *PlacerPool {
 	if workers < 1 {
 		workers = 1
-	}
-	if !st.counted {
-		st.Recount()
 	}
 	p := &PlacerPool{
 		st:      st,

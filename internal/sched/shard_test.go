@@ -86,25 +86,42 @@ func TestSelectIDsMatchesSortPrefix(t *testing.T) {
 	}
 }
 
-// TestCountedBookkeepingMatchesScan drives a counted and an uncounted
-// state through an identical operation sequence and checks the cached
-// counts and map-based Release against the legacy scans after every
-// step.
+// TestCountedBookkeepingMatchesScan drives a state through a random
+// operation sequence and checks the cached counts and the name index
+// against scans of its fields after every step.
 func TestCountedBookkeepingMatchesScan(t *testing.T) {
 	const n = 24
-	counted := StateFromProfiles(spec, n)
-	counted.Recount()
-	plain := StateFromProfiles(spec, n)
+	st := StateFromProfiles(spec, n)
 
 	check := func(step string) {
 		t.Helper()
-		scanOnline := plain.OnlineServers()
-		scanActive := plain.ActiveServers()
-		if counted.OnlineServers() != scanOnline {
-			t.Fatalf("%s: online %d != scan %d", step, counted.OnlineServers(), scanOnline)
+		scanOnline, scanActive := 0, 0
+		for s := range st.Caps {
+			if st.Online(s) {
+				scanOnline++
+			}
+			if !st.Used[s].IsZero() {
+				scanActive++
+			}
 		}
-		if counted.ActiveServers() != scanActive {
-			t.Fatalf("%s: active %d != scan %d", step, counted.ActiveServers(), scanActive)
+		if st.OnlineServers() != scanOnline {
+			t.Fatalf("%s: online %d != scan %d", step, st.OnlineServers(), scanOnline)
+		}
+		if st.ActiveServers() != scanActive {
+			t.Fatalf("%s: active %d != scan %d", step, st.ActiveServers(), scanActive)
+		}
+		for i := range st.Running {
+			nm := st.Running[i].Input.Name
+			first := i
+			for j := range st.Running[:i] {
+				if st.Running[j].Input.Name == nm {
+					first = j
+					break
+				}
+			}
+			if got := st.IndexOf(nm); got != first {
+				t.Fatalf("%s: IndexOf(%q) = %d, scan finds %d", step, nm, got, first)
+			}
 		}
 	}
 
@@ -116,8 +133,7 @@ func TestCountedBookkeepingMatchesScan(t *testing.T) {
 			in := inputFor(workload.MatMul(), 0)
 			in.Name = fmt.Sprintf("wl-%d", i)
 			in.Placement = []int{r.Intn(n)}
-			counted.Commit(in, SLA{})
-			plain.Commit(in, SLA{})
+			st.Commit(in, SLA{})
 			names = append(names, in.Name)
 		case 2: // release (sometimes a missing name)
 			nm := "absent"
@@ -126,23 +142,15 @@ func TestCountedBookkeepingMatchesScan(t *testing.T) {
 				nm = names[k]
 				names = append(names[:k], names[k+1:]...)
 			}
-			a := counted.Release(nm)
-			b := plain.Release(nm)
-			if a != b {
-				t.Fatalf("step %d: Release(%q) counted=%v plain=%v", i, nm, a, b)
+			if got, want := st.Release(nm), nm != "absent"; got != want {
+				t.Fatalf("step %d: Release(%q) = %v, want %v", i, nm, got, want)
 			}
 		case 3: // toggle a server
-			s := r.Intn(n)
-			down := r.Intn(2) == 0
-			counted.SetOffline(s, down)
-			plain.SetOffline(s, down)
+			st.SetOffline(r.Intn(n), r.Intn(2) == 0)
 		}
 		check(fmt.Sprintf("step %d", i))
-		if !reflect.DeepEqual(counted.Used, plain.Used) {
-			t.Fatalf("step %d: Used diverged", i)
-		}
-		if len(counted.Running) != len(plain.Running) {
-			t.Fatalf("step %d: Running diverged", i)
+		if len(st.Running) != len(names) {
+			t.Fatalf("step %d: %d running, want %d", i, len(st.Running), len(names))
 		}
 	}
 }
@@ -154,7 +162,7 @@ func TestCountedBookkeepingMatchesScan(t *testing.T) {
 // the density denominator or first in the "active first" order.
 func TestReleaseEverythingLeavesNoActiveServer(t *testing.T) {
 	const n = 8
-	st := countedState(n)
+	st := StateFromProfiles(spec, n)
 	mix := []*workload.Workload{workload.SocialNetwork(), workload.ECommerce(), workload.MatMul(),
 		workload.KMeans(), workload.VideoProcessing(), workload.DD()}
 	inputs := make([]core.WorkloadInput, len(mix))
@@ -195,12 +203,12 @@ func TestReleaseEverythingLeavesNoActiveServer(t *testing.T) {
 }
 
 // TestShardedLegacyEquivalence: at testbed size (8 <= windowBase) a
-// run through the window ladder (Propose on a counted State) must be
-// bit-identical to calling Place on a plain State directly: same
-// placements, same Used floats.
+// run through the window ladder (Propose) must be bit-identical to
+// calling Place on the state directly: same placements, same Used
+// floats.
 func TestShardedLegacyEquivalence(t *testing.T) {
 	legacy := StateFromProfiles(spec, 8)
-	st := countedState(8)
+	st := StateFromProfiles(spec, 8)
 	g1 := NewGsight(&stubPredictor{ipc: 2})
 	g2 := NewGsight(&stubPredictor{ipc: 2})
 	for i := 0; i < 12; i++ {
@@ -244,7 +252,7 @@ func TestShardedLegacyEquivalence(t *testing.T) {
 // commit stales the second, which PlaceAll re-proposes against the
 // refreshed state and commits.
 func TestForcedTxnConflict(t *testing.T) {
-	st := countedState(4)
+	st := StateFromProfiles(spec, 4)
 	var reqs []*Request
 	for _, name := range []string{"batch-a", "batch-b"} {
 		in := inputFor(workload.MatMul(), 0)
@@ -264,14 +272,6 @@ func TestForcedTxnConflict(t *testing.T) {
 	if got := len(st.Running); got != 2 {
 		t.Fatalf("want 2 running workloads, got %d", got)
 	}
-}
-
-// countedState is an n-server State in counted mode, as the
-// controllers build it.
-func countedState(n int) *State {
-	st := StateFromProfiles(spec, n)
-	st.Recount()
-	return st
 }
 
 // poolRequests builds a deterministic request mix: BG jobs and LS
@@ -305,7 +305,7 @@ func TestPlacerPoolDeterminism(t *testing.T) {
 	var refKeys []string
 	var refUsed []resources.Vector
 	for _, placers := range []int{1, 2, 8} {
-		st := countedState(servers)
+		st := StateFromProfiles(spec, servers)
 		pool := NewPlacerPool(st, placers, func() Scheduler {
 			return NewGsight(&stubPredictor{ipc: 2})
 		})
@@ -338,7 +338,7 @@ func TestPlacerPoolDeterminism(t *testing.T) {
 // state's Used exactly, and no placement may target an offline server.
 func TestPlacerPoolCommitsAreConsistent(t *testing.T) {
 	const servers = 96
-	st := countedState(servers)
+	st := StateFromProfiles(spec, servers)
 	st.SetOffline(3, true)
 	st.SetOffline(70, true)
 	pool := NewPlacerPool(st, 4, func() Scheduler {
@@ -389,7 +389,7 @@ func TestPlacerPoolCommitsAreConsistent(t *testing.T) {
 // next proposal that lands there (densification packs onto it).
 func TestWindowProjection(t *testing.T) {
 	const servers = 256
-	st := countedState(servers)
+	st := StateFromProfiles(spec, servers)
 	g := NewGsight(&stubPredictor{ipc: 2})
 
 	in := inputFor(workload.MatMul(), 0)
@@ -428,70 +428,4 @@ func TestWindowProjection(t *testing.T) {
 	if st.ActiveServers() != 1 {
 		t.Fatalf("want 1 active server, got %d", st.ActiveServers())
 	}
-}
-
-// BenchmarkClusterCounts pins the satellite-bugfix delta: per-placement
-// OnlineServers+ActiveServers on a 10k-server state, scanned vs
-// counted. The scan is O(n) per call; the counted path is O(1).
-func BenchmarkClusterCounts(b *testing.B) {
-	const n = 10000
-	run := func(b *testing.B, st *State) {
-		sum := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sum += st.OnlineServers() + st.ActiveServers()
-		}
-		if sum == 0 {
-			b.Fatal("unexpected zero")
-		}
-	}
-	b.Run("scan", func(b *testing.B) {
-		st := StateFromProfiles(spec, n)
-		st.SetOffline(1, true)
-		run(b, st)
-	})
-	b.Run("counted", func(b *testing.B) {
-		st := StateFromProfiles(spec, n)
-		st.SetOffline(1, true)
-		st.Recount()
-		run(b, st)
-	})
-}
-
-// BenchmarkReleaseLookup pins the Release name-lookup delta at a large
-// running set: linear scan vs name→index map.
-func BenchmarkReleaseLookup(b *testing.B) {
-	const nServers, nRunning = 1024, 2048
-	build := func(counted bool) *State {
-		st := StateFromProfiles(spec, nServers)
-		if counted {
-			st.Recount()
-		}
-		for i := 0; i < nRunning; i++ {
-			in := inputFor(workload.MatMul(), 0)
-			in.Name = fmt.Sprintf("rel-%d", i)
-			in.Placement = []int{i % nServers}
-			st.Commit(in, SLA{})
-		}
-		return st
-	}
-	bench := func(b *testing.B, st *State) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Release near the tail (the scan's worst case), re-commit
-			// to keep the set stable.
-			nm := fmt.Sprintf("rel-%d", nRunning-1-(i%8))
-			idx := st.IndexOf(nm)
-			if idx < 0 {
-				b.Fatal("lost workload")
-			}
-			d := st.Running[idx]
-			if !st.Release(nm) {
-				b.Fatal("release failed")
-			}
-			st.Commit(d.Input, d.SLA)
-		}
-	}
-	b.Run("scan", func(b *testing.B) { bench(b, build(false)) })
-	b.Run("indexed", func(b *testing.B) { bench(b, build(true)) })
 }

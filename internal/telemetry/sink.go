@@ -204,7 +204,6 @@ type PlatformInstruments struct {
 	DisplacedJobs      *Counter // batch jobs moved off crashed nodes
 	DegradedPlacements *Counter // placements served by the fallback policy
 	DegradedSteps      *Counter // steps spent in degraded mode
-	Resumes            *Counter // runs resumed past a crash marker
 	Decisions          *DecisionLog
 }
 
@@ -225,7 +224,6 @@ func (s *Sink) Platform() PlatformInstruments {
 		DisplacedJobs:      r.Counter("platform_displaced_jobs_total", "batch jobs moved off crashed nodes"),
 		DegradedPlacements: r.Counter("platform_degraded_placements_total", "placements served by the fallback policy"),
 		DegradedSteps:      r.Counter("platform_degraded_steps_total", "steps spent in degraded mode"),
-		Resumes:            r.Counter("platform_resumes_total", "runs resumed past a crash marker"),
 		Decisions:          s.dec(),
 	}
 }
