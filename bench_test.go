@@ -3,7 +3,7 @@ package gsight
 // One benchmark per table and figure of the paper's evaluation: each
 // regenerates the artifact via the experiments harness at a reduced
 // scale and reports headline metrics. Run the full-size reproduction
-// with cmd/gsight-experiments (-scale 1.0); these benches keep the
+// with `gsight experiments` (-scale 1.0); these benches keep the
 // whole pipeline exercised and timed under `go test -bench`.
 
 import (
@@ -336,7 +336,7 @@ func BenchmarkForestTrainingParallel(b *testing.B) {
 }
 
 // BenchmarkBootstrapFit measures the predictor's bootstrap fit at
-// `gsight-sim -train 200`'s shape — the IPC design matrix of 200 LS+SC
+// `gsight sim -train 200`'s shape — the IPC design matrix of 200 LS+SC
 // scenarios (≈ 445 rows × 2836 features) under IRFRFactory's forest
 // (40 trees, MTry 96, default worker pool): the largest stage of daemon
 // and simulator start-up, and the kernel of every learner flush.
@@ -363,7 +363,7 @@ func BenchmarkBootstrapFit(b *testing.B) {
 }
 
 // checkpointBenchState is the learner state the two checkpoint
-// benchmarks share: what gsight-serve holds at the end of the repository
+// benchmarks share: what `gsight serve` holds at the end of the repository
 // benchmark's `learning` workload — the IPC and JCT samples of 1 000
 // LS+SC colocations in the forests' windows (≈ 2 200 and ≈ 1 000 rows
 // of 2 836 features), 40 trees a kind, the tier-0 ring holding every

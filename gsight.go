@@ -21,8 +21,8 @@
 //	scheduler := gsight.NewScheduler(pred)        // §4's binary search
 //	scheduler.Fallback = gsight.NewWorstFit()     // serve what pred cannot vet
 //
-// See examples/ for runnable programs and cmd/gsight-experiments for
-// the paper-reproduction harness.
+// See examples/ for runnable programs and `gsight experiments`
+// (cmd/gsight) for the paper-reproduction harness.
 package gsight
 
 import (

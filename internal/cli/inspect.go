@@ -1,29 +1,4 @@
-// Command gsight-inspect reads the observability artifacts the other
-// gsight tools produce — decision logs (-decision-log), lifecycle
-// traces (-trace) and flight recordings (gsight-sim -record) — and
-// answers questions about a run offline: what was scheduled where, how
-// good the predictor was, which functions missed their SLA, how hot
-// each server ran.
-//
-// Usage:
-//
-//	gsight-inspect summary  <recording>     run overview: decisions, jobs, SLA misses
-//	gsight-inspect predq    <recording>     prediction quality: per-archetype MAPE, drift
-//	gsight-inspect errors   <recording>     prediction error over time
-//	gsight-inspect heat     <recording>     per-server utilization from the flight recording
-//	gsight-inspect trace    <recording> [-o out.json]
-//	                                        export a strict {"traceEvents":[...]} JSON file
-//	gsight-inspect diff     <a> <b>         compare two recordings, locate first divergence
-//	gsight-inspect snapshot <file|dir>      a checkpoint's envelope, controller state and predictor summary
-//
-// <recording> is a -record directory (trace.json + flight.bin inside),
-// or a single artifact file: a trace, a flight recording, or a JSONL
-// decision log — the tool sniffs which. Every reader checks the
-// format's schema version and rejects streams written by a newer,
-// incompatible gsight rather than misparsing them. Torn final records
-// — possible when a run crashed without a flush — are dropped, the
-// same tolerance the resume path applies.
-package main
+package cli
 
 import (
 	"bufio"
@@ -40,40 +15,56 @@ import (
 	"gsight/internal/telemetry"
 )
 
-func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gsight-inspect <summary|predq|errors|heat|trace|diff|snapshot> <recording> [args]\n")
-		flag.PrintDefaults()
+// inspectVerb is one `gsight inspect` verb.
+type inspectVerb struct {
+	name, args, summary string
+	run                 func(args []string) error
+}
+
+// inspectVerbs is the table `gsight inspect` dispatches on and prints
+// as its usage.
+func inspectVerbs() []inspectVerb {
+	return []inspectVerb{
+		{"summary", "<recording>", "run overview: decisions, jobs, SLA misses", withRecording(cmdSummary)},
+		{"predq", "<recording>", "prediction quality: per-archetype MAPE, drift", withRecording(cmdPredq)},
+		{"errors", "<recording>", "prediction error over time", withRecording(cmdErrors)},
+		{"heat", "<recording>", "per-server utilization from the flight recording", withRecording(cmdHeat)},
+		{"trace", "[-o out.json] <recording>", "export a strict {\"traceEvents\":[...]} JSON file", cmdTrace},
+		{"diff", "<a> <b>", "compare two recordings, locate first divergence", cmdDiff},
+		{"snapshot", "<file|dir>", "a checkpoint's envelope, controller state and predictor summary", cmdSnapshot},
 	}
-	flag.Parse()
-	args := flag.Args()
-	if len(args) < 1 {
-		flag.Usage()
-		os.Exit(2)
+}
+
+// bindInspect is `gsight inspect <verb>`: it reads the observability
+// artifacts the other sub-commands produce — decision logs
+// (-decision-log), lifecycle traces (-trace) and flight recordings
+// (sim -record) — and answers questions about a run offline: what was
+// scheduled where, how good the predictor was, which functions missed
+// their SLA, how hot each server ran.
+//
+// <recording> is a -record directory (trace.json + flight.bin inside),
+// or a single artifact file: a trace, a flight recording, or a JSONL
+// decision log — the tool sniffs which. Every reader checks the
+// format's schema version and rejects streams written by a newer,
+// incompatible gsight rather than misparsing them. A torn final record
+// — possible when a run was killed before its flush — is dropped.
+func bindInspect(fs *flag.FlagSet) func([]string) error {
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: %s <verb> [args]\n\nverbs:\n", fs.Name())
+		for _, v := range inspectVerbs() {
+			fmt.Fprintf(fs.Output(), "  %-8s %-26s %s\n", v.name, v.args, v.summary)
+		}
 	}
-	var err error
-	switch verb, rest := args[0], args[1:]; verb {
-	case "summary":
-		err = withRecording(rest, cmdSummary)
-	case "predq":
-		err = withRecording(rest, cmdPredq)
-	case "errors":
-		err = withRecording(rest, cmdErrors)
-	case "heat":
-		err = withRecording(rest, cmdHeat)
-	case "trace":
-		err = cmdTrace(rest)
-	case "diff":
-		err = cmdDiff(rest)
-	case "snapshot":
-		err = cmdSnapshot(rest)
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gsight-inspect: %v\n", err)
-		os.Exit(1)
+	return func(args []string) error {
+		if len(args) > 0 {
+			for _, v := range inspectVerbs() {
+				if v.name == args[0] {
+					return v.run(args[1:])
+				}
+			}
+		}
+		fs.Usage()
+		return &exitError{code: 2}
 	}
 }
 
@@ -128,15 +119,17 @@ func openRecording(path string) (*recording, error) {
 }
 
 // withRecording runs fn on the single recording argument.
-func withRecording(args []string, fn func(*recording) error) error {
-	if len(args) != 1 {
-		return fmt.Errorf("expected exactly one recording path, got %d args", len(args))
+func withRecording(fn func(*recording) error) func(args []string) error {
+	return func(args []string) error {
+		if len(args) != 1 {
+			return fmt.Errorf("expected exactly one recording path, got %d args", len(args))
+		}
+		rec, err := openRecording(args[0])
+		if err != nil {
+			return err
+		}
+		return fn(rec)
 	}
-	rec, err := openRecording(args[0])
-	if err != nil {
-		return err
-	}
-	return fn(rec)
 }
 
 func fileExists(path string) bool {
@@ -503,7 +496,7 @@ func summarizeFlight(fd *obs.FlightData) {
 
 func cmdPredq(rec *recording) error {
 	if rec.trace == nil {
-		return fmt.Errorf("%s: prediction-quality analysis needs a trace (gsight-sim -trace or -record)", rec.path)
+		return fmt.Errorf("%s: prediction-quality analysis needs a trace (sim -trace or -record)", rec.path)
 	}
 	byQoS := map[string][]*traceEvent{}
 	var recorded []*traceEvent
@@ -568,7 +561,7 @@ const errorBuckets = 12
 
 func cmdErrors(rec *recording) error {
 	if rec.trace == nil {
-		return fmt.Errorf("%s: error-over-time needs a trace (gsight-sim -trace or -record)", rec.path)
+		return fmt.Errorf("%s: error-over-time needs a trace (sim -trace or -record)", rec.path)
 	}
 	type sample struct {
 		t, pred, obs float64
@@ -640,7 +633,7 @@ func cmdErrors(rec *recording) error {
 
 func cmdHeat(rec *recording) error {
 	if rec.flight == nil {
-		return fmt.Errorf("%s: per-server heat needs a flight recording (gsight-sim -record)", rec.path)
+		return fmt.Errorf("%s: per-server heat needs a flight recording (sim -record)", rec.path)
 	}
 	fd := rec.flight
 	if len(fd.Frames) == 0 {
@@ -686,11 +679,7 @@ func heatBar(v, peak float64) string {
 	if peak <= 0 {
 		return ""
 	}
-	n := int(v / peak * width)
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n)
+	return strings.Repeat("#", min(int(v/peak*width), width))
 }
 
 func maxAll(vs []float64) float64 {
@@ -706,9 +695,11 @@ func maxAll(vs []float64) float64 {
 // ---- trace export ----
 
 func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	fs := flag.NewFlagSet("gsight inspect trace", flag.ContinueOnError)
 	out := fs.String("o", "", "write the strict-JSON trace to this file instead of stdout")
-	fs.Parse(args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("expected exactly one recording path")
 	}
@@ -765,7 +756,7 @@ func cmdDiff(args []string) error {
 	compared := false
 	if a.trace != nil && b.trace != nil {
 		compared = true
-		if i := diffTraces(a.trace, b.trace); i >= 0 {
+		if i := firstDiff(a.trace, b.trace); i >= 0 {
 			identical = false
 			reportTraceDiff(a.trace, b.trace, i)
 		} else {
@@ -783,7 +774,7 @@ func cmdDiff(args []string) error {
 	}
 	if a.log != nil && b.log != nil {
 		compared = true
-		if i := diffLogs(a.log, b.log); i >= 0 {
+		if i := firstDiff(a.log, b.log); i >= 0 {
 			identical = false
 			fmt.Printf("decision logs diverge at event %d:\n  a: %s\n  b: %s\n",
 				i, jsonLine(at(a.log, i)), jsonLine(at(b.log, i)))
@@ -795,17 +786,14 @@ func cmdDiff(args []string) error {
 		return fmt.Errorf("recordings share no comparable stream")
 	}
 	if !identical {
-		os.Exit(1)
+		return &exitError{code: 1}
 	}
 	return nil
 }
 
-// diffTraces returns the first diverging event index, or -1.
-func diffTraces(a, b []traceEvent) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff[T any](a, b []T) int {
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if jsonLine(a[i]) != jsonLine(b[i]) {
 			return i
@@ -836,19 +824,7 @@ func diffFlights(a, b *obs.FlightData) int {
 	if a.Servers != b.Servers || a.StepS != b.StepS {
 		return 0
 	}
-	n := len(a.Frames)
-	if len(b.Frames) < n {
-		n = len(b.Frames)
-	}
-	for i := 0; i < n; i++ {
-		if jsonLine(a.Frames[i]) != jsonLine(b.Frames[i]) {
-			return i
-		}
-	}
-	if len(a.Frames) != len(b.Frames) {
-		return n
-	}
-	return -1
+	return firstDiff(a.Frames, b.Frames)
 }
 
 func reportFlightDiff(a, b *obs.FlightData, i int) {
@@ -857,23 +833,6 @@ func reportFlightDiff(a, b *obs.FlightData, i int) {
 		fmt.Printf(" — t=%.0fs step %d", a.Frames[i].SimTimeS, a.Frames[i].Step)
 	}
 	fmt.Println()
-}
-
-// diffLogs returns the first diverging event index, or -1.
-func diffLogs(a, b []map[string]interface{}) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if jsonLine(a[i]) != jsonLine(b[i]) {
-			return i
-		}
-	}
-	if len(a) != len(b) {
-		return n
-	}
-	return -1
 }
 
 func at(evs []map[string]interface{}, i int) interface{} {

@@ -1,4 +1,4 @@
-package main
+package cli
 
 import (
 	"errors"
@@ -18,7 +18,7 @@ import (
 // through the decoders the controllers restore with.
 func cmdSnapshot(args []string) error {
 	if len(args) != 1 {
-		return errors.New("usage: gsight-inspect snapshot <file|dir>")
+		return errors.New("usage: gsight inspect snapshot <file|dir>")
 	}
 	path := args[0]
 	if st, err := os.Stat(path); err != nil {

@@ -1,0 +1,317 @@
+package cli
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"time"
+
+	"gsight/internal/baselines"
+	"gsight/internal/core"
+	"gsight/internal/faults"
+	"gsight/internal/obs"
+	"gsight/internal/perfmodel"
+	"gsight/internal/platform"
+	"gsight/internal/resources"
+	"gsight/internal/scenario"
+	"gsight/internal/sched"
+	"gsight/internal/stats"
+	"gsight/internal/telemetry"
+	"gsight/internal/trace"
+	"gsight/internal/workload"
+)
+
+// simCmd is `gsight sim`: the trace-driven serverless platform
+// simulation under a chosen scheduler, printing density, utilization
+// and SLA statistics — the §6.3 case study as a tool. Progress goes to
+// stderr; the report on stdout stays pipeable. SIGINT/SIGTERM cancel
+// the run cleanly: open files are flushed before exiting.
+//
+// A run is a pure function of its flags, so it recovers by re-running:
+// every output is rewritten from t = 0, byte-identical.
+//
+// -trace writes an invocation-lifecycle trace in Chrome trace-event
+// JSON (loadable in Perfetto or chrome://tracing). -record captures the
+// full observability bundle into a directory — trace.json plus
+// flight.bin, the step-sampled flight recording `gsight inspect` reads.
+// Both streams are simulation-time only (same-seed runs are
+// byte-identical).
+type simCmd struct {
+	runEnv
+	scheduler, faults, tracePath, recordDir string
+	hours                                   float64
+	train, servers, topk                    int
+	seed                                    uint64
+	scaling                                 trace.Scaling
+}
+
+func bindSim(fs *flag.FlagSet) func([]string) error {
+	c := &simCmd{}
+	fs.StringVar(&c.scheduler, "scheduler", "gsight", "gsight, bestfit (Pythia), worstfit")
+	fs.Float64Var(&c.hours, "hours", 24, "simulated duration")
+	fs.IntVar(&c.train, "train", 800, "bootstrap scenarios for the predictor")
+	fs.Uint64Var(&c.seed, "seed", 42, "seed")
+	fs.StringVar(&c.faults, "faults", "", "fault schedule: a named scenario ("+strings.Join(faults.Names(), ", ")+") or a JSON schedule file")
+	fs.String("checkpoint-dir", "", "ignored: still accepted because benchmark/sim.go passes it (ROADMAP 18(a) drops it)")
+	fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event (Perfetto) lifecycle trace to this file")
+	fs.StringVar(&c.recordDir, "record", "", "record the observability bundle (trace.json, flight.bin) into this directory")
+	fs.Float64Var(&c.scaling.RateFactor, "rate-scale", 1, "multiply every service's invocation rate (and its MaxQPS ceiling) for soak runs")
+	fs.Float64Var(&c.scaling.TimeFactor, "time-scale", 1, "compress the diurnal/weekly trace clock: k replays k days of rate structure per simulated day")
+	fs.IntVar(&c.servers, "servers", 0, "cluster size (0 = the paper's 8-node testbed)")
+	fs.IntVar(&c.topk, "topk", 0, "two-tier placement: tier-0 score prunes candidates to the top K before full prediction (0 = K=∞, pruning off)")
+	c.logFlags(fs)
+	c.outputFlags(fs)
+	return func([]string) error {
+		if c.train < 1 && (c.scheduler == "gsight" || c.scheduler == "bestfit") {
+			return fmt.Errorf("-train %d: the %s scheduler needs at least 1 bootstrap scenario", c.train, c.scheduler)
+		}
+		// The record directory comes first so other outputs (like
+		// -decision-log) can point into it.
+		if c.recordDir != "" {
+			if err := os.MkdirAll(c.recordDir, 0o755); err != nil {
+				return fmt.Errorf("record dir: %w", err)
+			}
+		}
+		return c.run(c.simulate)
+	}
+}
+
+func (c *simCmd) simulate(ctx context.Context) error {
+	// Observability recording paths: -trace writes the lifecycle trace
+	// alone, -record captures the full bundle (trace + flight recording)
+	// into a directory `gsight inspect` can read back.
+	tracePath, flightPath := c.tracePath, ""
+	if c.recordDir != "" {
+		if tracePath == "" {
+			tracePath = filepath.Join(c.recordDir, "trace.json")
+		}
+		flightPath = filepath.Join(c.recordDir, "flight.bin")
+	}
+
+	// The platform runs on the (possibly scaled) testbed; bootstrap
+	// training and SLA-curve calibration stay on the paper's 8-node lab
+	// — the interference code layout is 8-row, and profiles/curves are
+	// per-server-spec, not per-cluster-size.
+	tb := resources.DefaultTestbed()
+	if c.servers > 0 {
+		tb = resources.NewTestbed(c.servers)
+	}
+	m := perfmodel.New(tb)
+	scenario.FastConfig(m)
+	lab := m
+	if tb.NumServers() != resources.DefaultTestbed().NumServers() {
+		lab = perfmodel.New(resources.DefaultTestbed())
+		scenario.FastConfig(lab)
+	}
+	g := scenario.NewGenerator(lab, c.seed)
+
+	var recorder *obs.Recorder
+	if tracePath != "" || flightPath != "" {
+		obsCfg := obs.Config{Servers: m.Testbed.NumServers(), StepS: platform.StepS}
+		if tracePath != "" {
+			f, err := c.create(tracePath)
+			if err != nil {
+				return fmt.Errorf("trace: %w", err)
+			}
+			obsCfg.Trace = f
+		}
+		if flightPath != "" {
+			f, err := c.create(flightPath)
+			if err != nil {
+				return fmt.Errorf("flight recording: %w", err)
+			}
+			obsCfg.Flight = f
+		}
+		recorder = obs.New(obsCfg)
+		c.streams = append(c.streams, recorder.Trace().Stream(), recorder.Flight().Stream())
+	}
+
+	var pred core.QoSPredictor
+	var scheduler sched.Scheduler
+	needTraining := true
+	switch c.scheduler {
+	case "gsight":
+		p := core.NewPredictor(core.Config{Seed: c.seed})
+		pred = p
+		g := sched.NewGsight(p)
+		if c.topk > 0 {
+			g.Tier0 = p.Tier0()
+			g.TopK = c.topk
+		}
+		scheduler = g
+	case "bestfit":
+		p := baselines.NewPythia(c.seed)
+		pred = p
+		scheduler = sched.NewBestFit(p)
+	case "worstfit":
+		scheduler = sched.NewWorstFit()
+		needTraining = false
+	default:
+		return fmt.Errorf("unknown scheduler %q", c.scheduler)
+	}
+	if in, ok := scheduler.(interface{ Instrument(*telemetry.Sink) }); ok {
+		in.Instrument(c.sink)
+	}
+	if in, ok := pred.(interface{ Instrument(*telemetry.Sink) }); ok {
+		in.Instrument(c.sink)
+	}
+	// Gsight learns online (§5): attach its predictor so step-boundary
+	// observations flow into the incremental forest. The baselines stay
+	// offline.
+	var onlinePred core.QoSPredictor
+	if _, ok := pred.(core.Checkpointable); ok {
+		onlinePred = pred
+	}
+
+	durationS := c.hours * 3600
+	var schedule *faults.Schedule
+	if c.faults != "" {
+		var err error
+		if strings.HasSuffix(c.faults, ".json") {
+			schedule, err = faults.LoadFile(c.faults)
+		} else {
+			schedule, err = faults.Scenario(c.faults, c.seed, durationS, m.Testbed.NumServers())
+		}
+		if err != nil {
+			return err // faults package errors are self-describing
+		}
+		c.log.Infof("fault schedule %q: %d events", schedule.Name, len(schedule.Events))
+	}
+
+	if needTraining {
+		c.log.Infof("bootstrapping %s's predictor on %d scenarios...", scheduler.Name(), c.train)
+		t0 := time.Now()
+		if err := g.Bootstrap(ctx, pred, c.train); err != nil {
+			return err
+		}
+		c.log.Infof("trained in %v", time.Since(t0).Round(time.Millisecond))
+	}
+
+	var services []platform.LSService
+	lsPool := []*workload.Workload{
+		workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
+	}
+	floors := sched.CalibrateMinIPC(lab, lsPool, 250, c.seed)
+	for i, w := range lsPool {
+		p := trace.DefaultPattern(w.MaxQPS * 0.6)
+		p.PhaseShift = float64(i) * 7200
+		if !c.scaling.IsZero() {
+			// Soak mode: scale the offered rate and the clamp it is
+			// capped against together, so the scaled diurnal shape
+			// survives instead of flattening at the old ceiling.
+			p = c.scaling.Apply(p)
+			w = w.Clone()
+			w.MaxQPS *= c.scaling.Rate()
+		}
+		services = append(services, platform.LSService{W: w, Pattern: p, SLA: sched.SLA{MinIPC: floors[i]}})
+	}
+	if !c.scaling.IsZero() {
+		c.log.Infof("trace scaling: rate x%.1f, time x%.1f", c.scaling.Rate(), c.scaling.Time())
+	}
+
+	c.log.Infof("running %.0fh trace-driven simulation under %s...", c.hours, scheduler.Name())
+	t0 := time.Now()
+	st, err := platform.Run(ctx, platform.Config{
+		Model:     perfmodel.New(m.Testbed),
+		Scheduler: scheduler,
+		Services:  services,
+		SCPool: []*workload.Workload{
+			workload.MatMul(), workload.DD(), workload.Iperf(),
+			workload.VideoProcessing(), workload.FloatOp(),
+			workload.FeatureGeneration(), workload.DataPipeline(),
+			workload.IoTCollector(), workload.Monitor(),
+		},
+		SCMeanIntervalS: 150,
+		DurationS:       durationS,
+		Seed:            c.seed,
+		Telemetry:       c.sink,
+		Faults:          schedule,
+		Predictor:       onlinePred,
+		Obs:             recorder,
+	})
+	if err != nil {
+		return fmt.Errorf("simulation: %w", err)
+	}
+	c.log.Infof("simulated in %v (%d steps)", time.Since(t0).Round(time.Millisecond), st.Steps)
+	if recorder != nil {
+		if err := recorder.Err(); err != nil {
+			return fmt.Errorf("observability recording: %w", err)
+		}
+		c.log.Infof("recorded %d trace events, %d flight frames",
+			recorder.Trace().Stream().Records(), recorder.Flight().Stream().Records())
+	}
+
+	fmt.Printf("function density (inst/core): mean %.3f, p50 %.3f, p90 %.3f\n",
+		stats.Mean(st.Density), stats.Median(st.Density), stats.Percentile(st.Density, 90))
+	fmt.Printf("CPU utilization:              mean %.3f, p50 %.3f, p90 %.3f\n",
+		stats.Mean(st.CPUUtil), stats.Median(st.CPUUtil), stats.Percentile(st.CPUUtil, 90))
+	fmt.Printf("memory utilization:           mean %.3f, p50 %.3f, p90 %.3f\n",
+		stats.Mean(st.MemUtil), stats.Median(st.MemUtil), stats.Percentile(st.MemUtil, 90))
+	fmt.Println()
+	var names []string
+	for n := range st.SLAOK {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Printf("SLA guarantee %-16s %.2f%% of the time\n", n+":", 100*st.SLARatio(n))
+	}
+	fmt.Printf("\ncold starts %d, reactive migrations %d, scale-out reschedules %d, jobs rejected %d\n",
+		st.ColdStarts, st.Migrations, st.Reschedules, st.RejectedJobs)
+	fmt.Printf("scheduling wall-clock: %v over %d placements\n",
+		st.SchedulingTime.Round(time.Millisecond), st.Placements)
+	totalJobs := 0
+	for _, jcts := range st.JCTs {
+		totalJobs += len(jcts)
+	}
+	fmt.Printf("batch jobs completed: %d\n", totalJobs)
+	if st.FaultEvents > 0 || len(st.Degraded) > 0 {
+		fmt.Printf("\nfaults: %d events, %d services displaced, %d jobs displaced\n",
+			st.FaultEvents, st.DisplacedServices, st.DisplacedJobs)
+		fmt.Printf("degraded: %d placements via fallback, %d/%d steps in degraded mode\n",
+			st.DegradedPlacements, st.DegradedSteps, st.Steps)
+		for _, d := range st.Degraded {
+			fmt.Printf("degraded window [%.0fs, %.0fs): %s\n", d.StartS, d.EndS, d.Reason)
+		}
+	}
+
+	degraded := make([]map[string]interface{}, 0, len(st.Degraded))
+	for _, d := range st.Degraded {
+		degraded = append(degraded, map[string]interface{}{
+			"start_s": d.StartS, "end_s": d.EndS, "reason": d.Reason,
+		})
+	}
+	config := map[string]interface{}{
+		"scheduler": scheduler.Name(),
+		"hours":     c.hours,
+		"train":     c.train,
+		"seed":      c.seed,
+		"faults":    c.faults,
+	}
+	if c.topk > 0 {
+		// Recorded only when set so K=∞ reports stay byte-identical
+		// to the pre-two-tier format.
+		config["topk"] = c.topk
+	}
+	return c.report("gsight-sim", config, map[string]interface{}{
+		"steps":               st.Steps,
+		"mean_density":        stats.Mean(st.Density),
+		"mean_cpu_util":       stats.Mean(st.CPUUtil),
+		"cold_starts":         st.ColdStarts,
+		"migrations":          st.Migrations,
+		"reschedules":         st.Reschedules,
+		"rejected_jobs":       st.RejectedJobs,
+		"placements":          st.Placements,
+		"jobs_completed":      totalJobs,
+		"fault_events":        st.FaultEvents,
+		"displaced_services":  st.DisplacedServices,
+		"displaced_jobs":      st.DisplacedJobs,
+		"degraded_placements": st.DegradedPlacements,
+		"degraded_steps":      st.DegradedSteps,
+		"degraded_intervals":  degraded,
+	})
+}

@@ -159,7 +159,7 @@ func (p *Predictor) CheckpointState() ([]byte, error) {
 }
 
 // CheckpointSummary is what a predictor blob says about itself, for
-// operators (gsight-inspect snapshot).
+// operators (`gsight inspect snapshot`).
 type CheckpointSummary struct {
 	Version int
 	Dim     int

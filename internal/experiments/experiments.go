@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation on the simulated testbed. Each experiment returns
 // a Report — the same rows/series the paper plots — plus notes that put
-// the measured values beside the paper's. cmd/gsight-experiments and
+// the measured values beside the paper's. `gsight experiments` and
 // the repository-root benchmarks are thin wrappers over this package.
 package experiments
 
@@ -134,13 +134,6 @@ func separators(widths []int) []string {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Runner is one experiment entry point. Cancelling ctx stops the
 // experiment between units of work and surfaces ctx.Err().
 type Runner func(ctx context.Context, opt Options) (*Report, error)
@@ -221,10 +214,10 @@ func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
 
-// trainTest splits observations into train/test by holding out every
+// TrainTest splits observations into train/test by holding out every
 // holdEvery-th item — deterministic and stratified over generation
 // order.
-func trainTest(obs []core.Observation, holdEvery int) (train, test []core.Observation) {
+func TrainTest(obs []core.Observation, holdEvery int) (train, test []core.Observation) {
 	for i, o := range obs {
 		if (i+1)%holdEvery == 0 {
 			test = append(test, o)
@@ -237,7 +230,7 @@ func trainTest(obs []core.Observation, holdEvery int) (train, test []core.Observ
 
 // mapeOf evaluates a predictor's mean relative error on observations.
 func mapeOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) (float64, error) {
-	errs, err := errsOf(p, kind, obs)
+	errs, err := ErrsOf(p, kind, obs)
 	if err != nil {
 		return 0, err
 	}
@@ -251,9 +244,9 @@ func mapeOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) (flo
 	return sum / float64(len(errs)), nil
 }
 
-// errsOf returns per-sample relative errors, through the predictor's
+// ErrsOf returns per-sample relative errors, through the predictor's
 // batched path when it has one (bit-identical to per-query Predict).
-func errsOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) ([]float64, error) {
+func ErrsOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) ([]float64, error) {
 	kept := make([]core.Observation, 0, len(obs))
 	for _, o := range obs {
 		if o.Label != 0 {
@@ -282,13 +275,13 @@ func errsOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) ([]f
 	return out, nil
 }
 
-// collectObs draws labeled observations of one QoS kind from randomized
+// CollectObs draws labeled observations of one QoS kind from randomized
 // colocations. The colocations are drawn serially (Generator.Draws: the
 // generator's RNG order is the determinism anchor); the expensive
 // testbed evaluations then fan out over the worker pool and results are
 // assembled in draw order, so the observation list is byte-identical to
 // a sequential run.
-func collectObs(ctx context.Context, g *scenario.Generator, colocation core.ColocationKind, kind core.QoSKind, scenarios, maxWorkloads int) ([]core.Observation, error) {
+func CollectObs(ctx context.Context, g *scenario.Generator, colocation core.ColocationKind, kind core.QoSKind, scenarios, maxWorkloads int) ([]core.Observation, error) {
 	draws := g.Draws(colocation, scenarios, maxWorkloads)
 	perScenario := make([][]core.Observation, scenarios)
 	err := forEach(ctx, scenarios, func(i int) error {

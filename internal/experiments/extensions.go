@@ -25,11 +25,11 @@ import (
 // rank — error and inference latency per configuration.
 func ExtPCA(ctx context.Context, opt Options) (*Report, error) {
 	_, g := newLab(opt)
-	obs, err := collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(1200, 200), 3)
+	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(1200, 200), 3)
 	if err != nil {
 		return nil, err
 	}
-	train, test := trainTest(obs, 5)
+	train, test := TrainTest(obs, 5)
 
 	r := &Report{
 		ID:      "ext-pca",

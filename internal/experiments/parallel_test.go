@@ -73,7 +73,7 @@ func TestCollectObsDeterministic(t *testing.T) {
 	run := func(procs int) []core.Observation {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		_, g := newLab(Options{Seed: 7, Scale: 0.02})
-		obs, err := collectObs(nil, g, core.LSSC, core.IPCQoS, 12, 3)
+		obs, err := CollectObs(nil, g, core.LSSC, core.IPCQoS, 12, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -225,7 +225,7 @@ func Fig5ProfilingLevel(ctx context.Context, opt Options) (*Report, error) {
 		if err := pf.TrainObservations(core.IPCQoS, split(train, true)); err != nil {
 			return nil, err
 		}
-		fnErrs, err := errsOf(pf, core.IPCQoS, split(test, true))
+		fnErrs, err := ErrsOf(pf, core.IPCQoS, split(test, true))
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +233,7 @@ func Fig5ProfilingLevel(ctx context.Context, opt Options) (*Report, error) {
 		if err := pw.TrainObservations(core.IPCQoS, split(train, false)); err != nil {
 			return nil, err
 		}
-		wlErrs, err := errsOf(pw, core.IPCQoS, split(test, false))
+		wlErrs, err := ErrsOf(pw, core.IPCQoS, split(test, false))
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +301,7 @@ func Fig7Knee(ctx context.Context, opt Options) (*Report, error) {
 // the 16 input metrics in the trained IRFR model.
 func Fig8Importance(ctx context.Context, opt Options) (*Report, error) {
 	_, g := newLab(opt)
-	all, err := collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(700, 120), 3)
+	all, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(700, 120), 3)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +358,7 @@ func Fig9PredictionError(ctx context.Context, opt Options) (*Report, error) {
 	var irfrLSSC float64
 	for _, k := range kinds {
 		for _, qos := range k.qos {
-			obs, err := collectObs(ctx, g, k.colo, qos, nScen, 3)
+			obs, err := CollectObs(ctx, g, k.colo, qos, nScen, 3)
 			if err != nil {
 				return nil, err
 			}
@@ -374,7 +374,7 @@ func Fig9PredictionError(ctx context.Context, opt Options) (*Report, error) {
 				}
 				obs = filtered
 			}
-			train, test := trainTest(obs, 5)
+			train, test := TrainTest(obs, 5)
 			preds := trainVariants(opt.Seed)
 			preds = append(preds, baselines.NewPythia(opt.Seed+10), baselines.NewESP(opt.Seed+11))
 			row := []string{k.colo.String(), qos.String()}
@@ -389,7 +389,7 @@ func Fig9PredictionError(ctx context.Context, opt Options) (*Report, error) {
 				row = append(row, pct(e))
 				if pi == 2 && k.colo == core.LSSC && qos == core.IPCQoS {
 					irfrLSSC = e
-					errs, err := errsOf(p, qos, test)
+					errs, err := ErrsOf(p, qos, test)
 					if err != nil {
 						return nil, err
 					}
@@ -466,8 +466,8 @@ func Fig10aConvergence(ctx context.Context, opt Options) (*Report, error) {
 		}
 	}
 	_ = m
-	fnTrain, fnTest := trainTest(fnObs, 6)
-	wlTrain, wlTest := trainTest(wlObs, 6)
+	fnTrain, fnTest := TrainTest(fnObs, 6)
+	wlTrain, wlTest := TrainTest(wlObs, 6)
 	var checkpoints []int
 	for _, f := range checkFracs {
 		checkpoints = append(checkpoints, int(f*float64(len(fnTrain))))
@@ -508,11 +508,11 @@ func Fig10aConvergence(ctx context.Context, opt Options) (*Report, error) {
 // samples accumulate.
 func Fig10bStability(ctx context.Context, opt Options) (*Report, error) {
 	_, g := newLab(opt)
-	obs, err := collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(3600, 350), 2)
+	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(3600, 350), 2)
 	if err != nil {
 		return nil, err
 	}
-	train, test := trainTest(obs, 6)
+	train, test := TrainTest(obs, 6)
 	var checkpoints []int
 	for f := 1; f <= 6; f++ {
 		checkpoints = append(checkpoints, len(train)*f/6)
@@ -566,7 +566,7 @@ func Fig10cMultiWorkload(ctx context.Context, opt Options) (*Report, error) {
 	var train []core.Observation
 	test := map[int][]core.Observation{}
 	for _, k := range ks { // not the map: the training order decides the forest
-		tr, te := trainTest(byK[k], 5)
+		tr, te := TrainTest(byK[k], 5)
 		train = append(train, tr...)
 		test[k] = te
 	}
@@ -607,15 +607,15 @@ func Fig13Recovery(ctx context.Context, opt Options) (*Report, error) {
 	cpuGen.LSPool = []*workload.Workload{workload.MLServing()}
 	cpuGen.SCPool = []*workload.Workload{workload.MatMul(), workload.FloatOp(), workload.VideoProcessing()}
 
-	ioObs, err := collectObs(ctx, ioGen, core.LSSC, core.IPCQoS, opt.n(900, 150), 2)
+	ioObs, err := CollectObs(ctx, ioGen, core.LSSC, core.IPCQoS, opt.n(900, 150), 2)
 	if err != nil {
 		return nil, err
 	}
-	cpuObs, err := collectObs(ctx, cpuGen, core.LSSC, core.IPCQoS, opt.n(900, 200), 2)
+	cpuObs, err := CollectObs(ctx, cpuGen, core.LSSC, core.IPCQoS, opt.n(900, 200), 2)
 	if err != nil {
 		return nil, err
 	}
-	cpuTrain, cpuTest := trainTest(cpuObs, 4)
+	cpuTrain, cpuTest := TrainTest(cpuObs, 4)
 
 	// Two arms: the paper's absolute-target model (its 43.9% shift is
 	// exactly the 1.6x IPC scale difference between the regimes), and

@@ -45,10 +45,10 @@ func newScaleLab(ctx context.Context, opt Options, id string) (*scaleLab, error)
 	_, g := newLab(opt)
 	l := &scaleLab{spec: resources.DefaultServerSpec(id)}
 	var err error
-	if l.ipcObs, err = collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(600, 90), 3); err != nil {
+	if l.ipcObs, err = CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(600, 90), 3); err != nil {
 		return nil, err
 	}
-	if l.jctObs, err = collectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(300, 60), 2); err != nil {
+	if l.jctObs, err = CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(300, 60), 2); err != nil {
 		return nil, err
 	}
 	l.gsightP = core.NewPredictor(core.Config{Seed: opt.Seed})

@@ -25,11 +25,11 @@ func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats
 	m, g := newLab(opt)
 
 	// Train the two predictors on the same bootstrap dataset.
-	obs, err := collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(1200, 180), 3)
+	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(1200, 180), 3)
 	if err != nil {
 		return nil, err
 	}
-	jctObs, err := collectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(500, 80), 2)
+	jctObs, err := CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(500, 80), 2)
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +219,12 @@ func Fig12SLA(ctx context.Context, opt Options) (*Report, error) {
 func Fig14Overhead(ctx context.Context, opt Options) (*Report, error) {
 	m, g := newLab(opt)
 
-	obs, err := collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(600, 120), 3)
+	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(600, 120), 3)
 	if err != nil {
 		return nil, err
 	}
 	p := core.NewPredictor(core.Config{Seed: opt.Seed, UpdateEvery: 100})
-	train, test := trainTest(obs, 5)
+	train, test := TrainTest(obs, 5)
 	if err := p.TrainObservations(core.IPCQoS, train); err != nil {
 		return nil, err
 	}

@@ -27,11 +27,11 @@ import (
 func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
 	m, g := newLab(opt)
 
-	obs, err := collectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(900, 150), 3)
+	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(900, 150), 3)
 	if err != nil {
 		return nil, err
 	}
-	jctObs, err := collectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(400, 70), 2)
+	jctObs, err := CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(400, 70), 2)
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,7 @@ func rollingScenario(rnd *rng.Rand, T float64, n int) []Event {
 
 // stragglerScenario slows two distinct nodes in overlapping windows.
 func stragglerScenario(rnd *rng.Rand, T float64, n int) []Event {
-	nodes := pickDistinct(rnd, n, min2(2, n))
+	nodes := pickDistinct(rnd, n, min(2, n))
 	evs := []Event{{
 		AtS: 0.25 * T, Kind: SlowNode, Node: nodes[0], Factor: 0.5, DurationS: 0.30 * T,
 	}}
@@ -112,7 +112,7 @@ func outageScenario(rnd *rng.Rand, T float64, n int) []Event {
 
 // chaosScenario combines one of each disruption across distinct nodes.
 func chaosScenario(rnd *rng.Rand, T float64, n int) []Event {
-	nodes := pickDistinct(rnd, n, min2(2, n))
+	nodes := pickDistinct(rnd, n, min(2, n))
 	evs := []Event{
 		{AtS: 0.15 * T, Kind: SlowNode, Node: nodes[0], Factor: 0.6, DurationS: 0.35 * T},
 		{AtS: 0.30 * T, Kind: ColdStartStorm, Factor: 0.4, DurationS: 0.08 * T},
@@ -136,11 +136,4 @@ func pickDistinct(rnd *rng.Rand, n, k int) []int {
 		ids[i], ids[j] = ids[j], ids[i]
 	}
 	return ids[:k]
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

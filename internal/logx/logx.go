@@ -1,7 +1,7 @@
-// Package logx is the small leveled logger shared by the cmd binaries.
-// Progress and diagnostics go to stderr so the reports the tools print
-// on stdout stay pipeable; -v and -quiet map onto the Debug and Quiet
-// levels. Fatalf exits with status 1 — the binaries' one error code.
+// Package logx is the small leveled logger the gsight sub-commands
+// share. Progress and diagnostics go to stderr so the reports the tools
+// print on stdout stay pipeable; -v and -quiet map onto the Debug and
+// Quiet levels.
 package logx
 
 import (
@@ -75,10 +75,4 @@ func (l *Logger) Debugf(format string, args ...interface{}) {
 // Errorf logs an error unconditionally, prefixed "error: ".
 func (l *Logger) Errorf(format string, args ...interface{}) {
 	l.printf("error: "+format, args...)
-}
-
-// Fatalf logs the error and exits with status 1.
-func (l *Logger) Fatalf(format string, args ...interface{}) {
-	l.Errorf(format, args...)
-	os.Exit(1)
 }

@@ -147,7 +147,7 @@ func TestForestRestoreRejectsCorruptState(t *testing.T) {
 	}
 }
 
-// TestReadForestRejectsJunk: the limit-free reader — what gsight-inspect
+// TestReadForestRejectsJunk: the limit-free reader — what `gsight inspect`
 // runs over a snapshot it has no predictor for — rejects what is not a
 // forest section as firmly as the restoring reader does: foreign bytes,
 // a section cut short, and a structurally complete one whose tree points

@@ -6,7 +6,7 @@ import "math"
 // platform sees feeds a rolling-window residual tracker, overall and
 // per archetype, plus a Page–Hinkley drift detector on the absolute
 // relative error stream. The platform records the samples in the trace
-// (so gsight-inspect can rebuild error-over-time offline) and emits a
+// (so `gsight inspect` can rebuild error-over-time offline) and emits a
 // predictor_drift decision event when the detector fires.
 
 // predWindowCap is the rolling-window length for signed error and MAPE.

@@ -8,7 +8,7 @@ import (
 )
 
 // TraceSchema is the trace format version, recorded in a metadata
-// event at the head of every trace so gsight-inspect can reject
+// event at the head of every trace so `gsight inspect` can reject
 // streams it does not understand.
 const TraceSchema = 1
 
@@ -17,7 +17,7 @@ const TraceSchema = 1
 // form Perfetto and chrome://tracing accept directly: it opens with
 // "[\n" and every event line ends with ",\n" — a trailing comma and a
 // missing "]" are tolerated by both viewers, which is what makes the
-// format truncation-tolerant and crash-safe. gsight-inspect's trace
+// format truncation-tolerant and crash-safe. `gsight inspect`'s trace
 // subcommand re-wraps it into a strict {"traceEvents": [...]} object.
 //
 // Determinism: timestamps are simulation time converted to
@@ -219,7 +219,7 @@ func (t *Tracer) Degraded(simTimeS float64, entered bool, reason string) {
 
 // PredSample records one prediction-quality sample — a predicted vs
 // observed pair for an archetype — as an instant event in the "predq"
-// category. gsight-inspect rebuilds error-over-time and calibration
+// category. `gsight inspect` rebuilds error-over-time and calibration
 // views from these.
 func (t *Tracer) PredSample(simTimeS float64, archetype, qos string, predicted, observed float64) {
 	if t == nil {

@@ -763,10 +763,3 @@ func (m *Model) resolveSocket(d *Deployment, f int) int {
 	}
 	return f % max(1, m.Testbed.Servers[d.Placement[f]].Sockets)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -305,7 +305,7 @@ func (g *Generator) LabelWith(sc *perfmodel.Scenario, noise *rng.Rand) ([]Sample
 }
 
 // Bootstrap trains pred on n labeled LS+SC colocations of two or three
-// workloads — what gsight-sim and gsight-serve do before they place
+// workloads — what `gsight sim` and `gsight serve` do before they place
 // anything. The colocations are drawn serially and labelled on a
 // GOMAXPROCS-wide pool, so the trained model is the same at any width.
 // A cancelled ctx stops the labelling and leaves pred untrained.

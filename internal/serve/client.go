@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Client talks to a gsight-serve deployment: one or more base URLs
+// Client talks to a `gsight serve` deployment: one or more base URLs
 // (active first, standbys after). Retryable failures — connection
 // refused, 429, 503, mid-flight daemon death — back off and rotate to
 // the next address, so a takeover is invisible to the caller beyond

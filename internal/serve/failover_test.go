@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// End-to-end failover: real gsight-serve processes, a real SIGKILL
+// End-to-end failover: real `gsight serve` processes, a real SIGKILL
 // mid-load, a hot standby taking over through the lease, and a
 // byte-identity check of the merged decision log against an
 // uninterrupted reference run. This is the in-tree twin of
@@ -23,11 +23,11 @@ const failoverRequests = 90
 
 func buildServeBinary(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "gsight-serve")
-	cmd := exec.Command("go", "build", "-o", bin, "gsight/cmd/gsight-serve")
+	bin := filepath.Join(t.TempDir(), "gsight")
+	cmd := exec.Command("go", "build", "-o", bin, "gsight/cmd/gsight")
 	cmd.Dir = "../.."
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build gsight-serve: %v\n%s", err, out)
+		t.Fatalf("build gsight: %v\n%s", err, out)
 	}
 	return bin
 }
@@ -52,7 +52,7 @@ type daemon struct {
 func startDaemon(t *testing.T, bin, dir, addr string, extra ...string) *daemon {
 	t.Helper()
 	args := append([]string{
-		"-data", dir, "-addr", addr,
+		"serve", "-data", dir, "-addr", addr,
 		"-seed", "7", "-train", "4", "-placers", "2",
 		"-snapshot-every", "32", "-lease-ttl", "500ms",
 	}, extra...)

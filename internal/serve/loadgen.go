@@ -18,7 +18,7 @@ import (
 // that fills every worker therefore shows in the latencies of the
 // requests due during it instead of silently throttling the offered
 // rate (the coordinated-omission trap a closed loop falls into). Used by
-// cmd/gsight-loadgen, the serving benchmark, and the failover gate's
+// `gsight loadgen`, the serving benchmark, and the failover gate's
 // driver.
 
 // LoadConfig configures one load run.

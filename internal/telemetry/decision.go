@@ -23,7 +23,7 @@ type DecisionLog struct{ s *Stream }
 
 // DecisionLogSchema is the current decision-log format version,
 // recorded in the header event. Bump it on any incompatible change to
-// event shapes so gsight-inspect can reject logs it cannot read.
+// event shapes so `gsight inspect` can reject logs it cannot read.
 const DecisionLogSchema = 1
 
 // decisionHeader is the log's preamble: the header event, counted as

@@ -11,7 +11,7 @@ import (
 )
 
 // bootstrapIPCObservations labels n generated LS+SC colocations the way
-// `gsight-sim -train n` does and returns their IPC observations.
+// `gsight sim -train n` does and returns their IPC observations.
 func bootstrapIPCObservations(tb testing.TB, g *scenario.Generator, n int) []core.Observation {
 	tb.Helper()
 	var obs []core.Observation

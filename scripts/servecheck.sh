@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# servecheck.sh — SIGKILL-under-load failover gate for gsight-serve.
+# servecheck.sh — SIGKILL-under-load failover gate for `gsight serve`.
 #
 # Runs the same ordered load twice: once against a single
 # uninterrupted daemon, once against an active/standby pair sharing a
@@ -29,8 +29,7 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-go build -o "$WORK/gsight-serve" ./cmd/gsight-serve
-go build -o "$WORK/gsight-loadgen" ./cmd/gsight-loadgen
+go build -o "$WORK/gsight" ./cmd/gsight
 
 REF_ADDR=127.0.0.1:7461
 ACT_ADDR=127.0.0.1:7462
@@ -69,16 +68,16 @@ pass() {
     ref="$WORK/$name-ref"; crash="$WORK/$name-crash"
 
     echo "servecheck[$name]: reference run (uninterrupted)..."
-    "$WORK/gsight-serve" -data "$ref" -addr "$REF_ADDR" $SERVE_FLAGS \
+    "$WORK/gsight" serve -data "$ref" -addr "$REF_ADDR" $SERVE_FLAGS \
         > "$WORK/$name-ref.log" 2>&1 &
     REF_PID=$!
-    "$WORK/gsight-loadgen" -addr "http://$REF_ADDR" $load_flags > "$WORK/$name-ref-load.out"
+    "$WORK/gsight" loadgen -addr "http://$REF_ADDR" $load_flags > "$WORK/$name-ref-load.out"
     kill -TERM "$REF_PID"
     wait_exit "$REF_PID" 30 || { echo "servecheck[$name]: FAIL (reference daemon did not drain)" >&2; exit 1; }
     REF_PID=
 
     echo "servecheck[$name]: crash run (active + standby, SIGKILL mid-load)..."
-    "$WORK/gsight-serve" -data "$crash" -addr "$ACT_ADDR" $SERVE_FLAGS \
+    "$WORK/gsight" serve -data "$crash" -addr "$ACT_ADDR" $SERVE_FLAGS \
         > "$WORK/$name-active.log" 2>&1 &
     ACTIVE_PID=$!
     # The active must hold the lease before the standby starts, or the
@@ -88,7 +87,7 @@ pass() {
         cat "$WORK/$name-active.log" >&2
         exit 1
     }
-    "$WORK/gsight-serve" -data "$crash" -addr "$STB_ADDR" -standby $SERVE_FLAGS \
+    "$WORK/gsight" serve -data "$crash" -addr "$STB_ADDR" -standby $SERVE_FLAGS \
         > "$WORK/$name-standby.log" 2>&1 &
     STANDBY_PID=$!
 
@@ -134,7 +133,7 @@ pass() {
     ) &
     KILLER_PID=$!
 
-    "$WORK/gsight-loadgen" -addr "http://$ACT_ADDR,http://$STB_ADDR" $load_flags \
+    "$WORK/gsight" loadgen -addr "http://$ACT_ADDR,http://$STB_ADDR" $load_flags \
         > "$WORK/$name-crash-load.out" || {
             echo "servecheck[$name]: FAIL (load generator errored during failover)" >&2
             cat "$WORK/$name-crash-load.out" "$WORK/$name-active.log" "$WORK/$name-standby.log" >&2

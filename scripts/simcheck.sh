@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# simcheck.sh — end-to-end determinism gate for gsight-sim.
+# simcheck.sh — end-to-end determinism gate for `gsight sim`.
 #
 # A simulator run is a pure function of its flags, so rerunning it is
 # its recovery (DESIGN.md §12). This builds the real binary and runs
@@ -24,13 +24,13 @@ TOPK="${4:-4}"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
-go build -o "$WORK/gsight-sim" ./cmd/gsight-sim
+go build -o "$WORK/gsight" ./cmd/gsight
 
 # sim <name> [env...]: the seeded chaos hour, outputs under $WORK/<name>.
 sim() {
     name="$1"; shift
     mkdir -p "$WORK/$name"
-    env "$@" "$WORK/gsight-sim" -hours "$HOURS" -train "$TRAIN" -seed "$SEED" \
+    env "$@" "$WORK/gsight" sim -hours "$HOURS" -train "$TRAIN" -seed "$SEED" \
         -topk "$TOPK" -faults chaos -quiet -record "$WORK/$name" \
         -decision-log "$WORK/$name/decisions.jsonl" > "$WORK/$name/stdout"
     grep -v 'wall-clock' "$WORK/$name/stdout" > "$WORK/$name/report"
