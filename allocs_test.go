@@ -2,8 +2,7 @@
 // gate: each low-allocation micro-benchmark's loop body (its xxxOp in
 // bench_test.go) runs here under testing.AllocsPerRun and fails above
 // the allocs/op it is pinned at. A change that lowers a count lowers
-// its budget with it. BenchmarkEngineStep's budget lives in
-// internal/sim (TestEngineStepAllocFree) and BenchmarkWindowAbsorb's in
+// its budget with it. BenchmarkWindowAbsorb's budget lives in
 // internal/ml (TestWindowAbsorbAllocFree). The same file holds the
 // telemetry subsystem's neutrality tests: instrumented hot paths add
 // zero allocations per operation over the nil-sink baseline.

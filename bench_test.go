@@ -22,7 +22,6 @@ import (
 	"gsight/internal/scenario"
 	"gsight/internal/sched"
 	"gsight/internal/serve"
-	"gsight/internal/sim"
 	"gsight/internal/telemetry"
 )
 
@@ -694,30 +693,6 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		}
 		if rec.Trace().Stream().Records() == 0 || rec.Flight().Stream().Records() == 0 {
 			b.Fatal("recorder captured nothing")
-		}
-	}
-}
-
-// BenchmarkEngineStep measures one event dispatch through the
-// time-wheel engine at a steady population of self-rescheduling timers
-// — the event-queue half of the platform step loop. Expected 0
-// allocs/op: fired events recycle through the engine's free list.
-func BenchmarkEngineStep(b *testing.B) {
-	var e sim.Engine
-	const timers = 64
-	for i := 0; i < timers; i++ {
-		// Incommensurate periods keep the wheel slots churning instead
-		// of batching every timer into one slot.
-		d := 1.0 + float64(i)*0.37
-		var fn func()
-		fn = func() { e.At(e.Now()+d, fn) }
-		e.At(e.Now()+d, fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal("engine ran dry")
 		}
 	}
 }

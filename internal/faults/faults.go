@@ -3,15 +3,17 @@
 // stragglers (a capacity multiplier), cold-start storms and
 // predictor-unavailable windows. A Schedule is pure data (JSON-
 // serializable, seed-reproducible via Scenario); an Injector expands it
-// into a timeline of state changes the platform registers on its event
-// engine. Nothing here reads wall clocks or random state at run time,
-// so a same-seed run under the same schedule stays byte-identical.
+// into a time-sorted timeline of state changes the platform fires as
+// its clock reaches them. Nothing here reads wall clocks or random
+// state at run time, so a same-seed run under the same schedule stays
+// byte-identical.
 package faults
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -83,6 +85,16 @@ func (s *Schedule) Validate(numServers int) error {
 		case NodeCrash, NodeRecover, SlowNode, NodeRestore, ColdStartStorm, PredictorDown, PredictorUp:
 		default:
 			return fmt.Errorf("faults: event %d: unknown kind %q", i, e.Kind)
+		}
+		// NaN passes every range check below and is no sort key, so
+		// non-finite values are refused first.
+		for _, f := range [...]struct {
+			name string
+			v    float64
+		}{{"at_s", e.AtS}, {"duration_s", e.DurationS}, {"factor", e.Factor}} {
+			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+				return fmt.Errorf("faults: event %d (%s): %s %g is not finite", i, e.Kind, f.name, f.v)
+			}
 		}
 		if e.AtS < 0 {
 			return fmt.Errorf("faults: event %d (%s): negative time %g", i, e.Kind, e.AtS)
@@ -187,7 +199,7 @@ type Change struct {
 
 // Injector holds a schedule's expanded timeline plus the live fault
 // state the platform queries while running. It is not goroutine-safe;
-// the platform applies changes from its single-threaded event loop.
+// the platform applies changes from its single-threaded step loop.
 type Injector struct {
 	changes []Change
 	down    []bool

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,6 +23,13 @@ func TestValidate(t *testing.T) {
 		{"slow factor zero", Event{Kind: SlowNode, Node: 0, Factor: 0}, "outside (0,1)"},
 		{"slow factor one", Event{Kind: SlowNode, Node: 0, Factor: 1}, "outside (0,1)"},
 		{"storm factor high", Event{Kind: ColdStartStorm, Factor: 1.5}, "outside (0,1]"},
+		{"NaN time", Event{AtS: math.NaN(), Kind: PredictorDown}, "at_s NaN is not finite"},
+		{"infinite time", Event{AtS: math.Inf(1), Kind: NodeCrash}, "at_s +Inf is not finite"},
+		{"NaN duration", Event{Kind: NodeCrash, DurationS: math.NaN()}, "duration_s NaN is not finite"},
+		{"infinite duration", Event{Kind: PredictorDown, DurationS: math.Inf(1)}, "duration_s +Inf is not finite"},
+		{"NaN slow factor", Event{Kind: SlowNode, Node: 0, Factor: math.NaN()}, "factor NaN is not finite"},
+		{"NaN storm factor", Event{Kind: ColdStartStorm, Factor: math.NaN()}, "factor NaN is not finite"},
+		{"infinite factor", Event{Kind: PredictorDown, Factor: math.Inf(-1)}, "factor -Inf is not finite"},
 	}
 	for _, tc := range cases {
 		s := &Schedule{Events: []Event{tc.ev}}

@@ -529,108 +529,12 @@ func computeScoped(k resources.Kind) bool {
 	return false
 }
 
-// slowdown computes function f's interference slowdown given the total
-// demand in its domains and its own contribution, split into a compute
-// component (degrades IPC and service time) and an I/O component
-// (degrades service time only). Own demand is subtracted through the
-// convexity trick pressure(total)-pressure(own), so a solo-run function
-// experiences exactly zero interference.
-func (m *Model) slowdown(server, socket int, prot bool, total *demandStore, own *resources.Vector,
-	sens *resources.Vector, sensScale float64) (sigmaCompute, sigmaIO float64) {
-
-	spec := &m.Testbed.Servers[server]
-	partition, hasPart := m.Partitions[server]
-	capF, hasCapScale := m.capScale[server]
-	// Dense-store slot bases for the two domains the function occupies:
-	// socket-scoped kinds read (server, socket), the rest (server, -1).
-	// Precomputed once, so each kind costs two array reads: the class
-	// slot, then the class plus the other class's slot. A domain the
-	// store has never grown to reads as zero.
-	stride := total.sockStride
-	svBase := server * stride * 2
-	skBase := -1
-	if si := socket + 1; si < stride {
-		skBase = (server*stride + si) * 2
-	}
-	p0 := 0
-	if prot {
-		p0 = 1
-	}
-	sockets := float64(max(1, spec.Sockets))
-	sigmaCompute, sigmaIO = 1.0, 1.0
-	for k := 0; k < int(resources.NumKinds); k++ {
-		kind := resources.Kind(k)
-		ss := socketScoped(kind)
-		// The domain's capacity: socket-scoped kinds split the server's
-		// capacity across sockets, except LLC (the E7-4820v4 carries a
-		// full 25 MB LLC per socket).
-		cap := spec.Capacity[k]
-		if ss && kind != resources.LLC {
-			cap /= sockets
-		}
-		if cap <= 0 {
-			continue
-		}
-		base := svBase
-		if ss {
-			base = skBase
-		}
-		var class, tot float64
-		if base >= 0 {
-			class = total.vecs[base+p0][k]
-			tot = class + total.vecs[base+1-p0][k]
-		}
-		demand := tot
-		// The solo-run reference was profiled at full capacity, so the
-		// own-demand subtraction always uses the unpartitioned
-		// capacity: a job squeezed into a small partition slows down
-		// even alone in it.
-		capSolo := cap
-		if hasPart {
-			// Partitioned resource: the function contends only with
-			// its own class, inside its class's reserved capacity.
-			if f := partition.frac(kind); f > 0 {
-				demand = class
-				if prot {
-					cap *= f
-				} else {
-					cap *= 1 - f
-				}
-			}
-		}
-		// Straggler nodes (fault injection) shrink the contended
-		// capacity the same way a partition does: uo above stays
-		// relative to the full-capacity solo reference. The lookup is
-		// hoisted out of the kind loop — same multiply, same spot.
-		if hasCapScale {
-			cap *= capF
-		}
-		u := demand / cap
-		p := m.Cfg.pressure(kind, u)
-		if p == 0 {
-			// pressure(uo) >= 0, so p - pressure(uo) <= 0 and the
-			// kind contributes nothing — skip the solo-side work.
-			continue
-		}
-		p -= m.Cfg.pressure(kind, own[k]/capSolo)
-		if p <= 0 {
-			continue
-		}
-		if computeScoped(kind) {
-			sigmaCompute += sens[k] * sensScale * p
-		} else {
-			sigmaIO += sens[k] * sensScale * p
-		}
-	}
-	return sigmaCompute, sigmaIO
-}
-
-// slowCtx caches the per-(function placement) constants of slowdown:
-// the dense-store slot indices its domains live at and the contended /
-// solo-reference capacities per kind with partition and capacity-scale
-// multipliers already folded in (in slowdown's exact multiply order).
-// A context is valid for one solve: placement, partitions, capacity
-// scales and the demand store's stride must not change underneath it.
+// slowCtx caches the per-(function placement) constants of
+// slowdownCtx: the dense-store slot indices its domains live at and the
+// contended / solo-reference capacities per kind with partition and
+// capacity-scale multipliers already folded in. A context is valid for
+// one solve: placement, partitions, capacity scales and the demand
+// store's stride must not change underneath it.
 type slowCtx struct {
 	capEff    [resources.NumKinds]float64
 	capSolo   [resources.NumKinds]float64
@@ -669,15 +573,23 @@ func (m *Model) buildSlowCtx(cx *slowCtx, ds *demandStore, server, socket int, p
 	for k := 0; k < int(resources.NumKinds); k++ {
 		kind := resources.Kind(k)
 		ss := socketScoped(kind)
-		// The domain's capacity, as in slowdown.
+		// The domain's capacity: socket-scoped kinds split the server's
+		// capacity across sockets, except LLC (the E7-4820v4 carries a
+		// full 25 MB LLC per socket).
 		cap := spec.Capacity[k]
 		if ss && kind != resources.LLC {
 			cap /= sockets
 		}
 		cx.skip[k] = cap <= 0
+		// The solo-run reference was profiled at full capacity, so the
+		// own-demand subtraction always uses the unpartitioned
+		// capacity: a job squeezed into a small partition slows down
+		// even alone in it.
 		cx.capSolo[k] = cap
 		cx.classOnly[k] = false
 		if hasPart {
+			// Partitioned resource: the function contends only with
+			// its own class, inside its class's reserved capacity.
 			if f := partition.frac(kind); f > 0 {
 				cx.classOnly[k] = true
 				if prot {
@@ -687,6 +599,9 @@ func (m *Model) buildSlowCtx(cx *slowCtx, ds *demandStore, server, socket int, p
 				}
 			}
 		}
+		// Straggler nodes (fault injection) shrink the contended
+		// capacity the same way a partition does, relative to the
+		// full-capacity solo reference.
 		if hasCapScale {
 			cap *= capF
 		}
@@ -694,9 +609,13 @@ func (m *Model) buildSlowCtx(cx *slowCtx, ds *demandStore, server, socket int, p
 	}
 }
 
-// slowdownCtx is slowdown with the placement-derived constants taken
-// from a prebuilt context — the float operations and their order are
-// identical, so it returns bit-identical results.
+// slowdownCtx computes a function's interference slowdown given the
+// total demand in its domains (cx, from buildSlowCtx) and its own
+// contribution, split into a compute component (degrades IPC and
+// service time) and an I/O component (degrades service time only). Own
+// demand is subtracted through the convexity trick
+// pressure(total)-pressure(own), so a solo-run function experiences
+// exactly zero interference.
 func (m *Model) slowdownCtx(cx *slowCtx, total *demandStore, own *resources.Vector,
 	sens *resources.Vector, sensScale float64) (sigmaCompute, sigmaIO float64) {
 

@@ -178,11 +178,12 @@ func (m *Model) coExecute(sv *lsSolver, scDeps, lsDeps []*Deployment) ([]scState
 				sol = m.solveLSWithRefs(sv, lsDeps, bg, extraInstances, false, co.refs)
 				demand = sol.demand
 			}
+			var cx slowCtx
 			for j := range co.actives {
 				a := &co.actives[j]
 				d := states[a.job].dep
-				sc, sio := m.slowdown(d.Placement[a.fn], m.resolveSocket(d, a.fn),
-					d.Protected, demand, &a.ex, &d.W.Functions[a.fn].Sensitivity, a.ph.SensScale)
+				m.buildSlowCtx(&cx, demand, d.Placement[a.fn], m.resolveSocket(d, a.fn), d.Protected)
+				sc, sio := m.slowdownCtx(&cx, demand, &a.ex, &d.W.Functions[a.fn].Sensitivity, a.ph.SensScale)
 				a.sc, a.sigma = sc, totalSlowdown(sc, sio)
 			}
 		}

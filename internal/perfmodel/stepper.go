@@ -181,11 +181,12 @@ func (st *Stepper) Step(dt float64, rnd *rng.Rand) *StepReport {
 	}
 
 	// Advance SC jobs.
+	var cx slowCtx
 	for _, a := range st.actives {
 		d := a.run.dep
 		fn := &d.W.Functions[a.fn]
-		sc, sio := st.m.slowdown(d.Placement[a.fn], st.m.resolveSocket(d, a.fn),
-			d.Protected, demand, &a.ex, &fn.Sensitivity, a.ph.SensScale)
+		st.m.buildSlowCtx(&cx, demand, d.Placement[a.fn], st.m.resolveSocket(d, a.fn), d.Protected)
+		sc, sio := st.m.slowdownCtx(&cx, demand, &a.ex, &fn.Sensitivity, a.ph.SensScale)
 		sigma := totalSlowdown(sc, sio)
 		a.run.progress += dt / (d.W.SoloDurationS * sigma)
 		if a.run.progress >= 1 {

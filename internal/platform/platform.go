@@ -31,7 +31,6 @@ import (
 	"gsight/internal/resources"
 	"gsight/internal/rng"
 	"gsight/internal/sched"
-	"gsight/internal/sim"
 	"gsight/internal/telemetry"
 	"gsight/internal/trace"
 	"gsight/internal/workload"
@@ -207,13 +206,17 @@ type runner struct {
 	// the unique run name.
 	jobFree [][]*scActive
 
-	engine   sim.Engine
 	inj      *faults.Injector
 	fallback sched.Scheduler
 
-	// arrivals keeps the full submission timeline for the flight
-	// recorder's pending count.
-	arrivals []float64
+	// The run's timeline is two presorted slices, both known before
+	// t = 0: the injector's fault changes and the batch-job submission
+	// times. nextFault and nextArrival index the first event of each
+	// that has not fired yet, and now is the simulation clock.
+	arrivals    []float64
+	nextFault   int
+	nextArrival int
+	now         float64
 
 	degraded       bool
 	degradedReason string
@@ -236,11 +239,10 @@ type runner struct {
 	flFrame     obs.Frame
 
 	// Per-step scratch, reused so the steady-state loop allocates
-	// nothing: the noise child generator, the online-learning input
-	// snapshot, and the cached submit callback.
+	// nothing: the noise child generator and the online-learning input
+	// snapshot.
 	noiseChild rng.Rand
 	snapBuf    []core.WorkloadInput
-	submitFn   func()
 	reqBuf     sched.Request // schedulers never retain the request
 }
 
@@ -294,8 +296,6 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		ins: cfg.Telemetry.Platform(),
 		obs: cfg.Obs,
 	}
-	r.engine.Instrument(cfg.Telemetry)
-	r.submitFn = r.submitJob
 	r.scPool = make([]scPoolEntry, len(cfg.SCPool))
 	r.jobFree = make([][]*scActive, len(cfg.SCPool))
 	for i, w := range cfg.SCPool {
@@ -305,7 +305,6 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if err := r.deployServices(); err != nil {
 		return nil, err
 	}
-	r.scheduleFaults()
 	r.scheduleArrivals()
 	if err := r.loop(); err != nil {
 		return nil, err
@@ -349,25 +348,45 @@ func (r *runner) deployServices() error {
 	return nil
 }
 
-// scheduleFaults registers the fault timeline on the event engine,
-// before job arrivals so a fault and an arrival at the same instant
-// resolve in a fixed order.
-func (r *runner) scheduleFaults() {
-	for _, c := range r.inj.Changes() {
-		c := c
-		r.engine.At(c.AtS, func() { r.applyFault(c) })
-	}
-}
-
-// scheduleArrivals draws the batch-job submission times and registers
-// them.
+// scheduleArrivals draws the batch-job submission times.
 func (r *runner) scheduleArrivals() {
 	if len(r.cfg.SCPool) == 0 || r.cfg.SCMeanIntervalS <= 0 {
 		return
 	}
 	r.arrivals = trace.JobArrivals(r.cfg.SCMeanIntervalS, 0, r.cfg.DurationS, r.rnd.Split())
-	for _, t := range r.arrivals {
-		r.engine.At(t, r.submitFn)
+}
+
+// fireDue fires every fault change and job arrival due by t (at or
+// before it), merging the two sorted slices by time. At equal times a
+// fault fires before an arrival, and equal-time faults keep their
+// slice order, so a fault and an arrival at the same instant always
+// resolve the same way. fault and arrive fire one event each (a run
+// passes applyFault and submitJob). r.now holds the event's time while
+// it fires and t once fireDue returns. ctx is checked between events,
+// so a cancellation lands between decisions, never inside one.
+func (r *runner) fireDue(t float64, fault func(faults.Change), arrive func()) error {
+	changes := r.inj.Changes()
+	for {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		fDue := r.nextFault < len(changes) && changes[r.nextFault].AtS <= t
+		aDue := r.nextArrival < len(r.arrivals) && r.arrivals[r.nextArrival] <= t
+		if !fDue && !aDue {
+			r.now = t
+			return nil
+		}
+		r.ins.Events.Inc()
+		if fDue && (!aDue || changes[r.nextFault].AtS <= r.arrivals[r.nextArrival]) {
+			c := changes[r.nextFault]
+			r.nextFault++
+			r.now = c.AtS
+			fault(c)
+		} else {
+			r.now = r.arrivals[r.nextArrival]
+			r.nextArrival++
+			arrive()
+		}
 	}
 }
 
@@ -453,7 +472,7 @@ func (r *runner) submitJob() {
 		// The scheduler's accepted-candidate JCT estimate anchors both
 		// the job's trace span and its completion-time quality sample.
 		a.predJCTS = r.obsDetail.PredJCTS
-		r.obs.Trace().JobBegin(id, w.Name, in.Name, r.engine.Now(), placement, a.predJCTS)
+		r.obs.Trace().JobBegin(id, w.Name, in.Name, r.now, placement, a.predJCTS)
 	}
 	r.activeSC = append(r.activeSC, a)
 }
@@ -547,7 +566,7 @@ func (r *runner) tracePlacement(req *sched.Request, placement []int, err error) 
 			}
 		}
 	}
-	r.obs.Trace().Placement(r.engine.Now(), &pi)
+	r.obs.Trace().Placement(r.now, &pi)
 }
 
 func (r *runner) placeInner(req *sched.Request) ([]int, error) {
@@ -586,18 +605,18 @@ func (r *runner) enterDegraded(reason string) {
 	}
 	r.degraded = true
 	r.degradedReason = reason
-	r.degradedSince = r.engine.Now()
+	r.degradedSince = r.now
 	if r.ins.Decisions != nil {
-		r.dev = telemetry.DegradedTransition{SimTimeS: r.engine.Now(), Entered: true, Reason: reason, Fallback: r.fallback.Name()}
+		r.dev = telemetry.DegradedTransition{SimTimeS: r.now, Entered: true, Reason: reason, Fallback: r.fallback.Name()}
 		r.ins.Decisions.Degraded(&r.dev)
 	}
 	if r.obs != nil {
-		r.obs.Trace().Degraded(r.engine.Now(), true, reason)
+		r.obs.Trace().Degraded(r.now, true, reason)
 	}
 }
 
 // exitDegraded closes the open degraded interval at the current time.
-func (r *runner) exitDegraded() { r.closeDegraded(r.engine.Now()) }
+func (r *runner) exitDegraded() { r.closeDegraded(r.now) }
 
 // closeDegraded closes the open degraded interval at endS.
 func (r *runner) closeDegraded(endS float64) {
@@ -663,7 +682,7 @@ func (r *runner) applyFault(c faults.Change) {
 	}
 	if r.ins.Decisions != nil {
 		r.fev = telemetry.FaultEvent{
-			SimTimeS:          r.engine.Now(),
+			SimTimeS:          r.now,
 			Kind:              c.Op.String(),
 			Node:              c.Node,
 			Factor:            c.Factor,
@@ -673,7 +692,7 @@ func (r *runner) applyFault(c faults.Change) {
 		r.ins.Decisions.Fault(&r.fev)
 	}
 	if r.obs != nil {
-		r.obs.Trace().Fault(r.engine.Now(), c.Op.String(), c.Node, displacedSvc+displacedJobs)
+		r.obs.Trace().Fault(r.now, c.Op.String(), c.Node, displacedSvc+displacedJobs)
 	}
 }
 
@@ -777,10 +796,8 @@ func (r *runner) loop() error {
 	step := 0
 	for now := 0.0; now < cfg.DurationS; now += StepS {
 		span := telemetry.StartSpan(ins.StepSeconds)
-		// Fire job submissions and fault transitions due by now;
-		// cancellation is checked between events so SIGINT lands
-		// between decisions, never inside one.
-		if err := r.engine.RunUntilCtx(r.ctx, now); err != nil {
+		// Fire job submissions and fault transitions due by now.
+		if err := r.fireDue(now, r.applyFault, r.submitJob); err != nil {
 			return err
 		}
 		step++
@@ -1055,11 +1072,7 @@ func (r *runner) recordFrame(now float64, step int, demand []resources.Vector, a
 		fr.Flags |= obs.FramePredictorDown
 	}
 	fr.ActiveServers = uint16(active)
-	// Arrivals still ahead: computed from the (sorted) submission
-	// timeline, never the engine queue, which also holds fault events.
-	fr.Pending = uint32(len(r.arrivals) - sort.Search(len(r.arrivals), func(i int) bool {
-		return r.arrivals[i] > now
-	}))
+	fr.Pending = uint32(len(r.arrivals) - r.nextArrival) // arrivals still ahead
 	fr.Density = float32(density)
 	fr.GoodDensity = float32(goodDensity)
 	fr.CPUUtil = float32(cpuUtil)

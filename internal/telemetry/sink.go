@@ -171,23 +171,6 @@ func (s *Sink) Forest() ForestInstruments {
 	}
 }
 
-// SimInstruments instruments the discrete-event engine's queue.
-type SimInstruments struct {
-	Scheduled  *Counter // events pushed onto the queue
-	Executed   *Counter // events executed
-	QueueDepth *Gauge   // pending events after the last operation
-}
-
-// Sim registers the event-engine instrument set (sim_*).
-func (s *Sink) Sim() SimInstruments {
-	r := s.reg()
-	return SimInstruments{
-		Scheduled:  r.Counter("sim_events_scheduled_total", "events pushed onto the queue"),
-		Executed:   r.Counter("sim_events_executed_total", "events executed"),
-		QueueDepth: r.Gauge("sim_queue_depth", "pending events"),
-	}
-}
-
 // PlatformInstruments instruments the platform step loop.
 type PlatformInstruments struct {
 	Steps         *Counter
@@ -198,6 +181,7 @@ type PlatformInstruments struct {
 	ColdStarts    *Counter
 	RejectedJobs  *Counter
 	ActiveServers *Gauge
+	Events        *Counter // fault changes and job arrivals fired
 	// Resilience counters (fault injection and graceful degradation).
 	FaultEvents        *Counter // injected fault transitions applied
 	DisplacedServices  *Counter // services re-placed off crashed nodes
@@ -219,6 +203,7 @@ func (s *Sink) Platform() PlatformInstruments {
 		ColdStarts:         r.Counter("platform_cold_starts_total", "instances cold-started"),
 		RejectedJobs:       r.Counter("platform_rejected_jobs_total", "batch jobs rejected"),
 		ActiveServers:      r.Gauge("platform_active_servers", "servers with any load after the last step"),
+		Events:             r.Counter("sim_events_executed_total", "fault changes and job arrivals fired"),
 		FaultEvents:        r.Counter("platform_fault_events_total", "injected fault transitions applied"),
 		DisplacedServices:  r.Counter("platform_displaced_services_total", "services re-placed off crashed nodes"),
 		DisplacedJobs:      r.Counter("platform_displaced_jobs_total", "batch jobs moved off crashed nodes"),
