@@ -514,6 +514,42 @@ func BenchmarkShardedScheduling(b *testing.B) {
 	runOp(b, proposeOp(b, NewScheduler(p), obs))
 }
 
+// placeAllOp is one PlacerPool.PlaceAll of a batch of requests on an
+// 8-server state with the given placer count; the placed workloads are
+// released again so every iteration starts from the empty state.
+func placeAllOp(tb testing.TB, p *core.Predictor, obs []core.Observation, placers, batch int) func(int) {
+	st := sched.StateFromProfiles(resources.DefaultServerSpec("bench"), 8)
+	pool := NewPlacerPool(st, placers, func() Scheduler { return NewScheduler(p) })
+	reqs := make([]*PlacementRequest, batch)
+	for i := range reqs {
+		o := obs[i%len(obs)]
+		in := o.Inputs[o.Target]
+		in.Name = fmt.Sprintf("req-%d", i)
+		reqs[i] = &PlacementRequest{Input: in, SLA: SLA{MinIPC: 0.5}}
+	}
+	return func(int) {
+		for i, res := range pool.PlaceAll(reqs) {
+			if res.Err != nil {
+				tb.Fatal(res.Err)
+			}
+			st.Release(reqs[i].Input.Name)
+		}
+	}
+}
+
+// BenchmarkPlaceAll measures the placer pool on the 8-server testbed: a
+// batch of one (the served path's usual batch, proposed on the caller's
+// goroutine) and a batch of 8 over 4 placers.
+func BenchmarkPlaceAll(b *testing.B) {
+	p, obs := trainedPredictor(b)
+	for _, batch := range []int{1, 8} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			runOp(b, placeAllOp(b, p, obs, 4, batch))
+		})
+	}
+}
+
 // BenchmarkShardedPlacement measures the full propose/commit/release
 // cycle at cluster scale: 1k and 10k servers. Requests hash to a
 // fixed-size home window, so ns/op is bounded by window size rather

@@ -3,12 +3,18 @@ package cli
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"gsight/internal/experiments"
 )
 
 // usageCommands returns the sub-command names the usage text lists.
@@ -122,5 +128,69 @@ func TestTrainErrorExitKeepsDecisionLog(t *testing.T) {
 	if !bytes.Equal(failed, ok) {
 		t.Errorf("failed run's decision log (%d bytes, %d lines) differs from the successful run's (%d bytes, %d lines)",
 			len(failed), bytes.Count(failed, []byte("\n")), len(ok), bytes.Count(ok, []byte("\n")))
+	}
+}
+
+// TestExperimentsParallelMatchesSerial: -parallel changes how many
+// experiments run at once, not what is emitted. Two experiments, the
+// slower one first, give the same reports with and without it; and
+// under a context cancelled beforehand every id reports cancelled in
+// both modes.
+func TestExperimentsParallelMatchesSerial(t *testing.T) {
+	const ids = "fig8,table1"
+	dir := t.TempDir()
+	took := regexp.MustCompile(`\(\S+ took .*\)`)
+	reports := func(extra ...string) string {
+		out := filepath.Join(dir, "reports.txt")
+		args := append([]string{"experiments", "-run", ids, "-scale", "0.05", "-quiet", "-o", out}, extra...)
+		if got := Main(args); got != 0 {
+			t.Fatalf("gsight %s exited %d, want 0", strings.Join(args, " "), got)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return took.ReplaceAllString(string(data), "")
+	}
+	serial, parallel := reports(), reports("-parallel")
+	if serial == "" || parallel != serial {
+		t.Errorf("-parallel reports differ from the serial ones:\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	}
+
+	for _, par := range []bool{false, true} {
+		log := filepath.Join(dir, fmt.Sprintf("cancelled-%v.jsonl", par))
+		c := &experimentsCmd{
+			runEnv:   runEnv{quiet: true, decisionPath: log},
+			opt:      experiments.Options{Scale: 0.05, Seed: 42},
+			runList:  ids,
+			format:   "text",
+			out:      filepath.Join(dir, "cancelled.txt"),
+			parallel: par,
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ee *exitError
+		if err := c.run(func(context.Context) error { return c.runAll(ctx) }); !errors.As(err, &ee) || ee.code != 1 {
+			t.Fatalf("parallel=%v: cancelled run returned %v, want exit status 1", par, err)
+		}
+		data, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status := map[string]string{}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var ev struct{ Event, ID, Status string }
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Event == "experiment" {
+				status[ev.ID] = ev.Status
+			}
+		}
+		for _, id := range strings.Split(ids, ",") {
+			if status[id] != "cancelled" {
+				t.Errorf("parallel=%v: %s reported %q, want cancelled", par, id, status[id])
+			}
+		}
 	}
 }

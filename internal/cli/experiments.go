@@ -8,10 +8,10 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"gsight/internal/experiments"
+	"gsight/internal/par"
 	"gsight/internal/telemetry"
 )
 
@@ -90,30 +90,22 @@ func (c *experimentsCmd) runAll(ctx context.Context) error {
 	c.log.Infof("running %d experiments at scale %.2f (seed %d)...", len(ids), c.opt.Scale, c.opt.Seed)
 	tAll := time.Now()
 	results := make([]outcome, len(ids))
-	runOne := func(i int) {
+	workers := 1
+	if c.parallel {
+		workers = len(ids)
+	}
+	err := par.For(ctx, workers, len(ids), func(_, i int) error {
 		c.log.Debugf("running %s...", ids[i])
 		t0 := time.Now()
 		rep, err := experiments.Run(ctx, ids[i], c.opt)
 		results[i] = outcome{rep, err, time.Since(t0).Round(time.Millisecond)}
 		c.log.Debugf("%s done in %v", ids[i], results[i].took)
-	}
-	if c.parallel {
-		var wg sync.WaitGroup
-		for i := range ids {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range ids {
-			if ctx.Err() != nil {
-				results[i] = outcome{nil, ctx.Err(), 0}
-				continue
-			}
-			runOne(i)
+		return nil
+	})
+	// par.For starts no id once ctx is cancelled: those report its error.
+	for i := range results {
+		if results[i].rep == nil && results[i].err == nil {
+			results[i].err = err
 		}
 	}
 	c.log.Infof("all experiments finished in %v", time.Since(tAll).Round(time.Millisecond))
@@ -148,7 +140,7 @@ func (c *experimentsCmd) runAll(ctx context.Context) error {
 		c.log.Errorf("interrupted: %d experiments cancelled", cancelled)
 	}
 
-	err := c.report("gsight-experiments",
+	err = c.report("gsight-experiments",
 		map[string]interface{}{
 			"run":      strings.Join(ids, ","),
 			"scale":    c.opt.Scale,

@@ -8,6 +8,7 @@ import (
 	"gsight/internal/faults"
 	"gsight/internal/perfmodel"
 	"gsight/internal/platform"
+	"gsight/internal/scenario"
 	"gsight/internal/sched"
 	"gsight/internal/stats"
 	"gsight/internal/trace"
@@ -25,35 +26,9 @@ import (
 func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
 	m, g := newLab(opt)
 
-	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(900, 150), 3)
+	p, err := trainedPredictor(ctx, g, opt)
 	if err != nil {
 		return nil, err
-	}
-	jctObs, err := CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(400, 70), 2)
-	if err != nil {
-		return nil, err
-	}
-	p := core.NewPredictor(core.Config{Seed: opt.Seed})
-	if err := p.TrainObservations(core.IPCQoS, obs); err != nil {
-		return nil, err
-	}
-	if err := p.TrainObservations(core.JCTQoS, jctObs); err != nil {
-		return nil, err
-	}
-
-	services := func() []platform.LSService {
-		var out []platform.LSService
-		lsPool := []*workload.Workload{
-			workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-		}
-		floors := sched.CalibrateMinIPC(m, lsPool, opt.n(250, 60), opt.Seed)
-		for i, w := range lsPool {
-			pat := trace.DefaultPattern(w.MaxQPS * 0.42)
-			pat.DiurnalAmp = 0.30
-			pat.PhaseShift = float64(i) * 7200
-			out = append(out, platform.LSService{W: w, Pattern: pat, SLA: sched.SLA{MinIPC: floors[i]}})
-		}
-		return out
 	}
 	scPool := []*workload.Workload{
 		workload.MatMul(), workload.DD(), workload.VideoProcessing(),
@@ -78,7 +53,7 @@ func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
 	}
 	svcSets := make([][]platform.LSService, len(scenarios))
 	for i := range scenarios {
-		svcSets[i] = services()
+		svcSets[i] = lsServices(m, opt)
 	}
 	results := make([]*platform.Stats, len(scenarios))
 	err = forEach(ctx, len(scenarios), func(i int) error {
@@ -136,4 +111,45 @@ func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
 	}
 	r.AddNote("every faulty run completed: crashes displace services through the scheduler, predictor outages degrade to WorstFit placements instead of failing the run")
 	return r, nil
+}
+
+// trainedPredictor is the Gsight predictor the platform experiments
+// schedule with, trained on a bootstrap IPC and JCT dataset drawn from g.
+func trainedPredictor(ctx context.Context, g *scenario.Generator, opt Options) (*core.Predictor, error) {
+	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(900, 150), 3)
+	if err != nil {
+		return nil, err
+	}
+	jctObs, err := CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(400, 70), 2)
+	if err != nil {
+		return nil, err
+	}
+	p := core.NewPredictor(core.Config{Seed: opt.Seed})
+	if err := p.TrainObservations(core.IPCQoS, obs); err != nil {
+		return nil, err
+	}
+	if err := p.TrainObservations(core.JCTQoS, jctObs); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// lsServices is the latency-sensitive service set of the trace-driven
+// runs, its SLAs set by the Figure 7 latency->IPC transform.
+func lsServices(m *perfmodel.Model, opt Options) []platform.LSService {
+	var out []platform.LSService
+	lsPool := []*workload.Workload{
+		workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
+	}
+	floors := sched.CalibrateMinIPC(m, lsPool, opt.n(250, 60), opt.Seed)
+	for i, w := range lsPool {
+		p := trace.DefaultPattern(w.MaxQPS * 0.42)
+		// Softer diurnal swing than the default: the paper's cluster
+		// keeps headroom at peak; saturating all eight nodes would
+		// flatten every scheduler into full spread.
+		p.DiurnalAmp = 0.30
+		p.PhaseShift = float64(i) * 7200
+		out = append(out, platform.LSService{W: w, Pattern: p, SLA: sched.SLA{MinIPC: floors[i]}})
+	}
+	return out
 }

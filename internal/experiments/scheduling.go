@@ -13,7 +13,6 @@ import (
 	"gsight/internal/resources"
 	"gsight/internal/sched"
 	"gsight/internal/stats"
-	"gsight/internal/trace"
 	"gsight/internal/workload"
 )
 
@@ -48,29 +47,6 @@ func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats
 		return nil, err
 	}
 
-	// SLAs via the Figure 7 latency->IPC transform.
-	services := func() []platform.LSService {
-		var out []platform.LSService
-		lsPool := []*workload.Workload{
-			workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-		}
-		floors := sched.CalibrateMinIPC(m, lsPool, opt.n(250, 60), opt.Seed)
-		for i, w := range lsPool {
-			p := trace.DefaultPattern(w.MaxQPS * 0.42)
-			// Softer diurnal swing than the default: the paper's
-			// cluster keeps headroom at peak; saturating all eight
-			// nodes would flatten every scheduler into full spread.
-			p.DiurnalAmp = 0.30
-			p.PhaseShift = float64(i) * 7200
-			out = append(out, platform.LSService{
-				W:       w,
-				Pattern: p,
-				SLA:     sched.SLA{MinIPC: floors[i]},
-			})
-		}
-		return out
-	}
-
 	scPool := []*workload.Workload{
 		workload.MatMul(), workload.DD(), workload.Iperf(),
 		workload.VideoProcessing(), workload.FloatOp(),
@@ -97,7 +73,7 @@ func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats
 	}
 	svcSets := make([][]platform.LSService, len(entries))
 	for i := range entries {
-		svcSets[i] = services()
+		svcSets[i] = lsServices(m, opt)
 	}
 	results := make([]*platform.Stats, len(entries))
 	err = forEach(ctx, len(entries), func(i int) error {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"gsight/internal/core"
 	"gsight/internal/perfmodel"
 	"gsight/internal/platform"
 	"gsight/internal/sched"
@@ -27,19 +26,8 @@ import (
 func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
 	m, g := newLab(opt)
 
-	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(900, 150), 3)
+	p, err := trainedPredictor(ctx, g, opt)
 	if err != nil {
-		return nil, err
-	}
-	jctObs, err := CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(400, 70), 2)
-	if err != nil {
-		return nil, err
-	}
-	p := core.NewPredictor(core.Config{Seed: opt.Seed})
-	if err := p.TrainObservations(core.IPCQoS, obs); err != nil {
-		return nil, err
-	}
-	if err := p.TrainObservations(core.JCTQoS, jctObs); err != nil {
 		return nil, err
 	}
 

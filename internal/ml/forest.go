@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"gsight/internal/par"
@@ -417,19 +416,11 @@ func (f *Forest) PredictBatchInto(X [][]float64, out []float64) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f.predictRange(X, out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.For(context.Background(), workers, (n+chunk-1)/chunk, func(_, c int) error {
+		lo := c * chunk
+		f.predictRange(X, out, lo, min(lo+chunk, n))
+		return nil
+	})
 }
 
 // predictRange fills out[lo:hi] with forest predictions for X[lo:hi].

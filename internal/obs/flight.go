@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"gsight/internal/telemetry"
 )
@@ -73,7 +74,7 @@ func NewFlight(w io.Writer, servers int, stepS float64) *Flight {
 	h := append(make([]byte, 0, flightHeaderSize), flightMagic...)
 	h = binary.LittleEndian.AppendUint16(h, FlightVersion)
 	h = binary.LittleEndian.AppendUint16(h, uint16(servers))
-	h = binary.LittleEndian.AppendUint64(h, floatBits(stepS))
+	h = binary.LittleEndian.AppendUint64(h, math.Float64bits(stepS))
 	return &Flight{s: telemetry.NewStream(w, h, 0), servers: servers}
 }
 
@@ -94,18 +95,18 @@ func (f *Flight) Record(fr *Frame) {
 		return
 	}
 	b, _ := f.s.Begin()
-	b = binary.LittleEndian.AppendUint64(b, floatBits(fr.SimTimeS))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(fr.SimTimeS))
 	b = binary.LittleEndian.AppendUint32(b, fr.Step)
 	b = append(b, fr.Flags)
 	b = binary.LittleEndian.AppendUint16(b, fr.ActiveServers)
 	b = binary.LittleEndian.AppendUint32(b, fr.Pending)
-	b = binary.LittleEndian.AppendUint32(b, float32Bits(fr.Density))
-	b = binary.LittleEndian.AppendUint32(b, float32Bits(fr.GoodDensity))
-	b = binary.LittleEndian.AppendUint32(b, float32Bits(fr.CPUUtil))
-	b = binary.LittleEndian.AppendUint32(b, float32Bits(fr.MemUtil))
+	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(fr.Density))
+	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(fr.GoodDensity))
+	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(fr.CPUUtil))
+	b = binary.LittleEndian.AppendUint32(b, math.Float32bits(fr.MemUtil))
 	for s := 0; s < f.servers; s++ {
-		b = binary.LittleEndian.AppendUint32(b, float32Bits(fr.CPUDemand[s]))
-		b = binary.LittleEndian.AppendUint32(b, float32Bits(fr.MemUsed[s]))
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(fr.CPUDemand[s]))
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(fr.MemUsed[s]))
 		b = append(b, fr.ServerFlags[s])
 	}
 	f.s.End(b)
@@ -142,29 +143,29 @@ func ReadFlight(r io.Reader) (*FlightData, error) {
 	fd := &FlightData{
 		Version: version,
 		Servers: servers,
-		StepS:   bitsFloat(binary.LittleEndian.Uint64(data[8:])),
+		StepS:   math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
 	}
 	fsz := flightFrameSize(servers)
 	for off := flightHeaderSize; off+fsz <= len(data); off += fsz {
 		b := data[off : off+fsz]
 		fr := Frame{
-			SimTimeS:      bitsFloat(binary.LittleEndian.Uint64(b)),
+			SimTimeS:      math.Float64frombits(binary.LittleEndian.Uint64(b)),
 			Step:          binary.LittleEndian.Uint32(b[8:]),
 			Flags:         b[12],
 			ActiveServers: binary.LittleEndian.Uint16(b[13:]),
 			Pending:       binary.LittleEndian.Uint32(b[15:]),
-			Density:       bitsFloat32(binary.LittleEndian.Uint32(b[19:])),
-			GoodDensity:   bitsFloat32(binary.LittleEndian.Uint32(b[23:])),
-			CPUUtil:       bitsFloat32(binary.LittleEndian.Uint32(b[27:])),
-			MemUtil:       bitsFloat32(binary.LittleEndian.Uint32(b[31:])),
+			Density:       math.Float32frombits(binary.LittleEndian.Uint32(b[19:])),
+			GoodDensity:   math.Float32frombits(binary.LittleEndian.Uint32(b[23:])),
+			CPUUtil:       math.Float32frombits(binary.LittleEndian.Uint32(b[27:])),
+			MemUtil:       math.Float32frombits(binary.LittleEndian.Uint32(b[31:])),
 			CPUDemand:     make([]float32, servers),
 			MemUsed:       make([]float32, servers),
 			ServerFlags:   make([]uint8, servers),
 		}
 		for s := 0; s < servers; s++ {
 			p := 35 + 9*s
-			fr.CPUDemand[s] = bitsFloat32(binary.LittleEndian.Uint32(b[p:]))
-			fr.MemUsed[s] = bitsFloat32(binary.LittleEndian.Uint32(b[p+4:]))
+			fr.CPUDemand[s] = math.Float32frombits(binary.LittleEndian.Uint32(b[p:]))
+			fr.MemUsed[s] = math.Float32frombits(binary.LittleEndian.Uint32(b[p+4:]))
 			fr.ServerFlags[s] = b[p+8]
 		}
 		fd.Frames = append(fd.Frames, fr)

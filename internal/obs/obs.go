@@ -11,15 +11,7 @@
 // allocation-free.
 package obs
 
-import (
-	"io"
-	"math"
-)
-
-func floatBits(v float64) uint64   { return math.Float64bits(v) }
-func bitsFloat(b uint64) float64   { return math.Float64frombits(b) }
-func float32Bits(v float32) uint32 { return math.Float32bits(v) }
-func bitsFloat32(b uint32) float32 { return math.Float32frombits(b) }
+import "io"
 
 // Config selects what a Recorder captures. Either writer may be nil to
 // disable that stream; prediction-quality tracking is always on (it

@@ -4,9 +4,36 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"gsight/internal/telemetry"
 )
+
+// crashFile creates the file a crashed run recorded into; a resumed
+// stream reopens it and cuts it back to a checkpointed offset.
+func crashFile(t *testing.T) *os.File {
+	f, err := os.Create(filepath.Join(t.TempDir(), "crashed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// flushed flushes s and returns everything in f.
+func flushed(t *testing.T, s *telemetry.Stream, f *os.File) []byte {
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
 // driveTracer emits a fixed event sequence; split lets tests cut the
 // sequence at an arbitrary point to simulate a crash/resume.
@@ -82,17 +109,18 @@ func TestTracerDeterminismAndRewind(t *testing.T) {
 
 	// Crash after 7 events, resume from a checkpoint taken at 5: cut
 	// back to the checkpointed offset, replay the tail.
-	var crashed bytes.Buffer
-	tr3 := NewTracer(&crashed)
+	crashed := crashFile(t)
+	tr3 := NewTracer(crashed)
 	driveTracer(tr3, 0, 5)
 	ckEvents, ckBytes := tr3.Stream().Offset()
 	driveTracer(tr3, 5, 7) // lost to the crash
-	tr4 := NewTracer(&crashed)
+	flushed(t, tr3.Stream(), crashed)
+	tr4 := NewTracer(crashed)
 	if err := tr4.Stream().TruncateTo(ckEvents, ckBytes); err != nil {
 		t.Fatal(err)
 	}
 	driveTracer(tr4, 5, 12)
-	if !bytes.Equal(full.Bytes(), crashed.Bytes()) {
+	if !bytes.Equal(full.Bytes(), flushed(t, tr4.Stream(), crashed)) {
 		t.Fatal("crash/resume trace differs from uninterrupted trace")
 	}
 }
@@ -172,21 +200,22 @@ func TestFlightRewind(t *testing.T) {
 		fl.Record(makeFrame(i, servers))
 	}
 
-	var crashed bytes.Buffer
-	fl2 := NewFlight(&crashed, servers, 30)
+	crashed := crashFile(t)
+	fl2 := NewFlight(crashed, servers, 30)
 	for i := 0; i < 4; i++ {
 		fl2.Record(makeFrame(i, servers))
 	}
 	ckFrames, ckBytes := fl2.Stream().Offset()
 	fl2.Record(makeFrame(4, servers)) // lost to the crash
-	fl3 := NewFlight(&crashed, servers, 30)
+	flushed(t, fl2.Stream(), crashed)
+	fl3 := NewFlight(crashed, servers, 30)
 	if err := fl3.Stream().TruncateTo(ckFrames, ckBytes); err != nil {
 		t.Fatal(err)
 	}
 	for i := 4; i < 8; i++ {
 		fl3.Record(makeFrame(i, servers))
 	}
-	if !bytes.Equal(full.Bytes(), crashed.Bytes()) {
+	if !bytes.Equal(full.Bytes(), flushed(t, fl3.Stream(), crashed)) {
 		t.Fatal("crash/resume recording differs from uninterrupted recording")
 	}
 }

@@ -16,42 +16,58 @@ import (
 )
 
 // For runs fn(w, i) for every i in [0, n) on at most workers goroutines
-// (w < workers names the calling one), handing out indices in
-// ascending order, and returns once every started call has. It returns
-// the error of the lowest index that failed — what a sequential loop
-// would have surfaced — or else ctx.Err(). Once ctx is cancelled or a
-// call has failed, no further index is handed out; since indices go out
-// in order, every index below a failure has still run.
+// (w == 0 is the calling one), handing out indices in ascending order,
+// and returns once every started call has. It returns the error of the
+// lowest index that failed — what a sequential loop would have
+// surfaced — or else ctx.Err(). Once ctx is cancelled or a call has
+// failed, no further index is handed out; since indices go out in
+// order, every index below a failure has still run.
 func For(ctx context.Context, workers, n int, fn func(w, i int) error) error {
 	workers = max(1, min(workers, n))
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards errAt and first, the lowest failure so far
-	errAt, first := n, error(nil)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	s := &loop{ctx: ctx, n: n, fn: fn, errAt: n}
+	for w := 1; w < workers; w++ {
+		s.wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
-			for !failed.Load() && ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(w, i); err != nil {
-					mu.Lock()
-					if i < errAt {
-						errAt, first = i, err
-					}
-					mu.Unlock()
-					failed.Store(true)
-				}
-			}
+			defer s.wg.Done()
+			s.work(w)
 		}(w)
 	}
-	wg.Wait()
-	if first != nil {
-		return first
+	s.work(0)
+	s.wg.Wait()
+	if s.first != nil {
+		return s.first
 	}
 	return ctx.Err()
+}
+
+// loop is what For's workers share, in one allocation.
+type loop struct {
+	ctx    context.Context
+	n      int
+	fn     func(w, i int) error
+	next   atomic.Int64
+	failed atomic.Bool
+	wg     sync.WaitGroup
+	mu     sync.Mutex // guards errAt and first, the lowest failure so far
+	errAt  int
+	first  error
+}
+
+// work is worker w: it runs fn on the next index until none is left,
+// ctx is cancelled or a call has failed.
+func (s *loop) work(w int) {
+	for !s.failed.Load() && s.ctx.Err() == nil {
+		i := int(s.next.Add(1)) - 1
+		if i >= s.n {
+			return
+		}
+		if err := s.fn(w, i); err != nil {
+			s.mu.Lock()
+			if i < s.errAt {
+				s.errAt, s.first = i, err
+			}
+			s.mu.Unlock()
+			s.failed.Store(true)
+		}
+	}
 }

@@ -55,8 +55,10 @@ func TestGroupWALBatchOrderAndBarrier(t *testing.T) {
 	if err := g.AppendBatch(batch); err != nil {
 		t.Fatalf("batch: %v", err)
 	}
-	if n := w.w.Buffered(); n != 0 {
-		t.Fatalf("%d bytes still buffered after AppendBatch returned", n)
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if _, n := w.s.Offset(); fi.Size() != n {
+		t.Fatalf("%d bytes still buffered after AppendBatch returned", n-fi.Size())
 	}
 	// The batch is durable before Close: replay the live file.
 	got := walRecords(t, path)

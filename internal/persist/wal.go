@@ -1,13 +1,13 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+
+	"gsight/internal/telemetry"
 )
 
 // Append-only write-ahead log: one record per line, each line carrying
@@ -23,13 +23,12 @@ import (
 
 var walTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WAL is an open write-ahead log. Appends are buffered; Sync flushes
-// and fsyncs. Not goroutine-safe — the serving daemon appends from its
-// committer.
+// WAL is an open write-ahead log: CRC framing over a telemetry.Stream,
+// which buffers the appends, and its own fsync. Not goroutine-safe —
+// the serving daemon appends from its committer.
 type WAL struct {
 	f   *os.File
-	w   *bufio.Writer
-	buf []byte
+	s   *telemetry.Stream
 	err error // sticky; the first failed AppendBatch
 }
 
@@ -45,7 +44,7 @@ func CreateWAL(path string) (*WAL, error) {
 		f.Close()
 		return nil, err
 	}
-	return &WAL{f: f, w: bufio.NewWriter(f)}, nil
+	return &WAL{f: f, s: telemetry.NewStream(f, nil, 0)}, nil
 }
 
 // OpenWALAppend opens the log at path for appending after its valid
@@ -58,19 +57,16 @@ func OpenWALAppend(path string, validLen int64) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: wal %s: %w", path, err)
 	}
-	if err := f.Truncate(validLen); err != nil {
+	s := telemetry.NewStream(f, nil, 0)
+	if err := s.TruncateTo(0, validLen); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("persist: wal %s: truncate: %w", path, err)
-	}
-	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("persist: wal %s: %w", path, err)
 	}
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &WAL{f: f, w: bufio.NewWriter(f)}, nil
+	return &WAL{f: f, s: s}, nil
 }
 
 // Append writes one record. The payload must not contain a newline.
@@ -78,14 +74,12 @@ func (w *WAL) Append(payload []byte) error {
 	if bytes.IndexByte(payload, '\n') >= 0 {
 		return fmt.Errorf("persist: wal record contains newline")
 	}
-	b := w.buf[:0]
+	b, _ := w.s.Begin()
 	b = appendCRCHex(b, crc32.Checksum(payload, walTable))
 	b = append(b, ' ')
 	b = append(b, payload...)
-	b = append(b, '\n')
-	w.buf = b
-	_, err := w.w.Write(b)
-	return err
+	w.s.End(append(b, '\n'))
+	return w.s.Err()
 }
 
 // AppendBatch writes the payloads contiguously, in order, covered by a
@@ -110,9 +104,11 @@ func (w *WAL) AppendBatch(payloads [][]byte) error {
 	return w.err
 }
 
-// Sync flushes buffered records and fsyncs the file.
+// Sync flushes buffered records and fsyncs the file. Unlike
+// Stream.Sync it forgives no fsync error: a record is acknowledged on
+// its return.
 func (w *WAL) Sync() error {
-	if err := w.w.Flush(); err != nil {
+	if err := w.s.Flush(); err != nil {
 		return err
 	}
 	return w.f.Sync()
@@ -143,32 +139,27 @@ func appendCRCHex(b []byte, crc uint32) []byte {
 // newline — ends the prefix silently; that is the expected shape of a
 // crash. A missing file is an empty log.
 func ReplayWAL(path string) (records [][]byte, validLen int64, err error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, 0, nil
 		}
 		return nil, 0, fmt.Errorf("persist: wal %s: %w", path, err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var off int64
 	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
+		n := bytes.IndexByte(data[validLen:], '\n')
+		if n < 0 {
 			// No trailing newline: the last append was torn.
-			return records, off, nil
+			return records, validLen, nil
 		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("persist: wal %s: %w", path, err)
-		}
+		line := data[validLen : validLen+int64(n)+1]
 		rec, ok := parseWALLine(line)
 		if !ok {
-			return records, off, nil
+			return records, validLen, nil
 		}
-		// Copy: the reader's buffer is reused across lines.
-		records = append(records, append([]byte(nil), rec...))
-		off += int64(len(line))
+		// Capped, so appending to one record cannot overwrite the next.
+		records = append(records, rec[:len(rec):len(rec)])
+		validLen += int64(len(line))
 	}
 }
 

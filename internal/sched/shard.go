@@ -1,10 +1,11 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+
+	"gsight/internal/par"
 )
 
 // This file implements shared-state scheduling at scale: the path that
@@ -299,24 +300,12 @@ func (p *PlacerPool) PlaceAll(reqs []*Request) []PlaceResult {
 			p.st.propose(p.scheds[0], req, &p.scratch[0], &props[i])
 		}
 	} else {
-		// Workers drain the batch through an atomic cursor into
-		// per-request slots; assignment order is irrelevant.
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(reqs) {
-						return
-					}
-					p.st.propose(p.scheds[w], reqs[i], &p.scratch[w], &props[i])
-				}
-			}(w)
-		}
-		wg.Wait()
+		// Per-request slots: which worker proposes which request is
+		// irrelevant.
+		par.For(context.Background(), nw, len(reqs), func(w, i int) error {
+			p.st.propose(p.scheds[w], reqs[i], &p.scratch[w], &props[i])
+			return nil
+		})
 	}
 	for i, req := range reqs {
 		pr, res := &props[i], &results[i]

@@ -136,11 +136,13 @@ func TestServeLearnerIndependentOfBatching(t *testing.T) {
 		r := rng.New(seed)
 		variants = append(variants, variant{fmt.Sprintf("random split %d", seed), 64, func(int) int { return 1 + r.Intn(150) }})
 	}
+	batch := maxBatch
+	t.Cleanup(func() { maxBatch = batch })
 	var wantLog, wantState []byte
 	for _, v := range variants {
 		sink := telemetry.New()
 		cfg := snapConfig(t.TempDir(), sink)
-		cfg.MaxBatch = v.maxBatch
+		maxBatch = v.maxBatch
 		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

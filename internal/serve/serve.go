@@ -119,8 +119,6 @@ type Config struct {
 	// QueueCap bounds the admission queue; a full queue sheds with
 	// 429 + Retry-After instead of queueing unboundedly. Default 256.
 	QueueCap int
-	// MaxBatch bounds records per commit batch. Default 64.
-	MaxBatch int
 	// SnapshotEvery snapshots after this many records. Default 1024.
 	SnapshotEvery int
 	// Keep is the checkpoint generations retained. Default 3.
@@ -142,9 +140,6 @@ func (c *Config) fill() error {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 1024
@@ -172,6 +167,10 @@ const respCacheCap = 4096
 // A variable so a test can shorten the window; nothing outside tests
 // assigns it.
 var learnerLag = 256
+
+// maxBatch bounds the records of one commit batch. A variable so a test
+// can commit one record per batch; nothing outside tests assigns it.
+var maxBatch = 64
 
 // serveMetrics are the serving-path instruments.
 type serveMetrics struct {
@@ -682,7 +681,7 @@ func (s *Server) committerLoop() {
 }
 
 // nextBatch blocks for the first admissible request, then drains the
-// intake queue opportunistically up to MaxBatch. stopped reports the
+// intake queue opportunistically up to maxBatch. stopped reports the
 // drain signal; the returned batch is still committed. A background
 // publish finishing also ends the wait, with an empty batch, so an idle
 // daemon still fences on its error or cuts the snapshot that was
@@ -706,7 +705,7 @@ func (s *Server) nextBatch() (batch []*pending, stopped bool) {
 			}
 		}
 	}
-	for len(batch) < s.cfg.MaxBatch {
+	for len(batch) < maxBatch {
 		select {
 		case p := <-s.intake:
 			s.admit(p, &batch)

@@ -24,8 +24,8 @@ import (
 // offset keeps the one on disk, one cut to zero writes it again.
 //
 // A file (*os.File) is buffered here, fsynced by Sync and cut by
-// TruncateTo; a *bytes.Buffer is cut in memory; any other writer only
-// has its counters moved and stays the caller's to position and flush.
+// TruncateTo; any other writer only has its counters moved and stays
+// the caller's to position and flush.
 // Callers own the writer's lifetime: Flush before closing a file.
 //
 // Every method but Begin and End — the encoders' half, behind their own
@@ -51,12 +51,6 @@ type streamFile interface {
 	Stat() (os.FileInfo, error)
 	Sync() error
 	Truncate(size int64) error
-}
-
-// memWriter is an in-memory writer that can be cut (*bytes.Buffer).
-type memWriter interface {
-	Len() int
-	Truncate(n int)
 }
 
 // NewStream counts records appended to w. preamble, when non-empty, is
@@ -171,8 +165,8 @@ func (s *Stream) Err() error {
 	return s.err
 }
 
-// TruncateTo cuts the output back to a checkpointed Offset and moves the
-// counters there. An output shorter than the offset is refused and left
+// TruncateTo cuts a file back to a checkpointed Offset and moves the
+// counters there. A file shorter than the offset is refused and left
 // as it is: extending it would zero-fill the gap instead of continuing
 // the recording.
 func (s *Stream) TruncateTo(records uint64, bytes int64) error {
@@ -198,11 +192,6 @@ func (s *Stream) TruncateTo(records uint64, bytes int64) error {
 		if _, err := s.f.Seek(bytes, io.SeekStart); err != nil {
 			return err
 		}
-	} else if m, ok := s.w.(memWriter); ok {
-		if int64(m.Len()) < bytes {
-			return fmt.Errorf("telemetry: stream holds %d bytes, shorter than the resume offset %d", m.Len(), bytes)
-		}
-		m.Truncate(int(bytes))
 	}
 	s.records, s.bytes = records, bytes
 	return nil

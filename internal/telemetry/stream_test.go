@@ -12,10 +12,10 @@ import (
 
 // TestStreamModel drives a Stream through seeded sequences of append,
 // Sync, Offset, TruncateTo and close-and-reopen against a plain
-// byte-slice model, file-backed and in memory. After every step the
-// counters equal the model's and the output is the model's bytes (for a
-// file: a prefix of them while records sit in the buffer, all of them
-// after anything that flushes); the preamble is in the output exactly
+// byte-slice model, over an *os.File and over an in-memory memFile.
+// After every step the counters equal the model's and the output is a
+// prefix of the model's bytes while records sit in the buffer, all of
+// them after anything that flushes; the preamble is in the output exactly
 // once whenever there is output, however often the stream was cut to a
 // non-zero offset or to zero; and a cut past the end is refused with the
 // output untouched.
@@ -32,19 +32,22 @@ func TestStreamModel(t *testing.T) {
 				rnd := rand.New(rand.NewSource(seed))
 				path := filepath.Join(t.TempDir(), "out")
 				var (
-					mem  bytes.Buffer
+					mem  memFile
 					file *os.File
 					s    *Stream
 				)
 				// open (re)builds the stream over what the last one left,
 				// positioned by TruncateTo like a resumed run's.
 				open := func(at mark) {
+					if s != nil {
+						if err := s.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
 					var w io.Writer = &mem
+					mem.off = 0
 					if backing == "file" {
 						if file != nil {
-							if err := s.Flush(); err != nil {
-								t.Fatal(err)
-							}
 							file.Close()
 						}
 						var err error
@@ -60,7 +63,7 @@ func TestStreamModel(t *testing.T) {
 				}
 				output := func() []byte {
 					if backing == "memory" {
-						return mem.Bytes()
+						return mem.data
 					}
 					data, err := os.ReadFile(path)
 					if err != nil {
@@ -78,7 +81,7 @@ func TestStreamModel(t *testing.T) {
 				open(mark{})
 				defer func() { file.Close() }()
 				for step := 0; step < 300; step++ {
-					flushed := backing == "memory"
+					flushed := false
 					switch op := rnd.Intn(10); {
 					case op < 5: // append
 						if records == 0 && len(model) == 0 {
@@ -152,6 +155,40 @@ func TestStreamModel(t *testing.T) {
 		}
 	}
 }
+
+// memFile is an in-memory streamFile, cut and positioned through the
+// same path as an *os.File.
+type memFile struct {
+	data []byte
+	off  int64
+}
+
+func (m *memFile) Write(p []byte) (int, error) {
+	m.data = append(m.data, make([]byte, max(0, m.off+int64(len(p))-int64(len(m.data))))...)
+	m.off += int64(copy(m.data[m.off:], p))
+	return len(p), nil
+}
+
+func (m *memFile) Seek(off int64, whence int) (int64, error) {
+	if whence != io.SeekStart {
+		return 0, fmt.Errorf("memFile: whence %d", whence)
+	}
+	m.off = off
+	return off, nil
+}
+
+func (m *memFile) Stat() (os.FileInfo, error) { return memInfo{size: int64(len(m.data))}, nil }
+func (m *memFile) Sync() error                { return nil }
+func (m *memFile) Truncate(n int64) error     { m.data = m.data[:n]; return nil }
+
+// memInfo answers the two questions TruncateTo asks of a file.
+type memInfo struct {
+	os.FileInfo
+	size int64
+}
+
+func (i memInfo) Name() string { return "memFile" }
+func (i memInfo) Size() int64  { return i.size }
 
 // TestStreamPlainWriterAndNil: a writer that can be neither synced nor
 // cut only has its counters moved, and a nil stream absorbs everything.

@@ -379,30 +379,33 @@ func TestDecisionLogOffsetAndRewind(t *testing.T) {
 
 	// A resumed run cuts its log back to the checkpointed offset and
 	// re-emits: the bytes must line up exactly.
-	buf2 := bytes.NewBuffer(crashed)
-	l2 := NewDecisionLog(buf2)
+	f2 := &memFile{data: crashed}
+	l2 := NewDecisionLog(f2)
 	if err := l2.Stream().TruncateTo(seq, bytesAt); err != nil {
 		t.Fatal(err)
 	}
-	if int64(buf2.Len()) != bytesAt {
-		t.Fatalf("truncated log holds %d bytes, want %d", buf2.Len(), bytesAt)
+	if int64(len(f2.data)) != bytesAt {
+		t.Fatalf("truncated log holds %d bytes, want %d", len(f2.data), bytesAt)
 	}
 	for i := 0; i < 2; i++ {
 		l2.Reactive(&ReactiveAction{Action: "evict-corunner", Service: "svc", Moved: 1})
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("resumed log diverged:\n%q\n%q", buf.Bytes(), buf2.Bytes())
+	if err := l2.Stream().Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if s2, b2 := l2.Stream().Offset(); s2 != 6 || b2 != int64(buf2.Len()) {
+	if !bytes.Equal(buf.Bytes(), f2.data) {
+		t.Fatalf("resumed log diverged:\n%q\n%q", buf.Bytes(), f2.data)
+	}
+	if s2, b2 := l2.Stream().Offset(); s2 != 6 || b2 != int64(len(f2.data)) {
 		t.Fatalf("post-resume offset = (%d, %d)", s2, b2)
 	}
 	// A truncate to a non-zero offset must not re-emit the header; only
 	// a log cut to zero writes it again (TestStreamModel).
-	if strings.Count(buf2.String(), `"event":"header"`) != 1 {
-		t.Fatalf("resumed log duplicated the header:\n%s", buf2.String())
+	if strings.Count(string(f2.data), `"event":"header"`) != 1 {
+		t.Fatalf("resumed log duplicated the header:\n%s", f2.data)
 	}
 	// A log shorter than the offset is refused.
-	if err := NewDecisionLog(bytes.NewBuffer(crashed[:bytesAt-1])).Stream().TruncateTo(seq, bytesAt); err == nil {
+	if err := NewDecisionLog(&memFile{data: crashed[:bytesAt-1]}).Stream().TruncateTo(seq, bytesAt); err == nil {
 		t.Fatal("a log shorter than the resume offset was accepted")
 	}
 	// Nil log is inert.
