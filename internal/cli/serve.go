@@ -39,10 +39,8 @@ func bindServe(fs *flag.FlagSet) func([]string) error {
 	fs.IntVar(&c.cfg.Placers, "placers", 4, "placement workers")
 	fs.Uint64Var(&c.cfg.Seed, "seed", 42, "catalog / training seed (must match across active and standby)")
 	fs.IntVar(&c.cfg.Train, "train", 40, "bootstrap training scenarios (0 = start untrained, serve degraded)")
-	fs.IntVar(&c.cfg.TopK, "topk", 0, "tier-0 candidate pruning (0 = off)")
 	fs.IntVar(&c.cfg.QueueCap, "queue", 256, "admission queue capacity (overflow sheds with 429)")
 	fs.IntVar(&c.cfg.SnapshotEvery, "snapshot-every", 1024, "records between snapshots")
-	fs.IntVar(&c.cfg.Keep, "keep", 3, "checkpoint generations retained")
 	fs.BoolVar(&c.standby, "standby", false, "start as hot standby: wait for the active's lease to lapse")
 	fs.DurationVar(&c.ttl, "lease-ttl", 2*time.Second, "leadership lease duration")
 	fs.StringVar(&c.owner, "owner", "", "lease owner name (default host:pid)")

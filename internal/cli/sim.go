@@ -92,26 +92,14 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		flightPath = filepath.Join(c.recordDir, "flight.bin")
 	}
 
-	// The platform runs on the (possibly scaled) testbed; bootstrap
-	// training and SLA-curve calibration stay on the paper's 8-node lab
-	// — the interference code layout is 8-row, and profiles/curves are
-	// per-server-spec, not per-cluster-size.
 	tb := resources.DefaultTestbed()
 	if c.servers > 0 {
 		tb = resources.NewTestbed(c.servers)
 	}
-	m := perfmodel.New(tb)
-	scenario.FastConfig(m)
-	lab := m
-	if tb.NumServers() != resources.DefaultTestbed().NumServers() {
-		lab = perfmodel.New(resources.DefaultTestbed())
-		scenario.FastConfig(lab)
-	}
-	g := scenario.NewGenerator(lab, c.seed)
 
 	var recorder *obs.Recorder
 	if tracePath != "" || flightPath != "" {
-		obsCfg := obs.Config{Servers: m.Testbed.NumServers(), StepS: platform.StepS}
+		obsCfg := obs.Config{Servers: tb.NumServers(), StepS: platform.StepS}
 		if tracePath != "" {
 			f, err := c.create(tracePath)
 			if err != nil {
@@ -132,7 +120,6 @@ func (c *simCmd) simulate(ctx context.Context) error {
 
 	var pred core.QoSPredictor
 	var scheduler sched.Scheduler
-	needTraining := true
 	switch c.scheduler {
 	case "gsight":
 		p := core.NewPredictor(core.Config{Seed: c.seed})
@@ -149,7 +136,6 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		scheduler = sched.NewBestFit(p)
 	case "worstfit":
 		scheduler = sched.NewWorstFit()
-		needTraining = false
 	default:
 		return fmt.Errorf("unknown scheduler %q", c.scheduler)
 	}
@@ -174,7 +160,7 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		if strings.HasSuffix(c.faults, ".json") {
 			schedule, err = faults.LoadFile(c.faults)
 		} else {
-			schedule, err = faults.Scenario(c.faults, c.seed, durationS, m.Testbed.NumServers())
+			schedule, err = faults.Scenario(c.faults, c.seed, durationS, tb.NumServers())
 		}
 		if err != nil {
 			return err // faults package errors are self-describing
@@ -182,20 +168,28 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		c.log.Infof("fault schedule %q: %d events", schedule.Name, len(schedule.Events))
 	}
 
-	if needTraining {
-		c.log.Infof("bootstrapping %s's predictor on %d scenarios...", scheduler.Name(), c.train)
-		t0 := time.Now()
-		if err := g.Bootstrap(ctx, pred, c.train); err != nil {
-			return err
-		}
-		c.log.Infof("trained in %v", time.Since(t0).Round(time.Millisecond))
-	}
-
-	var services []platform.LSService
 	lsPool := []*workload.Workload{
 		workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
 	}
-	floors := sched.CalibrateMinIPC(lab, lsPool, 250, c.seed)
+	// Only the predicting schedulers train and read the §6.3 IPC floors;
+	// WorstFit places by capacity alone, so its services keep zero
+	// floors and it skips both. Training and SLA-curve calibration run
+	// on the paper's 8-node lab whatever the cluster size: the
+	// interference code layout is 8-row, and profiles and curves are
+	// per server spec, not per cluster.
+	floors := make([]float64, len(lsPool))
+	if pred != nil {
+		lab := perfmodel.New(resources.DefaultTestbed())
+		scenario.FastConfig(lab)
+		c.log.Infof("bootstrapping %s's predictor on %d scenarios...", scheduler.Name(), c.train)
+		t0 := time.Now()
+		if err := scenario.NewGenerator(lab, c.seed).Bootstrap(ctx, pred, c.train); err != nil {
+			return err
+		}
+		c.log.Infof("trained in %v", time.Since(t0).Round(time.Millisecond))
+		floors = sched.CalibrateMinIPC(lab, lsPool, 250, c.seed)
+	}
+	var services []platform.LSService
 	for i, w := range lsPool {
 		p := trace.DefaultPattern(w.MaxQPS * 0.6)
 		p.PhaseShift = float64(i) * 7200
@@ -216,7 +210,7 @@ func (c *simCmd) simulate(ctx context.Context) error {
 	c.log.Infof("running %.0fh trace-driven simulation under %s...", c.hours, scheduler.Name())
 	t0 := time.Now()
 	st, err := platform.Run(ctx, platform.Config{
-		Model:     perfmodel.New(m.Testbed),
+		Model:     perfmodel.New(tb),
 		Scheduler: scheduler,
 		Services:  services,
 		SCPool: []*workload.Workload{

@@ -27,8 +27,15 @@ import (
 func learningChaosConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
 	pred := core.NewPredictor(core.Config{Seed: seed, UpdateEvery: 16})
-	cfg := shortConfig(sched.NewGsight(pred), seed)
+	cfg := chaosConfig(t, sched.NewGsight(pred), seed)
 	cfg.Predictor = pred
+	return cfg
+}
+
+// chaosConfig is a 4 h run of the chaos fault scenario under s.
+func chaosConfig(t *testing.T, s sched.Scheduler, seed uint64) Config {
+	t.Helper()
+	cfg := shortConfig(s, seed)
 	cfg.DurationS = 4 * 3600
 	chaos, err := faults.Scenario("chaos", seed, cfg.DurationS, cfg.Model.Testbed.NumServers())
 	if err != nil {
@@ -46,11 +53,15 @@ type outputs struct {
 	log, trace, flight bytes.Buffer
 }
 
-// run executes cfg with fresh output streams attached. The predictor
-// logs its training steps into the same decision log.
+// run executes cfg with fresh output streams attached. The scheduler
+// logs its placements and the predictor its training steps into the
+// same decision log, as under `gsight sim`.
 func (o *outputs) run(t *testing.T, ctx context.Context, cfg Config) error {
 	t.Helper()
 	cfg.Telemetry = telemetry.New().WithDecisions(&o.log)
+	if in, ok := cfg.Scheduler.(interface{ Instrument(*telemetry.Sink) }); ok {
+		in.Instrument(cfg.Telemetry)
+	}
 	if p, ok := cfg.Predictor.(*core.Predictor); ok {
 		p.Instrument(cfg.Telemetry)
 	}

@@ -27,18 +27,6 @@ type PlaceRequest struct {
 	Order uint64 `json:"order,omitempty"`
 }
 
-// placeResponse is the acknowledgement for one placement.
-type placeResponse struct {
-	Seq       uint64  `json:"seq"`
-	Order     uint64  `json:"order,omitempty"`
-	Name      string  `json:"name"`
-	Outcome   string  `json:"outcome"`
-	Placement []int   `json:"placement,omitempty"`
-	Reason    string  `json:"reason,omitempty"`
-	PredIPC   float64 `json:"pred_ipc,omitempty"`
-	PredJCTS  float64 `json:"pred_jct_s,omitempty"`
-}
-
 // ObserveRequest feeds one QoS measurement back to the online learner.
 type ObserveRequest struct {
 	// Name is the instance name a placement acknowledgement returned.
@@ -72,8 +60,8 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// maxBodyBytes bounds request bodies (a batch of a few hundred
-// placements fits with room to spare).
+// maxBodyBytes bounds request bodies; every request body is one small
+// JSON object, so this only stops a client from streaming garbage.
 const maxBodyBytes = 1 << 20
 
 // defaultRequestTimeout bounds one request's wait on the committer.
@@ -81,7 +69,7 @@ const defaultRequestTimeout = 5 * time.Second
 
 // Handler mounts the serving API on a fresh mux:
 //
-//	POST /v1/place     one placement (or {"batch": [...]} for many)
+//	POST /v1/place     one placement
 //	POST /v1/observe   QoS feedback → online learning
 //	POST /v1/release   free an instance
 //	POST /v1/snapshot  force a checkpoint rotation (answers once it is durable)
@@ -145,60 +133,22 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	return true
 }
 
-// placeBody accepts either a single PlaceRequest or {"batch": [...]}.
-type placeBody struct {
-	PlaceRequest
-	Batch []PlaceRequest `json:"batch,omitempty"`
-}
-
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	var body placeBody
+	var body PlaceRequest
 	if !decodeBody(w, r, &body) {
 		return
 	}
-	reqs := body.Batch
-	if len(reqs) == 0 {
-		reqs = []PlaceRequest{body.PlaceRequest}
-	}
-	for _, pr := range reqs {
-		if err := s.validate(kindPlace, pr.Workload, ""); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-			return
-		}
+	if err := s.validate(kindPlace, body.Workload, ""); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), defaultRequestTimeout)
 	defer cancel()
 	t0 := time.Now()
-	if len(body.Batch) == 0 {
-		resp := s.enqueue(ctx, &pending{kind: kindPlace, order: reqs[0].Order,
-			arch: reqs[0].Workload, qps: reqs[0].QPSFrac, reply: make(chan pendingResp, 1)})
-		s.met.placeLatency.Observe(time.Since(t0).Seconds())
-		writeResp(w, resp)
-		return
-	}
-	// Batch mode: the items go through one at a time, each with its
-	// client order number. Each is its own intake entry, commit round
-	// and fsync; nothing is coalesced, and the first failure fails the
-	// call after earlier items committed (ROADMAP.md item 3(b)).
-	ps := make([]*pending, len(reqs))
-	answers := make([]pendingResp, len(reqs))
-	for i, pr := range reqs {
-		ps[i] = &pending{kind: kindPlace, order: pr.Order, arch: pr.Workload,
-			qps: pr.QPSFrac, reply: make(chan pendingResp, 1)}
-	}
-	for i, p := range ps {
-		answers[i] = s.enqueue(ctx, p)
-	}
+	resp := s.enqueue(ctx, &pending{kind: kindPlace, order: body.Order,
+		arch: body.Workload, qps: body.QPSFrac, reply: make(chan pendingResp, 1)})
 	s.met.placeLatency.Observe(time.Since(t0).Seconds())
-	out := make([]json.RawMessage, 0, len(answers))
-	for _, a := range answers {
-		if a.err != nil {
-			writeResp(w, a) // first failure fails the batch call
-			return
-		}
-		out = append(out, a.payload)
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"results": out})
+	writeResp(w, resp)
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {

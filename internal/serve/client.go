@@ -133,7 +133,8 @@ func (c *Client) postOnce(ctx context.Context, url string, payload []byte, out i
 	return nil
 }
 
-// PlaceAck is the decoded acknowledgement for one placement.
+// PlaceAck is the acknowledgement for one placement, as the daemon
+// encodes it and the client decodes it.
 type PlaceAck struct {
 	Seq       uint64  `json:"seq"`
 	Order     uint64  `json:"order,omitempty"`

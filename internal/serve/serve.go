@@ -106,7 +106,8 @@ type Config struct {
 	DataDir string
 	// Servers is the cluster size (0 = the paper's 8-node testbed).
 	Servers int
-	// Placers is the placer pool's worker count (default 1).
+	// Placers is the placer pool's worker count (0 runs one; `gsight
+	// serve -placers` defaults to 4).
 	Placers int
 	// Seed drives the catalog, SLA curves and bootstrap training.
 	Seed uint64
@@ -114,15 +115,11 @@ type Config struct {
 	// every placement takes the degraded fallback path until
 	// observations accumulate.
 	Train int
-	// TopK enables two-tier placement (0 = off).
-	TopK int
 	// QueueCap bounds the admission queue; a full queue sheds with
 	// 429 + Retry-After instead of queueing unboundedly. Default 256.
 	QueueCap int
 	// SnapshotEvery snapshots after this many records. Default 1024.
 	SnapshotEvery int
-	// Keep is the checkpoint generations retained. Default 3.
-	Keep int
 	// Sink receives serving metrics; nil allocates a private one.
 	Sink *telemetry.Sink
 	// Health, when set, tracks readiness through restore and drain.
@@ -143,9 +140,6 @@ func (c *Config) fill() error {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 1024
-	}
-	if c.Keep <= 0 {
-		c.Keep = 3
 	}
 	if c.Sink == nil {
 		c.Sink = telemetry.New()
@@ -171,6 +165,12 @@ var learnerLag = 256
 // maxBatch bounds the records of one commit batch. A variable so a test
 // can commit one record per batch; nothing outside tests assigns it.
 var maxBatch = 64
+
+// keepGenerations is how many checkpoint generations (snapshot plus the
+// WAL chain it needs) the data dir retains. A variable so a test can
+// stand in for a daemon that pruned harder; nothing outside tests
+// assigns it.
+var keepGenerations = 3
 
 // serveMetrics are the serving-path instruments.
 type serveMetrics struct {
@@ -257,7 +257,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	store, err := persist.OpenStore(cfg.DataDir, cfg.Keep)
+	store, err := persist.OpenStore(cfg.DataDir, keepGenerations)
 	if err != nil {
 		return nil, fmt.Errorf("serve: data dir: %w", err)
 	}
@@ -290,10 +290,6 @@ func New(cfg Config) (*Server, error) {
 	factory := func() sched.Scheduler {
 		g := sched.NewGsight(pred)
 		g.Fallback = sched.NewWorstFit()
-		if cfg.TopK > 0 {
-			g.Tier0 = pred.Tier0()
-			g.TopK = cfg.TopK
-		}
 		return g
 	}
 	s.pool = sched.NewPlacerPool(s.state, cfg.Placers, factory)
@@ -997,7 +993,7 @@ func (s *Server) countKinds(batch []*pending) {
 func responseFor(rec *walRecord) (json.RawMessage, error) {
 	switch rec.Kind {
 	case kindPlace:
-		return json.Marshal(placeResponse{
+		return json.Marshal(PlaceAck{
 			Seq: rec.Seq, Order: rec.Order,
 			Name: rec.Place.Name, Outcome: rec.Place.Outcome,
 			Placement: rec.Place.Placement, Reason: rec.Place.Reason,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -195,30 +196,48 @@ func TestServeDuplicateOrder(t *testing.T) {
 	}
 }
 
-// TestServeBatchPlace: the batch form answers one result per request.
-// Each item is its own intake entry, commit round and fsync (ROADMAP.md
-// item 3(b)).
-func TestServeBatchPlace(t *testing.T) {
-	_, hs, _ := testServer(t, nil)
+// TestServeBatchBodyRefused: /v1/place takes one request shape. A
+// {"batch": [...]} body is refused with 400 before anything reaches the
+// committer, so the applied sequence and the decision log stay as they
+// were.
+func TestServeBatchBodyRefused(t *testing.T) {
+	srv, hs, cl := testServer(t, nil)
+	ctx := context.Background()
+	if _, err := cl.Place(ctx, PlaceRequest{Workload: "matmul"}); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(srv.cfg.DataDir, "decisions.jsonl")
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.State(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	body := `{"batch":[{"workload":"matmul"},{"workload":"dd"},{"workload":"social-network"}]}`
 	resp, err := http.Post(hs.URL+"/v1/place", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Results []PlaceAck `json:"results"`
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch body answered %d, want 400: %s", resp.StatusCode, msg)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	after, err := cl.State(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Results) != 3 {
-		t.Fatalf("batch returned %d results, want 3", len(out.Results))
+	if after.Applied != st.Applied {
+		t.Fatalf("applied seq moved from %d to %d on a refused body", st.Applied, after.Applied)
 	}
-	for i, r := range out.Results {
-		if r.Seq == 0 || r.Name == "" {
-			t.Fatalf("batch result %d incomplete: %+v", i, r)
-		}
+	got, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, before) {
+		t.Fatalf("decision log changed on a refused body:\nbefore %q\nafter  %q", before, got)
 	}
 }
 
@@ -417,7 +436,7 @@ func TestServeTimedOutUnorderedRequestIsNotCommitted(t *testing.T) {
 	if stalled.err != nil {
 		t.Fatalf("stalling placement: %v", stalled.err)
 	}
-	var first placeResponse
+	var first PlaceAck
 	if err := json.Unmarshal(stalled.payload, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +534,7 @@ func TestServeContentionIsNeverARejection(t *testing.T) {
 		t.Error(f)
 	}
 
-	var first placeResponse
+	var first PlaceAck
 	if err := json.Unmarshal(stalled.payload, &first); err != nil {
 		t.Fatal(err)
 	}

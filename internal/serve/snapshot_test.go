@@ -174,12 +174,10 @@ func referenceLog(t *testing.T) []byte {
 // acknowledged records left — checks where it comes back and how much it
 // replayed, runs the rest of crashScript on it and compares the decision
 // log with the uninterrupted run's.
-func finishFrom(t *testing.T, dir string, keep, crashAt int, wantReplayed uint64) {
+func finishFrom(t *testing.T, dir string, crashAt int, wantReplayed uint64) {
 	t.Helper()
 	sink := telemetry.New()
-	cfg := snapConfig(dir, sink)
-	cfg.Keep = keep
-	srv, err := New(cfg)
+	srv, err := New(snapConfig(dir, sink))
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -238,11 +236,10 @@ func TestServeCrashPointsOfSnapshotProtocol(t *testing.T) {
 
 	// crash runs a server into a publish blocked at stage and returns
 	// its data dir as it stands after crashAt acknowledgements.
-	crash := func(t *testing.T, stage string, keep int) (dir string) {
+	crash := func(t *testing.T, stage string) (dir string) {
 		dir = t.TempDir()
 		cfg := snapConfig(dir, nil)
 		cfg.SnapshotEvery = cutAt
-		cfg.Keep = keep
 		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -266,14 +263,14 @@ func TestServeCrashPointsOfSnapshotProtocol(t *testing.T) {
 	}
 
 	t.Run("before-publish", func(t *testing.T) {
-		crashed := crash(t, "start", 0)
+		crashed := crash(t, "start")
 		if _, err := os.Stat(persist.SnapshotPath(crashed, 2)); err == nil {
 			t.Fatalf("snapshot 2 exists before its publish started: %s", listDir(t, crashed))
 		}
 		t.Run("rotated-not-published", func(t *testing.T) {
 			dir := t.TempDir()
 			copyDir(t, crashed, dir)
-			finishFrom(t, dir, 0, crashAt, crashAt)
+			finishFrom(t, dir, crashAt, crashAt)
 		})
 		t.Run("temp-snapshot-half-written", func(t *testing.T) {
 			dir := t.TempDir()
@@ -286,7 +283,7 @@ func TestServeCrashPointsOfSnapshotProtocol(t *testing.T) {
 			if err := os.WriteFile(tmp, whole[:len(whole)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			finishFrom(t, dir, 0, crashAt, crashAt)
+			finishFrom(t, dir, crashAt, crashAt)
 		})
 	})
 
@@ -295,7 +292,7 @@ func TestServeCrashPointsOfSnapshotProtocol(t *testing.T) {
 		// crash between the rename and the prune leaves is produced by a
 		// daemon that keeps both generations; the restore below runs at
 		// keep 1 and must finish the pruning.
-		crashed := crash(t, "published", 0)
+		crashed := crash(t, "published")
 		files := listDir(t, crashed)
 		for _, f := range []string{"snap-000000001.ckpt", "wal-000000001.jsonl", "snap-000000002.ckpt", "wal-000000002.jsonl"} {
 			if !strings.Contains(files, f) {
@@ -304,7 +301,10 @@ func TestServeCrashPointsOfSnapshotProtocol(t *testing.T) {
 		}
 		dir := t.TempDir()
 		copyDir(t, crashed, dir)
-		finishFrom(t, dir, 1, crashAt, crashAt-cutAt)
+		keep := keepGenerations
+		keepGenerations = 1
+		t.Cleanup(func() { keepGenerations = keep })
+		finishFrom(t, dir, crashAt, crashAt-cutAt)
 		// The restore-time compaction and the drain each published a
 		// generation and pruned behind it.
 		if files := listDir(t, dir); strings.Contains(files, "000000001") || strings.Contains(files, "000000002") {
@@ -352,7 +352,7 @@ func TestServeCorruptNewestSnapshotKeepsAckedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Snapshot 2 was cut at record 40: wal-2 holds 41..70, wal-3 the rest.
-	finishFrom(t, restored, 0, crashAt, crashAt-40)
+	finishFrom(t, restored, crashAt, crashAt-40)
 }
 
 // TestServeRestoreRejectsChainGap: a WAL chain whose sequence numbers

@@ -148,8 +148,14 @@ func render(path string, rows []row) (string, error) {
 		}
 		fmt.Fprintf(&b, " %s |\n", r.what)
 	}
+	// The medium, not the path: the path names the measuring machine,
+	// the medium decides what an fsync costs.
+	medium := "disk"
+	if rf.Env["tmpfs"] == "true" {
+		medium = "tmpfs"
+	}
 	fmt.Fprintf(&b, "\nOne run of `go run -C benchmark . -seed %d -seconds %g` (%s, %s vCPU, data dirs on %s). Timings on this sandbox spread by tens of percent between runs (benchmark/README.md), so read these as sizes, not as gates.\n",
-		rf.Seed, rf.Seconds, rf.Env["go"], rf.Env["nproc"], rf.Env["data_dir"])
+		rf.Seed, rf.Seconds, rf.Env["go"], rf.Env["nproc"], medium)
 	return b.String(), nil
 }
 
