@@ -68,8 +68,6 @@ func cmdSnapshot(args []string) error {
 	for _, k := range sum.Kinds {
 		fmt.Printf("  %-5v %-8v %8d %6d %12d %13d\n", k.Kind, k.Trained, k.Seen, k.Trees, k.WindowRows, k.PendingRows)
 	}
-	fmt.Printf("  tier-0: generation %d, %d ring rows, %d seen, trained %v\n",
-		sum.Tier0Gen, sum.Tier0Rows, sum.Tier0Seen, sum.Tier0Trained)
 	fmt.Printf("  record clock: %d\n", sum.Ticks)
 	if in := sum.Install; in != nil {
 		fmt.Printf("  pending install: %v, due at record %d (%d after the clock), batch %d rows, %d trees grown\n",

@@ -26,19 +26,18 @@ type Checkpointable interface {
 // The predictor blob (byte layout in DESIGN.md §12): a header — magic,
 // blob version, coder dimension, QoS kind count — then per kind the
 // trained flag, the sample count, the forest section (ml) and the
-// pending observation rows, then the tier-0 ingest generation and its
-// ridge section. The log-space wrapping of tail-latency and JCT models
-// is structural (rebuilt by NewPredictor), so only the inner forests
-// are written. The tier-0 accumulators travel verbatim (rebuilding them
-// would change float accumulation order) together with the ingest
-// generation, so scheduler-side score caches invalidate at exactly the
-// same points after resume. Last comes the learner section: the record
-// clock (Tick count) and the training in flight, if any — its kind, the
-// Tick that installs it, its batch length (the batch is the newest rows
-// of that kind's window, not stored twice) and its grown trees.
+// pending observation rows. The log-space wrapping of tail-latency and
+// JCT models is structural (rebuilt by NewPredictor), so only the inner
+// forests are written. The tier-0 scorer is not: Tier0 rebuilds it from
+// the IPC window. Last comes the learner section: the record clock
+// (Tick count) and the training in flight, if any — its kind, the Tick
+// that installs it, its batch length (the batch is the newest rows of
+// that kind's window, not stored twice) and its grown trees.
 const (
-	checkpointMagic   = "GSPC"
-	checkpointVersion = 3 // 1 was the JSON schema, 2 had no learner section
+	checkpointMagic = "GSPC"
+	// 1 was the JSON schema, 2 had no learner section, 3 carried the
+	// tier-0 scorer.
+	checkpointVersion = 4
 )
 
 // forestOf unwraps a QoS model to its forest, the only model family the
@@ -55,17 +54,14 @@ func forestOf(m ml.Incremental) (*ml.Forest, error) {
 }
 
 // PredictorCapture is a frozen view of the predictor's learning state,
-// taken by Capture for the price of some pointer copies and one flat
-// copy of the tier-0 ring (at most its window × Tier0Dim floats), and
-// encoded later — possibly on another goroutine, while the predictor
-// keeps observing and flushing.
+// taken by Capture for the price of some pointer copies and encoded
+// later — possibly on another goroutine, while the predictor keeps
+// observing and flushing.
 type PredictorCapture struct {
-	dim      int
-	kinds    [numQoSKinds]kindCapture
-	tier0Gen uint64
-	tier0    ml.RidgeCapture
-	ticks    uint64
-	train    *training // in flight at the capture; Encode waits for its trees
+	dim   int
+	kinds [numQoSKinds]kindCapture
+	ticks uint64
+	train *training // in flight at the capture; Encode waits for its trees
 }
 
 type kindCapture struct {
@@ -78,14 +74,13 @@ type kindCapture struct {
 
 // Capture freezes the predictor's state at the current observation:
 // per-QoS forest view (tree pointers, window row pointers, RNG cursor),
-// the pending observation buffer and the training counters, plus the
-// tier-0 accumulators. Nothing the capture references is written
-// afterwards: window and pending rows are immutable once handed over and
-// trees once grown, so only the containers that ARE rewritten in place
-// are copied — the pending buffer (Dataset.Reset nils its entries), the
-// ring's slot array, the forest's tree slice and the ridge ring. A
-// training in flight is captured by reference: its trees are written
-// once grown, and never change after.
+// the pending observation buffer and the training counters. Nothing the
+// capture references is written afterwards: window and pending rows are
+// immutable once handed over and trees once grown, so only the
+// containers that ARE rewritten in place are copied — the pending
+// buffer (Dataset.Reset nils its entries), the ring's slot array and
+// the forest's tree slice. A training in flight is captured by
+// reference: its trees are written once grown, and never change after.
 func (p *Predictor) Capture() (*PredictorCapture, error) {
 	c := &PredictorCapture{dim: p.coder.Dim(), ticks: p.ticks, train: p.train}
 	for k := range p.models {
@@ -100,8 +95,6 @@ func (p *Predictor) Capture() (*PredictorCapture, error) {
 		}
 		c.kinds[k] = kc
 	}
-	c.tier0Gen = p.tier0.gen
-	c.tier0 = p.tier0.ridge.Capture()
 	return c, nil
 }
 
@@ -110,7 +103,7 @@ func (p *Predictor) Capture() (*PredictorCapture, error) {
 // of allocations however many rows there are. With a training in flight
 // it first waits for the trees to be grown.
 func (c *PredictorCapture) Encode() []byte {
-	size := 96 + c.tier0.SizeHint()
+	size := 96
 	if c.train != nil {
 		size += c.train.upd.SizeHint()
 	}
@@ -134,8 +127,6 @@ func (c *PredictorCapture) Encode() []byte {
 		}
 		dst = wire.AppendF64s(dst, kc.pendingY)
 	}
-	dst = wire.AppendU64(dst, c.tier0Gen)
-	dst = c.tier0.AppendTo(dst)
 	dst = wire.AppendU64(dst, c.ticks)
 	dst = wire.AppendBool(dst, c.train != nil)
 	if t := c.train; t != nil {
@@ -164,11 +155,6 @@ type CheckpointSummary struct {
 	Version int
 	Dim     int
 	Kinds   []KindSummary
-	// Tier-0 scorer: ingest generation and ridge ring occupancy.
-	Tier0Gen     uint64
-	Tier0Rows    int
-	Tier0Seen    uint64
-	Tier0Trained bool
 	// Ticks is the record clock; Install the training in flight.
 	Ticks   uint64
 	Install *InstallSummary
@@ -200,13 +186,12 @@ type decodedCheckpoint struct {
 	forests  [numQoSKinds]*ml.ForestDecoded
 	pendingX [numQoSKinds][][]float64
 	pendingY [numQoSKinds][]float64
-	ridge    *ml.RidgeDecoded
 	install  *ml.ForestUpdateDecoded
 }
 
 // readCheckpoint is the one decoder of the predictor blob. For a
 // predictor it validates against that predictor's configuration — coder
-// dimension, window and tree capacities, ridge shape — and builds the
+// dimension, window and tree capacities — and builds the
 // replacement state; with p nil it checks everything that needs no
 // configuration, allocates nothing per row and fills the summary only.
 // Failures are recorded on r.
@@ -276,14 +261,6 @@ func readCheckpoint(r *wire.Reader, p *Predictor) *decodedCheckpoint {
 		}
 		d.Kinds = append(d.Kinds, ks)
 	}
-	d.Tier0Gen = r.U64("tier0 generation")
-	var rlim *ml.RidgeLimits
-	if p != nil {
-		rlim = p.tier0.ridge.StateLimits()
-	}
-	d.ridge = ml.ReadRidgeState(r, rlim)
-	d.Tier0Rows, d.Tier0Seen, d.Tier0Trained = d.ridge.Rows, d.ridge.Seen, d.ridge.Trained
-
 	d.Ticks = r.U64("record clock")
 	if !r.Bool("install flag") || r.Err() != nil {
 		return d
@@ -355,14 +332,17 @@ func (p *Predictor) RestoreCheckpoint(blob []byte) error {
 			p.pending[k].Append(d.pendingX[k][i], y)
 		}
 	}
-	p.tier0.ridge.Install(d.ridge)
-	p.tier0.gen = d.Tier0Gen
 	p.ticks = d.Ticks
 	if in := d.Install; in != nil {
 		f, _ := forestOf(p.models[in.Kind])
 		p.train = &training{kind: in.Kind, due: in.Due,
 			model: p.models[in.Kind].(ml.Staged), upd: f.ResumeUpdate(d.install)}
 		p.lins.InFlight.Set(1)
+	}
+	if p.tier0 != nil {
+		// An attached scorer follows the restored window, at a new
+		// generation.
+		p.tier0.train(p.tier0Rows())
 	}
 	return nil
 }

@@ -74,8 +74,7 @@ type ckptLayout struct {
 	trees       [numQoSKinds]int // the forest's tree count
 	windowCount [numQoSKinds]int // the forest's window row count
 	pending     [numQoSKinds]int // the kind's pending row count
-	tier0       int              // tier-0 generation
-	ridge       int              // ridge section
+	learner     int              // learner section: the record clock
 }
 
 // layoutOf walks a valid blob field by field, as DESIGN.md §12 lays it
@@ -112,8 +111,7 @@ func layoutOf(t *testing.T, blob []byte) ckptLayout {
 		}
 		r.Bytes(8*rows, "pending labels")
 	}
-	l.tier0 = at()
-	l.ridge = l.tier0 + 8
+	l.learner = at()
 	if err := r.Err(); err != nil {
 		t.Fatalf("walking the blob: %v", err)
 	}
@@ -163,7 +161,8 @@ func TestPredictorRestoreRejectsCorruptState(t *testing.T) {
 	}
 	cases := []tc{
 		{"magic", func() []byte { return splice(good, 0, 4, []byte("JSON")) }, "not a predictor checkpoint"},
-		{"blob version", func() []byte { return splice(good, 4, 4, u32(2)) }, "unsupported predictor checkpoint version 2, want 3"},
+		{"blob version", func() []byte { return splice(good, 4, 4, u32(2)) }, "unsupported predictor checkpoint version 2, want 4"},
+		{"tier-0 blob version", func() []byte { return splice(good, 4, 4, u32(3)) }, "unsupported predictor checkpoint version 3, want 4"},
 		{"coder dim", mutated(func(c *PredictorCapture) { c.dim++ }), "coder dim is"},
 		{"kind count", func() []byte { return splice(good, 12, 4, u32(2)) }, "has 2 kinds, want 3"},
 		{"sample count", func() []byte { return splice(good, 17, 8, wire.AppendU64(nil, 1<<63)) }, "sample count"},
@@ -220,19 +219,12 @@ func TestPredictorRestoreRejectsCorruptState(t *testing.T) {
 			c.kinds[IPCQoS].pendingX[0] = row
 		}), "non-finite"},
 		{"pending label finiteness", mutated(func(c *PredictorCapture) { c.kinds[IPCQoS].pendingY[1] = math.NaN() }), "non-finite"},
-		{"ridge dim", func() []byte { return splice(good, lay.ridge, 4, u32(Tier0Dim+1)) }, "ridge dim"},
-		{"ridge accumulator finiteness", func() []byte {
-			return splice(good, lay.ridge+13, 8, wire.AppendF64(nil, math.NaN()))
-		}, "non-finite"},
-		{"ridge ring over capacity", func() []byte {
-			return splice(good, lay.ridge+13+8*(Tier0Dim*Tier0Dim+2*Tier0Dim), 4, u32(tier0Window+1))
-		}, "ridge ring"},
 		{"trailing bytes", func() []byte { return append(append([]byte(nil), good...), 0) }, "1 trailing bytes"},
 		{"empty", func() []byte { return nil }, "needs 4 bytes, 0 remain"},
 	}
 	// Truncated at, one byte before and one byte after every section
 	// boundary.
-	bounds := []int{4, 8, 12, 16, lay.tier0, lay.ridge, len(good) - 1}
+	bounds := []int{4, 8, 12, 16, lay.learner, len(good) - 1}
 	for k := range lay.forest {
 		bounds = append(bounds, lay.forest[k], lay.trees[k], lay.windowCount[k], lay.pending[k])
 	}
@@ -384,7 +376,7 @@ func TestPredictorCheckpointContinuesStream(t *testing.T) {
 // packages the codec is built from imports encoding/json in its
 // checkpoint files.
 func TestCheckpointCodecHasNoJSON(t *testing.T) {
-	for _, file := range []string{"checkpoint.go", "../ml/checkpoint.go", "../ml/ridge.go", "../wire/wire.go"} {
+	for _, file := range []string{"checkpoint.go", "../ml/checkpoint.go", "../wire/wire.go"} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)

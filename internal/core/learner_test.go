@@ -77,10 +77,12 @@ func sameBits(a, b []float64) bool {
 // then holds exactly the model — forests, tier-0 generation and fit,
 // sample counts — an inline predictor reached at the flush, whether the
 // install comes at its due Tick (lag 4) or early because the next flush
-// came first (lag 30, flushes every 10 observations).
+// came first (lag 30, flushes every 10 observations). Both scorers are
+// attached before the first observation.
 func TestInstallLagChangesWhenNotWhat(t *testing.T) {
 	for _, lag := range []int{4, 30} {
 		inline, lagged := ckptPredictor(5), lagPredictor(5, lag)
+		inlineT0, laggedT0 := inline.Tier0(), lagged.Tier0()
 		for i := 0; i < 12; i++ { // the first IPC flush is the 10th observation
 			learnObs(t, inline, i)
 			learnObs(t, lagged, i)
@@ -89,7 +91,7 @@ func TestInstallLagChangesWhenNotWhat(t *testing.T) {
 		if !ok || due != 10+uint64(lag) {
 			t.Fatalf("lag %d: install due at %d (%v), want %d", lag, due, ok, 10+lag)
 		}
-		if lagged.SamplesSeen(IPCQoS) != 0 || lagged.Tier0().Gen() != 0 {
+		if lagged.SamplesSeen(IPCQoS) != 0 || laggedT0.Gen() != 0 {
 			t.Fatalf("lag %d: the flush installed before its Tick", lag)
 		}
 		for i := 12; i < 64; i++ {
@@ -116,9 +118,10 @@ func TestInstallLagChangesWhenNotWhat(t *testing.T) {
 				t.Fatalf("lag %d, %v: samples seen %d vs %d", lag, k, lagged.SamplesSeen(k), inline.SamplesSeen(k))
 			}
 		}
-		if lagged.Tier0().Gen() != inline.Tier0().Gen() {
-			t.Fatalf("lag %d: tier-0 generation %d vs %d", lag, lagged.Tier0().Gen(), inline.Tier0().Gen())
+		if laggedT0.Gen() != inlineT0.Gen() {
+			t.Fatalf("lag %d: tier-0 generation %d vs %d", lag, laggedT0.Gen(), inlineT0.Gen())
 		}
+		sameScorer(t, laggedT0, inlineT0)
 	}
 }
 
@@ -199,7 +202,7 @@ func TestPredictorRestoreRejectsBadTraining(t *testing.T) {
 		recv *Predictor
 		want string
 	}{
-		{"version 2", splice(good, 4, 4, wire.AppendU32(nil, 2)), nil, "version 2, want 3"},
+		{"version 2", splice(good, 4, 4, wire.AppendU32(nil, 2)), nil, "version 2, want 4"},
 		{"due at the clock", splice(good, due, 8, u64(ticks)), nil, "installs at tick"},
 		{"due past the lag", splice(good, due, 8, u64(ticks+8)), nil, "installs at tick"},
 		{"kind", splice(good, kind, 4, wire.AppendU32(nil, 3)), nil, "of kind 3"},

@@ -114,8 +114,9 @@ type Predictor struct {
 	// during Predict and must not retain it.
 	xPool sync.Pool
 
-	// tier0 is the cheap candidate-pruning scorer. It rides the IPC
-	// training stream: every batch the forest ingests, it ingests too.
+	// tier0 is the cheap candidate-pruning scorer, nil until Tier0
+	// attaches it. It then rides the IPC training stream: every batch
+	// the forest ingests, it ingests too.
 	tier0 *Tier0
 
 	// ticks counts Tick calls (the serving daemon's applied records);
@@ -189,7 +190,7 @@ func NewPredictor(cfg Config) *Predictor {
 	if cfg.Coder.NumServers == 0 {
 		cfg.Coder = DefaultCoder()
 	}
-	p := &Predictor{cfg: cfg, coder: cfg.Coder, tier0: newTier0(cfg.Coder)}
+	p := &Predictor{cfg: cfg, coder: cfg.Coder}
 	p.xPool.New = func() interface{} {
 		buf := make([]float64, p.coder.Dim())
 		return &buf
@@ -211,9 +212,39 @@ func NewPredictor(cfg Config) *Predictor {
 // Coder exposes the feature layout (for importance mapping).
 func (p *Predictor) Coder() Coder { return p.coder }
 
-// Tier0 returns the tier-0 candidate scorer, trained alongside the IPC
-// forest. Schedulers attach it to enable top-K candidate pruning.
-func (p *Predictor) Tier0() *Tier0 { return p.tier0 }
+// Tier0 returns the tier-0 candidate scorer; schedulers attach it to
+// enable top-K candidate pruning. The first call builds it from the IPC
+// forest's installed window and every later IPC batch feeds it, so it
+// holds what it would had it ridden the stream from the start, bit for
+// bit, as long as the window has evicted nothing. Later calls return
+// the same scorer. It is never checkpointed.
+func (p *Predictor) Tier0() *Tier0 {
+	if p.tier0 == nil {
+		p.tier0 = newTier0(p.coder)
+		if p.trained[IPCQoS] {
+			p.tier0.absorb(p.tier0Rows())
+		}
+	}
+	return p.tier0
+}
+
+// tier0Rows is the IPC forest's installed window, oldest first: the
+// window without the newest rows of an IPC training in flight, which
+// the scorer ingests at its install. It is empty when the IPC model is
+// not a forest.
+func (p *Predictor) tier0Rows() ([][]float64, []float64) {
+	f, err := forestOf(p.models[IPCQoS])
+	if err != nil {
+		return nil, nil
+	}
+	X, Y := f.Window()
+	if t := p.train; t != nil && t.kind == IPCQoS {
+		_, batch := t.upd.Batch()
+		n := len(Y) - len(batch)
+		X, Y = X[:n], Y[:n]
+	}
+	return X, Y
+}
 
 // Name identifies the predictor in experiment reports.
 func (p *Predictor) Name() string { return "Gsight" }
@@ -277,7 +308,7 @@ func (p *Predictor) TrainObservations(kind QoSKind, obs []Observation) error {
 	if err := p.models[kind].Fit(ds.X, ds.Y); err != nil {
 		return err
 	}
-	if kind == IPCQoS {
+	if kind == IPCQoS && p.tier0 != nil {
 		p.tier0.train(ds.X, ds.Y)
 	}
 	p.trained[kind] = true
@@ -367,7 +398,7 @@ func (p *Predictor) Flush(kind QoSKind) error {
 		if err != nil {
 			return err
 		}
-		if kind == IPCQoS {
+		if kind == IPCQoS && p.tier0 != nil {
 			p.tier0.absorb(ds.X, ds.Y)
 		}
 		batch := ds.Len()
@@ -431,7 +462,7 @@ func (p *Predictor) install() error {
 		return err
 	}
 	X, Y := t.upd.Batch()
-	if t.kind == IPCQoS {
+	if t.kind == IPCQoS && p.tier0 != nil {
 		// The IPC model is the bare forest: Y are the normalized labels.
 		p.tier0.absorb(X, Y)
 	}

@@ -21,13 +21,14 @@ import (
 // the forest learns, so a score is directly comparable to an SLA's
 // MinIPC/soloIPC threshold.
 //
-// Tier0 ingests every IPC observation batch the forest ingests (same
+// Predictor.Tier0 builds it from the IPC forest's window; from then on
+// it ingests every IPC observation batch the forest ingests (same
 // online window, same recency horizon) and bumps a generation counter
 // on each ingest — the scheduler-side score caches key on that counter,
 // which is the "explicit invalidation on observation ingest". All state
 // is a pure function of the observation stream: no RNG, no clock, so
-// cached scores are byte-identical across checkpoint/resume and at any
-// placer count.
+// cached scores are byte-identical across reruns and at any placer
+// count.
 type Tier0 struct {
 	coder Coder
 	ridge *ml.Ridge

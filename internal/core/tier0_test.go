@@ -1,7 +1,9 @@
 package core
 
 import (
-	"strings"
+	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
 	"gsight/internal/profile"
@@ -80,85 +82,145 @@ func TestTier0ScoreLoadMonotonicAfterTraining(t *testing.T) {
 	}
 }
 
-// TestPredictorCheckpointTier0RoundTrip: tier-0 state rides inside the
-// predictor checkpoint, and a restored scorer must score and keep
-// evolving bit-identically to the original.
-func TestPredictorCheckpointTier0RoundTrip(t *testing.T) {
-	a := ckptPredictor(5)
-	for i := 0; i < 24; i++ {
-		tier0Obs(t, a, i)
-	}
-	raw, err := a.CheckpointState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := ckptPredictor(5)
-	if err := b.RestoreCheckpoint(raw); err != nil {
-		t.Fatal(err)
-	}
-	ta, tb := a.Tier0(), b.Tier0()
-	if tb.Gen() != ta.Gen() {
-		t.Fatalf("restored generation %d, want %d", tb.Gen(), ta.Gen())
-	}
-	if tb.Ready() != ta.Ready() {
-		t.Fatalf("restored readiness %v, want %v", tb.Ready(), ta.Ready())
-	}
-	mix, _ := Tier0TargetStats(scInput(workload.DD(), 0, 0).Profiles)
-	for _, load := range []float64{0, 1.5, 6} {
-		if sa, sb := ta.Score(&mix, load), tb.Score(&mix, load); sa != sb {
-			t.Fatalf("restored score at load %v diverged: %v != %v", load, sb, sa)
+// tier0Bootstrap is a bootstrap set of IPC observations: matmul beside
+// one or two corunners on server 0 or 1.
+func tier0Bootstrap(n int) []Observation {
+	obs := make([]Observation, n)
+	for i := range obs {
+		in := []WorkloadInput{scInput(workload.MatMul(), 0, 0), scInput(workload.DD(), i%2, float64(i%3)*10)}
+		if i%3 == 2 {
+			in = append(in, scInput(workload.FloatOp(), 0, 5))
 		}
+		obs[i] = Observation{Target: 0, Inputs: in, Label: 1.7 - 0.02*float64(i%6)}
 	}
-	// Continue both through more flushes; scores must stay bit-identical.
-	for i := 24; i < 44; i++ {
-		tier0Obs(t, a, i)
-		tier0Obs(t, b, i)
+	return obs
+}
+
+// sameScorer fails unless a and b hold the same ridge state and give
+// bit-identical scores over a grid of target mixes and corunner loads.
+func sameScorer(t *testing.T, a, b *Tier0) {
+	t.Helper()
+	if !reflect.DeepEqual(a.ridge, b.ridge) {
+		t.Fatal("the two scorers' ridge states differ")
 	}
-	if tb.Gen() != ta.Gen() {
-		t.Fatalf("post-restore generations diverged: %d != %d", tb.Gen(), ta.Gen())
+	if !a.Ready() {
+		t.Fatal("the scorers are not trained: the comparison shows nothing")
 	}
-	if sa, sb := ta.Score(&mix, 3), tb.Score(&mix, 3); sa != sb {
-		t.Fatalf("post-restore scores diverged: %v != %v", sb, sa)
+	for _, w := range []*workload.Workload{workload.MatMul(), workload.DD(), workload.FloatOp(), workload.SocialNetwork()} {
+		mix, _ := Tier0TargetStats(profile.WorkloadProfiles(w, spec, nil))
+		for _, load := range []float64{0, 0.5, 1.5, 3, 6, 12} {
+			if sa, sb := a.Score(&mix, load), b.Score(&mix, load); math.Float64bits(sa) != math.Float64bits(sb) {
+				t.Fatalf("%s at load %v: %v vs %v", w.Name, load, sa, sb)
+			}
+		}
 	}
 }
 
-// TestPredictorRestoreWithoutTier0Resets: the tier-0 section is part of
-// every checkpoint. One cut off before it is rejected and leaves the
-// receiving scorer alone; one taken before the scorer ever trained
-// restores as an empty scorer, resetting whatever the receiver had
-// learnt.
-func TestPredictorRestoreWithoutTier0Resets(t *testing.T) {
-	a := ckptPredictor(5)
-	for i := 0; i < 24; i++ {
-		tier0Obs(t, a, i)
+// TestTier0AttachedAfterTrainingMatchesEager: a scorer attached after
+// the bootstrap and two IPC flushes is the scorer that rode the same
+// stream from the start through train and absorb, bit for bit, and the
+// two stay equal through the next flush.
+func TestTier0AttachedAfterTrainingMatchesEager(t *testing.T) {
+	eager, late := ckptPredictor(3), ckptPredictor(3)
+	ref := eager.Tier0()
+	for _, p := range []*Predictor{eager, late} {
+		if err := p.TrainObservations(IPCQoS, tier0Bootstrap(30)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 25; i++ { // two flushes, five rows pending
+			tier0Obs(t, p, i)
+		}
 	}
-	raw, err := a.CheckpointState()
-	if err != nil {
-		t.Fatal(err)
+	attached := late.Tier0()
+	if attached.Gen() != 1 || ref.Gen() != 3 {
+		t.Fatalf("generations %d (attached) and %d (eager), want 1 and 3", attached.Gen(), ref.Gen())
 	}
-	b := ckptPredictor(5)
-	for i := 0; i < 44; i++ {
-		tier0Obs(t, b, i) // a trained scorer of its own
+	sameScorer(t, attached, ref)
+	if late.Tier0() != attached {
+		t.Fatal("a second call built another scorer")
 	}
-	gen := b.Tier0().Gen()
-	noTier0 := raw[:layoutOf(t, raw).tier0]
-	if err := b.RestoreCheckpoint(noTier0); err == nil || !strings.Contains(err.Error(), "tier0 generation") {
-		t.Fatalf("checkpoint without its tier-0 section: got %v", err)
+	for i := 25; i < 30; i++ {
+		tier0Obs(t, eager, i)
+		tier0Obs(t, late, i)
 	}
-	if tb := b.Tier0(); !tb.Ready() || tb.Gen() != gen {
-		t.Fatalf("rejected checkpoint left scorer gen=%d ready=%v, want gen=%d ready", tb.Gen(), tb.Ready(), gen)
+	if attached.Gen() != 2 {
+		t.Fatalf("the flush after attaching left generation %d, want 2", attached.Gen())
 	}
+	sameScorer(t, attached, ref)
+}
 
-	untrained, err := ckptPredictor(5).CheckpointState()
+// TestTier0AttachedDuringTrainingSkipsInFlightBatch: with the learner
+// training beside its caller, a scorer attached while an IPC batch is
+// in flight leaves that batch out until its install, exactly as the
+// scorer that rode the stream from the start does.
+func TestTier0AttachedDuringTrainingSkipsInFlightBatch(t *testing.T) {
+	eager, late := lagPredictor(3, 6), lagPredictor(3, 6)
+	ref := eager.Tier0()
+	for _, p := range []*Predictor{eager, late} {
+		if err := p.TrainObservations(IPCQoS, tier0Bootstrap(30)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ { // the flush at the 10th installs at tick 17
+			learnObs(t, p, i)
+		}
+	}
+	if _, ok := late.InstallDue(); !ok {
+		t.Fatal("no training in flight")
+	}
+	attached := late.Tier0()
+	sameScorer(t, attached, ref)
+	gen := attached.Gen()
+	for i := 12; i < 18; i++ {
+		learnObs(t, eager, i)
+		learnObs(t, late, i)
+	}
+	if _, ok := late.InstallDue(); ok || attached.Gen() != gen+1 {
+		t.Fatalf("after the install tick: in flight %v, generation %d, want the install at generation %d", ok, attached.Gen(), gen+1)
+	}
+	sameScorer(t, attached, ref)
+}
+
+// TestCheckpointIndependentOfTier0: attaching a scorer changes nothing
+// a checkpoint carries, and a restored predictor's scorer, attached
+// after the restore, is the one the checkpointed predictor holds; one
+// attached before the restore is rebuilt to it.
+func TestCheckpointIndependentOfTier0(t *testing.T) {
+	with, without := ckptPredictor(5), ckptPredictor(5)
+	ref := with.Tier0()
+	for i := 0; i < 44; i++ { // four flushes, four rows pending
+		tier0Obs(t, with, i)
+		tier0Obs(t, without, i)
+	}
+	a, err := with.CheckpointState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreCheckpoint(untrained); err != nil {
+	b, err := without.CheckpointState()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tb := b.Tier0(); tb.Ready() || tb.Gen() != 0 {
-		t.Fatalf("untrained checkpoint left scorer gen=%d ready=%v, want empty", tb.Gen(), tb.Ready())
+	if !bytes.Equal(a, b) {
+		t.Fatal("an attached scorer changed the checkpoint bytes")
 	}
+	restored := ckptPredictor(5)
+	if err := restored.RestoreCheckpoint(a); err != nil {
+		t.Fatal(err)
+	}
+	sameScorer(t, restored.Tier0(), ref)
+
+	prior := ckptPredictor(9)
+	for i := 0; i < 30; i++ {
+		tier0Obs(t, prior, i)
+	}
+	scorer := prior.Tier0()
+	gen := scorer.Gen()
+	if err := prior.RestoreCheckpoint(a); err != nil {
+		t.Fatal(err)
+	}
+	if scorer.Gen() <= gen {
+		t.Fatalf("restore left the attached scorer at generation %d", scorer.Gen())
+	}
+	sameScorer(t, scorer, ref)
 }
 
 // TestTier0TargetStatsPure: target stats must ignore everything but the

@@ -1,8 +1,6 @@
 package ml
 
 import (
-	"math"
-
 	"gsight/internal/rng"
 	"gsight/internal/wire"
 )
@@ -47,14 +45,7 @@ func (f *Forest) Capture() ForestCapture {
 		rng:    f.rnd.State(),
 		trees:  append([]*Tree(nil), f.trees...),
 	}
-	n := f.buf.Len()
-	c.windowX = make([][]float64, n)
-	c.windowY = make([]float64, n)
-	for i := 0; i < n; i++ {
-		p := f.buf.phys(i)
-		c.windowX[i] = f.buf.x[p]
-		c.windowY[i] = f.buf.y[p]
-	}
+	c.windowX, c.windowY = f.Window()
 	return c
 }
 
@@ -397,133 +388,4 @@ func (f *Forest) Install(d *ForestDecoded) {
 	for i := range d.windowY {
 		f.buf.push(d.windowX[i], d.windowY[i])
 	}
-}
-
-// RidgeCapture is a frozen copy of a ridge model's live state: the Gram
-// accumulators verbatim (rebuilding them from the ring would change
-// float accumulation order) and the ring rows in logical oldest-first
-// order, so the seam position is unobservable. Unlike the forest's, it
-// is a real copy — the ring overwrites its slots in place — but a small
-// one: at most window × d floats.
-type RidgeCapture struct {
-	d       int
-	seen    uint64
-	trained bool
-	a, b, w []float64
-	ringX   []float64 // n × d, oldest first
-	ringY   []float64
-}
-
-// Capture copies the ridge model's live state.
-func (r *Ridge) Capture() RidgeCapture {
-	c := RidgeCapture{
-		d:       r.d,
-		seen:    r.seen,
-		trained: r.trained,
-		a:       append([]float64(nil), r.a...),
-		b:       append([]float64(nil), r.b...),
-		w:       append([]float64(nil), r.w...),
-		ringX:   make([]float64, 0, r.n*r.d),
-		ringY:   make([]float64, 0, r.n),
-	}
-	// Oldest first: slots head..n-1, then 0..head-1.
-	c.ringX = append(append(c.ringX, r.ringX[r.head*r.d:r.n*r.d]...), r.ringX[:r.head*r.d]...)
-	c.ringY = append(append(c.ringY, r.ringY[r.head:r.n]...), r.ringY[:r.head]...)
-	return c
-}
-
-// SizeHint is the exact number of bytes AppendTo writes.
-func (c RidgeCapture) SizeHint() int {
-	return 4 + 8 + 1 + 4 + 8*(len(c.a)+len(c.b)+len(c.w)+len(c.ringX)+len(c.ringY))
-}
-
-// AppendTo appends the ridge section: dim, seen, trained flag, A (d×d),
-// B and W (d each), the ring row count, then ring rows and labels, all
-// dense — the projected features are rarely zero.
-func (c RidgeCapture) AppendTo(dst []byte) []byte {
-	dst = wire.AppendU32(dst, uint32(c.d))
-	dst = wire.AppendU64(dst, c.seen)
-	dst = wire.AppendBool(dst, c.trained)
-	dst = wire.AppendF64s(dst, c.a)
-	dst = wire.AppendF64s(dst, c.b)
-	dst = wire.AppendF64s(dst, c.w)
-	dst = wire.AppendU32(dst, uint32(len(c.ringY)))
-	dst = wire.AppendF64s(dst, c.ringX)
-	return wire.AppendF64s(dst, c.ringY)
-}
-
-// RidgeLimits are a ridge model's configured dimension and ring
-// capacity.
-type RidgeLimits struct {
-	Dim    int
-	Window int
-}
-
-// StateLimits returns the limits for checkpoints of this model.
-func (r *Ridge) StateLimits() *RidgeLimits { return &RidgeLimits{Dim: r.d, Window: r.window} }
-
-// RidgeDecoded is a validated ridge section; read under limits it also
-// holds the state to install.
-type RidgeDecoded struct {
-	Dim     int
-	Seen    uint64
-	Trained bool
-	Rows    int
-
-	a, b, w      []float64
-	ringX, ringY []float64
-}
-
-// ReadRidgeState reads one ridge section, recording failures on r:
-// under limits it checks dimension and ring capacity and builds the
-// state to install; with nil limits it checks structure and finiteness
-// only and allocates nothing.
-func ReadRidgeState(r *wire.Reader, lim *RidgeLimits) *RidgeDecoded {
-	keep := lim != nil
-	d := &RidgeDecoded{}
-	dim := r.U32("ridge dim")
-	d.Dim = int(dim)
-	d.Seen = r.U64("ridge seen")
-	d.Trained = r.Bool("ridge trained flag")
-	if r.Err() != nil {
-		return d
-	}
-	if keep && d.Dim != lim.Dim {
-		r.Failf("ridge dim %d != configured %d", d.Dim, lim.Dim)
-		return d
-	}
-	if sq := uint64(dim) * uint64(dim); sq > math.MaxInt32 {
-		r.Failf("ridge dim %d out of range", dim)
-		return d
-	}
-	if keep {
-		d.a = make([]float64, d.Dim*d.Dim)
-		d.b = make([]float64, d.Dim)
-		d.w = make([]float64, d.Dim)
-	}
-	r.F64s(d.a, d.Dim*d.Dim, "ridge accumulator A")
-	r.F64s(d.b, d.Dim, "ridge accumulator B")
-	r.F64s(d.w, d.Dim, "ridge coefficients")
-	d.Rows = r.Count(8*(d.Dim+1), "ridge ring row count")
-	if keep && d.Rows > lim.Window {
-		r.Failf("ridge ring %d exceeds capacity %d", d.Rows, lim.Window)
-		return d
-	}
-	if keep {
-		d.ringX = make([]float64, d.Rows*d.Dim)
-		d.ringY = make([]float64, d.Rows)
-	}
-	r.F64s(d.ringX, d.Rows*d.Dim, "ridge ring rows")
-	r.F64s(d.ringY, d.Rows, "ridge ring labels")
-	return d
-}
-
-// Install replaces the model's live state with a section read under
-// this model's StateLimits.
-func (r *Ridge) Install(d *RidgeDecoded) {
-	r.a, r.b, r.w = d.a, d.b, d.w
-	r.ringX, r.ringY = d.ringX, d.ringY
-	r.n, r.head = d.Rows, 0
-	r.seen = d.Seen
-	r.trained = d.Trained
 }

@@ -201,11 +201,7 @@ func (u *ForestUpdate) draw(k int) {
 	n := f.buf.Len()
 	f.wcRows = grab(f.wcRows, n)
 	f.wcY = grab(f.wcY, n)
-	for i := 0; i < n; i++ {
-		p := f.buf.phys(i)
-		f.wcRows[i] = f.buf.x[p]
-		f.wcY[i] = f.buf.y[p]
-	}
+	f.buf.copyTo(f.wcRows, f.wcY)
 	f.boot = grab(f.boot, k*n)
 	u.rnds = make([]*rng.Rand, k)
 	for t := 0; t < k; t++ {
@@ -364,6 +360,17 @@ func (f *Forest) prune(X [][]float64, y []float64) {
 		}
 	}
 	f.trees = kept
+}
+
+// Window returns the training window's rows and labels in logical
+// (oldest-first) order: a batch's rows in its order, batches in the
+// order they were absorbed. The rows are shared with the window and
+// must not be modified.
+func (f *Forest) Window() ([][]float64, []float64) {
+	n := f.buf.Len()
+	X, Y := make([][]float64, n), make([]float64, n)
+	f.buf.copyTo(X, Y)
+	return X, Y
 }
 
 // absorb pushes the batch into the ring window: O(batch), regardless of

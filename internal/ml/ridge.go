@@ -17,8 +17,7 @@ import (
 // oldest by downdating the Gram matrix, so the model always reflects
 // the same recency horizon the forest trains on. There is no RNG and
 // no wall-clock input anywhere — given the same observation stream the
-// coefficients are bit-identical, which is what lets cached tier-0
-// scores survive checkpoint/resume byte-for-byte.
+// coefficients are bit-identical, however the stream is batched.
 type Ridge struct {
 	d      int
 	window int
@@ -32,7 +31,6 @@ type Ridge struct {
 	ringY []float64
 	n     int // retained samples (≤ window)
 	head  int // slot of the oldest row once full
-	seen  uint64
 
 	trained bool
 	chol    []float64 // solve scratch
@@ -81,7 +79,7 @@ func (r *Ridge) Reset() {
 	}
 	r.ringX = r.ringX[:0]
 	r.ringY = r.ringY[:0]
-	r.n, r.head, r.seen = 0, 0, 0
+	r.n, r.head = 0, 0
 	r.trained = false
 }
 
@@ -126,7 +124,6 @@ func (r *Ridge) Observe(x []float64, y float64) {
 		}
 		r.b[i] += y * xi
 	}
-	r.seen++
 }
 
 // Refresh re-solves the normal equations (A + λI)w = b by Cholesky

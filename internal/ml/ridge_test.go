@@ -2,11 +2,7 @@ package ml
 
 import (
 	"math"
-	"reflect"
-	"strings"
 	"testing"
-
-	"gsight/internal/wire"
 )
 
 // ridgeSample builds a deterministic synthetic sample x and label
@@ -99,97 +95,6 @@ func TestRidgeWindowDowndate(t *testing.T) {
 	for i := range r.w {
 		if diff := math.Abs(r.w[i] - fresh.w[i]); diff > 1e-6 {
 			t.Fatalf("w[%d] drifted %.3g after downdates", i, diff)
-		}
-	}
-}
-
-// TestRidgeStateRoundTrip checks export/restore is exact: the restored
-// model predicts bit-identically and keeps evolving bit-identically as
-// further samples arrive (the seam position must be unobservable).
-func TestRidgeStateRoundTrip(t *testing.T) {
-	const d, window = 5, 32
-	a := NewRidge(d, window, 1e-6)
-	for i := 0; i < 2*window+5; i++ {
-		x, y := ridgeSample(i, d)
-		a.Observe(x, y)
-	}
-	a.Refresh()
-	b := NewRidge(d, window, 1e-6)
-	state := a.Capture().AppendTo(nil)
-	if len(state) != a.Capture().SizeHint() {
-		t.Fatalf("SizeHint %d, section is %d bytes", a.Capture().SizeHint(), len(state))
-	}
-	if err := restoreRidge(b, state); err != nil {
-		t.Fatal(err)
-	}
-	if again := b.Capture().AppendTo(nil); string(again) != string(state) {
-		t.Fatal("restored ridge re-encodes to different bytes")
-	}
-	if b.seen != a.seen || b.n != a.n || b.Trained() != a.Trained() {
-		t.Fatalf("restored counters diverge: seen %d/%d len %d/%d", b.seen, a.seen, b.n, a.n)
-	}
-	probe, _ := ridgeSample(999, d)
-	if a.Predict(probe) != b.Predict(probe) {
-		t.Fatal("restored model predicts differently")
-	}
-	// Continue both with identical samples through several evictions.
-	for i := 0; i < 2*window; i++ {
-		x, y := ridgeSample(1000+i, d)
-		a.Observe(x, y)
-		b.Observe(x, y)
-	}
-	a.Refresh()
-	b.Refresh()
-	if !reflect.DeepEqual(a.w, b.w) {
-		t.Fatal("post-restore evolution diverged bit-wise")
-	}
-	if a.Predict(probe) != b.Predict(probe) {
-		t.Fatal("post-restore predictions diverged")
-	}
-}
-
-// restoreRidge reads one ridge section under r's limits and installs it.
-func restoreRidge(r *Ridge, data []byte) error {
-	rd := wire.NewReader(data)
-	d := ReadRidgeState(rd, r.StateLimits())
-	if err := rd.Done(); err != nil {
-		return err
-	}
-	r.Install(d)
-	return nil
-}
-
-func TestRidgeRestoreRejectsCorrupt(t *testing.T) {
-	src := NewRidge(4, 24, 1e-3)
-	for i := 0; i < 30; i++ {
-		x, y := ridgeSample(i, 4)
-		src.Observe(x, y)
-	}
-	cases := []struct {
-		name    string
-		corrupt func(c *RidgeCapture)
-		want    string
-	}{
-		{"dim", func(c *RidgeCapture) { c.d = 5 }, "ridge dim 5 != configured 4"},
-		{"short accumulator", func(c *RidgeCapture) { c.a = c.a[:3] }, ""},
-		{"nan accumulator", func(c *RidgeCapture) { c.a[0] = math.NaN() }, "non-finite"},
-		{"inf ring row", func(c *RidgeCapture) { c.ringX[5] = math.Inf(-1) }, "non-finite"},
-		{"ring over capacity", func(c *RidgeCapture) {
-			c.ringX = append(c.ringX, c.ringX[:4]...)
-			c.ringY = append(c.ringY, 1)
-		}, "exceeds capacity"},
-		{"labels without rows", func(c *RidgeCapture) { c.ringX = c.ringX[:4] }, ""},
-	}
-	for _, tc := range cases {
-		c := src.Capture()
-		tc.corrupt(&c)
-		dst := NewRidge(4, 24, 1e-3)
-		err := restoreRidge(dst, c.AppendTo(nil))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
-		}
-		if dst.n != 0 || dst.seen != 0 {
-			t.Errorf("%s: rejected state was applied", tc.name)
 		}
 	}
 }

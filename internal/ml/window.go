@@ -52,3 +52,13 @@ func (w *window) phys(i int) int {
 	}
 	return p
 }
+
+// copyTo writes the samples into x and y (each Len() long) in logical
+// order. The rows are shared, not copied.
+func (w *window) copyTo(x [][]float64, y []float64) {
+	for i := range y {
+		p := w.phys(i)
+		x[i] = w.x[p]
+		y[i] = w.y[p]
+	}
+}

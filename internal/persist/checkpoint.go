@@ -40,8 +40,9 @@ import (
 // with the predictor blob's version, so a directory another build wrote
 // is refused before any of it is read or cut. Format 1 was a JSON
 // object {version, seq, sha256, payload}; format 2 framed predictor
-// blob version 2, which had no learner section.
-const SnapshotVersion = 3
+// blob version 2, which had no learner section; format 3 framed blob
+// version 3, which carried the tier-0 scorer.
+const SnapshotVersion = 4
 
 const (
 	snapPrefix = "snap-"

@@ -149,16 +149,19 @@ func TestLatestSnapshotRefusesOtherFormatVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	newer[len(snapMagic)] = 9
+	format2 := append([]byte(nil), newer...)
+	format2[len(snapMagic)] = 2 // predictor blob version 2, no learner section
 	previous := append([]byte(nil), newer...)
-	previous[len(snapMagic)] = 2 // predictor blob version 2, no learner section
+	previous[len(snapMagic)] = 3 // predictor blob version 3, with the tier-0 scorer
 	for _, c := range []struct {
 		name string
 		file []byte
 		want string
 	}{
-		{"older", []byte(format1Snapshot), "file is format 1 (JSON envelope), this build reads format 3"},
-		{"previous", previous, "file is format 2, this build reads format 3"},
-		{"newer", newer, "file is format 9, this build reads format 3"},
+		{"older", []byte(format1Snapshot), "file is format 1 (JSON envelope), this build reads format 4"},
+		{"format 2", format2, "file is format 2, this build reads format 4"},
+		{"previous", previous, "file is format 3, this build reads format 4"},
+		{"newer", newer, "file is format 9, this build reads format 4"},
 	} {
 		dir := t.TempDir()
 		files := map[string][]byte{

@@ -5,6 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
 	"gsight/internal/core"
@@ -78,9 +82,9 @@ func (o *outputs) run(t *testing.T, ctx context.Context, cfg Config) error {
 	if st.FaultEvents == 0 {
 		t.Fatal("the chaos scenario injected no faults")
 	}
-	o.st = st
 	c := *st
 	c.SchedulingTime = 0
+	o.st = &c
 	if o.stats, err = json.Marshal(&c); err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +104,12 @@ func (o *outputs) learned(t *testing.T) {
 }
 
 // same fails the test unless o and want hold identical stats and
-// identical bytes in every stream.
+// identical bytes in every stream. A failure shows where the runs part:
+// the first differing stats field, or the first differing line.
 func (o *outputs) same(t *testing.T, want *outputs) {
 	t.Helper()
 	if !bytes.Equal(want.stats, o.stats) {
-		t.Fatalf("stats diverged:\nwant %s\ngot  %s", want.stats, o.stats)
+		t.Fatalf("stats diverged: %s", statsDiff(want.st, o.st))
 	}
 	for _, s := range []struct {
 		name      string
@@ -114,9 +119,81 @@ func (o *outputs) same(t *testing.T, want *outputs) {
 			t.Fatalf("%s is empty", s.name)
 		}
 		if !bytes.Equal(s.want.Bytes(), s.got.Bytes()) {
-			t.Fatalf("%s diverged: want %d bytes, got %d", s.name, s.want.Len(), s.got.Len())
+			t.Fatalf("%s diverged (want %d bytes, got %d) at %s", s.name, s.want.Len(), s.got.Len(), lineDiff(s.want.Bytes(), s.got.Bytes()))
 		}
 	}
+}
+
+// statsDiff names the first Stats field, in declaration order, whose
+// JSON differs, down to the first differing element or key within it,
+// with both values.
+func statsDiff(want, got *Stats) string {
+	w, g := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
+	for i := 0; i < w.NumField(); i++ {
+		wj, _ := json.Marshal(w.Field(i).Interface())
+		gj, _ := json.Marshal(g.Field(i).Interface())
+		if !bytes.Equal(wj, gj) {
+			return jsonDiff(w.Type().Field(i).Name, wj, gj)
+		}
+	}
+	return "no field differs"
+}
+
+// jsonDiff descends two differing JSON values along their first
+// difference: into a list's first differing element, an object's first
+// differing key (in sorted order), and prints both values where the
+// descent ends.
+func jsonDiff(path string, want, got json.RawMessage) string {
+	var wl, gl []json.RawMessage
+	if json.Unmarshal(want, &wl) == nil && json.Unmarshal(got, &gl) == nil {
+		for i := range min(len(wl), len(gl)) {
+			if !bytes.Equal(wl[i], gl[i]) {
+				return jsonDiff(fmt.Sprintf("%s[%d]", path, i), wl[i], gl[i])
+			}
+		}
+		return fmt.Sprintf("%s: want %d elements, got %d", path, len(wl), len(gl))
+	}
+	var wm, gm map[string]json.RawMessage
+	if json.Unmarshal(want, &wm) == nil && json.Unmarshal(got, &gm) == nil {
+		var keys []string
+		for k := range wm {
+			keys = append(keys, k)
+		}
+		for k := range gm {
+			if _, ok := wm[k]; !ok {
+				keys = append(keys, k)
+			}
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			if !bytes.Equal(wm[k], gm[k]) {
+				return jsonDiff(fmt.Sprintf("%s[%q]", path, k), wm[k], gm[k])
+			}
+		}
+	}
+	return fmt.Sprintf("%s: want %s, got %s", path, want, got)
+}
+
+// lineDiff reports the first line at which two streams differ: its
+// number and both lines (empty past a stream's end), quoted unless they
+// are printable text.
+func lineDiff(want, got []byte) string {
+	wl, gl := bytes.Split(want, []byte{'\n'}), bytes.Split(got, []byte{'\n'})
+	i := 0
+	for i < len(wl) && i < len(gl) && bytes.Equal(wl[i], gl[i]) {
+		i++
+	}
+	line := func(ls [][]byte) string {
+		var s string
+		if i < len(ls) {
+			s = string(ls[i])
+		}
+		if strconv.CanBackquote(s) {
+			return s
+		}
+		return strconv.Quote(s)
+	}
+	return fmt.Sprintf("line %d:\nwant %s\ngot  %s", i+1, line(wl), line(gl))
 }
 
 // TestChaosLearningRunByteIdentical: two runs of the chaos scenario

@@ -12,25 +12,27 @@ import (
 	"time"
 
 	"gsight/internal/persist"
+	"gsight/internal/resources"
 	"gsight/internal/telemetry"
 )
 
 // FuzzRestoreSnapshotPayload throws arbitrary bytes at the first thing
 // restore does with a verified snapshot payload: split off the JSON
-// section, parse and version-check it, hand the rest on as the predictor
-// blob. It must reject or accept cleanly; what it accepts must frame
-// back — the blob as the untouched tail of the input, the state equal
+// section, parse and check it, hand the rest on as the predictor blob.
+// It must reject or accept cleanly; what it accepts has a cluster size
+// and a used vector per server, and must frame back — the blob as the untouched tail of the input, the state equal
 // across a marshal/parse round trip.
 func FuzzRestoreSnapshotPayload(f *testing.F) {
 	ctl, err := json.Marshal(&snapshotState{
-		Version: snapshotStateVersion, Applied: 9, NextOrder: 4, LogBytes: 512,
+		Version: snapshotStateVersion, Applied: 9, NextOrder: 4, LogBytes: 512, Servers: 4,
 		Running:   []deployedState{{Name: "matmul#1", Archetype: "matmul", Placement: []int{0, 3}, MaxJCT: 1.5}},
+		Used:      []resources.Vector{{2, 1}, {}, {}, {2, 1}},
 		Responses: []cachedResponse{{Order: 3, Resp: json.RawMessage(`{"outcome":"placed"}`)}},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(persist.FramePayload(ctl, []byte("GSPC\x03\x00\x00\x00")))
+	f.Add(persist.FramePayload(ctl, []byte("GSPC\x04\x00\x00\x00")))
 	f.Add(persist.FramePayload(ctl, nil))
 	f.Add(persist.FramePayload([]byte(`{"version":2}`), []byte("blob")))
 	f.Add(persist.FramePayload([]byte(`{"version":1,"running":[{"placement":"x"}]}`), nil))
@@ -38,11 +40,18 @@ func FuzzRestoreSnapshotPayload(f *testing.F) {
 	f.Add(ctl) // a format-1 payload: bare JSON, no framing
 	// The commit-clock fields every snapshot carried before they were
 	// dropped: ignored, not refused.
-	f.Add(persist.FramePayload([]byte(`{"version":1,"applied":9,"sched_seq":3,"epochs":[1,2]}`), nil))
+	f.Add(persist.FramePayload([]byte(`{"version":1,"applied":9,"servers":1,"used":[[]],"sched_seq":3,"epochs":[1,2]}`), nil))
+	// Malformed: no cluster size, no usage, usage of another size.
+	f.Add(persist.FramePayload([]byte(`{"version":1,"applied":9,"used":[[1]]}`), nil))
+	f.Add(persist.FramePayload([]byte(`{"version":1,"applied":9,"servers":2}`), nil))
+	f.Add(persist.FramePayload([]byte(`{"version":1,"applied":9,"servers":2,"used":[[1]]}`), nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		snap, blob, err := decodeSnapshotPayload(payload)
 		if err != nil {
 			return
+		}
+		if snap.Servers <= 0 || len(snap.Used) != snap.Servers {
+			t.Fatalf("accepted a snapshot of %d servers with usage of %d", snap.Servers, len(snap.Used))
 		}
 		if !bytes.HasSuffix(payload, blob) {
 			t.Fatal("the predictor blob is not the tail of the payload")

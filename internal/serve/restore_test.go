@@ -21,10 +21,10 @@ import (
 
 // TestServeRefusesDataDirOfAnotherCluster: a data dir written by a
 // 16-server daemon holds placements on servers an 8-server daemon does
-// not have. Restoring it must be refused with an error — by the cluster
-// size the snapshot records, and for a snapshot from before that field
-// existed by the first stored placement that names a missing server —
-// never applied until an index runs off the cluster.
+// not have. Restoring it must be refused with an error by the cluster
+// size the snapshot records, never applied until an index runs off the
+// cluster. A snapshot without that size, or whose used vectors do not
+// cover it, is refused as malformed.
 func TestServeRefusesDataDirOfAnotherCluster(t *testing.T) {
 	// Untrained, every placement goes to the worst-fit fallback, which
 	// spreads over all sixteen servers at once.
@@ -54,11 +54,28 @@ func TestServeRefusesDataDirOfAnotherCluster(t *testing.T) {
 	if err := restore(dir, 8); err == nil || !strings.Contains(err.Error(), "16-server") {
 		t.Fatalf("restore of a 16-server data dir on 8 servers: err = %v, want the cluster-size refusal", err)
 	}
-	older := t.TempDir()
-	copyDir(t, dir, older)
-	rewriteSnapshots(t, older, func(doc map[string]json.RawMessage) { delete(doc, "servers") })
-	if err := restore(older, 8); err == nil || !strings.Contains(err.Error(), "names server") {
-		t.Fatalf("restore of a pre-servers 16-server snapshot on 8 servers: err = %v, want the placement refusal", err)
+	for _, c := range []struct {
+		name string
+		edit func(doc map[string]json.RawMessage)
+	}{
+		{"no servers", func(doc map[string]json.RawMessage) { delete(doc, "servers") }},
+		{"no used", func(doc map[string]json.RawMessage) { delete(doc, "used") }},
+		{"short used", func(doc map[string]json.RawMessage) {
+			var used []json.RawMessage
+			if err := json.Unmarshal(doc["used"], &used); err != nil {
+				t.Fatal(err)
+			}
+			doc["used"], _ = json.Marshal(used[:8])
+		}},
+	} {
+		malformed := t.TempDir()
+		copyDir(t, dir, malformed)
+		rewriteSnapshots(t, malformed, c.edit)
+		for _, servers := range []int{8, 16} {
+			if err := restore(malformed, servers); err == nil || !strings.Contains(err.Error(), "malformed snapshot") {
+				t.Fatalf("%s, restored on %d servers: err = %v, want the malformed-snapshot refusal", c.name, servers, err)
+			}
+		}
 	}
 	// Nothing was damaged by the refusals: the right size still restores.
 	if err := restore(dir, 16); err != nil {

@@ -375,7 +375,7 @@ func (s *Server) restore() error {
 	if err != nil {
 		return err
 	}
-	if snap.Servers != 0 && snap.Servers != s.state.NumServers() {
+	if snap.Servers != s.state.NumServers() {
 		return fmt.Errorf("serve: snapshot %d is of a %d-server cluster, daemon configured with %d",
 			rec.Gen, snap.Servers, s.state.NumServers())
 	}
@@ -469,10 +469,10 @@ func (s *Server) emitLog(payload []byte) {
 // restoreState rebuilds the cluster state a snapshot recorded: the
 // running set re-committed from the catalog, each stored placement
 // checked against the cluster first — a data dir written for another
-// cluster size or archetype set is refused, not indexed out of range —
-// and then Used verbatim over the rebuilt vectors, whose rounding is not
-// the live state's. A snapshot from before Used was stored keeps the
-// rebuild.
+// archetype set is refused, not indexed out of range — and then Used
+// verbatim over the rebuilt vectors, whose rounding is not the live
+// state's (decodeSnapshotPayload and restore checked it has one per
+// server).
 func (s *Server) restoreState(snap *snapshotState) error {
 	st := s.state
 	for _, d := range snap.Running {
@@ -492,12 +492,7 @@ func (s *Server) restoreState(snap *snapshotState) error {
 		req.Input.Placement = d.Placement
 		st.Commit(req.Input, sched.SLA{MinIPC: d.MinIPC, MaxJCTFactor: d.MaxJCT})
 	}
-	if snap.Used != nil {
-		if len(snap.Used) != len(st.Used) {
-			return fmt.Errorf("serve: stored usage covers %d servers, cluster has %d", len(snap.Used), len(st.Used))
-		}
-		copy(st.Used, snap.Used)
-	}
+	copy(st.Used, snap.Used)
 	s.state.Recount()
 	return nil
 }

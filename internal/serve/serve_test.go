@@ -302,16 +302,14 @@ func TestServeRestartContinuesStream(t *testing.T) {
 	}
 }
 
-// addLegacyClock rewrites every snapshot in dir into the form older
-// builds wrote: carrying the sched_seq and epochs fields snapshots held
-// before the commit clock was dropped from the schema, and without the
-// servers field they did not have yet.
+// addLegacyClock adds to every snapshot in dir the sched_seq and epochs
+// fields snapshots held before the commit clock was dropped from the
+// schema: fields this build does not know, which it ignores.
 func addLegacyClock(t *testing.T, dir string) {
 	t.Helper()
 	rewriteSnapshots(t, dir, func(doc map[string]json.RawMessage) {
 		doc["sched_seq"] = json.RawMessage(`41`)
 		doc["epochs"] = json.RawMessage(`[41,7,41,12]`)
-		delete(doc, "servers")
 	})
 }
 

@@ -115,18 +115,16 @@ type snapshotState struct {
 	// and re-emits the replayed WAL records after it.
 	LogBytes int64 `json:"log_bytes"`
 	// Servers is the cluster size the running set's placements index
-	// into; restore refuses a daemon configured with another. Absent in
-	// snapshots written before the field existed, which go unchecked.
-	Servers int `json:"servers,omitempty"`
+	// into; restore refuses a daemon configured with another.
+	Servers int `json:"servers"`
 	// Running is the deployed set (profiles rehydrate from the catalog
 	// by archetype).
 	Running []deployedState `json:"running,omitempty"`
 	// Used is every server's allocated vector, verbatim: the live values
 	// are the outcome of an exact sequence of adds and subtracts that a
 	// rebuild from Running would not round the same, and replay must
-	// re-execute on exactly the state that decided. Absent in snapshots
-	// written before the field existed, which rebuild it from Running.
-	Used []resources.Vector `json:"used,omitempty"`
+	// re-execute on exactly the state that decided. One per server.
+	Used []resources.Vector `json:"used"`
 	// Responses is the duplicate-answer cache: order → response JSON
 	// for recently acknowledged ordered requests.
 	Responses []cachedResponse `json:"responses,omitempty"`
@@ -135,8 +133,8 @@ type snapshotState struct {
 const snapshotStateVersion = 1
 
 // decodeSnapshotPayload splits a snapshot payload into the daemon's
-// JSON section, parsed and version-checked, and the predictor blob,
-// untouched.
+// JSON section, parsed and checked — its version, a cluster size and a
+// used vector per server — and the predictor blob, untouched.
 func decodeSnapshotPayload(payload []byte) (*snapshotState, []byte, error) {
 	ctl, blob, err := persist.SplitPayload(payload)
 	if err != nil {
@@ -148,6 +146,9 @@ func decodeSnapshotPayload(payload []byte) (*snapshotState, []byte, error) {
 	}
 	if snap.Version != snapshotStateVersion {
 		return nil, nil, fmt.Errorf("serve: unsupported snapshot version %d", snap.Version)
+	}
+	if snap.Servers <= 0 || len(snap.Used) != snap.Servers {
+		return nil, nil, fmt.Errorf("serve: malformed snapshot: %d servers, usage of %d", snap.Servers, len(snap.Used))
 	}
 	return &snap, blob, nil
 }
