@@ -13,11 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"os/signal"
 	"syscall"
 
-	"gsight/internal/logx"
 	"gsight/internal/telemetry"
 )
 
@@ -142,7 +142,7 @@ type runEnv struct {
 	verbose, quiet                      bool
 	debugAddr, reportPath, decisionPath string
 
-	log     *logx.Logger
+	log     *log.Logger // stderr, so stdout reports stay pipeable
 	sink    *telemetry.Sink
 	files   []*os.File
 	streams []*telemetry.Stream
@@ -163,7 +163,7 @@ func (e *runEnv) outputFlags(fs *flag.FlagSet) {
 
 // run sets the environment up and runs body under the signal context.
 func (e *runEnv) run(body func(ctx context.Context) error) error {
-	e.log = logx.Default(e.verbose, e.quiet)
+	e.log = log.New(os.Stderr, "", 0)
 	e.sink = telemetry.New()
 	defer e.close()
 	ctx, stop := signalContext()
@@ -181,9 +181,28 @@ func (e *runEnv) run(body func(ctx context.Context) error) error {
 		if err != nil {
 			return fmt.Errorf("debug server: %w", err)
 		}
-		e.log.Infof("debug server on http://%s (metrics, expvar, pprof)", addr)
+		e.infof("debug server on http://%s (metrics, expvar, pprof)", addr)
 	}
 	return body(ctx)
+}
+
+// infof logs a progress message unless -quiet.
+func (e *runEnv) infof(format string, args ...interface{}) {
+	if !e.quiet {
+		e.log.Printf(format, args...)
+	}
+}
+
+// debugf logs a diagnostic message with -v, unless -quiet.
+func (e *runEnv) debugf(format string, args ...interface{}) {
+	if e.verbose && !e.quiet {
+		e.log.Printf(format, args...)
+	}
+}
+
+// errorf logs an error whatever the flags, prefixed "error: ".
+func (e *runEnv) errorf(format string, args ...interface{}) {
+	e.log.Printf("error: "+format, args...)
 }
 
 // create creates (or truncates) an output file that run closes.
@@ -199,12 +218,12 @@ func (e *runEnv) create(path string) (*os.File, error) {
 func (e *runEnv) close() {
 	for _, st := range e.streams {
 		if err := st.Flush(); err != nil {
-			e.log.Errorf("%v", err)
+			e.errorf("%v", err)
 		}
 	}
 	for _, f := range e.files {
 		if err := f.Close(); err != nil {
-			e.log.Errorf("%v", err)
+			e.errorf("%v", err)
 		}
 	}
 }
@@ -217,6 +236,6 @@ func (e *runEnv) report(tool string, config, summary map[string]interface{}) err
 	if err := telemetry.WriteRunReport(e.reportPath, e.sink.Report(tool, config, summary)); err != nil {
 		return fmt.Errorf("run report: %w", err)
 	}
-	e.log.Infof("run report written to %s", e.reportPath)
+	e.infof("run report written to %s", e.reportPath)
 	return nil
 }

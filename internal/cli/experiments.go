@@ -87,7 +87,7 @@ func (c *experimentsCmd) runAll(ctx context.Context) error {
 		err  error
 		took time.Duration
 	}
-	c.log.Infof("running %d experiments at scale %.2f (seed %d)...", len(ids), c.opt.Scale, c.opt.Seed)
+	c.infof("running %d experiments at scale %.2f (seed %d)...", len(ids), c.opt.Scale, c.opt.Seed)
 	tAll := time.Now()
 	results := make([]outcome, len(ids))
 	workers := 1
@@ -95,11 +95,11 @@ func (c *experimentsCmd) runAll(ctx context.Context) error {
 		workers = len(ids)
 	}
 	err := par.For(ctx, workers, len(ids), func(_, i int) error {
-		c.log.Debugf("running %s...", ids[i])
+		c.debugf("running %s...", ids[i])
 		t0 := time.Now()
 		rep, err := experiments.Run(ctx, ids[i], c.opt)
 		results[i] = outcome{rep, err, time.Since(t0).Round(time.Millisecond)}
-		c.log.Debugf("%s done in %v", ids[i], results[i].took)
+		c.debugf("%s done in %v", ids[i], results[i].took)
 		return nil
 	})
 	// par.For starts no id once ctx is cancelled: those report its error.
@@ -108,7 +108,7 @@ func (c *experimentsCmd) runAll(ctx context.Context) error {
 			results[i].err = err
 		}
 	}
-	c.log.Infof("all experiments finished in %v", time.Since(tAll).Round(time.Millisecond))
+	c.infof("all experiments finished in %v", time.Since(tAll).Round(time.Millisecond))
 
 	failed, cancelled := 0, 0
 	var drev telemetry.ExperimentRun
@@ -124,7 +124,7 @@ func (c *experimentsCmd) runAll(ctx context.Context) error {
 			continue
 		}
 		if res.err != nil {
-			c.log.Errorf("%s: %v", id, res.err)
+			c.errorf("%s: %v", id, res.err)
 			logOutcome(id, "failed")
 			failed++
 			continue
@@ -137,7 +137,7 @@ func (c *experimentsCmd) runAll(ctx context.Context) error {
 		}
 	}
 	if cancelled > 0 {
-		c.log.Errorf("interrupted: %d experiments cancelled", cancelled)
+		c.errorf("interrupted: %d experiments cancelled", cancelled)
 	}
 
 	err = c.report("gsight-experiments",

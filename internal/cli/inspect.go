@@ -521,7 +521,7 @@ func cmdPredq(rec *recording) error {
 		// Replay the samples through the same online tracker the
 		// platform runs, so the reported rolling stats match what the
 		// live run saw.
-		q := obs.NewPredQ(0, 0)
+		q := obs.NewPredQ()
 		archetypes := map[string]bool{}
 		for _, ev := range samples {
 			arch := ev.argStr("archetype")

@@ -118,12 +118,15 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		c.streams = append(c.streams, recorder.Trace().Stream(), recorder.Flight().Stream())
 	}
 
-	var pred core.QoSPredictor
+	// Gsight learns online (§5): its predictor is attached as the
+	// platform's online learner, so step-boundary observations flow
+	// into the incremental forest. The baselines stay offline.
+	var pred, onlinePred core.QoSPredictor
 	var scheduler sched.Scheduler
 	switch c.scheduler {
 	case "gsight":
 		p := core.NewPredictor(core.Config{Seed: c.seed})
-		pred = p
+		pred, onlinePred = p, p
 		g := sched.NewGsight(p)
 		if c.topk > 0 {
 			g.Tier0 = p.Tier0()
@@ -145,13 +148,6 @@ func (c *simCmd) simulate(ctx context.Context) error {
 	if in, ok := pred.(interface{ Instrument(*telemetry.Sink) }); ok {
 		in.Instrument(c.sink)
 	}
-	// Gsight learns online (§5): attach its predictor so step-boundary
-	// observations flow into the incremental forest. The baselines stay
-	// offline.
-	var onlinePred core.QoSPredictor
-	if _, ok := pred.(core.Checkpointable); ok {
-		onlinePred = pred
-	}
 
 	durationS := c.hours * 3600
 	var schedule *faults.Schedule
@@ -165,7 +161,7 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		if err != nil {
 			return err // faults package errors are self-describing
 		}
-		c.log.Infof("fault schedule %q: %d events", schedule.Name, len(schedule.Events))
+		c.infof("fault schedule %q: %d events", schedule.Name, len(schedule.Events))
 	}
 
 	lsPool := []*workload.Workload{
@@ -181,12 +177,12 @@ func (c *simCmd) simulate(ctx context.Context) error {
 	if pred != nil {
 		lab := perfmodel.New(resources.DefaultTestbed())
 		scenario.FastConfig(lab)
-		c.log.Infof("bootstrapping %s's predictor on %d scenarios...", scheduler.Name(), c.train)
+		c.infof("bootstrapping %s's predictor on %d scenarios...", scheduler.Name(), c.train)
 		t0 := time.Now()
 		if err := scenario.NewGenerator(lab, c.seed).Bootstrap(ctx, pred, c.train); err != nil {
 			return err
 		}
-		c.log.Infof("trained in %v", time.Since(t0).Round(time.Millisecond))
+		c.infof("trained in %v", time.Since(t0).Round(time.Millisecond))
 		floors = sched.CalibrateMinIPC(lab, lsPool, 250, c.seed)
 	}
 	var services []platform.LSService
@@ -204,10 +200,10 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		services = append(services, platform.LSService{W: w, Pattern: p, SLA: sched.SLA{MinIPC: floors[i]}})
 	}
 	if !c.scaling.IsZero() {
-		c.log.Infof("trace scaling: rate x%.1f, time x%.1f", c.scaling.Rate(), c.scaling.Time())
+		c.infof("trace scaling: rate x%.1f, time x%.1f", c.scaling.Rate(), c.scaling.Time())
 	}
 
-	c.log.Infof("running %.0fh trace-driven simulation under %s...", c.hours, scheduler.Name())
+	c.infof("running %.0fh trace-driven simulation under %s...", c.hours, scheduler.Name())
 	t0 := time.Now()
 	st, err := platform.Run(ctx, platform.Config{
 		Model:     perfmodel.New(tb),
@@ -230,12 +226,12 @@ func (c *simCmd) simulate(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("simulation: %w", err)
 	}
-	c.log.Infof("simulated in %v (%d steps)", time.Since(t0).Round(time.Millisecond), st.Steps)
+	c.infof("simulated in %v (%d steps)", time.Since(t0).Round(time.Millisecond), st.Steps)
 	if recorder != nil {
 		if err := recorder.Err(); err != nil {
 			return fmt.Errorf("observability recording: %w", err)
 		}
-		c.log.Infof("recorded %d trace events, %d flight frames",
+		c.infof("recorded %d trace events, %d flight frames",
 			recorder.Trace().Stream().Records(), recorder.Flight().Stream().Records())
 	}
 

@@ -106,24 +106,24 @@ func (c *trainCmd) train(ctx context.Context) error {
 			return fmt.Errorf("load checkpoint %s: %w", c.loadPath, err)
 		}
 		loaded = true
-		c.log.Infof("restored predictor state from %s", c.loadPath)
+		c.infof("restored predictor state from %s", c.loadPath)
 	}
 
 	m := perfmodel.New(resources.DefaultTestbed())
 	scenario.FastConfig(m)
 	g := scenario.NewGenerator(m, c.seed)
 
-	c.log.Infof("generating %d %s scenarios on the simulated testbed...", c.scenarios, colocation)
+	c.infof("generating %d %s scenarios on the simulated testbed...", c.scenarios, colocation)
 	t0 := time.Now()
 	obs, err := experiments.CollectObs(ctx, g, colocation, qos, c.scenarios, 3)
 	if err != nil {
 		return fmt.Errorf("labeling: %w", err)
 	}
-	c.log.Infof("labeled %d observations in %v", len(obs), time.Since(t0).Round(time.Millisecond))
+	c.infof("labeled %d observations in %v", len(obs), time.Since(t0).Round(time.Millisecond))
 	train, test := experiments.TrainTest(obs, 5)
 
 	// Incremental training in quarters, reporting the error trajectory.
-	c.log.Infof("training %s incrementally (%d train, %d test)", pred.Name(), len(train), len(test))
+	c.infof("training %s incrementally (%d train, %d test)", pred.Name(), len(train), len(test))
 	const stages = 4
 	finalErr := 0.0
 	for s := 0; s < stages; s++ {
@@ -184,7 +184,7 @@ func (c *trainCmd) train(ctx context.Context) error {
 		if err := persist.WriteFileAtomic(c.savePath, data, 0o644); err != nil {
 			return fmt.Errorf("save checkpoint %s: %w", c.savePath, err)
 		}
-		c.log.Infof("predictor checkpoint written to %s", c.savePath)
+		c.infof("predictor checkpoint written to %s", c.savePath)
 	}
 
 	return c.report("gsight-train",

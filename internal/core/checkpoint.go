@@ -10,9 +10,8 @@ import (
 
 // Checkpointable is implemented by predictors whose full online-learning
 // state — models, training windows, pending observation buffers — can be
-// snapshotted and restored for crash recovery. The platform requires it
-// when checkpointing is enabled with an attached predictor: resuming
-// without the learner's state would silently fork the learning stream.
+// saved and restored as one blob. Its one user is `gsight train
+// -save/-load`; the daemon calls the Predictor's methods directly.
 type Checkpointable interface {
 	// CheckpointState serializes the predictor's live state as one
 	// opaque binary blob.

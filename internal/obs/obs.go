@@ -39,7 +39,7 @@ type Recorder struct {
 
 // New builds a Recorder from cfg.
 func New(cfg Config) *Recorder {
-	r := &Recorder{pq: NewPredQ(0, 0)}
+	r := &Recorder{pq: NewPredQ()}
 	if cfg.Trace != nil {
 		r.tr = NewTracer(cfg.Trace)
 	}

@@ -235,7 +235,7 @@ func TestFlightRejectsUnknownSchema(t *testing.T) {
 }
 
 func TestPredQStats(t *testing.T) {
-	q := NewPredQ(0, 0)
+	q := NewPredQ()
 	// Constant +10% over-prediction: MAPE 0.1, mean +0.1, no drift.
 	for i := 0; i < 50; i++ {
 		if _, fired := q.Track("matmul", "jct", 1.1, 1.0); fired {
@@ -260,7 +260,7 @@ func TestPredQStats(t *testing.T) {
 }
 
 func TestPredQDrift(t *testing.T) {
-	q := NewPredQ(2.0, 0.05)
+	q := NewPredQ()
 	// Accurate phase, then the predictor goes badly wrong: drift fires.
 	for i := 0; i < 100; i++ {
 		if _, fired := q.Track("matmul", "ipc", 1.0, 1.0); fired {

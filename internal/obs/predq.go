@@ -12,70 +12,58 @@ import "math"
 // predWindowCap is the rolling-window length for signed error and MAPE.
 const predWindowCap = 128
 
-// calibBins is the number of calibration buckets over the
-// predicted/observed log2-ratio range [-2, 2] (4x under-prediction to
-// 4x over-prediction, outer bins catching the overflow).
-const calibBins = 9
+// Page–Hinkley parameters, in units of absolute relative error, tuned
+// for relative-error streams: roughly, a sustained ~5-point MAPE shift
+// over a few dozen samples fires.
+const (
+	phDelta  = 0.05 // tolerance
+	phLambda = 2.0  // detection threshold
+)
 
 // QStat is the rolling error statistics for one residual stream.
 type QStat struct {
-	Count uint64    `json:"count"`          // samples ever seen
-	Ring  []float64 `json:"ring,omitempty"` // last <=predWindowCap signed relative errors
-	Next  int       `json:"next"`           // ring write position
-	Calib []uint64  `json:"calib,omitempty"`
+	Count uint64    // samples ever seen
+	ring  []float64 // last <=predWindowCap signed relative errors
+	next  int       // ring write position
 }
 
 // add folds one signed relative error into the window.
-func (s *QStat) add(relErr, ratio float64) {
-	if len(s.Calib) == 0 {
-		s.Calib = make([]uint64, calibBins)
-	}
-	if len(s.Ring) < predWindowCap {
-		s.Ring = append(s.Ring, relErr)
+func (s *QStat) add(relErr float64) {
+	if len(s.ring) < predWindowCap {
+		s.ring = append(s.ring, relErr)
 	} else {
-		s.Ring[s.Next] = relErr
-		s.Next = (s.Next + 1) % predWindowCap
+		s.ring[s.next] = relErr
+		s.next = (s.next + 1) % predWindowCap
 	}
 	s.Count++
-	// log2 ratio in [-2, 2] maps linearly onto the bins; the outer
-	// bins absorb everything beyond 4x either way.
-	lr := math.Log2(ratio)
-	bin := int((lr + 2) / 4 * calibBins)
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= calibBins {
-		bin = calibBins - 1
-	}
-	s.Calib[bin]++
 }
 
 // MeanErr returns the rolling mean signed relative error.
 func (s *QStat) MeanErr() float64 {
-	if len(s.Ring) == 0 {
+	if len(s.ring) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, e := range s.Ring {
+	for _, e := range s.ring {
 		sum += e
 	}
-	return sum / float64(len(s.Ring))
+	return sum / float64(len(s.ring))
 }
 
 // MAPE returns the rolling mean absolute percentage error.
 func (s *QStat) MAPE() float64 {
-	if len(s.Ring) == 0 {
+	if len(s.ring) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, e := range s.Ring {
+	for _, e := range s.ring {
 		sum += math.Abs(e)
 	}
-	return sum / float64(len(s.Ring))
+	return sum / float64(len(s.ring))
 }
 
 // Window returns the rolling-window sample count.
-func (s *QStat) Window() int { return len(s.Ring) }
+func (s *QStat) Window() int { return len(s.ring) }
 
 // phState is a Page–Hinkley detector over a non-negative error stream:
 // it accumulates deviations of each sample from the running mean
@@ -83,23 +71,23 @@ func (s *QStat) Window() int { return len(s.Ring) }
 // lambda above its running minimum — i.e. when recent errors shifted
 // up from their historical level.
 type phState struct {
-	N    uint64
-	Mean float64
-	M    float64
-	Min  float64
+	n      uint64
+	mean   float64
+	cum    float64 // accumulated deviation
+	cumLow float64 // running minimum of cum
 }
 
 // add folds x in and reports whether drift was detected; the detector
 // resets itself after firing so repeated drift re-arms cleanly.
-func (p *phState) add(x, delta, lambda float64) (float64, bool) {
-	p.N++
-	p.Mean += (x - p.Mean) / float64(p.N)
-	p.M += x - p.Mean - delta
-	if p.M < p.Min {
-		p.Min = p.M
+func (p *phState) add(x float64) (float64, bool) {
+	p.n++
+	p.mean += (x - p.mean) / float64(p.n)
+	p.cum += x - p.mean - phDelta
+	if p.cum < p.cumLow {
+		p.cumLow = p.cum
 	}
-	ph := p.M - p.Min
-	if ph > lambda {
+	ph := p.cum - p.cumLow
+	if ph > phLambda {
 		*p = phState{}
 		return ph, true
 	}
@@ -120,28 +108,14 @@ type DriftInfo struct {
 // concurrent use; the platform drives it from its single-threaded
 // event loop.
 type PredQ struct {
-	// Lambda is the Page–Hinkley detection threshold and Delta its
-	// tolerance, both in units of absolute relative error.
-	Lambda float64
-	Delta  float64
-
 	overall QStat
 	byArch  map[string]*QStat
 	ph      phState
 }
 
-// NewPredQ builds a tracker with the given Page–Hinkley parameters;
-// non-positive values get defaults tuned for relative-error streams
-// (delta 0.05, lambda 2.0: roughly, a sustained ~5-point MAPE shift
-// over a few dozen samples fires).
-func NewPredQ(lambda, delta float64) *PredQ {
-	if lambda <= 0 {
-		lambda = 2.0
-	}
-	if delta <= 0 {
-		delta = 0.05
-	}
-	return &PredQ{Lambda: lambda, Delta: delta, byArch: map[string]*QStat{}}
+// NewPredQ builds a tracker.
+func NewPredQ() *PredQ {
+	return &PredQ{byArch: map[string]*QStat{}}
 }
 
 // Track folds one predicted/observed pair in and reports whether the
@@ -153,18 +127,14 @@ func (q *PredQ) Track(archetype, qos string, predicted, observed float64) (Drift
 		return DriftInfo{}, false
 	}
 	relErr := (predicted - observed) / observed
-	ratio := math.Inf(1)
-	if predicted > 0 {
-		ratio = predicted / observed
-	}
-	q.overall.add(relErr, ratio)
+	q.overall.add(relErr)
 	st := q.byArch[archetype]
 	if st == nil {
 		st = &QStat{}
 		q.byArch[archetype] = st
 	}
-	st.add(relErr, ratio)
-	ph, fired := q.ph.add(math.Abs(relErr), q.Delta, q.Lambda)
+	st.add(relErr)
+	ph, fired := q.ph.add(math.Abs(relErr))
 	if !fired {
 		return DriftInfo{}, false
 	}

@@ -219,8 +219,8 @@ func (t *Tracer) Degraded(simTimeS float64, entered bool, reason string) {
 
 // PredSample records one prediction-quality sample — a predicted vs
 // observed pair for an archetype — as an instant event in the "predq"
-// category. `gsight inspect` rebuilds error-over-time and calibration
-// views from these.
+// category. `gsight inspect` rebuilds the rolling error statistics and
+// error-over-time views from these.
 func (t *Tracer) PredSample(simTimeS float64, archetype, qos string, predicted, observed float64) {
 	if t == nil {
 		return

@@ -497,8 +497,6 @@ func (r *decisionRecorder) finish(span telemetry.Span, st *State, req *Request, 
 // predictor, whose hot path is goroutine-safe).
 type Gsight struct {
 	Predictor core.QoSPredictor
-	// CPUOversub bounds how far CPU allocation may exceed capacity.
-	CPUOversub float64
 	// Fallback, when set, serves requests the predictor cannot vet:
 	// if the SLA checks fail with a predictor error (untrained model,
 	// unavailable predictor), Place delegates to Fallback instead of
@@ -546,11 +544,19 @@ type placeScratch struct {
 	candJCT float64
 }
 
-// NewGsight returns the predictor-guided scheduler. Its accurate
+// CPU ceilings, as multiples of a server's capacity. Gsight's accurate
 // interference predictions let it oversubscribe CPU well past nominal
-// requests — the headroom request-based packers cannot safely use.
+// requests — the headroom request-based packers (BestFit, WorstFit)
+// cannot safely use: without trustworthy interference predictions,
+// exceeding requests is unsafe, so they pack Kubernetes-style.
+const (
+	gsightOversub  = 2.0
+	requestOversub = 1.0
+)
+
+// NewGsight returns the predictor-guided scheduler.
 func NewGsight(p core.QoSPredictor) *Gsight {
-	return &Gsight{Predictor: p, CPUOversub: 2.0}
+	return &Gsight{Predictor: p}
 }
 
 // Name implements Scheduler.
@@ -710,36 +716,49 @@ func (g *Gsight) search(st *State, req *Request, d *PlacementDetail) ([]int, err
 	return append([]int(nil), sc.placement...), nil
 }
 
-// candidate builds one placement over the given servers: functions in
-// descending allocation order onto the candidate server with the most
-// remaining headroom. The returned slice is g.scratch.placement — valid
+// candidate builds one placement over the given servers by the
+// worst-fit rule. The returned slice is g.scratch.placement — valid
 // until the next candidate call.
 func (g *Gsight) candidate(st *State, req *Request, servers []int) ([]int, error) {
-	in := &req.Input
-	n := len(in.Profiles)
+	n := len(req.Input.Profiles)
 	sc := &g.scratch
 	sc.placement = resize(sc.placement, n)
 	sc.free = resize(sc.free, st.NumServers())
-	for _, s := range servers {
-		sc.free[s] = st.Free(s)
-	}
 	sc.fnOrder = resize(sc.fnOrder, n)
-	for i := range sc.fnOrder {
-		sc.fnOrder[i] = i
+	if f := worstFit(st, &req.Input, servers, gsightOversub, sc.free, sc.fnOrder, sc.placement); f >= 0 {
+		return nil, fmt.Errorf("sched: function %d does not fit on %d servers", f, len(servers))
 	}
-	sortIDs(sc.fnOrder, func(a, b int) bool {
+	return sc.placement, nil
+}
+
+// worstFit is the one worst-fit rule: §4's per-level candidate and
+// §6.1's WorstFit strawman. Functions go in descending CPU allocation,
+// each onto the server of servers with the most free CPU that keeps
+// memory within capacity and CPU within oversub × capacity; ties go to
+// the earlier server in servers. free (indexed by server id), fnOrder
+// and placement (one per function) are the caller's scratch; placement
+// receives each function's server. It returns the first function that
+// fits nowhere, or -1.
+func worstFit(st *State, in *core.WorkloadInput, servers []int, oversub float64, free []resources.Vector, fnOrder, placement []int) int {
+	for _, s := range servers {
+		free[s] = st.Free(s)
+	}
+	for i := range fnOrder {
+		fnOrder[i] = i
+	}
+	sortIDs(fnOrder, func(a, b int) bool {
 		return AllocOf(in, a)[resources.CPU] > AllocOf(in, b)[resources.CPU]
 	})
-	for _, f := range sc.fnOrder {
+	for _, f := range fnOrder {
 		alloc := AllocOf(in, f)
 		best, bestFree := -1, -1.0
 		for _, s := range servers {
-			fr := sc.free[s]
-			tryUsed := st.Caps[s].Sub(fr).Add(alloc)
-			if tryUsed[resources.Memory] > st.Caps[s][resources.Memory] {
+			fr := free[s]
+			used := st.Caps[s].Sub(fr).Add(alloc)
+			if used[resources.Memory] > st.Caps[s][resources.Memory] {
 				continue
 			}
-			if tryUsed[resources.CPU] > st.Caps[s][resources.CPU]*g.CPUOversub {
+			if used[resources.CPU] > st.Caps[s][resources.CPU]*oversub {
 				continue
 			}
 			if fr[resources.CPU] > bestFree {
@@ -747,12 +766,12 @@ func (g *Gsight) candidate(st *State, req *Request, servers []int) ([]int, error
 			}
 		}
 		if best == -1 {
-			return nil, fmt.Errorf("sched: function %d does not fit on %d servers", f, len(servers))
+			return f
 		}
-		sc.placement[f] = best
-		sc.free[best] = sc.free[best].Sub(alloc).Clamped()
+		placement[f] = best
+		free[best] = free[best].Sub(alloc).Clamped()
 	}
-	return sc.placement, nil
+	return -1
 }
 
 // satisfies predicts the QoS of the new workload and of every running
@@ -873,8 +892,7 @@ func (g *Gsight) checkAll(inputs []core.WorkloadInput, slas []SLA, durations []f
 // an SLA with its predictor first. Like Gsight it owns reusable
 // scratch: do not share one value across goroutines.
 type BestFit struct {
-	Predictor  core.QoSPredictor // may be nil: pure bin-packing
-	CPUOversub float64
+	Predictor core.QoSPredictor // may be nil: pure bin-packing
 
 	free   []resources.Vector
 	inputs []core.WorkloadInput
@@ -883,11 +901,9 @@ type BestFit struct {
 }
 
 // NewBestFit returns Pythia's placement policy around a predictor:
-// Kubernetes-style request-based packing (no CPU oversubscription) —
-// without trustworthy interference predictions, exceeding requests is
-// unsafe.
+// request-based packing, no CPU oversubscription.
 func NewBestFit(p core.QoSPredictor) *BestFit {
-	return &BestFit{Predictor: p, CPUOversub: 1.0}
+	return &BestFit{Predictor: p}
 }
 
 // Name implements Scheduler.
@@ -925,7 +941,7 @@ func (b *BestFit) search(st *State, req *Request, d *PlacementDetail) ([]int, er
 			if used[resources.Memory] > st.Caps[s][resources.Memory] {
 				continue
 			}
-			if used[resources.CPU] > st.Caps[s][resources.CPU]*b.CPUOversub {
+			if used[resources.CPU] > st.Caps[s][resources.CPU]*requestOversub {
 				continue
 			}
 			if b.free[s][resources.CPU] < bestFree {
@@ -951,9 +967,8 @@ func (b *BestFit) search(st *State, req *Request, d *PlacementDetail) ([]int, er
 		if err == nil && ipc < req.SLA.MinIPC {
 			// Pythia's reaction: spread to the emptiest servers.
 			b.ins.SLARejections.Inc()
-			b.spread.CPUOversub = b.CPUOversub
 			d.Outcome, d.Reason = "fallback", "sla-violated"
-			spreadPlacement, err := b.spread.Place(st, req)
+			spreadPlacement, err := b.spread.search(st, req)
 			if err != nil {
 				d.Outcome = "rejected"
 			}
@@ -969,15 +984,14 @@ func (b *BestFit) search(st *State, req *Request, d *PlacementDetail) ([]int, er
 // WorstFit always schedules the function with the maximum resource
 // requirement to the server with the maximum available resources.
 type WorstFit struct {
-	CPUOversub float64
-
 	free    []resources.Vector
 	fnOrder []int
+	online  []int // online server ids, in id order
 	decisionRecorder
 }
 
 // NewWorstFit returns the spreading strawman (request-based capacity).
-func NewWorstFit() *WorstFit { return &WorstFit{CPUOversub: 1.0} }
+func NewWorstFit() *WorstFit { return &WorstFit{} }
 
 // Name implements Scheduler.
 func (w *WorstFit) Name() string { return "WorstFit" }
@@ -997,49 +1011,20 @@ func (w *WorstFit) Place(st *State, req *Request) ([]int, error) {
 	return out, err
 }
 
-// search is the worst-fit spreading.
+// search is the worst-fit rule over every online server.
 func (w *WorstFit) search(st *State, req *Request) ([]int, error) {
-	in := &req.Input
-	n := len(in.Profiles)
+	n := len(req.Input.Profiles)
 	placement := make([]int, n)
 	w.free = resize(w.free, st.NumServers())
-	for s := range w.free {
-		w.free[s] = st.Free(s)
-	}
 	w.fnOrder = resize(w.fnOrder, n)
-	for i := range w.fnOrder {
-		w.fnOrder[i] = i
-	}
-	sortIDs(w.fnOrder, func(a, b int) bool {
-		return AllocOf(in, a)[resources.CPU] > AllocOf(in, b)[resources.CPU]
-	})
-	oversub := w.CPUOversub
-	if oversub == 0 {
-		oversub = 1.5
-	}
-	for _, f := range w.fnOrder {
-		alloc := AllocOf(in, f)
-		best, bestFree := -1, -1.0
-		for s := range w.free {
-			if !st.Online(s) {
-				continue
-			}
-			used := st.Caps[s].Sub(w.free[s]).Add(alloc)
-			if used[resources.Memory] > st.Caps[s][resources.Memory] {
-				continue
-			}
-			if used[resources.CPU] > st.Caps[s][resources.CPU]*oversub {
-				continue
-			}
-			if w.free[s][resources.CPU] > bestFree {
-				best, bestFree = s, w.free[s][resources.CPU]
-			}
+	w.online = w.online[:0]
+	for s := 0; s < st.NumServers(); s++ {
+		if st.Online(s) {
+			w.online = append(w.online, s)
 		}
-		if best == -1 {
-			return nil, fmt.Errorf("%w: worst fit found no server for function %d", ErrNoPlacement, f)
-		}
-		placement[f] = best
-		w.free[best] = w.free[best].Sub(alloc).Clamped()
+	}
+	if f := worstFit(st, &req.Input, w.online, requestOversub, w.free, w.fnOrder, placement); f >= 0 {
+		return nil, fmt.Errorf("%w: worst fit found no server for function %d", ErrNoPlacement, f)
 	}
 	return placement, nil
 }

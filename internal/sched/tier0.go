@@ -86,7 +86,7 @@ func (g *Gsight) tier0Entry(req *Request, capRef float64) *tier0Entry {
 	gen := g.Tier0.Gen()
 	if !e.filled || e.gen != gen || e.capRef != capRef {
 		for b := 0; b < tier0Buckets; b++ {
-			load := (float64(b) + 0.5) / tier0Buckets * capRef * g.CPUOversub
+			load := (float64(b) + 0.5) / tier0Buckets * capRef * gsightOversub
 			e.scores[b] = g.Tier0.Score(&e.mix, load)
 		}
 		e.gen, e.capRef, e.filled = gen, capRef, true
@@ -137,7 +137,7 @@ func (g *Gsight) tier0Rank(st *State, req *Request) {
 		used := st.Used[s]
 		capCPU := st.Caps[s][resources.CPU]
 		frac := 0.0
-		if ceil := capCPU * g.CPUOversub; ceil > 0 {
+		if ceil := capCPU * gsightOversub; ceil > 0 {
 			frac = used[resources.CPU] / ceil
 		}
 		b := int(frac * tier0Buckets)
@@ -154,7 +154,7 @@ func (g *Gsight) tier0Rank(st *State, req *Request) {
 			band = tier0Demote
 		}
 		if used[resources.Memory]+minMem > st.Caps[s][resources.Memory] ||
-			used[resources.CPU]+minCPU > capCPU*g.CPUOversub {
+			used[resources.CPU]+minCPU > capCPU*gsightOversub {
 			band = tier0NoFit
 		}
 		t0.rank[s] = band

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
-
-	"gsight/internal/core"
 )
 
 // HTTP/JSON wire schema. Every mutating endpoint answers only after
@@ -199,15 +197,15 @@ type stateResponse struct {
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	// Reads committer-owned values without the committer: advisory
-	// numbers for operators, not a linearizable view.
+	// The committer's published values: advisory numbers for
+	// operators, not a linearizable view.
 	writeJSON(w, http.StatusOK, stateResponse{
-		Applied:   s.applied,
+		Applied:   s.pubApplied.Load(),
 		Servers:   s.state.NumServers(),
-		Running:   len(s.state.Running),
+		Running:   int(s.pubRunning.Load()),
 		Catalog:   s.cat.Names(),
 		Snapshots: s.durableGen.Load(),
 		UptimeS:   time.Since(s.started).Seconds(),
-		Trained:   s.pred.SamplesSeen(core.IPCQoS) > 0,
+		Trained:   s.pubTrained.Load(),
 	})
 }

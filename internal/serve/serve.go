@@ -66,6 +66,12 @@ type Server struct {
 	// durableGen is the newest generation whose snapshot is on disk;
 	// the publisher stores it, /v1/state reads it.
 	durableGen atomic.Uint64
+	// The committer publishes its applied seq, running-set size and
+	// whether the IPC model has seen a sample here for /v1/state and
+	// Applied, which read them off the committer.
+	pubApplied atomic.Uint64
+	pubRunning atomic.Int64
+	pubTrained atomic.Bool
 
 	// Committer-owned state (single goroutine; no locks).
 	store     *persist.Store    // snapshot generations and the live WAL
@@ -298,6 +304,7 @@ func New(cfg Config) (*Server, error) {
 		s.store.Close()
 		return nil, err
 	}
+	s.publishState() // the restored (or bootstrapped) state
 	go s.committerLoop()
 	cfg.Health.SetReady(true, "")
 	return s, nil
@@ -309,10 +316,16 @@ func (s *Server) logPath() string { return filepath.Join(s.cfg.DataDir, "decisio
 // a data dir.
 func LeasePath(dir string) string { return filepath.Join(dir, "lease.json") }
 
-// Applied returns the last applied record sequence number (for tests
-// and the state endpoint; reads a committer-owned value, so it is
-// advisory under load).
-func (s *Server) Applied() uint64 { return s.applied }
+// Applied returns the last applied record sequence number (advisory
+// under load).
+func (s *Server) Applied() uint64 { return s.pubApplied.Load() }
+
+// publishState stores the committer's advisory values for /v1/state.
+func (s *Server) publishState() {
+	s.pubApplied.Store(s.applied)
+	s.pubRunning.Store(int64(len(s.state.Running)))
+	s.pubTrained.Store(s.pred.SamplesSeen(core.IPCQoS) > 0)
+}
 
 // openLog opens decisions.jsonl. A variable so a test can record the
 // order of its writes and fsyncs; nothing outside tests assigns it.
@@ -894,6 +907,7 @@ func (s *Server) commitBatch(batch []*pending) error {
 		}
 		for i, rec := range records {
 			s.applied = rec.Seq
+			s.publishState()
 			resp, err := responseFor(rec)
 			if err != nil {
 				return err

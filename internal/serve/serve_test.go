@@ -545,3 +545,60 @@ func TestServeContentionIsNeverARejection(t *testing.T) {
 		}
 	}
 }
+
+// TestServeStateWhileCommitting polls GET /v1/state and Applied while
+// placements and releases commit: the values the committer changes
+// reach the readers through atomics, so `go test -race` stays quiet,
+// and once the load is acknowledged they are the committed ones.
+func TestServeStateWhileCommitting(t *testing.T) {
+	srv, _, cl := testServer(t, nil)
+	ctx := context.Background()
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		var err error
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				if n == 0 {
+					err = fmt.Errorf("no poll ran")
+				}
+				polled <- err
+				return
+			default:
+			}
+			var st *stateResponse
+			if st, err = cl.State(ctx); err != nil {
+				polled <- err
+				return
+			}
+			if applied := srv.Applied(); applied < st.Applied {
+				polled <- fmt.Errorf("Applied() = %d after /v1/state read %d", applied, st.Applied)
+				return
+			}
+		}
+	}()
+	var last uint64
+	for i := 0; i < 20; i++ {
+		ack, err := cl.Place(ctx, PlaceRequest{Workload: "matmul"})
+		if err != nil {
+			t.Fatalf("place: %v", err)
+		}
+		rel, err := cl.Release(ctx, ReleaseRequest{Name: ack.Name})
+		if err != nil || !rel.Released {
+			t.Fatalf("release %s: %+v, %v", ack.Name, rel, err)
+		}
+		last = rel.Seq
+	}
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.State(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Applied != last || srv.Applied() != last || st.Running != 0 || !st.Trained {
+		t.Fatalf("state after the load = %+v (Applied() %d), want applied %d, running 0, trained", st, srv.Applied(), last)
+	}
+}
