@@ -704,9 +704,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		rec := obs.New(obs.Config{
-			Trace: io.Discard, Flight: io.Discard, Servers: 8, StepS: 30,
-		})
+		tr, fl := obs.NewTracer(io.Discard), obs.NewFlight(io.Discard, 8, 30)
 		st, err := RunPlatform(nil, PlatformConfig{
 			Model:     NewTestbedModel(),
 			Scheduler: NewWorstFit(),
@@ -719,7 +717,8 @@ func BenchmarkTracedPlatform(b *testing.B) {
 			DurationS:       durationS,
 			Seed:            42,
 			Faults:          chaos,
-			Obs:             rec,
+			Trace:           tr,
+			Flight:          fl,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -727,7 +726,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		if st.FaultEvents == 0 {
 			b.Fatal("chaos run injected no faults")
 		}
-		if rec.Trace().Stream().Records() == 0 || rec.Flight().Stream().Records() == 0 {
+		if tr.Stream().Records() == 0 || fl.Stream().Records() == 0 {
 			b.Fatal("recorder captured nothing")
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,5 +193,56 @@ func TestExperimentsParallelMatchesSerial(t *testing.T) {
 				t.Errorf("parallel=%v: %s reported %q, want cancelled", par, id, status[id])
 			}
 		}
+	}
+}
+
+// TestSimRecordingWiring: -trace alone, -record alone and the two
+// together write the same lifecycle trace. With both, the trace lands
+// at the -trace path and the flight recording in the -record
+// directory; only -record writes a flight recording.
+func TestSimRecordingWiring(t *testing.T) {
+	dir := t.TempDir()
+	sim := func(extra ...string) {
+		args := append([]string{"sim", "-hours", "1", "-train", "16", "-faults", "chaos", "-quiet"}, extra...)
+		if got := Main(args); got != 0 {
+			t.Fatalf("gsight %s exited %d, want 0", strings.Join(args, " "), got)
+		}
+	}
+	read := func(elem ...string) []byte {
+		data, err := os.ReadFile(filepath.Join(append([]string{dir}, elem...)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	sim("-trace", filepath.Join(dir, "alone.json"))
+	sim("-record", filepath.Join(dir, "rec"))
+	sim("-trace", filepath.Join(dir, "both.json"), "-record", filepath.Join(dir, "both"))
+
+	trace := read("alone.json")
+	if !bytes.Contains(trace, []byte(`"cat":"fault"`)) {
+		t.Fatal("the chaos run's trace holds no fault event")
+	}
+	if !bytes.Equal(read("rec", "trace.json"), trace) || !bytes.Equal(read("both.json"), trace) {
+		t.Error("the three runs wrote different traces")
+	}
+	if flight := read("rec", "flight.bin"); len(flight) == 0 || !bytes.Equal(read("both", "flight.bin"), flight) {
+		t.Error("the two -record runs wrote different or empty flight recordings")
+	}
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			files = append(files, rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"alone.json", "both.json", filepath.Join("both", "flight.bin"), filepath.Join("rec", "flight.bin"), filepath.Join("rec", "trace.json")}
+	slices.Sort(files)
+	if !slices.Equal(files, want) {
+		t.Errorf("files written: %v, want %v", files, want)
 	}
 }

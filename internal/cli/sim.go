@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -97,25 +98,23 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		tb = resources.NewTestbed(c.servers)
 	}
 
-	var recorder *obs.Recorder
-	if tracePath != "" || flightPath != "" {
-		obsCfg := obs.Config{Servers: tb.NumServers(), StepS: platform.StepS}
-		if tracePath != "" {
-			f, err := c.create(tracePath)
-			if err != nil {
-				return fmt.Errorf("trace: %w", err)
-			}
-			obsCfg.Trace = f
+	var tracer *obs.Tracer
+	var flight *obs.Flight
+	if tracePath != "" {
+		f, err := c.create(tracePath)
+		if err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
-		if flightPath != "" {
-			f, err := c.create(flightPath)
-			if err != nil {
-				return fmt.Errorf("flight recording: %w", err)
-			}
-			obsCfg.Flight = f
+		tracer = obs.NewTracer(f)
+		c.streams = append(c.streams, tracer.Stream())
+	}
+	if flightPath != "" {
+		f, err := c.create(flightPath)
+		if err != nil {
+			return fmt.Errorf("flight recording: %w", err)
 		}
-		recorder = obs.New(obsCfg)
-		c.streams = append(c.streams, recorder.Trace().Stream(), recorder.Flight().Stream())
+		flight = obs.NewFlight(f, tb.NumServers(), platform.StepS)
+		c.streams = append(c.streams, flight.Stream())
 	}
 
 	// Gsight learns online (§5): its predictor is attached as the
@@ -221,18 +220,21 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		Telemetry:       c.sink,
 		Faults:          schedule,
 		Predictor:       onlinePred,
-		Obs:             recorder,
+		Trace:           tracer,
+		Flight:          flight,
 	})
 	if err != nil {
 		return fmt.Errorf("simulation: %w", err)
 	}
 	c.infof("simulated in %v (%d steps)", time.Since(t0).Round(time.Millisecond), st.Steps)
-	if recorder != nil {
-		if err := recorder.Err(); err != nil {
+	if tracer != nil || flight != nil {
+		// Recording is best-effort and never fails the run mid-way; the
+		// first write error surfaces here.
+		if err := cmp.Or(tracer.Stream().Err(), flight.Stream().Err()); err != nil {
 			return fmt.Errorf("observability recording: %w", err)
 		}
 		c.infof("recorded %d trace events, %d flight frames",
-			recorder.Trace().Stream().Records(), recorder.Flight().Stream().Records())
+			tracer.Stream().Records(), flight.Stream().Records())
 	}
 
 	fmt.Printf("function density (inst/core): mean %.3f, p50 %.3f, p90 %.3f\n",

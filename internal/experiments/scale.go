@@ -102,7 +102,7 @@ func (l *scaleLab) requests(opt Options, n int, nameFmt string) []*sched.Request
 			sla.MinIPC = 0.9
 		default:
 			in.LifetimeS = w.SoloDurationS
-			sla.MaxJCTFactor = 2.0
+			sla.MaxJCTFactor = sched.BatchJCTFactor
 		}
 		reqs[i] = &sched.Request{Input: in, SLA: sla, SoloDurationS: w.SoloDurationS}
 	}

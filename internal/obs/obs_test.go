@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"gsight/internal/sched"
 	"gsight/internal/telemetry"
 )
 
@@ -44,9 +45,8 @@ func driveTracer(t *Tracer, from, to int) {
 		case 0:
 			t.JobBegin(i, "matmul", "matmul#0", ts, []int{i % 3}, 1.5)
 		case 1:
-			t.Placement(ts, &PlacementInfo{
-				Workload: "social-network", Outcome: "placed",
-				SpreadLevels: 3, SLAChecks: 7, Placement: []int{0, 1}, PredIPC: 1.2,
+			t.Placement(ts, "social-network", []int{0, 1}, &sched.PlacementDetail{
+				Outcome: "placed", SpreadLevels: 3, SLAChecks: 7, PredIPC: 1.2,
 			})
 		case 2:
 			t.PredSample(ts, "matmul", "jct", 1.4, 1.6)
@@ -60,9 +60,10 @@ func TestTracerStreamShape(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	driveTracer(tr, 0, 8)
-	tr.Fault(300, "node-down", 2, 5)
-	tr.Degraded(310, true, "predictor-unavailable")
-	tr.Reactive(320, "evict-corunner", "social-network", 2)
+	tr.Fault(&telemetry.FaultEvent{SimTimeS: 300, Kind: "node-down", Node: 2, DisplacedServices: 2, DisplacedJobs: 3})
+	tr.Degraded(&telemetry.DegradedTransition{SimTimeS: 310, Entered: true, Reason: "predictor-unavailable", Fallback: "WorstFit"})
+	tr.Reactive(&telemetry.ReactiveAction{SimTimeS: 320, Action: "evict-corunner", Service: "social-network", Moved: 2})
+	tr.Drift(&telemetry.DriftEvent{SimTimeS: 330, QoS: "ipc", Archetype: "matmul", Window: 64, MeanErr: 0.25, MAPE: 0.5, PH: 2.5})
 
 	out := buf.String()
 	if !strings.HasPrefix(out, "[\n") {
@@ -91,6 +92,20 @@ func TestTracerStreamShape(t *testing.T) {
 	}
 	if !strings.Contains(out, `"schema":1`) {
 		t.Fatal("preamble must carry the schema version")
+	}
+	// The tracer encodes the decision log's event structs: the trace
+	// keeps its own names and args (displaced sums services and jobs;
+	// the fallback name stays out of the trace).
+	for _, want := range []string{
+		`{"name":"node-down","cat":"fault","ph":"i","ts":300000000,"pid":1,"tid":0,"s":"g","args":{"node":2,"displaced":5}},`,
+		`{"name":"degraded","cat":"fault","ph":"i","ts":310000000,"pid":1,"tid":0,"s":"g","args":{"entered":true,"reason":"predictor-unavailable"}},`,
+		`{"name":"evict-corunner","cat":"reactive","ph":"i","ts":320000000,"pid":1,"tid":0,"s":"t","args":{"service":"social-network","moved":2}},`,
+		`{"name":"predictor_drift","cat":"predq","ph":"i","ts":330000000,"pid":1,"tid":0,"s":"g","args":{"archetype":"matmul","qos":"ipc","window":64,"mean_err":0.25,"mape":0.5,"ph":2.5}},`,
+		`{"name":"placement","cat":"sched","ph":"i","ts":30000000,"pid":1,"tid":0,"s":"t","args":{"workload":"social-network","outcome":"placed","spread_levels":3,"sla_checks":7,"placement":[0,1],"pred_ipc":1.2}},`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("trace lacks the line\n%s", want)
+		}
 	}
 }
 
@@ -269,7 +284,7 @@ func TestPredQDrift(t *testing.T) {
 	}
 	fired := false
 	for i := 0; i < 100 && !fired; i++ {
-		var d DriftInfo
+		var d telemetry.DriftEvent
 		d, fired = q.Track("matmul", "ipc", 2.0, 1.0)
 		if fired {
 			if d.Archetype != "matmul" || d.QoS != "ipc" || d.PH <= 2.0 {
@@ -294,14 +309,40 @@ func TestPredQDrift(t *testing.T) {
 	}
 }
 
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
-	r.Trace().JobBegin(1, "a", "a#0", 0, nil, 0)
-	r.Flight().Record(nil)
-	if _, fired := r.TrackPrediction(0, "a", "jct", 1, 1); fired {
-		t.Fatal("nil recorder fired drift")
+// TestNilStreamsAreSafe: a nil *Tracer, *Flight or *PredQ is that
+// stream disabled — every hook does nothing, and its Stream() is a nil
+// stream whose methods report nothing written.
+func TestNilStreamsAreSafe(t *testing.T) {
+	var tr *Tracer
+	tr.JobBegin(1, "a", "a#0", 0, nil, 0)
+	tr.JobEnd(1, "a", 1, 1, 1, true, true)
+	tr.Placement(0, "a", nil, &sched.PlacementDetail{})
+	tr.Fault(&telemetry.FaultEvent{})
+	tr.Reactive(&telemetry.ReactiveAction{})
+	tr.Degraded(&telemetry.DegradedTransition{})
+	tr.PredSample(0, "a", "jct", 1, 1)
+	tr.Drift(&telemetry.DriftEvent{})
+	var fl *Flight
+	fl.Record(nil)
+	for _, s := range []*telemetry.Stream{tr.Stream(), fl.Stream()} {
+		if s != nil {
+			t.Fatal("a nil encoder must have a nil stream")
+		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Records(); n != 0 {
+			t.Fatalf("nil stream reports %d records", n)
+		}
 	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
+	var q *PredQ
+	if _, fired := q.Track("a", "jct", 2, 1); fired {
+		t.Fatal("nil tracker fired drift")
+	}
+	if q.Overall().Count != 0 || q.Archetype("a") != nil {
+		t.Fatal("nil tracker reports samples")
 	}
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "math"
+import (
+	"math"
+
+	"gsight/internal/telemetry"
+)
 
 // Prediction-quality tracking: every (predicted, observed) pair the
 // platform sees feeds a rolling-window residual tracker, overall and
@@ -94,16 +98,6 @@ func (p *phState) add(x float64) (float64, bool) {
 	return ph, false
 }
 
-// DriftInfo describes one drift detection.
-type DriftInfo struct {
-	Archetype string
-	QoS       string
-	Window    int
-	MeanErr   float64
-	MAPE      float64
-	PH        float64
-}
-
 // PredQ tracks online prediction quality. It is not safe for
 // concurrent use; the platform drives it from its single-threaded
 // event loop.
@@ -120,11 +114,11 @@ func NewPredQ() *PredQ {
 
 // Track folds one predicted/observed pair in and reports whether the
 // drift detector fired on this sample. Non-positive observations are
-// ignored (no meaningful relative error). The returned DriftInfo is
-// valid only when drift is true.
-func (q *PredQ) Track(archetype, qos string, predicted, observed float64) (DriftInfo, bool) {
+// ignored (no meaningful relative error). The returned event is valid
+// only when drift is true, and its SimTimeS is the caller's to set.
+func (q *PredQ) Track(archetype, qos string, predicted, observed float64) (telemetry.DriftEvent, bool) {
 	if q == nil || observed <= 0 || math.IsNaN(predicted) || math.IsInf(predicted, 0) {
-		return DriftInfo{}, false
+		return telemetry.DriftEvent{}, false
 	}
 	relErr := (predicted - observed) / observed
 	q.overall.add(relErr)
@@ -136,9 +130,9 @@ func (q *PredQ) Track(archetype, qos string, predicted, observed float64) (Drift
 	st.add(relErr)
 	ph, fired := q.ph.add(math.Abs(relErr))
 	if !fired {
-		return DriftInfo{}, false
+		return telemetry.DriftEvent{}, false
 	}
-	return DriftInfo{
+	return telemetry.DriftEvent{
 		Archetype: archetype,
 		QoS:       qos,
 		Window:    q.overall.Window(),

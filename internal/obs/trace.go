@@ -4,6 +4,7 @@ import (
 	"io"
 	"strconv"
 
+	"gsight/internal/sched"
 	"gsight/internal/telemetry"
 )
 
@@ -130,45 +131,31 @@ func (t *Tracer) JobEnd(id int, archetype string, simTimeS, jctS, slowdown float
 	t.emit(b, a)
 }
 
-// PlacementInfo is one scheduling decision as the tracer records it:
-// how hard the scheduler searched, what it decided, and what it
-// predicted for the accepted candidate.
-type PlacementInfo struct {
-	Workload     string
-	Outcome      string // "placed", "fallback", "degraded", "rejected", "error"
-	Reason       string // qualifies non-"placed" outcomes
-	SpreadLevels int    // candidate spread levels tried
-	SLAChecks    int    // QoS predictions issued vetting candidates
-	Placement    []int  // chosen server per function (nil when rejected)
-	// PredIPC/PredJCTS are the predictor's estimates for the accepted
-	// candidate (0 when the decision used no prediction).
-	PredIPC  float64
-	PredJCTS float64
-}
-
-// Placement records a scheduling decision as an instant event.
-func (t *Tracer) Placement(simTimeS float64, p *PlacementInfo) {
+// Placement records a scheduling decision as an instant event: how
+// hard the scheduler searched, what it decided (placement is nil when
+// rejected), and what it predicted for the accepted candidate.
+func (t *Tracer) Placement(simTimeS float64, workload string, placement []int, d *sched.PlacementDetail) {
 	if t == nil {
 		return
 	}
 	b := t.begin("placement", "sched", 'i', simTimeS)
 	b = append(b, `,"s":"t"`...)
 	b, a := args(b)
-	b = telemetry.AppendStr(b, "workload", p.Workload)
-	b = telemetry.AppendStr(b, "outcome", p.Outcome)
-	if p.Reason != "" {
-		b = telemetry.AppendStr(b, "reason", p.Reason)
+	b = telemetry.AppendStr(b, "workload", workload)
+	b = telemetry.AppendStr(b, "outcome", d.Outcome)
+	if d.Reason != "" {
+		b = telemetry.AppendStr(b, "reason", d.Reason)
 	}
-	b = telemetry.AppendInt(b, "spread_levels", p.SpreadLevels)
-	b = telemetry.AppendInt(b, "sla_checks", p.SLAChecks)
-	if p.Placement != nil {
-		b = telemetry.AppendInts(b, "placement", p.Placement)
+	b = telemetry.AppendInt(b, "spread_levels", d.SpreadLevels)
+	b = telemetry.AppendInt(b, "sla_checks", d.SLAChecks)
+	if placement != nil {
+		b = telemetry.AppendInts(b, "placement", placement)
 	}
-	if p.PredIPC > 0 {
-		b = telemetry.AppendFloat(b, "pred_ipc", p.PredIPC)
+	if d.PredIPC > 0 {
+		b = telemetry.AppendFloat(b, "pred_ipc", d.PredIPC)
 	}
-	if p.PredJCTS > 0 {
-		b = telemetry.AppendFloat(b, "pred_jct_s", p.PredJCTS)
+	if d.PredJCTS > 0 {
+		b = telemetry.AppendFloat(b, "pred_jct_s", d.PredJCTS)
 	}
 	t.emit(b, a)
 }
@@ -176,28 +163,29 @@ func (t *Tracer) Placement(simTimeS float64, p *PlacementInfo) {
 // Reactive records a runtime SLA-control action (corunner eviction or
 // reactive spread) as an instant event — the migration phase of the
 // affected jobs' lifecycle.
-func (t *Tracer) Reactive(simTimeS float64, action, service string, moved int) {
+func (t *Tracer) Reactive(e *telemetry.ReactiveAction) {
 	if t == nil {
 		return
 	}
-	b := t.begin(action, "reactive", 'i', simTimeS)
+	b := t.begin(e.Action, "reactive", 'i', e.SimTimeS)
 	b = append(b, `,"s":"t"`...)
 	b, a := args(b)
-	b = telemetry.AppendStr(b, "service", service)
-	b = telemetry.AppendInt(b, "moved", moved)
+	b = telemetry.AppendStr(b, "service", e.Service)
+	b = telemetry.AppendInt(b, "moved", e.Moved)
 	t.emit(b, a)
 }
 
-// Fault records an injected fault transition as an instant event.
-func (t *Tracer) Fault(simTimeS float64, kind string, node int, displaced int) {
+// Fault records an injected fault transition as an instant event; its
+// displaced arg counts services and jobs together.
+func (t *Tracer) Fault(e *telemetry.FaultEvent) {
 	if t == nil {
 		return
 	}
-	b := t.begin(kind, "fault", 'i', simTimeS)
+	b := t.begin(e.Kind, "fault", 'i', e.SimTimeS)
 	b = append(b, `,"s":"g"`...)
 	b, a := args(b)
-	b = telemetry.AppendInt(b, "node", node)
-	if displaced != 0 {
+	b = telemetry.AppendInt(b, "node", e.Node)
+	if displaced := e.DisplacedServices + e.DisplacedJobs; displaced != 0 {
 		b = telemetry.AppendInt(b, "displaced", displaced)
 	}
 	t.emit(b, a)
@@ -205,15 +193,15 @@ func (t *Tracer) Fault(simTimeS float64, kind string, node int, displaced int) {
 
 // Degraded records the platform entering or leaving degraded placement
 // mode as an instant event.
-func (t *Tracer) Degraded(simTimeS float64, entered bool, reason string) {
+func (t *Tracer) Degraded(e *telemetry.DegradedTransition) {
 	if t == nil {
 		return
 	}
-	b := t.begin("degraded", "fault", 'i', simTimeS)
+	b := t.begin("degraded", "fault", 'i', e.SimTimeS)
 	b = append(b, `,"s":"g"`...)
 	b, a := args(b)
-	b = telemetry.AppendBool(b, "entered", entered)
-	b = telemetry.AppendStr(b, "reason", reason)
+	b = telemetry.AppendBool(b, "entered", e.Entered)
+	b = telemetry.AppendStr(b, "reason", e.Reason)
 	t.emit(b, a)
 }
 
@@ -236,11 +224,11 @@ func (t *Tracer) PredSample(simTimeS float64, archetype, qos string, predicted, 
 }
 
 // Drift records a predictor-drift detection as an instant event.
-func (t *Tracer) Drift(simTimeS float64, d *DriftInfo) {
+func (t *Tracer) Drift(d *telemetry.DriftEvent) {
 	if t == nil {
 		return
 	}
-	b := t.begin("predictor_drift", "predq", 'i', simTimeS)
+	b := t.begin("predictor_drift", "predq", 'i', d.SimTimeS)
 	b = append(b, `,"s":"g"`...)
 	b, a := args(b)
 	b = telemetry.AppendStr(b, "archetype", d.Archetype)

@@ -3,15 +3,19 @@ package platform
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"gsight/internal/core"
 	"gsight/internal/faults"
+	"gsight/internal/obs"
 	"gsight/internal/resources"
 	"gsight/internal/sched"
 	"gsight/internal/telemetry"
+	"gsight/internal/workload"
 )
 
 // untrainedPredictor always reports it has not been trained yet.
@@ -172,5 +176,98 @@ func TestRunHonorsCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, shortConfig(sched.NewWorstFit(), 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestPlaceEpilogue drives each path of place with a tracer attached
+// and checks what the epilogue records for it: the trace's placement
+// outcome and reason, the degraded-placement count and the degraded
+// intervals once the run's horizon closes them.
+func TestPlaceEpilogue(t *testing.T) {
+	const horizonS = 1800
+	outage := &faults.Schedule{Name: "outage", Events: []faults.Event{
+		{AtS: 0, Kind: faults.PredictorDown, DurationS: 600},
+	}}
+	for _, tc := range []struct {
+		name      string
+		primary   sched.Scheduler
+		faults    *faults.Schedule
+		offline   bool // every server offline: nothing can host the request
+		outcome   string
+		reason    string
+		degraded  int
+		intervals []DegradedInterval
+	}{
+		{name: "outage", primary: sched.NewGsight(&fixedPredictor{ipc: 99}), faults: outage,
+			outcome: "degraded", reason: reasonUnavailable, degraded: 1,
+			intervals: []DegradedInterval{{StartS: 0, EndS: 600, Reason: reasonUnavailable}}},
+		{name: "untrained", primary: sched.NewGsight(untrainedPredictor{}),
+			outcome: "degraded", reason: reasonUntrained, degraded: 1,
+			intervals: []DegradedInterval{{StartS: 0, EndS: horizonS, Reason: reasonUntrained}}},
+		{name: "scheduler-error", primary: &flakyScheduler{},
+			outcome: "degraded", reason: reasonSchedulerError, degraded: 1},
+		{name: "rejected", primary: sched.NewGsight(&fixedPredictor{ipc: 99}), offline: true,
+			outcome: "rejected"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := resources.DefaultTestbed().NumServers()
+			inj, err := faults.NewInjector(tc.faults, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			r := &runner{
+				cfg:      Config{Scheduler: tc.primary},
+				state:    sched.StateFromProfiles(testbedSpec(), n),
+				inj:      inj,
+				fallback: sched.NewWorstFit(),
+				stats:    &Stats{},
+				tracer:   obs.NewTracer(&buf),
+				pq:       obs.NewPredQ(),
+			}
+			if tc.offline {
+				for s := 0; s < n; s++ {
+					r.state.SetOffline(s, true)
+				}
+			}
+			changes := inj.Changes()
+			if len(changes) > 0 {
+				r.applyFault(changes[0]) // the outage begins
+				changes = changes[1:]
+			}
+			ss := lsFixture(workload.SocialNetwork(), 0)
+			_, err = r.place(&sched.Request{Input: *ss.syncInput(), SLA: ss.svc.SLA})
+			if rejected := tc.outcome == "rejected"; rejected != errors.Is(err, sched.ErrNoPlacement) {
+				t.Fatalf("place error = %v", err)
+			}
+			for _, c := range changes {
+				r.now = c.AtS
+				r.applyFault(c)
+			}
+			r.closeDegraded(horizonS)
+
+			var placements []map[string]any
+			for _, ln := range bytes.Split(buf.Bytes(), []byte("\n")) {
+				var ev struct {
+					Name string         `json:"name"`
+					Args map[string]any `json:"args"`
+				}
+				if json.Unmarshal(bytes.TrimSuffix(ln, []byte(",")), &ev) == nil && ev.Name == "placement" {
+					placements = append(placements, ev.Args)
+				}
+			}
+			if len(placements) != 1 {
+				t.Fatalf("trace holds %d placement events, want 1", len(placements))
+			}
+			if p := placements[0]; p["outcome"] != tc.outcome || (tc.reason != "" && p["reason"] != tc.reason) {
+				t.Fatalf("placement outcome/reason = %v/%v, want %s/%s", p["outcome"], p["reason"], tc.outcome, tc.reason)
+			}
+			if r.stats.DegradedPlacements != tc.degraded {
+				t.Fatalf("degraded placements = %d, want %d", r.stats.DegradedPlacements, tc.degraded)
+			}
+			if !reflect.DeepEqual(r.stats.Degraded, tc.intervals) {
+				t.Fatalf("degraded intervals = %+v, want %+v", r.stats.Degraded, tc.intervals)
+			}
+		})
 	}
 }

@@ -17,6 +17,7 @@
 package platform
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -64,11 +65,12 @@ type Config struct {
 	// Telemetry, when set, receives runtime metrics and reactive-control
 	// decision events. A nil sink leaves the run bit-identical.
 	Telemetry *telemetry.Sink
-	// Obs, when set, records the run's observability streams:
-	// invocation-lifecycle trace, flight recording and prediction-quality
-	// tracking (DESIGN.md §13). nil disables all of it and keeps the
-	// steady-state step loop allocation-free.
-	Obs *obs.Recorder
+	// Trace and Flight, when set, record the run's invocation-lifecycle
+	// trace and its flight recording (DESIGN.md §13); prediction-quality
+	// tracking runs while either is set. Both nil disable all of it and
+	// keep the steady-state step loop allocation-free.
+	Trace  *obs.Tracer
+	Flight *obs.Flight
 	// Faults injects a deterministic fault schedule (crashes,
 	// stragglers, cold-start storms, predictor outages); nil runs a
 	// healthy cluster.
@@ -173,10 +175,13 @@ type serviceState struct {
 // a reactive spread of the worst function.
 const violationPatience = 3
 
-// Degradation reasons recorded on intervals and transition events.
+// Degradation reasons recorded on intervals, transition events and
+// degraded placements. A scheduler error opens no interval: it only
+// labels the one placement the fallback served in its place.
 const (
-	reasonUnavailable = "predictor-unavailable"
-	reasonUntrained   = "predictor-untrained"
+	reasonUnavailable    = "predictor-unavailable"
+	reasonUntrained      = "predictor-untrained"
+	reasonSchedulerError = "scheduler-error"
 )
 
 // runner is the mutable state of one platform run. Run builds it,
@@ -224,19 +229,22 @@ type runner struct {
 
 	stats *Stats
 	ins   telemetry.PlatformInstruments
-	rev   telemetry.ReactiveAction     // reusable reactive decision event
-	fev   telemetry.FaultEvent         // reusable fault decision event
-	dev   telemetry.DegradedTransition // reusable degraded decision event
-	drev  telemetry.DriftEvent         // reusable drift decision event
+	// Reusable events, each built once and encoded by both the decision
+	// log and the tracer (either may be nil).
+	rev  telemetry.ReactiveAction
+	fev  telemetry.FaultEvent
+	dev  telemetry.DegradedTransition
+	drev telemetry.DriftEvent
 
-	// Observability (nil when disabled): obsDetail is the reusable
-	// placement-detail out-parameter wired into requests, viaFallback
-	// marks the last placement as fallback-served for outcome labeling,
-	// and flFrame is the reusable flight-recorder frame.
-	obs         *obs.Recorder
-	obsDetail   sched.PlacementDetail
-	viaFallback bool
-	flFrame     obs.Frame
+	// Observability (nil when disabled). pq is non-nil exactly when
+	// tracer or flight is, and is the one "recording" gate; detail is
+	// the reusable placement-detail out-parameter wired into requests
+	// while recording, and flFrame the reusable flight-recorder frame.
+	tracer  *obs.Tracer
+	flight  *obs.Flight
+	pq      *obs.PredQ
+	detail  sched.PlacementDetail
+	flFrame obs.Frame
 
 	// Per-step scratch, reused so the steady-state loop allocates
 	// nothing: the noise child generator and the online-learning input
@@ -293,8 +301,12 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 			SLAOK:         make(map[string][]bool),
 			JCTs:          make(map[string][]float64),
 		},
-		ins: cfg.Telemetry.Platform(),
-		obs: cfg.Obs,
+		ins:    cfg.Telemetry.Platform(),
+		tracer: cfg.Trace,
+		flight: cfg.Flight,
+	}
+	if cfg.Trace != nil || cfg.Flight != nil {
+		r.pq = obs.NewPredQ()
 	}
 	r.scPool = make([]scPoolEntry, len(cfg.SCPool))
 	r.jobFree = make([][]*scActive, len(cfg.SCPool))
@@ -441,7 +453,7 @@ func (r *runner) submitJob() {
 	in.LifetimeS = w.SoloDurationS
 	a.sla = sched.SLA{}
 	if w.Class == workload.SC {
-		a.sla.MaxJCTFactor = 2.0
+		a.sla.MaxJCTFactor = sched.BatchJCTFactor
 	}
 	req := &r.reqBuf
 	*req = sched.Request{Input: *in, SLA: a.sla, SoloDurationS: w.SoloDurationS}
@@ -468,11 +480,11 @@ func (r *runner) submitJob() {
 	}
 	a.id = id
 	a.predJCTS = 0
-	if r.obs != nil {
+	if r.pq != nil {
 		// The scheduler's accepted-candidate JCT estimate anchors both
 		// the job's trace span and its completion-time quality sample.
-		a.predJCTS = r.obsDetail.PredJCTS
-		r.obs.Trace().JobBegin(id, w.Name, in.Name, r.now, placement, a.predJCTS)
+		a.predJCTS = r.detail.PredJCTS
+		r.tracer.JobBegin(id, w.Name, in.Name, r.now, placement, a.predJCTS)
 	}
 	r.activeSC = append(r.activeSC, a)
 }
@@ -493,25 +505,15 @@ func (r *runner) removeJob(id int) *scActive {
 // unreachable right now.
 func (r *runner) predictorOut() bool { return !r.inj.PredictorAvailable() }
 
-// placeWith times one Place call against the given policy.
-func (r *runner) placeWith(s sched.Scheduler, req *sched.Request) ([]int, error) {
+// propose times one Place call against the given policy and counts it.
+func (r *runner) propose(s sched.Scheduler, req *sched.Request) ([]int, error) {
 	t0 := time.Now()
 	placement, err := r.state.Propose(s, req)
 	r.stats.SchedulingTime += time.Since(t0)
 	r.stats.Placements++
-	return placement, err
-}
-
-// placeFallback serves one request through the fallback policy,
-// counting it as a degraded placement.
-func (r *runner) placeFallback(req *sched.Request) ([]int, error) {
-	placement, err := r.placeWith(r.fallback, req)
 	if err != nil {
 		return nil, err
 	}
-	r.stats.DegradedPlacements++
-	r.ins.DegradedPlacements.Inc()
-	r.viaFallback = true
 	return placement, nil
 }
 
@@ -521,81 +523,65 @@ func (r *runner) placeFallback(req *sched.Request) ([]int, error) {
 // on any other unexpected error, and no fallback for deterministic
 // rejections. No path retries: every scheduler answers an unchanged
 // state the same way, and a retry timeout would be the only wall-clock
-// input on the decision path.
+// input on the decision path. While recording, the final decision goes
+// into the trace, its outcome relabelled for the fallback path (the
+// scheduler that served the request only knows its own verdict).
 func (r *runner) place(req *sched.Request) ([]int, error) {
-	if r.obs != nil {
-		r.obsDetail = sched.PlacementDetail{}
-		req.Detail = &r.obsDetail
-		r.viaFallback = false
+	if r.pq != nil {
+		r.detail = sched.PlacementDetail{}
+		req.Detail = &r.detail
 	}
-	placement, err := r.placeInner(req)
-	if r.obs != nil {
-		r.tracePlacement(req, placement, err)
-		req.Detail = nil
+	var placement []int
+	var err error
+	out := r.predictorOut()
+	if !out {
+		placement, err = r.propose(r.cfg.Scheduler, req)
 	}
-	return placement, err
-}
-
-// tracePlacement records the final decision of one place call as a
-// trace instant, folding the fallback/degraded path into the outcome
-// label (the scheduler that served the request only knows its own
-// verdict).
-func (r *runner) tracePlacement(req *sched.Request, placement []int, err error) {
-	d := &r.obsDetail
-	pi := obs.PlacementInfo{
-		Workload:     req.Input.Name,
-		Outcome:      d.Outcome,
-		Reason:       d.Reason,
-		SpreadLevels: d.SpreadLevels,
-		SLAChecks:    d.SLAChecks,
-		Placement:    placement,
-		PredIPC:      d.PredIPC,
-		PredJCTS:     d.PredJCTS,
-	}
-	if err != nil {
-		if pi.Outcome == "" || pi.Outcome == "placed" {
-			pi.Outcome = "error"
-		}
-	} else if r.viaFallback {
-		pi.Outcome = "degraded"
-		if pi.Reason == "" {
-			if r.degradedReason != "" {
-				pi.Reason = r.degradedReason
-			} else {
-				pi.Reason = reasonUnavailable
-			}
-		}
-	}
-	r.obs.Trace().Placement(r.now, &pi)
-}
-
-func (r *runner) placeInner(req *sched.Request) ([]int, error) {
-	if r.predictorOut() {
+	reason := "" // why the fallback serves the request; "" when it does not
+	switch {
+	case out:
 		// The predictor (and with it the primary scheduler's SLA
 		// vetting) is unreachable: serve capacity-based placements
 		// until the outage ends.
-		return r.placeFallback(req)
-	}
-	placement, err := r.placeWith(r.cfg.Scheduler, req)
-	switch {
+		reason = cmp.Or(r.degradedReason, reasonUnavailable)
 	case err == nil:
 		if r.degraded && r.degradedReason == reasonUntrained {
 			// The predictor has caught up (trained or recovered):
 			// leave degraded mode.
 			r.exitDegraded()
 		}
-		return placement, nil
 	case errors.Is(err, sched.ErrNoPlacement):
-		return nil, err // deterministic: the cluster cannot host it
+		// Deterministic: the cluster cannot host it.
 	case errors.Is(err, core.ErrNotTrained):
 		r.enterDegraded(reasonUntrained)
-		return r.placeFallback(req)
+		reason = r.degradedReason
+	default:
+		// Unexpected failure: degrade rather than fail the run.
+		reason = reasonSchedulerError
 	}
-	// Unexpected failure: degrade rather than fail the run.
-	if out, ferr := r.placeFallback(req); ferr == nil {
-		return out, nil
+	if reason != "" {
+		primaryErr := err
+		if placement, err = r.propose(r.fallback, req); err == nil {
+			r.stats.DegradedPlacements++
+			r.ins.DegradedPlacements.Inc()
+		} else if reason == reasonSchedulerError {
+			err = primaryErr
+		}
 	}
-	return nil, err
+	if r.pq != nil {
+		d := &r.detail
+		if err != nil {
+			if d.Outcome == "" || d.Outcome == "placed" {
+				d.Outcome = "error"
+			}
+		} else if reason != "" {
+			d.Outcome = "degraded"
+			d.Reason = cmp.Or(d.Reason, reason)
+		}
+		r.tracer.Placement(r.now, req.Input.Name, placement, d)
+		req.Detail = nil
+	}
+	return placement, err
 }
 
 // enterDegraded opens a degraded interval (idempotent while open).
@@ -606,13 +592,7 @@ func (r *runner) enterDegraded(reason string) {
 	r.degraded = true
 	r.degradedReason = reason
 	r.degradedSince = r.now
-	if r.ins.Decisions != nil {
-		r.dev = telemetry.DegradedTransition{SimTimeS: r.now, Entered: true, Reason: reason, Fallback: r.fallback.Name()}
-		r.ins.Decisions.Degraded(&r.dev)
-	}
-	if r.obs != nil {
-		r.obs.Trace().Degraded(r.now, true, reason)
-	}
+	r.degradedEvent(r.now, true)
 }
 
 // exitDegraded closes the open degraded interval at the current time.
@@ -626,15 +606,17 @@ func (r *runner) closeDegraded(endS float64) {
 	r.stats.Degraded = append(r.stats.Degraded, DegradedInterval{
 		StartS: r.degradedSince, EndS: endS, Reason: r.degradedReason,
 	})
-	if r.ins.Decisions != nil {
-		r.dev = telemetry.DegradedTransition{SimTimeS: endS, Entered: false, Reason: r.degradedReason, Fallback: r.fallback.Name()}
-		r.ins.Decisions.Degraded(&r.dev)
-	}
-	if r.obs != nil {
-		r.obs.Trace().Degraded(endS, false, r.degradedReason)
-	}
+	r.degradedEvent(endS, false)
 	r.degraded = false
 	r.degradedReason = ""
+}
+
+// degradedEvent records the open interval's entry or exit at simS in
+// the decision log and the trace.
+func (r *runner) degradedEvent(simS float64, entered bool) {
+	r.dev = telemetry.DegradedTransition{SimTimeS: simS, Entered: entered, Reason: r.degradedReason, Fallback: r.fallback.Name()}
+	r.ins.Decisions.Degraded(&r.dev)
+	r.tracer.Degraded(&r.dev)
 }
 
 // applyFault transitions the injector state and makes the platform
@@ -680,20 +662,16 @@ func (r *runner) applyFault(c faults.Change) {
 			r.exitDegraded()
 		}
 	}
-	if r.ins.Decisions != nil {
-		r.fev = telemetry.FaultEvent{
-			SimTimeS:          r.now,
-			Kind:              c.Op.String(),
-			Node:              c.Node,
-			Factor:            c.Factor,
-			DisplacedServices: displacedSvc,
-			DisplacedJobs:     displacedJobs,
-		}
-		r.ins.Decisions.Fault(&r.fev)
+	r.fev = telemetry.FaultEvent{
+		SimTimeS:          r.now,
+		Kind:              c.Op.String(),
+		Node:              c.Node,
+		Factor:            c.Factor,
+		DisplacedServices: displacedSvc,
+		DisplacedJobs:     displacedJobs,
 	}
-	if r.obs != nil {
-		r.obs.Trace().Fault(r.now, c.Op.String(), c.Node, displacedSvc+displacedJobs)
-	}
+	r.ins.Decisions.Fault(&r.fev)
+	r.tracer.Fault(&r.fev)
 }
 
 // placedOn reports whether any function sits on the node.
@@ -897,26 +875,14 @@ func (r *runner) loop() error {
 						ss.cooldown = 20
 						r.stepper.MarkDirty()
 						refreshState(r.state, r.services, r.activeSC)
-						if ins.Decisions != nil {
-							r.rev = telemetry.ReactiveAction{SimTimeS: now, Action: "evict-corunner", Service: ss.svc.W.Name, Moved: moved}
-							ins.Decisions.Reactive(&r.rev)
-						}
-						if r.obs != nil {
-							r.obs.Trace().Reactive(now, "evict-corunner", ss.svc.W.Name, moved)
-						}
+						r.reactive(now, "evict-corunner", ss.svc.W.Name, moved)
 					} else if n := migrateWorst(r.state, ss, lr, 3); n > 0 {
 						stats.Migrations += n
 						stats.ColdStarts += n
 						ss.cooldown = 40
 						r.stepper.MarkDirty()
 						refreshState(r.state, r.services, r.activeSC)
-						if ins.Decisions != nil {
-							r.rev = telemetry.ReactiveAction{SimTimeS: now, Action: "spread-service", Service: ss.svc.W.Name, Moved: n}
-							ins.Decisions.Reactive(&r.rev)
-						}
-						if r.obs != nil {
-							r.obs.Trace().Reactive(now, "spread-service", ss.svc.W.Name, n)
-						}
+						r.reactive(now, "spread-service", ss.svc.W.Name, n)
 					}
 					ss.violations = 0
 				}
@@ -925,7 +891,7 @@ func (r *runner) loop() error {
 			// outage makes the predictor unreachable.
 			if cfg.Predictor != nil && step%observeEvery == 0 && !r.predictorOut() {
 				inputs := r.snapshotInputs()
-				if r.obs != nil {
+				if r.pq != nil {
 					// Predict-then-observe: score the model on the label
 					// it is about to learn from. Predict is pure, so the
 					// extra call cannot perturb the run.
@@ -941,7 +907,7 @@ func (r *runner) loop() error {
 		// the pool for the next submission of the same workload.
 		for _, done := range rep.Completed {
 			if a := r.removeJob(done.ID); a != nil {
-				if r.obs != nil {
+				if r.pq != nil {
 					solo := a.dep.W.SoloDurationS
 					slowdown := 0.0
 					if solo > 0 {
@@ -949,7 +915,7 @@ func (r *runner) loop() error {
 					}
 					checked := a.sla.MaxJCTFactor > 0 && solo > 0
 					slaOK := checked && done.JCTS <= solo*a.sla.MaxJCTFactor
-					r.obs.Trace().JobEnd(done.ID, done.Name, now, done.JCTS, slowdown, checked, slaOK)
+					r.tracer.JobEnd(done.ID, done.Name, now, done.JCTS, slowdown, checked, slaOK)
 					if a.predJCTS > 0 {
 						r.trackPrediction(now, done.Name, "jct", a.predJCTS, done.JCTS)
 					}
@@ -1007,7 +973,7 @@ func (r *runner) loop() error {
 		}
 		ins.Steps.Inc()
 		ins.ActiveServers.SetInt(activeServers)
-		if r.obs != nil {
+		if r.flight != nil {
 			r.recordFrame(now, step, rep.ServerDemand, activeServers, density, goodDensity, cpuUtil, memUtil)
 		}
 		span.End()
@@ -1025,36 +991,34 @@ func (r *runner) loop() error {
 	return nil
 }
 
-// trackPrediction folds one predicted/observed QoS pair into the
-// quality tracker and escalates a drift detection into the decision
-// log. Callers gate on r.obs != nil.
+// reactive records a reactive-control action in the decision log and
+// the trace.
+func (r *runner) reactive(simS float64, action, service string, moved int) {
+	r.rev = telemetry.ReactiveAction{SimTimeS: simS, Action: action, Service: service, Moved: moved}
+	r.ins.Decisions.Reactive(&r.rev)
+	r.tracer.Reactive(&r.rev)
+}
+
+// trackPrediction records one predicted/observed QoS pair as a trace
+// sample and folds it into the quality tracker; a drift detection goes
+// into the trace, then the decision log. Callers gate on r.pq != nil.
 func (r *runner) trackPrediction(simS float64, archetype, qos string, pred, observed float64) {
-	d, fired := r.obs.TrackPrediction(simS, archetype, qos, pred, observed)
+	r.tracer.PredSample(simS, archetype, qos, pred, observed)
+	d, fired := r.pq.Track(archetype, qos, pred, observed)
 	if !fired {
 		return
 	}
-	if r.ins.Decisions != nil {
-		r.drev = telemetry.DriftEvent{
-			SimTimeS:  simS,
-			QoS:       d.QoS,
-			Archetype: d.Archetype,
-			Window:    d.Window,
-			MeanErr:   d.MeanErr,
-			MAPE:      d.MAPE,
-			PH:        d.PH,
-		}
-		r.ins.Decisions.Drift(&r.drev)
-	}
+	r.drev = d
+	r.drev.SimTimeS = simS
+	r.tracer.Drift(&r.drev)
+	r.ins.Decisions.Drift(&r.drev)
 }
 
 // recordFrame appends one flight-recorder frame for the step that just
-// computed its metrics. Callers gate on r.obs != nil; the frame buffer
-// is reused so enabled recording allocates only on the first step.
+// computed its metrics. Callers gate on r.flight != nil; the frame
+// buffer is reused so enabled recording allocates only on the first
+// step.
 func (r *runner) recordFrame(now float64, step int, demand []resources.Vector, active int, density, goodDensity, cpuUtil, memUtil float64) {
-	fl := r.obs.Flight()
-	if fl == nil {
-		return
-	}
 	fr := &r.flFrame
 	if fr.CPUDemand == nil {
 		n := r.state.NumServers()
@@ -1089,7 +1053,7 @@ func (r *runner) recordFrame(now float64, step int, demand []resources.Vector, a
 		}
 		fr.ServerFlags[s] = sf
 	}
-	fl.Record(fr)
+	r.flight.Record(fr)
 }
 
 // syncInput refreshes the service's persistent scheduler input from

@@ -69,12 +69,8 @@ func (o *outputs) run(t *testing.T, ctx context.Context, cfg Config) error {
 	if p, ok := cfg.Predictor.(*core.Predictor); ok {
 		p.Instrument(cfg.Telemetry)
 	}
-	cfg.Obs = obs.New(obs.Config{
-		Trace:   &o.trace,
-		Flight:  &o.flight,
-		Servers: cfg.Model.Testbed.NumServers(),
-		StepS:   StepS,
-	})
+	cfg.Trace = obs.NewTracer(&o.trace)
+	cfg.Flight = obs.NewFlight(&o.flight, cfg.Model.Testbed.NumServers(), StepS)
 	st, err := Run(ctx, cfg)
 	if err != nil {
 		return err

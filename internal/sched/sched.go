@@ -25,6 +25,12 @@ type SLA struct {
 	MaxJCTFactor float64
 }
 
+// BatchJCTFactor is the batch-job JCT contract: a job's predicted JCT
+// at most this factor over its solo duration. The simulator sets it on
+// SC jobs only, the daemon's catalog on every SC and BG archetype, and
+// Gsight checks it for any non-LS workload that carries it.
+const BatchJCTFactor = 2.0
+
 // Request asks for a placement of a workload's functions.
 type Request struct {
 	// Input describes the workload (profiles, class, load); its

@@ -18,11 +18,6 @@ import (
 	"gsight/internal/workload"
 )
 
-// scJCTFactor is the SC-job admission bound: predicted JCT at most
-// this factor over the solo duration — the same contract the platform
-// applies (platform.MaxJCTFactor).
-const scJCTFactor = 2.0
-
 // defaultQPSFrac is the load an LS placement request is admitted at
 // when the caller does not say: 60% of the workload's MaxQPS, the
 // steady-state operating point the §6.3 case study runs services at.
@@ -36,7 +31,7 @@ type Archetype struct {
 	// MinIPC is the LS admission floor from the Figure 7 latency→IPC
 	// curve; 0 for SC/BG archetypes.
 	MinIPC float64
-	// MaxJCTFactor bounds an SC job's predicted JCT; 0 for LS.
+	// MaxJCTFactor bounds a batch job's predicted JCT; 0 for LS.
 	MaxJCTFactor float64
 }
 
@@ -64,7 +59,10 @@ func NewCatalog(lab *perfmodel.Model, seed uint64) *Catalog {
 	}
 	for _, w := range g.SCPool {
 		ps, _ := g.Store.Get(w.Name)
-		c.add(&Archetype{W: w, Profiles: ps, MaxJCTFactor: scJCTFactor})
+		// Every SC/BG archetype gets the batch JCT bound, the BG ones
+		// (iot-collector, monitor) included. The simulator bounds SC jobs
+		// only, so the two diverge on BG jobs (ROADMAP item 11).
+		c.add(&Archetype{W: w, Profiles: ps, MaxJCTFactor: sched.BatchJCTFactor})
 	}
 	sort.Strings(c.names)
 	return c
