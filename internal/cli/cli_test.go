@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"gsight/internal/experiments"
+	"gsight/internal/persist"
 )
 
 // usageCommands returns the sub-command names the usage text lists.
@@ -244,5 +245,57 @@ func TestSimRecordingWiring(t *testing.T) {
 	slices.Sort(files)
 	if !slices.Equal(files, want) {
 		t.Errorf("files written: %v, want %v", files, want)
+	}
+}
+
+// TestServeCommandRefusesOtherSnapshotFormat: `gsight serve -data D` on
+// a data dir written in another snapshot format exits non-zero with an
+// error naming both formats, and leaves D byte for byte as it found it:
+// the refusal comes before the lease is taken, so not even lease.json
+// appears.
+func TestServeCommandRefusesOtherSnapshotFormat(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		"snap-000000001.ckpt":      `{"version":1,"seq":1,"sha256":"44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a","payload":{}}`,
+		"snap-000000002.ckpt":      `{"version":1,"seq":2,"sha256":"44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a","payload":{}}`,
+		"wal-000000002.jsonl":      "",
+		"decisions.jsonl":          `{"seq":1,"kind":"release","release":{"name":"x","released":false}}` + "\n",
+		"snap-000000003.ckpt.tmp1": "half a snapshot",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = stderr
+	code := Main([]string{"serve", "-data", dir, "-train", "4", "-addr", "127.0.0.1:0"})
+	os.Stderr = saved
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code == 0 || !bytes.Contains(out, []byte("format 1")) || !bytes.Contains(out, []byte(fmt.Sprintf("format %d", persist.SnapshotVersion))) {
+		t.Fatalf("gsight serve on a format-1 data dir exited %d with\n%s\nwant non-zero, naming both formats", code, out)
+	}
+	for name, data := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != data {
+			t.Errorf("%s changed: %q (%v)", name, got, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("data dir now holds %v", names)
 	}
 }

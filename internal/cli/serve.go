@@ -2,6 +2,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"gsight/internal/persist"
 	"gsight/internal/serve"
 	"gsight/internal/telemetry"
 )
@@ -76,6 +78,11 @@ func (c *serveCmd) run(logf func(string, ...any)) error {
 		}
 		lease = l
 	} else {
+		// A data dir in another snapshot format is refused before the
+		// lease is taken, so the refusal leaves every file as it was.
+		if _, _, _, err := persist.FindSnapshot(c.cfg.DataDir); errors.Is(err, persist.ErrSnapshotVersion) {
+			return fmt.Errorf("start: serve: restore: %w", err)
+		}
 		if err := os.MkdirAll(c.cfg.DataDir, 0o755); err != nil {
 			return fmt.Errorf("data dir: %w", err)
 		}

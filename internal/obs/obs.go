@@ -7,8 +7,8 @@
 // produces byte-identical outputs, and every stream is a counted
 // telemetry.Stream like the decision log. The tracer encodes the same
 // telemetry event structs the decision log does, so a caller builds
-// each event once and hands it to both. The whole package is nil-safe:
-// a nil *Tracer, *Flight or *PredQ (that stream disabled) makes every
-// hook a predictable branch and keeps the platform's steady-state step
-// loop allocation-free.
+// each event once and hands it to both. The streams are nil-safe: a
+// nil *Tracer or *Flight (that stream disabled) makes every hook a
+// predictable branch and keeps the platform's steady-state step loop
+// allocation-free. PredQ runs in every simulation.
 package obs

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"gsight/internal/sched"
 	"gsight/internal/telemetry"
 )
 
@@ -45,7 +44,8 @@ func driveTracer(t *Tracer, from, to int) {
 		case 0:
 			t.JobBegin(i, "matmul", "matmul#0", ts, []int{i % 3}, 1.5)
 		case 1:
-			t.Placement(ts, "social-network", []int{0, 1}, &sched.PlacementDetail{
+			t.Placement(ts, &telemetry.PlacementDecision{
+				Workload: "social-network", Placement: []int{0, 1},
 				Outcome: "placed", SpreadLevels: 3, SLAChecks: 7, PredIPC: 1.2,
 			})
 		case 2:
@@ -316,7 +316,7 @@ func TestNilStreamsAreSafe(t *testing.T) {
 	var tr *Tracer
 	tr.JobBegin(1, "a", "a#0", 0, nil, 0)
 	tr.JobEnd(1, "a", 1, 1, 1, true, true)
-	tr.Placement(0, "a", nil, &sched.PlacementDetail{})
+	tr.Placement(0, &telemetry.PlacementDecision{Workload: "a"})
 	tr.Fault(&telemetry.FaultEvent{})
 	tr.Reactive(&telemetry.ReactiveAction{})
 	tr.Degraded(&telemetry.DegradedTransition{})

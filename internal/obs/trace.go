@@ -4,7 +4,6 @@ import (
 	"io"
 	"strconv"
 
-	"gsight/internal/sched"
 	"gsight/internal/telemetry"
 )
 
@@ -131,25 +130,25 @@ func (t *Tracer) JobEnd(id int, archetype string, simTimeS, jctS, slowdown float
 	t.emit(b, a)
 }
 
-// Placement records a scheduling decision as an instant event: how
-// hard the scheduler searched, what it decided (placement is nil when
+// Placement records a placement request as an instant event: how hard
+// the scheduler searched, what it decided (no placement when
 // rejected), and what it predicted for the accepted candidate.
-func (t *Tracer) Placement(simTimeS float64, workload string, placement []int, d *sched.PlacementDetail) {
+func (t *Tracer) Placement(simTimeS float64, d *telemetry.PlacementDecision) {
 	if t == nil {
 		return
 	}
 	b := t.begin("placement", "sched", 'i', simTimeS)
 	b = append(b, `,"s":"t"`...)
 	b, a := args(b)
-	b = telemetry.AppendStr(b, "workload", workload)
+	b = telemetry.AppendStr(b, "workload", d.Workload)
 	b = telemetry.AppendStr(b, "outcome", d.Outcome)
 	if d.Reason != "" {
 		b = telemetry.AppendStr(b, "reason", d.Reason)
 	}
 	b = telemetry.AppendInt(b, "spread_levels", d.SpreadLevels)
 	b = telemetry.AppendInt(b, "sla_checks", d.SLAChecks)
-	if placement != nil {
-		b = telemetry.AppendInts(b, "placement", placement)
+	if d.Placement != nil {
+		b = telemetry.AppendInts(b, "placement", d.Placement)
 	}
 	if d.PredIPC > 0 {
 		b = telemetry.AppendFloat(b, "pred_ipc", d.PredIPC)

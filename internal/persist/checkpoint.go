@@ -245,41 +245,46 @@ func generations(dir, prefix, suffix string) ([]SnapshotInfo, error) {
 // on the way: a build pointed at another build's data directory, or at
 // a disk having a bad moment, must leave it as it found it.
 func LatestSnapshot(dir string) (payload []byte, seq uint64, err error) {
+	payload, seq, rejected, err := FindSnapshot(dir)
+	removeAll(rejected)
+	return payload, seq, err
+}
+
+// FindSnapshot is LatestSnapshot's walk without its deletions: it
+// writes nothing, and returns, besides LatestSnapshot's results, the
+// corrupt snapshots LatestSnapshot would delete (none when the walk
+// stopped with a refusal).
+func FindSnapshot(dir string) (payload []byte, seq uint64, rejected []string, err error) {
 	infos, err := Snapshots(dir)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	var (
-		lastErr  error
-		rejected []string
-	)
+	var lastErr error
 	for i := len(infos) - 1; i >= 0; i-- {
 		info := infos[i]
 		data, err := os.ReadFile(info.Path)
 		if err != nil {
-			return nil, 0, fmt.Errorf("persist: snapshot unreadable, nothing deleted: %w", err)
+			return nil, 0, nil, fmt.Errorf("persist: snapshot unreadable, nothing deleted: %w", err)
 		}
 		gotSeq, payload, err := DecodeSnapshot(data)
 		if errors.Is(err, ErrSnapshotVersion) {
-			return nil, 0, fmt.Errorf("%s: %w", info.Path, err)
+			return nil, 0, nil, fmt.Errorf("%s: %w", info.Path, err)
 		}
 		if err == nil && gotSeq != info.Seq {
 			err = fmt.Errorf("%w: envelope seq %d does not match file name", ErrSnapshotCorrupt, gotSeq)
 		}
 		if err == nil {
-			removeAll(rejected)
-			return payload, info.Seq, nil
+			return payload, info.Seq, rejected, nil
 		}
 		if lastErr == nil {
 			lastErr = fmt.Errorf("%s: %w", info.Path, err)
 		}
 		rejected = append(rejected, info.Path)
 	}
-	removeAll(rejected)
 	if lastErr != nil {
-		return nil, 0, fmt.Errorf("%w (newest rejected: %v)", ErrNoSnapshot, lastErr)
+		return nil, 0, rejected, fmt.Errorf("%w (newest rejected: %v)", ErrNoSnapshot, lastErr)
 	}
-	return nil, 0, ErrNoSnapshot
+	return nil, 0, nil, ErrNoSnapshot
 }
 
 // removeAll deletes rejected snapshot files, best effort: one that

@@ -62,13 +62,14 @@ type Config struct {
 	// Predictor, when set, receives online observations (incremental
 	// learning during operation) every observeEvery steps.
 	Predictor core.QoSPredictor
-	// Telemetry, when set, receives runtime metrics and reactive-control
-	// decision events. A nil sink leaves the run bit-identical.
+	// Telemetry, when set, receives runtime metrics and the decision
+	// log's events: one placement record per request, reactive control,
+	// faults, degraded transitions and drift. A nil sink leaves the run
+	// bit-identical.
 	Telemetry *telemetry.Sink
 	// Trace and Flight, when set, record the run's invocation-lifecycle
-	// trace and its flight recording (DESIGN.md §13); prediction-quality
-	// tracking runs while either is set. Both nil disable all of it and
-	// keep the steady-state step loop allocation-free.
+	// trace and its flight recording (DESIGN.md §13). Either may be nil;
+	// prediction-quality tracking runs in every run either way.
 	Trace  *obs.Tracer
 	Flight *obs.Flight
 	// Faults injects a deterministic fault schedule (crashes,
@@ -236,14 +237,11 @@ type runner struct {
 	dev  telemetry.DegradedTransition
 	drev telemetry.DriftEvent
 
-	// Observability (nil when disabled). pq is non-nil exactly when
-	// tracer or flight is, and is the one "recording" gate; detail is
-	// the reusable placement-detail out-parameter wired into requests
-	// while recording, and flFrame the reusable flight-recorder frame.
+	// Observability: tracer and flight are nil when disabled, pq is
+	// always set, and flFrame is the reusable flight-recorder frame.
 	tracer  *obs.Tracer
 	flight  *obs.Flight
 	pq      *obs.PredQ
-	detail  sched.PlacementDetail
 	flFrame obs.Frame
 
 	// Per-step scratch, reused so the steady-state loop allocates
@@ -304,9 +302,7 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		ins:    cfg.Telemetry.Platform(),
 		tracer: cfg.Trace,
 		flight: cfg.Flight,
-	}
-	if cfg.Trace != nil || cfg.Flight != nil {
-		r.pq = obs.NewPredQ()
+		pq:     obs.NewPredQ(),
 	}
 	r.scPool = make([]scPoolEntry, len(cfg.SCPool))
 	r.jobFree = make([][]*scActive, len(cfg.SCPool))
@@ -479,13 +475,10 @@ func (r *runner) submitJob() {
 		r.stats.ColdStarts += rep
 	}
 	a.id = id
-	a.predJCTS = 0
-	if r.pq != nil {
-		// The scheduler's accepted-candidate JCT estimate anchors both
-		// the job's trace span and its completion-time quality sample.
-		a.predJCTS = r.detail.PredJCTS
-		r.tracer.JobBegin(id, w.Name, in.Name, r.now, placement, a.predJCTS)
-	}
+	// The scheduler's accepted-candidate JCT estimate anchors both the
+	// job's trace span and its completion-time quality sample.
+	a.predJCTS = req.Detail.PredJCTS
+	r.tracer.JobBegin(id, w.Name, in.Name, r.now, placement, a.predJCTS)
 	r.activeSC = append(r.activeSC, a)
 }
 
@@ -523,14 +516,12 @@ func (r *runner) propose(s sched.Scheduler, req *sched.Request) ([]int, error) {
 // on any other unexpected error, and no fallback for deterministic
 // rejections. No path retries: every scheduler answers an unchanged
 // state the same way, and a retry timeout would be the only wall-clock
-// input on the decision path. While recording, the final decision goes
-// into the trace, its outcome relabelled for the fallback path (the
-// scheduler that served the request only knows its own verdict).
+// input on the decision path. The final decision is the request's one
+// placement record: the answering scheduler's req.Detail, its outcome
+// relabelled for the fallback path (that scheduler only knows its own
+// verdict) and completed with the cluster-wide context, goes to the
+// decision log and the trace.
 func (r *runner) place(req *sched.Request) ([]int, error) {
-	if r.pq != nil {
-		r.detail = sched.PlacementDetail{}
-		req.Detail = &r.detail
-	}
 	var placement []int
 	var err error
 	out := r.predictorOut()
@@ -559,8 +550,10 @@ func (r *runner) place(req *sched.Request) ([]int, error) {
 		// Unexpected failure: degrade rather than fail the run.
 		reason = reasonSchedulerError
 	}
+	answered := r.cfg.Scheduler
 	if reason != "" {
 		primaryErr := err
+		answered = r.fallback
 		if placement, err = r.propose(r.fallback, req); err == nil {
 			r.stats.DegradedPlacements++
 			r.ins.DegradedPlacements.Inc()
@@ -568,19 +561,21 @@ func (r *runner) place(req *sched.Request) ([]int, error) {
 			err = primaryErr
 		}
 	}
-	if r.pq != nil {
-		d := &r.detail
-		if err != nil {
-			if d.Outcome == "" || d.Outcome == "placed" {
-				d.Outcome = "error"
-			}
-		} else if reason != "" {
-			d.Outcome = "degraded"
-			d.Reason = cmp.Or(d.Reason, reason)
+	d := &req.Detail
+	if err != nil {
+		if d.Outcome == "" || d.Outcome == "placed" {
+			d.Outcome = "error"
 		}
-		r.tracer.Placement(r.now, req.Input.Name, placement, d)
-		req.Detail = nil
+	} else if reason != "" {
+		d.Outcome = "degraded"
+		d.Reason = cmp.Or(d.Reason, reason)
 	}
+	d.Scheduler = answered.Name()
+	d.Workload, d.Class, d.Functions = req.Input.Name, req.Input.Class.String(), len(req.Input.Profiles)
+	d.Servers, d.ActiveServers = r.state.NumServers(), r.state.ActiveServers()
+	d.Placement = placement
+	r.ins.Decisions.Placement(d)
+	r.tracer.Placement(r.now, d)
 	return placement, err
 }
 
@@ -891,13 +886,11 @@ func (r *runner) loop() error {
 			// outage makes the predictor unreachable.
 			if cfg.Predictor != nil && step%observeEvery == 0 && !r.predictorOut() {
 				inputs := r.snapshotInputs()
-				if r.pq != nil {
-					// Predict-then-observe: score the model on the label
-					// it is about to learn from. Predict is pure, so the
-					// extra call cannot perturb the run.
-					if pred, perr := cfg.Predictor.Predict(core.IPCQoS, i, inputs); perr == nil {
-						r.trackPrediction(now, ss.svc.W.Name, "ipc", pred, lr.IPC)
-					}
+				// Predict-then-observe: score the model on the label it
+				// is about to learn from. Predict is pure, so the extra
+				// call cannot perturb the run.
+				if pred, perr := cfg.Predictor.Predict(core.IPCQoS, i, inputs); perr == nil {
+					r.trackPrediction(now, ss.svc.W.Name, "ipc", pred, lr.IPC)
 				}
 				_ = cfg.Predictor.Observe(core.IPCQoS, i, inputs, lr.IPC)
 			}
@@ -907,18 +900,16 @@ func (r *runner) loop() error {
 		// the pool for the next submission of the same workload.
 		for _, done := range rep.Completed {
 			if a := r.removeJob(done.ID); a != nil {
-				if r.pq != nil {
-					solo := a.dep.W.SoloDurationS
-					slowdown := 0.0
-					if solo > 0 {
-						slowdown = done.JCTS / solo
-					}
-					checked := a.sla.MaxJCTFactor > 0 && solo > 0
-					slaOK := checked && done.JCTS <= solo*a.sla.MaxJCTFactor
-					r.tracer.JobEnd(done.ID, done.Name, now, done.JCTS, slowdown, checked, slaOK)
-					if a.predJCTS > 0 {
-						r.trackPrediction(now, done.Name, "jct", a.predJCTS, done.JCTS)
-					}
+				solo := a.dep.W.SoloDurationS
+				slowdown := 0.0
+				if solo > 0 {
+					slowdown = done.JCTS / solo
+				}
+				checked := a.sla.MaxJCTFactor > 0 && solo > 0
+				slaOK := checked && done.JCTS <= solo*a.sla.MaxJCTFactor
+				r.tracer.JobEnd(done.ID, done.Name, now, done.JCTS, slowdown, checked, slaOK)
+				if a.predJCTS > 0 {
+					r.trackPrediction(now, done.Name, "jct", a.predJCTS, done.JCTS)
 				}
 				r.state.Release(a.input.Name)
 				r.jobFree[a.pool] = append(r.jobFree[a.pool], a)
@@ -1001,7 +992,7 @@ func (r *runner) reactive(simS float64, action, service string, moved int) {
 
 // trackPrediction records one predicted/observed QoS pair as a trace
 // sample and folds it into the quality tracker; a drift detection goes
-// into the trace, then the decision log. Callers gate on r.pq != nil.
+// into the trace, then the decision log.
 func (r *runner) trackPrediction(simS float64, archetype, qos string, pred, observed float64) {
 	r.tracer.PredSample(simS, archetype, qos, pred, observed)
 	d, fired := r.pq.Track(archetype, qos, pred, observed)

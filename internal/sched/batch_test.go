@@ -11,6 +11,7 @@ import (
 	"gsight/internal/perfmodel"
 	"gsight/internal/resources"
 	"gsight/internal/scenario"
+	"gsight/internal/telemetry"
 	"gsight/internal/workload"
 )
 
@@ -72,7 +73,7 @@ func TestGsightBatchMatchesSequential(t *testing.T) {
 	}
 	type decision struct {
 		placement []int
-		detail    PlacementDetail
+		detail    telemetry.PlacementDecision
 	}
 	run := func(pred core.QoSPredictor) []decision {
 		st := StateFromProfiles(spec, 8)
@@ -80,8 +81,6 @@ func TestGsightBatchMatchesSequential(t *testing.T) {
 		var out []decision
 		for _, req := range reqs {
 			r := *req
-			var d PlacementDetail
-			r.Detail = &d
 			placement, err := g.Place(st, &r)
 			if err != nil {
 				t.Fatal(err)
@@ -89,7 +88,7 @@ func TestGsightBatchMatchesSequential(t *testing.T) {
 			in := r.Input
 			in.Placement = placement
 			st.Commit(in, r.SLA)
-			out = append(out, decision{placement, d})
+			out = append(out, decision{placement, r.Detail})
 		}
 		return out
 	}
@@ -135,14 +134,15 @@ func TestGsightPredictorErrorsWithAndWithoutBatch(t *testing.T) {
 		var got [2]struct {
 			placement []int
 			err       error
-			detail    PlacementDetail
+			detail    telemetry.PlacementDecision
 		}
 		for i, pred := range []core.QoSPredictor{failingBatch{failing{err: cause}}, failing{err: cause}} {
 			st := StateFromProfiles(spec, 8)
-			req := &Request{Input: inputFor(workload.SocialNetwork(), 0.5), SLA: SLA{MinIPC: 0.4}, Detail: &got[i].detail}
+			req := &Request{Input: inputFor(workload.SocialNetwork(), 0.5), SLA: SLA{MinIPC: 0.4}}
 			got[i].placement, got[i].err = NewGsight(pred).Place(st, req)
+			got[i].detail = req.Detail
 		}
-		if !reflect.DeepEqual(got[0].placement, got[1].placement) || got[0].detail != got[1].detail {
+		if !reflect.DeepEqual(got[0].placement, got[1].placement) || !reflect.DeepEqual(got[0].detail, got[1].detail) {
 			t.Fatalf("%v: batch %+v vs loop %+v", cause, got[0], got[1])
 		}
 		for _, g := range got {

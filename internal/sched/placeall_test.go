@@ -17,11 +17,8 @@ import (
 func serialReference(st *State, s Scheduler, reqs []*Request) []PlaceResult {
 	out := make([]PlaceResult, len(reqs))
 	for i, req := range reqs {
-		var d PlacementDetail
-		req.Detail = &d
 		p, err := st.Propose(s, req)
-		req.Detail = nil
-		out[i] = PlaceResult{Placement: p, Err: err, Outcome: d.Outcome}
+		out[i] = PlaceResult{Placement: p, Err: err, Outcome: req.Detail.Outcome}
 		if err == nil {
 			in := req.Input
 			in.Placement = p

@@ -39,27 +39,12 @@ type Request struct {
 	SLA   SLA
 	// SoloDurationS supports the JCT SLA check for SC jobs.
 	SoloDurationS float64
-	// Detail, when non-nil, is filled by the scheduler with how the
-	// decision went — the observability layer points it at a reusable
-	// struct to get candidate-search context into the lifecycle trace.
-	// Leaving it nil (the default) costs nothing.
-	Detail *PlacementDetail
-}
-
-// PlacementDetail is a scheduler's account of one decision, written
-// through Request.Detail: the search effort, the outcome, and the
-// predictions that vetted the accepted candidate.
-type PlacementDetail struct {
-	Outcome      string // "placed", "fallback", "degraded", "rejected", "error"
-	Reason       string // qualifies non-"placed" outcomes
-	SpreadLevels int    // candidate spread levels tried
-	SLAChecks    int    // QoS predictions issued vetting candidates
-	// PredIPC/PredJCTS are the predictor's estimates for the accepted
-	// candidate's own workload; 0 when the decision was not vetted by
-	// a prediction (non-"placed" outcomes, no-SLA requests, or
-	// capacity-only schedulers).
-	PredIPC  float64
-	PredJCTS float64
+	// Detail is every Place call's account of its decision, the
+	// scheduler's part of the placement record: outcome and reason,
+	// search effort, the accepted candidate's predictions and the
+	// tier-0 context. The caller fills in the rest (who asked, which
+	// cluster, where it landed) before logging it.
+	Detail telemetry.PlacementDecision
 }
 
 // Deployed is a running workload the scheduler must not regress.
@@ -431,24 +416,16 @@ func (l loopBatch) PredictBatchInto(kind core.QoSKind, queries []core.Query, out
 }
 
 // decisionRecorder is the part of a scheduler that accounts for its
-// decisions: the instrument set and a scheduler-owned event so logging
-// allocates nothing. Embedded in every stock scheduler.
+// decisions in counters and histograms. Embedded in every stock
+// scheduler.
 type decisionRecorder struct {
-	name string // the scheduler's, set by instrument
-	ins  telemetry.SchedulerInstruments
-	ev   telemetry.PlacementDecision // reusable decision event
+	ins telemetry.SchedulerInstruments
 }
 
-func (r *decisionRecorder) instrument(s *telemetry.Sink, name string) {
-	r.name = name
-	r.ins = s.Scheduler(name)
-}
-
-// finish records one decision — counters, the decision-log event and
-// req.Detail — and ends the span; beyond the Detail write it is a
-// no-op when uninstrumented. t0 is the two-tier context of a pruned
-// decision, nil otherwise.
-func (r *decisionRecorder) finish(span telemetry.Span, st *State, req *Request, placement []int, d PlacementDetail, t0 *tier0Scratch) {
+// finish counts one decision, hands d to the caller as req.Detail and
+// ends the span; beyond the Detail write it is a no-op when
+// uninstrumented.
+func (r *decisionRecorder) finish(span telemetry.Span, req *Request, placement []int, d *telemetry.PlacementDecision) {
 	r.ins.Placements.Inc()
 	if placement == nil {
 		r.ins.Failures.Inc()
@@ -458,33 +435,7 @@ func (r *decisionRecorder) finish(span telemetry.Span, st *State, req *Request, 
 	}
 	r.ins.SearchIterations.Observe(float64(d.SpreadLevels))
 	r.ins.SLAChecks.Observe(float64(d.SLAChecks))
-	if r.ins.Decisions != nil {
-		r.ev = telemetry.PlacementDecision{
-			Scheduler:     r.name,
-			Workload:      req.Input.Name,
-			Class:         req.Input.Class.String(),
-			Functions:     len(req.Input.Profiles),
-			Servers:       st.NumServers(),
-			ActiveServers: st.ActiveServers(),
-			SpreadLevels:  d.SpreadLevels,
-			SLAChecks:     d.SLAChecks,
-			Outcome:       d.Outcome,
-			Reason:        d.Reason,
-			Placement:     placement,
-		}
-		if t0 != nil {
-			r.ev.Tier0 = true
-			r.ev.Tier0Kept = t0.kept
-			r.ev.Tier0Pruned = t0.pruned
-			if len(placement) > 0 {
-				r.ev.Tier0Score = t0.score[placement[0]]
-			}
-		}
-		r.ins.Decisions.Placement(&r.ev)
-	}
-	if req.Detail != nil {
-		*req.Detail = d
-	}
+	req.Detail = *d
 	span.End()
 }
 
@@ -574,7 +525,7 @@ func (g *Gsight) Name() string { return "Gsight" }
 // counters register only when two-tier placement is configured, so
 // reports from runs without pruning keep their legacy metrics snapshot.
 func (g *Gsight) Instrument(s *telemetry.Sink) {
-	g.instrument(s, g.Name())
+	g.ins = s.Scheduler(g.Name())
 	if g.Tier0 != nil && g.TopK > 0 {
 		g.t0ins = s.SchedulerTier0(g.Name())
 	}
@@ -583,22 +534,27 @@ func (g *Gsight) Instrument(s *telemetry.Sink) {
 // Place implements Scheduler.
 func (g *Gsight) Place(st *State, req *Request) ([]int, error) {
 	if st.NumServers() == 0 {
+		req.Detail = telemetry.PlacementDecision{Outcome: "error"}
 		return nil, fmt.Errorf("sched: empty cluster")
 	}
 	span := telemetry.StartSpan(g.ins.PlaceSeconds)
-	var d PlacementDetail
+	// d is local, not req.Detail: a Fallback.Place inside search writes
+	// req.Detail with its own account.
+	var d telemetry.PlacementDecision
 	out, err := g.search(st, req, &d)
-	var t0 *tier0Scratch
-	if g.t0.active {
-		t0 = &g.t0
+	if t0 := &g.t0; t0.active {
+		d.Tier0, d.Tier0Kept, d.Tier0Pruned = true, t0.kept, t0.pruned
+		if len(out) > 0 {
+			d.Tier0Score = t0.score[out[0]]
+		}
 	}
-	g.finish(span, st, req, out, d, t0)
+	g.finish(span, req, out, &d)
 	return out, err
 }
 
 // search is the binary search over spatial overlap. It accounts for
 // the decision in d; Place records it.
-func (g *Gsight) search(st *State, req *Request, d *PlacementDetail) ([]int, error) {
+func (g *Gsight) search(st *State, req *Request, d *telemetry.PlacementDecision) ([]int, error) {
 	s := st.NumServers()
 	// Candidate server order: online servers only, busiest (least free
 	// CPU) first — packing onto already-active servers minimizes
@@ -916,19 +872,19 @@ func NewBestFit(p core.QoSPredictor) *BestFit {
 func (b *BestFit) Name() string { return "BestFit" }
 
 // Instrument attaches a telemetry sink (nil-safe, decision-neutral).
-func (b *BestFit) Instrument(s *telemetry.Sink) { b.instrument(s, b.Name()) }
+func (b *BestFit) Instrument(s *telemetry.Sink) { b.ins = s.Scheduler(b.Name()) }
 
 // Place implements Scheduler.
 func (b *BestFit) Place(st *State, req *Request) ([]int, error) {
 	span := telemetry.StartSpan(b.ins.PlaceSeconds)
-	d := PlacementDetail{SpreadLevels: 1}
+	d := telemetry.PlacementDecision{SpreadLevels: 1}
 	out, err := b.search(st, req, &d)
-	b.finish(span, st, req, out, d, nil)
+	b.finish(span, req, out, &d)
 	return out, err
 }
 
 // search is the best-fit packing; it accounts for the decision in d.
-func (b *BestFit) search(st *State, req *Request, d *PlacementDetail) ([]int, error) {
+func (b *BestFit) search(st *State, req *Request, d *telemetry.PlacementDecision) ([]int, error) {
 	in := &req.Input
 	n := len(in.Profiles)
 	placement := make([]int, n)
@@ -1003,17 +959,17 @@ func NewWorstFit() *WorstFit { return &WorstFit{} }
 func (w *WorstFit) Name() string { return "WorstFit" }
 
 // Instrument attaches a telemetry sink (nil-safe, decision-neutral).
-func (w *WorstFit) Instrument(s *telemetry.Sink) { w.instrument(s, w.Name()) }
+func (w *WorstFit) Instrument(s *telemetry.Sink) { w.ins = s.Scheduler(w.Name()) }
 
 // Place implements Scheduler.
 func (w *WorstFit) Place(st *State, req *Request) ([]int, error) {
 	span := telemetry.StartSpan(w.ins.PlaceSeconds)
-	d := PlacementDetail{Outcome: "placed", SpreadLevels: 1}
+	d := telemetry.PlacementDecision{Outcome: "placed", SpreadLevels: 1}
 	out, err := w.search(st, req)
 	if err != nil {
 		d.Outcome, d.Reason = "rejected", "no-fit"
 	}
-	w.finish(span, st, req, out, d, nil)
+	w.finish(span, req, out, &d)
 	return out, err
 }
 

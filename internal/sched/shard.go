@@ -45,13 +45,11 @@ import (
 const windowBase = 8
 
 // proposeScratch is the reusable workspace of one proposal ladder: the
-// projected window sub-state, the placement-translation arena and the
-// outcome detail attached to requests whose caller passed none.
+// projected window sub-state and the placement-translation arena.
 type proposeScratch struct {
 	sub     State
 	offline []bool
 	arena   []int
-	detail  PlacementDetail
 }
 
 // proposal is one request's placement as read from the state: the
@@ -92,7 +90,8 @@ func fnv32(s string) uint32 {
 }
 
 // propose runs the window ladder for one request and fills p with the
-// outcome, the accepted window and the sequence number it was read at.
+// outcome, the accepted window and the sequence number it was read at;
+// req.Detail is left holding the accepted attempt's account.
 //
 // Ladder policy: start at the request's home window; widen on
 // ErrNoPlacement (nothing fits / every feasible spread violates an
@@ -110,15 +109,6 @@ func (st *State) propose(s Scheduler, req *Request, scr *proposeScratch, p *prop
 		p.err = fmt.Errorf("sched: empty cluster")
 		return
 	}
-	// Outcome inspection needs a detail record; lend the scratch one to
-	// callers that passed none and restore their nil afterwards.
-	callerDetail := req.Detail
-	if callerDetail == nil {
-		scr.detail = PlacementDetail{}
-		req.Detail = &scr.detail
-	}
-	defer func() { req.Detail = callerDetail }()
-
 	h := int(fnv32(req.Input.Name) % uint32(n))
 	for w := windowBase; ; w *= 2 {
 		if w >= n {
@@ -135,8 +125,7 @@ func (st *State) propose(s Scheduler, req *Request, scr *proposeScratch, p *prop
 			if errors.Is(err, ErrNoPlacement) {
 				continue // spill to neighbors: double the window
 			}
-			p.err = err
-			p.outcome = req.Detail.Outcome
+			p.err, p.outcome = err, req.Detail.Outcome
 			return
 		}
 		if req.Detail.Outcome == "fallback" {
@@ -241,7 +230,7 @@ type PlaceResult struct {
 	Placement []int
 	// Err is the scheduler's own error for this request, if any.
 	Err error
-	// Outcome mirrors PlacementDetail.Outcome.
+	// Outcome mirrors the request's Detail.Outcome.
 	Outcome string
 	// Retries is 1 when the parallel proposal went stale and the
 	// request was re-proposed in the commit pass, 0 otherwise.
@@ -275,7 +264,8 @@ func NewPlacerPool(st *State, workers int, factory func() Scheduler) *PlacerPool
 	return p
 }
 
-// PlaceAll places reqs and returns results lined up with them. The
+// PlaceAll places reqs and returns results lined up with them; each
+// request's Detail holds its decision's account. The
 // outcome — placements, errors, final state — is that of serial
 // Propose+Commit over reqs in order, at any worker count and however a
 // request stream is cut into batches:

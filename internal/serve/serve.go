@@ -829,7 +829,6 @@ func (s *Server) commitBatch(batch []*pending) error {
 			return nil
 		}
 		reqs := make([]*sched.Request, len(placeRun))
-		details := make([]sched.PlacementDetail, len(placeRun))
 		for i, p := range placeRun {
 			name := fmt.Sprintf("%s#%d", p.arch, nextSeq+uint64(i)+1)
 			if p.order > 0 {
@@ -839,7 +838,6 @@ func (s *Server) commitBatch(batch []*pending) error {
 			if err != nil {
 				return err // handler validates archetypes; this is a bug
 			}
-			req.Detail = &details[i]
 			reqs[i] = req
 		}
 		results := s.pool.PlaceAll(reqs)
@@ -848,14 +846,14 @@ func (s *Server) commitBatch(batch []*pending) error {
 			if err := s.tick(); err != nil {
 				return err
 			}
-			res := &results[i]
+			res, d := &results[i], &reqs[i].Detail
 			s.met.conflicts.Add(uint64(res.Retries))
 			pr := &placeRecord{
 				Workload: p.arch,
 				QPSFrac:  reqs[i].Input.QPSFrac,
 				Name:     reqs[i].Input.Name,
 				Outcome:  res.Outcome,
-				Reason:   details[i].Reason,
+				Reason:   d.Reason,
 			}
 			if res.Err != nil {
 				if pr.Outcome == "" {
@@ -866,8 +864,7 @@ func (s *Server) commitBatch(batch []*pending) error {
 				}
 			} else {
 				pr.Placement = res.Placement
-				pr.PredIPC = details[i].PredIPC
-				pr.PredJCTS = details[i].PredJCTS
+				pr.PredIPC, pr.PredJCTS = d.PredIPC, d.PredJCTS
 			}
 			records = append(records, &walRecord{Seq: nextSeq, Kind: kindPlace, Order: p.order, Place: pr})
 			waiters = append(waiters, p)

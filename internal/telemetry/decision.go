@@ -105,8 +105,11 @@ func AppendInts(b []byte, key string, vs []int) []byte {
 	return append(b, ']')
 }
 
-// PlacementDecision records one scheduling decision: what was asked,
-// how hard the scheduler searched, and what it decided.
+// PlacementDecision records one placement request: what was asked,
+// how hard the scheduler searched, and what it decided. It is the one
+// placement record: a scheduler fills its part through
+// sched.Request.Detail, and the simulator completes it once per request
+// and hands it to the decision log and the lifecycle trace.
 type PlacementDecision struct {
 	Scheduler string
 	Workload  string
@@ -120,11 +123,12 @@ type PlacementDecision struct {
 	// candidates (batched checks count each query).
 	SLAChecks int
 	// Outcome is "placed", "fallback" (placed by the full-spread last
-	// resort after SLA rejections), "degraded" (placed by the fallback
-	// policy after a predictor error), "rejected" or "error".
+	// resort after SLA rejections), "degraded" (placed by a fallback
+	// policy because the predictor could not vet it), "rejected" or
+	// "error".
 	Outcome string
-	// Reason qualifies non-"placed" outcomes: "sla-violated", "no-fit"
-	// or "predictor-error".
+	// Reason qualifies non-"placed" outcomes: "sla-violated", "no-fit",
+	// "predictor-error", or the simulator's degradation reason.
 	Reason string
 	// Placement is the chosen server per function (nil when rejected).
 	Placement []int
@@ -144,6 +148,11 @@ type PlacementDecision struct {
 	// Tier0Score is the tier-0 score of the accepted placement's
 	// primary server (0 when the request was not placed).
 	Tier0Score float64
+	// PredIPC/PredJCTS are the predictor's estimates for the accepted
+	// candidate's own workload; 0 when no prediction vetted it. The
+	// trace carries them; the decision log does not.
+	PredIPC  float64
+	PredJCTS float64
 }
 
 // Placement emits a placement decision event.

@@ -65,7 +65,6 @@ type SchedulerInstruments struct {
 	SearchIterations *Histogram // binary-search spread levels tried per request
 	SLAChecks        *Histogram // QoS predictions issued per request
 	PlaceSeconds     *Histogram // wall-clock per Place call
-	Decisions        *DecisionLog
 }
 
 // Scheduler registers (or re-resolves) the instrument set for the named
@@ -81,7 +80,6 @@ func (s *Sink) Scheduler(name string) SchedulerInstruments {
 		SearchIterations: r.Histogram(p+"search_iterations", "binary-search spread levels tried per request", CountBuckets()),
 		SLAChecks:        r.Histogram(p+"sla_checks", "QoS predictions issued per request", CountBuckets()),
 		PlaceSeconds:     r.Histogram(p+"place_seconds", "wall-clock seconds per Place call", DurationBuckets()),
-		Decisions:        s.dec(),
 	}
 }
 

@@ -291,7 +291,7 @@ func TestSnapshotAndReport(t *testing.T) {
 	ins := s.Scheduler("Gsight")
 	ins.Placements.Add(5)
 	ins.PlaceSeconds.Observe(0.001)
-	ins.Decisions.Placement(&PlacementDecision{Scheduler: "Gsight", Outcome: "placed"})
+	s.Decisions.Placement(&PlacementDecision{Scheduler: "Gsight", Outcome: "placed"})
 	rep := s.Report("test-tool", map[string]interface{}{"seed": 42}, map[string]interface{}{"ok": true})
 	if rep.Tool != "test-tool" || rep.DecisionEvents != 2 { // header + placement
 		t.Fatalf("report header wrong: %+v", rep)
@@ -313,7 +313,7 @@ func TestNopSinkIsFullyDisabled(t *testing.T) {
 	ins := nop.Scheduler("x")
 	ins.Placements.Inc()
 	ins.PlaceSeconds.Observe(1)
-	ins.Decisions.Placement(&PlacementDecision{})
+	nop.Platform().Decisions.Placement(&PlacementDecision{})
 	span := StartSpan(ins.PlaceSeconds)
 	span.End()
 	pi := nop.Predictor()
