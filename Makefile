@@ -77,12 +77,13 @@ harnesscheck:
 # merged by two cursors), no observability bundle or event twin types
 # (the simulator hands each telemetry event to the decision log and to
 # obs.Tracer), no placement record beside telemetry.PlacementDecision
-# (a scheduler fills Request.Detail and logs nothing), and no binary in cmd/ beside gsight and the
+# (a scheduler fills Request.Detail and logs nothing), no one-off tree fit
+# beside the forest's staged update, and no binary in cmd/ beside gsight and the
 # gsight-sim entry the benchmark harness builds (every tool is a
 # sub-command in internal/cli).
 nodeprecated:
-	@if grep -rnE --include='*.go' --exclude-dir=benchmark 'Deprecated:|"gsight/internal/sortx"|ClusterView|maxTxnAttempts|WithShards|FlushLog|RemoveWALsAfter|OpenAppendTruncated|ForestExport|applyRecord|placedOutcome|RetryPolicy|PlacementRetries|SchedulerTxn|ErrTxnConflict|ClusterState|\.Base\(\)|\*ShardedState\)|With(Seed|Telemetry|Fallback|Placers|TopK)\(|buildOptions|BENCH_gsight|benchhist|scripts/bench\.sh|fallbackPlace|ServeDebugHealth|PeekCheckpoint|CheckpointMeta|checkpoint-interval|StepperState|\bInjectorState\b|ExportState|parallelFor|forEachOn|ErrControllerCrashed|ControllerCrash|CheckpointConfig|PlatformCheckpoint|crashMarker|skipCrashes|platform_resumes_total|ErrUnavailable|"gsight/internal/sim"|sim\.Engine|RunUntilCtx|SimInstruments' .; then \
-		echo "nodeprecated: a retired name is back (delete the wrapper; slices.SortFunc; Place takes *State; PlaceAll has no budget or shards; telemetry.Stream syncs and truncates, persist.Store recovers the WAL chain and verifies its re-execution; predictor checkpoints are the model format; a placement asks the primary once; Place and PlaceAll share one *sched.State; the root API has one way to configure; allocation budgets are AllocsPerRun tests; Gsight.Fallback is a *WorstFit; ServeDebug is the one debug server; the simulator has no crash path and recovers by rerunning; par.For is the one worker pool; the simulator needs no event engine, its timeline is two presorted slices)"; exit 1; \
+	@if grep -rnE --include='*.go' --exclude-dir=benchmark 'Deprecated:|"gsight/internal/sortx"|ClusterView|maxTxnAttempts|WithShards|FlushLog|RemoveWALsAfter|OpenAppendTruncated|ForestExport|applyRecord|placedOutcome|RetryPolicy|PlacementRetries|SchedulerTxn|ErrTxnConflict|ClusterState|\.Base\(\)|\*ShardedState\)|With(Seed|Telemetry|Fallback|Placers|TopK)\(|buildOptions|BENCH_gsight|benchhist|scripts/bench\.sh|fallbackPlace|ServeDebugHealth|PeekCheckpoint|CheckpointMeta|checkpoint-interval|StepperState|\bInjectorState\b|ExportState|parallelFor|forEachOn|ErrControllerCrashed|ControllerCrash|CheckpointConfig|PlatformCheckpoint|crashMarker|skipCrashes|platform_resumes_total|ErrUnavailable|"gsight/internal/sim"|sim\.Engine|RunUntilCtx|SimInstruments|FitIndexed|FitSeeded' .; then \
+		echo "nodeprecated: a retired name is back (delete the wrapper; slices.SortFunc; Place takes *State; PlaceAll has no budget or shards; telemetry.Stream syncs and truncates, persist.Store recovers the WAL chain and verifies its re-execution; predictor checkpoints are the model format; a placement asks the primary once; Place and PlaceAll share one *sched.State; the root API has one way to configure; allocation budgets are AllocsPerRun tests; Gsight.Fallback is a *WorstFit; ServeDebug is the one debug server; the simulator has no crash path and recovers by rerunning; par.For is the one worker pool; the simulator needs no event engine, its timeline is two presorted slices; trees grow only inside a forest update)"; exit 1; \
 	fi
 	@extra=$$(ls cmd | grep -vxE 'gsight|gsight-sim'); if [ -n "$$extra" ]; then \
 		echo "nodeprecated: cmd/ holds $$extra (a tool is a sub-command of cmd/gsight, in internal/cli)"; exit 1; \
@@ -135,7 +136,7 @@ loc:
 # grow past the figure the last deletion pass left. A PR that removes
 # lines lowers LOC_CEILING to its own `make loc`; one that must add
 # lines says why in CHANGES.md and raises it in the same commit.
-LOC_CEILING = 23631
+LOC_CEILING = 23586
 loccheck:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loccheck: $$n non-test lines > ceiling $(LOC_CEILING)"; exit 1; \

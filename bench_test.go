@@ -306,14 +306,19 @@ func benchForestDataset(b *testing.B) ml.Dataset {
 }
 
 // BenchmarkForestTraining measures IRFR training on a paper-shaped
-// dataset with a single worker — the raw single-thread kernel, pinned
-// to Workers:1 so the number is comparable across machines.
+// dataset with a single worker — the raw single-thread kernel, run at
+// width 1 so the number is comparable across machines.
 func BenchmarkForestTraining(b *testing.B) {
 	ds := benchForestDataset(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := ml.NewForest(ml.ForestConfig{Trees: 8, Seed: uint64(i), Workers: 1, Tree: ml.TreeConfig{MTry: 96}})
-		if err := f.Fit(ds.X, ds.Y); err != nil {
+		f := ml.NewForest(ml.ForestConfig{Trees: 8, Seed: uint64(i), Tree: ml.TreeConfig{MTry: 96}})
+		u, err := f.BeginUpdate(ds.X, ds.Y)
+		if err != nil {
+			b.Fatal(err)
+		}
+		u.Run(1)
+		if err := f.FinishUpdate(u); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -77,9 +77,10 @@ type kindCapture struct {
 // capture references is written afterwards: window and pending rows are
 // immutable once handed over and trees once grown, so only the
 // containers that ARE rewritten in place are copied — the pending
-// buffer (Dataset.Reset nils its entries), the ring's slot array and
-// the forest's tree slice. A training in flight is captured by
-// reference: its trees are written once grown, and never change after.
+// buffer (a flush truncates it and Observe refills its slots), the
+// ring's slot array and the forest's tree slice. A training in flight
+// is captured by reference: its trees are written once grown, and never
+// change after.
 func (p *Predictor) Capture() (*PredictorCapture, error) {
 	c := &PredictorCapture{dim: p.coder.Dim(), ticks: p.ticks, train: p.train}
 	for k := range p.models {
@@ -129,10 +130,9 @@ func (c *PredictorCapture) Encode() []byte {
 	dst = wire.AppendU64(dst, c.ticks)
 	dst = wire.AppendBool(dst, c.train != nil)
 	if t := c.train; t != nil {
-		_, batch := t.upd.Batch()
 		dst = wire.AppendU32(dst, uint32(t.kind))
 		dst = wire.AppendU64(dst, t.due)
-		dst = wire.AppendU32(dst, uint32(len(batch)))
+		dst = wire.AppendU32(dst, uint32(len(t.Y)))
 		dst = t.upd.AppendTo(dst)
 	}
 	return dst
@@ -334,8 +334,9 @@ func (p *Predictor) RestoreCheckpoint(blob []byte) error {
 	p.ticks = d.Ticks
 	if in := d.Install; in != nil {
 		f, _ := forestOf(p.models[in.Kind])
-		p.train = &training{kind: in.Kind, due: in.Due,
-			model: p.models[in.Kind].(ml.Staged), upd: f.ResumeUpdate(d.install)}
+		t := &training{kind: in.Kind, due: in.Due, upd: f.ResumeUpdate(d.install)}
+		t.X, t.Y = t.upd.Batch()
+		p.train = t
 		p.lins.InFlight.Set(1)
 	}
 	if p.tier0 != nil {

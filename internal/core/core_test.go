@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -362,6 +364,51 @@ func TestPredictorFlushBeforeTrain(t *testing.T) {
 	}
 	if math.Abs(got-200) > 40 {
 		t.Fatalf("prediction %v, want ~200", got)
+	}
+}
+
+// TestTrainObservationsRefusesSecondTraining: TrainObservations is a
+// kind's first training only. On a kind trained by it, or by a flush —
+// installed, or still in flight beside the caller, which it installs
+// first — it returns ErrTrained, and the model is the one its last
+// training installed.
+func TestTrainObservationsRefusesSecondTraining(t *testing.T) {
+	boot, ref := ckptPredictor(4), ckptPredictor(4)
+	lagged, lagRef := lagPredictor(4, 6), lagPredictor(4, 6)
+	for _, p := range []*Predictor{boot, ref} {
+		if err := p.TrainObservations(IPCQoS, tier0Bootstrap(30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []*Predictor{lagged, lagRef} {
+		for i := 0; i < 10; i++ { // the 10th observation's IPC flush trains beside the caller
+			learnObs(t, p, i)
+		}
+		if _, ok := p.InstallDue(); !ok {
+			t.Fatal("no training in flight")
+		}
+	}
+	if err := lagRef.settle(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		p, ref *Predictor
+	}{{"bootstrapped", boot, ref}, {"flushed", lagged, lagRef}} {
+		if err := c.p.TrainObservations(IPCQoS, tier0Bootstrap(20)); !errors.Is(err, ErrTrained) {
+			t.Fatalf("%s: second training returned %v, want ErrTrained", c.name, err)
+		}
+		got, err := c.p.CheckpointState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.ref.CheckpointState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the refused training left a different model", c.name)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,14 +70,17 @@ type Config struct {
 	// reproduces the paper's Figure 13 behaviour, where a regime shift
 	// in absolute IPC costs 43.9% error.
 	AbsoluteTargets bool
-	// InstallLag, when > 0, trains a forest flush beside the caller:
-	// the flush absorbs the batch and draws its randomness, the trees
-	// grow on a background goroutine, and they install — with tier-0's
-	// ingest, the sample count and the predictor_update event — at the
-	// InstallLag-th Tick after the flush's own, the caller blocking only
-	// if training has not finished by then. A flush while another is in
-	// flight installs that one first. 0 (every caller but the serving
-	// daemon) trains and installs inline.
+	// InstallLag decides where a flush's trees grow and when they
+	// install, never what a forest learns: every training begins on the
+	// caller (the batch absorbed, its randomness drawn), grows its trees
+	// and installs them with tier-0's ingest, the sample count and the
+	// predictor_update event. At > 0 a flush's trees grow on a
+	// background goroutine and install at the InstallLag-th Tick after
+	// the flush's own, the caller blocking only if training has not
+	// finished by then; a flush while another is in flight installs that
+	// one first. At <= 0 (every caller but the serving daemon), for
+	// TrainObservations and for a batch past the forest's window, both
+	// happen on the caller, at once.
 	InstallLag int
 }
 
@@ -130,12 +134,17 @@ type Predictor struct {
 	ev   telemetry.PredictorUpdate // reusable training event
 }
 
-// training is one flush between its begin and its install.
+// training is one batch between its begin and its install: a forest's
+// staged update, or no update for a model that is not a forest, which
+// learned the batch before its install.
 type training struct {
-	kind  QoSKind
-	due   uint64 // the Tick that installs it
-	model ml.Staged
-	upd   *ml.ForestUpdate
+	kind QoSKind
+	due  uint64 // the Tick that installs it, when it grows beside the caller
+	upd  *ml.ForestUpdate
+	// X and Y are the batch. Y is read for its length, and as tier-0's
+	// labels on the IPC kind, whose forest no log wraps.
+	X [][]float64
+	Y []float64
 }
 
 // LearnerInstruments time the background learner (Config.InstallLag >
@@ -239,8 +248,7 @@ func (p *Predictor) tier0Rows() ([][]float64, []float64) {
 	}
 	X, Y := f.Window()
 	if t := p.train; t != nil && t.kind == IPCQoS {
-		_, batch := t.upd.Batch()
-		n := len(Y) - len(batch)
+		n := len(Y) - len(t.Y)
 		X, Y = X[:n], Y[:n]
 	}
 	return X, Y
@@ -285,39 +293,39 @@ func (p *Predictor) refFor(kind QoSKind, target int, ws []WorkloadInput) float64
 	return 1
 }
 
-// TrainObservations encodes and fits labeled colocations — the offline
-// bootstrap phase over raw observations (steps ❷-❸ in Figure 6).
+// ErrTrained is returned by TrainObservations for a kind that has
+// already trained: a trained kind learns further batches through
+// Observe and Flush.
+var ErrTrained = errors.New("core: model already trained")
+
+// TrainObservations encodes labeled colocations and trains kind's model
+// on them at once — the offline bootstrap phase over raw observations
+// (steps ❷-❸ in Figure 6). It is a kind's first training, through the
+// same staged update and install as every flush; on a kind that has
+// trained it returns ErrTrained.
 func (p *Predictor) TrainObservations(kind QoSKind, obs []Observation) error {
 	if err := p.settle(); err != nil {
 		return err
 	}
+	if p.trained[kind] {
+		return fmt.Errorf("%w: %v", ErrTrained, kind)
+	}
 	span := telemetry.StartSpan(p.ins.UpdateSeconds)
+	defer span.End()
 	// Rows are encoded on the pool, each into its own slot.
-	ds := ml.Dataset{X: make([][]float64, len(obs)), Y: make([]float64, len(obs))}
+	X, Y := make([][]float64, len(obs)), make([]float64, len(obs))
 	if err := par.For(context.Background(), runtime.GOMAXPROCS(0), len(obs), func(_, i int) error {
 		o := &obs[i]
 		x, err := p.coder.Encode(o.Target, o.Inputs)
 		if err != nil {
 			return err
 		}
-		ds.X[i], ds.Y[i] = x, o.Label/p.refFor(kind, o.Target, o.Inputs)
+		X[i], Y[i] = x, o.Label/p.refFor(kind, o.Target, o.Inputs)
 		return nil
 	}); err != nil {
 		return err
 	}
-	if err := p.models[kind].Fit(ds.X, ds.Y); err != nil {
-		return err
-	}
-	if kind == IPCQoS && p.tier0 != nil {
-		p.tier0.train(ds.X, ds.Y)
-	}
-	p.trained[kind] = true
-	p.seen[kind] = ds.Len()
-	if p.ins.Enabled() {
-		p.trainEvent(kind, "train", ds.Len())
-	}
-	span.End()
-	return nil
+	return p.learn(kind, X, Y, 0)
 }
 
 // ErrNotTrained marks predictions requested from a model that has not
@@ -387,44 +395,50 @@ func (p *Predictor) Flush(kind QoSKind) error {
 	}
 	span := telemetry.StartSpan(p.ins.UpdateSeconds)
 	defer span.End()
-	// Only a forest, bare or log-wrapped, trains beside the caller: the
-	// family checkpoints cover too.
-	if _, err := forestOf(p.models[kind]); p.cfg.InstallLag <= 0 || err != nil {
+	X, Y := ds.X, ds.Y
+	if p.cfg.InstallLag > 0 {
+		// A training beside the caller keeps its batch until its
+		// install, while the pending buffer refills.
+		X, Y = slices.Clone(X), slices.Clone(Y)
+	}
+	// The rows are the model's now. The buffer keeps its capacity: the
+	// update cadence makes this a steady-state hot path.
+	ds.X, ds.Y = ds.X[:0], ds.Y[:0]
+	return p.learn(kind, X, Y, p.cfg.InstallLag)
+}
+
+// learn is the one way kind's model learns the batch (X, Y). A forest,
+// bare or log-wrapped, begins its staged update here on the caller; at
+// lag > 0, for a batch the window can carry, the trees grow on a
+// background goroutine and install at the lag-th Tick after this one,
+// and otherwise they grow and install here, at once. A model that is not
+// a forest (the comparison models of Figures 5 and 9) fits or updates in
+// place instead: only forests are checkpointed or trained beside the
+// caller.
+func (p *Predictor) learn(kind QoSKind, X [][]float64, Y []float64, lag int) error {
+	m := p.models[kind]
+	if _, err := forestOf(m); err != nil {
+		apply := m.Update
 		if !p.trained[kind] {
-			err = p.models[kind].Fit(ds.X, ds.Y)
-		} else {
-			err = p.models[kind].Update(ds.X, ds.Y)
+			apply = m.Fit
 		}
-		if err != nil {
+		if err := apply(X, Y); err != nil {
 			return err
 		}
-		if kind == IPCQoS && p.tier0 != nil {
-			p.tier0.absorb(ds.X, ds.Y)
-		}
-		batch := ds.Len()
-		// Keep the pending buffer's capacity: the update cadence makes
-		// this a steady-state hot path, and the rows themselves were
-		// handed to the model (never reused here).
-		ds.Reset()
-		p.installed(kind, batch)
-		return nil
+		return p.install(&training{kind: kind, X: X, Y: Y})
 	}
-	// The update keeps the batch until its install; the pending buffer
-	// refills meanwhile.
-	X, Y := append([][]float64(nil), ds.X...), append([]float64(nil), ds.Y...)
-	t := &training{kind: kind, due: p.ticks + 1 + uint64(p.cfg.InstallLag), model: p.models[kind].(ml.Staged)}
-	u, err := t.model.BeginUpdate(X, Y)
+	u, err := m.(ml.Staged).BeginUpdate(X, Y)
 	if err != nil {
 		return err
 	}
-	ds.Reset()
-	t.upd, p.train = u, t
-	if !u.InWindow() {
+	t := &training{kind: kind, due: p.ticks + 1 + uint64(lag), upd: u, X: X, Y: Y}
+	if lag <= 0 || !u.InWindow() {
 		// A batch past the window's capacity cannot be carried by a
-		// checkpoint; train it in place.
+		// checkpoint; it trains at once.
 		u.Run(0)
-		return p.install()
+		return p.install(t)
 	}
+	p.train = t
 	p.lins.InFlight.Set(1)
 	go func() {
 		span := telemetry.StartSpan(p.lins.TrainSeconds)
@@ -434,39 +448,36 @@ func (p *Predictor) Flush(kind QoSKind) error {
 	return nil
 }
 
-// installed does a flush's bookkeeping once kind's model has the batch:
-// its first (a Fit, phase "train") or a later one (an Update).
-func (p *Predictor) installed(kind QoSKind, batch int) {
+// install ends training t on the caller: a forest's FinishUpdate —
+// after waiting for Run, timed as the install wait when the trees grew
+// beside the caller — then tier-0's ingest of the batch, the sample
+// count and the predictor_update event, phase "train" for a kind's first
+// batch and "update" after.
+func (p *Predictor) install(t *training) error {
+	if p.train == t {
+		p.train = nil
+		p.lins.InFlight.Set(0)
+		span := telemetry.StartSpan(p.lins.InstallWaitSeconds)
+		t.upd.Wait()
+		span.End()
+	}
+	if t.upd != nil {
+		if err := p.models[t.kind].(ml.Staged).FinishUpdate(t.upd); err != nil {
+			return err
+		}
+	}
+	if t.kind == IPCQoS && p.tier0 != nil {
+		p.tier0.absorb(t.X, t.Y)
+	}
 	phase := "update"
-	if !p.trained[kind] {
+	if !p.trained[t.kind] {
 		phase = "train"
 	}
-	p.trained[kind] = true
-	p.seen[kind] += batch
+	p.trained[t.kind] = true
+	p.seen[t.kind] += len(t.Y)
 	if p.ins.Enabled() {
-		p.trainEvent(kind, phase, batch)
+		p.trainEvent(t.kind, phase, len(t.Y))
 	}
-}
-
-// install finishes the training in flight: it waits for Run (timed as
-// the install wait) and installs the trees, tier-0's ingest of the
-// batch, the sample count and the event.
-func (p *Predictor) install() error {
-	t := p.train
-	p.train = nil
-	p.lins.InFlight.Set(0)
-	span := telemetry.StartSpan(p.lins.InstallWaitSeconds)
-	t.upd.Wait()
-	span.End()
-	if err := t.model.FinishUpdate(t.upd); err != nil {
-		return err
-	}
-	X, Y := t.upd.Batch()
-	if t.kind == IPCQoS && p.tier0 != nil {
-		// The IPC model is the bare forest: Y are the normalized labels.
-		p.tier0.absorb(X, Y)
-	}
-	p.installed(t.kind, len(Y))
 	return nil
 }
 
@@ -475,7 +486,7 @@ func (p *Predictor) settle() error {
 	if p.train == nil {
 		return nil
 	}
-	return p.install()
+	return p.install(p.train)
 }
 
 // Tick advances the predictor's record clock by one: the serving daemon
@@ -485,7 +496,7 @@ func (p *Predictor) settle() error {
 func (p *Predictor) Tick() error {
 	p.ticks++
 	if p.train != nil && p.ticks >= p.train.due {
-		return p.install()
+		return p.install(p.train)
 	}
 	return nil
 }

@@ -111,8 +111,7 @@ func (t *Tier0) projectInto(x []float64, out []float64) {
 	}
 }
 
-// train rebuilds the scorer from a bootstrap dataset (mirrors the
-// forest's Fit, which resets its window).
+// train rebuilds the scorer from (X, Y) alone: a restored IPC window.
 func (t *Tier0) train(X [][]float64, Y []float64) {
 	t.ridge.Reset()
 	t.absorb(X, Y)

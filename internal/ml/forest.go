@@ -27,12 +27,6 @@ type ForestConfig struct {
 	// <=0 means 12000. Above 65536 Fit and Update return
 	// ErrWindowTooLarge (the kernel's per-column ranks are uint16).
 	Window int
-	// Workers bounds the tree-growing worker pool; <=0 means
-	// GOMAXPROCS. Same-seed forests are byte-identical for every value:
-	// each tree's bootstrap and split-RNG stream are drawn sequentially
-	// before the fan-out. Excluded from serialization — it describes the
-	// machine, not the model.
-	Workers int `json:"-"`
 }
 
 func (c ForestConfig) withDefaults() ForestConfig {
@@ -224,18 +218,15 @@ func (u *ForestUpdate) draw(k int) {
 // Run is the update's second stage: it rebuilds the shared split-search
 // view of the window — one candidate scan and one ranking per column,
 // amortized over every tree grown on it — and fits the trees across a
-// pool of workers goroutines (<= 0 means ForestConfig.Workers). All
-// randomness was fixed by BeginUpdate, the view is read-only during the
-// fan-out and each call writes only its own tree slot, so the trees are
-// byte-identical for every pool size. Run may be called on any
-// goroutine, exactly once.
+// pool of workers goroutines (<= 0 means GOMAXPROCS), the one fan-out
+// width of a forest's training. All randomness was fixed by
+// BeginUpdate, the view is read-only during the fan-out and each call
+// writes only its own tree slot, so the trees are byte-identical for
+// every pool size. Run may be called on any goroutine, exactly once.
 func (u *ForestUpdate) Run(workers int) {
 	defer close(u.done)
 	t0 := time.Now()
 	f := u.f
-	if workers <= 0 {
-		workers = f.cfg.Workers
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -2,15 +2,8 @@ package ml
 
 import "testing"
 
-// constTree fits a one-leaf tree predicting k everywhere.
-func constTree(t *testing.T, k float64) *Tree {
-	t.Helper()
-	tr := NewTree(TreeConfig{})
-	if err := tr.Fit([][]float64{{0}, {1}}, []float64{k, k}); err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
+// constTree is a one-leaf tree predicting k everywhere.
+func constTree(k float64) *Tree { return &Tree{dim: 1, nodes: []treeNode{{feature: -1, value: k}}} }
 
 // TestPruneKeepsBestTrees pins the single-sort prune rewrite: the
 // worst-SSE trees go (ties broken by age, oldest first, as the old
@@ -21,7 +14,7 @@ func TestPruneKeepsBestTrees(t *testing.T) {
 	// ranks 3(idx0)=3(idx2) > 2 > 1 > 0. MaxTrees=2 drops three trees:
 	// both 3s (older first) and the 2.
 	for _, k := range []float64{3, 1, 3, 0, 2} {
-		f.trees = append(f.trees, constTree(t, k))
+		f.trees = append(f.trees, constTree(k))
 	}
 	X := [][]float64{{0}, {1}}
 	y := []float64{0, 0}
@@ -40,7 +33,7 @@ func TestPruneKeepsBestTrees(t *testing.T) {
 func TestPruneNoExcessIsNoop(t *testing.T) {
 	f := NewForest(ForestConfig{Trees: 8})
 	for _, k := range []float64{2, 1} {
-		f.trees = append(f.trees, constTree(t, k))
+		f.trees = append(f.trees, constTree(k))
 	}
 	f.prune([][]float64{{0}}, []float64{0})
 	if len(f.trees) != 2 {

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -46,7 +47,7 @@ func linSynth(n, d int, seed uint64) ([][]float64, []float64) {
 	return X, y
 }
 
-func rmse(m Regressor, X [][]float64, y []float64) float64 {
+func rmse(m interface{ Predict([]float64) float64 }, X [][]float64, y []float64) float64 {
 	s := 0.0
 	for i, x := range X {
 		d := m.Predict(x) - y[i]
@@ -58,8 +59,8 @@ func rmse(m Regressor, X [][]float64, y []float64) float64 {
 func TestTreeFitsNonlinear(t *testing.T) {
 	X, y := synth(2000, 6, 1, 0)
 	Xt, yt := synth(500, 6, 2, 0)
-	tr := NewTree(TreeConfig{})
-	if err := tr.Fit(X, y); err != nil {
+	tr, err := growTree(X, y, nil, TreeConfig{}, rng.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if e := rmse(tr, Xt, yt); e > 0.8 {
@@ -73,8 +74,8 @@ func TestTreeFitsNonlinear(t *testing.T) {
 func TestTreePerfectOnConstant(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{7, 7, 7, 7}
-	tr := NewTree(TreeConfig{})
-	if err := tr.Fit(X, y); err != nil {
+	tr, err := growTree(X, y, nil, TreeConfig{}, rng.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Predict([]float64{2.5}); got != 7 {
@@ -85,16 +86,18 @@ func TestTreePerfectOnConstant(t *testing.T) {
 	}
 }
 
+// TestTreeErrors: trees grow only inside a forest update, which refuses
+// a batch no tree can grow on; an unfitted tree predicts 0.
 func TestTreeErrors(t *testing.T) {
-	tr := NewTree(TreeConfig{})
-	if err := tr.Fit(nil, nil); err == nil {
-		t.Fatal("empty fit must error")
+	f := NewForest(ForestConfig{Trees: 2})
+	if _, err := f.BeginUpdate(nil, nil); !errors.Is(err, ErrNoData) {
+		t.Fatalf("empty batch: %v, want ErrNoData", err)
 	}
-	if err := tr.Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch must error")
+	if _, err := f.BeginUpdate([][]float64{{1}}, []float64{1, 2}); !errors.Is(err, ErrDimMismatch) {
+		t.Fatalf("length mismatch: %v, want ErrDimMismatch", err)
 	}
-	if err := tr.Fit([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
-		t.Fatal("ragged features must error")
+	if _, err := f.BeginUpdate([][]float64{{1}, {1, 2}}, []float64{1, 2}); !errors.Is(err, ErrDimMismatch) {
+		t.Fatalf("ragged features: %v, want ErrDimMismatch", err)
 	}
 	if got := NewTree(TreeConfig{}).Predict([]float64{1}); got != 0 {
 		t.Fatalf("unfitted tree predicts %v", got)
@@ -104,8 +107,8 @@ func TestTreeErrors(t *testing.T) {
 func TestForestBeatsSingleTree(t *testing.T) {
 	X, y := synth(1500, 6, 3, 0.5)
 	Xt, yt := synth(500, 6, 4, 0)
-	tr := NewTree(TreeConfig{MaxDepth: 6})
-	if err := tr.Fit(X, y); err != nil {
+	tr, err := growTree(X, y, nil, TreeConfig{MaxDepth: 6}, rng.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
 	f := NewForest(ForestConfig{Trees: 30, Tree: TreeConfig{MaxDepth: 6}})
@@ -349,8 +352,8 @@ func TestScaler(t *testing.T) {
 
 func TestTreePredictConsistencyProperty(t *testing.T) {
 	X, y := synth(500, 5, 28, 0)
-	tr := NewTree(TreeConfig{})
-	if err := tr.Fit(X, y); err != nil {
+	tr, err := growTree(X, y, nil, TreeConfig{}, rng.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := y[0], y[0]

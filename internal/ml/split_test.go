@@ -55,7 +55,7 @@ func refFit(X [][]float64, y []float64, lid []int, cfg TreeConfig, rnd *rng.Rand
 
 func (r *refTree) features() []int {
 	n := len(r.active)
-	if r.rnd == nil || r.cfg.MTry >= n {
+	if r.cfg.MTry >= n {
 		return r.active
 	}
 	feat := append([]int(nil), r.active...)
@@ -203,6 +203,30 @@ func splitCase(n, d int, r *rng.Rand) ([][]float64, []float64) {
 	return X, y
 }
 
+// identity returns 0, 1, ..., n-1: every window row once, in order.
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// growTree grows one tree with cfg and rnd on the bootstrap lid (nil:
+// every row once) over a window of (X, y), through the kernel a forest
+// update runs: the window's column view, then fitFromWindow.
+func growTree(X [][]float64, y []float64, lid []int, cfg TreeConfig, rnd *rng.Rand) (*Tree, error) {
+	var wc windowColumns
+	if err := wc.build(X, y, 1); err != nil {
+		return nil, err
+	}
+	if lid == nil {
+		lid = identity(len(y))
+	}
+	tree := NewTree(cfg)
+	return tree, tree.fitFromWindow(&wc, lid, rnd)
+}
+
 // bootstrap draws n window rows with replacement.
 func bootstrap(n, w int, r *rng.Rand) []int {
 	lid := make([]int, n)
@@ -252,40 +276,6 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSplitSearchPublicFitsMatchReference covers the one-off window of
-// Tree.Fit / FitSeeded / FitIndexed: nil rnd (every active feature),
-// seeded, and an explicit index list.
-func TestSplitSearchPublicFitsMatchReference(t *testing.T) {
-	r := rng.New(7)
-	X, y := splitCase(300, 11, r)
-	tree := NewTree(TreeConfig{})
-	if err := tree.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := diffTrees(tree, refFit(X, y, identity(300), TreeConfig{}, nil)); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	cfg := TreeConfig{MTry: 4}
-	tree = NewTree(cfg)
-	if err := tree.FitSeeded(X, y, rng.New(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := diffTrees(tree, refFit(X, y, identity(300), cfg, rng.New(5))); err != nil {
-		t.Fatalf("FitSeeded: %v", err)
-	}
-	lid := bootstrap(200, 300, r)
-	tree = NewTree(cfg)
-	if err := tree.FitIndexed(X, y, lid, rng.New(6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := diffTrees(tree, refFit(X, y, lid, cfg, rng.New(6))); err != nil {
-		t.Fatalf("FitIndexed: %v", err)
-	}
-	if err := tree.FitIndexed(X, y, []int{0, 300}, nil); err == nil {
-		t.Fatal("FitIndexed accepted an index past the last row")
-	}
-}
-
 // leafOf returns the node x ends in when routed the way Predict routes.
 func leafOf(nodes []treeNode, x []float64) int32 {
 	n := int32(0)
@@ -326,8 +316,8 @@ func TestSplitThresholdRoutesTrainingRows(t *testing.T) {
 		y[i] = float64(k[0]) + float64(k[1]%3) + float64(k[2])*math.Copysign(1, huge) - float64(k[3]) + r.Norm(0, 0.1)
 	}
 	for ci, cfg := range []TreeConfig{{MinLeaf: 1}, {MTry: 2, MinLeaf: 1, MaxSplitVal: 1000}, {}} {
-		tree := NewTree(cfg)
-		if err := tree.FitSeeded(X, y, rng.New(3)); err != nil {
+		tree, err := growTree(X, y, nil, cfg, rng.New(3))
+		if err != nil {
 			t.Fatal(err)
 		}
 		ref := refFit(X, y, identity(n), cfg, rng.New(3))
@@ -349,7 +339,7 @@ func TestSplitSearchRingWrappedWindow(t *testing.T) {
 	r := rng.New(31)
 	const win, pushed = 180, 250
 	X, y := splitCase(pushed, 11, r)
-	f := NewForest(ForestConfig{Window: win, Workers: 2})
+	f := NewForest(ForestConfig{Window: win})
 	f.absorb(X, y)
 	if f.buf.head == 0 {
 		t.Fatal("window did not wrap")
@@ -380,14 +370,14 @@ func TestWindowRowLimit(t *testing.T) {
 		X[i] = []float64{float64(i)}
 		y[i] = float64(i)
 	}
-	tree := NewTree(TreeConfig{MaxDepth: 3})
-	if err := tree.Fit(X[:maxWindowRows], y[:maxWindowRows]); err != nil {
+	tree, err := growTree(X[:maxWindowRows], y[:maxWindowRows], nil, TreeConfig{MaxDepth: 3}, rng.New(1))
+	if err != nil {
 		t.Fatalf("fit on %d rows: %v", maxWindowRows, err)
 	}
 	if lo, hi := tree.Predict(X[0]), tree.Predict(X[maxWindowRows-1]); len(tree.nodes) != 15 || hi-lo < maxWindowRows/2 {
 		t.Fatalf("tree on %d distinct rows: %d nodes, predicts %v..%v", maxWindowRows, len(tree.nodes), lo, hi)
 	}
-	if err := tree.Fit(X, y); !errors.Is(err, ErrWindowTooLarge) {
+	if _, err := growTree(X, y, nil, TreeConfig{MaxDepth: 3}, rng.New(1)); !errors.Is(err, ErrWindowTooLarge) {
 		t.Fatalf("fit on %d rows: err = %v, want ErrWindowTooLarge", len(X), err)
 	}
 

@@ -20,14 +20,20 @@ func forestBytes(f *Forest) []byte { return f.Capture().AppendTo(nil) }
 func TestForestParallelFitByteIdentical(t *testing.T) {
 	X, y := synth(400, 8, 17, 0.2)
 	build := func(workers int) *Forest {
-		f := NewForest(ForestConfig{Trees: 12, Seed: 7, UpdateTrees: 4, Window: 260, Workers: workers})
-		if err := f.Fit(X[:220], y[:220]); err != nil {
-			t.Fatal(err)
-		}
-		for lo := 220; lo < 400; lo += 30 {
-			if err := f.Update(X[lo:lo+30], y[lo:lo+30]); err != nil {
+		f := NewForest(ForestConfig{Trees: 12, Seed: 7, UpdateTrees: 4, Window: 260})
+		learn := func(X [][]float64, y []float64) { // a Fit first, then Updates
+			u, err := f.BeginUpdate(X, y)
+			if err != nil {
 				t.Fatal(err)
 			}
+			u.Run(workers)
+			if err := f.FinishUpdate(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		learn(X[:220], y[:220])
+		for lo := 220; lo < 400; lo += 30 {
+			learn(X[lo:lo+30], y[lo:lo+30])
 		}
 		if f.buf.head == 0 {
 			t.Fatal("window did not wrap")

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"fmt"
-
-	"gsight/internal/rng"
-)
+import "gsight/internal/rng"
 
 // TreeConfig parameterizes CART regression tree growth.
 type TreeConfig struct {
@@ -56,49 +52,6 @@ type Tree struct {
 
 // NewTree returns an untrained tree with the given configuration.
 func NewTree(cfg TreeConfig) *Tree { return &Tree{cfg: cfg} }
-
-// Fit grows the tree on (X, y). A nil rnd makes feature subsampling
-// deterministic (all features considered).
-func (t *Tree) Fit(X [][]float64, y []float64) error { return t.FitSeeded(X, y, nil) }
-
-// FitSeeded grows the tree using rnd for feature subsampling.
-func (t *Tree) FitSeeded(X [][]float64, y []float64, rnd *rng.Rand) error {
-	return t.FitIndexed(X, y, nil, rnd)
-}
-
-// FitIndexed grows the tree on the samples X[idx[0]], X[idx[1]], ...
-// (duplicates allowed): a bootstrap resample is just an index list into
-// the shared training set. A nil idx means every row once, in order.
-// The tree does not retain idx. It is a one-off window fit: (X, y) is
-// prepared as a windowColumns and grown by the same kernel the forest
-// uses, so X may hold at most 65536 rows (ErrWindowTooLarge).
-func (t *Tree) FitIndexed(X [][]float64, y []float64, idx []int, rnd *rng.Rand) error {
-	if err := checkXY(X, y); err != nil {
-		return err
-	}
-	if idx == nil {
-		idx = identity(len(y))
-	}
-	for _, i := range idx {
-		if uint(i) >= uint(len(y)) {
-			return fmt.Errorf("ml: bootstrap index %d outside the %d training rows", i, len(y))
-		}
-	}
-	var wc windowColumns
-	if err := wc.build(X, y, 1); err != nil {
-		return err
-	}
-	return t.fitFromWindow(&wc, idx, rnd)
-}
-
-// identity returns 0, 1, ..., n-1.
-func identity(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
 
 // fitFromWindow grows the tree on the bootstrap lid — logical window
 // row indices, duplicates allowed — over a prepared window. All
@@ -321,7 +274,7 @@ func (t *Tree) sampleFeatures(s *fitScratch, rnd *rng.Rand) []int {
 	if n == 0 {
 		return nil
 	}
-	if rnd == nil || t.cfg.MTry >= n {
+	if t.cfg.MTry >= n {
 		return s.active
 	}
 	feat := s.feat[:n]

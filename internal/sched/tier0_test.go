@@ -142,13 +142,14 @@ func TestTwoTierCacheInvalidationOnIngest(t *testing.T) {
 		t.Fatalf("cached generation %d, scorer at %d", genBefore, p.Tier0().Gen())
 	}
 
-	// Ingest: retraining absorbs a batch and must invalidate the cache.
-	obs := []core.Observation{}
+	// Ingest: a flushed observation batch must invalidate the cache.
 	in := []core.WorkloadInput{inputFor(workload.MatMul(), 0), inputFor(workload.DD(), 0)}
 	for i := 0; i < 30; i++ {
-		obs = append(obs, core.Observation{Target: 0, Inputs: in, Label: 1.5 - 0.01*float64(i%4)})
+		if err := p.Observe(core.IPCQoS, 0, in, 1.5-0.01*float64(i%4)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.TrainObservations(core.IPCQoS, obs); err != nil {
+	if err := p.Flush(core.IPCQoS); err != nil {
 		t.Fatal(err)
 	}
 	if p.Tier0().Gen() == genBefore {

@@ -1,16 +1,19 @@
-// Command deadnames fails when the module declares a name that no
+// Command deadnames fails when the module declares a name that no live
 // non-test code references: a package-level function, type, variable or
 // constant, or a method, declared in a non-test file of the root
-// module, with no reference from a non-test file anywhere in the tree —
-// product code, examples, scripts, or a nested module such as
-// benchmark/. A reference from a _test.go file does not count: a name
-// only tests reach is deleted with those tests, or moves into them. A
-// method counts as referenced when its receiver implements an interface
-// (declared in non-test code of the module, in a package it imports, or
-// written inline in a type assertion) that has the method, since calls
-// through the interface name no concrete method. Names of the root
-// package also count as referenced when the root's README.md shows them
-// as gsight.Name, because the README is where library users find them.
+// module. Liveness starts at the non-test code outside the module's
+// declarations — main and init functions, blank variables, examples
+// and scripts run as programs, a nested module such as benchmark/ — and
+// follows references transitively, so a name only dead names reference
+// is dead too, cycles of them included. A reference from a _test.go
+// file does not count: a name only tests reach is deleted with those
+// tests, or moves into them. A method is live when its receiver
+// implements an interface (declared in non-test code of the module, in a
+// package it imports, or written inline in a type assertion) that has
+// the method, since calls through the interface name no concrete method.
+// Names of the root package are live when the root's README.md shows
+// them as gsight.Name, because the README is where library users find
+// them.
 //
 //	go run ./scripts/deadnames ROOT
 //
@@ -57,8 +60,8 @@ func main() {
 	}
 }
 
-// find returns the declarations of the module at root that no non-test
-// code references, in file and line order.
+// find returns the declarations of the module at root that no live
+// non-test code references, in file and line order.
 func find(root string) ([]decl, error) {
 	l := &loader{fset: token.NewFileSet(), dirs: map[string]*build.Package{}, module: map[string]string{},
 		cache: map[string]*types.Package{}, parsed: map[string]*ast.File{}}
@@ -67,15 +70,11 @@ func find(root string) ([]decl, error) {
 	if err != nil {
 		return nil, err
 	}
-	dead, err := l.check(mainMod)
-	if err != nil {
-		return nil, err
-	}
 	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	return dropDocumented(dead, mainMod, readme), nil
+	return l.check(mainMod, documented(mainMod, readme))
 }
 
 type loader struct {
@@ -178,8 +177,11 @@ type decl struct {
 }
 
 // check type-checks every package with its tests and returns the root
-// module's declarations that no identifier in a non-test file uses.
-func (l *loader) check(mainMod string) ([]decl, error) {
+// module's declarations that live non-test code does not use. The keys
+// in live are live from the start, as are the methods an interface
+// calls and whatever non-test code outside the module's declarations
+// uses; a name is live when a live declaration uses it.
+func (l *loader) check(mainMod string, live map[string]bool) ([]decl, error) {
 	paths := make([]string, 0, len(l.dirs))
 	for p := range l.dirs {
 		paths = append(paths, p)
@@ -239,16 +241,46 @@ func (l *loader) check(mainMod string) ([]decl, error) {
 	}
 	ifaces["error"] = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-	var dead []decl
+	// Every use of a declared name is an edge from the declaration whose
+	// body holds it; a use outside them all makes the name live at once.
+	byFile := map[string][]*decl{}
+	for i := range decls {
+		d := &decls[i]
+		byFile[d.pos.Filename] = append(byFile[d.pos.Filename], d)
+		if d.method != nil && satisfies(d.method, ifaces) {
+			live[d.key] = true
+		}
+	}
+	usedBy := map[string][]string{}
+	var queue []string
+	for k := range live {
+		queue = append(queue, k)
+	}
 	for _, d := range decls {
-		used := false
 		for _, u := range uses[d.key] {
-			if u.Filename != d.pos.Filename || u.Offset < d.body[0] || u.Offset >= d.body[1] {
-				used = true
-				break
+			if from := enclosing(byFile[u.Filename], u.Offset); from == "" {
+				if !live[d.key] {
+					live[d.key] = true
+					queue = append(queue, d.key)
+				}
+			} else if from != d.key {
+				usedBy[from] = append(usedBy[from], d.key)
 			}
 		}
-		if !used && (d.method == nil || !satisfies(d.method, ifaces)) {
+	}
+	for len(queue) > 0 {
+		k := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, to := range usedBy[k] {
+			if !live[to] {
+				live[to] = true
+				queue = append(queue, to)
+			}
+		}
+	}
+	var dead []decl
+	for _, d := range decls {
+		if !live[d.key] {
 			dead = append(dead, d)
 		}
 	}
@@ -378,19 +410,24 @@ func key(obj types.Object) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
-// dropDocumented removes the root-package names the README mentions as
-// gsight.Name.
-func dropDocumented(dead []decl, mainMod string, readme []byte) []decl {
+// enclosing returns the key of the declaration among ds whose body holds
+// offset, or "" when none does.
+func enclosing(ds []*decl, offset int) string {
+	for _, d := range ds {
+		if d.body[0] <= offset && offset < d.body[1] {
+			return d.key
+		}
+	}
+	return ""
+}
+
+// documented returns the keys of the root-package names the README
+// mentions as gsight.Name.
+func documented(mainMod string, readme []byte) map[string]bool {
 	mentioned := map[string]bool{}
 	re := regexp.MustCompile(regexp.QuoteMeta(mainMod) + `\.([A-Z]\w*)`)
 	for _, m := range re.FindAllSubmatch(readme, -1) {
 		mentioned[mainMod+"."+string(m[1])] = true
 	}
-	out := dead[:0]
-	for _, d := range dead {
-		if !mentioned[d.key] {
-			out = append(out, d)
-		}
-	}
-	return out
+	return mentioned
 }

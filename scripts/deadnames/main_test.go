@@ -26,3 +26,22 @@ func TestFindCountsOnlyNonTestReferences(t *testing.T) {
 		t.Fatalf("reported %v, want %v", got, want)
 	}
 }
+
+// TestFindFollowsLivenessTransitively runs the rule over
+// testdata/chain: liveness starts at cmd/run's main, so a name only
+// dead names reference is dead, and so is a cycle nothing live enters.
+func TestFindFollowsLivenessTransitively(t *testing.T) {
+	dead, err := find("testdata/chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range dead {
+		got = append(got, d.name)
+	}
+	// Live (from main) and viaLive (from Live) are not reported.
+	want := []string{"deadRoot", "onlyFromDead", "cycleA", "cycleB", "Grid", "Grid.Cells", "gridOfDead"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("reported %v, want %v", got, want)
+	}
+}
