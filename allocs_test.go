@@ -154,14 +154,14 @@ func TestInferenceAllocNeutral(t *testing.T) {
 	allocBudget(t, "instrumented PredictBatchInto", 0, batched)
 }
 
-// TestEncodeAllocBudget pins BenchmarkEncode at 1 alloc/op: the code
-// vector Encode returns.
+// TestEncodeAllocBudget pins BenchmarkEncode at 1 alloc/op: the fresh
+// code vector it encodes into, as the predictor's Observe does.
 func TestEncodeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor bootstrap is slow")
 	}
 	_, obs := trainedPredictor(t)
-	allocBudget(t, "Coder.Encode", 1, encodeOp(t, obs))
+	allocBudget(t, "Coder.EncodeInto", 1, encodeOp(t, obs))
 }
 
 // TestScenarioEvaluationAllocBudget pins BenchmarkScenarioEvaluation at

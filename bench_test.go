@@ -238,7 +238,8 @@ func encodeOp(tb testing.TB, obs []core.Observation) func(int) {
 	coder := core.DefaultCoder()
 	return func(i int) {
 		o := obs[i%len(obs)]
-		if _, err := coder.Encode(o.Target, o.Inputs); err != nil {
+		x := make([]float64, coder.Dim())
+		if err := coder.EncodeInto(x, o.Target, o.Inputs); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -296,8 +297,8 @@ func benchForestDataset(b *testing.B) ml.Dataset {
 	coder := core.DefaultCoder()
 	var ds ml.Dataset
 	for _, o := range obs {
-		x, err := coder.Encode(o.Target, o.Inputs)
-		if err != nil {
+		x := make([]float64, coder.Dim())
+		if err := coder.EncodeInto(x, o.Target, o.Inputs); err != nil {
 			b.Fatal(err)
 		}
 		ds.Append(x, o.Label)
@@ -351,8 +352,8 @@ func BenchmarkBootstrapFit(b *testing.B) {
 	coder := core.DefaultCoder()
 	var ds ml.Dataset
 	for _, o := range bootstrapIPCObservations(b, g, 200) {
-		x, err := coder.Encode(o.Target, o.Inputs)
-		if err != nil {
+		x := make([]float64, coder.Dim())
+		if err := coder.EncodeInto(x, o.Target, o.Inputs); err != nil {
 			b.Fatal(err)
 		}
 		ds.Append(x, o.Label)

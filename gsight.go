@@ -4,9 +4,10 @@
 // spatial-temporal interference coding over solo-run function profiles,
 // learned by an incremental random forest — together with the
 // binary-search scheduler built on it, the ESP/Pythia comparison
-// predictors, and a simulated 8-node serverless testbed (performance
-// model, OpenFaaS-style platform, Azure-like traces) that regenerates
-// every table and figure of the paper's evaluation.
+// predictors (the same Predictor on their own features and models),
+// and a simulated 8-node serverless testbed (performance model,
+// OpenFaaS-style platform, Azure-like traces) that regenerates every
+// table and figure of the paper's evaluation.
 //
 // This root package re-exports the library's public surface; the
 // implementation lives under internal/ (see DESIGN.md for the module
@@ -28,7 +29,6 @@ package gsight
 import (
 	"context"
 
-	"gsight/internal/baselines"
 	"gsight/internal/core"
 	"gsight/internal/faults"
 	"gsight/internal/perfmodel"
@@ -46,7 +46,8 @@ type (
 	Predictor = core.Predictor
 	// PredictorConfig parameterizes NewPredictor.
 	PredictorConfig = core.Config
-	// QoSPredictor is the interface Gsight shares with the baselines.
+	// QoSPredictor is the interface Gsight shares with the baselines;
+	// Predictor implements it for all of them.
 	QoSPredictor = core.QoSPredictor
 	// Observation is one labeled colocation.
 	Observation = core.Observation
@@ -70,7 +71,7 @@ func NewPredictor(cfg PredictorConfig) *Predictor { return core.NewPredictor(cfg
 
 // NewPythia builds the Pythia baseline predictor (workload-level linear
 // regression; Table 2 comparisons).
-var NewPythia = baselines.NewPythia
+var NewPythia = core.NewPythia
 
 // Workload modeling.
 type (

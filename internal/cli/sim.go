@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"gsight/internal/baselines"
 	"gsight/internal/core"
 	"gsight/internal/faults"
 	"gsight/internal/obs"
@@ -133,7 +132,7 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		}
 		scheduler = g
 	case "bestfit":
-		p := baselines.NewPythia(c.seed)
+		p := core.NewPythia(c.seed)
 		pred = p
 		scheduler = sched.NewBestFit(p)
 	case "worstfit":
@@ -144,8 +143,8 @@ func (c *simCmd) simulate(ctx context.Context) error {
 	if in, ok := scheduler.(interface{ Instrument(*telemetry.Sink) }); ok {
 		in.Instrument(c.sink)
 	}
-	if in, ok := pred.(interface{ Instrument(*telemetry.Sink) }); ok {
-		in.Instrument(c.sink)
+	if p, ok := onlinePred.(*core.Predictor); ok {
+		p.Instrument(c.sink) // the offline baseline stays uninstrumented
 	}
 
 	durationS := c.hours * 3600

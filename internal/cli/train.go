@@ -8,14 +8,12 @@ import (
 	"os"
 	"time"
 
-	"gsight/internal/baselines"
 	"gsight/internal/core"
 	"gsight/internal/experiments"
 	"gsight/internal/perfmodel"
 	"gsight/internal/persist"
 	"gsight/internal/resources"
 	"gsight/internal/scenario"
-	"gsight/internal/telemetry"
 )
 
 // trainCmd is `gsight train`: it generates a labeled colocation dataset
@@ -61,33 +59,33 @@ func (c *trainCmd) train(ctx context.Context) error {
 	if !ok {
 		return fmt.Errorf("unknown qos %q", c.qos)
 	}
+	// Only the paper's IRFR is instrumented and checkpointed.
 	var pred core.QoSPredictor
+	var ckpt *core.Predictor
 	switch c.model {
 	case "irfr":
-		pred = core.NewPredictor(core.Config{Seed: c.seed})
+		ckpt = core.NewPredictor(core.Config{Seed: c.seed})
+		ckpt.Instrument(c.sink)
+		pred = ckpt
 	case "iknn":
-		pred = baselines.NewGsightVariant("Gsight-IKNN", baselines.IKNNFactory, c.seed)
+		pred = core.NewVariant("Gsight-IKNN", core.IKNNFactory, c.seed)
 	case "ilr":
-		pred = baselines.NewGsightVariant("Gsight-ILR", baselines.ILRFactory, c.seed)
+		pred = core.NewVariant("Gsight-ILR", core.ILRFactory, c.seed)
 	case "isvr":
-		pred = baselines.NewGsightVariant("Gsight-ISVR", baselines.ISVRFactory, c.seed)
+		pred = core.NewVariant("Gsight-ISVR", core.ISVRFactory, c.seed)
 	case "imlp":
-		pred = baselines.NewGsightVariant("Gsight-IMLP", baselines.IMLPFactory, c.seed)
+		pred = core.NewVariant("Gsight-IMLP", core.IMLPFactory, c.seed)
 	case "pythia":
-		pred = baselines.NewPythia(c.seed)
+		pred = core.NewPythia(c.seed)
 	case "esp":
-		pred = baselines.NewESP(c.seed)
+		pred = core.NewESP(c.seed)
 	default:
 		return fmt.Errorf("unknown model %q", c.model)
 	}
-	if in, ok := pred.(interface{ Instrument(*telemetry.Sink) }); ok {
-		in.Instrument(c.sink)
-	}
-
-	ckpt, checkpointable := pred.(core.Checkpointable)
-	if (c.savePath != "" || c.loadPath != "") && !checkpointable {
+	if (c.savePath != "" || c.loadPath != "") && ckpt == nil {
 		return fmt.Errorf("model %q does not support checkpoints (-save/-load need irfr)", pred.Name())
 	}
+
 	loaded := false
 	if c.loadPath != "" {
 		data, err := os.ReadFile(c.loadPath)

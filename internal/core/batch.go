@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -49,7 +50,7 @@ func (p *Predictor) PredictBatchInto(kind QoSKind, queries []Query, out []float6
 	if p.ins.Enabled() {
 		t0 = time.Now()
 	}
-	d := p.coder.Dim()
+	d := p.enc.Dim()
 	sc := batchPool.Get().(*batchScratch)
 	if cap(sc.flat) < n*d {
 		sc.flat = make([]float64, n*d)
@@ -63,7 +64,7 @@ func (p *Predictor) PredictBatchInto(kind QoSKind, queries []Query, out []float6
 		sc.X[i] = sc.flat[i*d : (i+1)*d]
 	}
 	for i, q := range queries {
-		if err := p.coder.EncodeInto(sc.X[i], q.Target, q.Inputs); err != nil {
+		if err := p.enc.EncodeInto(sc.X[i], q.Target, q.Inputs); err != nil {
 			batchPool.Put(sc)
 			return err
 		}
@@ -83,6 +84,11 @@ func (p *Predictor) PredictBatchInto(kind QoSKind, queries []Query, out []float6
 	} else {
 		for i := range sc.X {
 			sc.out[i] = model.Predict(sc.X[i])
+		}
+	}
+	if logKind(kind) {
+		for i := range sc.out {
+			sc.out[i] = math.Exp(sc.out[i])
 		}
 	}
 	for i, q := range queries {

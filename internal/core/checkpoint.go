@@ -8,49 +8,23 @@ import (
 	"gsight/internal/wire"
 )
 
-// Checkpointable is implemented by predictors whose full online-learning
-// state — models, training windows, pending observation buffers — can be
-// saved and restored as one blob. Its one user is `gsight train
-// -save/-load`; the daemon calls the Predictor's methods directly.
-type Checkpointable interface {
-	// CheckpointState serializes the predictor's live state as one
-	// opaque binary blob.
-	CheckpointState() ([]byte, error)
-	// RestoreCheckpoint replaces the predictor's live state with a
-	// blob produced by CheckpointState on an identically-configured
-	// predictor, or fails and leaves the predictor as it was.
-	RestoreCheckpoint([]byte) error
-}
-
 // The predictor blob (byte layout in DESIGN.md §12): a header — magic,
 // blob version, coder dimension, QoS kind count — then per kind the
 // trained flag, the sample count, the forest section (ml) and the
-// pending observation rows. The log-space wrapping of tail-latency and
-// JCT models is structural (rebuilt by NewPredictor), so only the inner
-// forests are written. The tier-0 scorer is not: Tier0 rebuilds it from
-// the IPC window. Last comes the learner section: the record clock
-// (Tick count) and the training in flight, if any — its kind, the Tick
-// that installs it, its batch length (the batch is the newest rows of
-// that kind's window, not stored twice) and its grown trees.
+// pending observation rows. Tail-latency and JCT windows hold log
+// labels and their pending rows unlogged ones: the predictor takes the
+// log when it learns a batch. The tier-0 scorer is not written: Tier0
+// rebuilds it from the IPC window. Last comes the learner section: the
+// record clock (Tick count) and the training in flight, if any — its
+// kind, the Tick that installs it, its batch length (the batch is the
+// newest rows of that kind's window, not stored twice) and its grown
+// trees.
 const (
 	checkpointMagic = "GSPC"
 	// 1 was the JSON schema, 2 had no learner section, 3 carried the
 	// tier-0 scorer.
 	checkpointVersion = 4
 )
-
-// forestOf unwraps a QoS model to its forest, the only model family the
-// checkpoint format covers (the paper's IRFR and its log-space wrap).
-func forestOf(m ml.Incremental) (*ml.Forest, error) {
-	if lt, ok := m.(*ml.LogTarget); ok {
-		m = lt.Inner
-	}
-	f, ok := m.(*ml.Forest)
-	if !ok {
-		return nil, fmt.Errorf("core: model %T does not support checkpointing", m)
-	}
-	return f, nil
-}
 
 // PredictorCapture is a frozen view of the predictor's learning state,
 // taken by Capture for the price of some pointer copies and encoded
@@ -82,11 +56,11 @@ type kindCapture struct {
 // is captured by reference: its trees are written once grown, and never
 // change after.
 func (p *Predictor) Capture() (*PredictorCapture, error) {
-	c := &PredictorCapture{dim: p.coder.Dim(), ticks: p.ticks, train: p.train}
-	for k := range p.models {
-		f, err := forestOf(p.models[k])
-		if err != nil {
-			return nil, fmt.Errorf("%v kind: %w", QoSKind(k), err)
+	c := &PredictorCapture{dim: p.enc.Dim(), ticks: p.ticks, train: p.train}
+	for k, m := range p.models {
+		f, ok := m.(*ml.Forest) // the one model family checkpoints cover
+		if !ok {
+			return nil, fmt.Errorf("%v kind: core: model %T does not support checkpointing", QoSKind(k), m)
 		}
 		kc := kindCapture{trained: p.trained[k], seen: p.seen[k], forest: f.Capture()}
 		if p.pending[k].Len() > 0 {
@@ -206,8 +180,8 @@ func readCheckpoint(r *wire.Reader, p *Predictor) *decodedCheckpoint {
 		return d
 	}
 	d.Dim = int(r.U32("coder dim"))
-	if p != nil && d.Dim != p.coder.Dim() {
-		r.Failf("checkpoint rows have %d features, coder dim is %d", d.Dim, p.coder.Dim())
+	if p != nil && d.Dim != p.enc.Dim() {
+		r.Failf("checkpoint rows have %d features, coder dim is %d", d.Dim, p.enc.Dim())
 		return d
 	}
 	if kinds := r.U32("kind count"); kinds != uint32(numQoSKinds) {
@@ -217,9 +191,9 @@ func readCheckpoint(r *wire.Reader, p *Predictor) *decodedCheckpoint {
 	for k := 0; k < int(numQoSKinds) && r.Err() == nil; k++ {
 		var lim *ml.ForestLimits
 		if p != nil {
-			f, err := forestOf(p.models[k])
-			if err != nil {
-				r.Failf("%v kind: %v", QoSKind(k), err)
+			f, ok := p.models[k].(*ml.Forest)
+			if !ok {
+				r.Failf("%v kind: core: model %T does not support checkpointing", QoSKind(k), p.models[k])
 				return d
 			}
 			lim = f.StateLimits(d.Dim)
@@ -284,7 +258,7 @@ func readCheckpoint(r *wire.Reader, p *Predictor) *decodedCheckpoint {
 	}
 	var lim *ml.ForestLimits
 	if p != nil {
-		f, _ := forestOf(p.models[in.Kind]) // checked with the kind's section
+		f := p.models[in.Kind].(*ml.Forest) // checked with the kind's section
 		lim = f.StateLimits(d.Dim)
 	}
 	d.install = ml.ReadForestUpdate(r, d.forests[in.Kind], lim, in.Batch)
@@ -322,8 +296,7 @@ func (p *Predictor) RestoreCheckpoint(blob []byte) error {
 		p.lins.InFlight.Set(0)
 	}
 	for k := range p.models {
-		f, _ := forestOf(p.models[k]) // checked by readCheckpoint
-		f.Install(d.forests[k])
+		p.models[k].(*ml.Forest).Install(d.forests[k]) // checked by readCheckpoint
 		p.trained[k] = d.Kinds[k].Trained
 		p.seen[k] = d.Kinds[k].Seen
 		p.pending[k].Reset()
@@ -333,7 +306,7 @@ func (p *Predictor) RestoreCheckpoint(blob []byte) error {
 	}
 	p.ticks = d.Ticks
 	if in := d.Install; in != nil {
-		f, _ := forestOf(p.models[in.Kind])
+		f := p.models[in.Kind].(*ml.Forest)
 		t := &training{kind: in.Kind, due: in.Due, upd: f.ResumeUpdate(d.install)}
 		t.X, t.Y = t.upd.Batch()
 		p.train = t
@@ -346,5 +319,3 @@ func (p *Predictor) RestoreCheckpoint(blob []byte) error {
 	}
 	return nil
 }
-
-var _ Checkpointable = (*Predictor)(nil)

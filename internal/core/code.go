@@ -105,7 +105,7 @@ func (c Coder) rFeatureIndex(slot, server, col int) int {
 	return slot*c.blockSize() + server*metrics.NumSelected + col
 }
 
-// ErrTooManyServers is returned by Encode when the colocation touches
+// ErrTooManyServers is returned by EncodeInto when the colocation touches
 // more distinct servers than the coder has spatial rows — the paper's
 // §6.4 scaling limit ("if a workflow ... spans over hundreds or
 // thousands of servers, Gsight may not scale up well").
@@ -243,27 +243,13 @@ func corunnerLess(a, b *WorkloadInput) bool {
 	return pa < pb
 }
 
-// Encode builds the feature vector for predicting workload ws[target]'s
-// QoS under the colocation. Workloads beyond MaxWorkloads-1 corunners
-// are dropped (the paper fixes n and zero-pads); servers beyond
-// NumServers are rejected.
-func (c Coder) Encode(target int, ws []WorkloadInput) ([]float64, error) {
-	if target < 0 || target >= len(ws) {
-		return nil, fmt.Errorf("core: target %d out of range", target)
-	}
-	x := make([]float64, c.Dim())
-	if err := c.EncodeInto(x, target, ws); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// EncodeInto writes the feature vector for ws[target] into dst, which
-// must have length Dim(). It is the allocation-free core of Encode: all
-// intermediate state lives in pooled scratch, and dst is fully
-// overwritten (zero-padded), so callers may reuse one buffer across
-// calls. The output is bit-identical to Encode's. Safe for concurrent
-// use with distinct dst buffers.
+// EncodeInto writes the feature vector for predicting workload
+// ws[target]'s QoS under the colocation into dst, which must have
+// length Dim(). Workloads beyond MaxWorkloads-1 corunners are dropped
+// (the paper fixes n and zero-pads); servers beyond NumServers are
+// rejected. All intermediate state lives in pooled scratch, and dst is
+// fully overwritten (zero-padded), so callers may reuse one buffer
+// across calls. Safe for concurrent use with distinct dst buffers.
 func (c Coder) EncodeInto(dst []float64, target int, ws []WorkloadInput) error {
 	if len(dst) != c.Dim() {
 		return fmt.Errorf("core: EncodeInto dst has %d entries, want %d", len(dst), c.Dim())

@@ -47,6 +47,16 @@ func scInput(w *workload.Workload, server int, delay float64) WorkloadInput {
 
 func snPlacement() []int { return []int{0, 1, 2, 3, 4, 5, 6, 7, 0} }
 
+// Encode is EncodeInto into a fresh row, the way the predictor encodes
+// an observation.
+func (c Coder) Encode(target int, ws []WorkloadInput) ([]float64, error) {
+	x := make([]float64, c.Dim())
+	if err := c.EncodeInto(x, target, ws); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 func TestCoderDim(t *testing.T) {
 	c := DefaultCoder()
 	// 32(n+1)S + 2n with the aggregate block: 32*11*8 + 20.

@@ -169,7 +169,8 @@ func trainedTestPredictor(t *testing.T) (*Predictor, []Query) {
 
 // TestPredictBatchMatchesPredict: batched inference must be
 // bit-identical to the per-query path for every QoS kind it serves —
-// including JCT, whose LogTarget wrapper has its own batch path.
+// including JCT, a log kind, whose batch the predictor exponentiates
+// after the forest's batch path.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	p, queries := trainedTestPredictor(t)
 	for _, kind := range []QoSKind{IPCQoS, JCTQoS} {

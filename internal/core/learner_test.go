@@ -18,8 +18,8 @@ func lagPredictor(seed uint64, lag int) *Predictor {
 	return p
 }
 
-// learnObs feeds observation i — IPC every time, JCT (a log-target
-// forest) every other time — and, for a lagged predictor, ticks once.
+// learnObs feeds observation i — IPC every time, JCT (a forest on
+// log labels) every other time — and, for a lagged predictor, ticks once.
 func learnObs(t testing.TB, p *Predictor, i int) {
 	t.Helper()
 	tier0Obs(t, p, i)

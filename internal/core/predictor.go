@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -93,22 +94,37 @@ type Observation struct {
 }
 
 // QoSPredictor is the interface shared by Gsight and the comparison
-// predictors (ESP, Pythia): offline bootstrap, online prediction, and
-// incremental feedback.
+// predictors (ESP, Pythia): offline bootstrap, online prediction —
+// one query or a batch — and incremental feedback. Predictor is its one
+// implementation.
 type QoSPredictor interface {
 	TrainObservations(kind QoSKind, obs []Observation) error
 	Predict(kind QoSKind, target int, ws []WorkloadInput) (float64, error)
+	PredictBatchInto(kind QoSKind, queries []Query, out []float64) error
 	Observe(kind QoSKind, target int, ws []WorkloadInput, actual float64) error
 	Flush(kind QoSKind) error
 	Name() string
 }
 
+// encoder writes the feature row a predictor's models read for
+// ws[target] into dst, which has Dim() entries, overwriting all of it.
+// The Coder is Gsight's; ESP and Pythia have their own.
+type encoder interface {
+	Dim() int
+	EncodeInto(dst []float64, target int, ws []WorkloadInput) error
+}
+
 // Predictor is the Gsight performance predictor: solo-run profiles plus
 // the partial interference code in, QoS out, improving continuously as
-// observations stream in (Figure 6's loop).
+// observations stream in (Figure 6's loop). With another encoder or
+// model it is one of the comparison predictors of Figures 5 and 9.
 type Predictor struct {
-	cfg     Config
-	coder   Coder
+	cfg   Config
+	name  string
+	coder Coder
+	enc   encoder // the rows the models read; the coder for Gsight
+	// models holds each kind's learner. Tail latency and JCT learn
+	// log(y) (logKind); a forest is the *ml.Forest itself.
 	models  [numQoSKinds]ml.Incremental
 	pending [numQoSKinds]ml.Dataset
 	trained [numQoSKinds]bool
@@ -141,8 +157,9 @@ type training struct {
 	kind QoSKind
 	due  uint64 // the Tick that installs it, when it grows beside the caller
 	upd  *ml.ForestUpdate
-	// X and Y are the batch. Y is read for its length, and as tier-0's
-	// labels on the IPC kind, whose forest no log wraps.
+	// X and Y are the batch as the model learns it. Y is read for its
+	// length, and as tier-0's labels on the IPC kind, which learns
+	// unlogged labels.
 	X [][]float64
 	Y []float64
 }
@@ -164,8 +181,8 @@ func (p *Predictor) Instrument(s *telemetry.Sink) {
 	p.ins = s.Predictor()
 	fi := s.Forest()
 	for _, m := range p.models {
-		if im, ok := m.(ml.Instrumentable); ok {
-			im.Instrument(fi)
+		if f, ok := m.(*ml.Forest); ok {
+			f.Instrument(fi)
 		}
 	}
 }
@@ -193,29 +210,56 @@ func NewPredictor(cfg Config) *Predictor {
 	if cfg.Factory == nil {
 		cfg.Factory = IRFRFactory
 	}
-	if cfg.UpdateEvery <= 0 {
-		cfg.UpdateEvery = 100
-	}
 	if cfg.Coder.NumServers == 0 {
 		cfg.Coder = DefaultCoder()
 	}
-	p := &Predictor{cfg: cfg, coder: cfg.Coder}
+	return newPredictor(cfg, "Gsight", cfg.Coder, func(k QoSKind) ml.Incremental {
+		return cfg.Factory(cfg.Seed + uint64(k)*7919)
+	})
+}
+
+// newPredictor builds a predictor named name over enc's rows, with
+// model(k) as kind k's learner; cfg.Factory and cfg.Seed are not read.
+func newPredictor(cfg Config, name string, enc encoder, model func(QoSKind) ml.Incremental) *Predictor {
+	if cfg.UpdateEvery <= 0 {
+		cfg.UpdateEvery = 100
+	}
+	p := &Predictor{cfg: cfg, name: name, coder: cfg.Coder, enc: enc}
 	p.xPool.New = func() interface{} {
-		buf := make([]float64, p.coder.Dim())
+		buf := make([]float64, p.enc.Dim())
 		return &buf
 	}
 	for k := range p.models {
-		m := cfg.Factory(cfg.Seed + uint64(k)*7919)
-		// Tail latency and JCT span orders of magnitude across
-		// interference scenarios; learning them in log space turns
-		// squared loss into (approximately) the paper's relative
-		// error metric.
-		if QoSKind(k) == TailLatencyQoS || QoSKind(k) == JCTQoS {
-			m = ml.NewLogTarget(m)
-		}
-		p.models[k] = m
+		p.models[k] = model(QoSKind(k))
 	}
 	return p
+}
+
+// logKind reports whether kind's models learn log(max(y, logFloor))
+// and predict exp of their output. Tail latency and JCT span orders of
+// magnitude across interference scenarios; in log space squared loss
+// becomes (approximately) the paper's relative error metric.
+func logKind(kind QoSKind) bool { return kind == TailLatencyQoS || kind == JCTQoS }
+
+const logFloor = 1e-9
+
+// logLabels returns log(max(y, logFloor)) of every label, in a new
+// slice.
+func logLabels(y []float64) []float64 {
+	out := make([]float64, len(y))
+	for i, v := range y {
+		out[i] = math.Log(max(v, logFloor))
+	}
+	return out
+}
+
+// encode returns a fresh feature row for ws[target].
+func (p *Predictor) encode(target int, ws []WorkloadInput) ([]float64, error) {
+	x := make([]float64, p.enc.Dim())
+	if err := p.enc.EncodeInto(x, target, ws); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // Coder exposes the feature layout (for importance mapping).
@@ -226,9 +270,10 @@ func (p *Predictor) Coder() Coder { return p.coder }
 // forest's installed window and every later IPC batch feeds it, so it
 // holds what it would had it ridden the stream from the start, bit for
 // bit, as long as the window has evicted nothing. Later calls return
-// the same scorer. It is never checkpointed.
+// the same scorer. It is never checkpointed, and nil for a predictor
+// whose rows are not the interference code (ESP, Pythia).
 func (p *Predictor) Tier0() *Tier0 {
-	if p.tier0 == nil {
+	if p.tier0 == nil && p.enc == encoder(p.coder) {
 		p.tier0 = newTier0(p.coder)
 		if p.trained[IPCQoS] {
 			p.tier0.absorb(p.tier0Rows())
@@ -242,8 +287,8 @@ func (p *Predictor) Tier0() *Tier0 {
 // the scorer ingests at its install. It is empty when the IPC model is
 // not a forest.
 func (p *Predictor) tier0Rows() ([][]float64, []float64) {
-	f, err := forestOf(p.models[IPCQoS])
-	if err != nil {
+	f, ok := p.models[IPCQoS].(*ml.Forest)
+	if !ok {
 		return nil, nil
 	}
 	X, Y := f.Window()
@@ -255,7 +300,7 @@ func (p *Predictor) tier0Rows() ([][]float64, []float64) {
 }
 
 // Name identifies the predictor in experiment reports.
-func (p *Predictor) Name() string { return "Gsight" }
+func (p *Predictor) Name() string { return p.name }
 
 // refFor returns the solo-run reference the model normalizes its target
 // by: the learner predicts degradation relative to the solo behaviour
@@ -263,8 +308,8 @@ func (p *Predictor) Name() string { return "Gsight" }
 // generalize across workloads of very different absolute QoS (the
 // Figure 5 transfer to an unseen workload). IPC normalizes by the
 // CPU-demand-weighted solo IPC, JCT by the solo duration; tail latency
-// has no solo analogue in the profiles and stays absolute (the
-// LogTarget wrapper conditions its scale instead).
+// has no solo analogue in the profiles and stays absolute (learning it
+// in log space conditions its scale instead).
 func (p *Predictor) refFor(kind QoSKind, target int, ws []WorkloadInput) float64 {
 	if p.cfg.AbsoluteTargets {
 		return 1
@@ -316,7 +361,7 @@ func (p *Predictor) TrainObservations(kind QoSKind, obs []Observation) error {
 	X, Y := make([][]float64, len(obs)), make([]float64, len(obs))
 	if err := par.For(context.Background(), runtime.GOMAXPROCS(0), len(obs), func(_, i int) error {
 		o := &obs[i]
-		x, err := p.coder.Encode(o.Target, o.Inputs)
+		x, err := p.encode(o.Target, o.Inputs)
 		if err != nil {
 			return err
 		}
@@ -348,7 +393,7 @@ func (p *Predictor) Predict(kind QoSKind, target int, ws []WorkloadInput) (float
 	}
 	xp := p.xPool.Get().(*[]float64)
 	x := *xp
-	if err := p.coder.EncodeInto(x, target, ws); err != nil {
+	if err := p.enc.EncodeInto(x, target, ws); err != nil {
 		p.xPool.Put(xp)
 		return 0, err
 	}
@@ -359,6 +404,9 @@ func (p *Predictor) Predict(kind QoSKind, target int, ws []WorkloadInput) (float
 	}
 	v := p.models[kind].Predict(x)
 	p.xPool.Put(xp)
+	if logKind(kind) {
+		v = math.Exp(v)
+	}
 	if p.ins.Enabled() {
 		p.ins.InferSeconds.Observe(time.Since(t0).Seconds())
 		p.ins.Predicts.Inc()
@@ -370,7 +418,7 @@ func (p *Predictor) Predict(kind QoSKind, target int, ws []WorkloadInput) (float
 // (steps ❾-❿ in Figure 6). Updates are applied in batches of
 // UpdateEvery samples; Flush forces an early update.
 func (p *Predictor) Observe(kind QoSKind, target int, ws []WorkloadInput, actual float64) error {
-	x, err := p.coder.Encode(target, ws)
+	x, err := p.encode(target, ws)
 	if err != nil {
 		return err
 	}
@@ -407,17 +455,21 @@ func (p *Predictor) Flush(kind QoSKind) error {
 	return p.learn(kind, X, Y, p.cfg.InstallLag)
 }
 
-// learn is the one way kind's model learns the batch (X, Y). A forest,
-// bare or log-wrapped, begins its staged update here on the caller; at
-// lag > 0, for a batch the window can carry, the trees grow on a
-// background goroutine and install at the lag-th Tick after this one,
-// and otherwise they grow and install here, at once. A model that is not
-// a forest (the comparison models of Figures 5 and 9) fits or updates in
-// place instead: only forests are checkpointed or trained beside the
-// caller.
+// learn is the one way kind's model learns the batch (X, Y), on log
+// labels for a logKind. A forest begins its staged update here on the
+// caller; at lag > 0, for a batch the window can carry, the trees grow
+// on a background goroutine and install at the lag-th Tick after this
+// one, and otherwise they grow and install here, at once. A model that
+// is not a forest (the comparison models of Figures 5 and 9) fits or
+// updates in place instead: only forests are checkpointed or trained
+// beside the caller.
 func (p *Predictor) learn(kind QoSKind, X [][]float64, Y []float64, lag int) error {
+	if logKind(kind) {
+		Y = logLabels(Y)
+	}
 	m := p.models[kind]
-	if _, err := forestOf(m); err != nil {
+	f, ok := m.(*ml.Forest)
+	if !ok {
 		apply := m.Update
 		if !p.trained[kind] {
 			apply = m.Fit
@@ -427,7 +479,7 @@ func (p *Predictor) learn(kind QoSKind, X [][]float64, Y []float64, lag int) err
 		}
 		return p.install(&training{kind: kind, X: X, Y: Y})
 	}
-	u, err := m.(ml.Staged).BeginUpdate(X, Y)
+	u, err := f.BeginUpdate(X, Y)
 	if err != nil {
 		return err
 	}
@@ -462,7 +514,7 @@ func (p *Predictor) install(t *training) error {
 		span.End()
 	}
 	if t.upd != nil {
-		if err := p.models[t.kind].(ml.Staged).FinishUpdate(t.upd); err != nil {
+		if err := p.models[t.kind].(*ml.Forest).FinishUpdate(t.upd); err != nil {
 			return err
 		}
 	}
@@ -519,21 +571,14 @@ func (p *Predictor) SamplesSeen(kind QoSKind) int { return p.seen[kind] }
 
 // MetricImportance aggregates the IRFR impurity importances over every
 // U-matrix position of each selected metric, yielding the 16-bar
-// Figure 8 profile. It returns nil when the model is not a forest or
-// not yet trained.
+// Figure 8 profile. It returns nil when the model is not a forest, not
+// yet trained or not trained on the interference code.
 func (p *Predictor) MetricImportance(kind QoSKind) []float64 {
-	model := p.models[kind]
-	if lt, ok := model.(*ml.LogTarget); ok {
-		model = lt.Inner
-	}
-	forest, ok := model.(*ml.Forest)
-	if !ok || !p.trained[kind] {
+	forest, ok := p.models[kind].(*ml.Forest)
+	if !ok || !p.trained[kind] || p.enc != encoder(p.coder) {
 		return nil
 	}
 	imp := forest.Importance()
-	if imp == nil {
-		return nil
-	}
 	out := make([]float64, metrics.NumSelected)
 	for slot := 0; slot <= p.coder.MaxWorkloads; slot++ { // incl. aggregate block
 		for server := 0; server < p.coder.NumServers; server++ {

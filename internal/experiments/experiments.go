@@ -14,7 +14,6 @@ import (
 	"gsight/internal/perfmodel"
 	"gsight/internal/resources"
 	"gsight/internal/scenario"
-	"gsight/internal/sched"
 )
 
 // Options scales experiment effort. Scale 1.0 reproduces the paper-size
@@ -245,7 +244,7 @@ func mapeOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) (flo
 }
 
 // ErrsOf returns per-sample relative errors, through the predictor's
-// batched path when it has one (bit-identical to per-query Predict).
+// batched path (bit-identical to per-query Predict).
 func ErrsOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) ([]float64, error) {
 	kept := make([]core.Observation, 0, len(obs))
 	for _, o := range obs {
@@ -261,7 +260,7 @@ func ErrsOf(p core.QoSPredictor, kind core.QoSKind, obs []core.Observation) ([]f
 	for i, o := range kept {
 		queries[i] = core.Query{Target: o.Target, Inputs: o.Inputs}
 	}
-	if err := sched.AsBatch(p).PredictBatchInto(kind, queries, preds); err != nil {
+	if err := p.PredictBatchInto(kind, queries, preds); err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(kept))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"gsight/internal/baselines"
 	"gsight/internal/core"
 	"gsight/internal/metrics"
 	"gsight/internal/perfmodel"
@@ -104,11 +103,11 @@ func Table3Correlations(ctx context.Context, opt Options) (*Report, error) {
 // and 9.
 func trainVariants(seed uint64) []core.QoSPredictor {
 	return []core.QoSPredictor{
-		baselines.NewGsightVariant("IKNN", baselines.IKNNFactory, seed+1),
-		baselines.NewGsightVariant("ILR", baselines.ILRFactory, seed+2),
+		core.NewVariant("IKNN", core.IKNNFactory, seed+1),
+		core.NewVariant("ILR", core.ILRFactory, seed+2),
 		core.NewPredictor(core.Config{Seed: seed + 3}), // IRFR
-		baselines.NewGsightVariant("ISVR", baselines.ISVRFactory, seed+4),
-		baselines.NewGsightVariant("IMLP", baselines.IMLPFactory, seed+5),
+		core.NewVariant("ISVR", core.ISVRFactory, seed+4),
+		core.NewVariant("IMLP", core.IMLPFactory, seed+5),
 	}
 }
 
@@ -213,15 +212,11 @@ func Fig5ProfilingLevel(ctx context.Context, opt Options) (*Report, error) {
 		Columns: []string{"model", "fn-level median", "fn-level mean", "wl-level median", "wl-level mean", "wl/fn median"},
 	}
 	var fnMedians, wlMedians []float64
-	for i, mk := range []func() core.QoSPredictor{
-		func() core.QoSPredictor { return baselines.NewGsightVariant("IKNN", baselines.IKNNFactory, opt.Seed+1) },
-		func() core.QoSPredictor { return baselines.NewGsightVariant("ILR", baselines.ILRFactory, opt.Seed+2) },
-		func() core.QoSPredictor { return core.NewPredictor(core.Config{Seed: opt.Seed + 3}) },
-		func() core.QoSPredictor { return baselines.NewGsightVariant("ISVR", baselines.ISVRFactory, opt.Seed+4) },
-		func() core.QoSPredictor { return baselines.NewGsightVariant("IMLP", baselines.IMLPFactory, opt.Seed+5) },
-	} {
-		names := []string{"IKNN", "ILR", "IRFR", "ISVR", "IMLP"}
-		pf := mk()
+	// One fresh variant set learns function-level codes, the other
+	// workload-level ones.
+	fnPreds, wlPreds := trainVariants(opt.Seed), trainVariants(opt.Seed)
+	for i, name := range []string{"IKNN", "ILR", "IRFR", "ISVR", "IMLP"} {
+		pf := fnPreds[i]
 		if err := pf.TrainObservations(core.IPCQoS, split(train, true)); err != nil {
 			return nil, err
 		}
@@ -229,7 +224,7 @@ func Fig5ProfilingLevel(ctx context.Context, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		pw := mk()
+		pw := wlPreds[i]
 		if err := pw.TrainObservations(core.IPCQoS, split(train, false)); err != nil {
 			return nil, err
 		}
@@ -240,7 +235,7 @@ func Fig5ProfilingLevel(ctx context.Context, opt Options) (*Report, error) {
 		fnMed, wlMed := stats.Median(fnErrs), stats.Median(wlErrs)
 		fnMedians = append(fnMedians, fnMed)
 		wlMedians = append(wlMedians, wlMed)
-		r.AddRow(names[i], pct(fnMed), pct(stats.Mean(fnErrs)), pct(wlMed), pct(stats.Mean(wlErrs)),
+		r.AddRow(name, pct(fnMed), pct(stats.Mean(fnErrs)), pct(wlMed), pct(stats.Mean(wlErrs)),
 			f2(wlMed/fnMed))
 	}
 	r.AddNote("paper: function-level medians are ~2x lower (up to 4x) than workload-level; measured mean ratio %.1fx",
@@ -376,7 +371,7 @@ func Fig9PredictionError(ctx context.Context, opt Options) (*Report, error) {
 			}
 			train, test := TrainTest(obs, 5)
 			preds := trainVariants(opt.Seed)
-			preds = append(preds, baselines.NewPythia(opt.Seed+10), baselines.NewESP(opt.Seed+11))
+			preds = append(preds, core.NewPythia(opt.Seed+10), core.NewESP(opt.Seed+11))
 			row := []string{k.colo.String(), qos.String()}
 			for pi, p := range preds {
 				if err := p.TrainObservations(qos, train); err != nil {

@@ -51,9 +51,10 @@ func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
 		}
 		schedules[i] = fs
 	}
+	floors := lsFloors(m, opt)
 	svcSets := make([][]platform.LSService, len(scenarios))
 	for i := range scenarios {
-		svcSets[i] = lsServices(m, opt)
+		svcSets[i] = lsServices(floors)
 	}
 	results := make([]*platform.Stats, len(scenarios))
 	err = forEach(ctx, len(scenarios), func(i int) error {
@@ -134,15 +135,25 @@ func trainedPredictor(ctx context.Context, g *scenario.Generator, opt Options) (
 	return p, nil
 }
 
-// lsServices is the latency-sensitive service set of the trace-driven
-// runs, its SLAs set by the Figure 7 latency->IPC transform.
-func lsServices(m *perfmodel.Model, opt Options) []platform.LSService {
+// lsPool is the latency-sensitive workload set of the trace-driven
+// runs, fresh for each run.
+func lsPool() []*workload.Workload {
+	return []*workload.Workload{workload.SocialNetwork(), workload.ECommerce(), workload.MLServing()}
+}
+
+// lsFloors calibrates lsPool's IPC floors by the Figure 7 latency->IPC
+// transform. The calibration depends on the lab, the pool and the seed
+// alone, so an experiment calibrates once and hands the floors to each
+// run's service set.
+func lsFloors(m *perfmodel.Model, opt Options) []float64 {
+	return sched.CalibrateMinIPC(m, lsPool(), opt.n(250, 60), opt.Seed)
+}
+
+// lsServices is a fresh latency-sensitive service set of the
+// trace-driven runs, its SLAs set by floors (lsFloors).
+func lsServices(floors []float64) []platform.LSService {
 	var out []platform.LSService
-	lsPool := []*workload.Workload{
-		workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-	}
-	floors := sched.CalibrateMinIPC(m, lsPool, opt.n(250, 60), opt.Seed)
-	for i, w := range lsPool {
+	for i, w := range lsPool() {
 		p := trace.DefaultPattern(w.MaxQPS * 0.42)
 		// Softer diurnal swing than the default: the paper's cluster
 		// keeps headroom at peak; saturating all eight nodes would

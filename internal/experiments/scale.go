@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"gsight/internal/baselines"
 	"gsight/internal/core"
 	"gsight/internal/perfmodel"
 	"gsight/internal/profile"
@@ -175,7 +174,7 @@ func ExtScale(ctx context.Context, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pythiaP := baselines.NewPythia(opt.Seed + 1)
+	pythiaP := core.NewPythia(opt.Seed + 1)
 	if err := lab.train(pythiaP); err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"gsight/internal/baselines"
 	"gsight/internal/core"
 	"gsight/internal/perfmodel"
 	"gsight/internal/platform"
@@ -39,7 +38,7 @@ func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats
 	if err := gsightP.TrainObservations(core.JCTQoS, jctObs); err != nil {
 		return nil, err
 	}
-	pythiaP := baselines.NewPythia(opt.Seed + 1)
+	pythiaP := core.NewPythia(opt.Seed + 1)
 	if err := pythiaP.TrainObservations(core.IPCQoS, obs); err != nil {
 		return nil, err
 	}
@@ -71,9 +70,10 @@ func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats
 		{"Pythia", sched.NewBestFit(pythiaP)},
 		{"WorstFit", sched.NewWorstFit()},
 	}
+	floors := lsFloors(m, opt)
 	svcSets := make([][]platform.LSService, len(entries))
 	for i := range entries {
-		svcSets[i] = lsServices(m, opt)
+		svcSets[i] = lsServices(floors)
 	}
 	results := make([]*platform.Stats, len(entries))
 	err = forEach(ctx, len(entries), func(i int) error {

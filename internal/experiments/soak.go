@@ -62,13 +62,10 @@ func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
 
 	// Variants run sequentially — parallel runs would share cores and
 	// make the wall-clock steps/s column meaningless.
+	floors := lsFloors(m, opt)
 	for _, v := range variants {
 		var services []platform.LSService
-		lsPool := []*workload.Workload{
-			workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-		}
-		floors := sched.CalibrateMinIPC(m, lsPool, opt.n(250, 60), opt.Seed)
-		for i, w := range lsPool {
+		for i, w := range lsPool() {
 			pat := trace.DefaultPattern(w.MaxQPS * 0.6)
 			pat.PhaseShift = float64(i) * 7200
 			if !v.sc.IsZero() {

@@ -458,4 +458,3 @@ func (f *Forest) Importance() []float64 {
 
 var _ Incremental = (*Forest)(nil)
 var _ BatchRegressor = (*Forest)(nil)
-var _ Staged = (*Forest)(nil)

@@ -97,26 +97,3 @@ func TestForestFitUpdateDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestLogTargetPredictBatch covers the exponentiating wrapper's batch
-// path over both a batch-capable and a plain inner model.
-func TestLogTargetPredictBatch(t *testing.T) {
-	X, y := synth(120, 4, 31, 0.1)
-	for i := range y {
-		if y[i] < 0 {
-			y[i] = -y[i]
-		}
-		y[i] += 0.5
-	}
-	lt := NewLogTarget(NewForest(ForestConfig{Trees: 6, Seed: 5}))
-	if err := lt.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]float64, len(X))
-	lt.PredictBatchInto(X, out)
-	for i, x := range X {
-		if want := lt.Predict(x); out[i] != want {
-			t.Fatalf("sample %d: batch %v != single %v", i, out[i], want)
-		}
-	}
-}

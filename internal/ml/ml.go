@@ -9,8 +9,6 @@ package ml
 import (
 	"errors"
 	"math"
-
-	"gsight/internal/telemetry"
 )
 
 // Regressor is a trainable model mapping feature vectors to a scalar.
@@ -28,21 +26,6 @@ type Incremental interface {
 	// Update folds a new batch of samples into the model without a
 	// full retrain.
 	Update(X [][]float64, y []float64) error
-}
-
-// Staged is implemented by incremental models whose Update splits into
-// stages (ForestUpdate): BeginUpdate and FinishUpdate on the caller's
-// goroutine, Run between them on any goroutine.
-type Staged interface {
-	BeginUpdate(X [][]float64, y []float64) (*ForestUpdate, error)
-	FinishUpdate(u *ForestUpdate) error
-}
-
-// Instrumentable is implemented by models that accept the shared
-// forest instrument set. Wrappers (LogTarget) forward to their inner
-// model. Instrumenting with the zero value is a no-op.
-type Instrumentable interface {
-	Instrument(ins telemetry.ForestInstruments)
 }
 
 // BatchRegressor is implemented by models whose batched prediction path

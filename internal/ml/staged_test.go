@@ -11,40 +11,32 @@ import (
 
 // TestStagedUpdateMatchesUpdate: BeginUpdate, Run on another goroutine
 // at any worker count and FinishUpdate grow the forest Update grows —
-// through the first update of an unfitted forest (a Fit), updates past
-// the ring's wrap, and the log-target wrapper's forwarding.
+// through the first update of an unfitted forest (a Fit) and updates
+// past the ring's wrap. The log-label case is core's
+// TestLogKindStagedMatchesUpdate.
 func TestStagedUpdateMatchesUpdate(t *testing.T) {
 	X, y := synth(400, 8, 23, 0.2)
 	cfg := ForestConfig{Trees: 10, Seed: 3, UpdateTrees: 4, Window: 260}
-	for _, log := range []bool{false, true} {
-		wrap := func(f *Forest) Incremental {
-			if log {
-				return NewLogTarget(f)
-			}
-			return f
+	inline, staged := NewForest(cfg), NewForest(cfg)
+	for i, lo := 0, 0; lo < len(y); i, lo = i+1, lo+40 {
+		bx, by := X[lo:lo+40], y[lo:lo+40]
+		if err := inline.Update(bx, by); err != nil {
+			t.Fatal(err)
 		}
-		inline, staged := NewForest(cfg), NewForest(cfg)
-		mi, ms := wrap(inline), wrap(staged)
-		for i, lo := 0, 0; lo < len(y); i, lo = i+1, lo+40 {
-			bx, by := X[lo:lo+40], y[lo:lo+40]
-			if err := mi.Update(bx, by); err != nil {
-				t.Fatal(err)
-			}
-			u, err := ms.(Staged).BeginUpdate(bx, by)
-			if err != nil {
-				t.Fatal(err)
-			}
-			go u.Run(1 + i%3)
-			if err := ms.(Staged).FinishUpdate(u); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := forestBytes(staged), forestBytes(inline); !bytes.Equal(got, want) {
-				t.Fatalf("log=%v, batch %d: staged forest differs from Update's", log, i)
-			}
+		u, err := staged.BeginUpdate(bx, by)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if inline.buf.head == 0 || len(inline.trees) != cfg.Trees {
-			t.Fatalf("log=%v: the window did not wrap or no update pruned (%d trees)", log, len(inline.trees))
+		go u.Run(1 + i%3)
+		if err := staged.FinishUpdate(u); err != nil {
+			t.Fatal(err)
 		}
+		if got, want := forestBytes(staged), forestBytes(inline); !bytes.Equal(got, want) {
+			t.Fatalf("batch %d: staged forest differs from Update's", i)
+		}
+	}
+	if inline.buf.head == 0 || len(inline.trees) != cfg.Trees {
+		t.Fatalf("the window did not wrap or no update pruned (%d trees)", len(inline.trees))
 	}
 }
 

@@ -28,6 +28,9 @@ func (untrainedPredictor) Predict(core.QoSKind, int, []core.WorkloadInput) (floa
 func (untrainedPredictor) Observe(core.QoSKind, int, []core.WorkloadInput, float64) error { return nil }
 func (untrainedPredictor) Flush(core.QoSKind) error                                       { return nil }
 func (untrainedPredictor) Name() string                                                   { return "untrained" }
+func (u untrainedPredictor) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64) error {
+	return predictEach(u, k, q, out)
+}
 
 // flakyScheduler fails every Place with an error no caller expects.
 type flakyScheduler struct{ calls int }

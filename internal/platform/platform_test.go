@@ -22,6 +22,22 @@ func (f *fixedPredictor) Predict(core.QoSKind, int, []core.WorkloadInput) (float
 func (f *fixedPredictor) Observe(core.QoSKind, int, []core.WorkloadInput, float64) error { return nil }
 func (f *fixedPredictor) Flush(core.QoSKind) error                                       { return nil }
 func (f *fixedPredictor) Name() string                                                   { return "fixed" }
+func (f *fixedPredictor) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64) error {
+	return predictEach(f, k, q, out)
+}
+
+// predictEach answers a batch with one Predict per query: the batch
+// method of the test predictors.
+func predictEach(p core.QoSPredictor, kind core.QoSKind, queries []core.Query, out []float64) error {
+	for i, q := range queries {
+		v, err := p.Predict(kind, q.Target, q.Inputs)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
 
 func shortConfig(s sched.Scheduler, seed uint64) Config {
 	return Config{

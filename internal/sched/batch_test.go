@@ -15,9 +15,13 @@ import (
 	"gsight/internal/workload"
 )
 
-// noBatch hides a predictor's batch path behind the plain interface,
-// as the baseline predictors' wrappers do.
+// noBatch hides a predictor's batch path: it answers a batch with one
+// Predict per query.
 type noBatch struct{ core.QoSPredictor }
+
+func (n noBatch) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64) error {
+	return predictEach(n, k, q, out)
+}
 
 func trainedSchedPredictor(t *testing.T) *core.Predictor {
 	t.Helper()
@@ -57,9 +61,8 @@ func trainedSchedPredictor(t *testing.T) *core.Predictor {
 }
 
 // TestGsightBatchMatchesSequential drives two schedulers — one on the
-// predictor's batch path, one on a predictor without PredictBatchInto,
-// which Gsight serves through its one-Predict-per-query adapter —
-// through the same request sequence. Batched predictions are
+// predictor's batch path, one on a predictor answering each batch one
+// Predict per query — through the same request sequence. Batched predictions are
 // bit-identical to single ones, so every placement and the candidate's
 // recorded predictions (Detail.PredIPC/PredJCTS) must agree.
 func TestGsightBatchMatchesSequential(t *testing.T) {
@@ -108,8 +111,9 @@ func TestGsightBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// failing is a predictor whose every prediction fails with err; the
-// batch variant adds the PredictBatchInto fast path.
+// failing is a predictor whose every prediction fails with err; it
+// answers a batch one Predict per query, and the batch variant fails
+// the batch as a whole.
 type failing struct {
 	core.QoSPredictor
 	err error
@@ -117,6 +121,10 @@ type failing struct {
 
 func (f failing) Predict(core.QoSKind, int, []core.WorkloadInput) (float64, error) {
 	return 0, fmt.Errorf("%w: stub", f.err)
+}
+
+func (f failing) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64) error {
+	return predictEach(f, k, q, out)
 }
 
 type failingBatch struct{ failing }

@@ -19,6 +19,9 @@ func (e *errPredictor) Predict(core.QoSKind, int, []core.WorkloadInput) (float64
 func (e *errPredictor) Observe(core.QoSKind, int, []core.WorkloadInput, float64) error { return nil }
 func (e *errPredictor) Flush(core.QoSKind) error                                       { return nil }
 func (e *errPredictor) Name() string                                                   { return "err" }
+func (e *errPredictor) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64) error {
+	return predictEach(e, k, q, out)
+}
 
 func TestOfflineStateBookkeeping(t *testing.T) {
 	st := StateFromProfiles(spec, 4)

@@ -386,35 +386,6 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// BatchPredictor is how Gsight issues SLA checks: all checks of one
-// candidate placement and QoS kind as a single batch. Results must be
-// bit-identical to per-query Predict calls (core.Predictor's contract).
-type BatchPredictor interface {
-	PredictBatchInto(kind core.QoSKind, queries []core.Query, out []float64) error
-}
-
-// AsBatch returns p's batch path, or, for a QoSPredictor without one
-// (the baseline predictors), an adapter issuing one Predict per query.
-func AsBatch(p core.QoSPredictor) BatchPredictor {
-	if bp, ok := p.(BatchPredictor); ok {
-		return bp
-	}
-	return loopBatch{p}
-}
-
-type loopBatch struct{ p core.QoSPredictor }
-
-func (l loopBatch) PredictBatchInto(kind core.QoSKind, queries []core.Query, out []float64) error {
-	for i, q := range queries {
-		v, err := l.p.Predict(kind, q.Target, q.Inputs)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
-}
-
 // decisionRecorder is the part of a scheduler that accounts for its
 // decisions in counters and histograms. Embedded in every stock
 // scheduler.
@@ -786,7 +757,6 @@ func needsJCT(inputs []core.WorkloadInput, slas []SLA, durations []float64, i in
 // PredictBatchInto call each; a batch error other than
 // ErrTooManyServers is the caller's predictor error.
 func (g *Gsight) checkAll(inputs []core.WorkloadInput, slas []SLA, durations []float64) (bool, int, error) {
-	bp := AsBatch(g.Predictor)
 	sc := &g.scratch
 	sc.candIPC, sc.candJCT = 0, 0
 	sc.queries = sc.queries[:0]
@@ -805,10 +775,10 @@ func (g *Gsight) checkAll(inputs []core.WorkloadInput, slas []SLA, durations []f
 	sc.preds = resize(sc.preds, checks)
 	var err error
 	if nIPC > 0 {
-		err = bp.PredictBatchInto(core.IPCQoS, sc.queries[:nIPC], sc.preds[:nIPC])
+		err = g.Predictor.PredictBatchInto(core.IPCQoS, sc.queries[:nIPC], sc.preds[:nIPC])
 	}
 	if err == nil && checks > nIPC {
-		err = bp.PredictBatchInto(core.JCTQoS, sc.queries[nIPC:], sc.preds[nIPC:])
+		err = g.Predictor.PredictBatchInto(core.JCTQoS, sc.queries[nIPC:], sc.preds[nIPC:])
 	}
 	if errors.Is(err, core.ErrTooManyServers) {
 		// Beyond the code's spatial rows the predictor cannot see the

@@ -35,6 +35,19 @@ func inputFor(w *workload.Workload, qpsFrac float64) core.WorkloadInput {
 	return in
 }
 
+// predictEach answers a batch with one Predict per query: the batch
+// method of the test predictors.
+func predictEach(p core.QoSPredictor, kind core.QoSKind, queries []core.Query, out []float64) error {
+	for i, q := range queries {
+		v, err := p.Predict(kind, q.Target, q.Inputs)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
 // stubPredictor returns a fixed IPC, letting tests force SLA outcomes.
 type stubPredictor struct{ ipc float64 }
 
@@ -45,6 +58,9 @@ func (s *stubPredictor) Predict(core.QoSKind, int, []core.WorkloadInput) (float6
 func (s *stubPredictor) Observe(core.QoSKind, int, []core.WorkloadInput, float64) error { return nil }
 func (s *stubPredictor) Flush(core.QoSKind) error                                       { return nil }
 func (s *stubPredictor) Name() string                                                   { return "stub" }
+func (s *stubPredictor) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64) error {
+	return predictEach(s, k, q, out)
+}
 
 func TestStateBookkeeping(t *testing.T) {
 	st := StateFromProfiles(spec, 4)
@@ -147,6 +163,9 @@ func (s *targetAware) Predict(_ core.QoSKind, target int, _ []core.WorkloadInput
 func (s *targetAware) Observe(core.QoSKind, int, []core.WorkloadInput, float64) error { return nil }
 func (s *targetAware) Flush(core.QoSKind) error                                       { return nil }
 func (s *targetAware) Name() string                                                   { return "targetAware" }
+func (s *targetAware) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64) error {
+	return predictEach(s, k, q, out)
+}
 
 func TestBestFitPicksTightestServer(t *testing.T) {
 	st := StateFromProfiles(spec, 3)

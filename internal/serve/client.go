@@ -24,8 +24,6 @@ type Client struct {
 	// cur is the index of the address that last worked (not
 	// goroutine-safe; loadgen gives each worker its own Client).
 	cur int
-	// Backoff bounds. Defaults: 10ms initial, 1s cap.
-	BackoffMin, BackoffMax time.Duration
 	// MaxAttempts bounds tries per call across all addresses (default 8).
 	MaxAttempts int
 	// Shed counts 429 answers absorbed by retries (same goroutine as
@@ -39,11 +37,15 @@ func NewClient(addrs ...string) *Client {
 	return &Client{
 		addrs:       addrs,
 		hc:          &http.Client{Timeout: 10 * time.Second},
-		BackoffMin:  10 * time.Millisecond,
-		BackoffMax:  time.Second,
 		MaxAttempts: 8,
 	}
 }
+
+// A retry waits backoffMin, doubling per attempt up to backoffMax.
+const (
+	backoffMin = 10 * time.Millisecond
+	backoffMax = time.Second
+)
 
 // apiError is a non-2xx daemon answer.
 type apiError struct {
@@ -75,7 +77,7 @@ func (c *Client) post(ctx context.Context, path string, body, out interface{}) e
 	if err != nil {
 		return err
 	}
-	backoff := c.BackoffMin
+	backoff := backoffMin
 	var lastErr error
 	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
 		addr := c.addrs[c.cur]
@@ -97,9 +99,7 @@ func (c *Client) post(ctx context.Context, path string, body, out interface{}) e
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-		if backoff > c.BackoffMax {
-			backoff = c.BackoffMax
-		}
+		backoff = min(backoff, backoffMax)
 	}
 	return fmt.Errorf("serve: %d attempts exhausted: %w", c.MaxAttempts, lastErr)
 }
