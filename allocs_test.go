@@ -140,7 +140,8 @@ func TestTwoTierContendedAllocBudget(t *testing.T) {
 
 // TestInferenceAllocNeutral pins the predictor side: single and batched
 // inference (BenchmarkInference, BenchmarkInferenceBatch) are
-// allocation-free, and stay so with telemetry enabled.
+// allocation-free, and stay so with telemetry enabled. So is the
+// Pythia baseline's, whose linear model standardizes in place.
 func TestInferenceAllocNeutral(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor bootstrap is slow")
@@ -149,6 +150,11 @@ func TestInferenceAllocNeutral(t *testing.T) {
 	single, batched := inferenceOp(t, p, obs), inferenceBatchOp(t, p, obs)
 	allocBudget(t, "Predict", 0, single)
 	allocBudget(t, "PredictBatchInto", 0, batched)
+	pythia := core.NewPythia(1)
+	if err := pythia.TrainObservations(core.IPCQoS, obs); err != nil {
+		t.Fatal(err)
+	}
+	allocBudget(t, "Pythia Predict", 0, inferenceOp(t, pythia, obs))
 	p.Instrument(telemetry.New().WithDecisions(io.Discard))
 	allocBudget(t, "instrumented Predict", 0, single)
 	allocBudget(t, "instrumented PredictBatchInto", 0, batched)

@@ -696,10 +696,10 @@ func BenchmarkFaultyPlatform(b *testing.B) {
 	}
 }
 
-// BenchmarkTracedPlatform is BenchmarkFaultyPlatform with the full
-// observability recorder attached (lifecycle trace + flight recorder +
-// prediction-quality tracking, all draining to io.Discard): the same
-// chaos run, so the ns/op delta against BenchmarkFaultyPlatform is the
+// BenchmarkTracedPlatform is BenchmarkFaultyPlatform with a whole
+// recording attached (the decision log, lifecycle events included, and
+// the flight recorder, both draining to io.Discard): the same chaos
+// run, so the ns/op delta against BenchmarkFaultyPlatform is the
 // whole-run cost of enabled recording. The contract is <15% overhead;
 // run the two as one -bench pair to compare them.
 func BenchmarkTracedPlatform(b *testing.B) {
@@ -710,7 +710,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		tr, fl := obs.NewTracer(io.Discard), obs.NewFlight(io.Discard, 8, 30)
+		sink, fl := telemetry.New().WithDecisions(io.Discard), obs.NewFlight(io.Discard, 8, 30)
 		st, err := RunPlatform(nil, PlatformConfig{
 			Model:     NewTestbedModel(),
 			Scheduler: NewWorstFit(),
@@ -723,7 +723,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 			DurationS:       durationS,
 			Seed:            42,
 			Faults:          chaos,
-			Trace:           tr,
+			Telemetry:       sink,
 			Flight:          fl,
 		})
 		if err != nil {
@@ -732,7 +732,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		if st.FaultEvents == 0 {
 			b.Fatal("chaos run injected no faults")
 		}
-		if tr.Stream().Records() == 0 || fl.Stream().Records() == 0 {
+		if sink.Decisions.Stream().Records() == 0 || fl.Stream().Records() == 0 {
 			b.Fatal("recorder captured nothing")
 		}
 	}

@@ -38,7 +38,7 @@ func commands() []command {
 		{"train", "label a colocation dataset and train a predictor incrementally (Fig 10)", bindTrain},
 		{"workload", "validate, profile or export a workload definition (§3.2)", bindWorkload},
 		{"experiments", "regenerate the paper's tables and figures", bindExperiments},
-		{"inspect", "read decision logs, traces, flight recordings and snapshots", bindInspect},
+		{"inspect", "read decision logs, flight recordings and snapshots; render traces", bindInspect},
 	}
 }
 

@@ -197,9 +197,9 @@ func TestExperimentsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSimRecordingWiring: -trace alone, -record alone and the two
-// together write the same lifecycle trace. With both, the trace lands
-// at the -trace path and the flight recording in the -record
+// TestSimRecordingWiring: -decision-log alone, -record alone and the
+// two together write the same decision log. With both, the log lands
+// at the -decision-log path and the flight recording in the -record
 // directory; only -record writes a flight recording.
 func TestSimRecordingWiring(t *testing.T) {
 	dir := t.TempDir()
@@ -216,16 +216,16 @@ func TestSimRecordingWiring(t *testing.T) {
 		}
 		return data
 	}
-	sim("-trace", filepath.Join(dir, "alone.json"))
+	sim("-decision-log", filepath.Join(dir, "alone.jsonl"))
 	sim("-record", filepath.Join(dir, "rec"))
-	sim("-trace", filepath.Join(dir, "both.json"), "-record", filepath.Join(dir, "both"))
+	sim("-decision-log", filepath.Join(dir, "both.jsonl"), "-record", filepath.Join(dir, "both"))
 
-	trace := read("alone.json")
-	if !bytes.Contains(trace, []byte(`"cat":"fault"`)) {
-		t.Fatal("the chaos run's trace holds no fault event")
+	log := read("alone.jsonl")
+	if !bytes.Contains(log, []byte(`"event":"fault"`)) || !bytes.Contains(log, []byte(`"event":"job_end"`)) {
+		t.Fatal("the chaos run's decision log holds no fault or job_end event")
 	}
-	if !bytes.Equal(read("rec", "trace.json"), trace) || !bytes.Equal(read("both.json"), trace) {
-		t.Error("the three runs wrote different traces")
+	if !bytes.Equal(read("rec", "decisions.jsonl"), log) || !bytes.Equal(read("both.jsonl"), log) {
+		t.Error("the three runs wrote different decision logs")
 	}
 	if flight := read("rec", "flight.bin"); len(flight) == 0 || !bytes.Equal(read("both", "flight.bin"), flight) {
 		t.Error("the two -record runs wrote different or empty flight recordings")
@@ -241,7 +241,7 @@ func TestSimRecordingWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"alone.json", "both.json", filepath.Join("both", "flight.bin"), filepath.Join("rec", "flight.bin"), filepath.Join("rec", "trace.json")}
+	want := []string{"alone.jsonl", "both.jsonl", filepath.Join("both", "flight.bin"), filepath.Join("rec", "decisions.jsonl"), filepath.Join("rec", "flight.bin")}
 	slices.Sort(files)
 	if !slices.Equal(files, want) {
 		t.Errorf("files written: %v, want %v", files, want)

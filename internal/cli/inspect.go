@@ -29,25 +29,26 @@ func inspectVerbs() []inspectVerb {
 		{"predq", "<recording>", "prediction quality: per-archetype MAPE, drift", withRecording(cmdPredq)},
 		{"errors", "<recording>", "prediction error over time", withRecording(cmdErrors)},
 		{"heat", "<recording>", "per-server utilization from the flight recording", withRecording(cmdHeat)},
-		{"trace", "[-o out.json] <recording>", "export a strict {\"traceEvents\":[...]} JSON file", cmdTrace},
+		{"trace", "[-o out.json] <recording>", "render the decision log as a Perfetto trace", cmdTrace},
 		{"diff", "<a> <b>", "compare two recordings, locate first divergence", cmdDiff},
 		{"snapshot", "<file|dir>", "a checkpoint's envelope, controller state and predictor summary", cmdSnapshot},
 	}
 }
 
-// bindInspect is `gsight inspect <verb>`: it reads the observability
-// artifacts the other sub-commands produce — decision logs
-// (-decision-log), lifecycle traces (-trace) and flight recordings
-// (sim -record) — and answers questions about a run offline: what was
-// scheduled where, how good the predictor was, which functions missed
-// their SLA, how hot each server ran.
+// bindInspect is `gsight inspect <verb>`: it reads the recordings the
+// other sub-commands produce — decision logs (-decision-log, sim
+// -record) and flight recordings (sim -record) — and answers questions
+// about a run offline: what was scheduled where, how good the
+// predictor was, which jobs missed their SLA, how hot each server ran.
+// A simulator's decision log is its one event stream; the trace verb
+// renders it as a Perfetto trace.
 //
-// <recording> is a -record directory (trace.json + flight.bin inside),
-// or a single artifact file: a trace, a flight recording, or a JSONL
-// decision log — the tool sniffs which. Every reader checks the
-// format's schema version and rejects streams written by a newer,
-// incompatible gsight rather than misparsing them. A torn final record
-// — possible when a run was killed before its flush — is dropped.
+// <recording> is a -record directory (decisions.jsonl + flight.bin
+// inside), or a single artifact file: a JSONL decision log or a flight
+// recording — the tool sniffs which. Every reader checks the format's
+// schema version and rejects streams written by another, incompatible
+// gsight rather than misparsing them. A torn final record — possible
+// when a run was killed before its flush — is dropped.
 func bindInspect(fs *flag.FlagSet) func([]string) error {
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: %s <verb> [args]\n\nverbs:\n", fs.Name())
@@ -71,9 +72,8 @@ func bindInspect(fs *flag.FlagSet) func([]string) error {
 // recording is one run's artifacts, any subset of which may be present.
 type recording struct {
 	path   string
-	trace  []traceEvent
-	flight *obs.FlightData
 	log    []map[string]interface{}
+	flight *obs.FlightData
 }
 
 // openRecording resolves path — a -record directory or a single
@@ -86,8 +86,8 @@ func openRecording(path string) (*recording, error) {
 	}
 	if st.IsDir() {
 		loaded := false
-		if tr := filepath.Join(path, "trace.json"); fileExists(tr) {
-			if rec.trace, err = readTrace(tr); err != nil {
+		if lp := filepath.Join(path, "decisions.jsonl"); fileExists(lp) {
+			if rec.log, err = readDecisionLog(lp); err != nil {
 				return nil, err
 			}
 			loaded = true
@@ -99,7 +99,7 @@ func openRecording(path string) (*recording, error) {
 			loaded = true
 		}
 		if !loaded {
-			return nil, fmt.Errorf("%s: no trace.json or flight.bin inside", path)
+			return nil, fmt.Errorf("%s: no decisions.jsonl or flight.bin inside", path)
 		}
 		return rec, nil
 	}
@@ -108,9 +108,6 @@ func openRecording(path string) (*recording, error) {
 		return nil, err
 	case kind == "flight":
 		rec.flight, err = readFlightFile(path)
-		return rec, err
-	case kind == "trace":
-		rec.trace, err = readTrace(path)
 		return rec, err
 	default:
 		rec.log, err = readDecisionLog(path)
@@ -150,96 +147,11 @@ func sniff(path string) (string, error) {
 	switch {
 	case bytes.HasPrefix(head, []byte("GFR")):
 		return "flight", nil
-	case bytes.HasPrefix(head, []byte("[")):
-		return "trace", nil
 	case bytes.HasPrefix(head, []byte("{")):
 		return "log", nil
 	default:
 		return "", fmt.Errorf("%s: not a gsight recording (unrecognized header)", path)
 	}
-}
-
-// traceEvent is one decoded Chrome trace-event line.
-type traceEvent struct {
-	Name string                 `json:"name"`
-	Cat  string                 `json:"cat"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"` // microseconds of simulated time
-	ID   int                    `json:"id"`
-	Args map[string]interface{} `json:"args"`
-}
-
-// simS returns the event time in simulated seconds.
-func (e *traceEvent) simS() float64 { return e.Ts / 1e6 }
-
-func (e *traceEvent) argStr(key string) string {
-	s, _ := e.Args[key].(string)
-	return s
-}
-
-func (e *traceEvent) argFloat(key string) float64 {
-	f, _ := e.Args[key].(float64)
-	return f
-}
-
-// argBool reports (value, present) for a boolean arg.
-func (e *traceEvent) argBool(key string) (bool, bool) {
-	b, ok := e.Args[key].(bool)
-	return b, ok
-}
-
-// readTrace parses the line-oriented trace stream: the "[" opener,
-// then one event object per line with a trailing comma. The metadata
-// preamble must identify a schema this tool understands. A torn final
-// line is dropped.
-func readTrace(path string) ([]traceEvent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var events []traceEvent
-	schema := -1
-	first := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		line = strings.TrimSuffix(line, ",")
-		if first {
-			first = false
-			if line == "[" {
-				continue
-			}
-			return nil, fmt.Errorf("%s: not a gsight trace (missing array opener)", path)
-		}
-		if line == "" || line == "]" {
-			continue
-		}
-		var ev traceEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			// Only the final line may be torn (crash without flush).
-			if sc.Scan() {
-				return nil, fmt.Errorf("%s: bad trace line: %v", path, err)
-			}
-			break
-		}
-		if ev.Ph == "M" && ev.Name == "gsight_trace" {
-			schema = int(ev.argFloat("schema"))
-			continue
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if schema == -1 {
-		return nil, fmt.Errorf("%s: not a gsight trace (no gsight_trace metadata)", path)
-	}
-	if schema != obs.TraceSchema {
-		return nil, fmt.Errorf("%s: trace schema %d not supported (want %d)", path, schema, obs.TraceSchema)
-	}
-	return events, nil
 }
 
 func readFlightFile(path string) (*obs.FlightData, error) {
@@ -284,10 +196,9 @@ func readDecisionLog(path string) ([]map[string]interface{}, error) {
 			if kind, _ := ev["event"].(string); kind != "header" {
 				return nil, fmt.Errorf("%s: not a gsight decision log (no schema header)", path)
 			}
-			schema, _ := ev["schema"].(float64)
-			if int(schema) != telemetry.DecisionLogSchema {
+			if schema := int(num(ev["schema"])); schema != telemetry.DecisionLogSchema {
 				return nil, fmt.Errorf("%s: decision-log schema %d not supported (want %d)",
-					path, int(schema), telemetry.DecisionLogSchema)
+					path, schema, telemetry.DecisionLogSchema)
 			}
 			continue
 		}
@@ -308,38 +219,58 @@ func cmdSummary(rec *recording) error {
 	if rec.log != nil {
 		summarizeLog(rec.log)
 	}
-	if rec.trace != nil {
-		summarizeTrace(rec.trace)
-	}
 	if rec.flight != nil {
 		summarizeFlight(rec.flight)
 	}
 	return nil
 }
 
+// jobOutcome aggregates completed jobs per archetype.
+type jobOutcome struct {
+	completed   int
+	checked     int
+	violations  int
+	sumSlowdown float64
+}
+
 func summarizeLog(events []map[string]interface{}) {
 	kinds := map[string]int{}
 	outcomes := map[string]int{}
 	rejected := map[string]int{}
+	jobs := map[string]*jobOutcome{}
 	tier0Decisions, tier0Kept, tier0Pruned := 0, 0.0, 0.0
 	var drifts []map[string]interface{}
 	for _, ev := range events {
-		kind, _ := ev["event"].(string)
+		kind := str(ev["event"])
 		kinds[kind]++
-		if kind == "placement" {
-			out, _ := ev["outcome"].(string)
+		switch kind {
+		case "placement":
+			out := str(ev["outcome"])
 			outcomes[out]++
 			if out == "rejected" {
-				w, _ := ev["workload"].(string)
-				rejected[w]++
+				rejected[str(ev["workload"])]++
 			}
 			if _, ok := ev["tier0_kept"]; ok {
 				tier0Decisions++
 				tier0Kept += num(ev["tier0_kept"])
 				tier0Pruned += num(ev["tier0_pruned"])
 			}
-		}
-		if kind == "predictor_drift" {
+		case "job_end":
+			arch := str(ev["archetype"])
+			jo := jobs[arch]
+			if jo == nil {
+				jo = &jobOutcome{}
+				jobs[arch] = jo
+			}
+			jo.completed++
+			jo.sumSlowdown += num(ev["slowdown"])
+			if ok, checked := ev["sla_ok"].(bool); checked {
+				jo.checked++
+				if !ok {
+					jo.violations++
+				}
+			}
+		case "predictor_drift":
 			drifts = append(drifts, ev)
 		}
 	}
@@ -366,102 +297,26 @@ func summarizeLog(events []map[string]interface{}) {
 		fmt.Printf("two-tier pruning: %d decisions, %.0f candidates pruned of %.0f scanned (%.1f%%)\n",
 			tier0Decisions, tier0Pruned, scanned, 100*rate)
 	}
+	var violating []string
+	for _, name := range sortedKeys(jobs) {
+		if jobs[name].violations > 0 {
+			violating = append(violating, name)
+		}
+	}
+	if len(violating) > 0 {
+		fmt.Println("top SLA-violating jobs:")
+		sort.SliceStable(violating, func(i, j int) bool {
+			return jobs[violating[i]].violations > jobs[violating[j]].violations
+		})
+		for _, name := range violating[:min(len(violating), 5)] {
+			jo := jobs[name]
+			fmt.Printf("  %-18s %d/%d checked jobs violated, mean slowdown %.2fx\n",
+				name, jo.violations, jo.checked, jo.sumSlowdown/float64(jo.completed))
+		}
+	}
 	for _, d := range drifts {
 		fmt.Printf("predictor drift at t=%.0fs: qos=%s archetype=%s mape=%.3f ph=%.2f\n",
 			num(d["sim_time_s"]), d["qos"], d["archetype"], num(d["mape"]), num(d["ph"]))
-	}
-	fmt.Println()
-}
-
-// jobOutcome aggregates completed job spans per archetype.
-type jobOutcome struct {
-	completed   int
-	checked     int
-	violations  int
-	sumSlowdown float64
-}
-
-func summarizeTrace(events []traceEvent) {
-	began, placements, faults, reactive := 0, 0, 0, 0
-	outcomes := map[string]int{}
-	jobs := map[string]*jobOutcome{}
-	var drifts []traceEvent
-	for i := range events {
-		ev := &events[i]
-		switch {
-		case ev.Cat == "job" && ev.Ph == "b":
-			began++
-		case ev.Cat == "job" && ev.Ph == "e":
-			jo := jobs[ev.Name]
-			if jo == nil {
-				jo = &jobOutcome{}
-				jobs[ev.Name] = jo
-			}
-			jo.completed++
-			jo.sumSlowdown += ev.argFloat("slowdown")
-			if ok, present := ev.argBool("sla_ok"); present {
-				jo.checked++
-				if !ok {
-					jo.violations++
-				}
-			}
-		case ev.Cat == "sched":
-			placements++
-			outcomes[ev.argStr("outcome")]++
-		case ev.Cat == "fault" && ev.Name == "degraded":
-			// counted via decision log when present; still a fault event
-			faults++
-		case ev.Cat == "fault":
-			faults++
-		case ev.Cat == "reactive":
-			reactive++
-		case ev.Cat == "predq" && ev.Name == "predictor_drift":
-			drifts = append(drifts, *ev)
-		}
-	}
-	completed, violations := 0, 0
-	for _, jo := range jobs {
-		completed += jo.completed
-		violations += jo.violations
-	}
-	fmt.Printf("trace: %d events — %d jobs begun, %d completed, %d placements, %d fault events, %d reactive actions\n",
-		len(events), began, completed, placements, faults, reactive)
-	if len(outcomes) > 0 {
-		fmt.Println("placement outcomes:")
-		for _, k := range sortedKeys(outcomes) {
-			fmt.Printf("  %-18s %d\n", k, outcomes[k])
-		}
-	}
-	if violations > 0 {
-		fmt.Println("top SLA-violating functions:")
-		type viol struct {
-			name string
-			jo   *jobOutcome
-		}
-		var vs []viol
-		for name, jo := range jobs {
-			if jo.violations > 0 {
-				vs = append(vs, viol{name, jo})
-			}
-		}
-		sort.Slice(vs, func(i, j int) bool {
-			if vs[i].jo.violations != vs[j].jo.violations {
-				return vs[i].jo.violations > vs[j].jo.violations
-			}
-			return vs[i].name < vs[j].name
-		})
-		for i, v := range vs {
-			if i == 5 {
-				break
-			}
-			fmt.Printf("  %-18s %d/%d checked jobs violated, mean slowdown %.2fx\n",
-				v.name, v.jo.violations, v.jo.checked, v.jo.sumSlowdown/float64(v.jo.completed))
-		}
-	}
-	for i := range drifts {
-		d := &drifts[i]
-		fmt.Printf("predictor drift at t=%.0fs: qos=%s archetype=%s mape=%.3f ph=%.2f\n",
-			d.simS(), d.argStr("qos"), d.argStr("archetype"), d.argFloat("mape"), d.argFloat("ph"))
 	}
 	fmt.Println()
 }
@@ -494,39 +349,40 @@ func summarizeFlight(fd *obs.FlightData) {
 
 // ---- predq ----
 
-func cmdPredq(rec *recording) error {
-	if rec.trace == nil {
-		return fmt.Errorf("%s: prediction-quality analysis needs a trace (sim -trace or -record)", rec.path)
+// predSamples returns the log's prediction-quality samples by QoS kind,
+// or an error naming the recording when it has no decision log.
+func predSamples(rec *recording) (map[string][]map[string]interface{}, error) {
+	if rec.log == nil {
+		return nil, fmt.Errorf("%s: prediction-quality analysis needs a decision log (sim -decision-log or -record)", rec.path)
 	}
-	byQoS := map[string][]*traceEvent{}
-	var recorded []*traceEvent
-	for i := range rec.trace {
-		ev := &rec.trace[i]
-		if ev.Cat != "predq" {
-			continue
+	byQoS := map[string][]map[string]interface{}{}
+	for _, ev := range rec.log {
+		if str(ev["event"]) == "pred_sample" {
+			qos := str(ev["qos"])
+			byQoS[qos] = append(byQoS[qos], ev)
 		}
-		if ev.Name == "predictor_drift" {
-			recorded = append(recorded, ev)
-			continue
-		}
-		qos := ev.argStr("qos")
-		byQoS[qos] = append(byQoS[qos], ev)
 	}
 	if len(byQoS) == 0 {
-		fmt.Println("no prediction-quality samples in trace")
-		return nil
+		fmt.Println("no prediction-quality samples in the decision log")
+	}
+	return byQoS, nil
+}
+
+func cmdPredq(rec *recording) error {
+	byQoS, err := predSamples(rec)
+	if err != nil || len(byQoS) == 0 {
+		return err
 	}
 	for _, qos := range sortedKeys(byQoS) {
-		samples := byQoS[qos]
 		// Replay the samples through the same online tracker the
 		// platform runs, so the reported rolling stats match what the
 		// live run saw.
 		q := obs.NewPredQ()
 		archetypes := map[string]bool{}
-		for _, ev := range samples {
-			arch := ev.argStr("archetype")
+		for _, ev := range byQoS[qos] {
+			arch := str(ev["archetype"])
 			archetypes[arch] = true
-			q.Track(arch, qos, ev.argFloat("pred"), ev.argFloat("obs"))
+			q.Track(arch, qos, num(ev["pred"]), num(ev["obs"]))
 		}
 		ov := q.Overall()
 		fmt.Printf("prediction quality qos=%s: %d samples\n", qos, ov.Count)
@@ -541,6 +397,12 @@ func cmdPredq(rec *recording) error {
 		}
 		fmt.Println()
 	}
+	var recorded []map[string]interface{}
+	for _, ev := range rec.log {
+		if str(ev["event"]) == "predictor_drift" {
+			recorded = append(recorded, ev)
+		}
+	}
 	if len(recorded) == 0 {
 		fmt.Println("no drift events recorded")
 		return nil
@@ -548,8 +410,8 @@ func cmdPredq(rec *recording) error {
 	fmt.Printf("drift events recorded: %d\n", len(recorded))
 	for _, d := range recorded {
 		fmt.Printf("  t=%.0fs qos=%s archetype=%s window=%d mean_err=%+.3f mape=%.3f ph=%.2f\n",
-			d.simS(), d.argStr("qos"), d.argStr("archetype"), int(d.argFloat("window")),
-			d.argFloat("mean_err"), d.argFloat("mape"), d.argFloat("ph"))
+			num(d["sim_time_s"]), str(d["qos"]), str(d["archetype"]), int(num(d["window"])),
+			num(d["mean_err"]), num(d["mape"]), num(d["ph"]))
 	}
 	return nil
 }
@@ -560,8 +422,9 @@ func cmdPredq(rec *recording) error {
 const errorBuckets = 12
 
 func cmdErrors(rec *recording) error {
-	if rec.trace == nil {
-		return fmt.Errorf("%s: error-over-time needs a trace (sim -trace or -record)", rec.path)
+	samples, err := predSamples(rec)
+	if err != nil || len(samples) == 0 {
+		return err
 	}
 	type sample struct {
 		t, pred, obs float64
@@ -569,27 +432,24 @@ func cmdErrors(rec *recording) error {
 	byQoS := map[string][]sample{}
 	minT, maxT := 0.0, 0.0
 	n := 0
-	for i := range rec.trace {
-		ev := &rec.trace[i]
-		if ev.Cat != "predq" || ev.Name != "sample" {
-			continue
+	for qos, evs := range samples {
+		for _, ev := range evs {
+			s := sample{t: num(ev["sim_time_s"]), pred: num(ev["pred"]), obs: num(ev["obs"])}
+			if s.obs <= 0 {
+				continue
+			}
+			if n == 0 || s.t < minT {
+				minT = s.t
+			}
+			if n == 0 || s.t > maxT {
+				maxT = s.t
+			}
+			n++
+			byQoS[qos] = append(byQoS[qos], s)
 		}
-		s := sample{t: ev.simS(), pred: ev.argFloat("pred"), obs: ev.argFloat("obs")}
-		if s.obs <= 0 {
-			continue
-		}
-		if n == 0 || s.t < minT {
-			minT = s.t
-		}
-		if n == 0 || s.t > maxT {
-			maxT = s.t
-		}
-		n++
-		qos := ev.argStr("qos")
-		byQoS[qos] = append(byQoS[qos], s)
 	}
 	if n == 0 {
-		fmt.Println("no prediction-quality samples in trace")
+		fmt.Println("no prediction-quality samples in the decision log")
 		return nil
 	}
 	span := maxT - minT
@@ -696,7 +556,7 @@ func maxAll(vs []float64) float64 {
 
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("gsight inspect trace", flag.ContinueOnError)
-	out := fs.String("o", "", "write the strict-JSON trace to this file instead of stdout")
+	out := fs.String("o", "", "write the trace to this file instead of stdout")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -707,34 +567,64 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	if rec.trace == nil {
-		return fmt.Errorf("%s: no trace stream", fs.Arg(0))
+	if rec.log == nil {
+		return fmt.Errorf("%s: no decision log to render", fs.Arg(0))
 	}
-	w := os.Stdout
+	var buf bytes.Buffer
+	if err := renderTrace(&buf, rec.log); err != nil {
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
+	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+		return os.WriteFile(*out, buf.Bytes(), 0o644)
 	}
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
-	// Re-emit as a strict JSON object for tools that reject the
-	// truncation-tolerant array-body stream.
-	bw.WriteString("{\"traceEvents\":[\n")
-	enc := json.NewEncoder(bw)
-	enc.SetEscapeHTML(false)
-	for i := range rec.trace {
-		if i > 0 {
-			bw.WriteString(",")
-		}
-		if err := enc.Encode(rec.trace[i]); err != nil {
-			return err
+	_, err = os.Stdout.Write(buf.Bytes())
+	return err
+}
+
+// renderTrace encodes a decision log's simulator events as a Perfetto
+// trace through obs.Tracer — one trace event per log event, in log
+// order — and closes the tracer's array, so the file is strict JSON.
+// Events no simulator writes (training steps, experiment outcomes) are
+// not part of the trace.
+func renderTrace(w *bytes.Buffer, events []map[string]interface{}) error {
+	tr := obs.NewTracer(w)
+	for _, ev := range events {
+		t := num(ev["sim_time_s"])
+		switch str(ev["event"]) {
+		case "placement":
+			tr.Placement(&telemetry.PlacementDecision{SimTimeS: t, Workload: str(ev["workload"]),
+				Outcome: str(ev["outcome"]), Reason: str(ev["reason"]),
+				SpreadLevels: int(num(ev["spread_levels"])), SLAChecks: int(num(ev["sla_checks"])),
+				Placement: ints(ev["placement"]), PredIPC: num(ev["pred_ipc"]), PredJCTS: num(ev["pred_jct_s"])})
+		case "job_begin":
+			tr.JobBegin(&telemetry.JobBegin{SimTimeS: t, ID: int(num(ev["id"])), Archetype: str(ev["archetype"]),
+				Job: str(ev["job"]), Placement: ints(ev["placement"]), PredJCTS: num(ev["pred_jct_s"])})
+		case "job_end":
+			ok, checked := ev["sla_ok"].(bool)
+			tr.JobEnd(&telemetry.JobEnd{SimTimeS: t, ID: int(num(ev["id"])), Archetype: str(ev["archetype"]),
+				JCTS: num(ev["jct_s"]), Slowdown: num(ev["slowdown"]), Checked: checked, SLAOK: ok})
+		case "reactive":
+			tr.Reactive(&telemetry.ReactiveAction{SimTimeS: t, Action: str(ev["action"]),
+				Service: str(ev["service"]), Moved: int(num(ev["moved"]))})
+		case "fault":
+			tr.Fault(&telemetry.FaultEvent{SimTimeS: t, Kind: str(ev["kind"]), Node: int(num(ev["node"])),
+				DisplacedServices: int(num(ev["displaced_services"])), DisplacedJobs: int(num(ev["displaced_jobs"]))})
+		case "degraded":
+			entered, _ := ev["entered"].(bool)
+			tr.Degraded(&telemetry.DegradedTransition{SimTimeS: t, Entered: entered, Reason: str(ev["reason"])})
+		case "pred_sample":
+			tr.PredSample(&telemetry.PredSample{SimTimeS: t, Archetype: str(ev["archetype"]),
+				QoS: str(ev["qos"]), Pred: num(ev["pred"]), Obs: num(ev["obs"])})
+		case "predictor_drift":
+			tr.Drift(&telemetry.DriftEvent{SimTimeS: t, QoS: str(ev["qos"]), Archetype: str(ev["archetype"]),
+				Window: int(num(ev["window"])), MeanErr: num(ev["mean_err"]), MAPE: num(ev["mape"]), PH: num(ev["ph"])})
 		}
 	}
-	bw.WriteString("]}\n")
+	if w.Len() == 0 {
+		return fmt.Errorf("no simulator events to render")
+	}
+	w.Truncate(w.Len() - len(",\n"))
+	w.WriteString("\n]\n")
 	return nil
 }
 
@@ -754,15 +644,6 @@ func cmdDiff(args []string) error {
 	}
 	identical := true
 	compared := false
-	if a.trace != nil && b.trace != nil {
-		compared = true
-		if i := firstDiff(a.trace, b.trace); i >= 0 {
-			identical = false
-			reportTraceDiff(a.trace, b.trace, i)
-		} else {
-			fmt.Printf("traces identical: %d events\n", len(a.trace))
-		}
-	}
 	if a.flight != nil && b.flight != nil {
 		compared = true
 		if i := diffFlights(a.flight, b.flight); i >= 0 {
@@ -805,20 +686,6 @@ func firstDiff[T any](a, b []T) int {
 	return -1
 }
 
-func reportTraceDiff(a, b []traceEvent, i int) {
-	fmt.Printf("traces diverge at event %d (of %d vs %d):\n", i, len(a), len(b))
-	if i < len(a) {
-		fmt.Printf("  a: %s\n", jsonLine(a[i]))
-	} else {
-		fmt.Printf("  a: <ended>\n")
-	}
-	if i < len(b) {
-		fmt.Printf("  b: %s\n", jsonLine(b[i]))
-	} else {
-		fmt.Printf("  b: <ended>\n")
-	}
-}
-
 // diffFlights returns the first diverging frame index, or -1.
 func diffFlights(a, b *obs.FlightData) int {
 	if a.Servers != b.Servers || a.StepS != b.StepS {
@@ -857,6 +724,24 @@ func jsonLine(v interface{}) string {
 func num(v interface{}) float64 {
 	f, _ := v.(float64)
 	return f
+}
+
+func str(v interface{}) string {
+	s, _ := v.(string)
+	return s
+}
+
+// ints converts a decoded JSON array of numbers; nil when v is absent.
+func ints(v interface{}) []int {
+	vs, ok := v.([]interface{})
+	if !ok {
+		return nil
+	}
+	out := make([]int, len(vs))
+	for i, x := range vs {
+		out[i] = int(num(x))
+	}
+	return out
 }
 
 // sortedKeys returns the keys of a string-keyed map in sorted order.

@@ -34,19 +34,18 @@ import (
 // A run is a pure function of its flags, so it recovers by re-running:
 // every output is rewritten from t = 0, byte-identical.
 //
-// -trace writes an invocation-lifecycle trace in Chrome trace-event
-// JSON (loadable in Perfetto or chrome://tracing). -record captures the
-// full observability bundle into a directory — trace.json plus
-// flight.bin, the step-sampled flight recording `gsight inspect` reads.
-// Both streams are simulation-time only (same-seed runs are
-// byte-identical).
+// -record captures a run into a directory `gsight inspect` reads:
+// decisions.jsonl, the decision log (unless -decision-log puts it
+// elsewhere), which `gsight inspect trace` renders as a Perfetto
+// trace, and flight.bin, the step-sampled flight recording. Both are
+// simulation-time only (same-seed runs are byte-identical).
 type simCmd struct {
 	runEnv
-	scheduler, faults, tracePath, recordDir string
-	hours                                   float64
-	train, servers, topk                    int
-	seed                                    uint64
-	scaling                                 trace.Scaling
+	scheduler, faults, recordDir string
+	hours                        float64
+	train, servers, topk         int
+	seed                         uint64
+	scaling                      trace.Scaling
 }
 
 func bindSim(fs *flag.FlagSet) func([]string) error {
@@ -57,8 +56,7 @@ func bindSim(fs *flag.FlagSet) func([]string) error {
 	fs.Uint64Var(&c.seed, "seed", 42, "seed")
 	fs.StringVar(&c.faults, "faults", "", "fault schedule: a named scenario ("+strings.Join(faults.Names(), ", ")+") or a JSON schedule file")
 	fs.String("checkpoint-dir", "", "ignored: still accepted because benchmark/sim.go passes it (ROADMAP 18(a) drops it)")
-	fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event (Perfetto) lifecycle trace to this file")
-	fs.StringVar(&c.recordDir, "record", "", "record the observability bundle (trace.json, flight.bin) into this directory")
+	fs.StringVar(&c.recordDir, "record", "", "record the run (decisions.jsonl, flight.bin) into this directory")
 	fs.Float64Var(&c.scaling.RateFactor, "rate-scale", 1, "multiply every service's invocation rate (and its MaxQPS ceiling) for soak runs")
 	fs.Float64Var(&c.scaling.TimeFactor, "time-scale", 1, "compress the diurnal/weekly trace clock: k replays k days of rate structure per simulated day")
 	fs.IntVar(&c.servers, "servers", 0, "cluster size (0 = the paper's 8-node testbed)")
@@ -69,46 +67,28 @@ func bindSim(fs *flag.FlagSet) func([]string) error {
 		if c.train < 1 && (c.scheduler == "gsight" || c.scheduler == "bestfit") {
 			return fmt.Errorf("-train %d: the %s scheduler needs at least 1 bootstrap scenario", c.train, c.scheduler)
 		}
-		// The record directory comes first so other outputs (like
-		// -decision-log) can point into it.
+		// The record directory comes first so other outputs can point
+		// into it; its decision log is the run's, unless -decision-log
+		// names another file.
 		if c.recordDir != "" {
 			if err := os.MkdirAll(c.recordDir, 0o755); err != nil {
 				return fmt.Errorf("record dir: %w", err)
 			}
+			c.decisionPath = cmp.Or(c.decisionPath, filepath.Join(c.recordDir, "decisions.jsonl"))
 		}
 		return c.run(c.simulate)
 	}
 }
 
 func (c *simCmd) simulate(ctx context.Context) error {
-	// Observability recording paths: -trace writes the lifecycle trace
-	// alone, -record captures the full bundle (trace + flight recording)
-	// into a directory `gsight inspect` can read back.
-	tracePath, flightPath := c.tracePath, ""
-	if c.recordDir != "" {
-		if tracePath == "" {
-			tracePath = filepath.Join(c.recordDir, "trace.json")
-		}
-		flightPath = filepath.Join(c.recordDir, "flight.bin")
-	}
-
 	tb := resources.DefaultTestbed()
 	if c.servers > 0 {
 		tb = resources.NewTestbed(c.servers)
 	}
 
-	var tracer *obs.Tracer
 	var flight *obs.Flight
-	if tracePath != "" {
-		f, err := c.create(tracePath)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		tracer = obs.NewTracer(f)
-		c.streams = append(c.streams, tracer.Stream())
-	}
-	if flightPath != "" {
-		f, err := c.create(flightPath)
+	if c.recordDir != "" {
+		f, err := c.create(filepath.Join(c.recordDir, "flight.bin"))
 		if err != nil {
 			return fmt.Errorf("flight recording: %w", err)
 		}
@@ -219,21 +199,20 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		Telemetry:       c.sink,
 		Faults:          schedule,
 		Predictor:       onlinePred,
-		Trace:           tracer,
 		Flight:          flight,
 	})
 	if err != nil {
 		return fmt.Errorf("simulation: %w", err)
 	}
 	c.infof("simulated in %v (%d steps)", time.Since(t0).Round(time.Millisecond), st.Steps)
-	if tracer != nil || flight != nil {
+	if flight != nil {
 		// Recording is best-effort and never fails the run mid-way; the
 		// first write error surfaces here.
-		if err := cmp.Or(tracer.Stream().Err(), flight.Stream().Err()); err != nil {
-			return fmt.Errorf("observability recording: %w", err)
+		if err := cmp.Or(c.sink.Decisions.Stream().Err(), flight.Stream().Err()); err != nil {
+			return fmt.Errorf("recording: %w", err)
 		}
-		c.infof("recorded %d trace events, %d flight frames",
-			tracer.Stream().Records(), flight.Stream().Records())
+		c.infof("recorded %d decision-log events, %d flight frames",
+			c.sink.Decisions.Stream().Records(), flight.Stream().Records())
 	}
 
 	fmt.Printf("function density (inst/core): mean %.3f, p50 %.3f, p90 %.3f\n",

@@ -65,13 +65,18 @@ func (s *sgdBase) raw(xs []float64) float64 {
 	return v
 }
 
-// predict maps back to target space.
+// predict maps back to target space. It standardizes each feature
+// inside the dot product — raw's operations in raw's order, without
+// the standardized copy — so a prediction allocates nothing.
 func (s *sgdBase) predict(x []float64) float64 {
 	if s.w == nil {
 		return 0
 	}
-	xs := s.xScaler.Transform(x)
-	return s.raw(xs)*s.yStd() + s.yMean
+	v := s.b
+	for i, xi := range x {
+		v += s.w[i] * s.xScaler.standardize(i, xi)
+	}
+	return v*s.yStd() + s.yMean
 }
 
 // runEpochs performs SGD over the batch with the supplied per-sample

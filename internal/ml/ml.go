@@ -128,17 +128,21 @@ func (s *Scaler) Observe(x []float64) {
 // Transform returns the standardized copy of x.
 func (s *Scaler) Transform(x []float64) []float64 {
 	out := make([]float64, len(x))
-	if s.mean == nil || s.n < 2 {
-		copy(out, x)
-		return out
-	}
 	for i, v := range x {
-		sd := math.Sqrt(s.m2[i] / s.n)
-		if sd < 1e-12 {
-			out[i] = 0
-			continue
-		}
-		out[i] = (v - s.mean[i]) / sd
+		out[i] = s.standardize(i, v)
 	}
 	return out
+}
+
+// standardize returns v, the value of feature i, standardized: v
+// itself until two samples are seen, 0 for a constant feature.
+func (s *Scaler) standardize(i int, v float64) float64 {
+	if s.mean == nil || s.n < 2 {
+		return v
+	}
+	sd := math.Sqrt(s.m2[i] / s.n)
+	if sd < 1e-12 {
+		return 0
+	}
+	return (v - s.mean[i]) / sd
 }

@@ -5,10 +5,10 @@
 //
 // Everything is recorded in simulation time only, so a fixed-seed run
 // produces byte-identical outputs, and every stream is a counted
-// telemetry.Stream like the decision log. The tracer encodes the same
-// telemetry event structs the decision log does, so a caller builds
-// each event once and hands it to both. The streams are nil-safe: a
-// nil *Tracer or *Flight (that stream disabled) makes every hook a
-// predictable branch and keeps the platform's steady-state step loop
-// allocation-free. PredQ runs in every simulation.
+// telemetry.Stream like the decision log. The simulator's decision log
+// is its one event stream: the tracer renders it as a Perfetto trace
+// afterwards, encoding the same telemetry event structs. The flight
+// recorder is nil-safe: a nil *Flight (recording disabled) makes every
+// hook a predictable branch and keeps the platform's steady-state step
+// loop allocation-free. PredQ runs in every simulation.
 package obs

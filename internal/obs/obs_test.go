@@ -42,16 +42,16 @@ func driveTracer(t *Tracer, from, to int) {
 		ts := float64(i) * 30
 		switch i % 4 {
 		case 0:
-			t.JobBegin(i, "matmul", "matmul#0", ts, []int{i % 3}, 1.5)
+			t.JobBegin(&telemetry.JobBegin{SimTimeS: ts, ID: i, Archetype: "matmul", Job: "matmul#0", Placement: []int{i % 3}, PredJCTS: 1.5})
 		case 1:
-			t.Placement(ts, &telemetry.PlacementDecision{
-				Workload: "social-network", Placement: []int{0, 1},
+			t.Placement(&telemetry.PlacementDecision{
+				SimTimeS: ts, Workload: "social-network", Placement: []int{0, 1},
 				Outcome: "placed", SpreadLevels: 3, SLAChecks: 7, PredIPC: 1.2,
 			})
 		case 2:
-			t.PredSample(ts, "matmul", "jct", 1.4, 1.6)
+			t.PredSample(&telemetry.PredSample{SimTimeS: ts, Archetype: "matmul", QoS: "jct", Pred: 1.4, Obs: 1.6})
 		case 3:
-			t.JobEnd(i-3, "matmul", ts, 42.5, 1.18, true, true)
+			t.JobEnd(&telemetry.JobEnd{SimTimeS: ts, ID: i - 3, Archetype: "matmul", JCTS: 42.5, Slowdown: 1.18, Checked: true, SLAOK: true})
 		}
 	}
 }
@@ -84,10 +84,10 @@ func TestTracerStreamShape(t *testing.T) {
 			t.Fatalf("non-metadata event without ts: %q", ln)
 		}
 	}
-	if got := tr.Stream().Records(); got != uint64(events) {
+	if got := tr.s.Records(); got != uint64(events) {
 		t.Fatalf("Records() = %d, stream has %d", got, events)
 	}
-	if _, b := tr.Stream().Offset(); b != int64(len(out)) {
+	if _, b := tr.s.Offset(); b != int64(len(out)) {
 		t.Fatalf("Offset bytes = %d, wrote %d", b, len(out))
 	}
 	if !strings.Contains(out, `"schema":1`) {
@@ -95,13 +95,17 @@ func TestTracerStreamShape(t *testing.T) {
 	}
 	// The tracer encodes the decision log's event structs: the trace
 	// keeps its own names and args (displaced sums services and jobs;
-	// the fallback name stays out of the trace).
+	// a job's placement is its servers; the fallback name stays out of
+	// the trace).
 	for _, want := range []string{
 		`{"name":"node-down","cat":"fault","ph":"i","ts":300000000,"pid":1,"tid":0,"s":"g","args":{"node":2,"displaced":5}},`,
 		`{"name":"degraded","cat":"fault","ph":"i","ts":310000000,"pid":1,"tid":0,"s":"g","args":{"entered":true,"reason":"predictor-unavailable"}},`,
 		`{"name":"evict-corunner","cat":"reactive","ph":"i","ts":320000000,"pid":1,"tid":0,"s":"t","args":{"service":"social-network","moved":2}},`,
 		`{"name":"predictor_drift","cat":"predq","ph":"i","ts":330000000,"pid":1,"tid":0,"s":"g","args":{"archetype":"matmul","qos":"ipc","window":64,"mean_err":0.25,"mape":0.5,"ph":2.5}},`,
 		`{"name":"placement","cat":"sched","ph":"i","ts":30000000,"pid":1,"tid":0,"s":"t","args":{"workload":"social-network","outcome":"placed","spread_levels":3,"sla_checks":7,"placement":[0,1],"pred_ipc":1.2}},`,
+		`{"name":"matmul","cat":"job","ph":"b","ts":0,"pid":1,"tid":0,"id":0,"args":{"job":"matmul#0","servers":[0],"pred_jct_s":1.5}},`,
+		`{"name":"sample","cat":"predq","ph":"i","ts":60000000,"pid":1,"tid":0,"s":"t","args":{"archetype":"matmul","qos":"jct","pred":1.4,"obs":1.6}},`,
+		`{"name":"matmul","cat":"job","ph":"e","ts":90000000,"pid":1,"tid":0,"id":0,"args":{"jct_s":42.5,"slowdown":1.18,"sla_ok":true}},`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("trace lacks the line\n%s", want)
@@ -127,15 +131,15 @@ func TestTracerDeterminismAndRewind(t *testing.T) {
 	crashed := crashFile(t)
 	tr3 := NewTracer(crashed)
 	driveTracer(tr3, 0, 5)
-	ckEvents, ckBytes := tr3.Stream().Offset()
+	ckEvents, ckBytes := tr3.s.Offset()
 	driveTracer(tr3, 5, 7) // lost to the crash
-	flushed(t, tr3.Stream(), crashed)
+	flushed(t, tr3.s, crashed)
 	tr4 := NewTracer(crashed)
-	if err := tr4.Stream().TruncateTo(ckEvents, ckBytes); err != nil {
+	if err := tr4.s.TruncateTo(ckEvents, ckBytes); err != nil {
 		t.Fatal(err)
 	}
 	driveTracer(tr4, 5, 12)
-	if !bytes.Equal(full.Bytes(), flushed(t, tr4.Stream(), crashed)) {
+	if !bytes.Equal(full.Bytes(), flushed(t, tr4.s, crashed)) {
 		t.Fatal("crash/resume trace differs from uninterrupted trace")
 	}
 }
@@ -309,34 +313,24 @@ func TestPredQDrift(t *testing.T) {
 	}
 }
 
-// TestNilStreamsAreSafe: a nil *Tracer, *Flight or *PredQ is that
-// stream disabled — every hook does nothing, and its Stream() is a nil
-// stream whose methods report nothing written.
+// TestNilStreamsAreSafe: a nil *Flight or *PredQ is that stream
+// disabled — every hook does nothing, and the flight recorder's
+// Stream() is a nil stream whose methods report nothing written.
 func TestNilStreamsAreSafe(t *testing.T) {
-	var tr *Tracer
-	tr.JobBegin(1, "a", "a#0", 0, nil, 0)
-	tr.JobEnd(1, "a", 1, 1, 1, true, true)
-	tr.Placement(0, &telemetry.PlacementDecision{Workload: "a"})
-	tr.Fault(&telemetry.FaultEvent{})
-	tr.Reactive(&telemetry.ReactiveAction{})
-	tr.Degraded(&telemetry.DegradedTransition{})
-	tr.PredSample(0, "a", "jct", 1, 1)
-	tr.Drift(&telemetry.DriftEvent{})
 	var fl *Flight
 	fl.Record(nil)
-	for _, s := range []*telemetry.Stream{tr.Stream(), fl.Stream()} {
-		if s != nil {
-			t.Fatal("a nil encoder must have a nil stream")
-		}
-		if err := s.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if n := s.Records(); n != 0 {
-			t.Fatalf("nil stream reports %d records", n)
-		}
+	s := fl.Stream()
+	if s != nil {
+		t.Fatal("a nil encoder must have a nil stream")
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Records(); n != 0 {
+		t.Fatalf("nil stream reports %d records", n)
 	}
 	var q *PredQ
 	if _, fired := q.Track("a", "jct", 2, 1); fired {

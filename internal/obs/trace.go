@@ -7,52 +7,41 @@ import (
 	"gsight/internal/telemetry"
 )
 
-// TraceSchema is the trace format version, recorded in a metadata
-// event at the head of every trace so `gsight inspect` can reject
-// streams it does not understand.
-const TraceSchema = 1
+// traceSchema is the trace format version, recorded in a metadata
+// event at the head of every trace so a reader can reject streams it
+// does not understand.
+const traceSchema = 1
 
-// Tracer streams invocation-lifecycle events in the Chrome trace-event
-// JSON format, one event object per line. The stream is the array-body
-// form Perfetto and chrome://tracing accept directly: it opens with
-// "[\n" and every event line ends with ",\n" — a trailing comma and a
-// missing "]" are tolerated by both viewers, which is what makes the
-// format truncation-tolerant and crash-safe. `gsight inspect`'s trace
-// subcommand re-wraps it into a strict {"traceEvents": [...]} object.
+// Tracer encodes invocation-lifecycle events in the Chrome trace-event
+// JSON format, one event object per line: the view `gsight inspect
+// trace` renders from a simulator's decision log, whose event structs
+// it takes. The stream is the array-body form Perfetto and
+// chrome://tracing accept directly: it opens with "[\n" and every event
+// line ends with ",\n" — a trailing comma and a missing "]" are
+// tolerated by both viewers, which keeps a cut stream readable.
 //
 // Determinism: timestamps are simulation time converted to
 // microseconds (the trace-event unit) — never wall clock — so a
-// fixed-seed run emits a byte-identical trace. Like the decision log it
-// is an encoder over a telemetry.Stream: events are built by hand into
-// the stream's reusable buffer under its lock, so steady-state tracing
-// allocates nothing.
+// fixed-seed run renders a byte-identical trace. Like the decision log
+// it is an encoder over a telemetry.Stream: events are built by hand
+// into the stream's reusable buffer under its lock, so steady-state
+// tracing allocates nothing.
 //
 // The array opener and the two metadata events are the stream's
-// preamble: a resumed run, truncated to a non-zero offset, never
-// duplicates them.
+// preamble: a stream truncated to a non-zero offset never duplicates
+// them.
 type Tracer struct{ s *telemetry.Stream }
 
 // tracePreamble opens the array and names the process and the schema:
 // two metadata events.
 var tracePreamble = []byte("[\n" +
 	`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"gsight platform"}},` + "\n" +
-	`{"name":"gsight_trace","ph":"M","pid":1,"tid":0,"args":{"schema":` + strconv.Itoa(TraceSchema) + "}},\n")
+	`{"name":"gsight_trace","ph":"M","pid":1,"tid":0,"args":{"schema":` + strconv.Itoa(traceSchema) + "}},\n")
 
 // NewTracer streams trace events to w. Callers own w's lifecycle; the
 // tracer only writes whole lines.
 func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{s: telemetry.NewStream(w, tracePreamble, 2)}
-}
-
-// Stream returns the tracer's counted stream (events emitted, the
-// preamble's metadata events included; first write error — tracing is
-// best-effort and never fails the traced operation). Nil for a nil
-// tracer, which the stream's methods accept.
-func (t *Tracer) Stream() *telemetry.Stream {
-	if t == nil {
-		return nil
-	}
-	return t.s
 }
 
 // emit closes the args object opened at index a, finishes the event
@@ -89,43 +78,35 @@ func args(b []byte) ([]byte, int) {
 }
 
 // JobBegin opens a job's async span at its admission: the job was
-// placed and its functions are starting. servers is the chosen server
-// per function; predJCTS is the predictor's JCT estimate in seconds
-// (0 when unavailable).
-func (t *Tracer) JobBegin(id int, archetype, job string, simTimeS float64, servers []int, predJCTS float64) {
-	if t == nil {
-		return
-	}
-	b := t.begin(archetype, "job", 'b', simTimeS)
+// placed and its functions are starting. Its servers arg is the chosen
+// server per function.
+func (t *Tracer) JobBegin(e *telemetry.JobBegin) {
+	b := t.begin(e.Archetype, "job", 'b', e.SimTimeS)
 	b = append(b, `,"id":`...)
-	b = strconv.AppendInt(b, int64(id), 10)
+	b = strconv.AppendInt(b, int64(e.ID), 10)
 	b, a := args(b)
-	b = telemetry.AppendStr(b, "job", job)
-	b = telemetry.AppendInts(b, "servers", servers)
-	if predJCTS > 0 {
-		b = telemetry.AppendFloat(b, "pred_jct_s", predJCTS)
+	b = telemetry.AppendStr(b, "job", e.Job)
+	b = telemetry.AppendInts(b, "servers", e.Placement)
+	if e.PredJCTS > 0 {
+		b = telemetry.AppendFloat(b, "pred_jct_s", e.PredJCTS)
 	}
 	t.emit(b, a)
 }
 
 // JobEnd closes a job's async span at completion with the observed
 // outcome: job completion time, slowdown versus solo execution, and
-// the SLA verdict (slaOK is meaningful only when checked is true —
-// jobs without a JCT SLA are never judged).
-func (t *Tracer) JobEnd(id int, archetype string, simTimeS, jctS, slowdown float64, checked, slaOK bool) {
-	if t == nil {
-		return
-	}
-	b := t.begin(archetype, "job", 'e', simTimeS)
+// the SLA verdict of a checked job.
+func (t *Tracer) JobEnd(e *telemetry.JobEnd) {
+	b := t.begin(e.Archetype, "job", 'e', e.SimTimeS)
 	b = append(b, `,"id":`...)
-	b = strconv.AppendInt(b, int64(id), 10)
+	b = strconv.AppendInt(b, int64(e.ID), 10)
 	b, a := args(b)
-	b = telemetry.AppendFloat(b, "jct_s", jctS)
-	if slowdown > 0 {
-		b = telemetry.AppendFloat(b, "slowdown", slowdown)
+	b = telemetry.AppendFloat(b, "jct_s", e.JCTS)
+	if e.Slowdown > 0 {
+		b = telemetry.AppendFloat(b, "slowdown", e.Slowdown)
 	}
-	if checked {
-		b = telemetry.AppendBool(b, "sla_ok", slaOK)
+	if e.Checked {
+		b = telemetry.AppendBool(b, "sla_ok", e.SLAOK)
 	}
 	t.emit(b, a)
 }
@@ -133,11 +114,8 @@ func (t *Tracer) JobEnd(id int, archetype string, simTimeS, jctS, slowdown float
 // Placement records a placement request as an instant event: how hard
 // the scheduler searched, what it decided (no placement when
 // rejected), and what it predicted for the accepted candidate.
-func (t *Tracer) Placement(simTimeS float64, d *telemetry.PlacementDecision) {
-	if t == nil {
-		return
-	}
-	b := t.begin("placement", "sched", 'i', simTimeS)
+func (t *Tracer) Placement(d *telemetry.PlacementDecision) {
+	b := t.begin("placement", "sched", 'i', d.SimTimeS)
 	b = append(b, `,"s":"t"`...)
 	b, a := args(b)
 	b = telemetry.AppendStr(b, "workload", d.Workload)
@@ -163,9 +141,6 @@ func (t *Tracer) Placement(simTimeS float64, d *telemetry.PlacementDecision) {
 // reactive spread) as an instant event — the migration phase of the
 // affected jobs' lifecycle.
 func (t *Tracer) Reactive(e *telemetry.ReactiveAction) {
-	if t == nil {
-		return
-	}
 	b := t.begin(e.Action, "reactive", 'i', e.SimTimeS)
 	b = append(b, `,"s":"t"`...)
 	b, a := args(b)
@@ -177,9 +152,6 @@ func (t *Tracer) Reactive(e *telemetry.ReactiveAction) {
 // Fault records an injected fault transition as an instant event; its
 // displaced arg counts services and jobs together.
 func (t *Tracer) Fault(e *telemetry.FaultEvent) {
-	if t == nil {
-		return
-	}
 	b := t.begin(e.Kind, "fault", 'i', e.SimTimeS)
 	b = append(b, `,"s":"g"`...)
 	b, a := args(b)
@@ -193,9 +165,6 @@ func (t *Tracer) Fault(e *telemetry.FaultEvent) {
 // Degraded records the platform entering or leaving degraded placement
 // mode as an instant event.
 func (t *Tracer) Degraded(e *telemetry.DegradedTransition) {
-	if t == nil {
-		return
-	}
 	b := t.begin("degraded", "fault", 'i', e.SimTimeS)
 	b = append(b, `,"s":"g"`...)
 	b, a := args(b)
@@ -206,27 +175,20 @@ func (t *Tracer) Degraded(e *telemetry.DegradedTransition) {
 
 // PredSample records one prediction-quality sample — a predicted vs
 // observed pair for an archetype — as an instant event in the "predq"
-// category. `gsight inspect` rebuilds the rolling error statistics and
-// error-over-time views from these.
-func (t *Tracer) PredSample(simTimeS float64, archetype, qos string, predicted, observed float64) {
-	if t == nil {
-		return
-	}
-	b := t.begin("sample", "predq", 'i', simTimeS)
+// category.
+func (t *Tracer) PredSample(e *telemetry.PredSample) {
+	b := t.begin("sample", "predq", 'i', e.SimTimeS)
 	b = append(b, `,"s":"t"`...)
 	b, a := args(b)
-	b = telemetry.AppendStr(b, "archetype", archetype)
-	b = telemetry.AppendStr(b, "qos", qos)
-	b = telemetry.AppendFloat(b, "pred", predicted)
-	b = telemetry.AppendFloat(b, "obs", observed)
+	b = telemetry.AppendStr(b, "archetype", e.Archetype)
+	b = telemetry.AppendStr(b, "qos", e.QoS)
+	b = telemetry.AppendFloat(b, "pred", e.Pred)
+	b = telemetry.AppendFloat(b, "obs", e.Obs)
 	t.emit(b, a)
 }
 
 // Drift records a predictor-drift detection as an instant event.
 func (t *Tracer) Drift(d *telemetry.DriftEvent) {
-	if t == nil {
-		return
-	}
 	b := t.begin("predictor_drift", "predq", 'i', d.SimTimeS)
 	b = append(b, `,"s":"g"`...)
 	b, a := args(b)

@@ -182,9 +182,9 @@ func TestRunHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestPlaceEpilogue drives each path of place with a tracer attached
-// and checks what the epilogue records for it: the trace's placement
-// outcome and reason, the degraded-placement count and the degraded
+// TestPlaceEpilogue drives each path of place with a decision log
+// attached and checks what the epilogue records for it: the logged
+// placement outcome and reason, the degraded-placement count and the degraded
 // intervals once the run's horizon closes them.
 func TestPlaceEpilogue(t *testing.T) {
 	const horizonS = 1800
@@ -225,7 +225,7 @@ func TestPlaceEpilogue(t *testing.T) {
 				inj:      inj,
 				fallback: sched.NewWorstFit(),
 				stats:    &Stats{},
-				tracer:   obs.NewTracer(&buf),
+				ins:      telemetry.New().WithDecisions(&buf).Platform(),
 				pq:       obs.NewPredQ(),
 			}
 			if tc.offline {
@@ -251,16 +251,13 @@ func TestPlaceEpilogue(t *testing.T) {
 
 			var placements []map[string]any
 			for _, ln := range bytes.Split(buf.Bytes(), []byte("\n")) {
-				var ev struct {
-					Name string         `json:"name"`
-					Args map[string]any `json:"args"`
-				}
-				if json.Unmarshal(bytes.TrimSuffix(ln, []byte(",")), &ev) == nil && ev.Name == "placement" {
-					placements = append(placements, ev.Args)
+				var ev map[string]any
+				if json.Unmarshal(ln, &ev) == nil && ev["event"] == "placement" {
+					placements = append(placements, ev)
 				}
 			}
 			if len(placements) != 1 {
-				t.Fatalf("trace holds %d placement events, want 1", len(placements))
+				t.Fatalf("decision log holds %d placement lines, want 1", len(placements))
 			}
 			if p := placements[0]; p["outcome"] != tc.outcome || (tc.reason != "" && p["reason"] != tc.reason) {
 				t.Fatalf("placement outcome/reason = %v/%v, want %s/%s", p["outcome"], p["reason"], tc.outcome, tc.reason)

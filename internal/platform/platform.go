@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -63,14 +64,13 @@ type Config struct {
 	// learning during operation) every observeEvery steps.
 	Predictor core.QoSPredictor
 	// Telemetry, when set, receives runtime metrics and the decision
-	// log's events: one placement record per request, reactive control,
-	// faults, degraded transitions and drift. A nil sink leaves the run
-	// bit-identical.
+	// log's events — the run's one event stream: one placement record
+	// per request, job admissions and completions, reactive control,
+	// faults, degraded transitions, prediction-quality samples and
+	// drift. A nil sink leaves the run bit-identical.
 	Telemetry *telemetry.Sink
-	// Trace and Flight, when set, record the run's invocation-lifecycle
-	// trace and its flight recording (DESIGN.md §13). Either may be nil;
-	// prediction-quality tracking runs in every run either way.
-	Trace  *obs.Tracer
+	// Flight, when set, receives the run's flight recording (DESIGN.md
+	// §13); prediction-quality tracking runs in every run either way.
 	Flight *obs.Flight
 	// Faults injects a deterministic fault schedule (crashes,
 	// stragglers, cold-start storms, predictor outages); nil runs a
@@ -230,16 +230,17 @@ type runner struct {
 
 	stats *Stats
 	ins   telemetry.PlatformInstruments
-	// Reusable events, each built once and encoded by both the decision
-	// log and the tracer (either may be nil).
+	// Reusable decision-log events.
 	rev  telemetry.ReactiveAction
 	fev  telemetry.FaultEvent
 	dev  telemetry.DegradedTransition
 	drev telemetry.DriftEvent
+	jbev telemetry.JobBegin
+	jeev telemetry.JobEnd
+	psev telemetry.PredSample
 
-	// Observability: tracer and flight are nil when disabled, pq is
-	// always set, and flFrame is the reusable flight-recorder frame.
-	tracer  *obs.Tracer
+	// Observability: flight is nil when disabled, pq is always set, and
+	// flFrame is the reusable flight-recorder frame.
 	flight  *obs.Flight
 	pq      *obs.PredQ
 	flFrame obs.Frame
@@ -300,7 +301,6 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 			JCTs:          make(map[string][]float64),
 		},
 		ins:    cfg.Telemetry.Platform(),
-		tracer: cfg.Trace,
 		flight: cfg.Flight,
 		pq:     obs.NewPredQ(),
 	}
@@ -476,9 +476,10 @@ func (r *runner) submitJob() {
 	}
 	a.id = id
 	// The scheduler's accepted-candidate JCT estimate anchors both the
-	// job's trace span and its completion-time quality sample.
+	// job's admission event and its completion-time quality sample.
 	a.predJCTS = req.Detail.PredJCTS
-	r.tracer.JobBegin(id, w.Name, in.Name, r.now, placement, a.predJCTS)
+	r.jbev = telemetry.JobBegin{SimTimeS: r.now, ID: id, Archetype: w.Name, Job: in.Name, Placement: placement, PredJCTS: a.predJCTS}
+	r.ins.Decisions.JobBegin(&r.jbev)
 	r.activeSC = append(r.activeSC, a)
 }
 
@@ -519,8 +520,9 @@ func (r *runner) propose(s sched.Scheduler, req *sched.Request) ([]int, error) {
 // input on the decision path. The final decision is the request's one
 // placement record: the answering scheduler's req.Detail, its outcome
 // relabelled for the fallback path (that scheduler only knows its own
-// verdict) and completed with the cluster-wide context, goes to the
-// decision log and the trace.
+// verdict), its search counts summed over every Place call the request
+// made and completed with the cluster-wide context, goes to the
+// decision log.
 func (r *runner) place(req *sched.Request) ([]int, error) {
 	var placement []int
 	var err error
@@ -551,17 +553,21 @@ func (r *runner) place(req *sched.Request) ([]int, error) {
 		reason = reasonSchedulerError
 	}
 	answered := r.cfg.Scheduler
+	d := &req.Detail
 	if reason != "" {
 		primaryErr := err
 		answered = r.fallback
+		// The primary's search (none during an outage) counts too.
+		levels, checks := d.SpreadLevels, d.SLAChecks
 		if placement, err = r.propose(r.fallback, req); err == nil {
 			r.stats.DegradedPlacements++
 			r.ins.DegradedPlacements.Inc()
 		} else if reason == reasonSchedulerError {
 			err = primaryErr
 		}
+		d.SpreadLevels += levels
+		d.SLAChecks += checks
 	}
-	d := &req.Detail
 	if err != nil {
 		if d.Outcome == "" || d.Outcome == "placed" {
 			d.Outcome = "error"
@@ -574,8 +580,8 @@ func (r *runner) place(req *sched.Request) ([]int, error) {
 	d.Workload, d.Class, d.Functions = req.Input.Name, req.Input.Class.String(), len(req.Input.Profiles)
 	d.Servers, d.ActiveServers = r.state.NumServers(), r.state.ActiveServers()
 	d.Placement = placement
+	d.SimTimeS = r.now
 	r.ins.Decisions.Placement(d)
-	r.tracer.Placement(r.now, d)
 	return placement, err
 }
 
@@ -607,11 +613,10 @@ func (r *runner) closeDegraded(endS float64) {
 }
 
 // degradedEvent records the open interval's entry or exit at simS in
-// the decision log and the trace.
+// the decision log.
 func (r *runner) degradedEvent(simS float64, entered bool) {
 	r.dev = telemetry.DegradedTransition{SimTimeS: simS, Entered: entered, Reason: r.degradedReason, Fallback: r.fallback.Name()}
 	r.ins.Decisions.Degraded(&r.dev)
-	r.tracer.Degraded(&r.dev)
 }
 
 // applyFault transitions the injector state and makes the platform
@@ -666,7 +671,6 @@ func (r *runner) applyFault(c faults.Change) {
 		DisplacedJobs:     displacedJobs,
 	}
 	r.ins.Decisions.Fault(&r.fev)
-	r.tracer.Fault(&r.fev)
 }
 
 // placedOn reports whether any function sits on the node.
@@ -679,12 +683,13 @@ func placedOn(placement []int, node int) bool {
 	return false
 }
 
-// emptiestOnline returns the online server (never `not`) with the most
-// free CPU, or -1 when every other server is offline.
-func emptiestOnline(state *sched.State, not int) int {
+// emptiestOnline returns the online server with the most free CPU,
+// the first winning ties, or -1 when none qualifies: skip lists the
+// servers it must not pick, and activeOnly also passes over idle ones.
+func emptiestOnline(state *sched.State, activeOnly bool, skip ...int) int {
 	best, bestFree := -1, -1.0
 	for s := range state.Caps {
-		if s == not || !state.Online(s) {
+		if !state.Online(s) || slices.Contains(skip, s) || activeOnly && state.Used[s].IsZero() {
 			continue
 		}
 		if free := state.Free(s)[resources.CPU]; free > bestFree {
@@ -715,7 +720,7 @@ func (r *runner) evacuate(node int) (displacedSvc, displacedJobs int) {
 				}
 			}
 			copy(ss.dep.Placement, placement)
-		} else if alt := emptiestOnline(r.state, node); alt != -1 {
+		} else if alt := emptiestOnline(r.state, false, node); alt != -1 {
 			for f, s := range ss.dep.Placement {
 				if s == node {
 					ss.dep.Placement[f] = alt
@@ -732,7 +737,7 @@ func (r *runner) evacuate(node int) (displacedSvc, displacedJobs int) {
 			continue
 		}
 		displacedJobs++
-		alt := emptiestOnline(r.state, node)
+		alt := emptiestOnline(r.state, false, node)
 		if alt == -1 {
 			continue // whole cluster down; nowhere to go
 		}
@@ -907,7 +912,8 @@ func (r *runner) loop() error {
 				}
 				checked := a.sla.MaxJCTFactor > 0 && solo > 0
 				slaOK := checked && done.JCTS <= solo*a.sla.MaxJCTFactor
-				r.tracer.JobEnd(done.ID, done.Name, now, done.JCTS, slowdown, checked, slaOK)
+				r.jeev = telemetry.JobEnd{SimTimeS: now, ID: done.ID, Archetype: done.Name, JCTS: done.JCTS, Slowdown: slowdown, Checked: checked, SLAOK: slaOK}
+				r.ins.Decisions.JobEnd(&r.jeev)
 				if a.predJCTS > 0 {
 					r.trackPrediction(now, done.Name, "jct", a.predJCTS, done.JCTS)
 				}
@@ -982,26 +988,23 @@ func (r *runner) loop() error {
 	return nil
 }
 
-// reactive records a reactive-control action in the decision log and
-// the trace.
+// reactive records a reactive-control action in the decision log.
 func (r *runner) reactive(simS float64, action, service string, moved int) {
 	r.rev = telemetry.ReactiveAction{SimTimeS: simS, Action: action, Service: service, Moved: moved}
 	r.ins.Decisions.Reactive(&r.rev)
-	r.tracer.Reactive(&r.rev)
 }
 
-// trackPrediction records one predicted/observed QoS pair as a trace
-// sample and folds it into the quality tracker; a drift detection goes
-// into the trace, then the decision log.
+// trackPrediction logs one predicted/observed QoS pair as a sample and
+// folds it into the quality tracker; a drift detection is logged next.
 func (r *runner) trackPrediction(simS float64, archetype, qos string, pred, observed float64) {
-	r.tracer.PredSample(simS, archetype, qos, pred, observed)
+	r.psev = telemetry.PredSample{SimTimeS: simS, Archetype: archetype, QoS: qos, Pred: pred, Obs: observed}
+	r.ins.Decisions.PredSample(&r.psev)
 	d, fired := r.pq.Track(archetype, qos, pred, observed)
 	if !fired {
 		return
 	}
 	r.drev = d
 	r.drev.SimTimeS = simS
-	r.tracer.Drift(&r.drev)
 	r.ins.Decisions.Drift(&r.drev)
 }
 
@@ -1157,37 +1160,22 @@ func worstFuncs(r perfmodel.LSResult, n int) []int {
 // returns how many functions moved.
 func migrateWorst(state *sched.State, ss *serviceState, r perfmodel.LSResult, n int) int {
 	moved := 0
-	taken := map[int]bool{}
-	// Prefer relieving pressure within the already-active fleet: waking
-	// a dormant server is the last resort, so reactive control does not
-	// silently destroy consolidation.
-	pick := func(activeOnly bool) int {
-		best, bestFree := -1, -1.0
-		for s := range state.Caps {
-			if taken[s] || !state.Online(s) {
-				continue
-			}
-			if activeOnly && state.Used[s].IsZero() {
-				continue
-			}
-			free := state.Free(s)[resources.CPU]
-			if free > bestFree {
-				best, bestFree = s, free
-			}
-		}
-		return best
-	}
+	var buf [3]int
+	taken := buf[:0]
 	for _, f := range worstFuncs(r, n) {
-		best := pick(true)
+		// Prefer relieving pressure within the already-active fleet:
+		// waking a dormant server is the last resort, so reactive
+		// control does not silently destroy consolidation.
+		best := emptiestOnline(state, true, taken...)
 		if best == -1 || best == ss.dep.Placement[f] {
-			if alt := pick(false); alt != -1 && alt != ss.dep.Placement[f] {
+			if alt := emptiestOnline(state, false, taken...); alt != -1 && alt != ss.dep.Placement[f] {
 				best = alt
 			}
 		}
 		if best == -1 {
 			continue
 		}
-		taken[best] = true
+		taken = append(taken, best)
 		if best == ss.dep.Placement[f] {
 			continue
 		}
@@ -1222,7 +1210,7 @@ func evictSC(state *sched.State, activeSC []*scActive, hot int) bool {
 	if victim == nil {
 		return false
 	}
-	best := emptiestOnline(state, hot)
+	best := emptiestOnline(state, false, hot)
 	if best == -1 {
 		return false
 	}

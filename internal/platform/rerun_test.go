@@ -20,7 +20,7 @@ import (
 
 // A run is a pure function of its config and seed, so running it again
 // is its recovery: these tests pin that a rerun reproduces every output
-// — stats, decision log, trace and flight recording — byte for byte.
+// — stats, decision log and flight recording — byte for byte.
 
 // learningChaosConfig is the chaos fault scenario under the Gsight
 // scheduler with a real predictor learning online: every input a rerun
@@ -50,11 +50,12 @@ func chaosConfig(t *testing.T, s sched.Scheduler, seed uint64) Config {
 }
 
 // outputs is what one run wrote: its stats (wall-clock field zeroed),
-// decision log, trace and flight recording.
+// metrics, decision log and flight recording.
 type outputs struct {
-	stats              []byte
-	st                 *Stats
-	log, trace, flight bytes.Buffer
+	stats       []byte
+	st          *Stats
+	sink        *telemetry.Sink
+	log, flight bytes.Buffer
 }
 
 // run executes cfg with fresh output streams attached. The scheduler
@@ -62,14 +63,14 @@ type outputs struct {
 // same decision log, as under `gsight sim`.
 func (o *outputs) run(t *testing.T, ctx context.Context, cfg Config) error {
 	t.Helper()
-	cfg.Telemetry = telemetry.New().WithDecisions(&o.log)
+	o.sink = telemetry.New().WithDecisions(&o.log)
+	cfg.Telemetry = o.sink
 	if in, ok := cfg.Scheduler.(interface{ Instrument(*telemetry.Sink) }); ok {
 		in.Instrument(cfg.Telemetry)
 	}
 	if p, ok := cfg.Predictor.(*core.Predictor); ok {
 		p.Instrument(cfg.Telemetry)
 	}
-	cfg.Trace = obs.NewTracer(&o.trace)
 	cfg.Flight = obs.NewFlight(&o.flight, cfg.Model.Testbed.NumServers(), StepS)
 	st, err := Run(ctx, cfg)
 	if err != nil {
@@ -110,7 +111,7 @@ func (o *outputs) same(t *testing.T, want *outputs) {
 	for _, s := range []struct {
 		name      string
 		want, got *bytes.Buffer
-	}{{"decision log", &want.log, &o.log}, {"trace", &want.trace, &o.trace}, {"flight recording", &want.flight, &o.flight}} {
+	}{{"decision log", &want.log, &o.log}, {"flight recording", &want.flight, &o.flight}} {
 		if s.want.Len() == 0 {
 			t.Fatalf("%s is empty", s.name)
 		}

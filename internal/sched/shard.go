@@ -91,7 +91,9 @@ func fnv32(s string) uint32 {
 
 // propose runs the window ladder for one request and fills p with the
 // outcome, the accepted window and the sequence number it was read at;
-// req.Detail is left holding the accepted attempt's account.
+// req.Detail is left holding the accepted attempt's account, its
+// spread levels and SLA checks summed over every attempt the ladder
+// made.
 //
 // Ladder policy: start at the request's home window; widen on
 // ErrNoPlacement (nothing fits / every feasible spread violates an
@@ -110,25 +112,37 @@ func (st *State) propose(s Scheduler, req *Request, scr *proposeScratch, p *prop
 		return
 	}
 	h := int(fnv32(req.Input.Name) % uint32(n))
+	levels, checks := 0, 0
 	for w := windowBase; ; w *= 2 {
-		if w >= n {
+		full := w >= n
+		var out []int
+		var err error
+		if full {
 			// Full view: place directly against the state.
 			p.start, p.width = 0, n
-			p.placement, p.err = s.Place(st, req)
-			p.outcome = req.Detail.Outcome
+			out, err = s.Place(st, req)
+		} else {
+			p.start, p.width = h, w
+			scr.project(st, h, w)
+			out, err = s.Place(&scr.sub, req)
+		}
+		d := &req.Detail
+		levels += d.SpreadLevels
+		checks += d.SLAChecks
+		d.SpreadLevels, d.SLAChecks = levels, checks
+		p.outcome = d.Outcome
+		if full {
+			p.placement, p.err = out, err
 			return
 		}
-		p.start, p.width = h, w
-		scr.project(st, h, w)
-		out, err := s.Place(&scr.sub, req)
 		if err != nil {
 			if errors.Is(err, ErrNoPlacement) {
 				continue // spill to neighbors: double the window
 			}
-			p.err, p.outcome = err, req.Detail.Outcome
+			p.err = err
 			return
 		}
-		if req.Detail.Outcome == "fallback" {
+		if d.Outcome == "fallback" {
 			continue // window-local last resort; widen before settling
 		}
 		// Accept: translate window-local indices back to global.
@@ -139,7 +153,7 @@ func (st *State) propose(s Scheduler, req *Request, scr *proposeScratch, p *prop
 			}
 			out[f] = g
 		}
-		p.placement, p.outcome = out, req.Detail.Outcome
+		p.placement = out
 		return
 	}
 }

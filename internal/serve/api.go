@@ -83,11 +83,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/v1/state", s.handleState)
 	s.health.Handle(mux)
-	reg := s.cfg.Sink.Registry
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = reg.WritePrometheus(w)
-	})
+	mux.Handle("/metrics", s.cfg.Sink.Registry)
 	return mux
 }
 

@@ -21,10 +21,7 @@ import (
 func ServeDebug(addr string, reg *Registry) (string, error) {
 	mux := http.NewServeMux()
 	(*Health)(nil).Handle(mux) // no health state: always-OK probes
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = reg.WritePrometheus(w)
-	})
+	mux.Handle("/metrics", reg)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -37,4 +34,10 @@ func ServeDebug(addr string, reg *Registry) (string, error) {
 	}
 	go func() { _ = http.Serve(ln, mux) }()
 	return ln.Addr().String(), nil
+}
+
+// ServeHTTP answers /metrics: the registry in Prometheus text format.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	_ = r.WritePrometheus(w)
 }

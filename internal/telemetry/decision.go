@@ -24,7 +24,9 @@ type DecisionLog struct{ s *Stream }
 // DecisionLogSchema is the current decision-log format version,
 // recorded in the header event. Bump it on any incompatible change to
 // event shapes so `gsight inspect` can reject logs it cannot read.
-const DecisionLogSchema = 1
+// Schema 2 added the simulator's job_begin, job_end and pred_sample
+// events and the placement's sim_time_s, pred_ipc and pred_jct_s.
+const DecisionLogSchema = 2
 
 // decisionHeader is the log's preamble: the header event, counted as
 // record 0.
@@ -109,18 +111,22 @@ func AppendInts(b []byte, key string, vs []int) []byte {
 // how hard the scheduler searched, and what it decided. It is the one
 // placement record: a scheduler fills its part through
 // sched.Request.Detail, and the simulator completes it once per request
-// and hands it to the decision log and the lifecycle trace.
+// and hands it to the decision log.
 type PlacementDecision struct {
+	SimTimeS  float64 // simulation time of the request (0 off the simulator)
 	Scheduler string
 	Workload  string
 	Class     string
 	Functions int // functions to place
 	Servers   int // cluster size
 	// SpreadLevels counts the binary-search iterations (candidate
-	// spread levels tried); non-search schedulers report 1.
+	// spread levels tried); non-search schedulers report 1 per Place
+	// call. The simulator sums every call the request made: discarded
+	// window-ladder attempts and a primary attempt the fallback
+	// replaced.
 	SpreadLevels int
 	// SLAChecks counts the QoS predictions issued while vetting
-	// candidates (batched checks count each query).
+	// candidates (batched checks count each query), summed the same way.
 	SLAChecks int
 	// Outcome is "placed", "fallback" (placed by the full-spread last
 	// resort after SLA rejections), "degraded" (placed by a fallback
@@ -149,8 +155,8 @@ type PlacementDecision struct {
 	// primary server (0 when the request was not placed).
 	Tier0Score float64
 	// PredIPC/PredJCTS are the predictor's estimates for the accepted
-	// candidate's own workload; 0 when no prediction vetted it. The
-	// trace carries them; the decision log does not.
+	// candidate's own workload; 0 (and not logged) when no prediction
+	// vetted it.
 	PredIPC  float64
 	PredJCTS float64
 }
@@ -161,6 +167,7 @@ func (l *DecisionLog) Placement(e *PlacementDecision) {
 		return
 	}
 	b := l.begin("placement")
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
 	b = AppendStr(b, "scheduler", e.Scheduler)
 	b = AppendStr(b, "workload", e.Workload)
 	b = AppendStr(b, "class", e.Class)
@@ -175,6 +182,12 @@ func (l *DecisionLog) Placement(e *PlacementDecision) {
 	}
 	if e.Placement != nil {
 		b = AppendInts(b, "placement", e.Placement)
+	}
+	if e.PredIPC > 0 {
+		b = AppendFloat(b, "pred_ipc", e.PredIPC)
+	}
+	if e.PredJCTS > 0 {
+		b = AppendFloat(b, "pred_jct_s", e.PredJCTS)
 	}
 	if e.Tier0 {
 		b = AppendInt(b, "tier0_kept", e.Tier0Kept)
@@ -335,5 +348,89 @@ func (l *DecisionLog) Degraded(e *DegradedTransition) {
 	b = AppendBool(b, "entered", e.Entered)
 	b = AppendStr(b, "reason", e.Reason)
 	b = AppendStr(b, "fallback", e.Fallback)
+	l.emit(b)
+}
+
+// JobBegin records a batch job's admission in the simulator: it was
+// placed and its functions are starting.
+type JobBegin struct {
+	SimTimeS  float64
+	ID        int     // the simulator's job id, which its JobEnd repeats
+	Archetype string  // the workload the job runs
+	Job       string  // the job's unique run name
+	Placement []int   // the chosen server per function
+	PredJCTS  float64 // the predictor's JCT estimate; 0 (and not logged) when none
+}
+
+// JobBegin emits a job-admission event.
+func (l *DecisionLog) JobBegin(e *JobBegin) {
+	if l == nil {
+		return
+	}
+	b := l.begin("job_begin")
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
+	b = AppendInt(b, "id", e.ID)
+	b = AppendStr(b, "archetype", e.Archetype)
+	b = AppendStr(b, "job", e.Job)
+	b = AppendInts(b, "placement", e.Placement)
+	if e.PredJCTS > 0 {
+		b = AppendFloat(b, "pred_jct_s", e.PredJCTS)
+	}
+	l.emit(b)
+}
+
+// JobEnd records a batch job's completion with its observed outcome.
+type JobEnd struct {
+	SimTimeS  float64
+	ID        int
+	Archetype string
+	JCTS      float64 // job completion time
+	Slowdown  float64 // JCT over the solo run time; 0 (and not logged) when unknown
+	// Checked marks a job with a JCT SLA, judged by SLAOK; only a
+	// checked job logs sla_ok.
+	Checked bool
+	SLAOK   bool
+}
+
+// JobEnd emits a job-completion event.
+func (l *DecisionLog) JobEnd(e *JobEnd) {
+	if l == nil {
+		return
+	}
+	b := l.begin("job_end")
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
+	b = AppendInt(b, "id", e.ID)
+	b = AppendStr(b, "archetype", e.Archetype)
+	b = AppendFloat(b, "jct_s", e.JCTS)
+	if e.Slowdown > 0 {
+		b = AppendFloat(b, "slowdown", e.Slowdown)
+	}
+	if e.Checked {
+		b = AppendBool(b, "sla_ok", e.SLAOK)
+	}
+	l.emit(b)
+}
+
+// PredSample records one prediction-quality sample: a predicted and an
+// observed QoS value for an archetype. `gsight inspect predq` replays
+// these through the tracker the simulator runs.
+type PredSample struct {
+	SimTimeS  float64
+	Archetype string
+	QoS       string // "ipc" or "jct"
+	Pred, Obs float64
+}
+
+// PredSample emits a prediction-quality sample event.
+func (l *DecisionLog) PredSample(e *PredSample) {
+	if l == nil {
+		return
+	}
+	b := l.begin("pred_sample")
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
+	b = AppendStr(b, "archetype", e.Archetype)
+	b = AppendStr(b, "qos", e.QoS)
+	b = AppendFloat(b, "pred", e.Pred)
+	b = AppendFloat(b, "obs", e.Obs)
 	l.emit(b)
 }

@@ -200,6 +200,25 @@ func TestDecisionLogJSONL(t *testing.T) {
 	if !strings.Contains(buf.String(), `{"event":"predictor_drift","seq":4,"sim_time_s":900,"qos":"jct","archetype":"matmul","window":64,"mean_err":-0.2,"mape":0.35,"ph":2.5}`) {
 		t.Fatalf("drift event malformed:\n%s", buf.String())
 	}
+	// The simulator's lifecycle events and a vetted placement: optional
+	// fields appear only when set, and an unchecked job has no verdict.
+	l.Placement(&PlacementDecision{SimTimeS: 930, Scheduler: "Gsight", Workload: "matmul", Class: "SC", Functions: 1, Servers: 8,
+		SpreadLevels: 1, SLAChecks: 2, Outcome: "placed", Placement: []int{3}, PredIPC: 1.25, PredJCTS: 40.5})
+	l.JobBegin(&JobBegin{SimTimeS: 930, ID: 7, Archetype: "matmul", Job: "matmul#7", Placement: []int{3}, PredJCTS: 40.5})
+	l.JobEnd(&JobEnd{SimTimeS: 990, ID: 7, Archetype: "matmul", JCTS: 42, Slowdown: 1.05, Checked: true, SLAOK: true})
+	l.JobEnd(&JobEnd{SimTimeS: 990, ID: 8, Archetype: "dd", JCTS: 12})
+	l.PredSample(&PredSample{SimTimeS: 990, Archetype: "matmul", QoS: "jct", Pred: 40.5, Obs: 42})
+	for _, want := range []string{
+		`{"event":"placement","seq":5,"sim_time_s":930,"scheduler":"Gsight","workload":"matmul","class":"SC","functions":1,"servers":8,"active_servers":0,"spread_levels":1,"sla_checks":2,"outcome":"placed","placement":[3],"pred_ipc":1.25,"pred_jct_s":40.5}`,
+		`{"event":"job_begin","seq":6,"sim_time_s":930,"id":7,"archetype":"matmul","job":"matmul#7","placement":[3],"pred_jct_s":40.5}`,
+		`{"event":"job_end","seq":7,"sim_time_s":990,"id":7,"archetype":"matmul","jct_s":42,"slowdown":1.05,"sla_ok":true}`,
+		`{"event":"job_end","seq":8,"sim_time_s":990,"id":8,"archetype":"dd","jct_s":12}`,
+		`{"event":"pred_sample","seq":9,"sim_time_s":990,"archetype":"matmul","qos":"jct","pred":40.5,"obs":42}`,
+	} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Errorf("decision log lacks the line\n%s", want)
+		}
+	}
 }
 
 func TestDecisionLogDeterminism(t *testing.T) {

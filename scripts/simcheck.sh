@@ -6,9 +6,10 @@
 # one seeded chaos hour twice in separate processes: once with
 # GOMAXPROCS=1 and once with GOMAXPROCS=4 (Go accepts more than the
 # machine's cores), so the start-up worker pool (par.For) always runs
-# at two different widths. The decision log, the
-# lifecycle trace and flight recording (-record bundle) and the report
-# on stdout (wall-clock lines filtered) must be byte-identical.
+# at two different widths. The decision log and flight recording
+# (-record directory), the Perfetto trace each run's log renders
+# (gsight inspect trace) and the report on stdout (wall-clock lines
+# filtered) must be byte-identical.
 #
 # Usage: scripts/simcheck.sh [hours] [train] [seed] [topk]
 #   topk defaults to 4 so two-tier placement (the tier-0 score cache,
@@ -31,9 +32,9 @@ sim() {
     name="$1"; shift
     mkdir -p "$WORK/$name"
     env "$@" "$WORK/gsight" sim -hours "$HOURS" -train "$TRAIN" -seed "$SEED" \
-        -topk "$TOPK" -faults chaos -quiet -record "$WORK/$name" \
-        -decision-log "$WORK/$name/decisions.jsonl" > "$WORK/$name/stdout"
+        -topk "$TOPK" -faults chaos -quiet -record "$WORK/$name" > "$WORK/$name/stdout"
     grep -v 'wall-clock' "$WORK/$name/stdout" > "$WORK/$name/report"
+    "$WORK/gsight" inspect trace -o "$WORK/$name/trace.json" "$WORK/$name"
 }
 
 echo "simcheck: run at GOMAXPROCS=1..."
