@@ -16,7 +16,6 @@ import (
 	"gsight/internal/core"
 	"gsight/internal/experiments"
 	"gsight/internal/ml"
-	"gsight/internal/obs"
 	"gsight/internal/perfmodel"
 	"gsight/internal/resources"
 	"gsight/internal/scenario"
@@ -697,10 +696,10 @@ func BenchmarkFaultyPlatform(b *testing.B) {
 }
 
 // BenchmarkTracedPlatform is BenchmarkFaultyPlatform with a whole
-// recording attached (the decision log, lifecycle events included, and
-// the flight recorder, both draining to io.Discard): the same chaos
-// run, so the ns/op delta against BenchmarkFaultyPlatform is the
-// whole-run cost of enabled recording. The contract is <15% overhead;
+// recording attached (the decision log, lifecycle events and step
+// samples included, draining to io.Discard): the same chaos run, so
+// the ns/op delta against BenchmarkFaultyPlatform is the whole-run cost
+// of enabled recording. The contract is <15% overhead;
 // run the two as one -bench pair to compare them.
 func BenchmarkTracedPlatform(b *testing.B) {
 	cat := Catalog()
@@ -710,7 +709,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		sink, fl := telemetry.New().WithDecisions(io.Discard), obs.NewFlight(io.Discard, 8, 30)
+		sink := telemetry.New().WithDecisions(io.Discard)
 		st, err := RunPlatform(nil, PlatformConfig{
 			Model:     NewTestbedModel(),
 			Scheduler: NewWorstFit(),
@@ -724,7 +723,6 @@ func BenchmarkTracedPlatform(b *testing.B) {
 			Seed:            42,
 			Faults:          chaos,
 			Telemetry:       sink,
-			Flight:          fl,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -732,7 +730,7 @@ func BenchmarkTracedPlatform(b *testing.B) {
 		if st.FaultEvents == 0 {
 			b.Fatal("chaos run injected no faults")
 		}
-		if sink.Decisions.Stream().Records() == 0 || fl.Stream().Records() == 0 {
+		if sink.Decisions.Stream().Records() <= uint64(st.Steps) {
 			b.Fatal("recorder captured nothing")
 		}
 	}

@@ -38,7 +38,7 @@ func commands() []command {
 		{"train", "label a colocation dataset and train a predictor incrementally (Fig 10)", bindTrain},
 		{"workload", "validate, profile or export a workload definition (§3.2)", bindWorkload},
 		{"experiments", "regenerate the paper's tables and figures", bindExperiments},
-		{"inspect", "read decision logs, flight recordings and snapshots; render traces", bindInspect},
+		{"inspect", "read decision logs and snapshots; render traces", bindInspect},
 	}
 }
 
@@ -135,17 +135,16 @@ func signalContext() (context.Context, context.CancelFunc) {
 
 // runEnv is the run set-up sim, train, experiments and workload share:
 // the -v/-quiet logger, the signal context, the telemetry sink with its
-// -decision-log and -debug-addr, the -report file, and the output files,
-// flushed and then closed on every return path so a failed or
-// interrupted run still leaves whole records on disk.
+// -decision-log and -debug-addr, the -report file, and the output files.
+// The decision log is flushed and the files closed on every return path,
+// so a failed or interrupted run still leaves whole records on disk.
 type runEnv struct {
 	verbose, quiet                      bool
 	debugAddr, reportPath, decisionPath string
 
-	log     *log.Logger // stderr, so stdout reports stay pipeable
-	sink    *telemetry.Sink
-	files   []*os.File
-	streams []*telemetry.Stream
+	log   *log.Logger // stderr, so stdout reports stay pipeable
+	sink  *telemetry.Sink
+	files []*os.File
 }
 
 // logFlags registers -v, -quiet and -debug-addr.
@@ -174,7 +173,6 @@ func (e *runEnv) run(body func(ctx context.Context) error) error {
 			return fmt.Errorf("decision log: %w", err)
 		}
 		e.sink.WithDecisions(f)
-		e.streams = append(e.streams, e.sink.Decisions.Stream())
 	}
 	if e.debugAddr != "" {
 		addr, err := telemetry.ServeDebug(e.debugAddr, e.sink.Registry)
@@ -183,7 +181,16 @@ func (e *runEnv) run(body func(ctx context.Context) error) error {
 		}
 		e.infof("debug server on http://%s (metrics, expvar, pprof)", addr)
 	}
-	return body(ctx)
+	err := body(ctx)
+	// Recording never fails a run mid-way: the decision log's first
+	// write error surfaces here, and fails a run that succeeded.
+	if ferr := e.sink.Decisions.Stream().Flush(); ferr != nil {
+		if err == nil {
+			return fmt.Errorf("decision log: %w", ferr)
+		}
+		e.errorf("decision log: %v", ferr)
+	}
+	return err
 }
 
 // infof logs a progress message unless -quiet.
@@ -214,13 +221,8 @@ func (e *runEnv) create(path string) (*os.File, error) {
 	return f, err
 }
 
-// close flushes every stream, then closes every file, logging errors.
+// close closes every output file, logging errors.
 func (e *runEnv) close() {
-	for _, st := range e.streams {
-		if err := st.Flush(); err != nil {
-			e.errorf("%v", err)
-		}
-	}
 	for _, f := range e.files {
 		if err := f.Close(); err != nil {
 			e.errorf("%v", err)

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 
@@ -197,55 +196,35 @@ func TestExperimentsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSimRecordingWiring: -decision-log alone, -record alone and the
-// two together write the same decision log. With both, the log lands
-// at the -decision-log path and the flight recording in the -record
-// directory; only -record writes a flight recording.
+// TestSimRecordingWiring: -decision-log is the one recording flag.
+// It writes the whole run into one file — lifecycle events and one step
+// sample per simulated step — and nothing beside it, and a write error
+// to it fails the run.
 func TestSimRecordingWiring(t *testing.T) {
 	dir := t.TempDir()
-	sim := func(extra ...string) {
+	sim := func(want int, extra ...string) {
 		args := append([]string{"sim", "-hours", "1", "-train", "16", "-faults", "chaos", "-quiet"}, extra...)
-		if got := Main(args); got != 0 {
-			t.Fatalf("gsight %s exited %d, want 0", strings.Join(args, " "), got)
+		if got := Main(args); got != want {
+			t.Fatalf("gsight %s exited %d, want %d", strings.Join(args, " "), got, want)
 		}
 	}
-	read := func(elem ...string) []byte {
-		data, err := os.ReadFile(filepath.Join(append([]string{dir}, elem...)...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	sim("-decision-log", filepath.Join(dir, "alone.jsonl"))
-	sim("-record", filepath.Join(dir, "rec"))
-	sim("-decision-log", filepath.Join(dir, "both.jsonl"), "-record", filepath.Join(dir, "both"))
-
-	log := read("alone.jsonl")
-	if !bytes.Contains(log, []byte(`"event":"fault"`)) || !bytes.Contains(log, []byte(`"event":"job_end"`)) {
-		t.Fatal("the chaos run's decision log holds no fault or job_end event")
-	}
-	if !bytes.Equal(read("rec", "decisions.jsonl"), log) || !bytes.Equal(read("both.jsonl"), log) {
-		t.Error("the three runs wrote different decision logs")
-	}
-	if flight := read("rec", "flight.bin"); len(flight) == 0 || !bytes.Equal(read("both", "flight.bin"), flight) {
-		t.Error("the two -record runs wrote different or empty flight recordings")
-	}
-	var files []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			rel, _ := filepath.Rel(dir, path)
-			files = append(files, rel)
-		}
-		return err
-	})
+	sim(0, "-decision-log", filepath.Join(dir, "run.jsonl"))
+	log, err := os.ReadFile(filepath.Join(dir, "run.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"alone.jsonl", "both.jsonl", filepath.Join("both", "flight.bin"), filepath.Join("rec", "decisions.jsonl"), filepath.Join("rec", "flight.bin")}
-	slices.Sort(files)
-	if !slices.Equal(files, want) {
-		t.Errorf("files written: %v, want %v", files, want)
+	for _, kind := range []string{"fault", "job_end", "placement"} {
+		if !bytes.Contains(log, []byte(`"event":"`+kind+`"`)) {
+			t.Errorf("the chaos run's decision log holds no %s event", kind)
+		}
 	}
+	if steps := bytes.Count(log, []byte(`{"event":"step",`)); steps != 120 {
+		t.Errorf("the 1 h run logged %d step samples, want 120", steps)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("the run wrote %d files, want the decision log alone", len(entries))
+	}
+	sim(1, "-decision-log", "/dev/full")
 }
 
 // TestServeCommandRefusesOtherSnapshotFormat: `gsight serve -data D` on

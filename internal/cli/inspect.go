@@ -7,11 +7,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"gsight/internal/obs"
+	"gsight/internal/platform"
 	"gsight/internal/telemetry"
 )
 
@@ -25,30 +25,29 @@ type inspectVerb struct {
 // as its usage.
 func inspectVerbs() []inspectVerb {
 	return []inspectVerb{
-		{"summary", "<recording>", "run overview: decisions, jobs, SLA misses", withRecording(cmdSummary)},
-		{"predq", "<recording>", "prediction quality: per-archetype MAPE, drift", withRecording(cmdPredq)},
-		{"errors", "<recording>", "prediction error over time", withRecording(cmdErrors)},
-		{"heat", "<recording>", "per-server utilization from the flight recording", withRecording(cmdHeat)},
-		{"trace", "[-o out.json] <recording>", "render the decision log as a Perfetto trace", cmdTrace},
-		{"diff", "<a> <b>", "compare two recordings, locate first divergence", cmdDiff},
+		{"summary", "<log>", "run overview: decisions, jobs, SLA misses, cluster load", withLog(cmdSummary)},
+		{"predq", "<log>", "prediction quality: per-archetype MAPE, drift", withLog(simOnly("predq", cmdPredq))},
+		{"errors", "<log>", "prediction error over time", withLog(simOnly("errors", cmdErrors))},
+		{"heat", "<log>", "per-server utilization from the step samples", withLog(simOnly("heat", cmdHeat))},
+		{"trace", "[-o out.json] <log>", "render the decision log as a Perfetto trace", cmdTrace},
+		{"diff", "<a> <b>", "compare two decision logs, locate first divergence", cmdDiff},
 		{"snapshot", "<file|dir>", "a checkpoint's envelope, controller state and predictor summary", cmdSnapshot},
 	}
 }
 
-// bindInspect is `gsight inspect <verb>`: it reads the recordings the
-// other sub-commands produce — decision logs (-decision-log, sim
-// -record) and flight recordings (sim -record) — and answers questions
-// about a run offline: what was scheduled where, how good the
-// predictor was, which jobs missed their SLA, how hot each server ran.
-// A simulator's decision log is its one event stream; the trace verb
-// renders it as a Perfetto trace.
+// bindInspect is `gsight inspect <verb>`: it reads the decision logs
+// the other sub-commands write (-decision-log) and the serving daemon's
+// decisions.jsonl, and answers questions about a run offline: what was
+// scheduled where, how good the predictor was, which jobs missed their
+// SLA, how hot each server ran. A simulator's decision log is its one
+// recording; the trace verb renders it as a Perfetto trace.
 //
-// <recording> is a -record directory (decisions.jsonl + flight.bin
-// inside), or a single artifact file: a JSONL decision log or a flight
-// recording — the tool sniffs which. Every reader checks the format's
-// schema version and rejects streams written by another, incompatible
-// gsight rather than misparsing them. A torn final record — possible
-// when a run was killed before its flush — is dropped.
+// A tool's log opens with a schema header, and the reader rejects logs
+// written in another schema rather than misparsing them. A daemon's log
+// is its WAL payloads ({"seq":…,"kind":…}) and has no header: summary
+// and diff read it, the simulator's views refuse it. A torn final
+// record — possible when a run was killed before its flush — is
+// dropped.
 func bindInspect(fs *flag.FlagSet) func([]string) error {
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: %s <verb> [args]\n\nverbs:\n", fs.Name())
@@ -69,158 +68,125 @@ func bindInspect(fs *flag.FlagSet) func([]string) error {
 	}
 }
 
-// recording is one run's artifacts, any subset of which may be present.
-type recording struct {
+// decisionLog is one decision log's events, header excluded. Step
+// lines are kept apart, decoded into typed samples: each carries two
+// values per server, which generic maps would box one by one. daemon
+// marks a serving daemon's log, whose events are WAL records.
+type decisionLog struct {
 	path   string
-	log    []map[string]interface{}
-	flight *obs.FlightData
+	events []map[string]interface{}
+	steps  []stepEvent
+	daemon bool
 }
 
-// openRecording resolves path — a -record directory or a single
-// artifact file — and loads whatever streams it holds.
-func openRecording(path string) (*recording, error) {
-	rec := &recording{path: path}
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.IsDir() {
-		loaded := false
-		if lp := filepath.Join(path, "decisions.jsonl"); fileExists(lp) {
-			if rec.log, err = readDecisionLog(lp); err != nil {
-				return nil, err
-			}
-			loaded = true
-		}
-		if fl := filepath.Join(path, "flight.bin"); fileExists(fl) {
-			if rec.flight, err = readFlightFile(fl); err != nil {
-				return nil, err
-			}
-			loaded = true
-		}
-		if !loaded {
-			return nil, fmt.Errorf("%s: no decisions.jsonl or flight.bin inside", path)
-		}
-		return rec, nil
-	}
-	switch kind, err := sniff(path); {
-	case err != nil:
-		return nil, err
-	case kind == "flight":
-		rec.flight, err = readFlightFile(path)
-		return rec, err
-	default:
-		rec.log, err = readDecisionLog(path)
-		return rec, err
-	}
+// stepEvent is one step line.
+type stepEvent struct {
+	Seq int `json:"seq"`
+	telemetry.StepSample
 }
 
-// withRecording runs fn on the single recording argument.
-func withRecording(fn func(*recording) error) func(args []string) error {
+// withLog runs fn on the single log argument.
+func withLog(fn func(*decisionLog) error) func(args []string) error {
 	return func(args []string) error {
 		if len(args) != 1 {
-			return fmt.Errorf("expected exactly one recording path, got %d args", len(args))
+			return fmt.Errorf("expected exactly one decision-log path, got %d args", len(args))
 		}
-		rec, err := openRecording(args[0])
+		l, err := readDecisionLog(args[0])
 		if err != nil {
 			return err
 		}
-		return fn(rec)
+		return fn(l)
 	}
 }
 
-func fileExists(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && !st.IsDir()
-}
-
-// sniff classifies a single artifact file by its first bytes.
-func sniff(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	head := make([]byte, 4)
-	n, _ := f.Read(head)
-	head = head[:n]
-	switch {
-	case bytes.HasPrefix(head, []byte("GFR")):
-		return "flight", nil
-	case bytes.HasPrefix(head, []byte("{")):
-		return "log", nil
-	default:
-		return "", fmt.Errorf("%s: not a gsight recording (unrecognized header)", path)
+// simOnly refuses a daemon's log for a verb that reads the simulator's
+// events.
+func simOnly(verb string, fn func(*decisionLog) error) func(*decisionLog) error {
+	return func(l *decisionLog) error {
+		if l.daemon {
+			return fmt.Errorf("%s: a serving daemon's log; %s reads a simulator's decision log (sim -decision-log)", l.path, verb)
+		}
+		return fn(l)
 	}
 }
 
-func readFlightFile(path string) (*obs.FlightData, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fd, err := obs.ReadFlight(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return fd, nil
-}
-
-// readDecisionLog parses a JSONL decision log, enforcing the schema
-// header. A torn final line is dropped.
-func readDecisionLog(path string) ([]map[string]interface{}, error) {
+// readDecisionLog parses a JSONL decision log: a tool's, whose schema
+// header it enforces, or a daemon's. A torn final line is dropped.
+func readDecisionLog(path string) (*decisionLog, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var events []map[string]interface{}
+	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
+	l := &decisionLog{path: path}
 	first := true
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		var ev map[string]interface{}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+		ev, st, err := decodeLine(line, !first)
+		if err != nil {
 			if sc.Scan() {
 				return nil, fmt.Errorf("%s: bad log line: %v", path, err)
 			}
 			break
 		}
-		if first {
-			first = false
-			if kind, _ := ev["event"].(string); kind != "header" {
-				return nil, fmt.Errorf("%s: not a gsight decision log (no schema header)", path)
-			}
-			if schema := int(num(ev["schema"])); schema != telemetry.DecisionLogSchema {
-				return nil, fmt.Errorf("%s: decision-log schema %d not supported (want %d)",
-					path, schema, telemetry.DecisionLogSchema)
-			}
+		if st != nil {
+			l.steps = append(l.steps, *st)
 			continue
 		}
-		events = append(events, ev)
+		if first {
+			first = false
+			_, seq := ev["seq"]
+			_, kind := ev["kind"]
+			switch {
+			case str(ev["event"]) == "header":
+				if schema := int(num(ev["schema"])); schema != telemetry.DecisionLogSchema {
+					return nil, fmt.Errorf("%s: decision-log schema %d not supported (want %d)",
+						path, schema, telemetry.DecisionLogSchema)
+				}
+				continue
+			case seq && kind:
+				l.daemon = true
+			default:
+				return nil, fmt.Errorf("%s: not a gsight decision log (no schema header)", path)
+			}
+		}
+		l.events = append(l.events, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if first {
 		return nil, fmt.Errorf("%s: empty decision log", path)
 	}
-	return events, nil
+	return l, nil
+}
+
+// decodeLine decodes one log line: a step line after the first line
+// into its typed sample, any other line into a generic map. The prefix
+// test spares a step line the generic decode.
+func decodeLine(line string, body bool) (map[string]interface{}, *stepEvent, error) {
+	if !body || !strings.HasPrefix(line, `{"event":"step",`) {
+		var ev map[string]interface{}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil || !body || str(ev["event"]) != "step" {
+			return ev, nil, err
+		}
+	}
+	st := new(stepEvent)
+	return nil, st, json.Unmarshal([]byte(line), st)
 }
 
 // ---- summary ----
 
-func cmdSummary(rec *recording) error {
-	if rec.log != nil {
-		summarizeLog(rec.log)
-	}
-	if rec.flight != nil {
-		summarizeFlight(rec.flight)
+func cmdSummary(l *decisionLog) error {
+	if l.daemon {
+		summarizeDaemonLog(l.events)
+	} else {
+		summarizeLog(l)
 	}
 	return nil
 }
@@ -233,14 +199,17 @@ type jobOutcome struct {
 	sumSlowdown float64
 }
 
-func summarizeLog(events []map[string]interface{}) {
+func summarizeLog(l *decisionLog) {
 	kinds := map[string]int{}
 	outcomes := map[string]int{}
 	rejected := map[string]int{}
 	jobs := map[string]*jobOutcome{}
 	tier0Decisions, tier0Kept, tier0Pruned := 0, 0.0, 0.0
+	if len(l.steps) > 0 {
+		kinds["step"] = len(l.steps)
+	}
 	var drifts []map[string]interface{}
-	for _, ev := range events {
+	for _, ev := range l.events {
 		kind := str(ev["event"])
 		kinds[kind]++
 		switch kind {
@@ -274,16 +243,9 @@ func summarizeLog(events []map[string]interface{}) {
 			drifts = append(drifts, ev)
 		}
 	}
-	fmt.Printf("decision log: %d events\n", len(events))
-	for _, k := range sortedKeys(kinds) {
-		fmt.Printf("  %-18s %d\n", k, kinds[k])
-	}
-	if len(outcomes) > 0 {
-		fmt.Println("placement outcomes:")
-		for _, k := range sortedKeys(outcomes) {
-			fmt.Printf("  %-18s %d\n", k, outcomes[k])
-		}
-	}
+	fmt.Printf("decision log: %d events\n", len(l.events)+len(l.steps))
+	printCounts("", kinds)
+	printCounts("placement outcomes:", outcomes)
 	if len(rejected) > 0 {
 		fmt.Println("top rejected workloads:")
 		printTopCounts(rejected, 5)
@@ -319,44 +281,81 @@ func summarizeLog(events []map[string]interface{}) {
 			num(d["sim_time_s"]), d["qos"], d["archetype"], num(d["mape"]), num(d["ph"]))
 	}
 	fmt.Println()
+	if len(l.steps) > 0 {
+		summarizeSteps(l.steps)
+	}
 }
 
-func summarizeFlight(fd *obs.FlightData) {
-	if len(fd.Frames) == 0 {
-		fmt.Println("flight recording: empty")
-		return
-	}
-	degraded, predDown := 0, 0
+// summarizeSteps prints the cluster line: the step samples' span and
+// their mean density and CPU utilization over the steps with an active
+// server — the series `gsight sim` reports.
+func summarizeSteps(steps []stepEvent) {
+	degraded, predDown, active := 0, 0, 0
 	var cpu, density float64
-	for i := range fd.Frames {
-		fr := &fd.Frames[i]
-		if fr.Flags&obs.FrameDegraded != 0 {
+	for _, ev := range steps {
+		if ev.Degraded {
 			degraded++
 		}
-		if fr.Flags&obs.FramePredictorDown != 0 {
+		if ev.PredictorDown {
 			predDown++
 		}
-		cpu += float64(fr.CPUUtil)
-		density += float64(fr.Density)
+		if ev.ActiveServers > 0 {
+			active++
+			cpu += ev.CPUUtil
+			density += ev.Density
+		}
 	}
-	n := float64(len(fd.Frames))
-	last := &fd.Frames[len(fd.Frames)-1]
-	fmt.Printf("flight recording: %d frames over %d servers, step %.0fs, t=[%.0fs, %.0fs]\n",
-		len(fd.Frames), fd.Servers, fd.StepS, fd.Frames[0].SimTimeS, last.SimTimeS)
-	fmt.Printf("  mean density %.3f, mean CPU util %.3f\n", density/n, cpu/n)
+	fmt.Printf("steps: %d over %d servers, step %.0fs, t=[%.0fs, %.0fs]\n", len(steps),
+		len(steps[0].CPUDemand), float64(platform.StepS), steps[0].SimTimeS, steps[len(steps)-1].SimTimeS)
+	fmt.Printf("  mean density %.3f, mean CPU util %.3f\n", density/float64(max(active, 1)), cpu/float64(max(active, 1)))
 	fmt.Printf("  degraded steps %d, predictor-down steps %d\n", degraded, predDown)
+}
+
+// summarizeDaemonLog prints a serving daemon's log: records by kind,
+// placement outcomes and reasons, the observations the learner applied
+// and the releases that found their instance.
+func summarizeDaemonLog(events []map[string]interface{}) {
+	kinds, outcomes, reasons := map[string]int{}, map[string]int{}, map[string]int{}
+	applied, released := 0, 0
+	for _, ev := range events {
+		kind := str(ev["kind"])
+		kinds[kind]++
+		switch kind {
+		case "place":
+			p, _ := ev["place"].(map[string]interface{})
+			outcomes[str(p["outcome"])]++
+			if r := str(p["reason"]); r != "" {
+				reasons[r]++
+			}
+		case "observe":
+			if o, _ := ev["observe"].(map[string]interface{}); o["applied"] == true {
+				applied++
+			}
+		case "release":
+			if r, _ := ev["release"].(map[string]interface{}); r["released"] == true {
+				released++
+			}
+		}
+	}
+	fmt.Printf("daemon log: %d records, seq %.0f..%.0f\n", len(events), num(events[0]["seq"]), num(events[len(events)-1]["seq"]))
+	printCounts("", kinds)
+	printCounts("placement outcomes:", outcomes)
+	printCounts("placement reasons:", reasons)
+	if n := kinds["observe"]; n > 0 {
+		fmt.Printf("observations applied: %d of %d\n", applied, n)
+	}
+	if n := kinds["release"]; n > 0 {
+		fmt.Printf("releases that found their instance: %d of %d\n", released, n)
+	}
 }
 
 // ---- predq ----
 
-// predSamples returns the log's prediction-quality samples by QoS kind,
-// or an error naming the recording when it has no decision log.
-func predSamples(rec *recording) (map[string][]map[string]interface{}, error) {
-	if rec.log == nil {
-		return nil, fmt.Errorf("%s: prediction-quality analysis needs a decision log (sim -decision-log or -record)", rec.path)
-	}
+// predSamples returns the log's prediction-quality samples by QoS
+// kind, and says so when there are none.
+func predSamples(l *decisionLog) map[string][]map[string]interface{} {
 	byQoS := map[string][]map[string]interface{}{}
-	for _, ev := range rec.log {
+	for _, ev := range l.events {
 		if str(ev["event"]) == "pred_sample" {
 			qos := str(ev["qos"])
 			byQoS[qos] = append(byQoS[qos], ev)
@@ -365,31 +364,31 @@ func predSamples(rec *recording) (map[string][]map[string]interface{}, error) {
 	if len(byQoS) == 0 {
 		fmt.Println("no prediction-quality samples in the decision log")
 	}
-	return byQoS, nil
+	return byQoS
 }
 
-func cmdPredq(rec *recording) error {
-	byQoS, err := predSamples(rec)
-	if err != nil || len(byQoS) == 0 {
-		return err
+func cmdPredq(l *decisionLog) error {
+	byQoS := predSamples(l)
+	if len(byQoS) == 0 {
+		return nil
 	}
+	// Replay the samples through the same online tracker the platform
+	// runs, which keeps each QoS kind apart, so the reported rolling
+	// stats match what the live run saw.
+	q := obs.NewPredQ()
 	for _, qos := range sortedKeys(byQoS) {
-		// Replay the samples through the same online tracker the
-		// platform runs, so the reported rolling stats match what the
-		// live run saw.
-		q := obs.NewPredQ()
 		archetypes := map[string]bool{}
 		for _, ev := range byQoS[qos] {
 			arch := str(ev["archetype"])
 			archetypes[arch] = true
 			q.Track(arch, qos, num(ev["pred"]), num(ev["obs"]))
 		}
-		ov := q.Overall()
+		ov := q.Overall(qos)
 		fmt.Printf("prediction quality qos=%s: %d samples\n", qos, ov.Count)
 		fmt.Printf("  %-18s %8s %8s %9s %8s\n", "archetype", "samples", "window", "mean_err", "MAPE")
 		fmt.Printf("  %-18s %8d %8d %+9.3f %8.3f\n", "overall", ov.Count, ov.Window(), ov.MeanErr(), ov.MAPE())
 		for _, arch := range sortedKeys(archetypes) {
-			st := q.Archetype(arch)
+			st := q.Archetype(qos, arch)
 			if st == nil {
 				continue
 			}
@@ -398,7 +397,7 @@ func cmdPredq(rec *recording) error {
 		fmt.Println()
 	}
 	var recorded []map[string]interface{}
-	for _, ev := range rec.log {
+	for _, ev := range l.events {
 		if str(ev["event"]) == "predictor_drift" {
 			recorded = append(recorded, ev)
 		}
@@ -421,10 +420,10 @@ func cmdPredq(rec *recording) error {
 // errorBuckets is the number of time buckets the errors view renders.
 const errorBuckets = 12
 
-func cmdErrors(rec *recording) error {
-	samples, err := predSamples(rec)
-	if err != nil || len(samples) == 0 {
-		return err
+func cmdErrors(l *decisionLog) error {
+	samples := predSamples(l)
+	if len(samples) == 0 {
+		return nil
 	}
 	type sample struct {
 		t, pred, obs float64
@@ -491,41 +490,46 @@ func cmdErrors(rec *recording) error {
 
 // ---- heat ----
 
-func cmdHeat(rec *recording) error {
-	if rec.flight == nil {
-		return fmt.Errorf("%s: per-server heat needs a flight recording (sim -record)", rec.path)
-	}
-	fd := rec.flight
-	if len(fd.Frames) == 0 {
-		fmt.Println("flight recording: empty")
+func cmdHeat(l *decisionLog) error {
+	steps := l.steps
+	if len(steps) == 0 {
+		fmt.Println("no step samples in the decision log")
 		return nil
 	}
-	sumCPU := make([]float64, fd.Servers)
-	maxCPU := make([]float64, fd.Servers)
-	sumMem := make([]float64, fd.Servers)
-	down := make([]int, fd.Servers)
-	slow := make([]int, fd.Servers)
-	for i := range fd.Frames {
-		fr := &fd.Frames[i]
-		for s := 0; s < fd.Servers; s++ {
-			c := float64(fr.CPUDemand[s])
+	servers := len(steps[0].CPUDemand)
+	sumCPU := make([]float64, servers)
+	maxCPU := make([]float64, servers)
+	sumMem := make([]float64, servers)
+	down := make([]int, servers)
+	slow := make([]int, servers)
+	for _, ev := range steps {
+		if len(ev.CPUDemand) != servers || len(ev.MemUsed) != servers {
+			return fmt.Errorf("%s: step %d samples %d/%d servers, the first step %d", l.path, ev.Step, len(ev.CPUDemand), len(ev.MemUsed), servers)
+		}
+		for s := range servers {
+			c := float64(ev.CPUDemand[s])
 			sumCPU[s] += c
 			if c > maxCPU[s] {
 				maxCPU[s] = c
 			}
-			sumMem[s] += float64(fr.MemUsed[s])
-			if fr.ServerFlags[s]&obs.ServerDown != 0 {
-				down[s]++
-			}
-			if fr.ServerFlags[s]&obs.ServerSlow != 0 {
-				slow[s]++
+			sumMem[s] += float64(ev.MemUsed[s])
+		}
+		for _, col := range []struct {
+			servers []int
+			count   []int
+		}{{ev.Down, down}, {ev.Slow, slow}} {
+			for _, s := range col.servers {
+				if s < 0 || s >= servers {
+					return fmt.Errorf("%s: step %d names server %d of %d", l.path, ev.Step, s, servers)
+				}
+				col.count[s]++
 			}
 		}
 	}
-	n := float64(len(fd.Frames))
-	fmt.Printf("per-server heat over %d frames (step %.0fs)\n", len(fd.Frames), fd.StepS)
+	n := float64(len(steps))
+	fmt.Printf("per-server heat over %d steps (step %.0fs)\n", len(steps), float64(platform.StepS))
 	fmt.Printf("%6s %9s %9s %9s %6s %6s  %s\n", "server", "cpu_mean", "cpu_max", "mem_mean", "down", "slow", "load")
-	for s := 0; s < fd.Servers; s++ {
+	for s := range servers {
 		fmt.Printf("%6d %9.2f %9.2f %9.2f %6d %6d  %s\n",
 			s, sumCPU[s]/n, maxCPU[s], sumMem[s]/n, down[s], slow[s], heatBar(sumCPU[s]/n, maxAll(maxCPU)))
 	}
@@ -561,31 +565,26 @@ func cmdTrace(args []string) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("expected exactly one recording path")
+		return fmt.Errorf("expected exactly one decision-log path")
 	}
-	rec, err := openRecording(fs.Arg(0))
-	if err != nil {
+	return withLog(simOnly("trace", func(l *decisionLog) error {
+		var buf bytes.Buffer
+		if err := renderTrace(&buf, l.events); err != nil {
+			return fmt.Errorf("%s: %w", l.path, err)
+		}
+		if *out != "" {
+			return os.WriteFile(*out, buf.Bytes(), 0o644)
+		}
+		_, err := os.Stdout.Write(buf.Bytes())
 		return err
-	}
-	if rec.log == nil {
-		return fmt.Errorf("%s: no decision log to render", fs.Arg(0))
-	}
-	var buf bytes.Buffer
-	if err := renderTrace(&buf, rec.log); err != nil {
-		return fmt.Errorf("%s: %w", fs.Arg(0), err)
-	}
-	if *out != "" {
-		return os.WriteFile(*out, buf.Bytes(), 0o644)
-	}
-	_, err = os.Stdout.Write(buf.Bytes())
-	return err
+	}))(fs.Args())
 }
 
 // renderTrace encodes a decision log's simulator events as a Perfetto
 // trace through obs.Tracer — one trace event per log event, in log
 // order — and closes the tracer's array, so the file is strict JSON.
-// Events no simulator writes (training steps, experiment outcomes) are
-// not part of the trace.
+// Step samples and the events no simulator writes (training steps,
+// experiment outcomes) are not part of the trace.
 func renderTrace(w *bytes.Buffer, events []map[string]interface{}) error {
 	tr := obs.NewTracer(w)
 	for _, ev := range events {
@@ -632,43 +631,27 @@ func renderTrace(w *bytes.Buffer, events []map[string]interface{}) error {
 
 func cmdDiff(args []string) error {
 	if len(args) != 2 {
-		return fmt.Errorf("diff expects exactly two recording paths")
+		return fmt.Errorf("diff expects exactly two decision-log paths")
 	}
-	a, err := openRecording(args[0])
+	a, err := readDecisionLog(args[0])
 	if err != nil {
 		return err
 	}
-	b, err := openRecording(args[1])
+	b, err := readDecisionLog(args[1])
 	if err != nil {
 		return err
 	}
-	identical := true
-	compared := false
-	if a.flight != nil && b.flight != nil {
-		compared = true
-		if i := diffFlights(a.flight, b.flight); i >= 0 {
-			identical = false
-			reportFlightDiff(a.flight, b.flight, i)
-		} else {
-			fmt.Printf("flight recordings identical: %d frames\n", len(a.flight.Frames))
-		}
-	}
-	if a.log != nil && b.log != nil {
-		compared = true
-		if i := firstDiff(a.log, b.log); i >= 0 {
-			identical = false
-			fmt.Printf("decision logs diverge at event %d:\n  a: %s\n  b: %s\n",
-				i, jsonLine(at(a.log, i)), jsonLine(at(b.log, i)))
-		} else {
-			fmt.Printf("decision logs identical: %d events\n", len(a.log))
-		}
-	}
-	if !compared {
-		return fmt.Errorf("recordings share no comparable stream")
-	}
-	if !identical {
+	if i := firstDiff(a.events, b.events); i >= 0 {
+		fmt.Printf("decision logs diverge at event %d:\n  a: %s\n  b: %s\n",
+			i, jsonLine(at(a.events, i)), jsonLine(at(b.events, i)))
 		return &exitError{code: 1}
 	}
+	if i := firstDiff(a.steps, b.steps); i >= 0 {
+		fmt.Printf("decision logs diverge at step sample %d:\n  a: %s\n  b: %s\n",
+			i, jsonLine(at(a.steps, i)), jsonLine(at(b.steps, i)))
+		return &exitError{code: 1}
+	}
+	fmt.Printf("decision logs identical: %d events\n", len(a.events)+len(a.steps))
 	return nil
 }
 
@@ -686,23 +669,7 @@ func firstDiff[T any](a, b []T) int {
 	return -1
 }
 
-// diffFlights returns the first diverging frame index, or -1.
-func diffFlights(a, b *obs.FlightData) int {
-	if a.Servers != b.Servers || a.StepS != b.StepS {
-		return 0
-	}
-	return firstDiff(a.Frames, b.Frames)
-}
-
-func reportFlightDiff(a, b *obs.FlightData, i int) {
-	fmt.Printf("flight recordings diverge at frame %d (of %d vs %d)", i, len(a.Frames), len(b.Frames))
-	if i < len(a.Frames) {
-		fmt.Printf(" — t=%.0fs step %d", a.Frames[i].SimTimeS, a.Frames[i].Step)
-	}
-	fmt.Println()
-}
-
-func at(evs []map[string]interface{}, i int) interface{} {
+func at[T any](evs []T, i int) interface{} {
 	if i < len(evs) {
 		return evs[i]
 	}
@@ -752,6 +719,17 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(ks)
 	return ks
+}
+
+// printCounts prints one line per key of m in sorted order, under
+// title when m is not empty and title is.
+func printCounts(title string, m map[string]int) {
+	if title != "" && len(m) > 0 {
+		fmt.Println(title)
+	}
+	for _, k := range sortedKeys(m) {
+		fmt.Printf("  %-18s %d\n", k, m[k])
+	}
 }
 
 func printTopCounts(m map[string]int, top int) {

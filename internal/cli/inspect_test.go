@@ -2,12 +2,19 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"gsight/internal/serve"
+	"gsight/internal/telemetry"
 )
 
 // logLines returns a decision log's events after the header, decoded.
@@ -28,26 +35,47 @@ func logLines(t *testing.T, path string) []map[string]any {
 	return events
 }
 
-// runSim runs `gsight sim` with args and fails the test unless it exits 0.
-func runSim(t *testing.T, args ...string) {
+// runSim runs `gsight sim` with args, fails the test unless it exits 0,
+// and returns its stdout.
+func runSim(t *testing.T, args ...string) string {
 	t.Helper()
-	args = append([]string{"sim", "-quiet"}, args...)
-	if got := Main(args); got != 0 {
-		t.Fatalf("gsight %s exited %d, want 0", strings.Join(args, " "), got)
+	return runMain(t, 0, append([]string{"sim", "-quiet"}, args...)...)
+}
+
+// runMain runs `gsight args…`, fails the test unless it exits with want,
+// and returns its stdout.
+func runMain(t *testing.T, want int, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	got := Main(args)
+	os.Stdout = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("gsight %s exited %d, want %d; stdout:\n%s", strings.Join(args, " "), got, want, out)
+	}
+	return string(out)
 }
 
 // TestInspectTraceRendersLog: `gsight inspect trace` renders a chaos
 // run's decision log as one strict-JSON Perfetto trace event per
 // simulator event of the log, in log order, each event of the kind its
 // log line names at the line's simulation time. The run logs every
-// simulator event kind; the training steps it logs stay out of the
-// trace.
+// simulator event kind; the training steps and step samples it logs
+// stay out of the trace.
 func TestInspectTraceRendersLog(t *testing.T) {
 	dir := t.TempDir()
-	rec, out := filepath.Join(dir, "rec"), filepath.Join(dir, "trace.json")
-	runSim(t, "-hours", "24", "-train", "16", "-seed", "1", "-faults", "chaos", "-record", rec)
-	if got := Main([]string{"inspect", "trace", "-o", out, rec}); got != 0 {
+	logPath, out := filepath.Join(dir, "decisions.jsonl"), filepath.Join(dir, "trace.json")
+	runSim(t, "-hours", "24", "-train", "16", "-seed", "1", "-faults", "chaos", "-decision-log", logPath)
+	if got := Main([]string{"inspect", "trace", "-o", out, logPath}); got != 0 {
 		t.Fatalf("gsight inspect trace exited %d, want 0", got)
 	}
 	data, err := os.ReadFile(out)
@@ -80,7 +108,7 @@ func TestInspectTraceRendersLog(t *testing.T) {
 	}
 	seen := map[string]int{}
 	i := 0
-	for _, ev := range logLines(t, filepath.Join(rec, "decisions.jsonl")) {
+	for _, ev := range logLines(t, logPath) {
 		kind := ev["event"].(string)
 		want, ok := kinds[kind]
 		if !ok {
@@ -161,8 +189,179 @@ func TestInspectRefusesOtherLogSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := openRecording(path)
-	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "schema 1 not supported (want 2)") {
+	_, err := readDecisionLog(path)
+	want := fmt.Sprintf("schema 1 not supported (want %d)", telemetry.DecisionLogSchema)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("opening a schema-1 log: %v", err)
+	}
+}
+
+// TestInspectSummaryMatchesSim: the cluster line `gsight inspect
+// summary` prints from a chaos run's step samples carries the mean
+// density `gsight sim` printed, and `heat` renders one row per server.
+func TestInspectSummaryMatchesSim(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "decisions.jsonl")
+	report := runSim(t, "-hours", "2", "-train", "16", "-seed", "3", "-faults", "chaos", "-decision-log", logPath)
+	simMean := regexp.MustCompile(`function density \(inst/core\): mean ([0-9.]+)`).FindStringSubmatch(report)
+	if simMean == nil {
+		t.Fatalf("no density line in the sim report:\n%s", report)
+	}
+	summary := runMain(t, 0, "inspect", "summary", logPath)
+	logMean := regexp.MustCompile(`mean density ([0-9.]+)`).FindStringSubmatch(summary)
+	if logMean == nil || logMean[1] != simMean[1] {
+		t.Fatalf("inspect summary's mean density %v, gsight sim printed %s:\n%s", logMean, simMean[1], summary)
+	}
+	if !strings.Contains(summary, "steps: 240 over 8 servers, step 30s") {
+		t.Errorf("summary's cluster line does not cover the run's 240 steps on 8 servers:\n%s", summary)
+	}
+	heat := runMain(t, 0, "inspect", "heat", logPath)
+	if rows := regexp.MustCompile(`(?m)^ +[0-7] `).FindAllString(heat, -1); len(rows) != 8 {
+		t.Errorf("heat renders %d server rows, want 8:\n%s", len(rows), heat)
+	}
+}
+
+// TestInspectDaemonLog: a serving daemon's decisions.jsonl — WAL
+// payloads, no schema header — is summarized by record kind, placement
+// outcome and reason, applied observations and releases that found
+// their instance; diff compares two of them; and the simulator's views
+// refuse it by name.
+func TestInspectDaemonLog(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := serve.New(serve.Config{DataDir: dir, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	cl := serve.NewClient(hs.URL)
+	ctx := context.Background()
+	var names []string
+	outcomes := map[string]int{}
+	for i, w := range []string{"matmul", "dd", "matmul", "float-op"} {
+		ack, err := cl.Place(ctx, serve.PlaceRequest{Workload: w, Order: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes[ack.Outcome]++
+		names = append(names, ack.Name)
+	}
+	applied := 0
+	oack, err := cl.Observe(ctx, serve.ObserveRequest{Name: names[0], QoS: "ipc", Value: 1.2, Order: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oack.Applied {
+		applied++
+	}
+	found := 0
+	for i, name := range []string{names[1], "never-placed"} {
+		rack, err := cl.Release(ctx, serve.ReleaseRequest{Name: name, Order: uint64(6 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rack.Released {
+			found++
+		}
+	}
+	hs.Close()
+	stopCtx, cancel := context.WithTimeout(ctx, 20*time.Second)
+	defer cancel()
+	if err := srv.Stop(stopCtx); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "decisions.jsonl")
+
+	summary := runMain(t, 0, "inspect", "summary", logPath)
+	want := []string{"daemon log: 7 records, seq 1..7", "observe            1", "place              4", "release            2",
+		fmt.Sprintf("observations applied: %d of 1", applied), fmt.Sprintf("releases that found their instance: %d of 2", found)}
+	for outcome, n := range outcomes {
+		want = append(want, fmt.Sprintf("  %-18s %d", outcome, n))
+	}
+	for _, w := range want {
+		if !strings.Contains(summary, w) {
+			t.Errorf("daemon summary lacks %q:\n%s", w, summary)
+		}
+	}
+	if found != 1 {
+		t.Errorf("%d releases found their instance, want 1", found)
+	}
+
+	runMain(t, 0, "inspect", "diff", logPath, logPath)
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := filepath.Join(t.TempDir(), "short.jsonl")
+	if err := os.WriteFile(short, data[:bytes.LastIndexByte(data[:len(data)-1], '\n')+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := runMain(t, 1, "inspect", "diff", logPath, short); !strings.Contains(out, "diverge at event 6") {
+		t.Errorf("diff of a log and its cut copy:\n%s", out)
+	}
+	refused := 0
+	for _, v := range inspectVerbs() {
+		switch v.name {
+		case "predq", "errors", "heat", "trace":
+			refused++
+			err := v.run([]string{logPath})
+			if err == nil || !strings.Contains(err.Error(), "serving daemon's log; "+v.name+" reads a simulator's") {
+				t.Errorf("inspect %s on a daemon log: %v", v.name, err)
+			}
+		}
+	}
+	if refused != 4 {
+		t.Fatalf("found %d of the four simulator views", refused)
+	}
+}
+
+// TestInspectHeatRefusesMalformedSteps: heat refuses a step line whose
+// per-server columns or server lists do not fit the cluster of the
+// first step, naming the file, instead of indexing past it.
+func TestInspectHeatRefusesMalformedSteps(t *testing.T) {
+	header := fmt.Sprintf(`{"event":"header","seq":0,"schema":%d}`, telemetry.DecisionLogSchema) + "\n"
+	first := `{"event":"step","seq":1,"step":1,"cpu_demand":[1,2],"mem_used":[1,2]}` + "\n"
+	for _, bad := range []string{
+		`{"event":"step","seq":2,"step":2,"down":[2],"cpu_demand":[1,2],"mem_used":[1,2]}`,
+		`{"event":"step","seq":2,"step":2,"slow":[-1],"cpu_demand":[1,2],"mem_used":[1,2]}`,
+		`{"event":"step","seq":2,"step":2,"cpu_demand":[1,2,3],"mem_used":[1,2]}`,
+		// Another key order still reads as a step sample.
+		`{"seq":2,"event":"step","step":2,"cpu_demand":[1,2],"mem_used":[1]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "bad.jsonl")
+		if err := os.WriteFile(path, []byte(header+first+bad+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := readDecisionLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdHeat(l); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("heat on %s: %v, want an error naming the file", bad, err)
+		}
+	}
+}
+
+// TestInspectDiffComparesSteps: diff compares the step samples too, so
+// two logs that differ only in one server's column diverge, at that
+// sample.
+func TestInspectDiffComparesSteps(t *testing.T) {
+	header := fmt.Sprintf(`{"event":"header","seq":0,"schema":%d}`, telemetry.DecisionLogSchema) + "\n"
+	first := `{"event":"step","seq":1,"step":1,"cpu_demand":[1,2],"mem_used":[1,2]}` + "\n"
+	dir := t.TempDir()
+	var paths []string
+	for i, second := range []string{
+		`{"event":"step","seq":2,"step":2,"cpu_demand":[1,2],"mem_used":[1,2]}`,
+		`{"event":"step","seq":2,"step":2,"cpu_demand":[1,2.5],"mem_used":[1,2]}`,
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.jsonl", i))
+		if err := os.WriteFile(path, []byte(header+first+second+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	if out := runMain(t, 0, "inspect", "diff", paths[0], paths[0]); !strings.Contains(out, "identical: 2 events") {
+		t.Errorf("diff of a log with itself:\n%s", out)
+	}
+	if out := runMain(t, 1, "inspect", "diff", paths[0], paths[1]); !strings.Contains(out, "diverge at step sample 1") {
+		t.Errorf("diff of logs differing in one step column:\n%s", out)
 	}
 }

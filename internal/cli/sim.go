@@ -1,19 +1,15 @@
 package cli
 
 import (
-	"cmp"
 	"context"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
 	"gsight/internal/core"
 	"gsight/internal/faults"
-	"gsight/internal/obs"
 	"gsight/internal/perfmodel"
 	"gsight/internal/platform"
 	"gsight/internal/resources"
@@ -34,18 +30,18 @@ import (
 // A run is a pure function of its flags, so it recovers by re-running:
 // every output is rewritten from t = 0, byte-identical.
 //
-// -record captures a run into a directory `gsight inspect` reads:
-// decisions.jsonl, the decision log (unless -decision-log puts it
-// elsewhere), which `gsight inspect trace` renders as a Perfetto
-// trace, and flight.bin, the step-sampled flight recording. Both are
-// simulation-time only (same-seed runs are byte-identical).
+// -decision-log records a run for `gsight inspect`: placements, job
+// lifecycles, faults, prediction samples and one step sample per
+// platform step, in simulation time only (same-seed runs are
+// byte-identical). `gsight inspect trace` renders it as a Perfetto
+// trace.
 type simCmd struct {
 	runEnv
-	scheduler, faults, recordDir string
-	hours                        float64
-	train, servers, topk         int
-	seed                         uint64
-	scaling                      trace.Scaling
+	scheduler, faults    string
+	hours                float64
+	train, servers, topk int
+	seed                 uint64
+	scaling              trace.Scaling
 }
 
 func bindSim(fs *flag.FlagSet) func([]string) error {
@@ -56,7 +52,6 @@ func bindSim(fs *flag.FlagSet) func([]string) error {
 	fs.Uint64Var(&c.seed, "seed", 42, "seed")
 	fs.StringVar(&c.faults, "faults", "", "fault schedule: a named scenario ("+strings.Join(faults.Names(), ", ")+") or a JSON schedule file")
 	fs.String("checkpoint-dir", "", "ignored: still accepted because benchmark/sim.go passes it (ROADMAP 18(a) drops it)")
-	fs.StringVar(&c.recordDir, "record", "", "record the run (decisions.jsonl, flight.bin) into this directory")
 	fs.Float64Var(&c.scaling.RateFactor, "rate-scale", 1, "multiply every service's invocation rate (and its MaxQPS ceiling) for soak runs")
 	fs.Float64Var(&c.scaling.TimeFactor, "time-scale", 1, "compress the diurnal/weekly trace clock: k replays k days of rate structure per simulated day")
 	fs.IntVar(&c.servers, "servers", 0, "cluster size (0 = the paper's 8-node testbed)")
@@ -67,15 +62,6 @@ func bindSim(fs *flag.FlagSet) func([]string) error {
 		if c.train < 1 && (c.scheduler == "gsight" || c.scheduler == "bestfit") {
 			return fmt.Errorf("-train %d: the %s scheduler needs at least 1 bootstrap scenario", c.train, c.scheduler)
 		}
-		// The record directory comes first so other outputs can point
-		// into it; its decision log is the run's, unless -decision-log
-		// names another file.
-		if c.recordDir != "" {
-			if err := os.MkdirAll(c.recordDir, 0o755); err != nil {
-				return fmt.Errorf("record dir: %w", err)
-			}
-			c.decisionPath = cmp.Or(c.decisionPath, filepath.Join(c.recordDir, "decisions.jsonl"))
-		}
 		return c.run(c.simulate)
 	}
 }
@@ -84,16 +70,6 @@ func (c *simCmd) simulate(ctx context.Context) error {
 	tb := resources.DefaultTestbed()
 	if c.servers > 0 {
 		tb = resources.NewTestbed(c.servers)
-	}
-
-	var flight *obs.Flight
-	if c.recordDir != "" {
-		f, err := c.create(filepath.Join(c.recordDir, "flight.bin"))
-		if err != nil {
-			return fmt.Errorf("flight recording: %w", err)
-		}
-		flight = obs.NewFlight(f, tb.NumServers(), platform.StepS)
-		c.streams = append(c.streams, flight.Stream())
 	}
 
 	// Gsight learns online (§5): its predictor is attached as the
@@ -199,21 +175,11 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		Telemetry:       c.sink,
 		Faults:          schedule,
 		Predictor:       onlinePred,
-		Flight:          flight,
 	})
 	if err != nil {
 		return fmt.Errorf("simulation: %w", err)
 	}
 	c.infof("simulated in %v (%d steps)", time.Since(t0).Round(time.Millisecond), st.Steps)
-	if flight != nil {
-		// Recording is best-effort and never fails the run mid-way; the
-		// first write error surfaces here.
-		if err := cmp.Or(c.sink.Decisions.Stream().Err(), flight.Stream().Err()); err != nil {
-			return fmt.Errorf("recording: %w", err)
-		}
-		c.infof("recorded %d decision-log events, %d flight frames",
-			c.sink.Decisions.Stream().Records(), flight.Stream().Records())
-	}
 
 	fmt.Printf("function density (inst/core): mean %.3f, p50 %.3f, p90 %.3f\n",
 		stats.Mean(st.Density), stats.Median(st.Density), stats.Percentile(st.Density, 90))

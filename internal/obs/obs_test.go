@@ -144,115 +144,6 @@ func TestTracerDeterminismAndRewind(t *testing.T) {
 	}
 }
 
-func makeFrame(i, servers int) *Frame {
-	fr := &Frame{
-		SimTimeS:      float64(i) * 30,
-		Step:          uint32(i),
-		Flags:         uint8(i % 4),
-		ActiveServers: uint16(servers - i%2),
-		Pending:       uint32(10 + i),
-		Density:       float32(i) * 0.5,
-		GoodDensity:   float32(i) * 0.4,
-		CPUUtil:       0.7,
-		MemUtil:       0.3,
-		CPUDemand:     make([]float32, servers),
-		MemUsed:       make([]float32, servers),
-		ServerFlags:   make([]uint8, servers),
-	}
-	for s := 0; s < servers; s++ {
-		fr.CPUDemand[s] = float32(i*s) * 0.1
-		fr.MemUsed[s] = float32(s) * 1.5
-		fr.ServerFlags[s] = uint8(s % 3)
-	}
-	return fr
-}
-
-func TestFlightRoundTrip(t *testing.T) {
-	const servers = 4
-	var buf bytes.Buffer
-	fl := NewFlight(&buf, servers, 30)
-	for i := 0; i < 10; i++ {
-		fl.Record(makeFrame(i, servers))
-	}
-	if n := fl.Stream().Records(); n != 10 {
-		t.Fatalf("Records() = %d, want 10", n)
-	}
-	if _, b := fl.Stream().Offset(); b != int64(buf.Len()) {
-		t.Fatalf("Offset bytes = %d, wrote %d", b, buf.Len())
-	}
-	fd, err := ReadFlight(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fd.Servers != servers || fd.StepS != 30 || len(fd.Frames) != 10 {
-		t.Fatalf("decoded servers=%d stepS=%v frames=%d", fd.Servers, fd.StepS, len(fd.Frames))
-	}
-	got := fd.Frames[7]
-	want := makeFrame(7, servers)
-	if got.SimTimeS != want.SimTimeS || got.Step != want.Step || got.Flags != want.Flags ||
-		got.Pending != want.Pending || got.Density != want.Density {
-		t.Fatalf("frame 7 mismatch: got %+v want %+v", got, *want)
-	}
-	for s := 0; s < servers; s++ {
-		if got.CPUDemand[s] != want.CPUDemand[s] || got.MemUsed[s] != want.MemUsed[s] ||
-			got.ServerFlags[s] != want.ServerFlags[s] {
-			t.Fatalf("frame 7 server %d mismatch", s)
-		}
-	}
-
-	// A torn final frame (crash mid-write) is dropped, not an error.
-	torn := buf.Bytes()[:buf.Len()-5]
-	fd, err = ReadFlight(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fd.Frames) != 9 {
-		t.Fatalf("torn recording decoded %d frames, want 9", len(fd.Frames))
-	}
-}
-
-func TestFlightRewind(t *testing.T) {
-	const servers = 3
-	var full bytes.Buffer
-	fl := NewFlight(&full, servers, 30)
-	for i := 0; i < 8; i++ {
-		fl.Record(makeFrame(i, servers))
-	}
-
-	crashed := crashFile(t)
-	fl2 := NewFlight(crashed, servers, 30)
-	for i := 0; i < 4; i++ {
-		fl2.Record(makeFrame(i, servers))
-	}
-	ckFrames, ckBytes := fl2.Stream().Offset()
-	fl2.Record(makeFrame(4, servers)) // lost to the crash
-	flushed(t, fl2.Stream(), crashed)
-	fl3 := NewFlight(crashed, servers, 30)
-	if err := fl3.Stream().TruncateTo(ckFrames, ckBytes); err != nil {
-		t.Fatal(err)
-	}
-	for i := 4; i < 8; i++ {
-		fl3.Record(makeFrame(i, servers))
-	}
-	if !bytes.Equal(full.Bytes(), flushed(t, fl3.Stream(), crashed)) {
-		t.Fatal("crash/resume recording differs from uninterrupted recording")
-	}
-}
-
-func TestFlightRejectsUnknownSchema(t *testing.T) {
-	var buf bytes.Buffer
-	fl := NewFlight(&buf, 2, 30)
-	fl.Record(makeFrame(0, 2))
-	data := buf.Bytes()
-	data[4] = 99 // bump the version field
-	if _, err := ReadFlight(bytes.NewReader(data)); err == nil {
-		t.Fatal("unknown flight schema must be rejected")
-	}
-	if _, err := ReadFlight(bytes.NewReader([]byte("not a recording"))); err == nil {
-		t.Fatal("bad magic must be rejected")
-	}
-}
-
 func TestPredQStats(t *testing.T) {
 	q := NewPredQ()
 	// Constant +10% over-prediction: MAPE 0.1, mean +0.1, no drift.
@@ -261,20 +152,20 @@ func TestPredQStats(t *testing.T) {
 			t.Fatal("steady errors must not fire drift")
 		}
 	}
-	if m := q.Overall().MAPE(); math.Abs(m-0.1) > 1e-9 {
+	if m := q.Overall("jct").MAPE(); math.Abs(m-0.1) > 1e-9 {
 		t.Fatalf("MAPE = %v, want 0.1", m)
 	}
-	if m := q.Archetype("matmul").MeanErr(); math.Abs(m-0.1) > 1e-9 {
+	if m := q.Archetype("jct", "matmul").MeanErr(); math.Abs(m-0.1) > 1e-9 {
 		t.Fatalf("mean err = %v, want 0.1", m)
 	}
-	if q.Archetype("dd") != nil {
+	if q.Archetype("jct", "dd") != nil {
 		t.Fatal("unseen archetype must report nil stats")
 	}
 	// Samples with no meaningful relative error are ignored.
 	q.Track("matmul", "jct", 1.0, 0)
 	q.Track("matmul", "jct", math.NaN(), 1.0)
-	if q.Overall().Count != 50 {
-		t.Fatalf("count = %d, want 50", q.Overall().Count)
+	if q.Overall("jct").Count != 50 {
+		t.Fatalf("count = %d, want 50", q.Overall("jct").Count)
 	}
 }
 
@@ -313,30 +204,45 @@ func TestPredQDrift(t *testing.T) {
 	}
 }
 
-// TestNilStreamsAreSafe: a nil *Flight or *PredQ is that stream
-// disabled — every hook does nothing, and the flight recorder's
-// Stream() is a nil stream whose methods report nothing written.
+// TestPredQKindsApart: each QoS kind has its own window and drift
+// detector. Steady JCT errors at another level than the IPC ones
+// neither move the IPC statistics nor fire, and a drift event carries
+// the statistics of its own kind only.
+func TestPredQKindsApart(t *testing.T) {
+	q := NewPredQ()
+	for i := 0; i < 100; i++ {
+		if _, fired := q.Track("matmul", "ipc", 1.02, 1.0); fired {
+			t.Fatalf("steady IPC errors fired drift (sample %d)", i)
+		}
+		if _, fired := q.Track("matmul", "jct", 1.5, 1.0); fired {
+			t.Fatalf("steady JCT errors fired drift (sample %d)", i)
+		}
+	}
+	if m := q.Overall("ipc").MAPE(); math.Abs(m-0.02) > 1e-9 {
+		t.Fatalf("IPC MAPE = %v, want 0.02 (JCT errors leaked in)", m)
+	}
+	if q.Overall("ipc").Count != 100 || q.Archetype("ipc", "matmul").Count != 100 {
+		t.Fatalf("IPC counts %d/%d, want 100", q.Overall("ipc").Count, q.Archetype("ipc", "matmul").Count)
+	}
+	for i := 0; i < 100; i++ {
+		if d, fired := q.Track("matmul", "ipc", 2.0, 1.0); fired {
+			if d.QoS != "ipc" || d.Window != 100+i+1 || d.MAPE >= 0.5 {
+				t.Fatalf("IPC drift event %+v: want the IPC window only", d)
+			}
+			return
+		}
+	}
+	t.Fatal("sustained IPC errors never fired the IPC detector")
+}
+
+// TestNilStreamsAreSafe: a nil *PredQ is tracking disabled — it never
+// fires and reports no samples.
 func TestNilStreamsAreSafe(t *testing.T) {
-	var fl *Flight
-	fl.Record(nil)
-	s := fl.Stream()
-	if s != nil {
-		t.Fatal("a nil encoder must have a nil stream")
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Records(); n != 0 {
-		t.Fatalf("nil stream reports %d records", n)
-	}
 	var q *PredQ
 	if _, fired := q.Track("a", "jct", 2, 1); fired {
 		t.Fatal("nil tracker fired drift")
 	}
-	if q.Overall().Count != 0 || q.Archetype("a") != nil {
+	if q.Overall("jct").Count != 0 || q.Archetype("jct", "a") != nil {
 		t.Fatal("nil tracker reports samples")
 	}
 }

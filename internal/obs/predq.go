@@ -9,9 +9,11 @@ import (
 // Prediction-quality tracking: every (predicted, observed) pair the
 // platform sees feeds a rolling-window residual tracker, overall and
 // per archetype, plus a Page–Hinkley drift detector on the absolute
-// relative error stream. The platform records the samples in the trace
-// (so `gsight inspect` can rebuild error-over-time offline) and emits a
-// predictor_drift decision event when the detector fires.
+// relative error stream — one set per QoS kind, so IPC and JCT errors,
+// which sit at different levels, never share a window or a detector.
+// The platform logs the samples (so `gsight inspect` can replay them
+// offline) and emits a predictor_drift decision event when a kind's
+// detector fires.
 
 // predWindowCap is the rolling-window length for signed error and MAPE.
 const predWindowCap = 128
@@ -98,10 +100,15 @@ func (p *phState) add(x float64) (float64, bool) {
 	return ph, false
 }
 
-// PredQ tracks online prediction quality. It is not safe for
-// concurrent use; the platform drives it from its single-threaded
-// event loop.
+// PredQ tracks online prediction quality, per QoS kind. It is not
+// safe for concurrent use; the platform drives it from its
+// single-threaded event loop.
 type PredQ struct {
+	kinds map[string]*kindQ
+}
+
+// kindQ is one QoS kind's residual streams and drift detector.
+type kindQ struct {
 	overall QStat
 	byArch  map[string]*QStat
 	ph      phState
@@ -109,52 +116,59 @@ type PredQ struct {
 
 // NewPredQ builds a tracker.
 func NewPredQ() *PredQ {
-	return &PredQ{byArch: map[string]*QStat{}}
+	return &PredQ{kinds: map[string]*kindQ{}}
 }
 
-// Track folds one predicted/observed pair in and reports whether the
-// drift detector fired on this sample. Non-positive observations are
-// ignored (no meaningful relative error). The returned event is valid
-// only when drift is true, and its SimTimeS is the caller's to set.
+// Track folds one predicted/observed pair of a QoS kind in and reports
+// whether that kind's drift detector fired on this sample.
+// Non-positive observations are ignored (no meaningful relative
+// error). The returned event is valid only when drift is true, and its
+// SimTimeS is the caller's to set.
 func (q *PredQ) Track(archetype, qos string, predicted, observed float64) (telemetry.DriftEvent, bool) {
 	if q == nil || observed <= 0 || math.IsNaN(predicted) || math.IsInf(predicted, 0) {
 		return telemetry.DriftEvent{}, false
 	}
+	k := q.kinds[qos]
+	if k == nil {
+		k = &kindQ{byArch: map[string]*QStat{}}
+		q.kinds[qos] = k
+	}
 	relErr := (predicted - observed) / observed
-	q.overall.add(relErr)
-	st := q.byArch[archetype]
+	k.overall.add(relErr)
+	st := k.byArch[archetype]
 	if st == nil {
 		st = &QStat{}
-		q.byArch[archetype] = st
+		k.byArch[archetype] = st
 	}
 	st.add(relErr)
-	ph, fired := q.ph.add(math.Abs(relErr))
+	ph, fired := k.ph.add(math.Abs(relErr))
 	if !fired {
 		return telemetry.DriftEvent{}, false
 	}
 	return telemetry.DriftEvent{
 		Archetype: archetype,
 		QoS:       qos,
-		Window:    q.overall.Window(),
-		MeanErr:   q.overall.MeanErr(),
-		MAPE:      q.overall.MAPE(),
+		Window:    k.overall.Window(),
+		MeanErr:   k.overall.MeanErr(),
+		MAPE:      k.overall.MAPE(),
 		PH:        ph,
 	}, true
 }
 
-// Overall returns the overall rolling statistics.
-func (q *PredQ) Overall() *QStat {
-	if q == nil {
+// Overall returns a QoS kind's overall rolling statistics (empty when
+// unseen).
+func (q *PredQ) Overall(qos string) *QStat {
+	if q == nil || q.kinds[qos] == nil {
 		return &QStat{}
 	}
-	return &q.overall
+	return &q.kinds[qos].overall
 }
 
-// Archetype returns the rolling statistics for one archetype (nil when
-// unseen).
-func (q *PredQ) Archetype(name string) *QStat {
-	if q == nil {
+// Archetype returns the rolling statistics for one archetype of a QoS
+// kind (nil when unseen).
+func (q *PredQ) Archetype(qos, name string) *QStat {
+	if q == nil || q.kinds[qos] == nil {
 		return nil
 	}
-	return q.byArch[name]
+	return q.kinds[qos].byArch[name]
 }

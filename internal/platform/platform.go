@@ -67,11 +67,9 @@ type Config struct {
 	// log's events — the run's one event stream: one placement record
 	// per request, job admissions and completions, reactive control,
 	// faults, degraded transitions, prediction-quality samples and
-	// drift. A nil sink leaves the run bit-identical.
+	// drift, and one step sample per step. A nil sink leaves the run
+	// bit-identical.
 	Telemetry *telemetry.Sink
-	// Flight, when set, receives the run's flight recording (DESIGN.md
-	// §13); prediction-quality tracking runs in every run either way.
-	Flight *obs.Flight
 	// Faults injects a deterministic fault schedule (crashes,
 	// stragglers, cold-start storms, predictor outages); nil runs a
 	// healthy cluster.
@@ -238,12 +236,10 @@ type runner struct {
 	jbev telemetry.JobBegin
 	jeev telemetry.JobEnd
 	psev telemetry.PredSample
+	stev telemetry.StepSample
 
-	// Observability: flight is nil when disabled, pq is always set, and
-	// flFrame is the reusable flight-recorder frame.
-	flight  *obs.Flight
-	pq      *obs.PredQ
-	flFrame obs.Frame
+	// pq tracks prediction quality in every run.
+	pq *obs.PredQ
 
 	// Per-step scratch, reused so the steady-state loop allocates
 	// nothing: the noise child generator and the online-learning input
@@ -300,9 +296,8 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 			SLAOK:         make(map[string][]bool),
 			JCTs:          make(map[string][]float64),
 		},
-		ins:    cfg.Telemetry.Platform(),
-		flight: cfg.Flight,
-		pq:     obs.NewPredQ(),
+		ins: cfg.Telemetry.Platform(),
+		pq:  obs.NewPredQ(),
 	}
 	r.scPool = make([]scPoolEntry, len(cfg.SCPool))
 	r.jobFree = make([][]*scActive, len(cfg.SCPool))
@@ -970,8 +965,8 @@ func (r *runner) loop() error {
 		}
 		ins.Steps.Inc()
 		ins.ActiveServers.SetInt(activeServers)
-		if r.flight != nil {
-			r.recordFrame(now, step, rep.ServerDemand, activeServers, density, goodDensity, cpuUtil, memUtil)
+		if r.ins.Decisions != nil {
+			r.logStep(now, step, rep.ServerDemand, activeServers, density, goodDensity, cpuUtil, memUtil)
 		}
 		span.End()
 	}
@@ -1008,46 +1003,37 @@ func (r *runner) trackPrediction(simS float64, archetype, qos string, pred, obse
 	r.ins.Decisions.Drift(&r.drev)
 }
 
-// recordFrame appends one flight-recorder frame for the step that just
-// computed its metrics. Callers gate on r.flight != nil; the frame
-// buffer is reused so enabled recording allocates only on the first
-// step.
-func (r *runner) recordFrame(now float64, step int, demand []resources.Vector, active int, density, goodDensity, cpuUtil, memUtil float64) {
-	fr := &r.flFrame
-	if fr.CPUDemand == nil {
+// logStep logs the step that just computed its metrics. Callers gate
+// on the decision log being on; the sample's arrays are reused, so
+// logging allocates only on the first step.
+func (r *runner) logStep(now float64, step int, demand []resources.Vector, active int, density, goodDensity, cpuUtil, memUtil float64) {
+	e := &r.stev
+	if e.CPUDemand == nil {
 		n := r.state.NumServers()
-		fr.CPUDemand = make([]float32, n)
-		fr.MemUsed = make([]float32, n)
-		fr.ServerFlags = make([]uint8, n)
+		e.CPUDemand = make([]float32, n)
+		e.MemUsed = make([]float32, n)
+		e.Down = make([]int, 0, n)
+		e.Slow = make([]int, 0, n)
 	}
-	fr.SimTimeS = now
-	fr.Step = uint32(step)
-	fr.Flags = 0
-	if r.degraded {
-		fr.Flags |= obs.FrameDegraded
-	}
-	if r.predictorOut() {
-		fr.Flags |= obs.FramePredictorDown
-	}
-	fr.ActiveServers = uint16(active)
-	fr.Pending = uint32(len(r.arrivals) - r.nextArrival) // arrivals still ahead
-	fr.Density = float32(density)
-	fr.GoodDensity = float32(goodDensity)
-	fr.CPUUtil = float32(cpuUtil)
-	fr.MemUtil = float32(memUtil)
-	for s := range fr.CPUDemand {
-		fr.CPUDemand[s] = float32(demand[s][resources.CPU])
-		fr.MemUsed[s] = float32(r.state.Used[s][resources.Memory])
-		var sf uint8
+	e.SimTimeS = now
+	e.Step = step
+	e.ActiveServers = active
+	e.Pending = len(r.arrivals) - r.nextArrival // arrivals still ahead
+	e.Density, e.GoodDensity, e.CPUUtil, e.MemUtil = density, goodDensity, cpuUtil, memUtil
+	e.Degraded = r.degraded
+	e.PredictorDown = r.predictorOut()
+	e.Down, e.Slow = e.Down[:0], e.Slow[:0]
+	for s := range e.CPUDemand {
+		e.CPUDemand[s] = float32(demand[s][resources.CPU])
+		e.MemUsed[s] = float32(r.state.Used[s][resources.Memory])
 		if r.inj.NodeDown(s) {
-			sf |= obs.ServerDown
+			e.Down = append(e.Down, s)
 		}
 		if r.inj.CapacityFactor(s) != 1 {
-			sf |= obs.ServerSlow
+			e.Slow = append(e.Slow, s)
 		}
-		fr.ServerFlags[s] = sf
 	}
-	r.flight.Record(fr)
+	r.ins.Decisions.Step(e)
 }
 
 // syncInput refreshes the service's persistent scheduler input from

@@ -13,14 +13,13 @@ import (
 
 	"gsight/internal/core"
 	"gsight/internal/faults"
-	"gsight/internal/obs"
 	"gsight/internal/sched"
 	"gsight/internal/telemetry"
 )
 
 // A run is a pure function of its config and seed, so running it again
 // is its recovery: these tests pin that a rerun reproduces every output
-// — stats, decision log and flight recording — byte for byte.
+// — stats and decision log — byte for byte.
 
 // learningChaosConfig is the chaos fault scenario under the Gsight
 // scheduler with a real predictor learning online: every input a rerun
@@ -50,12 +49,12 @@ func chaosConfig(t *testing.T, s sched.Scheduler, seed uint64) Config {
 }
 
 // outputs is what one run wrote: its stats (wall-clock field zeroed),
-// metrics, decision log and flight recording.
+// metrics and decision log.
 type outputs struct {
-	stats       []byte
-	st          *Stats
-	sink        *telemetry.Sink
-	log, flight bytes.Buffer
+	stats []byte
+	st    *Stats
+	sink  *telemetry.Sink
+	log   bytes.Buffer
 }
 
 // run executes cfg with fresh output streams attached. The scheduler
@@ -71,7 +70,6 @@ func (o *outputs) run(t *testing.T, ctx context.Context, cfg Config) error {
 	if p, ok := cfg.Predictor.(*core.Predictor); ok {
 		p.Instrument(cfg.Telemetry)
 	}
-	cfg.Flight = obs.NewFlight(&o.flight, cfg.Model.Testbed.NumServers(), StepS)
 	st, err := Run(ctx, cfg)
 	if err != nil {
 		return err
@@ -101,23 +99,18 @@ func (o *outputs) learned(t *testing.T) {
 }
 
 // same fails the test unless o and want hold identical stats and
-// identical bytes in every stream. A failure shows where the runs part:
-// the first differing stats field, or the first differing line.
+// identical decision logs. A failure shows where the runs part: the
+// first differing stats field, or the first differing line.
 func (o *outputs) same(t *testing.T, want *outputs) {
 	t.Helper()
 	if !bytes.Equal(want.stats, o.stats) {
 		t.Fatalf("stats diverged: %s", statsDiff(want.st, o.st))
 	}
-	for _, s := range []struct {
-		name      string
-		want, got *bytes.Buffer
-	}{{"decision log", &want.log, &o.log}, {"flight recording", &want.flight, &o.flight}} {
-		if s.want.Len() == 0 {
-			t.Fatalf("%s is empty", s.name)
-		}
-		if !bytes.Equal(s.want.Bytes(), s.got.Bytes()) {
-			t.Fatalf("%s diverged (want %d bytes, got %d) at %s", s.name, s.want.Len(), s.got.Len(), lineDiff(s.want.Bytes(), s.got.Bytes()))
-		}
+	if want.log.Len() == 0 {
+		t.Fatal("decision log is empty")
+	}
+	if !bytes.Equal(want.log.Bytes(), o.log.Bytes()) {
+		t.Fatalf("decision log diverged (want %d bytes, got %d) at %s", want.log.Len(), o.log.Len(), lineDiff(want.log.Bytes(), o.log.Bytes()))
 	}
 }
 
@@ -195,7 +188,7 @@ func lineDiff(want, got []byte) string {
 
 // TestChaosLearningRunByteIdentical: two runs of the chaos scenario
 // with an online-learning predictor write the same stats and the same
-// bytes in every stream.
+// decision log.
 func TestChaosLearningRunByteIdentical(t *testing.T) {
 	const seed = 7
 	var a, b outputs

@@ -25,8 +25,9 @@ type DecisionLog struct{ s *Stream }
 // recorded in the header event. Bump it on any incompatible change to
 // event shapes so `gsight inspect` can reject logs it cannot read.
 // Schema 2 added the simulator's job_begin, job_end and pred_sample
-// events and the placement's sim_time_s, pred_ipc and pred_jct_s.
-const DecisionLogSchema = 2
+// events and the placement's sim_time_s, pred_ipc and pred_jct_s;
+// schema 3 added the simulator's per-step step event.
+const DecisionLogSchema = 3
 
 // decisionHeader is the log's preamble: the header event, counted as
 // record 0.
@@ -103,6 +104,21 @@ func AppendInts(b []byte, key string, vs []int) []byte {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
+}
+
+// appendFloat32s appends a float array at float32 precision: the
+// shortest decimal that reads back as the same float32.
+func appendFloat32s(b []byte, key string, vs []float32) []byte {
+	b = append(b, ',', '"')
+	b = append(b, key...)
+	b = append(b, '"', ':', '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, float64(v), 'g', -1, 32)
 	}
 	return append(b, ']')
 }
@@ -432,5 +448,64 @@ func (l *DecisionLog) PredSample(e *PredSample) {
 	b = AppendStr(b, "qos", e.QoS)
 	b = AppendFloat(b, "pred", e.Pred)
 	b = AppendFloat(b, "obs", e.Obs)
+	l.emit(b)
+}
+
+// StepSample records the cluster state at the end of one simulator
+// step: the per-step series behind Figure 11 and the per-server load
+// `gsight inspect heat` renders. Its JSON tags name the fields of the
+// step line, so a reader decodes the line back into a StepSample.
+type StepSample struct {
+	SimTimeS      float64 `json:"sim_time_s"`
+	Step          int     `json:"step"`
+	ActiveServers int     `json:"active_servers"`
+	// Pending is the batch-job submissions still ahead in the arrival
+	// timeline; fault changes are not counted.
+	Pending     int     `json:"pending"`
+	Density     float64 `json:"density"`
+	GoodDensity float64 `json:"good_density"`
+	CPUUtil     float64 `json:"cpu_util"`
+	MemUtil     float64 `json:"mem_util"`
+	// Degraded marks a step in degraded placement mode, PredictorDown
+	// one inside a predictor outage; each is logged only when true.
+	Degraded      bool `json:"degraded"`
+	PredictorDown bool `json:"predictor_down"`
+	// Down and Slow list the crashed and the straggling servers; each
+	// is logged only when non-empty.
+	Down []int `json:"down"`
+	Slow []int `json:"slow"`
+	// CPUDemand and MemUsed hold one value per server.
+	CPUDemand []float32 `json:"cpu_demand"`
+	MemUsed   []float32 `json:"mem_used"`
+}
+
+// Step emits a step event.
+func (l *DecisionLog) Step(e *StepSample) {
+	if l == nil {
+		return
+	}
+	b := l.begin("step")
+	b = AppendFloat(b, "sim_time_s", e.SimTimeS)
+	b = AppendInt(b, "step", e.Step)
+	b = AppendInt(b, "active_servers", e.ActiveServers)
+	b = AppendInt(b, "pending", e.Pending)
+	b = AppendFloat(b, "density", e.Density)
+	b = AppendFloat(b, "good_density", e.GoodDensity)
+	b = AppendFloat(b, "cpu_util", e.CPUUtil)
+	b = AppendFloat(b, "mem_util", e.MemUtil)
+	if e.Degraded {
+		b = AppendBool(b, "degraded", true)
+	}
+	if e.PredictorDown {
+		b = AppendBool(b, "predictor_down", true)
+	}
+	if len(e.Down) > 0 {
+		b = AppendInts(b, "down", e.Down)
+	}
+	if len(e.Slow) > 0 {
+		b = AppendInts(b, "slow", e.Slow)
+	}
+	b = appendFloat32s(b, "cpu_demand", e.CPUDemand)
+	b = appendFloat32s(b, "mem_used", e.MemUsed)
 	l.emit(b)
 }

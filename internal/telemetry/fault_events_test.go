@@ -92,3 +92,23 @@ func TestPlatformResilienceInstrumentsRegistered(t *testing.T) {
 	nop.FaultEvents.Inc()
 	nop.DegradedSteps.Add(3)
 }
+
+// TestStepEvent pins the step line: fixed fields in order, the flags
+// and server lists only when set, and the per-server columns at float32
+// precision, each the shortest decimal of its float32.
+func TestStepEvent(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewDecisionLog(&buf)
+	e := StepSample{SimTimeS: 30, Step: 1, ActiveServers: 2, Pending: 5, Density: 0.1, GoodDensity: 0.05, CPUUtil: 0.25, MemUtil: 0.5,
+		CPUDemand: []float32{0.1, 3}, MemUsed: []float32{1.0 / 3, 0}}
+	l.Step(&e)
+	e.Step, e.Degraded, e.PredictorDown, e.Down, e.Slow = 2, true, true, []int{1}, []int{0, 1}
+	l.Step(&e)
+	want := `{"event":"header","seq":0,"schema":3}
+{"event":"step","seq":1,"sim_time_s":30,"step":1,"active_servers":2,"pending":5,"density":0.1,"good_density":0.05,"cpu_util":0.25,"mem_util":0.5,"cpu_demand":[0.1,3],"mem_used":[0.33333334,0]}
+{"event":"step","seq":2,"sim_time_s":30,"step":2,"active_servers":2,"pending":5,"density":0.1,"good_density":0.05,"cpu_util":0.25,"mem_util":0.5,"degraded":true,"predictor_down":true,"down":[1],"slow":[0,1],"cpu_demand":[0.1,3],"mem_used":[0.33333334,0]}
+`
+	if buf.String() != want {
+		t.Fatalf("step lines:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}

@@ -11,7 +11,7 @@ import (
 )
 
 // Stream is the counted append-only output under every recording: the
-// decision log, the lifecycle trace, the flight recording and the
+// decision log, the lifecycle trace and the
 // serving daemon's decisions.jsonl are encoders over it. It owns the
 // writer, the (records, bytes) position and the first write error.
 // Sync makes the position durable before a snapshot records it, Offset

@@ -6,10 +6,11 @@
 # one seeded chaos hour twice in separate processes: once with
 # GOMAXPROCS=1 and once with GOMAXPROCS=4 (Go accepts more than the
 # machine's cores), so the start-up worker pool (par.For) always runs
-# at two different widths. The decision log and flight recording
-# (-record directory), the Perfetto trace each run's log renders
-# (gsight inspect trace) and the report on stdout (wall-clock lines
-# filtered) must be byte-identical.
+# at two different widths. The decision log (-decision-log, step
+# samples included), the Perfetto trace and the per-server heat table
+# each run's log renders (gsight inspect trace, gsight inspect heat) and
+# the report on stdout (wall-clock lines filtered) must be
+# byte-identical.
 #
 # Usage: scripts/simcheck.sh [hours] [train] [seed] [topk]
 #   topk defaults to 4 so two-tier placement (the tier-0 score cache,
@@ -32,9 +33,10 @@ sim() {
     name="$1"; shift
     mkdir -p "$WORK/$name"
     env "$@" "$WORK/gsight" sim -hours "$HOURS" -train "$TRAIN" -seed "$SEED" \
-        -topk "$TOPK" -faults chaos -quiet -record "$WORK/$name" > "$WORK/$name/stdout"
+        -topk "$TOPK" -faults chaos -quiet -decision-log "$WORK/$name/decisions.jsonl" > "$WORK/$name/stdout"
     grep -v 'wall-clock' "$WORK/$name/stdout" > "$WORK/$name/report"
-    "$WORK/gsight" inspect trace -o "$WORK/$name/trace.json" "$WORK/$name"
+    "$WORK/gsight" inspect trace -o "$WORK/$name/trace.json" "$WORK/$name/decisions.jsonl"
+    "$WORK/gsight" inspect heat "$WORK/$name/decisions.jsonl" > "$WORK/$name/heat"
 }
 
 echo "simcheck: run at GOMAXPROCS=1..."
@@ -43,7 +45,7 @@ echo "simcheck: run at GOMAXPROCS=4..."
 sim wide GOMAXPROCS=4
 
 [ -s "$WORK/serial/decisions.jsonl" ] || { echo "simcheck: FAIL (empty decision log)" >&2; exit 1; }
-for f in decisions.jsonl trace.json flight.bin report; do
+for f in decisions.jsonl trace.json heat report; do
     if ! cmp -s "$WORK/serial/$f" "$WORK/wide/$f"; then
         echo "simcheck: FAIL ($f differs between the two runs)" >&2
         cmp "$WORK/serial/$f" "$WORK/wide/$f" >&2 || true
