@@ -201,3 +201,21 @@ func TestInstrumentedOutputsIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedPlatformAllocBudget bounds what recording costs a whole
+// simulation: BenchmarkTracedPlatform's chaos run, decision log on,
+// makes at most 36 allocations more than BenchmarkFaultyPlatform's, the
+// same run with it off (645 against 609). The delta is the sink and
+// the log themselves: every line is encoded into the stream's reused
+// buffer, so it does not grow with the run. A run is a few megabytes,
+// so this budget runs a few of them with the collector on.
+func TestTracedPlatformAllocBudget(t *testing.T) {
+	measure := func(traced bool) float64 {
+		op := chaosRunOp(t, traced)
+		return testing.AllocsPerRun(20, func() { op(0) })
+	}
+	plain, traced := measure(false), measure(true)
+	if traced-plain > 36 {
+		t.Fatalf("the decision log adds %.0f allocs to a chaos run (%.0f → %.0f), budget is 36", traced-plain, plain, traced)
+	}
+}

@@ -666,50 +666,35 @@ func BenchmarkTwoTierPlacement(b *testing.B) {
 // cold-start storm + predictor outage), exercising evacuation, capacity
 // rescaling and degraded-mode placement end to end.
 func BenchmarkFaultyPlatform(b *testing.B) {
-	cat := Catalog()
-	const durationS = 2 * 3600
-	chaos, err := FaultScenario("chaos", 42, durationS, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		st, err := RunPlatform(nil, PlatformConfig{
-			Model:     NewTestbedModel(),
-			Scheduler: NewWorstFit(),
-			Services: []PlatformService{
-				{W: cat["social-network"], Pattern: DefaultTracePattern(250), SLA: SLA{MinIPC: 0.9}},
-				{W: cat["e-commerce"], Pattern: DefaultTracePattern(350), SLA: SLA{MinIPC: 1.0}},
-			},
-			SCPool:          []*Workload{cat["matmul"], cat["dd"], cat["float-op"]},
-			SCMeanIntervalS: 200,
-			DurationS:       durationS,
-			Seed:            42,
-			Faults:          chaos,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.FaultEvents == 0 {
-			b.Fatal("chaos run injected no faults")
-		}
-	}
+	runOp(b, chaosRunOp(b, false))
 }
 
 // BenchmarkTracedPlatform is BenchmarkFaultyPlatform with a whole
 // recording attached (the decision log, lifecycle events and step
-// samples included, draining to io.Discard): the same chaos run, so
-// the ns/op delta against BenchmarkFaultyPlatform is the whole-run cost
-// of enabled recording. The contract is <15% overhead;
-// run the two as one -bench pair to compare them.
+// samples included, draining to io.Discard): the same chaos run, so its
+// delta against BenchmarkFaultyPlatform is the whole-run cost of
+// enabled recording. TestTracedPlatformAllocBudget bounds the
+// allocation delta; the time delta is not gated, because on a shared
+// host it is smaller than the two runs' spread.
 func BenchmarkTracedPlatform(b *testing.B) {
+	runOp(b, chaosRunOp(b, true))
+}
+
+// chaosRunOp is one run of BenchmarkFaultyPlatform — two services and
+// three batch workloads for two simulated hours under the "chaos"
+// scenario — and, when traced, of BenchmarkTracedPlatform.
+func chaosRunOp(tb testing.TB, traced bool) func(int) {
 	cat := Catalog()
 	const durationS = 2 * 3600
 	chaos, err := FaultScenario("chaos", 42, durationS, 8)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i := 0; i < b.N; i++ {
-		sink := telemetry.New().WithDecisions(io.Discard)
+	return func(int) {
+		var sink *telemetry.Sink
+		if traced {
+			sink = telemetry.New().WithDecisions(io.Discard)
+		}
 		st, err := RunPlatform(nil, PlatformConfig{
 			Model:     NewTestbedModel(),
 			Scheduler: NewWorstFit(),
@@ -725,13 +710,13 @@ func BenchmarkTracedPlatform(b *testing.B) {
 			Telemetry:       sink,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if st.FaultEvents == 0 {
-			b.Fatal("chaos run injected no faults")
+			tb.Fatal("chaos run injected no faults")
 		}
-		if sink.Decisions.Stream().Records() <= uint64(st.Steps) {
-			b.Fatal("recorder captured nothing")
+		if traced && sink.Decisions.Stream().Records() <= uint64(st.Steps) {
+			tb.Fatal("recorder captured nothing")
 		}
 	}
 }

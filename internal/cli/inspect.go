@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 
 	"gsight/internal/obs"
 	"gsight/internal/platform"
+	"gsight/internal/serve"
 	"gsight/internal/telemetry"
 )
 
@@ -25,10 +28,10 @@ type inspectVerb struct {
 // as its usage.
 func inspectVerbs() []inspectVerb {
 	return []inspectVerb{
-		{"summary", "<log>", "run overview: decisions, jobs, SLA misses, cluster load", withLog(cmdSummary)},
-		{"predq", "<log>", "prediction quality: per-archetype MAPE, drift", withLog(simOnly("predq", cmdPredq))},
-		{"errors", "<log>", "prediction error over time", withLog(simOnly("errors", cmdErrors))},
-		{"heat", "<log>", "per-server utilization from the step samples", withLog(simOnly("heat", cmdHeat))},
+		{"summary", "<log>", "run overview: decisions, jobs, SLA misses, cluster load", withLog(true, "", summarizeLog)},
+		{"predq", "<log>", "prediction quality: per-archetype MAPE, drift", withLog(false, "predq", cmdPredq)},
+		{"errors", "<log>", "prediction error over time", withLog(false, "errors", cmdErrors)},
+		{"heat", "<log>", "per-server utilization from the step samples", withLog(true, "heat", cmdHeat)},
 		{"trace", "[-o out.json] <log>", "render the decision log as a Perfetto trace", cmdTrace},
 		{"diff", "<a> <b>", "compare two decision logs, locate first divergence", cmdDiff},
 		{"snapshot", "<file|dir>", "a checkpoint's envelope, controller state and predictor summary", cmdSnapshot},
@@ -41,13 +44,6 @@ func inspectVerbs() []inspectVerb {
 // scheduled where, how good the predictor was, which jobs missed their
 // SLA, how hot each server ran. A simulator's decision log is its one
 // recording; the trace verb renders it as a Perfetto trace.
-//
-// A tool's log opens with a schema header, and the reader rejects logs
-// written in another schema rather than misparsing them. A daemon's log
-// is its WAL payloads ({"seq":…,"kind":…}) and has no header: summary
-// and diff read it, the simulator's views refuse it. A torn final
-// record — possible when a run was killed before its flush — is
-// dropped.
 func bindInspect(fs *flag.FlagSet) func([]string) error {
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: %s <verb> [args]\n\nverbs:\n", fs.Name())
@@ -68,276 +64,330 @@ func bindInspect(fs *flag.FlagSet) func([]string) error {
 	}
 }
 
-// decisionLog is one decision log's events, header excluded. Step
-// lines are kept apart, decoded into typed samples: each carries two
-// values per server, which generic maps would box one by one. daemon
-// marks a serving daemon's log, whose events are WAL records.
-type decisionLog struct {
+// logReader streams one decision log a line at a time, so a verb holds
+// its own sums and never the run. A tool's log opens with a schema
+// header, and a log in another schema is refused rather than misparsed;
+// its lines decode into the telemetry structs of their events
+// (telemetry.NewEvent). A daemon's log is its WAL payloads
+// ({"seq":…,"kind":…}) with no header, decoded by serve.DecodeRecord:
+// summary and diff read it, the simulator's views refuse it.
+type logReader struct {
 	path   string
-	events []map[string]interface{}
-	steps  []stepEvent
-	daemon bool
+	f      *os.File
+	sc     *bufio.Scanner
+	steps  bool // decode the step lines; else only check they are JSON
+	daemon bool // a serving daemon's log: WAL records, no header
+	first  *logEvent
 }
 
-// stepEvent is one step line.
-type stepEvent struct {
-	Seq int `json:"seq"`
+// logEvent is one decoded line.
+type logEvent struct {
+	kind string // the line's event, or a daemon record's kind
+	seq  uint64
+	val  any    // a pointer to the event's telemetry struct, or a *serve.Record
+	line []byte // the line as written; valid until the reader's next read
+}
+
+// lineHead opens every line of a tool's log; the header adds the schema.
+type lineHead struct {
+	Event  string `json:"event"`
+	Seq    uint64 `json:"seq"`
+	Schema int    `json:"schema"`
+}
+
+// stepPrefix opens every step line the log writes, which spares the
+// long line a decode of its head.
+var stepPrefix = []byte(`{"event":"step",`)
+
+// stepLine is a step line: its sequence number and its sample.
+type stepLine struct {
+	Seq uint64 `json:"seq"`
 	telemetry.StepSample
 }
 
-// withLog runs fn on the single log argument.
-func withLog(fn func(*decisionLog) error) func(args []string) error {
+// withLog opens the single log argument, decoding its step lines or
+// not, and runs fn on it. A verb named by sim reads a simulator's log
+// and refuses a daemon's.
+func withLog(steps bool, sim string, fn func(*logReader) error) func(args []string) error {
 	return func(args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("expected exactly one decision-log path, got %d args", len(args))
 		}
-		l, err := readDecisionLog(args[0])
+		r, err := openLog(args[0], steps)
 		if err != nil {
 			return err
 		}
-		return fn(l)
-	}
-}
-
-// simOnly refuses a daemon's log for a verb that reads the simulator's
-// events.
-func simOnly(verb string, fn func(*decisionLog) error) func(*decisionLog) error {
-	return func(l *decisionLog) error {
-		if l.daemon {
-			return fmt.Errorf("%s: a serving daemon's log; %s reads a simulator's decision log (sim -decision-log)", l.path, verb)
+		defer r.f.Close()
+		if r.daemon && sim != "" {
+			return fmt.Errorf("%s: a serving daemon's log; %s reads a simulator's decision log (sim -decision-log)", r.path, sim)
 		}
-		return fn(l)
+		return fn(r)
 	}
 }
 
-// readDecisionLog parses a JSONL decision log: a tool's, whose schema
-// header it enforces, or a daemon's. A torn final line is dropped.
-func readDecisionLog(path string) (*decisionLog, error) {
+// openLog opens a JSONL decision log and reads its first line: a tool's
+// schema header, which it enforces, or a daemon's first record.
+func openLog(path string, steps bool) (r *logReader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	l := &decisionLog{path: path}
-	first := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		ev, st, err := decodeLine(line, !first)
+	defer func() {
 		if err != nil {
-			if sc.Scan() {
-				return nil, fmt.Errorf("%s: bad log line: %v", path, err)
-			}
-			break
+			f.Close()
 		}
-		if st != nil {
-			l.steps = append(l.steps, *st)
-			continue
-		}
-		if first {
-			first = false
-			_, seq := ev["seq"]
-			_, kind := ev["kind"]
-			switch {
-			case str(ev["event"]) == "header":
-				if schema := int(num(ev["schema"])); schema != telemetry.DecisionLogSchema {
-					return nil, fmt.Errorf("%s: decision-log schema %d not supported (want %d)",
-						path, schema, telemetry.DecisionLogSchema)
-				}
-				continue
-			case seq && kind:
-				l.daemon = true
-			default:
-				return nil, fmt.Errorf("%s: not a gsight decision log (no schema header)", path)
-			}
-		}
-		l.events = append(l.events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if first {
+	}()
+	r = &logReader{path: path, f: f, sc: bufio.NewScanner(f), steps: steps}
+	r.sc.Buffer(nil, 16<<20)
+	var h lineHead
+	line, err := r.scan(func(line []byte) error { return json.Unmarshal(line, &h) })
+	switch {
+	case err != nil:
+		return nil, err
+	case line == nil:
 		return nil, fmt.Errorf("%s: empty decision log", path)
+	case h.Event == "header" && h.Schema != telemetry.DecisionLogSchema:
+		return nil, fmt.Errorf("%s: decision-log schema %d not supported (want %d)", path, h.Schema, telemetry.DecisionLogSchema)
+	case h.Event == "header":
+		return r, nil
+	case h.Event == "":
+		if rec, err := serve.DecodeRecord(line); err == nil && rec.Seq > 0 && rec.Kind != "" {
+			r.daemon, r.first = true, &logEvent{kind: rec.Kind, seq: rec.Seq, val: rec, line: line}
+			return r, nil
+		}
 	}
-	return l, nil
+	return nil, fmt.Errorf("%s: not a gsight decision log (no schema header)", path)
 }
 
-// decodeLine decodes one log line: a step line after the first line
-// into its typed sample, any other line into a generic map. The prefix
-// test spares a step line the generic decode.
-func decodeLine(line string, body bool) (map[string]interface{}, *stepEvent, error) {
-	if !body || !strings.HasPrefix(line, `{"event":"step",`) {
-		var ev map[string]interface{}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil || !body || str(ev["event"]) != "step" {
-			return ev, nil, err
+// scan returns the next non-blank line decode accepts, or nil at the
+// end of the file. A line decode refuses is an error naming the file,
+// unless it is the last: a record torn when a run was killed before its
+// flush is dropped.
+func (r *logReader) scan(decode func([]byte) error) ([]byte, error) {
+	for r.sc.Scan() {
+		line := bytes.TrimSpace(r.sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		err := decode(line)
+		if err == nil {
+			return line, nil
+		}
+		if r.sc.Scan() {
+			return nil, fmt.Errorf("%s: bad log line: %v", r.path, err)
 		}
 	}
-	st := new(stepEvent)
-	return nil, st, json.Unmarshal([]byte(line), st)
+	if err := r.sc.Err(); err != nil {
+		return nil, fmt.Errorf("%s: %w", r.path, err)
+	}
+	return nil, nil
+}
+
+// next returns the log's next event, or nil at its end. Step lines come
+// back only when the reader decodes them.
+func (r *logReader) next() (*logEvent, error) {
+	ev := r.first
+	r.first = nil
+	for ev == nil {
+		line, err := r.scan(func(line []byte) (err error) {
+			ev, err = r.decode(line)
+			return err
+		})
+		if line == nil || err != nil {
+			return nil, err
+		}
+	}
+	return ev, nil
+}
+
+// decode decodes one line; a step line the reader does not decode is
+// checked and comes back nil.
+func (r *logReader) decode(line []byte) (*logEvent, error) {
+	if r.daemon {
+		rec, err := serve.DecodeRecord(line)
+		if err != nil {
+			return nil, err
+		}
+		return &logEvent{kind: rec.Kind, seq: rec.Seq, val: rec, line: line}, nil
+	}
+	h := lineHead{Event: "step"}
+	if !bytes.HasPrefix(line, stepPrefix) {
+		if err := json.Unmarshal(line, &h); err != nil {
+			return nil, err
+		}
+	}
+	ev := &logEvent{kind: h.Event, seq: h.Seq, line: line}
+	switch {
+	case h.Event != "step":
+		if ev.val = telemetry.NewEvent(h.Event); ev.val == nil {
+			return nil, fmt.Errorf("unknown event %q", h.Event)
+		}
+		if err := json.Unmarshal(line, ev.val); err != nil {
+			return nil, err
+		}
+	case !r.steps:
+		if !json.Valid(line) {
+			return nil, fmt.Errorf("a step line that is not JSON")
+		}
+		return nil, nil
+	default:
+		st := new(stepLine)
+		if err := json.Unmarshal(line, st); err != nil {
+			return nil, err
+		}
+		ev.seq, ev.val = st.Seq, &st.StepSample
+	}
+	return ev, nil
+}
+
+// each folds fn over the reader's remaining events.
+func (r *logReader) each(fn func(*logEvent) error) error {
+	for {
+		ev, err := r.next()
+		if ev == nil || err != nil {
+			return err
+		}
+		if err := fn(ev); err != nil {
+			return err
+		}
+	}
 }
 
 // ---- summary ----
 
-func cmdSummary(l *decisionLog) error {
-	if l.daemon {
-		summarizeDaemonLog(l.events)
-	} else {
-		summarizeLog(l)
+func summarizeLog(r *logReader) error {
+	if r.daemon {
+		return summarizeDaemonLog(r)
 	}
-	return nil
-}
-
-// jobOutcome aggregates completed jobs per archetype.
-type jobOutcome struct {
-	completed   int
-	checked     int
-	violations  int
-	sumSlowdown float64
-}
-
-func summarizeLog(l *decisionLog) {
-	kinds := map[string]int{}
-	outcomes := map[string]int{}
-	rejected := map[string]int{}
-	jobs := map[string]*jobOutcome{}
-	tier0Decisions, tier0Kept, tier0Pruned := 0, 0.0, 0.0
-	if len(l.steps) > 0 {
-		kinds["step"] = len(l.steps)
+	events := 0
+	kinds, outcomes, rejected := map[string]int{}, map[string]int{}, map[string]int{}
+	// Completed, checked and violating jobs and their summed slowdown,
+	// per archetype.
+	completed, checked, violated, slowdown := map[string]int{}, map[string]int{}, map[string]int{}, map[string]float64{}
+	tier0Decisions, tier0Kept, tier0Pruned := 0, 0, 0
+	var drifts []*telemetry.DriftEvent
+	// The cluster line: the step samples' span, and their mean density
+	// and CPU utilization over the steps with an active server — the
+	// series `gsight sim` reports.
+	var steps struct {
+		n, servers, degraded, predDown, active int
+		cpu, density, firstT, lastT            float64
 	}
-	var drifts []map[string]interface{}
-	for _, ev := range l.events {
-		kind := str(ev["event"])
-		kinds[kind]++
-		switch kind {
-		case "placement":
-			out := str(ev["outcome"])
-			outcomes[out]++
-			if out == "rejected" {
-				rejected[str(ev["workload"])]++
+	err := r.each(func(ev *logEvent) error {
+		events++
+		kinds[ev.kind]++
+		switch e := ev.val.(type) {
+		case *telemetry.PlacementDecision:
+			outcomes[e.Outcome]++
+			if e.Outcome == "rejected" {
+				rejected[e.Workload]++
 			}
-			if _, ok := ev["tier0_kept"]; ok {
+			if e.Tier0 {
 				tier0Decisions++
-				tier0Kept += num(ev["tier0_kept"])
-				tier0Pruned += num(ev["tier0_pruned"])
+				tier0Kept += e.Tier0Kept
+				tier0Pruned += e.Tier0Pruned
 			}
-		case "job_end":
-			arch := str(ev["archetype"])
-			jo := jobs[arch]
-			if jo == nil {
-				jo = &jobOutcome{}
-				jobs[arch] = jo
-			}
-			jo.completed++
-			jo.sumSlowdown += num(ev["slowdown"])
-			if ok, checked := ev["sla_ok"].(bool); checked {
-				jo.checked++
-				if !ok {
-					jo.violations++
+		case *telemetry.JobEnd:
+			completed[e.Archetype]++
+			slowdown[e.Archetype] += e.Slowdown
+			if e.Checked {
+				checked[e.Archetype]++
+				if !e.SLAOK {
+					violated[e.Archetype]++
 				}
 			}
-		case "predictor_drift":
-			drifts = append(drifts, ev)
+		case *telemetry.DriftEvent:
+			drifts = append(drifts, e)
+		case *telemetry.StepSample:
+			if steps.n++; steps.n == 1 {
+				steps.servers, steps.firstT = len(e.CPUDemand), e.SimTimeS
+			}
+			steps.lastT = e.SimTimeS
+			if e.Degraded {
+				steps.degraded++
+			}
+			if e.PredictorDown {
+				steps.predDown++
+			}
+			if e.ActiveServers > 0 {
+				steps.active++
+				steps.cpu += e.CPUUtil
+				steps.density += e.Density
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("decision log: %d events\n", len(l.events)+len(l.steps))
+	fmt.Printf("decision log: %d events\n", events)
 	printCounts("", kinds)
 	printCounts("placement outcomes:", outcomes)
 	if len(rejected) > 0 {
 		fmt.Println("top rejected workloads:")
-		printTopCounts(rejected, 5)
+		for _, w := range topKeys(rejected, 5) {
+			fmt.Printf("  %-18s %d\n", w, rejected[w])
+		}
 	}
 	if tier0Decisions > 0 {
 		scanned := tier0Kept + tier0Pruned
-		rate := 0.0
-		if scanned > 0 {
-			rate = tier0Pruned / scanned
-		}
-		fmt.Printf("two-tier pruning: %d decisions, %.0f candidates pruned of %.0f scanned (%.1f%%)\n",
-			tier0Decisions, tier0Pruned, scanned, 100*rate)
+		fmt.Printf("two-tier pruning: %d decisions, %d candidates pruned of %d scanned (%.1f%%)\n",
+			tier0Decisions, tier0Pruned, scanned, 100*float64(tier0Pruned)/float64(max(scanned, 1)))
 	}
-	var violating []string
-	for _, name := range sortedKeys(jobs) {
-		if jobs[name].violations > 0 {
-			violating = append(violating, name)
-		}
-	}
-	if len(violating) > 0 {
+	if len(violated) > 0 {
 		fmt.Println("top SLA-violating jobs:")
-		sort.SliceStable(violating, func(i, j int) bool {
-			return jobs[violating[i]].violations > jobs[violating[j]].violations
-		})
-		for _, name := range violating[:min(len(violating), 5)] {
-			jo := jobs[name]
+		for _, name := range topKeys(violated, 5) {
 			fmt.Printf("  %-18s %d/%d checked jobs violated, mean slowdown %.2fx\n",
-				name, jo.violations, jo.checked, jo.sumSlowdown/float64(jo.completed))
+				name, violated[name], checked[name], slowdown[name]/float64(completed[name]))
 		}
 	}
 	for _, d := range drifts {
 		fmt.Printf("predictor drift at t=%.0fs: qos=%s archetype=%s mape=%.3f ph=%.2f\n",
-			num(d["sim_time_s"]), d["qos"], d["archetype"], num(d["mape"]), num(d["ph"]))
+			d.SimTimeS, d.QoS, d.Archetype, d.MAPE, d.PH)
 	}
 	fmt.Println()
-	if len(l.steps) > 0 {
-		summarizeSteps(l.steps)
+	if steps.n > 0 {
+		active := float64(max(steps.active, 1))
+		fmt.Printf("steps: %d over %d servers, step %.0fs, t=[%.0fs, %.0fs]\n", steps.n,
+			steps.servers, float64(platform.StepS), steps.firstT, steps.lastT)
+		fmt.Printf("  mean density %.3f, mean CPU util %.3f\n", steps.density/active, steps.cpu/active)
+		fmt.Printf("  degraded steps %d, predictor-down steps %d\n", steps.degraded, steps.predDown)
 	}
-}
-
-// summarizeSteps prints the cluster line: the step samples' span and
-// their mean density and CPU utilization over the steps with an active
-// server — the series `gsight sim` reports.
-func summarizeSteps(steps []stepEvent) {
-	degraded, predDown, active := 0, 0, 0
-	var cpu, density float64
-	for _, ev := range steps {
-		if ev.Degraded {
-			degraded++
-		}
-		if ev.PredictorDown {
-			predDown++
-		}
-		if ev.ActiveServers > 0 {
-			active++
-			cpu += ev.CPUUtil
-			density += ev.Density
-		}
-	}
-	fmt.Printf("steps: %d over %d servers, step %.0fs, t=[%.0fs, %.0fs]\n", len(steps),
-		len(steps[0].CPUDemand), float64(platform.StepS), steps[0].SimTimeS, steps[len(steps)-1].SimTimeS)
-	fmt.Printf("  mean density %.3f, mean CPU util %.3f\n", density/float64(max(active, 1)), cpu/float64(max(active, 1)))
-	fmt.Printf("  degraded steps %d, predictor-down steps %d\n", degraded, predDown)
+	return nil
 }
 
 // summarizeDaemonLog prints a serving daemon's log: records by kind,
 // placement outcomes and reasons, the observations the learner applied
 // and the releases that found their instance.
-func summarizeDaemonLog(events []map[string]interface{}) {
+func summarizeDaemonLog(r *logReader) error {
 	kinds, outcomes, reasons := map[string]int{}, map[string]int{}, map[string]int{}
-	applied, released := 0, 0
-	for _, ev := range events {
-		kind := str(ev["kind"])
-		kinds[kind]++
-		switch kind {
-		case "place":
-			p, _ := ev["place"].(map[string]interface{})
-			outcomes[str(p["outcome"])]++
-			if r := str(p["reason"]); r != "" {
-				reasons[r]++
-			}
-		case "observe":
-			if o, _ := ev["observe"].(map[string]interface{}); o["applied"] == true {
-				applied++
-			}
-		case "release":
-			if r, _ := ev["release"].(map[string]interface{}); r["released"] == true {
-				released++
-			}
+	records, applied, released := 0, 0, 0
+	var firstSeq, lastSeq uint64
+	err := r.each(func(ev *logEvent) error {
+		if records++; records == 1 {
+			firstSeq = ev.seq
 		}
+		lastSeq = ev.seq
+		kinds[ev.kind]++
+		switch rec := ev.val.(*serve.Record); {
+		case ev.kind == "place" && rec.Place == nil:
+			outcomes[""]++
+		case ev.kind == "place":
+			outcomes[rec.Place.Outcome]++
+			if rec.Place.Reason != "" {
+				reasons[rec.Place.Reason]++
+			}
+		case ev.kind == "observe" && rec.Obs != nil && rec.Obs.Applied:
+			applied++
+		case ev.kind == "release" && rec.Rel != nil && rec.Rel.Released:
+			released++
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("daemon log: %d records, seq %.0f..%.0f\n", len(events), num(events[0]["seq"]), num(events[len(events)-1]["seq"]))
+	fmt.Printf("daemon log: %d records, seq %d..%d\n", records, firstSeq, lastSeq)
 	printCounts("", kinds)
 	printCounts("placement outcomes:", outcomes)
 	printCounts("placement reasons:", reasons)
@@ -347,70 +397,59 @@ func summarizeDaemonLog(events []map[string]interface{}) {
 	if n := kinds["release"]; n > 0 {
 		fmt.Printf("releases that found their instance: %d of %d\n", released, n)
 	}
+	return nil
 }
 
 // ---- predq ----
 
-// predSamples returns the log's prediction-quality samples by QoS
-// kind, and says so when there are none.
-func predSamples(l *decisionLog) map[string][]map[string]interface{} {
-	byQoS := map[string][]map[string]interface{}{}
-	for _, ev := range l.events {
-		if str(ev["event"]) == "pred_sample" {
-			qos := str(ev["qos"])
-			byQoS[qos] = append(byQoS[qos], ev)
-		}
-	}
-	if len(byQoS) == 0 {
-		fmt.Println("no prediction-quality samples in the decision log")
-	}
-	return byQoS
-}
+const noSamples = "no prediction-quality samples in the decision log"
 
-func cmdPredq(l *decisionLog) error {
-	byQoS := predSamples(l)
-	if len(byQoS) == 0 {
-		return nil
-	}
+func cmdPredq(r *logReader) error {
 	// Replay the samples through the same online tracker the platform
 	// runs, which keeps each QoS kind apart, so the reported rolling
 	// stats match what the live run saw.
 	q := obs.NewPredQ()
-	for _, qos := range sortedKeys(byQoS) {
-		archetypes := map[string]bool{}
-		for _, ev := range byQoS[qos] {
-			arch := str(ev["archetype"])
-			archetypes[arch] = true
-			q.Track(arch, qos, num(ev["pred"]), num(ev["obs"]))
+	archetypes := map[string]map[string]bool{} // per QoS kind
+	var drifts []*telemetry.DriftEvent
+	err := r.each(func(ev *logEvent) error {
+		switch e := ev.val.(type) {
+		case *telemetry.PredSample:
+			if archetypes[e.QoS] == nil {
+				archetypes[e.QoS] = map[string]bool{}
+			}
+			archetypes[e.QoS][e.Archetype] = true
+			q.Track(e.Archetype, e.QoS, e.Pred, e.Obs)
+		case *telemetry.DriftEvent:
+			drifts = append(drifts, e)
 		}
+		return nil
+	})
+	if err != nil || len(archetypes) == 0 {
+		if err == nil {
+			fmt.Println(noSamples)
+		}
+		return err
+	}
+	for _, qos := range sortedKeys(archetypes) {
 		ov := q.Overall(qos)
 		fmt.Printf("prediction quality qos=%s: %d samples\n", qos, ov.Count)
 		fmt.Printf("  %-18s %8s %8s %9s %8s\n", "archetype", "samples", "window", "mean_err", "MAPE")
 		fmt.Printf("  %-18s %8d %8d %+9.3f %8.3f\n", "overall", ov.Count, ov.Window(), ov.MeanErr(), ov.MAPE())
-		for _, arch := range sortedKeys(archetypes) {
-			st := q.Archetype(qos, arch)
-			if st == nil {
-				continue
+		for _, arch := range sortedKeys(archetypes[qos]) {
+			if st := q.Archetype(qos, arch); st != nil {
+				fmt.Printf("  %-18s %8d %8d %+9.3f %8.3f\n", arch, st.Count, st.Window(), st.MeanErr(), st.MAPE())
 			}
-			fmt.Printf("  %-18s %8d %8d %+9.3f %8.3f\n", arch, st.Count, st.Window(), st.MeanErr(), st.MAPE())
 		}
 		fmt.Println()
 	}
-	var recorded []map[string]interface{}
-	for _, ev := range l.events {
-		if str(ev["event"]) == "predictor_drift" {
-			recorded = append(recorded, ev)
-		}
-	}
-	if len(recorded) == 0 {
+	if len(drifts) == 0 {
 		fmt.Println("no drift events recorded")
 		return nil
 	}
-	fmt.Printf("drift events recorded: %d\n", len(recorded))
-	for _, d := range recorded {
+	fmt.Printf("drift events recorded: %d\n", len(drifts))
+	for _, d := range drifts {
 		fmt.Printf("  t=%.0fs qos=%s archetype=%s window=%d mean_err=%+.3f mape=%.3f ph=%.2f\n",
-			num(d["sim_time_s"]), str(d["qos"]), str(d["archetype"]), int(num(d["window"])),
-			num(d["mean_err"]), num(d["mape"]), num(d["ph"]))
+			d.SimTimeS, d.QoS, d.Archetype, d.Window, d.MeanErr, d.MAPE, d.PH)
 	}
 	return nil
 }
@@ -420,68 +459,79 @@ func cmdPredq(l *decisionLog) error {
 // errorBuckets is the number of time buckets the errors view renders.
 const errorBuckets = 12
 
-func cmdErrors(l *decisionLog) error {
-	samples := predSamples(l)
-	if len(samples) == 0 {
-		return nil
-	}
-	type sample struct {
-		t, pred, obs float64
-	}
-	byQoS := map[string][]sample{}
-	minT, maxT := 0.0, 0.0
-	n := 0
-	for qos, evs := range samples {
-		for _, ev := range evs {
-			s := sample{t: num(ev["sim_time_s"]), pred: num(ev["pred"]), obs: num(ev["obs"])}
-			if s.obs <= 0 {
-				continue
+// errorSums is one QoS kind's samples and relative-error sums per time
+// bucket.
+type errorSums struct {
+	n                 int
+	counts            [errorBuckets]int
+	sumAbs, sumSigned [errorBuckets]float64
+}
+
+// cmdErrors reads the log twice: the first pass finds the time span
+// the buckets divide, the second sums each sample's error into its
+// bucket.
+func cmdErrors(r *logReader) error {
+	n, minT, maxT := 0, 0.0, 0.0
+	err := r.each(func(ev *logEvent) error {
+		if s, ok := ev.val.(*telemetry.PredSample); ok && s.Obs > 0 {
+			if n++; n == 1 {
+				minT, maxT = s.SimTimeS, s.SimTimeS
 			}
-			if n == 0 || s.t < minT {
-				minT = s.t
-			}
-			if n == 0 || s.t > maxT {
-				maxT = s.t
-			}
-			n++
-			byQoS[qos] = append(byQoS[qos], s)
+			minT, maxT = min(minT, s.SimTimeS), max(maxT, s.SimTimeS)
 		}
-	}
-	if n == 0 {
-		fmt.Println("no prediction-quality samples in the decision log")
 		return nil
+	})
+	if err != nil || n == 0 {
+		if err == nil {
+			fmt.Println(noSamples)
+		}
+		return err
 	}
 	span := maxT - minT
 	if span <= 0 {
 		span = 1
 	}
-	for _, qos := range sortedKeys(byQoS) {
-		counts := make([]int, errorBuckets)
-		sumAbs := make([]float64, errorBuckets)
-		sumSigned := make([]float64, errorBuckets)
-		for _, s := range byQoS[qos] {
-			b := int((s.t - minT) / span * errorBuckets)
-			if b >= errorBuckets {
-				b = errorBuckets - 1
-			}
-			rel := (s.pred - s.obs) / s.obs
-			counts[b]++
-			sumSigned[b] += rel
-			if rel < 0 {
-				rel = -rel
-			}
-			sumAbs[b] += rel
+	again, err := openLog(r.path, false)
+	if err != nil {
+		return err
+	}
+	defer again.f.Close()
+	byQoS := map[string]*errorSums{}
+	err = again.each(func(ev *logEvent) error {
+		s, ok := ev.val.(*telemetry.PredSample)
+		if !ok || s.Obs <= 0 {
+			return nil
 		}
-		fmt.Printf("prediction error over time qos=%s (%d samples)\n", qos, len(byQoS[qos]))
+		sums := byQoS[s.QoS]
+		if sums == nil {
+			sums = new(errorSums)
+			byQoS[s.QoS] = sums
+		}
+		b := errorBuckets - 1
+		if f := (s.SimTimeS - minT) / span * errorBuckets; f < errorBuckets {
+			b = int(f)
+		}
+		rel := (s.Pred - s.Obs) / s.Obs
+		sums.n++
+		sums.counts[b]++
+		sums.sumSigned[b] += rel
+		sums.sumAbs[b] += math.Abs(rel)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, qos := range sortedKeys(byQoS) {
+		sums := byQoS[qos]
+		fmt.Printf("prediction error over time qos=%s (%d samples)\n", qos, sums.n)
 		fmt.Printf("  %12s %8s %9s %8s\n", "t_start", "samples", "mean_err", "MAPE")
-		for b := 0; b < errorBuckets; b++ {
+		for b, count := range sums.counts {
 			t := minT + span*float64(b)/errorBuckets
-			if counts[b] == 0 {
+			if count == 0 {
 				fmt.Printf("  %11.0fs %8d %9s %8s\n", t, 0, "-", "-")
-				continue
+			} else {
+				fmt.Printf("  %11.0fs %8d %+9.3f %8.3f\n", t, count, sums.sumSigned[b]/float64(count), sums.sumAbs[b]/float64(count))
 			}
-			c := float64(counts[b])
-			fmt.Printf("  %11.0fs %8d %+9.3f %8.3f\n", t, counts[b], sumSigned[b]/c, sumAbs[b]/c)
 		}
 		fmt.Println()
 	}
@@ -490,70 +540,66 @@ func cmdErrors(l *decisionLog) error {
 
 // ---- heat ----
 
-func cmdHeat(l *decisionLog) error {
-	steps := l.steps
-	if len(steps) == 0 {
-		fmt.Println("no step samples in the decision log")
-		return nil
-	}
-	servers := len(steps[0].CPUDemand)
-	sumCPU := make([]float64, servers)
-	maxCPU := make([]float64, servers)
-	sumMem := make([]float64, servers)
-	down := make([]int, servers)
-	slow := make([]int, servers)
-	for _, ev := range steps {
-		if len(ev.CPUDemand) != servers || len(ev.MemUsed) != servers {
-			return fmt.Errorf("%s: step %d samples %d/%d servers, the first step %d", l.path, ev.Step, len(ev.CPUDemand), len(ev.MemUsed), servers)
+func cmdHeat(r *logReader) error {
+	steps, peak := 0, 0.0
+	var sumCPU, maxCPU, sumMem []float64
+	var down, slow []int
+	err := r.each(func(ev *logEvent) error {
+		st, ok := ev.val.(*telemetry.StepSample)
+		if !ok {
+			return nil
+		}
+		if steps++; steps == 1 {
+			n := len(st.CPUDemand)
+			sumCPU, maxCPU, sumMem = make([]float64, n), make([]float64, n), make([]float64, n)
+			down, slow = make([]int, n), make([]int, n)
+		}
+		servers := len(sumCPU)
+		if len(st.CPUDemand) != servers || len(st.MemUsed) != servers {
+			return fmt.Errorf("%s: step %d samples %d/%d servers, the first step %d", r.path, st.Step, len(st.CPUDemand), len(st.MemUsed), servers)
 		}
 		for s := range servers {
-			c := float64(ev.CPUDemand[s])
-			sumCPU[s] += c
-			if c > maxCPU[s] {
-				maxCPU[s] = c
-			}
-			sumMem[s] += float64(ev.MemUsed[s])
+			sumCPU[s] += float64(st.CPUDemand[s])
+			maxCPU[s] = max(maxCPU[s], float64(st.CPUDemand[s]))
+			peak = max(peak, maxCPU[s])
+			sumMem[s] += float64(st.MemUsed[s])
 		}
-		for _, col := range []struct {
-			servers []int
-			count   []int
-		}{{ev.Down, down}, {ev.Slow, slow}} {
+		for _, col := range []struct{ servers, count []int }{{st.Down, down}, {st.Slow, slow}} {
 			for _, s := range col.servers {
 				if s < 0 || s >= servers {
-					return fmt.Errorf("%s: step %d names server %d of %d", l.path, ev.Step, s, servers)
+					return fmt.Errorf("%s: step %d names server %d of %d", r.path, st.Step, s, servers)
 				}
 				col.count[s]++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	n := float64(len(steps))
-	fmt.Printf("per-server heat over %d steps (step %.0fs)\n", len(steps), float64(platform.StepS))
+	if steps == 0 {
+		fmt.Println("no step samples in the decision log")
+		return nil
+	}
+	n := float64(steps)
+	fmt.Printf("per-server heat over %d steps (step %.0fs)\n", steps, float64(platform.StepS))
 	fmt.Printf("%6s %9s %9s %9s %6s %6s  %s\n", "server", "cpu_mean", "cpu_max", "mem_mean", "down", "slow", "load")
-	for s := range servers {
+	for s := range sumCPU {
 		fmt.Printf("%6d %9.2f %9.2f %9.2f %6d %6d  %s\n",
-			s, sumCPU[s]/n, maxCPU[s], sumMem[s]/n, down[s], slow[s], heatBar(sumCPU[s]/n, maxAll(maxCPU)))
+			s, sumCPU[s]/n, maxCPU[s], sumMem[s]/n, down[s], slow[s], heatBar(sumCPU[s]/n, peak))
 	}
 	return nil
 }
 
 // heatBar renders mean load as a proportional bar against the cluster
-// peak, so relative imbalance is visible at a glance.
+// peak, so relative imbalance is visible at a glance; a negative load
+// draws none.
 func heatBar(v, peak float64) string {
 	const width = 30
 	if peak <= 0 {
 		return ""
 	}
-	return strings.Repeat("#", min(int(v/peak*width), width))
-}
-
-func maxAll(vs []float64) float64 {
-	m := 0.0
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	return strings.Repeat("#", int(max(0, min(width, v/peak*width))))
 }
 
 // ---- trace export ----
@@ -564,152 +610,121 @@ func cmdTrace(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("expected exactly one decision-log path")
-	}
-	return withLog(simOnly("trace", func(l *decisionLog) error {
-		var buf bytes.Buffer
-		if err := renderTrace(&buf, l.events); err != nil {
-			return fmt.Errorf("%s: %w", l.path, err)
-		}
-		if *out != "" {
-			return os.WriteFile(*out, buf.Bytes(), 0o644)
-		}
-		_, err := os.Stdout.Write(buf.Bytes())
-		return err
-	}))(fs.Args())
+	return withLog(false, "trace", renderTrace(*out))(fs.Args())
 }
 
 // renderTrace encodes a decision log's simulator events as a Perfetto
 // trace through obs.Tracer — one trace event per log event, in log
 // order — and closes the tracer's array, so the file is strict JSON.
 // Step samples and the events no simulator writes (training steps,
-// experiment outcomes) are not part of the trace.
-func renderTrace(w *bytes.Buffer, events []map[string]interface{}) error {
-	tr := obs.NewTracer(w)
-	for _, ev := range events {
-		t := num(ev["sim_time_s"])
-		switch str(ev["event"]) {
-		case "placement":
-			tr.Placement(&telemetry.PlacementDecision{SimTimeS: t, Workload: str(ev["workload"]),
-				Outcome: str(ev["outcome"]), Reason: str(ev["reason"]),
-				SpreadLevels: int(num(ev["spread_levels"])), SLAChecks: int(num(ev["sla_checks"])),
-				Placement: ints(ev["placement"]), PredIPC: num(ev["pred_ipc"]), PredJCTS: num(ev["pred_jct_s"])})
-		case "job_begin":
-			tr.JobBegin(&telemetry.JobBegin{SimTimeS: t, ID: int(num(ev["id"])), Archetype: str(ev["archetype"]),
-				Job: str(ev["job"]), Placement: ints(ev["placement"]), PredJCTS: num(ev["pred_jct_s"])})
-		case "job_end":
-			ok, checked := ev["sla_ok"].(bool)
-			tr.JobEnd(&telemetry.JobEnd{SimTimeS: t, ID: int(num(ev["id"])), Archetype: str(ev["archetype"]),
-				JCTS: num(ev["jct_s"]), Slowdown: num(ev["slowdown"]), Checked: checked, SLAOK: ok})
-		case "reactive":
-			tr.Reactive(&telemetry.ReactiveAction{SimTimeS: t, Action: str(ev["action"]),
-				Service: str(ev["service"]), Moved: int(num(ev["moved"]))})
-		case "fault":
-			tr.Fault(&telemetry.FaultEvent{SimTimeS: t, Kind: str(ev["kind"]), Node: int(num(ev["node"])),
-				DisplacedServices: int(num(ev["displaced_services"])), DisplacedJobs: int(num(ev["displaced_jobs"]))})
-		case "degraded":
-			entered, _ := ev["entered"].(bool)
-			tr.Degraded(&telemetry.DegradedTransition{SimTimeS: t, Entered: entered, Reason: str(ev["reason"])})
-		case "pred_sample":
-			tr.PredSample(&telemetry.PredSample{SimTimeS: t, Archetype: str(ev["archetype"]),
-				QoS: str(ev["qos"]), Pred: num(ev["pred"]), Obs: num(ev["obs"])})
-		case "predictor_drift":
-			tr.Drift(&telemetry.DriftEvent{SimTimeS: t, QoS: str(ev["qos"]), Archetype: str(ev["archetype"]),
-				Window: int(num(ev["window"])), MeanErr: num(ev["mean_err"]), MAPE: num(ev["mape"]), PH: num(ev["ph"])})
+// experiment outcomes) are not part of the trace. The trace goes to
+// out, or to stdout when out is empty.
+func renderTrace(out string) func(*logReader) error {
+	return func(r *logReader) error {
+		var w bytes.Buffer
+		tr := obs.NewTracer(&w)
+		err := r.each(func(ev *logEvent) error {
+			switch e := ev.val.(type) {
+			case *telemetry.PlacementDecision:
+				tr.Placement(e)
+			case *telemetry.JobBegin:
+				tr.JobBegin(e)
+			case *telemetry.JobEnd:
+				tr.JobEnd(e)
+			case *telemetry.ReactiveAction:
+				tr.Reactive(e)
+			case *telemetry.FaultEvent:
+				tr.Fault(e)
+			case *telemetry.DegradedTransition:
+				tr.Degraded(e)
+			case *telemetry.PredSample:
+				tr.PredSample(e)
+			case *telemetry.DriftEvent:
+				tr.Drift(e)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
+		if w.Len() == 0 {
+			return fmt.Errorf("%s: no simulator events to render", r.path)
+		}
+		w.Truncate(w.Len() - len(",\n"))
+		w.WriteString("\n]\n")
+		if out != "" {
+			return os.WriteFile(out, w.Bytes(), 0o644)
+		}
+		_, err = os.Stdout.Write(w.Bytes())
+		return err
 	}
-	if w.Len() == 0 {
-		return fmt.Errorf("no simulator events to render")
-	}
-	w.Truncate(w.Len() - len(",\n"))
-	w.WriteString("\n]\n")
-	return nil
 }
 
 // ---- diff ----
 
+// cmdDiff compares two logs in two passes, each streaming both logs side
+// by side: first every event but the step samples, then the step
+// samples. Events are equal when they decode equal, whatever their
+// lines' key order; a divergence quotes the two lines as written.
 func cmdDiff(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("diff expects exactly two decision-log paths")
 	}
-	a, err := readDecisionLog(args[0])
-	if err != nil {
-		return err
+	n := 0
+	for pass, what := range []string{"event", "step sample"} {
+		steps := pass == 1
+		var rs [2]*logReader
+		for i, path := range args {
+			r, err := openLog(path, steps)
+			if err != nil {
+				return err
+			}
+			defer r.f.Close()
+			rs[i] = r
+		}
+		// next skips the events of the other pass.
+		next := func(r *logReader) (*logEvent, error) {
+			for {
+				ev, err := r.next()
+				if ev == nil || err != nil || (ev.kind == "step") == steps {
+					return ev, err
+				}
+			}
+		}
+		for i := 0; ; i, n = i+1, n+1 {
+			a, err := next(rs[0])
+			if err != nil {
+				return err
+			}
+			b, err := next(rs[1])
+			if err != nil {
+				return err
+			}
+			if a == nil && b == nil {
+				break
+			}
+			same := a != nil && b != nil && (bytes.Equal(a.line, b.line) ||
+				a.kind == b.kind && a.seq == b.seq && reflect.DeepEqual(a.val, b.val))
+			if !same {
+				fmt.Printf("decision logs diverge at %s %d:\n  a: %s\n  b: %s\n", what, i, a.quote(), b.quote())
+				return &exitError{code: 1}
+			}
+		}
 	}
-	b, err := readDecisionLog(args[1])
-	if err != nil {
-		return err
-	}
-	if i := firstDiff(a.events, b.events); i >= 0 {
-		fmt.Printf("decision logs diverge at event %d:\n  a: %s\n  b: %s\n",
-			i, jsonLine(at(a.events, i)), jsonLine(at(b.events, i)))
-		return &exitError{code: 1}
-	}
-	if i := firstDiff(a.steps, b.steps); i >= 0 {
-		fmt.Printf("decision logs diverge at step sample %d:\n  a: %s\n  b: %s\n",
-			i, jsonLine(at(a.steps, i)), jsonLine(at(b.steps, i)))
-		return &exitError{code: 1}
-	}
-	fmt.Printf("decision logs identical: %d events\n", len(a.events)+len(a.steps))
+	fmt.Printf("decision logs identical: %d events\n", n)
 	return nil
 }
 
-// firstDiff returns the first index at which a and b differ, or -1.
-func firstDiff[T any](a, b []T) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if jsonLine(a[i]) != jsonLine(b[i]) {
-			return i
-		}
+// quote is the event's line as the log wrote it, or <ended> past the
+// log's end.
+func (ev *logEvent) quote() []byte {
+	if ev == nil {
+		return []byte("<ended>")
 	}
-	if len(a) != len(b) {
-		return n
-	}
-	return -1
-}
-
-func at[T any](evs []T, i int) interface{} {
-	if i < len(evs) {
-		return evs[i]
-	}
-	return "<ended>"
+	return ev.line
 }
 
 // ---- small helpers ----
-
-// jsonLine renders v canonically (sorted keys) for comparison and
-// divergence reports.
-func jsonLine(v interface{}) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Sprintf("%v", v)
-	}
-	return string(b)
-}
-
-func num(v interface{}) float64 {
-	f, _ := v.(float64)
-	return f
-}
-
-func str(v interface{}) string {
-	s, _ := v.(string)
-	return s
-}
-
-// ints converts a decoded JSON array of numbers; nil when v is absent.
-func ints(v interface{}) []int {
-	vs, ok := v.([]interface{})
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(vs))
-	for i, x := range vs {
-		out[i] = int(num(x))
-	}
-	return out
-}
 
 // sortedKeys returns the keys of a string-keyed map in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
@@ -721,6 +736,14 @@ func sortedKeys[V any](m map[string]V) []string {
 	return ks
 }
 
+// topKeys returns the top keys of m by count, descending, ties in key
+// order.
+func topKeys(m map[string]int, top int) []string {
+	ks := sortedKeys(m)
+	sort.SliceStable(ks, func(i, j int) bool { return m[ks[i]] > m[ks[j]] })
+	return ks[:min(len(ks), top)]
+}
+
 // printCounts prints one line per key of m in sorted order, under
 // title when m is not empty and title is.
 func printCounts(title string, m map[string]int) {
@@ -729,28 +752,5 @@ func printCounts(title string, m map[string]int) {
 	}
 	for _, k := range sortedKeys(m) {
 		fmt.Printf("  %-18s %d\n", k, m[k])
-	}
-}
-
-func printTopCounts(m map[string]int, top int) {
-	type kv struct {
-		k string
-		v int
-	}
-	var kvs []kv
-	for k, v := range m {
-		kvs = append(kvs, kv{k, v})
-	}
-	sort.Slice(kvs, func(i, j int) bool {
-		if kvs[i].v != kvs[j].v {
-			return kvs[i].v > kvs[j].v
-		}
-		return kvs[i].k < kvs[j].k
-	})
-	for i, e := range kvs {
-		if i == top {
-			break
-		}
-		fmt.Printf("  %-18s %d\n", e.k, e.v)
 	}
 }

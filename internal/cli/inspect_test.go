@@ -17,16 +17,25 @@ import (
 	"gsight/internal/telemetry"
 )
 
+// logLine is the fields of a decision-log line the tests below check,
+// decoded apart from the reader under test.
+type logLine struct {
+	Event, Archetype, Action, Kind string
+	SimTimeS                       float64 `json:"sim_time_s"`
+	ID                             int
+	SLAChecks                      int `json:"sla_checks"`
+}
+
 // logLines returns a decision log's events after the header, decoded.
-func logLines(t *testing.T, path string) []map[string]any {
+func logLines(t *testing.T, path string) []logLine {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []map[string]any
+	var events []logLine
 	for _, ln := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))[1:] {
-		var ev map[string]any
+		var ev logLine
 		if err := json.Unmarshal(ln, &ev); err != nil {
 			t.Fatalf("decision-log line %q: %v", ln, err)
 		}
@@ -109,7 +118,7 @@ func TestInspectTraceRendersLog(t *testing.T) {
 	seen := map[string]int{}
 	i := 0
 	for _, ev := range logLines(t, logPath) {
-		kind := ev["event"].(string)
+		kind := ev.Event
 		want, ok := kinds[kind]
 		if !ok {
 			continue
@@ -121,13 +130,13 @@ func TestInspectTraceRendersLog(t *testing.T) {
 		got := trace[i]
 		name := want.name
 		if name == "" {
-			name = str(ev["archetype"]) + str(ev["action"]) + str(ev["kind"])
+			name = ev.Archetype + ev.Action + ev.Kind
 		}
-		if got.Name != name || got.Cat != want.cat || got.Ph != want.ph || got.Ts != num(ev["sim_time_s"])*1e6 {
-			t.Fatalf("trace event %d is %+v, want %s/%s/%s at %vs for the log's %v", i, got, name, want.cat, want.ph, ev["sim_time_s"], ev)
+		if got.Name != name || got.Cat != want.cat || got.Ph != want.ph || got.Ts != ev.SimTimeS*1e6 {
+			t.Fatalf("trace event %d is %+v, want %s/%s/%s at %vs for the log's %+v", i, got, name, want.cat, want.ph, ev.SimTimeS, ev)
 		}
-		if want.cat == "job" && got.ID != int(num(ev["id"])) {
-			t.Fatalf("trace event %d has job id %d, the log's %s says %v", i, got.ID, kind, ev["id"])
+		if want.cat == "job" && got.ID != ev.ID {
+			t.Fatalf("trace event %d has job id %d, the log's %s says %d", i, got.ID, kind, ev.ID)
 		}
 		i++
 	}
@@ -152,8 +161,8 @@ func TestSimLogCountsWholeSearch(t *testing.T) {
 		"-decision-log", logPath, "-report", reportPath)
 	logged := 0.0
 	for _, ev := range logLines(t, logPath) {
-		if ev["event"] == "placement" {
-			logged += num(ev["sla_checks"])
+		if ev.Event == "placement" {
+			logged += float64(ev.SLAChecks)
 		}
 	}
 	data, err := os.ReadFile(reportPath)
@@ -189,7 +198,7 @@ func TestInspectRefusesOtherLogSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := readDecisionLog(path)
+	_, err := openLog(path, true)
 	want := fmt.Sprintf("schema 1 not supported (want %d)", telemetry.DecisionLogSchema)
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("opening a schema-1 log: %v", err)
@@ -330,11 +339,13 @@ func TestInspectHeatRefusesMalformedSteps(t *testing.T) {
 		if err := os.WriteFile(path, []byte(header+first+bad+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := readDecisionLog(path)
+		r, err := openLog(path, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cmdHeat(l); err == nil || !strings.Contains(err.Error(), path) {
+		err = cmdHeat(r)
+		r.f.Close()
+		if err == nil || !strings.Contains(err.Error(), path) {
 			t.Errorf("heat on %s: %v, want an error naming the file", bad, err)
 		}
 	}
@@ -342,7 +353,8 @@ func TestInspectHeatRefusesMalformedSteps(t *testing.T) {
 
 // TestInspectDiffComparesSteps: diff compares the step samples too, so
 // two logs that differ only in one server's column diverge, at that
-// sample.
+// sample, and the report quotes both lines as written. Equality is of
+// the decoded values: a line with its keys in another order is equal.
 func TestInspectDiffComparesSteps(t *testing.T) {
 	header := fmt.Sprintf(`{"event":"header","seq":0,"schema":%d}`, telemetry.DecisionLogSchema) + "\n"
 	first := `{"event":"step","seq":1,"step":1,"cpu_demand":[1,2],"mem_used":[1,2]}` + "\n"
@@ -351,6 +363,7 @@ func TestInspectDiffComparesSteps(t *testing.T) {
 	for i, second := range []string{
 		`{"event":"step","seq":2,"step":2,"cpu_demand":[1,2],"mem_used":[1,2]}`,
 		`{"event":"step","seq":2,"step":2,"cpu_demand":[1,2.5],"mem_used":[1,2]}`,
+		`{"mem_used":[1,2],"seq":2,"cpu_demand":[1,2],"step":2,"event":"step"}`,
 	} {
 		path := filepath.Join(dir, fmt.Sprintf("%d.jsonl", i))
 		if err := os.WriteFile(path, []byte(header+first+second+"\n"), 0o644); err != nil {
@@ -361,7 +374,11 @@ func TestInspectDiffComparesSteps(t *testing.T) {
 	if out := runMain(t, 0, "inspect", "diff", paths[0], paths[0]); !strings.Contains(out, "identical: 2 events") {
 		t.Errorf("diff of a log with itself:\n%s", out)
 	}
-	if out := runMain(t, 1, "inspect", "diff", paths[0], paths[1]); !strings.Contains(out, "diverge at step sample 1") {
+	if out := runMain(t, 1, "inspect", "diff", paths[0], paths[1]); !strings.Contains(out, "diverge at step sample 1") ||
+		!strings.Contains(out, `b: {"event":"step","seq":2,"step":2,"cpu_demand":[1,2.5],"mem_used":[1,2]}`) {
 		t.Errorf("diff of logs differing in one step column:\n%s", out)
+	}
+	if out := runMain(t, 0, "inspect", "diff", paths[0], paths[2]); !strings.Contains(out, "identical: 2 events") {
+		t.Errorf("diff of a log and its copy with one line's keys reordered:\n%s", out)
 	}
 }

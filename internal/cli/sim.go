@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -188,12 +187,7 @@ func (c *simCmd) simulate(ctx context.Context) error {
 	fmt.Printf("memory utilization:           mean %.3f, p50 %.3f, p90 %.3f\n",
 		stats.Mean(st.MemUtil), stats.Median(st.MemUtil), stats.Percentile(st.MemUtil, 90))
 	fmt.Println()
-	var names []string
-	for n := range st.SLAOK {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(st.SLAOK) {
 		fmt.Printf("SLA guarantee %-16s %.2f%% of the time\n", n+":", 100*st.SLARatio(n))
 	}
 	fmt.Printf("\ncold starts %d, reactive migrations %d, scale-out reschedules %d, jobs rejected %d\n",

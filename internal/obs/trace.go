@@ -53,8 +53,9 @@ func (t *Tracer) emit(b []byte, a int) {
 
 // begin opens a new event:
 // {"name":"<name>","cat":"<cat>","ph":"<ph>","ts":<simTimeS*1e6>,
-// "pid":1,"tid":0. The stream stays locked until emit.
-func (t *Tracer) begin(name, cat string, ph byte, simTimeS float64) []byte {
+// "pid":1,"tid":0, and an instant event's ,"s":"<scope>" when scope is
+// not 0. The stream stays locked until emit.
+func (t *Tracer) begin(name, cat string, ph, scope byte, simTimeS float64) []byte {
 	b, _ := t.s.Begin()
 	b = append(b, `{"name":`...)
 	b = strconv.AppendQuote(b, name)
@@ -65,6 +66,10 @@ func (t *Tracer) begin(name, cat string, ph byte, simTimeS float64) []byte {
 	b = append(b, `,"ts":`...)
 	b = strconv.AppendFloat(b, simTimeS*1e6, 'f', -1, 64)
 	b = append(b, `,"pid":1,"tid":0`...)
+	if scope != 0 {
+		b = append(b, `,"s":"`...)
+		b = append(b, scope, '"')
+	}
 	return b
 }
 
@@ -81,9 +86,7 @@ func args(b []byte) ([]byte, int) {
 // placed and its functions are starting. Its servers arg is the chosen
 // server per function.
 func (t *Tracer) JobBegin(e *telemetry.JobBegin) {
-	b := t.begin(e.Archetype, "job", 'b', e.SimTimeS)
-	b = append(b, `,"id":`...)
-	b = strconv.AppendInt(b, int64(e.ID), 10)
+	b := telemetry.AppendInt(t.begin(e.Archetype, "job", 'b', 0, e.SimTimeS), "id", e.ID)
 	b, a := args(b)
 	b = telemetry.AppendStr(b, "job", e.Job)
 	b = telemetry.AppendInts(b, "servers", e.Placement)
@@ -97,9 +100,7 @@ func (t *Tracer) JobBegin(e *telemetry.JobBegin) {
 // outcome: job completion time, slowdown versus solo execution, and
 // the SLA verdict of a checked job.
 func (t *Tracer) JobEnd(e *telemetry.JobEnd) {
-	b := t.begin(e.Archetype, "job", 'e', e.SimTimeS)
-	b = append(b, `,"id":`...)
-	b = strconv.AppendInt(b, int64(e.ID), 10)
+	b := telemetry.AppendInt(t.begin(e.Archetype, "job", 'e', 0, e.SimTimeS), "id", e.ID)
 	b, a := args(b)
 	b = telemetry.AppendFloat(b, "jct_s", e.JCTS)
 	if e.Slowdown > 0 {
@@ -115,8 +116,7 @@ func (t *Tracer) JobEnd(e *telemetry.JobEnd) {
 // the scheduler searched, what it decided (no placement when
 // rejected), and what it predicted for the accepted candidate.
 func (t *Tracer) Placement(d *telemetry.PlacementDecision) {
-	b := t.begin("placement", "sched", 'i', d.SimTimeS)
-	b = append(b, `,"s":"t"`...)
+	b := t.begin("placement", "sched", 'i', 't', d.SimTimeS)
 	b, a := args(b)
 	b = telemetry.AppendStr(b, "workload", d.Workload)
 	b = telemetry.AppendStr(b, "outcome", d.Outcome)
@@ -141,8 +141,7 @@ func (t *Tracer) Placement(d *telemetry.PlacementDecision) {
 // reactive spread) as an instant event — the migration phase of the
 // affected jobs' lifecycle.
 func (t *Tracer) Reactive(e *telemetry.ReactiveAction) {
-	b := t.begin(e.Action, "reactive", 'i', e.SimTimeS)
-	b = append(b, `,"s":"t"`...)
+	b := t.begin(e.Action, "reactive", 'i', 't', e.SimTimeS)
 	b, a := args(b)
 	b = telemetry.AppendStr(b, "service", e.Service)
 	b = telemetry.AppendInt(b, "moved", e.Moved)
@@ -152,8 +151,7 @@ func (t *Tracer) Reactive(e *telemetry.ReactiveAction) {
 // Fault records an injected fault transition as an instant event; its
 // displaced arg counts services and jobs together.
 func (t *Tracer) Fault(e *telemetry.FaultEvent) {
-	b := t.begin(e.Kind, "fault", 'i', e.SimTimeS)
-	b = append(b, `,"s":"g"`...)
+	b := t.begin(e.Kind, "fault", 'i', 'g', e.SimTimeS)
 	b, a := args(b)
 	b = telemetry.AppendInt(b, "node", e.Node)
 	if displaced := e.DisplacedServices + e.DisplacedJobs; displaced != 0 {
@@ -165,8 +163,7 @@ func (t *Tracer) Fault(e *telemetry.FaultEvent) {
 // Degraded records the platform entering or leaving degraded placement
 // mode as an instant event.
 func (t *Tracer) Degraded(e *telemetry.DegradedTransition) {
-	b := t.begin("degraded", "fault", 'i', e.SimTimeS)
-	b = append(b, `,"s":"g"`...)
+	b := t.begin("degraded", "fault", 'i', 'g', e.SimTimeS)
 	b, a := args(b)
 	b = telemetry.AppendBool(b, "entered", e.Entered)
 	b = telemetry.AppendStr(b, "reason", e.Reason)
@@ -177,8 +174,7 @@ func (t *Tracer) Degraded(e *telemetry.DegradedTransition) {
 // observed pair for an archetype — as an instant event in the "predq"
 // category.
 func (t *Tracer) PredSample(e *telemetry.PredSample) {
-	b := t.begin("sample", "predq", 'i', e.SimTimeS)
-	b = append(b, `,"s":"t"`...)
+	b := t.begin("sample", "predq", 'i', 't', e.SimTimeS)
 	b, a := args(b)
 	b = telemetry.AppendStr(b, "archetype", e.Archetype)
 	b = telemetry.AppendStr(b, "qos", e.QoS)
@@ -189,8 +185,7 @@ func (t *Tracer) PredSample(e *telemetry.PredSample) {
 
 // Drift records a predictor-drift detection as an instant event.
 func (t *Tracer) Drift(d *telemetry.DriftEvent) {
-	b := t.begin("predictor_drift", "predq", 'i', d.SimTimeS)
-	b = append(b, `,"s":"g"`...)
+	b := t.begin("predictor_drift", "predq", 'i', 'g', d.SimTimeS)
 	b, a := args(b)
 	b = telemetry.AppendStr(b, "archetype", d.Archetype)
 	b = telemetry.AppendStr(b, "qos", d.QoS)

@@ -120,7 +120,7 @@ func TestServeRestoreRefusesDivergentRecord(t *testing.T) {
 		t.Fatalf("wal-1: %d records, err %v", len(records), err)
 	}
 	const forged = 14 // the fifth step's placement
-	r, err := decodeRecord(records[forged-1])
+	r, err := DecodeRecord(records[forged-1])
 	if err != nil || r.Place == nil || len(r.Place.Placement) == 0 {
 		t.Fatalf("record %d is not a placement: %s", forged, records[forged-1])
 	}

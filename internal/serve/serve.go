@@ -517,7 +517,7 @@ func (s *Server) restoreState(snap *snapshotState) error {
 // been acknowledged is refused like a divergent one, and a refusal
 // leaves the applied sequence where it was.
 func (s *Server) replay(raw []byte, gen uint64) error {
-	r, err := decodeRecord(raw)
+	r, err := DecodeRecord(raw)
 	if err != nil {
 		return err
 	}
@@ -819,7 +819,7 @@ func (s *Server) fence(batch []*pending, err error) {
 func (s *Server) commitBatch(batch []*pending) error {
 	s.met.batchSize.Observe(float64(len(batch)))
 	var (
-		records  []*walRecord
+		records  []*Record
 		waiters  []*pending
 		placeRun []*pending
 	)
@@ -866,7 +866,7 @@ func (s *Server) commitBatch(batch []*pending) error {
 				pr.Placement = res.Placement
 				pr.PredIPC, pr.PredJCTS = d.PredIPC, d.PredJCTS
 			}
-			records = append(records, &walRecord{Seq: nextSeq, Kind: kindPlace, Order: p.order, Place: pr})
+			records = append(records, &Record{Seq: nextSeq, Kind: kindPlace, Order: p.order, Place: pr})
 			waiters = append(waiters, p)
 		}
 		placeRun = placeRun[:0]
@@ -936,7 +936,7 @@ func (s *Server) commitBatch(batch []*pending) error {
 			}
 			nextSeq++
 			applied := s.applyObserve(p.name, p.qos, p.value)
-			records = append(records, &walRecord{Seq: nextSeq, Kind: kindObserve, Order: p.order,
+			records = append(records, &Record{Seq: nextSeq, Kind: kindObserve, Order: p.order,
 				Obs: &observeRecord{Name: p.name, QoS: p.qos, Value: p.value, Applied: applied}})
 			waiters = append(waiters, p)
 			if err := s.tick(); err != nil {
@@ -948,7 +948,7 @@ func (s *Server) commitBatch(batch []*pending) error {
 			}
 			nextSeq++
 			released := s.state.Release(p.name)
-			records = append(records, &walRecord{Seq: nextSeq, Kind: kindRelease, Order: p.order,
+			records = append(records, &Record{Seq: nextSeq, Kind: kindRelease, Order: p.order,
 				Rel: &releaseRecord{Name: p.name, Released: released}})
 			waiters = append(waiters, p)
 			if err := s.tick(); err != nil {
@@ -996,7 +996,7 @@ func (s *Server) countKinds(batch []*pending) {
 // responseFor builds the canonical API response for a committed
 // record — also used to rebuild the duplicate-answer cache on replay,
 // so a retried order receives the exact bytes the original did.
-func responseFor(rec *walRecord) (json.RawMessage, error) {
+func responseFor(rec *Record) (json.RawMessage, error) {
 	switch rec.Kind {
 	case kindPlace:
 		return json.Marshal(PlaceAck{

@@ -90,7 +90,7 @@ func TestServePlaceObserveRelease(t *testing.T) {
 		t.Fatalf("decision log has %d lines, want 4:\n%s", len(lines), data)
 	}
 	for _, line := range lines {
-		if _, err := decodeRecord(line); err != nil {
+		if _, err := DecodeRecord(line); err != nil {
 			t.Fatalf("decision line %q: %v", line, err)
 		}
 	}

@@ -31,10 +31,10 @@ const (
 	kindRelease = "release"
 )
 
-// walRecord is one acknowledged API request with its decision. The
+// Record is one acknowledged API request with its decision. The
 // JSON field order is fixed by this struct — the byte-identity gate
 // compares marshaled lines directly.
-type walRecord struct {
+type Record struct {
 	Seq   uint64 `json:"seq"`
 	Kind  string `json:"kind"`
 	Order uint64 `json:"order,omitempty"`
@@ -78,7 +78,7 @@ type releaseRecord struct {
 
 // encodeRecord marshals a record to its canonical WAL payload (also
 // the decision-log line, newline excluded).
-func encodeRecord(r *walRecord) ([]byte, error) {
+func encodeRecord(r *Record) ([]byte, error) {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("serve: encode wal record %d: %w", r.Seq, err)
@@ -86,9 +86,9 @@ func encodeRecord(r *walRecord) ([]byte, error) {
 	return b, nil
 }
 
-// decodeRecord parses one WAL payload.
-func decodeRecord(payload []byte) (*walRecord, error) {
-	var r walRecord
+// DecodeRecord parses one WAL payload or decisions.jsonl line.
+func DecodeRecord(payload []byte) (*Record, error) {
+	var r Record
 	if err := json.Unmarshal(payload, &r); err != nil {
 		return nil, fmt.Errorf("serve: corrupt wal record: %w", err)
 	}

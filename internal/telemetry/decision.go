@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"io"
+	"reflect"
 	"strconv"
 )
 
@@ -10,6 +12,11 @@ import (
 // numbers. It is an encoder over a Stream: events are built by hand into
 // the stream's reusable buffer under its lock, so steady-state logging
 // allocates nothing and concurrent writers never interleave bytes.
+//
+// Each event struct's JSON tags name the fields of its line, so
+// encoding/json decodes a line into the struct NewEvent picks; only
+// PlacementDecision.Tier0 and JobEnd.Checked derive from a field's
+// presence, by hand.
 //
 // Determinism: events carry no wall-clock fields (timings belong to
 // histograms), so a fixed-seed run emits a byte-identical log.
@@ -28,6 +35,30 @@ type DecisionLog struct{ s *Stream }
 // events and the placement's sim_time_s, pred_ipc and pred_jct_s;
 // schema 3 added the simulator's per-step step event.
 const DecisionLogSchema = 3
+
+// NewEvent returns a new value of the struct a line of the given event
+// kind decodes into, or nil for a kind the log does not write (the
+// header included).
+func NewEvent(kind string) any {
+	if t := eventTypes[kind]; t != nil {
+		return reflect.New(t).Interface()
+	}
+	return nil
+}
+
+var eventTypes = map[string]reflect.Type{
+	"placement":        reflect.TypeOf(PlacementDecision{}),
+	"experiment":       reflect.TypeOf(ExperimentRun{}),
+	"predictor_update": reflect.TypeOf(PredictorUpdate{}),
+	"reactive":         reflect.TypeOf(ReactiveAction{}),
+	"fault":            reflect.TypeOf(FaultEvent{}),
+	"degraded":         reflect.TypeOf(DegradedTransition{}),
+	"predictor_drift":  reflect.TypeOf(DriftEvent{}),
+	"job_begin":        reflect.TypeOf(JobBegin{}),
+	"job_end":          reflect.TypeOf(JobEnd{}),
+	"pred_sample":      reflect.TypeOf(PredSample{}),
+	"step":             reflect.TypeOf(StepSample{}),
+}
 
 // decisionHeader is the log's preamble: the header event, counted as
 // record 0.
@@ -67,38 +98,20 @@ func (l *DecisionLog) emit(b []byte) { l.s.End(append(b, '}', '\n')) }
 // AppendStr and its siblings append one JSON object field, comma first:
 // ,"key":value. The decision log's events and the lifecycle trace's args
 // are built from them.
-func AppendStr(b []byte, key, v string) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':')
-	return strconv.AppendQuote(b, v)
-}
+func AppendStr(b []byte, key, v string) []byte { return strconv.AppendQuote(appendKey(b, key), v) }
 
 func AppendInt(b []byte, key string, v int) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':')
-	return strconv.AppendInt(b, int64(v), 10)
+	return strconv.AppendInt(appendKey(b, key), int64(v), 10)
 }
 
 func AppendFloat(b []byte, key string, v float64) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':')
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+	return strconv.AppendFloat(appendKey(b, key), v, 'g', -1, 64)
 }
 
-func AppendBool(b []byte, key string, v bool) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':')
-	return strconv.AppendBool(b, v)
-}
+func AppendBool(b []byte, key string, v bool) []byte { return strconv.AppendBool(appendKey(b, key), v) }
 
 func AppendInts(b []byte, key string, vs []int) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':', '[')
+	b = append(appendKey(b, key), '[')
 	for i, v := range vs {
 		if i > 0 {
 			b = append(b, ',')
@@ -108,12 +121,17 @@ func AppendInts(b []byte, key string, vs []int) []byte {
 	return append(b, ']')
 }
 
+// appendKey appends ,"key": — the start of every field.
+func appendKey(b []byte, key string) []byte {
+	b = append(b, ',', '"')
+	b = append(b, key...)
+	return append(b, '"', ':')
+}
+
 // appendFloat32s appends a float array at float32 precision: the
 // shortest decimal that reads back as the same float32.
 func appendFloat32s(b []byte, key string, vs []float32) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':', '[')
+	b = append(appendKey(b, key), '[')
 	for i, v := range vs {
 		if i > 0 {
 			b = append(b, ',')
@@ -129,52 +147,53 @@ func appendFloat32s(b []byte, key string, vs []float32) []byte {
 // sched.Request.Detail, and the simulator completes it once per request
 // and hands it to the decision log.
 type PlacementDecision struct {
-	SimTimeS  float64 // simulation time of the request (0 off the simulator)
-	Scheduler string
-	Workload  string
-	Class     string
-	Functions int // functions to place
-	Servers   int // cluster size
+	SimTimeS  float64 `json:"sim_time_s"` // simulation time of the request (0 off the simulator)
+	Scheduler string  `json:"scheduler"`
+	Workload  string  `json:"workload"`
+	Class     string  `json:"class"`
+	Functions int     `json:"functions"` // functions to place
+	Servers   int     `json:"servers"`   // cluster size
 	// SpreadLevels counts the binary-search iterations (candidate
 	// spread levels tried); non-search schedulers report 1 per Place
 	// call. The simulator sums every call the request made: discarded
 	// window-ladder attempts and a primary attempt the fallback
 	// replaced.
-	SpreadLevels int
+	SpreadLevels int `json:"spread_levels"`
 	// SLAChecks counts the QoS predictions issued while vetting
 	// candidates (batched checks count each query), summed the same way.
-	SLAChecks int
+	SLAChecks int `json:"sla_checks"`
 	// Outcome is "placed", "fallback" (placed by the full-spread last
 	// resort after SLA rejections), "degraded" (placed by a fallback
 	// policy because the predictor could not vet it), "rejected" or
 	// "error".
-	Outcome string
+	Outcome string `json:"outcome"`
 	// Reason qualifies non-"placed" outcomes: "sla-violated", "no-fit",
 	// "predictor-error", or the simulator's degradation reason.
-	Reason string
+	Reason string `json:"reason"`
 	// Placement is the chosen server per function (nil when rejected).
-	Placement []int
+	Placement []int `json:"placement"`
 	// ActiveServers is the cluster's active-server count before the
 	// decision — the density denominator the scheduler optimizes.
-	ActiveServers int
+	ActiveServers int `json:"active_servers"`
 	// Tier0 marks decisions where the tier-0 scorer pruned the
 	// candidate set; the fields below are emitted only then, so logs
 	// from runs without pruning stay byte-identical to the legacy
 	// format. All values are derived from deterministic scheduler state
-	// (never wall clock).
-	Tier0 bool
+	// (never wall clock). A reader sets it when the line carries
+	// tier0_kept.
+	Tier0 bool `json:"-"`
 	// Tier0Kept/Tier0Pruned are the finalist and discarded candidate
 	// counts for this decision.
-	Tier0Kept   int
-	Tier0Pruned int
+	Tier0Kept   int `json:"tier0_kept"`
+	Tier0Pruned int `json:"tier0_pruned"`
 	// Tier0Score is the tier-0 score of the accepted placement's
 	// primary server (0 when the request was not placed).
-	Tier0Score float64
+	Tier0Score float64 `json:"tier0_score"`
 	// PredIPC/PredJCTS are the predictor's estimates for the accepted
 	// candidate's own workload; 0 (and not logged) when no prediction
 	// vetted it.
-	PredIPC  float64
-	PredJCTS float64
+	PredIPC  float64 `json:"pred_ipc"`
+	PredJCTS float64 `json:"pred_jct_s"`
 }
 
 // Placement emits a placement decision event.
@@ -213,13 +232,28 @@ func (l *DecisionLog) Placement(e *PlacementDecision) {
 	l.emit(b)
 }
 
+// UnmarshalJSON decodes a placement line through the struct's tags and
+// sets Tier0 when the line carries tier0_kept.
+func (e *PlacementDecision) UnmarshalJSON(b []byte) error {
+	type fields PlacementDecision
+	v := struct {
+		*fields
+		Tier0Kept *int `json:"tier0_kept"`
+	}{fields: (*fields)(e)}
+	err := json.Unmarshal(b, &v)
+	if e.Tier0 = v.Tier0Kept != nil; e.Tier0 {
+		e.Tier0Kept = *v.Tier0Kept
+	}
+	return err
+}
+
 // ExperimentRun records one experiment's outcome in a harness run.
 // Events are emitted sequentially in id order after the (possibly
 // parallel) runs finish, so the log stays deterministic; durations are
 // deliberately absent (wall clock belongs to histograms).
 type ExperimentRun struct {
-	ID     string
-	Status string // "ok", "failed" or "cancelled"
+	ID     string `json:"id"`
+	Status string `json:"status"` // "ok", "failed" or "cancelled"
 }
 
 // Experiment emits an experiment-outcome event.
@@ -236,13 +270,13 @@ func (l *DecisionLog) Experiment(e *ExperimentRun) {
 // PredictorUpdate records one predictor training step: the offline
 // bootstrap or an incremental window flush.
 type PredictorUpdate struct {
-	Predictor string
-	Kind      string // QoS kind ("ipc", "p99", "jct")
-	Phase     string // "train" (bootstrap fit) or "update" (incremental)
-	Batch     int    // samples folded in by this step
+	Predictor string `json:"predictor"`
+	Kind      string `json:"kind"`  // QoS kind ("ipc", "p99", "jct")
+	Phase     string `json:"phase"` // "train" (bootstrap fit) or "update" (incremental)
+	Batch     int    `json:"batch"` // samples folded in by this step
 	// SamplesSeen is the cumulative count after the step — the
 	// incremental-update window position.
-	SamplesSeen int
+	SamplesSeen int `json:"samples_seen"`
 }
 
 // PredictorUpdate emits a predictor training event.
@@ -263,10 +297,10 @@ func (l *DecisionLog) PredictorUpdate(e *PredictorUpdate) {
 // platform: a corunner eviction or a reactive spread of a violating
 // service.
 type ReactiveAction struct {
-	SimTimeS float64
-	Action   string // "evict-corunner" or "spread-service"
-	Service  string
-	Moved    int // functions/jobs moved
+	SimTimeS float64 `json:"sim_time_s"`
+	Action   string  `json:"action"` // "evict-corunner" or "spread-service"
+	Service  string  `json:"service"`
+	Moved    int     `json:"moved"` // functions/jobs moved
 }
 
 // Reactive emits a reactive-control event.
@@ -286,14 +320,14 @@ func (l *DecisionLog) Reactive(e *ReactiveAction) {
 // platform displaced in response. Times are simulation time only —
 // never wall clock — so same-seed faulty runs stay byte-identical.
 type FaultEvent struct {
-	SimTimeS float64
-	Kind     string // "node-down", "node-up", "slow-set", "storm-start", ...
-	Node     int    // -1 for cluster-wide faults
-	Factor   float64
+	SimTimeS float64 `json:"sim_time_s"`
+	Kind     string  `json:"kind"` // "node-down", "node-up", "slow-set", "storm-start", ...
+	Node     int     `json:"node"` // -1 for cluster-wide faults
+	Factor   float64 `json:"factor"`
 	// DisplacedServices/DisplacedJobs count the workloads the platform
 	// re-placed off a crashed node while handling this transition.
-	DisplacedServices int
-	DisplacedJobs     int
+	DisplacedServices int `json:"displaced_services"`
+	DisplacedJobs     int `json:"displaced_jobs"`
 }
 
 // Fault emits a fault-injection event.
@@ -317,10 +351,10 @@ func (l *DecisionLog) Fault(e *FaultEvent) {
 // placement mode (predictor unavailable or untrained; placements go to
 // the fallback policy).
 type DegradedTransition struct {
-	SimTimeS float64
-	Entered  bool   // true on entry, false on exit
-	Reason   string // "predictor-unavailable" or "predictor-untrained"
-	Fallback string // the policy serving placements while degraded
+	SimTimeS float64 `json:"sim_time_s"`
+	Entered  bool    `json:"entered"`  // true on entry, false on exit
+	Reason   string  `json:"reason"`   // "predictor-unavailable" or "predictor-untrained"
+	Fallback string  `json:"fallback"` // the policy serving placements while degraded
 }
 
 // DriftEvent records a prediction-quality drift detection: the online
@@ -329,13 +363,13 @@ type DegradedTransition struct {
 // recent errors shifted from their running mean. The platform emits it
 // so operators — or a future retraining policy — can react.
 type DriftEvent struct {
-	SimTimeS  float64
-	QoS       string  // QoS kind the residuals are for ("ipc", "jct")
-	Archetype string  // workload archetype, or "overall"
-	Window    int     // rolling-window sample count behind the stats
-	MeanErr   float64 // rolling mean signed relative error
-	MAPE      float64 // rolling mean absolute percentage error
-	PH        float64 // Page–Hinkley statistic at detection
+	SimTimeS  float64 `json:"sim_time_s"`
+	QoS       string  `json:"qos"`       // QoS kind the residuals are for ("ipc", "jct")
+	Archetype string  `json:"archetype"` // workload archetype, or "overall"
+	Window    int     `json:"window"`    // rolling-window sample count behind the stats
+	MeanErr   float64 `json:"mean_err"`  // rolling mean signed relative error
+	MAPE      float64 `json:"mape"`      // rolling mean absolute percentage error
+	PH        float64 `json:"ph"`        // Page–Hinkley statistic at detection
 }
 
 // Drift emits a predictor-drift event.
@@ -370,12 +404,12 @@ func (l *DecisionLog) Degraded(e *DegradedTransition) {
 // JobBegin records a batch job's admission in the simulator: it was
 // placed and its functions are starting.
 type JobBegin struct {
-	SimTimeS  float64
-	ID        int     // the simulator's job id, which its JobEnd repeats
-	Archetype string  // the workload the job runs
-	Job       string  // the job's unique run name
-	Placement []int   // the chosen server per function
-	PredJCTS  float64 // the predictor's JCT estimate; 0 (and not logged) when none
+	SimTimeS  float64 `json:"sim_time_s"`
+	ID        int     `json:"id"`         // the simulator's job id, which its JobEnd repeats
+	Archetype string  `json:"archetype"`  // the workload the job runs
+	Job       string  `json:"job"`        // the job's unique run name
+	Placement []int   `json:"placement"`  // the chosen server per function
+	PredJCTS  float64 `json:"pred_jct_s"` // the predictor's JCT estimate; 0 (and not logged) when none
 }
 
 // JobBegin emits a job-admission event.
@@ -397,15 +431,16 @@ func (l *DecisionLog) JobBegin(e *JobBegin) {
 
 // JobEnd records a batch job's completion with its observed outcome.
 type JobEnd struct {
-	SimTimeS  float64
-	ID        int
-	Archetype string
-	JCTS      float64 // job completion time
-	Slowdown  float64 // JCT over the solo run time; 0 (and not logged) when unknown
+	SimTimeS  float64 `json:"sim_time_s"`
+	ID        int     `json:"id"`
+	Archetype string  `json:"archetype"`
+	JCTS      float64 `json:"jct_s"`    // job completion time
+	Slowdown  float64 `json:"slowdown"` // JCT over the solo run time; 0 (and not logged) when unknown
 	// Checked marks a job with a JCT SLA, judged by SLAOK; only a
-	// checked job logs sla_ok.
-	Checked bool
-	SLAOK   bool
+	// checked job logs sla_ok, and a reader sets Checked when the line
+	// carries it.
+	Checked bool `json:"-"`
+	SLAOK   bool `json:"sla_ok"`
 }
 
 // JobEnd emits a job-completion event.
@@ -427,14 +462,29 @@ func (l *DecisionLog) JobEnd(e *JobEnd) {
 	l.emit(b)
 }
 
+// UnmarshalJSON decodes a job_end line through the struct's tags and
+// sets Checked when the line carries sla_ok.
+func (e *JobEnd) UnmarshalJSON(b []byte) error {
+	type fields JobEnd
+	v := struct {
+		*fields
+		SLAOK *bool `json:"sla_ok"`
+	}{fields: (*fields)(e)}
+	err := json.Unmarshal(b, &v)
+	e.Checked = v.SLAOK != nil
+	e.SLAOK = e.Checked && *v.SLAOK
+	return err
+}
+
 // PredSample records one prediction-quality sample: a predicted and an
 // observed QoS value for an archetype. `gsight inspect predq` replays
 // these through the tracker the simulator runs.
 type PredSample struct {
-	SimTimeS  float64
-	Archetype string
-	QoS       string // "ipc" or "jct"
-	Pred, Obs float64
+	SimTimeS  float64 `json:"sim_time_s"`
+	Archetype string  `json:"archetype"`
+	QoS       string  `json:"qos"` // "ipc" or "jct"
+	Pred      float64 `json:"pred"`
+	Obs       float64 `json:"obs"`
 }
 
 // PredSample emits a prediction-quality sample event.
@@ -453,8 +503,7 @@ func (l *DecisionLog) PredSample(e *PredSample) {
 
 // StepSample records the cluster state at the end of one simulator
 // step: the per-step series behind Figure 11 and the per-server load
-// `gsight inspect heat` renders. Its JSON tags name the fields of the
-// step line, so a reader decodes the line back into a StepSample.
+// `gsight inspect heat` renders.
 type StepSample struct {
 	SimTimeS      float64 `json:"sim_time_s"`
 	Step          int     `json:"step"`

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,56 +15,37 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	var b bytes.Buffer
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, name := range r.sortedNames() {
 		switch m := r.byName[name].(type) {
 		case *Counter:
-			if err := writeHeader(w, name, m.help, "counter"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", name, m.Value()); err != nil {
-				return err
-			}
+			writeHeader(&b, name, m.help, "counter")
+			fmt.Fprintf(&b, "%s %d\n", name, m.Value())
 		case *Gauge:
-			if err := writeHeader(w, name, m.help, "gauge"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %s\n", name, fmtFloat(m.Value())); err != nil {
-				return err
-			}
+			writeHeader(&b, name, m.help, "gauge")
+			fmt.Fprintf(&b, "%s %s\n", name, fmtFloat(m.Value()))
 		case *Histogram:
-			if err := writeHeader(w, name, m.help, "histogram"); err != nil {
-				return err
-			}
+			writeHeader(&b, name, m.help, "histogram")
 			bounds, cum := m.snapshotBuckets()
-			for i, b := range bounds {
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, fmtFloat(b), cum[i]); err != nil {
-					return err
-				}
+			for i, bound := range bounds {
+				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, fmtFloat(bound), cum[i])
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum[len(cum)-1]); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, fmtFloat(m.Sum()), name, m.Count()); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_min %s\n%s_max %s\n", name, fmtFloat(m.Min()), name, fmtFloat(m.Max())); err != nil {
-				return err
-			}
+			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum[len(cum)-1])
+			fmt.Fprintf(&b, "%s_sum %s\n%s_count %d\n", name, fmtFloat(m.Sum()), name, m.Count())
+			fmt.Fprintf(&b, "%s_min %s\n%s_max %s\n", name, fmtFloat(m.Min()), name, fmtFloat(m.Max()))
 		}
 	}
-	return nil
+	r.mu.Unlock()
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
-func writeHeader(w io.Writer, name, help, typ string) error {
+func writeHeader(b *bytes.Buffer, name, help, typ string) {
 	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "# HELP %s %s\n", name, help)
 	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-	return err
+	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
 }
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -123,61 +123,40 @@ func NewRegistry() *Registry {
 // first use. Registering the same name as a different instrument type
 // panics: metric names are a startup-time contract.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		c, ok := m.(*Counter)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
-		}
-		return c
-	}
-	c := &Counter{name: name, help: help}
-	r.byName[name] = c
-	return c
+	return register(r, name, func() *Counter { return &Counter{name: name, help: help} })
 }
 
 // Gauge returns the gauge registered under name, creating it on first
 // use.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		g, ok := m.(*Gauge)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
-		}
-		return g
-	}
-	g := &Gauge{name: name, help: help}
-	r.byName[name] = g
-	return g
+	return register(r, name, func() *Gauge { return &Gauge{name: name, help: help} })
 }
 
 // Histogram returns the histogram registered under name, creating it
 // with the given bucket upper bounds on first use (see NewHistogram).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
+	return register(r, name, func() *Histogram { return newHistogram(name, help, bounds) })
+}
+
+// register returns the instrument of type T registered under name,
+// creating it with mk on first use.
+func register[T any](r *Registry, name string, mk func() T) T {
+	var none T
 	if r == nil {
-		return nil
+		return none
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.byName[name]; ok {
-		h, ok := m.(*Histogram)
+		t, ok := m.(T)
 		if !ok {
 			panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
 		}
-		return h
+		return t
 	}
-	h := newHistogram(name, help, bounds)
-	r.byName[name] = h
-	return h
+	t := mk()
+	r.byName[name] = t
+	return t
 }
 
 // sortedNames returns the registered metric names in lexical order —

@@ -7,7 +7,8 @@
 # over through the lease. The merged decision log of the crashed run
 # must be byte-identical to the uninterrupted run's — every
 # acknowledged record survives the kill (WAL fsync before ack) and
-# the takeover resumes the exact decision stream (DESIGN.md §16).
+# the takeover resumes the exact decision stream (DESIGN.md §16), and
+# `gsight inspect summary` reads the two logs to the same summary.
 # Two passes: placements only, then placements with observations and
 # releases, so the learner's state, a background training between its
 # flush and its install, and background snapshot publishes sit inside
@@ -157,6 +158,16 @@ pass() {
         diff "$ref/decisions.jsonl" "$crash/decisions.jsonl" | head -8 >&2 || true
         exit 1
     fi
+    # The offline view of the daemon's log reads both logs alike.
+    for run in ref crash; do
+        "$WORK/gsight" inspect summary "$WORK/$name-$run/decisions.jsonl" > "$WORK/$name-$run.summary"
+    done
+    if ! cmp -s "$WORK/$name-ref.summary" "$WORK/$name-crash.summary"; then
+        echo "servecheck[$name]: FAIL (inspect summary differs between the two logs)" >&2
+        diff "$WORK/$name-ref.summary" "$WORK/$name-crash.summary" >&2 || true
+        exit 1
+    fi
+    echo "servecheck[$name]: inspect summary: $(head -1 "$WORK/$name-ref.summary")"
     lines=$(wc -l < "$ref/decisions.jsonl")
     echo "servecheck[$name]: crash-run load: $(cat "$WORK/$name-crash-load.out")"
     grep 'restored snapshot' "$WORK/$name-standby.log" | sed "s/^/servecheck[$name]: standby: /" || true

@@ -7,8 +7,8 @@
 # GOMAXPROCS=1 and once with GOMAXPROCS=4 (Go accepts more than the
 # machine's cores), so the start-up worker pool (par.For) always runs
 # at two different widths. The decision log (-decision-log, step
-# samples included), the Perfetto trace and the per-server heat table
-# each run's log renders (gsight inspect trace, gsight inspect heat) and
+# samples included), the Perfetto trace and the views each run's log
+# renders (gsight inspect trace, summary, predq, errors and heat) and
 # the report on stdout (wall-clock lines filtered) must be
 # byte-identical.
 #
@@ -36,7 +36,9 @@ sim() {
         -topk "$TOPK" -faults chaos -quiet -decision-log "$WORK/$name/decisions.jsonl" > "$WORK/$name/stdout"
     grep -v 'wall-clock' "$WORK/$name/stdout" > "$WORK/$name/report"
     "$WORK/gsight" inspect trace -o "$WORK/$name/trace.json" "$WORK/$name/decisions.jsonl"
-    "$WORK/gsight" inspect heat "$WORK/$name/decisions.jsonl" > "$WORK/$name/heat"
+    for verb in summary predq errors heat; do
+        "$WORK/gsight" inspect $verb "$WORK/$name/decisions.jsonl" > "$WORK/$name/$verb"
+    done
 }
 
 echo "simcheck: run at GOMAXPROCS=1..."
@@ -45,7 +47,7 @@ echo "simcheck: run at GOMAXPROCS=4..."
 sim wide GOMAXPROCS=4
 
 [ -s "$WORK/serial/decisions.jsonl" ] || { echo "simcheck: FAIL (empty decision log)" >&2; exit 1; }
-for f in decisions.jsonl trace.json heat report; do
+for f in decisions.jsonl trace.json summary predq errors heat report; do
     if ! cmp -s "$WORK/serial/$f" "$WORK/wide/$f"; then
         echo "simcheck: FAIL ($f differs between the two runs)" >&2
         cmp "$WORK/serial/$f" "$WORK/wide/$f" >&2 || true
