@@ -31,7 +31,7 @@ test:
 # Run every fuzz target over its seed corpus (no random exploration;
 # `go test -fuzz` does that — see ci.yml's fuzz job).
 fuzzsmoke:
-	$(GO) test -run '^Fuzz' ./internal/persist ./internal/faults ./internal/core ./internal/serve ./internal/workload ./internal/cli
+	$(GO) test -run '^Fuzz' ./internal/persist ./internal/faults ./internal/core ./internal/serve ./internal/workload ./internal/cli ./internal/telemetry
 
 # Re-execution on the real `gsight sim`: the same seeded chaos run
 # in two processes, at GOMAXPROCS=1 and at GOMAXPROCS=4, must
@@ -157,7 +157,7 @@ loc:
 # grow past the figure the last deletion pass left. A PR that removes
 # lines lowers LOC_CEILING to its own `make loc`; one that must add
 # lines says why in CHANGES.md and raises it in the same commit.
-LOC_CEILING = 23161
+LOC_CEILING = 23158
 loccheck:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loccheck: $$n non-test lines > ceiling $(LOC_CEILING)"; exit 1; \

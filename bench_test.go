@@ -136,8 +136,7 @@ func BenchmarkExtTwoTier(b *testing.B) { runExperiment(b, "ext-twotier") }
 
 func trainedPredictor(b testing.TB) (*core.Predictor, []core.Observation) {
 	b.Helper()
-	m := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(m)
+	m := scenario.Lab()
 	g := scenario.NewGenerator(m, 42)
 	var obs []core.Observation
 	for i := 0; i < 120; i++ {
@@ -253,8 +252,7 @@ func BenchmarkEncode(b *testing.B) {
 // scenarioEvaluationOp is one ground-truth evaluation of a two-workload
 // colocation, cycling through 16 of them.
 func scenarioEvaluationOp(tb testing.TB) func(int) {
-	m := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(m)
+	m := scenario.Lab()
 	g := scenario.NewGenerator(m, 42)
 	scenarios := make([]*perfmodel.Scenario, 16)
 	for i := range scenarios {
@@ -278,8 +276,7 @@ func BenchmarkScenarioEvaluation(b *testing.B) {
 // FastConfig lab — which every serve.New pays: fresh start, crash
 // restore and the standby's takeover.
 func BenchmarkNewCatalog(b *testing.B) {
-	lab := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(lab)
+	lab := scenario.Lab()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if c := serve.NewCatalog(lab, 42); len(c.Names()) == 0 {
@@ -345,8 +342,7 @@ func BenchmarkForestTrainingParallel(b *testing.B) {
 // (40 trees, MTry 96, default worker pool): the largest stage of daemon
 // and simulator start-up, and the kernel of every learner flush.
 func BenchmarkBootstrapFit(b *testing.B) {
-	m := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(m)
+	m := scenario.Lab()
 	g := scenario.NewGenerator(m, 42)
 	coder := core.DefaultCoder()
 	var ds ml.Dataset
@@ -382,8 +378,7 @@ func checkpointSizedPredictor(b *testing.B) *core.Predictor {
 	b.Helper()
 	st := &checkpointBenchState
 	st.once.Do(func() {
-		m := perfmodel.New(resources.DefaultTestbed())
-		scenario.FastConfig(m)
+		m := scenario.Lab()
 		g := scenario.NewGenerator(m, 42)
 		byKind := map[core.QoSKind][]core.Observation{}
 		for i := 0; i < 1000; i++ {

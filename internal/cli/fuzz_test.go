@@ -76,7 +76,7 @@ func FuzzReadDecisionLog(f *testing.F) {
 // whose columns or server lists do not fit the first step's cluster, or
 // returns "" when every one fits.
 func firstMisfitStep(t *testing.T, path string) string {
-	r, err := openLog(path, true)
+	r, err := openLog(path, stepsWhole)
 	if err != nil {
 		t.Fatalf("heat read the log, a second read refuses it: %v", err)
 	}

@@ -28,10 +28,10 @@ type inspectVerb struct {
 // as its usage.
 func inspectVerbs() []inspectVerb {
 	return []inspectVerb{
-		{"summary", "<log>", "run overview: decisions, jobs, SLA misses, cluster load", withLog(true, "", summarizeLog)},
-		{"predq", "<log>", "prediction quality: per-archetype MAPE, drift", withLog(false, "predq", cmdPredq)},
-		{"errors", "<log>", "prediction error over time", withLog(false, "errors", cmdErrors)},
-		{"heat", "<log>", "per-server utilization from the step samples", withLog(true, "heat", cmdHeat)},
+		{"summary", "<log>", "run overview: decisions, jobs, SLA misses, cluster load", withLog(stepsScalar, "", summarizeLog)},
+		{"predq", "<log>", "prediction quality: per-archetype MAPE, drift", withLog(stepsChecked, "predq", cmdPredq)},
+		{"errors", "<log>", "prediction error over time", withLog(stepsChecked, "errors", cmdErrors)},
+		{"heat", "<log>", "per-server utilization from the step samples", withLog(stepsWhole, "heat", cmdHeat)},
 		{"trace", "[-o out.json] <log>", "render the decision log as a Perfetto trace", cmdTrace},
 		{"diff", "<a> <b>", "compare two decision logs, locate first divergence", cmdDiff},
 		{"snapshot", "<file|dir>", "a checkpoint's envelope, controller state and predictor summary", cmdSnapshot},
@@ -75,10 +75,22 @@ type logReader struct {
 	path   string
 	f      *os.File
 	sc     *bufio.Scanner
-	steps  bool // decode the step lines; else only check they are JSON
+	steps  stepMode
 	daemon bool // a serving daemon's log: WAL records, no header
 	first  *logEvent
 }
+
+// stepMode is how much of a tool log's lines a reader decodes, which is
+// what its verb reads. Step lines are most of a simulator's log, and
+// their per-server columns most of a step line.
+type stepMode int
+
+const (
+	stepsChecked stepMode = iota // step lines checked to be JSON and skipped
+	stepsScalar                  // a *stepHead: the scalars and the column lengths
+	stepsWhole                   // a *telemetry.StepSample
+	linesRaw                     // no line decoded past its kind (step lines checked)
+)
 
 // logEvent is one decoded line.
 type logEvent struct {
@@ -105,10 +117,30 @@ type stepLine struct {
 	telemetry.StepSample
 }
 
-// withLog opens the single log argument, decoding its step lines or
-// not, and runs fn on it. A verb named by sim reads a simulator's log
+// stepHead is a step line without its per-server values: its columns,
+// shadowing the sample's, decode to their lengths alone.
+type stepHead struct {
+	stepLine
+	CPUDemand columnLen `json:"cpu_demand"`
+	MemUsed   columnLen `json:"mem_used"`
+}
+
+// columnLen is the length of a per-server column, a JSON array of
+// numbers, counted without converting them.
+type columnLen int
+
+func (n *columnLen) UnmarshalJSON(b []byte) error {
+	*n = 0
+	if b = bytes.TrimSpace(bytes.Trim(b, "[]")); len(b) > 0 && string(b) != "null" {
+		*n = columnLen(bytes.Count(b, []byte{','}) + 1)
+	}
+	return nil
+}
+
+// withLog opens the single log argument, decoding its step lines as
+// steps says, and runs fn on it. A verb named by sim reads a simulator's log
 // and refuses a daemon's.
-func withLog(steps bool, sim string, fn func(*logReader) error) func(args []string) error {
+func withLog(steps stepMode, sim string, fn func(*logReader) error) func(args []string) error {
 	return func(args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("expected exactly one decision-log path, got %d args", len(args))
@@ -127,7 +159,7 @@ func withLog(steps bool, sim string, fn func(*logReader) error) func(args []stri
 
 // openLog opens a JSONL decision log and reads its first line: a tool's
 // schema header, which it enforces, or a daemon's first record.
-func openLog(path string, steps bool) (r *logReader, err error) {
+func openLog(path string, steps stepMode) (r *logReader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -200,8 +232,8 @@ func (r *logReader) next() (*logEvent, error) {
 	return ev, nil
 }
 
-// decode decodes one line; a step line the reader does not decode is
-// checked and comes back nil.
+// decode decodes one line as the reader's steps says; a step line it
+// skips is checked and comes back nil.
 func (r *logReader) decode(line []byte) (*logEvent, error) {
 	if r.daemon {
 		rec, err := serve.DecodeRecord(line)
@@ -218,6 +250,14 @@ func (r *logReader) decode(line []byte) (*logEvent, error) {
 	}
 	ev := &logEvent{kind: h.Event, seq: h.Seq, line: line}
 	switch {
+	case h.Event == "step" && (r.steps == stepsChecked || r.steps == linesRaw):
+		if !json.Valid(line) {
+			return nil, fmt.Errorf("a step line that is not JSON")
+		}
+		if r.steps == stepsChecked {
+			return nil, nil
+		}
+	case r.steps == linesRaw:
 	case h.Event != "step":
 		if ev.val = telemetry.NewEvent(h.Event); ev.val == nil {
 			return nil, fmt.Errorf("unknown event %q", h.Event)
@@ -225,11 +265,12 @@ func (r *logReader) decode(line []byte) (*logEvent, error) {
 		if err := json.Unmarshal(line, ev.val); err != nil {
 			return nil, err
 		}
-	case !r.steps:
-		if !json.Valid(line) {
-			return nil, fmt.Errorf("a step line that is not JSON")
+	case r.steps == stepsScalar:
+		st := new(stepHead)
+		if err := json.Unmarshal(line, st); err != nil {
+			return nil, err
 		}
-		return nil, nil
+		ev.seq, ev.val = st.Seq, st
 	default:
 		st := new(stepLine)
 		if err := json.Unmarshal(line, st); err != nil {
@@ -298,9 +339,9 @@ func summarizeLog(r *logReader) error {
 			}
 		case *telemetry.DriftEvent:
 			drifts = append(drifts, e)
-		case *telemetry.StepSample:
+		case *stepHead:
 			if steps.n++; steps.n == 1 {
-				steps.servers, steps.firstT = len(e.CPUDemand), e.SimTimeS
+				steps.servers, steps.firstT = int(e.CPUDemand), e.SimTimeS
 			}
 			steps.lastT = e.SimTimeS
 			if e.Degraded {
@@ -491,7 +532,7 @@ func cmdErrors(r *logReader) error {
 	if span <= 0 {
 		span = 1
 	}
-	again, err := openLog(r.path, false)
+	again, err := openLog(r.path, stepsChecked)
 	if err != nil {
 		return err
 	}
@@ -610,20 +651,35 @@ func cmdTrace(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	return withLog(false, "trace", renderTrace(*out))(fs.Args())
+	return withLog(stepsChecked, "trace", renderTrace(*out))(fs.Args())
 }
 
 // renderTrace encodes a decision log's simulator events as a Perfetto
 // trace through obs.Tracer — one trace event per log event, in log
 // order — and closes the tracer's array, so the file is strict JSON.
 // Step samples and the events no simulator writes (training steps,
-// experiment outcomes) are not part of the trace. The trace goes to
-// out, or to stdout when out is empty.
+// experiment outcomes) are not part of the trace. The trace streams to
+// out, or to stdout when out is empty; a log refused part-way leaves no
+// out file.
 func renderTrace(out string) func(*logReader) error {
-	return func(r *logReader) error {
-		var w bytes.Buffer
-		tr := obs.NewTracer(&w)
-		err := r.each(func(ev *logEvent) error {
+	return func(r *logReader) (err error) {
+		dst := os.Stdout
+		if out != "" {
+			if dst, err = os.OpenFile(out, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
+				return err
+			}
+			defer func() {
+				if cerr := dst.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					os.Remove(out)
+				}
+			}()
+		}
+		w := &holdLast{w: bufio.NewWriter(dst)}
+		tr := obs.NewTracer(w)
+		err = r.each(func(ev *logEvent) error {
 			switch e := ev.val.(type) {
 			case *telemetry.PlacementDecision:
 				tr.Placement(e)
@@ -647,25 +703,37 @@ func renderTrace(out string) func(*logReader) error {
 		if err != nil {
 			return err
 		}
-		if w.Len() == 0 {
+		if w.last == nil {
 			return fmt.Errorf("%s: no simulator events to render", r.path)
 		}
-		w.Truncate(w.Len() - len(",\n"))
-		w.WriteString("\n]\n")
-		if out != "" {
-			return os.WriteFile(out, w.Bytes(), 0o644)
-		}
-		_, err = os.Stdout.Write(w.Bytes())
-		return err
+		w.w.Write(w.last[:len(w.last)-len(",\n")])
+		w.w.WriteString("\n]\n")
+		return w.w.Flush()
 	}
+}
+
+// holdLast passes the tracer's writes — the preamble's lines, then one
+// event line each — on to w one write behind, so the trace's end can
+// drop the comma after its last event. w keeps its first error for
+// Flush.
+type holdLast struct {
+	w    *bufio.Writer
+	last []byte
+}
+
+func (h *holdLast) Write(p []byte) (int, error) {
+	h.w.Write(h.last)
+	h.last = append(h.last[:0], p...)
+	return len(p), nil
 }
 
 // ---- diff ----
 
 // cmdDiff compares two logs in two passes, each streaming both logs side
 // by side: first every event but the step samples, then the step
-// samples. Events are equal when they decode equal, whatever their
-// lines' key order; a divergence quotes the two lines as written.
+// samples. Events are equal when their lines are, or else when they
+// decode equal, whatever their lines' key order: only lines whose bytes
+// differ are decoded. A divergence quotes the two lines as written.
 func cmdDiff(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("diff expects exactly two decision-log paths")
@@ -675,7 +743,7 @@ func cmdDiff(args []string) error {
 		steps := pass == 1
 		var rs [2]*logReader
 		for i, path := range args {
-			r, err := openLog(path, steps)
+			r, err := openLog(path, linesRaw)
 			if err != nil {
 				return err
 			}
@@ -703,8 +771,12 @@ func cmdDiff(args []string) error {
 			if a == nil && b == nil {
 				break
 			}
-			same := a != nil && b != nil && (bytes.Equal(a.line, b.line) ||
-				a.kind == b.kind && a.seq == b.seq && reflect.DeepEqual(a.val, b.val))
+			same := a != nil && b != nil && bytes.Equal(a.line, b.line)
+			if !same && a != nil && b != nil {
+				if same, err = decodedEqual(rs, a, b); err != nil {
+					return err
+				}
+			}
 			if !same {
 				fmt.Printf("decision logs diverge at %s %d:\n  a: %s\n  b: %s\n", what, i, a.quote(), b.quote())
 				return &exitError{code: 1}
@@ -713,6 +785,21 @@ func cmdDiff(args []string) error {
 	}
 	fmt.Printf("decision logs identical: %d events\n", n)
 	return nil
+}
+
+// decodedEqual reports whether events a and b, read raw from rs[0] and
+// rs[1], decode whole to the same event.
+func decodedEqual(rs [2]*logReader, a, b *logEvent) (bool, error) {
+	var evs [2]*logEvent
+	for i, ev := range []*logEvent{a, b} {
+		whole := *rs[i]
+		whole.steps = stepsWhole
+		var err error
+		if evs[i], err = whole.decode(ev.line); err != nil {
+			return false, fmt.Errorf("%s: bad log line: %v", rs[i].path, err)
+		}
+	}
+	return evs[0].kind == evs[1].kind && evs[0].seq == evs[1].seq && reflect.DeepEqual(evs[0].val, evs[1].val), nil
 }
 
 // quote is the event's line as the log wrote it, or <ended> past the

@@ -198,7 +198,7 @@ func TestInspectRefusesOtherLogSchema(t *testing.T) {
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := openLog(path, true)
+	_, err := openLog(path, stepsWhole)
 	want := fmt.Sprintf("schema 1 not supported (want %d)", telemetry.DecisionLogSchema)
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("opening a schema-1 log: %v", err)
@@ -339,7 +339,7 @@ func TestInspectHeatRefusesMalformedSteps(t *testing.T) {
 		if err := os.WriteFile(path, []byte(header+first+bad+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, err := openLog(path, true)
+		r, err := openLog(path, stepsWhole)
 		if err != nil {
 			t.Fatal(err)
 		}

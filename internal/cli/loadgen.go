@@ -35,7 +35,6 @@ func bindLoadgen(fs *flag.FlagSet) func([]string) error {
 	fs.Float64Var(&cfg.ReleaseFrac, "release", 0.5, "probability of releasing each placed instance immediately")
 	fs.Float64Var(&cfg.ObserveFrac, "observe", 0.2, "probability of feeding back a QoS observation per placement")
 	fs.BoolVar(&cfg.Ordered, "ordered", false, "stamp requests with global order numbers (byte-replayable run)")
-	fs.Uint64Var(&cfg.StartOrder, "start-order", 1, "first order number for -ordered runs")
 	jsonOut := fs.Bool("json", false, "emit the result as JSON")
 	timeout := fs.Duration("timeout", 10*time.Minute, "overall run timeout")
 	return func([]string) error {

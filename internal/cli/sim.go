@@ -117,40 +117,20 @@ func (c *simCmd) simulate(ctx context.Context) error {
 		c.infof("fault schedule %q: %d events", schedule.Name, len(schedule.Events))
 	}
 
-	lsPool := []*workload.Workload{
-		workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-	}
 	// Only the predicting schedulers train and read the §6.3 IPC floors;
 	// WorstFit places by capacity alone, so its services keep zero
 	// floors and it skips both. Training and SLA-curve calibration run
-	// on the paper's 8-node lab whatever the cluster size: the
-	// interference code layout is 8-row, and profiles and curves are
-	// per server spec, not per cluster.
-	floors := make([]float64, len(lsPool))
+	// on the paper's 8-node lab whatever the cluster size.
+	var floors []float64
 	if pred != nil {
-		lab := perfmodel.New(resources.DefaultTestbed())
-		scenario.FastConfig(lab)
+		lab := scenario.Lab()
 		c.infof("bootstrapping %s's predictor on %d scenarios...", scheduler.Name(), c.train)
 		t0 := time.Now()
 		if err := scenario.NewGenerator(lab, c.seed).Bootstrap(ctx, pred, c.train); err != nil {
 			return err
 		}
 		c.infof("trained in %v", time.Since(t0).Round(time.Millisecond))
-		floors = sched.CalibrateMinIPC(lab, lsPool, 250, c.seed)
-	}
-	var services []platform.LSService
-	for i, w := range lsPool {
-		p := trace.DefaultPattern(w.MaxQPS * 0.6)
-		p.PhaseShift = float64(i) * 7200
-		if !c.scaling.IsZero() {
-			// Soak mode: scale the offered rate and the clamp it is
-			// capped against together, so the scaled diurnal shape
-			// survives instead of flattening at the old ceiling.
-			p = c.scaling.Apply(p)
-			w = w.Clone()
-			w.MaxQPS *= c.scaling.Rate()
-		}
-		services = append(services, platform.LSService{W: w, Pattern: p, SLA: sched.SLA{MinIPC: floors[i]}})
+		floors = sched.CalibrateMinIPC(lab, workload.LSPool(), 250, c.seed)
 	}
 	if !c.scaling.IsZero() {
 		c.infof("trace scaling: rate x%.1f, time x%.1f", c.scaling.Rate(), c.scaling.Time())
@@ -159,15 +139,10 @@ func (c *simCmd) simulate(ctx context.Context) error {
 	c.infof("running %.0fh trace-driven simulation under %s...", c.hours, scheduler.Name())
 	t0 := time.Now()
 	st, err := platform.Run(ctx, platform.Config{
-		Model:     perfmodel.New(tb),
-		Scheduler: scheduler,
-		Services:  services,
-		SCPool: []*workload.Workload{
-			workload.MatMul(), workload.DD(), workload.Iperf(),
-			workload.VideoProcessing(), workload.FloatOp(),
-			workload.FeatureGeneration(), workload.DataPipeline(),
-			workload.IoTCollector(), workload.Monitor(),
-		},
+		Model:           perfmodel.New(tb),
+		Scheduler:       scheduler,
+		Services:        platform.LSServices(0.6, 0, c.scaling, floors),
+		SCPool:          workload.TracePool(),
 		SCMeanIntervalS: 150,
 		DurationS:       durationS,
 		Seed:            c.seed,

@@ -10,9 +10,7 @@ import (
 
 	"gsight/internal/core"
 	"gsight/internal/experiments"
-	"gsight/internal/perfmodel"
 	"gsight/internal/persist"
-	"gsight/internal/resources"
 	"gsight/internal/scenario"
 )
 
@@ -107,9 +105,7 @@ func (c *trainCmd) train(ctx context.Context) error {
 		c.infof("restored predictor state from %s", c.loadPath)
 	}
 
-	m := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(m)
-	g := scenario.NewGenerator(m, c.seed)
+	g := scenario.NewGenerator(scenario.Lab(), c.seed)
 
 	c.infof("generating %d %s scenarios on the simulated testbed...", c.scenarios, colocation)
 	t0 := time.Now()

@@ -129,7 +129,7 @@ func (c *workloadCmd) describe(ctx context.Context) error {
 	}
 	fmt.Println("\ninterference characterization (micro-benchmark beside each function):")
 	m := perfmodel.New(resources.DefaultTestbed())
-	solo := deploy(w, m)
+	solo := perfmodel.SpreadDeployment(w, m.Testbed)
 	base, err := m.Evaluate(&perfmodel.Scenario{Deployments: []*perfmodel.Deployment{solo}}, nil)
 	if err != nil {
 		return err
@@ -145,13 +145,8 @@ func (c *workloadCmd) describe(ctx context.Context) error {
 		}
 		fmt.Printf("  %-22s", w.Functions[f].Name)
 		for _, mb := range workload.MicroBenchmarks() {
-			d := deploy(w, m)
-			mbd := perfmodel.NewDeployment(mb.Clone())
-			for cf := range mbd.Placement {
-				mbd.Placement[cf] = d.Placement[f]
-				mbd.Socket[cf] = d.Socket[f]
-			}
-			res, err := m.Evaluate(&perfmodel.Scenario{Deployments: []*perfmodel.Deployment{d, mbd}}, nil)
+			d := perfmodel.SpreadDeployment(w, m.Testbed)
+			res, err := m.Evaluate(&perfmodel.Scenario{Deployments: []*perfmodel.Deployment{d, perfmodel.Beside(mb, d, f)}}, nil)
 			if err != nil {
 				return err
 			}
@@ -169,12 +164,4 @@ func (c *workloadCmd) describe(ctx context.Context) error {
 		fmt.Printf("  (solo: %.1f s JCT)\n", base.Deployments[0].JCTS)
 	}
 	return nil
-}
-
-func deploy(w *workload.Workload, m *perfmodel.Model) *perfmodel.Deployment {
-	d := perfmodel.SpreadDeployment(w, m.Testbed)
-	if w.Class == workload.LS {
-		d.QPS = w.MaxQPS / 2
-	}
-	return d
 }

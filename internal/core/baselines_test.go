@@ -9,16 +9,13 @@ import (
 	"testing"
 
 	"gsight/internal/core"
-	"gsight/internal/perfmodel"
-	"gsight/internal/resources"
 	"gsight/internal/scenario"
 )
 
 // buildObs generates a small labeled observation set shared by the tests.
 func buildObs(t *testing.T, kind core.QoSKind, n int) []core.Observation {
 	t.Helper()
-	m := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(m)
+	m := scenario.Lab()
 	g := scenario.NewGenerator(m, 7)
 	var obs []core.Observation
 	for len(obs) < n {

@@ -11,8 +11,6 @@ import (
 	"strings"
 
 	"gsight/internal/core"
-	"gsight/internal/perfmodel"
-	"gsight/internal/resources"
 	"gsight/internal/scenario"
 )
 
@@ -39,11 +37,7 @@ func (o Options) n(full, floor int) int {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
-	v := int(float64(full) * o.Scale)
-	if v < floor {
-		v = floor
-	}
-	return v
+	return max(int(float64(full)*o.Scale), floor)
 }
 
 // Report is one regenerated table or figure.
@@ -199,12 +193,42 @@ func IDs() []string {
 	return out
 }
 
-// newLab builds the shared testbed model + scenario generator.
-func newLab(opt Options) (*perfmodel.Model, *scenario.Generator) {
-	m := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(m)
-	g := scenario.NewGenerator(m, opt.Seed)
-	return m, g
+// bootstrap is the training set the platform and scale experiments
+// schedule with: IPC labels of LS+SC colocations of two or three
+// workloads, then JCT labels of SC+SC pairs, drawn from the lab's
+// generator, and Gsight's predictor trained on them.
+type bootstrap struct {
+	ipc, jct []core.Observation
+	gsight   *core.Predictor
+}
+
+// newBootstrap labels nIPC LS+SC and nJCT SC+SC colocations and trains
+// Gsight's predictor on them.
+func newBootstrap(ctx context.Context, opt Options, nIPC, nJCT int) (*bootstrap, error) {
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
+	b := &bootstrap{}
+	var err error
+	if b.ipc, err = CollectObs(ctx, g, core.LSSC, core.IPCQoS, nIPC, 3); err != nil {
+		return nil, err
+	}
+	if b.jct, err = CollectObs(ctx, g, core.SCSC, core.JCTQoS, nJCT, 2); err != nil {
+		return nil, err
+	}
+	if b.gsight, err = b.train(core.NewPredictor(core.Config{Seed: opt.Seed})); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// train fits p on the bootstrap's IPC and JCT labels and returns it.
+func (b *bootstrap) train(p *core.Predictor) (*core.Predictor, error) {
+	if err := p.TrainObservations(core.IPCQoS, b.ipc); err != nil {
+		return nil, err
+	}
+	if err := p.TrainObservations(core.JCTQoS, b.jct); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // f2 formats a float with 2 decimals; f1/f0 likewise.

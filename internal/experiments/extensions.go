@@ -24,7 +24,7 @@ import (
 // the raw 32nS+2n code vs IRFR behind PCA projections of decreasing
 // rank — error and inference latency per configuration.
 func ExtPCA(ctx context.Context, opt Options) (*Report, error) {
-	_, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
 	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(1200, 200), 3)
 	if err != nil {
 		return nil, err
@@ -76,7 +76,8 @@ func ExtPCA(ctx context.Context, opt Options) (*Report, error) {
 // ExtColdStart quantifies §5.2: predicting under cold starts with
 // startup-inclusive profiles vs naively reusing warm profiles.
 func ExtColdStart(ctx context.Context, opt Options) (*Report, error) {
-	m, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
+	m := g.Model
 	nScen := opt.n(900, 200)
 
 	type twin struct {
@@ -172,7 +173,7 @@ func ExtColdStart(ctx context.Context, opt Options) (*Report, error) {
 // plus reactive CAT/MBA-style partitioning yields a stronger SLA than
 // either alone, at a measured cost to best-effort corunners.
 func ExtIsolation(ctx context.Context, opt Options) (*Report, error) {
-	m, _ := newLab(opt)
+	m := scenario.Lab()
 	sn := workload.SocialNetwork()
 	trials := opt.n(60, 20)
 

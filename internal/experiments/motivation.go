@@ -7,6 +7,7 @@ import (
 	"gsight/internal/perfmodel"
 	"gsight/internal/resources"
 	"gsight/internal/rng"
+	"gsight/internal/scenario"
 	"gsight/internal/stats"
 	"gsight/internal/workload"
 )
@@ -63,7 +64,7 @@ func Table4Testbed(ctx context.Context, _ Options) (*Report, error) {
 // under the 36 partial-interference scenarios (4 micro-benchmarks x 9
 // functions).
 func Fig3aVolatility(ctx context.Context, opt Options) (*Report, error) {
-	m, _ := newLab(opt)
+	m := scenario.Lab()
 	sn := workload.SocialNetwork()
 	trials := opt.n(20, 6)
 
@@ -87,9 +88,7 @@ func Fig3aVolatility(ctx context.Context, opt Options) (*Report, error) {
 	}
 
 	soloP99, soloCoV, soloIPC := evalRepeated(func() []*perfmodel.Deployment {
-		d := perfmodel.SpreadDeployment(sn, m.Testbed)
-		d.QPS = sn.MaxQPS / 2
-		return []*perfmodel.Deployment{d}
+		return []*perfmodel.Deployment{perfmodel.SpreadDeployment(sn, m.Testbed)}
 	}, 0)
 	r.AddRow("(solo)", "-", f1(soloP99), f2(soloCoV), f2(soloIPC))
 
@@ -104,13 +103,7 @@ func Fig3aVolatility(ctx context.Context, opt Options) (*Report, error) {
 		mi, f := idx/nFn, idx%nFn
 		p99, cov, ipc := evalRepeated(func() []*perfmodel.Deployment {
 			d := perfmodel.SpreadDeployment(sn, m.Testbed)
-			d.QPS = sn.MaxQPS / 2
-			c := perfmodel.NewDeployment(workload.MicroBenchmarks()[mi].Clone())
-			for cf := range c.Placement {
-				c.Placement[cf] = d.Placement[f]
-				c.Socket[cf] = d.Socket[f]
-			}
-			return []*perfmodel.Deployment{d, c}
+			return []*perfmodel.Deployment{d, perfmodel.Beside(micros[mi], d, f)}
 		}, uint64(100+mi*16+f))
 		cells[idx] = cell{p99, cov, ipc}
 		return nil
@@ -147,7 +140,7 @@ func Fig3aVolatility(ctx context.Context, opt Options) (*Report, error) {
 // starts with delays g1..g7 = 0..360 s in 60 s steps, both bound to one
 // server socket.
 func Fig3bTemporal(ctx context.Context, opt Options) (*Report, error) {
-	m, _ := newLab(opt)
+	m := scenario.Lab()
 	m.Cfg.StepS = 2 // fine-grained phases matter here
 	r := &Report{
 		ID:      "fig3b",
@@ -183,12 +176,10 @@ func Fig3bTemporal(ctx context.Context, opt Options) (*Report, error) {
 // interference at fn1 (compose-post) and fn6 (compose-and-upload), and
 // after local control moves the corunner to another socket.
 func Fig4Propagation(ctx context.Context, opt Options) (*Report, error) {
-	m, _ := newLab(opt)
+	m := scenario.Lab()
 	sn := workload.SocialNetwork()
-	qps := sn.MaxQPS / 2
 
 	base := perfmodel.SpreadDeployment(sn, m.Testbed)
-	base.QPS = qps
 	bres, err := m.Evaluate(&perfmodel.Scenario{Deployments: []*perfmodel.Deployment{base}}, nil)
 	if err != nil {
 		return nil, err
@@ -201,7 +192,6 @@ func Fig4Propagation(ctx context.Context, opt Options) (*Report, error) {
 	}
 	run := func(target, socket int) (*perfmodel.DeploymentResult, error) {
 		d := perfmodel.SpreadDeployment(sn, m.Testbed)
-		d.QPS = qps
 		c := perfmodel.NewDeployment(workload.MatMul())
 		c.Placement[0] = d.Placement[target]
 		if socket < 0 {

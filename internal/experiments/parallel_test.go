@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gsight/internal/core"
+	"gsight/internal/scenario"
 )
 
 func TestForEachRunsAll(t *testing.T) {
@@ -72,7 +73,7 @@ func TestFig3aDeterministic(t *testing.T) {
 func TestCollectObsDeterministic(t *testing.T) {
 	run := func(procs int) []core.Observation {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		_, g := newLab(Options{Seed: 7, Scale: 0.02})
+		g := scenario.NewGenerator(scenario.Lab(), 7)
 		obs, err := CollectObs(nil, g, core.LSSC, core.IPCQoS, 12, 3)
 		if err != nil {
 			t.Fatal(err)

@@ -20,7 +20,8 @@ import (
 // colocation) and the workload's performance, which drive the
 // 16-metric feature screening of §3.2.
 func Table3Correlations(ctx context.Context, opt Options) (*Report, error) {
-	m, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
+	m := g.Model
 	nScen := opt.n(400, 80)
 
 	// Collect (co-run metric vector, performance) pairs per deployed
@@ -117,7 +118,7 @@ func trainVariants(seed uint64) []core.QoSPredictor {
 // workloads and evaluated on the social network, across five learning
 // models.
 func Fig5ProfilingLevel(ctx context.Context, opt Options) (*Report, error) {
-	_, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
 	// Restrict the generator's LS pool so training never sees the
 	// social network.
 	g.LSPool = []*workload.Workload{workload.ECommerce()}
@@ -143,13 +144,8 @@ func Fig5ProfilingLevel(ctx context.Context, opt Options) (*Report, error) {
 		for i := 0; i < scenarios; i++ {
 			d := perfmodel.SpreadDeployment(ls, m.Testbed)
 			d.QPS = ls.MaxQPS * g.Rand().Range(0.45, 0.65)
-			co := g.SCPool[g.Rand().Intn(len(g.SCPool))].Clone()
-			c := perfmodel.NewDeployment(co)
-			target := g.Rand().Intn(len(ls.Functions))
-			for cf := range c.Placement {
-				c.Placement[cf] = d.Placement[target]
-				c.Socket[cf] = d.Socket[target]
-			}
+			co := g.SCPool[g.Rand().Intn(len(g.SCPool))]
+			c := perfmodel.Beside(co, d, g.Rand().Intn(len(ls.Functions)))
 			sc := &perfmodel.Scenario{Deployments: []*perfmodel.Deployment{d, c}}
 			samples, err := g.Label(sc)
 			if err != nil {
@@ -246,7 +242,7 @@ func Fig5ProfilingLevel(ctx context.Context, opt Options) (*Report, error) {
 // Fig7Knee regenerates Figure 7: the latency-IPC correlation curve of
 // an LS service, with its knee.
 func Fig7Knee(ctx context.Context, opt Options) (*Report, error) {
-	m, _ := newLab(opt)
+	m := scenario.Lab()
 	sn := workload.SocialNetwork()
 	curve := sched.BuildCurve(m, sn, opt.n(400, 80), opt.Seed)
 	pts := curve.Points()
@@ -295,7 +291,7 @@ func Fig7Knee(ctx context.Context, opt Options) (*Report, error) {
 // Fig8Importance regenerates Figure 8: the impurity-based importance of
 // the 16 input metrics in the trained IRFR model.
 func Fig8Importance(ctx context.Context, opt Options) (*Report, error) {
-	_, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
 	all, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(700, 120), 3)
 	if err != nil {
 		return nil, err
@@ -335,7 +331,7 @@ func Fig8Importance(ctx context.Context, opt Options) (*Report, error) {
 // for SC+SC/BG) prediction errors of the five Gsight model variants and
 // the Pythia/ESP baselines across the three colocation forms.
 func Fig9PredictionError(ctx context.Context, opt Options) (*Report, error) {
-	_, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
 	r := &Report{
 		ID:      "fig9",
 		Title:   "Prediction error by model and colocation",
@@ -436,7 +432,7 @@ func convergenceTrack(p core.QoSPredictor, train, test []core.Observation, check
 // convergence with serverless (function-level) vs serverful
 // (workload-level) samples.
 func Fig10aConvergence(ctx context.Context, opt Options) (*Report, error) {
-	m, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
 	nScen := opt.n(2500, 260)
 	checkFracs := []float64{1. / 8, 2. / 8, 3. / 8, 4. / 8, 5. / 8, 6. / 8, 7. / 8, 1}
 
@@ -460,7 +456,6 @@ func Fig10aConvergence(ctx context.Context, opt Options) (*Report, error) {
 			wlObs = append(wlObs, core.Observation{Target: s.Target, Inputs: wl, Label: s.Label})
 		}
 	}
-	_ = m
 	fnTrain, fnTest := TrainTest(fnObs, 6)
 	wlTrain, wlTest := TrainTest(wlObs, 6)
 	var checkpoints []int
@@ -502,7 +497,7 @@ func Fig10aConvergence(ctx context.Context, opt Options) (*Report, error) {
 // Fig10bStability regenerates Figure 10(b): error stability of IRFR as
 // samples accumulate.
 func Fig10bStability(ctx context.Context, opt Options) (*Report, error) {
-	_, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
 	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(3600, 350), 2)
 	if err != nil {
 		return nil, err
@@ -535,7 +530,7 @@ func Fig10bStability(ctx context.Context, opt Options) (*Report, error) {
 // Fig10cMultiWorkload regenerates Figure 10(c): prediction error vs the
 // number of colocated workloads.
 func Fig10cMultiWorkload(ctx context.Context, opt Options) (*Report, error) {
-	_, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
 	nScen := opt.n(1800, 150)
 
 	ks := []int{2, 4, 6, 8, 10}
@@ -594,7 +589,7 @@ func Fig10cMultiWorkload(ctx context.Context, opt Options) (*Report, error) {
 // I/O-intensive workloads mispredicts CPU-intensive ones badly, then
 // recovers after ~1k incremental samples.
 func Fig13Recovery(ctx context.Context, opt Options) (*Report, error) {
-	m, _ := newLab(opt)
+	m := scenario.Lab()
 	ioGen := scenario.NewGenerator(m, opt.Seed)
 	ioGen.LSPool = []*workload.Workload{workload.SocialNetwork(), workload.ECommerce()}
 	ioGen.SCPool = []*workload.Workload{workload.DD(), workload.Iperf(), workload.DataPipeline()}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"gsight/internal/core"
 	"gsight/internal/faults"
 	"gsight/internal/perfmodel"
 	"gsight/internal/platform"
@@ -24,21 +23,17 @@ import (
 // on a healthy cluster; this extension measures how far prediction-led
 // packing degrades — and how gracefully — when the cluster misbehaves.
 func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
-	m, g := newLab(opt)
-
-	p, err := trainedPredictor(ctx, g, opt)
+	boot, err := newBootstrap(ctx, opt, opt.n(900, 150), opt.n(400, 70))
 	if err != nil {
 		return nil, err
 	}
+	m := scenario.Lab()
 	scPool := []*workload.Workload{
 		workload.MatMul(), workload.DD(), workload.VideoProcessing(),
 		workload.FeatureGeneration(), workload.DataPipeline(),
 	}
 
-	duration := 43200 * opt.Scale
-	if duration < 7200 {
-		duration = 7200
-	}
+	duration := max(43200*opt.Scale, 7200)
 	scenarios := append([]string{"baseline"}, faults.Names()...)
 	schedules := make([]*faults.Schedule, len(scenarios))
 	for i, name := range scenarios {
@@ -52,16 +47,12 @@ func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
 		schedules[i] = fs
 	}
 	floors := lsFloors(m, opt)
-	svcSets := make([][]platform.LSService, len(scenarios))
-	for i := range scenarios {
-		svcSets[i] = lsServices(floors)
-	}
 	results := make([]*platform.Stats, len(scenarios))
 	err = forEach(ctx, len(scenarios), func(i int) error {
 		st, err := platform.Run(ctx, platform.Config{
 			Model:           perfmodel.New(m.Testbed),
-			Scheduler:       sched.NewGsight(p),
-			Services:        svcSets[i],
+			Scheduler:       sched.NewGsight(boot.gsight),
+			Services:        platform.LSServices(caseLoad, caseDiurnalAmp, trace.Scaling{}, floors),
 			SCPool:          scPool,
 			SCMeanIntervalS: 180,
 			DurationS:       duration,
@@ -114,53 +105,17 @@ func ExtResilience(ctx context.Context, opt Options) (*Report, error) {
 	return r, nil
 }
 
-// trainedPredictor is the Gsight predictor the platform experiments
-// schedule with, trained on a bootstrap IPC and JCT dataset drawn from g.
-func trainedPredictor(ctx context.Context, g *scenario.Generator, opt Options) (*core.Predictor, error) {
-	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(900, 150), 3)
-	if err != nil {
-		return nil, err
-	}
-	jctObs, err := CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(400, 70), 2)
-	if err != nil {
-		return nil, err
-	}
-	p := core.NewPredictor(core.Config{Seed: opt.Seed})
-	if err := p.TrainObservations(core.IPCQoS, obs); err != nil {
-		return nil, err
-	}
-	if err := p.TrainObservations(core.JCTQoS, jctObs); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+// caseLoad and caseDiurnalAmp are the LS services' offered load (a
+// fraction of MaxQPS) and diurnal swing in Figures 11 and 12's case
+// study and the fault-injection runs: a softer swing than the default,
+// because the paper's cluster keeps headroom at peak and saturating all
+// eight nodes would flatten every scheduler into full spread.
+const caseLoad, caseDiurnalAmp = 0.42, 0.30
 
-// lsPool is the latency-sensitive workload set of the trace-driven
-// runs, fresh for each run.
-func lsPool() []*workload.Workload {
-	return []*workload.Workload{workload.SocialNetwork(), workload.ECommerce(), workload.MLServing()}
-}
-
-// lsFloors calibrates lsPool's IPC floors by the Figure 7 latency->IPC
-// transform. The calibration depends on the lab, the pool and the seed
-// alone, so an experiment calibrates once and hands the floors to each
-// run's service set.
+// lsFloors calibrates workload.LSPool's IPC floors by the Figure 7
+// latency->IPC transform. The calibration depends on the lab, the pool
+// and the seed alone, so an experiment calibrates once and hands the
+// floors to each run's service set.
 func lsFloors(m *perfmodel.Model, opt Options) []float64 {
-	return sched.CalibrateMinIPC(m, lsPool(), opt.n(250, 60), opt.Seed)
-}
-
-// lsServices is a fresh latency-sensitive service set of the
-// trace-driven runs, its SLAs set by floors (lsFloors).
-func lsServices(floors []float64) []platform.LSService {
-	var out []platform.LSService
-	for i, w := range lsPool() {
-		p := trace.DefaultPattern(w.MaxQPS * 0.42)
-		// Softer diurnal swing than the default: the paper's cluster
-		// keeps headroom at peak; saturating all eight nodes would
-		// flatten every scheduler into full spread.
-		p.DiurnalAmp = 0.30
-		p.PhaseShift = float64(i) * 7200
-		out = append(out, platform.LSService{W: w, Pattern: p, SLA: sched.SLA{MinIPC: floors[i]}})
-	}
-	return out
+	return sched.CalibrateMinIPC(m, workload.LSPool(), opt.n(250, 60), opt.Seed)
 }

@@ -27,33 +27,24 @@ var scaleMix = []func() *workload.Workload{
 }
 
 // scaleLab is what ext-scale and ext-twotier share before their
-// sweeps: the bootstrap observations, Gsight's predictor trained on
-// them, and the request mix with its per-workload profiles (the profile
-// spec is identical on every node of the scaled testbeds).
+// sweeps: the bootstrap with Gsight's predictor, and the request mix
+// with its per-workload profiles (the profile spec is identical on
+// every node of the scaled testbeds).
 type scaleLab struct {
-	ipcObs, jctObs []core.Observation
-	gsightP        *core.Predictor
-	spec           resources.ServerSpec
-	mix            []*workload.Workload
-	profs          [][]profile.Profile
+	*bootstrap
+	spec  resources.ServerSpec
+	mix   []*workload.Workload
+	profs [][]profile.Profile
 }
 
 // newScaleLab bootstrap-trains Gsight and profiles the mix; id names
 // the experiment's server spec and its profile RNG stream.
 func newScaleLab(ctx context.Context, opt Options, id string) (*scaleLab, error) {
-	_, g := newLab(opt)
-	l := &scaleLab{spec: resources.DefaultServerSpec(id)}
-	var err error
-	if l.ipcObs, err = CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(600, 90), 3); err != nil {
+	boot, err := newBootstrap(ctx, opt, opt.n(600, 90), opt.n(300, 60))
+	if err != nil {
 		return nil, err
 	}
-	if l.jctObs, err = CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(300, 60), 2); err != nil {
-		return nil, err
-	}
-	l.gsightP = core.NewPredictor(core.Config{Seed: opt.Seed})
-	if err := l.train(l.gsightP); err != nil {
-		return nil, err
-	}
+	l := &scaleLab{bootstrap: boot, spec: resources.DefaultServerSpec(id)}
 	prnd := rng.Stream(opt.Seed, "ext-"+id+"-profiles")
 	for _, wf := range scaleMix {
 		w := wf()
@@ -63,23 +54,12 @@ func newScaleLab(ctx context.Context, opt Options, id string) (*scaleLab, error)
 	return l, nil
 }
 
-// train fits p on the lab's bootstrap observations.
-func (l *scaleLab) train(p core.QoSPredictor) error {
-	if err := p.TrainObservations(core.IPCQoS, l.ipcObs); err != nil {
-		return err
-	}
-	return p.TrainObservations(core.JCTQoS, l.jctObs)
-}
-
 // requests synthesizes the deterministic request stream for an
 // n-server rung, named by nameFmt (workload name, index): ~2 requests
 // per server at full scale, floored so even tiny scales exercise every
 // workload in the mix.
 func (l *scaleLab) requests(opt Options, n int, nameFmt string) []*sched.Request {
-	total := opt.n(2*n, min(n, 64))
-	if total > 20000 {
-		total = 20000
-	}
+	total := min(opt.n(2*n, min(n, 64)), 20000)
 	reqs := make([]*sched.Request, total)
 	for i := range reqs {
 		k := i % len(l.mix)
@@ -174,8 +154,8 @@ func ExtScale(ctx context.Context, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	pythiaP := core.NewPythia(opt.Seed + 1)
-	if err := lab.train(pythiaP); err != nil {
+	pythiaP, err := lab.train(core.NewPythia(opt.Seed + 1))
+	if err != nil {
 		return nil, err
 	}
 
@@ -201,7 +181,7 @@ func ExtScale(ctx context.Context, opt Options) (*Report, error) {
 			name    string
 			factory func() sched.Scheduler
 		}{
-			{"Gsight", func() sched.Scheduler { return sched.NewGsight(lab.gsightP) }},
+			{"Gsight", func() sched.Scheduler { return sched.NewGsight(lab.gsight) }},
 			{"BestFit", func() sched.Scheduler { return sched.NewBestFit(pythiaP) }},
 			{"WorstFit", func() sched.Scheduler { return sched.NewWorstFit() }},
 		} {

@@ -10,8 +10,10 @@ import (
 	"gsight/internal/platform"
 	"gsight/internal/profile"
 	"gsight/internal/resources"
+	"gsight/internal/scenario"
 	"gsight/internal/sched"
 	"gsight/internal/stats"
+	"gsight/internal/trace"
 	"gsight/internal/workload"
 )
 
@@ -20,68 +22,39 @@ import (
 // Fit (Pythia's policy and predictor), and Worst Fit — and returns the
 // per-scheduler stats.
 func scheduleStudy(ctx context.Context, opt Options) (map[string]*platform.Stats, error) {
-	m, g := newLab(opt)
-
 	// Train the two predictors on the same bootstrap dataset.
-	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(1200, 180), 3)
+	boot, err := newBootstrap(ctx, opt, opt.n(1200, 180), opt.n(500, 80))
 	if err != nil {
 		return nil, err
 	}
-	jctObs, err := CollectObs(ctx, g, core.SCSC, core.JCTQoS, opt.n(500, 80), 2)
+	pythiaP, err := boot.train(core.NewPythia(opt.Seed + 1))
 	if err != nil {
 		return nil, err
 	}
-	gsightP := core.NewPredictor(core.Config{Seed: opt.Seed})
-	if err := gsightP.TrainObservations(core.IPCQoS, obs); err != nil {
-		return nil, err
-	}
-	if err := gsightP.TrainObservations(core.JCTQoS, jctObs); err != nil {
-		return nil, err
-	}
-	pythiaP := core.NewPythia(opt.Seed + 1)
-	if err := pythiaP.TrainObservations(core.IPCQoS, obs); err != nil {
-		return nil, err
-	}
-	if err := pythiaP.TrainObservations(core.JCTQoS, jctObs); err != nil {
-		return nil, err
-	}
+	m := scenario.Lab()
 
-	scPool := []*workload.Workload{
-		workload.MatMul(), workload.DD(), workload.Iperf(),
-		workload.VideoProcessing(), workload.FloatOp(),
-		workload.FeatureGeneration(), workload.DataPipeline(),
-		workload.IoTCollector(), workload.Monitor(),
-	}
-
-	duration := 86400 * opt.Scale
-	if duration < 7200 {
-		duration = 7200
-	}
+	duration := max(86400*opt.Scale, 7200)
 	// The three scheduler runs are independent: each gets its own model,
-	// scheduler (placement scratch is per-scheduler) and service set, all
-	// built sequentially, and platform.Run derives its randomness from
-	// Seed. They fan out across the worker pool with no shared mutable
-	// state — the per-run predictors are only read during placement.
+	// scheduler (placement scratch is per-scheduler), service set and
+	// batch pool, and platform.Run derives its randomness from Seed.
+	// They fan out across the worker pool with no shared mutable state —
+	// the per-run predictors are only read during placement.
 	entries := []struct {
 		name string
 		s    sched.Scheduler
 	}{
-		{"Gsight", sched.NewGsight(gsightP)},
+		{"Gsight", sched.NewGsight(boot.gsight)},
 		{"Pythia", sched.NewBestFit(pythiaP)},
 		{"WorstFit", sched.NewWorstFit()},
 	}
 	floors := lsFloors(m, opt)
-	svcSets := make([][]platform.LSService, len(entries))
-	for i := range entries {
-		svcSets[i] = lsServices(floors)
-	}
 	results := make([]*platform.Stats, len(entries))
 	err = forEach(ctx, len(entries), func(i int) error {
 		st, err := platform.Run(ctx, platform.Config{
 			Model:           perfmodel.New(m.Testbed),
 			Scheduler:       entries[i].s,
-			Services:        svcSets[i],
-			SCPool:          scPool,
+			Services:        platform.LSServices(caseLoad, caseDiurnalAmp, trace.Scaling{}, floors),
+			SCPool:          workload.TracePool(),
 			SCMeanIntervalS: 180,
 			DurationS:       duration,
 			Seed:            opt.Seed,
@@ -124,21 +97,11 @@ func Fig11Scheduling(ctx context.Context, opt Options) (*Report, error) {
 		Title:   "Scheduling results: density and utilization (per-step series summary)",
 		Columns: []string{"series", "mean", "p10", "median", "p90", "max"},
 	}
-	for _, name := range []string{"Gsight", "Pythia", "WorstFit"} {
-		st := runs[name]
-		r.AddRow(cdfRow(name+" density (inst/core)", st.Density)...)
-	}
-	for _, name := range []string{"Gsight", "Pythia", "WorstFit"} {
-		st := runs[name]
-		r.AddRow(cdfRow(name+" CPU util", st.CPUUtil)...)
-	}
-	for _, name := range []string{"Gsight", "Pythia", "WorstFit"} {
-		st := runs[name]
-		r.AddRow(cdfRow(name+" mem util", st.MemUtil)...)
-	}
-	for _, name := range []string{"Gsight", "Pythia", "WorstFit"} {
-		st := runs[name]
-		r.AddRow(cdfRow(name+" QoS-compliant density", st.GoodDensity)...)
+	for k, series := range []string{"density (inst/core)", "CPU util", "mem util", "QoS-compliant density"} {
+		for _, name := range []string{"Gsight", "Pythia", "WorstFit"} {
+			st := runs[name]
+			r.AddRow(cdfRow(name+" "+series, [][]float64{st.Density, st.CPUUtil, st.MemUtil, st.GoodDensity}[k])...)
+		}
 	}
 	gg, pg, wg := stats.Mean(runs["Gsight"].GoodDensity), stats.Mean(runs["Pythia"].GoodDensity), stats.Mean(runs["WorstFit"].GoodDensity)
 	r.AddNote("QoS-compliant density (density x in-SLA fraction): Gsight +%.1f%% vs Pythia, +%.1f%% vs WorstFit — the abstract's \"improve density while guaranteeing QoS\"",
@@ -173,14 +136,9 @@ func Fig12SLA(ctx context.Context, opt Options) (*Report, error) {
 		Title:   "SLA guarantee ratio over the trace-driven run",
 		Columns: []string{"scheduler", "workload", "SLA p99 (ms)", "within-SLA time"},
 	}
-	slaOf := map[string]float64{
-		"social-network": workload.SocialNetwork().SLAp99Ms,
-		"e-commerce":     workload.ECommerce().SLAp99Ms,
-	}
 	for _, name := range []string{"Gsight", "Pythia", "WorstFit"} {
-		st := runs[name]
-		for _, w := range []string{"social-network", "e-commerce"} {
-			r.AddRow(name, w, f0(slaOf[w]), pct(st.SLARatio(w)))
+		for _, w := range workload.LSPool()[:2] { // the paper's Fig 12 leaves out ML serving
+			r.AddRow(name, w.Name, f0(w.SLAp99Ms), pct(runs[name].SLARatio(w.Name)))
 		}
 	}
 	r.AddNote("paper (Gsight): social network within SLA 95.39%% of the time, e-commerce 93.33%%")
@@ -193,7 +151,8 @@ func Fig12SLA(ctx context.Context, opt Options) (*Report, error) {
 // inference and incremental-update wall-clock, and the per-component
 // breakdown of scheduling operations as the instance count grows.
 func Fig14Overhead(ctx context.Context, opt Options) (*Report, error) {
-	m, g := newLab(opt)
+	g := scenario.NewGenerator(scenario.Lab(), opt.Seed)
+	m := g.Model
 
 	obs, err := CollectObs(ctx, g, core.LSSC, core.IPCQoS, opt.n(600, 120), 3)
 	if err != nil {

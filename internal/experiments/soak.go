@@ -7,6 +7,7 @@ import (
 
 	"gsight/internal/perfmodel"
 	"gsight/internal/platform"
+	"gsight/internal/scenario"
 	"gsight/internal/sched"
 	"gsight/internal/stats"
 	"gsight/internal/trace"
@@ -24,12 +25,11 @@ import (
 // allocation-free; wall-clock steps/s is reported alongside SLA and
 // density so throughput regressions surface as experiment output.
 func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
-	m, g := newLab(opt)
-
-	p, err := trainedPredictor(ctx, g, opt)
+	boot, err := newBootstrap(ctx, opt, opt.n(900, 150), opt.n(400, 70))
 	if err != nil {
 		return nil, err
 	}
+	m := scenario.Lab()
 
 	// The rate factor is bounded by placement feasibility: the initial
 	// deployment sizes replicas at RateAt(0)*1.1 and each function's
@@ -47,10 +47,7 @@ func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
 		{"rate x2, time x8", trace.Scaling{RateFactor: 2, TimeFactor: 8}},
 	}
 
-	duration := 172800 * opt.Scale // two simulated days at full scale
-	if duration < 7200 {
-		duration = 7200
-	}
+	duration := max(172800*opt.Scale, 7200) // two simulated days at full scale
 	days := duration / 86400
 
 	r := &Report{
@@ -64,22 +61,11 @@ func ExtSoak(ctx context.Context, opt Options) (*Report, error) {
 	// make the wall-clock steps/s column meaningless.
 	floors := lsFloors(m, opt)
 	for _, v := range variants {
-		var services []platform.LSService
-		for i, w := range lsPool() {
-			pat := trace.DefaultPattern(w.MaxQPS * 0.6)
-			pat.PhaseShift = float64(i) * 7200
-			if !v.sc.IsZero() {
-				pat = v.sc.Apply(pat)
-				w = w.Clone()
-				w.MaxQPS *= v.sc.Rate()
-			}
-			services = append(services, platform.LSService{W: w, Pattern: pat, SLA: sched.SLA{MinIPC: floors[i]}})
-		}
 		t0 := time.Now()
 		st, err := platform.Run(ctx, platform.Config{
 			Model:           perfmodel.New(m.Testbed),
-			Scheduler:       sched.NewGsight(p),
-			Services:        services,
+			Scheduler:       sched.NewGsight(boot.gsight),
+			Services:        platform.LSServices(0.6, 0, v.sc, floors),
 			SCPool:          []*workload.Workload{workload.MatMul(), workload.DD()},
 			SCMeanIntervalS: 300,
 			DurationS:       duration,

@@ -60,9 +60,9 @@ func ExtTwoTier(ctx context.Context, opt Options) (*Report, error) {
 				return nil, err
 			}
 			factory := func() sched.Scheduler {
-				s := sched.NewGsight(lab.gsightP)
+				s := sched.NewGsight(lab.gsight)
 				if k > 0 {
-					s.Tier0 = lab.gsightP.Tier0()
+					s.Tier0 = lab.gsight.Tier0()
 					s.TopK = k
 				}
 				return s

@@ -58,9 +58,9 @@ func (t *Tracer) emit(b []byte, a int) {
 func (t *Tracer) begin(name, cat string, ph, scope byte, simTimeS float64) []byte {
 	b, _ := t.s.Begin()
 	b = append(b, `{"name":`...)
-	b = strconv.AppendQuote(b, name)
+	b = telemetry.AppendQuoted(b, name)
 	b = append(b, `,"cat":`...)
-	b = strconv.AppendQuote(b, cat)
+	b = telemetry.AppendQuoted(b, cat)
 	b = append(b, `,"ph":"`...)
 	b = append(b, ph, '"')
 	b = append(b, `,"ts":`...)

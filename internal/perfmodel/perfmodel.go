@@ -136,7 +136,8 @@ func NewDeployment(w *workload.Workload) *Deployment {
 // SpreadDeployment returns a deployment of w whose functions are spread
 // round-robin across the testbed's servers (and across sockets once the
 // servers wrap) — the balancedResourceAllocation-style placement the
-// paper's characterization experiments start from.
+// paper's characterization experiments start from. An LS deployment is
+// offered NewDeployment's half MaxQPS.
 func SpreadDeployment(w *workload.Workload, tb *resources.Testbed) *Deployment {
 	d := NewDeployment(w)
 	s := tb.NumServers()
@@ -146,6 +147,18 @@ func SpreadDeployment(w *workload.Workload, tb *resources.Testbed) *Deployment {
 		d.Socket[f] = (f / s) % sockets
 	}
 	return d
+}
+
+// Beside returns a deployment of a clone of w with every function on
+// the server and socket of d's function f: a co-runner squeezing that
+// one function, the partial interference of the paper's studies.
+func Beside(w *workload.Workload, d *Deployment, f int) *Deployment {
+	c := NewDeployment(w.Clone())
+	for cf := range c.Placement {
+		c.Placement[cf] = d.Placement[f]
+		c.Socket[cf] = d.Socket[f]
+	}
+	return c
 }
 
 // Validate checks that the deployment's per-function slices are

@@ -47,6 +47,34 @@ type LSService struct {
 	SLA sched.SLA
 }
 
+// LSServices returns a fresh set of workload.LSPool's services for one
+// trace-driven run. Service i offers load x MaxQPS on the default
+// diurnal pattern, phase-shifted by 2 h per service, with diurnalAmp
+// as the swing when it is > 0, and is admitted against floors[i] (nil
+// floors set no IPC floor). A non-zero sc scales the offered rate and
+// the MaxQPS clamp it is capped against together, so the scaled
+// diurnal shape survives instead of flattening at the old ceiling.
+func LSServices(load, diurnalAmp float64, sc trace.Scaling, floors []float64) []LSService {
+	var out []LSService
+	for i, w := range workload.LSPool() {
+		p := trace.DefaultPattern(w.MaxQPS * load)
+		if diurnalAmp > 0 {
+			p.DiurnalAmp = diurnalAmp
+		}
+		p.PhaseShift = float64(i) * 7200
+		if !sc.IsZero() {
+			p = sc.Apply(p)
+			w.MaxQPS *= sc.Rate()
+		}
+		svc := LSService{W: w, Pattern: p}
+		if floors != nil {
+			svc.SLA.MinIPC = floors[i]
+		}
+		out = append(out, svc)
+	}
+	return out
+}
+
 // Config parameterizes a platform run.
 type Config struct {
 	Model     *perfmodel.Model

@@ -118,8 +118,7 @@ func TestPlacementRecordWrittenOnce(t *testing.T) {
 func TestDriftLinesMatchPerQoSReplay(t *testing.T) {
 	const seed = 2
 	pred := core.NewPredictor(core.Config{Seed: seed})
-	lab := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(lab)
+	lab := scenario.Lab()
 	if err := scenario.NewGenerator(lab, seed).Bootstrap(context.Background(), pred, 16); err != nil {
 		t.Fatal(err)
 	}

@@ -157,13 +157,7 @@ func DefaultServerSpec(name string) ServerSpec {
 }
 
 // DefaultTestbed returns the 8-node cluster of Table 4.
-func DefaultTestbed() *Testbed {
-	t := &Testbed{Servers: make([]ServerSpec, 8)}
-	for i := range t.Servers {
-		t.Servers[i] = DefaultServerSpec(fmt.Sprintf("node%d", i))
-	}
-	return t
-}
+func DefaultTestbed() *Testbed { return NewTestbed(8) }
 
 // NewTestbed returns a cluster of n default nodes; useful for scaled
 // experiments and tests.

@@ -94,11 +94,9 @@ type Generator struct {
 // profiling every pool workload once (the solo-run phase).
 func NewGenerator(m *perfmodel.Model, seed uint64) *Generator {
 	g := &Generator{
-		Model: m,
-		Store: profile.NewStore(),
-		LSPool: []*workload.Workload{
-			workload.SocialNetwork(), workload.ECommerce(), workload.MLServing(),
-		},
+		Model:  m,
+		Store:  profile.NewStore(),
+		LSPool: workload.LSPool(),
 		SCPool: []*workload.Workload{
 			workload.MatMul(), workload.DD(), workload.Iperf(),
 			workload.VideoProcessing(), workload.FloatOp(),
@@ -138,16 +136,10 @@ func (g *Generator) randomLSDeployment(w *workload.Workload) *perfmodel.Deployme
 		totalCPU += w.Functions[f].Demand[resources.CPU] * float64(d.Replicas[f])
 	}
 	serverCPU := g.Model.Testbed.Servers[0].Capacity[resources.CPU]
-	minSpan := int(totalCPU/(0.6*serverCPU)) + 1
-	if minSpan > s {
-		minSpan = s
-	}
+	minSpan := min(int(totalCPU/(0.6*serverCPU))+1, s)
 	span := minSpan
 	if s > minSpan {
 		span += g.rnd.Intn(s - minSpan + 1)
-	}
-	if span > s {
-		span = s
 	}
 	for f := range d.Placement {
 		d.Placement[f] = (base + f%span) % s
@@ -185,12 +177,7 @@ func (g *Generator) randomSCDeployment(w *workload.Workload) *perfmodel.Deployme
 // workloads (k >= 2). Pass core.LSLS, core.LSSC or core.SCSC; any other
 // value mixes freely.
 func (g *Generator) Colocation(kind core.ColocationKind, k int) *perfmodel.Scenario {
-	if k < 2 {
-		k = 2
-	}
-	if k > g.MaxColocated {
-		k = g.MaxColocated
-	}
+	k = min(max(k, 2), g.MaxColocated)
 	var deps []*perfmodel.Deployment
 	pick := func(pool []*workload.Workload) *workload.Workload {
 		return pool[g.rnd.Intn(len(pool))].Clone()
@@ -354,6 +341,17 @@ func (g *Generator) Bootstrap(ctx context.Context, pred core.QoSPredictor, n int
 func FastConfig(m *perfmodel.Model) {
 	m.Cfg.StepS = 5
 	m.Cfg.FixedPointIters = 10
+}
+
+// Lab returns a fresh model of the paper's 8-node testbed at FastConfig
+// resolution: the lab every tool and experiment bootstraps its
+// predictor, profiles its workloads and calibrates its SLA curves on,
+// whatever the size of the cluster it then schedules. Profiles and
+// curves are per server spec, and the interference code is 8 rows.
+func Lab() *perfmodel.Model {
+	m := perfmodel.New(resources.DefaultTestbed())
+	FastConfig(m)
+	return m
 }
 
 // Rand exposes the generator's randomness stream (for experiment code

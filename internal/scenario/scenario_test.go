@@ -12,13 +12,11 @@ import (
 	"gsight/internal/core"
 	"gsight/internal/perfmodel"
 	"gsight/internal/profile"
-	"gsight/internal/resources"
 	"gsight/internal/workload"
 )
 
 func newGen(seed uint64) *Generator {
-	m := perfmodel.New(resources.DefaultTestbed())
-	FastConfig(m)
+	m := Lab()
 	return NewGenerator(m, seed)
 }
 

@@ -8,8 +8,6 @@ import (
 
 	"gsight/internal/core"
 	"gsight/internal/ml"
-	"gsight/internal/perfmodel"
-	"gsight/internal/resources"
 	"gsight/internal/scenario"
 	"gsight/internal/telemetry"
 	"gsight/internal/workload"
@@ -25,8 +23,7 @@ func (n noBatch) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64)
 
 func trainedSchedPredictor(t *testing.T) *core.Predictor {
 	t.Helper()
-	m := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(m)
+	m := scenario.Lab()
 	g := scenario.NewGenerator(m, 42)
 	var ipcObs, jctObs []core.Observation
 	for i := 0; i < 30; i++ {

@@ -107,13 +107,8 @@ func BuildCurve(m *perfmodel.Model, w *workload.Workload, samples int, seed uint
 		// the low-IPC regime left of the knee.
 		n := rnd.Intn(4)
 		for j := 0; j < n; j++ {
-			c := perfmodel.NewDeployment(corunners[rnd.Intn(len(corunners))].Clone())
-			target := rnd.Intn(len(w.Functions))
-			for f := range c.Placement {
-				c.Placement[f] = d.Placement[target]
-				c.Socket[f] = d.Socket[target]
-			}
-			deps = append(deps, c)
+			co := corunners[rnd.Intn(len(corunners))]
+			deps = append(deps, perfmodel.Beside(co, d, rnd.Intn(len(w.Functions))))
 		}
 		scs[i] = &perfmodel.Scenario{Deployments: deps}
 		noises[i] = noise.Split()

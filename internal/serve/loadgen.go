@@ -54,9 +54,6 @@ type LoadConfig struct {
 	// reserved right after the placement's, so they are sent whatever
 	// the placement's outcome (a hole would stall the stream).
 	Ordered bool
-	// StartOrder is the first order number an ordered run uses
-	// (continuing a numbered stream across phases). Default 1.
-	StartOrder uint64
 	// MaxAttempts overrides the per-request retry budget (0 = client
 	// default). Failover runs need enough budget to outlast a lease
 	// expiry + standby restore.
@@ -79,8 +76,6 @@ type LoadResult struct {
 	P95Ms       float64       `json:"p95_ms"`
 	P99Ms       float64       `json:"p99_ms"`
 	MaxMs       float64       `json:"max_ms"`
-	// NextOrder continues an ordered stream in a follow-up run.
-	NextOrder uint64 `json:"-"`
 }
 
 func (r *LoadResult) String() string {
@@ -102,10 +97,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	if workers <= 0 {
 		workers = 32
 	}
-	order := cfg.StartOrder
-	if order == 0 {
-		order = 1
-	}
+	order := uint64(1)
 
 	type job struct {
 		arch    string
@@ -256,7 +248,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	res.ElapsedS = res.Elapsed.Seconds()
 	res.Requests = len(latencies) + res.Errors
 	res.Shed = int(atomic.LoadUint64(&shed))
-	res.NextOrder = order
 	if res.ElapsedS > 0 {
 		res.Throughputs = float64(res.Requests) / res.ElapsedS
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"gsight/internal/core"
-	"gsight/internal/perfmodel"
 	"gsight/internal/persist"
 	"gsight/internal/resources"
 	"gsight/internal/scenario"
@@ -269,9 +268,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg.Health.SetReady(false, "starting")
 
-	lab := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(lab)
-	cat := NewCatalog(lab, cfg.Seed)
+	cat := NewCatalog(scenario.Lab(), cfg.Seed)
 	pred := core.NewPredictor(core.Config{Seed: cfg.Seed, InstallLag: learnerLag})
 
 	s := &Server{

@@ -5,6 +5,8 @@ import (
 	"io"
 	"reflect"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 )
 
 // DecisionLog writes structured JSONL decision traces: one JSON object
@@ -87,7 +89,7 @@ func (l *DecisionLog) Stream() *Stream {
 func (l *DecisionLog) begin(kind string) []byte {
 	b, seq := l.s.Begin()
 	b = append(b, `{"event":`...)
-	b = strconv.AppendQuote(b, kind)
+	b = AppendQuoted(b, kind)
 	b = append(b, `,"seq":`...)
 	return strconv.AppendUint(b, seq, 10)
 }
@@ -98,7 +100,7 @@ func (l *DecisionLog) emit(b []byte) { l.s.End(append(b, '}', '\n')) }
 // AppendStr and its siblings append one JSON object field, comma first:
 // ,"key":value. The decision log's events and the lifecycle trace's args
 // are built from them.
-func AppendStr(b []byte, key, v string) []byte { return strconv.AppendQuote(appendKey(b, key), v) }
+func AppendStr(b []byte, key, v string) []byte { return AppendQuoted(appendKey(b, key), v) }
 
 func AppendInt(b []byte, key string, v int) []byte {
 	return strconv.AppendInt(appendKey(b, key), int64(v), 10)
@@ -119,6 +121,39 @@ func AppendInts(b []byte, key string, vs []int) []byte {
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
 	return append(b, ']')
+}
+
+// AppendQuoted appends s as a JSON string: '"', '\\' and the bytes
+// below 0x20 escaped as JSON escapes them, and each run of invalid
+// UTF-8 written as one U+FFFD, as strings.ToValidUTF8 replaces it. Every
+// other byte is copied, so a name of printable ASCII comes out as
+// strconv.Quote writes it.
+func AppendQuoted(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	invalid := false
+	for i, r := range s {
+		bad := r == utf8.RuneError && !strings.HasPrefix(s[i:], "\uFFFD")
+		switch {
+		case bad && invalid:
+		case bad:
+			b = append(b, "\uFFFD"...)
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r == '\n':
+			b = append(b, `\n`...)
+		case r == '\r':
+			b = append(b, `\r`...)
+		case r == '\t':
+			b = append(b, `\t`...)
+		case r < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xf])
+		default:
+			b = utf8.AppendRune(b, r)
+		}
+		invalid = bad
+	}
+	return append(b, '"')
 }
 
 // appendKey appends ,"key": — the start of every field.

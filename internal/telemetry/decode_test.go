@@ -47,10 +47,11 @@ func emitEvent(l *DecisionLog, ev any) {
 // fillRandom sets every field of the struct v points to: a quarter of
 // them to their zero value, so the conditional fields are seen both
 // present and absent, the rest to random values — strings that need
-// escaping, floats across magnitudes, float32 columns.
+// escaping (control characters and invalid UTF-8 among them), floats
+// across magnitudes, float32 columns.
 func fillRandom(rng *rand.Rand, v reflect.Value) {
-	const alphabet = `abz-_ #/"\é中✓09`
-	runes := []rune(alphabet)
+	pieces := []string{"a", "b", "z", "-", "_", " ", "#", "/", `"`, `\`, "é", "中", "✓", "0", "9",
+		"\x00", "\x01", "\x1f", "\x7f", "\n", "\r", "\t", "\xff", "\xc3", "\xe4\xb8", "\ufffd", "\u2028"}
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
 		if rng.Intn(4) == 0 {
@@ -67,7 +68,7 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 		case reflect.String:
 			var b strings.Builder
 			for n := 1 + rng.Intn(12); n > 0; n-- {
-				b.WriteRune(runes[rng.Intn(len(runes))])
+				b.WriteString(pieces[rng.Intn(len(pieces))])
 			}
 			f.SetString(b.String())
 		case reflect.Slice:
@@ -89,9 +90,16 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 }
 
 // canonical clears what the encoder of ev's kind leaves out of its line
-// — a conditional field at a value it does not log — and makes the
-// arrays it always logs non-nil, as a decode of `[]` returns them.
+// — a conditional field at a value it does not log — makes the arrays
+// it always logs non-nil, as a decode of `[]` returns them, and puts
+// each string in the valid UTF-8 form the log writes.
 func canonical(ev any) {
+	v := reflect.ValueOf(ev).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.String {
+			f.SetString(strings.ToValidUTF8(f.String(), "\uFFFD"))
+		}
+	}
 	nonNeg := func(v *float64) {
 		if *v <= 0 {
 			*v = 0
@@ -129,7 +137,9 @@ func canonical(ev any) {
 // encode to a line that decodes — through NewEvent and the struct's JSON
 // tags — back into an equal event: the conditional fields present and
 // absent, the presence-derived Tier0 and Checked, strings that need
-// escaping, floats at every magnitude and the float32 columns. A field
+// escaping (control characters and invalid UTF-8 come back in
+// strings.ToValidUTF8's form), floats at every magnitude and the
+// float32 columns. A field
 // an encoder writes that its struct does not tag, or one it leaves out,
 // fails here.
 func TestDecisionLogRoundTrip(t *testing.T) {
@@ -144,9 +154,9 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			want := NewEvent(kind)
 			fillRandom(rng, reflect.ValueOf(want).Elem())
-			canonical(want)
 			var buf bytes.Buffer
 			emitEvent(NewDecisionLog(&buf), want)
+			canonical(want)
 			line := bytes.SplitN(buf.Bytes(), []byte("\n"), 2)[1]
 			var head struct{ Event string }
 			if err := json.Unmarshal(line, &head); err != nil || head.Event != kind {

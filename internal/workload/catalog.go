@@ -609,20 +609,38 @@ func Monitor() *Workload {
 	}
 }
 
-// Catalog returns every benchmark workload, keyed by name.
-func Catalog() map[string]*Workload {
-	list := []*Workload{
+// all returns every benchmark workload, in catalog listing order.
+func all() []*Workload {
+	return []*Workload{
 		SocialNetwork(), ECommerce(), MLServing(), WebSearch(),
 		MatMul(), DD(), Iperf(), VideoProcessing(), FloatOp(),
 		LogisticRegression(), KMeans(), ImageResize(), WordCount(),
 		FeatureGeneration(), DataPipeline(),
 		IoTCollector(), Monitor(), CronCleanup(),
 	}
-	m := make(map[string]*Workload, len(list))
-	for _, w := range list {
+}
+
+// Catalog returns every benchmark workload, keyed by name.
+func Catalog() map[string]*Workload {
+	m := map[string]*Workload{}
+	for _, w := range all() {
 		m[w.Name] = w
 	}
 	return m
+}
+
+// LSPool returns the three latency-sensitive services of the §6.3 case
+// study — social network, e-commerce, ML serving — that the
+// trace-driven runs keep resident and the scenario generator trains on.
+func LSPool() []*Workload { return []*Workload{SocialNetwork(), ECommerce(), MLServing()} }
+
+// TracePool returns the nine SC and BG jobs the §6.3 case study submits
+// over time beside LSPool's services.
+func TracePool() []*Workload {
+	return []*Workload{
+		MatMul(), DD(), Iperf(), VideoProcessing(), FloatOp(),
+		FeatureGeneration(), DataPipeline(), IoTCollector(), Monitor(),
+	}
 }
 
 // MicroBenchmarks returns the four FunctionBench corunners of the
@@ -636,13 +654,7 @@ func MicroBenchmarks() []*Workload {
 // name order of the catalog listing.
 func ByClass(c Class) []*Workload {
 	var out []*Workload
-	for _, w := range []*Workload{
-		SocialNetwork(), ECommerce(), MLServing(), WebSearch(),
-		MatMul(), DD(), Iperf(), VideoProcessing(), FloatOp(),
-		LogisticRegression(), KMeans(), ImageResize(), WordCount(),
-		FeatureGeneration(), DataPipeline(),
-		IoTCollector(), Monitor(), CronCleanup(),
-	} {
+	for _, w := range all() {
 		if w.Class == c {
 			out = append(out, w)
 		}

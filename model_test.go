@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"gsight/internal/core"
-	"gsight/internal/perfmodel"
-	"gsight/internal/resources"
 	"gsight/internal/scenario"
 )
 
@@ -34,8 +32,7 @@ func bootstrapIPCObservations(tb testing.TB, g *scenario.Generator, n int) []cor
 // those of 100 further colocations from the same generator.
 func heldOutIPCMAPE(t *testing.T, seed uint64) float64 {
 	t.Helper()
-	m := perfmodel.New(resources.DefaultTestbed())
-	scenario.FastConfig(m)
+	m := scenario.Lab()
 	g := scenario.NewGenerator(m, seed)
 	train := bootstrapIPCObservations(t, g, 200)
 	test := bootstrapIPCObservations(t, g, 100)

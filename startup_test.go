@@ -8,7 +8,6 @@ import (
 
 	"gsight/internal/core"
 	"gsight/internal/perfmodel"
-	"gsight/internal/resources"
 	"gsight/internal/scenario"
 	"gsight/internal/serve"
 )
@@ -23,8 +22,7 @@ import (
 // re-takes them the same way.
 func TestStartupModelBytes(t *testing.T) {
 	lab := func() *perfmodel.Model {
-		m := perfmodel.New(resources.DefaultTestbed())
-		scenario.FastConfig(m)
+		m := scenario.Lab()
 		return m
 	}
 	for _, tc := range []struct {
