@@ -83,7 +83,9 @@ harnesscheck:
 # decision log (gsight inspect decodes each line into its telemetry
 # struct, a daemon's through serve's WAL decoder), no placement
 # record beside telemetry.PlacementDecision
-# (a scheduler fills Request.Detail and logs nothing), no one-off tree fit
+# (a scheduler fills Request.Detail and logs nothing), no hand-written
+# JSON under internal/ (encoding/json writes every line from the event
+# structs' own tags), no one-off tree fit
 # beside the forest's staged update, no QoS predictor beside core.Predictor
 # (ESP, Pythia and the model variants are its constructors, it learns
 # tail latency and JCT in log space itself, and every predictor answers
@@ -127,6 +129,9 @@ nodeprecated:
 	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'readTrace|traceEvent|summarizeTrace|\bTrace:|^\s+Trace\s' .; then \
 		echo "nodeprecated: a second simulator event stream is back (the decision log is the simulator's one event stream; gsight inspect trace renders the Perfetto trace from it, and platform.Config has no Trace field)"; exit 1; \
 	fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' 'strconv\.AppendQuote|AppendQuoted|appendKey\(|telemetry\.Append' internal; then \
+		echo "nodeprecated: hand-written JSON is back (encoding/json writes every JSON line from the event structs' own tags: the decision log and obs.Tracer hand telemetry.Stream.EndJSON the struct)"; exit 1; \
+	fi
 	@if ls internal/cli/inspect*.go | grep -v '_test\.go$$' | xargs grep -nE 'map\[string\](interface\{\}|any)|\b(num|str|ints)\('; then \
 		echo "nodeprecated: a generic decode is back in gsight inspect (each event struct decodes its own line through its JSON tags, telemetry.NewEvent picks it, and a daemon's records go through serve.DecodeRecord)"; exit 1; \
 	fi
@@ -157,7 +162,7 @@ loc:
 # grow past the figure the last deletion pass left. A PR that removes
 # lines lowers LOC_CEILING to its own `make loc`; one that must add
 # lines says why in CHANGES.md and raises it in the same commit.
-LOC_CEILING = 23158
+LOC_CEILING = 22852
 loccheck:
 	@n=$$($(MAKE) -s loc); if [ "$$n" -gt $(LOC_CEILING) ]; then \
 		echo "loccheck: $$n non-test lines > ceiling $(LOC_CEILING)"; exit 1; \

@@ -102,25 +102,18 @@ type logEvent struct {
 
 // lineHead opens every line of a tool's log; the header adds the schema.
 type lineHead struct {
-	Event  string `json:"event"`
-	Seq    uint64 `json:"seq"`
-	Schema int    `json:"schema"`
+	telemetry.Head
+	Schema int `json:"schema"`
 }
 
 // stepPrefix opens every step line the log writes, which spares the
 // long line a decode of its head.
 var stepPrefix = []byte(`{"event":"step",`)
 
-// stepLine is a step line: its sequence number and its sample.
-type stepLine struct {
-	Seq uint64 `json:"seq"`
-	telemetry.StepSample
-}
-
 // stepHead is a step line without its per-server values: its columns,
 // shadowing the sample's, decode to their lengths alone.
 type stepHead struct {
-	stepLine
+	telemetry.StepSample
 	CPUDemand columnLen `json:"cpu_demand"`
 	MemUsed   columnLen `json:"mem_used"`
 }
@@ -242,7 +235,7 @@ func (r *logReader) decode(line []byte) (*logEvent, error) {
 		}
 		return &logEvent{kind: rec.Kind, seq: rec.Seq, val: rec, line: line}, nil
 	}
-	h := lineHead{Event: "step"}
+	h := lineHead{Head: telemetry.Head{Event: "step"}}
 	if !bytes.HasPrefix(line, stepPrefix) {
 		if err := json.Unmarshal(line, &h); err != nil {
 			return nil, err
@@ -272,11 +265,11 @@ func (r *logReader) decode(line []byte) (*logEvent, error) {
 		}
 		ev.seq, ev.val = st.Seq, st
 	default:
-		st := new(stepLine)
+		st := new(telemetry.StepSample)
 		if err := json.Unmarshal(line, st); err != nil {
 			return nil, err
 		}
-		ev.seq, ev.val = st.Seq, &st.StepSample
+		ev.seq, ev.val = st.Seq, st
 	}
 	return ev, nil
 }
@@ -323,7 +316,7 @@ func summarizeLog(r *logReader) error {
 			if e.Outcome == "rejected" {
 				rejected[e.Workload]++
 			}
-			if e.Tier0 {
+			if e.Tier0Kept > 0 {
 				tier0Decisions++
 				tier0Kept += e.Tier0Kept
 				tier0Pruned += e.Tier0Pruned
@@ -331,9 +324,9 @@ func summarizeLog(r *logReader) error {
 		case *telemetry.JobEnd:
 			completed[e.Archetype]++
 			slowdown[e.Archetype] += e.Slowdown
-			if e.Checked {
+			if e.SLAOK != nil {
 				checked[e.Archetype]++
-				if !e.SLAOK {
+				if !*e.SLAOK {
 					violated[e.Archetype]++
 				}
 			}
@@ -656,11 +649,11 @@ func cmdTrace(args []string) error {
 
 // renderTrace encodes a decision log's simulator events as a Perfetto
 // trace through obs.Tracer — one trace event per log event, in log
-// order — and closes the tracer's array, so the file is strict JSON.
-// Step samples and the events no simulator writes (training steps,
-// experiment outcomes) are not part of the trace. The trace streams to
-// out, or to stdout when out is empty; a log refused part-way leaves no
-// out file.
+// order, its args the event as the log decoded it — and closes the
+// tracer's array, so the file is strict JSON. Step samples and the
+// events no simulator writes (training steps, experiment outcomes) are
+// not part of the trace. The trace streams to out, or to stdout when
+// out is empty; a log refused part-way leaves no out file.
 func renderTrace(out string) func(*logReader) error {
 	return func(r *logReader) (err error) {
 		dst := os.Stdout
@@ -680,24 +673,7 @@ func renderTrace(out string) func(*logReader) error {
 		w := &holdLast{w: bufio.NewWriter(dst)}
 		tr := obs.NewTracer(w)
 		err = r.each(func(ev *logEvent) error {
-			switch e := ev.val.(type) {
-			case *telemetry.PlacementDecision:
-				tr.Placement(e)
-			case *telemetry.JobBegin:
-				tr.JobBegin(e)
-			case *telemetry.JobEnd:
-				tr.JobEnd(e)
-			case *telemetry.ReactiveAction:
-				tr.Reactive(e)
-			case *telemetry.FaultEvent:
-				tr.Fault(e)
-			case *telemetry.DegradedTransition:
-				tr.Degraded(e)
-			case *telemetry.PredSample:
-				tr.PredSample(e)
-			case *telemetry.DriftEvent:
-				tr.Drift(e)
-			}
+			tr.Event(ev.val)
 			return nil
 		})
 		if err != nil {

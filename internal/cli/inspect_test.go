@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ import (
 type logLine struct {
 	Event, Archetype, Action, Kind string
 	SimTimeS                       float64 `json:"sim_time_s"`
-	ID                             int
+	ID, Seq                        int
 	SLAChecks                      int `json:"sla_checks"`
 }
 
@@ -380,5 +381,35 @@ func TestInspectDiffComparesSteps(t *testing.T) {
 	}
 	if out := runMain(t, 0, "inspect", "diff", paths[0], paths[2]); !strings.Contains(out, "identical: 2 events") {
 		t.Errorf("diff of a log and its copy with one line's keys reordered:\n%s", out)
+	}
+}
+
+// TestInspectReadsPastUnencodableEvent: an event holding a NaN writes
+// no line and takes no sequence number, the log's stream keeps the
+// error naming the event, and the log around it reads cleanly.
+func TestInspectReadsPastUnencodableEvent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decisions.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	l := telemetry.NewDecisionLog(f)
+	l.PredSample(&telemetry.PredSample{SimTimeS: 30, Archetype: "matmul", QoS: "jct", Pred: 40, Obs: 42})
+	l.PredSample(&telemetry.PredSample{SimTimeS: 60, Archetype: "matmul", QoS: "jct", Pred: 40, Obs: math.NaN()})
+	l.Reactive(&telemetry.ReactiveAction{SimTimeS: 90, Action: "spread-service", Service: "e-commerce", Moved: 1})
+	if err := l.Stream().Flush(); err == nil || !strings.Contains(err.Error(), "PredSample") {
+		t.Fatalf("the log's stream error is %v, want one naming the unwritten PredSample", err)
+	}
+	summary := runMain(t, 0, "inspect", "summary", path)
+	for _, want := range []string{"decision log: 2 events", "  pred_sample        1", "  reactive           1"} {
+		if !strings.Contains(summary, want) {
+			t.Errorf("summary lacks %q:\n%s", want, summary)
+		}
+	}
+	for i, ev := range logLines(t, path) {
+		if ev.Seq != i+1 {
+			t.Errorf("event %d (%s) has seq %d", i, ev.Event, ev.Seq)
+		}
 	}
 }

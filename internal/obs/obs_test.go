@@ -35,23 +35,26 @@ func flushed(t *testing.T, s *telemetry.Stream, f *os.File) []byte {
 	return data
 }
 
-// driveTracer emits a fixed event sequence; split lets tests cut the
+// driveTracer emits a fixed event sequence, each event stamped with the
+// head its decision-log line would carry; split lets tests cut the
 // sequence at an arbitrary point to simulate a crash/resume.
 func driveTracer(t *Tracer, from, to int) {
+	slaOK := true
 	for i := from; i < to; i++ {
 		ts := float64(i) * 30
+		head := func(kind string) telemetry.Head { return telemetry.Head{Event: kind, Seq: uint64(i + 1)} }
 		switch i % 4 {
 		case 0:
-			t.JobBegin(&telemetry.JobBegin{SimTimeS: ts, ID: i, Archetype: "matmul", Job: "matmul#0", Placement: []int{i % 3}, PredJCTS: 1.5})
+			t.Event(&telemetry.JobBegin{Head: head("job_begin"), SimTimeS: ts, ID: i, Archetype: "matmul", Job: "matmul#0", Placement: []int{i % 3}, PredJCTS: 1.5})
 		case 1:
-			t.Placement(&telemetry.PlacementDecision{
-				SimTimeS: ts, Workload: "social-network", Placement: []int{0, 1},
-				Outcome: "placed", SpreadLevels: 3, SLAChecks: 7, PredIPC: 1.2,
+			t.Event(&telemetry.PlacementDecision{Head: head("placement"),
+				SimTimeS: ts, Scheduler: "Gsight", Workload: "social-network", Class: "LS", Functions: 2, Servers: 8,
+				ActiveServers: 2, Placement: []int{0, 1}, Outcome: "placed", SpreadLevels: 3, SLAChecks: 7, PredIPC: 1.2,
 			})
 		case 2:
-			t.PredSample(&telemetry.PredSample{SimTimeS: ts, Archetype: "matmul", QoS: "jct", Pred: 1.4, Obs: 1.6})
+			t.Event(&telemetry.PredSample{Head: head("pred_sample"), SimTimeS: ts, Archetype: "matmul", QoS: "jct", Pred: 1.4, Obs: 1.6})
 		case 3:
-			t.JobEnd(&telemetry.JobEnd{SimTimeS: ts, ID: i - 3, Archetype: "matmul", JCTS: 42.5, Slowdown: 1.18, Checked: true, SLAOK: true})
+			t.Event(&telemetry.JobEnd{Head: head("job_end"), SimTimeS: ts, ID: i - 3, Archetype: "matmul", JCTS: 42.5, Slowdown: 1.18, SLAOK: &slaOK})
 		}
 	}
 }
@@ -60,10 +63,19 @@ func TestTracerStreamShape(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	driveTracer(tr, 0, 8)
-	tr.Fault(&telemetry.FaultEvent{SimTimeS: 300, Kind: "node-down", Node: 2, DisplacedServices: 2, DisplacedJobs: 3})
-	tr.Degraded(&telemetry.DegradedTransition{SimTimeS: 310, Entered: true, Reason: "predictor-unavailable", Fallback: "WorstFit"})
-	tr.Reactive(&telemetry.ReactiveAction{SimTimeS: 320, Action: "evict-corunner", Service: "social-network", Moved: 2})
-	tr.Drift(&telemetry.DriftEvent{SimTimeS: 330, QoS: "ipc", Archetype: "matmul", Window: 64, MeanErr: 0.25, MAPE: 0.5, PH: 2.5})
+	for _, ev := range []any{
+		&telemetry.FaultEvent{Head: telemetry.Head{Event: "fault", Seq: 9}, SimTimeS: 300, Kind: "node-down", Node: 2, DisplacedServices: 2, DisplacedJobs: 3},
+		&telemetry.DegradedTransition{Head: telemetry.Head{Event: "degraded", Seq: 10}, SimTimeS: 310, Entered: true, Reason: "predictor-unavailable", Fallback: "WorstFit"},
+		&telemetry.ReactiveAction{Head: telemetry.Head{Event: "reactive", Seq: 11}, SimTimeS: 320, Action: "evict-corunner", Service: "social-network", Moved: 2},
+		&telemetry.DriftEvent{Head: telemetry.Head{Event: "predictor_drift", Seq: 12}, SimTimeS: 330, QoS: "ipc", Archetype: "matmul", Window: 64, MeanErr: 0.25, MAPE: 0.5, PH: 2.5},
+	} {
+		if !tr.Event(ev) {
+			t.Fatalf("the trace does not show %T", ev)
+		}
+	}
+	if tr.Event(&telemetry.StepSample{}) || tr.Event(&telemetry.PredictorUpdate{}) || tr.Event(&telemetry.ExperimentRun{}) {
+		t.Fatal("the trace shows a step sample, a training step or an experiment outcome")
+	}
 
 	out := buf.String()
 	if !strings.HasPrefix(out, "[\n") {
@@ -93,19 +105,18 @@ func TestTracerStreamShape(t *testing.T) {
 	if !strings.Contains(out, `"schema":1`) {
 		t.Fatal("preamble must carry the schema version")
 	}
-	// The tracer encodes the decision log's event structs: the trace
-	// keeps its own names and args (displaced sums services and jobs;
-	// a job's placement is its servers; the fallback name stays out of
-	// the trace).
+	// The tracer renders the decision log's event structs: each trace
+	// event keeps its own name, category and phase, and its args are
+	// the log's event, head included.
 	for _, want := range []string{
-		`{"name":"node-down","cat":"fault","ph":"i","ts":300000000,"pid":1,"tid":0,"s":"g","args":{"node":2,"displaced":5}},`,
-		`{"name":"degraded","cat":"fault","ph":"i","ts":310000000,"pid":1,"tid":0,"s":"g","args":{"entered":true,"reason":"predictor-unavailable"}},`,
-		`{"name":"evict-corunner","cat":"reactive","ph":"i","ts":320000000,"pid":1,"tid":0,"s":"t","args":{"service":"social-network","moved":2}},`,
-		`{"name":"predictor_drift","cat":"predq","ph":"i","ts":330000000,"pid":1,"tid":0,"s":"g","args":{"archetype":"matmul","qos":"ipc","window":64,"mean_err":0.25,"mape":0.5,"ph":2.5}},`,
-		`{"name":"placement","cat":"sched","ph":"i","ts":30000000,"pid":1,"tid":0,"s":"t","args":{"workload":"social-network","outcome":"placed","spread_levels":3,"sla_checks":7,"placement":[0,1],"pred_ipc":1.2}},`,
-		`{"name":"matmul","cat":"job","ph":"b","ts":0,"pid":1,"tid":0,"id":0,"args":{"job":"matmul#0","servers":[0],"pred_jct_s":1.5}},`,
-		`{"name":"sample","cat":"predq","ph":"i","ts":60000000,"pid":1,"tid":0,"s":"t","args":{"archetype":"matmul","qos":"jct","pred":1.4,"obs":1.6}},`,
-		`{"name":"matmul","cat":"job","ph":"e","ts":90000000,"pid":1,"tid":0,"id":0,"args":{"jct_s":42.5,"slowdown":1.18,"sla_ok":true}},`,
+		`{"name":"node-down","cat":"fault","ph":"i","ts":300000000,"pid":1,"tid":0,"s":"g","args":{"event":"fault","seq":9,"sim_time_s":300,"kind":"node-down","node":2,"displaced_services":2,"displaced_jobs":3}},`,
+		`{"name":"degraded","cat":"fault","ph":"i","ts":310000000,"pid":1,"tid":0,"s":"g","args":{"event":"degraded","seq":10,"sim_time_s":310,"entered":true,"reason":"predictor-unavailable","fallback":"WorstFit"}},`,
+		`{"name":"evict-corunner","cat":"reactive","ph":"i","ts":320000000,"pid":1,"tid":0,"s":"t","args":{"event":"reactive","seq":11,"sim_time_s":320,"action":"evict-corunner","service":"social-network","moved":2}},`,
+		`{"name":"predictor_drift","cat":"predq","ph":"i","ts":330000000,"pid":1,"tid":0,"s":"g","args":{"event":"predictor_drift","seq":12,"sim_time_s":330,"qos":"ipc","archetype":"matmul","window":64,"mean_err":0.25,"mape":0.5,"ph":2.5}},`,
+		`{"name":"placement","cat":"sched","ph":"i","ts":30000000,"pid":1,"tid":0,"s":"t","args":{"event":"placement","seq":2,"sim_time_s":30,"scheduler":"Gsight","workload":"social-network","class":"LS","functions":2,"servers":8,"active_servers":2,"spread_levels":3,"sla_checks":7,"outcome":"placed","placement":[0,1],"pred_ipc":1.2}},`,
+		`{"name":"matmul","cat":"job","ph":"b","ts":0,"pid":1,"tid":0,"id":0,"args":{"event":"job_begin","seq":1,"sim_time_s":0,"id":0,"archetype":"matmul","job":"matmul#0","placement":[0],"pred_jct_s":1.5}},`,
+		`{"name":"sample","cat":"predq","ph":"i","ts":60000000,"pid":1,"tid":0,"s":"t","args":{"event":"pred_sample","seq":3,"sim_time_s":60,"archetype":"matmul","qos":"jct","pred":1.4,"obs":1.6}},`,
+		`{"name":"matmul","cat":"job","ph":"e","ts":90000000,"pid":1,"tid":0,"id":0,"args":{"event":"job_end","seq":4,"sim_time_s":90,"id":0,"archetype":"matmul","jct_s":42.5,"slowdown":1.18,"sla_ok":true}},`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("trace lacks the line\n%s", want)

@@ -23,14 +23,30 @@ const traceSchema = 1
 // Determinism: timestamps are simulation time converted to
 // microseconds (the trace-event unit) — never wall clock — so a
 // fixed-seed run renders a byte-identical trace. Like the decision log
-// it is an encoder over a telemetry.Stream: events are built by hand
-// into the stream's reusable buffer under its lock, so steady-state
-// tracing allocates nothing.
+// it is an encoder over a telemetry.Stream: encoding/json writes each
+// event into the stream's reusable buffer under its lock.
 //
 // The array opener and the two metadata events are the stream's
 // preamble: a stream truncated to a non-zero offset never duplicates
 // them.
-type Tracer struct{ s *telemetry.Stream }
+type Tracer struct {
+	s  *telemetry.Stream
+	ev traceLine // the event being written, under the stream's lock
+}
+
+// traceLine is one trace event: where the trace shows it, and the
+// decision-log event itself as its args.
+type traceLine struct {
+	Name  string  `json:"name"`
+	Cat   string  `json:"cat"`
+	Ph    string  `json:"ph"`
+	TS    float64 `json:"ts"` // µs of simulation time
+	PID   int     `json:"pid"`
+	TID   int     `json:"tid"`
+	Scope string  `json:"s,omitempty"`  // an instant event's: "t" (thread) or "g" (global)
+	ID    *int    `json:"id,omitempty"` // an async span's: the job id
+	Args  any     `json:"args"`
+}
 
 // tracePreamble opens the array and names the process and the schema:
 // two metadata events.
@@ -44,154 +60,39 @@ func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{s: telemetry.NewStream(w, tracePreamble, 2)}
 }
 
-// emit closes the args object opened at index a, finishes the event
-// line begin started and writes it.
-func (t *Tracer) emit(b []byte, a int) {
-	b[a] = '{'
-	t.s.End(append(b, '}', '}', ',', '\n'))
-}
-
-// begin opens a new event:
-// {"name":"<name>","cat":"<cat>","ph":"<ph>","ts":<simTimeS*1e6>,
-// "pid":1,"tid":0, and an instant event's ,"s":"<scope>" when scope is
-// not 0. The stream stays locked until emit.
-func (t *Tracer) begin(name, cat string, ph, scope byte, simTimeS float64) []byte {
+// Event renders one decision-log event (a pointer to its telemetry
+// struct) as a trace event and reports whether the trace shows its
+// kind. A batch job is an async span from its admission (JobBegin, "b")
+// to its completion (JobEnd, "e"), keyed by its id. The placement
+// decision, reactive moves, fault transitions, degraded-mode windows,
+// prediction-quality samples and drift detections are instant events.
+// Training steps, experiment outcomes and step samples are not shown.
+func (t *Tracer) Event(ev any) bool {
+	var l traceLine
+	switch e := ev.(type) {
+	case *telemetry.JobBegin:
+		l = traceLine{Name: e.Archetype, Cat: "job", Ph: "b", TS: e.SimTimeS, ID: &e.ID}
+	case *telemetry.JobEnd:
+		l = traceLine{Name: e.Archetype, Cat: "job", Ph: "e", TS: e.SimTimeS, ID: &e.ID}
+	case *telemetry.PlacementDecision:
+		l = traceLine{Name: "placement", Cat: "sched", Ph: "i", TS: e.SimTimeS, Scope: "t"}
+	case *telemetry.ReactiveAction:
+		l = traceLine{Name: e.Action, Cat: "reactive", Ph: "i", TS: e.SimTimeS, Scope: "t"}
+	case *telemetry.FaultEvent:
+		l = traceLine{Name: e.Kind, Cat: "fault", Ph: "i", TS: e.SimTimeS, Scope: "g"}
+	case *telemetry.DegradedTransition:
+		l = traceLine{Name: "degraded", Cat: "fault", Ph: "i", TS: e.SimTimeS, Scope: "g"}
+	case *telemetry.PredSample:
+		l = traceLine{Name: "sample", Cat: "predq", Ph: "i", TS: e.SimTimeS, Scope: "t"}
+	case *telemetry.DriftEvent:
+		l = traceLine{Name: "predictor_drift", Cat: "predq", Ph: "i", TS: e.SimTimeS, Scope: "g"}
+	default:
+		return false
+	}
+	l.TS *= 1e6
+	l.PID, l.Args = 1, ev
 	b, _ := t.s.Begin()
-	b = append(b, `{"name":`...)
-	b = telemetry.AppendQuoted(b, name)
-	b = append(b, `,"cat":`...)
-	b = telemetry.AppendQuoted(b, cat)
-	b = append(b, `,"ph":"`...)
-	b = append(b, ph, '"')
-	b = append(b, `,"ts":`...)
-	b = strconv.AppendFloat(b, simTimeS*1e6, 'f', -1, 64)
-	b = append(b, `,"pid":1,"tid":0`...)
-	if scope != 0 {
-		b = append(b, `,"s":"`...)
-		b = append(b, scope, '"')
-	}
-	return b
-}
-
-// args opens the event's args object. Its fields follow, appended with
-// telemetry.AppendStr and siblings — comma first, so emit turns the
-// first field's comma, at the returned index, into the opening brace.
-// Every event has at least one unconditional field.
-func args(b []byte) ([]byte, int) {
-	b = append(b, `,"args":`...)
-	return b, len(b)
-}
-
-// JobBegin opens a job's async span at its admission: the job was
-// placed and its functions are starting. Its servers arg is the chosen
-// server per function.
-func (t *Tracer) JobBegin(e *telemetry.JobBegin) {
-	b := telemetry.AppendInt(t.begin(e.Archetype, "job", 'b', 0, e.SimTimeS), "id", e.ID)
-	b, a := args(b)
-	b = telemetry.AppendStr(b, "job", e.Job)
-	b = telemetry.AppendInts(b, "servers", e.Placement)
-	if e.PredJCTS > 0 {
-		b = telemetry.AppendFloat(b, "pred_jct_s", e.PredJCTS)
-	}
-	t.emit(b, a)
-}
-
-// JobEnd closes a job's async span at completion with the observed
-// outcome: job completion time, slowdown versus solo execution, and
-// the SLA verdict of a checked job.
-func (t *Tracer) JobEnd(e *telemetry.JobEnd) {
-	b := telemetry.AppendInt(t.begin(e.Archetype, "job", 'e', 0, e.SimTimeS), "id", e.ID)
-	b, a := args(b)
-	b = telemetry.AppendFloat(b, "jct_s", e.JCTS)
-	if e.Slowdown > 0 {
-		b = telemetry.AppendFloat(b, "slowdown", e.Slowdown)
-	}
-	if e.Checked {
-		b = telemetry.AppendBool(b, "sla_ok", e.SLAOK)
-	}
-	t.emit(b, a)
-}
-
-// Placement records a placement request as an instant event: how hard
-// the scheduler searched, what it decided (no placement when
-// rejected), and what it predicted for the accepted candidate.
-func (t *Tracer) Placement(d *telemetry.PlacementDecision) {
-	b := t.begin("placement", "sched", 'i', 't', d.SimTimeS)
-	b, a := args(b)
-	b = telemetry.AppendStr(b, "workload", d.Workload)
-	b = telemetry.AppendStr(b, "outcome", d.Outcome)
-	if d.Reason != "" {
-		b = telemetry.AppendStr(b, "reason", d.Reason)
-	}
-	b = telemetry.AppendInt(b, "spread_levels", d.SpreadLevels)
-	b = telemetry.AppendInt(b, "sla_checks", d.SLAChecks)
-	if d.Placement != nil {
-		b = telemetry.AppendInts(b, "placement", d.Placement)
-	}
-	if d.PredIPC > 0 {
-		b = telemetry.AppendFloat(b, "pred_ipc", d.PredIPC)
-	}
-	if d.PredJCTS > 0 {
-		b = telemetry.AppendFloat(b, "pred_jct_s", d.PredJCTS)
-	}
-	t.emit(b, a)
-}
-
-// Reactive records a runtime SLA-control action (corunner eviction or
-// reactive spread) as an instant event — the migration phase of the
-// affected jobs' lifecycle.
-func (t *Tracer) Reactive(e *telemetry.ReactiveAction) {
-	b := t.begin(e.Action, "reactive", 'i', 't', e.SimTimeS)
-	b, a := args(b)
-	b = telemetry.AppendStr(b, "service", e.Service)
-	b = telemetry.AppendInt(b, "moved", e.Moved)
-	t.emit(b, a)
-}
-
-// Fault records an injected fault transition as an instant event; its
-// displaced arg counts services and jobs together.
-func (t *Tracer) Fault(e *telemetry.FaultEvent) {
-	b := t.begin(e.Kind, "fault", 'i', 'g', e.SimTimeS)
-	b, a := args(b)
-	b = telemetry.AppendInt(b, "node", e.Node)
-	if displaced := e.DisplacedServices + e.DisplacedJobs; displaced != 0 {
-		b = telemetry.AppendInt(b, "displaced", displaced)
-	}
-	t.emit(b, a)
-}
-
-// Degraded records the platform entering or leaving degraded placement
-// mode as an instant event.
-func (t *Tracer) Degraded(e *telemetry.DegradedTransition) {
-	b := t.begin("degraded", "fault", 'i', 'g', e.SimTimeS)
-	b, a := args(b)
-	b = telemetry.AppendBool(b, "entered", e.Entered)
-	b = telemetry.AppendStr(b, "reason", e.Reason)
-	t.emit(b, a)
-}
-
-// PredSample records one prediction-quality sample — a predicted vs
-// observed pair for an archetype — as an instant event in the "predq"
-// category.
-func (t *Tracer) PredSample(e *telemetry.PredSample) {
-	b := t.begin("sample", "predq", 'i', 't', e.SimTimeS)
-	b, a := args(b)
-	b = telemetry.AppendStr(b, "archetype", e.Archetype)
-	b = telemetry.AppendStr(b, "qos", e.QoS)
-	b = telemetry.AppendFloat(b, "pred", e.Pred)
-	b = telemetry.AppendFloat(b, "obs", e.Obs)
-	t.emit(b, a)
-}
-
-// Drift records a predictor-drift detection as an instant event.
-func (t *Tracer) Drift(d *telemetry.DriftEvent) {
-	b := t.begin("predictor_drift", "predq", 'i', 'g', d.SimTimeS)
-	b, a := args(b)
-	b = telemetry.AppendStr(b, "archetype", d.Archetype)
-	b = telemetry.AppendStr(b, "qos", d.QoS)
-	b = telemetry.AppendInt(b, "window", d.Window)
-	b = telemetry.AppendFloat(b, "mean_err", d.MeanErr)
-	b = telemetry.AppendFloat(b, "mape", d.MAPE)
-	b = telemetry.AppendFloat(b, "ph", d.PH)
-	t.emit(b, a)
+	t.ev = l
+	t.s.EndJSON(b, &t.ev, ",\n")
+	return true
 }

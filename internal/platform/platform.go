@@ -266,6 +266,9 @@ type runner struct {
 	psev telemetry.PredSample
 	stev telemetry.StepSample
 
+	// slaOK is jeev.SLAOK's verdict, when the job has a JCT SLA.
+	slaOK bool
+
 	// pq tracks prediction quality in every run.
 	pq *obs.PredQ
 
@@ -933,9 +936,11 @@ func (r *runner) loop() error {
 				if solo > 0 {
 					slowdown = done.JCTS / solo
 				}
-				checked := a.sla.MaxJCTFactor > 0 && solo > 0
-				slaOK := checked && done.JCTS <= solo*a.sla.MaxJCTFactor
-				r.jeev = telemetry.JobEnd{SimTimeS: now, ID: done.ID, Archetype: done.Name, JCTS: done.JCTS, Slowdown: slowdown, Checked: checked, SLAOK: slaOK}
+				r.jeev = telemetry.JobEnd{SimTimeS: now, ID: done.ID, Archetype: done.Name, JCTS: done.JCTS, Slowdown: slowdown}
+				if a.sla.MaxJCTFactor > 0 && solo > 0 {
+					r.slaOK = done.JCTS <= solo*a.sla.MaxJCTFactor
+					r.jeev.SLAOK = &r.slaOK
+				}
 				r.ins.Decisions.JobEnd(&r.jeev)
 				if a.predJCTS > 0 {
 					r.trackPrediction(now, done.Name, "jct", a.predJCTS, done.JCTS)

@@ -514,7 +514,7 @@ func (g *Gsight) Place(st *State, req *Request) ([]int, error) {
 	var d telemetry.PlacementDecision
 	out, err := g.search(st, req, &d)
 	if t0 := &g.t0; t0.active {
-		d.Tier0, d.Tier0Kept, d.Tier0Pruned = true, t0.kept, t0.pruned
+		d.Tier0Kept, d.Tier0Pruned = t0.kept, t0.pruned
 		if len(out) > 0 {
 			d.Tier0Score = t0.score[out[0]]
 		}

@@ -112,7 +112,7 @@ func TestDecisionOutcomes(t *testing.T) {
 	if _, err := g.Place(st, req); err != nil {
 		t.Fatal(err)
 	}
-	if d := req.Detail; d.Outcome != "fallback" || d.Reason != "sla-violated" || d.SpreadLevels == 0 || d.SLAChecks == 0 || d.Tier0 {
+	if d := req.Detail; d.Outcome != "fallback" || d.Reason != "sla-violated" || d.SpreadLevels == 0 || d.SLAChecks == 0 || d.Tier0Kept != 0 {
 		t.Fatalf("expected an SLA fallback decision without tier-0 context, got %+v", d)
 	}
 	snap := sink.Registry.Snapshot()
@@ -143,15 +143,15 @@ func TestDecisionTier0Fields(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := req.Detail
-	if !d.Tier0 || d.Tier0Kept != 4 || d.Tier0Pruned != 12 || d.Tier0Score != g.t0.score[placement[0]] {
-		t.Fatalf("pruned decision's tier-0 context %v/%d/%d/%v, want true/4/12/%v",
-			d.Tier0, d.Tier0Kept, d.Tier0Pruned, d.Tier0Score, g.t0.score[placement[0]])
+	if d.Tier0Kept != 4 || d.Tier0Pruned != 12 || d.Tier0Score != g.t0.score[placement[0]] {
+		t.Fatalf("pruned decision's tier-0 context %d/%d/%v, want 4/12/%v",
+			d.Tier0Kept, d.Tier0Pruned, d.Tier0Score, g.t0.score[placement[0]])
 	}
 	g.TopK = 16 // K == online: no pruning, no tier-0 context
 	if _, err := g.Place(st, req); err != nil {
 		t.Fatal(err)
 	}
-	if d := req.Detail; d.Tier0 || d.Tier0Kept != 0 || d.Tier0Pruned != 0 || d.Tier0Score != 0 {
+	if d := req.Detail; d.Tier0Kept != 0 || d.Tier0Pruned != 0 || d.Tier0Score != 0 {
 		t.Fatalf("unpruned decision carries tier-0 context: %+v", d)
 	}
 }

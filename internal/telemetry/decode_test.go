@@ -44,16 +44,19 @@ func emitEvent(l *DecisionLog, ev any) {
 	}
 }
 
-// fillRandom sets every field of the struct v points to: a quarter of
-// them to their zero value, so the conditional fields are seen both
-// present and absent, the rest to random values — strings that need
-// escaping (control characters and invalid UTF-8 among them), floats
-// across magnitudes, float32 columns.
+// fillRandom sets every field of the struct v points to but its Head,
+// which the log stamps: a quarter of them to their zero value, so the
+// omitempty fields are seen both present and absent, the rest to random
+// values — strings that need escaping (control characters and invalid
+// UTF-8 among them), floats across magnitudes, float32 columns.
 func fillRandom(rng *rand.Rand, v reflect.Value) {
 	pieces := []string{"a", "b", "z", "-", "_", " ", "#", "/", `"`, `\`, "é", "中", "✓", "0", "9",
-		"\x00", "\x01", "\x1f", "\x7f", "\n", "\r", "\t", "\xff", "\xc3", "\xe4\xb8", "\ufffd", "\u2028"}
+		"\x00", "\x01", "\x1f", "\x7f", "\n", "\r", "\t", "\xff", "\xc3", "\xe4\xb8", "\ufffd", "\u2028", "<", "&"}
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
+		if v.Type().Field(i).Anonymous {
+			continue
+		}
 		if rng.Intn(4) == 0 {
 			f.SetZero()
 			continue
@@ -61,6 +64,9 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 		switch f.Kind() {
 		case reflect.Bool:
 			f.SetBool(true)
+		case reflect.Pointer: // *bool
+			f.Set(reflect.New(f.Type().Elem()))
+			f.Elem().SetBool(rng.Intn(2) == 0)
 		case reflect.Int:
 			f.SetInt(int64(rng.Intn(2001) - 1000))
 		case reflect.Float64:
@@ -89,65 +95,30 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 	}
 }
 
-// canonical clears what the encoder of ev's kind leaves out of its line
-// — a conditional field at a value it does not log — makes the arrays
-// it always logs non-nil, as a decode of `[]` returns them, and puts
-// each string in the valid UTF-8 form the log writes.
+// canonical puts each string of ev in the form encoding/json writes
+// it: each byte of invalid UTF-8 becomes one U+FFFD, as converting the
+// string to runes reads it.
 func canonical(ev any) {
 	v := reflect.ValueOf(ev).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		if f := v.Field(i); f.Kind() == reflect.String {
-			f.SetString(strings.ToValidUTF8(f.String(), "\uFFFD"))
-		}
-	}
-	nonNeg := func(v *float64) {
-		if *v <= 0 {
-			*v = 0
-		}
-	}
-	always := func(s *[]int) {
-		if *s == nil {
-			*s = []int{}
-		}
-	}
-	switch e := ev.(type) {
-	case *PlacementDecision:
-		nonNeg(&e.PredIPC)
-		nonNeg(&e.PredJCTS)
-		if !e.Tier0 {
-			e.Tier0Kept, e.Tier0Pruned, e.Tier0Score = 0, 0, 0
-		}
-	case *JobBegin:
-		always(&e.Placement)
-		nonNeg(&e.PredJCTS)
-	case *JobEnd:
-		nonNeg(&e.Slowdown)
-		e.SLAOK = e.SLAOK && e.Checked
-	case *StepSample:
-		if e.CPUDemand == nil {
-			e.CPUDemand = []float32{}
-		}
-		if e.MemUsed == nil {
-			e.MemUsed = []float32{}
+			f.SetString(string([]rune(f.String())))
 		}
 	}
 }
 
 // TestDecisionLogRoundTrip: for every event kind, seeded random values
 // encode to a line that decodes — through NewEvent and the struct's JSON
-// tags — back into an equal event: the conditional fields present and
-// absent, the presence-derived Tier0 and Checked, strings that need
-// escaping (control characters and invalid UTF-8 come back in
-// strings.ToValidUTF8's form), floats at every magnitude and the
-// float32 columns. A field
-// an encoder writes that its struct does not tag, or one it leaves out,
-// fails here.
+// tags — back into an equal event, head included: the omitempty fields
+// present and absent, strings that need escaping (control characters
+// and invalid UTF-8 come back in encoding/json's form), floats at every
+// magnitude and the float32 columns. A field without a tag fails here.
 func TestDecisionLogRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, kind := range eventKinds {
 		typ := reflect.TypeOf(NewEvent(kind)).Elem()
 		for i := 0; i < typ.NumField(); i++ {
-			if f := typ.Field(i); f.Tag.Get("json") == "" {
+			if f := typ.Field(i); f.Tag.Get("json") == "" && !f.Anonymous {
 				t.Errorf("%s.%s has no json tag", typ.Name(), f.Name)
 			}
 		}
@@ -173,5 +144,20 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 	}
 	if NewEvent("header") != nil || NewEvent("bogus") != nil {
 		t.Error("NewEvent returns a struct for a kind the log does not write")
+	}
+}
+
+// TestColumnDecodesAsFloat32s: a step column's own decoder gives what
+// encoding/json gives for a []float32, and refuses what it refuses.
+func TestColumnDecodesAsFloat32s(t *testing.T) {
+	for _, in := range []string{`null`, `[]`, `[ ]`, `[0]`, `[ 1 , -0 ,0.1, 2.5e-7,1E3 ]`, `[null,3]`, `[0.33333334,16777217]`,
+		`[1e39]`, `[-1e39]`, `["1"]`, `[[1]]`, `[true]`, `{}`, `"x"`, `1`} {
+		var want []float32
+		wantErr := json.Unmarshal([]byte(`{"c":`+in+`}`), &struct{ C *[]float32 }{&want})
+		var got struct{ C Column }
+		gotErr := json.Unmarshal([]byte(`{"c":`+in+`}`), &got)
+		if (gotErr != nil) != (wantErr != nil) || (wantErr == nil && !reflect.DeepEqual([]float32(got.C), want)) {
+			t.Errorf("%s decodes to %#v, %v; encoding/json gives %#v, %v", in, got.C, gotErr, want, wantErr)
+		}
 	}
 }

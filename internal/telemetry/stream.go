@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,9 +12,11 @@ import (
 )
 
 // Stream is the counted append-only output under every recording: the
-// decision log, the lifecycle trace and the
-// serving daemon's decisions.jsonl are encoders over it. It owns the
-// writer, the (records, bytes) position and the first write error.
+// decision log, the lifecycle trace, the serving daemon's
+// decisions.jsonl and the WAL are encoders over it. It owns the writer,
+// the (records, bytes) position and the first error. A record is one
+// line: an encoder builds it between Begin and End, or hands EndJSON a
+// value for encoding/json to write.
 // Sync makes the position durable before a snapshot records it, Offset
 // reads it, and TruncateTo cuts the output back to a recorded position —
 // file and counters in one call — so a restored daemon re-emits
@@ -28,16 +31,17 @@ import (
 // the caller's to position and flush.
 // Callers own the writer's lifetime: Flush before closing a file.
 //
-// Every method but Begin and End — the encoders' half, behind their own
-// nil checks — does nothing on a nil *Stream.
+// Every method but Begin, End and EndJSON — the encoders' half, behind
+// their own nil checks — does nothing on a nil *Stream.
 type Stream struct {
 	mu       sync.Mutex
 	w        io.Writer     // where records go; bw when file-backed
 	f        streamFile    // the writer, when it is a file
 	bw       *bufio.Writer // buffers f
 	preamble []byte
-	preRecs  uint64 // records the preamble counts as
-	buf      []byte // scratch the encoders build records in
+	preRecs  uint64        // records the preamble counts as
+	buf      []byte        // scratch the encoders build records in
+	enc      *json.Encoder // EndJSON's encoder, writing into buf
 	records  uint64
 	bytes    int64
 	err      error
@@ -67,7 +71,7 @@ func NewStream(w io.Writer, preamble []byte, preambleRecords uint64) *Stream {
 // Begin locks the stream for one record and returns the scratch buffer,
 // emptied, and the number of records so far (a stream at (0,0) writes
 // its preamble first). The caller builds the record in the buffer and
-// must hand it to End.
+// must hand it to End, or to EndJSON to encode a value after it.
 func (s *Stream) Begin() (b []byte, records uint64) {
 	s.mu.Lock()
 	if s.records == 0 && s.bytes == 0 && len(s.preamble) > 0 {
@@ -85,6 +89,35 @@ func (s *Stream) End(b []byte) {
 	s.records++
 	s.write(b)
 	s.mu.Unlock()
+}
+
+// EndJSON ends the record Begin opened with v as encoding/json encodes
+// it, HTML characters unescaped, followed by term. A value encoding/json
+// refuses — a NaN or an infinite float — writes nothing: its error,
+// naming the record, becomes the stream's first error and the record
+// is not counted.
+func (s *Stream) EndJSON(b []byte, v any, term string) {
+	if s.enc == nil {
+		s.enc = json.NewEncoder((*lineWriter)(&s.buf))
+		s.enc.SetEscapeHTML(false)
+	}
+	s.buf = b
+	if err := s.enc.Encode(v); err != nil {
+		if s.err == nil {
+			s.err = fmt.Errorf("telemetry: record %d (%T) not written: %w", s.records, v, err)
+		}
+		s.mu.Unlock()
+		return
+	}
+	s.End(append(s.buf[:len(s.buf)-1], term...)) // Encode ends its value with '\n'
+}
+
+// lineWriter appends what an encoder writes to the record being built.
+type lineWriter []byte
+
+func (w *lineWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }
 
 // write appends b, tracking bytes. Callers hold s.mu.
@@ -155,7 +188,8 @@ func (s *Stream) Offset() (records uint64, bytes int64) {
 	return s.records, s.bytes
 }
 
-// Err returns the first write error, if any.
+// Err returns the first error, if any: a write error, or a record
+// EndJSON could not encode.
 func (s *Stream) Err() error {
 	if s == nil {
 		return nil

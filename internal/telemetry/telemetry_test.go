@@ -205,7 +205,8 @@ func TestDecisionLogJSONL(t *testing.T) {
 	l.Placement(&PlacementDecision{SimTimeS: 930, Scheduler: "Gsight", Workload: "matmul", Class: "SC", Functions: 1, Servers: 8,
 		SpreadLevels: 1, SLAChecks: 2, Outcome: "placed", Placement: []int{3}, PredIPC: 1.25, PredJCTS: 40.5})
 	l.JobBegin(&JobBegin{SimTimeS: 930, ID: 7, Archetype: "matmul", Job: "matmul#7", Placement: []int{3}, PredJCTS: 40.5})
-	l.JobEnd(&JobEnd{SimTimeS: 990, ID: 7, Archetype: "matmul", JCTS: 42, Slowdown: 1.05, Checked: true, SLAOK: true})
+	slaOK := true
+	l.JobEnd(&JobEnd{SimTimeS: 990, ID: 7, Archetype: "matmul", JCTS: 42, Slowdown: 1.05, SLAOK: &slaOK})
 	l.JobEnd(&JobEnd{SimTimeS: 990, ID: 8, Archetype: "dd", JCTS: 12})
 	l.PredSample(&PredSample{SimTimeS: 990, Archetype: "matmul", QoS: "jct", Pred: 40.5, Obs: 42})
 	for _, want := range []string{
