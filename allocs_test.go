@@ -93,18 +93,15 @@ func TestProposeAllocBudget(t *testing.T) {
 	allocBudget(t, "State.Propose", 1, proposeOp(t, NewScheduler(p), obs))
 }
 
-// TestPlaceAllAllocBudget pins BenchmarkPlaceAll. A batch of one — the
-// served path's usual batch — is proposed on the caller's goroutine
-// with no closure and costs the results, the proposal slot and the
-// placement: 3 allocs/op. A batch of 8 over 4 placers, stale
-// re-proposals and the par.For fan-out included, costs 25 allocs/op.
-func TestPlaceAllAllocBudget(t *testing.T) {
+// TestServedPlacementAllocBudget pins BenchmarkServedPlacement: the
+// daemon committer's Propose+Commit of one request with Gsight and its
+// WorstFit fallback costs the returned placement, 1 alloc/op.
+func TestServedPlacementAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor bootstrap is slow")
 	}
 	p, obs := trainedPredictor(t)
-	allocBudget(t, "PlaceAll of one request", 3, placeAllOp(t, p, obs, 4, 1))
-	allocBudget(t, "PlaceAll of 8 requests over 4 placers", 25, placeAllOp(t, p, obs, 4, 8))
+	allocBudget(t, "served placement", 1, servedPlaceOp(t, p, obs, 8))
 }
 
 // TestTwoTierAllocBudget pins the tier-0 prune path to the same 1

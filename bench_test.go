@@ -123,9 +123,9 @@ func BenchmarkExtResilience(b *testing.B) { runExperiment(b, "ext-resilience") }
 // (rate and time factors) through the allocation-free step loop.
 func BenchmarkExtSoak(b *testing.B) { runExperiment(b, "ext-soak") }
 
-// BenchmarkExtScale runs the shared-state scale ladder (8 to 10k
-// servers) under Gsight and the baselines — the placements/sec column
-// in its report is the headline number.
+// BenchmarkExtScale runs the scale ladder (8 to 10k servers) under
+// Gsight and the baselines — the placements/sec column in its report
+// is the headline number.
 func BenchmarkExtScale(b *testing.B) { runExperiment(b, "ext-scale") }
 
 // BenchmarkExtTwoTier runs the prune-depth sweep: QoS-density lost vs
@@ -514,74 +514,49 @@ func BenchmarkShardedScheduling(b *testing.B) {
 	runOp(b, proposeOp(b, NewScheduler(p), obs))
 }
 
-// placeAllOp is one PlacerPool.PlaceAll of a batch of requests on an
-// 8-server state with the given placer count; the placed workloads are
-// released again so every iteration starts from the empty state.
-func placeAllOp(tb testing.TB, p *core.Predictor, obs []core.Observation, placers, batch int) func(int) {
-	st := sched.StateFromProfiles(resources.DefaultServerSpec("bench"), 8)
-	pool := NewPlacerPool(st, placers, func() Scheduler { return NewScheduler(p) })
-	reqs := make([]*PlacementRequest, batch)
-	for i := range reqs {
+// servedPlaceOp is the daemon committer's per-placement work on an
+// n-server state: Propose with Gsight and its WorstFit fallback, then
+// Commit. The placed workload is released again so every iteration
+// starts from the empty state. One reusable request, as in proposeOp.
+func servedPlaceOp(tb testing.TB, p *core.Predictor, obs []core.Observation, n int) func(int) {
+	st := sched.StateFromProfiles(resources.DefaultServerSpec("bench"), n)
+	scheduler := NewScheduler(p)
+	scheduler.Fallback = NewWorstFit()
+	req := &PlacementRequest{SLA: SLA{MinIPC: 0.5}}
+	return func(i int) {
 		o := obs[i%len(obs)]
-		in := o.Inputs[o.Target]
-		in.Name = fmt.Sprintf("req-%d", i)
-		reqs[i] = &PlacementRequest{Input: in, SLA: SLA{MinIPC: 0.5}}
-	}
-	return func(int) {
-		for i, res := range pool.PlaceAll(reqs) {
-			if res.Err != nil {
-				tb.Fatal(res.Err)
-			}
-			st.Release(reqs[i].Input.Name)
+		req.Input = o.Inputs[o.Target]
+		pl, err := st.Propose(scheduler, req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		in := req.Input
+		in.Placement = pl
+		st.Commit(in, req.SLA)
+		if !st.Release(in.Name) {
+			tb.Fatal("release failed")
 		}
 	}
 }
 
-// BenchmarkPlaceAll measures the placer pool on the 8-server testbed: a
-// batch of one (the served path's usual batch, proposed on the caller's
-// goroutine) and a batch of 8 over 4 placers.
-func BenchmarkPlaceAll(b *testing.B) {
+// BenchmarkServedPlacement measures the committer's per-placement
+// Propose+Commit on the 8-server testbed.
+func BenchmarkServedPlacement(b *testing.B) {
 	p, obs := trainedPredictor(b)
-	for _, batch := range []int{1, 8} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			runOp(b, placeAllOp(b, p, obs, 4, batch))
-		})
-	}
+	b.ReportAllocs()
+	runOp(b, servedPlaceOp(b, p, obs, 8))
 }
 
-// BenchmarkShardedPlacement measures the full propose/commit/release
-// cycle at cluster scale: 1k and 10k servers. Requests hash to a
+// BenchmarkShardedPlacement measures the same Propose+Commit (and
+// release) at cluster scale: 1k and 10k servers. Requests hash to a
 // fixed-size home window, so ns/op is bounded by window size rather
 // than server count; placements/s is the headline throughput number.
 func BenchmarkShardedPlacement(b *testing.B) {
 	p, obs := trainedPredictor(b)
-	spec := resources.DefaultServerSpec("bench")
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
-			scheduler := NewScheduler(p)
-			ss := sched.StateFromProfiles(spec, n)
-			names := make([]string, 256)
-			for i := range names {
-				names[i] = fmt.Sprintf("bench-%03d", i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o := obs[i%len(obs)]
-				in := o.Inputs[o.Target]
-				in.Name = names[i%len(names)]
-				req := &PlacementRequest{Input: in, SLA: SLA{MinIPC: 0.5}}
-				pl, err := ss.Propose(scheduler, req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				in.Placement = pl
-				ss.Commit(in, req.SLA)
-				if !ss.Release(in.Name) {
-					b.Fatal("release failed")
-				}
-			}
-			b.StopTimer()
+			b.ReportAllocs()
+			runOp(b, servedPlaceOp(b, p, obs, n))
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
 		})
 	}

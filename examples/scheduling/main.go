@@ -1,7 +1,6 @@
-// Scheduling walkthrough on the shared-state API (DESIGN.md §14):
-// trains Gsight, places a two-request batch whose second proposal goes
-// stale and is re-proposed at commit, places a request stream through
-// the concurrent placer pool at 1024 servers, then runs the §6.3 platform bake-off — Gsight's
+// Scheduling walkthrough on the scheduler-state API (DESIGN.md §14):
+// trains Gsight, places a request stream one request at a time at 1024
+// servers, then runs the §6.3 platform bake-off — Gsight's
 // binary-search scheduler vs Pythia's Best Fit and Worst Fit — plus a
 // chaos-fault rerun to show graceful degradation. Everything here uses
 // only the root gsight package.
@@ -57,48 +56,31 @@ func main() {
 		return &gsight.PlacementRequest{Input: in, SLA: gsight.SLA{MinIPC: 0.5}}
 	}
 
-	// -- Optimistic batch placement ---------------------------------
-	// A batch is proposed against one snapshot and committed in request
-	// order: a proposal whose window an earlier commit touched is
-	// re-proposed against the fresh state. On the 8-server testbed
-	// every proposal reads the whole cluster, so tenant-b's goes stale.
-	fmt.Println("\n== optimistic batch placement ==")
-	state := gsight.NewSchedulerState(model)
-	batch := gsight.NewPlacerPool(state, 2,
-		func() gsight.Scheduler { return gsight.NewScheduler(gsightPred) })
-	for i, r := range batch.PlaceAll([]*gsight.PlacementRequest{
-		request(0, "tenant-a"), request(0, "tenant-b"),
-	}) {
-		must(r.Err)
-		fmt.Printf("  tenant-%c committed at servers %v (%d re-proposed)\n", 'a'+i, r.Placement, r.Retries)
-	}
-
-	// -- The placer pool at cluster scale ---------------------------
-	// 1024 servers, 4 concurrent placers. Requests hash to a
-	// fixed-size home window and spill outward only on rejection, so
-	// per-placement cost is bounded by window size, not cluster size —
-	// and results are those of serial placement at any placer count.
-	fmt.Println("\n== placer pool on a 1024-server cluster ==")
+	// -- Placement at cluster scale -------------------------------
+	// 1024 servers, one request at a time: Propose, then Commit on
+	// success. Requests hash to a fixed-size home window and spill
+	// outward only on rejection, so per-placement cost is bounded by
+	// window size, not cluster size.
+	fmt.Println("\n== serial placement on a 1024-server cluster ==")
 	big := gsight.NewSchedulerState(gsight.NewScaledTestbedModel(1024))
-	pool := gsight.NewPlacerPool(big, 4,
-		func() gsight.Scheduler { return gsight.NewScheduler(gsightPred) })
-	reqs := make([]*gsight.PlacementRequest, 512)
-	for i := range reqs {
-		reqs[i] = request(i, fmt.Sprintf("tenant-%03d", i))
-	}
+	scheduler := gsight.NewScheduler(gsightPred)
+	const n = 512
+	placed := 0
 	t0 := time.Now()
-	results := pool.PlaceAll(reqs)
-	elapsed := time.Since(t0)
-	placed, retries := 0, 0
-	for _, r := range results {
-		if r.Err == nil {
-			placed++
+	for i := 0; i < n; i++ {
+		req := request(i, fmt.Sprintf("tenant-%03d", i))
+		p, err := big.Propose(scheduler, req)
+		if err != nil {
+			continue
 		}
-		retries += r.Retries
+		in := req.Input
+		in.Placement = p
+		big.Commit(in, req.SLA)
+		placed++
 	}
-	fmt.Printf("  placed %d/%d requests in %v (%.0f placements/s, %d re-proposed at commit)\n",
-		placed, len(reqs), elapsed.Round(time.Millisecond),
-		float64(len(reqs))/elapsed.Seconds(), retries)
+	elapsed := time.Since(t0)
+	fmt.Printf("  placed %d/%d requests in %v (%.0f placements/s)\n",
+		placed, n, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
 	fmt.Printf("  servers: %d online, %d hosting work\n",
 		big.OnlineServers(), big.ActiveServers())
 

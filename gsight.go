@@ -102,7 +102,7 @@ func NewTestbedModel() *Model {
 }
 
 // NewScaledTestbedModel returns a cluster of n testbed-class nodes —
-// the scaled target the shared scheduling state (DESIGN.md §14)
+// the scaled target the scheduler state's window ladder (DESIGN.md §14)
 // places against. NewTestbedModel is the paper's 8-node instance.
 func NewScaledTestbedModel(n int) *Model {
 	return perfmodel.New(resources.NewTestbed(n))
@@ -127,7 +127,7 @@ type (
 // profiling every workload once (the solo-run phase).
 func NewGenerator(m *Model, seed uint64) *Generator { return scenario.NewGenerator(m, seed) }
 
-// Scheduling (§4; shared-state placement at scale in DESIGN.md §14).
+// Scheduling (§4; placement at scale in DESIGN.md §14).
 type (
 	// Scheduler decides placements.
 	Scheduler = sched.Scheduler
@@ -135,12 +135,11 @@ type (
 	SLA = sched.SLA
 	// SchedulerState is the cluster state Scheduler.Place reads
 	// (capacities, usage, the running set, the online mask) and
-	// placements commit into. Build it with NewSchedulerState, or call
-	// Recount after constructing it or editing its fields directly.
+	// placements commit into, one request at a time: Propose runs the
+	// window ladder, Commit applies the placement it returns. Build it
+	// with NewSchedulerState, or call Recount after constructing it or
+	// editing its fields directly.
 	SchedulerState = sched.State
-	// PlacerPool places request batches with K concurrent workers;
-	// the result is serial placement in request order.
-	PlacerPool = sched.PlacerPool
 	// PlacementRequest asks for a workload placement.
 	PlacementRequest = sched.Request
 )
@@ -159,14 +158,6 @@ func NewScheduler(p QoSPredictor) *sched.Gsight { return sched.NewGsight(p) }
 // the model's testbed.
 func NewSchedulerState(m *Model) *SchedulerState {
 	return sched.StateFromProfiles(m.Testbed.Servers[0], m.Testbed.NumServers())
-}
-
-// NewPlacerPool builds a placer pool over the state with the given
-// number of concurrent placer workers (<= 1 means serial; results are
-// byte-identical at any worker count). factory must return a fresh
-// Scheduler per call; workers never share one.
-func NewPlacerPool(s *SchedulerState, workers int, factory func() Scheduler) *PlacerPool {
-	return sched.NewPlacerPool(s, workers, factory)
 }
 
 // NewBestFit returns Pythia's Best Fit policy.

@@ -39,7 +39,6 @@ func bindExperiments(fs *flag.FlagSet) func([]string) error {
 	fs.StringVar(&c.out, "o", "", "write output to this file instead of stdout")
 	fs.BoolVar(&c.parallel, "parallel", false, "run the selected experiments concurrently (output order and contents unchanged)")
 	fs.IntVar(&c.opt.Servers, "servers", 0, "ext-scale: run a single server-count rung instead of the 8/256/1k/10k ladder")
-	fs.IntVar(&c.opt.Placers, "placers", 0, "ext-scale: concurrent placer workers (0 = auto; results identical at any count)")
 	fs.IntVar(&c.opt.TopK, "topk", 0, "ext-twotier: run a single top-K rung instead of the 4/8/16/32/∞ sweep (0 = full sweep)")
 	c.logFlags(fs)
 	c.outputFlags(fs)

@@ -20,7 +20,7 @@ import (
 // Arrivals fire on a Poisson clock that does not wait for responses,
 // so the offered rate holds even when the daemon slows down — the
 // reported p99 includes the queueing the daemon actually caused
-// (no coordinated omission). -ordered stamps requests with global
+// (no coordinated omission). -ordered gives requests global
 // order numbers for byte-replayable runs (the failover gate's mode).
 // A run with errors exits 2.
 func bindLoadgen(fs *flag.FlagSet) func([]string) error {

@@ -38,7 +38,6 @@ func bindServe(fs *flag.FlagSet) func([]string) error {
 	fs.StringVar(&c.cfg.DataDir, "data", "", "data directory (snapshots, WAL, decision log, lease) — required")
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:7070", "API listen address")
 	fs.IntVar(&c.cfg.Servers, "servers", 0, "cluster size (0 = the paper's 8-node testbed)")
-	fs.IntVar(&c.cfg.Placers, "placers", 4, "placement workers")
 	fs.Uint64Var(&c.cfg.Seed, "seed", 42, "catalog / training seed (must match across active and standby)")
 	fs.IntVar(&c.cfg.Train, "train", 40, "bootstrap training scenarios (0 = start untrained, serve degraded)")
 	fs.IntVar(&c.cfg.QueueCap, "queue", 256, "admission queue capacity (overflow sheds with 429)")

@@ -27,8 +27,7 @@ import (
 // on each ingest — the scheduler-side score caches key on that counter,
 // which is the "explicit invalidation on observation ingest". All state
 // is a pure function of the observation stream: no RNG, no clock, so
-// cached scores are byte-identical across reruns and at any placer
-// count.
+// cached scores are byte-identical across reruns.
 type Tier0 struct {
 	coder Coder
 	ridge *ml.Ridge

@@ -23,10 +23,6 @@ type Options struct {
 	// Servers restricts ext-scale to one server-count rung (> 0); the
 	// default runs the full 8/256/1k/10k ladder.
 	Servers int
-	// Placers overrides the placer-pool worker count of ext-scale and
-	// ext-twotier (<= 0 auto-sizes). Placement outcomes are identical
-	// either way.
-	Placers int
 	// TopK restricts ext-twotier to one prune-depth rung (> 0); the
 	// default sweeps K over 4/8/16/32/∞.
 	TopK int

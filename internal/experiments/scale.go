@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"gsight/internal/core"
@@ -88,32 +87,50 @@ func (l *scaleLab) requests(opt Options, n int, nameFmt string) []*sched.Request
 	return reqs
 }
 
-// scaleRun is one cell of a sweep: the request stream placed on a fresh
-// n-server state by a pool of the given scheduler.
+// scaleRun is one cell of a sweep: the request stream placed serially
+// on a fresh n-server state by one scheduler.
 type scaleRun struct {
 	placed  int
 	density float64 // instances per active core
 	slaFrac float64 // share of placements vetted by a prediction
+	// capFrac is the share of placements accepted on capacity alone: the
+	// request carries an SLA, yet its decision holds no prediction
+	// (Gsight past its code's rows, or a scheduler that never reports
+	// one).
+	capFrac float64
 	perSec  float64 // wall-clock
 }
 
-func (l *scaleLab) run(n, placers int, reqs []*sched.Request, factory func() sched.Scheduler) scaleRun {
+func (l *scaleLab) run(n int, reqs []*sched.Request, s sched.Scheduler) scaleRun {
 	st := sched.StateFromProfiles(l.spec, n)
-	pool := sched.NewPlacerPool(st, placers, factory)
+	placed := make([]bool, len(reqs))
 	t0 := time.Now()
-	results := pool.PlaceAll(reqs)
+	for i, req := range reqs {
+		p, err := st.Propose(s, req)
+		if err != nil {
+			continue
+		}
+		in := req.Input
+		in.Placement = p
+		st.Commit(in, req.SLA)
+		placed[i] = true
+	}
 	elapsed := time.Since(t0)
 	out := scaleRun{perSec: float64(len(reqs)) / elapsed.Seconds()}
-	vetted, instances := 0, 0
-	for i, res := range results {
-		if res.Err != nil {
+	vetted, capOnly, instances := 0, 0, 0
+	for i, req := range reqs {
+		if !placed[i] {
 			continue
 		}
 		out.placed++
-		if res.Outcome == "placed" {
-			vetted++
+		if d := &req.Detail; d.Outcome == "placed" {
+			if req.SLA != (sched.SLA{}) && d.PredIPC == 0 && d.PredJCTS == 0 {
+				capOnly++
+			} else {
+				vetted++
+			}
 		}
-		in := &reqs[i].Input
+		in := &req.Input
 		for f := range in.Profiles {
 			if in.Replicas != nil {
 				instances += in.Replicas[f]
@@ -127,25 +144,17 @@ func (l *scaleLab) run(n, placers int, reqs []*sched.Request, factory func() sch
 	}
 	if out.placed > 0 {
 		out.slaFrac = float64(vetted) / float64(out.placed)
+		out.capFrac = float64(capOnly) / float64(out.placed)
 	}
 	return out
 }
 
-// scalePlacers resolves the worker count: Options.Placers, else one
-// per CPU up to 8.
-func scalePlacers(opt Options) int {
-	if opt.Placers > 0 {
-		return opt.Placers
-	}
-	return min(runtime.GOMAXPROCS(0), 8)
-}
-
-// ExtScale measures placement at cluster scale: the shared-state
-// placer pool (DESIGN.md §14) places a request stream at 8, 256, 1k
-// and 10k servers under Gsight and the baselines, reporting density,
-// SLA-vetted admission, QoS-compliant density and placements/sec.
-// Every column except placements/sec is deterministic — byte-identical
-// at any placer count (TestExtScalePlacerIdentity).
+// ExtScale measures placement at cluster scale: the window ladder
+// (DESIGN.md §14) places a request stream serially at 8, 256, 1k and
+// 10k servers under Gsight and the baselines, reporting density,
+// SLA-vetted admission, capacity-only admission, QoS-compliant density
+// (over the SLA-vetted placements only) and placements/sec.
+// Every column except placements/sec is deterministic per seed.
 func ExtScale(ctx context.Context, opt Options) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -165,35 +174,29 @@ func ExtScale(ctx context.Context, opt Options) (*Report, error) {
 	}
 	r := &Report{
 		ID:    "ext-scale",
-		Title: "Shared-state scheduling at scale: density, SLA admission and throughput",
+		Title: "Scheduling at scale: density, SLA admission and throughput",
 		Columns: []string{
-			"servers", "scheduler", "placers",
-			"placed", "density", "SLA-admit", "QoS-density", "placements/s",
+			"servers", "scheduler", "placed", "density",
+			"SLA-admit", "capacity-only", "QoS-density", "placements/s",
 		},
 	}
-	placers := scalePlacers(opt)
 	for _, n := range rungs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		reqs := lab.requests(opt, n, "scale-%s-%d")
-		for _, e := range []struct {
-			name    string
-			factory func() sched.Scheduler
-		}{
-			{"Gsight", func() sched.Scheduler { return sched.NewGsight(lab.gsight) }},
-			{"BestFit", func() sched.Scheduler { return sched.NewBestFit(pythiaP) }},
-			{"WorstFit", func() sched.Scheduler { return sched.NewWorstFit() }},
+		for _, s := range []sched.Scheduler{
+			sched.NewGsight(lab.gsight), sched.NewBestFit(pythiaP), sched.NewWorstFit(),
 		} {
-			c := lab.run(n, placers, reqs, e.factory)
+			c := lab.run(n, reqs, s)
 			r.AddRow(
-				fmt.Sprintf("%d", n), e.name, fmt.Sprintf("%d", placers),
+				fmt.Sprintf("%d", n), s.Name(),
 				fmt.Sprintf("%d/%d", c.placed, len(reqs)),
-				f2(c.density), pct(c.slaFrac), f2(c.density*c.slaFrac), f0(c.perSec),
+				f2(c.density), pct(c.slaFrac), pct(c.capFrac), f2(c.density*c.slaFrac), f0(c.perSec),
 			)
 		}
 	}
 	r.AddNote("requests hash to an 8-server home window and spill outward on rejection, so per-placement cost is bounded by window size, not cluster size")
-	r.AddNote("all columns except placements/s are byte-identical at any placer count: the pool's result is serial placement in request order by construction")
+	r.AddNote("SLA-admit counts placements whose decision carries a prediction; capacity-only counts placements with an SLA but no prediction, which QoS-density leaves out. BestFit and WorstFit report no prediction on a decision, so every one of their placements counts as capacity-only")
 	return r, nil
 }

@@ -1,48 +1,14 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
+
+	"gsight/internal/core"
+	"gsight/internal/profile"
+	"gsight/internal/resources"
+	"gsight/internal/rng"
+	"gsight/internal/sched"
 )
-
-// scaleDecisionRows strips the wall-clock placements/s column, leaving
-// only the deterministic decision columns.
-func scaleDecisionRows(r *Report) [][]string {
-	out := make([][]string, len(r.Rows))
-	for i, row := range r.Rows {
-		out[i] = row[:len(row)-1]
-	}
-	return out
-}
-
-// TestExtScalePlacerIdentity is the acceptance check at the experiment
-// level: the same seed produces byte-identical decision rows at every
-// placer count, the one-placer run being the serial reference.
-func TestExtScalePlacerIdentity(t *testing.T) {
-	run := func(placers int) [][]string {
-		opt := tiny()
-		opt.Servers = 256 // one rung keeps the matrix affordable
-		opt.Placers = placers
-		rep, err := ExtScale(nil, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := scaleDecisionRows(rep)
-		for _, row := range rows {
-			row[2] = "-" // the placers column differs by construction
-		}
-		return rows
-	}
-	ref := run(1)
-	if len(ref) == 0 {
-		t.Fatal("empty report")
-	}
-	for _, placers := range []int{2, 8} {
-		if got := run(placers); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("placers=%d decisions diverged from placers=1:\n%v\nvs\n%v", placers, got, ref)
-		}
-	}
-}
 
 // TestExtScaleLadder checks the default ladder covers 8 through 10k
 // servers for all three schedulers.
@@ -58,6 +24,52 @@ func TestExtScaleLadder(t *testing.T) {
 	for i, row := range rep.Rows {
 		if row[0] != wantServers[i/3] {
 			t.Fatalf("row %d: servers %s, want %s", i, row[0], wantServers[i/3])
+		}
+	}
+}
+
+// fixedPredictor answers every IPC query with 2 and every JCT query
+// with 1 s, or every batch with err.
+type fixedPredictor struct {
+	core.QoSPredictor
+	err error
+}
+
+func (f fixedPredictor) PredictBatchInto(kind core.QoSKind, _ []core.Query, out []float64) error {
+	for i := range out {
+		out[i] = 1
+		if kind == core.IPCQoS {
+			out[i] = 2
+		}
+	}
+	return f.err
+}
+
+// TestScaleCapacityOnlySplit: a placement with an SLA whose decision
+// holds no prediction counts as capacity-only, never as SLA-admit, and
+// QoS-density leaves it out. Gsight over a predictor that answers
+// every batch with core.ErrTooManyServers accepts the whole stream on
+// capacity; over one that predicts, it vets the whole stream.
+func TestScaleCapacityOnlySplit(t *testing.T) {
+	l := &scaleLab{spec: resources.DefaultServerSpec("scale")}
+	prnd := rng.Stream(1, "capacity-only")
+	for _, wf := range scaleMix {
+		w := wf()
+		l.mix = append(l.mix, w)
+		l.profs = append(l.profs, profile.WorkloadProfiles(w, l.spec, prnd.Split()))
+	}
+	reqs := l.requests(tiny(), 256, "split-%s-%d")
+	for _, c := range []struct {
+		pred         fixedPredictor
+		vetted, capd float64
+	}{
+		{fixedPredictor{err: core.ErrTooManyServers}, 0, 1},
+		{fixedPredictor{}, 1, 0},
+	} {
+		got := l.run(256, reqs, sched.NewGsight(c.pred))
+		if got.placed != len(reqs) || got.slaFrac != c.vetted || got.capFrac != c.capd {
+			t.Fatalf("err %v: placed %d/%d, SLA-admit %.2f, capacity-only %.2f; want all placed, %.0f and %.0f",
+				c.pred.err, got.placed, len(reqs), got.slaFrac, got.capFrac, c.vetted, c.capd)
 		}
 	}
 }

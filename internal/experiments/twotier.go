@@ -44,11 +44,10 @@ func ExtTwoTier(ctx context.Context, opt Options) (*Report, error) {
 		ID:    "ext-twotier",
 		Title: "Two-tier placement: QoS-density lost vs wall-clock gained as K shrinks",
 		Columns: []string{
-			"servers", "topk", "placers", "placed",
-			"density", "SLA-admit", "QoS-density", "QoSd-loss", "placements/s", "speedup",
+			"servers", "topk", "placed",
+			"density", "SLA-admit", "capacity-only", "QoS-density", "QoSd-loss", "placements/s", "speedup",
 		},
 	}
-	placers := scalePlacers(opt)
 	for _, n := range rungs {
 		// Archetype run names ("twotier-matmul#17"), so tier-0 score
 		// caching keys to the five archetypes instead of one entry per
@@ -59,15 +58,12 @@ func ExtTwoTier(ctx context.Context, opt Options) (*Report, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			factory := func() sched.Scheduler {
-				s := sched.NewGsight(lab.gsight)
-				if k > 0 {
-					s.Tier0 = lab.gsight.Tier0()
-					s.TopK = k
-				}
-				return s
+			s := sched.NewGsight(lab.gsight)
+			if k > 0 {
+				s.Tier0 = lab.gsight.Tier0()
+				s.TopK = k
 			}
-			c := lab.run(n, placers, reqs, factory)
+			c := lab.run(n, reqs, s)
 			qosd := c.density * c.slaFrac
 			kLabel, loss, speedup := "∞", "-", "-"
 			if k == 0 {
@@ -82,13 +78,14 @@ func ExtTwoTier(ctx context.Context, opt Options) (*Report, error) {
 				}
 			}
 			r.AddRow(
-				fmt.Sprintf("%d", n), kLabel, fmt.Sprintf("%d", placers),
+				fmt.Sprintf("%d", n), kLabel,
 				fmt.Sprintf("%d/%d", c.placed, len(reqs)),
-				f2(c.density), pct(c.slaFrac), f2(qosd), loss, f0(c.perSec), speedup,
+				f2(c.density), pct(c.slaFrac), pct(c.capFrac), f2(qosd), loss, f0(c.perSec), speedup,
 			)
 		}
 	}
 	r.AddNote("K=∞ disables pruning and reproduces the legacy placements byte-for-byte; finite K runs the binary-search ladder over only the top-K tier-0-ranked candidates")
+	r.AddNote("capacity-only placements were accepted where the colocation spans more servers than the predictor's code has rows, with no prediction; QoS-density counts SLA-admit placements only")
 	r.AddNote("QoSd-loss and speedup are relative to the same rung's K=∞ row; every column except placements/s and speedup is deterministic per seed")
 	return r, nil
 }

@@ -1113,7 +1113,7 @@ func refreshState(st *sched.State, services []*serviceState, activeSC []*scActiv
 		st.Commit(a.input, a.sla)
 	}
 	// The surgery above left the counted-mode caches stale; Recount
-	// rebuilds them and restamps every server.
+	// rebuilds them.
 	st.Recount()
 }
 

@@ -155,6 +155,12 @@ func TestGsightPredictorErrorsWithAndWithoutBatch(t *testing.T) {
 				if g.err != nil || g.detail.Outcome != "placed" || len(g.placement) == 0 {
 					t.Fatalf("%v: want capacity acceptance, got %+v", cause, g)
 				}
+				// Nothing was predicted, so the decision reports no
+				// prediction: that is how a reader tells this accept
+				// from an SLA-vetted one.
+				if g.detail.PredIPC != 0 || g.detail.PredJCTS != 0 {
+					t.Fatalf("%v: capacity acceptance carries a prediction: %+v", cause, g.detail)
+				}
 			} else if !errors.Is(g.err, cause) || g.detail.Outcome != "error" {
 				t.Fatalf("%v: want the predictor error surfaced, got %+v", cause, g)
 			}

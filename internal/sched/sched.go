@@ -54,12 +54,12 @@ type Deployed struct {
 }
 
 // State is the scheduler's view of the cluster, the one placements are
-// searched against and committed into. Alongside its exported fields
-// it keeps O(1) bookkeeping — online/active server counts, per-server
-// function counts, a name index and the per-server commit stamps that
-// PlacerPool's conflict check reads — maintained through the mutating
-// methods. A state built as a literal, or whose fields were mutated
-// directly, must call Recount() before it is used.
+// searched against and committed into, one request at a time: Propose,
+// then Commit on success. Alongside its exported fields it keeps O(1)
+// bookkeeping — online/active server counts, per-server function
+// counts and a name index — maintained through the mutating methods. A
+// state built as a literal, or whose fields were mutated directly,
+// must call Recount() before it is used.
 type State struct {
 	// Caps[s] is server s's capacity.
 	Caps []resources.Vector
@@ -85,10 +85,6 @@ type State struct {
 	// matching Release's first-match semantics when names repeat; it
 	// spares Release a linear scan over Running.
 	nameIdx map[string]int
-	// seq is the commit sequence number, advanced by every mutation;
-	// stamps[s] is seq at the last mutation touching server s (shard.go).
-	seq    uint64
-	stamps []uint64
 	// scr is the serial Propose's window scratch, allocated on first
 	// use: a State cannot hold its own window sub-state by value.
 	scr *proposeScratch
@@ -96,9 +92,8 @@ type State struct {
 
 // Recount rebuilds the cached online/active counts, the per-server
 // function counts and the name→index map from the current field values.
-// It also restamps every server: the surgery it follows invalidates any
-// outstanding proposal. Call it after mutating Used, Running or Offline
-// directly (checkpoint restore, state refresh).
+// Call it after mutating Used, Running or Offline directly (checkpoint
+// restore, state refresh).
 func (st *State) Recount() {
 	st.online = 0
 	for s := range st.Caps {
@@ -131,17 +126,6 @@ func (st *State) Recount() {
 			st.nameIdx[nm] = i
 		}
 	}
-	st.seq++
-	st.stamps = resize(st.stamps, len(st.Caps))
-	for s := range st.stamps {
-		st.stamps[s] = st.seq
-	}
-}
-
-// touch advances seq for a one-server mutation and stamps server s.
-func (st *State) touch(s int) {
-	st.seq++
-	st.stamps[s] = st.seq
 }
 
 // NumServers returns the cluster size.
@@ -151,7 +135,6 @@ func (st *State) NumServers() int { return len(st.Caps) }
 // placement. Existing allocations on an offline server are untouched —
 // evacuating them is the platform's job, not the scheduler's.
 func (st *State) SetOffline(s int, down bool) {
-	st.touch(s)
 	if st.Offline == nil {
 		if !down {
 			return
@@ -170,7 +153,6 @@ func (st *State) SetOffline(s int, down bool) {
 
 // SetCap repoints server s's capacity (fault-injection degradation).
 func (st *State) SetCap(s int, v resources.Vector) {
-	st.touch(s)
 	st.Caps[s] = v
 }
 
@@ -204,12 +186,10 @@ func AllocOf(in *core.WorkloadInput, f int) resources.Vector {
 
 // Commit applies a placement to the state's bookkeeping.
 func (st *State) Commit(in core.WorkloadInput, sla SLA) {
-	st.seq++
 	for f := range in.Profiles {
 		s := in.Placement[f]
 		next := st.Used[s].Add(AllocOf(&in, f))
 		st.funcs[s]++
-		st.stamps[s] = st.seq
 		if st.Used[s].IsZero() && !next.IsZero() {
 			st.active++
 		}
@@ -237,12 +217,10 @@ func (st *State) Release(name string) bool {
 	if i < 0 {
 		return false
 	}
-	st.seq++
 	d := &st.Running[i]
 	for f := range d.Input.Profiles {
 		s := d.Input.Placement[f]
 		next := st.Used[s].Sub(AllocOf(&d.Input, f)).Clamped()
-		st.stamps[s] = st.seq
 		if st.funcs[s]--; st.funcs[s] == 0 {
 			next = resources.Vector{}
 		}
@@ -270,8 +248,7 @@ func (st *State) Release(name string) bool {
 func (st *State) ActiveServers() int { return st.active }
 
 // Scheduler decides placements. Place reads st and must not mutate it
-// — applying the returned placement is the caller's job (State.Commit,
-// directly or through PlacerPool.PlaceAll).
+// — applying the returned placement is the caller's job (State.Commit).
 type Scheduler interface {
 	Name() string
 	// Place returns a server index per function of req's workload.

@@ -247,33 +247,6 @@ func TestShardedLegacyEquivalence(t *testing.T) {
 	}
 }
 
-// TestForcedTxnConflict places two requests as one batch on a 4-server
-// cluster: both are proposed against the same snapshot, so the first
-// commit stales the second, which PlaceAll re-proposes against the
-// refreshed state and commits.
-func TestForcedTxnConflict(t *testing.T) {
-	st := StateFromProfiles(spec, 4)
-	var reqs []*Request
-	for _, name := range []string{"batch-a", "batch-b"} {
-		in := inputFor(workload.MatMul(), 0)
-		in.Name = name
-		reqs = append(reqs, &Request{Input: in, SLA: SLA{MinIPC: 0.5}})
-	}
-	pool := NewPlacerPool(st, 2, func() Scheduler { return NewGsight(&stubPredictor{ipc: 2}) })
-	res := pool.PlaceAll(reqs)
-	for i, want := range []int{0, 1} {
-		if res[i].Err != nil {
-			t.Fatalf("request %d: %v", i, res[i].Err)
-		}
-		if res[i].Retries != want {
-			t.Fatalf("request %d: %d retries, want %d", i, res[i].Retries, want)
-		}
-	}
-	if got := len(st.Running); got != 2 {
-		t.Fatalf("want 2 running workloads, got %d", got)
-	}
-}
-
 // poolRequests builds a deterministic request mix: BG jobs and LS
 // services with SLAs, names spread over the hash space.
 func poolRequests(n int) []*Request {
@@ -289,53 +262,10 @@ func poolRequests(n int) []*Request {
 	return reqs
 }
 
-// resultKey flattens a PlaceResult for byte-exact comparison.
-func resultKey(r PlaceResult) string {
-	e := ""
-	if r.Err != nil {
-		e = r.Err.Error()
-	}
-	return fmt.Sprintf("%v|%s|%d|%s", r.Placement, r.Outcome, r.Retries, e)
-}
-
-// TestPlacerPoolDeterminism: same requests — byte-identical results
-// (retry counts included) and final state at every placer count.
-func TestPlacerPoolDeterminism(t *testing.T) {
-	const servers = 64
-	var refKeys []string
-	var refUsed []resources.Vector
-	for _, placers := range []int{1, 2, 8} {
-		st := StateFromProfiles(spec, servers)
-		pool := NewPlacerPool(st, placers, func() Scheduler {
-			return NewGsight(&stubPredictor{ipc: 2})
-		})
-		results := pool.PlaceAll(poolRequests(48))
-		keys := make([]string, len(results))
-		for i, r := range results {
-			keys[i] = resultKey(r)
-		}
-		if refKeys == nil {
-			refKeys, refUsed = keys, st.Used
-			continue
-		}
-		for i := range keys {
-			if keys[i] != refKeys[i] {
-				t.Fatalf("placers=%d req %d: result %q != reference %q", placers, i, keys[i], refKeys[i])
-			}
-		}
-		for s := range refUsed {
-			for k := range refUsed[s] {
-				if st.Used[s][k] != refUsed[s][k] {
-					t.Fatalf("placers=%d server %d kind %d: Used not bit-identical", placers, s, k)
-				}
-			}
-		}
-	}
-}
-
-// TestPlacerPoolCommitsAreConsistent cross-checks the pool's final
-// state: summing every accepted placement's allocations must equal the
-// state's Used exactly, and no placement may target an offline server.
+// TestPlacerPoolCommitsAreConsistent cross-checks the final state of
+// the benchmark shim's serial PlaceAll: summing every accepted
+// placement's allocations must equal the state's Used exactly, and no
+// placement may target an offline server.
 func TestPlacerPoolCommitsAreConsistent(t *testing.T) {
 	const servers = 96
 	st := StateFromProfiles(spec, servers)

@@ -22,8 +22,8 @@ import (
 //
 // Everything here is a pure function of (archetype profiles, scorer
 // generation, server load) — no wall clock, no RNG, no iteration over
-// map order — so placements are byte-identical at any placer
-// count and across checkpoint/resume.
+// map order — so placements are byte-identical across reruns and
+// across checkpoint/resume.
 
 // tier0Buckets quantizes a server's CPU allocation (as a fraction of
 // the oversubscription ceiling) for the score cache. 16 buckets over

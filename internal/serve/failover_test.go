@@ -53,7 +53,7 @@ func startDaemon(t *testing.T, bin, dir, addr string, extra ...string) *daemon {
 	t.Helper()
 	args := append([]string{
 		"serve", "-data", dir, "-addr", addr,
-		"-seed", "7", "-train", "4", "-placers", "2",
+		"-seed", "7", "-train", "4",
 		"-snapshot-every", "32", "-lease-ttl", "500ms",
 	}, extra...)
 	d := &daemon{addr: addr, logs: &bytes.Buffer{}}

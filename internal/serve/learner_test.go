@@ -123,7 +123,7 @@ func stopped(t *testing.T, srv *Server) (log, state []byte) {
 // release stream committed one record per batch, in batches of 64 and in
 // three seeded random splits gives the same decision log and the same
 // predictor state — installs land on their record whatever batch they
-// fall in, and no PlaceAll run straddles one.
+// fall in.
 func TestServeLearnerIndependentOfBatching(t *testing.T) {
 	ops := learnScript(320) // flushes at records 298, 598, 898
 	type variant struct {

@@ -46,7 +46,7 @@ type LoadConfig struct {
 	// ObserveFrac follows a successful placement with a synthetic QoS
 	// observation (exercises the online-learning path). Default 0.
 	ObserveFrac float64
-	// Ordered stamps every request with a global order number, making
+	// Ordered gives every request a global order number, making
 	// the run byte-replayable for the failover gate. Ordered runs
 	// serialize admission; keep rates moderate. The follow-ups are part
 	// of the numbered stream: which placements get an observation or a

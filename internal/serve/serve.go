@@ -21,9 +21,8 @@ import (
 )
 
 // Server is the crash-tolerant placement daemon: a single committer
-// goroutine serializes every state mutation, batching contiguous
-// placements through the PlacerPool (concurrent propose, serial
-// commit) and acknowledging nothing before its WAL record is
+// goroutine serializes every state mutation, applying each record in
+// admitted order, and acknowledges nothing before its WAL record is
 // group-commit fsynced.
 //
 // Determinism contract (what the servecheck gate proves): the decision
@@ -32,18 +31,15 @@ import (
 // order through a reorder buffer, so the stream is independent of
 // network interleaving, batch boundaries and crash/takeover timing:
 //
-//   - PlaceAll is serial placement in request order by construction —
-//     a proposal only reads its placement window, and the commit pass
-//     re-proposes, against the current state, any request whose window
-//     an earlier commit touched. Splitting a run of placements across
-//     batches cannot change any decision, and no request is rejected
-//     for contention.
+//   - A placement is decided when its record applies: Propose against
+//     the state every earlier record left, Commit on success. Batch
+//     boundaries decide only which records share an fsync.
 //   - The online learner's flush cadence is a function of the
 //     observation count, and observations apply in record order. A
 //     flush at record N trains in the background and installs exactly
 //     at record N+learnerLag (core.Config.InstallLag; the predictor
-//     counts records through Tick), and no PlaceAll run straddles an
-//     install.
+//     counts records through Tick, which every record calls after it
+//     applies).
 //   - Restore re-executes the acknowledged requests through the same
 //     commit path, and the store verifies every regenerated record
 //     against the WAL byte for byte, so a resumed or taken-over daemon
@@ -55,7 +51,9 @@ type Server struct {
 	cat   *Catalog
 	pred  *core.Predictor
 	state *sched.State
-	pool  *sched.PlacerPool
+	// placer is the daemon's one scheduler: Gsight with a WorstFit
+	// fallback for what the predictor cannot vet.
+	placer *sched.Gsight
 
 	intake   chan *pending
 	stopC    chan struct{}
@@ -111,8 +109,8 @@ type Config struct {
 	DataDir string
 	// Servers is the cluster size (0 = the paper's 8-node testbed).
 	Servers int
-	// Placers is the placer pool's worker count (0 runs one; `gsight
-	// serve -placers` defaults to 4).
+	// Placers is read by nothing: placement is serial. The field stays
+	// because the frozen benchmark harness sets it.
 	Placers int
 	// Seed drives the catalog, SLA curves and bootstrap training.
 	Seed uint64
@@ -183,7 +181,7 @@ type serveMetrics struct {
 	shed, dups, timeouts    *telemetry.Counter
 	walRecords, snapshots   *telemetry.Counter
 	replayed, takeovers     *telemetry.Counter
-	conflicts, deferred     *telemetry.Counter
+	deferred                *telemetry.Counter
 	batchSize               *telemetry.Histogram
 	placeLatency            *telemetry.Histogram
 	capture, publish        *telemetry.Histogram
@@ -207,7 +205,6 @@ func newServeMetrics(reg *telemetry.Registry) serveMetrics {
 		inflight:     reg.Gauge("serve_snapshot_inflight", "1 while a snapshot is being published in the background"),
 		replayed:     reg.Counter("serve_replayed_records_total", "WAL records replayed at startup"),
 		takeovers:    reg.Counter("serve_takeovers_total", "restores from an existing snapshot (restart or takeover)"),
-		conflicts:    reg.Counter("serve_commit_conflicts_total", "placements re-proposed in the commit pass (stale window)"),
 		batchSize:    reg.Histogram("serve_batch_records", "records per commit batch", telemetry.ExpBuckets(1, 2, 12)),
 		placeLatency: reg.Histogram("serve_place_seconds", "placement request latency", telemetry.DurationBuckets()),
 		learner: core.LearnerInstruments{
@@ -290,12 +287,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.nextOrder = 1
 	pred.InstrumentLearner(s.met.learner)
-	factory := func() sched.Scheduler {
-		g := sched.NewGsight(pred)
-		g.Fallback = sched.NewWorstFit()
-		return g
-	}
-	s.pool = sched.NewPlacerPool(s.state, cfg.Placers, factory)
+	s.placer = sched.NewGsight(pred)
+	s.placer.Fallback = sched.NewWorstFit()
 
 	if err := s.restore(); err != nil {
 		s.store.Close()
@@ -806,69 +799,18 @@ func (s *Server) fence(batch []*pending, err error) {
 	s.awaitPublish() // the publisher answers its own cut's waiters
 }
 
-// commitBatch processes one admitted batch: decide everything, append
-// every record to the WAL under ONE fsync, write the decision lines,
-// then acknowledge. Contiguous placements decide through the
-// placer pool (concurrent propose, serial commit); observations and
-// releases apply serially at their positions. Snapshot controls split
-// the batch: the records before the control are acknowledged first, so
-// the cut the control asks for covers them.
+// commitBatch processes one admitted batch: apply every record in
+// admitted order, append the records to the WAL under ONE fsync, write
+// the decision lines, then acknowledge. Snapshot controls split the
+// batch: the records before the control are acknowledged first, so the
+// cut the control asks for covers them.
 func (s *Server) commitBatch(batch []*pending) error {
 	s.met.batchSize.Observe(float64(len(batch)))
 	var (
-		records  []*Record
-		waiters  []*pending
-		placeRun []*pending
+		records []*Record
+		waiters []*pending
 	)
 	nextSeq := s.applied
-	flushPlaces := func() error {
-		if len(placeRun) == 0 {
-			return nil
-		}
-		reqs := make([]*sched.Request, len(placeRun))
-		for i, p := range placeRun {
-			name := fmt.Sprintf("%s#%d", p.arch, nextSeq+uint64(i)+1)
-			if p.order > 0 {
-				name = fmt.Sprintf("%s#o%d", p.arch, p.order)
-			}
-			req, err := s.cat.Request(p.arch, name, p.qps)
-			if err != nil {
-				return err // handler validates archetypes; this is a bug
-			}
-			reqs[i] = req
-		}
-		results := s.pool.PlaceAll(reqs)
-		for i, p := range placeRun {
-			nextSeq++
-			if err := s.tick(); err != nil {
-				return err
-			}
-			res, d := &results[i], &reqs[i].Detail
-			s.met.conflicts.Add(uint64(res.Retries))
-			pr := &placeRecord{
-				Workload: p.arch,
-				QPSFrac:  reqs[i].Input.QPSFrac,
-				Name:     reqs[i].Input.Name,
-				Outcome:  res.Outcome,
-				Reason:   d.Reason,
-			}
-			if res.Err != nil {
-				if pr.Outcome == "" {
-					pr.Outcome = "error"
-				}
-				if pr.Reason == "" {
-					pr.Reason = res.Err.Error()
-				}
-			} else {
-				pr.Placement = res.Placement
-				pr.PredIPC, pr.PredJCTS = d.PredIPC, d.PredJCTS
-			}
-			records = append(records, &Record{Seq: nextSeq, Kind: kindPlace, Order: p.order, Place: pr})
-			waiters = append(waiters, p)
-		}
-		placeRun = placeRun[:0]
-		return nil
-	}
 	ack := func() error {
 		if len(records) == 0 {
 			return nil
@@ -919,18 +861,17 @@ func (s *Server) commitBatch(batch []*pending) error {
 	for _, p := range batch {
 		switch p.kind {
 		case kindPlace:
-			placeRun = append(placeRun, p)
-			// The run ends at an install point: the placements after it
-			// are decided by the model it installs.
-			if due, ok := s.pred.InstallDue(); ok && due == nextSeq+uint64(len(placeRun)) {
-				if err := flushPlaces(); err != nil {
-					return err
-				}
-			}
-		case kindObserve:
-			if err := flushPlaces(); err != nil {
+			nextSeq++
+			pr, err := s.applyPlace(p, nextSeq)
+			if err != nil {
 				return err
 			}
+			records = append(records, &Record{Seq: nextSeq, Kind: kindPlace, Order: p.order, Place: pr})
+			waiters = append(waiters, p)
+			if err := s.tick(); err != nil {
+				return err
+			}
+		case kindObserve:
 			nextSeq++
 			applied := s.applyObserve(p.name, p.qos, p.value)
 			records = append(records, &Record{Seq: nextSeq, Kind: kindObserve, Order: p.order,
@@ -940,9 +881,6 @@ func (s *Server) commitBatch(batch []*pending) error {
 				return err
 			}
 		case kindRelease:
-			if err := flushPlaces(); err != nil {
-				return err
-			}
 			nextSeq++
 			released := s.state.Release(p.name)
 			records = append(records, &Record{Seq: nextSeq, Kind: kindRelease, Order: p.order,
@@ -952,9 +890,6 @@ func (s *Server) commitBatch(batch []*pending) error {
 				return err
 			}
 		case ctlSnapshot:
-			if err := flushPlaces(); err != nil {
-				return err
-			}
 			if err := ack(); err != nil {
 				return err
 			}
@@ -967,14 +902,49 @@ func (s *Server) commitBatch(batch []*pending) error {
 			p.reply <- pendingResp{status: 400, err: fmt.Errorf("serve: unknown request kind %q", p.kind)}
 		}
 	}
-	if err := flushPlaces(); err != nil {
-		return err
-	}
 	if err := ack(); err != nil {
 		return err
 	}
 	s.countKinds(batch)
 	return nil
+}
+
+// applyPlace decides the placement record at seq: the request built
+// from the catalog is proposed against the current state and committed
+// on success.
+func (s *Server) applyPlace(p *pending, seq uint64) (*placeRecord, error) {
+	name := fmt.Sprintf("%s#%d", p.arch, seq)
+	if p.order > 0 {
+		name = fmt.Sprintf("%s#o%d", p.arch, p.order)
+	}
+	req, err := s.cat.Request(p.arch, name, p.qps)
+	if err != nil {
+		return nil, err // handler validates archetypes; this is a bug
+	}
+	placement, err := s.state.Propose(s.placer, req)
+	d := &req.Detail
+	pr := &placeRecord{
+		Workload: p.arch,
+		QPSFrac:  req.Input.QPSFrac,
+		Name:     req.Input.Name,
+		Outcome:  d.Outcome,
+		Reason:   d.Reason,
+	}
+	if err != nil {
+		if pr.Outcome == "" {
+			pr.Outcome = "error"
+		}
+		if pr.Reason == "" {
+			pr.Reason = err.Error()
+		}
+		return pr, nil
+	}
+	in := req.Input
+	in.Placement = placement
+	s.state.Commit(in, req.SLA)
+	pr.Placement = placement
+	pr.PredIPC, pr.PredJCTS = d.PredIPC, d.PredJCTS
+	return pr, nil
 }
 
 func (s *Server) countKinds(batch []*pending) {

@@ -26,7 +26,6 @@ func testServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server, 
 		DataDir: t.TempDir(),
 		Seed:    7,
 		Train:   4,
-		Placers: 2,
 		Health:  telemetry.NewHealth(),
 	}
 	if mutate != nil {
@@ -247,7 +246,7 @@ func TestServeBatchBodyRefused(t *testing.T) {
 func TestServeRestartContinuesStream(t *testing.T) {
 	mix := []string{"matmul", "social-network", "dd", "e-commerce"}
 	run := func(dir string, from, to int) {
-		cfg := Config{DataDir: dir, Seed: 7, Train: 4, Placers: 2, Health: telemetry.NewHealth()}
+		cfg := Config{DataDir: dir, Seed: 7, Train: 4, Health: telemetry.NewHealth()}
 		srv, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New: %v", err)

@@ -89,7 +89,7 @@ func drive(t *testing.T, cl *Client, ops []scriptOp, from, to int) (lastSeq uint
 // snapConfig leaves SnapshotEvery at its default, beyond any test's
 // load: periodic snapshots happen only where a test asks for them.
 func snapConfig(dir string, sink *telemetry.Sink) Config {
-	return Config{DataDir: dir, Seed: 7, Train: 4, Placers: 2, Sink: sink, Health: telemetry.NewHealth()}
+	return Config{DataDir: dir, Seed: 7, Train: 4, Sink: sink, Health: telemetry.NewHealth()}
 }
 
 func stopNow(t *testing.T, srv *Server) {

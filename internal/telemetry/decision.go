@@ -88,8 +88,8 @@ func (l *DecisionLog) Stream() *Stream {
 }
 
 // Head opens every line of the log: the event's kind and its sequence
-// number, the line's first two keys. The log stamps it as it writes
-// the event.
+// number, the line's first two keys. The log numbers the event as it
+// writes it.
 type Head struct {
 	Event string `json:"event"`
 	Seq   uint64 `json:"seq"`

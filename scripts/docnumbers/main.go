@@ -37,7 +37,7 @@ var tables = []struct {
 	{"served", []row{
 		{"serve.place_per_s", "closed-loop placements acknowledged per second (each followed by its release), stalls included"},
 		{"serve.closed_p50_ms", "closed-loop `POST /v1/place`: request to durable ack, pooled median"},
-		{"serve.handler_p50_ms", "the same request inside `Handler().ServeHTTP`: decode, intake, `PlaceAll`, WAL append + fsync, ack"},
+		{"serve.handler_p50_ms", "the same request inside `Handler().ServeHTTP`: decode, intake, `Propose` + `Commit`, WAL append + fsync, ack"},
 		{"serve.http_overhead_p50_ms", "the client round trip minus the handler span"},
 	}},
 }

@@ -36,7 +36,7 @@ REF_ADDR=127.0.0.1:7461
 ACT_ADDR=127.0.0.1:7462
 STB_ADDR=127.0.0.1:7463
 MIX='matmul,social-network,dd,e-commerce,kmeans'
-SERVE_FLAGS="-seed $SEED -train 4 -placers 2 -snapshot-every 64 -lease-ttl 500ms"
+SERVE_FLAGS="-seed $SEED -train 4 -snapshot-every 64 -lease-ttl 500ms"
 LOAD_FLAGS="-warmup 0 -seed 11 -mix $MIX -ordered -workers 8"
 
 wait_exit() { # pid timeout_s
