@@ -94,8 +94,9 @@ func TestProposeAllocBudget(t *testing.T) {
 }
 
 // TestServedPlacementAllocBudget pins BenchmarkServedPlacement: the
-// daemon committer's Propose+Commit of one request with Gsight and its
-// WorstFit fallback costs the returned placement, 1 alloc/op.
+// daemon committer's ProposeOrDegrade+Commit of one request with
+// Gsight and a WorstFit fallback costs the returned placement, 1
+// alloc/op.
 func TestServedPlacementAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("predictor bootstrap is slow")

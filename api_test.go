@@ -7,22 +7,21 @@ import (
 )
 
 func TestFallbackServesDegradedPlacements(t *testing.T) {
-	// An untrained predictor makes the Gsight scheduler error; a
-	// fallback policy turns that into a served placement.
-	st := testState(t)
+	// An untrained predictor makes the Gsight scheduler error; the
+	// degradation rule turns that into a placement served by WorstFit.
+	st := gsight.NewSchedulerState(gsight.NewTestbedModel())
 	req := testRequest(t)
 	bare := gsight.NewScheduler(gsight.NewPredictor(gsight.PredictorConfig{Seed: 3}))
 	if _, err := bare.Place(st, req); err == nil {
-		t.Fatal("untrained scheduler without fallback must error")
+		t.Fatal("untrained scheduler placed without a fallback")
 	}
-	with := gsight.NewScheduler(gsight.NewPredictor(gsight.PredictorConfig{Seed: 3}))
-	with.Fallback = gsight.NewWorstFit()
-	placement, err := with.Place(st, req)
-	if err != nil {
+	req = testRequest(t)
+	placement, err := st.ProposeOrDegrade(bare, gsight.NewWorstFit(), false, req)
+	if len(placement) == 0 {
 		t.Fatalf("fallback did not serve the placement: %v", err)
 	}
-	if len(placement) == 0 {
-		t.Fatal("empty placement")
+	if req.Detail.Outcome != "degraded" {
+		t.Fatalf("outcome %q, want degraded", req.Detail.Outcome)
 	}
 }
 
@@ -52,11 +51,6 @@ func TestRunPlatformRootAPI(t *testing.T) {
 	if len(st.Degraded) == 0 {
 		t.Fatal("predictor outage left no degraded interval")
 	}
-}
-
-func testState(t *testing.T) *gsight.SchedulerState {
-	t.Helper()
-	return gsight.NewSchedulerState(gsight.NewTestbedModel())
 }
 
 func testRequest(t *testing.T) *gsight.PlacementRequest {

@@ -515,18 +515,18 @@ func BenchmarkShardedScheduling(b *testing.B) {
 }
 
 // servedPlaceOp is the daemon committer's per-placement work on an
-// n-server state: Propose with Gsight and its WorstFit fallback, then
-// Commit. The placed workload is released again so every iteration
-// starts from the empty state. One reusable request, as in proposeOp.
+// n-server state: ProposeOrDegrade with Gsight and a WorstFit
+// fallback, then Commit. The placed workload is released again so
+// every iteration starts from the empty state. One reusable request,
+// as in proposeOp.
 func servedPlaceOp(tb testing.TB, p *core.Predictor, obs []core.Observation, n int) func(int) {
 	st := sched.StateFromProfiles(resources.DefaultServerSpec("bench"), n)
-	scheduler := NewScheduler(p)
-	scheduler.Fallback = NewWorstFit()
+	scheduler, fallback := NewScheduler(p), NewWorstFit()
 	req := &PlacementRequest{SLA: SLA{MinIPC: 0.5}}
 	return func(i int) {
 		o := obs[i%len(obs)]
 		req.Input = o.Inputs[o.Target]
-		pl, err := st.Propose(scheduler, req)
+		pl, err := st.ProposeOrDegrade(scheduler, fallback, false, req)
 		if err != nil {
 			tb.Fatal(err)
 		}

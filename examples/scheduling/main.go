@@ -57,20 +57,22 @@ func main() {
 	}
 
 	// -- Placement at cluster scale -------------------------------
-	// 1024 servers, one request at a time: Propose, then Commit on
-	// success. Requests hash to a fixed-size home window and spill
-	// outward only on rejection, so per-placement cost is bounded by
-	// window size, not cluster size.
+	// 1024 servers, one request at a time, the daemon's way:
+	// ProposeOrDegrade (Gsight's Propose, with WorstFit serving
+	// what its predictor cannot vet), then Commit on success. Requests
+	// hash to a fixed-size home window and spill outward only on
+	// rejection, so per-placement cost is bounded by window size, not
+	// cluster size.
 	fmt.Println("\n== serial placement on a 1024-server cluster ==")
 	big := gsight.NewSchedulerState(gsight.NewScaledTestbedModel(1024))
-	scheduler := gsight.NewScheduler(gsightPred)
+	scheduler, fallback := gsight.NewScheduler(gsightPred), gsight.NewWorstFit()
 	const n = 512
 	placed := 0
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
 		req := request(i, fmt.Sprintf("tenant-%03d", i))
-		p, err := big.Propose(scheduler, req)
-		if err != nil {
+		p, _ := big.ProposeOrDegrade(scheduler, fallback, false, req) // req.Detail says why not
+		if p == nil {
 			continue
 		}
 		in := req.Input

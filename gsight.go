@@ -20,7 +20,8 @@
 //	pred := gsight.NewPredictor(gsight.PredictorConfig{Seed: 42})
 //	... train on labeled colocations, then:
 //	scheduler := gsight.NewScheduler(pred)        // §4's binary search
-//	scheduler.Fallback = gsight.NewWorstFit()     // serve what pred cannot vet
+//	st := gsight.NewSchedulerState(m)             // the cluster it places on
+//	pl, err := st.ProposeOrDegrade(scheduler, gsight.NewWorstFit(), false, req) // WorstFit serves what pred cannot vet
 //
 // See examples/ for runnable programs and `gsight experiments`
 // (cmd/gsight) for the paper-reproduction harness.
@@ -136,7 +137,8 @@ type (
 	// SchedulerState is the cluster state Scheduler.Place reads
 	// (capacities, usage, the running set, the online mask) and
 	// placements commit into, one request at a time: Propose runs the
-	// window ladder, Commit applies the placement it returns. Build it
+	// window ladder, ProposeOrDegrade adds the degradation rule
+	// around it, Commit applies the placement either returns. Build it
 	// with NewSchedulerState, or call Recount after constructing it or
 	// editing its fields directly.
 	SchedulerState = sched.State
@@ -145,13 +147,14 @@ type (
 )
 
 // NewScheduler returns the Gsight binary-search scheduler around a
-// trained predictor. Its fields and methods configure it: Fallback
-// serves placements the predictor cannot vet through a backup policy
-// (outcome "degraded") instead of rejecting them; Tier0 (the
+// trained predictor. Its fields and methods configure it: Tier0 (the
 // predictor's Tier0()) and TopK > 0 together prune the candidate
 // servers to the top K by tier-0 interference score before full
 // prediction vets the finalists (two-tier placement, DESIGN.md §15);
-// Instrument attaches a telemetry sink, after TopK is set.
+// Instrument attaches a telemetry sink, after TopK is set. A placement
+// its predictor cannot vet fails with the predictor's error;
+// SchedulerState.ProposeOrDegrade serves it through a WorstFit
+// fallback instead (outcome "degraded", DESIGN.md §11).
 func NewScheduler(p QoSPredictor) *sched.Gsight { return sched.NewGsight(p) }
 
 // NewSchedulerState returns an empty scheduler cluster state sized to

@@ -95,8 +95,8 @@ type scaleRun struct {
 	slaFrac float64 // share of placements vetted by a prediction
 	// capFrac is the share of placements accepted on capacity alone: the
 	// request carries an SLA, yet its decision holds no prediction
-	// (Gsight past its code's rows, or a scheduler that never reports
-	// one).
+	// (Gsight past its code's rows, BestFit on a batch request, or
+	// WorstFit).
 	capFrac float64
 	perSec  float64 // wall-clock
 }
@@ -197,6 +197,6 @@ func ExtScale(ctx context.Context, opt Options) (*Report, error) {
 		}
 	}
 	r.AddNote("requests hash to an 8-server home window and spill outward on rejection, so per-placement cost is bounded by window size, not cluster size")
-	r.AddNote("SLA-admit counts placements whose decision carries a prediction; capacity-only counts placements with an SLA but no prediction, which QoS-density leaves out. BestFit and WorstFit report no prediction on a decision, so every one of their placements counts as capacity-only")
+	r.AddNote("SLA-admit counts placements whose decision carries a prediction; capacity-only counts placements with an SLA but no prediction, which QoS-density leaves out. BestFit predicts only an LS request's IPC, so its batch placements count as capacity-only, and WorstFit predicts nothing")
 	return r, nil
 }

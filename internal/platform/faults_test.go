@@ -205,10 +205,10 @@ func TestPlaceEpilogue(t *testing.T) {
 			outcome: "degraded", reason: reasonUnavailable, degraded: 1,
 			intervals: []DegradedInterval{{StartS: 0, EndS: 600, Reason: reasonUnavailable}}},
 		{name: "untrained", primary: sched.NewGsight(untrainedPredictor{}),
-			outcome: "degraded", reason: reasonUntrained, degraded: 1,
+			outcome: "degraded", reason: "predictor-error", degraded: 1,
 			intervals: []DegradedInterval{{StartS: 0, EndS: horizonS, Reason: reasonUntrained}}},
 		{name: "scheduler-error", primary: &flakyScheduler{},
-			outcome: "degraded", reason: reasonSchedulerError, degraded: 1},
+			outcome: "degraded", reason: "scheduler-error", degraded: 1},
 		{name: "rejected", primary: sched.NewGsight(&fixedPredictor{ipc: 99}), offline: true,
 			outcome: "rejected"},
 	} {

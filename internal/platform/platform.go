@@ -17,7 +17,6 @@
 package platform
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -143,9 +142,9 @@ type Stats struct {
 	ColdStarts     int
 	Migrations     int // reactive moves after persistent SLA violations
 	Reschedules    int // placement changes during scale-out
-	Placements     int
+	Placements     int // placement requests, one decision-log line each
 	RejectedJobs   int
-	SchedulingTime time.Duration // wall-clock spent in Place()
+	SchedulingTime time.Duration // wall-clock spent placing them
 	Steps          int
 	// Invocations is the total LS invocation volume replayed: the
 	// per-step sampled QPS of every service integrated over step
@@ -202,13 +201,11 @@ type serviceState struct {
 // a reactive spread of the worst function.
 const violationPatience = 3
 
-// Degradation reasons recorded on intervals, transition events and
-// degraded placements. A scheduler error opens no interval: it only
-// labels the one placement the fallback served in its place.
+// Reasons of degraded windows; sched.ProposeOrDegrade labels the
+// degraded placements themselves (DESIGN.md §11).
 const (
-	reasonUnavailable    = "predictor-unavailable"
-	reasonUntrained      = "predictor-untrained"
-	reasonSchedulerError = "scheduler-error"
+	reasonUnavailable = "predictor-unavailable"
+	reasonUntrained   = "predictor-untrained"
 )
 
 // runner is the mutable state of one platform run. Run builds it,
@@ -239,7 +236,7 @@ type runner struct {
 	jobFree [][]*scActive
 
 	inj      *faults.Injector
-	fallback sched.Scheduler
+	fallback *sched.WorstFit
 
 	// The run's timeline is two presorted slices, both known before
 	// t = 0: the injector's fault changes and the batch-job submission
@@ -366,7 +363,7 @@ func (r *runner) deployServices() error {
 		in := ss.syncInput()
 		req := &sched.Request{Input: *in, SLA: ss.svc.SLA}
 		placement, err := r.place(req)
-		if err != nil {
+		if placement == nil {
 			return fmt.Errorf("platform: deploying %s: %w", ss.svc.W.Name, err)
 		}
 		copy(ss.dep.Placement, placement)
@@ -479,8 +476,8 @@ func (r *runner) submitJob() {
 	}
 	req := &r.reqBuf
 	*req = sched.Request{Input: *in, SLA: a.sla, SoloDurationS: w.SoloDurationS}
-	placement, err := r.place(req)
-	if err != nil {
+	placement, _ := r.place(req) // the decision log holds the reason
+	if placement == nil {
 		r.stats.RejectedJobs++
 		r.jobFree[pi] = append(r.jobFree[pi], a)
 		return
@@ -525,84 +522,33 @@ func (r *runner) removeJob(id int) *scActive {
 // unreachable right now.
 func (r *runner) predictorOut() bool { return !r.inj.PredictorAvailable() }
 
-// propose times one Place call against the given policy and counts it.
-func (r *runner) propose(s sched.Scheduler, req *sched.Request) ([]int, error) {
+// place is the platform's single placement entry point. sched's
+// degradation rule decides the placement, with an injected predictor
+// outage routed around the primary scheduler. No path retries: every
+// scheduler answers an unchanged state the same way, and a retry
+// timeout would be the only wall-clock input on the decision path.
+// Around the rule the runner keeps the degraded windows (an untrained
+// predictor opens one, the primary's next placement closes it) and
+// completes the request's one placement record with the cluster-wide
+// context before it goes to the decision log. It returns the rule's
+// answer: a placement exactly when the request was placed, and the
+// primary's error.
+func (r *runner) place(req *sched.Request) ([]int, error) {
+	out := r.predictorOut()
 	t0 := time.Now()
-	placement, err := r.state.Propose(s, req)
+	placement, err := r.state.ProposeOrDegrade(r.cfg.Scheduler, r.fallback, out, req)
 	r.stats.SchedulingTime += time.Since(t0)
 	r.stats.Placements++
-	if err != nil {
-		return nil, err
-	}
-	return placement, nil
-}
-
-// place is the platform's single placement entry point: the primary
-// scheduler, immediate degradation to the fallback policy on predictor
-// errors (or during an injected predictor outage), one fallback attempt
-// on any other unexpected error, and no fallback for deterministic
-// rejections. No path retries: every scheduler answers an unchanged
-// state the same way, and a retry timeout would be the only wall-clock
-// input on the decision path. The final decision is the request's one
-// placement record: the answering scheduler's req.Detail, its outcome
-// relabelled for the fallback path (that scheduler only knows its own
-// verdict), its search counts summed over every Place call the request
-// made and completed with the cluster-wide context, goes to the
-// decision log.
-func (r *runner) place(req *sched.Request) ([]int, error) {
-	var placement []int
-	var err error
-	out := r.predictorOut()
-	if !out {
-		placement, err = r.propose(r.cfg.Scheduler, req)
-	}
-	reason := "" // why the fallback serves the request; "" when it does not
-	switch {
-	case out:
-		// The predictor (and with it the primary scheduler's SLA
-		// vetting) is unreachable: serve capacity-based placements
-		// until the outage ends.
-		reason = cmp.Or(r.degradedReason, reasonUnavailable)
-	case err == nil:
-		if r.degraded && r.degradedReason == reasonUntrained {
-			// The predictor has caught up (trained or recovered):
-			// leave degraded mode.
-			r.exitDegraded()
-		}
-	case errors.Is(err, sched.ErrNoPlacement):
-		// Deterministic: the cluster cannot host it.
-	case errors.Is(err, core.ErrNotTrained):
+	if !out && err == nil && r.degradedReason == reasonUntrained {
+		r.closeDegraded(r.now) // the predictor has caught up
+	} else if errors.Is(err, core.ErrNotTrained) {
 		r.enterDegraded(reasonUntrained)
-		reason = r.degradedReason
-	default:
-		// Unexpected failure: degrade rather than fail the run.
-		reason = reasonSchedulerError
 	}
-	answered := r.cfg.Scheduler
 	d := &req.Detail
-	if reason != "" {
-		primaryErr := err
-		answered = r.fallback
-		// The primary's search (none during an outage) counts too.
-		levels, checks := d.SpreadLevels, d.SLAChecks
-		if placement, err = r.propose(r.fallback, req); err == nil {
-			r.stats.DegradedPlacements++
-			r.ins.DegradedPlacements.Inc()
-		} else if reason == reasonSchedulerError {
-			err = primaryErr
-		}
-		d.SpreadLevels += levels
-		d.SLAChecks += checks
+	if d.Outcome == "degraded" {
+		r.stats.DegradedPlacements++
+		r.ins.DegradedPlacements.Inc()
 	}
-	if err != nil {
-		if d.Outcome == "" || d.Outcome == "placed" {
-			d.Outcome = "error"
-		}
-	} else if reason != "" {
-		d.Outcome = "degraded"
-		d.Reason = cmp.Or(d.Reason, reason)
-	}
-	d.Scheduler = answered.Name()
 	d.Workload, d.Class, d.Functions = req.Input.Name, req.Input.Class.String(), len(req.Input.Profiles)
 	d.Servers, d.ActiveServers = r.state.NumServers(), r.state.ActiveServers()
 	d.Placement = placement
@@ -621,9 +567,6 @@ func (r *runner) enterDegraded(reason string) {
 	r.degradedSince = r.now
 	r.degradedEvent(r.now, true)
 }
-
-// exitDegraded closes the open degraded interval at the current time.
-func (r *runner) exitDegraded() { r.closeDegraded(r.now) }
 
 // closeDegraded closes the open degraded interval at endS.
 func (r *runner) closeDegraded(endS float64) {
@@ -685,7 +628,7 @@ func (r *runner) applyFault(c faults.Change) {
 		r.enterDegraded(reasonUnavailable)
 	case faults.OpPredictorUp:
 		if r.inj.PredictorAvailable() {
-			r.exitDegraded()
+			r.closeDegraded(r.now)
 		}
 	}
 	r.fev = telemetry.FaultEvent{
@@ -739,7 +682,7 @@ func (r *runner) evacuate(node int) (displacedSvc, displacedJobs int) {
 		displacedSvc++
 		r.state.Release(ss.svc.W.Name)
 		req := &sched.Request{Input: *ss.syncInput(), SLA: ss.svc.SLA}
-		if placement, err := r.place(req); err == nil {
+		if placement, _ := r.place(req); placement != nil { // else the log holds the reason
 			for f := range placement {
 				if placement[f] != ss.dep.Placement[f] {
 					r.stats.ColdStarts += ss.dep.Replicas[f]
@@ -846,8 +789,7 @@ func (r *runner) loop() error {
 				r.state.Release(ss.svc.W.Name)
 				req := &r.reqBuf
 				*req = sched.Request{Input: *ss.syncInput(), SLA: ss.svc.SLA}
-				placement, err := r.place(req)
-				if err == nil {
+				if placement, _ := r.place(req); placement != nil { // else the log holds the reason
 					for f := range placement {
 						if placement[f] != ss.dep.Placement[f] {
 							stats.Reschedules++

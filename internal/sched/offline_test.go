@@ -9,20 +9,6 @@ import (
 	"gsight/internal/workload"
 )
 
-// errPredictor fails every prediction with a fixed error.
-type errPredictor struct{ err error }
-
-func (e *errPredictor) TrainObservations(core.QoSKind, []core.Observation) error { return nil }
-func (e *errPredictor) Predict(core.QoSKind, int, []core.WorkloadInput) (float64, error) {
-	return 0, e.err
-}
-func (e *errPredictor) Observe(core.QoSKind, int, []core.WorkloadInput, float64) error { return nil }
-func (e *errPredictor) Flush(core.QoSKind) error                                       { return nil }
-func (e *errPredictor) Name() string                                                   { return "err" }
-func (e *errPredictor) PredictBatchInto(k core.QoSKind, q []core.Query, out []float64) error {
-	return predictEach(e, k, q, out)
-}
-
 func TestOfflineStateBookkeeping(t *testing.T) {
 	st := StateFromProfiles(spec, 4)
 	if st.OnlineServers() != 4 {
@@ -86,42 +72,17 @@ func TestAllOfflineIsNoPlacement(t *testing.T) {
 }
 
 func TestGsightFallbackOnPredictorError(t *testing.T) {
-	g := NewGsight(&errPredictor{err: fmt.Errorf("%w: ipc", core.ErrNotTrained)})
-	g.Fallback = NewWorstFit()
+	g := NewGsight(failing{err: fmt.Errorf("%w: ipc", core.ErrNotTrained)})
 	st := StateFromProfiles(spec, 4)
 	req := &Request{Input: inputFor(workload.DD(), 0), SLA: SLA{MinIPC: 1}}
-	placement, err := g.Place(st, req)
-	if err != nil {
-		t.Fatalf("fallback should have served the placement: %v", err)
+	placement, err := st.ProposeOrDegrade(g, NewWorstFit(), false, req)
+	if !errors.Is(err, core.ErrNotTrained) {
+		t.Fatalf("err = %v, want the predictor error beside the placement", err)
 	}
 	if len(placement) == 0 {
-		t.Fatal("empty placement")
+		t.Fatal("fallback should have served the placement")
 	}
-}
-
-func TestGsightPredictorErrorWithoutFallback(t *testing.T) {
-	base := fmt.Errorf("%w: ipc", core.ErrNotTrained)
-	g := NewGsight(&errPredictor{err: base})
-	st := StateFromProfiles(spec, 4)
-	req := &Request{Input: inputFor(workload.DD(), 0), SLA: SLA{MinIPC: 1}}
-	if _, err := g.Place(st, req); !errors.Is(err, core.ErrNotTrained) {
-		t.Fatalf("err = %v, want the predictor error preserved", err)
-	}
-}
-
-func TestGsightFallbackRespectsOffline(t *testing.T) {
-	g := NewGsight(&errPredictor{err: errors.New("boom")})
-	g.Fallback = NewWorstFit()
-	st := StateFromProfiles(spec, 3)
-	st.SetOffline(1, true)
-	req := &Request{Input: inputFor(workload.DD(), 0), SLA: SLA{MinIPC: 1}}
-	placement, err := g.Place(st, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, srv := range placement {
-		if srv == 1 {
-			t.Fatalf("fallback placed on offline server: %v", placement)
-		}
+	if req.Detail.Outcome != "degraded" || req.Detail.Scheduler != "WorstFit" {
+		t.Fatalf("decision %s by %q, want degraded by WorstFit", req.Detail.Outcome, req.Detail.Scheduler)
 	}
 }

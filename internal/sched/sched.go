@@ -370,10 +370,9 @@ type decisionRecorder struct {
 	ins telemetry.SchedulerInstruments
 }
 
-// finish counts one decision, hands d to the caller as req.Detail and
-// ends the span; beyond the Detail write it is a no-op when
+// finish counts one decision, d, and ends the span; it is a no-op when
 // uninstrumented.
-func (r *decisionRecorder) finish(span telemetry.Span, req *Request, placement []int, d *telemetry.PlacementDecision) {
+func (r *decisionRecorder) finish(span telemetry.Span, placement []int, d *telemetry.PlacementDecision) {
 	r.ins.Placements.Inc()
 	if placement == nil {
 		r.ins.Failures.Inc()
@@ -383,7 +382,6 @@ func (r *decisionRecorder) finish(span telemetry.Span, req *Request, placement [
 	}
 	r.ins.SearchIterations.Observe(float64(d.SpreadLevels))
 	r.ins.SLAChecks.Observe(float64(d.SLAChecks))
-	req.Detail = *d
 	span.End()
 }
 
@@ -402,14 +400,6 @@ func (r *decisionRecorder) finish(span telemetry.Span, req *Request, placement [
 // predictor, whose hot path is goroutine-safe).
 type Gsight struct {
 	Predictor core.QoSPredictor
-	// Fallback, when set, serves requests the predictor cannot vet:
-	// if the SLA checks fail with a predictor error (untrained model,
-	// unavailable predictor), Place delegates to Fallback instead of
-	// failing, recording the decision with outcome "degraded". The
-	// concrete type keeps the call direct: through the Scheduler
-	// interface every caller's State and Request would escape to the
-	// heap, even when no fallback ever runs.
-	Fallback *WorstFit
 	// Tier0 and TopK enable two-tier placement: when both are set and
 	// the online-server count exceeds TopK, the tier-0 scorer ranks
 	// candidates and the binary-search ladder runs over only the top-K
@@ -423,6 +413,7 @@ type Gsight struct {
 	t0      tier0Scratch
 	t0ins   telemetry.Tier0Instruments
 	decisionRecorder
+	benchFallback
 }
 
 // placeScratch is the per-scheduler reusable state of one Place call:
@@ -486,17 +477,16 @@ func (g *Gsight) Place(st *State, req *Request) ([]int, error) {
 		return nil, fmt.Errorf("sched: empty cluster")
 	}
 	span := telemetry.StartSpan(g.ins.PlaceSeconds)
-	// d is local, not req.Detail: a Fallback.Place inside search writes
-	// req.Detail with its own account.
-	var d telemetry.PlacementDecision
-	out, err := g.search(st, req, &d)
+	d := &req.Detail
+	*d = telemetry.PlacementDecision{}
+	out, err := g.search(st, req, d)
 	if t0 := &g.t0; t0.active {
 		d.Tier0Kept, d.Tier0Pruned = t0.kept, t0.pruned
 		if len(out) > 0 {
 			d.Tier0Score = t0.score[out[0]]
 		}
 	}
-	g.finish(span, req, out, &d)
+	g.finish(span, out, d)
 	return out, err
 }
 
@@ -581,18 +571,8 @@ func (g *Gsight) search(st *State, req *Request, d *telemetry.PlacementDecision)
 			ok, n, err := g.satisfies(st, req, placement)
 			d.SLAChecks += n
 			if err != nil {
-				// The predictor cannot vet the candidate. With a
-				// fallback policy the request is still served —
-				// degraded, capacity-based — instead of failing the
-				// caller's run.
-				if g.Fallback != nil {
-					out, ferr := g.Fallback.Place(st, req)
-					if ferr == nil {
-						g.ins.Fallbacks.Inc()
-						d.Outcome, d.Reason = "degraded", "predictor-error"
-						return out, nil
-					}
-				}
+				// The predictor cannot vet the candidate; the
+				// caller's degradation rule decides what serves it.
 				d.Outcome, d.Reason = "error", "predictor-error"
 				return nil, err
 			}
@@ -824,9 +804,10 @@ func (b *BestFit) Instrument(s *telemetry.Sink) { b.ins = s.Scheduler(b.Name()) 
 // Place implements Scheduler.
 func (b *BestFit) Place(st *State, req *Request) ([]int, error) {
 	span := telemetry.StartSpan(b.ins.PlaceSeconds)
-	d := telemetry.PlacementDecision{SpreadLevels: 1}
-	out, err := b.search(st, req, &d)
-	b.finish(span, req, out, &d)
+	d := &req.Detail
+	*d = telemetry.PlacementDecision{SpreadLevels: 1}
+	out, err := b.search(st, req, d)
+	b.finish(span, out, d)
 	return out, err
 }
 
@@ -873,7 +854,11 @@ func (b *BestFit) search(st *State, req *Request, d *telemetry.PlacementDecision
 		}
 		d.SLAChecks = 1
 		ipc, err := b.Predictor.Predict(core.IPCQoS, 0, b.inputs)
-		if err == nil && ipc < req.SLA.MinIPC {
+		if err != nil {
+			d.Outcome, d.Reason = "error", "predictor-error"
+			return nil, err
+		}
+		if ipc < req.SLA.MinIPC {
 			// Pythia's reaction: spread to the emptiest servers.
 			b.ins.SLARejections.Inc()
 			d.Outcome, d.Reason = "fallback", "sla-violated"
@@ -883,6 +868,7 @@ func (b *BestFit) search(st *State, req *Request, d *telemetry.PlacementDecision
 			}
 			return spreadPlacement, err
 		}
+		d.PredIPC = ipc
 	}
 	d.Outcome = "placed"
 	return placement, nil
@@ -911,12 +897,13 @@ func (w *WorstFit) Instrument(s *telemetry.Sink) { w.ins = s.Scheduler(w.Name())
 // Place implements Scheduler.
 func (w *WorstFit) Place(st *State, req *Request) ([]int, error) {
 	span := telemetry.StartSpan(w.ins.PlaceSeconds)
-	d := telemetry.PlacementDecision{Outcome: "placed", SpreadLevels: 1}
+	d := &req.Detail
+	*d = telemetry.PlacementDecision{Outcome: "placed", SpreadLevels: 1}
 	out, err := w.search(st, req)
 	if err != nil {
 		d.Outcome, d.Reason = "rejected", "no-fit"
 	}
-	w.finish(span, req, out, &d)
+	w.finish(span, out, d)
 	return out, err
 }
 

@@ -44,9 +44,9 @@ type proposeScratch struct {
 // ErrNoPlacement (nothing fits / every feasible spread violates an
 // SLA within the window) and on the "fallback" outcome (the window
 // accepted only a last-resort full-spread — a wider window may still
-// find an SLA-clean placement). "placed" and "degraded" accept
-// immediately; non-placement errors (untrained predictor and the
-// like) bubble to the caller, whose degraded-mode policy is not the
+// find an SLA-clean placement). "placed" accepts immediately;
+// non-placement errors (a predictor error and the like) bubble to the
+// caller, whose degradation rule (ProposeOrDegrade) is not the
 // ladder's business. Once the window covers the cluster the decision
 // is final either way.
 func (st *State) Propose(s Scheduler, req *Request) ([]int, error) {

@@ -51,9 +51,10 @@ type Server struct {
 	cat   *Catalog
 	pred  *core.Predictor
 	state *sched.State
-	// placer is the daemon's one scheduler: Gsight with a WorstFit
-	// fallback for what the predictor cannot vet.
-	placer *sched.Gsight
+	// placer is the daemon's one scheduler, Gsight; fallback serves
+	// what its predictor cannot vet (sched.ProposeOrDegrade).
+	placer   *sched.Gsight
+	fallback *sched.WorstFit
 
 	intake   chan *pending
 	stopC    chan struct{}
@@ -288,7 +289,7 @@ func New(cfg Config) (*Server, error) {
 	s.nextOrder = 1
 	pred.InstrumentLearner(s.met.learner)
 	s.placer = sched.NewGsight(pred)
-	s.placer.Fallback = sched.NewWorstFit()
+	s.fallback = sched.NewWorstFit()
 
 	if err := s.restore(); err != nil {
 		s.store.Close()
@@ -910,8 +911,8 @@ func (s *Server) commitBatch(batch []*pending) error {
 }
 
 // applyPlace decides the placement record at seq: the request built
-// from the catalog is proposed against the current state and committed
-// on success.
+// from the catalog is proposed against the current state, through the
+// fallback when the predictor cannot vet it, and committed on success.
 func (s *Server) applyPlace(p *pending, seq uint64) (*placeRecord, error) {
 	name := fmt.Sprintf("%s#%d", p.arch, seq)
 	if p.order > 0 {
@@ -921,7 +922,7 @@ func (s *Server) applyPlace(p *pending, seq uint64) (*placeRecord, error) {
 	if err != nil {
 		return nil, err // handler validates archetypes; this is a bug
 	}
-	placement, err := s.state.Propose(s.placer, req)
+	placement, err := s.state.ProposeOrDegrade(s.placer, s.fallback, false, req)
 	d := &req.Detail
 	pr := &placeRecord{
 		Workload: p.arch,
@@ -930,7 +931,7 @@ func (s *Server) applyPlace(p *pending, seq uint64) (*placeRecord, error) {
 		Outcome:  d.Outcome,
 		Reason:   d.Reason,
 	}
-	if err != nil {
+	if placement == nil {
 		if pr.Outcome == "" {
 			pr.Outcome = "error"
 		}

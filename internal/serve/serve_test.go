@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -126,6 +127,50 @@ func TestServeDegradedUntrained(t *testing.T) {
 	}
 	if len(ack.Placement) == 0 {
 		t.Fatal("degraded placement returned no servers")
+	}
+}
+
+// updateUntrained rewrites testdata/untrained-decisions.jsonl; the file
+// pins records an older build wrote, so rewrite it only on purpose.
+var updateUntrained = flag.Bool("update-untrained", false, "rewrite testdata/untrained-decisions.jsonl from this build")
+
+// TestServeUntrainedRecordsPinned: an untrained daemon serves every
+// placement through the WorstFit fallback. A fixed ordered sequence of
+// LS, SC and BG archetypes, long enough that WorstFit runs out of room,
+// must write exactly the records in testdata: degraded/predictor-error
+// while WorstFit fits, error/predictor-error after. Data dirs written
+// by older builds restore only if these bytes stay the same.
+func TestServeUntrainedRecordsPinned(t *testing.T) {
+	mix := []string{"social-network", "matmul", "monitor", "e-commerce", "dd", "iot-collector", "kmeans"}
+	ops := make([]scriptOp, 140)
+	for i := range ops {
+		ops[i] = scriptOp{kind: kindPlace, arch: mix[i%len(mix)]}
+	}
+	cfg := snapConfig(t.TempDir(), nil)
+	cfg.Train = 0
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, srv, ops, 0, len(ops))
+	log, _ := stopped(t, srv)
+	for _, want := range []string{`"outcome":"degraded","placement":`, `"outcome":"error","reason":"predictor-error"`} {
+		if !bytes.Contains(log, []byte(want)) {
+			t.Fatalf("the sequence never wrote %s: it no longer reaches both sides of WorstFit's capacity", want)
+		}
+	}
+	golden := filepath.Join("testdata", "untrained-decisions.jsonl")
+	if *updateUntrained {
+		if err := os.WriteFile(golden, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(log, want) {
+		t.Fatalf("untrained decision log differs from %s:\n%s", golden, firstDiff(want, log))
 	}
 }
 

@@ -123,9 +123,9 @@ type PlacementDecision struct {
 	ActiveServers int `json:"active_servers"`
 	// SpreadLevels counts the binary-search iterations (candidate
 	// spread levels tried); non-search schedulers report 1 per Place
-	// call. The simulator sums every call the request made: discarded
-	// window-ladder attempts and a primary attempt the fallback
-	// replaced.
+	// call. The simulator and the daemon sum every call the request
+	// made: discarded window-ladder attempts and a primary attempt the
+	// fallback replaced (sched.ProposeOrDegrade).
 	SpreadLevels int `json:"spread_levels"`
 	// SLAChecks counts the QoS predictions issued while vetting
 	// candidates (batched checks count each query), summed the same way.
@@ -136,7 +136,8 @@ type PlacementDecision struct {
 	// "error".
 	Outcome string `json:"outcome"`
 	// Reason qualifies non-"placed" outcomes: "sla-violated", "no-fit",
-	// "predictor-error", or the simulator's degradation reason.
+	// or the degradation rule's (sched.ProposeOrDegrade)
+	// "predictor-error", "predictor-unavailable" or "scheduler-error".
 	Reason string `json:"reason,omitempty"`
 	// Placement is the chosen server per function (nil when rejected).
 	Placement []int `json:"placement,omitempty"`

@@ -61,7 +61,7 @@ type SchedulerInstruments struct {
 	Placements       *Counter   // placement requests handled
 	Failures         *Counter   // requests that returned an error
 	SLARejections    *Counter   // candidate placements rejected by SLA checks
-	Fallbacks        *Counter   // placements by the full-spread last resort
+	Fallbacks        *Counter   // full-spread last-resort placements, not degraded ones
 	SearchIterations *Histogram // binary-search spread levels tried per request
 	SLAChecks        *Histogram // QoS predictions issued per request
 	PlaceSeconds     *Histogram // wall-clock per Place call

@@ -9,10 +9,12 @@
 # acknowledged record survives the kill (WAL fsync before ack) and
 # the takeover resumes the exact decision stream (DESIGN.md §16), and
 # `gsight inspect summary` reads the two logs to the same summary.
-# Two passes: placements only, then placements with observations and
+# Three passes: placements only, then placements with observations and
 # releases, so the learner's state, a background training between its
 # flush and its install, and background snapshot publishes sit inside
-# the kill window.
+# the kill window, then placements on an untrained daemon (-train 0),
+# whose every placement takes the WorstFit fallback, so the replay of
+# degraded records is checked too.
 #
 # Usage: scripts/servecheck.sh [requests] [seed]
 set -eu
@@ -36,7 +38,7 @@ REF_ADDR=127.0.0.1:7461
 ACT_ADDR=127.0.0.1:7462
 STB_ADDR=127.0.0.1:7463
 MIX='matmul,social-network,dd,e-commerce,kmeans'
-SERVE_FLAGS="-seed $SEED -train 4 -snapshot-every 64 -lease-ttl 500ms"
+SERVE_FLAGS="-seed $SEED -snapshot-every 64 -lease-ttl 500ms"
 LOAD_FLAGS="-warmup 0 -seed 11 -mix $MIX -ordered -workers 8"
 
 wait_exit() { # pid timeout_s
@@ -59,17 +61,19 @@ wait_log() { # file pattern timeout_s
     return 0
 }
 
-# pass NAME REQUESTS KILL_AT_BYTES HOLD LOAD_EXTRA...: one reference run
-# and one crash run of the same ordered load; the active is killed once
-# its decision log passes KILL_AT_BYTES and, with HOLD=learner, once its
+# pass NAME REQUESTS KILL_AT_BYTES HOLD TRAIN LOAD_EXTRA...: one
+# reference run and one crash run of the same ordered load on daemons
+# bootstrapped on TRAIN scenarios; the active is killed once its
+# decision log passes KILL_AT_BYTES and, with HOLD=learner, once its
 # /metrics report a learner training in flight.
 pass() {
-    name="$1"; requests="$2"; kill_at="$3"; hold="$4"; shift 4
+    name="$1"; requests="$2"; kill_at="$3"; hold="$4"; train="$5"; shift 5
+    serve_flags="$SERVE_FLAGS -train $train"
     load_flags="-n $requests $LOAD_FLAGS $*"
     ref="$WORK/$name-ref"; crash="$WORK/$name-crash"
 
     echo "servecheck[$name]: reference run (uninterrupted)..."
-    "$WORK/gsight" serve -data "$ref" -addr "$REF_ADDR" $SERVE_FLAGS \
+    "$WORK/gsight" serve -data "$ref" -addr "$REF_ADDR" $serve_flags \
         > "$WORK/$name-ref.log" 2>&1 &
     REF_PID=$!
     "$WORK/gsight" loadgen -addr "http://$REF_ADDR" $load_flags > "$WORK/$name-ref-load.out"
@@ -78,7 +82,7 @@ pass() {
     REF_PID=
 
     echo "servecheck[$name]: crash run (active + standby, SIGKILL mid-load)..."
-    "$WORK/gsight" serve -data "$crash" -addr "$ACT_ADDR" $SERVE_FLAGS \
+    "$WORK/gsight" serve -data "$crash" -addr "$ACT_ADDR" $serve_flags \
         > "$WORK/$name-active.log" 2>&1 &
     ACTIVE_PID=$!
     # The active must hold the lease before the standby starts, or the
@@ -88,7 +92,7 @@ pass() {
         cat "$WORK/$name-active.log" >&2
         exit 1
     }
-    "$WORK/gsight" serve -data "$crash" -addr "$STB_ADDR" -standby $SERVE_FLAGS \
+    "$WORK/gsight" serve -data "$crash" -addr "$STB_ADDR" -standby $serve_flags \
         > "$WORK/$name-standby.log" 2>&1 &
     STANDBY_PID=$!
 
@@ -179,7 +183,7 @@ pass() {
 }
 
 # Placements only: the kill lands in the first WAL generation.
-pass place "$REQUESTS" 3000 publish -release 0 -observe 0
+pass place "$REQUESTS" 3000 publish 4 -release 0 -observe 0
 # Mixed: observations and releases ride the ordered stream (1.8 records
 # per placement) and the kill comes later — after the learner's first
 # flush and before its install, 256 records on (the standby's restore
@@ -187,4 +191,8 @@ pass place "$REQUESTS" 3000 publish -release 0 -observe 0
 # in its snapshots, several -snapshot-every 64 rotations behind it and,
 # when the killer catches one, a generation's publish in flight (the
 # standby then logs "from generations N..N+1").
-pass mixed "$((REQUESTS * 3))" 40000 learner -release 0.5 -observe 0.3
+pass mixed "$((REQUESTS * 3))" 40000 learner 4 -release 0.5 -observe 0.3
+# Untrained: every placement is degraded (or, once WorstFit finds no
+# room, an error) with reason predictor-error. An untrained daemon
+# answers fast, so the load is paced to put the kill inside it.
+pass untrained 120 3000 publish 0 -release 0 -observe 0 -rate 200
